@@ -146,8 +146,16 @@ let kernels_cmd =
   Cmd.v (Cmd.info "kernels" ~doc:"print original and partitioned kernel IR")
     Term.(const run $ app_arg)
 
+(* Validated as the command line is evaluated, for every subcommand
+   that takes it: a non-positive device count is a user error. *)
 let gpus_arg =
-  Arg.(value & opt int 4 & info [ "gpus"; "g" ] ~docv:"N" ~doc:"simulated GPUs")
+  let positive g =
+    if g < 1 then die "--gpus must be a positive integer (got %d)" g;
+    g
+  in
+  Term.(
+    const positive
+    $ Arg.(value & opt int 4 & info [ "gpus"; "g" ] ~docv:"N" ~doc:"simulated GPUs"))
 
 let faults_arg =
   let conv_spec =
@@ -403,24 +411,31 @@ let json_flag =
 
 let plan_cmd =
   let run app gpus topology speeds json =
-    if gpus < 1 then die "--gpus must be positive (got %d)" gpus;
     let device_speeds = device_speeds_of ~gpus speeds in
     let artifacts = compile_app app in
     let cfg =
       try Gpusim.Config.k80_box ~n_devices:gpus ~topology ?device_speeds ()
       with Invalid_argument m -> die "%s" m
     in
-    let choices = Mekong.Toolchain.explain_plans ~cfg artifacts in
     if json then
       print_endline
         ("["
-         ^ String.concat "," (List.map Mekong.Autotune.choice_json choices)
+         ^ String.concat ","
+             (List.map Mekong.Autotune.choice_json
+                (Mekong.Toolchain.explain_plans ~cfg artifacts))
          ^ "]")
     else begin
+      let launches = Mekong.Toolchain.launch_steps ~cfg artifacts in
       Printf.printf "%s: %d launch shape(s) on %d GPUs (%s)\n" (fst app)
-        (List.length choices) gpus
+        (List.length launches) gpus
         (Gpusim.Config.topology_to_string topology);
-      print_choices choices
+      List.iter
+        (fun (choice, steps) ->
+           print_choices [ choice ];
+           print_endline "  steps:";
+           String.split_on_char '\n' (Mekong.Plan.to_string steps)
+           |> List.iter (Printf.printf "    %s\n"))
+        launches
     end
   in
   Cmd.v
@@ -428,7 +443,8 @@ let plan_cmd =
        ~doc:
          "print the autotuner's candidate partition plans per kernel launch \
           — predicted compute/transfer/host costs, cross-device bytes and \
-          halo depth for each candidate — with the chosen winner marked")
+          halo depth for each candidate — with the chosen winner marked, \
+          then the engine steps the winner runs")
     Term.(
       const run $ app_arg $ gpus_arg $ topology_arg $ speeds_arg $ json_flag)
 
@@ -481,7 +497,6 @@ let serve_cmd =
   in
   let run gpus jobs tenants poison seed max_queue mem_cap deadline losses
       domains json trace analyze =
-    if gpus < 1 then die "--gpus must be positive (got %d)" gpus;
     (match mem_cap with
      | Some c when c <= 0 -> die "--mem-cap must be positive (got %d)" c
      | _ -> ());

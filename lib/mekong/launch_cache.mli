@@ -61,10 +61,10 @@ type plan = {
   pl_choice : string;
       (** {!Autotune.shape_name} of the winning candidate ([""] =
           fixed strategy, autotuning off) *)
-  pl_halo : int;
-      (** halo-tiling depth the winner was scored with; the engine
-          executes halo tiling iff [>= 2], so the executed schedule
-          always matches the scored one *)
+  pl_halo : Autotune.halo_plan option;
+      (** the winner's halo-tiled schedule ([None] = per-step); the
+          engine executes exactly the schedule the winner was scored
+          with *)
 }
 
 type stats = { hits : int; misses : int }

@@ -68,51 +68,6 @@ let of_analysis (a : Access.t) : kernel_model =
 
 let of_analyses l = { kernels = List.map of_analysis l }
 
-(* Race-freedom gate for domain-parallel block execution (DESIGN.md
-   §13).  Blocks of one launch may run concurrently iff the model
-   proves no cross-block hazard:
-
-   - every written array has an exact polyhedral write map (the
-     instrumentation fallback knows nothing about ordering), injective
-     across blocks — re-checked here rather than trusting the §4.1
-     acceptance pass, so the gate is sound for models built with
-     [check_writes:false] too — killing write-after-write hazards;
-   - for every array both read and written, no distinct blocks b1, b2
-     have write(b1) overlap read(b2) — reads over-approximated to the
-     whole array make this conservatively false, so inexact reads of
-     written arrays fall back to sequential execution;
-   - atomic accesses count as writes here: the executor's compiled
-     atomic is a plain load-combine-store, indivisible only when the
-     blocks touching an element share one domain, so block-parallel
-     execution needs the same cross-block disjointness proof.
-     Reducible (conflicting same-op atomic) kernels are legal to
-     *partition* but not to block-parallelize; the engine gives them
-     partition-local accumulators and runs their blocks in order. *)
-let parallel_safe ~kernel (km : kernel_model) =
-  let assume = Access.default_assume kernel in
-  List.for_all
-    (fun am ->
-       if am.write_instrumented then false
-       else if am.atomic_ops <> [] && (not am.atomic_exact || am.atomic = None)
-       then false
-       else
-         let disj m1 m2 = Access.cross_block_disjoint ~assume m1 m2 in
-         let vs_reads m =
-           match am.read with None -> true | Some r -> disj m r
-         in
-         (match am.write with
-          | None -> true
-          | Some w ->
-            disj w w && vs_reads w
-            && (match am.atomic with None -> true | Some a -> disj w a))
-         &&
-         (match am.atomic with
-          | None -> true
-          | Some a ->
-            disj a a && vs_reads a
-            && (match am.write with None -> true | Some w -> disj a w)))
-    km.arrays
-
 (* --- Serialization ----------------------------------------------------------- *)
 
 let axis_to_sexp a = Sexp.atom (Dim3.axis_name a)

@@ -38,18 +38,6 @@ val find_exn : t -> string -> kernel_model
 val of_analysis : Access.t -> kernel_model
 val of_analyses : Access.t list -> t
 
-val parallel_safe : kernel:Kir.t -> kernel_model -> bool
-(** Can one launch's blocks execute concurrently with bit-identical
-    results?  True iff every written array has an exact
-    (non-instrumented) write map that is injective across blocks
-    (re-checked here) and no array read by one block is written
-    by a distinct block ({!Access.cross_block_disjoint} on each
-    read/write map pair; over-approximated reads of written arrays
-    conservatively fail).  Atomic accesses count as writes here: the
-    compiled atomic is not indivisible across domains, so inexact or
-    conflicting atomics conservatively fail.  [kernel] supplies the
-    extent-positivity context, as in {!Access.analyze}. *)
-
 val to_string : t -> string
 (** One s-expression per kernel, newline separated. *)
 

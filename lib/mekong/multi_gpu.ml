@@ -1,27 +1,17 @@
 (* The partitioned execution engine: runs a host program over all
    devices of the simulated machine, orchestrated exactly as the code
-   the source-to-source rewriter inserts (paper §5, Fig. 4):
+   the source-to-source rewriter inserts (paper §5, Fig. 4), plus the
+   memcpy translations of §8.2 through {!Gpu_runtime.Vbuf}.  Each
+   launch runs as a {!Plan} (DESIGN.md §21): the pure step list says
+   what happens, the interpreter in [run_bounded] makes it happen and
+   owns retry, replay, checkpoints and preemption. *)
 
-     for each gpu:   synchronize the buffers its partition reads
-     all-devices synchronize
-     for each gpu:   launch its kernel partition asynchronously
-     for each gpu:   update the trackers with its partition's writes
-
-   plus the memcpy translations of §8.2 through {!Gpu_runtime.Vbuf}. *)
-
-type compiled_kernel = {
+type compiled_kernel = Plan.compiled_kernel = {
   ck_model : Model.kernel_model;
   ck_partitioned : Kir.t;
   ck_enums : Codegen.t;
   ck_shadow : Kir.t option;
-      (* partitioned minimal clone collecting write sets at run time
-         for arrays with unanalyzable writes (paper §11 fallback) *)
   ck_gate : Verify.verdict;
-      (* the data-race verifier's verdict on the original kernel:
-         [Safe] lets a partition's blocks run domain-parallel
-         (DESIGN.md §13), [Reducible] routes atomic accumulation
-         through partition-local buffers with an ordered merge
-         (DESIGN.md §20), anything else runs blocks sequentially *)
 }
 
 (* The "linked binary": the host program plus, per kernel, the
@@ -293,15 +283,7 @@ type handoff = {
 
 type bounded = Done of result | Preempted of result * handoff
 
-(* Common parameter bindings of one launch: scalar arguments plus block
-   and grid dimensions. *)
-let launch_bindings kernel ~grid ~block ~args =
-  Host_ir.scalar_bindings kernel args
-  @ List.concat_map
-      (fun a ->
-         [ (Access.bdim_name a, Dim3.get block a);
-           (Access.gdim_name a, Dim3.get grid a) ])
-      Dim3.axes
+let launch_bindings = Plan.launch_bindings
 
 (* Backoff constants for transient-fault retries, all in *simulated*
    seconds: the retried operation itself advances the simulated clock,
@@ -312,6 +294,17 @@ let launch_bindings kernel ~grid ~block ~args =
 let backoff_base = 100e-6
 let backoff_cap = 10e-3
 let backoff_budget = 1.0
+
+(* What the interpreter needs to run one plan's steps. *)
+type context = {
+  c_ck : compiled_kernel;
+  c_block : Dim3.t;
+  c_args : (string * string) list; (* array parameter -> buffer name *)
+  c_pool : Gpu_runtime.Vbuf.t list; (* the eviction pool *)
+  c_accs : (string * (float array * bool array)) list array option;
+      (* per partition, each reducible array's accumulator and touched
+         flags (functional machines only) *)
+}
 
 let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     ?(cache = true) ?(checkpoint_every = 8) ?domains ?(overlap = false)
@@ -333,6 +326,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   in
   let exec_stats = Kcompile.new_stats () in
   let m = machine in
+  let functional = Gpusim.Machine.is_functional m in
   (* Engine phases are spanned on the simulated host clock as well as
      wall time, so the trace shows where simulated time is created. *)
   let sim () = Gpusim.Machine.host_time m in
@@ -342,6 +336,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     Obs.Span.with_span ~cat:"engine" ~sim name (fun () ->
         Gpusim.Machine.with_phase m name f)
   in
+  let tick () = Gpusim.Machine.lru_tick m in
   let host_costs = (Gpusim.Machine.config m).Gpusim.Config.host in
   let n_devices = Gpusim.Machine.n_devices m in
   Gpusim.Machine.set_active_devices m n_devices;
@@ -350,19 +345,15 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      tracking, no checkpoints, no extra simulated work. *)
   let healing = Gpusim.Machine.fault_state m <> None in
   let live = ref (Gpusim.Machine.live_devices m) in
-  let n_live () = List.length !live in
   let faults_at_entry = (Gpusim.Machine.stats m).Gpusim.Machine.n_faults in
   let retries = ref 0 and replays = ref 0 and devices_lost = ref 0 in
   let vbufs : (string, Gpu_runtime.Vbuf.t) Hashtbl.t = Hashtbl.create 16 in
   let total_transfers = ref 0 in
-  (* Memory-pressure adaptation (DESIGN.md §15).  A finite per-device
-     capacity makes the engine (a) pass the whole buffer population as
-     the eviction pool so LRU spilling can steal from any cold vbuf,
-     and (b) chunk any partition whose polyhedral footprint exceeds the
-     capacity into sequential sub-launches that fit. *)
+  (* Memory-pressure adaptation (DESIGN.md §15): a finite capacity makes
+     the whole buffer population the eviction pool and chunks launches
+     whose footprint does not fit. *)
   let mem_cap = Gpusim.Machine.mem_capacity m in
   let capped = mem_cap < max_int && cfg.Gpu_runtime.Rconfig.patterns in
-  let elem_bytes = (Gpusim.Machine.config m).Gpusim.Config.elem_bytes in
   let chunked_launches = ref 0 and chunks_run = ref 0 in
   let oom_refinements = ref 0 in
   (* Per-launch-key forced minimum chunk count: bumped when a launch
@@ -372,59 +363,9 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   (* The scorer needs the polyhedral range lists, so autotuning is only
      meaningful under a patterns config (like the tracker itself). *)
   let tune_enabled = autotune && cfg.Gpu_runtime.Rconfig.patterns in
-  (* Double-buffer pairs of the host program (static): the autotuner's
-     steady-state home model and the halo-tiling legality check both
-     need to know which buffer a Swap aliases to which. *)
-  let swap_aliases =
-    let acc = ref [] in
-    let rec go (s : Host_ir.stmt) =
-      match s with
-      | Host_ir.Swap (a, b) ->
-        if not (List.mem (a, b) !acc || List.mem (b, a) !acc) then
-          acc := (a, b) :: !acc
-      | Host_ir.Repeat (_, body) -> List.iter go body
-      | _ -> ()
-    in
-    List.iter go exe.prog.Host_ir.body;
-    List.rev !acc
-  in
-  (* Iteration context per kernel (static): the product of enclosing
-     Repeat counts, which is what the halo-aware scorer amortizes
-     per-transfer latency and barriers over. *)
-  let repeat_iters : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let () =
-    let rec scan ~n (s : Host_ir.stmt) =
-      match s with
-      | Host_ir.Launch { kernel; _ } ->
-        let cur =
-          Option.value ~default:1
-            (Hashtbl.find_opt repeat_iters kernel.Kir.name)
-        in
-        if n > cur then Hashtbl.replace repeat_iters kernel.Kir.name n
-      | Host_ir.Repeat (k, body) -> List.iter (scan ~n:(n * k)) body
-      | _ -> ()
-    in
-    List.iter (scan ~n:1) exe.prog.Host_ir.body
-  in
-  let iters_of kernel =
-    Option.value ~default:1 (Hashtbl.find_opt repeat_iters kernel.Kir.name)
-  in
-  (* The launch-key extension: "" when autotuning is off (seed-identical
-     keys and cache behavior), otherwise the scoring-input signature so
-     a plan chosen under one regime (live set, speeds, topology) is
-     never replayed under another. *)
-  let tune_sig kernel =
-    if not tune_enabled then ""
-    else
-      Autotune.signature ~cfg:(Gpusim.Machine.config m) ~live:!live
-        ~iters:(iters_of kernel)
-  in
-  (* Winning halo schedules by launch key, filled by [build_plan] when
-     the autotuner's winner carries one; the Repeat executor consults
-     it (plan [pl_halo >= 2] guarantees an entry from the same build). *)
-  let halo_infos : (Launch_cache.key, Autotune.halo_plan) Hashtbl.t =
-    Hashtbl.create 4
-  in
+  (* The autotuner's static inputs: double-buffer pairs and per-kernel
+     Repeat iteration counts. *)
+  let swap_aliases, iters_of = Plan.loop_context exe.prog in
   (* Halo-tiled Repeat execution composes with the plain engine only:
      self-healing checkpoints count per-launch, preemption and resume
      index into the flattened stream, and memory chunking re-syncs
@@ -475,28 +416,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
        if not (Hashtbl.mem compiled_tbl name) then
          Hashtbl.add compiled_tbl name ck)
     exe.compiled;
-  (* The launch-key reduction field: which arrays this kernel
-     accumulates reducibly, under which operator.  Static per link,
-     but part of the key so a plan can never be replayed under a
-     different execution mode. *)
-  let reduce_sig kernel =
-    match Hashtbl.find_opt compiled_tbl kernel.Kir.name with
-    | Some { ck_gate = Verify.Reducible red; _ } ->
-      String.concat ","
-        (List.map (fun (arr, op) -> Kir.atomic_name op ^ ":" ^ arr) red)
-    | _ -> ""
-  in
-  let key_of kernel grid block args =
-    {
-      Launch_cache.kernel = kernel.Kir.name;
-      grid;
-      block;
-      args;
-      mem_cap;
-      tune = tune_sig kernel;
-      reduce = reduce_sig kernel;
-    }
-  in
   let gate_merges = ref 0 and gate_merged_elems = ref 0 in
   (* The cache lives for one cache generation: device count, tiling and
      measurement config are fixed within it, so they need not be part
@@ -509,6 +428,11 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     | Some vb -> vb
     | None -> invalid_arg ("Multi_gpu: unallocated buffer " ^ b)
   in
+  let swap a b =
+    let va = find a and vb = find b in
+    Hashtbl.replace vbufs a vb;
+    Hashtbl.replace vbufs b va
+  in
   (* Charge host-side dependency-resolution work (the "patterns"
      overhead of §9.2). *)
   let charge ~tracker_ops ~ranges ~dispatches =
@@ -519,112 +443,165 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     in
     if seconds > 0.0 then Gpusim.Machine.host_work m ~seconds ~category:"pattern"
   in
-  let with_tracker_ops vb f =
+  (* Run one buffer operation and charge the tracker operations it
+     performed, plus [ranges] raw enumerator emissions. *)
+  let tracked ?(ranges = 0) vb f =
     let tr = Gpu_runtime.Vbuf.tracker vb in
     let before = Gpu_runtime.Tracker.ops tr in
     let res = f () in
-    (Gpu_runtime.Tracker.ops tr - before, res)
+    charge ~tracker_ops:(Gpu_runtime.Tracker.ops tr - before) ~ranges
+      ~dispatches:0;
+    res
   in
-  (* The launch/sync/update primitives of one partition plan, shared by
-     the per-launch path ([exec_launch]) and the halo-tiled Repeat
-     executor.  Buffer names resolve through [find] at call time, so a
-     host-program Swap between calls redirects them exactly as it does
-     the kernel's own argument resolution. *)
-  let sync_pp_reads ?stamp ~pool ~batch (pp : Launch_cache.partition_plan) =
-    List.iter
-      (fun { Launch_cache.rg_buf; rg_ranges; rg_raw } ->
-         let vb = find rg_buf in
-         let ops, transfers =
-           with_tracker_ops vb (fun () ->
-               Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch ~pool ?stamp vb
-                 ~dev:pp.Launch_cache.pp_part.Partition.device
-                 ~ranges:rg_ranges)
-         in
-         total_transfers := !total_transfers + transfers;
-         charge ~tracker_ops:ops ~ranges:rg_raw ~dispatches:0)
-      pp.Launch_cache.pp_reads
+  let h2d vb src =
+    tracked vb (fun () -> Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb ~src)
   in
-  let update_pp_writes ?stamp ~pool (pp : Launch_cache.partition_plan) =
-    List.iter
-      (fun { Launch_cache.rg_buf; rg_ranges; rg_raw } ->
-         let vb = find rg_buf in
-         let ops, () =
-           with_tracker_ops vb (fun () ->
-               Gpu_runtime.Vbuf.update_for_write ~cfg ~pool ?stamp vb
-                 ~dev:pp.Launch_cache.pp_part.Partition.device
-                 ~ranges:rg_ranges)
-         in
-         charge ~tracker_ops:ops ~ranges:rg_raw ~dispatches:0)
-      pp.Launch_cache.pp_writes
+  let d2h vb dst =
+    tracked vb (fun () -> Gpu_runtime.Vbuf.d2h ~cfg vb ~dst);
+    dst
   in
-  let launch_pp ?redirect ck ~arg_arrays ~block
-      (pp : Launch_cache.partition_plan) =
-    let buffer_of name =
-      Gpu_runtime.Vbuf.instance (find (List.assoc name arg_arrays))
-        pp.Launch_cache.pp_part.Partition.device
+  (* The whole-buffer gather to a fresh host array (no data on
+     performance machines). *)
+  let gather vb =
+    d2h vb
+      (if functional then Some (Array.make (Gpu_runtime.Vbuf.len vb) 0.0)
+       else None)
+  in
+  (* --- Launch plans ------------------------------------------------- *)
+  let env () =
+    {
+      Plan.patterns = cfg.Gpu_runtime.Rconfig.patterns;
+      tiling;
+      overlap;
+      autotune = tune_enabled;
+      live = !live;
+      mem_cap;
+      elem_bytes = (Gpusim.Machine.config m).Gpusim.Config.elem_bytes;
+      buf_len = (fun b -> Gpu_runtime.Vbuf.len (find b));
+    }
+  in
+  (* A launch's compiled kernel and cache key.  The key extends the
+     launch parameters with the autotuner's scoring-input signature (""
+     when autotuning is off) and the reduction mode, so a plan is never
+     replayed under another regime. *)
+  let lookup kernel grid block args =
+    let ck =
+      match Hashtbl.find_opt compiled_tbl kernel.Kir.name with
+      | Some ck -> ck
+      | None -> invalid_arg ("Multi_gpu: unlinked kernel " ^ kernel.Kir.name)
     in
+    ( ck,
+      {
+        Launch_cache.kernel = kernel.Kir.name;
+        grid;
+        block;
+        args;
+        mem_cap;
+        tune =
+          (if not tune_enabled then ""
+           else
+             Autotune.signature ~cfg:(Gpusim.Machine.config m) ~live:!live
+               ~iters:(iters_of kernel));
+        reduce =
+          String.concat ","
+            (List.map
+               (fun (arr, op) -> Kir.atomic_name op ^ ":" ^ arr)
+               (Plan.reducible ck));
+      } )
+  in
+  let build_plan ck key kernel grid block args =
+    let env = env () in
+    let choice =
+      if not tune_enabled then None
+      else
+        Some
+          (span ("autotune:" ^ kernel.Kir.name) (fun () ->
+               Autotune.choose ~cfg:(Gpusim.Machine.config m) ~live:!live
+                 ~km:ck.ck_model ~enums:ck.ck_enums
+                 ~partitioned:ck.ck_partitioned ~kernel ~grid ~block ~args
+                 ~aliases:swap_aliases ~iters:(iters_of kernel)
+                 ~buf_len:env.Plan.buf_len ()))
+    in
+    Plan.launch ?choice
+      ~min_chunks:(Option.value ~default:1 (Hashtbl.find_opt forced key))
+      env ck kernel ~grid ~block ~args
+  in
+  let plan_for kernel grid block args =
+    let ck, key = lookup kernel grid block args in
+    let build () = build_plan ck key kernel grid block args in
+    ( ck,
+      if cache then Launch_cache.find_or_build !plan_cache key ~build
+      else build () )
+  in
+  (* A live Out_of_memory: the footprint estimate was too optimistic
+     (it can only be exact for the enumerated ranges; live state such
+     as checkpoint gathers is not part of the plan).  Rebuild the launch
+     with strictly finer chunks; [Plan.launch] raises the one-line
+     infeasibility diagnostic when even single-block chunks cannot fit,
+     which bounds the retries. *)
+  let refine_chunks kernel grid block args =
+    let ck, key = lookup kernel grid block args in
+    let cur = Option.value ~default:1 (Hashtbl.find_opt forced key) in
+    Hashtbl.replace forced key (max 2 (cur * 2));
+    incr oom_refinements;
+    let plan = build_plan ck key kernel grid block args in
+    if cache then Launch_cache.replace !plan_cache key plan
+  in
+  (* --- The step interpreter ------------------------------------------ *)
+  (* Compiled closures are cached even with [cache:false]: they never
+     affect simulated results, and re-deriving them per launch would
+     bury the plan-cache A/B signal under compilation noise. *)
+  let compiled kernel block (pp : Launch_cache.partition_plan) =
+    let grid = pp.pp_launch_grid and args = pp.pp_scalar_args in
+    let res, freshness =
+      Launch_cache.find_or_compile !plan_cache
+        { ck_kernel = kernel.Kir.name; ck_grid = grid; ck_block = block; ck_args = args }
+        ~compile:(fun () -> Kcompile.compile kernel ~grid ~block ~args)
+    in
+    (match freshness with
+     | `Hit -> exec_stats.st_cache_hits <- exec_stats.st_cache_hits + 1
+     | `Miss -> exec_stats.st_compiles <- exec_stats.st_compiles + 1);
+    res
+  in
+  let data c dev a =
+    Gpusim.Buffer.data_exn
+      (Gpu_runtime.Vbuf.instance (find (List.assoc a c.c_args)) dev)
+  in
+  let launch c ~index (pp : Launch_cache.partition_plan) =
+    let dev = pp.pp_part.Partition.device in
     (* Reducible arrays never touch device buffers: every access lands
        in the partition-local accumulator, and the touched flags let
        the merge skip identity elements (preserving the base bits,
        -0.0 included). *)
-    let redirect a =
-      match redirect with None -> None | Some f -> f a
-    in
+    let redirect a = Option.bind c.c_accs (fun accs -> List.assoc_opt a accs.(index)) in
     charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
-    Gpusim.Machine.launch m
-      ~device:pp.Launch_cache.pp_part.Partition.device
-      ~blocks:pp.Launch_cache.pp_n_blocks
-      ~ops_per_block:pp.Launch_cache.pp_ops_per_block ~run:(fun () ->
-        let launch_grid = pp.Launch_cache.pp_launch_grid in
-        let scalar_args = pp.Launch_cache.pp_scalar_args in
-        let compiled, freshness =
-          (* Compiled closures are cached even with [cache:false]:
-             they never affect simulated results, and re-deriving
-             them per launch would bury the plan-cache A/B signal
-             under compilation noise. *)
-          Launch_cache.find_or_compile !plan_cache
-            {
-              Launch_cache.ck_kernel = ck.ck_partitioned.Kir.name;
-              ck_grid = launch_grid;
-              ck_block = block;
-              ck_args = scalar_args;
-            }
-            ~compile:(fun () ->
-              Kcompile.compile ck.ck_partitioned ~grid:launch_grid
-                ~block ~args:scalar_args)
+    Gpusim.Machine.launch m ~device:dev ~blocks:pp.pp_n_blocks
+      ~ops_per_block:pp.pp_ops_per_block ~run:(fun () ->
+        (* Each array argument resolves to its backing data once per
+           launch (the interpreter re-resolves per access). *)
+        let load a =
+          match redirect a with
+          | Some (acc, _) -> fun off -> acc.(off)
+          | None ->
+            let d = data c dev a in
+            fun off -> d.(off)
         in
-        (match freshness with
-         | `Hit ->
-           exec_stats.Kcompile.st_cache_hits <-
-             exec_stats.Kcompile.st_cache_hits + 1
-         | `Miss ->
-           exec_stats.Kcompile.st_compiles <-
-             exec_stats.Kcompile.st_compiles + 1);
-        match compiled with
+        let store a =
+          match redirect a with
+          | Some (acc, touched) ->
+            fun off v ->
+              acc.(off) <- v;
+              touched.(off) <- true
+          | None ->
+            let d = data c dev a in
+            fun off v -> d.(off) <- v
+        in
+        let kernel = c.c_ck.ck_partitioned in
+        match compiled kernel c.c_block pp with
         | Ok cck ->
-          (* Resolve each array argument to its device-local
-             backing data once per launch, not per access. *)
-          let load a =
-            match redirect a with
-            | Some (acc, _) -> fun off -> acc.(off)
-            | None ->
-              let data = Gpusim.Buffer.data_exn (buffer_of a) in
-              fun off -> data.(off)
-          in
-          let store a =
-            match redirect a with
-            | Some (acc, touched) ->
-              fun off v ->
-                acc.(off) <- v;
-                touched.(off) <- true
-            | None ->
-              let data = Gpusim.Buffer.data_exn (buffer_of a) in
-              fun off v -> data.(off) <- v
-          in
           let pool =
-            match ck.ck_gate with
-            | Verify.Safe when domains > 1 ->
-              Some (Gpu_runtime.Dpool.get ())
+            match c.c_ck.ck_gate with
+            | Verify.Safe when domains > 1 -> Some (Gpu_runtime.Dpool.get ())
             | _ ->
               (* Reducible accumulation is a read-modify-write through
                  the shared accumulator: not domain-atomic, so blocks
@@ -634,22 +611,198 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           Kcompile.record_path exec_stats
             (Kcompile.run ?pool ~max_domains:domains cck ~load ~store)
         | Error _ ->
-          let load a off =
-            match redirect a with
-            | Some (acc, _) -> acc.(off)
-            | None -> (Gpusim.Buffer.data_exn (buffer_of a)).(off)
-          in
-          let store a off v =
-            match redirect a with
-            | Some (acc, touched) ->
-              acc.(off) <- v;
-              touched.(off) <- true
-            | None -> (Gpusim.Buffer.data_exn (buffer_of a)).(off) <- v
-          in
-          exec_stats.Kcompile.st_interpreted <-
-            exec_stats.Kcompile.st_interpreted + 1;
-          Keval.run ck.ck_partitioned ~grid:launch_grid ~block
-            ~args:scalar_args ~load ~store)
+          exec_stats.st_interpreted <- exec_stats.st_interpreted + 1;
+          Keval.run kernel ~grid:pp.pp_launch_grid ~block:c.c_block
+            ~args:pp.pp_scalar_args ~load ~store)
+  in
+  let sync_reads c ~batch ~stamp (pp : Launch_cache.partition_plan) =
+    List.iter
+      (fun { Launch_cache.rg_buf; rg_ranges; rg_raw } ->
+         let vb = find rg_buf in
+         total_transfers :=
+           !total_transfers
+           + tracked ~ranges:rg_raw vb (fun () ->
+               Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch ~pool:c.c_pool ~stamp
+                 vb ~dev:pp.pp_part.Partition.device ~ranges:rg_ranges))
+      pp.pp_reads
+  in
+  let update_writes c ~stamp (pp : Launch_cache.partition_plan) =
+    List.iter
+      (fun { Launch_cache.rg_buf; rg_ranges; rg_raw } ->
+         let vb = find rg_buf in
+         tracked ~ranges:rg_raw vb (fun () ->
+             Gpu_runtime.Vbuf.update_for_write ~cfg ~pool:c.c_pool ~stamp vb
+               ~dev:pp.pp_part.Partition.device ~ranges:rg_ranges))
+      pp.pp_writes
+  in
+  (* Instrumented write-set collection (paper §11 fallback): the shadow
+     kernel runs once per partition recording the exact elements
+     written; a dynamic check rejects cross-partition write-after-write
+     hazards, then the trackers are updated.  The collected sets are
+     data-dependent, so they are never cached. *)
+  let shadow c arrays parts =
+    if not functional then
+      invalid_arg "Multi_gpu: instrumented writes require a functional machine";
+    let shadow = Option.get c.c_ck.ck_shadow in
+    let per_array = List.map (fun a -> (a, ref [])) arrays in
+    List.iter
+      (fun (pp : Launch_cache.partition_plan) ->
+         let dev = pp.pp_part.Partition.device in
+         let collected = ref [] in
+         charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
+         Gpusim.Machine.launch m ~device:dev ~blocks:pp.pp_n_blocks
+           ~ops_per_block:pp.pp_shadow_cost ~run:(fun () ->
+             let compiled = compiled shadow c.c_block pp in
+             (match compiled with
+              | Ok _ -> exec_stats.st_seq <- exec_stats.st_seq + 1
+              | Error _ -> exec_stats.st_interpreted <- exec_stats.st_interpreted + 1);
+             collected :=
+               Instrument.collect_writes ~compiled:(Some compiled) ~shadow
+                 ~grid:pp.pp_launch_grid ~block:c.c_block ~args:pp.pp_scalar_args
+                 ~arrays ~load:(fun a off -> (data c dev a).(off)));
+         List.iter
+           (fun (arr, ranges) ->
+              let slot = List.assoc arr per_array in
+              slot := (dev, ranges) :: !slot;
+              charge ~tracker_ops:0 ~ranges:(List.length ranges) ~dispatches:0)
+           !collected)
+      parts;
+    List.iter
+      (fun (arr, slot) ->
+         Instrument.check_disjoint ~arr !slot;
+         let vb = find (List.assoc arr c.c_args) in
+         List.iter
+           (fun (dev, ranges) ->
+              tracked vb (fun () ->
+                  Gpu_runtime.Vbuf.update_for_write ~cfg vb ~dev ~ranges))
+           !slot)
+      per_array
+  in
+  (* The pre-launch content of the running reducible launch's arrays.
+     It survives a failed attempt, so a retried statement merges into
+     the same base instead of re-gathering elements the failed attempt
+     already merged; it is dropped when the launch completes and when
+     execution jumps to a checkpoint. *)
+  let bases = ref None in
+  let rec step c (s : Plan.step) =
+    match s with
+    | Plan.Sync_reads { batch; parts } ->
+      span "sync_reads" (fun () ->
+          List.iter (fun pp -> sync_reads c ~batch ~stamp:(tick ()) pp) parts)
+    | Plan.Barrier -> span "barrier" (fun () -> Gpusim.Machine.synchronize m)
+    | Plan.Launch parts ->
+      span "launch" (fun () -> List.iteri (fun index -> launch c ~index) parts)
+    | Plan.Update_writes { stamp = Plan.Each; parts } ->
+      span "tracker_update" (fun () ->
+          List.iter (fun pp -> update_writes c ~stamp:(tick ()) pp) parts)
+    | Plan.Update_writes { stamp = Plan.Shared; parts } ->
+      span "tracker_update" (fun () ->
+          let stamp = tick () in
+          List.iter (update_writes c ~stamp) parts)
+    | Plan.Chunk { batch; chunks } ->
+      (* Eager per-chunk tracker updates are safe by [Plan.launch]'s
+         read-after-write guard; one stamp per chunk keeps a chunk from
+         evicting its own segments while faulting others in. *)
+      incr chunked_launches;
+      span "chunked_launch" (fun () ->
+          Gpusim.Machine.synchronize m;
+          List.iteri
+            (fun index ->
+               List.iter (fun (cp : Launch_cache.partition_plan) ->
+                   incr chunks_run;
+                   let stamp = tick () in
+                   sync_reads c ~batch ~stamp cp;
+                   (* Reserve the write set before computing so the
+                      capacity is honest while the kernel runs. *)
+                   List.iter
+                     (fun { Launch_cache.rg_buf; rg_ranges; _ } ->
+                        Gpu_runtime.Vbuf.ensure_resident ~cfg ~pool:c.c_pool
+                          ~stamp (find rg_buf) ~dev:cp.pp_part.Partition.device
+                          ~ranges:rg_ranges)
+                     cp.pp_writes;
+                   launch c ~index cp;
+                   update_writes c ~stamp cp))
+            chunks)
+    | Plan.Gather_bases red ->
+      if Option.is_none !bases then begin
+        Gpusim.Machine.synchronize m;
+        bases :=
+          Some (List.map (fun (arr, _) -> gather (find (List.assoc arr c.c_args))) red)
+      end
+    | Plan.Merge red ->
+      (* Untouched elements keep the base's exact bits; the merge order
+         is fixed however devices skew, so every run of one (data,
+         partition shape) point produces the same bits. *)
+      span "reduce_merge" (fun () ->
+          Gpusim.Machine.synchronize m;
+          incr gate_merges;
+          List.iter2
+            (fun (arr, op) base ->
+               let merged = Option.map Array.copy base in
+               (match (merged, c.c_accs) with
+                | Some merged, Some accs ->
+                  let combine = reduce_combine op in
+                  Array.iter
+                    (fun per_pp ->
+                       let acc, touched = List.assoc arr per_pp in
+                       Array.iteri
+                         (fun off t ->
+                            if t then begin
+                              merged.(off) <- combine merged.(off) acc.(off);
+                              incr gate_merged_elems
+                            end)
+                         touched)
+                    accs
+                | _ -> ());
+               h2d (find (List.assoc arr c.c_args)) merged)
+            red (Option.get !bases);
+          Gpusim.Machine.synchronize m)
+    | Plan.Shadow { arrays; parts } -> span "shadow" (fun () -> shadow c arrays parts)
+    | Plan.Halo_exchange { buf; depth; fetch } ->
+      incr halo_blocks;
+      halo_steps := !halo_steps + depth;
+      span "halo_exchange" (fun () ->
+          let stamp = tick () and vb = find buf in
+          List.iter
+            (fun (dev, range) ->
+               total_transfers :=
+                 !total_transfers
+                 + tracked ~ranges:1 vb (fun () ->
+                     Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch:true
+                       ~pool:c.c_pool ~stamp vb ~dev ~ranges:[ range ]))
+            fetch)
+    | Plan.Swap (a, b) -> swap a b
+    | Plan.Measure (predicted, steps) ->
+      (* Calibration: the makespan the steps actually added (latest
+         engine time, so async kernel completions are included). *)
+      let t0 = Gpusim.Machine.elapsed m in
+      List.iter (step c) steps;
+      record_tune ~predicted ~actual:(Gpusim.Machine.elapsed m -. t0)
+  in
+  let context ck ~block (plan : Launch_cache.plan) =
+    let c_args = plan.pl_arg_arrays in
+    {
+      c_ck = ck;
+      c_block = block;
+      c_args;
+      c_pool = pool_of ();
+      c_accs =
+        (match Plan.reducible ck with
+         | _ :: _ as red when functional ->
+           let acc (arr, op) =
+             let len = Gpu_runtime.Vbuf.len (find (List.assoc arr c_args)) in
+             (arr, (Array.make len (reduce_identity op), Array.make len false))
+           in
+           Some
+             (Array.of_list
+                (List.map (fun _ -> List.map acc red) plan.pl_partitions))
+         | _ -> None);
+    }
+  in
+  let exec_launch kernel grid block args =
+    let ck, plan = plan_for kernel grid block args in
+    List.iter (step (context ck ~block plan)) (Plan.of_launch (env ()) ck plan);
+    bases := None
   in
   (* Rebuild the buffer population from a preemption handoff: allocate
      every buffer first (so the eviction pool sees the whole set), then
@@ -661,855 +814,42 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       (fun (name, len, _) ->
          Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len))
       h.h_buffers;
-    List.iter
-      (fun (name, _, data) ->
-         let vb = find name in
-         let ops, () =
-           with_tracker_ops vb (fun () ->
-               Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb ~src:data)
-         in
-         charge ~tracker_ops:ops ~ranges:0 ~dispatches:0)
-      h.h_buffers
-  in
-  (* Derive everything a launch needs from its parameters alone (no
-     tracker or buffer state), in the exact shape the execution phases
-     below consume.  This is the launch-plan cache's payload; with the
-     cache disabled it is rebuilt for every launch, which makes the two
-     paths trivially bit-identical. *)
-  (* Total length covered by a union of half-open ranges. *)
-  let union_len ranges =
-    match List.sort compare ranges with
-    | [] -> 0
-    | (s0, e0) :: rest ->
-      let closed, (cs, ce) =
-        List.fold_left
-          (fun (acc, (cs, ce)) (s, e) ->
-             if s > ce then (acc + (ce - cs), (s, e))
-             else (acc, (cs, max ce e)))
-          (0, (s0, e0)) rest
-      in
-      closed + (ce - cs)
-  in
-  (* Per-buffer device footprint of one partition plan, in bytes: the
-     union of its clamped read and write ranges.  This is exactly what
-     [ensure_resident] will charge, so "footprint <= capacity" means
-     the launch is feasible (everything older is evictable). *)
-  let footprints (pp : Launch_cache.partition_plan) =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun { Launch_cache.rg_buf; rg_ranges; _ } ->
-         let len = Gpu_runtime.Vbuf.len (find rg_buf) in
-         let clamped =
-           List.filter_map
-             (fun (s, e) ->
-                let s = max 0 s and e = min e len in
-                if e > s then Some (s, e) else None)
-             rg_ranges
-         in
-         let prev =
-           Option.value ~default:[] (Hashtbl.find_opt tbl rg_buf)
-         in
-         Hashtbl.replace tbl rg_buf (clamped @ prev))
-      (pp.Launch_cache.pp_reads @ pp.Launch_cache.pp_writes);
-    let per_buf =
-      Hashtbl.fold
-        (fun b rs acc -> (b, union_len rs * elem_bytes) :: acc)
-        tbl []
-    in
-    List.sort compare per_buf
-  in
-  let footprint pp =
-    List.fold_left (fun acc (_, b) -> acc + b) 0 (footprints pp)
-  in
-  let largest_buffer pp =
-    List.fold_left
-      (fun acc (b, bytes) ->
-         match acc with
-         | Some (_, best) when best >= bytes -> acc
-         | _ -> Some (b, bytes))
-      None (footprints pp)
-  in
-  let build_plan ?(min_chunks = 1) ck kernel grid block args :
-    Launch_cache.plan =
-    let km = ck.ck_model in
-    (* Autotuned runs pick the partitioning by scored search over the
-       candidate families (Autotune.choose); fixed runs use the
-       model's strategy axis under the configured tiling, exactly as
-       before. *)
-    let choice =
-      if not tune_enabled then None
-      else
-        Some
-          (span ("autotune:" ^ kernel.Kir.name) (fun () ->
-               Autotune.choose ~cfg:(Gpusim.Machine.config m) ~live:!live
-                 ~km ~enums:ck.ck_enums ~partitioned:ck.ck_partitioned
-                 ~kernel ~grid ~block ~args ~aliases:swap_aliases
-                 ~iters:(iters_of kernel)
-                 ~buf_len:(fun b -> Gpu_runtime.Vbuf.len (find b))
-                 ()))
-    in
-    let partitions =
-      let primary = km.Model.strategy in
-      (* Partition over the surviving devices (all of them on ideal
-         hardware), then map partition slots onto actual device ids. *)
-      let n = n_live () in
-      let parts =
-        match choice with
-        | Some ch -> ch.Autotune.c_winner.Autotune.parts
-        | None ->
-          (match tiling with
-           | `One_d -> Partition.make ~grid ~axis:primary ~n
-           | `Two_d ->
-             (* secondary axis: another axis with more than one block,
-                preferring the row-major-adjacent one; fall back to 1-D
-                when the grid is flat *)
-             let secondary =
-               List.find_opt
-                 (fun a -> a <> primary && Dim3.get grid a > 1)
-                 [ Dim3.X; Dim3.Y; Dim3.Z ]
-             in
-             (match secondary with
-              | Some axis2 ->
-                Partition.make_2d ~grid ~axis1:primary ~axis2 ~n
-              | None -> Partition.make ~grid ~axis:primary ~n))
-      in
-      let live_arr = Array.of_list !live in
-      let parts =
-        List.map
-          (fun (p : Partition.t) ->
-             { p with Partition.device = live_arr.(p.Partition.device) })
-          parts
-      in
-      List.filter (fun p -> not (Partition.is_empty p)) parts
-    in
-    let common = launch_bindings kernel ~grid ~block ~args in
-    let arg_arrays = Host_ir.array_bindings kernel args in
-    let eval_ranges p select =
-      (* Gamma runs never consume range lists; skip evaluating them. *)
-      if not cfg.Gpu_runtime.Rconfig.patterns then []
-      else
-        let bindings = common @ Partition.box_bindings p ~block in
-        List.filter_map
-          (fun (arr, bufname) ->
-             match Option.bind (Codegen.entry ck.ck_enums arr) select with
-             | Some enum ->
-               let ranges, raw = Codegen.ranges_counted enum ~bindings in
-               Some
-                 {
-                   Launch_cache.rg_buf = bufname;
-                   rg_ranges = ranges;
-                   rg_raw = raw;
-                 }
-             | None -> None)
-          arg_arrays
-    in
-    let plan_of p =
-      let part_args = args @ Partition.partition_args p in
-      let scalar_env =
-        Host_ir.scalar_bindings ck.ck_partitioned part_args
-      in
-      {
-        Launch_cache.pp_part = p;
-        pp_reads = eval_ranges p (fun e -> e.Codegen.read);
-        pp_writes = eval_ranges p (fun e -> e.Codegen.write);
-        pp_launch_grid = Partition.launch_grid p;
-        pp_n_blocks = Partition.n_blocks p;
-        pp_part_args = part_args;
-        pp_scalar_args = Host_ir.scalar_args part_args;
-        pp_ops_per_block =
-          Costmodel.ops_per_block ck.ck_partitioned ~scalar_env ~block;
-        pp_shadow_cost =
-          (match ck.ck_shadow with
-           | Some shadow ->
-             Instrument.shadow_cost shadow
-               ~scalar_env:(Host_ir.scalar_bindings shadow part_args)
-               ~block
-           | None -> 0.0);
-        pp_chunks = [];
-      }
-    in
-    let pl_partitions = List.map plan_of partitions in
-    (* Memory-pressure chunking: split any partition whose footprint
-       exceeds the device capacity into sequential sub-launches that
-       fit.  Geometric search over the chunk count; at each count every
-       axis with more than one block is tried and the one minimizing
-       the worst chunk footprint wins (for matmul partitioned along y,
-       chunking along x is what shrinks the B operand's band). *)
-    let infeasible pp' =
-      let dev = pp'.Launch_cache.pp_part.Partition.device in
-      let need = footprint pp' in
-      let buf, bufbytes =
-        Option.value ~default:("<none>", 0) (largest_buffer pp')
-      in
-      failwith
-        (Printf.sprintf
-           "Multi_gpu: kernel %s is infeasible under the device memory \
-            capacity: smallest chunk still needs %d bytes on device %d \
-            (largest buffer %s: %d bytes) but the capacity is %d, \
-            %d bytes short"
-           kernel.Kir.name need dev buf bufbytes mem_cap (need - mem_cap))
-    in
-    let chunk_plan pp =
-      let fp = footprint pp in
-      if fp <= mem_cap && min_chunks <= 1 then pp
-      else begin
-        let p = pp.Launch_cache.pp_part in
-        let extent a =
-          Dim3.get p.Partition.max_blocks a
-          - Dim3.get p.Partition.min_blocks a
-        in
-        let axes = List.filter (fun a -> extent a > 1) Dim3.axes in
-        let max_k = List.fold_left (fun acc a -> max acc (extent a)) 1 axes in
-        (* Best candidate at chunk count [k]: the (worst-footprint,
-           plans) pair of the axis whose worst chunk is smallest. *)
-        let candidate k =
-          List.fold_left
-            (fun acc axis ->
-               let n = min k (extent axis) in
-               if n <= 1 then acc
-               else
-                 let plans =
-                   List.map plan_of (Partition.split p ~axis ~n)
-                 in
-                 let worst =
-                   List.fold_left
-                     (fun acc c -> max acc (footprint c))
-                     0 plans
-                 in
-                 match acc with
-                 | Some (w, _) when w <= worst -> acc
-                 | _ -> Some (worst, plans))
-            None axes
-        in
-        let rec search k best =
-          if k > max_k then best
-          else
-            match candidate k with
-            | Some (worst, plans) when worst <= mem_cap ->
-              `Fits plans
-            | Some (worst, plans) -> search (k * 2) (`Best (worst, plans))
-            | None -> best
-        in
-        match search (max 2 min_chunks) `None with
-        | `Fits plans -> { pp with Launch_cache.pp_chunks = plans }
-        | `Best (_, plans) ->
-          (* Even single-block-wide chunks do not fit: report the
-             tightest chunk we could make. *)
-          let worst_chunk =
-            List.fold_left
-              (fun acc c ->
-                 match acc with
-                 | Some b when footprint b >= footprint c -> acc
-                 | _ -> Some c)
-              None plans
-          in
-          infeasible (Option.value ~default:pp worst_chunk)
-        | `None -> infeasible pp
-      end
-    in
-    let pl_partitions =
-      if not capped then pl_partitions else List.map chunk_plan pl_partitions
-    in
-    (* When any partition launches in chunks, its trackers update
-       eagerly between chunks, so another device's read of data this
-       launch writes would observe post-launch data instead of the
-       barrier-synchronized pre-launch data.  The polyhedral ranges
-       tell us statically whether that can happen; refuse if so. *)
-    if
-      List.exists
-        (fun pp -> pp.Launch_cache.pp_chunks <> [])
-        pl_partitions
-    then begin
-      let overlaps r1 r2 =
-        List.exists
-          (fun (s1, e1) ->
-             List.exists (fun (s2, e2) -> s1 < e2 && s2 < e1) r2)
-          r1
-      in
-      List.iter
-        (fun (wp : Launch_cache.partition_plan) ->
-           List.iter
-             (fun (rp : Launch_cache.partition_plan) ->
-                if
-                  wp.Launch_cache.pp_part.Partition.device
-                  <> rp.Launch_cache.pp_part.Partition.device
-                then
-                  List.iter
-                    (fun (w : Launch_cache.ranges) ->
-                       List.iter
-                         (fun (r : Launch_cache.ranges) ->
-                            if
-                              w.Launch_cache.rg_buf = r.Launch_cache.rg_buf
-                              && overlaps w.Launch_cache.rg_ranges
-                                   r.Launch_cache.rg_ranges
-                            then
-                              failwith
-                                (Printf.sprintf
-                                   "Multi_gpu: kernel %s cannot be \
-                                    chunked under memory pressure: \
-                                    device %d reads parts of buffer %s \
-                                    that device %d writes in the same \
-                                    launch; raise the capacity"
-                                   kernel.Kir.name
-                                   rp.Launch_cache.pp_part.Partition.device
-                                   w.Launch_cache.rg_buf
-                                   wp.Launch_cache.pp_part.Partition.device))
-                         rp.Launch_cache.pp_reads)
-                    wp.Launch_cache.pp_writes)
-             pl_partitions)
-        pl_partitions
-    end;
-    (* Record the winner's halo schedule (if any) for the Repeat
-       executor, under the same key the plan is cached under. *)
-    (match choice with
-     | Some ch ->
-       let key = key_of kernel grid block args in
-       (match ch.Autotune.c_winner.Autotune.halo with
-        | Some hp -> Hashtbl.replace halo_infos key hp
-        | None -> Hashtbl.remove halo_infos key)
-     | None -> ());
-    {
-      Launch_cache.pl_arg_arrays = arg_arrays;
-      pl_partitions;
-      pl_predicted_s =
-        (match choice with
-         | Some ch -> ch.Autotune.c_winner.Autotune.score
-         | None -> 0.0);
-      pl_choice =
-        (match choice with
-         | Some ch -> Autotune.shape_name ch.Autotune.c_winner.Autotune.shape
-         | None -> "");
-      pl_halo =
-        (match choice with
-         | Some ch -> Autotune.halo_depth ch.Autotune.c_winner
-         | None -> 0);
-    }
-  in
-  let exec_launch kernel grid block args =
-    let ck =
-      match Hashtbl.find_opt compiled_tbl kernel.Kir.name with
-      | Some ck -> ck
-      | None ->
-        invalid_arg ("Multi_gpu: unlinked kernel " ^ kernel.Kir.name)
-    in
-    let km = ck.ck_model in
-    let key = key_of kernel grid block args in
-    let min_chunks = Option.value ~default:1 (Hashtbl.find_opt forced key) in
-    let plan =
-      if cache then
-        Launch_cache.find_or_build !plan_cache key ~build:(fun () ->
-            build_plan ~min_chunks ck kernel grid block args)
-      else build_plan ~min_chunks ck kernel grid block args
-    in
-    let arg_arrays = plan.Launch_cache.pl_arg_arrays in
-    let partitions = plan.Launch_cache.pl_partitions in
-    let any_chunked =
-      List.exists
-        (fun (pp : Launch_cache.partition_plan) ->
-           pp.Launch_cache.pp_chunks <> [])
-        partitions
-    in
-    if any_chunked && ck.ck_shadow <> None then
-      failwith
-        (Printf.sprintf
-           "Multi_gpu: kernel %s needs instrumented write collection, \
-            which memory-pressure chunking does not support; raise the \
-            capacity"
-           kernel.Kir.name);
-    (* Reducible execution (DESIGN.md §20): atomic read-modify-writes
-       on each reducible array are redirected into partition-local
-       accumulators over the operator's identity, then merged into the
-       host-gathered base in ascending partition order.  The merge
-       order is fixed no matter how devices skew, so every run of one
-       (data, device-count) point produces the same bits; the h2d
-       writeback makes the host authoritative, which corrects the
-       trackers' per-partition write claims on the overlapping
-       elements.  This path engages at every device count — including
-       one — so grouping is a function of the partition shape alone. *)
-    let reducible =
-      match ck.ck_gate with Verify.Reducible red -> red | _ -> []
-    in
-    let functional = Gpusim.Machine.is_functional m in
-    let red_bases =
-      if reducible = [] then []
-      else begin
-        Gpusim.Machine.synchronize m;
-        List.map
-          (fun (arr, op) ->
-             let vb = find (List.assoc arr arg_arrays) in
-             let dst =
-               if functional then
-                 Some (Array.make (Gpu_runtime.Vbuf.len vb) 0.0)
-               else None
-             in
-             let ops, () =
-               with_tracker_ops vb (fun () ->
-                   Gpu_runtime.Vbuf.d2h ~cfg vb ~dst)
-             in
-             charge ~tracker_ops:ops ~ranges:0 ~dispatches:0;
-             (arr, op, dst))
-          reducible
-      end
-    in
-    let red_acc =
-      if reducible = [] || not functional then None
-      else
-        Some
-          (Array.of_list
-             (List.map
-                (fun (_ : Launch_cache.partition_plan) ->
-                   List.map
-                     (fun (arr, op) ->
-                        let len =
-                          Gpu_runtime.Vbuf.len
-                            (find (List.assoc arr arg_arrays))
-                        in
-                        ( arr,
-                          ( Array.make len (reduce_identity op),
-                            Array.make len false ) ))
-                     reducible)
-                partitions))
-    in
-    let redirect_of index =
-      match red_acc with
-      | None -> None
-      | Some accs -> Some (fun a -> List.assoc_opt a accs.(index))
-    in
-    let pool = pool_of () in
-    (* Segment batching (p2p_multi packing) was introduced for the
-       fragmented transfers of 2-D tiles, and autotuned runs keep it
-       for every shape that departs from the seed's — the packed copy
-       pays one latency for many segments but serializes copy engines
-       the per-range path overlaps, so it is only a win when ranges
-       fragment.  When the tuner's winner IS the fixed shape (and no
-       halo schedule engages), the transfers are the seed's contiguous
-       strips and the seed's per-range path is kept byte-for-byte, so
-       "autotuned never slower than fixed" holds by construction
-       there. *)
-    let batch =
-      tiling = `Two_d
-      || tune_enabled
-         && (plan.Launch_cache.pl_halo >= 2
-             || not (Autotune.seed_shape_name plan.Launch_cache.pl_choice))
-    in
-    let sync_reads ?stamp pp = sync_pp_reads ?stamp ~pool ~batch pp in
-    let update_writes ?stamp pp = update_pp_writes ?stamp ~pool pp in
-    let launch_partition ~index pp =
-      launch_pp ?redirect:(redirect_of index) ck ~arg_arrays ~block pp
-    in
-    let tune_t0 =
-      if tune_enabled && plan.Launch_cache.pl_predicted_s > 0.0 then
-        Some (Gpusim.Machine.elapsed m)
-      else None
-    in
-    if not any_chunked then begin
-      (* (2) of §5: synchronize all buffers read by the kernel. *)
-      if cfg.Gpu_runtime.Rconfig.patterns then
-        span "sync_reads" (fun () ->
-            List.iter
-              (fun (pp : Launch_cache.partition_plan) ->
-                 sync_reads ~stamp:(Gpusim.Machine.lru_tick m) pp)
-              partitions);
-      (* Overlap mode drops the host barrier between the exchange and
-         the launches.  Correctness does not need it: the copy engines
-         are in-order, so each partition's kernel (which waits on its
-         device's engines, default-stream ordering) observes every
-         fetch issued for it, and the exchange was *fully issued*
-         before any launch (the phase order above) — kernels can never
-         leak post-launch data into another partition's fetch.  With
-         the barrier gone, device k+1's halo fetches overlap device
-         k's kernel, host pattern work runs under device compute, and
-         the per-device pipelines skew freely; functional results are
-         bit-identical because functional data moves at issue time, in
-         the same order either way. *)
-      if not overlap then
-        span "barrier" (fun () -> Gpusim.Machine.synchronize m);
-      (* (3): launch each partition on its device. *)
-      span "launch" (fun () ->
-          List.iteri
-            (fun index pp -> launch_partition ~index pp)
-            partitions);
-      (* (4): update the trackers to account for the writes. *)
-      if cfg.Gpu_runtime.Rconfig.patterns then
-        span "tracker_update" (fun () ->
-            List.iter
-              (fun (pp : Launch_cache.partition_plan) ->
-                 update_writes ~stamp:(Gpusim.Machine.lru_tick m) pp)
-              partitions)
-    end
-    else begin
-      (* Memory-pressure chunked path: the partition's footprint does
-         not fit its device, so its chunks run sequentially, each one
-         doing sync -> launch -> eager tracker update with the whole
-         chunk working set sharing one LRU stamp (so a chunk can never
-         evict its own segments while faulting others in).  The RAW
-         guard in [build_plan] made eager updates safe; same-device
-         chunks run in ascending block order, like the sequential
-         executor does, so functional results are bit-identical to the
-         uncapped launch. *)
-      incr chunked_launches;
-      span "chunked_launch" (fun () ->
-          Gpusim.Machine.synchronize m;
-          List.iteri
-            (fun index (pp : Launch_cache.partition_plan) ->
-               let chunk_list =
-                 match pp.Launch_cache.pp_chunks with
-                 | [] -> [ pp ]
-                 | chunks -> chunks
-               in
-               List.iter
-                 (fun (cp : Launch_cache.partition_plan) ->
-                    incr chunks_run;
-                    let stamp = Gpusim.Machine.lru_tick m in
-                    let dev =
-                      cp.Launch_cache.pp_part.Partition.device
-                    in
-                    sync_reads ~stamp cp;
-                    (* Reserve the write set before computing so the
-                       capacity is honest while the kernel runs. *)
-                    List.iter
-                      (fun { Launch_cache.rg_buf; rg_ranges; _ } ->
-                         Gpu_runtime.Vbuf.ensure_resident ~cfg ~pool
-                           ~stamp (find rg_buf) ~dev ~ranges:rg_ranges)
-                      cp.Launch_cache.pp_writes;
-                    (* Chunks accumulate into their parent partition's
-                       buffer: the merge order stays per-partition. *)
-                    launch_partition ~index cp;
-                    update_writes ~stamp cp)
-                 chunk_list)
-            partitions)
-    end;
-    (* Reducible merge: fold every partition's touched accumulator
-       elements into the host base in ascending partition order, then
-       scatter the result back.  Untouched elements keep the base's
-       exact bits. *)
-    if reducible <> [] then
-      span "reduce_merge" (fun () ->
-          Gpusim.Machine.synchronize m;
-          incr gate_merges;
-          List.iter
-            (fun (arr, op, base) ->
-               let vb = find (List.assoc arr arg_arrays) in
-               (match (base, red_acc) with
-                | Some base, Some accs ->
-                  let combine = reduce_combine op in
-                  Array.iter
-                    (fun per_pp ->
-                       let acc, touched = List.assoc arr per_pp in
-                       Array.iteri
-                         (fun off t ->
-                            if t then begin
-                              base.(off) <- combine base.(off) acc.(off);
-                              incr gate_merged_elems
-                            end)
-                         touched)
-                    accs
-                | _ -> ());
-               let ops, () =
-                 with_tracker_ops vb (fun () ->
-                     Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb
-                       ~src:base)
-               in
-               charge ~tracker_ops:ops ~ranges:0 ~dispatches:0)
-            red_bases;
-          Gpusim.Machine.synchronize m);
-    (* (4b): instrumented write-set collection (paper §11 fallback).
-       The shadow kernel runs once per partition, recording the exact
-       elements written; a dynamic check rejects cross-partition
-       write-after-write hazards, then the trackers are updated. *)
-    (match ck.ck_shadow with
-     | Some shadow when cfg.Gpu_runtime.Rconfig.patterns ->
-       span "shadow" @@ fun () ->
-       if not (Gpusim.Machine.is_functional m) then
-         invalid_arg
-           "Multi_gpu: instrumented writes require a functional machine";
-       let instrumented =
-         List.filter_map
-           (fun (a : Model.array_model) ->
-              if a.Model.write_instrumented then Some a.Model.arr else None)
-           km.Model.arrays
-       in
-       let per_array : (string, (int * (int * int) list) list ref) Hashtbl.t =
-         Hashtbl.create 4
-       in
-       List.iter (fun a -> Hashtbl.replace per_array a (ref [])) instrumented;
-       List.iter
-         (fun (pp : Launch_cache.partition_plan) ->
-            let dev = pp.Launch_cache.pp_part.Partition.device in
-            let buffer_of name =
-              Gpu_runtime.Vbuf.instance (find (List.assoc name arg_arrays))
-                dev
-            in
-            (* The collected write sets are data-dependent (that is why
-               the array needed instrumentation): they are never
-               cached, only the shadow launch's static parameters are. *)
-            let collected = ref [] in
-            charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
-            Gpusim.Machine.launch m ~device:dev
-              ~blocks:pp.Launch_cache.pp_n_blocks
-              ~ops_per_block:pp.Launch_cache.pp_shadow_cost
-              ~run:(fun () ->
-                let launch_grid = pp.Launch_cache.pp_launch_grid in
-                let scalar_args = pp.Launch_cache.pp_scalar_args in
-                let compiled, freshness =
-                  Launch_cache.find_or_compile !plan_cache
-                    {
-                      Launch_cache.ck_kernel = shadow.Kir.name;
-                      ck_grid = launch_grid;
-                      ck_block = block;
-                      ck_args = scalar_args;
-                    }
-                    ~compile:(fun () ->
-                      Kcompile.compile shadow ~grid:launch_grid ~block
-                        ~args:scalar_args)
-                in
-                (match freshness with
-                 | `Hit ->
-                   exec_stats.Kcompile.st_cache_hits <-
-                     exec_stats.Kcompile.st_cache_hits + 1
-                 | `Miss ->
-                   exec_stats.Kcompile.st_compiles <-
-                     exec_stats.Kcompile.st_compiles + 1);
-                (match compiled with
-                 | Ok _ ->
-                   exec_stats.Kcompile.st_seq <- exec_stats.Kcompile.st_seq + 1
-                 | Error _ ->
-                   exec_stats.Kcompile.st_interpreted <-
-                     exec_stats.Kcompile.st_interpreted + 1);
-                collected :=
-                  Instrument.collect_writes ~compiled:(Some compiled) ~shadow
-                    ~grid:launch_grid ~block ~args:scalar_args
-                    ~arrays:instrumented
-                    ~load:(fun a off ->
-                        (Gpusim.Buffer.data_exn (buffer_of a)).(off)));
-            List.iter
-              (fun (arr, ranges) ->
-                 let slot = Hashtbl.find per_array arr in
-                 slot := (dev, ranges) :: !slot;
-                 charge ~tracker_ops:0 ~ranges:(List.length ranges)
-                   ~dispatches:0)
-              !collected)
-         partitions;
-       List.iter
-         (fun arr ->
-            let per_dev = !(Hashtbl.find per_array arr) in
-            Instrument.check_disjoint ~arr per_dev;
-            let bufname = List.assoc arr arg_arrays in
-            let vb = find bufname in
-            List.iter
-              (fun (dev, ranges) ->
-                 let ops, () =
-                   with_tracker_ops vb (fun () ->
-                       Gpu_runtime.Vbuf.update_for_write ~cfg vb ~dev ~ranges)
-                 in
-                 charge ~tracker_ops:ops ~ranges:0 ~dispatches:0)
-              per_dev)
-         instrumented
-     | _ -> ());
-    (* Calibration: compare the autotuner's predicted per-launch
-       seconds against the makespan this launch actually added (latest
-       engine time, so async kernel completions are included). *)
-    match tune_t0 with
-    | Some t0 ->
-      record_tune ~predicted:plan.Launch_cache.pl_predicted_s
-        ~actual:(Gpusim.Machine.elapsed m -. t0)
-    | None -> ()
-  in
-  (* Halo/overlapped-tiled execution of [Repeat (iters, [Launch; Swap])]
-     stencil loops (DESIGN.md §18).  Per temporal block of [t <= depth]
-     steps: one exchange fetches the stale parts of each partition's
-     band widened by [t*h] elements per side on the input buffer, one
-     barrier orders it (unless overlap mode already dropped barriers),
-     then [t] widened launches run back-to-back with no per-step sync —
-     each step recomputes the apron redundantly instead of exchanging,
-     and devices skew freely within the block.  Validity: at block
-     start the fetch makes [band +- t*h] of the input fresh everywhere;
-     each step shrinks the valid margin by [h], so after step [j] the
-     output is valid on [band +- (t-j)*h] — in particular every step's
-     output is valid on its band (the tracker claims exactly that), and
-     the block's last step is valid on precisely the band.  Garbage in
-     the apron beyond the valid margin never escapes: the next block's
-     fetch overwrites it before any launch reads it.  Functional
-     results are bit-identical to the per-step schedule because each
-     band element sees the same dependency chain in the same order. *)
-  let exec_halo kernel grid block args ~iters ~swap:(sx, sy) =
-    let ck =
-      match Hashtbl.find_opt compiled_tbl kernel.Kir.name with
-      | Some ck -> ck
-      | None ->
-        invalid_arg ("Multi_gpu: unlinked kernel " ^ kernel.Kir.name)
-    in
-    let key = key_of kernel grid block args in
-    let plan =
-      if cache then
-        Launch_cache.find_or_build !plan_cache key ~build:(fun () ->
-            build_plan ck kernel grid block args)
-      else build_plan ck kernel grid block args
-    in
-    let exec_swap () =
-      let va = find sx and vb = find sy in
-      Hashtbl.replace vbufs sx vb;
-      Hashtbl.replace vbufs sy va
-    in
-    let hp =
-      (* Instrumented write collection (paper §11) is data-dependent
-         and per-launch, and reducible accumulation needs its merge
-         phase after every launch; both compose with the per-step
-         schedule only. *)
-      if
-        plan.Launch_cache.pl_halo >= 2
-        && ck.ck_shadow = None
-        && (match ck.ck_gate with
-            | Verify.Reducible _ -> false
-            | _ -> true)
-      then Hashtbl.find_opt halo_infos key
-      else None
-    in
-    match hp with
-    | None ->
-      (* The winner is a per-step schedule: run the loop exactly as the
-         flattened engine would. *)
-      for _ = 1 to iters do
-        exec_launch kernel grid block args;
-        exec_swap ()
-      done
-    | Some hp ->
-      let arg_arrays = plan.Launch_cache.pl_arg_arrays in
-      let partitions = plan.Launch_cache.pl_partitions in
-      let h = hp.Autotune.hp_halo_elems in
-      (* Widened launch plans: one extra block row of redundant compute
-         per side along the split axis.  Reads/writes stay on the base
-         plan — the tracker is only ever told about the band. *)
-      let widened =
-        List.map
-          (fun (pp : Launch_cache.partition_plan) ->
-             let p =
-               Partition.widen pp.Launch_cache.pp_part ~grid
-                 ~axis:hp.Autotune.hp_axis ~blocks:1
-             in
-             let part_args = args @ Partition.partition_args p in
-             let scalar_env =
-               Host_ir.scalar_bindings ck.ck_partitioned part_args
-             in
-             ( pp,
-               {
-                 pp with
-                 Launch_cache.pp_part = p;
-                 pp_reads = [];
-                 pp_writes = [];
-                 pp_launch_grid = Partition.launch_grid p;
-                 pp_n_blocks = Partition.n_blocks p;
-                 pp_part_args = part_args;
-                 pp_scalar_args = Host_ir.scalar_args part_args;
-                 pp_ops_per_block =
-                   Costmodel.ops_per_block ck.ck_partitioned ~scalar_env
-                     ~block;
-               } ))
-          partitions
-      in
-      let band (pp : Launch_cache.partition_plan) =
-        match
-          List.find_opt
-            (fun (r : Launch_cache.ranges) ->
-               r.Launch_cache.rg_buf = hp.Autotune.hp_write_buf)
-            pp.Launch_cache.pp_writes
-        with
-        | Some { Launch_cache.rg_ranges = [ (s, e) ]; _ } -> (s, e)
-        | _ ->
-          (* Eligibility guaranteed dense single-range bands. *)
-          assert false
-      in
-      let steps_done = ref 0 in
-      while !steps_done < iters do
-        let t = min hp.Autotune.hp_depth (iters - !steps_done) in
-        incr halo_blocks;
-        halo_steps := !halo_steps + t;
-        let tune_t0 = Gpusim.Machine.elapsed m in
-        (* One exchange for the whole temporal block: the stale parts
-           of each band widened by t*h on the *input* buffer.  The
-           neighbors' copies of their own bands are always valid (they
-           own them), so every fetched byte is fresh. *)
-        span "halo_exchange" (fun () ->
-            let pool = pool_of () in
-            let stamp = Gpusim.Machine.lru_tick m in
-            let vb = find hp.Autotune.hp_read_buf in
-            let len = Gpu_runtime.Vbuf.len vb in
-            List.iter
-              (fun ((pp : Launch_cache.partition_plan), _) ->
-                 let ws, we = band pp in
-                 let lo = max 0 (ws - (t * h))
-                 and hi = min len (we + (t * h)) in
-                 let ops, transfers =
-                   with_tracker_ops vb (fun () ->
-                       Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch:true
-                         ~pool ~stamp vb
-                         ~dev:pp.Launch_cache.pp_part.Partition.device
-                         ~ranges:[ (lo, hi) ])
-                 in
-                 total_transfers := !total_transfers + transfers;
-                 charge ~tracker_ops:ops ~ranges:1 ~dispatches:0)
-              widened);
-        if not overlap then
-          span "barrier" (fun () -> Gpusim.Machine.synchronize m);
-        for _step = 1 to t do
-          span "launch" (fun () ->
-              List.iter
-                (fun (_, wp) -> launch_pp ck ~arg_arrays ~block wp)
-                widened);
-          span "tracker_update" (fun () ->
-              let pool = pool_of () in
-              let stamp = Gpusim.Machine.lru_tick m in
-              List.iter
-                (fun (pp, _) -> update_pp_writes ~stamp ~pool pp)
-                widened);
-          exec_swap ()
-        done;
-        record_tune
-          ~predicted:(plan.Launch_cache.pl_predicted_s *. float_of_int t)
-          ~actual:(Gpusim.Machine.elapsed m -. tune_t0);
-        steps_done := !steps_done + t
-      done
+    List.iter (fun (name, _, data) -> h2d (find name) data) h.h_buffers
   in
   let rec exec (s : Host_ir.stmt) =
     match s with
     | Host_ir.Malloc (name, len) ->
       Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len)
-    | Host_ir.Memcpy_h2d { dst; src } ->
-      let vb = find dst in
-      let ops, () =
-        with_tracker_ops vb (fun () ->
-            Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb
-              ~src:src.Host_ir.data)
-      in
-      charge ~tracker_ops:ops ~ranges:0 ~dispatches:0
+    | Host_ir.Memcpy_h2d { dst; src } -> h2d (find dst) src.Host_ir.data
     | Host_ir.Memcpy_d2h { dst; src } ->
       let vb = find src in
       Gpusim.Machine.synchronize m;
-      let ops, () =
-        with_tracker_ops vb (fun () ->
-            Gpu_runtime.Vbuf.d2h ~cfg vb ~dst:dst.Host_ir.data)
-      in
-      charge ~tracker_ops:ops ~ranges:0 ~dispatches:0;
+      ignore (d2h vb dst.Host_ir.data);
       Gpusim.Machine.synchronize m
     | Host_ir.Launch { kernel; grid; block; args } ->
       exec_launch kernel grid block args
     | Host_ir.Repeat
-        ( n,
-          [ Host_ir.Launch { kernel; grid; block; args };
-            Host_ir.Swap (sx, sy) ] )
-      when halo_repeats_ok && n > 1 ->
-      (* A double-buffered stencil loop kept whole by the flattening:
-         route through the halo executor (which falls back to the
-         per-step schedule when the autotuned winner has no halo). *)
-      exec_halo kernel grid block args ~iters:n ~swap:(sx, sy)
+        (n, [ Host_ir.Launch { kernel; grid; block; args }; Host_ir.Swap (sx, sy) ])
+      when halo_repeats_ok && n > 1 -> (
+        (* A double-buffered stencil loop kept whole by the flattening
+           runs halo-tiled when its winner has a halo schedule, else as
+           the flattened engine would. *)
+        let ck, plan = plan_for kernel grid block args in
+        match
+          Plan.halo (env ()) ck kernel plan ~grid ~block ~args ~iters:n
+            ~swap:(sx, sy)
+        with
+        | Some steps -> List.iter (step (context ck ~block plan)) steps
+        | None ->
+          for _ = 1 to n do
+            exec_launch kernel grid block args;
+            swap sx sy
+          done)
     | Host_ir.Repeat (n, body) ->
       for _ = 1 to n do
         List.iter exec body
       done
-    | Host_ir.Swap (a, b) ->
-      let va = find a and vb = find b in
-      Hashtbl.replace vbufs a vb;
-      Hashtbl.replace vbufs b va
+    | Host_ir.Swap (a, b) -> swap a b
     | Host_ir.Free name ->
       Gpu_runtime.Vbuf.free (find name);
       Hashtbl.remove vbufs name
@@ -1528,12 +868,8 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       | Host_ir.Repeat
           (n, [ Host_ir.Launch _; Host_ir.Swap _ ])
         when halo_repeats_ok && n > 1 ->
-        (* A double-buffered stencil loop stays whole so the halo
-           executor can temporally block it.  Kept only when the
-           features that index into the flattened stream (healing
-           checkpoints, preemption, resume) and memory chunking are
-           off — [halo_repeats_ok] — so the program counter still
-           means what they expect everywhere else. *)
+        (* A double-buffered stencil loop stays whole for halo tiling
+           (only when nothing indexes into the flattened stream). *)
         acc := s :: !acc
       | Host_ir.Repeat (n, body) ->
         for _ = 1 to n do List.iter go body done
@@ -1596,16 +932,14 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     incr devices_lost;
     live := List.filter (fun d -> d <> dead) !live;
     if !live = [] then raise All_devices_lost;
-    Gpusim.Machine.set_active_devices m (n_live ());
+    Gpusim.Machine.set_active_devices m (List.length !live);
     plan_cache := Launch_cache.create ();
-    let data_lost = ref false in
-    Hashtbl.iter
-      (fun _ vb ->
-         match Gpu_runtime.Vbuf.recover vb ~dev:dead ~live:!live with
-         | [] -> ()
-         | _ :: _ -> data_lost := true)
-      vbufs;
-    if !data_lost then begin
+    let data_lost =
+      Hashtbl.fold
+        (fun _ vb lost -> Gpu_runtime.Vbuf.recover vb ~dev:dead ~live:!live <> [] || lost)
+        vbufs false
+    in
+    if data_lost then begin
       incr replays;
       `Replay (restore_checkpoint ())
     end
@@ -1639,21 +973,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           (Hashtbl.fold (fun name vb acc -> (name, vb) :: acc) vbufs [])
       in
       let captured =
-        List.map
-          (fun (name, vb) ->
-             let len = Gpu_runtime.Vbuf.len vb in
-             let dst =
-               if Gpusim.Machine.is_functional m then
-                 Some (Array.make len 0.0)
-               else None
-             in
-             let ops, () =
-               with_tracker_ops vb (fun () ->
-                   Gpu_runtime.Vbuf.d2h ~cfg vb ~dst)
-             in
-             charge ~tracker_ops:ops ~ranges:0 ~dispatches:0;
-             (name, len, dst))
-          bufs
+        List.map (fun (name, vb) -> (name, Gpu_runtime.Vbuf.len vb, gather vb)) bufs
       in
       Gpusim.Machine.synchronize m;
       Some { h_index = !i; h_buffers = captured }
@@ -1708,28 +1028,9 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           | `Retry -> attempt ~tries:0 ~spent
           | `Replay index -> `Goto index)
       | Gpusim.Machine.Out_of_memory { device; requested; free } -> (
-          (* The footprint estimate was too optimistic (it can only be
-             exact for the enumerated ranges; live state such as
-             checkpoint gathers is not part of the plan).  Rebuild the
-             launch with strictly finer chunks and retry; build_plan
-             raises the one-line infeasibility diagnostic when even
-             single-block chunks cannot fit, which bounds the loop. *)
           match stmt with
           | Host_ir.Launch { kernel; grid; block; args } when capped ->
-            let key = key_of kernel grid block args in
-            let cur =
-              Option.value ~default:1 (Hashtbl.find_opt forced key)
-            in
-            let next = max 2 (cur * 2) in
-            Hashtbl.replace forced key next;
-            incr oom_refinements;
-            (match Hashtbl.find_opt compiled_tbl kernel.Kir.name with
-             | Some ck ->
-               let plan =
-                 build_plan ~min_chunks:next ck kernel grid block args
-               in
-               if cache then Launch_cache.replace !plan_cache key plan
-             | None -> ());
+            refine_chunks kernel grid block args;
             attempt ~tries ~spent
           | _ ->
             failwith
@@ -1742,6 +1043,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     | `Next -> incr i
     | `Goto j ->
       i := j;
+      bases := None;
       launches_since_ckpt := 0)
     end
   done;
@@ -1784,20 +1086,16 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
            }
          else no_faults);
       gate =
-        (let s = ref 0 and r = ref 0 and ra = ref 0 and u = ref 0 in
-         Hashtbl.iter
-           (fun _ ck ->
-              match ck.ck_gate with
-              | Verify.Safe -> incr s
-              | Verify.Reducible _ -> incr r
-              | Verify.Racy _ -> incr ra
-              | Verify.Unknown _ -> incr u)
-           compiled_tbl;
+        (let count name =
+           Hashtbl.fold
+             (fun _ ck n -> if Verify.verdict_name ck.ck_gate = name then n + 1 else n)
+             compiled_tbl 0
+         in
          {
-           gr_safe = !s;
-           gr_reducible = !r;
-           gr_racy = !ra;
-           gr_unknown = !u;
+           gr_safe = count "safe";
+           gr_reducible = count "reducible";
+           gr_racy = count "racy";
+           gr_unknown = count "unknown";
            gr_merges = !gate_merges;
            gr_merged_elems = !gate_merged_elems;
          });

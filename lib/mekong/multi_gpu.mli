@@ -1,23 +1,17 @@
 (** The partitioned execution engine: runs a host program over all
     devices of a simulated machine, orchestrated exactly as the code
     the rewriter inserts (paper §5, Fig. 4): synchronize read sets,
-    barrier, launch the partitions, update the trackers. *)
+    barrier, launch the partitions, update the trackers.  Each launch
+    is a {!Plan} step list run by one interpreter (DESIGN.md §21). *)
 
-type compiled_kernel = {
+type compiled_kernel = Plan.compiled_kernel = {
   ck_model : Model.kernel_model;
   ck_partitioned : Kir.t;
   ck_enums : Codegen.t;
   ck_shadow : Kir.t option;
-      (** partitioned minimal clone collecting write sets at run time
-          for arrays with unanalyzable writes (paper §11 fallback) *)
   ck_gate : Verify.verdict;
-      (** the data-race verifier's verdict on the original kernel:
-          [Safe] lets one partition's blocks execute domain-parallel
-          with bit-identical results (DESIGN.md §13); [Reducible]
-          routes atomic accumulation through partition-local buffers
-          merged in ascending partition order (DESIGN.md §20); any
-          other verdict runs blocks sequentially *)
 }
+(** See {!Plan.compiled_kernel}. *)
 
 type exe = {
   prog : Host_ir.t;
@@ -150,7 +144,11 @@ val run :
   machine:Gpusim.Machine.t ->
   exe ->
   result
-(** Execute.  In functional machines the buffers end up bit-identical
+(** Execute.  Every launch runs as the step list {!Plan.of_launch}
+    builds (or {!Plan.halo} for a halo-tiled stencil loop); DESIGN.md
+    §21 describes the steps, the transform each mode below applies to
+    Fig. 4's base plan, and how retry and replay re-run them.  In
+    functional machines the buffers end up bit-identical
     to a single-GPU run; in performance machines only simulated time
     and statistics are produced.  [cfg] selects the alpha/beta/gamma
     measurement configuration of §9.2; [tiling:`Two_d] splits grids

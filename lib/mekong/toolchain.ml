@@ -89,28 +89,17 @@ let compile ?assume ?instrument_writes ?model_file (prog : Host_ir.t) :
    iteration context from the enclosing Repeat products, and the live
    set as the full fleet.  On ideal hardware this is exactly what the
    engine's first build of each plan computes. *)
-let explain_plans ~(cfg : Gpusim.Config.t) (a : artifacts) :
-  Autotune.choice list =
+let static_launches ~(cfg : Gpusim.Config.t) (a : artifacts) =
   let prog = a.exe.Multi_gpu.prog in
   let lens : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let aliases = ref [] in
-  let iters : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let rec scan ~n (s : Host_ir.stmt) =
+  let rec mallocs (s : Host_ir.stmt) =
     match s with
     | Host_ir.Malloc (name, len) -> Hashtbl.replace lens name len
-    | Host_ir.Swap (x, y) ->
-      if not (List.mem (x, y) !aliases || List.mem (y, x) !aliases) then
-        aliases := (x, y) :: !aliases
-    | Host_ir.Launch { kernel; _ } ->
-      let cur =
-        Option.value ~default:1 (Hashtbl.find_opt iters kernel.Kir.name)
-      in
-      if n > cur then Hashtbl.replace iters kernel.Kir.name n
-    | Host_ir.Repeat (k, body) -> List.iter (scan ~n:(n * k)) body
+    | Host_ir.Repeat (_, body) -> List.iter mallocs body
     | _ -> ()
   in
-  List.iter (scan ~n:1) prog.Host_ir.body;
-  let aliases = List.rev !aliases in
+  List.iter mallocs prog.Host_ir.body;
+  let aliases, iters_of = Plan.loop_context prog in
   let live = List.init cfg.Gpusim.Config.n_devices Fun.id in
   let buf_len b =
     (* Unknown names (never Malloc'd) leave ranges unclamped. *)
@@ -118,7 +107,9 @@ let explain_plans ~(cfg : Gpusim.Config.t) (a : artifacts) :
   in
   let seen = Hashtbl.create 8 in
   let acc = ref [] in
-  let rec collect (s : Host_ir.stmt) =
+  (* [loop]: the iteration count and swap of an enclosing
+     double-buffered stencil loop, the shape halo tiling applies to. *)
+  let rec collect ?loop (s : Host_ir.stmt) =
     match s with
     | Host_ir.Launch { kernel; grid; block; args } ->
       let k = (kernel.Kir.name, grid, block, args) in
@@ -131,19 +122,54 @@ let explain_plans ~(cfg : Gpusim.Config.t) (a : artifacts) :
             Autotune.choose ~cfg ~live ~km:ck.Multi_gpu.ck_model
               ~enums:ck.Multi_gpu.ck_enums
               ~partitioned:ck.Multi_gpu.ck_partitioned ~kernel ~grid ~block
-              ~args ~aliases
-              ~iters:
-                (Option.value ~default:1
-                   (Hashtbl.find_opt iters kernel.Kir.name))
-              ~buf_len ()
+              ~args ~aliases ~iters:(iters_of kernel) ~buf_len ()
           in
-          acc := choice :: !acc
+          acc := (choice, (ck, kernel, grid, block, args, loop)) :: !acc
       end
+    | Host_ir.Repeat (n, ([ Host_ir.Launch _; Host_ir.Swap (x, y) ] as body)) ->
+      List.iter (collect ~loop:(n, (x, y))) body
     | Host_ir.Repeat (_, body) -> List.iter collect body
     | _ -> ()
   in
   List.iter collect prog.Host_ir.body;
-  List.rev !acc
+  (List.rev !acc, live, buf_len)
+
+let explain_plans ~cfg a =
+  let launches, _, _ = static_launches ~cfg a in
+  List.map fst launches
+
+(* The step list an engine on [cfg]'s fleet runs for each launch: the
+   autotuner's winner when [autotune], else the model's axis.  A
+   halo-tiled stencil loop shows its first temporal block. *)
+let launch_steps ?(overlap = false) ?(autotune = true) ~(cfg : Gpusim.Config.t) a =
+  let launches, live, buf_len = static_launches ~cfg a in
+  let env =
+    {
+      Plan.patterns = true;
+      tiling = `One_d;
+      overlap;
+      autotune;
+      live;
+      mem_cap = cfg.Gpusim.Config.mem_capacity;
+      elem_bytes = cfg.Gpusim.Config.elem_bytes;
+      buf_len;
+    }
+  in
+  List.map
+    (fun (choice, (ck, kernel, grid, block, args, loop)) ->
+       let plan =
+         Plan.launch ?choice:(if autotune then Some choice else None) env ck
+           kernel ~grid ~block ~args
+       in
+       let halo =
+         match (loop, plan.Launch_cache.pl_halo) with
+         | Some (n, swap), Some hp when n > 1 ->
+           Plan.halo env ck kernel plan ~grid ~block ~args
+             ~iters:(min n hp.Autotune.hp_depth) ~swap
+         | _ -> None
+       in
+       (choice, Option.value halo ~default:(Plan.of_launch env ck plan)))
+    launches
 
 (* Wall-clock compile times of the reference single pass and of the
    full two-pass partitioning pipeline (experiment E6; the paper

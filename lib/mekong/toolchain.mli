@@ -51,6 +51,20 @@ val explain_plans : cfg:Gpusim.Config.t -> artifacts -> Autotune.choice list
     this matches what an autotuned engine run computes when it first
     builds each plan.  Backs [mekongc plan] and [run --explain-plan]. *)
 
+val launch_steps :
+  ?overlap:bool ->
+  ?autotune:bool ->
+  cfg:Gpusim.Config.t ->
+  artifacts ->
+  (Autotune.choice * Plan.t) list
+(** Per distinct launch, in {!explain_plans} order: the autotuner's
+    choice and the steps ({!Plan.of_launch}) an engine on [cfg]'s fleet
+    runs for it — with the choice's winner when [autotune] (default
+    true), else with the model's fixed axis; [overlap] (default false)
+    as the engine option.  A launch whose stencil loop runs halo-tiled
+    shows the steps of its first temporal block ({!Plan.halo}).  Backs
+    [mekongc plan]. *)
+
 val compile_time_ratio : ?repeat:int -> Host_ir.t -> float * float * float
 (** (single-pass seconds, two-pass seconds, ratio) — experiment E6. *)
 

@@ -1,9 +1,8 @@
 (* Polyhedral data-race verifier (DESIGN.md §20).
 
-   The gate that decides whether one launch's blocks may execute
-   concurrently used to be a boolean ({!Model.parallel_safe}); this
-   module keeps the conflict polyhedra instead of collapsing them, and
-   answers with a typed verdict:
+   The engine's gate on how one launch's blocks may execute: the
+   conflict polyhedra of every cross-block access pair decide a typed
+   verdict:
 
    - [Safe]: every cross-block access pair is provably disjoint;
    - [Reducible]: the only conflicts are same-operator atomics, which

@@ -31,8 +31,7 @@
    environment; array loads/stores go straight to the shared backing
    arrays.  The *caller* is responsible for only passing a pool when
    the kernel's verdict proves distinct blocks never touch overlapping
-   elements (see [Verify.verdict] / [Model.parallel_safe]); under that
-   gate any block interleaving writes each element exactly once from
+   elements (a [Verify.Safe] verdict); under that verdict any block interleaving writes each element exactly once from
    one domain and reads only elements no other block writes, so the
    result is bit-identical to the sequential order.  [Atomic] compiles
    to a plain load-combine-store, which is NOT indivisible across

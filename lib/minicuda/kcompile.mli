@@ -42,9 +42,9 @@ val run :
 
     With [pool], the block range is split across domains ([`Par d]
     reports how many were engaged; degenerate ranges still run
-    sequentially as [`Seq]).  Only pass a pool for kernels whose write
-    maps prove distinct blocks disjoint (see [Model.parallel_safe]):
-    under that gate results are bit-identical to sequential order.
+    sequentially as [`Seq]).  Only pass a pool for kernels whose
+    accesses prove distinct blocks disjoint (a [Verify.Safe] verdict):
+    under that verdict results are bit-identical to sequential order.
     The callbacks must then be safe to call from several domains. *)
 
 (** {2 Executor counters} *)

@@ -1,8 +1,8 @@
 (* Tests for the compiled kernel executor (Kcompile), the domain pool
-   (Dpool) and the race-freedom gate (Model.parallel_safe): the
+   (Dpool) and the race-freedom gate (a Verify.Safe verdict): the
    compiled path must be bit-identical to the Keval interpreter, both
    sequentially and when a launch is split over several domains, and
-   the gate must only admit kernels whose write maps prove distinct
+   the gate must only admit kernels whose accesses prove distinct
    blocks disjoint. *)
 
 (* Size the global pool before anything touches it, so the Multi_gpu
@@ -12,6 +12,7 @@ let () = Gpu_runtime.Dpool.set_default_domains 2
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+let checks = Alcotest.check Alcotest.string
 let qtest = QCheck_alcotest.to_alcotest
 
 (* ---------------- Dpool ---------------- *)
@@ -95,11 +96,11 @@ let model_of k =
   | Ok a -> Mekong.Model.of_analysis a
   | Error e -> Alcotest.failf "analysis failed: %s" (Mekong.Access.error_message e)
 
+let verdict k km = Mekong.Verify.verdict_name (Mekong.Verify.verify ~kernel:k km)
+
 let test_gate_admits_injective () =
   List.iter
-    (fun k ->
-       checkb (k.Kir.name ^ " is parallel-safe") true
-         (Mekong.Model.parallel_safe ~kernel:k (model_of k)))
+    (fun k -> checks (k.Kir.name ^ " is safe") "safe" (verdict k (model_of k)))
     [ Apps.Matmul.kernel; Apps.Hotspot.kernel; Apps.Vecadd.kernel ]
 
 (* In-place update reading a cell every block shares: the write map is
@@ -117,9 +118,8 @@ let read_write_overlap_kernel =
     ]
 
 let test_gate_rejects_races () =
-  checkb "cross-block read/write overlap rejected" false
-    (Mekong.Model.parallel_safe ~kernel:read_write_overlap_kernel
-       (model_of read_write_overlap_kernel));
+  checks "cross-block read/write overlap rejected" "racy"
+    (verdict read_write_overlap_kernel (model_of read_write_overlap_kernel));
   (* an instrumented write (run-time-collected pattern, paper §11) has
      no static injectivity proof: a statically-safe model flips to
      unsafe the moment one array's writes become instrumented *)
@@ -136,8 +136,8 @@ let test_gate_rejects_races () =
           km.Mekong.Model.arrays;
     }
   in
-  checkb "instrumented writes rejected" false
-    (Mekong.Model.parallel_safe ~kernel:Apps.Matmul.kernel km_instr)
+  checks "instrumented writes rejected" "unknown"
+    (verdict Apps.Matmul.kernel km_instr)
 
 (* ---------------- Kcompile unit tests ---------------- *)
 

@@ -1346,6 +1346,84 @@ let test_instrumented_needs_functional () =
          false
        with Invalid_argument _ -> true)
 
+(* ---------------- Engine plans ---------------- *)
+
+(* The step list of a program's first launch on an ideal 4-GPU box, as
+   the plan printer renders it. *)
+let first_steps ?overlap ?(autotune = false) ?mem_capacity
+    ?(instrument_writes = false) prog =
+  let a =
+    match Mekong.Toolchain.compile ~instrument_writes prog with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "toolchain: %s" (Mekong.Toolchain.error_message e)
+  in
+  let cfg = Gpusim.Config.k80_box ~n_devices:4 ?mem_capacity () in
+  match Mekong.Toolchain.launch_steps ?overlap ~autotune ~cfg a with
+  | (_, steps) :: _ -> Mekong.Plan.to_string steps
+  | [] -> Alcotest.fail "no launch"
+
+let lines l = String.concat "\n" l
+
+let hotspot_prog () =
+  let p, _, _ = Apps.Workloads.functional_hotspot ~n:64 ~iterations:3 in
+  p
+
+let test_plan_fig4 () =
+  (* 64x64 cells in 16x16 blocks: a 4x4 grid split into block rows. *)
+  checks "plain" (lines [ "sync_reads d0:4 d1:4 d2:4 d3:4"; "barrier";
+                          "launch d0:4 d1:4 d2:4 d3:4";
+                          "update_writes d0:4 d1:4 d2:4 d3:4" ])
+    (first_steps (hotspot_prog ()));
+  checks "overlap drops the barrier"
+    (lines [ "sync_reads d0:4 d1:4 d2:4 d3:4"; "launch d0:4 d1:4 d2:4 d3:4";
+             "update_writes d0:4 d1:4 d2:4 d3:4" ])
+    (first_steps ~overlap:true (hotspot_prog ()))
+
+let test_plan_chunked () =
+  let prog () = let p, _, _ = Apps.Workloads.functional_matmul ~n:64 in p in
+  let m = Gpusim.Machine.create ~functional:true (Gpusim.Config.k80_box ~n_devices:4 ()) in
+  ignore (Mekong.Multi_gpu.run ~machine:m (compile_exn (prog ())).Mekong.Toolchain.exe);
+  let high_water = List.fold_left max 0 (List.init 4 (Gpusim.Machine.mem_high_water m)) in
+  (* 64x64 in 16x16 blocks: one block row per device, each chunked
+     into single blocks along x so B's column band shrinks. *)
+  checks "chunk replaces the four phases"
+    "chunk d0:1+1+1+1 d1:1+1+1+1 d2:1+1+1+1 d3:1+1+1+1"
+    (first_steps ~mem_capacity:(high_water / 2) (prog ()))
+
+let test_plan_reducible () =
+  let prog, _, _ = Apps.Workloads.functional_histogram ~n:4096 ~nbins:97 in
+  checks "gather before, merge after"
+    (lines [ "gather_bases hist:atomicAdd"; "sync_reads d0:8 d1:8 d2:8 d3:8";
+             "barrier"; "launch d0:8 d1:8 d2:8 d3:8";
+             "update_writes d0:8 d1:8 d2:8 d3:8"; "merge hist:atomicAdd" ])
+    (first_steps prog)
+
+let test_plan_halo () =
+  let prog, _, _ = Apps.Workloads.functional_hotspot ~n:128 ~iterations:4 in
+  (* The winner splits the 8x8 grid over two devices (4 block rows
+     each, 5 once widened) with halo depth 4: one exchange of each
+     band +- 4 rows of 128 cells, then four unsynchronized steps. *)
+  let step =
+    [ "  launch d0:40 d1:40"; "  update_writes one-stamp d0:32 d1:32";
+      "  swap t_in t_out" ]
+  in
+  checks "one temporal block"
+    (lines
+       ([ "measure {"; "  halo_exchange t_in depth=4 d0:[0,8704) d1:[7680,16384)";
+          "  barrier" ]
+        @ List.concat [ step; step; step; step ] @ [ "}" ]))
+    (first_steps ~autotune:true prog)
+
+let test_plan_shadow () =
+  let n = 200 in
+  let idx = Array.init n (fun i -> (i * 7 + 3) mod n) in
+  (* 200 threads in blocks of 32: seven blocks over four devices. *)
+  checks "shadow after the tracker update"
+    (lines [ "sync_reads d0:2 d1:2 d2:2 d3:1"; "barrier"; "launch d0:2 d1:2 d2:2 d3:1";
+             "update_writes d0:2 d1:2 d2:2 d3:1"; "shadow o d0:2 d1:2 d2:2 d3:1" ])
+    (first_steps ~instrument_writes:true
+       (scatter_program ~n ~idx ~result:(Array.make n nan)))
+
 let () =
   Alcotest.run "mekong"
     (base_suites
@@ -1377,5 +1455,13 @@ let () =
              Alcotest.test_case "scatter golden" `Quick test_instrumented_scatter_golden;
              Alcotest.test_case "conflict detection" `Quick test_instrumented_conflict_detected;
              Alcotest.test_case "functional-only" `Quick test_instrumented_needs_functional;
+           ] );
+         ( "plan",
+           [
+             Alcotest.test_case "fig4 and overlap" `Quick test_plan_fig4;
+             Alcotest.test_case "chunked" `Quick test_plan_chunked;
+             Alcotest.test_case "reducible" `Quick test_plan_reducible;
+             Alcotest.test_case "halo" `Quick test_plan_halo;
+             Alcotest.test_case "shadow" `Quick test_plan_shadow;
            ] );
        ])

@@ -1,9 +1,8 @@
 (* Tests for the polyhedral data-race verifier (Verify, DESIGN.md §20):
    atomics through the parser/interpreter/compiler, witness extraction
    on genuinely racy kernels, the differential property against the
-   dynamic sanitizer, partitioned execution of reducible kernels, and
-   the regression tying the engine's block-parallel gate to the
-   verifier's verdicts. *)
+   dynamic sanitizer, and partitioned execution of reducible kernels,
+   including under injected faults. *)
 
 (* Size the global pool before anything touches it (same reason as
    test_exec: CI machines may recommend a single domain). *)
@@ -357,28 +356,57 @@ let test_link_rejects_racy_atomics () =
       (String.length m > 0
        && Str.string_match (Str.regexp ".*mixed.*") m 0)
 
-(* ---------------- Gate/verifier regression ---------------- *)
+(* A reducible launch must merge exactly once even when a fault makes
+   the engine run its statement again: the retry reuses the pre-launch
+   base gathered by the first attempt instead of re-gathering bins that
+   were already merged.  Both schedules must actually fire. *)
+let faulted_reducible name mk =
+  let machine () =
+    Gpusim.Machine.create ~functional:true
+      (Gpusim.Config.k80_box ~n_devices:4 ())
+  in
+  let clean =
+    let prog, _, _ = mk () in
+    (Mekong.Multi_gpu.run ~machine:(machine ()) (compile_exe prog))
+      .Mekong.Multi_gpu.time
+  in
+  let run spec =
+    let prog, out, cpu = mk () in
+    let m = machine () in
+    Gpusim.Machine.inject_faults m (Gpusim.Faults.create spec);
+    let r = Mekong.Multi_gpu.run ~machine:m (compile_exe prog) in
+    checkb (name ^ " bit-identical to reference") true
+      (Array.map Int64.bits_of_float out
+       = Array.map Int64.bits_of_float (cpu ()));
+    r.Mekong.Multi_gpu.faults
+  in
+  let lost =
+    run
+      {
+        Gpusim.Faults.null_spec with
+        seed = 1;
+        scheduled_losses = [ (2, 0.5 *. clean) ];
+      }
+  in
+  checki (name ^ " lost device 2") 1 lost.Mekong.Multi_gpu.fr_devices_lost;
+  let transient =
+    run
+      {
+        Gpusim.Faults.null_spec with
+        seed = 1;
+        kernel_fault_rate = 0.02;
+        transfer_fault_rate = 0.02;
+      }
+  in
+  checkb (name ^ " retried transient faults") true
+    (transient.Mekong.Multi_gpu.fr_retries > 0)
 
-let test_gate_agrees_with_verifier () =
-  (* Every kernel the engine's boolean gate admits for block-parallel
-     execution must be verifier-Safe (the typed verdict strictly
-     refines the old gate; it must never regress it). *)
-  List.iter
-    (fun (name, k) ->
-       let km = model_of k in
-       let gate = Mekong.Model.parallel_safe ~kernel:k km in
-       let verdict = Mekong.Verify.verify ~kernel:k km in
-       if gate then
-         checks (name ^ ": gate-admitted kernel is verifier-safe") "safe"
-           (Mekong.Verify.verdict_name verdict))
-    [
-      ("vecadd", Apps.Vecadd.kernel);
-      ("hotspot", Apps.Hotspot.kernel);
-      ("nbody", Apps.Nbody.kernel);
-      ("matmul", Apps.Matmul.kernel);
-      ("dot", Apps.Dot.kernel);
-      ("histogram", Apps.Histogram.kernel);
-    ]
+let test_histogram_faults () =
+  faulted_reducible "histogram" (fun () ->
+      Apps.Workloads.functional_histogram ~n:65_536 ~nbins:97)
+
+let test_dot_faults () =
+  faulted_reducible "dot" (fun () -> Apps.Workloads.functional_dot ~n:65_536)
 
 let () =
   Alcotest.run "verify"
@@ -404,10 +432,8 @@ let () =
           Alcotest.test_case "dot 1/2/4 devices" `Quick test_dot_partitioned;
           Alcotest.test_case "link rejects unsound atomics" `Quick
             test_link_rejects_racy_atomics;
-        ] );
-      ( "gate",
-        [
-          Alcotest.test_case "gate implies verifier-safe" `Quick
-            test_gate_agrees_with_verifier;
+          Alcotest.test_case "histogram under faults" `Quick
+            test_histogram_faults;
+          Alcotest.test_case "dot under faults" `Quick test_dot_faults;
         ] );
     ]
