@@ -34,10 +34,11 @@
                     last simulated run (open in Perfetto)
 
    Every campaign additionally writes a machine-readable
-   BENCH_<campaign>.json recording its wall-clock, per-app timings,
-   executor/plan-cache/fault counters, a profile breakdown of the last
-   simulated machine (device utilization, byte matrix), a metrics
-   snapshot and host info; CI archives these as artifacts.
+   BENCH_<campaign>.json recording its wall-clock, per-app timings, a
+   profile breakdown of the last simulated machine (device utilization,
+   byte matrix), the campaign's metrics registry (the merge of every
+   run's engine counters plus the last machine's gpusim counters) and
+   host info; CI archives these as artifacts.
 
    All application measurements are simulated times from the calibrated
    machine model (see DESIGN.md §4); the micro-benchmarks and the exec
@@ -108,32 +109,31 @@ let k80 ?(capped = true) g =
    every experiment byte-identical to a run without the flag. *)
 let fault_spec : Gpusim.Faults.spec option ref = ref None
 
-(* Cumulative launch-plan cache counters across an experiment. *)
-let cache_hits = ref 0
-let cache_misses = ref 0
+(* The campaign's registry: every engine run and every single-GPU
+   reference run merges its counters in, so each series is the sum over
+   the campaign's runs (gauges keep the maximum); the report's
+   "metrics" section is this registry. *)
+let campaign = Obs.Metrics.create ()
 
-(* Cumulative self-healing counters (all zero without --faults). *)
-let fault_totals = ref Mekong.Multi_gpu.no_faults
+let engine ?cfg ?tiling ?cache ?checkpoint_every ?domains ?overlap ?autotune
+    ~machine exe =
+  let r =
+    Mekong.Multi_gpu.run ?cfg ?tiling ?cache ?checkpoint_every ?domains
+      ?overlap ?autotune ~machine exe
+  in
+  Obs.Metrics.merge ~into:campaign r.Mekong.Multi_gpu.metrics;
+  r
 
-(* Cumulative autotuner calibration counters (all zero in campaigns
-   that never enable autotuning). *)
-let tune_totals = ref Mekong.Multi_gpu.no_tune
+let reference_run ?executor ~machine prog =
+  let r = Single_gpu.run ?executor ~machine prog in
+  let reg = Obs.Metrics.create () in
+  Kcompile.publish_metrics ~into:reg r.Single_gpu.exec;
+  Obs.Metrics.merge ~into:campaign reg;
+  r
 
-(* Cumulative race-gate counters: verifier verdicts of the compiled
-   kernels plus reducible-merge work (DESIGN.md §20). *)
-let gate_totals = ref Mekong.Multi_gpu.no_gate
-
-(* Cumulative executor counters (compiled vs interpreted launches). *)
-let exec_totals = Kcompile.new_stats ()
-
-let reset_exec () =
-  let open Kcompile in
-  exec_totals.st_compiles <- 0;
-  exec_totals.st_cache_hits <- 0;
-  exec_totals.st_interpreted <- 0;
-  exec_totals.st_seq <- 0;
-  exec_totals.st_par <- 0;
-  exec_totals.st_domains <- 0
+(* A counter of one run's registry. *)
+let count (r : Mekong.Multi_gpu.result) name =
+  int_of_float (Obs.Metrics.get r.Mekong.Multi_gpu.metrics name)
 
 (* --repeat N / --json PATH (see the header comment). *)
 let repeat = ref 1
@@ -154,46 +154,6 @@ let jflt x = Json_out.Float x
    driver exits 1 only after every JSON report is written. *)
 let campaign_failed = ref false
 
-let add_fault_report r =
-  let open Mekong.Multi_gpu in
-  let t = !fault_totals and f = r.faults in
-  fault_totals :=
-    {
-      fr_faults = t.fr_faults + f.fr_faults;
-      fr_retries = t.fr_retries + f.fr_retries;
-      fr_replays = t.fr_replays + f.fr_replays;
-      fr_devices_lost = t.fr_devices_lost + f.fr_devices_lost;
-    }
-
-let add_tune_report (r : Mekong.Multi_gpu.result) =
-  let open Mekong.Multi_gpu in
-  let t = !tune_totals and u = r.tune in
-  tune_totals :=
-    {
-      tn_launches = t.tn_launches + u.tn_launches;
-      tn_predicted_s = t.tn_predicted_s +. u.tn_predicted_s;
-      tn_actual_s = t.tn_actual_s +. u.tn_actual_s;
-      tn_err_hist =
-        Array.init
-          (Array.length u.tn_err_hist)
-          (fun i -> t.tn_err_hist.(i) + u.tn_err_hist.(i));
-      tn_halo_blocks = t.tn_halo_blocks + u.tn_halo_blocks;
-      tn_halo_steps = t.tn_halo_steps + u.tn_halo_steps;
-    }
-
-let add_gate_report (r : Mekong.Multi_gpu.result) =
-  let open Mekong.Multi_gpu in
-  let t = !gate_totals and g = r.gate in
-  gate_totals :=
-    {
-      gr_safe = t.gr_safe + g.gr_safe;
-      gr_reducible = t.gr_reducible + g.gr_reducible;
-      gr_racy = t.gr_racy + g.gr_racy;
-      gr_unknown = t.gr_unknown + g.gr_unknown;
-      gr_merges = t.gr_merges + g.gr_merges;
-      gr_merged_elems = t.gr_merged_elems + g.gr_merged_elems;
-    }
-
 (* Simulated time of the partitioned application on [g] GPUs. *)
 let multi_time ?cfg ?(autotune = false) bench size g =
   let a = artifacts bench size in
@@ -202,14 +162,7 @@ let multi_time ?cfg ?(autotune = false) bench size g =
    | Some spec when not (Gpusim.Faults.is_null spec) ->
      Gpusim.Machine.inject_faults m (Gpusim.Faults.create spec)
    | _ -> ());
-  let r = Mekong.Multi_gpu.run ?cfg ~autotune ~machine:m a.Mekong.Toolchain.exe in
-  cache_hits := !cache_hits + r.Mekong.Multi_gpu.cache.Mekong.Launch_cache.hits;
-  cache_misses :=
-    !cache_misses + r.Mekong.Multi_gpu.cache.Mekong.Launch_cache.misses;
-  add_fault_report r;
-  add_tune_report r;
-  add_gate_report r;
-  Kcompile.add_stats ~into:exec_totals r.Mekong.Multi_gpu.exec;
+  let r = engine ?cfg ~autotune ~machine:m a.Mekong.Toolchain.exe in
   last_machine := Some m;
   add_timing
     [
@@ -225,8 +178,7 @@ let multi_time ?cfg ?(autotune = false) bench size g =
 let reference_time bench size =
   let prog = Apps.Workloads.program bench size in
   let m = k80 ~capped:false 1 in
-  let r = Single_gpu.run ~machine:m prog in
-  Kcompile.add_stats ~into:exec_totals r.Single_gpu.exec;
+  let r = reference_run ~machine:m prog in
   add_timing
     [
       ("kind", jstr "reference");
@@ -357,9 +309,6 @@ let run_fig6 () =
   Printf.printf "Figure 6: Speedup of the benchmarks for up to 16 GPUs.\n";
   Printf.printf "(speedup vs the single-GPU reference binary; paper maxima:\n";
   Printf.printf " Hotspot 7.1x @ 14, N-Body 12.4x @ 16, Matmul 6.3x @ 14)\n\n";
-  cache_hits := 0;
-  cache_misses := 0;
-  fault_totals := Mekong.Multi_gpu.no_faults;
   List.iter
     (fun b ->
        Printf.printf "%s\n" (Apps.Workloads.benchmark_name b);
@@ -394,12 +343,13 @@ let run_fig6 () =
          all_sizes;
        Printf.printf "\n%!")
     all_benchmarks;
-  Printf.printf "launch-plan cache over the sweep: %d hits / %d misses\n"
-    !cache_hits !cache_misses;
+  Printf.printf "launch-plan cache over the sweep: %.0f hits / %.0f misses\n"
+    (Obs.Metrics.get campaign "cache.plan_hits")
+    (Obs.Metrics.get campaign "cache.plan_misses");
   (match !fault_spec with
    | Some spec when not (Gpusim.Faults.is_null spec) ->
-     Format.printf "self-healing over the sweep: %a@."
-       Mekong.Multi_gpu.pp_fault_report !fault_totals
+     Format.printf "self-healing over the sweep: %a"
+       (Mekong.Multi_gpu.pp_report [ Faults ]) campaign
    | _ -> ());
   Printf.printf "\n"
 
@@ -578,7 +528,7 @@ let run_ablation () =
        let exe = Mekong.Multi_gpu.link ~rectangles ~model prog in
        let m = k80 16 in
        let w0 = Unix.gettimeofday () in
-       let r = Mekong.Multi_gpu.run ~machine:m exe in
+       let r = engine ~machine:m exe in
        let wall = Unix.gettimeofday () -. w0 in
        let s = Gpusim.Machine.stats m in
        Printf.printf "%-22s %14.4f %16.6f %14.3f\n%!" name
@@ -602,7 +552,7 @@ let run_ablation () =
     (fun (name, force) ->
        let exe = Mekong.Multi_gpu.link ?force_strategy:force ~model:mm_model mm in
        let m = k80 8 in
-       let r = Mekong.Multi_gpu.run ~machine:m exe in
+       let r = engine ~machine:m exe in
        let st = Gpusim.Machine.stats m in
        Printf.printf "%-26s %14.3f %14.2f\n%!" name r.Mekong.Multi_gpu.time
          (float_of_int st.Gpusim.Machine.p2p_bytes /. 1e9))
@@ -637,7 +587,7 @@ let run_ablation () =
        let exe = Mekong.Multi_gpu.link ~model prog in
        let run tiling =
          let m = k80 16 in
-         let r = Mekong.Multi_gpu.run ~tiling ~machine:m exe in
+         let r = engine ~tiling ~machine:m exe in
          (r.Mekong.Multi_gpu.time,
           float_of_int (Gpusim.Machine.stats m).Gpusim.Machine.p2p_bytes /. 1e9)
        in
@@ -675,15 +625,12 @@ let run_cachebench () =
     let ws, r =
       median_wall (fun () ->
           let m = k80 8 in
-          Mekong.Multi_gpu.run ~cache ~machine:m exe)
+          engine ~cache ~machine:m exe)
     in
-    Kcompile.add_stats ~into:exec_totals r.Mekong.Multi_gpu.exec;
-    add_gate_report r;
+    let hits = count r "cache.plan_hits" and misses = count r "cache.plan_misses" in
     Printf.printf "%-12s %14.4f %14.3f %8d %8d\n%!"
       (if cache then "cache on" else "cache off")
-      r.Mekong.Multi_gpu.time ws.ws_median
-      r.Mekong.Multi_gpu.cache.Mekong.Launch_cache.hits
-      r.Mekong.Multi_gpu.cache.Mekong.Launch_cache.misses;
+      r.Mekong.Multi_gpu.time ws.ws_median hits misses;
     add_timing
       ([
         ("kind", jstr "cache");
@@ -692,8 +639,8 @@ let run_cachebench () =
       ]
        @ wall_fields ws
        @ [
-         ("hits", jint r.Mekong.Multi_gpu.cache.Mekong.Launch_cache.hits);
-         ("misses", jint r.Mekong.Multi_gpu.cache.Mekong.Launch_cache.misses);
+         ("hits", jint hits);
+         ("misses", jint misses);
        ]);
     (r.Mekong.Multi_gpu.time, ws.ws_median)
   in
@@ -872,10 +819,8 @@ let run_faultcampaign () =
        (* Fault-free baseline: reference output bytes and runtime. *)
        let prog, out = mk () in
        let m = machine () in
-       let r0 = Mekong.Multi_gpu.run ~machine:m (compile prog) in
+       let r0 = engine ~machine:m (compile prog) in
        assert (r0.Mekong.Multi_gpu.faults = Mekong.Multi_gpu.no_faults);
-       Kcompile.add_stats ~into:exec_totals r0.Mekong.Multi_gpu.exec;
-       add_gate_report r0;
        let baseline = Array.copy out in
        let t0 = r0.Mekong.Multi_gpu.time in
        List.iteri
@@ -895,13 +840,10 @@ let run_faultcampaign () =
             in
             Gpusim.Machine.inject_faults m (Gpusim.Faults.create spec);
             let r =
-              Mekong.Multi_gpu.run ~checkpoint_every:3 ~machine:m (compile prog)
+              engine ~checkpoint_every:3 ~machine:m (compile prog)
             in
             let ok = out = baseline in
             if not ok then incr violations;
-            add_fault_report r;
-            Kcompile.add_stats ~into:exec_totals r.Mekong.Multi_gpu.exec;
-            add_gate_report r;
             let f = r.Mekong.Multi_gpu.faults in
             add_timing
               [
@@ -992,9 +934,7 @@ let run_memcampaign () =
     (fun (name, mk) ->
        let prog, out = mk () in
        let m0 = machine None in
-       let r0 = Mekong.Multi_gpu.run ~machine:m0 (compile prog) in
-       Kcompile.add_stats ~into:exec_totals r0.Mekong.Multi_gpu.exec;
-       add_gate_report r0;
+       let r0 = engine ~machine:m0 (compile prog) in
        let baseline = Array.copy out in
        let t0 = r0.Mekong.Multi_gpu.time in
        let hw = ref 0 in
@@ -1009,7 +949,7 @@ let run_memcampaign () =
             let frac = Printf.sprintf "1/%d" denom in
             let prog, out = mk () in
             let m = machine (Some cap) in
-            match Mekong.Multi_gpu.run ~machine:m (compile prog) with
+            match engine ~machine:m (compile prog) with
             | exception Failure msg ->
               incr violations;
               Printf.printf "%-8s %5s %9d %s\n%!" name frac cap
@@ -1017,10 +957,8 @@ let run_memcampaign () =
             | r ->
               let ok = out = baseline in
               if not ok then incr violations;
-              Kcompile.add_stats ~into:exec_totals r.Mekong.Multi_gpu.exec;
-              add_gate_report r;
               let st = Gpusim.Machine.stats m in
-              let mem = r.Mekong.Multi_gpu.mem in
+              let chunks = count r "engine.chunks" in
               let t = r.Mekong.Multi_gpu.time in
               last_machine := Some m;
               add_timing
@@ -1034,16 +972,14 @@ let run_memcampaign () =
                   ("capped_seconds", jflt t);
                   ("spills", jint st.Gpusim.Machine.n_spills);
                   ("spill_bytes", jint st.Gpusim.Machine.spill_bytes);
-                  ( "chunked_launches",
-                    jint mem.Mekong.Multi_gpu.mr_chunked_launches );
-                  ("chunks", jint mem.Mekong.Multi_gpu.mr_chunks);
-                  ( "oom_refinements",
-                    jint mem.Mekong.Multi_gpu.mr_oom_refinements );
+                  ("chunked_launches", jint (count r "engine.chunked_launches"));
+                  ("chunks", jint chunks);
+                  ("oom_refinements", jint (count r "engine.oom_refinements"));
                   ("bit_identical", Json_out.Bool ok);
                 ];
               Printf.printf "%-8s %5s %9d %11.5f %8.2fx %7d %9d %7d  %s\n%!"
                 name frac cap t (t /. t0) st.Gpusim.Machine.n_spills
-                st.Gpusim.Machine.spill_bytes mem.Mekong.Multi_gpu.mr_chunks
+                st.Gpusim.Machine.spill_bytes chunks
                 (if ok then "OK" else "FAIL: output diverged"))
          [ 1; 2; 4 ])
     workloads;
@@ -1129,8 +1065,7 @@ let run_exec () =
            Gpusim.Machine.create ~functional:true
              (Gpusim.Config.k80_box ~n_devices:1 ())
          in
-         let r = Single_gpu.run ~machine:m ~executor prog in
-         Kcompile.add_stats ~into:exec_totals r.Single_gpu.exec;
+         ignore (reference_run ~machine:m ~executor prog);
          out
        in
        let ws_int, out_int = median_wall (single `Interpreter) in
@@ -1147,11 +1082,7 @@ let run_exec () =
                Gpusim.Machine.create ~functional:true
                  (Gpusim.Config.k80_box ~n_devices:1 ())
              in
-             let r =
-               Mekong.Multi_gpu.run ~domains ~machine:m a.Mekong.Toolchain.exe
-             in
-             Kcompile.add_stats ~into:exec_totals r.Mekong.Multi_gpu.exec;
-             add_gate_report r;
+             let r = engine ~domains ~machine:m a.Mekong.Toolchain.exe in
              last_machine := Some m;
              (out, r))
        in
@@ -1165,7 +1096,7 @@ let run_exec () =
          matmul_speedup := spd;
          if Float.compare spd 1.0 < 0 then campaign_failed := true
        end;
-       let engaged = r_par.Mekong.Multi_gpu.exec.Kcompile.st_domains in
+       let engaged = count r_par "exec.max_domains" in
        List.iter
          (fun (variant, ws, extra) ->
             add_timing
@@ -1590,11 +1521,7 @@ let run_overlapcampaign () =
   let engine_time ~overlap ?cfg bench size gpus =
     let a = artifacts bench size in
     let m = k80 gpus in
-    let r =
-      Mekong.Multi_gpu.run ?cfg ~overlap ~machine:m a.Mekong.Toolchain.exe
-    in
-    Kcompile.add_stats ~into:exec_totals r.Mekong.Multi_gpu.exec;
-    add_gate_report r;
+    let r = engine ?cfg ~overlap ~machine:m a.Mekong.Toolchain.exe in
     (r.Mekong.Multi_gpu.time, Gpusim.Machine.stats m)
   in
   List.iter
@@ -1650,12 +1577,7 @@ let run_overlapcampaign () =
     (match fault_spec with
      | Some spec -> Gpusim.Machine.inject_faults m (Gpusim.Faults.create spec)
      | None -> ());
-    let r =
-      Mekong.Multi_gpu.run ~checkpoint_every:3 ~overlap ~machine:m
-        (compile prog)
-    in
-    Kcompile.add_stats ~into:exec_totals r.Mekong.Multi_gpu.exec;
-    add_gate_report r;
+    let r = engine ~checkpoint_every:3 ~overlap ~machine:m (compile prog) in
     (Array.copy out, r, m)
   in
   List.iter
@@ -1881,7 +1803,7 @@ let run_servecampaign () =
          then begin
            let exe', out' = b.Serve.Mix.b_solo () in
            let m = Gpusim.Machine.create ~functional:true (fleet ()) in
-           ignore (Mekong.Multi_gpu.run ~machine:m exe');
+           ignore (engine ~machine:m exe');
            Hashtbl.replace tbl b.Serve.Mix.b_key out'
          end)
       built;
@@ -2102,10 +2024,7 @@ let run_autotunecampaign () =
       else k80 g
     in
     let a = compile prog in
-    let r = Mekong.Multi_gpu.run ~autotune ~machine:m a.Mekong.Toolchain.exe in
-    add_tune_report r;
-    Kcompile.add_stats ~into:exec_totals r.Mekong.Multi_gpu.exec;
-    add_gate_report r;
+    let r = engine ~autotune ~machine:m a.Mekong.Toolchain.exe in
     if not functional then last_machine := Some m;
     r
   in
@@ -2181,7 +2100,7 @@ let run_autotunecampaign () =
   let rf = sim ~g:4 ~autotune:false (stencil 2048 50) in
   let ra = sim ~g:4 ~autotune:true (stencil 2048 50) in
   let spd = rf.Mekong.Multi_gpu.time /. ra.Mekong.Multi_gpu.time in
-  let halo_steps = ra.Mekong.Multi_gpu.tune.Mekong.Multi_gpu.tn_halo_steps in
+  let halo_steps = count ra "autotune.halo_steps" in
   check
     (halo_steps > 0 && spd >= 1.3)
     "hotspot n=2048 it=50 g=4"
@@ -2255,66 +2174,21 @@ let json_file name =
   match !json_path with Some p -> p | None -> "BENCH_" ^ name ^ ".json"
 
 (* Run one campaign and write its report: wall-clock, the timing
-   entries it recorded, the counters it accumulated, host info.  The
-   global counters are reset per campaign so an `all` run yields
-   per-campaign numbers. *)
+   entries it recorded, its metrics registry, host info.  The registry
+   is reset per campaign so an `all` run yields per-campaign numbers. *)
 let run_campaign name f =
   timings := [];
-  cache_hits := 0;
-  cache_misses := 0;
-  fault_totals := Mekong.Multi_gpu.no_faults;
-  tune_totals := Mekong.Multi_gpu.no_tune;
-  gate_totals := Mekong.Multi_gpu.no_gate;
-  reset_exec ();
+  Obs.Metrics.reset campaign;
   last_machine := None;
   Obs.Span.reset ();
   let w0 = Unix.gettimeofday () in
   f ();
   let wall = Unix.gettimeofday () -. w0 in
-  let ft = !fault_totals in
-  (* Campaign-level metrics snapshot: the aggregate counters under the
-     same stable names the library publishers use, plus the last
-     machine's gpusim counters. *)
-  let reg = Obs.Metrics.create () in
-  let set k v = Obs.Metrics.set reg k (float_of_int v) in
-  set "cache.plan_hits" !cache_hits;
-  set "cache.plan_misses" !cache_misses;
-  set "faults.observed" ft.Mekong.Multi_gpu.fr_faults;
-  set "faults.retries" ft.Mekong.Multi_gpu.fr_retries;
-  set "faults.replays" ft.Mekong.Multi_gpu.fr_replays;
-  set "faults.devices_lost" ft.Mekong.Multi_gpu.fr_devices_lost;
-  let tt = !tune_totals in
-  set "autotune.launches" tt.Mekong.Multi_gpu.tn_launches;
-  Obs.Metrics.set reg "autotune.predicted_us"
-    (tt.Mekong.Multi_gpu.tn_predicted_s *. 1e6);
-  Obs.Metrics.set reg "autotune.actual_us"
-    (tt.Mekong.Multi_gpu.tn_actual_s *. 1e6);
-  set "autotune.halo_blocks" tt.Mekong.Multi_gpu.tn_halo_blocks;
-  let gt = !gate_totals in
-  set "engine.gate.safe" gt.Mekong.Multi_gpu.gr_safe;
-  set "engine.gate.reducible" gt.Mekong.Multi_gpu.gr_reducible;
-  set "engine.gate.racy" gt.Mekong.Multi_gpu.gr_racy;
-  set "engine.gate.unknown" gt.Mekong.Multi_gpu.gr_unknown;
-  set "engine.gate.merges" gt.Mekong.Multi_gpu.gr_merges;
-  set "engine.gate.merged_elems" gt.Mekong.Multi_gpu.gr_merged_elems;
-  set "autotune.halo_steps" tt.Mekong.Multi_gpu.tn_halo_steps;
-  Array.iteri
-    (fun i n ->
-       let buckets = Mekong.Multi_gpu.tune_err_buckets in
-       let k =
-         if i < Array.length buckets then
-           Printf.sprintf "autotune.err_le_%.0fpct" buckets.(i)
-         else "autotune.err_gt_100pct"
-       in
-       set k n)
-    tt.Mekong.Multi_gpu.tn_err_hist;
-  Kcompile.publish_metrics ~into:reg exec_totals;
-  (match !last_machine with
-   | Some m -> Gpusim.Machine.publish_metrics ~into:reg m
-   | None -> ());
   let breakdown =
     match !last_machine with
-    | Some m -> Obs.Report.to_json (Mekong.Profile.collect m)
+    | Some m ->
+      Gpusim.Machine.publish_metrics ~into:campaign m;
+      Obs.Report.to_json (Mekong.Profile.collect m)
     | None -> Json_out.Null
   in
   let j =
@@ -2324,66 +2198,8 @@ let run_campaign name f =
         ("wall_seconds", jflt wall);
         ("repeat", jint !repeat);
         ("timings", Json_out.List (List.rev !timings));
-        ( "counters",
-          Json_out.Obj
-            [
-              ( "plan_cache",
-                Json_out.Obj
-                  [
-                    ("hits", jint !cache_hits);
-                    ("misses", jint !cache_misses);
-                  ] );
-              ( "executor",
-                Json_out.Obj
-                  [
-                    ("compiles", jint exec_totals.Kcompile.st_compiles);
-                    ("cache_hits", jint exec_totals.Kcompile.st_cache_hits);
-                    ("seq_launches", jint exec_totals.Kcompile.st_seq);
-                    ("par_launches", jint exec_totals.Kcompile.st_par);
-                    ("max_domains", jint exec_totals.Kcompile.st_domains);
-                    ("interpreted", jint exec_totals.Kcompile.st_interpreted);
-                  ] );
-              ( "gate",
-                Json_out.Obj
-                  [
-                    ("safe", jint gt.Mekong.Multi_gpu.gr_safe);
-                    ("reducible", jint gt.Mekong.Multi_gpu.gr_reducible);
-                    ("racy", jint gt.Mekong.Multi_gpu.gr_racy);
-                    ("unknown", jint gt.Mekong.Multi_gpu.gr_unknown);
-                    ("merges", jint gt.Mekong.Multi_gpu.gr_merges);
-                    ( "merged_elems",
-                      jint gt.Mekong.Multi_gpu.gr_merged_elems );
-                  ] );
-              ( "faults",
-                Json_out.Obj
-                  [
-                    ("faults", jint ft.Mekong.Multi_gpu.fr_faults);
-                    ("retries", jint ft.Mekong.Multi_gpu.fr_retries);
-                    ("replays", jint ft.Mekong.Multi_gpu.fr_replays);
-                    ( "devices_lost",
-                      jint ft.Mekong.Multi_gpu.fr_devices_lost );
-                  ] );
-              ( "autotune",
-                Json_out.Obj
-                  [
-                    ("launches", jint tt.Mekong.Multi_gpu.tn_launches);
-                    ( "predicted_us",
-                      jflt (tt.Mekong.Multi_gpu.tn_predicted_s *. 1e6) );
-                    ( "actual_us",
-                      jflt (tt.Mekong.Multi_gpu.tn_actual_s *. 1e6) );
-                    ( "halo_blocks",
-                      jint tt.Mekong.Multi_gpu.tn_halo_blocks );
-                    ("halo_steps", jint tt.Mekong.Multi_gpu.tn_halo_steps);
-                    ( "err_hist",
-                      Json_out.List
-                        (Array.to_list
-                           (Array.map
-                              (fun n -> jint n)
-                              tt.Mekong.Multi_gpu.tn_err_hist)) );
-                  ] );
-            ] );
         ("breakdown", breakdown);
-        ("metrics", Obs.Metrics.to_json reg);
+        ("metrics", Obs.Metrics.to_json campaign);
         ("host", host_json ());
       ]
   in

@@ -290,6 +290,8 @@ let device_speeds_of ~gpus speeds =
   | Some l ->
     if List.length l <> gpus then
       die "--speeds needs exactly %d values (got %d)" gpus (List.length l);
+    if List.exists (fun v -> not (v > 0.0)) l then
+      die "--speeds values must be positive";
     Some (Array.of_list l)
 
 let print_choices choices =
@@ -343,19 +345,14 @@ let run_cmd =
     Printf.printf "%s on %d GPUs: %.3f ms simulated\n" (fst app) gpus
       (res.Mekong.Multi_gpu.time *. 1e3);
     Format.printf "%a@." Gpusim.Machine.pp_stats stats;
-    Format.printf "%a@." Mekong.Launch_cache.pp_stats res.Mekong.Multi_gpu.cache;
-    Format.printf "%a@." Kcompile.pp_stats res.Mekong.Multi_gpu.exec;
-    Format.printf "race gate: %a@." Mekong.Multi_gpu.pp_gate_report
-      res.Mekong.Multi_gpu.gate;
-    if Gpusim.Machine.fault_state machine <> None then
-      Format.printf "%a@." Mekong.Multi_gpu.pp_fault_report
-        res.Mekong.Multi_gpu.faults;
-    if mem_cap <> None then
-      Format.printf "%a@." Mekong.Multi_gpu.pp_mem_report
-        res.Mekong.Multi_gpu.mem;
-    if autotune then
-      Format.printf "%a@." Mekong.Multi_gpu.pp_tune_report
-        res.Mekong.Multi_gpu.tune;
+    let only cond line = if cond then [ line ] else [] in
+    Mekong.Multi_gpu.(
+      pp_report
+        ([ Plan_cache; Executor; Gate ]
+         @ only (Gpusim.Machine.fault_state machine <> None) Faults
+         @ only (mem_cap <> None) Memory
+         @ only autotune Autotune)
+        Format.std_formatter res.metrics);
     match trace with
     | Some file ->
       let critpath =
@@ -863,8 +860,8 @@ let compile_file_cmd =
       Printf.printf "simulated on %d GPUs: %.3f ms\n" gpus
         (res.Mekong.Multi_gpu.time *. 1e3);
       Format.printf "%a@." Gpusim.Machine.pp_stats stats;
-      Format.printf "%a@." Mekong.Launch_cache.pp_stats
-        res.Mekong.Multi_gpu.cache
+      Mekong.Multi_gpu.pp_report [ Plan_cache ] Format.std_formatter
+        res.Mekong.Multi_gpu.metrics
   in
   Cmd.v
     (Cmd.info "compile-file" ~doc:"parse, compile and run a toy .cu file")

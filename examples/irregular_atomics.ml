@@ -28,9 +28,9 @@ let run_app name program result reference =
   let res = Mekong.Multi_gpu.run ~machine artifacts.Mekong.Toolchain.exe in
   let expected = reference () in
   let ok = result = expected in
-  Printf.printf "%s: 4-GPU result correct: %b (gate: %s)\n" name ok
-    (Format.asprintf "%a" Mekong.Multi_gpu.pp_gate_report
-       res.Mekong.Multi_gpu.gate);
+  Format.printf "%s: 4-GPU result correct: %b, %a" name ok
+    (Mekong.Multi_gpu.pp_report [ Mekong.Multi_gpu.Gate ])
+    res.Mekong.Multi_gpu.metrics;
   if not ok then exit 1
 
 let () =

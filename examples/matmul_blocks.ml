@@ -50,8 +50,8 @@ let () =
   Printf.printf "\nmatmul %dx%d on %d GPUs\n" !n !n !gpus;
   Printf.printf "bit-exact vs CPU reference: %b\n" ok;
   Printf.printf
-    "redistribution transfers before launch: %d (B all-gather: G-1 per device)\n"
-    res.Mekong.Multi_gpu.transfers;
+    "redistribution transfers before launch: %.0f (B all-gather: G-1 per device)\n"
+    (Obs.Metrics.get res.Mekong.Multi_gpu.metrics "engine.transfers");
   Printf.printf "p2p bytes: %d (~= (G-1) * n*n * 4 = %d)\n"
     stats.Gpusim.Machine.p2p_bytes
     ((!gpus - 1) * !n * !n * 4);

@@ -45,7 +45,8 @@ let () =
   let ok = pos_result = expected in
   Printf.printf "nbody n=%d, %d steps on %d GPUs\n" !n !iters !gpus;
   Printf.printf "bit-exact vs CPU reference: %b\n" ok;
-  Printf.printf "all-gather transfers: %d\n" res.Mekong.Multi_gpu.transfers;
+  Printf.printf "all-gather transfers: %.0f\n"
+    (Obs.Metrics.get res.Mekong.Multi_gpu.metrics "engine.transfers");
   Printf.printf "simulated time: %.3f ms\n" (res.Mekong.Multi_gpu.time *. 1e3);
   (* Report the centre of mass drift as a physics sanity check. *)
   let com axis =

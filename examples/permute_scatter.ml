@@ -101,7 +101,7 @@ let () =
   let expected = Array.make n nan in
   Array.iteri (fun i j -> expected.(int_of_float j) <- 2.0 *. x.(i)) idx;
   Printf.printf "%d-GPU scatter correct: %b\n" !gpus (result = expected);
-  Printf.printf "simulated time: %.3f ms (%d sync transfers)\n"
+  Printf.printf "simulated time: %.3f ms (%.0f sync transfers)\n"
     (res.Mekong.Multi_gpu.time *. 1e3)
-    res.Mekong.Multi_gpu.transfers;
+    (Obs.Metrics.get res.Mekong.Multi_gpu.metrics "engine.transfers");
   if result <> expected then exit 1

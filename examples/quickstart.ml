@@ -45,9 +45,9 @@ let () =
   let expected = Apps.Vecadd.reference a b in
   let ok = result = expected in
   Printf.printf "4-GPU result correct: %b\n" ok;
-  Printf.printf "simulated time: %.3f ms, stale-data transfers: %d\n"
+  Printf.printf "simulated time: %.3f ms, stale-data transfers: %.0f\n"
     (res.Mekong.Multi_gpu.time *. 1e3)
-    res.Mekong.Multi_gpu.transfers;
+    (Obs.Metrics.get res.Mekong.Multi_gpu.metrics "engine.transfers");
   let stats = Gpusim.Machine.stats machine in
   Printf.printf "kernel launches: %d (1 per device)\n"
     stats.Gpusim.Machine.n_launches;

@@ -40,8 +40,8 @@ let () =
   let stats = Gpusim.Machine.stats machine in
   Printf.printf "hotspot %dx%d, %d iterations on %d GPUs\n" !n !n !iters !gpus;
   Printf.printf "bit-exact vs CPU reference: %b\n" ok;
-  Printf.printf "halo-exchange transfers: %d (expect ~2*(G-1) per iteration)\n"
-    res.Mekong.Multi_gpu.transfers;
+  Printf.printf "halo-exchange transfers: %.0f (expect ~2*(G-1) per iteration)\n"
+    (Obs.Metrics.get res.Mekong.Multi_gpu.metrics "engine.transfers");
   Printf.printf "p2p bytes moved: %d\n" stats.Gpusim.Machine.p2p_bytes;
   Printf.printf "simulated time: %.3f ms\n" (res.Mekong.Multi_gpu.time *. 1e3);
   (* Centre temperature as a sanity check. *)

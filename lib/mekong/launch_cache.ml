@@ -85,8 +85,6 @@ type plan = {
          executes exactly the schedule the winner was scored with *)
 }
 
-type stats = { hits : int; misses : int }
-
 (* Compiled kernels (Kcompile closures) are memoized here too: a
    partition launch is keyed by the partitioned kernel's name plus the
    exact launch shape Kcompile specialized against.  Sound for the
@@ -100,40 +98,24 @@ type ckey = {
   ck_args : Keval.arg list;
 }
 
+(* Hits and misses are reported to the caller, which counts them in
+   its run's metrics registry: the counts outlive a cache generation. *)
 type t = {
   table : (key, plan) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
   compiled : (ckey, (Kcompile.t, string) result) Hashtbl.t;
-  mutable chits : int;
-  mutable cmisses : int;
 }
 
-let create () =
-  {
-    table = Hashtbl.create 64;
-    hits = 0;
-    misses = 0;
-    compiled = Hashtbl.create 64;
-    chits = 0;
-    cmisses = 0;
-  }
-
-let stats t = { hits = t.hits; misses = t.misses }
-let no_stats = { hits = 0; misses = 0 }
+let create () = { table = Hashtbl.create 64; compiled = Hashtbl.create 64 }
 
 let find_or_build t key ~build =
   match Hashtbl.find_opt t.table key with
-  | Some plan ->
-    t.hits <- t.hits + 1;
-    plan
+  | Some plan -> (plan, `Hit)
   | None ->
     let plan =
       Obs.Span.with_span ~cat:"launch_cache" ("plan:" ^ key.kernel) build
     in
-    t.misses <- t.misses + 1;
     Hashtbl.replace t.table key plan;
-    plan
+    (plan, `Miss)
 
 (* Overwrite a key's plan (runtime chunk refinement after a live
    Out_of_memory: the footprint estimate was optimistic, so the re-built
@@ -142,26 +124,11 @@ let replace t key plan = Hashtbl.replace t.table key plan
 
 let find_or_compile t ckey ~compile =
   match Hashtbl.find_opt t.compiled ckey with
-  | Some ck ->
-    t.chits <- t.chits + 1;
-    (ck, `Hit)
+  | Some ck -> (ck, `Hit)
   | None ->
     let ck =
       Obs.Span.with_span ~cat:"launch_cache" ("compile:" ^ ckey.ck_kernel)
         compile
     in
-    t.cmisses <- t.cmisses + 1;
     Hashtbl.replace t.compiled ckey ck;
     (ck, `Miss)
-
-let compile_stats t = { hits = t.chits; misses = t.cmisses }
-
-let publish_metrics ?(into = Obs.Metrics.default) t =
-  let set n v = Obs.Metrics.set into n (float_of_int v) in
-  set "cache.plan_hits" t.hits;
-  set "cache.plan_misses" t.misses;
-  set "cache.compile_hits" t.chits;
-  set "cache.compile_misses" t.cmisses
-
-let pp_stats fmt (s : stats) =
-  Format.fprintf fmt "plan cache: %d hits / %d misses" s.hits s.misses

@@ -67,8 +67,6 @@ type plan = {
           with *)
 }
 
-type stats = { hits : int; misses : int }
-
 type ckey = {
   ck_kernel : string;
   ck_grid : Dim3.t;
@@ -82,8 +80,10 @@ type t
 
 val create : unit -> t
 
-val find_or_build : t -> key -> build:(unit -> plan) -> plan
-(** Return the cached plan for [key], or build, record and return it. *)
+val find_or_build :
+  t -> key -> build:(unit -> plan) -> plan * [ `Hit | `Miss ]
+(** Return the cached plan for [key], or build, record and return it.
+    The cache keeps no counts: the caller counts hits and misses. *)
 
 val replace : t -> key -> plan -> unit
 (** Overwrite a key's plan (runtime chunk refinement after a live
@@ -97,17 +97,3 @@ val find_or_compile :
 (** Same, for {!Kcompile} closures (compiled kernels are cached even
     when plan caching is disabled: compilation never affects simulated
     time, so the plan-cache A/B stays meaningful). *)
-
-val stats : t -> stats
-
-val compile_stats : t -> stats
-(** Hit/miss counters of the compiled-kernel table. *)
-
-val no_stats : stats
-(** All-zero counters (reported by cache-disabled runs). *)
-
-val pp_stats : Format.formatter -> stats -> unit
-
-val publish_metrics : ?into:Obs.Metrics.t -> t -> unit
-(** Snapshot both tables' hit/miss counters into a metrics registry
-    under stable ["cache.*"] names (default: {!Obs.Metrics.default}). *)

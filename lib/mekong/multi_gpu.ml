@@ -121,49 +121,6 @@ type fault_report = {
 let no_faults =
   { fr_faults = 0; fr_retries = 0; fr_replays = 0; fr_devices_lost = 0 }
 
-let pp_fault_report fmt r =
-  Format.fprintf fmt "faults=%d retries=%d replays=%d devices_lost=%d"
-    r.fr_faults r.fr_retries r.fr_replays r.fr_devices_lost
-
-type mem_report = {
-  mr_chunked_launches : int;
-      (* launches that took the sequential chunked path *)
-  mr_chunks : int; (* total sequential chunks executed *)
-  mr_oom_refinements : int;
-      (* plans rebuilt with finer chunks after a live Out_of_memory *)
-}
-
-let no_mem = { mr_chunked_launches = 0; mr_chunks = 0; mr_oom_refinements = 0 }
-
-let pp_mem_report fmt r =
-  Format.fprintf fmt "chunked_launches=%d chunks=%d oom_refinements=%d"
-    r.mr_chunked_launches r.mr_chunks r.mr_oom_refinements
-
-type gate_report = {
-  gr_safe : int; (* kernels the verifier proved race-free *)
-  gr_reducible : int; (* kernels whose conflicts are same-op atomics *)
-  gr_racy : int; (* kernels with a validated concrete witness *)
-  gr_unknown : int; (* kernels the analysis could not decide *)
-  gr_merges : int; (* reducible merge phases executed *)
-  gr_merged_elems : int; (* element combines across all merges *)
-}
-
-let no_gate =
-  {
-    gr_safe = 0;
-    gr_reducible = 0;
-    gr_racy = 0;
-    gr_unknown = 0;
-    gr_merges = 0;
-    gr_merged_elems = 0;
-  }
-
-let pp_gate_report fmt r =
-  Format.fprintf fmt
-    "safe=%d reducible=%d racy=%d unknown=%d merges=%d merged_elems=%d"
-    r.gr_safe r.gr_reducible r.gr_racy r.gr_unknown r.gr_merges
-    r.gr_merged_elems
-
 (* Identity and combine of the reducible merge, matching the
    interpreter's atomic semantics element-wise so host merging is
    bit-compatible with in-place accumulation. *)
@@ -177,97 +134,60 @@ let reduce_combine = function
   | Kir.AMin -> Stdlib.min
   | Kir.AMax -> Stdlib.max
 
-(* Relative-error histogram bucket upper bounds, in percent (the last
-   bucket is open-ended). *)
-let tune_err_buckets = [| 5.0; 10.0; 25.0; 50.0; 100.0 |]
-
-type tune_report = {
-  tn_launches : int; (* autotuned launches measured *)
-  tn_predicted_s : float; (* summed predicted launch seconds *)
-  tn_actual_s : float; (* summed measured launch seconds *)
-  tn_err_hist : int array;
-      (* relative-error histogram over launches:
-         |pred-act|/act <= 5, 10, 25, 50, 100, > 100 percent *)
-  tn_halo_blocks : int; (* temporal blocks executed by halo tiling *)
-  tn_halo_steps : int; (* kernel steps inside those blocks *)
-}
-
-let no_tune =
-  {
-    tn_launches = 0;
-    tn_predicted_s = 0.0;
-    tn_actual_s = 0.0;
-    tn_err_hist = Array.make (Array.length tune_err_buckets + 1) 0;
-    tn_halo_blocks = 0;
-    tn_halo_steps = 0;
-  }
-
-let pp_tune_report fmt r =
-  Format.fprintf fmt
-    "autotuned=%d predicted=%.6fs actual=%.6fs halo_blocks=%d halo_steps=%d"
-    r.tn_launches r.tn_predicted_s r.tn_actual_s r.tn_halo_blocks
-    r.tn_halo_steps
-
 type result = {
   machine : Gpusim.Machine.t;
   time : float;
-  transfers : int; (* inter-device synchronization transfers issued *)
-  cache : Launch_cache.stats;
-      (* launch-plan cache hit/miss counters (zero when disabled) *)
   faults : fault_report;
-      (* what the self-healing loop saw and did (all zero on ideal
-         hardware) *)
-  exec : Kcompile.stats;
-      (* executor counters: compilations, parallel vs. sequential
-         launches, interpreter fallbacks *)
-  mem : mem_report;
-      (* memory-pressure adaptation: chunked launches and live-OOM
-         refinements (all zero on uncapped machines) *)
-  tune : tune_report;
-      (* autotuner calibration: predicted vs. measured per-launch
-         seconds and the halo-tiling activity (all zero when
-         autotuning is off) *)
-  gate : gate_report;
-      (* per-kernel verifier verdict counts plus the reducible-merge
-         activity of this run *)
+      (* what the self-healing loop saw and did, read back from the
+         faults.* series (all zero on ideal hardware) *)
+  metrics : Obs.Metrics.t; (* every engine counter of this run *)
 }
 
 let publish_metrics ?(into = Obs.Metrics.default) (r : result) =
-  let set n v = Obs.Metrics.set into n v in
-  let seti n v = set n (float_of_int v) in
-  set "engine.time_seconds" r.time;
-  seti "engine.transfers" r.transfers;
-  seti "engine.chunked_launches" r.mem.mr_chunked_launches;
-  seti "engine.chunks" r.mem.mr_chunks;
-  seti "engine.oom_refinements" r.mem.mr_oom_refinements;
-  seti "cache.plan_hits" r.cache.Launch_cache.hits;
-  seti "cache.plan_misses" r.cache.Launch_cache.misses;
-  seti "engine.gate.safe" r.gate.gr_safe;
-  seti "engine.gate.reducible" r.gate.gr_reducible;
-  seti "engine.gate.racy" r.gate.gr_racy;
-  seti "engine.gate.unknown" r.gate.gr_unknown;
-  seti "engine.gate.merges" r.gate.gr_merges;
-  seti "engine.gate.merged_elems" r.gate.gr_merged_elems;
-  seti "faults.observed" r.faults.fr_faults;
-  seti "faults.retries" r.faults.fr_retries;
-  seti "faults.replays" r.faults.fr_replays;
-  seti "faults.devices_lost" r.faults.fr_devices_lost;
-  seti "autotune.launches" r.tune.tn_launches;
-  set "autotune.predicted_us" (r.tune.tn_predicted_s *. 1e6);
-  set "autotune.actual_us" (r.tune.tn_actual_s *. 1e6);
-  seti "autotune.halo_blocks" r.tune.tn_halo_blocks;
-  seti "autotune.halo_steps" r.tune.tn_halo_steps;
-  Array.iteri
-    (fun i count ->
-       let name =
-         if i < Array.length tune_err_buckets then
-           Printf.sprintf "autotune.err_le_%.0fpct" tune_err_buckets.(i)
-         else "autotune.err_gt_100pct"
-       in
-       seti name count)
-    r.tune.tn_err_hist;
-  Kcompile.publish_metrics ~into r.exec;
+  Obs.Metrics.merge ~into r.metrics;
   Gpusim.Machine.publish_metrics ~into r.machine
+
+(* The run report, one line per section, read from a registry. *)
+type report_line = Plan_cache | Executor | Gate | Faults | Memory | Autotune
+
+let pp_report lines fmt (reg : Obs.Metrics.t) =
+  let v name = Obs.Metrics.get reg name in
+  let i name = int_of_float (v name) in
+  List.iter
+    (function
+      | Plan_cache ->
+        Format.fprintf fmt "plan cache: %d hits / %d misses@."
+          (i "cache.plan_hits") (i "cache.plan_misses")
+      | Executor ->
+        Format.fprintf fmt
+          "executor: %d compiled (%d cache hits), %d launches sequential, \
+           %d parallel (max %d domains), %d interpreted@."
+          (i "exec.compiles") (i "exec.cache_hits") (i "exec.seq_launches")
+          (i "exec.par_launches") (i "exec.max_domains") (i "exec.interpreted")
+      | Gate ->
+        Format.fprintf fmt
+          "race gate: safe=%d reducible=%d racy=%d unknown=%d merges=%d \
+           merged_elems=%d@."
+          (i "engine.gate.safe") (i "engine.gate.reducible")
+          (i "engine.gate.racy") (i "engine.gate.unknown")
+          (i "engine.gate.merges") (i "engine.gate.merged_elems")
+      | Faults ->
+        Format.fprintf fmt "faults=%d retries=%d replays=%d devices_lost=%d@."
+          (i "faults.observed") (i "faults.retries") (i "faults.replays")
+          (i "faults.devices_lost")
+      | Memory ->
+        Format.fprintf fmt "chunked_launches=%d chunks=%d oom_refinements=%d@."
+          (i "engine.chunked_launches") (i "engine.chunks")
+          (i "engine.oom_refinements")
+      | Autotune ->
+        Format.fprintf fmt
+          "autotuned=%d predicted=%.6fs actual=%.6fs halo_blocks=%d \
+           halo_steps=%d@."
+          (i "autotune.launches")
+          (v "autotune.predicted_us" *. 1e-6)
+          (v "autotune.actual_us" *. 1e-6)
+          (i "autotune.halo_blocks") (i "autotune.halo_steps"))
+    lines
 
 (* A preemption handoff: the flattened-statement index to resume from
    plus the logical content of every live buffer, gathered host-side.
@@ -324,7 +244,17 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       d
     | None -> Gpu_runtime.Dpool.default_domains ()
   in
-  let exec_stats = Kcompile.new_stats () in
+  (* Every engine counter of the run lives in this registry (DESIGN.md
+     §14); the handles are bumped where the events happen. *)
+  let metrics = Obs.Metrics.create () in
+  let counter = Obs.Metrics.counter metrics in
+  let bump c = Obs.Metrics.add c 1.0 in
+  let compiles = counter "exec.compiles"
+  and compile_hits = counter "exec.cache_hits"
+  and interpreted = counter "exec.interpreted"
+  and seq_launches = counter "exec.seq_launches"
+  and par_launches = counter "exec.par_launches" in
+  let max_domains = ref 1 in
   let m = machine in
   let functional = Gpusim.Machine.is_functional m in
   (* Engine phases are spanned on the simulated host clock as well as
@@ -346,16 +276,20 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   let healing = Gpusim.Machine.fault_state m <> None in
   let live = ref (Gpusim.Machine.live_devices m) in
   let faults_at_entry = (Gpusim.Machine.stats m).Gpusim.Machine.n_faults in
-  let retries = ref 0 and replays = ref 0 and devices_lost = ref 0 in
+  let observed = counter "faults.observed"
+  and retries = counter "faults.retries"
+  and replays = counter "faults.replays"
+  and devices_lost = counter "faults.devices_lost" in
   let vbufs : (string, Gpu_runtime.Vbuf.t) Hashtbl.t = Hashtbl.create 16 in
-  let total_transfers = ref 0 in
+  let transfers = counter "engine.transfers" in
   (* Memory-pressure adaptation (DESIGN.md §15): a finite capacity makes
      the whole buffer population the eviction pool and chunks launches
      whose footprint does not fit. *)
   let mem_cap = Gpusim.Machine.mem_capacity m in
   let capped = mem_cap < max_int && cfg.Gpu_runtime.Rconfig.patterns in
-  let chunked_launches = ref 0 and chunks_run = ref 0 in
-  let oom_refinements = ref 0 in
+  let chunked_launches = counter "engine.chunked_launches"
+  and chunks_run = counter "engine.chunks"
+  and oom_refinements = counter "engine.oom_refinements" in
   (* Per-launch-key forced minimum chunk count: bumped when a launch
      dies with a live Out_of_memory despite the footprint estimate. *)
   let forced : (Launch_cache.key, int) Hashtbl.t = Hashtbl.create 4 in
@@ -376,12 +310,23 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     tune_enabled && (not healing) && abort_at = None && resume = None
     && not capped
   in
-  let tune_launches = ref 0 in
+  let tune_launches = counter "autotune.launches" in
+  (* The calibration sums are added to their series once, at the end,
+     so the published microseconds are the scaled sum of the seconds. *)
   let tune_pred = ref 0.0 and tune_act = ref 0.0 in
-  let tune_err_hist = Array.make (Array.length tune_err_buckets + 1) 0 in
-  let halo_blocks = ref 0 and halo_steps = ref 0 in
+  let predicted_us = counter "autotune.predicted_us"
+  and actual_us = counter "autotune.actual_us" in
+  (* Per-launch relative-error histogram: one counter per bucket upper
+     bound in percent, plus the open-ended one above the last. *)
+  let err_le =
+    List.map
+      (fun pct -> (pct, counter (Printf.sprintf "autotune.err_le_%.0fpct" pct)))
+      [ 5.0; 10.0; 25.0; 50.0; 100.0 ]
+  and err_gt = counter "autotune.err_gt_100pct" in
+  let halo_blocks = counter "autotune.halo_blocks"
+  and halo_steps = counter "autotune.halo_steps" in
   let record_tune ~predicted ~actual =
-    incr tune_launches;
+    bump tune_launches;
     tune_pred := !tune_pred +. predicted;
     tune_act := !tune_act +. actual;
     let err =
@@ -389,13 +334,10 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       else if predicted = 0.0 then 0.0
       else infinity
     in
-    let rec bucket i =
-      if i >= Array.length tune_err_buckets then i
-      else if err <= tune_err_buckets.(i) then i
-      else bucket (i + 1)
-    in
-    let b = bucket 0 in
-    tune_err_hist.(b) <- tune_err_hist.(b) + 1
+    bump
+      (match List.find_opt (fun (pct, _) -> err <= pct) err_le with
+       | Some (_, c) -> c
+       | None -> err_gt)
   in
   (* The eviction pool, sorted by name: stamps shared across vbufs can
      tie, and [coldest] breaks ties by pool order, so the order must
@@ -416,7 +358,18 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
        if not (Hashtbl.mem compiled_tbl name) then
          Hashtbl.add compiled_tbl name ck)
     exe.compiled;
-  let gate_merges = ref 0 and gate_merged_elems = ref 0 in
+  let gate =
+    List.map
+      (fun v -> (v, counter ("engine.gate." ^ v)))
+      [ "safe"; "reducible"; "racy"; "unknown" ]
+  in
+  Hashtbl.iter
+    (fun _ ck -> bump (List.assoc (Verify.verdict_name ck.ck_gate) gate))
+    compiled_tbl;
+  let gate_merges = counter "engine.gate.merges"
+  and gate_merged_elems = counter "engine.gate.merged_elems" in
+  let plan_hits = counter "cache.plan_hits"
+  and plan_misses = counter "cache.plan_misses" in
   (* The cache lives for one cache generation: device count, tiling and
      measurement config are fixed within it, so they need not be part
      of the key.  A permanent device loss changes the partitioning and
@@ -530,8 +483,11 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     let ck, key = lookup kernel grid block args in
     let build () = build_plan ck key kernel grid block args in
     ( ck,
-      if cache then Launch_cache.find_or_build !plan_cache key ~build
-      else build () )
+      if not cache then build ()
+      else
+        let plan, freshness = Launch_cache.find_or_build !plan_cache key ~build in
+        bump (match freshness with `Hit -> plan_hits | `Miss -> plan_misses);
+        plan )
   in
   (* A live Out_of_memory: the footprint estimate was too optimistic
      (it can only be exact for the enumerated ranges; live state such
@@ -543,7 +499,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     let ck, key = lookup kernel grid block args in
     let cur = Option.value ~default:1 (Hashtbl.find_opt forced key) in
     Hashtbl.replace forced key (max 2 (cur * 2));
-    incr oom_refinements;
+    bump oom_refinements;
     let plan = build_plan ck key kernel grid block args in
     if cache then Launch_cache.replace !plan_cache key plan
   in
@@ -558,9 +514,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
         { ck_kernel = kernel.Kir.name; ck_grid = grid; ck_block = block; ck_args = args }
         ~compile:(fun () -> Kcompile.compile kernel ~grid ~block ~args)
     in
-    (match freshness with
-     | `Hit -> exec_stats.st_cache_hits <- exec_stats.st_cache_hits + 1
-     | `Miss -> exec_stats.st_compiles <- exec_stats.st_compiles + 1);
+    bump (match freshness with `Hit -> compile_hits | `Miss -> compiles);
     res
   in
   let data c dev a =
@@ -608,10 +562,13 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
                  run sequentially (deterministic in-partition order). *)
               None
           in
-          Kcompile.record_path exec_stats
-            (Kcompile.run ?pool ~max_domains:domains cck ~load ~store)
+          (match Kcompile.run ?pool ~max_domains:domains cck ~load ~store with
+           | `Seq -> bump seq_launches
+           | `Par d ->
+             bump par_launches;
+             max_domains := max !max_domains d)
         | Error _ ->
-          exec_stats.st_interpreted <- exec_stats.st_interpreted + 1;
+          bump interpreted;
           Keval.run kernel ~grid:pp.pp_launch_grid ~block:c.c_block
             ~args:pp.pp_scalar_args ~load ~store)
   in
@@ -619,11 +576,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     List.iter
       (fun { Launch_cache.rg_buf; rg_ranges; rg_raw } ->
          let vb = find rg_buf in
-         total_transfers :=
-           !total_transfers
-           + tracked ~ranges:rg_raw vb (fun () ->
-               Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch ~pool:c.c_pool ~stamp
-                 vb ~dev:pp.pp_part.Partition.device ~ranges:rg_ranges))
+         Obs.Metrics.add transfers
+           (float_of_int
+              (tracked ~ranges:rg_raw vb (fun () ->
+                   Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch ~pool:c.c_pool
+                     ~stamp vb ~dev:pp.pp_part.Partition.device
+                     ~ranges:rg_ranges))))
       pp.pp_reads
   in
   let update_writes c ~stamp (pp : Launch_cache.partition_plan) =
@@ -653,9 +611,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
          Gpusim.Machine.launch m ~device:dev ~blocks:pp.pp_n_blocks
            ~ops_per_block:pp.pp_shadow_cost ~run:(fun () ->
              let compiled = compiled shadow c.c_block pp in
-             (match compiled with
-              | Ok _ -> exec_stats.st_seq <- exec_stats.st_seq + 1
-              | Error _ -> exec_stats.st_interpreted <- exec_stats.st_interpreted + 1);
+             bump (match compiled with Ok _ -> seq_launches | Error _ -> interpreted);
              collected :=
                Instrument.collect_writes ~compiled:(Some compiled) ~shadow
                  ~grid:pp.pp_launch_grid ~block:c.c_block ~args:pp.pp_scalar_args
@@ -703,13 +659,13 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       (* Eager per-chunk tracker updates are safe by [Plan.launch]'s
          read-after-write guard; one stamp per chunk keeps a chunk from
          evicting its own segments while faulting others in. *)
-      incr chunked_launches;
+      bump chunked_launches;
       span "chunked_launch" (fun () ->
           Gpusim.Machine.synchronize m;
           List.iteri
             (fun index ->
                List.iter (fun (cp : Launch_cache.partition_plan) ->
-                   incr chunks_run;
+                   bump chunks_run;
                    let stamp = tick () in
                    sync_reads c ~batch ~stamp cp;
                    (* Reserve the write set before computing so the
@@ -735,7 +691,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
          partition shape) point produces the same bits. *)
       span "reduce_merge" (fun () ->
           Gpusim.Machine.synchronize m;
-          incr gate_merges;
+          bump gate_merges;
           List.iter2
             (fun (arr, op) base ->
                let merged = Option.map Array.copy base in
@@ -749,7 +705,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
                          (fun off t ->
                             if t then begin
                               merged.(off) <- combine merged.(off) acc.(off);
-                              incr gate_merged_elems
+                              bump gate_merged_elems
                             end)
                          touched)
                     accs
@@ -759,17 +715,17 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           Gpusim.Machine.synchronize m)
     | Plan.Shadow { arrays; parts } -> span "shadow" (fun () -> shadow c arrays parts)
     | Plan.Halo_exchange { buf; depth; fetch } ->
-      incr halo_blocks;
-      halo_steps := !halo_steps + depth;
+      bump halo_blocks;
+      Obs.Metrics.add halo_steps (float_of_int depth);
       span "halo_exchange" (fun () ->
           let stamp = tick () and vb = find buf in
           List.iter
             (fun (dev, range) ->
-               total_transfers :=
-                 !total_transfers
-                 + tracked ~ranges:1 vb (fun () ->
-                     Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch:true
-                       ~pool:c.c_pool ~stamp vb ~dev ~ranges:[ range ]))
+               Obs.Metrics.add transfers
+                 (float_of_int
+                    (tracked ~ranges:1 vb (fun () ->
+                         Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch:true
+                           ~pool:c.c_pool ~stamp vb ~dev ~ranges:[ range ]))))
             fetch)
     | Plan.Swap (a, b) -> swap a b
     | Plan.Measure (predicted, steps) ->
@@ -929,7 +885,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      copy anywhere do we pay a replay from the last checkpoint. *)
   let handle_loss dead =
     span "recovery" @@ fun () ->
-    incr devices_lost;
+    bump devices_lost;
     live := List.filter (fun d -> d <> dead) !live;
     if !live = [] then raise All_devices_lost;
     Gpusim.Machine.set_active_devices m (List.length !live);
@@ -940,7 +896,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
         vbufs false
     in
     if data_lost then begin
-      incr replays;
+      bump replays;
       `Replay (restore_checkpoint ())
     end
     else `Retry
@@ -979,7 +935,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       Some { h_index = !i; h_buffers = captured }
     with
     | Gpusim.Machine.Transient_fault _ when healing ->
-      incr retries;
+      bump retries;
       Gpusim.Machine.host_work m ~seconds:backoff_base ~category:"backoff";
       None
     | Gpusim.Machine.Device_lost dead when healing ->
@@ -1015,7 +971,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
         `Next
       with
       | Gpusim.Machine.Transient_fault _ when healing ->
-        incr retries;
+        bump retries;
         let delay =
           Float.min backoff_cap (backoff_base *. (2.0 ** float_of_int tries))
         in
@@ -1048,57 +1004,28 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     end
   done;
   if !preempted = None then Gpusim.Machine.synchronize m;
+  if healing then
+    Obs.Metrics.add observed
+      (float_of_int
+         ((Gpusim.Machine.stats m).Gpusim.Machine.n_faults - faults_at_entry));
+  Obs.Metrics.add predicted_us (!tune_pred *. 1e6);
+  Obs.Metrics.add actual_us (!tune_act *. 1e6);
+  Obs.Metrics.set metrics "exec.max_domains" (float_of_int !max_domains);
+  let time = Gpusim.Machine.host_time m in
+  Obs.Metrics.set metrics "engine.time_seconds" time;
+  let n c = int_of_float (Obs.Metrics.total c) in
   let result =
     {
       machine = m;
-      time = Gpusim.Machine.host_time m;
-      transfers = !total_transfers;
-      cache =
-        (if cache then Launch_cache.stats !plan_cache
-         else Launch_cache.no_stats);
-      exec = exec_stats;
-      mem =
-        {
-          mr_chunked_launches = !chunked_launches;
-          mr_chunks = !chunks_run;
-          mr_oom_refinements = !oom_refinements;
-        };
-      tune =
-        (if tune_enabled then
-           {
-             tn_launches = !tune_launches;
-             tn_predicted_s = !tune_pred;
-             tn_actual_s = !tune_act;
-             tn_err_hist = Array.copy tune_err_hist;
-             tn_halo_blocks = !halo_blocks;
-             tn_halo_steps = !halo_steps;
-           }
-         else no_tune);
+      time;
       faults =
-        (if healing then
-           {
-             fr_faults =
-               (Gpusim.Machine.stats m).Gpusim.Machine.n_faults
-               - faults_at_entry;
-             fr_retries = !retries;
-             fr_replays = !replays;
-             fr_devices_lost = !devices_lost;
-           }
-         else no_faults);
-      gate =
-        (let count name =
-           Hashtbl.fold
-             (fun _ ck n -> if Verify.verdict_name ck.ck_gate = name then n + 1 else n)
-             compiled_tbl 0
-         in
-         {
-           gr_safe = count "safe";
-           gr_reducible = count "reducible";
-           gr_racy = count "racy";
-           gr_unknown = count "unknown";
-           gr_merges = !gate_merges;
-           gr_merged_elems = !gate_merged_elems;
-         });
+        {
+          fr_faults = n observed;
+          fr_retries = n retries;
+          fr_replays = n replays;
+          fr_devices_lost = n devices_lost;
+        };
+      metrics;
     }
   in
   match !preempted with

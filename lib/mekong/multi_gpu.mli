@@ -52,75 +52,19 @@ type fault_report = {
 }
 
 val no_faults : fault_report
-val pp_fault_report : Format.formatter -> fault_report -> unit
-
-type mem_report = {
-  mr_chunked_launches : int;
-      (** launches that took the sequential chunked path *)
-  mr_chunks : int;  (** total sequential chunks executed *)
-  mr_oom_refinements : int;
-      (** plans rebuilt with finer chunks after a live
-          [Out_of_memory] *)
-}
-
-val no_mem : mem_report
-val pp_mem_report : Format.formatter -> mem_report -> unit
-
-type gate_report = {
-  gr_safe : int;  (** kernels the verifier proved race-free *)
-  gr_reducible : int;
-      (** kernels whose only conflicts are same-operator atomics *)
-  gr_racy : int;  (** kernels with a validated concrete witness *)
-  gr_unknown : int;  (** kernels the analysis could not decide *)
-  gr_merges : int;  (** reducible merge phases executed *)
-  gr_merged_elems : int;  (** element combines across all merges *)
-}
-
-val no_gate : gate_report
-val pp_gate_report : Format.formatter -> gate_report -> unit
-
-val tune_err_buckets : float array
-(** Relative-error histogram bucket upper bounds in percent (the last
-    histogram slot is open-ended: everything above the final bound). *)
-
-type tune_report = {
-  tn_launches : int;  (** autotuned launches measured *)
-  tn_predicted_s : float;  (** summed predicted launch seconds *)
-  tn_actual_s : float;  (** summed measured launch seconds *)
-  tn_err_hist : int array;
-      (** per-launch relative-error histogram over
-          {!tune_err_buckets} (length = buckets + 1) *)
-  tn_halo_blocks : int;  (** temporal blocks executed by halo tiling *)
-  tn_halo_steps : int;  (** kernel steps inside those blocks *)
-}
-
-val no_tune : tune_report
-val pp_tune_report : Format.formatter -> tune_report -> unit
 
 type result = {
   machine : Gpusim.Machine.t;
   time : float;  (** simulated end-to-end seconds *)
-  transfers : int;  (** inter-device synchronization transfers issued *)
-  cache : Launch_cache.stats;
-      (** launch-plan cache hit/miss counters (zero when disabled) *)
   faults : fault_report;
-      (** what the self-healing loop saw and did (all zero on ideal
-          hardware) *)
-  exec : Kcompile.stats;
-      (** executor counters: compilations and compiled-kernel cache
-          hits, parallel vs. sequential launches, domains engaged,
-          interpreter fallbacks (all zero on performance machines) *)
-  mem : mem_report;
-      (** memory-pressure adaptation: chunked launches, chunks executed
-          and live-OOM plan refinements (all zero on machines with
-          unlimited device memory) *)
-  tune : tune_report;
-      (** autotuner calibration: predicted vs. measured per-launch
-          seconds, the relative-error histogram, and halo-tiling
-          activity (all zero when autotuning is off) *)
-  gate : gate_report;
-      (** per-kernel verifier verdict counts plus the reducible-merge
-          activity of this run *)
+      (** what the self-healing loop saw and did, read back from the
+          run's ["faults.*"] series (all zero on ideal hardware) *)
+  metrics : Obs.Metrics.t;
+      (** the run's registry, the only place engine counters live:
+          transfers, plan-cache hits and misses, memory chunking,
+          verifier verdicts and reducible merges, faults, autotuner
+          calibration and executor launches under the names of
+          DESIGN.md §14.  Every series is registered at zero. *)
 }
 
 val launch_bindings :
@@ -128,10 +72,18 @@ val launch_bindings :
   (string * int) list
 
 val publish_metrics : ?into:Obs.Metrics.t -> result -> unit
-(** Snapshot everything one run produced — engine, cache, fault,
-    executor and machine counters — into a metrics registry under
-    stable ["engine.*"]/["cache.*"]/["faults.*"]/["exec.*"]/
-    ["gpusim.*"] names (default: {!Obs.Metrics.default}). *)
+(** Merge the run's {!result.metrics} into a registry (default:
+    {!Obs.Metrics.default}; see {!Obs.Metrics.merge}) and snapshot the
+    machine's ["gpusim.*"] counters into it. *)
+
+(** The lines of a run report. *)
+type report_line = Plan_cache | Executor | Gate | Faults | Memory | Autotune
+
+val pp_report : report_line list -> Format.formatter -> Obs.Metrics.t -> unit
+(** Print the given report lines, each read from the registry and ended
+    by a newline: ["plan cache: H hits / M misses"], ["executor: ..."],
+    ["race gate: safe=..."], ["faults=... retries=..."],
+    ["chunked_launches=... chunks=..."], ["autotuned=... predicted=..."]. *)
 
 val run :
   ?cfg:Gpu_runtime.Rconfig.t ->

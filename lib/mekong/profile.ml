@@ -7,7 +7,8 @@
    d2h / p2p byte counters, and [Report.matrix_totals] is the check.
 
    Counters are published into a *fresh* registry here (never the
-   process-wide default), so a profile never mixes two runs. *)
+   process-wide default), so a profile never mixes two runs: the
+   engine series are the run's own registry, merged in. *)
 
 let collect ?result ?(spans = true) (m : Gpusim.Machine.t) : Obs.Report.t =
   let elapsed = Gpusim.Machine.elapsed m in
@@ -15,7 +16,6 @@ let collect ?result ?(spans = true) (m : Gpusim.Machine.t) : Obs.Report.t =
     List.init (Gpusim.Machine.n_devices m) (fun d ->
         let compute, copy_in, copy_out = Gpusim.Machine.device_timelines m d in
         let busy tl = Gpusim.Timeline.total_busy tl in
-        let all = busy compute +. busy copy_in +. busy copy_out in
         {
           Obs.Report.dr_device = d;
           dr_compute = busy compute;
@@ -25,8 +25,7 @@ let collect ?result ?(spans = true) (m : Gpusim.Machine.t) : Obs.Report.t =
              engine: the copy engines overlap it by design, so summing
              the three lanes would overcount. *)
           dr_idle = Gpusim.Timeline.idle_in compute ~span:elapsed;
-          dr_util =
-            (if elapsed <= 0.0 then 0.0 else Float.min 1.0 (all /. elapsed));
+          dr_util = Gpusim.Timeline.utilization compute ~span:elapsed;
           dr_lost = Gpusim.Machine.device_lost m d;
         })
   in

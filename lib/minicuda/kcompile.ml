@@ -555,26 +555,11 @@ let record_path st = function
     st.st_par <- st.st_par + 1;
     if d > st.st_domains then st.st_domains <- d
 
-let add_stats ~into s =
-  into.st_compiles <- into.st_compiles + s.st_compiles;
-  into.st_cache_hits <- into.st_cache_hits + s.st_cache_hits;
-  into.st_interpreted <- into.st_interpreted + s.st_interpreted;
-  into.st_seq <- into.st_seq + s.st_seq;
-  into.st_par <- into.st_par + s.st_par;
-  if s.st_domains > into.st_domains then into.st_domains <- s.st_domains
-
 let publish_metrics ?(into = Obs.Metrics.default) s =
-  let set n v = Obs.Metrics.set into n (float_of_int v) in
-  set "exec.compiles" s.st_compiles;
-  set "exec.cache_hits" s.st_cache_hits;
-  set "exec.interpreted" s.st_interpreted;
-  set "exec.seq_launches" s.st_seq;
-  set "exec.par_launches" s.st_par;
-  set "exec.max_domains" s.st_domains
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "executor: %d compiled (%d cache hits), %d launches sequential, %d \
-     parallel (max %d domains), %d interpreted"
-    s.st_compiles s.st_cache_hits s.st_seq s.st_par s.st_domains
-    s.st_interpreted
+  let incr n v = Obs.Metrics.incr into ~by:v n in
+  incr "exec.compiles" s.st_compiles;
+  incr "exec.cache_hits" s.st_cache_hits;
+  incr "exec.interpreted" s.st_interpreted;
+  incr "exec.seq_launches" s.st_seq;
+  incr "exec.par_launches" s.st_par;
+  Obs.Metrics.set into "exec.max_domains" (float_of_int s.st_domains)

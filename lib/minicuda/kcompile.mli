@@ -60,9 +60,8 @@ type stats = {
 
 val new_stats : unit -> stats
 val record_path : stats -> [ `Seq | `Par of int ] -> unit
-val add_stats : into:stats -> stats -> unit
-val pp_stats : Format.formatter -> stats -> unit
 
 val publish_metrics : ?into:Obs.Metrics.t -> stats -> unit
-(** Snapshot the counters into a metrics registry under stable
-    ["exec.*"] names (default: {!Obs.Metrics.default}). *)
+(** Add the counters to a metrics registry under the engine's
+    ["exec.*"] names (default: {!Obs.Metrics.default}): counters for
+    the launch counts, the [exec.max_domains] gauge for [st_domains]. *)

@@ -1,13 +1,13 @@
 (* A registry of named counters, gauges and histograms with labels.
 
-   This is the uniform read-out surface that subsumes the tree's
-   ad-hoc mutable stats records (Machine.stats, Kcompile.stats,
-   Launch_cache.stats, the engine's fault report): each of those
-   records stays in place as the cheap hot-path view, and a [publish_*]
-   function snapshots it into a registry under stable metric names so
-   reports, the bench JSON and the CLI all read one schema.
+   The engine counts straight into a registry of its own per run,
+   through counter handles; the simulator, the single-GPU executor and
+   the serving layer keep their stats records and snapshot them in here
+   with a [publish_*] function under stable metric names, so reports,
+   the bench JSON and the CLI all read one schema.  Registries merge,
+   so a campaign's totals are the merge of its runs.
 
-   Names are dotted paths ("gpusim.h2d_bytes", "engine.cache.hits");
+   Names are dotted paths ("gpusim.h2d_bytes", "cache.plan_hits");
    labels are sorted (key, value) pairs, so two call sites naming the
    same labels in different orders update the same series. *)
 
@@ -59,8 +59,20 @@ let update s v =
   if v > s.v_max then s.v_max <- v;
   s.v_last <- v
 
+(* A counter handle is its series: adding is two field updates, no
+   name is hashed. *)
+type counter = series
+
+let counter t ?labels name = series t ~kind:Counter ?labels name
+
+let add (c : counter) v =
+  c.v_count <- c.v_count + 1;
+  c.v_sum <- c.v_sum +. v
+
+let total (c : counter) = c.v_sum
+
 let incr t ?labels ?(by = 1) name =
-  update (series t ~kind:Counter ?labels name) (float_of_int by)
+  add (counter t ?labels name) (float_of_int by)
 
 let set t ?labels name v =
   let s = series t ~kind:Gauge ?labels name in
@@ -68,6 +80,23 @@ let set t ?labels name v =
 
 let observe t ?labels name v =
   update (series t ~kind:Histogram ?labels name) v
+
+(* Fold [src] into [into]: counters and histograms add up, gauges keep
+   the larger value. *)
+let merge ~into src =
+  Hashtbl.iter
+    (fun (name, labels) (kind, s) ->
+       let d = series into ~kind ~labels name in
+       if s.v_count > 0 then begin
+         (match kind with
+          | Gauge when d.v_count > 0 -> d.v_last <- Float.max d.v_last s.v_last
+          | Counter | Gauge | Histogram -> d.v_last <- s.v_last);
+         d.v_count <- d.v_count + s.v_count;
+         d.v_sum <- d.v_sum +. s.v_sum;
+         d.v_min <- Float.min d.v_min s.v_min;
+         d.v_max <- Float.max d.v_max s.v_max
+       end)
+    src.table
 
 (* --- Read-out ---------------------------------------------------------- *)
 
@@ -124,6 +153,9 @@ let find t ?(labels = []) name =
         m_max = s.v_max;
         m_last = s.v_last;
       }
+
+let get t ?labels name =
+  match find t ?labels name with Some s -> value s | None -> 0.0
 
 let kind_name = function
   | Counter -> "counter"

@@ -9,8 +9,8 @@ type device_row = {
   dr_compute : float; (* busy seconds on the compute engine *)
   dr_copy_in : float; (* busy seconds on the inbound copy engine *)
   dr_copy_out : float; (* busy seconds on the outbound copy engine *)
-  dr_idle : float; (* span minus engine busy time, clamped at 0 *)
-  dr_util : float; (* fraction of the span any engine was busy, <= 1 *)
+  dr_idle : float; (* span minus compute busy time, clamped at 0 *)
+  dr_util : float; (* fraction of the span the compute engine was busy *)
   dr_lost : bool; (* device fell off the bus during the run *)
 }
 
@@ -45,7 +45,8 @@ let line width = String.make width '-'
 let pp fmt t =
   let p f = Format.fprintf fmt f in
   p "profile: %.6f s simulated@." t.rp_elapsed;
-  p "@.per-device breakdown (seconds; idle = span - busy, util = busy/span)@.";
+  p "@.per-device breakdown (seconds; busy = compute engine, idle = span - \
+     busy, util = busy/span)@.";
   p "%s@." (line 74);
   p "%-8s %10s %10s %10s %10s %8s %6s@." "device" "compute" "copy_in"
     "copy_out" "idle" "util" "state";

@@ -7,8 +7,9 @@ type device_row = {
   dr_compute : float;  (** busy seconds on the compute engine *)
   dr_copy_in : float;
   dr_copy_out : float;
-  dr_idle : float;  (** span minus engine busy time, clamped at 0 *)
-  dr_util : float;  (** busy fraction of the span, clamped to [0, 1] *)
+  dr_idle : float;  (** span minus compute busy time, clamped at 0 *)
+  dr_util : float;
+      (** compute-engine busy fraction of the span, clamped to [0, 1] *)
   dr_lost : bool;
 }
 

@@ -466,7 +466,8 @@ let h2d ?(cfg = Rconfig.alpha) ?(pool = []) t ~src =
              ~dst_off:start ~len:(fit - start);
          if cfg.Rconfig.patterns then begin
            t.distributed <- true;
-           Tracker.write t.tracker ~start ~stop:fit ~owner:d;
+           (* Nothing fits when even one element exceeds the capacity. *)
+           if fit > start then Tracker.write t.tracker ~start ~stop:fit ~owner:d;
            if stop > fit then
              Tracker.write t.tracker ~start:fit ~stop ~owner:Tracker.host
          end;

@@ -596,6 +596,9 @@ let compile_exe prog =
   | Ok a -> a.Mekong.Toolchain.exe
   | Error e -> Alcotest.failf "toolchain: %s" (Mekong.Toolchain.error_message e)
 
+let exec (r : Mekong.Multi_gpu.result) name =
+  int_of_float (Obs.Metrics.get r.Mekong.Multi_gpu.metrics ("exec." ^ name))
+
 let test_multi_gpu_parallel_golden () =
   (* With the pool sized 2 (top of file), a race-free kernel's
      partitions run domain-parallel — and stay golden. *)
@@ -605,9 +608,9 @@ let test_multi_gpu_parallel_golden () =
   in
   let r = Mekong.Multi_gpu.run ~domains:2 ~machine:m (compile_exe prog) in
   checkb "golden" true (out = cpu ());
-  checkb "parallel path engaged" true (r.Mekong.Multi_gpu.exec.Kcompile.st_par >= 1);
-  checki "two domains engaged" 2 r.Mekong.Multi_gpu.exec.Kcompile.st_domains;
-  checki "no interpreter fallback" 0 r.Mekong.Multi_gpu.exec.Kcompile.st_interpreted
+  checkb "parallel path engaged" true (exec r "par_launches" >= 1);
+  checki "two domains engaged" 2 (exec r "max_domains");
+  checki "no interpreter fallback" 0 (exec r "interpreted")
 
 let test_multi_gpu_domains1_sequential_golden () =
   let prog, out, cpu = Apps.Workloads.functional_matmul ~n:32 in
@@ -616,8 +619,8 @@ let test_multi_gpu_domains1_sequential_golden () =
   in
   let r = Mekong.Multi_gpu.run ~domains:1 ~machine:m (compile_exe prog) in
   checkb "golden" true (out = cpu ());
-  checki "no parallel launches" 0 r.Mekong.Multi_gpu.exec.Kcompile.st_par;
-  checkb "sequential launches" true (r.Mekong.Multi_gpu.exec.Kcompile.st_seq >= 1)
+  checki "no parallel launches" 0 (exec r "par_launches");
+  checkb "sequential launches" true (exec r "seq_launches" >= 1)
 
 let test_multi_gpu_domains_bit_identity () =
   (* domains=1 vs domains=2 must produce bit-identical buffers. *)
@@ -643,12 +646,9 @@ let test_multi_gpu_gate_blocks_unsafe () =
     Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:2 ())
   in
   let r = Mekong.Multi_gpu.run ~domains:2 ~machine:m (compile_exe prog) in
-  checki "no parallel launches for unsafe kernels" 0
-    r.Mekong.Multi_gpu.exec.Kcompile.st_par;
+  checki "no parallel launches for unsafe kernels" 0 (exec r "par_launches");
   checkb "ran something" true
-    (r.Mekong.Multi_gpu.exec.Kcompile.st_seq
-     + r.Mekong.Multi_gpu.exec.Kcompile.st_interpreted
-     >= 1)
+    (exec r "seq_launches" + exec r "interpreted" >= 1)
 
 let () =
   Alcotest.run "exec"

@@ -292,6 +292,10 @@ let run_single prog =
 let k80_perf g =
   Gpusim.Machine.create ~functional:false (Gpusim.Config.k80_box ~n_devices:g ())
 
+(* A counter of the run's registry. *)
+let metric (r : Mekong.Multi_gpu.result) name =
+  int_of_float (Obs.Metrics.get r.Mekong.Multi_gpu.metrics name)
+
 let compile_exn prog =
   match Mekong.Toolchain.compile prog with
   | Ok a -> a
@@ -413,6 +417,33 @@ let test_fault_midrun_device_loss () =
   checkb "faults observed" true (f.Mekong.Multi_gpu.fr_faults > 0);
   checkb "healing costs time" true
     (r.Mekong.Multi_gpu.time > r0.Mekong.Multi_gpu.time)
+
+(* A device loss starts a new plan-cache generation; the run's registry
+   keeps counting across it, so the misses of both generations and the
+   replayed launches' lookups all show. *)
+let test_fault_plan_cache_counts () =
+  let mk () =
+    let p, _, _ = Apps.Workloads.functional_hotspot ~n:128 ~iterations:4 in
+    p
+  in
+  let exe = (compile_exn (mk ())).Mekong.Toolchain.exe in
+  let machine () =
+    Gpusim.Machine.create ~functional:true (Gpusim.Config.k80_box ~n_devices:4 ())
+  in
+  let clean = Mekong.Multi_gpu.run ~machine:(machine ()) exe in
+  let lookups r = metric r "cache.plan_hits" + metric r "cache.plan_misses" in
+  let m = machine () in
+  Gpusim.Machine.inject_faults m
+    (Gpusim.Faults.create
+       {
+         Gpusim.Faults.null_spec with
+         scheduled_losses = [ (1, clean.Mekong.Multi_gpu.time /. 2.0) ];
+       });
+  let r = Mekong.Multi_gpu.run ~machine:m exe in
+  checki "device 1 lost" 1
+    r.Mekong.Multi_gpu.faults.Mekong.Multi_gpu.fr_devices_lost;
+  checkb "a miss per cache generation" true (metric r "cache.plan_misses" >= 2);
+  checkb "more lookups than the clean run" true (lookups r > lookups clean)
 
 (* Graceful degradation all the way down to one survivor. *)
 let test_fault_degrade_to_one () =
@@ -544,7 +575,7 @@ let test_tracker_fragmentation () =
   let res = Mekong.Multi_gpu.run ~machine:m artifacts.Mekong.Toolchain.exe in
   (* vecadd reads match the linear distribution exactly: no
      inter-device synchronization transfers at all. *)
-  checki "no stale-data transfers" 0 res.Mekong.Multi_gpu.transfers
+  checki "no stale-data transfers" 0 (metric res "engine.transfers")
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
@@ -592,6 +623,8 @@ let base_suites =
             test_fault_midrun_device_loss;
           Alcotest.test_case "degrade to one device" `Quick
             test_fault_degrade_to_one;
+          Alcotest.test_case "plan-cache counts survive a loss" `Quick
+            test_fault_plan_cache_counts;
           Alcotest.test_case "deterministic schedules" `Quick
             test_fault_determinism;
           qtest prop_fault_bit_identity;
@@ -732,7 +765,7 @@ let run_spec_cached spec ~cache ~out =
   let res = Mekong.Multi_gpu.run ~cache ~machine:m artifacts.Mekong.Toolchain.exe in
   let s = Gpusim.Machine.stats m in
   ( res.Mekong.Multi_gpu.time,
-    res.Mekong.Multi_gpu.transfers,
+    metric res "engine.transfers",
     ( s.Gpusim.Machine.h2d_bytes,
       s.Gpusim.Machine.d2h_bytes,
       s.Gpusim.Machine.p2p_bytes,
@@ -741,7 +774,7 @@ let run_spec_cached spec ~cache ~out =
       s.Gpusim.Machine.kernel_seconds,
       s.Gpusim.Machine.pattern_seconds,
       s.Gpusim.Machine.transfer_seconds ),
-    res.Mekong.Multi_gpu.cache )
+    (metric res "cache.plan_hits", metric res "cache.plan_misses") )
 
 let prop_cache_equivalence =
   QCheck.Test.make ~name:"plan cache: cached == uncached, bit for bit"
@@ -756,9 +789,8 @@ let prop_cache_equivalence =
       t1 = t2 && tr1 = tr2 && s1 = s2
       && out_on = out_off
       (* three identical launches: one miss, two hits *)
-      && c_on.Mekong.Launch_cache.misses = 1
-      && c_on.Mekong.Launch_cache.hits = 2
-      && c_off = Mekong.Launch_cache.no_stats)
+      && c_on = (2, 1)
+      && c_off = (0, 0))
 
 let test_cache_stats () =
   (* Hotspot swaps its buffers every iteration; the plan is keyed by
@@ -771,8 +803,8 @@ let test_cache_stats () =
       (Gpusim.Config.test_box ~n_devices:4 ())
   in
   let res = Mekong.Multi_gpu.run ~machine:m artifacts.Mekong.Toolchain.exe in
-  checki "one miss" 1 res.Mekong.Multi_gpu.cache.Mekong.Launch_cache.misses;
-  checki "five hits" 5 res.Mekong.Multi_gpu.cache.Mekong.Launch_cache.hits;
+  checki "one miss" 1 (metric res "cache.plan_misses");
+  checki "five hits" 5 (metric res "cache.plan_hits");
   checkb "still golden" true (out = cpu ())
 
 let prop_random_kernels_golden =

@@ -29,6 +29,12 @@ let run_with ?mem_capacity ?faults ?checkpoint_every ~devices prog =
   let r = Mekong.Multi_gpu.run ?checkpoint_every ~machine (compile prog) in
   (r, machine)
 
+(* No chunked launch, chunk or live-OOM refinement in the run. *)
+let no_mem_machinery (r : Mekong.Multi_gpu.result) =
+  List.for_all
+    (fun n -> Obs.Metrics.get r.Mekong.Multi_gpu.metrics n = 0.0)
+    [ "engine.chunked_launches"; "engine.chunks"; "engine.oom_refinements" ]
+
 let high_water m =
   let hw = ref 0 in
   for d = 0 to Gpusim.Machine.n_devices m - 1 do
@@ -50,8 +56,7 @@ let test_matmul_quarter_capacity () =
   let prog, out, _ = Apps.Workloads.functional_matmul ~n:256 in
   let r0, m0 = run_with ~devices:4 prog in
   let baseline = Array.copy out in
-  checkb "uncapped run uses no mem machinery" true
-    (r0.Mekong.Multi_gpu.mem = Mekong.Multi_gpu.no_mem);
+  checkb "uncapped run uses no mem machinery" true (no_mem_machinery r0);
   checki "uncapped run spills nothing" 0
     (Gpusim.Machine.stats m0).Gpusim.Machine.n_spills;
   let hw = high_water m0 in
@@ -62,11 +67,10 @@ let test_matmul_quarter_capacity () =
   let st = Gpusim.Machine.stats m in
   checkb "nonzero spill bytes" true (st.Gpusim.Machine.spill_bytes > 0);
   checkb "nonzero spills" true (st.Gpusim.Machine.n_spills > 0);
-  let mem = r.Mekong.Multi_gpu.mem in
-  checkb "chunked launches happened" true
-    (mem.Mekong.Multi_gpu.mr_chunked_launches > 0);
+  let mem name = Obs.Metrics.get r.Mekong.Multi_gpu.metrics ("engine." ^ name) in
+  checkb "chunked launches happened" true (mem "chunked_launches" > 0.0);
   checkb "multiple chunks per launch" true
-    (mem.Mekong.Multi_gpu.mr_chunks > mem.Mekong.Multi_gpu.mr_chunked_launches);
+    (mem "chunks" > mem "chunked_launches");
   checkb "capacity respected" true (high_water m <= hw / 4);
   checkb "capped run is not faster" true
     (r.Mekong.Multi_gpu.time >= r0.Mekong.Multi_gpu.time)
@@ -106,8 +110,7 @@ let test_loose_capacity_is_invisible () =
   checkb "time identical" true
     (r.Mekong.Multi_gpu.time = r0.Mekong.Multi_gpu.time);
   checki "no spills" 0 (Gpusim.Machine.stats m).Gpusim.Machine.n_spills;
-  checkb "no chunking" true
-    (r.Mekong.Multi_gpu.mem = Mekong.Multi_gpu.no_mem)
+  checkb "no chunking" true (no_mem_machinery r)
 
 (* ---------------- Infeasibility diagnostics ----------------------- *)
 
@@ -127,6 +130,23 @@ let test_infeasible_diagnostic () =
     checkb "names a buffer" true (has "buffer");
     checkb "names the device" true (has "device");
     checkb "states the shortfall" true (has "short")
+
+(* Capacities below one element: nothing of the scatter fits, and the
+   run still ends at the infeasibility diagnostic. *)
+let test_sub_element_capacity () =
+  List.iter
+    (fun cap ->
+       let prog, _, _ = Apps.Workloads.functional_vecadd ~n:4096 in
+       match run_with ~devices:2 ~mem_capacity:cap prog with
+       | _ -> Alcotest.failf "cap %d: infeasible run completed" cap
+       | exception Failure msg ->
+         checkb
+           (Printf.sprintf "cap %d says infeasible" cap)
+           true
+           (Str.string_match (Str.regexp ".*infeasible") msg 0)
+       | exception Invalid_argument msg ->
+         Alcotest.failf "cap %d: Invalid_argument %s" cap msg)
+    [ 1; 2; 3 ]
 
 let test_non_launch_oom_diagnostic () =
   (* An Out_of_memory escaping anything but a launch (here: forced
@@ -310,6 +330,8 @@ let () =
             test_infeasible_diagnostic;
           Alcotest.test_case "typed OOM payload" `Quick
             test_non_launch_oom_diagnostic;
+          Alcotest.test_case "capacity below one element" `Quick
+            test_sub_element_capacity;
         ] );
       ( "faults",
         [

@@ -143,6 +143,38 @@ let test_metrics () =
    | None -> Alcotest.fail "label order must not matter");
   checki "four series" 4 (List.length (Obs.Metrics.snapshot r))
 
+let test_metrics_merge () =
+  let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
+  let c = Obs.Metrics.counter a "c" in
+  Obs.Metrics.add c 2.0;
+  Obs.Metrics.add c 3.0;
+  checkf "handle total" 5.0 (Obs.Metrics.total c);
+  Obs.Metrics.incr b ~by:4 "c";
+  Obs.Metrics.set a "g" 7.0;
+  Obs.Metrics.set b "g" 3.0;
+  Obs.Metrics.observe a "h" 1.0;
+  Obs.Metrics.observe b "h" 5.0;
+  ignore (Obs.Metrics.counter b "zero");
+  let into = Obs.Metrics.create () in
+  Obs.Metrics.merge ~into a;
+  Obs.Metrics.merge ~into b;
+  checkf "counters add" 9.0 (Obs.Metrics.get into "c");
+  checkf "gauges keep the maximum" 7.0 (Obs.Metrics.get into "g");
+  checkf "histograms add" 6.0 (Obs.Metrics.get into "h");
+  (match Obs.Metrics.find into "h" with
+   | Some s ->
+     checki "histogram count" 2 s.Obs.Metrics.m_count;
+     checkf "histogram min" 1.0 s.Obs.Metrics.m_min;
+     checkf "histogram max" 5.0 s.Obs.Metrics.m_max
+   | None -> Alcotest.fail "histogram lost");
+  checkb "zero series registered" true (Obs.Metrics.find into "zero" <> None);
+  Alcotest.check_raises "kind mismatch"
+    (Invalid_argument "Metrics: c registered with a different kind")
+    (fun () ->
+       let g = Obs.Metrics.create () in
+       Obs.Metrics.set g "c" 1.0;
+       Obs.Metrics.merge ~into g)
+
 (* ---------------- Timeline idle / utilization ---------------- *)
 
 let test_timeline_idle_util () =
@@ -248,6 +280,11 @@ let test_trace_valid_and_lanes () =
   checkb "both compute lanes present" true
     (List.mem (2, 0) lanes && List.mem (3, 0) lanes)
 
+let compile_exe prog =
+  match Mekong.Toolchain.compile prog with
+  | Ok a -> a.Mekong.Toolchain.exe
+  | Error e -> failwith (Mekong.Toolchain.error_message e)
+
 let test_profile_reconciles () =
   let m, r = fig6_machine () in
   let report = Mekong.Profile.collect ~result:r m in
@@ -262,7 +299,12 @@ let test_profile_reconciles () =
        checkb "utilization in [0,1]" true
          (row.Obs.Report.dr_util >= 0.0 && row.Obs.Report.dr_util <= 1.0);
        checkf "idle + compute consistent" report.Obs.Report.rp_elapsed
-         (row.Obs.Report.dr_idle +. row.Obs.Report.dr_compute))
+         (row.Obs.Report.dr_idle +. row.Obs.Report.dr_compute);
+       (* util is the compute engine's busy share, like idle *)
+       let span = report.Obs.Report.rp_elapsed in
+       checkb "idle + util * span = span" true
+         (Float.abs (row.Obs.Report.dr_idle +. (row.Obs.Report.dr_util *. span) -. span)
+          <= 1e-9 *. span))
     report.Obs.Report.rp_devices;
   (* the report must itself serialize to valid JSON *)
   match Obs.Json.parse (Obs.Json.to_string (Obs.Report.to_json report)) with
@@ -295,6 +337,141 @@ let test_trace_ring_bounded () =
     | _ -> true
   in
   checkb "chronological" true (mono tr)
+
+(* ---------------- Engine registry ---------------- *)
+
+(* Five runs that between them move every engine series: a clean
+   stencil, the same with device 1 lost halfway, a reducible kernel, a
+   capped (chunked) matmul and an autotuned (halo-tiled) stencil. *)
+let engine_runs =
+  lazy
+    (let run ?mem_capacity ?loss ?(autotune = false) prog =
+       let m =
+         Gpusim.Machine.create ~functional:true
+           (Gpusim.Config.k80_box ~n_devices:4 ?mem_capacity ())
+       in
+       Option.iter
+         (fun at ->
+            Gpusim.Machine.inject_faults m
+              (Gpusim.Faults.create
+                 { Gpusim.Faults.null_spec with scheduled_losses = [ (1, at) ] }))
+         loss;
+       Mekong.Multi_gpu.run ~autotune ~machine:m (compile_exe prog)
+     in
+     let hotspot () =
+       let p, _, _ = Apps.Workloads.functional_hotspot ~n:128 ~iterations:4 in
+       p
+     in
+     let clean = run (hotspot ()) in
+     let lost = run ~loss:(clean.Mekong.Multi_gpu.time /. 2.0) (hotspot ()) in
+     checki "device lost" 1
+       lost.Mekong.Multi_gpu.faults.Mekong.Multi_gpu.fr_devices_lost;
+     let histogram, _, _ = Apps.Workloads.functional_histogram ~n:4096 ~nbins:97 in
+     let matmul, _, _ = Apps.Workloads.functional_matmul ~n:64 in
+     [
+       clean;
+       lost;
+       run histogram;
+       run ~mem_capacity:16384 matmul;
+       run ~autotune:true (hotspot ());
+     ])
+
+let samples (r : Mekong.Multi_gpu.result) =
+  Obs.Metrics.snapshot r.Mekong.Multi_gpu.metrics
+
+let test_engine_registry_merge () =
+  let runs = Lazy.force engine_runs in
+  let into = Obs.Metrics.create () in
+  List.iter (fun r -> Obs.Metrics.merge ~into r.Mekong.Multi_gpu.metrics) runs;
+  let names l = List.map (fun s -> s.Obs.Metrics.m_name) l in
+  List.iter
+    (fun r ->
+       checkb "every run registers the same series" true
+         (names (samples r) = names (Obs.Metrics.snapshot into)))
+    runs;
+  List.iter
+    (fun (s : Obs.Metrics.sample) ->
+       let per_run =
+         List.map (fun r -> Obs.Metrics.get r.Mekong.Multi_gpu.metrics s.Obs.Metrics.m_name) runs
+       in
+       let expected =
+         match s.Obs.Metrics.m_kind with
+         | Obs.Metrics.Gauge -> List.fold_left Float.max neg_infinity per_run
+         | Obs.Metrics.Counter | Obs.Metrics.Histogram ->
+           List.fold_left ( +. ) 0.0 per_run
+       in
+       checkf s.Obs.Metrics.m_name expected (Obs.Metrics.value s))
+    (Obs.Metrics.snapshot into)
+
+let test_profile_reports_registry () =
+  List.iter
+    (fun (r : Mekong.Multi_gpu.result) ->
+       let report =
+         Mekong.Profile.collect ~spans:false ~result:r r.Mekong.Multi_gpu.machine
+       in
+       List.iter
+         (fun (s : Obs.Metrics.sample) ->
+            match List.assoc_opt s.Obs.Metrics.m_name report.Obs.Report.rp_counters with
+            | Some v -> checkf s.Obs.Metrics.m_name (Obs.Metrics.value s) v
+            | None -> Alcotest.failf "%s missing from the profile" s.Obs.Metrics.m_name)
+         (samples r))
+    (Lazy.force engine_runs)
+
+(* Each report line's numbers, in print order, with the series they
+   must equal (the calibration sums print in seconds). *)
+let report_fields =
+  Mekong.Multi_gpu.
+    [
+      (Plan_cache, [ "cache.plan_hits"; "cache.plan_misses" ]);
+      ( Executor,
+        [
+          "exec.compiles"; "exec.cache_hits"; "exec.seq_launches";
+          "exec.par_launches"; "exec.max_domains"; "exec.interpreted";
+        ] );
+      ( Gate,
+        [
+          "engine.gate.safe"; "engine.gate.reducible"; "engine.gate.racy";
+          "engine.gate.unknown"; "engine.gate.merges"; "engine.gate.merged_elems";
+        ] );
+      (Faults, [ "faults.observed"; "faults.retries"; "faults.replays"; "faults.devices_lost" ]);
+      (Memory, [ "engine.chunked_launches"; "engine.chunks"; "engine.oom_refinements" ]);
+      ( Autotune,
+        [
+          "autotune.launches"; "autotune.predicted_us"; "autotune.actual_us";
+          "autotune.halo_blocks"; "autotune.halo_steps";
+        ] );
+    ]
+
+let numbers line =
+  let re = Str.regexp "[0-9]+\\(\\.[0-9]+\\)?" in
+  let rec go pos acc =
+    match Str.search_forward re line pos with
+    | exception Not_found -> List.rev acc
+    | _ -> go (Str.match_end ()) (float_of_string (Str.matched_string line) :: acc)
+  in
+  go 0 []
+
+let test_report_prints_registry () =
+  List.iter
+    (fun (r : Mekong.Multi_gpu.result) ->
+       List.iter
+         (fun (line, names) ->
+            let text =
+              Format.asprintf "%a"
+                (Mekong.Multi_gpu.pp_report [ line ])
+                r.Mekong.Multi_gpu.metrics
+            in
+            let printed = numbers text in
+            checki ("field count of " ^ text) (List.length names) (List.length printed);
+            List.iter2
+              (fun name shown ->
+                 let v = Obs.Metrics.get r.Mekong.Multi_gpu.metrics name in
+                 if String.ends_with ~suffix:"_us" name then
+                   checkb name true (Float.abs ((v *. 1e-6) -. shown) <= 5e-7)
+                 else checkf name v shown)
+              names printed)
+         report_fields)
+    (Lazy.force engine_runs)
 
 (* ---------------- Golden trace ---------------- *)
 
@@ -338,7 +515,11 @@ let () =
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "disabled is silent" `Quick test_span_disabled;
         ] );
-      ("metrics", [ Alcotest.test_case "registry" `Quick test_metrics ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "registry" `Quick test_metrics;
+          Alcotest.test_case "merge" `Quick test_metrics_merge;
+        ] );
       ( "timeline",
         [ Alcotest.test_case "idle and utilization" `Quick test_timeline_idle_util ] );
       ( "machine",
@@ -357,5 +538,14 @@ let () =
         [
           Alcotest.test_case "reconciles with stats" `Quick
             test_profile_reconciles;
+        ] );
+      ( "engine registry",
+        [
+          Alcotest.test_case "merge is the per-name sum" `Quick
+            test_engine_registry_merge;
+          Alcotest.test_case "profile reports the registry" `Quick
+            test_profile_reports_registry;
+          Alcotest.test_case "report prints the registry" `Quick
+            test_report_prints_registry;
         ] );
     ]

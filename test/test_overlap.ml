@@ -110,7 +110,7 @@ let test_overlap_under_memcap () =
   let r, m = run_engine ~mem_capacity:(!hw / 2) ~overlap:true ~devices:4 prog in
   checkb "bit-identical under a memory cap" true (out = base);
   checkb "memory pressure actually engaged" true
-    (r.Mekong.Multi_gpu.mem.Mekong.Multi_gpu.mr_chunked_launches > 0
+    (Obs.Metrics.get r.Mekong.Multi_gpu.metrics "engine.chunked_launches" > 0.0
      || (Machine.stats m).Machine.n_spills > 0)
 
 (* On performance machines the overlap engine may only shift work

@@ -302,7 +302,7 @@ let test_autotune_halo_bytes_shrink () =
     checkb "bit-identical to CPU" true (out = cpu ());
     if autotune then
       checkb "halo tiling engaged" true
-        (r.Mekong.Multi_gpu.tune.Mekong.Multi_gpu.tn_halo_steps > 0);
+        (Obs.Metrics.get r.Mekong.Multi_gpu.metrics "autotune.halo_steps" > 0.0);
     (Gpusim.Machine.stats m).Gpusim.Machine.p2p_bytes
   in
   let per_iter ~autotune =

@@ -295,11 +295,14 @@ let device_sweep name mk =
             = Array.map Int64.bits_of_float (cpu ()));
          checki
            (Printf.sprintf "%s gated reducible on %d devices" name n_devices)
-           1 r.Mekong.Multi_gpu.gate.Mekong.Multi_gpu.gr_reducible;
+           1
+           (int_of_float
+              (Obs.Metrics.get r.Mekong.Multi_gpu.metrics "engine.gate.reducible"));
          checkb
            (Printf.sprintf "%s merged on %d devices" name n_devices)
            true
-           (r.Mekong.Multi_gpu.gate.Mekong.Multi_gpu.gr_merges >= 1);
+           (Obs.Metrics.get r.Mekong.Multi_gpu.metrics "engine.gate.merges"
+            >= 1.0);
          Array.map Int64.bits_of_float out)
       [ 1; 2; 4 ]
   in
