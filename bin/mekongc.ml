@@ -178,6 +178,20 @@ let faults_arg =
           "inject seeded faults into the simulated machine; the engine \
            self-heals (retry, re-partition, replay) and reports what it did")
 
+(* Attach a --faults spec to a machine.  A scheduled loss of a device
+   the machine does not have could never fire, so it is a user error,
+   not a silently fault-free run. *)
+let inject_faults machine faults =
+  match faults with
+  | None -> ()
+  | Some spec -> (
+      let n_devices = Gpusim.Machine.n_devices machine in
+      (match Gpusim.Faults.check_devices spec ~n_devices with
+       | Ok () -> ()
+       | Error e -> die "--faults %s" e);
+      if not (Gpusim.Faults.is_null spec) then
+        Gpusim.Machine.inject_faults machine (Gpusim.Faults.create spec))
+
 let domains_arg =
   Arg.(
     value
@@ -333,10 +347,7 @@ let run_cmd =
          the critical-path lane. *)
       Gpusim.Machine.enable_causal machine
     end;
-    (match faults with
-     | Some spec when not (Gpusim.Faults.is_null spec) ->
-       Gpusim.Machine.inject_faults machine (Gpusim.Faults.create spec)
-     | _ -> ());
+    inject_faults machine faults;
     let res =
       Mekong.Multi_gpu.run ?domains ~overlap ~autotune ~machine
         artifacts.Mekong.Toolchain.exe
@@ -573,10 +584,7 @@ let profile_cmd =
     (* The profile always records causally: its report carries the
        critpath.* counters and the obs.dropped.* warning. *)
     Gpusim.Machine.enable_causal machine;
-    (match faults with
-     | Some spec when not (Gpusim.Faults.is_null spec) ->
-       Gpusim.Machine.inject_faults machine (Gpusim.Faults.create spec)
-     | _ -> ());
+    inject_faults machine faults;
     let res =
       Mekong.Multi_gpu.run ?domains ~overlap ~machine
         artifacts.Mekong.Toolchain.exe
@@ -680,10 +688,7 @@ let analyze_cmd =
         let machine = Gpusim.Machine.create ~functional:true cfg in
         Gpusim.Machine.enable_causal machine;
         if trace <> None then Gpusim.Machine.enable_trace machine;
-        (match faults with
-         | Some spec when not (Gpusim.Faults.is_null spec) ->
-           Gpusim.Machine.inject_faults machine (Gpusim.Faults.create spec)
-         | _ -> ());
+        inject_faults machine faults;
         ignore
           (Mekong.Multi_gpu.run ?domains ~overlap ~autotune ~machine
              artifacts.Mekong.Toolchain.exe);

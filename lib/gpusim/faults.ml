@@ -53,12 +53,20 @@ let spec_of_string s =
     | seed :: rate :: rest ->
       let seed = int_of_string (String.trim seed) in
       let rate = float_of_string (String.trim rate) in
-      if rate < 0.0 || rate >= 1.0 then failwith "rate must be in [0,1)";
+      if not (rate >= 0.0 && rate < 1.0) then failwith "rate must be in [0,1)";
       let losses =
         List.map
           (fun part ->
              match String.split_on_char '@' (String.trim part) with
-             | [ d; t ] -> (int_of_string d, float_of_string t)
+             | [ d; t ] ->
+               let time = float_of_string t in
+               (* A NaN or negative death time would never compare as
+                  reached: the loss would be silently dropped. *)
+               if not (Float.is_finite time && time >= 0.0) then
+                 failwith
+                   (Printf.sprintf "loss time must be finite and >= 0 (got %s)"
+                      (String.trim t));
+               (int_of_string d, time)
              | _ -> failwith "expected DEV@TIME")
           rest
       in
@@ -72,6 +80,16 @@ let spec_of_string s =
         }
     | _ -> Error "expected SEED,RATE[,DEV@TIME...]"
   with Failure m -> Error ("bad fault spec: " ^ m)
+
+(* Scheduled losses must name a device of the machine they are injected
+   into; an out-of-range one could never fire. *)
+let check_devices s ~n_devices =
+  match List.find_opt (fun (d, _) -> d < 0 || d >= n_devices) s.scheduled_losses with
+  | Some (d, _) ->
+    Error
+      (Printf.sprintf "device %d is out of range for %d GPU%s" d n_devices
+         (if n_devices = 1 then "" else "s"))
+  | None -> Ok ()
 
 type counters = {
   mutable kernel_faults : int;

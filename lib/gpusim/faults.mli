@@ -30,7 +30,13 @@ val is_null : spec -> bool
 
 val spec_of_string : string -> (spec, string) result
 (** Parse ["SEED,RATE[,DEV@TIME...]"]: [RATE] applies to kernels and
-    transfers alike, each [DEV@TIME] schedules a permanent loss. *)
+    transfers alike, each [DEV@TIME] schedules a permanent loss.  A
+    rate that is not in 0 <= RATE < 1 and a negative or non-finite
+    [TIME] are rejected. *)
+
+val check_devices : spec -> n_devices:int -> (unit, string) result
+(** [Error "device D is out of range for N GPUs"] when a scheduled loss
+    names a device outside 0 <= D < [n_devices]. *)
 
 type counters = {
   mutable kernel_faults : int;

@@ -78,32 +78,13 @@ exception Device_lost of int
    make room, not a crash. *)
 exception Out_of_memory of { device : int; requested : int; free : int }
 
-(* One contention lane of the fabric.  The timeline carries the busy
-   accounting and the trace lane; the interval list is the admission
-   index: links arbitrate by TIME, not by issue order, so a transfer
-   whose dependencies resolve early may start before a later-starting
-   reservation that happened to be issued first (backfill).  Without
-   that, an asynchronous pipeline that eagerly issues a download
-   chained behind a still-running kernel would park a far-future
-   reservation on the bus and serialize every transfer issued after
-   it.  Intervals wholly before the host clock can never constrain a
-   future admission (a transfer's start is at least its host issue
-   time, and the host clock is monotone), so they are pruned as the
-   clock passes them and the index stays small. *)
-type link = {
-  l_tl : Timeline.t;
-  mutable l_busy : (float * float) list; (* sorted by start, disjoint *)
-}
-
-let mk_link name = { l_tl = Timeline.create name; l_busy = [] }
-
 (* Link-level fabric state for an [Config.Islands] topology: one
    intra-island link and one host/inter-island uplink per island.  The
    flat topology has no such state — it keeps the single shared
    [fabric] link below. *)
 type topo = {
-  t_island : link array; (* intra-island links, one per island *)
-  t_uplink : link array; (* host/inter-island uplinks, one per island *)
+  t_island : Link.t array; (* intra-island links, one per island *)
+  t_uplink : Link.t array; (* host/inter-island uplinks, one per island *)
   t_isl_size : int;
   t_link_bw : float;
   t_uplink_bw : float;
@@ -114,13 +95,15 @@ type t = {
   functional : bool;
   devices : device array;
   host : Timeline.t;
-  fabric : link;
+  fabric : Link.t;
   topo : topo option; (* None = flat shared bus *)
   stats : stats;
-  pair_bytes : (int * int, int) Hashtbl.t;
-      (* bytes moved per (src, dst) endpoint pair; -1 is the host.
-         Always on: the profile report's byte matrix must reconcile
-         exactly with [stats], so both are charged at the same sites. *)
+  pair_bytes : int array;
+      (* bytes moved per (src, dst) endpoint pair, dense over
+         (n+1)^2 endpoints with the host (-1) at index 0; -1 marks a
+         pair never touched.  Always on: the profile report's byte
+         matrix must reconcile exactly with [stats], so both are
+         charged at the same sites. *)
   mutable next_buffer_id : int;
   mutable active_devices : int;
       (* devices that have executed kernels: drives the autoboost
@@ -164,7 +147,7 @@ let create ?(functional = false) cfg =
             mem_pressure = false;
           });
     host = Timeline.create "host";
-    fabric = mk_link "fabric";
+    fabric = Link.create "fabric";
     topo =
       (match cfg.Config.topology with
        | Config.Flat -> None
@@ -176,10 +159,10 @@ let create ?(functional = false) cfg =
            {
              t_island =
                Array.init n_islands (fun i ->
-                   mk_link (Printf.sprintf "isl%d.link" i));
+                   Link.create (Printf.sprintf "isl%d.link" i));
              t_uplink =
                Array.init n_islands (fun i ->
-                   mk_link (Printf.sprintf "isl%d.uplink" i));
+                   Link.create (Printf.sprintf "isl%d.uplink" i));
              t_isl_size = island_size;
              t_link_bw = link_bandwidth;
              t_uplink_bw = uplink_bandwidth;
@@ -200,7 +183,9 @@ let create ?(functional = false) cfg =
         pattern_seconds = 0.0;
         transfer_seconds = 0.0;
       };
-    pair_bytes = Hashtbl.create 16;
+    pair_bytes =
+      (let side = cfg.Config.n_devices + 1 in
+       Array.make (side * side) (-1));
     next_buffer_id = 0;
     active_devices = 1;
     trace = None;
@@ -223,12 +208,13 @@ let default_trace_capacity = 65536
 let enable_trace ?(capacity = default_trace_capacity) m =
   m.trace <- Some (Obs.Ring.create ~capacity);
   Timeline.enable_log ~capacity m.host;
-  Timeline.enable_log ~capacity m.fabric.l_tl;
+  let log l = Timeline.enable_log ~capacity (Link.timeline l) in
+  log m.fabric;
   (match m.topo with
    | None -> ()
    | Some topo ->
-     Array.iter (fun l -> Timeline.enable_log ~capacity l.l_tl) topo.t_island;
-     Array.iter (fun l -> Timeline.enable_log ~capacity l.l_tl) topo.t_uplink);
+     Array.iter log topo.t_island;
+     Array.iter log topo.t_uplink);
   Array.iter
     (fun d ->
        Timeline.enable_log ~capacity d.compute;
@@ -286,13 +272,18 @@ let causal_last m tl =
 
 (* Byte-matrix accounting, charged exactly where [stats] bytes are. *)
 let count_pair m ~src ~dst ~bytes =
-  let key = (src, dst) in
-  let old = Option.value ~default:0 (Hashtbl.find_opt m.pair_bytes key) in
-  Hashtbl.replace m.pair_bytes key (old + bytes)
+  let i = ((src + 1) * (Array.length m.devices + 1)) + dst + 1 in
+  m.pair_bytes.(i) <- max 0 m.pair_bytes.(i) + bytes
 
+(* Built from the highest pair down, so the list comes out sorted. *)
 let byte_matrix m =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.pair_bytes []
-  |> List.sort compare
+  let side = Array.length m.devices + 1 in
+  let acc = ref [] in
+  for i = Array.length m.pair_bytes - 1 downto 0 do
+    let v = m.pair_bytes.(i) in
+    if v >= 0 then acc := (((i / side) - 1, (i mod side) - 1), v) :: !acc
+  done;
+  !acc
 
 let config m = m.cfg
 let is_functional m = m.functional
@@ -511,7 +502,7 @@ let host_work m ~seconds ~category =
 type evt = float
 
 (* Plan the fabric route of one transfer between two endpoints (-1 =
-   host): the contention legs it occupies — (link timeline, occupancy
+   host): the contention legs it occupies — (link, occupancy
    seconds) pairs — and the point-to-point bandwidth of its data path.
 
    Flat topology: every non-local transfer occupies the single shared
@@ -548,60 +539,6 @@ let route m ~src ~dst ~bytes =
              float_of_int bytes /. topo.t_link_bw) ],
           topo.t_link_bw )
       else ([ uplink (island src); uplink (island dst) ], cfg.Config.p2p_bandwidth)
-
-(* Earliest time >= [from] at which a link is continuously free for
-   [dur] seconds.  [busy] is sorted by start and disjoint. *)
-let earliest_free busy ~from ~dur =
-  let rec go t = function
-    | [] -> t
-    | (s, e) :: rest ->
-      if e <= t then go t rest
-      else if s >= t +. dur then t
-      else go (Float.max t e) rest
-  in
-  go from busy
-
-let rec insert_interval ((s, _) as ivl) = function
-  | [] -> [ ivl ]
-  | (s', _) :: _ as l when s <= s' -> ivl :: l
-  | hd :: rest -> hd :: insert_interval ivl rest
-
-(* Per-link admission: the earliest time >= [start] at which every leg
-   of the route is simultaneously free for its occupancy, by TIME
-   rather than by issue order (see [link]): a transfer whose
-   dependencies resolve early backfills around far-future reservations
-   instead of queueing behind them.  [now] is the transfer's host
-   issue time — a lower bound on every future admission — used to
-   prune drained intervals. *)
-let route_admit ~now ~start ~legs =
-  match legs with
-  | [] -> start
-  | legs ->
-    List.iter
-      (fun (l, _) ->
-         match l.l_busy with
-         | (_, e) :: _ when e <= now ->
-           l.l_busy <- List.filter (fun (_, e) -> e > now) l.l_busy
-         | _ -> ())
-      legs;
-    let rec fix t =
-      let t' =
-        List.fold_left
-          (fun acc (l, occupancy) ->
-             Float.max acc (earliest_free l.l_busy ~from:acc ~dur:occupancy))
-          t legs
-      in
-      if t' > t then fix t' else t'
-    in
-    let s = fix start in
-    List.iter
-      (fun (l, occupancy) ->
-         l.l_busy <- insert_interval (s, s +. occupancy) l.l_busy;
-         ignore
-           (Timeline.schedule_at l.l_tl ~start:s ~duration:occupancy
-              ~category:"bus"))
-      legs;
-    s
 
 let count_transfer m ~seconds =
   m.stats.n_transfers <- m.stats.n_transfers + 1;
@@ -649,7 +586,10 @@ let transfer m ~kind ~engines ~deps ~events ~bytes ~legs ~bandwidth =
   let ready =
     List.fold_left (fun acc t -> Float.max acc (Timeline.ready t)) ready engines
   in
-  let start = route_admit ~now:issue ~start:ready ~legs in
+  (* A zero-byte copy pays its latency on the engines but occupies no
+     link. *)
+  let legs = if bytes = 0 then [] else legs in
+  let start = Link.admit ~now:issue ~start:ready legs in
   let dur =
     m.cfg.Config.transfer_latency +. (float_of_int bytes /. bandwidth)
   in
@@ -660,14 +600,21 @@ let transfer m ~kind ~engines ~deps ~events ~bytes ~legs ~bandwidth =
     engines;
   (* A d2h issued while the runtime is evicting under memory pressure
      attributes to "spill", not to ordinary downloads. *)
-  let category = if m.phase = "spill" && kind = "d2h" then "spill" else kind in
-  ignore
-    (causal_add m ~label:kind ~category
-       ~resources:(List.map Timeline.name engines)
-       ~ready ~start ~finish:(start +. dur)
-       ~fixed:m.cfg.Config.transfer_latency
-       ~legs:(List.map (fun (l, occ) -> (Timeline.name l.l_tl, occ)) legs)
-       ~deps:causal_deps ~wait:"link_wait");
+  if m.causal <> None then begin
+    let category =
+      if m.phase = "spill" && kind = "d2h" then "spill" else kind
+    in
+    ignore
+      (causal_add m ~label:kind ~category
+         ~resources:(List.map Timeline.name engines)
+         ~ready ~start ~finish:(start +. dur)
+         ~fixed:m.cfg.Config.transfer_latency
+         ~legs:
+           (List.map
+              (fun (l, occ) -> (Timeline.name (Link.timeline l), occ))
+              legs)
+         ~deps:causal_deps ~wait:"link_wait")
+  end;
   count_transfer m ~seconds:dur;
   (start, start +. dur)
 
@@ -883,11 +830,12 @@ let launch_async ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run : evt =
   let kstart, kfinish =
     Timeline.schedule dev.compute ~after ~duration:dur ~category:"kernel"
   in
-  ignore
-    (causal_add m ~label:"kernel" ~category:"compute"
-       ~resources:[ Timeline.name dev.compute ]
-       ~ready:kstart ~start:kstart ~finish:kfinish ~fixed:0.0 ~legs:[]
-       ~deps:causal_deps ~wait:"");
+  if m.causal <> None then
+    ignore
+      (causal_add m ~label:"kernel" ~category:"compute"
+         ~resources:[ Timeline.name dev.compute ]
+         ~ready:kstart ~start:kstart ~finish:kfinish ~fixed:0.0 ~legs:[]
+         ~deps:causal_deps ~wait:"");
   m.stats.n_launches <- m.stats.n_launches + 1;
   m.stats.kernel_seconds <- m.stats.kernel_seconds +. dur;
   (* A transient fault consumes the launch's time but produces no
@@ -907,7 +855,7 @@ let launch ?deps m ~device ~blocks ~ops_per_block ~run =
 
 (* Timeline accessors for reporting and calibration. *)
 let host_timeline m = m.host
-let fabric_timeline m = m.fabric.l_tl
+let fabric_timeline m = Link.timeline m.fabric
 
 (* Every contention lane of the fabric with its stable display name:
    the one shared bus on the flat topology, the per-island links and
@@ -915,13 +863,13 @@ let fabric_timeline m = m.fabric.l_tl
    uplink). *)
 let link_timelines m =
   match m.topo with
-  | None -> [ ("bus", m.fabric.l_tl) ]
+  | None -> [ ("bus", Link.timeline m.fabric) ]
   | Some topo ->
     List.concat
       (List.init (Array.length topo.t_island) (fun i ->
            [
-             (Printf.sprintf "isl%d.link" i, topo.t_island.(i).l_tl);
-             (Printf.sprintf "isl%d.uplink" i, topo.t_uplink.(i).l_tl);
+             (Printf.sprintf "isl%d.link" i, Link.timeline topo.t_island.(i));
+             (Printf.sprintf "isl%d.uplink" i, Link.timeline topo.t_uplink.(i));
            ]))
 
 let device_timelines m d =

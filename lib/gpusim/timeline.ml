@@ -14,11 +14,24 @@ type op = { op_start : float; op_finish : float; op_category : string }
 type t = {
   name : string;
   mutable ready : float; (* completion time of the last scheduled op *)
-  busy : (string, float) Hashtbl.t;
+  busy : (string, float ref) Hashtbl.t;
+      (* busy seconds per category; a cell is added on a category's
+         first charge and then updated in place, so the table never
+         reorders and [total_busy] always sums in the same order *)
+  mutable last_cat : string; (* category of [last_cell] *)
+  mutable last_cell : float ref;
+      (* the most recently charged category's cell ([detached] when
+         none): an engine charges runs of one category, and this skips
+         hashing it *)
   mutable ops : op Obs.Ring.t option; (* per-op log when enabled *)
 }
 
-let create name = { name; ready = 0.0; busy = Hashtbl.create 8; ops = None }
+(* Never charged: it only marks "no cached category". *)
+let detached = ref 0.0
+
+let create name =
+  { name; ready = 0.0; busy = Hashtbl.create 8; last_cat = "";
+    last_cell = detached; ops = None }
 
 let name t = t.name
 let ready t = t.ready
@@ -26,7 +39,24 @@ let ready t = t.ready
 let reset t =
   t.ready <- 0.0;
   Hashtbl.reset t.busy;
+  t.last_cell <- detached;
   match t.ops with None -> () | Some r -> Obs.Ring.clear r
+
+let charge t category duration =
+  if t.last_cell == detached || not (String.equal category t.last_cat)
+  then begin
+    let cell =
+      match Hashtbl.find_opt t.busy category with
+      | Some c -> c
+      | None ->
+        let c = ref 0.0 in
+        Hashtbl.add t.busy category c;
+        c
+    in
+    t.last_cat <- category;
+    t.last_cell <- cell
+  end;
+  t.last_cell := !(t.last_cell) +. duration
 
 (* Schedule an operation of the given duration that cannot start before
    [after].  Returns (start, finish). *)
@@ -35,8 +65,7 @@ let schedule t ~after ~duration ~category =
   let start = Float.max t.ready after in
   let finish = start +. duration in
   t.ready <- finish;
-  let old = Option.value ~default:0.0 (Hashtbl.find_opt t.busy category) in
-  Hashtbl.replace t.busy category (old +. duration);
+  charge t category duration;
   (match t.ops with
    | None -> ()
    | Some r ->
@@ -53,8 +82,7 @@ let schedule_at t ~start ~duration ~category =
   if duration < 0.0 then invalid_arg "Timeline.schedule_at: negative duration";
   let finish = start +. duration in
   if finish > t.ready then t.ready <- finish;
-  let old = Option.value ~default:0.0 (Hashtbl.find_opt t.busy category) in
-  Hashtbl.replace t.busy category (old +. duration);
+  charge t category duration;
   (match t.ops with
    | None -> ()
    | Some r ->
@@ -66,9 +94,9 @@ let schedule_at t ~start ~duration ~category =
 let wait_until t time = if time > t.ready then t.ready <- time
 
 let busy_in t category =
-  Option.value ~default:0.0 (Hashtbl.find_opt t.busy category)
+  match Hashtbl.find_opt t.busy category with Some c -> !c | None -> 0.0
 
-let total_busy t = Hashtbl.fold (fun _ v acc -> acc +. v) t.busy 0.0
+let total_busy t = Hashtbl.fold (fun _ c acc -> acc +. !c) t.busy 0.0
 
 (* Sorted, so reports and JSON artifacts do not depend on hash-table
    iteration order (which varies across OCaml versions and hash

@@ -168,9 +168,9 @@ let clamp_ranges t ranges =
    is exactly the traffic a real spill pays — and its ownership moves
    to [Tracker.host]; resident segments owned elsewhere are dropped
    free, since the protocol re-fetches them on the next read anyway.
-   On an unlimited machine nothing ever triggers eviction and the only
-   cost is the stamp bookkeeping, which never touches the simulated
-   clock. *)
+   The LRU stamps are only ever compared by the eviction loop, so on an
+   unlimited machine, where nothing evicts, [ensure_resident] writes a
+   stamp only when a range gains bytes. *)
 
 let resident_bytes t ~dev =
   if dev < 0 || dev >= Array.length t.charged then 0 else t.charged.(dev)
@@ -268,37 +268,42 @@ let coldest pool ~dev ~stamp =
            (Tracker.query v.residency.(dev) ~start:0 ~stop:v.len))
     None pool
 
-let non_resident_len t ~dev ~start ~stop =
-  List.fold_left
-    (fun acc (seg : Tracker.segment) ->
-       if seg.owner = 0 then acc + (seg.Tracker.stop - seg.Tracker.start)
-       else acc)
-    0
-    (Tracker.query t.residency.(dev) ~start ~stop)
-
 (* Make the ranges resident on [dev], evicting coldest-first from
    [pool] (plus this vbuf) when the device is full.  All ranges of one
    launch should share a [stamp] (one [Machine.lru_tick]) so none of
    them can evict another; raises [Machine.Out_of_memory] when even a
-   full eviction of everything older cannot make room. *)
+   full eviction of everything older cannot make room.  One residency
+   query per range gives the missing bytes; the resident parts are
+   re-stamped ahead of the final whole-range stamp only when those
+   bytes do not fit, since only the eviction loop can see the
+   difference. *)
 let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
   let stamp =
     match stamp with Some s -> s | None -> Gpusim.Machine.lru_tick t.machine
   in
-  let pool = if List.memq t pool then pool else t :: pool in
   let eb = elem_bytes t in
+  let unlimited = Gpusim.Machine.mem_capacity t.machine = max_int in
   List.iter
     (fun (start, stop) ->
-       (* Re-stamp the already-resident parts first: from now on the
-          eviction loop below cannot pick them. *)
-       List.iter
-         (fun (seg : Tracker.segment) ->
-            if seg.owner > 0 then
-              Tracker.write t.residency.(dev) ~start:seg.Tracker.start
-                ~stop:seg.Tracker.stop ~owner:stamp)
-         (Tracker.query t.residency.(dev) ~start ~stop);
-       let needed = non_resident_len t ~dev ~start ~stop * eb in
-       if needed > 0 then begin
+       let segs = Tracker.query t.residency.(dev) ~start ~stop in
+       let missing =
+         List.fold_left
+           (fun acc (seg : Tracker.segment) ->
+              if seg.owner = 0 then acc + (seg.Tracker.stop - seg.Tracker.start)
+              else acc)
+           0 segs
+       in
+       let needed = missing * eb in
+       if needed > Gpusim.Machine.mem_free t.machine dev then begin
+         (* Re-stamp the already-resident parts first: from now on the
+            eviction loop below cannot pick them. *)
+         List.iter
+           (fun (seg : Tracker.segment) ->
+              if seg.owner > 0 then
+                Tracker.write t.residency.(dev) ~start:seg.Tracker.start
+                  ~stop:seg.Tracker.stop ~owner:stamp)
+           segs;
+         let pool = if List.memq t pool then pool else t :: pool in
          while Gpusim.Machine.mem_free t.machine dev < needed do
            match coldest pool ~dev ~stamp with
            | Some (v, seg) ->
@@ -313,12 +318,17 @@ let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
                     requested = needed;
                     free = Gpusim.Machine.mem_free t.machine dev;
                   })
-         done;
+         done
+       end;
+       if needed > 0 then begin
          Gpusim.Machine.mem_reserve t.machine ~device:dev ~bytes:needed;
-         t.charged.(dev) <- t.charged.(dev) + needed;
-         Tracker.write t.residency.(dev) ~start ~stop ~owner:stamp
-       end
-       else Tracker.write t.residency.(dev) ~start ~stop ~owner:stamp)
+         t.charged.(dev) <- t.charged.(dev) + needed
+       end;
+       (* Without a capacity limit no eviction ever runs, so stamps are
+          never compared: a range already fully resident keeps its
+          old ones. *)
+       if needed > 0 || not unlimited then
+         Tracker.write t.residency.(dev) ~start ~stop ~owner:stamp)
     (clamp_ranges t ranges)
 
 (* How many elements of [start, stop) could be made resident on [dev]
