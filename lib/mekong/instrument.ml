@@ -44,36 +44,44 @@ let shadow_cost shadow ~scalar_env ~block =
 
 (* Run the (already partition-transformed) shadow kernel over one
    partition and collect, per instrumented array, the canonical list of
-   written ranges.  [load] must read the device-local instances (the
-   read sets were synchronized before instrumentation).  [arrays] names
-   the arrays whose writes are collected; writes to other arrays are
-   ignored. *)
-let collect_writes ~compiled ~shadow ~grid ~block ~args ~arrays ~load =
-  let hits : (string, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 4 in
-  List.iter (fun a -> Hashtbl.replace hits a (Hashtbl.create 64)) arrays;
-  let record arr off _ =
-    match Hashtbl.find_opt hits arr with
-    | Some tbl -> Hashtbl.replace tbl off ()
-    | None -> ()
+   written ranges.  [data] must return the device-local instances (the
+   read sets were synchronized before instrumentation): the shadow
+   loads from them but stores into per-array scratch, so the device is
+   never written, and each instrumented array's touched mask records
+   the offsets written.  Writes to other arrays are ignored. *)
+let collect_writes ~compiled ~shadow ~grid ~block ~args ~arrays ~data =
+  let masks = List.map (fun a -> (a, Array.make (Array.length (data a)) false)) arrays in
+  let access a =
+    let d = data a in
+    {
+      Kcompile.loads = d;
+      stores = Array.make (Array.length d) 0.0;
+      touched = List.assoc_opt a masks;
+    }
   in
   (* The recording store only marks offsets, so execution order cannot
      matter — but shadows instrument *unanalyzable* writes, for which
      no race-freedom proof exists, so they run sequentially. *)
   (match compiled with
    | Some (Ok ck : (Kcompile.t, string) result) ->
-     ignore (Kcompile.run ck ~load ~store:record : [ `Seq | `Par of int ])
+     ignore (Kcompile.run ck ~access : [ `Seq | `Par of int ])
    | Some (Error _) | None ->
-     Keval.run shadow ~grid ~block ~args ~load ~store:record);
-  List.map
-    (fun arr ->
-       let tbl = Hashtbl.find hits arr in
-       let offsets = Hashtbl.fold (fun off () acc -> off :: acc) tbl [] in
-       let ranges =
-         Ppoly.Enumerate.canonicalize
-           (List.map (fun o -> (o, o + 1)) offsets)
-       in
-       (arr, ranges))
-    arrays
+     let load, store = Kcompile.callbacks access in
+     Keval.run shadow ~grid ~block ~args ~load ~store);
+  (* Maximal runs of written offsets, ascending: already canonical. *)
+  let ranges mask =
+    let n = Array.length mask in
+    let rec scan i acc =
+      if i >= n then List.rev acc
+      else if not mask.(i) then scan (i + 1) acc
+      else
+        let j = ref i in
+        while !j < n && mask.(!j) do incr j done;
+        scan !j ((i, !j) :: acc)
+    in
+    scan 0 []
+  in
+  List.map (fun (arr, mask) -> (arr, ranges mask)) masks
 
 (* Dynamic write-after-write check across partitions: the per-device
    range lists of one array must be pairwise disjoint (the static

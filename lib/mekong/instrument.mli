@@ -25,10 +25,13 @@ val collect_writes :
   block:Dim3.t ->
   args:Keval.arg list ->
   arrays:string list ->
-  load:(string -> int -> float) ->
+  data:(string -> float array) ->
   (string * (int * int) list) list
 (** Run the (partition-transformed) shadow over one partition's grid
     and return, per instrumented array, the canonical written ranges.
+    [data] names each array's device-local instance: the shadow loads
+    from it, stores into scratch and marks a per-array touched mask,
+    from which the ranges are read.
     [compiled], when [Some (Ok _)], must be [shadow] compiled by
     {!Kcompile} for the same launch shape and is executed
     (sequentially) instead of the interpreter. *)

@@ -533,22 +533,13 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       ~ops_per_block:pp.pp_ops_per_block ~run:(fun () ->
         (* Each array argument resolves to its backing data once per
            launch (the interpreter re-resolves per access). *)
-        let load a =
-          match redirect a with
-          | Some (acc, _) -> fun off -> acc.(off)
-          | None ->
-            let d = data c dev a in
-            fun off -> d.(off)
-        in
-        let store a =
+        let access a =
           match redirect a with
           | Some (acc, touched) ->
-            fun off v ->
-              acc.(off) <- v;
-              touched.(off) <- true
+            { Kcompile.loads = acc; stores = acc; touched = Some touched }
           | None ->
             let d = data c dev a in
-            fun off v -> d.(off) <- v
+            { Kcompile.loads = d; stores = d; touched = None }
         in
         let kernel = c.c_ck.ck_partitioned in
         match compiled kernel c.c_block pp with
@@ -562,13 +553,14 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
                  run sequentially (deterministic in-partition order). *)
               None
           in
-          (match Kcompile.run ?pool ~max_domains:domains cck ~load ~store with
+          (match Kcompile.run ?pool ~max_domains:domains cck ~access with
            | `Seq -> bump seq_launches
            | `Par d ->
              bump par_launches;
              max_domains := max !max_domains d)
         | Error _ ->
           bump interpreted;
+          let load, store = Kcompile.callbacks access in
           Keval.run kernel ~grid:pp.pp_launch_grid ~block:c.c_block
             ~args:pp.pp_scalar_args ~load ~store)
   in
@@ -615,7 +607,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
              collected :=
                Instrument.collect_writes ~compiled:(Some compiled) ~shadow
                  ~grid:pp.pp_launch_grid ~block:c.c_block ~args:pp.pp_scalar_args
-                 ~arrays ~load:(fun a off -> (data c dev a).(off)));
+                 ~arrays ~data:(data c dev));
          List.iter
            (fun (arr, ranges) ->
               let slot = List.assoc arr per_array in

@@ -1,13 +1,16 @@
-(** Launch-time compilation of kernel IR to OCaml closures.
+(** Launch-time compilation of kernel IR to register-file code.
 
     A kernel plus everything resolved at launch (grid, block, scalar
-    arguments, array extents) partially evaluates into closures over
-    flat slot-indexed int/float environments: no boxed values, no
-    hashtable locals, unrolled subscript linearization with
-    precomputed extents.  {!Keval} remains the semantics oracle —
-    compiled execution is bit-identical, and kernels outside the
-    statically-typable fragment return [Error] so callers fall back
-    to the interpreter (see DESIGN.md §13). *)
+    arguments, array extents) partially evaluates into
+    destination-passing steps over unboxed [int]/[float] register
+    files: constants preset, locals in slots, subscript linearization
+    and bounds checks inlined into direct array accesses, no float
+    crossing a closure boundary, so a launch allocates only its
+    register files.  Evaluation follows {!Keval}'s order, so results
+    and diagnostics are identical.  {!Keval} remains the semantics
+    oracle, and kernels outside the statically-typable fragment return
+    [Error] so callers fall back to the interpreter (see DESIGN.md
+    §13). *)
 
 type t
 (** A kernel specialized to one (grid, block, args) launch shape. *)
@@ -26,26 +29,41 @@ val compile :
 
 val name : t -> string
 
+type access = {
+  loads : float array;  (** loads read this array *)
+  stores : float array;  (** stores and atomics write this array *)
+  touched : bool array option;
+      (** when present, every stored offset is also set [true] here *)
+}
+(** How one array parameter is backed during a launch.  A plain device
+    buffer is [{ loads = d; stores = d; touched = None }]; a partition's
+    reducible accumulator sets [touched]; write-set instrumentation
+    loads from the device and stores to scratch. *)
+
 val run :
   ?pool:Gpu_runtime.Dpool.t ->
   ?max_domains:int ->
   ?block_range:Dim3.t * Dim3.t ->
   t ->
-  load:(string -> int -> float) ->
-  store:(string -> int -> float -> unit) ->
+  access:(string -> access) ->
   [ `Seq | `Par of int ]
-(** Execute over the full grid or the inclusive [block_range], with
-    {!Keval.run}'s access-callback contract — except that [load a] /
-    [store a] are applied once per array per participating domain, so
-    callers can resolve the array name to its backing buffer once
-    instead of per access.
+(** Execute over the full grid or the inclusive [block_range].
+    [access] is applied once per array parameter per launch; accesses
+    then index the records' arrays directly (an offset past an array's
+    length raises [Invalid_argument] like any OCaml array access).
 
     With [pool], the block range is split across domains ([`Par d]
     reports how many were engaged; degenerate ranges still run
     sequentially as [`Seq]).  Only pass a pool for kernels whose
     accesses prove distinct blocks disjoint (a [Verify.Safe] verdict):
-    under that verdict results are bit-identical to sequential order.
-    The callbacks must then be safe to call from several domains. *)
+    under that verdict results are bit-identical to sequential order. *)
+
+val callbacks :
+  (string -> access) ->
+  (string -> int -> float) * (string -> int -> float -> unit)
+(** The same access records as {!Keval.run}'s [load]/[store]
+    callbacks, for the interpreter fallback: each array's record is
+    resolved once, stores also set [touched]. *)
 
 (** {2 Executor counters} *)
 

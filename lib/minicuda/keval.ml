@@ -160,7 +160,12 @@ let rec eval (env : thread_env) (e : Kir.exp) : value =
     trace env `Load a off;
     VFloat (env.ctx.load a off)
   | Kir.Unop (op, x) -> eval_unop op (eval env x)
-  | Kir.Binop (op, x, y) -> eval_binop op (eval env x) (eval env y)
+  | Kir.Binop (op, x, y) ->
+    (* Right operand first.  The compiled executor follows the same
+       order, so both engines report the same failing access. *)
+    let b = eval env y in
+    let a = eval env x in
+    eval_binop op a b
 
 and eval_special env s =
   let open Kir in
@@ -230,7 +235,8 @@ let rec exec_stmt env (s : Kir.stmt) =
     (* Threads run sequentially, so load-combine-store is indivisible
        by construction; ties follow Stdlib min/max like Minb/Maxb. *)
     trace env (`Atomic op) a off;
-    let old = env.ctx.load a off and v = as_float (eval env e) in
+    let old = env.ctx.load a off in
+    let v = as_float (eval env e) in
     let combined =
       match op with
       | Kir.AAdd -> old +. v
@@ -244,7 +250,8 @@ let rec exec_stmt env (s : Kir.stmt) =
     if as_bool (eval env c) then List.iter (exec_stmt env) t
     else List.iter (exec_stmt env) e
   | Kir.For { var; from_; to_; body } ->
-    let lo = as_int (eval env from_) and hi = as_int (eval env to_) in
+    let lo = as_int (eval env from_) in
+    let hi = as_int (eval env to_) in
     let saved = Hashtbl.find_opt env.locals var in
     for iv = lo to Stdlib.( - ) hi 1 do
       Hashtbl.replace env.locals var (VInt iv);

@@ -73,11 +73,12 @@ let run ?(machine : Gpusim.Machine.t option)
       let scalars = Host_ir.scalar_args args in
       Gpusim.Machine.launch m ~device:0 ~blocks:(Dim3.volume grid)
         ~ops_per_block:ops ~run:(fun () ->
+          let access a =
+            let data = Gpusim.Buffer.data_exn (buffer_of a) in
+            { Kcompile.loads = data; stores = data; touched = None }
+          in
           let interpret () =
-            let load a off = (Gpusim.Buffer.data_exn (buffer_of a)).(off) in
-            let store a off v =
-              (Gpusim.Buffer.data_exn (buffer_of a)).(off) <- v
-            in
+            let load, store = Kcompile.callbacks access in
             exec_stats.Kcompile.st_interpreted <-
               exec_stats.Kcompile.st_interpreted + 1;
             Keval.run kernel ~grid ~block ~args:scalars ~load ~store
@@ -100,19 +101,7 @@ let run ?(machine : Gpusim.Machine.t option)
                   ck
               in
               match ck with
-              | Ok ck ->
-                (* Resolve each array to its backing data once per
-                   launch, not per access. *)
-                let load a =
-                  let data = Gpusim.Buffer.data_exn (buffer_of a) in
-                  fun off -> data.(off)
-                in
-                let store a =
-                  let data = Gpusim.Buffer.data_exn (buffer_of a) in
-                  fun off v -> data.(off) <- v
-                in
-                Kcompile.record_path exec_stats
-                  (Kcompile.run ck ~load ~store)
+              | Ok ck -> Kcompile.record_path exec_stats (Kcompile.run ck ~access)
               | Error _ -> interpret ()))
     | Host_ir.Repeat (n, body) ->
       for _ = 1 to n do

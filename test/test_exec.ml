@@ -152,15 +152,16 @@ let compile_exn k ~grid ~block ~args =
 let both_engines k ~grid ~block ~args ~n_out =
   let run exec =
     let out = Array.make n_out nan in
-    let load _ off = out.(off) in
-    let store _ off v = out.(off) <- v in
+    let access _ = { Kcompile.loads = out; stores = out; touched = None } in
     let outcome =
       try
         (match exec with
-         | `Interp -> Keval.run k ~grid ~block ~args ~load ~store
+         | `Interp ->
+           let load, store = Kcompile.callbacks access in
+           Keval.run k ~grid ~block ~args ~load ~store
          | `Compiled ->
            let c = compile_exn k ~grid ~block ~args in
-           ignore (Kcompile.run c ~load ~store : [ `Seq | `Par of int ]));
+           ignore (Kcompile.run c ~access : [ `Seq | `Par of int ]));
         Ok ()
       with Invalid_argument m -> Error m
     in
@@ -247,6 +248,42 @@ let test_kcompile_arity_names_array () =
          true
        with Not_found -> false)
   | _ -> Alcotest.fail "both engines must reject the arity mismatch"
+
+(* Both operands of [&&] fail their bounds check.  The interpreter
+   evaluates a binary operator's right operand first, so the compiled
+   executor must also name b[9], not a[7]. *)
+let and_order_kernel =
+  let open Kir in
+  let v4 = [| Dim_const 4 |] in
+  Kir.kernel ~name:"and_order"
+    ~params:
+      [
+        Array { name = "a"; dims = v4 };
+        Array { name = "b"; dims = v4 };
+        Array { name = "out"; dims = v4 };
+      ]
+    [
+      If
+        ( (load "a" [ i 7 ] < f 1.0) && (load "b" [ i 9 ] < f 1.0),
+          [ store "out" [ i 0 ] (f 1.0) ],
+          [] );
+    ]
+
+let test_kcompile_operand_order () =
+  let (ri, _), (rc, _) =
+    both_engines and_order_kernel ~grid:Dim3.one ~block:Dim3.one ~args:[]
+      ~n_out:4
+  in
+  match (ri, rc) with
+  | Error mi, Error mc ->
+    checks "same diagnostic" mi mc;
+    checkb "names the right operand's access" true
+      (try
+         ignore (Str.search_forward (Str.regexp_string "9 out of bounds") mi 0);
+         ignore (Str.search_forward (Str.regexp_string "array b") mi 0);
+         true
+       with Not_found -> false)
+  | _ -> Alcotest.fail "both engines must reject the out-of-bounds loads"
 
 (* a local bound only under a condition is not definitely bound *)
 let maybe_unbound_kernel =
@@ -414,15 +451,37 @@ let rec gen_iexp fuel =
         (1, QCheck.Gen.map (fun a -> Kir.Unop (Kir.Neg, a)) (gen_iexp (fuel - 1)));
       ]
 
+(* [gi + k], k in [-3, 3], spelled each way the compiler folds: near
+   either end of the arrays it leaves bounds, so the engines must also
+   agree on which access they report. *)
+let gen_sub =
+  let open QCheck.Gen in
+  frequency [ (3, return 0); (2, int_range (-3) 3) ] >>= fun k ->
+  let gi = Kir.Var "gi" in
+  if k = 0 then return gi
+  else
+    oneofl
+      [
+        Kir.Binop (Kir.Add, gi, Kir.Iconst k);
+        Kir.Binop (Kir.Sub, gi, Kir.Iconst (-k));
+        Kir.Binop (Kir.Add, Kir.Iconst k, gi);
+      ]
+
+let gen_load =
+  QCheck.Gen.map2
+    (fun a sub -> Kir.Load (a, [ sub ]))
+    (QCheck.Gen.oneofl [ "a"; "b" ])
+    gen_sub
+
 let gen_leaf_f =
-  QCheck.Gen.oneof
+  QCheck.Gen.frequency
     [
-      QCheck.Gen.map
-        (fun k -> Kir.Fconst (float_of_int k /. 4.0))
-        (QCheck.Gen.int_range (-20) 20);
-      QCheck.Gen.return (Kir.Param "s");
-      QCheck.Gen.return (Kir.Load ("a", [ Kir.Var "gi" ]));
-      QCheck.Gen.return (Kir.Load ("b", [ Kir.Var "gi" ]));
+      ( 1,
+        QCheck.Gen.map
+          (fun k -> Kir.Fconst (float_of_int k /. 4.0))
+          (QCheck.Gen.int_range (-20) 20) );
+      (1, QCheck.Gen.return (Kir.Param "s"));
+      (2, gen_load);
     ]
 
 let rec gen_fexp fuel =
@@ -455,17 +514,22 @@ let rec gen_fexp fuel =
             (gen_fexp (fuel - 1)) );
       ]
 
+let gen_cmp_op =
+  QCheck.Gen.oneofl [ Kir.Lt; Kir.Le; Kir.Gt; Kir.Ge; Kir.Eq; Kir.Ne ]
+
 let gen_cmp fuel =
   QCheck.Gen.oneof
     [
+      (* two array reads, both possibly out of bounds *)
       QCheck.Gen.map3
         (fun op a b -> Kir.Binop (op, a, b))
-        (QCheck.Gen.oneofl [ Kir.Lt; Kir.Le; Kir.Gt; Kir.Ge; Kir.Eq; Kir.Ne ])
-        (gen_fexp fuel) (gen_fexp fuel);
+        gen_cmp_op gen_load gen_load;
       QCheck.Gen.map3
         (fun op a b -> Kir.Binop (op, a, b))
-        (QCheck.Gen.oneofl [ Kir.Lt; Kir.Le; Kir.Gt; Kir.Ge; Kir.Eq; Kir.Ne ])
-        (gen_iexp fuel) (gen_iexp fuel);
+        gen_cmp_op (gen_fexp fuel) (gen_fexp fuel);
+      QCheck.Gen.map3
+        (fun op a b -> Kir.Binop (op, a, b))
+        gen_cmp_op (gen_iexp fuel) (gen_iexp fuel);
     ]
 
 let gen_bexp fuel =
@@ -480,15 +544,37 @@ let gen_bexp fuel =
       (1, QCheck.Gen.map (fun a -> Kir.Unop (Kir.Not, a)) (gen_cmp (fuel - 1)));
     ]
 
-type dspec = { dk : Kir.t; d_n : int; d_bx : int; d_gx : int; d_s : float }
+(* [acc ± y*z] with independently int- or float-typed factors: the
+   float product fuses into one step, the int product must not. *)
+let gen_madd fuel =
+  let open QCheck.Gen in
+  let factor = oneof [ gen_iexp fuel; gen_fexp fuel ] in
+  map3
+    (fun op y z -> Kir.Binop (op, Kir.Var "acc", Kir.Binop (Kir.Mul, y, z)))
+    (oneofl [ Kir.Add; Kir.Sub ])
+    factor factor
+
+(* [d_shared_stores]: some store leaves [out[gi]], so blocks may write
+   each other's elements and a parallel run is not admissible. *)
+type dspec = {
+  dk : Kir.t;
+  d_n : int;
+  d_bx : int;
+  d_gx : int;
+  d_s : float;
+  d_shared_stores : bool;
+}
 
 let gen_dspec =
   let open QCheck.Gen in
   gen_fexp 3 >>= fun init ->
   opt (gen_fexp 2) >>= fun loop ->
+  opt (gen_madd 2) >>= fun madd ->
   gen_bexp 2 >>= fun cond ->
   gen_fexp 3 >>= fun e_then ->
   gen_fexp 3 >>= fun e_else ->
+  gen_sub >>= fun sub_then ->
+  gen_sub >>= fun sub_else ->
   int_range 3 40 >>= fun n ->
   int_range 1 8 >>= fun bx ->
   int_range 0 2 >>= fun extra_blocks ->
@@ -509,11 +595,12 @@ let gen_dspec =
              };
          ]
        | None -> [])
+    @ (match madd with Some e -> [ Assign ("acc", e) ] | None -> [])
     @ [
         If
           ( cond,
-            [ store "out" [ v "gi" ] (v "acc" + e_then) ],
-            [ store "out" [ v "gi" ] (v "acc" - e_else) ] );
+            [ store "out" [ sub_then ] (v "acc" + e_then) ],
+            [ store "out" [ sub_else ] (v "acc" - e_else) ] );
       ]
   in
   let dk =
@@ -538,6 +625,10 @@ let gen_dspec =
       d_bx = bx;
       d_gx = gx;
       d_s = float_of_int s4 /. 4.0;
+      d_shared_stores =
+        Stdlib.( || )
+          (Stdlib.( <> ) sub_then (Kir.Var "gi"))
+          (Stdlib.( <> ) sub_else (Kir.Var "gi"));
     }
 
 let print_dspec s =
@@ -549,23 +640,18 @@ let run_dspec spec engine =
   let a = Array.init n (fun i -> float_of_int ((i * 13 mod 23) - 11) /. 8.0) in
   let b = Array.init n (fun i -> float_of_int ((i * 7 mod 17) - 8) /. 4.0) in
   let out = Array.make n nan in
-  let load name off =
-    match name with
-    | "a" -> a.(off)
-    | "b" -> b.(off)
-    | "out" -> out.(off)
-    | _ -> assert false
-  in
-  let store name off v =
-    assert (name = "out");
-    out.(off) <- v
+  let access name =
+    let d = match name with "a" -> a | "b" -> b | _ -> out in
+    { Kcompile.loads = d; stores = d; touched = None }
   in
   let grid = Dim3.make spec.d_gx and block = Dim3.make spec.d_bx in
   let args = [ Keval.AInt n; Keval.AFloat spec.d_s ] in
   let outcome =
     try
       (match engine with
-       | `Interp -> Keval.run spec.dk ~grid ~block ~args ~load ~store
+       | `Interp ->
+         let load, store = Kcompile.callbacks access in
+         Keval.run spec.dk ~grid ~block ~args ~load ~store
        | `Seq | `Par ->
          (match Kcompile.compile spec.dk ~grid ~block ~args with
           | Error e -> QCheck.Test.fail_reportf "fell out of the fragment: %s" e
@@ -573,21 +659,77 @@ let run_dspec spec engine =
             let pool =
               match engine with `Par -> Some (Lazy.force pool) | _ -> None
             in
-            ignore (Kcompile.run ?pool ck ~load ~store : [ `Seq | `Par of int ])));
+            ignore (Kcompile.run ?pool ck ~access : [ `Seq | `Par of int ])));
       `Completed
     with Invalid_argument m -> `Raised m
   in
   (outcome, Array.map Int64.bits_of_float out)
 
+(* Sequential runs must agree on the outputs and on the diagnostic
+   (outputs written before a failing thread included).  A parallel run
+   is only admissible when blocks write disjoint elements; it must then
+   match a completed run exactly, and fail when the sequential run
+   fails (which block fails first is then up to the schedule). *)
 let prop_differential =
   QCheck.Test.make
-    ~name:"random kernels: interpreter == compiled == compiled-parallel" ~count:150
+    ~name:"random kernels: interpreter == compiled == compiled-parallel" ~count:1000
     (QCheck.make ~print:print_dspec gen_dspec)
     (fun spec ->
        let ri = run_dspec spec `Interp in
        let rs = run_dspec spec `Seq in
-       let rp = run_dspec spec `Par in
-       ri = rs && ri = rp)
+       ri = rs
+       && (spec.d_shared_stores
+           ||
+           let rp = run_dspec spec `Par in
+           match fst ri with
+           | `Completed -> rp = ri
+           | `Raised _ -> ( match fst rp with `Raised _ -> true | `Completed -> false)))
+
+(* ---------------- Allocation guard ----------------
+
+   The compiled executor keeps every value in its register files, so a
+   launch allocates only those files: at most one minor word per
+   thread on average, on the engine's partitioned kernels. *)
+
+let test_kcompile_allocation () =
+  let part k = Kopt.optimize (Mekong.Partition.transform_kernel k) in
+  let whole (g : Dim3.t) =
+    List.concat_map
+      (fun a -> [ Keval.AInt 0; Keval.AInt (Dim3.get g a - 1) ])
+      Dim3.axes
+  in
+  let data n = Array.init n (fun i -> float_of_int ((i * 7) mod 19) /. 8.0) in
+  List.iter
+    (fun (name, k, grid, block, args, arrays) ->
+       let ck = compile_exn (part k) ~grid ~block ~args:(args @ whole grid) in
+       let access a =
+         let d = List.assoc a arrays in
+         { Kcompile.loads = d; stores = d; touched = None }
+       in
+       let launch () = ignore (Kcompile.run ck ~access : [ `Seq | `Par of int ]) in
+       launch ();
+       let before = Gc.minor_words () in
+       launch ();
+       launch ();
+       let words = Gc.minor_words () -. before in
+       let per_thread = words /. float_of_int (2 * Dim3.volume grid * Dim3.volume block) in
+       checkb
+         (Printf.sprintf "%s: %.3f minor words per thread <= 1" name per_thread)
+         true (per_thread <= 1.0))
+    [
+      ( "hotspot 64^2", Apps.Hotspot.kernel, Apps.Hotspot.grid_for 64,
+        Apps.Hotspot.block, [ Keval.AInt 64 ],
+        [ ("inp", data (64 * 64)); ("out", data (64 * 64)) ] );
+      ( "matmul 64", Apps.Matmul.kernel, Apps.Matmul.grid_for 64,
+        Apps.Matmul.block, [ Keval.AInt 64 ],
+        [ ("a", data (64 * 64)); ("b", data (64 * 64)); ("c", data (64 * 64)) ] );
+      ( "nbody 512", Apps.Nbody.kernel, Apps.Nbody.grid_for 512, Apps.Nbody.block,
+        [ Keval.AInt 512; Keval.AFloat 0.01 ],
+        [
+          ("pos_in", data 2048); ("vel_in", data 2048);
+          ("pos_out", data 2048); ("vel_out", data 2048);
+        ] );
+    ]
 
 (* ---------------- Multi_gpu integration ---------------- *)
 
@@ -675,12 +817,15 @@ let () =
           Alcotest.test_case "oob diagnostic" `Quick test_kcompile_oob_names_array;
           Alcotest.test_case "arity diagnostic" `Quick
             test_kcompile_arity_names_array;
+          Alcotest.test_case "operand order diagnostic" `Quick
+            test_kcompile_operand_order;
           Alcotest.test_case "fallback cases" `Quick test_kcompile_fallback_cases;
           Alcotest.test_case "argument mismatch" `Quick
             test_kcompile_arg_mismatch_raises;
           Alcotest.test_case "engine fallback + cache" `Quick
             test_single_gpu_fallback_and_cache;
           qtest prop_differential;
+          Alcotest.test_case "allocation guard" `Quick test_kcompile_allocation;
         ] );
       ( "multi_gpu",
         [

@@ -91,19 +91,20 @@ let run_atomic_kernel engine =
   let n = 100 in
   let a = Array.init n (fun idx -> float_of_int ((idx * 11 mod 37) - 18)) in
   let h = [| 0.0; infinity; neg_infinity |] in
-  let load name off = match name with "a" -> a.(off) | _ -> h.(off) in
-  let store name off v =
-    assert (name = "h");
-    h.(off) <- v
+  let access name =
+    let d = match name with "a" -> a | _ -> h in
+    { Kcompile.loads = d; stores = d; touched = None }
   in
   let grid = Dim3.make 13 and block = Dim3.make 8 in
   let args = [ Keval.AInt n ] in
   (match engine with
-   | `Interp -> Keval.run atomic_kernel ~grid ~block ~args ~load ~store
+   | `Interp ->
+     let load, store = Kcompile.callbacks access in
+     Keval.run atomic_kernel ~grid ~block ~args ~load ~store
    | `Compiled ->
      (match Kcompile.compile atomic_kernel ~grid ~block ~args with
       | Error e -> Alcotest.failf "atomics fell out of the fragment: %s" e
-      | Ok ck -> ignore (Kcompile.run ck ~load ~store : [ `Seq | `Par of int ])));
+      | Ok ck -> ignore (Kcompile.run ck ~access : [ `Seq | `Par of int ])));
   Array.map Int64.bits_of_float h
 
 let test_keval_kcompile_atomic_bit_identity () =
