@@ -16,11 +16,13 @@ val reservations : t -> (float * float) list
     coalesced (no two touch).  Drained ones are dropped at each
     admission. *)
 
-val admit : now:float -> start:float -> (t * float) list -> float
-(** [admit ~now ~start legs] is the earliest time [>= start] at which
-    every leg [(link, occupancy)] is simultaneously free for its
-    occupancy; the route is then reserved on every leg from that time
-    and scheduled on each link's timeline (category ["bus"]).  [now] is
-    the transfer's host issue time, a lower bound on every later
-    admission, below which reservations are dropped.  Occupancies must
-    be positive.  An empty route is admitted at [start]. *)
+val admit : now:float -> start:float -> t array -> float array -> float
+(** [admit ~now ~start legs occupancy] is the earliest time [>= start]
+    at which every leg [legs.(i)] is simultaneously free for
+    [occupancy.(i)] seconds; the route is then reserved on every leg
+    from that time and scheduled on each link's timeline (category
+    ["bus"]).  [now] is the transfer's host issue time, a lower bound
+    on every later admission, below which reservations are dropped.
+    Occupancies must be positive.  An empty route is admitted at
+    [start].  Allocates only the returned float, and when a link's
+    reservation arrays grow. *)

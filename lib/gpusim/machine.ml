@@ -33,26 +33,27 @@ type device = {
          on crossings, not on every reserve *)
 }
 
+(* A snapshot of the machine's counters (see [stats]). *)
 type stats = {
-  mutable h2d_bytes : int;
-  mutable d2h_bytes : int;
-  mutable p2p_bytes : int;
-  mutable n_transfers : int;
-  mutable n_launches : int;
-  mutable n_faults : int; (* transient faults and device losses observed *)
-  mutable faulted_transfers : int;
+  h2d_bytes : int;
+  d2h_bytes : int;
+  p2p_bytes : int;
+  n_transfers : int;
+  n_launches : int;
+  n_faults : int; (* transient faults and device losses observed *)
+  faulted_transfers : int;
       (* transfers that paid their wire time but failed transiently *)
-  mutable faulted_bytes : int;
+  faulted_bytes : int;
       (* bytes moved by those transfers; they are *included* in the
          h2d/d2h/p2p byte counters and the pair matrix (the traffic
          really crossed the fabric, and a retry legitimately pays it
          again), so seconds/bytes reconciliation stays exact under
          fault schedules *)
-  mutable spill_bytes : int; (* bytes evicted device->host under pressure *)
-  mutable n_spills : int; (* spill operations *)
-  mutable kernel_seconds : float;
-  mutable pattern_seconds : float;
-  mutable transfer_seconds : float;
+  spill_bytes : int; (* bytes evicted device->host under pressure *)
+  n_spills : int; (* spill operations *)
+  kernel_seconds : float;
+  pattern_seconds : float;
+  transfer_seconds : float;
 }
 
 (* One entry of the optional execution trace. *)
@@ -90,6 +91,22 @@ type topo = {
   t_uplink_bw : float;
 }
 
+(* Everything a transfer between one (src, dst) endpoint pair needs,
+   planned once per pair: the fabric legs it contends for and the
+   engines it holds and awaits.  Only the leg occupancies depend on the
+   byte count; [occupancy] is the scratch they are written to per
+   transfer, so issuing one builds no list. *)
+type route = {
+  legs : Link.t array; (* contention legs, in route order *)
+  leg_scale : int array; (* fabric bytes per payload byte on each leg *)
+  leg_bandwidth : float array;
+  occupancy : float array; (* per-transfer scratch: each leg's busy seconds *)
+  bandwidth : float; (* point-to-point bandwidth of the data path *)
+  engines : Timeline.t array; (* copy engines held for the duration *)
+  waits : Timeline.t array;
+      (* compute engines a default-stream transfer waits for *)
+}
+
 type t = {
   cfg : Config.t;
   functional : bool;
@@ -97,7 +114,26 @@ type t = {
   host : Timeline.t;
   fabric : Link.t;
   topo : topo option; (* None = flat shared bus *)
-  stats : stats;
+  routes : route array;
+      (* per endpoint pair, indexed like [pair_bytes]; [unplanned]
+         until the pair's first transfer, so creating a machine does
+         not pay for pairs a run never uses *)
+  mutable h2d_bytes : int;
+  mutable d2h_bytes : int;
+  mutable p2p_bytes : int;
+  mutable n_transfers : int;
+  mutable n_launches : int;
+  mutable n_faults : int;
+  mutable faulted_transfers : int;
+  mutable faulted_bytes : int;
+  mutable spill_bytes : int;
+  mutable n_spills : int;
+  seconds : float array;
+      (* kernel, pattern and transfer seconds, unboxed: a float field
+         of this record would box a fresh float on every update *)
+  op_clock : float array;
+      (* start and finish of the last transfer or kernel, which the
+         [*_async] operations return *)
   pair_bytes : int array;
       (* bytes moved per (src, dst) endpoint pair, dense over
          (n+1)^2 endpoints with the host (-1) at index 0; -1 marks a
@@ -127,34 +163,113 @@ type t = {
          spill phase also switches a d2h's attribution category *)
 }
 
+let kernel_s = 0
+let pattern_s = 1
+let transfer_s = 2
+
 let issue_overhead = 1.5e-6 (* host-side cost of issuing one async op *)
+
+(* The placeholder of a pair no transfer has used yet. *)
+let unplanned =
+  { legs = [||]; leg_scale = [||]; leg_bandwidth = [||]; occupancy = [||];
+    bandwidth = 0.0; engines = [||]; waits = [||] }
+
+(* Plan the route of transfers between two endpoints (-1 = host): the
+   contention legs they occupy, with the bytes each leg carries per
+   payload byte and its bandwidth, and the point-to-point bandwidth of
+   the data path.
+
+   Flat topology: every non-local transfer occupies the single shared
+   bus; cross-device copies stage through host memory across root
+   complexes, crossing it twice (2x bytes).  Islands topology:
+   host<->device traffic occupies the device's island uplink;
+   intra-island copies move point-to-point over the island link at the
+   link's own bandwidth (no host staging); inter-island copies stage
+   through the switch, occupying both islands' uplinks.  Same-device
+   copies move through device memory and occupy no link at all on
+   either topology.
+
+   A copy holds the source's outbound and the destination's inbound
+   copy engine (one engine for a same-device copy) and, on the default
+   stream, waits both endpoints' compute engines. *)
+let plan_route m ~src ~dst =
+  let cfg = m.cfg and devices = m.devices in
+  let pcie = cfg.Config.pcie_bandwidth and p2p = cfg.Config.p2p_bandwidth in
+  let legs, leg_scale, leg_bandwidth, bandwidth =
+    if src < 0 && dst < 0 then ([||], [||], [||], pcie) (* never issued *)
+    else if src = dst then ([||], [||], [||], cfg.Config.dmem_bandwidth)
+    else
+      match m.topo with
+      | None ->
+        let peer = src >= 0 && dst >= 0 in
+        ( [| m.fabric |],
+          [| (if peer then 2 else 1) |],
+          [| cfg.Config.fabric_bandwidth |],
+          if peer then p2p else pcie )
+      | Some topo ->
+        let island d = d / topo.t_isl_size in
+        let link_bw = topo.t_link_bw and uplink_bw = topo.t_uplink_bw in
+        if src < 0 then
+          ([| topo.t_uplink.(island dst) |], [| 1 |], [| uplink_bw |], pcie)
+        else if dst < 0 then
+          ([| topo.t_uplink.(island src) |], [| 1 |], [| uplink_bw |], pcie)
+        else if island src = island dst then
+          ([| topo.t_island.(island src) |], [| 1 |], [| link_bw |], link_bw)
+        else
+          ( [| topo.t_uplink.(island src); topo.t_uplink.(island dst) |],
+            [| 1; 1 |],
+            [| uplink_bw; uplink_bw |],
+            p2p )
+  in
+  let engines, waits =
+    if src < 0 && dst < 0 then ([||], [||])
+    else if src < 0 then
+      ([| devices.(dst).copy_in |], [| devices.(dst).compute |])
+    else if dst < 0 then
+      ([| devices.(src).copy_out |], [| devices.(src).compute |])
+    else
+      ( (if src = dst then [| devices.(src).copy_out |]
+         else [| devices.(src).copy_out; devices.(dst).copy_in |]),
+        [| devices.(src).compute; devices.(dst).compute |] )
+  in
+  {
+    legs;
+    leg_scale;
+    leg_bandwidth;
+    occupancy = Array.make (Array.length legs) 0.0;
+    bandwidth;
+    engines;
+    waits;
+  }
 
 let create ?(functional = false) cfg =
   let cfg = Config.validate cfg in
+  let n = cfg.Config.n_devices in
+  let devices =
+    Array.init n (fun i ->
+        {
+          dev_id = i;
+          compute = Timeline.create (Printf.sprintf "dev%d.compute" i);
+          copy_in = Timeline.create (Printf.sprintf "dev%d.copy_in" i);
+          copy_out = Timeline.create (Printf.sprintf "dev%d.copy_out" i);
+          buffers = Hashtbl.create 16;
+          mem_used = 0;
+          mem_high = 0;
+          mem_pressure = false;
+        })
+  in
+  let side = n + 1 in
   {
     cfg;
     functional;
-    devices =
-      Array.init cfg.Config.n_devices (fun i ->
-          {
-            dev_id = i;
-            compute = Timeline.create (Printf.sprintf "dev%d.compute" i);
-            copy_in = Timeline.create (Printf.sprintf "dev%d.copy_in" i);
-            copy_out = Timeline.create (Printf.sprintf "dev%d.copy_out" i);
-            buffers = Hashtbl.create 16;
-            mem_used = 0;
-            mem_high = 0;
-            mem_pressure = false;
-          });
+    devices;
     host = Timeline.create "host";
     fabric = Link.create "fabric";
     topo =
       (match cfg.Config.topology with
        | Config.Flat -> None
        | Config.Islands { island_size; link_bandwidth; uplink_bandwidth } ->
-         let n_islands =
-           (cfg.Config.n_devices + island_size - 1) / island_size
-         in
+         let n_islands = (n + island_size - 1) / island_size in
          Some
            {
              t_island =
@@ -167,25 +282,20 @@ let create ?(functional = false) cfg =
              t_link_bw = link_bandwidth;
              t_uplink_bw = uplink_bandwidth;
            });
-    stats =
-      {
-        h2d_bytes = 0;
-        d2h_bytes = 0;
-        p2p_bytes = 0;
-        n_transfers = 0;
-        n_launches = 0;
-        n_faults = 0;
-        faulted_transfers = 0;
-        faulted_bytes = 0;
-        spill_bytes = 0;
-        n_spills = 0;
-        kernel_seconds = 0.0;
-        pattern_seconds = 0.0;
-        transfer_seconds = 0.0;
-      };
-    pair_bytes =
-      (let side = cfg.Config.n_devices + 1 in
-       Array.make (side * side) (-1));
+    routes = Array.make (side * side) unplanned;
+    h2d_bytes = 0;
+    d2h_bytes = 0;
+    p2p_bytes = 0;
+    n_transfers = 0;
+    n_launches = 0;
+    n_faults = 0;
+    faulted_transfers = 0;
+    faulted_bytes = 0;
+    spill_bytes = 0;
+    n_spills = 0;
+    seconds = Array.make 3 0.0;
+    op_clock = Array.make 2 0.0;
+    pair_bytes = Array.make (side * side) (-1);
     next_buffer_id = 0;
     active_devices = 1;
     trace = None;
@@ -288,7 +398,22 @@ let byte_matrix m =
 let config m = m.cfg
 let is_functional m = m.functional
 let n_devices m = Array.length m.devices
-let stats m = m.stats
+let stats m =
+  {
+    h2d_bytes = m.h2d_bytes;
+    d2h_bytes = m.d2h_bytes;
+    p2p_bytes = m.p2p_bytes;
+    n_transfers = m.n_transfers;
+    n_launches = m.n_launches;
+    n_faults = m.n_faults;
+    faulted_transfers = m.faulted_transfers;
+    faulted_bytes = m.faulted_bytes;
+    spill_bytes = m.spill_bytes;
+    n_spills = m.n_spills;
+    kernel_seconds = m.seconds.(kernel_s);
+    pattern_seconds = m.seconds.(pattern_s);
+    transfer_seconds = m.seconds.(transfer_s);
+  }
 
 let device m i =
   if i < 0 || i >= Array.length m.devices then
@@ -311,7 +436,7 @@ let live_devices m =
     (List.init (Array.length m.devices) Fun.id)
 
 let record_fault m ~src ~dst =
-  m.stats.n_faults <- m.stats.n_faults + 1;
+  m.n_faults <- m.n_faults + 1;
   let now = Timeline.ready m.host in
   record m
     { ev_kind = `Fault; ev_src = src; ev_dst = dst; ev_bytes = 0;
@@ -334,15 +459,6 @@ let fault_clock m ~devices =
                  (Timeline.ready dev.copy_out)))
        end)
     (Timeline.ready m.host) devices
-
-(* Fate of a transfer touching [devices], drawn at issue time.  A lost
-   device fails the operation before any time is charged (the driver
-   call errors immediately); a transient fault is resolved after the
-   transfer's timing has been paid. *)
-let transfer_fate m ~devices =
-  match m.faults with
-  | None -> `Ok
-  | Some f -> Faults.transfer_outcome f ~devices ~now:(fault_clock m ~devices)
 
 let fail_lost m ~op:_ d =
   record_fault m ~src:d ~dst:d;
@@ -401,8 +517,8 @@ let lru_tick m =
   m.lru_clock
 
 let note_spill m ~bytes =
-  m.stats.n_spills <- m.stats.n_spills + 1;
-  m.stats.spill_bytes <- m.stats.spill_bytes + bytes
+  m.n_spills <- m.n_spills + 1;
+  m.spill_bytes <- m.spill_bytes + bytes
 
 (* [charge:false] creates a *virtual* buffer: address space without a
    capacity charge.  The runtime's [Vbuf] uses these for its full-size
@@ -431,20 +547,24 @@ let free m b =
 
 (* --- Time -------------------------------------------------------------- *)
 
+(* Clocks are read through [Timeline.clock]: [Timeline.ready] would box
+   a float per call. *)
+let[@inline] ready_of tl = (Timeline.clock tl).(0)
+
 let host_time m = Timeline.ready m.host
 
-let device_time m d =
-  let dev = device m d in
-  Float.max (Timeline.ready dev.compute)
-    (Float.max (Timeline.ready dev.copy_in) (Timeline.ready dev.copy_out))
+let[@inline] engines_ready d =
+  Float.max (ready_of d.compute)
+    (Float.max (ready_of d.copy_in) (ready_of d.copy_out))
+
+let device_time m d = engines_ready (device m d)
 
 let elapsed m =
-  Array.fold_left
-    (fun acc d ->
-       Float.max acc
-         (Float.max (Timeline.ready d.compute)
-            (Float.max (Timeline.ready d.copy_in) (Timeline.ready d.copy_out))))
-    (Timeline.ready m.host) m.devices
+  let t = ref (ready_of m.host) in
+  for i = 0 to Array.length m.devices - 1 do
+    t := Float.max !t (engines_ready m.devices.(i))
+  done;
+  !t
 
 (* Host-side synchronization with every device: the host serially
    synchronizes each context (cudaSetDevice + cudaDeviceSynchronize per
@@ -457,41 +577,45 @@ let synchronize m =
   let serial =
     m.cfg.Config.sync_device_seconds *. float_of_int (n_devices m)
   in
-  let drained = elapsed m in
   (* Barrier edges: the sync waits every device engine, so its causal
      predecessors are the last recorded node of each one. *)
   let deps =
-    if m.causal = None then []
-    else
+    match m.causal with
+    | None -> []
+    | Some _ ->
       Array.fold_left
         (fun acc d ->
            causal_last m d.compute :: causal_last m d.copy_in
            :: causal_last m d.copy_out :: acc)
         [] m.devices
   in
-  let sstart, sfinish =
-    Timeline.schedule m.host ~after:drained ~duration:serial ~category:"sync"
-  in
-  ignore
-    (causal_add m ~label:"sync" ~category:"barrier" ~resources:[ "host" ]
-       ~ready:sstart ~start:sstart ~finish:sfinish ~fixed:serial ~legs:[]
-       ~deps ~wait:"")
+  Timeline.schedule m.host ~after:(elapsed m) ~duration:serial ~category:"sync";
+  match m.causal with
+  | None -> ()
+  | Some _ ->
+    let c = Timeline.clock m.host in
+    ignore
+      (causal_add m ~label:"sync" ~category:"barrier" ~resources:[ "host" ]
+         ~ready:c.(1) ~start:c.(1) ~finish:c.(2) ~fixed:serial ~legs:[]
+         ~deps ~wait:"")
 
 (* Charge host-side computation (e.g. dependency resolution) to the
    host timeline. *)
 let host_work m ~seconds ~category =
-  let hstart, hfinish =
-    Timeline.schedule m.host ~after:0.0 ~duration:seconds ~category
-  in
-  (* Backoff sleeps attribute to "retry" — the time lost to fault
-     recovery, not to useful host work. *)
-  let ccat = if category = "backoff" then "retry" else category in
-  ignore
-    (causal_add m ~label:category ~category:ccat ~resources:[ "host" ]
-       ~ready:hstart ~start:hstart ~finish:hfinish ~fixed:0.0 ~legs:[]
-       ~deps:[] ~wait:"");
-  if category = "pattern" then
-    m.stats.pattern_seconds <- m.stats.pattern_seconds +. seconds
+  Timeline.schedule m.host ~after:0.0 ~duration:seconds ~category;
+  (match m.causal with
+   | None -> ()
+   | Some _ ->
+     let c = Timeline.clock m.host in
+     (* Backoff sleeps attribute to "retry" — the time lost to fault
+        recovery, not to useful host work. *)
+     let ccat = if category = "backoff" then "retry" else category in
+     ignore
+       (causal_add m ~label:category ~category:ccat ~resources:[ "host" ]
+          ~ready:c.(1) ~start:c.(1) ~finish:c.(2) ~fixed:0.0 ~legs:[]
+          ~deps:[] ~wait:""));
+  if String.equal category "pattern" then
+    m.seconds.(pattern_s) <- m.seconds.(pattern_s) +. seconds
 
 (* --- Transfers --------------------------------------------------------- *)
 
@@ -501,53 +625,23 @@ let host_work m ~seconds ~category =
    and launches against each other without a host barrier. *)
 type evt = float
 
-(* Plan the fabric route of one transfer between two endpoints (-1 =
-   host): the contention legs it occupies — (link, occupancy
-   seconds) pairs — and the point-to-point bandwidth of its data path.
+(* The latest of [t] and some events. *)
+let rec latest t = function [] -> t | e :: rest -> latest (Float.max t e) rest
 
-   Flat topology: every non-local transfer occupies the single shared
-   bus; cross-device copies stage through host memory across root
-   complexes, crossing it twice (2x bytes).  Islands topology:
-   host<->device traffic occupies the device's island uplink;
-   intra-island copies move point-to-point over the island link at the
-   link's own bandwidth (no host staging); inter-island copies stage
-   through the switch, occupying both islands' uplinks.  Same-device
-   copies move through device memory and occupy no link at all on
-   either topology. *)
-let route m ~src ~dst ~bytes =
-  let cfg = m.cfg in
-  if src >= 0 && src = dst then ([], cfg.Config.dmem_bandwidth)
-  else
-    match m.topo with
-    | None ->
-      let fabric_bytes = if src >= 0 && dst >= 0 then 2 * bytes else bytes in
-      let occupancy =
-        float_of_int fabric_bytes /. cfg.Config.fabric_bandwidth
-      in
-      ( [ (m.fabric, occupancy) ],
-        if src >= 0 && dst >= 0 then cfg.Config.p2p_bandwidth
-        else cfg.Config.pcie_bandwidth )
-    | Some topo ->
-      let island d = d / topo.t_isl_size in
-      let uplink i =
-        (topo.t_uplink.(i), float_of_int bytes /. topo.t_uplink_bw)
-      in
-      if src < 0 then ([ uplink (island dst) ], cfg.Config.pcie_bandwidth)
-      else if dst < 0 then ([ uplink (island src) ], cfg.Config.pcie_bandwidth)
-      else if island src = island dst then
-        ( [ (topo.t_island.(island src),
-             float_of_int bytes /. topo.t_link_bw) ],
-          topo.t_link_bw )
-      else ([ uplink (island src); uplink (island dst) ], cfg.Config.p2p_bandwidth)
+let route m ~src ~dst =
+  let i = ((src + 1) * (Array.length m.devices + 1)) + dst + 1 in
+  let r = m.routes.(i) in
+  if r != unplanned then r
+  else begin
+    let r = plan_route m ~src ~dst in
+    m.routes.(i) <- r;
+    r
+  end
 
-let count_transfer m ~seconds =
-  m.stats.n_transfers <- m.stats.n_transfers + 1;
-  m.stats.transfer_seconds <- m.stats.transfer_seconds +. seconds
-
-(* Run one transfer: engines are the timelines held for the duration,
-   deps the timelines whose completion must be awaited (default-stream
-   ordering against compute), events extra completion times the caller
-   wants awaited (explicit cross-stream dependencies).
+(* Run one transfer of [bytes] over [route]: it holds the route's
+   engines for its duration, waits (on the default stream) the route's
+   compute engines or (with [deps]) the given events, and contends for
+   the route's fabric legs.  Its start and finish land in [op_clock].
 
    Stream semantics at the call sites below: a transfer issued with no
    explicit [?deps] runs on the device's default stream — it waits the
@@ -558,188 +652,161 @@ let count_transfer m ~seconds =
    every producer/consumer of the ranges it touches (double buffering
    is the usual way to make that true).  That is what lets a
    double-buffered pipeline fetch the next chunk underneath the
-   current kernel. *)
-let transfer m ~kind ~engines ~deps ~events ~bytes ~legs ~bandwidth =
-  let issue_start, issue =
-    Timeline.schedule m.host ~after:0.0 ~duration:issue_overhead
-      ~category:"issue"
-  in
-  let issue_id =
-    causal_add m ~label:(kind ^ ".issue") ~category:"issue"
-      ~resources:[ "host" ] ~ready:issue_start ~start:issue_start ~finish:issue
-      ~fixed:issue_overhead ~legs:[] ~deps:[] ~wait:""
-  in
-  (* Causal predecessors, resolved before the op is recorded: the host
-     issue, every awaited event (mapped to the node that produced it)
-     and the stream-order edge to each [deps] timeline's last op.
-     Engine ordering is derived by the builder from [resources]. *)
-  let causal_deps =
-    if m.causal = None then []
-    else
-      issue_id
-      :: (List.map (causal_ev m) events @ List.map (causal_last m) deps)
-  in
-  let ready = List.fold_left Float.max issue events in
-  let ready =
-    List.fold_left (fun acc t -> Float.max acc (Timeline.ready t)) ready deps
-  in
-  let ready =
-    List.fold_left (fun acc t -> Float.max acc (Timeline.ready t)) ready engines
-  in
+   current kernel.
+
+   All clock arithmetic stays in this function, on floats read from
+   clock arrays: the dev profile compiles with [-opaque], so every
+   float passed to or returned from another module is boxed. *)
+let transfer ?deps m ~kind r ~bytes =
+  Timeline.schedule m.host ~after:0.0 ~duration:issue_overhead
+    ~category:"issue";
+  let host = Timeline.clock m.host in
+  let issue = host.(2) in
+  let ready = ref issue in
+  (match deps with
+   | None ->
+     for i = 0 to Array.length r.waits - 1 do
+       ready := Float.max !ready (ready_of r.waits.(i))
+     done
+   | Some events -> ready := latest !ready events);
+  for i = 0 to Array.length r.engines - 1 do
+    ready := Float.max !ready (ready_of r.engines.(i))
+  done;
   (* A zero-byte copy pays its latency on the engines but occupies no
      link. *)
-  let legs = if bytes = 0 then [] else legs in
-  let start = Link.admit ~now:issue ~start:ready legs in
+  let legs = if bytes = 0 then [||] else r.legs in
+  for i = 0 to Array.length legs - 1 do
+    r.occupancy.(i) <-
+      float_of_int (r.leg_scale.(i) * bytes) /. r.leg_bandwidth.(i)
+  done;
+  let start = Link.admit ~now:issue ~start:!ready legs r.occupancy in
+  (* Boxed once here rather than once per engine below. *)
   let dur =
-    m.cfg.Config.transfer_latency +. (float_of_int bytes /. bandwidth)
+    Sys.opaque_identity
+      (m.cfg.Config.transfer_latency +. (float_of_int bytes /. r.bandwidth))
   in
-  List.iter
-    (fun t ->
-       Timeline.wait_until t start;
-       ignore (Timeline.schedule t ~after:start ~duration:dur ~category:"transfer"))
-    engines;
-  (* A d2h issued while the runtime is evicting under memory pressure
-     attributes to "spill", not to ordinary downloads. *)
-  if m.causal <> None then begin
+  for i = 0 to Array.length r.engines - 1 do
+    Timeline.schedule r.engines.(i) ~after:start ~duration:dur
+      ~category:"transfer"
+  done;
+  m.op_clock.(0) <- start;
+  m.op_clock.(1) <- start +. dur;
+  m.n_transfers <- m.n_transfers + 1;
+  m.seconds.(transfer_s) <- m.seconds.(transfer_s) +. dur;
+  match m.causal with
+  | None -> ()
+  | Some _ ->
+    (* Causal predecessors: the host issue, every awaited event
+       (mapped to the node that produced it) and the stream-order edge
+       to each awaited compute engine's last op.  Engine ordering is
+       derived by the builder from [resources]. *)
+    let issue_id =
+      causal_add m ~label:(kind ^ ".issue") ~category:"issue"
+        ~resources:[ "host" ] ~ready:host.(1) ~start:host.(1) ~finish:issue
+        ~fixed:issue_overhead ~legs:[] ~deps:[] ~wait:""
+    in
+    let events, waits =
+      match deps with
+      | None -> ([], Array.to_list r.waits)
+      | Some events -> (events, [])
+    in
+    (* A d2h issued while the runtime is evicting under memory pressure
+       attributes to "spill", not to ordinary downloads. *)
     let category =
       if m.phase = "spill" && kind = "d2h" then "spill" else kind
     in
     ignore
       (causal_add m ~label:kind ~category
-         ~resources:(List.map Timeline.name engines)
-         ~ready ~start ~finish:(start +. dur)
+         ~resources:(Array.to_list (Array.map Timeline.name r.engines))
+         ~ready:!ready ~start ~finish:m.op_clock.(1)
          ~fixed:m.cfg.Config.transfer_latency
          ~legs:
-           (List.map
-              (fun (l, occ) -> (Timeline.name (Link.timeline l), occ))
-              legs)
-         ~deps:causal_deps ~wait:"link_wait")
-  end;
-  count_transfer m ~seconds:dur;
-  (start, start +. dur)
+           (List.init (Array.length legs) (fun i ->
+                (Timeline.name (Link.timeline legs.(i)), r.occupancy.(i))))
+         ~deps:
+           (issue_id
+            :: (List.map (causal_ev m) events @ List.map (causal_last m) waits))
+         ~wait:"link_wait")
 
-(* A transiently faulted transfer paid its wire time and its bytes
-   really crossed the fabric, so it is charged to the byte counters and
-   the pair matrix like any other transfer *before* the fault is
-   raised (a retry then legitimately charges the traffic again); the
-   dedicated faulted counters keep the failures visible. *)
-let count_faulted m ~bytes =
-  m.stats.faulted_transfers <- m.stats.faulted_transfers + 1;
-  m.stats.faulted_bytes <- m.stats.faulted_bytes + bytes
-
-(* Asynchronous host-to-device copy of [len] elements; returns the
-   completion event. *)
-let h2d_async ?deps m ~src ~src_off ~dst ~dst_off ~len : evt =
-  Buffer.check_range dst ~off:dst_off ~len ~what:"h2d";
+(* One copy between two endpoints (-1 = host): fault check, timing,
+   trace and byte accounting.  A transiently faulted copy paid its wire
+   time and its bytes really crossed the fabric, so it is charged to
+   the byte counters and the pair matrix like any other transfer
+   *before* the fault is raised (a retry then legitimately charges the
+   traffic again); the dedicated faulted counters keep the failures
+   visible.  The caller moves the data afterwards, in functional
+   mode. *)
+let copy ?deps m ~src ~dst ~len =
   let bytes = len * m.cfg.Config.elem_bytes in
-  let dev = device m (Buffer.device dst) in
-  let fate = transfer_fate m ~devices:[ dev.dev_id ] in
-  (match fate with `Lost d -> fail_lost m ~op:"h2d" d | `Ok | `Transient -> ());
-  let legs, bandwidth = route m ~src:(-1) ~dst:dev.dev_id ~bytes in
-  let tl_deps, events =
-    match deps with
-    | None -> ([ dev.compute ], []) (* default stream *)
-    | Some evs -> ([], evs) (* explicit stream: the events order it *)
+  let kind = if src < 0 then "h2d" else if dst < 0 then "d2h" else "p2p" in
+  (* Fate drawn at issue time: a lost device fails the operation
+     before any time is charged (the driver call errors immediately); a
+     transient fault is resolved after the transfer's timing has been
+     paid. *)
+  let transient =
+    match m.faults with
+    | None -> false
+    | Some f -> (
+        let devices = [ src; dst ] in
+        match
+          Faults.transfer_outcome f ~devices ~now:(fault_clock m ~devices)
+        with
+        | `Lost d -> fail_lost m ~op:kind d
+        | `Transient -> true
+        | `Ok -> false)
   in
-  let ev_start, ev_finish =
-    transfer m ~kind:"h2d" ~engines:[ dev.copy_in ] ~deps:tl_deps ~events
-      ~bytes ~legs ~bandwidth
-  in
-  record m
-    { ev_kind = `H2d; ev_src = -1; ev_dst = dev.dev_id; ev_bytes = bytes;
-      ev_start; ev_finish };
-  m.stats.h2d_bytes <- m.stats.h2d_bytes + bytes;
-  count_pair m ~src:(-1) ~dst:dev.dev_id ~bytes;
-  if fate = `Transient then begin
-    count_faulted m ~bytes;
-    record_fault m ~src:(-1) ~dst:dev.dev_id;
-    raise (Transient_fault { op = "h2d"; device = dev.dev_id })
-  end;
-  if m.functional then Buffer.blit_from_host ~src ~src_off dst ~dst_off ~len;
-  ev_finish
+  transfer ?deps m ~kind (route m ~src ~dst) ~bytes;
+  (match m.trace with
+   | None -> ()
+   | Some r ->
+     Obs.Ring.push r
+       { ev_kind = (if src < 0 then `H2d else if dst < 0 then `D2h else `P2p);
+         ev_src = src; ev_dst = dst; ev_bytes = bytes;
+         ev_start = m.op_clock.(0); ev_finish = m.op_clock.(1) });
+  if src < 0 then m.h2d_bytes <- m.h2d_bytes + bytes
+  else if dst < 0 then m.d2h_bytes <- m.d2h_bytes + bytes
+  else m.p2p_bytes <- m.p2p_bytes + bytes;
+  count_pair m ~src ~dst ~bytes;
+  if transient then begin
+    m.faulted_transfers <- m.faulted_transfers + 1;
+    m.faulted_bytes <- m.faulted_bytes + bytes;
+    record_fault m ~src ~dst;
+    raise
+      (Transient_fault { op = kind; device = (if dst < 0 then src else dst) })
+  end
 
+(* Host-to-device copy of [len] elements. *)
 let h2d ?deps m ~src ~src_off ~dst ~dst_off ~len =
-  ignore (h2d_async ?deps m ~src ~src_off ~dst ~dst_off ~len)
+  Buffer.check_range dst ~off:dst_off ~len ~what:"h2d";
+  copy ?deps m ~src:(-1) ~dst:(device m (Buffer.device dst)).dev_id ~len;
+  if m.functional then Buffer.blit_from_host ~src ~src_off dst ~dst_off ~len
 
-(* Asynchronous device-to-host copy; returns the completion event. *)
-let d2h_async ?deps m ~src ~src_off ~dst ~dst_off ~len : evt =
-  Buffer.check_range src ~off:src_off ~len ~what:"d2h";
-  let bytes = len * m.cfg.Config.elem_bytes in
-  let dev = device m (Buffer.device src) in
-  let fate = transfer_fate m ~devices:[ dev.dev_id ] in
-  (match fate with `Lost d -> fail_lost m ~op:"d2h" d | `Ok | `Transient -> ());
-  let legs, bandwidth = route m ~src:dev.dev_id ~dst:(-1) ~bytes in
-  let tl_deps, events =
-    match deps with
-    | None -> ([ dev.compute ], [])
-    | Some evs -> ([], evs)
-  in
-  let ev_start, ev_finish =
-    transfer m ~kind:"d2h" ~engines:[ dev.copy_out ] ~deps:tl_deps ~events
-      ~bytes ~legs ~bandwidth
-  in
-  record m
-    { ev_kind = `D2h; ev_src = dev.dev_id; ev_dst = -1; ev_bytes = bytes;
-      ev_start; ev_finish };
-  m.stats.d2h_bytes <- m.stats.d2h_bytes + bytes;
-  count_pair m ~src:dev.dev_id ~dst:(-1) ~bytes;
-  if fate = `Transient then begin
-    count_faulted m ~bytes;
-    record_fault m ~src:dev.dev_id ~dst:(-1);
-    raise (Transient_fault { op = "d2h"; device = dev.dev_id })
-  end;
-  if m.functional then Buffer.blit_to_host src ~src_off ~dst ~dst_off ~len;
-  ev_finish
+(* The [*_async] variants return the completion event. *)
+let h2d_async ?deps m ~src ~src_off ~dst ~dst_off ~len : evt =
+  h2d ?deps m ~src ~src_off ~dst ~dst_off ~len;
+  m.op_clock.(1)
 
+(* Device-to-host copy. *)
 let d2h ?deps m ~src ~src_off ~dst ~dst_off ~len =
-  ignore (d2h_async ?deps m ~src ~src_off ~dst ~dst_off ~len)
+  Buffer.check_range src ~off:src_off ~len ~what:"d2h";
+  copy ?deps m ~src:(device m (Buffer.device src)).dev_id ~dst:(-1) ~len;
+  if m.functional then Buffer.blit_to_host src ~src_off ~dst ~dst_off ~len
 
-(* Shared body of [p2p] and [p2p_multi]: timing, routing and
-   accounting of a device-to-device copy of [len] elements; [blit]
-   performs the functional data movement. *)
-let p2p_common ?deps m ~op ~src ~dst ~len ~blit : evt =
-  let bytes = len * m.cfg.Config.elem_bytes in
-  let sdev = device m (Buffer.device src) in
-  let ddev = device m (Buffer.device dst) in
-  let fate = transfer_fate m ~devices:[ sdev.dev_id; ddev.dev_id ] in
-  (match fate with `Lost d -> fail_lost m ~op d | `Ok | `Transient -> ());
-  let same_device = sdev.dev_id = ddev.dev_id in
-  let engines =
-    if same_device then [ sdev.copy_out ]
-    else [ sdev.copy_out; ddev.copy_in ]
-  in
-  let legs, bandwidth = route m ~src:sdev.dev_id ~dst:ddev.dev_id ~bytes in
-  let tl_deps, events =
-    match deps with
-    | None -> ([ sdev.compute; ddev.compute ], [])
-    | Some evs -> ([], evs)
-  in
-  let ev_start, ev_finish =
-    transfer m ~kind:"p2p" ~engines ~deps:tl_deps ~events ~bytes ~legs
-      ~bandwidth
-  in
-  record m
-    { ev_kind = `P2p; ev_src = sdev.dev_id; ev_dst = ddev.dev_id;
-      ev_bytes = bytes; ev_start; ev_finish };
-  m.stats.p2p_bytes <- m.stats.p2p_bytes + bytes;
-  count_pair m ~src:sdev.dev_id ~dst:ddev.dev_id ~bytes;
-  if fate = `Transient then begin
-    count_faulted m ~bytes;
-    record_fault m ~src:sdev.dev_id ~dst:ddev.dev_id;
-    raise (Transient_fault { op = "p2p"; device = ddev.dev_id })
-  end;
-  if m.functional then blit ();
-  ev_finish
+let d2h_async ?deps m ~src ~src_off ~dst ~dst_off ~len : evt =
+  d2h ?deps m ~src ~src_off ~dst ~dst_off ~len;
+  m.op_clock.(1)
 
-(* Asynchronous device-to-device copy; returns the completion event. *)
-let p2p_async ?deps m ~src ~src_off ~dst ~dst_off ~len : evt =
+(* Device-to-device copy. *)
+let p2p ?deps m ~src ~src_off ~dst ~dst_off ~len =
   Buffer.check_range src ~off:src_off ~len ~what:"p2p(src)";
   Buffer.check_range dst ~off:dst_off ~len ~what:"p2p(dst)";
-  p2p_common ?deps m ~op:"p2p" ~src ~dst ~len ~blit:(fun () ->
-      Buffer.blit ~src ~src_off ~dst ~dst_off ~len)
+  copy ?deps m ~src:(device m (Buffer.device src)).dev_id
+    ~dst:(device m (Buffer.device dst)).dev_id ~len;
+  if m.functional then Buffer.blit ~src ~src_off ~dst ~dst_off ~len
 
-let p2p ?deps m ~src ~src_off ~dst ~dst_off ~len =
-  ignore (p2p_async ?deps m ~src ~src_off ~dst ~dst_off ~len)
+let p2p_async ?deps m ~src ~src_off ~dst ~dst_off ~len : evt =
+  p2p ?deps m ~src ~src_off ~dst ~dst_off ~len;
+  m.op_clock.(1)
 
 (* A packed device-to-device copy of several segments (the simulated
    counterpart of a pitched cudaMemcpy2D): one transfer event moves the
@@ -754,11 +821,14 @@ let p2p_multi_async ?deps m ~src ~dst ~segments : evt =
          Buffer.check_range src ~off:src_off ~len:l ~what:"p2p_multi(src)";
          Buffer.check_range dst ~off:dst_off ~len:l ~what:"p2p_multi(dst)")
       segments;
-    p2p_common ?deps m ~op:"p2p_multi" ~src ~dst ~len ~blit:(fun () ->
-        List.iter
-          (fun (src_off, dst_off, l) ->
-             Buffer.blit ~src ~src_off ~dst ~dst_off ~len:l)
-          segments)
+    copy ?deps m ~src:(device m (Buffer.device src)).dev_id
+      ~dst:(device m (Buffer.device dst)).dev_id ~len;
+    if m.functional then
+      List.iter
+        (fun (src_off, dst_off, l) ->
+           Buffer.blit ~src ~src_off ~dst ~dst_off ~len:l)
+        segments;
+    m.op_clock.(1)
   end
 
 let p2p_multi ?deps m ~src ~dst ~segments =
@@ -766,20 +836,19 @@ let p2p_multi ?deps m ~src ~dst ~segments =
 
 (* --- Kernels ------------------------------------------------------------ *)
 
-(* Duration of a kernel launch.  Blocks execute over the device's
-   resident-block slots; below full occupancy the whole wave takes one
-   block's time (latency bound), above it the duration grows linearly.
-   The per-SM rate is derated by the autoboost factor for the number of
-   currently active devices. *)
-let kernel_duration ?device m ~blocks ~ops_per_block =
+(* Duration of a kernel launch on [device] (-1 = a homogeneous device).
+   Blocks execute over the device's resident-block slots; below full
+   occupancy the whole wave takes one block's time (latency bound),
+   above it the duration grows linearly.  The per-SM rate is derated
+   by the autoboost factor for the number of currently active
+   devices. *)
+let kernel_seconds m ~device ~blocks ~ops_per_block =
   if blocks = 0 then 0.0
   else begin
     let cfg = m.cfg in
     let slots = cfg.Config.sms_per_device * cfg.Config.blocks_per_sm in
     let boost = Config.boost_factor cfg ~active:m.active_devices in
-    let speed =
-      match device with None -> 1.0 | Some d -> Config.device_speed cfg d
-    in
+    let speed = Config.device_speed cfg device in
     let block_time =
       ops_per_block
       *. float_of_int cfg.Config.blocks_per_sm
@@ -788,70 +857,81 @@ let kernel_duration ?device m ~blocks ~ops_per_block =
     block_time *. Float.max 1.0 (float_of_int blocks /. float_of_int slots)
   end
 
-(* Launch a kernel asynchronously on a device.  [run] performs the
-   functional element work and is invoked only in functional mode. *)
+let kernel_duration ?(device = -1) m ~blocks ~ops_per_block =
+  kernel_seconds m ~device ~blocks ~ops_per_block
+
 (* Declare how many devices the workload will keep busy (drives the
    autoboost derate deterministically from the first launch). *)
 let set_active_devices m n =
   m.active_devices <- max 1 (min n (n_devices m))
 
-let launch_async ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run : evt =
+(* Launch a kernel asynchronously on a device.  [run] performs the
+   functional element work and is invoked only in functional mode. *)
+let launch ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run =
   let dev = device m d in
-  let fate =
+  let transient =
     match m.faults with
-    | None -> `Ok
-    | Some f -> Faults.kernel_outcome f ~device:d ~now:(fault_clock m ~devices:[ d ])
+    | None -> false
+    | Some f -> (
+        match
+          Faults.kernel_outcome f ~device:d ~now:(fault_clock m ~devices:[ d ])
+        with
+        | `Lost -> fail_lost m ~op:"kernel" d
+        | `Transient -> true
+        | `Ok -> false)
   in
-  (match fate with `Lost -> fail_lost m ~op:"kernel" d | `Ok | `Transient -> ());
   m.active_devices <- max m.active_devices (d + 1);
-  let issue_start, issue =
-    Timeline.schedule m.host ~after:0.0 ~duration:m.cfg.Config.launch_latency
-      ~category:"issue"
-  in
-  let issue_id =
-    causal_add m ~label:"launch.issue" ~category:"issue" ~resources:[ "host" ]
-      ~ready:issue_start ~start:issue_start ~finish:issue
-      ~fixed:m.cfg.Config.launch_latency ~legs:[] ~deps:[] ~wait:""
-  in
-  (* Launch-waits-copy-engine edges (default-stream ordering) plus the
-     caller's explicit events, resolved before the kernel is recorded. *)
-  let causal_deps =
-    if m.causal = None then []
-    else
-      issue_id :: causal_last m dev.copy_in :: causal_last m dev.copy_out
-      :: List.map (causal_ev m) deps
-  in
+  Timeline.schedule m.host ~after:0.0 ~duration:m.cfg.Config.launch_latency
+    ~category:"issue";
+  let host = Timeline.clock m.host in
   let after =
-    Float.max issue
-      (Float.max (Timeline.ready dev.copy_in) (Timeline.ready dev.copy_out))
+    Float.max host.(2) (Float.max (ready_of dev.copy_in) (ready_of dev.copy_out))
   in
-  let after = List.fold_left Float.max after deps in
-  let dur = kernel_duration ~device:d m ~blocks ~ops_per_block in
-  let kstart, kfinish =
-    Timeline.schedule dev.compute ~after ~duration:dur ~category:"kernel"
-  in
-  if m.causal <> None then
-    ignore
-      (causal_add m ~label:"kernel" ~category:"compute"
-         ~resources:[ Timeline.name dev.compute ]
-         ~ready:kstart ~start:kstart ~finish:kfinish ~fixed:0.0 ~legs:[]
-         ~deps:causal_deps ~wait:"");
-  m.stats.n_launches <- m.stats.n_launches + 1;
-  m.stats.kernel_seconds <- m.stats.kernel_seconds +. dur;
+  let after = match deps with [] -> after | _ -> latest after deps in
+  let dur = kernel_seconds m ~device:d ~blocks ~ops_per_block in
+  Timeline.schedule dev.compute ~after ~duration:dur ~category:"kernel";
+  let c = Timeline.clock dev.compute in
+  m.op_clock.(0) <- c.(1);
+  m.op_clock.(1) <- c.(2);
+  (match m.causal with
+   | None -> ()
+   | Some _ ->
+     (* Launch-waits-copy-engine edges (default-stream ordering) plus
+        the caller's explicit events. *)
+     let issue_id =
+       causal_add m ~label:"launch.issue" ~category:"issue"
+         ~resources:[ "host" ]
+         ~ready:host.(1) ~start:host.(1) ~finish:host.(2)
+         ~fixed:m.cfg.Config.launch_latency ~legs:[] ~deps:[] ~wait:""
+     in
+     let deps =
+       issue_id :: causal_last m dev.copy_in :: causal_last m dev.copy_out
+       :: List.map (causal_ev m) deps
+     in
+     ignore
+       (causal_add m ~label:"kernel" ~category:"compute"
+          ~resources:[ Timeline.name dev.compute ]
+          ~ready:c.(1) ~start:c.(1) ~finish:c.(2) ~fixed:0.0 ~legs:[]
+          ~deps ~wait:""));
+  m.n_launches <- m.n_launches + 1;
+  m.seconds.(kernel_s) <- m.seconds.(kernel_s) +. dur;
   (* A transient fault consumes the launch's time but produces no
      writes: raise before the functional element work runs. *)
-  if fate = `Transient then begin
+  if transient then begin
     record_fault m ~src:d ~dst:d;
     raise (Transient_fault { op = "kernel"; device = d })
   end;
-  record m
-    { ev_kind = `Kernel; ev_src = dev.dev_id; ev_dst = dev.dev_id;
-      ev_bytes = 0; ev_start = kstart; ev_finish = kfinish };
-  if m.functional then run ();
-  kfinish
+  (match m.trace with
+   | None -> ()
+   | Some r ->
+     Obs.Ring.push r
+       { ev_kind = `Kernel; ev_src = d; ev_dst = d; ev_bytes = 0;
+         ev_start = c.(1); ev_finish = c.(2) });
+  if m.functional then run ()
 
-let launch ?deps m ~device ~blocks ~ops_per_block ~run =
-  ignore (launch_async ?deps m ~device ~blocks ~ops_per_block ~run)
+let launch_async ?deps m ~device ~blocks ~ops_per_block ~run : evt =
+  launch ?deps m ~device ~blocks ~ops_per_block ~run;
+  m.op_clock.(1)
 
 (* Timeline accessors for reporting and calibration. *)
 let host_timeline m = m.host
@@ -892,7 +972,7 @@ let timeline_dropped m =
     (fun acc (_, tl) -> acc + Timeline.log_dropped tl)
     sum (link_timelines m)
 
-let pp_stats fmt s =
+let pp_stats fmt (s : stats) =
   Format.fprintf fmt
     "h2d=%dB d2h=%dB p2p=%dB transfers=%d launches=%d faults=%d \
      faulted_transfers=%d faulted=%dB spills=%d spill=%dB kernel=%.6fs \
@@ -905,7 +985,7 @@ let pp_stats fmt s =
    "gpusim." names — the uniform read-out the profile report and the
    bench JSON consume.  The record stays the hot-path view. *)
 let publish_metrics ?(into = Obs.Metrics.default) m =
-  let s = m.stats in
+  let s = stats m in
   let set n v = Obs.Metrics.set into n v in
   let seti n v = set n (float_of_int v) in
   seti "gpusim.h2d_bytes" s.h2d_bytes;

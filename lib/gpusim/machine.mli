@@ -22,24 +22,25 @@ type event = {
   ev_finish : float;
 }
 
+(** A snapshot of the machine's counters, taken by {!stats}. *)
 type stats = {
-  mutable h2d_bytes : int;
-  mutable d2h_bytes : int;
-  mutable p2p_bytes : int;
-  mutable n_transfers : int;
-  mutable n_launches : int;
-  mutable n_faults : int;  (** transient faults and device losses observed *)
-  mutable faulted_transfers : int;
+  h2d_bytes : int;
+  d2h_bytes : int;
+  p2p_bytes : int;
+  n_transfers : int;
+  n_launches : int;
+  n_faults : int;  (** transient faults and device losses observed *)
+  faulted_transfers : int;
       (** transfers that paid their wire time but failed transiently;
           their bytes are included in the h2d/d2h/p2p counters and the
           pair matrix (the traffic really crossed the fabric), so
           seconds/bytes reconciliation stays exact under faults *)
-  mutable faulted_bytes : int;  (** bytes moved by those transfers *)
-  mutable spill_bytes : int;  (** bytes evicted device->host under pressure *)
-  mutable n_spills : int;  (** spill operations *)
-  mutable kernel_seconds : float;
-  mutable pattern_seconds : float;
-  mutable transfer_seconds : float;
+  faulted_bytes : int;  (** bytes moved by those transfers *)
+  spill_bytes : int;  (** bytes evicted device->host under pressure *)
+  n_spills : int;  (** spill operations *)
+  kernel_seconds : float;
+  pattern_seconds : float;
+  transfer_seconds : float;
 }
 
 exception Transient_fault of { op : string; device : int }
@@ -62,6 +63,8 @@ val config : t -> Config.t
 val is_functional : t -> bool
 val n_devices : t -> int
 val stats : t -> stats
+(** The counters as of now; later operations do not update a snapshot
+    already taken. *)
 
 val inject_faults : t -> Faults.t -> unit
 (** Attach fault-injection state; without it the hardware is ideal. *)

@@ -1,9 +1,16 @@
 (* A timeline models one in-order execution engine (a device stream or
    the host thread) in the discrete-event simulation.  Operations are
    appended with an issue time; the engine starts each operation no
-   earlier than its previous completion and the issue time, and the
-   completion time is returned.  Busy time is accumulated per
-   user-supplied category for reporting.
+   earlier than its previous completion and the issue time.  Busy time
+   is accumulated per user-supplied category for reporting.
+
+   Every clock lives unboxed in a float array: the engine's [clock]
+   cell (ready time, last start, last finish) and one busy slot per
+   category.  Updating a float field of an ordinary record boxes a
+   fresh float per write, and the simulator schedules millions of
+   operations per run.  For the same reason scheduling returns
+   nothing; a caller that needs the operation's start or finish reads
+   the clock cell.
 
    With logging enabled the timeline additionally keeps its individual
    operations in a bounded ring buffer — that log is what the Chrome
@@ -13,64 +20,89 @@ type op = { op_start : float; op_finish : float; op_category : string }
 
 type t = {
   name : string;
-  mutable ready : float; (* completion time of the last scheduled op *)
-  busy : (string, float ref) Hashtbl.t;
-      (* busy seconds per category; a cell is added on a category's
-         first charge and then updated in place, so the table never
-         reorders and [total_busy] always sums in the same order *)
-  mutable last_cat : string; (* category of [last_cell] *)
-  mutable last_cell : float ref;
-      (* the most recently charged category's cell ([detached] when
-         none): an engine charges runs of one category, and this skips
-         hashing it *)
+  clock : float array;
+      (* [| ready; last start; last finish |]: ready is the completion
+         time of the latest-finishing scheduled op *)
+  mutable busy : float array; (* busy seconds per category slot *)
+  mutable names : string array; (* the category of each slot *)
+  slots : (string, int) Hashtbl.t;
+      (* category -> busy slot; a category is added on its first
+         charge and never moved, so the table never reorders and
+         [total_busy] always sums in the same order *)
+  mutable last_slot : int;
+      (* the most recently charged slot (-1 when none): an engine
+         charges runs of one category, and the host alternates between
+         a few, so a charge checks this slot, then scans [names], and
+         hashes only a category it has never seen *)
   mutable ops : op Obs.Ring.t option; (* per-op log when enabled *)
 }
 
-(* Never charged: it only marks "no cached category". *)
-let detached = ref 0.0
-
 let create name =
-  { name; ready = 0.0; busy = Hashtbl.create 8; last_cat = "";
-    last_cell = detached; ops = None }
+  { name; clock = Array.make 3 0.0; busy = Array.make 4 0.0;
+    names = Array.make 4 ""; slots = Hashtbl.create 8; last_slot = -1;
+    ops = None }
 
 let name t = t.name
-let ready t = t.ready
+let clock t = t.clock
+let ready t = t.clock.(0)
 
 let reset t =
-  t.ready <- 0.0;
-  Hashtbl.reset t.busy;
-  t.last_cell <- detached;
+  Array.fill t.clock 0 3 0.0;
+  Array.fill t.busy 0 (Array.length t.busy) 0.0;
+  Array.fill t.names 0 (Array.length t.names) "";
+  Hashtbl.reset t.slots;
+  t.last_slot <- -1;
   match t.ops with None -> () | Some r -> Obs.Ring.clear r
 
-let charge t category duration =
-  if t.last_cell == detached || not (String.equal category t.last_cat)
-  then begin
-    let cell =
-      match Hashtbl.find_opt t.busy category with
-      | Some c -> c
-      | None ->
-        let c = ref 0.0 in
-        Hashtbl.add t.busy category c;
-        c
-    in
-    t.last_cat <- category;
-    t.last_cell <- cell
+let[@inline] is_slot t s category =
+  let name = t.names.(s) in
+  name == category || String.equal name category
+
+let add_slot t category =
+  let s = Hashtbl.length t.slots in
+  if s = Array.length t.busy then begin
+    let busy = Array.make (2 * s) 0.0 and names = Array.make (2 * s) "" in
+    Array.blit t.busy 0 busy 0 s;
+    Array.blit t.names 0 names 0 s;
+    t.busy <- busy;
+    t.names <- names
   end;
-  t.last_cell := !(t.last_cell) +. duration
+  t.names.(s) <- category;
+  Hashtbl.add t.slots category s;
+  s
+
+let rec find_slot t category s =
+  if s = Hashtbl.length t.slots then add_slot t category
+  else if is_slot t s category then s
+  else find_slot t category (s + 1)
+
+let charge t category duration =
+  let s = t.last_slot in
+  let s =
+    if s >= 0 && is_slot t s category then s else find_slot t category 0
+  in
+  t.last_slot <- s;
+  t.busy.(s) <- t.busy.(s) +. duration
+
+let log_op t category =
+  match t.ops with
+  | None -> ()
+  | Some r ->
+    Obs.Ring.push r
+      { op_start = t.clock.(1); op_finish = t.clock.(2);
+        op_category = category }
 
 (* Schedule an operation of the given duration that cannot start before
-   [after].  Returns (start, finish). *)
+   [after]. *)
 let schedule t ~after ~duration ~category =
   if duration < 0.0 then invalid_arg "Timeline.schedule: negative duration";
-  let start = Float.max t.ready after in
+  let start = Float.max t.clock.(0) after in
   let finish = start +. duration in
-  t.ready <- finish;
+  t.clock.(0) <- finish;
+  t.clock.(1) <- start;
+  t.clock.(2) <- finish;
   charge t category duration;
-  (match t.ops with
-   | None -> ()
-   | Some r ->
-     Obs.Ring.push r { op_start = start; op_finish = finish; op_category = category });
-  (start, finish)
+  log_op t category
 
 (* Record an operation at exactly [start], without clamping against
    the engine's ready time: for contention lanes whose admission is
@@ -81,28 +113,28 @@ let schedule t ~after ~duration ~category =
 let schedule_at t ~start ~duration ~category =
   if duration < 0.0 then invalid_arg "Timeline.schedule_at: negative duration";
   let finish = start +. duration in
-  if finish > t.ready then t.ready <- finish;
+  if finish > t.clock.(0) then t.clock.(0) <- finish;
+  t.clock.(1) <- start;
+  t.clock.(2) <- finish;
   charge t category duration;
-  (match t.ops with
-   | None -> ()
-   | Some r ->
-     Obs.Ring.push r { op_start = start; op_finish = finish; op_category = category });
-  (start, finish)
+  log_op t category
 
 (* Force the engine to be idle until at least [time] (a synchronization
    barrier). *)
-let wait_until t time = if time > t.ready then t.ready <- time
+let wait_until t time = if time > t.clock.(0) then t.clock.(0) <- time
 
 let busy_in t category =
-  match Hashtbl.find_opt t.busy category with Some c -> !c | None -> 0.0
+  match Hashtbl.find t.slots category with
+  | s -> t.busy.(s)
+  | exception Not_found -> 0.0
 
-let total_busy t = Hashtbl.fold (fun _ c acc -> acc +. !c) t.busy 0.0
+let total_busy t = Hashtbl.fold (fun _ s acc -> acc +. t.busy.(s)) t.slots 0.0
 
 (* Sorted, so reports and JSON artifacts do not depend on hash-table
    iteration order (which varies across OCaml versions and hash
    seeds). *)
 let categories t =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.busy [])
+  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.slots [])
 
 (* Idle time within a span of [span] seconds: the span minus every
    busy second, clamped at zero (an engine can be scheduled past the
@@ -128,4 +160,4 @@ let log t = match t.ops with None -> [] | Some r -> Obs.Ring.to_list r
 let log_dropped t = match t.ops with None -> 0 | Some r -> Obs.Ring.dropped r
 
 let pp fmt t =
-  Format.fprintf fmt "%s: ready=%.6fs busy=%.6fs" t.name t.ready (total_busy t)
+  Format.fprintf fmt "%s: ready=%.6fs busy=%.6fs" t.name (ready t) (total_busy t)

@@ -11,17 +11,24 @@ val create : string -> t
 val name : t -> string
 
 val ready : t -> float
-(** Completion time of the last scheduled operation. *)
+(** Completion time of the latest-finishing scheduled operation. *)
+
+val clock : t -> float array
+(** The engine's clock cell, updated in place by every operation:
+    [.(0)] is {!ready}, [.(1)] and [.(2)] the start and finish of the
+    last scheduled operation.  Callers only read it.  It exists for
+    hot callers in other modules: the dev profile compiles with
+    [-opaque], so {!ready} is never inlined and boxes its result on
+    every call, while an array read does not. *)
 
 val reset : t -> unit
 
-val schedule :
-  t -> after:float -> duration:float -> category:string -> float * float
-(** Append an operation that cannot start before [after]; returns
-    (start, finish).  Busy time is accumulated per [category]. *)
+val schedule : t -> after:float -> duration:float -> category:string -> unit
+(** Append an operation that cannot start before [after]; its start
+    and finish are then in {!clock}.  Busy time is accumulated per
+    [category]. *)
 
-val schedule_at :
-  t -> start:float -> duration:float -> category:string -> float * float
+val schedule_at : t -> start:float -> duration:float -> category:string -> unit
 (** Record an operation at exactly [start], without clamping against
     [ready] (the engine's ready still advances to at least the
     operation's finish).  For contention lanes whose admission is

@@ -341,12 +341,16 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   in
   (* The eviction pool, sorted by name: stamps shared across vbufs can
      tie, and [coldest] breaks ties by pool order, so the order must
-     not depend on hash-table internals. *)
-  let pool_of () =
-    List.sort
-      (fun a b ->
-         compare (Gpu_runtime.Vbuf.name a) (Gpu_runtime.Vbuf.name b))
-      (Hashtbl.fold (fun _ vb acc -> vb :: acc) vbufs [])
+     not depend on hash-table internals.  Swaps only rebind names, so
+     the pool changes only where buffers are created or dropped, and
+     is re-sorted there rather than on every launch. *)
+  let pool = ref [] in
+  let refresh_pool () =
+    pool :=
+      List.sort
+        (fun a b ->
+           compare (Gpu_runtime.Vbuf.name a) (Gpu_runtime.Vbuf.name b))
+        (Hashtbl.fold (fun _ vb acc -> vb :: acc) vbufs [])
   in
   (* Per-launch compiled-kernel lookup must not be linear in the kernel
      count. *)
@@ -407,7 +411,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     res
   in
   let h2d vb src =
-    tracked vb (fun () -> Gpu_runtime.Vbuf.h2d ~cfg ~pool:(pool_of ()) vb ~src)
+    tracked vb (fun () -> Gpu_runtime.Vbuf.h2d ~cfg ~pool:!pool vb ~src)
   in
   let d2h vb dst =
     tracked vb (fun () -> Gpu_runtime.Vbuf.d2h ~cfg vb ~dst);
@@ -733,7 +737,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       c_ck = ck;
       c_block = block;
       c_args;
-      c_pool = pool_of ();
+      c_pool = !pool;
       c_accs =
         (match Plan.reducible ck with
          | _ :: _ as red when functional ->
@@ -762,12 +766,14 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       (fun (name, len, _) ->
          Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len))
       h.h_buffers;
+    refresh_pool ();
     List.iter (fun (name, _, data) -> h2d (find name) data) h.h_buffers
   in
   let rec exec (s : Host_ir.stmt) =
     match s with
     | Host_ir.Malloc (name, len) ->
-      Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len)
+      Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len);
+      refresh_pool ()
     | Host_ir.Memcpy_h2d { dst; src } -> h2d (find dst) src.Host_ir.data
     | Host_ir.Memcpy_d2h { dst; src } ->
       let vb = find src in
@@ -800,7 +806,8 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     | Host_ir.Swap (a, b) -> swap a b
     | Host_ir.Free name ->
       Gpu_runtime.Vbuf.free (find name);
-      Hashtbl.remove vbufs name
+      Hashtbl.remove vbufs name;
+      refresh_pool ()
     | Host_ir.Sync -> Gpusim.Machine.synchronize m
   in
   (* Flatten the statement stream (Repeat bodies expanded) so execution
@@ -859,10 +866,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
            Gpu_runtime.Vbuf.restore vb snap;
            Hashtbl.replace vbufs name vb)
         bufs;
+      refresh_pool ();
       index
     | None -> (
         Hashtbl.iter (fun _ vb -> Gpu_runtime.Vbuf.free vb) vbufs;
         Hashtbl.reset vbufs;
+        refresh_pool ();
         (* A resumed run's earliest recovery point is its handoff: the
            buffers it restored are this segment's "beginning". *)
         match resume with

@@ -2,19 +2,14 @@
 
    The paper's segment tracker stores its non-overlapping segment list
    in "a B-Tree map using the start of each segment as the key"
-   (§8.1); this module is that map.  It is a functor over the key
-   order, with the operations the tracker needs: point lookup,
-   predecessor ([floor]) lookup, in-order iteration from a key, insert
-   and delete. *)
+   (§8.1); this module is that map, over int keys, with the operations
+   the tracker needs: point lookup, predecessor ([floor]) lookup,
+   in-order iteration from a key, insert and delete.  The keys are
+   plain ints rather than a functor parameter so that every comparison
+   on the tracker's lookup path compiles to a machine compare. *)
 
-module type ORDERED = sig
-  type t
-
-  val compare : t -> t -> int
-end
-
-module Make (Ord : ORDERED) = struct
-  type key = Ord.t
+module Int_map = struct
+  type key = int
 
   (* Minimum degree: nodes hold between t-1 and 2t-1 keys (root
      excepted) and internal nodes between t and 2t children. *)
@@ -57,7 +52,7 @@ module Make (Ord : ORDERED) = struct
     let lo = ref 0 and hi = ref x.n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Ord.compare x.keys.(mid) k < 0 then lo := mid + 1 else hi := mid
+      if x.keys.(mid) < k then lo := mid + 1 else hi := mid
     done;
     !lo
 
@@ -65,7 +60,7 @@ module Make (Ord : ORDERED) = struct
 
   let rec find_node x k =
     let i = lower_bound x k in
-    if i < x.n && Ord.compare x.keys.(i) k = 0 then Some (x.vals.(i))
+    if i < x.n && x.keys.(i) = k then Some (x.vals.(i))
     else if x.leaf then None
     else find_node (child x i) k
 
@@ -77,7 +72,7 @@ module Make (Ord : ORDERED) = struct
   (* Largest entry with key <= k. *)
   let rec floor_node x k best =
     let i = lower_bound x k in
-    if i < x.n && Ord.compare x.keys.(i) k = 0 then Some (x.keys.(i), x.vals.(i))
+    if i < x.n && x.keys.(i) = k then Some (x.keys.(i), x.vals.(i))
     else
       (* keys.(i-1) < k < keys.(i); the best candidate in this node is
          keys.(i-1), but a larger one may hide in children.(i). *)
@@ -88,6 +83,18 @@ module Make (Ord : ORDERED) = struct
 
   let floor tr k =
     match tr.root with None -> None | Some r -> floor_node r k None
+
+  (* [floor] for callers that need only the value: nothing is
+     allocated on the way down. *)
+  let rec floor_value_node x k best =
+    let i = lower_bound x k in
+    if i < x.n && x.keys.(i) = k then x.vals.(i)
+    else
+      let best = if i > 0 then x.vals.(i - 1) else best in
+      if x.leaf then best else floor_value_node (child x i) k best
+
+  let floor_value tr k ~default =
+    match tr.root with None -> default | Some r -> floor_value_node r k default
 
   let rec min_node x =
     if x.leaf then
@@ -182,7 +189,7 @@ module Make (Ord : ORDERED) = struct
      added (false if an existing key was replaced). *)
   let rec insert_nonfull x k v =
     let i = lower_bound x k in
-    if i < x.n && Ord.compare x.keys.(i) k = 0 then begin
+    if i < x.n && x.keys.(i) = k then begin
       x.vals.(i) <- v;
       false
     end
@@ -201,7 +208,7 @@ module Make (Ord : ORDERED) = struct
         if (child x i).n = max_keys then begin
           split_child x i;
           (* the median moved up to x.keys.(i) *)
-          let c = Ord.compare x.keys.(i) k in
+          let c = Int.compare x.keys.(i) k in
           if c = 0 then -1 (* replace below *)
           else if c < 0 then i + 1
           else i
@@ -336,7 +343,7 @@ module Make (Ord : ORDERED) = struct
 
   let rec remove_node x k =
     let i = lower_bound x k in
-    if i < x.n && Ord.compare x.keys.(i) k = 0 then
+    if i < x.n && x.keys.(i) = k then
       if x.leaf then begin
         remove_from_leaf x i;
         true
@@ -374,7 +381,7 @@ module Make (Ord : ORDERED) = struct
       let j = fixup_child x i in
       (* after fixup the key may have moved into x itself *)
       let i2 = lower_bound x k in
-      if i2 < x.n && Ord.compare x.keys.(i2) k = 0 then remove_node x k
+      if i2 < x.n && x.keys.(i2) = k then remove_node x k
       else remove_node (child x (min j (x.n))) k
     end
 
@@ -396,17 +403,17 @@ module Make (Ord : ORDERED) = struct
       if not is_root && x.n < t - 1 then failwith "Btree: underfull node";
       if x.n > max_keys then failwith "Btree: overfull node";
       for i = 0 to x.n - 2 do
-        if Ord.compare x.keys.(i) x.keys.(i + 1) >= 0 then
+        if x.keys.(i) >= x.keys.(i + 1) then
           failwith "Btree: keys out of order"
       done;
       (match lo with
        | Some l ->
-         if x.n > 0 && Ord.compare x.keys.(0) l <= 0 then
+         if x.n > 0 && x.keys.(0) <= l then
            failwith "Btree: key below lower bound"
        | None -> ());
       (match hi with
        | Some h ->
-         if x.n > 0 && Ord.compare x.keys.(x.n - 1) h >= 0 then
+         if x.n > 0 && x.keys.(x.n - 1) >= h then
            failwith "Btree: key above upper bound"
        | None -> ());
       if x.leaf then 1
@@ -429,12 +436,3 @@ module Make (Ord : ORDERED) = struct
     | None -> 0
     | Some r -> go r ~is_root:true ~lo:None ~hi:None
 end
-
-(* The instantiation used by the segment tracker. *)
-module Int_ord = struct
-  type t = int
-
-  let compare = Int.compare
-end
-
-module Int_map = Make (Int_ord)

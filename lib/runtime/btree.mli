@@ -2,16 +2,10 @@
 
     The paper's segment tracker stores its non-overlapping segment list
     in "a B-Tree map using the start of each segment as the key"
-    (§8.1); this module is that map, functorized over the key order. *)
+    (§8.1); this module is that map, over int keys. *)
 
-module type ORDERED = sig
-  type t
-
-  val compare : t -> t -> int
-end
-
-module Make (Ord : ORDERED) : sig
-  type key = Ord.t
+module Int_map : sig
+  type key = int
 
   type 'v tree
   (** A mutable map from [key] to ['v]. *)
@@ -28,6 +22,10 @@ module Make (Ord : ORDERED) : sig
 
   val floor : 'v tree -> key -> (key * 'v) option
   (** Largest entry with key [<= k]. *)
+
+  val floor_value : 'v tree -> key -> default:'v -> 'v
+  (** The value of the largest entry with key [<= k], or [default]
+      when there is none.  Allocates nothing. *)
 
   val min_binding : 'v tree -> (key * 'v) option
   val max_binding : 'v tree -> (key * 'v) option
@@ -48,8 +46,3 @@ module Make (Ord : ORDERED) : sig
   (** Check the B-tree invariants (key order, node fill, balance);
       returns the depth.  Raises [Failure] on violation. *)
 end
-
-module Int_ord : ORDERED with type t = int
-
-module Int_map : module type of Make (Int_ord)
-(** The instantiation used by the segment tracker. *)

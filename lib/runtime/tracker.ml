@@ -19,14 +19,14 @@ type segment = { start : int; stop : int; owner : int }
 
 type t = {
   len : int; (* extent of the tracked index space *)
-  map : (int * int) M.tree; (* start -> (stop, owner) *)
+  map : segment M.tree; (* keyed by segment start *)
   mutable ops : int; (* B-tree operations performed, for cost accounting *)
 }
 
 let create ~len ~initial_owner =
   if len <= 0 then invalid_arg "Tracker.create: empty index space";
   let map = M.create () in
-  M.add map 0 (len, initial_owner);
+  M.add map 0 { start = 0; stop = len; owner = initial_owner };
   { len; map; ops = 1 }
 
 let len t = t.len
@@ -43,24 +43,43 @@ let check_range t ~start ~stop ~what =
       (Printf.sprintf "Tracker.%s: bad range [%d,%d) in space of %d" what start
          stop t.len)
 
-(* The segments overlapping [start, stop), clipped to it, in order.
-   Every element of the range is covered (the tracker always covers the
-   whole index space). *)
-let query t ~start ~stop =
-  check_range t ~start ~stop ~what:"query";
+(* No segment: what [holding] finds left of index 0. *)
+let absent = { start = -1; stop = -1; owner = min_int }
+
+(* The stored segment holding [idx] ([absent] for a negative index).
+   The segments cover the whole space, so for an index inside it this
+   is the floor entry. *)
+let holding t idx = M.floor_value t.map idx ~default:absent
+
+let segment_at t idx =
+  if idx < 0 || idx >= t.len then
+    invalid_arg
+      (Printf.sprintf "Tracker.segment_at: index %d outside space of %d" idx
+         t.len);
   bump t 1;
-  let out = ref [] in
-  let from_key =
-    match M.floor t.map start with Some (k, _) -> k | None -> start
-  in
-  M.iter_from t.map from_key (fun s (e, owner) ->
+  holding t idx
+
+(* Walk the segments overlapping [start, stop), clipped to it, in
+   order: one op for the descent plus one per entry visited, the entry
+   that ends the walk included.  Every element of the range is covered
+   (the tracker always covers the whole index space).  [f] must not
+   write the tracker. *)
+let iter_range t ~start ~stop f =
+  check_range t ~start ~stop ~what:"iter_range";
+  bump t 1;
+  M.iter_from t.map (holding t start).start (fun s seg ->
       bump t 1;
       if s >= stop then false
       else begin
-        if e > start then
-          out := { start = max s start; stop = min e stop; owner } :: !out;
+        if seg.stop > start then f (max s start) (min seg.stop stop) seg.owner;
         true
-      end);
+      end)
+
+let query t ~start ~stop =
+  check_range t ~start ~stop ~what:"query";
+  let out = ref [] in
+  iter_range t ~start ~stop (fun start stop owner ->
+      out := { start; stop; owner } :: !out);
   List.rev !out
 
 (* Owner of a single element. *)
@@ -71,50 +90,74 @@ let owner_at t idx =
 
 (* Record that [owner] has written [start, stop): existing segments are
    split/absorbed and the new segment is merged with equal-owner
-   neighbors. *)
+   neighbors.
+
+   Most writes in a steady-state loop land inside a segment their
+   writer already owns, where that sequence would split the segment,
+   remove the middle and merge all three pieces back: the map ends as
+   it began.  Such a write leaves the map alone and charges exactly
+   the ops the sequence would have: a split (3) or a miss (1) at each
+   end, the removal walk's first entry, the removal, both merge probes
+   and the insert (5), and the walk's terminating entry when one
+   follows the range. *)
 let write t ~start ~stop ~owner =
   check_range t ~start ~stop ~what:"write";
-  (* Split a segment straddling [at]. *)
-  let split at =
-    match M.floor t.map at with
-    | Some (s, (e, o)) when s < at && at < e ->
-      bump t 3;
-      M.add t.map s (at, o);
-      M.add t.map at (e, o)
-    | _ -> bump t 1
-  in
-  split start;
-  split stop;
-  (* Remove all segments fully inside [start, stop). *)
-  let doomed = ref [] in
-  M.iter_from t.map start (fun s (_, _) ->
-      bump t 1;
-      if s < stop then begin
-        doomed := s :: !doomed;
-        true
+  let seg = holding t start in
+  if seg.owner = owner && stop <= seg.stop then
+    bump t
+      ((if seg.start < start then 3 else 1)
+       + (if stop < seg.stop then 3 else 1)
+       + 5
+       + if stop < t.len then 1 else 0)
+  else begin
+    (* Split a segment straddling [at]. *)
+    let split at =
+      let seg = holding t at in
+      if seg.start < at && at < seg.stop then begin
+        bump t 3;
+        M.add t.map seg.start { seg with stop = at };
+        M.add t.map at { seg with start = at }
       end
-      else false);
-  List.iter
-    (fun s ->
-       bump t 1;
-       M.remove t.map s)
-    !doomed;
-  (* Insert, then merge with equal-owner neighbors. *)
-  let seg_start = ref start and seg_stop = ref stop in
-  (match M.floor t.map (start - 1) with
-   | Some (s, (e, o)) when e = start && o = owner ->
-     bump t 1;
-     M.remove t.map s;
-     seg_start := s
-   | _ -> bump t 1);
-  (match M.floor t.map stop with
-   | Some (s, (e, o)) when s = stop && o = owner ->
-     bump t 1;
-     M.remove t.map s;
-     seg_stop := e
-   | _ -> bump t 1);
-  bump t 1;
-  M.add t.map !seg_start (!seg_stop, owner)
+      else bump t 1
+    in
+    split start;
+    split stop;
+    (* Remove all segments fully inside [start, stop). *)
+    let doomed = ref [] in
+    M.iter_from t.map start (fun s _ ->
+        bump t 1;
+        if s < stop then begin
+          doomed := s :: !doomed;
+          true
+        end
+        else false);
+    List.iter
+      (fun s ->
+         bump t 1;
+         M.remove t.map s)
+      !doomed;
+    (* Insert, then merge with equal-owner neighbors. *)
+    let seg_start =
+      let left = holding t (start - 1) in
+      bump t 1;
+      if left.stop = start && left.owner = owner then begin
+        M.remove t.map left.start;
+        left.start
+      end
+      else start
+    in
+    let seg_stop =
+      let right = holding t stop in
+      bump t 1;
+      if right.start = stop && right.owner = owner then begin
+        M.remove t.map right.start;
+        right.stop
+      end
+      else stop
+    in
+    bump t 1;
+    M.add t.map seg_start { start = seg_start; stop = seg_stop; owner }
+  end
 
 (* The segments a given owner holds, in order — for owner = a device
    id, exactly the ranges whose only fresh copy that device has (one
@@ -123,9 +166,9 @@ let write t ~start ~stop ~owner =
    dies must be re-synced from elsewhere or recomputed. *)
 let owned_by t ~owner =
   let out = ref [] in
-  M.iter t.map (fun s (e, o) ->
+  M.iter t.map (fun _ seg ->
       bump t 1;
-      if o = owner then out := { start = s; stop = e; owner = o } :: !out);
+      if seg.owner = owner then out := seg :: !out);
   List.rev !out
 
 (* Elements a given owner holds (sum of its segment lengths). *)
@@ -135,7 +178,7 @@ let owned_count t ~owner =
 (* All segments, in order. *)
 let segments t =
   let out = ref [] in
-  M.iter t.map (fun s (e, o) -> out := { start = s; stop = e; owner = o } :: !out);
+  M.iter t.map (fun _ seg -> out := seg :: !out);
   List.rev !out
 
 (* Verify the tracker invariants: full coverage, no overlap, sorted,

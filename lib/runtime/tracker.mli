@@ -28,12 +28,25 @@ val query : t -> start:int -> stop:int -> segment list
 (** The segments overlapping [start, stop), clipped to it, in order.
     The result covers every element of the range. *)
 
+val iter_range :
+  t -> start:int -> stop:int -> (int -> int -> int -> unit) -> unit
+(** [iter_range t ~start ~stop f] calls [f start stop owner] for each
+    segment overlapping [start, stop), clipped to it, in order: {!query}
+    without building the list, charging the same ops. *)
+
+val segment_at : t -> int -> segment
+(** The whole (unclipped) segment holding an element, for one op. *)
+
 val owner_at : t -> int -> int
 (** Owner of a single element. *)
 
 val write : t -> start:int -> stop:int -> owner:int -> unit
 (** Record that [owner] wrote [start, stop): existing segments are
-    split or absorbed and equal-owner neighbours are merged. *)
+    split or absorbed and equal-owner neighbours are merged.  A write
+    inside one segment [owner] already holds leaves the segments as
+    they are and charges the ops the split/merge sequence would have:
+    [(s < start ? 3 : 1) + (stop < e ? 3 : 1) + 5 + (stop < len ? 1 : 0)]
+    for that segment [\[s, e)]. *)
 
 val owned_by : t -> owner:int -> segment list
 (** The segments [owner] holds, in order.  One owner per segment, so

@@ -94,19 +94,17 @@ let free t =
    instances start zero-filled and identical, so every device replica
    is born fresh; the host has no copy yet. *)
 let validity t =
-  match t.validity with
-  | Some v -> Some v
-  | None ->
-    if Gpusim.Machine.fault_state t.machine = None then None
-    else begin
-      let n = n_devices t in
-      let v =
-        Array.init (n + 1) (fun i ->
-            Tracker.create ~len:t.len ~initial_owner:(if i < n then 1 else 0))
-      in
-      t.validity <- Some v;
-      Some v
-    end
+  match (t.validity, Gpusim.Machine.fault_state t.machine) with
+  | (Some _ as v), _ -> v
+  | None, None -> None
+  | None, Some _ ->
+    let n = n_devices t in
+    let v =
+      Array.init (n + 1) (fun i ->
+          Tracker.create ~len:t.len ~initial_owner:(if i < n then 1 else 0))
+    in
+    t.validity <- Some v;
+    t.validity
 
 let host_slot t = n_devices t
 
@@ -146,15 +144,23 @@ let check_host_array t ~what a =
           devices"
          what t.name (Array.length a) t.len (n_devices t))
 
+let rec in_bounds len = function
+  | [] -> true
+  | (start, stop) :: rest ->
+    0 <= start && start < stop && stop <= len && in_bounds len rest
+
 (* Clamp a range list to the buffer: enumerators over-approximate, so a
    range may start below 0 or reach past [len]; empty and fully
-   out-of-bounds ranges are dropped (the tracker rejects them). *)
+   out-of-bounds ranges are dropped (the tracker rejects them).  A list
+   already in bounds, the common case, comes back as it is. *)
 let clamp_ranges t ranges =
-  List.filter_map
-    (fun (start, stop) ->
-       let start = max 0 start and stop = min stop t.len in
-       if stop > start then Some (start, stop) else None)
-    ranges
+  if in_bounds t.len ranges then ranges
+  else
+    List.filter_map
+      (fun (start, stop) ->
+         let start = max 0 start and stop = min stop t.len in
+         if stop > start then Some (start, stop) else None)
+      ranges
 
 (* --- Segment residency and spill-to-host ------------------------------- *)
 
@@ -170,7 +176,9 @@ let clamp_ranges t ranges =
    free, since the protocol re-fetches them on the next read anyway.
    The LRU stamps are only ever compared by the eviction loop, so on an
    unlimited machine, where nothing evicts, [ensure_resident] writes a
-   stamp only when a range gains bytes. *)
+   stamp only when a range gains bytes, and a range inside one resident
+   segment costs it a single lookup.  Residency-tracker ops are never
+   charged to simulated time. *)
 
 let resident_bytes t ~dev =
   if dev < 0 || dev >= Array.length t.charged then 0 else t.charged.(dev)
@@ -283,52 +291,61 @@ let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
   in
   let eb = elem_bytes t in
   let unlimited = Gpusim.Machine.mem_capacity t.machine = max_int in
+  (* On an unlimited machine a range inside one resident segment has
+     no bytes to charge and no stamp worth writing. *)
+  let fully_resident (start, stop) =
+    let seg = Tracker.segment_at t.residency.(dev) start in
+    seg.owner > 0 && seg.Tracker.stop >= stop
+  in
+  let make_resident (start, stop) =
+    let segs = Tracker.query t.residency.(dev) ~start ~stop in
+    let missing =
+      List.fold_left
+        (fun acc (seg : Tracker.segment) ->
+           if seg.owner = 0 then acc + (seg.Tracker.stop - seg.Tracker.start)
+           else acc)
+        0 segs
+    in
+    let needed = missing * eb in
+    if needed > Gpusim.Machine.mem_free t.machine dev then begin
+      (* Re-stamp the already-resident parts first: from now on the
+         eviction loop below cannot pick them. *)
+      List.iter
+        (fun (seg : Tracker.segment) ->
+           if seg.owner > 0 then
+             Tracker.write t.residency.(dev) ~start:seg.Tracker.start
+               ~stop:seg.Tracker.stop ~owner:stamp)
+        segs;
+      let pool = if List.memq t pool then pool else t :: pool in
+      while Gpusim.Machine.mem_free t.machine dev < needed do
+        match coldest pool ~dev ~stamp with
+        | Some (v, seg) ->
+          ignore
+            (spill_range ~cfg v ~dev ~start:seg.Tracker.start
+               ~stop:seg.Tracker.stop)
+        | None ->
+          raise
+            (Gpusim.Machine.Out_of_memory
+               {
+                 device = dev;
+                 requested = needed;
+                 free = Gpusim.Machine.mem_free t.machine dev;
+               })
+      done
+    end;
+    if needed > 0 then begin
+      Gpusim.Machine.mem_reserve t.machine ~device:dev ~bytes:needed;
+      t.charged.(dev) <- t.charged.(dev) + needed
+    end;
+    (* Without a capacity limit no eviction ever runs, so stamps are
+       never compared: a range already fully resident keeps its old
+       ones. *)
+    if needed > 0 || not unlimited then
+      Tracker.write t.residency.(dev) ~start ~stop ~owner:stamp
+  in
   List.iter
-    (fun (start, stop) ->
-       let segs = Tracker.query t.residency.(dev) ~start ~stop in
-       let missing =
-         List.fold_left
-           (fun acc (seg : Tracker.segment) ->
-              if seg.owner = 0 then acc + (seg.Tracker.stop - seg.Tracker.start)
-              else acc)
-           0 segs
-       in
-       let needed = missing * eb in
-       if needed > Gpusim.Machine.mem_free t.machine dev then begin
-         (* Re-stamp the already-resident parts first: from now on the
-            eviction loop below cannot pick them. *)
-         List.iter
-           (fun (seg : Tracker.segment) ->
-              if seg.owner > 0 then
-                Tracker.write t.residency.(dev) ~start:seg.Tracker.start
-                  ~stop:seg.Tracker.stop ~owner:stamp)
-           segs;
-         let pool = if List.memq t pool then pool else t :: pool in
-         while Gpusim.Machine.mem_free t.machine dev < needed do
-           match coldest pool ~dev ~stamp with
-           | Some (v, seg) ->
-             ignore
-               (spill_range ~cfg v ~dev ~start:seg.Tracker.start
-                  ~stop:seg.Tracker.stop)
-           | None ->
-             raise
-               (Gpusim.Machine.Out_of_memory
-                  {
-                    device = dev;
-                    requested = needed;
-                    free = Gpusim.Machine.mem_free t.machine dev;
-                  })
-         done
-       end;
-       if needed > 0 then begin
-         Gpusim.Machine.mem_reserve t.machine ~device:dev ~bytes:needed;
-         t.charged.(dev) <- t.charged.(dev) + needed
-       end;
-       (* Without a capacity limit no eviction ever runs, so stamps are
-          never compared: a range already fully resident keeps its
-          old ones. *)
-       if needed > 0 || not unlimited then
-         Tracker.write t.residency.(dev) ~start ~stop ~owner:stamp)
+    (fun range ->
+       if not (unlimited && fully_resident range) then make_resident range)
     (clamp_ranges t ranges)
 
 (* How many elements of [start, stop) could be made resident on [dev]
@@ -566,27 +583,25 @@ let sync_for_read ?(cfg = Rconfig.alpha) ?(batch = false) ?(pool = []) ?stamp
       in
       List.iter
         (fun (start, stop) ->
-           List.iter
-             (fun { Tracker.start = s; stop = e; owner } ->
-                if owner = Tracker.host then begin
-                  (* Host-owned segments cannot join a packed
-                     device-to-device transfer; upload each directly. *)
-                  incr transfers;
-                  fetch_from_host t ~dev ~start:s ~len:(e - s) ~do_data;
-                  mark_fresh t ~who:dev ~start:s ~stop:e
-                end
-                else if owner <> dev then begin
-                  let slot =
-                    match Hashtbl.find_opt per_owner owner with
-                    | Some l -> l
-                    | None ->
-                      let l = ref [] in
-                      Hashtbl.replace per_owner owner l;
-                      l
-                  in
-                  slot := (s, s, e - s) :: !slot
-                end)
-             (Tracker.query t.tracker ~start ~stop))
+           Tracker.iter_range t.tracker ~start ~stop (fun s e owner ->
+               if owner = Tracker.host then begin
+                 (* Host-owned segments cannot join a packed
+                    device-to-device transfer; upload each directly. *)
+                 incr transfers;
+                 fetch_from_host t ~dev ~start:s ~len:(e - s) ~do_data;
+                 mark_fresh t ~who:dev ~start:s ~stop:e
+               end
+               else if owner <> dev then begin
+                 let slot =
+                   match Hashtbl.find_opt per_owner owner with
+                   | Some l -> l
+                   | None ->
+                     let l = ref [] in
+                     Hashtbl.replace per_owner owner l;
+                     l
+                 in
+                 slot := (s, s, e - s) :: !slot
+               end))
         ranges;
       Hashtbl.iter
         (fun owner segs ->
@@ -602,22 +617,20 @@ let sync_for_read ?(cfg = Rconfig.alpha) ?(batch = false) ?(pool = []) ?stamp
     else
       List.iter
         (fun (start, stop) ->
-           List.iter
-             (fun { Tracker.start = s; stop = e; owner } ->
-                if owner = Tracker.host then begin
-                  incr transfers;
-                  fetch_from_host t ~dev ~start:s ~len:(e - s) ~do_data;
-                  mark_fresh t ~who:dev ~start:s ~stop:e
-                end
-                else if owner <> dev then begin
-                  incr transfers;
-                  if do_data then
-                    Gpusim.Machine.p2p t.machine ~src:t.instances.(owner)
-                      ~src_off:s ~dst:t.instances.(dev) ~dst_off:s
-                      ~len:(e - s);
-                  mark_fresh t ~who:dev ~start:s ~stop:e
-                end)
-             (Tracker.query t.tracker ~start ~stop))
+           Tracker.iter_range t.tracker ~start ~stop (fun s e owner ->
+               if owner = Tracker.host then begin
+                 incr transfers;
+                 fetch_from_host t ~dev ~start:s ~len:(e - s) ~do_data;
+                 mark_fresh t ~who:dev ~start:s ~stop:e
+               end
+               else if owner <> dev then begin
+                 incr transfers;
+                 if do_data then
+                   Gpusim.Machine.p2p t.machine ~src:t.instances.(owner)
+                     ~src_off:s ~dst:t.instances.(dev) ~dst_off:s
+                     ~len:(e - s);
+                 mark_fresh t ~who:dev ~start:s ~stop:e
+               end))
         ranges;
     !transfers
   end

@@ -10,17 +10,30 @@ open Gpusim
 
 (* ---------------- Timeline ---------------- *)
 
+(* Schedule one op, then read its (start, finish) off the clock cell. *)
+let last_op t =
+  let c = Timeline.clock t in
+  (c.(1), c.(2))
+
+let sched t ~after ~duration ~category =
+  Timeline.schedule t ~after ~duration ~category;
+  last_op t
+
+let sched_at t ~start ~duration ~category =
+  Timeline.schedule_at t ~start ~duration ~category;
+  last_op t
+
 let test_timeline_order () =
   let t = Timeline.create "t" in
-  let s1, e1 = Timeline.schedule t ~after:0.0 ~duration:1.0 ~category:"a" in
+  let s1, e1 = sched t ~after:0.0 ~duration:1.0 ~category:"a" in
   checkf "starts at 0" 0.0 s1;
   checkf "ends at 1" 1.0 e1;
   (* next op cannot start before the previous completes *)
-  let s2, e2 = Timeline.schedule t ~after:0.5 ~duration:0.25 ~category:"a" in
+  let s2, e2 = sched t ~after:0.5 ~duration:0.25 ~category:"a" in
   checkf "serialized start" 1.0 s2;
   checkf "serialized end" 1.25 e2;
   (* an op issued after idle time starts at its issue time *)
-  let s3, _ = Timeline.schedule t ~after:5.0 ~duration:0.1 ~category:"b" in
+  let s3, _ = sched t ~after:5.0 ~duration:0.1 ~category:"b" in
   checkf "idle gap respected" 5.0 s3;
   checkf "busy a" 1.25 (Timeline.busy_in t "a");
   checkf "busy b" 0.1 (Timeline.busy_in t "b");
@@ -73,10 +86,10 @@ let test_timeline_categories_sorted () =
    reservation ends — while ready still covers every finish. *)
 let test_timeline_schedule_at () =
   let t = Timeline.create "t" in
-  let s1, e1 = Timeline.schedule_at t ~start:10.0 ~duration:2.0 ~category:"bus" in
+  let s1, e1 = sched_at t ~start:10.0 ~duration:2.0 ~category:"bus" in
   checkf "parked start" 10.0 s1;
   checkf "parked end" 12.0 e1;
-  let s2, e2 = Timeline.schedule_at t ~start:1.0 ~duration:3.0 ~category:"bus" in
+  let s2, e2 = sched_at t ~start:1.0 ~duration:3.0 ~category:"bus" in
   checkf "backfilled start not clamped" 1.0 s2;
   checkf "backfilled end" 4.0 e2;
   checkf "ready covers the latest finish" 12.0 (Timeline.ready t);
@@ -706,7 +719,8 @@ let prop_link_matches_oracle =
            let start = !now +. dready in
            let got =
              Link.admit ~now:!now ~start
-               (List.map (fun (i, o) -> (links.(i), o)) legs)
+               (Array.of_list (List.map (fun (i, _) -> links.(i)) legs))
+               (Array.of_list (List.map snd legs))
            in
            let want =
              Oracle.admit ~now:!now ~start
@@ -723,18 +737,18 @@ let prop_link_matches_oracle =
 let test_link_coalesces () =
   let l = Link.create "bus" in
   for i = 0 to 999 do
-    let s = Link.admit ~now:0.0 ~start:0.0 [ (l, 1.0) ] in
+    let s = Link.admit ~now:0.0 ~start:0.0 [| l |] [| 1.0 |] in
     checkf "back to back" (float_of_int i) s
   done;
   checkb "one coalesced interval" true (Link.reservations l = [ (0.0, 1000.0) ]);
   checkf "busy accounted" 1000.0 (Timeline.busy_in (Link.timeline l) "bus");
   (* a gap left open is still found by backfill, and closing it merges
      both sides *)
-  ignore (Link.admit ~now:0.0 ~start:1001.0 [ (l, 1.0) ]);
-  checkf "backfill" 1000.0 (Link.admit ~now:0.0 ~start:0.0 [ (l, 1.0) ]);
+  ignore (Link.admit ~now:0.0 ~start:1001.0 [| l |] [| 1.0 |]);
+  checkf "backfill" 1000.0 (Link.admit ~now:0.0 ~start:0.0 [| l |] [| 1.0 |]);
   checkb "gap closed" true (Link.reservations l = [ (0.0, 1002.0) ]);
   (* drained reservations are dropped at the next admission *)
-  checkf "after drain" 2000.0 (Link.admit ~now:2000.0 ~start:2000.0 [ (l, 1.0) ]);
+  checkf "after drain" 2000.0 (Link.admit ~now:2000.0 ~start:2000.0 [| l |] [| 1.0 |]);
   checkb "drained" true (Link.reservations l = [ (2000.0, 2001.0) ])
 
 (* ---------------- Transfer accounting ---------------- *)
@@ -807,6 +821,40 @@ let test_uncapped_hotspot_residency () =
     checki "read set resident (b)" (rows * n * eb) (Vbuf.resident_bytes b ~dev:d)
   done
 
+(* ---------------- Hot-path allocation ---------------- *)
+
+(* Minor words allocated per call of [f], over [n] calls after one
+   warm-up call (which may grow a link's reservation window). *)
+let words_per_call n f =
+  f 0;
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* The simulator's per-op host work allocates next to nothing with
+   tracing, causal recording and faults off: a paper-scale run issues
+   millions of these, and every minor word shows up in host time. *)
+let test_hot_path_allocation () =
+  let m = Machine.create (Config.k80_box ~n_devices:4 ()) in
+  let bufs = Array.init 4 (fun d -> Machine.alloc m ~device:d ~len:1024) in
+  let run () = () in
+  let bounded name bound f =
+    let w = words_per_call 10_000 f in
+    Printf.printf "%s: %.1f minor words per call\n" name w;
+    if w > bound then
+      Alcotest.failf "%s allocates %.1f minor words per call (bound %.0f)"
+        name w bound
+  in
+  bounded "Machine.p2p" 16.0 (fun i ->
+      Machine.p2p m ~src:bufs.(i mod 4) ~src_off:0
+        ~dst:bufs.((i + 1) mod 4) ~dst_off:0 ~len:256);
+  bounded "Machine.launch" 16.0 (fun i ->
+      Machine.launch m ~device:(i mod 4) ~blocks:64 ~ops_per_block:1e4 ~run);
+  bounded "Machine.host_work" 4.0 (fun _ ->
+      Machine.host_work m ~seconds:1e-6 ~category:"pattern")
+
 (* Scheduled losses that could never fire are rejected, not ignored. *)
 let test_faults_reject_impossible_losses () =
   List.iter
@@ -873,6 +921,8 @@ let () =
           Alcotest.test_case "p2p waits source" `Quick test_p2p_waits_src_compute;
           Alcotest.test_case "sync after drain" `Quick
             test_sync_charged_after_drain;
+          Alcotest.test_case "hot-path allocation" `Quick
+            test_hot_path_allocation;
         ] );
       ( "data",
         [

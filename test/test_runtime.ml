@@ -220,6 +220,168 @@ let prop_tracker_model =
             && Array.for_all (fun c -> c) covered)
         ops)
 
+(* The split/remove/merge tracker that [Tracker] refined, kept as the
+   differential oracle: every write splits at both ends, removes the
+   covered segments, re-inserts and merges, charging one op per B-tree
+   step; a query walks the covered entries into a list. *)
+module Oracle_tracker = struct
+  type t = { map : (int * int) M.tree; mutable ops : int }
+
+  let create ~len ~initial_owner =
+    let map = M.create () in
+    M.add map 0 (len, initial_owner);
+    { map; ops = 1 }
+
+  let bump t n = t.ops <- t.ops + n
+
+  let query t ~start ~stop =
+    bump t 1;
+    let out = ref [] in
+    let from_key =
+      match M.floor t.map start with Some (k, _) -> k | None -> start
+    in
+    M.iter_from t.map from_key (fun s (e, owner) ->
+        bump t 1;
+        if s >= stop then false
+        else begin
+          if e > start then
+            out := { Tracker.start = max s start; stop = min e stop; owner } :: !out;
+          true
+        end);
+    List.rev !out
+
+  let write t ~start ~stop ~owner =
+    let split at =
+      match M.floor t.map at with
+      | Some (s, (e, o)) when s < at && at < e ->
+        bump t 3;
+        M.add t.map s (at, o);
+        M.add t.map at (e, o)
+      | _ -> bump t 1
+    in
+    split start;
+    split stop;
+    let doomed = ref [] in
+    M.iter_from t.map start (fun s _ ->
+        bump t 1;
+        if s < stop then begin
+          doomed := s :: !doomed;
+          true
+        end
+        else false);
+    List.iter
+      (fun s ->
+         bump t 1;
+         M.remove t.map s)
+      !doomed;
+    let seg_start = ref start and seg_stop = ref stop in
+    (match M.floor t.map (start - 1) with
+     | Some (s, (e, o)) when e = start && o = owner ->
+       bump t 1;
+       M.remove t.map s;
+       seg_start := s
+     | _ -> bump t 1);
+    (match M.floor t.map stop with
+     | Some (s, (e, o)) when s = stop && o = owner ->
+       bump t 1;
+       M.remove t.map s;
+       seg_stop := e
+     | _ -> bump t 1);
+    bump t 1;
+    M.add t.map !seg_start (!seg_stop, owner)
+
+  let segments t =
+    List.map (fun (s, (e, o)) -> { Tracker.start = s; stop = e; owner = o })
+      (M.to_list t.map)
+end
+
+(* One differential step.  [Rewrite] picks, when it runs, an existing
+   segment and a sub-range of it by fractions and writes it with the
+   segment's own owner: the no-op shapes a steady-state loop takes,
+   which random ranges rarely hit. *)
+type tracker_step =
+  | Write of int * int * int (* two endpoints, owner *)
+  | Rewrite of int * int * int (* segment pick, two endpoint picks *)
+  | Query of int * int
+  | Iter of int * int
+
+let gen_tracker_step =
+  QCheck.Gen.(
+    let owner = int_range (-1) 3 and pick = int_range 0 1000 in
+    frequency
+      [
+        (3, map3 (fun a b o -> Write (a, b, o)) pick pick owner);
+        (3, map3 (fun i a b -> Rewrite (i, a, b)) pick pick pick);
+        (1, map2 (fun a b -> Query (a, b)) pick pick);
+        (1, map2 (fun a b -> Iter (a, b)) pick pick);
+      ])
+
+let print_tracker_step = function
+  | Write (a, b, o) -> Printf.sprintf "W(%d,%d,o%d)" a b o
+  | Rewrite (i, a, b) -> Printf.sprintf "R(%d,%d,%d)" i a b
+  | Query (a, b) -> Printf.sprintf "Q(%d,%d)" a b
+  | Iter (a, b) -> Printf.sprintf "I(%d,%d)" a b
+
+let prop_tracker_matches_oracle =
+  QCheck.Test.make ~name:"tracker matches the split/merge oracle" ~count:600
+    (QCheck.make
+       ~print:(fun (len, o, steps) ->
+         Printf.sprintf "len=%d owner=%d %s" len o
+           (String.concat " " (List.map print_tracker_step steps)))
+       QCheck.Gen.(
+         triple (int_range 1 64) (int_range (-1) 3)
+           (list_size (int_range 1 80) gen_tracker_step)))
+    (fun (len, initial_owner, steps) ->
+      let t = Tracker.create ~len ~initial_owner in
+      let o = Oracle_tracker.create ~len ~initial_owner in
+      (* A range [lo, hi) inside [0, len) from two picks. *)
+      let range ~base ~span a b =
+        let a = base + (a mod span) and b = base + (b mod span) in
+        (min a b, max a b + 1)
+      in
+      let same_delta f g =
+        let t0 = Tracker.ops t and o0 = o.Oracle_tracker.ops in
+        let got = f () and want = g () in
+        got = want && Tracker.ops t - t0 = o.Oracle_tracker.ops - o0
+      in
+      List.for_all
+        (fun step ->
+           let ok =
+             match step with
+             | Write (a, b, owner) ->
+               let start, stop = range ~base:0 ~span:len a b in
+               same_delta
+                 (fun () -> Tracker.write t ~start ~stop ~owner)
+                 (fun () -> Oracle_tracker.write o ~start ~stop ~owner)
+             | Rewrite (i, a, b) ->
+               let segs = Tracker.segments t in
+               let seg = List.nth segs (i mod List.length segs) in
+               let start, stop =
+                 range ~base:seg.Tracker.start
+                   ~span:(seg.Tracker.stop - seg.Tracker.start) a b
+               in
+               let owner = seg.Tracker.owner in
+               same_delta
+                 (fun () -> Tracker.write t ~start ~stop ~owner)
+                 (fun () -> Oracle_tracker.write o ~start ~stop ~owner)
+             | Query (a, b) ->
+               let start, stop = range ~base:0 ~span:len a b in
+               same_delta
+                 (fun () -> Tracker.query t ~start ~stop)
+                 (fun () -> Oracle_tracker.query o ~start ~stop)
+             | Iter (a, b) ->
+               let start, stop = range ~base:0 ~span:len a b in
+               same_delta
+                 (fun () ->
+                    let out = ref [] in
+                    Tracker.iter_range t ~start ~stop (fun start stop owner ->
+                        out := { Tracker.start; stop; owner } :: !out);
+                    List.rev !out)
+                 (fun () -> Oracle_tracker.query o ~start ~stop)
+           in
+           ok && Tracker.segments t = Oracle_tracker.segments o)
+        steps)
+
 (* Ownership queries never lose or double-count an element: after any
    sequence of random owned-range writes, the per-owner segment lists
    partition the index space exactly like the flat model, stay
@@ -574,16 +736,49 @@ let test_vbuf_range_clamping () =
   checki "tail owned" 1 (Tracker.owner_at (Vbuf.tracker vb) 99);
   checki "middle untouched" 2 (Tracker.owner_at (Vbuf.tracker vb) 60)
 
-(* Tracker op accounting increases monotonically and reset works. *)
+(* Tracker op counts are charged to simulated time as the runtime's
+   "pattern" seconds, so they are pinned exactly, by hand, for every
+   write shape: a change that moves them must fail here. *)
 let test_tracker_ops_accounting () =
   let t = Tracker.create ~len:100 ~initial_owner:0 in
-  let o0 = Tracker.ops t in
-  ignore (Tracker.query t ~start:0 ~stop:100);
-  checkb "query counted" true (Tracker.ops t > o0);
+  checki "create" 1 (Tracker.ops t);
   Tracker.reset_ops t;
   checki "reset" 0 (Tracker.ops t);
-  Tracker.write t ~start:10 ~stop:20 ~owner:1;
-  checkb "write counted" true (Tracker.ops t > 0)
+  let charged what expected f =
+    let before = Tracker.ops t in
+    f ();
+    checki what expected (Tracker.ops t - before)
+  in
+  let write start stop owner () = Tracker.write t ~start ~stop ~owner in
+  (* Splits at both ends (3 + 3), the removal walk's two entries, the
+     removal, two merge probes and the insert. *)
+  charged "interior write" 12 (write 10 20 1);
+  (* No split at 0, a split at 5, and no left neighbour to probe. *)
+  charged "write at 0" 10 (write 0 5 2);
+  (* A split at 90, none at [len], and no entry after the range. *)
+  charged "write ending at len" 9 (write 90 100 3);
+  let segs () =
+    List.map (fun s -> Tracker.(s.start, s.stop, s.owner)) (Tracker.segments t)
+  in
+  let before = segs () in
+  (* Writes inside a segment their owner already holds ([20, 90) is
+     device 0's): (s < start ? 3 : 1) + (stop < e ? 3 : 1) + 5 +
+     (stop < len ? 1 : 0). *)
+  charged "no-op, inside both ends" 12 (write 30 40 0);
+  charged "no-op, from the segment start" 10 (write 20 40 0);
+  charged "no-op, to the segment end" 10 (write 30 90 0);
+  charged "no-op, the whole segment" 8 (write 20 90 0);
+  charged "no-op, ending at len" 9 (write 95 100 3);
+  Alcotest.(check (list (triple int int int)))
+    "no-op writes keep the segments" before (segs ());
+  (* One op for the descent, one per entry from the floor of 7 up to
+     the first one starting at or past 85: [5,10), [10,20), [20,90) and
+     the terminating [90,100). *)
+  charged "query over three segments" 5 (fun () ->
+      checki "three segments" 3
+        (List.length (Tracker.query t ~start:7 ~stop:85)));
+  charged "iter_range charges like query" 5 (fun () ->
+      Tracker.iter_range t ~start:7 ~stop:85 (fun _ _ _ -> ()))
 
 let test_rconfig () =
   checkb "alpha valid" true (Rconfig.is_valid Rconfig.alpha);
@@ -614,6 +809,7 @@ let () =
           Alcotest.test_case "spanning write" `Quick test_tracker_spanning_write;
           qtest prop_tracker_model;
           qtest prop_tracker_ownership;
+          qtest prop_tracker_matches_oracle;
         ] );
       ( "vbuf",
         [
