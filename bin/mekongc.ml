@@ -198,8 +198,8 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "host domains (OS threads) for domain-parallel kernel execution of \
-           race-free kernels; 1 forces sequential execution (default: \
+          "size of the domain pool (host OS threads) that splits race-free \
+           kernels' blocks; 1 forces sequential execution (default: \
            \\$MEKONG_DOMAINS, else the machine's recommended domain count)")
 
 (* Validated before it reaches the pool: a non-positive count is a
@@ -329,9 +329,6 @@ let run_cmd =
      | Some c when c <= 0 -> die "--mem-cap must be positive (got %d)" c
      | _ -> ());
     let device_speeds = device_speeds_of ~gpus speeds in
-    (* The shared pool is sized from the default at first use; a
-       --domains larger than the machine's recommended count would
-       otherwise be silently capped by a smaller pool. *)
     set_domains domains;
     if trace <> None then enable_observability ();
     let artifacts = compile_app app in
@@ -349,7 +346,7 @@ let run_cmd =
     end;
     inject_faults machine faults;
     let res =
-      Mekong.Multi_gpu.run ?domains ~overlap ~autotune ~machine
+      Mekong.Multi_gpu.run ~overlap ~autotune ~machine
         artifacts.Mekong.Toolchain.exe
     in
     let stats = Gpusim.Machine.stats machine in
@@ -517,7 +514,7 @@ let serve_cmd =
       Gpusim.Config.k80_box ~n_devices:gpus ?mem_capacity:mem_cap ()
     in
     let cfg =
-      try Serve.Scheduler.config ~max_queue ~losses ?domains fleet
+      try Serve.Scheduler.config ~max_queue ~losses fleet
       with Invalid_argument m -> die "%s" m
     in
     let r =
@@ -586,7 +583,7 @@ let profile_cmd =
     Gpusim.Machine.enable_causal machine;
     inject_faults machine faults;
     let res =
-      Mekong.Multi_gpu.run ?domains ~overlap ~machine
+      Mekong.Multi_gpu.run ~overlap ~machine
         artifacts.Mekong.Toolchain.exe
     in
     let report = Mekong.Profile.collect ~result:res machine in
@@ -690,7 +687,7 @@ let analyze_cmd =
         if trace <> None then Gpusim.Machine.enable_trace machine;
         inject_faults machine faults;
         ignore
-          (Mekong.Multi_gpu.run ?domains ~overlap ~autotune ~machine
+          (Mekong.Multi_gpu.run ~overlap ~autotune ~machine
              artifacts.Mekong.Toolchain.exe);
         (Option.get (Gpusim.Machine.causal_dag machine), Some machine)
       | None ->

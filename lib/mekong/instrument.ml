@@ -42,32 +42,23 @@ let shadow_kernel (k : Kir.t) : Kir.t =
 let shadow_cost shadow ~scalar_env ~block =
   Costmodel.ops_per_block shadow ~scalar_env ~block
 
-(* Run the (already partition-transformed) shadow kernel over one
-   partition and collect, per instrumented array, the canonical list of
-   written ranges.  [data] must return the device-local instances (the
-   read sets were synchronized before instrumentation): the shadow
-   loads from them but stores into per-array scratch, so the device is
-   never written, and each instrumented array's touched mask records
-   the offsets written.  Writes to other arrays are ignored. *)
-let collect_writes ~compiled ~shadow ~grid ~block ~args ~arrays ~data =
+(* Collect, per instrumented array, the canonical list of ranges one
+   partition's shadow launch writes.  [run] launches the (already
+   partition-transformed) shadow with the given access records: they
+   load from the device-local instances [data] names (the read sets
+   were synchronized before instrumentation) but store into per-array
+   scratch, so the device is never written, and each instrumented
+   array's touched mask records the offsets written.  Writes to other
+   arrays are ignored. *)
+let collect_writes ~arrays ~data run =
   let masks = List.map (fun a -> (a, Array.make (Array.length (data a)) false)) arrays in
-  let access a =
-    let d = data a in
-    {
-      Kcompile.loads = d;
-      stores = Array.make (Array.length d) 0.0;
-      touched = List.assoc_opt a masks;
-    }
-  in
-  (* The recording store only marks offsets, so execution order cannot
-     matter — but shadows instrument *unanalyzable* writes, for which
-     no race-freedom proof exists, so they run sequentially. *)
-  (match compiled with
-   | Some (Ok ck : (Kcompile.t, string) result) ->
-     ignore (Kcompile.run ck ~access : [ `Seq | `Par of int ])
-   | Some (Error _) | None ->
-     let load, store = Kcompile.callbacks access in
-     Keval.run shadow ~grid ~block ~args ~load ~store);
+  run (fun a ->
+      let d = data a in
+      {
+        Kcompile.loads = d;
+        stores = Array.make (Array.length d) 0.0;
+        touched = List.assoc_opt a masks;
+      });
   (* Maximal runs of written offsets, ascending: already canonical. *)
   let ranges mask =
     let n = Array.length mask in

@@ -19,22 +19,16 @@ val shadow_cost :
 (** Simulated cost of one instrumentation launch. *)
 
 val collect_writes :
-  compiled:(Kcompile.t, string) result option ->
-  shadow:Kir.t ->
-  grid:Dim3.t ->
-  block:Dim3.t ->
-  args:Keval.arg list ->
   arrays:string list ->
   data:(string -> float array) ->
+  ((string -> Kcompile.access) -> unit) ->
   (string * (int * int) list) list
-(** Run the (partition-transformed) shadow over one partition's grid
-    and return, per instrumented array, the canonical written ranges.
-    [data] names each array's device-local instance: the shadow loads
-    from it, stores into scratch and marks a per-array touched mask,
-    from which the ranges are read.
-    [compiled], when [Some (Ok _)], must be [shadow] compiled by
-    {!Kcompile} for the same launch shape and is executed
-    (sequentially) instead of the interpreter. *)
+(** [collect_writes ~arrays ~data run] calls [run access] once to
+    launch the (partition-transformed) shadow over one partition, and
+    returns, per instrumented array, the canonical written ranges.
+    [access] loads from the device-local instance [data] names, stores
+    into scratch and marks a per-array touched mask, from which the
+    ranges are read. *)
 
 val check_disjoint : arr:string -> (int * (int * int) list) list -> unit
 (** Dynamic write-after-write check across partitions; raises

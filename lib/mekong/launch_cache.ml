@@ -85,50 +85,23 @@ type plan = {
          executes exactly the schedule the winner was scored with *)
 }
 
-(* Compiled kernels (Kcompile closures) are memoized here too: a
-   partition launch is keyed by the partitioned kernel's name plus the
-   exact launch shape Kcompile specialized against.  Sound for the
-   same reason plans are — a compiled kernel is a pure function of
-   (kernel body, grid, block, scalar args); buffers are resolved per
-   run through the load/store callbacks. *)
-type ckey = {
-  ck_kernel : string;
-  ck_grid : Dim3.t;
-  ck_block : Dim3.t;
-  ck_args : Keval.arg list;
-}
-
 (* Hits and misses are reported to the caller, which counts them in
    its run's metrics registry: the counts outlive a cache generation. *)
-type t = {
-  table : (key, plan) Hashtbl.t;
-  compiled : (ckey, (Kcompile.t, string) result) Hashtbl.t;
-}
+type t = (key, plan) Hashtbl.t
 
-let create () = { table = Hashtbl.create 64; compiled = Hashtbl.create 64 }
+let create () : t = Hashtbl.create 64
 
 let find_or_build t key ~build =
-  match Hashtbl.find_opt t.table key with
+  match Hashtbl.find_opt t key with
   | Some plan -> (plan, `Hit)
   | None ->
     let plan =
       Obs.Span.with_span ~cat:"launch_cache" ("plan:" ^ key.kernel) build
     in
-    Hashtbl.replace t.table key plan;
+    Hashtbl.replace t key plan;
     (plan, `Miss)
 
 (* Overwrite a key's plan (runtime chunk refinement after a live
    Out_of_memory: the footprint estimate was optimistic, so the re-built
    plan with finer chunks replaces the cached one for all later hits). *)
-let replace t key plan = Hashtbl.replace t.table key plan
-
-let find_or_compile t ckey ~compile =
-  match Hashtbl.find_opt t.compiled ckey with
-  | Some ck -> (ck, `Hit)
-  | None ->
-    let ck =
-      Obs.Span.with_span ~cat:"launch_cache" ("compile:" ^ ckey.ck_kernel)
-        compile
-    in
-    Hashtbl.replace t.compiled ckey ck;
-    (ck, `Miss)
+let replace t key plan = Hashtbl.replace t key plan

@@ -67,15 +67,6 @@ type plan = {
           with *)
 }
 
-type ckey = {
-  ck_kernel : string;
-  ck_grid : Dim3.t;
-  ck_block : Dim3.t;
-  ck_args : Keval.arg list;
-}
-(** Key of a compiled-kernel entry: the partitioned kernel's name plus
-    the launch shape {!Kcompile.compile} specialized against. *)
-
 type t
 
 val create : unit -> t
@@ -88,12 +79,3 @@ val find_or_build :
 val replace : t -> key -> plan -> unit
 (** Overwrite a key's plan (runtime chunk refinement after a live
     [Out_of_memory]). *)
-
-val find_or_compile :
-  t ->
-  ckey ->
-  compile:(unit -> (Kcompile.t, string) result) ->
-  (Kcompile.t, string) result * [ `Hit | `Miss ]
-(** Same, for {!Kcompile} closures (compiled kernels are cached even
-    when plan caching is disabled: compilation never affects simulated
-    time, so the plan-cache A/B stays meaningful). *)

@@ -227,7 +227,7 @@ type context = {
 }
 
 let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
-    ?(cache = true) ?(checkpoint_every = 8) ?domains ?(overlap = false)
+    ?(cache = true) ?(checkpoint_every = 8) ?(overlap = false)
     ?(autotune = false) ?abort_at ?resume ~(machine : Gpusim.Machine.t)
     (exe : exe) : bounded =
   if not (Gpu_runtime.Rconfig.is_valid cfg) then invalid_arg "Multi_gpu.run: bad config";
@@ -237,24 +237,15 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
    | Some t when not (t > 0.0) ->
      invalid_arg "Multi_gpu.run_bounded: abort_at must be positive"
    | _ -> ());
-  let domains =
-    match domains with
-    | Some d ->
-      if d < 1 then invalid_arg "Multi_gpu.run: domains must be positive";
-      d
-    | None -> Gpu_runtime.Dpool.default_domains ()
-  in
   (* Every engine counter of the run lives in this registry (DESIGN.md
      §14); the handles are bumped where the events happen. *)
   let metrics = Obs.Metrics.create () in
   let counter = Obs.Metrics.counter metrics in
   let bump c = Obs.Metrics.add c 1.0 in
-  let compiles = counter "exec.compiles"
-  and compile_hits = counter "exec.cache_hits"
-  and interpreted = counter "exec.interpreted"
-  and seq_launches = counter "exec.seq_launches"
-  and par_launches = counter "exec.par_launches" in
-  let max_domains = ref 1 in
+  (* Compiled kernels are cached even with [cache:false]: they never
+     affect simulated results, and re-deriving them per launch would
+     bury the plan-cache A/B signal under compilation noise. *)
+  let launcher = Kcompile.executor metrics in
   let m = machine in
   let functional = Gpusim.Machine.is_functional m in
   (* Engine phases are spanned on the simulated host clock as well as
@@ -508,19 +499,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     if cache then Launch_cache.replace !plan_cache key plan
   in
   (* --- The step interpreter ------------------------------------------ *)
-  (* Compiled closures are cached even with [cache:false]: they never
-     affect simulated results, and re-deriving them per launch would
-     bury the plan-cache A/B signal under compilation noise. *)
-  let compiled kernel block (pp : Launch_cache.partition_plan) =
-    let grid = pp.pp_launch_grid and args = pp.pp_scalar_args in
-    let res, freshness =
-      Launch_cache.find_or_compile !plan_cache
-        { ck_kernel = kernel.Kir.name; ck_grid = grid; ck_block = block; ck_args = args }
-        ~compile:(fun () -> Kcompile.compile kernel ~grid ~block ~args)
-    in
-    bump (match freshness with `Hit -> compile_hits | `Miss -> compiles);
-    res
-  in
   let data c dev a =
     Gpusim.Buffer.data_exn
       (Gpu_runtime.Vbuf.instance (find (List.assoc a c.c_args)) dev)
@@ -535,8 +513,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
     Gpusim.Machine.launch m ~device:dev ~blocks:pp.pp_n_blocks
       ~ops_per_block:pp.pp_ops_per_block ~run:(fun () ->
-        (* Each array argument resolves to its backing data once per
-           launch (the interpreter re-resolves per access). *)
         let access a =
           match redirect a with
           | Some (acc, touched) ->
@@ -545,28 +521,15 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
             let d = data c dev a in
             { Kcompile.loads = d; stores = d; touched = None }
         in
-        let kernel = c.c_ck.ck_partitioned in
-        match compiled kernel c.c_block pp with
-        | Ok cck ->
-          let pool =
-            match c.c_ck.ck_gate with
-            | Verify.Safe when domains > 1 -> Some (Gpu_runtime.Dpool.get ())
-            | _ ->
-              (* Reducible accumulation is a read-modify-write through
-                 the shared accumulator: not domain-atomic, so blocks
-                 run sequentially (deterministic in-partition order). *)
-              None
-          in
-          (match Kcompile.run ?pool ~max_domains:domains cck ~access with
-           | `Seq -> bump seq_launches
-           | `Par d ->
-             bump par_launches;
-             max_domains := max !max_domains d)
-        | Error _ ->
-          bump interpreted;
-          let load, store = Kcompile.callbacks access in
-          Keval.run kernel ~grid:pp.pp_launch_grid ~block:c.c_block
-            ~args:pp.pp_scalar_args ~load ~store)
+        (* Reducible accumulation is a read-modify-write through the
+           shared accumulator, not domain-atomic: only a Safe kernel's
+           blocks are split over domains. *)
+        let parallel =
+          match c.c_ck.ck_gate with Verify.Safe -> true | _ -> false
+        in
+        Kcompile.launch launcher ~parallel c.c_ck.ck_partitioned
+          ~grid:pp.pp_launch_grid ~block:c.c_block ~args:pp.pp_scalar_args
+          ~access)
   in
   let sync_reads c ~batch ~stamp (pp : Launch_cache.partition_plan) =
     List.iter
@@ -606,12 +569,13 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
          charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
          Gpusim.Machine.launch m ~device:dev ~blocks:pp.pp_n_blocks
            ~ops_per_block:pp.pp_shadow_cost ~run:(fun () ->
-             let compiled = compiled shadow c.c_block pp in
-             bump (match compiled with Ok _ -> seq_launches | Error _ -> interpreted);
+             (* Shadows instrument unanalyzable writes, which have no
+                race-freedom proof: their blocks run sequentially. *)
              collected :=
-               Instrument.collect_writes ~compiled:(Some compiled) ~shadow
-                 ~grid:pp.pp_launch_grid ~block:c.c_block ~args:pp.pp_scalar_args
-                 ~arrays ~data:(data c dev));
+               Instrument.collect_writes ~arrays ~data:(data c dev)
+                 (fun access ->
+                    Kcompile.launch launcher shadow ~grid:pp.pp_launch_grid
+                      ~block:c.c_block ~args:pp.pp_scalar_args ~access));
          List.iter
            (fun (arr, ranges) ->
               let slot = List.assoc arr per_array in
@@ -891,6 +855,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     if !live = [] then raise All_devices_lost;
     Gpusim.Machine.set_active_devices m (List.length !live);
     plan_cache := Launch_cache.create ();
+    Kcompile.clear_cache launcher;
     let data_lost =
       Hashtbl.fold
         (fun _ vb lost -> Gpu_runtime.Vbuf.recover vb ~dev:dead ~live:!live <> [] || lost)
@@ -1011,7 +976,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
          ((Gpusim.Machine.stats m).Gpusim.Machine.n_faults - faults_at_entry));
   Obs.Metrics.add predicted_us (!tune_pred *. 1e6);
   Obs.Metrics.add actual_us (!tune_act *. 1e6);
-  Obs.Metrics.set metrics "exec.max_domains" (float_of_int !max_domains);
   let time = Gpusim.Machine.host_time m in
   Obs.Metrics.set metrics "engine.time_seconds" time;
   let n c = int_of_float (Obs.Metrics.total c) in
@@ -1033,11 +997,11 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   | Some h -> Preempted (result, h)
   | None -> Done result
 
-let run ?cfg ?tiling ?cache ?checkpoint_every ?domains ?overlap ?autotune
+let run ?cfg ?tiling ?cache ?checkpoint_every ?overlap ?autotune
     ~(machine : Gpusim.Machine.t) (exe : exe) : result =
   match
-    run_bounded ?cfg ?tiling ?cache ?checkpoint_every ?domains ?overlap
-      ?autotune ~machine exe
+    run_bounded ?cfg ?tiling ?cache ?checkpoint_every ?overlap ?autotune
+      ~machine exe
   with
   | Done r -> r
   | Preempted _ -> assert false (* no abort_at: cannot preempt *)

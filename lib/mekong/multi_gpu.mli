@@ -90,7 +90,6 @@ val run :
   ?tiling:[ `One_d | `Two_d ] ->
   ?cache:bool ->
   ?checkpoint_every:int ->
-  ?domains:int ->
   ?overlap:bool ->
   ?autotune:bool ->
   machine:Gpusim.Machine.t ->
@@ -112,20 +111,20 @@ val run :
     are bit-identical either way, only redundant host computation is
     skipped (see {!Launch_cache}).
 
-    Functional launches run through the {!Kcompile} closure executor
-    (with automatic interpreter fallback, both bit-identical to
-    {!Keval.run}); kernels whose verifier verdict is {!Verify.Safe}
-    additionally split each partition's block range over the global
-    {!Gpu_runtime.Dpool}.  Kernels with a {!Verify.Reducible} verdict
-    execute their atomic accumulation through partition-local buffers
-    initialized to the operator's identity, merged into the
+    Functional launches, the instrumentation shadows included, run
+    through one {!Kcompile.launch} executor counting into
+    [result.metrics] (compiled register code with automatic
+    interpreter fallback, both bit-identical to {!Keval.run}); kernels
+    whose verifier verdict is {!Verify.Safe} additionally split each
+    partition's blocks over the global {!Gpu_runtime.Dpool}, whose
+    size is the one domains knob.  Kernels with a {!Verify.Reducible}
+    verdict execute their atomic accumulation through partition-local
+    buffers initialized to the operator's identity, merged into the
     host-gathered base in ascending partition order after every launch
     (at every device count, including one), so results are a
-    deterministic function of the partition shape alone.  [domains] caps the domains engaged per
-    launch (default {!Gpu_runtime.Dpool.default_domains}, also capped
-    by the global pool's size; [domains:1] forces sequential
-    execution).  Parallel execution affects wall-clock only — never
-    simulated time or results.
+    deterministic function of the partition shape alone.  Parallel
+    execution affects wall-clock only, never simulated time or
+    results.
 
     When the machine injects faults the engine self-heals: transient
     kernel and transfer faults are retried with capped exponential
@@ -205,7 +204,6 @@ val run_bounded :
   ?tiling:[ `One_d | `Two_d ] ->
   ?cache:bool ->
   ?checkpoint_every:int ->
-  ?domains:int ->
   ?overlap:bool ->
   ?autotune:bool ->
   ?abort_at:float ->

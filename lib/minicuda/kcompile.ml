@@ -43,7 +43,7 @@
    position) falls back to the interpreter via [Error]: [Keval] stays
    the semantics oracle and the fallback is always bit-identical.
 
-   Parallel execution: [run] can split the launched block range over a
+   Parallel execution: [run] can split the grid's blocks over a
    {!Gpu_runtime.Dpool}.  Each participating domain gets its own
    register files; array loads/stores go straight to the shared
    backing arrays.  The *caller* is responsible for only passing a
@@ -55,7 +55,11 @@
    plain load-combine-store, which is NOT indivisible across domains —
    kernels whose conflicts are merely atomic-reducible must run their
    blocks sequentially within one address space (the engine gives each
-   partition a private accumulation buffer instead). *)
+   partition a private accumulation buffer instead).
+
+   Engines do not call [compile] and [run] themselves: [launch] is the
+   one entry that caches compiled kernels, falls back to [Keval], picks
+   the pool and counts the launch. *)
 
 type access = {
   loads : float array;
@@ -790,57 +794,38 @@ let exec_block t env bz by bx =
     done
   done
 
-let run_range t env (lo : Dim3.t) (hi : Dim3.t) =
-  for z = lo.Dim3.z to hi.Dim3.z do
-    for y = lo.Dim3.y to hi.Dim3.y do
-      for x = lo.Dim3.x to hi.Dim3.x do
-        exec_block t env z y x
+(* Run every block of the grid; returns the domains engaged (1 when
+   the blocks ran sequentially on the caller). *)
+let run_blocks ?pool t ~access =
+  let gx = t.grid.Dim3.x and gy = t.grid.Dim3.y and gz = t.grid.Dim3.z in
+  let nblocks = if gx <= 0 || gy <= 0 || gz <= 0 then 0 else gx * gy * gz in
+  match pool with
+  | Some pool when nblocks > 1 && Gpu_runtime.Dpool.size pool > 1 ->
+    let base = make_env t ~access in
+    let plane = gy * gx in
+    Gpu_runtime.Dpool.parallel_for pool ~n:nblocks (fun lo hi ->
+        (* Chunks are linearized in the same z, y, x-major order the
+           sequential loops use; each chunk gets fresh register
+           files. *)
+        let env = clone_env t base in
+        for i = lo to hi - 1 do
+          let r = i mod plane in
+          exec_block t env (i / plane) (r / gx) (r mod gx)
+        done)
+  | _ ->
+    if nblocks > 0 then begin
+      let env = make_env t ~access in
+      for z = 0 to gz - 1 do
+        for y = 0 to gy - 1 do
+          for x = 0 to gx - 1 do
+            exec_block t env z y x
+          done
+        done
       done
-    done
-  done
+    end;
+    1
 
-let run ?pool ?max_domains ?block_range t ~access =
-  let lo, hi =
-    match block_range with
-    | Some r -> r
-    | None ->
-      ( { Dim3.x = 0; y = 0; z = 0 },
-        {
-          Dim3.x = t.grid.Dim3.x - 1;
-          y = t.grid.Dim3.y - 1;
-          z = t.grid.Dim3.z - 1;
-        } )
-  in
-  let ex = hi.Dim3.x - lo.Dim3.x + 1 in
-  let ey = hi.Dim3.y - lo.Dim3.y + 1 in
-  let ez = hi.Dim3.z - lo.Dim3.z + 1 in
-  if ex <= 0 || ey <= 0 || ez <= 0 then `Seq
-  else
-    let nblocks = ex * ey * ez in
-    let cap = match max_domains with Some d -> d | None -> max_int in
-    match pool with
-    | Some pool when nblocks > 1 && cap > 1 && Gpu_runtime.Dpool.size pool > 1 ->
-      let base = make_env t ~access in
-      let plane = ey * ex in
-      let used =
-        Gpu_runtime.Dpool.parallel_for ~max_domains:cap pool ~n:nblocks
-          (fun clo chi ->
-            (* Chunks are linearized in the same z, y, x-major order
-               the sequential loops use; each chunk gets fresh
-               register files. *)
-            let env = clone_env t base in
-            for i = clo to chi - 1 do
-              let z = lo.Dim3.z + (i / plane) in
-              let r = i mod plane in
-              let y = lo.Dim3.y + (r / ex) in
-              let x = lo.Dim3.x + (r mod ex) in
-              exec_block t env z y x
-            done)
-      in
-      if used <= 1 then `Seq else `Par used
-    | _ ->
-      run_range t (make_env t ~access) lo hi;
-      `Seq
+let run ?pool t ~access = ignore (run_blocks ?pool t ~access : int)
 
 let callbacks access =
   let memo = Hashtbl.create 8 in
@@ -860,38 +845,75 @@ let callbacks access =
   in
   (load, store)
 
-(* --- Executor counters ------------------------------------------------- *)
+(* --- The launch executor ----------------------------------------------- *)
 
-type stats = {
-  mutable st_compiles : int;
-  mutable st_cache_hits : int;
-  mutable st_interpreted : int;
-  mutable st_seq : int;
-  mutable st_par : int;
-  mutable st_domains : int;
+(* Every engine launches kernels through one executor per run.  A
+   compiled kernel is a pure function of (kernel, grid, block, scalar
+   arguments) -- buffers are resolved per launch through [access] --
+   so it is memoized under that key, failures included: a kernel
+   outside the fragment pays its compile attempt once per shape. *)
+type executor = {
+  cache : (string * Dim3.t * Dim3.t * Keval.arg list, (t, string) result) Hashtbl.t;
+  reg : Obs.Metrics.t;
+  compiles : Obs.Metrics.counter;
+  cache_hits : Obs.Metrics.counter;
+  seq_launches : Obs.Metrics.counter;
+  par_launches : Obs.Metrics.counter;
+  interpreted : Obs.Metrics.counter;
+  mutable max_domains : int;
 }
 
-let new_stats () =
+let executor reg =
+  let counter = Obs.Metrics.counter reg in
+  Obs.Metrics.set reg "exec.max_domains" 1.0;
   {
-    st_compiles = 0;
-    st_cache_hits = 0;
-    st_interpreted = 0;
-    st_seq = 0;
-    st_par = 0;
-    st_domains = 1;
+    cache = Hashtbl.create 16;
+    reg;
+    compiles = counter "exec.compiles";
+    cache_hits = counter "exec.cache_hits";
+    seq_launches = counter "exec.seq_launches";
+    par_launches = counter "exec.par_launches";
+    interpreted = counter "exec.interpreted";
+    max_domains = 1;
   }
 
-let record_path st = function
-  | `Seq -> st.st_seq <- st.st_seq + 1
-  | `Par d ->
-    st.st_par <- st.st_par + 1;
-    if d > st.st_domains then st.st_domains <- d
+let clear_cache ex = Hashtbl.reset ex.cache
 
-let publish_metrics ?(into = Obs.Metrics.default) s =
-  let incr n v = Obs.Metrics.incr into ~by:v n in
-  incr "exec.compiles" s.st_compiles;
-  incr "exec.cache_hits" s.st_cache_hits;
-  incr "exec.interpreted" s.st_interpreted;
-  incr "exec.seq_launches" s.st_seq;
-  incr "exec.par_launches" s.st_par;
-  Obs.Metrics.set into "exec.max_domains" (float_of_int s.st_domains)
+let bump c = Obs.Metrics.add c 1.0
+
+let launch ex ?(parallel = false) ?(interpret = false) kernel ~grid ~block
+    ~args ~access =
+  let fallback () =
+    bump ex.interpreted;
+    let load, store = callbacks access in
+    Keval.run kernel ~grid ~block ~args ~load ~store
+  in
+  let compiled () =
+    let key = (kernel.Kir.name, grid, block, args) in
+    match Hashtbl.find_opt ex.cache key with
+    | Some c ->
+      bump ex.cache_hits;
+      c
+    | None ->
+      let c = compile kernel ~grid ~block ~args in
+      Hashtbl.replace ex.cache key c;
+      bump ex.compiles;
+      c
+  in
+  if interpret then fallback ()
+  else
+    match compiled () with
+    | Error _ -> fallback ()
+    | Ok t ->
+      let pool = if parallel then Some (Gpu_runtime.Dpool.get ()) else None in
+      let d = run_blocks ?pool t ~access in
+      if d <= 1 then bump ex.seq_launches
+      else begin
+        bump ex.par_launches;
+        if d > ex.max_domains then begin
+          ex.max_domains <- d;
+          Obs.Metrics.set ex.reg "exec.max_domains" (float_of_int d)
+        end
+      end
+
+let publish_metrics ?(into = Obs.Metrics.default) reg = Obs.Metrics.merge ~into reg

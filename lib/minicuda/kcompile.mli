@@ -9,7 +9,7 @@
     register files.  Evaluation follows {!Keval}'s order, so results
     and diagnostics are identical.  {!Keval} remains the semantics
     oracle, and kernels outside the statically-typable fragment return
-    [Error] so callers fall back to the interpreter (see DESIGN.md
+    [Error] so {!launch} falls back to the interpreter (see DESIGN.md
     §13). *)
 
 type t
@@ -40,23 +40,16 @@ type access = {
     reducible accumulator sets [touched]; write-set instrumentation
     loads from the device and stores to scratch. *)
 
-val run :
-  ?pool:Gpu_runtime.Dpool.t ->
-  ?max_domains:int ->
-  ?block_range:Dim3.t * Dim3.t ->
-  t ->
-  access:(string -> access) ->
-  [ `Seq | `Par of int ]
-(** Execute over the full grid or the inclusive [block_range].
-    [access] is applied once per array parameter per launch; accesses
-    then index the records' arrays directly (an offset past an array's
-    length raises [Invalid_argument] like any OCaml array access).
+val run : ?pool:Gpu_runtime.Dpool.t -> t -> access:(string -> access) -> unit
+(** Execute every block of the grid.  [access] is applied once per
+    array parameter per launch; accesses then index the records' arrays
+    directly (an offset past an array's length raises
+    [Invalid_argument] like any OCaml array access).
 
-    With [pool], the block range is split across domains ([`Par d]
-    reports how many were engaged; degenerate ranges still run
-    sequentially as [`Seq]).  Only pass a pool for kernels whose
-    accesses prove distinct blocks disjoint (a [Verify.Safe] verdict):
-    under that verdict results are bit-identical to sequential order. *)
+    With [pool], the blocks are split across its domains.  Only pass a
+    pool for kernels whose accesses prove distinct blocks disjoint (a
+    [Verify.Safe] verdict): under that verdict results are
+    bit-identical to sequential order. *)
 
 val callbacks :
   (string -> access) ->
@@ -65,21 +58,42 @@ val callbacks :
     callbacks, for the interpreter fallback: each array's record is
     resolved once, stores also set [touched]. *)
 
-(** {2 Executor counters} *)
+(** {2 The launch executor} *)
 
-type stats = {
-  mutable st_compiles : int;  (** kernels compiled (cache misses) *)
-  mutable st_cache_hits : int;  (** compiled kernels reused *)
-  mutable st_interpreted : int;  (** launches run by the Keval fallback *)
-  mutable st_seq : int;  (** compiled sequential launches *)
-  mutable st_par : int;  (** compiled parallel launches *)
-  mutable st_domains : int;  (** max domains engaged by any launch *)
-}
+type executor
+(** The one kernel-launch path of every engine: a compiled-kernel
+    cache plus the ["exec.*"] counters of one metrics registry. *)
 
-val new_stats : unit -> stats
-val record_path : stats -> [ `Seq | `Par of int ] -> unit
+val executor : Obs.Metrics.t -> executor
+(** An empty cache counting into the registry: [exec.compiles],
+    [exec.cache_hits], [exec.seq_launches], [exec.par_launches] and
+    [exec.interpreted] registered at zero, the [exec.max_domains]
+    gauge at 1. *)
 
-val publish_metrics : ?into:Obs.Metrics.t -> stats -> unit
-(** Add the counters to a metrics registry under the engine's
-    ["exec.*"] names (default: {!Obs.Metrics.default}): counters for
-    the launch counts, the [exec.max_domains] gauge for [st_domains]. *)
+val clear_cache : executor -> unit
+(** Drop every compiled kernel; the counters keep counting. *)
+
+val launch :
+  executor ->
+  ?parallel:bool ->
+  ?interpret:bool ->
+  Kir.t ->
+  grid:Dim3.t ->
+  block:Dim3.t ->
+  args:Keval.arg list ->
+  access:(string -> access) ->
+  unit
+(** Run one launch bit-identically to {!Keval.run}.  The kernel is
+    compiled for this (name, grid, block, args) shape, or taken from
+    the cache (a failed compilation is cached too); a kernel outside
+    the fragment runs under {!Keval.run} through {!callbacks}, as does
+    every launch with [interpret] (default false: the interpreter
+    baseline).  [parallel] (default false) splits the blocks over the
+    global {!Gpu_runtime.Dpool}; pass it only for a [Verify.Safe]
+    kernel.  Each launch bumps one of [exec.seq_launches],
+    [exec.par_launches] or [exec.interpreted], and [exec.max_domains]
+    records the most domains any launch engaged. *)
+
+val publish_metrics : ?into:Obs.Metrics.t -> Obs.Metrics.t -> unit
+(** Merge an executor's registry into another (default:
+    {!Obs.Metrics.default}; see {!Obs.Metrics.merge}). *)

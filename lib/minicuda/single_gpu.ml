@@ -9,7 +9,7 @@
 type result = {
   machine : Gpusim.Machine.t;
   time : float; (* simulated end-to-end seconds (after final sync) *)
-  exec : Kcompile.stats; (* executor counters for the functional runs *)
+  exec : Obs.Metrics.t; (* the run's exec.* counters (Kcompile.launch) *)
 }
 
 let run ?(machine : Gpusim.Machine.t option)
@@ -30,17 +30,8 @@ let run ?(machine : Gpusim.Machine.t option)
     | Some buf -> buf
     | None -> invalid_arg ("Single_gpu: unallocated buffer " ^ b)
   in
-  (* Compiled kernels, memoized per launch shape for the life of this
-     run (the reference engine has no launch-plan cache to hang them
-     off).  The engine runs blocks sequentially: without a polyhedral
-     model there is no race-freedom proof to justify a domain pool. *)
-  let compiled :
-      ( string * Dim3.t * Dim3.t * Keval.arg list,
-        (Kcompile.t, string) Stdlib.result )
-      Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let exec_stats = Kcompile.new_stats () in
+  let metrics = Obs.Metrics.create () in
+  let ex = Kcompile.executor metrics in
   let rec exec (s : Host_ir.stmt) =
     match s with
     | Host_ir.Malloc (name, len) ->
@@ -77,32 +68,10 @@ let run ?(machine : Gpusim.Machine.t option)
             let data = Gpusim.Buffer.data_exn (buffer_of a) in
             { Kcompile.loads = data; stores = data; touched = None }
           in
-          let interpret () =
-            let load, store = Kcompile.callbacks access in
-            exec_stats.Kcompile.st_interpreted <-
-              exec_stats.Kcompile.st_interpreted + 1;
-            Keval.run kernel ~grid ~block ~args:scalars ~load ~store
-          in
-          match executor with
-          | `Interpreter -> interpret ()
-          | `Compiled -> (
-              let key = (kernel.Kir.name, grid, block, scalars) in
-              let ck =
-                match Hashtbl.find_opt compiled key with
-                | Some ck ->
-                  exec_stats.Kcompile.st_cache_hits <-
-                    exec_stats.Kcompile.st_cache_hits + 1;
-                  ck
-                | None ->
-                  let ck = Kcompile.compile kernel ~grid ~block ~args:scalars in
-                  exec_stats.Kcompile.st_compiles <-
-                    exec_stats.Kcompile.st_compiles + 1;
-                  Hashtbl.replace compiled key ck;
-                  ck
-              in
-              match ck with
-              | Ok ck -> Kcompile.record_path exec_stats (Kcompile.run ck ~access)
-              | Error _ -> interpret ()))
+          (* Never [~parallel]: without a polyhedral model there is no
+             race-freedom proof to justify a domain pool. *)
+          Kcompile.launch ex ~interpret:(executor = `Interpreter) kernel ~grid
+            ~block ~args:scalars ~access)
     | Host_ir.Repeat (n, body) ->
       for _ = 1 to n do
         List.iter exec body
@@ -118,4 +87,4 @@ let run ?(machine : Gpusim.Machine.t option)
   in
   List.iter exec prog.Host_ir.body;
   Gpusim.Machine.synchronize m;
-  { machine = m; time = Gpusim.Machine.host_time m; exec = exec_stats }
+  { machine = m; time = Gpusim.Machine.host_time m; exec = metrics }

@@ -5,9 +5,10 @@
 type result = {
   machine : Gpusim.Machine.t;
   time : float;  (** simulated end-to-end seconds (after final sync) *)
-  exec : Kcompile.stats;
-      (** executor counters: compilations, cache hits, fallbacks (all
-          zero on performance machines, which skip functional work) *)
+  exec : Obs.Metrics.t;
+      (** the run's ["exec.*"] series from {!Kcompile.launch}:
+          compilations, cache hits, fallbacks (all zero on performance
+          machines, which skip functional work) *)
 }
 
 val run :
@@ -16,7 +17,7 @@ val run :
   Host_ir.t ->
   result
 (** Defaults to a fresh functional single-device test machine.
-    [executor] (default [`Compiled]) selects the {!Kcompile} closure
+    [executor] (default [`Compiled]) selects the {!Kcompile} register
     executor with automatic interpreter fallback, or forces the
     {!Keval} interpreter (the bench baseline); functional results are
-    bit-identical either way. *)
+    bit-identical either way.  Blocks always run sequentially. *)

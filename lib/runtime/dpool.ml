@@ -19,7 +19,7 @@ type job = {
   chunk : int;
   next : int Atomic.t;  (* next unclaimed index *)
   claims : int Atomic.t;  (* participants that took up the job *)
-  max_claims : int;  (* cap on participants (the [domains] knob) *)
+  max_claims : int;  (* participants: the pool size, at most [n] *)
   mutable pending : int;  (* participants not yet retired *)
   mutable error : exn option;  (* first exception raised by a chunk *)
 }
@@ -105,13 +105,13 @@ let shutdown t =
   Array.iter Domain.join t.workers;
   t.workers <- [||]
 
-let parallel_for ?(max_domains = max_int) t ~n f =
+let parallel_for t ~n f =
   (* The span lives on the submitting domain only; worker-domain code
      must not touch the (domain-unsafe) span stack. *)
   Obs.Span.with_span ~cat:"dpool" "parallel_for" @@ fun () ->
   if n <= 0 then 0
   else begin
-    let participants = min (min t.size (max 1 max_domains)) n in
+    let participants = min t.size n in
     if participants <= 1 || Array.length t.workers = 0 then begin
       f 0 n;
       1

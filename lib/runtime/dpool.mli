@@ -20,13 +20,12 @@ val create : ?domains:int -> unit -> t
 val size : t -> int
 (** Total participants, including the submitting domain. *)
 
-val parallel_for : ?max_domains:int -> t -> n:int -> (int -> int -> unit) -> int
+val parallel_for : t -> n:int -> (int -> int -> unit) -> int
 (** [parallel_for t ~n f] covers the half-open range [0, n) exactly
     once by calls [f lo hi] over disjoint chunks, possibly from
     several domains, and returns the number of domains allowed to
-    take chunks (1 when the range or pool degenerates and [f] ran
-    inline on the submitter).  [max_domains] caps participation
-    without resizing the pool.  If a chunk raises, the first
+    take chunks: [min (size t) n], or 1 when [f] ran inline on the
+    submitter (0 for an empty range).  If a chunk raises, the first
     exception is re-raised in the submitter after all chunks retire. *)
 
 val shutdown : t -> unit

@@ -15,12 +15,11 @@ type config = {
   retry_cap : float;
   losses : (int * float) list;
   checkpoint_every : int;
-  domains : int option;
 }
 
 let config ?(functional = true) ?(max_queue = 64) ?(max_strikes = 3)
     ?(retry_base = 1e-3) ?(retry_cap = 0.25) ?(losses = [])
-    ?(checkpoint_every = 4) ?domains fleet =
+    ?(checkpoint_every = 4) fleet =
   let fleet = Gpusim.Config.validate fleet in
   let reject what = invalid_arg ("Scheduler.config: " ^ what) in
   if max_queue < 1 then reject "max_queue must be positive";
@@ -56,7 +55,6 @@ let config ?(functional = true) ?(max_queue = 64) ?(max_strikes = 3)
     retry_cap;
     losses;
     checkpoint_every;
-    domains;
   }
 
 type segment = {
@@ -340,8 +338,8 @@ let run (cfg : config) (specs : Job.spec list) : report =
       try
         match
           Mekong.Multi_gpu.run_bounded
-            ~checkpoint_every:cfg.checkpoint_every ?domains:cfg.domains
-            ?abort_at ?resume:j.js_handoff ~machine:m exe
+            ~checkpoint_every:cfg.checkpoint_every ?abort_at
+            ?resume:j.js_handoff ~machine:m exe
         with
         | Mekong.Multi_gpu.Done _ -> Fate_done
         | Mekong.Multi_gpu.Preempted (_, h) -> Fate_preempt (h, abort_kind)

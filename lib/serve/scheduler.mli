@@ -28,7 +28,6 @@ type config = {
   losses : (int * float) list;
       (** fleet-level permanent losses: (device, simulated seconds) *)
   checkpoint_every : int;  (** engine checkpoint cadence per lease *)
-  domains : int option;  (** worker-domain cap passed to the engines *)
 }
 
 val config :
@@ -39,7 +38,6 @@ val config :
   ?retry_cap:float ->
   ?losses:(int * float) list ->
   ?checkpoint_every:int ->
-  ?domains:int ->
   Gpusim.Config.t ->
   config
 (** Defaults: functional, queue bound 64, 3 strikes, retries at

@@ -55,13 +55,6 @@ let test_dpool_coverage () =
          (d >= 1 && d <= min n 3))
     [ 1; 2; 3; 7; 64; 1000 ]
 
-let test_dpool_max_domains () =
-  let p = Lazy.force pool in
-  checki "max_domains:1 runs inline" 1
-    (Gpu_runtime.Dpool.parallel_for ~max_domains:1 p ~n:1000 (fun _ _ -> ()));
-  checki "large range engages the whole pool" 3
-    (Gpu_runtime.Dpool.parallel_for p ~n:1000 (fun _ _ -> ()))
-
 let test_dpool_single_domain_pool () =
   (* A 1-domain pool spawns nothing and runs inline. *)
   let p1 = Gpu_runtime.Dpool.create ~domains:1 () in
@@ -161,7 +154,7 @@ let both_engines k ~grid ~block ~args ~n_out =
            Keval.run k ~grid ~block ~args ~load ~store
          | `Compiled ->
            let c = compile_exn k ~grid ~block ~args in
-           ignore (Kcompile.run c ~access : [ `Seq | `Par of int ]));
+           Kcompile.run c ~access);
         Ok ()
       with Invalid_argument m -> Error m
     in
@@ -366,47 +359,119 @@ let compiled_dbl_kernel =
           [] );
     ]
 
-let test_single_gpu_fallback_and_cache () =
-  let n = 16 in
-  let a = Array.init n float_of_int in
-  let result = Array.make n nan in
-  let prog kernel =
-    Host_ir.program ~name:"p"
+(* out[idx[gi]] = a[gi] * 2: a data-dependent write subscript, which
+   the engine can only instrument (a shadow launch per partition).  The
+   fallback variant binds [j] under one guard and uses it under
+   another, so neither it nor its shadow compiles. *)
+let scatter_kernel ~fallback =
+  let open Kir in
+  let dims = [| Dim_param "n" |] in
+  let guarded body = If (v "gi" < p "n", body, []) in
+  let j = Local ("j", load "idx" [ v "gi" ]) in
+  let st = store "out" [ v "j" ] (load "a" [ v "gi" ] * f 2.0) in
+  Kir.kernel
+    ~name:(if fallback then "scatter_maybe" else "scatter")
+    ~params:
       [
-        Host_ir.Malloc ("a", n);
-        Host_ir.Malloc ("out", n);
-        Host_ir.Memcpy_h2d { dst = "a"; src = Host_ir.host_data a };
-        Host_ir.Repeat
-          ( 3,
-            [
-              Host_ir.Launch
-                {
-                  kernel;
-                  grid = Dim3.make 4;
-                  block = Dim3.make 4;
-                  args = [ Host_ir.HInt n; Host_ir.HBuf "a"; Host_ir.HBuf "out" ];
-                };
-            ] );
-        Host_ir.Memcpy_d2h { dst = Host_ir.host_data result; src = "out" };
-        Host_ir.Free "a";
-        Host_ir.Free "out";
+        Scalar "n";
+        Array { name = "idx"; dims };
+        Array { name = "a"; dims };
+        Array { name = "out"; dims };
       ]
+    (Local ("gi", global_id Dim3.X)
+     :: (if fallback then [ guarded [ j ]; guarded [ st ] ] else [ guarded [ j; st ] ]))
+
+(* Three launches of [kernel] over n = 16 (4 blocks of 4 threads); the
+   inputs are the kernel's array parameters before "out". *)
+let repeat_program kernel inputs result =
+  let n = Array.length result in
+  let bufs = List.map fst inputs @ [ "out" ] in
+  Host_ir.program ~name:"p"
+    (List.map (fun b -> Host_ir.Malloc (b, n)) bufs
+     @ List.map
+       (fun (b, d) -> Host_ir.Memcpy_h2d { dst = b; src = Host_ir.host_data d })
+       inputs
+     @ [
+       Host_ir.Repeat
+         ( 3,
+           [
+             Host_ir.Launch
+               {
+                 kernel;
+                 grid = Dim3.make 4;
+                 block = Dim3.make 4;
+                 args = Host_ir.HInt n :: List.map (fun b -> Host_ir.HBuf b) bufs;
+               };
+           ] );
+       Host_ir.Memcpy_d2h { dst = Host_ir.host_data result; src = "out" };
+     ]
+     @ List.map (fun b -> Host_ir.Free b) bufs)
+
+(* A run's exec.* series: compiles, cache hits, sequential, parallel
+   and interpreted launches, max domains. *)
+let exec_counts reg =
+  List.map
+    (fun n -> int_of_float (Obs.Metrics.get reg ("exec." ^ n)))
+    [ "compiles"; "cache_hits"; "seq_launches"; "par_launches"; "interpreted";
+      "max_domains" ]
+
+(* Every engine launches through Kcompile.launch: the fallback kernel
+   and the compilable one each run through Single_gpu, Multi_gpu on 2
+   devices and instrumented shadow launches, with identical output bits
+   and the exact launch counts each path reports.  A compile attempt is
+   paid once per launch shape, failures included. *)
+let test_engine_fallback_and_cache () =
+  let n = 16 in
+  let a = Array.init n (fun i -> float_of_int i +. 0.25) in
+  let perm = Array.init n (fun i -> ((i * 5) + 3) mod n) in
+  let idx = Array.map float_of_int perm in
+  (* scatter input permuted so every path computes out = 2a *)
+  let a_perm = Array.map (fun j -> a.(j)) perm in
+  let want = Array.map (fun x -> Int64.bits_of_float (x *. 2.0)) a in
+  let single prog = (Single_gpu.run prog).Single_gpu.exec in
+  let multi ?(instrument_writes = false) prog =
+    match Mekong.Toolchain.compile ~instrument_writes prog with
+    | Error e -> Alcotest.failf "toolchain: %s" (Mekong.Toolchain.error_message e)
+    | Ok art ->
+      let m =
+        Gpusim.Machine.create ~functional:true
+          (Gpusim.Config.test_box ~n_devices:2 ())
+      in
+      (Mekong.Multi_gpu.run ~machine:m art.Mekong.Toolchain.exe).Mekong.Multi_gpu.metrics
   in
-  let r = Single_gpu.run (prog fallback_dbl_kernel) in
-  checkb "fallback result correct" true
-    (Array.for_all2 (fun x y -> x *. 2.0 = y) a result);
-  checki "all launches interpreted" 3 r.Single_gpu.exec.Kcompile.st_interpreted;
-  (* the failed compile attempt is cached, so it is paid once *)
-  checki "one compile attempt" 1 r.Single_gpu.exec.Kcompile.st_compiles;
-  checki "failure reused from cache" 2 r.Single_gpu.exec.Kcompile.st_cache_hits;
-  checki "no compiled launches" 0 r.Single_gpu.exec.Kcompile.st_seq;
-  (* a compilable kernel is compiled once and reused *)
-  let r2 = Single_gpu.run (prog compiled_dbl_kernel) in
-  checkb "compiled result correct" true
-    (Array.for_all2 (fun x y -> x *. 2.0 = y) a result);
-  checki "compiled once" 1 r2.Single_gpu.exec.Kcompile.st_compiles;
-  checki "two cache hits" 2 r2.Single_gpu.exec.Kcompile.st_cache_hits;
-  checki "three sequential launches" 3 r2.Single_gpu.exec.Kcompile.st_seq
+  let check label ~fallback kernel inputs run counts =
+    let result = Array.make n nan in
+    let reg = run (repeat_program kernel inputs result) in
+    let label = label ^ if fallback then " (fallback)" else " (compiled)" in
+    checkb (label ^ ": output bits") true (Array.map Int64.bits_of_float result = want);
+    Alcotest.(check (list int)) (label ^ ": exec counts") counts (exec_counts reg)
+  in
+  List.iter
+    (fun fallback ->
+       let dbl = if fallback then fallback_dbl_kernel else compiled_dbl_kernel in
+       let scatter = scatter_kernel ~fallback in
+       (* [launches] compiled or interpreted, parallel when the gate and
+          the pool allow *)
+       let counts ~compiles ~hits ~launches ~par =
+         if fallback then [ compiles; hits; 0; 0; launches; 1 ]
+         else if par then [ compiles; hits; 0; launches; 0; 2 ]
+         else [ compiles; hits; launches; 0; 0; 1 ]
+       in
+       check "single GPU" ~fallback dbl [ ("a", a) ] single
+         (counts ~compiles:1 ~hits:2 ~launches:3 ~par:false);
+       (* one shape per partition; a partition's two blocks split over
+          the 2-domain pool *)
+       check "2 GPUs" ~fallback dbl [ ("a", a) ] multi
+         (counts ~compiles:2 ~hits:4 ~launches:6 ~par:true);
+       check "single GPU scatter" ~fallback scatter
+         [ ("idx", idx); ("a", a_perm) ] single
+         (counts ~compiles:1 ~hits:2 ~launches:3 ~par:false);
+       (* a shadow launch before every partition launch, and no race
+          proof for instrumented writes: all sequential *)
+       check "2 GPUs instrumented" ~fallback scatter
+         [ ("idx", idx); ("a", a_perm) ] (multi ~instrument_writes:true)
+         (counts ~compiles:4 ~hits:8 ~launches:12 ~par:false))
+    [ true; false ]
 
 (* ---------------- Differential QCheck property ----------------
 
@@ -659,7 +724,7 @@ let run_dspec spec engine =
             let pool =
               match engine with `Par -> Some (Lazy.force pool) | _ -> None
             in
-            ignore (Kcompile.run ?pool ck ~access : [ `Seq | `Par of int ])));
+            Kcompile.run ?pool ck ~access));
       `Completed
     with Invalid_argument m -> `Raised m
   in
@@ -706,7 +771,7 @@ let test_kcompile_allocation () =
          let d = List.assoc a arrays in
          { Kcompile.loads = d; stores = d; touched = None }
        in
-       let launch () = ignore (Kcompile.run ck ~access : [ `Seq | `Par of int ]) in
+       let launch () = Kcompile.run ck ~access in
        launch ();
        let before = Gc.minor_words () in
        launch ();
@@ -748,34 +813,31 @@ let test_multi_gpu_parallel_golden () =
   let m =
     Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:2 ())
   in
-  let r = Mekong.Multi_gpu.run ~domains:2 ~machine:m (compile_exe prog) in
+  let r = Mekong.Multi_gpu.run ~machine:m (compile_exe prog) in
   checkb "golden" true (out = cpu ());
   checkb "parallel path engaged" true (exec r "par_launches" >= 1);
   checki "two domains engaged" 2 (exec r "max_domains");
   checki "no interpreter fallback" 0 (exec r "interpreted")
 
-let test_multi_gpu_domains1_sequential_golden () =
-  let prog, out, cpu = Apps.Workloads.functional_matmul ~n:32 in
-  let m =
-    Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:2 ())
+let test_multi_gpu_pool_bit_identity () =
+  (* The engine on the 2-domain pool must match the single-GPU engine
+     bit for bit. *)
+  let run f =
+    let prog, out, _ = Apps.Workloads.functional_hotspot ~n:64 ~iterations:4 in
+    let r = f prog in
+    (Array.map Int64.bits_of_float out, r)
   in
-  let r = Mekong.Multi_gpu.run ~domains:1 ~machine:m (compile_exe prog) in
-  checkb "golden" true (out = cpu ());
-  checki "no parallel launches" 0 (exec r "par_launches");
-  checkb "sequential launches" true (exec r "seq_launches" >= 1)
-
-let test_multi_gpu_domains_bit_identity () =
-  (* domains=1 vs domains=2 must produce bit-identical buffers. *)
-  let run domains =
-    let prog, out, _ = Apps.Workloads.functional_hotspot ~n:32 ~iterations:4 in
-    let m =
-      Gpusim.Machine.create ~functional:true
-        (Gpusim.Config.test_box ~n_devices:3 ())
-    in
-    ignore (Mekong.Multi_gpu.run ~domains ~machine:m (compile_exe prog));
-    Array.map Int64.bits_of_float out
+  let single, _ = run (fun prog -> ignore (Single_gpu.run prog)) in
+  let multi, r =
+    run (fun prog ->
+        let m =
+          Gpusim.Machine.create ~functional:true
+            (Gpusim.Config.test_box ~n_devices:3 ())
+        in
+        Mekong.Multi_gpu.run ~machine:m (compile_exe prog))
   in
-  checkb "bit-identical across domain counts" true (run 1 = run 2)
+  checkb "parallel path engaged" true (exec r "par_launches" >= 1);
+  checkb "bit-identical to the single-GPU engine" true (single = multi)
 
 let test_multi_gpu_gate_blocks_unsafe () =
   (* SpMV's indirect accesses leave the provable fragment: even with
@@ -787,7 +849,7 @@ let test_multi_gpu_gate_blocks_unsafe () =
   let m =
     Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:2 ())
   in
-  let r = Mekong.Multi_gpu.run ~domains:2 ~machine:m (compile_exe prog) in
+  let r = Mekong.Multi_gpu.run ~machine:m (compile_exe prog) in
   checki "no parallel launches for unsafe kernels" 0 (exec r "par_launches");
   checkb "ran something" true
     (exec r "seq_launches" + exec r "interpreted" >= 1)
@@ -799,7 +861,6 @@ let () =
         [
           Alcotest.test_case "empty range" `Quick test_dpool_empty_range;
           Alcotest.test_case "coverage" `Quick test_dpool_coverage;
-          Alcotest.test_case "max_domains cap" `Quick test_dpool_max_domains;
           Alcotest.test_case "single-domain pool" `Quick
             test_dpool_single_domain_pool;
           Alcotest.test_case "exception propagation" `Quick test_dpool_exception;
@@ -823,7 +884,7 @@ let () =
           Alcotest.test_case "argument mismatch" `Quick
             test_kcompile_arg_mismatch_raises;
           Alcotest.test_case "engine fallback + cache" `Quick
-            test_single_gpu_fallback_and_cache;
+            test_engine_fallback_and_cache;
           qtest prop_differential;
           Alcotest.test_case "allocation guard" `Quick test_kcompile_allocation;
         ] );
@@ -831,10 +892,8 @@ let () =
         [
           Alcotest.test_case "parallel partitions golden" `Quick
             test_multi_gpu_parallel_golden;
-          Alcotest.test_case "domains=1 sequential" `Quick
-            test_multi_gpu_domains1_sequential_golden;
-          Alcotest.test_case "domains bit-identity" `Quick
-            test_multi_gpu_domains_bit_identity;
+          Alcotest.test_case "pool vs single-GPU bit-identity" `Quick
+            test_multi_gpu_pool_bit_identity;
           Alcotest.test_case "gate blocks unsafe kernels" `Quick
             test_multi_gpu_gate_blocks_unsafe;
         ] );

@@ -104,7 +104,7 @@ let run_atomic_kernel engine =
    | `Compiled ->
      (match Kcompile.compile atomic_kernel ~grid ~block ~args with
       | Error e -> Alcotest.failf "atomics fell out of the fragment: %s" e
-      | Ok ck -> ignore (Kcompile.run ck ~access : [ `Seq | `Par of int ])));
+      | Ok ck -> Kcompile.run ck ~access));
   Array.map Int64.bits_of_float h
 
 let test_keval_kcompile_atomic_bit_identity () =
