@@ -96,6 +96,19 @@ module Int_map = struct
   let floor_value tr k ~default =
     match tr.root with None -> default | Some r -> floor_value_node r k default
 
+  (* The value of the smallest entry with key >= k, allocating
+     nothing: the candidate at each level is the first key >= k, but a
+     smaller one may hide in the child left of it. *)
+  let rec ceil_value_node x k best =
+    let i = lower_bound x k in
+    if i < x.n && x.keys.(i) = k then x.vals.(i)
+    else
+      let best = if i < x.n then x.vals.(i) else best in
+      if x.leaf then best else ceil_value_node (child x i) k best
+
+  let ceil_value tr k ~default =
+    match tr.root with None -> default | Some r -> ceil_value_node r k default
+
   let rec min_node x =
     if x.leaf then
       if x.n = 0 then None else Some (x.keys.(0), x.vals.(0))

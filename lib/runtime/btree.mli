@@ -27,6 +27,10 @@ module Int_map : sig
   (** The value of the largest entry with key [<= k], or [default]
       when there is none.  Allocates nothing. *)
 
+  val ceil_value : 'v tree -> key -> default:'v -> 'v
+  (** The value of the smallest entry with key [>= k], or [default]
+      when there is none.  Allocates nothing. *)
+
   val min_binding : 'v tree -> (key * 'v) option
   val max_binding : 'v tree -> (key * 'v) option
 

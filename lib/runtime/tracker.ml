@@ -9,7 +9,15 @@
    redundant transfers.
 
    Owners are small integers: a device id, or {!host} for data whose
-   freshest copy is in host memory. *)
+   freshest copy is in host memory.
+
+   A tracker made by [create_indexed] also keeps every segment in a
+   second B-tree keyed by (owner, start), packed into one int, so
+   {!coldest} finds the smallest positive owner in one descent.  The
+   vbuf residency trackers of a capacity-limited machine use it: their
+   owners are LRU stamps and eviction wants the oldest.  The index is
+   updated at the same add/remove sites as the segment map, so the two
+   cannot drift. *)
 
 module M = Btree.Int_map
 
@@ -20,14 +28,64 @@ type segment = { start : int; stop : int; owner : int }
 type t = {
   len : int; (* extent of the tracked index space *)
   map : segment M.tree; (* keyed by segment start *)
+  index : segment M.tree option;
+      (* the same segments keyed by [index_key], when indexed *)
   mutable ops : int; (* B-tree operations performed, for cost accounting *)
 }
 
-let create ~len ~initial_owner =
+(* Index keys: owner in the high bits, start in the low
+   [index_start_bits], so key order is (owner, start) order. *)
+let index_start_bits = 32
+let max_indexed_len = 1 lsl index_start_bits
+let max_indexed_owner = max_int lsr index_start_bits
+
+let index_key owner start = (owner lsl index_start_bits) lor start
+
+let check_indexed_owner owner =
+  if owner < 0 || owner > max_indexed_owner then
+    invalid_arg
+      (Printf.sprintf "Tracker: owner %d outside an indexed tracker's [0, %d]"
+         owner max_indexed_owner)
+
+(* Every change to the segment map goes through these two, which keep
+   the index in step.  [add] may replace the entry at [seg.start]; the
+   replaced segment always has [seg]'s owner, so its index key is
+   [seg]'s too and is replaced with it. *)
+let add t seg =
+  M.add t.map seg.start seg;
+  match t.index with
+  | None -> ()
+  | Some ix -> M.add ix (index_key seg.owner seg.start) seg
+
+let remove t seg =
+  M.remove t.map seg.start;
+  match t.index with
+  | None -> ()
+  | Some ix -> M.remove ix (index_key seg.owner seg.start)
+
+let make ~indexed ~len ~initial_owner =
   if len <= 0 then invalid_arg "Tracker.create: empty index space";
-  let map = M.create () in
-  M.add map 0 { start = 0; stop = len; owner = initial_owner };
-  { len; map; ops = 1 }
+  let t =
+    {
+      len;
+      map = M.create ();
+      index = (if indexed then Some (M.create ()) else None);
+      ops = 1;
+    }
+  in
+  add t { start = 0; stop = len; owner = initial_owner };
+  t
+
+let create ~len ~initial_owner = make ~indexed:false ~len ~initial_owner
+
+let create_indexed ~len ~initial_owner =
+  if len > max_indexed_len then
+    invalid_arg
+      (Printf.sprintf
+         "Tracker.create_indexed: %d elements exceed an indexed tracker's %d"
+         len max_indexed_len);
+  check_indexed_owner initial_owner;
+  make ~indexed:true ~len ~initial_owner
 
 let len t = t.len
 let segment_count t = M.size t.map
@@ -102,6 +160,7 @@ let owner_at t idx =
    follows the range. *)
 let write t ~start ~stop ~owner =
   check_range t ~start ~stop ~what:"write";
+  (match t.index with Some _ -> check_indexed_owner owner | None -> ());
   let seg = holding t start in
   if seg.owner = owner && stop <= seg.stop then
     bump t
@@ -115,8 +174,8 @@ let write t ~start ~stop ~owner =
       let seg = holding t at in
       if seg.start < at && at < seg.stop then begin
         bump t 3;
-        M.add t.map seg.start { seg with stop = at };
-        M.add t.map at { seg with start = at }
+        add t { seg with stop = at };
+        add t { seg with start = at }
       end
       else bump t 1
     in
@@ -124,24 +183,24 @@ let write t ~start ~stop ~owner =
     split stop;
     (* Remove all segments fully inside [start, stop). *)
     let doomed = ref [] in
-    M.iter_from t.map start (fun s _ ->
+    M.iter_from t.map start (fun s seg ->
         bump t 1;
         if s < stop then begin
-          doomed := s :: !doomed;
+          doomed := seg :: !doomed;
           true
         end
         else false);
     List.iter
-      (fun s ->
+      (fun seg ->
          bump t 1;
-         M.remove t.map s)
+         remove t seg)
       !doomed;
     (* Insert, then merge with equal-owner neighbors. *)
     let seg_start =
       let left = holding t (start - 1) in
       bump t 1;
       if left.stop = start && left.owner = owner then begin
-        M.remove t.map left.start;
+        remove t left;
         left.start
       end
       else start
@@ -150,14 +209,23 @@ let write t ~start ~stop ~owner =
       let right = holding t stop in
       bump t 1;
       if right.start = stop && right.owner = owner then begin
-        M.remove t.map right.start;
+        remove t right;
         right.stop
       end
       else stop
     in
     bump t 1;
-    M.add t.map seg_start { start = seg_start; stop = seg_stop; owner }
+    add t { start = seg_start; stop = seg_stop; owner }
   end
+
+(* The index's first entry at or above owner 1 is the smallest positive
+   owner's lowest segment. *)
+let coldest t ~below =
+  match t.index with
+  | None -> invalid_arg "Tracker.coldest: tracker has no index"
+  | Some ix ->
+    let seg = M.ceil_value ix (index_key 1 0) ~default:absent in
+    if seg.owner >= 1 && seg.owner < below then Some seg else None
 
 (* The segments a given owner holds, in order — for owner = a device
    id, exactly the ranges whose only fresh copy that device has (one
@@ -186,6 +254,17 @@ let segments t =
 let check_invariants t =
   ignore (M.validate t.map);
   let segs = segments t in
+  (match t.index with
+   | None -> ()
+   | Some ix ->
+     ignore (M.validate ix);
+     if M.size ix <> M.size t.map then
+       failwith "Tracker: index and segment map differ in size";
+     List.iter
+       (fun seg ->
+          if M.find_opt ix (index_key seg.owner seg.start) <> Some seg then
+            failwith "Tracker: segment missing from the index")
+       segs);
   let rec go pos = function
     | [] -> if pos <> t.len then failwith "Tracker: space not fully covered"
     | { start; stop; owner = _ } :: rest ->

@@ -16,6 +16,18 @@ val host : int
 val create : len:int -> initial_owner:int -> t
 (** A tracker covering [0, len) with a single segment. *)
 
+val create_indexed : len:int -> initial_owner:int -> t
+(** {!create}, plus the (owner, start) index that {!coldest} reads.
+    Its owners must lie in [\[0, max_indexed_owner\]] and [len] must
+    not exceed {!max_indexed_len}; {!create_indexed} and {!write}
+    raise [Invalid_argument] otherwise. *)
+
+val max_indexed_len : int
+(** The longest index space an indexed tracker can cover (2{^32}). *)
+
+val max_indexed_owner : int
+(** The largest owner an indexed tracker can hold (2{^30} - 1). *)
+
 val len : t -> int
 val segment_count : t -> int
 
@@ -48,6 +60,12 @@ val write : t -> start:int -> stop:int -> owner:int -> unit
     [(s < start ? 3 : 1) + (stop < e ? 3 : 1) + 5 + (stop < len ? 1 : 0)]
     for that segment [\[s, e)]. *)
 
+val coldest : t -> below:int -> segment option
+(** The whole segment with the smallest owner in [\[1, below)], the
+    lowest-starting one among equals; [None] when there is none.  One
+    index descent.  Raises [Invalid_argument] on a tracker not made by
+    {!create_indexed}. *)
+
 val owned_by : t -> owner:int -> segment list
 (** The segments [owner] holds, in order.  One owner per segment, so
     for a device id this is exactly what that device *exclusively*
@@ -60,7 +78,9 @@ val segments : t -> segment list
 (** All segments, in order. *)
 
 val check_invariants : t -> unit
-(** Verify full coverage, no overlap, sortedness and maximal merging;
-    raises [Failure] on violation.  Test support. *)
+(** Verify full coverage, no overlap, sortedness and maximal merging,
+    and for an indexed tracker that the index holds exactly one entry
+    per segment, under that segment's (owner, start); raises [Failure]
+    on violation.  Test support. *)
 
 val pp : Format.formatter -> t -> unit

@@ -25,7 +25,8 @@ type t = {
          capacity.  The instances above are *virtual* (they charge no
          capacity); only resident segments are charged, and the owner
          field here is an LRU stamp: 0 = not resident, >0 = resident,
-         higher = touched more recently. *)
+         higher = touched more recently.  On a capacity-limited machine
+         these trackers are indexed by stamp, for [coldest]. *)
   charged : int array;
       (* bytes this vbuf currently holds reserved per device; mirrors
          the residency trackers exactly (checked by
@@ -49,6 +50,19 @@ type t = {
 
 let create machine ~name ~len =
   let n = Gpusim.Machine.n_devices machine in
+  (* Only a capacity-limited machine ever evicts, so only there does
+     residency pay for the stamp index. *)
+  let capped = Gpusim.Machine.mem_capacity machine < max_int in
+  if capped && len > Tracker.max_indexed_len then
+    invalid_arg
+      (Printf.sprintf
+         "Vbuf.create(%s): %d elements exceed the %d a capacity-limited \
+          machine can track"
+         name len Tracker.max_indexed_len);
+  let residency () =
+    if capped then Tracker.create_indexed ~len ~initial_owner:0
+    else Tracker.create ~len ~initial_owner:0
+  in
   {
     name;
     len;
@@ -57,7 +71,7 @@ let create machine ~name ~len =
       Array.init n (fun d ->
           Gpusim.Machine.alloc ~charge:false machine ~device:d ~len);
     tracker = Tracker.create ~len ~initial_owner:0;
-    residency = Array.init n (fun _ -> Tracker.create ~len ~initial_owner:0);
+    residency = Array.init n (fun _ -> residency ());
     charged = Array.make n 0;
     distributed = false;
     host_copy = None;
@@ -67,6 +81,7 @@ let create machine ~name ~len =
 let name t = t.name
 let len t = t.len
 let tracker t = t.tracker
+let residency t ~dev = t.residency.(dev)
 let instance t d = t.instances.(d)
 let n_devices t = Array.length t.instances
 
@@ -197,141 +212,159 @@ let spill_target t =
     end
     else [||]
 
-(* Evict the resident parts of [start, stop) on [dev]; returns the
-   bytes released.  Device-owned parts are written back to the host
-   copy (simulated d2h + ownership handover) and counted as spill
-   traffic; the rest is dropped free. *)
-let spill_range ?(cfg = Rconfig.alpha) t ~dev ~start ~stop =
+(* Evict one segment [s, e) of [dev] whose residency stamp is positive
+   throughout; returns the bytes released.  Device-owned parts are
+   written back to the host copy (simulated d2h + ownership handover)
+   and counted as spill traffic; the rest is dropped free. *)
+let evict ~cfg t ~dev ~start:s ~stop:e =
   let eb = elem_bytes t in
   let do_data =
     cfg.Rconfig.transfers || Gpusim.Machine.is_functional t.machine
   in
-  let released = ref 0 in
+  List.iter
+    (fun (o : Tracker.segment) ->
+       if o.owner = dev then begin
+         let os = o.Tracker.start and oe = o.Tracker.stop in
+         (* d2h first: a transient fault aborts the spill before any
+            tracker state changes, so a retry redoes it. *)
+         if do_data then
+           Gpusim.Machine.d2h t.machine ~src:t.instances.(dev) ~src_off:os
+             ~dst:(spill_target t) ~dst_off:os ~len:(oe - os);
+         Tracker.write t.tracker ~start:os ~stop:oe ~owner:Tracker.host;
+         mark_fresh t ~who:(host_slot t) ~start:os ~stop:oe;
+         Gpusim.Machine.note_spill t.machine ~bytes:((oe - os) * eb)
+       end)
+    (Tracker.query t.tracker ~start:s ~stop:e);
+  (* The device's bytes are gone either way: its replica of the whole
+     evicted range is stale from here on. *)
+  (match validity t with
+   | Some v -> Tracker.write v.(dev) ~start:s ~stop:e ~owner:0
+   | None -> ());
+  let bytes = (e - s) * eb in
+  Gpusim.Machine.mem_release t.machine ~device:dev ~bytes;
+  t.charged.(dev) <- t.charged.(dev) - bytes;
+  Tracker.write t.residency.(dev) ~start:s ~stop:e ~owner:0;
+  bytes
+
+(* A spill runs under a "spill" span and machine phase.  Only the span
+   recorder and the causal DAG observe either, so with both off callers
+   run the spill bare and build no closures for it. *)
+let traced t = Obs.Span.enabled () || Gpusim.Machine.causal_enabled t.machine
+
+let in_spill t f =
+  Obs.Span.with_span ~cat:"engine"
+    ~sim:(fun () -> Gpusim.Machine.host_time t.machine)
+    "spill"
+    (fun () -> Gpusim.Machine.with_phase t.machine "spill" f)
+
+(* Evict the resident parts of [start, stop) on [dev], as one spill;
+   returns the bytes released. *)
+let spill_range ~cfg t ~dev ~start ~stop =
   let resident =
     List.filter
       (fun (seg : Tracker.segment) -> seg.owner > 0)
       (Tracker.query t.residency.(dev) ~start ~stop)
   in
-  if resident <> [] then
-    Obs.Span.with_span ~cat:"engine"
-      ~sim:(fun () -> Gpusim.Machine.host_time t.machine)
-      "spill"
-      (fun () ->
-         Gpusim.Machine.with_phase t.machine "spill" @@ fun () ->
-         List.iter
-           (fun (seg : Tracker.segment) ->
-              let s = seg.Tracker.start and e = seg.Tracker.stop in
-              List.iter
-                (fun (o : Tracker.segment) ->
-                   if o.owner = dev then begin
-                     let os = o.Tracker.start and oe = o.Tracker.stop in
-                     let bytes = (oe - os) * eb in
-                     (* d2h first: a transient fault aborts the spill
-                        before any tracker state changes, so a retry
-                        redoes it. *)
-                     if do_data then
-                       Gpusim.Machine.d2h t.machine ~src:t.instances.(dev)
-                         ~src_off:os ~dst:(spill_target t) ~dst_off:os
-                         ~len:(oe - os);
-                     Tracker.write t.tracker ~start:os ~stop:oe
-                       ~owner:Tracker.host;
-                     mark_fresh t ~who:(host_slot t) ~start:os ~stop:oe;
-                     Gpusim.Machine.note_spill t.machine ~bytes
-                   end)
-                (Tracker.query t.tracker ~start:s ~stop:e);
-              (* The device's bytes are gone either way: its replica of
-                 the whole evicted range is stale from here on. *)
-              (match validity t with
-               | Some v -> Tracker.write v.(dev) ~start:s ~stop:e ~owner:0
-               | None -> ());
-              let bytes = (e - s) * eb in
-              Gpusim.Machine.mem_release t.machine ~device:dev ~bytes;
-              t.charged.(dev) <- t.charged.(dev) - bytes;
-              released := !released + bytes;
-              Tracker.write t.residency.(dev) ~start:s ~stop:e ~owner:0)
-           resident);
-  !released
+  let evict_all () =
+    List.fold_left
+      (fun acc (seg : Tracker.segment) ->
+         acc + evict ~cfg t ~dev ~start:seg.Tracker.start ~stop:seg.Tracker.stop)
+      0 resident
+  in
+  if resident = [] then 0 else if traced t then in_spill t evict_all
+  else evict_all ()
 
-let spill ?cfg t ~dev ~ranges =
+let spill ?(cfg = Rconfig.alpha) t ~dev ~ranges =
   List.fold_left
-    (fun acc (start, stop) -> acc + spill_range ?cfg t ~dev ~start ~stop)
+    (fun acc (start, stop) -> acc + spill_range ~cfg t ~dev ~start ~stop)
     0 (clamp_ranges t ranges)
 
 (* The globally coldest resident segment on [dev] across [pool] that
    is older than [stamp] (segments stamped by the in-progress ensure
-   are never eviction candidates). *)
+   are never eviction candidates): the smallest stamp, the first vbuf
+   in pool order among equals, and within that vbuf the lowest start
+   ([Tracker.coldest]).  One index descent per vbuf. *)
 let coldest pool ~dev ~stamp =
   List.fold_left
     (fun acc v ->
        if dev >= Array.length v.instances then acc
        else
-         List.fold_left
-           (fun acc (seg : Tracker.segment) ->
-              if seg.owner > 0 && seg.owner < stamp then
-                match acc with
-                | Some (_, best) when best.Tracker.owner <= seg.owner -> acc
-                | _ -> Some (v, seg)
-              else acc)
-           acc
-           (Tracker.query v.residency.(dev) ~start:0 ~stop:v.len))
+         match Tracker.coldest v.residency.(dev) ~below:stamp with
+         | None -> acc
+         | Some seg -> (
+             match acc with
+             | Some (_, best) when best.Tracker.owner <= seg.owner -> acc
+             | _ -> Some (v, seg)))
     None pool
+
+(* Test support: see [set_eviction_hook] in the interface. *)
+let eviction_hook = ref None
+let set_eviction_hook f = eviction_hook := f
 
 (* Make the ranges resident on [dev], evicting coldest-first from
    [pool] (plus this vbuf) when the device is full.  All ranges of one
    launch should share a [stamp] (one [Machine.lru_tick]) so none of
    them can evict another; raises [Machine.Out_of_memory] when even a
    full eviction of everything older cannot make room.  One residency
-   query per range gives the missing bytes; the resident parts are
-   re-stamped ahead of the final whole-range stamp only when those
-   bytes do not fit, since only the eviction loop can see the
-   difference. *)
+   walk per range finds its non-resident gaps, and one whole-range
+   write stamps it.  When the gaps do not fit, that write comes before
+   the eviction loop, so the loop cannot pick any part of the range;
+   if the loop fails, the gaps are unstamped again, so the range's
+   residency ends as if only its resident parts had been re-stamped. *)
 let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
   let stamp =
     match stamp with Some s -> s | None -> Gpusim.Machine.lru_tick t.machine
   in
   let eb = elem_bytes t in
+  let res = t.residency.(dev) in
   let unlimited = Gpusim.Machine.mem_capacity t.machine = max_int in
-  (* On an unlimited machine a range inside one resident segment has
-     no bytes to charge and no stamp worth writing. *)
-  let fully_resident (start, stop) =
-    let seg = Tracker.segment_at t.residency.(dev) start in
-    seg.owner > 0 && seg.Tracker.stop >= stop
+  (* A range inside one resident segment has no bytes to charge.  On
+     an unlimited machine its stamp is not worth writing either, and on
+     a capped one it is already this stamp when the segment carries it
+     (the same launch ensured the range before, or an overlapping one):
+     either way one lookup settles the range. *)
+  let settled (start, stop) =
+    let seg = Tracker.segment_at res start in
+    seg.Tracker.stop >= stop
+    && if unlimited then seg.owner > 0 else seg.owner = stamp
   in
   let make_resident (start, stop) =
-    let segs = Tracker.query t.residency.(dev) ~start ~stop in
-    let missing =
-      List.fold_left
-        (fun acc (seg : Tracker.segment) ->
-           if seg.owner = 0 then acc + (seg.Tracker.stop - seg.Tracker.start)
-           else acc)
-        0 segs
+    let gaps = ref [] in
+    Tracker.iter_range res ~start ~stop (fun s e owner ->
+        if owner = 0 then gaps := (s, e) :: !gaps);
+    let needed =
+      eb * List.fold_left (fun acc (s, e) -> acc + (e - s)) 0 !gaps
     in
-    let needed = missing * eb in
-    if needed > Gpusim.Machine.mem_free t.machine dev then begin
-      (* Re-stamp the already-resident parts first: from now on the
-         eviction loop below cannot pick them. *)
-      List.iter
-        (fun (seg : Tracker.segment) ->
-           if seg.owner > 0 then
-             Tracker.write t.residency.(dev) ~start:seg.Tracker.start
-               ~stop:seg.Tracker.stop ~owner:stamp)
-        segs;
+    let evicting = needed > Gpusim.Machine.mem_free t.machine dev in
+    if evicting then begin
+      Tracker.write res ~start ~stop ~owner:stamp;
       let pool = if List.memq t pool then pool else t :: pool in
-      while Gpusim.Machine.mem_free t.machine dev < needed do
-        match coldest pool ~dev ~stamp with
-        | Some (v, seg) ->
-          ignore
-            (spill_range ~cfg v ~dev ~start:seg.Tracker.start
-               ~stop:seg.Tracker.stop)
-        | None ->
-          raise
-            (Gpusim.Machine.Out_of_memory
-               {
-                 device = dev;
-                 requested = needed;
-                 free = Gpusim.Machine.mem_free t.machine dev;
-               })
-      done
+      try
+        while Gpusim.Machine.mem_free t.machine dev < needed do
+          match coldest pool ~dev ~stamp with
+          | Some (v, seg) ->
+            let start = seg.Tracker.start and stop = seg.Tracker.stop in
+            (match !eviction_hook with
+             | Some f -> f v ~dev ~stamp ~start ~stop
+             | None -> ());
+            ignore
+              (if traced v then
+                 in_spill v (fun () -> evict ~cfg v ~dev ~start ~stop)
+               else evict ~cfg v ~dev ~start ~stop)
+          | None ->
+            raise
+              (Gpusim.Machine.Out_of_memory
+                 {
+                   device = dev;
+                   requested = needed;
+                   free = Gpusim.Machine.mem_free t.machine dev;
+                 })
+        done
+      with exn ->
+        List.iter
+          (fun (s, e) -> Tracker.write res ~start:s ~stop:e ~owner:0)
+          !gaps;
+        raise exn
     end;
     if needed > 0 then begin
       Gpusim.Machine.mem_reserve t.machine ~device:dev ~bytes:needed;
@@ -340,47 +373,42 @@ let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
     (* Without a capacity limit no eviction ever runs, so stamps are
        never compared: a range already fully resident keeps its old
        ones. *)
-    if needed > 0 || not unlimited then
-      Tracker.write t.residency.(dev) ~start ~stop ~owner:stamp
+    if (not evicting) && (needed > 0 || not unlimited) then
+      Tracker.write res ~start ~stop ~owner:stamp
   in
   List.iter
     (fun range ->
-       if not (unlimited && fully_resident range) then make_resident range)
+       if not (settled range) then make_resident range)
     (clamp_ranges t ranges)
 
 (* How many elements of [start, stop) could be made resident on [dev]
    if everything evictable were evicted: the h2d scatter uses this to
    upload only the prefix that can exist on the device at all, leaving
-   the remainder host-owned. *)
+   the remainder host-owned.  Every resident segment is evictable (all
+   stamps come from [Machine.lru_tick], so each is older than the one
+   the scatter's ensure will draw), so the evictable bytes are the
+   pool's charges on [dev], less the target range's own resident
+   parts, which cost nothing to keep. *)
 let resident_budget t ~pool ~dev ~start ~stop =
   let pool = if List.memq t pool then pool else t :: pool in
   let eb = elem_bytes t in
-  let stamp = Gpusim.Machine.lru_tick t.machine in
-  let evictable =
+  let segs = Tracker.query t.residency.(dev) ~start ~stop in
+  let kept =
+    List.fold_left
+      (fun acc (seg : Tracker.segment) ->
+         if seg.owner > 0 then acc + (seg.Tracker.stop - seg.Tracker.start)
+         else acc)
+      0 segs
+  in
+  let charged =
     List.fold_left
       (fun acc v ->
-         if dev >= Array.length v.instances then acc
-         else
-           List.fold_left
-             (fun acc (seg : Tracker.segment) ->
-                if seg.owner > 0 && seg.owner < stamp then begin
-                  let len = seg.Tracker.stop - seg.Tracker.start in
-                  (* Resident parts of the target range itself cost
-                     nothing to keep, so they are not budget. *)
-                  let overlap =
-                    if v == t then
-                      max 0
-                        (min seg.Tracker.stop stop - max seg.Tracker.start start)
-                    else 0
-                  in
-                  acc + ((len - overlap) * eb)
-                end
-                else acc)
-             acc
-             (Tracker.query v.residency.(dev) ~start:0 ~stop:v.len))
+         if dev >= Array.length v.instances then acc else acc + v.charged.(dev))
       0 pool
   in
-  let budget = ref (Gpusim.Machine.mem_free t.machine dev + evictable) in
+  let budget =
+    ref (Gpusim.Machine.mem_free t.machine dev + charged - (kept * eb))
+  in
   let fit = ref start in
   (try
      List.iter
@@ -398,7 +426,7 @@ let resident_budget t ~pool ~dev ~start ~stop =
               raise Exit
             end
           end)
-       (Tracker.query t.residency.(dev) ~start ~stop)
+       segs
    with Exit -> ());
   max start (min stop !fit)
 

@@ -18,6 +18,11 @@ val name : t -> string
 val len : t -> int
 val tracker : t -> Tracker.t
 
+val residency : t -> dev:int -> Tracker.t
+(** The residency tracker of one device: owner 0 = not resident, a
+    positive owner = resident, stamped by the last {!ensure_resident}
+    that touched it.  Test support; callers must not write it. *)
+
 val instance : t -> int -> Gpusim.Buffer.t
 (** The device-local instance for one device. *)
 
@@ -86,6 +91,14 @@ val ensure_resident :
     {!Gpusim.Machine.lru_tick}) so none of them can evict another.
     Raises [Gpusim.Machine.Out_of_memory] when a full eviction of
     everything older still cannot make room. *)
+
+val set_eviction_hook :
+  (t -> dev:int -> stamp:int -> start:int -> stop:int -> unit) option -> unit
+(** Test support: with [Some f], the eviction loop of
+    {!ensure_resident} calls [f v ~dev ~stamp ~start ~stop] just before
+    it evicts the resident segment [\[start, stop)] of [v], chosen as
+    the coldest below [stamp] across the pool: the smallest stamp, the
+    first vbuf in pool order among equals, then the lowest start. *)
 
 val spill :
   ?cfg:Rconfig.t -> t -> dev:int -> ranges:(int * int) list -> int

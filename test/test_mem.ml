@@ -163,6 +163,22 @@ let test_non_launch_oom_diagnostic () =
     checki "requested" 200 requested;
     checki "free" 100 free
 
+(* A capped machine's residency trackers pack (stamp, start) into one
+   int key, so a buffer too long to pack is refused up front, in one
+   line naming it; an uncapped machine keeps no index and no limit. *)
+let test_capped_length_limit () =
+  let len = Tracker.max_indexed_len + 1 in
+  let capped =
+    Gpusim.Machine.create ~functional:false
+      (Gpusim.Config.test_box ~n_devices:2 ~mem_capacity:1024 ())
+  in
+  match Vbuf.create capped ~name:"huge" ~len with
+  | _ -> Alcotest.fail "unpackable capped vbuf accepted"
+  | exception Invalid_argument msg ->
+    checkb "one line" true (one_line msg);
+    checkb "names the buffer" true
+      (Str.string_match (Str.regexp ".*(huge)") msg 0)
+
 (* ---------------- Composition with fault injection ----------------- *)
 
 (* Memory pressure and self-healing are orthogonal robustness layers;
@@ -210,105 +226,205 @@ let test_capped_run_survives_faults () =
 
 (* ---------------- Model-based residency property ------------------ *)
 
-(* Random schedules of device writes, synced reads, explicit spills,
-   ensure_resident calls and checkpoint/restore cycles on a capacity-
-   limited machine.  After every operation the segment trackers must
-   satisfy their invariants and the residency accounting must be
-   consistent (Vbuf.check_residency); every synced read and the final
-   gather must agree with a flat reference array. *)
+(* The full-scan eviction choice that the residency trackers' stamp
+   index replaced, kept as the differential oracle: it visits every
+   segment of every pool vbuf's residency on [dev] and keeps the first
+   with the smallest stamp below [stamp], so ties go to pool order,
+   then to the lowest start. *)
+let scan_coldest pool ~dev ~stamp =
+  List.fold_left
+    (fun acc v ->
+       List.fold_left
+         (fun acc (seg : Tracker.segment) ->
+            if seg.owner > 0 && seg.owner < stamp then
+              match acc with
+              | Some (_, (best : Tracker.segment)) when best.owner <= seg.owner
+                -> acc
+              | _ -> Some (v, seg)
+            else acc)
+         acc
+         (Tracker.segments (Vbuf.residency v ~dev)))
+    None pool
+
+(* Random schedules over a name-sorted pool of 2-3 vbufs on a
+   capacity-limited machine: device writes, synced reads, explicit
+   spills, ensure_resident calls, launches whose reads and writes over
+   several vbufs share one stamp (so stamps tie across the pool), and
+   checkpoint/restore cycles.  After every operation the segment
+   trackers must satisfy their invariants and the residency accounting
+   must be consistent (Vbuf.check_residency); every synced read and
+   the final gathers must agree with flat reference arrays; and every
+   eviction, (vbuf, device, start, stop) in order, must be the one the
+   full-scan oracle picks at that moment. *)
 type mop =
-  | MWrite of int * int * int (* device, lo, hi *)
-  | MRead of int * int * int
-  | MSpill of int * int * int
-  | MEnsure of int * int * int
+  | MWrite of int * int * int * int (* vbuf, device, lo, hi *)
+  | MRead of int * int * int * int
+  | MSpill of int * int * int * int
+  | MEnsure of int * int * int * int
+  | MLaunch of int * (int * int * int) list (* device, (vbuf, lo, hi) *)
   | MCheckpoint
   | MRestore
 
+let gen_range ~width =
+  QCheck.Gen.(
+    int_range 0 79 >>= fun a ->
+    int_range 0 width >>= fun w -> return (min a 79, min (a + 1 + w) 80))
+
 let gen_mop =
   QCheck.Gen.(
+    int_range 0 2 >>= fun vb ->
     int_range 0 3 >>= fun dev ->
-    int_range 0 79 >>= fun a ->
-    int_range 0 23 >>= fun w ->
-    let lo = min a 79 and hi = min (a + 1 + w) 80 in
+    gen_range ~width:23 >>= fun (lo, hi) ->
     frequency
       [
-        (4, return (MWrite (dev, lo, hi)));
-        (4, return (MRead (dev, lo, hi)));
-        (2, return (MSpill (dev, lo, hi)));
-        (2, return (MEnsure (dev, lo, hi)));
+        (4, return (MWrite (vb, dev, lo, hi)));
+        (4, return (MRead (vb, dev, lo, hi)));
+        (2, return (MSpill (vb, dev, lo, hi)));
+        (2, return (MEnsure (vb, dev, lo, hi)));
+        ( 3,
+          list_size (int_range 1 3)
+            (pair (int_range 0 2) (gen_range ~width:15))
+          >|= fun parts ->
+          MLaunch (dev, List.map (fun (v, (lo, hi)) -> (v, lo, hi)) parts) );
         (1, return MCheckpoint);
         (1, return MRestore);
       ])
 
 let print_mop = function
-  | MWrite (d, l, h) -> Printf.sprintf "W%d[%d,%d)" d l h
-  | MRead (d, l, h) -> Printf.sprintf "R%d[%d,%d)" d l h
-  | MSpill (d, l, h) -> Printf.sprintf "S%d[%d,%d)" d l h
-  | MEnsure (d, l, h) -> Printf.sprintf "E%d[%d,%d)" d l h
+  | MWrite (v, d, l, h) -> Printf.sprintf "W%d.%d[%d,%d)" v d l h
+  | MRead (v, d, l, h) -> Printf.sprintf "R%d.%d[%d,%d)" v d l h
+  | MSpill (v, d, l, h) -> Printf.sprintf "S%d.%d[%d,%d)" v d l h
+  | MEnsure (v, d, l, h) -> Printf.sprintf "E%d.%d[%d,%d)" v d l h
+  | MLaunch (d, parts) ->
+    Printf.sprintf "L%d{%s}" d
+      (String.concat ","
+         (List.map (fun (v, l, h) -> Printf.sprintf "%d[%d,%d)" v l h) parts))
   | MCheckpoint -> "C"
   | MRestore -> "X"
 
 let prop_residency_model =
-  QCheck.Test.make ~name:"capped vbuf matches flat model" ~count:120
+  QCheck.Test.make ~name:"capped vbuf matches flat model" ~count:150
     (QCheck.make
-       ~print:(fun l -> String.concat "; " (List.map print_mop l))
-       QCheck.Gen.(list_size (int_range 1 40) gen_mop))
-    (fun ops ->
+       ~print:(fun (n, l) ->
+         Printf.sprintf "%d vbufs: %s" n
+           (String.concat "; " (List.map print_mop l)))
+       QCheck.Gen.(
+         pair (int_range 2 3) (list_size (int_range 1 40) gen_mop)))
+    (fun (n, ops) ->
       let len = 80 in
       let m =
         Gpusim.Machine.create ~functional:true
-          (* 32 elements per device: every single op range (<= 24
-             elements) fits after eviction, but the whole buffer never
-             does, so the schedule constantly spills and faults back. *)
-          (Gpusim.Config.test_box ~n_devices:4 ~mem_capacity:256 ())
+          (* 32 four-byte elements per device: every single op range
+             (<= 24 elements) fits after eviction, but no whole buffer
+             does, so the schedule constantly spills and faults back.
+             A launch's parts (<= 48 elements) may not fit together. *)
+          (Gpusim.Config.test_box ~n_devices:4 ~mem_capacity:128 ())
       in
-      let vb = Vbuf.create m ~name:"v" ~len in
-      let model = Array.init len float_of_int in
-      Vbuf.h2d vb ~src:(Some (Array.copy model));
+      (* Name-sorted, like the engine's pool. *)
+      let vbs =
+        Array.init n (fun i ->
+            Vbuf.create m ~name:(String.make 1 (Char.chr (97 + i))) ~len)
+      in
+      let pool = Array.to_list vbs in
+      let models =
+        Array.init n (fun i ->
+            Array.init len (fun j -> float_of_int ((1000 * i) + j)))
+      in
+      let evicted = ref [] and oracle = ref [] in
+      let named = function
+        | Some (v, (seg : Tracker.segment)) ->
+          Some (Vbuf.name v, seg.Tracker.start, seg.Tracker.stop)
+        | None -> None
+      in
+      Vbuf.set_eviction_hook
+        (Some
+           (fun v ~dev ~stamp ~start ~stop ->
+              evicted := (Vbuf.name v, dev, start, stop) :: !evicted;
+              oracle := (dev, named (scan_coldest pool ~dev ~stamp)) :: !oracle));
+      Fun.protect ~finally:(fun () -> Vbuf.set_eviction_hook None)
+      @@ fun () ->
+      Array.iteri
+        (fun i vb -> Vbuf.h2d ~pool vb ~src:(Some (Array.copy models.(i))))
+        vbs;
       let snap = ref None in
-      let stamp = ref 100.0 in
+      let tag = ref 100.0 in
       let ok = ref true in
       let validate () =
-        Tracker.check_invariants (Vbuf.tracker vb);
-        Vbuf.check_residency vb
+        Array.iter
+          (fun vb ->
+             Tracker.check_invariants (Vbuf.tracker vb);
+             Vbuf.check_residency vb)
+          vbs
+      in
+      let read ?stamp vi dev lo hi =
+        ignore
+          (Vbuf.sync_for_read ~pool ?stamp vbs.(vi) ~dev ~ranges:[ (lo, hi) ]);
+        let inst = Gpusim.Buffer.data_exn (Vbuf.instance vbs.(vi) dev) in
+        for i = lo to hi - 1 do
+          if inst.(i) <> models.(vi).(i) then ok := false
+        done
+      in
+      (* Make the range resident first, then store through the instance
+         like a kernel would, then declare the write. *)
+      let write ?stamp vi dev lo hi =
+        tag := !tag +. 1.0;
+        Vbuf.ensure_resident ~pool ?stamp vbs.(vi) ~dev ~ranges:[ (lo, hi) ];
+        let inst = Gpusim.Buffer.data_exn (Vbuf.instance vbs.(vi) dev) in
+        for i = lo to hi - 1 do
+          inst.(i) <- !tag +. float_of_int i;
+          models.(vi).(i) <- !tag +. float_of_int i
+        done;
+        Vbuf.update_for_write ~pool ?stamp vbs.(vi) ~dev ~ranges:[ (lo, hi) ]
       in
       validate ();
       List.iter
         (fun op ->
            (match op with
-            | MWrite (dev, lo, hi) ->
-              stamp := !stamp +. 1.0;
-              (* make the range resident first, then store through the
-                 instance like a kernel would, then declare the write *)
-              Vbuf.ensure_resident vb ~dev ~ranges:[ (lo, hi) ];
-              let inst = Gpusim.Buffer.data_exn (Vbuf.instance vb dev) in
-              for i = lo to hi - 1 do
-                inst.(i) <- !stamp +. float_of_int i;
-                model.(i) <- !stamp +. float_of_int i
-              done;
-              Vbuf.update_for_write vb ~dev ~ranges:[ (lo, hi) ]
-            | MRead (dev, lo, hi) ->
-              ignore (Vbuf.sync_for_read vb ~dev ~ranges:[ (lo, hi) ]);
-              let inst = Gpusim.Buffer.data_exn (Vbuf.instance vb dev) in
-              for i = lo to hi - 1 do
-                if inst.(i) <> model.(i) then ok := false
-              done
-            | MSpill (dev, lo, hi) ->
-              ignore (Vbuf.spill vb ~dev ~ranges:[ (lo, hi) ])
-            | MEnsure (dev, lo, hi) ->
-              Vbuf.ensure_resident vb ~dev ~ranges:[ (lo, hi) ]
-            | MCheckpoint -> snap := Some (Vbuf.checkpoint vb, Array.copy model)
+            | MWrite (vi, dev, lo, hi) -> write (vi mod n) dev lo hi
+            | MRead (vi, dev, lo, hi) -> read (vi mod n) dev lo hi
+            | MSpill (vi, dev, lo, hi) ->
+              ignore (Vbuf.spill vbs.(vi mod n) ~dev ~ranges:[ (lo, hi) ])
+            | MEnsure (vi, dev, lo, hi) ->
+              Vbuf.ensure_resident ~pool vbs.(vi mod n) ~dev ~ranges:[ (lo, hi) ]
+            | MLaunch (dev, parts) -> (
+                (* One stamp for the whole launch: none of its parts can
+                   evict another, and they all tie for later evictions. *)
+                let stamp = Gpusim.Machine.lru_tick m in
+                try
+                  List.iter
+                    (fun (vi, lo, hi) ->
+                       read ~stamp (vi mod n) dev lo hi;
+                       write ~stamp (vi mod n) dev lo hi)
+                    parts
+                with Gpusim.Machine.Out_of_memory _ -> ())
+            | MCheckpoint ->
+              snap :=
+                Some
+                  (Array.map (fun vb -> Vbuf.checkpoint vb) vbs,
+                   Array.map Array.copy models)
             | MRestore -> (
                 match !snap with
                 | Some (s, saved) ->
-                  Vbuf.restore vb s;
-                  Array.blit saved 0 model 0 len
+                  Array.iteri (fun i vb -> Vbuf.restore vb s.(i)) vbs;
+                  Array.iteri
+                    (fun i a -> Array.blit a 0 models.(i) 0 len)
+                    saved
                 | None -> ()));
            validate ())
         ops;
-      let out = Array.make len nan in
-      Vbuf.d2h vb ~dst:(Some out);
-      !ok && out = model)
+      let gathered =
+        Array.for_all2
+          (fun vb model ->
+             let out = Array.make len nan in
+             Vbuf.d2h vb ~dst:(Some out);
+             out = model)
+          vbs models
+      in
+      let want =
+        List.map (fun (name, dev, start, stop) -> (dev, Some (name, start, stop)))
+          !evicted
+      in
+      !ok && gathered && want = !oracle)
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
@@ -332,6 +448,8 @@ let () =
             test_non_launch_oom_diagnostic;
           Alcotest.test_case "capacity below one element" `Quick
             test_sub_element_capacity;
+          Alcotest.test_case "capped vbuf length limit" `Quick
+            test_capped_length_limit;
         ] );
       ( "faults",
         [

@@ -83,7 +83,7 @@ let test_btree_iter_from () =
     (List.rev !all)
 
 (* Model-based test: random interleavings of add/remove/find/floor
-   against Stdlib.Map. *)
+   against Stdlib.Map; a [Floor] step checks [ceil_value] too. *)
 type op = Add of int * int | Remove of int | Find of int | Floor of int
 
 let gen_op =
@@ -125,7 +125,12 @@ let prop_btree_model =
                   (fun k' v' acc -> if k' <= k then Some (k', v') else acc)
                   !model None
               in
-              M.floor t k = expected)
+              let above =
+                match IM.find_first_opt (fun k' -> k' >= k) !model with
+                | Some (_, v) -> v
+                | None -> -1
+              in
+              M.floor t k = expected && M.ceil_value t k ~default:(-1) = above)
         ops
       && (ignore (M.validate t);
           M.size t = IM.cardinal !model
@@ -381,6 +386,100 @@ let prop_tracker_matches_oracle =
            in
            ok && Tracker.segments t = Oracle_tracker.segments o)
         steps)
+
+(* The stamp index against a linear scan.  Writes mix owner 0 (not
+   resident) with stamps reused from earlier writes and fresh ones, the
+   way vbuf residency writes them.  After every write the indexed
+   tracker must be sound ([check_invariants] covers the index) and, for
+   every bound, [coldest ~below] must pick what a scan of [segments]
+   picks: the smallest owner in [1, below), the lowest start among
+   equals. *)
+type stamp_pick = Unstamp | Reuse of int | Fresh
+
+let print_stamp_pick = function
+  | Unstamp -> "0"
+  | Reuse i -> Printf.sprintf "r%d" i
+  | Fresh -> "f"
+
+let prop_tracker_coldest =
+  QCheck.Test.make ~name:"indexed tracker coldest matches a scan" ~count:400
+    (QCheck.make
+       ~print:(fun (len, steps) ->
+         Printf.sprintf "len=%d %s" len
+           (String.concat " "
+              (List.map
+                 (fun (a, b, p) ->
+                    Printf.sprintf "W(%d,%d,%s)" a b (print_stamp_pick p))
+                 steps)))
+       QCheck.Gen.(
+         pair (int_range 1 64)
+           (list_size (int_range 1 60)
+              (triple (int_range 0 1000) (int_range 0 1000)
+                 (frequency
+                    [
+                      (2, return Unstamp);
+                      (3, map (fun i -> Reuse i) (int_range 0 1000));
+                      (3, return Fresh);
+                    ])))))
+    (fun (len, steps) ->
+      let t = Tracker.create_indexed ~len ~initial_owner:0 in
+      let used = ref [] and next = ref 1 in
+      let scan below =
+        List.fold_left
+          (fun acc (seg : Tracker.segment) ->
+             if seg.owner >= 1 && seg.owner < below then
+               match acc with
+               | Some (best : Tracker.segment) when best.owner <= seg.owner -> acc
+               | _ -> Some seg
+             else acc)
+          None (Tracker.segments t)
+      in
+      List.for_all
+        (fun (a, b, pick) ->
+           let start = min (a mod len) (b mod len)
+           and stop = max (a mod len) (b mod len) + 1 in
+           let owner =
+             match (pick, !used) with
+             | Unstamp, _ | Reuse _, [] -> 0
+             | Reuse i, l -> List.nth l (i mod List.length l)
+             | Fresh, _ ->
+               let s = !next in
+               incr next;
+               used := s :: !used;
+               s
+           in
+           Tracker.write t ~start ~stop ~owner;
+           Tracker.check_invariants t;
+           List.for_all
+             (fun below -> Tracker.coldest t ~below = scan below)
+             (max_int :: List.init (!next + 1) Fun.id))
+        steps)
+
+let test_tracker_index_limits () =
+  let raises what f =
+    checkb what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "index longer than 2^32" (fun () ->
+      Tracker.create_indexed ~len:(Tracker.max_indexed_len + 1)
+        ~initial_owner:0);
+  raises "negative initial owner" (fun () ->
+      Tracker.create_indexed ~len:10 ~initial_owner:Tracker.host);
+  let t = Tracker.create_indexed ~len:10 ~initial_owner:0 in
+  raises "negative owner" (fun () ->
+      Tracker.write t ~start:0 ~stop:5 ~owner:Tracker.host);
+  raises "owner past the key" (fun () ->
+      Tracker.write t ~start:0 ~stop:5 ~owner:(Tracker.max_indexed_owner + 1));
+  Tracker.write t ~start:3 ~stop:5 ~owner:Tracker.max_indexed_owner;
+  Tracker.write t ~start:7 ~stop:9 ~owner:Tracker.max_indexed_owner;
+  Tracker.check_invariants t;
+  checkb "largest owner found, lowest start first" true
+    (Tracker.coldest t ~below:max_int
+     = Some { Tracker.start = 3; stop = 5; owner = Tracker.max_indexed_owner });
+  checkb "bound excludes it" true
+    (Tracker.coldest t ~below:Tracker.max_indexed_owner = None);
+  raises "unindexed tracker has no coldest" (fun () ->
+      Tracker.coldest (Tracker.create ~len:10 ~initial_owner:1) ~below:2)
 
 (* Ownership queries never lose or double-count an element: after any
    sequence of random owned-range writes, the per-owner segment lists
@@ -810,6 +909,8 @@ let () =
           qtest prop_tracker_model;
           qtest prop_tracker_ownership;
           qtest prop_tracker_matches_oracle;
+          qtest prop_tracker_coldest;
+          Alcotest.test_case "index limits" `Quick test_tracker_index_limits;
         ] );
       ( "vbuf",
         [
