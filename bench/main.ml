@@ -11,8 +11,11 @@
      dune exec bench/main.exe -- compile  -- compile-time overhead
      dune exec bench/main.exe -- cache    -- launch-plan cache wall-clock
      dune exec bench/main.exe -- faults   -- fault-injection campaign
+     dune exec bench/main.exe -- mem      -- memory-capacity campaign
      dune exec bench/main.exe -- exec     -- interpreter vs compiled executor
+     dune exec bench/main.exe -- overlap  -- compute/transfer overlap campaign
      dune exec bench/main.exe -- serve    -- multi-tenant serving campaign
+     dune exec bench/main.exe -- autotune -- partition autotuner campaign
      dune exec bench/main.exe -- micro    -- Bechamel micro-benchmarks
 
    Any experiment accepts --faults SEED,RATE[,DEV@TIME...] to inject
@@ -27,22 +30,20 @@
      --domains N    size of the domain pool for parallel kernel
                     execution (default $MEKONG_DOMAINS, else the
                     machine's recommended domain count)
-     --json PATH    override the report path (default
-                    BENCH_<campaign>.json per campaign, in the cwd)
      --trace PATH   enable span recording and machine tracing, and
                     write a Chrome trace-event JSON of the campaign's
                     last simulated run (open in Perfetto)
 
-   Every campaign additionally writes a machine-readable
-   BENCH_<campaign>.json recording its wall-clock, per-app timings, a
-   profile breakdown of the last simulated machine (device utilization,
-   byte matrix), the campaign's metrics registry (the merge of every
-   run's engine counters plus the last machine's gpusim counters) and
-   host info; CI archives these as artifacts.
+   The gate campaigns (faults, mem, overlap, serve, autotune) exit 1 on
+   a violation and print only simulated, deterministic numbers, so
+   their stdout is the baseline: bench/<campaign>.expected pins it
+   under `dune runtest` (`dune promote` accepts an intended change).
+   Bad input (a flag value, $MEKONG_DOMAINS, an infeasible --mem-cap)
+   exits 2 with a one-line diagnostic.
 
    All application measurements are simulated times from the calibrated
    machine model (see DESIGN.md §4); the micro-benchmarks and the exec
-   campaign measure real wall time. *)
+   and cache campaigns measure real wall time. *)
 
 let gpu_counts = [ 1; 2; 4; 6; 8; 10; 12; 14; 16 ]
 
@@ -73,9 +74,9 @@ let artifacts bench size =
    campaign's last simulated run written at the end. *)
 let trace_path : string option ref = ref None
 
-(* The most recent partitioned-run machine: its profile becomes the
-   report's "breakdown" section (campaigns sweep many machines; the
-   last one is the largest configuration swept). *)
+(* The most recent partitioned-run machine: --trace writes its trace
+   (campaigns sweep many machines; the last one is the largest
+   configuration swept). *)
 let last_machine : Gpusim.Machine.t option ref = ref None
 
 (* --mem-cap BYTES: finite per-device memory on the partitioned-run
@@ -97,8 +98,8 @@ let k80 ?(capped = true) g =
   if !trace_path <> None then begin
     Gpusim.Machine.enable_trace m;
     (* Causal recording rides along with tracing so the exported trace
-       carries the critical-path lane and the report the critpath.*
-       counters (its cost is only paid when --trace asks for it). *)
+       carries the critical-path lane (its cost is only paid when
+       --trace asks for it). *)
     Gpusim.Machine.enable_causal m
   end;
   m
@@ -111,8 +112,8 @@ let fault_spec : Gpusim.Faults.spec option ref = ref None
 
 (* The campaign's registry: every engine run and every single-GPU
    reference run merges its counters in, so each series is the sum over
-   the campaign's runs (gauges keep the maximum); the report's
-   "metrics" section is this registry. *)
+   the campaign's runs (gauges keep the maximum).  Campaigns read their
+   totals (and gate on them) from here. *)
 let campaign = Obs.Metrics.create ()
 
 let engine ?cfg ?tiling ?cache ?checkpoint_every ?overlap ?autotune ~machine
@@ -133,23 +134,11 @@ let reference_run ?executor ~machine prog =
 let count (r : Mekong.Multi_gpu.result) name =
   int_of_float (Obs.Metrics.get r.Mekong.Multi_gpu.metrics name)
 
-(* --repeat N / --json PATH (see the header comment). *)
+(* --repeat N (see the header comment). *)
 let repeat = ref 1
-let json_path : string option ref = ref None
 
-(* Per-campaign timing entries for the BENCH_<campaign>.json report;
-   [multi_time] and [reference_time] record automatically, campaigns
-   with bespoke measurements (exec, cache, faults, micro) add their
-   own. *)
-let timings : Obs.Json.t list ref = ref []
-let add_timing fields = timings := Obs.Json.Obj fields :: !timings
-
-let jstr s = Obs.Json.Str s
-let jint i = Obs.Json.Int i
-let jflt x = Obs.Json.Float x
-
-(* Campaigns that gate CI (faults, exec) record failure here; the
-   driver exits 1 only after every JSON report is written. *)
+(* Campaigns with gates record failure here; the driver exits 1 only
+   after every selected campaign has run. *)
 let campaign_failed = ref false
 
 (* Simulated time of the partitioned application on [g] GPUs. *)
@@ -162,30 +151,13 @@ let multi_time ?cfg ?(autotune = false) bench size g =
    | _ -> ());
   let r = engine ?cfg ~autotune ~machine:m a.Mekong.Toolchain.exe in
   last_machine := Some m;
-  add_timing
-    [
-      ("kind", jstr "partitioned");
-      ("app", jstr (Apps.Workloads.benchmark_name bench));
-      ("size", jstr (Apps.Workloads.size_name size));
-      ("gpus", jint g);
-      ("sim_seconds", jflt r.Mekong.Multi_gpu.time);
-    ];
   (r.Mekong.Multi_gpu.time, m)
 
 (* Simulated time of the NVCC-style single-GPU reference binary. *)
 let reference_time bench size =
   let prog = Apps.Workloads.program bench size in
   let m = k80 ~capped:false 1 in
-  let r = reference_run ~machine:m prog in
-  add_timing
-    [
-      ("kind", jstr "reference");
-      ("app", jstr (Apps.Workloads.benchmark_name bench));
-      ("size", jstr (Apps.Workloads.size_name size));
-      ("gpus", jint 1);
-      ("sim_seconds", jflt r.Single_gpu.time);
-    ];
-  r.Single_gpu.time
+  (reference_run ~machine:m prog).Single_gpu.time
 
 let ref_cache = Hashtbl.create 16
 
@@ -222,20 +194,10 @@ let stats_of values =
     percentile a 100.0 )
 
 (* --repeat support for the wall-clock measurements: one warmup run
-   (when N > 1), then summary statistics over N timed runs.  Each run
-   times [f (setup ())] but not the [setup], which builds fresh input
-   so repeated runs never share mutated state; the result of the last
-   run is returned alongside the stats.  The raw per-repeat
-   samples ride along into the BENCH json so `bench compare` can
-   derive a noise bound instead of guessing one. *)
-type wall_stats = {
-  ws_median : float;
-  ws_min : float;
-  ws_max : float;
-  ws_stddev : float;
-  ws_samples : float array; (* chronological, unsorted *)
-}
-
+   (when N > 1), then the median over N timed runs.  Each run times
+   [f (setup ())] but not the [setup], which builds fresh input so
+   repeated runs never share mutated state; the result of the last run
+   is returned alongside the median. *)
 let median_wall_of ~setup f =
   let n = max 1 !repeat in
   if n > 1 then ignore (f (setup ()));
@@ -248,37 +210,11 @@ let median_wall_of ~setup f =
     walls.(i) <- Unix.gettimeofday () -. t0;
     last := Some r
   done;
-  let samples = Array.copy walls in
   Array.sort compare walls;
-  let mean = Array.fold_left ( +. ) 0.0 walls /. float_of_int n in
-  let var =
-    Array.fold_left (fun a w -> a +. ((w -. mean) *. (w -. mean))) 0.0 walls
-    /. float_of_int n
-  in
-  ( {
-      ws_median = percentile walls 50.0;
-      ws_min = walls.(0);
-      ws_max = walls.(n - 1);
-      ws_stddev = sqrt var;
-      ws_samples = samples;
-    },
-    Option.get !last )
+  (percentile walls 50.0, Option.get !last)
 
 (* [f] performs its own setup, inside the timed region. *)
 let median_wall f = median_wall_of ~setup:ignore f
-
-(* The wall-clock fields every timing entry carries: the median plus
-   the spread `bench compare` needs for its noise bound. *)
-let wall_fields (s : wall_stats) =
-  [
-    ("wall_seconds", jflt s.ws_median);
-    ("wall_min_seconds", jflt s.ws_min);
-    ("wall_max_seconds", jflt s.ws_max);
-    ("wall_stddev_seconds", jflt s.ws_stddev);
-    ( "wall_samples",
-      Obs.Json.List (Array.to_list (Array.map (fun w -> jflt w) s.ws_samples))
-    );
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: benchmark configurations                                    *)
@@ -444,13 +380,6 @@ let run_overhead1 () =
             let tp, _ = multi_time b s 1 in
             let slow = (tp -. tr) /. tr *. 100.0 in
             values := slow :: !values;
-            add_timing
-              [
-                ("kind", jstr "slowdown");
-                ("app", jstr (Apps.Workloads.benchmark_name b));
-                ("size", jstr (Apps.Workloads.size_name s));
-                ("slowdown_percent", jflt slow);
-              ];
             Printf.printf "%-10s %-8s %14.3f %15.3f %9.2f%%\n%!"
               (Apps.Workloads.benchmark_name b) (Apps.Workloads.size_name s)
               tr tp slow)
@@ -477,14 +406,6 @@ let run_compile () =
        in
        let t_ref, t_mek, ratio = Mekong.Toolchain.compile_time_ratio prog in
        let p = Mekong.Toolchain.compile_profile prog in
-       add_timing
-        [
-          ("kind", jstr "compile");
-          ("app", jstr name);
-          ("one_pass_seconds", jflt t_ref);
-          ("two_pass_seconds", jflt t_mek);
-          ("ratio", jflt ratio);
-        ];
        Printf.printf "%-10s %12.6f %12.6f %7.2fx | %10.6f %10.6f %10.6f\n%!"
          name t_ref t_mek ratio p.Mekong.Toolchain.p_analysis
          p.Mekong.Toolchain.p_rewrite p.Mekong.Toolchain.p_link)
@@ -624,7 +545,7 @@ let run_cachebench () =
     "wall time(s)" "hits" "misses";
   Printf.printf "%s\n" (line 60);
   let measure cache =
-    let ws, r =
+    let wall, r =
       median_wall (fun () ->
           let m = k80 8 in
           engine ~cache ~machine:m exe)
@@ -632,19 +553,8 @@ let run_cachebench () =
     let hits = count r "cache.plan_hits" and misses = count r "cache.plan_misses" in
     Printf.printf "%-12s %14.4f %14.3f %8d %8d\n%!"
       (if cache then "cache on" else "cache off")
-      r.Mekong.Multi_gpu.time ws.ws_median hits misses;
-    add_timing
-      ([
-        ("kind", jstr "cache");
-        ("variant", jstr (if cache then "cache_on" else "cache_off"));
-        ("sim_seconds", jflt r.Mekong.Multi_gpu.time);
-      ]
-       @ wall_fields ws
-       @ [
-         ("hits", jint hits);
-         ("misses", jint misses);
-       ]);
-    (r.Mekong.Multi_gpu.time, ws.ws_median)
+      r.Mekong.Multi_gpu.time wall hits misses;
+    (r.Mekong.Multi_gpu.time, wall)
   in
   let t_on, w_on = measure true in
   let t_off, w_off = measure false in
@@ -750,9 +660,6 @@ let run_micro () =
          (fun name result ->
             match Analyze.OLS.estimates result with
             | Some [ est ] ->
-              add_timing
-                [ ("kind", jstr "micro"); ("name", jstr name);
-                  ("ns_per_run", jflt est) ];
               Printf.printf "  %-34s %12.1f ns/run\n%!" name est
             | _ -> Printf.printf "  %-34s (no estimate)\n%!" name)
          results)
@@ -847,20 +754,7 @@ let run_faultcampaign () =
             let ok = out = baseline in
             if not ok then incr violations;
             let f = r.Mekong.Multi_gpu.faults in
-            add_timing
-              [
-                ("kind", jstr "fault_run");
-                ("app", jstr name);
-                ("seed", jint seed);
-                ("clean_seconds", jflt t0);
-                ("faulty_seconds", jflt r.Mekong.Multi_gpu.time);
-                ("faults", jint f.Mekong.Multi_gpu.fr_faults);
-                ("retries", jint f.Mekong.Multi_gpu.fr_retries);
-                ("replays", jint f.Mekong.Multi_gpu.fr_replays);
-                ("devices_lost", jint f.Mekong.Multi_gpu.fr_devices_lost);
-                ("bit_identical", Obs.Json.Bool ok);
-              ];
-            Printf.printf "%-8s %6d %11.5f %11.5f %7d %8d %8d %5d  %s\n%!" name
+            Printf.printf "%-8s %6d %11.7f %11.7f %7d %8d %8d %5d  %s\n%!" name
               seed t0 r.Mekong.Multi_gpu.time f.Mekong.Multi_gpu.fr_faults
               f.Mekong.Multi_gpu.fr_retries f.Mekong.Multi_gpu.fr_replays
               f.Mekong.Multi_gpu.fr_devices_lost
@@ -891,7 +785,7 @@ let run_faultcampaign () =
 (* Each workload first runs uncapped to measure its own per-device
    high-water mark, then again at 100%, 50% and 25% of that capacity.
    Every capped run must stay bit-identical to the uncapped baseline
-   (the DESIGN.md §15 invariant); the report records the spill traffic,
+   (the DESIGN.md §15 invariant); the table records the spill traffic,
    chunk counts and slowdown the capacity costs.  Any divergence or
    unexpected infeasibility fails the campaign (exit 1). *)
 let run_memcampaign () =
@@ -943,7 +837,7 @@ let run_memcampaign () =
        for d = 0 to devices - 1 do
          hw := max !hw (Gpusim.Machine.mem_high_water m0 d)
        done;
-       Printf.printf "%-8s %5s %9d %11.5f %9s %7d %9d %7d  %s\n%!" name
+       Printf.printf "%-8s %5s %9d %11.7f %9s %7d %9d %7d  %s\n%!" name
          "free" !hw t0 "1.00x" 0 0 0 "baseline";
        List.iter
          (fun denom ->
@@ -963,32 +857,29 @@ let run_memcampaign () =
               let chunks = count r "engine.chunks" in
               let t = r.Mekong.Multi_gpu.time in
               last_machine := Some m;
-              add_timing
-                [
-                  ("kind", jstr "mem_run");
-                  ("app", jstr name);
-                  ("fraction", jstr frac);
-                  ("capacity_bytes", jint cap);
-                  ("high_water_bytes", jint !hw);
-                  ("uncapped_seconds", jflt t0);
-                  ("capped_seconds", jflt t);
-                  ("spills", jint st.Gpusim.Machine.n_spills);
-                  ("spill_bytes", jint st.Gpusim.Machine.spill_bytes);
-                  ("chunked_launches", jint (count r "engine.chunked_launches"));
-                  ("chunks", jint chunks);
-                  ("oom_refinements", jint (count r "engine.oom_refinements"));
-                  ("bit_identical", Obs.Json.Bool ok);
-                ];
-              Printf.printf "%-8s %5s %9d %11.5f %8.2fx %7d %9d %7d  %s\n%!"
+              Printf.printf "%-8s %5s %9d %11.7f %8.2fx %7d %9d %7d  %s\n%!"
                 name frac cap t (t /. t0) st.Gpusim.Machine.n_spills
                 st.Gpusim.Machine.spill_bytes chunks
                 (if ok then "OK" else "FAIL: output diverged"))
          [ 1; 2; 4 ])
     workloads;
   Printf.printf "%s\n" (line 86);
+  (* Every capped run still goes through the launch-plan cache and the
+     race gate: a zero total means a path bypassed them, or their
+     counters never reached the registry. *)
+  List.iter
+    (fun name ->
+       let v = Obs.Metrics.get campaign name in
+       Printf.printf "%s=%.0f\n" name v;
+       if not (v > 0.0) then begin
+         incr violations;
+         Printf.printf "  FAIL: %s must be positive\n" name
+       end)
+    [ "cache.plan_hits"; "engine.gate.safe" ];
   if !violations > 0 then begin
     Printf.printf
-      "MEMORY CAMPAIGN FAILED: %d bit-identity/feasibility violation(s)\n\n"
+      "MEMORY CAMPAIGN FAILED: %d bit-identity/feasibility/counter \
+       violation(s)\n\n"
       !violations;
     campaign_failed := true
   end
@@ -1012,9 +903,11 @@ let run_memcampaign () =
 
    Only the run is timed: building the program, the two-pass
    toolchain and machine creation happen outside the timed region.
-   All three must produce bit-identical output arrays, and compiled
-   must not be slower than the interpreter on matmul — the CI gate
-   (exit 1).  Honors --repeat (warmup + median-of-N). *)
+   All three must produce bit-identical output arrays, compiled must
+   not be slower than the interpreter on matmul, and no compiled or
+   engine launch may fall back to the interpreter (exec.interpreted =
+   0 over launches that did run) — the CI gate (exit 1).  Honors
+   --repeat (warmup + median-of-N). *)
 let run_exec () =
   let domains = Gpu_runtime.Dpool.default_domains () in
   Printf.printf "Executor: Keval interpreter vs the Kcompile executor\n";
@@ -1061,6 +954,7 @@ let run_exec () =
     "compiled(s)" "engine(s)" "comp-spd" "eng-spd" "verdict";
   Printf.printf "%s\n" (line 78);
   let matmul_speedup = ref nan in
+  let failed = ref false in
   let machine () =
     Gpusim.Machine.create ~functional:true (Gpusim.Config.k80_box ~n_devices:1 ())
   in
@@ -1081,9 +975,9 @@ let run_exec () =
               | `Compiled -> ignore (reference_run ~machine:m ~executor prog));
              out)
        in
-       let ws_int, out_int = single `Interpreter in
-       let ws_cmp, out_cmp = single `Compiled in
-       let ws_eng, (out_eng, r_eng) =
+       let w_int, out_int = single `Interpreter in
+       let w_cmp, out_cmp = single `Compiled in
+       let w_eng, (out_eng, r_eng) =
          median_wall_of
            ~setup:(fun () ->
                let prog, out = mk () in
@@ -1101,29 +995,13 @@ let run_exec () =
        let identical =
          bits out_cmp = bits out_int && bits out_eng = bits out_int
        in
-       if not identical then campaign_failed := true;
-       let w_int = ws_int.ws_median
-       and w_cmp = ws_cmp.ws_median
-       and w_eng = ws_eng.ws_median in
+       if not identical then failed := true;
        let spd = w_int /. w_cmp and espd = w_int /. w_eng in
        if name = "matmul" then begin
          matmul_speedup := spd;
-         if Float.compare spd 1.0 < 0 then campaign_failed := true
+         if Float.compare spd 1.0 < 0 then failed := true
        end;
        let engaged = count r_eng "exec.max_domains" in
-       List.iter
-         (fun (variant, ws, extra) ->
-            add_timing
-              ((("kind", jstr "exec") :: ("app", jstr name)
-                :: ("variant", jstr variant) :: wall_fields ws)
-               @ extra
-               @ [ ("bit_identical", Obs.Json.Bool identical) ]))
-         [
-           ("interpreter", ws_int, []);
-           ("compiled", ws_cmp, [ ("speedup", jflt spd) ]);
-           ( "engine_1gpu", ws_eng,
-             [ ("speedup", jflt espd); ("domains_engaged", jint engaged) ] );
-         ];
        Printf.printf "%-8s %11.4f %11.4f %11.4f %8.2fx %8.2fx  %s\n%!" name
          w_int w_cmp w_eng spd espd
          (if identical then
@@ -1134,10 +1012,20 @@ let run_exec () =
   Printf.printf
     "matmul compiled-executor speedup: %.2fx over the interpreter\n"
     !matmul_speedup;
-  if !campaign_failed then
+  (* A silent interpreter fallback stays bit-identical but gives back
+     the compiled executor's whole gain. *)
+  let launches name = int_of_float (Obs.Metrics.get campaign name) in
+  let interpreted = launches "exec.interpreted"
+  and seq = launches "exec.seq_launches"
+  and par = launches "exec.par_launches" in
+  Printf.printf "launches: seq=%d par=%d interpreted=%d\n" seq par interpreted;
+  if interpreted <> 0 || seq + par = 0 then failed := true;
+  if !failed then begin
+    campaign_failed := true;
     Printf.printf
-      "EXEC CAMPAIGN FAILED: output divergence or compiled slower than \
-       the interpreter on matmul\n\n"
+      "EXEC CAMPAIGN FAILED: output divergence, compiled slower than the \
+       interpreter on matmul, or an interpreter fallback\n\n"
+  end
   else Printf.printf "exec campaign passed\n\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1477,17 +1365,6 @@ let run_overlapcampaign () =
     let hidden = if tb -. ti > 0.0 then (tb -. t_o) /. (tb -. ti) else 0.0 in
     check (name ^ ": hidden fraction under the 0.50 gate") (hidden >= 0.5);
     check (name ^ ": overlap slower than barrier") (t_o <= tb);
-    add_timing
-      [
-        ("kind", jstr "stream");
-        ("workload", jstr name);
-        ("barrier_seconds", jflt tb);
-        ("overlap_seconds", jflt t_o);
-        ("ideal_seconds", jflt ti);
-        ("hidden_fraction", jflt hidden);
-        ("gate", jflt 0.5);
-        ("target", jflt 0.8);
-      ];
     Printf.printf "%-12s %11.5f %11.5f %11.5f %7.1f%% %7.0f%%  %s\n%!" name tb
       t_o ti (100.0 *. hidden) 80.0
       (if hidden >= 0.8 then "OK (target met)"
@@ -1524,8 +1401,8 @@ let run_overlapcampaign () =
   in
   check "ring-stream: islands topology changed functional results" (rbi = rb);
   (* -- 2. the partitioned engine ------------------------------------ *)
-  Printf.printf "\n%-8s %4s %11s %11s %8s  %s\n" "App" "gpus" "barrier(s)"
-    "overlap(s)" "hidden" "verdict";
+  Printf.printf "\n%-8s %4s %11s %11s %11s %8s  %s\n" "App" "gpus"
+    "barrier(s)" "overlap(s)" "beta(s)" "hidden" "verdict";
   Printf.printf "%s\n" (line 78);
   let compile prog =
     match Mekong.Toolchain.compile prog with
@@ -1563,18 +1440,8 @@ let run_overlapcampaign () =
             let hidden =
               if tb -. tbeta > 0.0 then (tb -. t_o) /. (tb -. tbeta) else 0.0
             in
-            add_timing
-              [
-                ("kind", jstr "engine_overlap");
-                ("app", jstr name);
-                ("gpus", jint gpus);
-                ("barrier_seconds", jflt tb);
-                ("overlap_seconds", jflt t_o);
-                ("beta_seconds", jflt tbeta);
-                ("hidden_fraction", jflt hidden);
-              ];
-            Printf.printf "%-8s %4d %11.5f %11.5f %7.1f%%  %s\n%!" name gpus tb
-              t_o (100.0 *. hidden)
+            Printf.printf "%-8s %4d %11.5f %11.5f %11.5f %7.1f%%  %s\n%!" name
+              gpus tb t_o tbeta (100.0 *. hidden)
               (if t_o <= tb +. 1e-12 && same_traffic then "OK" else "FAIL"))
          [ 4; 16 ])
     [ ("hotspot", Apps.Workloads.Hotspot_b);
@@ -1654,15 +1521,6 @@ let run_overlapcampaign () =
   let uo = aggregate_util mo ~engine:`Compute in
   let ub = aggregate_util mb ~engine:`Compute in
   check "overlap does not raise compute utilization" (uo > ub);
-  add_timing
-    [
-      ("kind", jstr "utilization");
-      ("workload", jstr "h2d-stream");
-      ("compute_util_overlap", jflt uo);
-      ("compute_util_barrier", jflt ub);
-      ("copy_in_util_overlap", jflt (aggregate_util mo ~engine:`Copy_in));
-      ("copy_out_util_overlap", jflt (aggregate_util mo ~engine:`Copy_out));
-    ];
   Printf.printf
     "\ncompute utilization: %.1f%% overlap vs %.1f%% barrier (h2d-stream)\n"
     (100.0 *. uo) (100.0 *. ub);
@@ -1687,24 +1545,6 @@ let run_overlapcampaign () =
          (Printf.sprintf "link lane %s idle on the islands ring" lname)
          (Gpusim.Timeline.total_busy tl > 0.0))
     (Gpusim.Machine.link_timelines mi);
-  add_timing
-    [
-      ("kind", jstr "topology");
-      ("workload", jstr "ring-stream");
-      ("flat_barrier_seconds", jflt t_flat);
-      ("islands_barrier_seconds", jflt t_isl);
-      ("islands_speedup", jflt (t_flat /. t_isl));
-      ( "links",
-        Obs.Json.List
-          (List.map
-             (fun (lname, tl) ->
-                Obs.Json.Obj
-                  [
-                    ("name", jstr lname);
-                    ("busy_seconds", jflt (Gpusim.Timeline.total_busy tl));
-                  ])
-             (Gpusim.Machine.link_timelines mi)) );
-    ];
   Printf.printf "islands vs flat on the exposed ring: %.5fs vs %.5fs (%.2fx)\n"
     t_isl t_flat (t_flat /. t_isl);
   (* The islands overlap ring is the machine whose trace --trace
@@ -1736,7 +1576,7 @@ let run_overlapcampaign () =
      overload  a burst arrival against a tiny queue bound plus a tight
                deadline (typed Queue_full rejections and timeouts)
 
-   Gates (any violation exits 1 after the reports are written):
+   Gates (any violation exits 1 once the campaign has finished):
    - zero lost jobs: every submission reaches a typed outcome;
    - every healthy job in the clean and loss variants completes, and
      its output is bit-identical to a solo run of the identical
@@ -1767,7 +1607,7 @@ let run_servecampaign () =
     end
   in
   let fleet () = Gpusim.Config.k80_box ~n_devices:fleet_n () in
-  let run_variant ~variant ?(max_queue = 256) ?(losses = []) ?deadline
+  let run_variant ?(max_queue = 256) ?(losses = []) ?deadline
       ?(mean_gap = 2e-4) ~jobs ~poison ~seed () =
     let built =
       Serve.Mix.generate ~seed ~tenants:4 ~poison ?deadline ~mean_gap ~jobs ()
@@ -1776,15 +1616,6 @@ let run_servecampaign () =
     let r =
       Serve.Scheduler.run cfg (List.map (fun b -> b.Serve.Mix.b_spec) built)
     in
-    add_timing
-      [
-        ("kind", jstr "serve_variant");
-        ("variant", jstr variant);
-        (* Flattened so `bench compare` can gate the scheduler makespan
-           per variant; the full per-tenant breakdown stays nested. *)
-        ("makespan_seconds", Obs.Json.Float r.Serve.Scheduler.r_makespan);
-        ("report", Serve.Scheduler.report_to_json r);
-      ];
     (built, r)
   in
   let outcome_of (r : Serve.Scheduler.report) name =
@@ -1879,7 +1710,7 @@ let run_servecampaign () =
     let c, rj, t, q = counts r in
     Printf.printf
       "%-9s %4d jobs: %4d completed %3d rejected %3d timed-out %3d \
-       quarantined | %d lost | makespan %.4fs | util %2.0f%%\n%!"
+       quarantined | %d lost | makespan %.7fs | util %2.0f%%\n%!"
       variant
       (List.length r.Serve.Scheduler.r_jobs)
       c rj t q r.Serve.Scheduler.r_devices_lost r.Serve.Scheduler.r_makespan
@@ -1888,7 +1719,7 @@ let run_servecampaign () =
 
   (* Variant 1: clean. *)
   let built_c, r_clean =
-    run_variant ~variant:"clean" ~jobs:n_jobs ~poison:n_poison ~seed ()
+    run_variant ~jobs:n_jobs ~poison:n_poison ~seed ()
   in
   print_variant "clean" r_clean;
   check_variant ~variant:"clean" built_c r_clean;
@@ -1915,7 +1746,7 @@ let run_servecampaign () =
     (fun (d, t) -> Printf.printf "  scheduling loss of device %d at %.4fs\n" d t)
     losses;
   let built_l, r_loss =
-    run_variant ~variant:"loss" ~losses ~jobs:n_jobs ~poison:n_poison ~seed ()
+    run_variant ~losses ~jobs:n_jobs ~poison:n_poison ~seed ()
   in
   print_variant "loss" r_loss;
   check_variant ~variant:"loss" built_l r_loss;
@@ -1954,7 +1785,7 @@ let run_servecampaign () =
      and a tight per-job deadline.  Overflow must surface as typed
      Queue_full rejections, never silent drops. *)
   let _, r_over =
-    run_variant ~variant:"overload" ~max_queue:8 ~mean_gap:0.0 ~deadline:5e-3
+    run_variant ~max_queue:8 ~mean_gap:0.0 ~deadline:5e-3
       ~jobs:64 ~poison:0 ~seed:7 ()
   in
   print_variant "overload" r_over;
@@ -1997,7 +1828,7 @@ let run_servecampaign () =
 (* Autotune campaign: the cost-driven partition autotuner, gated      *)
 (* ------------------------------------------------------------------ *)
 
-(* Four hard gates (any violation exits 1 after the report is written):
+(* Four hard gates (any violation exits 1 once the campaign has finished):
 
    A  bit-identity: autotuned functional runs reproduce the CPU oracle
       on every app at 4 devices, hotspot also at 16 — the fleet size
@@ -2052,14 +1883,7 @@ let run_autotunecampaign () =
        let ok = out = cpu () in
        check ok
          (Printf.sprintf "%s g=%d" name g)
-         (if ok then "bit-identical" else "OUTPUT DIVERGED");
-       add_timing
-         [
-           ("kind", jstr "autotune-identity");
-           ("app", jstr name);
-           ("gpus", jint g);
-           ("bit_identical", Obs.Json.Bool ok);
-         ])
+         (if ok then "bit-identical" else "OUTPUT DIVERGED"))
     [
       ("matmul", 4, fun () -> Apps.Workloads.functional_matmul ~n:64);
       ( "hotspot", 4,
@@ -2080,16 +1904,7 @@ let run_autotunecampaign () =
             check ok
               (Printf.sprintf "%s g=%d" name g)
               (Printf.sprintf "fixed=%9.3fms auto=%9.3fms (%.3fx)"
-                 (tf *. 1e3) (ta *. 1e3) (tf /. ta));
-            add_timing
-              [
-                ("kind", jstr "autotune-pair");
-                ("app", jstr name);
-                ("gpus", jint g);
-                ("fixed_seconds", jflt tf);
-                ("autotuned_seconds", jflt ta);
-                ("never_slower", Obs.Json.Bool ok);
-              ])
+                 (tf *. 1e3) (ta *. 1e3) (tf /. ta)))
          [ 1; 2; 4; 8; 16 ])
     [
       ( "hotspot",
@@ -2113,24 +1928,15 @@ let run_autotunecampaign () =
   Printf.printf "Gate C: halo-tiled stencil speedup at 4 GPUs\n";
   let rf = sim ~g:4 ~autotune:false (stencil 2048 50) in
   let ra = sim ~g:4 ~autotune:true (stencil 2048 50) in
-  let spd = rf.Mekong.Multi_gpu.time /. ra.Mekong.Multi_gpu.time in
+  let tf = rf.Mekong.Multi_gpu.time and ta = ra.Mekong.Multi_gpu.time in
+  let spd = tf /. ta in
   let halo_steps = count ra "autotune.halo_steps" in
   check
     (halo_steps > 0 && spd >= 1.3)
     "hotspot n=2048 it=50 g=4"
-    (Printf.sprintf "speedup=%.2fx (gate 1.30x) halo_steps=%d" spd halo_steps);
-  add_timing
-    [
-      ("kind", jstr "autotune-halo-speedup");
-      ("app", jstr "hotspot");
-      ("n", jint 2048);
-      ("iterations", jint 50);
-      ("gpus", jint 4);
-      ("fixed_seconds", jflt rf.Mekong.Multi_gpu.time);
-      ("autotuned_seconds", jflt ra.Mekong.Multi_gpu.time);
-      ("speedup", jflt spd);
-      ("halo_steps", jint halo_steps);
-    ];
+    (Printf.sprintf
+       "fixed=%9.3fms auto=%9.3fms speedup=%.2fx (gate 1.30x) halo_steps=%d"
+       (tf *. 1e3) (ta *. 1e3) spd halo_steps);
   Printf.printf "Gate D: steady-state p2p bytes reduced on small stencils\n";
   List.iter
     (fun n ->
@@ -2145,16 +1951,7 @@ let run_autotunecampaign () =
        let bf = per_iter false and ba = per_iter true in
        check (ba < bf)
          (Printf.sprintf "hotspot n=%d g=4" n)
-         (Printf.sprintf "per-iter p2p fixed=%dB auto=%dB" bf ba);
-       add_timing
-         [
-           ("kind", jstr "autotune-halo-bytes");
-           ("app", jstr "hotspot");
-           ("n", jint n);
-           ("gpus", jint 4);
-           ("fixed_bytes_per_iter", jint bf);
-           ("autotuned_bytes_per_iter", jint ba);
-         ])
+         (Printf.sprintf "per-iter p2p fixed=%dB auto=%dB" bf ba))
     [ 512; 1024 ];
   Printf.printf "%s\n" (line 72);
   if !violations > 0 then begin
@@ -2170,56 +1967,16 @@ let run_autotunecampaign () =
       spd
 
 (* ------------------------------------------------------------------ *)
-(* Per-campaign BENCH_<campaign>.json reports                           *)
+(* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let host_json () =
-  Obs.Json.Obj
-    [
-      ("hostname", jstr (Unix.gethostname ()));
-      ("os_type", jstr Sys.os_type);
-      ("ocaml_version", jstr Sys.ocaml_version);
-      ("word_size_bits", jint Sys.word_size);
-      ("recommended_domains", jint (Domain.recommended_domain_count ()));
-      ("pool_domains", jint (Gpu_runtime.Dpool.default_domains ()));
-    ]
-
-let json_file name =
-  match !json_path with Some p -> p | None -> "BENCH_" ^ name ^ ".json"
-
-(* Run one campaign and write its report: wall-clock, the timing
-   entries it recorded, its metrics registry, host info.  The registry
-   is reset per campaign so an `all` run yields per-campaign numbers. *)
+(* Run one campaign on a fresh registry (so an `all` run yields
+   per-campaign totals), then write the --trace output. *)
 let run_campaign name f =
-  timings := [];
   Obs.Metrics.reset campaign;
   last_machine := None;
   Obs.Span.reset ();
-  let w0 = Unix.gettimeofday () in
   f ();
-  let wall = Unix.gettimeofday () -. w0 in
-  let breakdown =
-    match !last_machine with
-    | Some m ->
-      Gpusim.Machine.publish_metrics ~into:campaign m;
-      Obs.Report.to_json (Mekong.Profile.collect m)
-    | None -> Obs.Json.Null
-  in
-  let j =
-    Obs.Json.Obj
-      [
-        ("campaign", jstr name);
-        ("wall_seconds", jflt wall);
-        ("repeat", jint !repeat);
-        ("timings", Obs.Json.List (List.rev !timings));
-        ("breakdown", breakdown);
-        ("metrics", Obs.Metrics.to_json campaign);
-        ("host", host_json ());
-      ]
-  in
-  let file = json_file name in
-  Obs.Json.write ~file j;
-  Printf.printf "[%s report written to %s]\n%!" name file;
   match (!trace_path, !last_machine) with
   | Some file, Some m ->
     let critpath =
@@ -2228,10 +1985,6 @@ let run_campaign name f =
     Gpusim.Trace_export.write ~spans:(Obs.Span.records ()) ?critpath ~file m;
     Printf.printf "[%s trace written to %s]\n%!" name file
   | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Driver                                                               *)
-(* ------------------------------------------------------------------ *)
 
 let campaigns =
   [
@@ -2256,52 +2009,19 @@ let usage =
   String.concat "|" (List.map fst campaigns)
   ^ "|all [--faults SEED,RATE[,DEV@TIME...]] [--mem-cap BYTES] \
      [--topology flat|islands:SIZE,LINK_GBS,UPLINK_GBS] [--repeat N] \
-     [--domains N] [--json PATH] [--trace PATH]\n\
-     \       compare OLD.json NEW.json [--threshold PCT] [--json DIFF.json]"
+     [--domains N] [--trace PATH]"
 
-(* `bench compare OLD.json NEW.json`: the perf-regression gate.  Exits
-   1 when any timing slowed down beyond threshold + noise, quiet
-   otherwise; --json writes the full diff (the CI artifact). *)
-let threshold_pct = ref Obs.Regress.default_threshold_pct
-
-let run_compare old_file new_file =
-  let read file =
-    let doc =
-      try
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with Sys_error e ->
-        Printf.eprintf "cannot read %s: %s\n" file e;
-        exit 2
-    in
-    match Obs.Json.parse doc with
-    | Ok j -> j
-    | Error e ->
-      Printf.eprintf "%s is not valid JSON: %s\n" file e;
-      exit 2
-  in
-  let old_doc = read old_file and new_doc = read new_file in
-  let r =
-    Obs.Regress.compare_docs ~threshold_pct:!threshold_pct ~old_doc ~new_doc
-      ()
-  in
-  Format.printf "%a@?" Obs.Regress.pp r;
-  (match !json_path with
-   | Some file ->
-     Obs.Json.write ~file (Obs.Regress.to_json r);
-     Printf.printf "[diff written to %s]\n%!" file
-   | None -> ());
-  if r.Obs.Regress.regressions > 0 then exit 1
+(* Bad input exits 2 with one line on stderr, like a bad flag. *)
+let die msg =
+  Printf.printf "%!";
+  Printf.eprintf "bench: %s\n" msg;
+  exit 2
 
 let () =
   let int_flag flag v rest k =
     match int_of_string_opt v with
     | Some n when n >= 1 -> k n rest
-    | _ ->
-      Printf.eprintf "%s needs a positive integer, got %S\n" flag v;
-      exit 2
+    | _ -> die (Printf.sprintf "%s needs a positive integer, got %S" flag v)
   in
   let rec parse acc = function
     | "--faults" :: spec :: rest ->
@@ -2309,9 +2029,7 @@ let () =
        | Ok s ->
          fault_spec := Some s;
          parse acc rest
-       | Error e ->
-         Printf.eprintf "bad --faults spec %S: %s\n" spec e;
-         exit 2)
+       | Error e -> die (Printf.sprintf "bad --faults spec %S: %s" spec e))
     | "--mem-cap" :: v :: rest ->
       int_flag "--mem-cap" v rest (fun n rest ->
           mem_cap := Some n;
@@ -2321,9 +2039,7 @@ let () =
        | Ok t ->
          topology := t;
          parse acc rest
-       | Error e ->
-         Printf.eprintf "bad --topology spec %S: %s\n" spec e;
-         exit 2)
+       | Error e -> die (Printf.sprintf "bad --topology spec %S: %s" spec e))
     | "--repeat" :: v :: rest ->
       int_flag "--repeat" v rest (fun n rest ->
           repeat := n;
@@ -2332,50 +2048,34 @@ let () =
       int_flag "--domains" v rest (fun n rest ->
           Gpu_runtime.Dpool.set_default_domains n;
           parse acc rest)
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      parse acc rest
-    | "--threshold" :: v :: rest ->
-      (match float_of_string_opt v with
-       | Some t when t >= 0.0 ->
-         threshold_pct := t;
-         parse acc rest
-       | _ ->
-         Printf.eprintf "--threshold needs a non-negative number, got %S\n" v;
-         exit 2)
     | "--trace" :: path :: rest ->
       trace_path := Some path;
       Obs.Span.set_clock Unix.gettimeofday;
       Obs.Span.set_enabled true;
       parse acc rest
     | [ ("--faults" | "--mem-cap" | "--topology" | "--repeat" | "--domains"
-        | "--json" | "--trace" | "--threshold") as flag ]
+        | "--trace") as flag ]
       ->
-      Printf.eprintf "%s needs an argument\n" flag;
-      exit 2
+      die (flag ^ " needs an argument")
     | a :: rest -> parse (a :: acc) rest
     | [] -> List.rev acc
   in
   let which =
     match parse [] (List.tl (Array.to_list Sys.argv)) with
-    | [ "compare"; old_file; new_file ] ->
-      run_compare old_file new_file;
-      exit 0
     | [] -> "all"
     | [ w ] -> w
-    | _ ->
-      Printf.eprintf "usage: %s\n" usage;
-      exit 2
+    | _ -> die ("usage: " ^ usage)
   in
-  let t0 = Unix.gettimeofday () in
-  (match which with
-   | "all" -> List.iter (fun (name, f) -> run_campaign name f) campaigns
-   | name ->
-     (match List.assoc_opt name campaigns with
-      | Some f -> run_campaign name f
-      | None ->
-        Printf.eprintf "unknown experiment %s (%s)\n" name usage;
-        exit 2));
-  Printf.printf "[bench completed in %.1fs wall time]\n"
-    (Unix.gettimeofday () -. t0);
+  let selected =
+    match which with
+    | "all" -> campaigns
+    | name ->
+      (match List.assoc_opt name campaigns with
+       | Some f -> [ (name, f) ]
+       | None -> die (Printf.sprintf "unknown experiment %s (%s)" name usage))
+  in
+  (* An infeasible --mem-cap, a bad $MEKONG_DOMAINS or a program the
+     toolchain rejects surface as Failure / Invalid_argument. *)
+  (try List.iter (fun (name, f) -> run_campaign name f) selected with
+   | Failure msg | Invalid_argument msg -> die msg);
   if !campaign_failed then exit 1

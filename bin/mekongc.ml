@@ -202,13 +202,18 @@ let domains_arg =
            kernels' blocks; 1 forces sequential execution (default: \
            \\$MEKONG_DOMAINS, else the machine's recommended domain count)")
 
-(* Validated before it reaches the pool: a non-positive count is a
-   user error (one-line diagnostic, exit 2), not an internal one. *)
+(* Validated before it reaches the pool: a non-positive count, from
+   --domains or $MEKONG_DOMAINS, is a user error (one-line diagnostic,
+   exit 2), not an internal one. *)
 let set_domains domains =
-  (match domains with
-   | Some d when d < 1 -> die "--domains must be a positive integer (got %d)" d
-   | _ -> ());
-  Option.iter Gpu_runtime.Dpool.set_default_domains domains
+  match domains with
+  | Some d when d < 1 -> die "--domains must be a positive integer (got %d)" d
+  | Some d -> Gpu_runtime.Dpool.set_default_domains d
+  | None -> (
+      try ignore (Gpu_runtime.Dpool.default_domains ())
+      with Invalid_argument _ ->
+        die "MEKONG_DOMAINS must be a positive integer (got %S)"
+          (Sys.getenv "MEKONG_DOMAINS"))
 
 (* Observability is off by default (the instrumentation points cost
    one load-and-branch); --trace and the profile subcommand switch it
@@ -701,6 +706,20 @@ let analyze_cmd =
       match what_if_opt with
       | Some spec ->
         let cat, factor = parse_what_if spec in
+        (* A category neither [what_if] names nor any node carries
+           would rescale nothing: reject it rather than report a
+           misspelling as "no effect". *)
+        let accepted =
+          List.sort_uniq compare
+            (("spill" :: Obs.Causal.what_if_categories)
+             @ Array.to_list
+                 (Array.map
+                    (fun n -> n.Obs.Causal.n_category)
+                    (Obs.Causal.nodes dag)))
+        in
+        if not (List.mem cat accepted) then
+          die "--what-if category %S is unknown (accepted: %s)" cat
+            (String.concat ", " accepted);
         [ (cat, factor, Obs.Causal.what_if dag ~category:cat ~factor) ]
       | None ->
         (* The standard sweep: each category removed outright, the

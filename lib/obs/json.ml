@@ -2,8 +2,8 @@
    strict parser.
 
    The emitter is the single source of truth for every JSON artifact
-   the tree produces (BENCH_<campaign>.json reports, Chrome traces,
-   profile reports); the parser exists so those artifacts can be
+   the tree produces (Chrome traces, profile and serve reports, causal
+   DAG dumps); the parser exists so those artifacts can be
    *checked* — round-trip tests for the escaper and structural
    validation of exported traces — without dragging a JSON package
    into the build. *)

@@ -1,7 +1,7 @@
 (** Self-contained JSON value type, pretty emitter and strict parser.
 
     The emitter backs every JSON artifact in the tree
-    ([BENCH_<campaign>.json], Chrome traces, profile reports); string
+    (Chrome traces, profile and serve reports, causal DAG dumps); string
     escaping covers the full mandatory set (the quote, the backslash
     and every control character U+0000–U+001F).  Non-finite floats
     serialize as [null].

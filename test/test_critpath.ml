@@ -296,75 +296,6 @@ let test_traced_export_validates () =
   checkb "critical-path lane present" true
     (List.mem (0, 3) (Obs.Chrome_trace.lanes j))
 
-(* ---------------- bench compare (Obs.Regress) ---------------- *)
-
-let bench_doc entries =
-  Obs.Json.Obj [ ("timings", Obs.Json.List entries) ]
-
-let entry ?wall_stddev ?wall app sim =
-  Obs.Json.Obj
-    ([
-      ("kind", Obs.Json.Str "partitioned");
-      ("app", Obs.Json.Str app);
-      ("gpus", Obs.Json.Int 4);
-      ("sim_seconds", Obs.Json.Float sim);
-    ]
-     @ (match wall with
-        | Some w -> [ ("wall_seconds", Obs.Json.Float w) ]
-        | None -> [])
-     @
-     match wall_stddev with
-     | Some sd -> [ ("wall_stddev_seconds", Obs.Json.Float sd) ]
-     | None -> [])
-
-let regressions old_doc new_doc =
-  (Obs.Regress.compare_docs ~old_doc ~new_doc ()).Obs.Regress.regressions
-
-let test_regress_gate () =
-  let base = bench_doc [ entry "hotspot" 1.0; entry "matmul" 2.0 ] in
-  (* Identical documents: quiet. *)
-  checki "same doc is quiet" 0 (regressions base base);
-  (* A 20% simulated slowdown on one app: caught (sim is deterministic,
-     zero noise bound). *)
-  let slow = bench_doc [ entry "hotspot" 1.2; entry "matmul" 2.0 ] in
-  checki "injected 20% slowdown caught" 1 (regressions base slow);
-  (* 10% stays under the 15% threshold. *)
-  let mild = bench_doc [ entry "hotspot" 1.1; entry "matmul" 2.0 ] in
-  checki "10% is within threshold" 0 (regressions base mild);
-  (* Improvements are never regressions. *)
-  let fast = bench_doc [ entry "hotspot" 0.5; entry "matmul" 2.0 ] in
-  checki "improvement is quiet" 0 (regressions base fast);
-  (* Wall clock with no spread info gets the noise floor: a 30% wall
-     slowdown stays under 15% + 20%-floor... *)
-  let wold = bench_doc [ entry ~wall:1.0 "hotspot" 1.0 ] in
-  let wnew = bench_doc [ entry ~wall:1.3 "hotspot" 1.0 ] in
-  checki "wall slowdown within noise floor is quiet" 0 (regressions wold wnew);
-  (* ...but a 40% one does not. *)
-  let wbad = bench_doc [ entry ~wall:1.4 "hotspot" 1.0 ] in
-  checki "wall slowdown beyond noise caught" 1 (regressions wold wbad);
-  (* Tight measured spread narrows the bound: stddev 1% of the median
-     grants the floor? no - max(floor, 2 sd) = floor; stddev 15% grants
-     30% and lets the same 40% slip only if 40 > 15+30 fails. *)
-  let tight = bench_doc [ entry ~wall:1.0 ~wall_stddev:0.15 "hotspot" 1.0 ] in
-  let tbad = bench_doc [ entry ~wall:1.5 ~wall_stddev:0.15 "hotspot" 1.0 ] in
-  checki "50% beyond a 30% noise bound caught" 1 (regressions tight tbad);
-  (* Added / removed keys report but never gate. *)
-  let extra = bench_doc [ entry "hotspot" 1.0; entry "nbody" 9.9 ] in
-  checki "added and removed keys do not gate" 0 (regressions base extra)
-
-let test_regress_json () =
-  let base = bench_doc [ entry "hotspot" 1.0 ] in
-  let slow = bench_doc [ entry "hotspot" 1.3 ] in
-  let r = Obs.Regress.compare_docs ~old_doc:base ~new_doc:slow () in
-  checki "one regression" 1 r.Obs.Regress.regressions;
-  (* The diff artifact round-trips through the JSON emitter/parser. *)
-  let j =
-    Result.get_ok (Obs.Json.parse (Obs.Json.to_string (Obs.Regress.to_json r)))
-  in
-  match Obs.Json.member "regressions" j with
-  | Some (Obs.Json.Int 1) -> ()
-  | _ -> Alcotest.fail "diff artifact lost the regression count"
-
 (* ---------------- Serve: burn attribution and scheduler DAG -------- *)
 
 let serve_report () =
@@ -520,11 +451,6 @@ let () =
             test_critpath_lane_validation;
           Alcotest.test_case "traced export validates" `Quick
             test_traced_export_validates;
-        ] );
-      ( "regress",
-        [
-          Alcotest.test_case "noise-aware gate" `Quick test_regress_gate;
-          Alcotest.test_case "diff artifact" `Quick test_regress_json;
         ] );
       ( "serve",
         [
