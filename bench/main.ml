@@ -896,7 +896,7 @@ let run_memcampaign () =
    times are identical by construction).  Three variants per app:
 
      interpreter   Single_gpu with the Keval tree-walker
-     compiled      Single_gpu with the Kcompile register-file executor
+     compiled      Single_gpu with the Kcompile lane executor
      engine_1gpu   the partitioned engine on ONE device, so the same
                    total work, with each race-free launch's blocks
                    split over the domain pool (--domains)

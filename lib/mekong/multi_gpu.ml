@@ -161,9 +161,10 @@ let pp_report lines fmt (reg : Obs.Metrics.t) =
       | Executor ->
         Format.fprintf fmt
           "executor: %d compiled (%d cache hits), %d launches sequential, \
-           %d parallel (max %d domains), %d interpreted@."
+           %d parallel (max %d domains), %d interpreted, %d scalar blocks@."
           (i "exec.compiles") (i "exec.cache_hits") (i "exec.seq_launches")
           (i "exec.par_launches") (i "exec.max_domains") (i "exec.interpreted")
+          (i "kcompile.scalar_blocks")
       | Gate ->
         Format.fprintf fmt
           "race gate: safe=%d reducible=%d racy=%d unknown=%d merges=%d \

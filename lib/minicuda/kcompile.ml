@@ -1,29 +1,54 @@
-(* Launch-time compilation of kernel IR to register-file code.
+(* Launch-time compilation of kernel IR to lane-sweep register code.
 
    [Keval] interprets the tree per thread: boxed [value]s, per-thread
    [Hashtbl] locals, [List]-based subscript linearization.  Here we
    partially evaluate a kernel against everything known at launch
    time — grid and block dimensions, scalar arguments, resolved array
-   extents — and emit destination-passing code over two unboxed
-   register files per executing domain:
+   extents — and emit destination-passing steps that each run once per
+   block as a loop over the block's threads ("lanes"):
 
-   - an [int array] and a [float array].  Registers 0–5 hold the block
-     and thread indices; launch constants (parameters, [blockDim],
-     [gridDim], literals) are registers preset when the environment is
-     created; every local has a slot, and every compound
-     subexpression a fresh temporary;
-   - each compiled step is an [env -> unit] closure that reads its
-     operand registers and writes exactly one register (or one array
-     element), so no float ever crosses a closure boundary and the hot
-     loop allocates nothing (OCaml boxes a float returned from an
-     unknown closure);
+   - registers are structure-of-arrays: int register [r] is the
+     [int array] [ir.(r)] with one slot per lane, likewise the float
+     registers.  Registers 0–5 hold the block and thread indices;
+     launch constants (parameters, [blockDim], [gridDim], literals)
+     are registers preset when the environment is created; every local
+     has a slot, every compound subexpression a fresh temporary;
+   - a step is [env -> lanes -> n -> unit]: it sweeps the [n] active
+     lanes listed in [lanes] (a dense [0 .. w-1] loop when all [w] are
+     active), reads its operand registers and writes one register, so
+     no float ever crosses a closure boundary and the sweep allocates
+     nothing;
+   - a value is uniform when it depends only on launch constants, block
+     indices and uniform loop counters (a load is uniform when its
+     subscripts are and no store or atomic writes its array).  A
+     uniform register keeps its value in slot 0; a uniform step runs
+     once per block, and a varying step reads a uniform operand through
+     the lane mask 0 ([x.(l land 0)]) instead of [-1];
    - a block of statements is a flat list of steps run by one
-     sequencer; only [If] and [For] nest.  Conditions compile to pure
-     [env -> bool] tests over registers (an immediate, never boxed);
-   - array accesses read and write the backing [float array]s of the
-     launch's access records directly, with the rank-1/2/3
-     linearization, the bounds checks and [reg ± const] subscripts
-     inlined into the load or store.
+     sequencer; only [If] and [For] nest.  A varying [If] splits the
+     active lanes into the ones that take each branch; a uniform one
+     tests once.  A [For] with varying bounds runs until no lane is
+     active;
+   - array accesses read the backing [float array]s of the launch's
+     access records directly, with the rank-1/2/3 linearization, the
+     bounds checks and [reg ± const] subscripts inlined into the load;
+   - stores and atomics go to a per-block log, flushed at block end in
+     thread order (lane 0's entries in program order, then lane 1's,
+     ...), which also sets the touched masks and applies the atomics'
+     combine.
+
+   Lane mode (width w = threads per block) is only used for lane-safe
+   launches: no array that a store or atomic writes is also read by a
+   load step, checked per slot at launch by the physical identity of
+   the access records' arrays.  Then no lane reads what another lane of
+   its block writes, and the deferred, thread-ordered flush is
+   observably the interpreter's sequential thread order.  Every other
+   launch runs the same steps at width 1, thread by thread, with stores
+   written directly: exactly the sequential order.  If any lane raises,
+   or the block's log outgrows its cap, the log is dropped and the
+   block re-runs at width 1 from its start, which reproduces [Keval]'s
+   diagnostic and partial outputs (the block read nothing it writes,
+   and wrote nothing yet).
 
    Further fusions: comparisons are specialized per operator, float
    [x ± y*z] is one step (OCaml never contracts to FMA, so the result
@@ -31,11 +56,11 @@
    time, an [Assign] root writes straight into its slot and a first
    [Local] takes over its expression's temporary.
 
-   Evaluation order is Keval's, step for step: a binary operator's
-   right operand before its left, subscripts left to right and all of
-   them before any bounds check, a store's (or atomic's) bounds check
-   before its value.  That keeps every diagnostic identical, not just
-   every result.  Tests are pure, so [And]/[Or] may short-circuit.
+   Evaluation order per thread is Keval's, step for step: a binary
+   operator's right operand before its left, subscripts left to right
+   and all of them before any bounds check, a store's (or atomic's)
+   bounds check before its value.  At width 1 that keeps every
+   diagnostic identical, not just every result.
 
    The IR is dynamically typed and the static pass is deliberately
    simple, so anything it cannot type (a local rebound at a different
@@ -45,13 +70,14 @@
 
    Parallel execution: [run] can split the grid's blocks over a
    {!Gpu_runtime.Dpool}.  Each participating domain gets its own
-   register files; array loads/stores go straight to the shared
-   backing arrays.  The *caller* is responsible for only passing a
-   pool when the kernel's verdict proves distinct blocks never touch
-   overlapping elements (a [Verify.Safe] verdict); under that verdict
-   any block interleaving writes each element exactly once from one
-   domain and reads only elements no other block writes, so the result
-   is bit-identical to the sequential order.  [Atomic] compiles to a
+   register files and log, allocated once per compiled kernel and
+   reused across chunks and launches; array loads/stores go straight to
+   the shared backing arrays.  The *caller* is responsible for only
+   passing a pool when the kernel's verdict proves distinct blocks
+   never touch overlapping elements (a [Verify.Safe] verdict); under
+   that verdict any block interleaving writes each element exactly once
+   from one domain and reads only elements no other block writes, so
+   the result is bit-identical to the sequential order.  [Atomic] is a
    plain load-combine-store, which is NOT indivisible across domains —
    kernels whose conflicts are merely atomic-reducible must run their
    blocks sequentially within one address space (the engine gives each
@@ -67,26 +93,60 @@ type access = {
   touched : bool array option;
 }
 
-(* One executing domain's state.  [masks.(s)] is [no_mask] for arrays
-   without a touched mask. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+(* One executing domain's state at width [w].  [masks.(s)] is [no_mask]
+   for arrays without a touched mask; [limit.(s)] is the first offset
+   a logged write to slot [s] could not apply.  The log is a list of
+   segments, one per store or atomic sweep, each [slot * 4 + op]
+   (op 0 = store, 1/2/3 = atomic add/min/max) over a run of entries:
+   an offset and a value per active lane. *)
 type env = {
-  ir : int array;
-  fr : float array;
+  w : int;
+  ir : int array array;
+  fr : float array array;
+  bufs : int array array;  (* lane lists and per-lane loop state *)
+  all : int array;  (* 0 .. w-1 *)
   srcs : float array array;
   dsts : float array array;
   masks : bool array array;
+  limit : int array;
+  counts : int array;
+  mutable log_n : int;
+  mutable log_off : int array;
+  mutable log_val : float array;
+  mutable log_lane : int array;  (* set for entries of sparse segments *)
+  mutable log_code : int array;  (* the sort's scratch *)
+  mutable log_perm : int array;
+  mutable seg_n : int;
+  mutable seg_code : int array;
+  mutable seg_start : int array;
+  mutable seg_dense : bool array;  (* every lane active: lane = index *)
 }
 
-type step = env -> unit
+type step = env -> int array -> int -> unit
+
+(* A domain's two environments: full width, and width 1 for launches
+   that are not lane-safe and for fault re-runs.  They share the
+   per-launch array binding. *)
+type denv = { lanes : env; scalar : env }
 
 type t = {
   kname : string;
   grid : Dim3.t;
   block : Dim3.t;
+  width : int;  (* threads per block *)
   arrays : string array;  (* array parameter names, slot-indexed *)
   iregs : int array;  (* register templates: constants preset *)
   fregs : float array;
+  n_bufs : int;
+  load_slots : int array;  (* slots some load step reads *)
+  store_slots : int array;  (* slots some store or atomic writes *)
+  atomic_slot : bool array;
   body : step;
+  envs : (int * denv) list Atomic.t;  (* per domain id *)
+  narrow : int Atomic.t;  (* blocks run at width 1 although w > 1 *)
 }
 
 let name t = t.kname
@@ -100,10 +160,11 @@ let r_tz = 5
 
 let no_mask : bool array = [||]
 
-let[@inline] gi env r = Array.unsafe_get env.ir r
-let[@inline] si env r v = Array.unsafe_set env.ir r v
-let[@inline] gf env r = Array.unsafe_get env.fr r
-let[@inline] sf env r v = Array.unsafe_set env.fr r v
+(* The lane list of a uniform step: lane 0 alone. *)
+let lane0 = [| 0 |]
+
+let[@inline] ig env r = env.ir.!(r)
+let[@inline] fg env r = env.fr.!(r)
 
 (* Type-specialized min/max, spelled exactly like the Stdlib
    polymorphic versions the interpreter uses so ties (e.g.
@@ -115,75 +176,263 @@ let[@inline] fmax (x : float) y = if x >= y then x else y
 
 (* --- Array access ------------------------------------------------------ *)
 
-(* A subscript is [ir.(r) + k]; all of a reference's subscripts are in
-   registers before its step runs, so checking dimension by dimension
-   is Keval's evaluate-all-then-check order. *)
-let[@inline] index env arr dim extent r k =
-  let v = gi env r + k in
+(* A subscript is [reg + k]; every subscript register is computed before
+   its reference's step runs, so checking dimension by dimension is
+   Keval's evaluate-all-then-check order.  [m] is the register's lane
+   mask: -1 for varying, 0 for uniform. *)
+let[@inline] index arr dim extent v =
   if v < 0 || v >= extent then Keval.bounds_error ~arr ~dim ~extent v;
   v
 
-let[@inline] off1 env arr d0 r0 k0 = index env arr 0 d0 r0 k0
+let[@inline] off1 arr d0 i0 m0 k0 l = index arr 0 d0 (i0.!(l land m0) + k0)
 
-let[@inline] off2 env arr d0 d1 r0 k0 r1 k1 =
-  let v0 = index env arr 0 d0 r0 k0 in
-  let v1 = index env arr 1 d1 r1 k1 in
+let[@inline] off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l =
+  let v0 = index arr 0 d0 (i0.!(l land m0) + k0) in
+  let v1 = index arr 1 d1 (i1.!(l land m1) + k1) in
   (v0 * d1) + v1
 
-let[@inline] off3 env arr d0 d1 d2 r0 k0 r1 k1 r2 k2 =
-  let v0 = index env arr 0 d0 r0 k0 in
-  let v1 = index env arr 1 d1 r1 k1 in
-  let v2 = index env arr 2 d2 r2 k2 in
+let[@inline] off3 arr d0 d1 d2 i0 m0 k0 i1 m1 k1 i2 m2 k2 l =
+  let v0 = index arr 0 d0 (i0.!(l land m0) + k0) in
+  let v1 = index arr 1 d1 (i1.!(l land m1) + k1) in
+  let v2 = index arr 2 d2 (i2.!(l land m2) + k2) in
   (((v0 * d1) + v1) * d2) + v2
 
-let offn env arr dims regs ks =
+let offn env arr dims subs l =
   let acc = ref 0 in
   for i = 0 to Array.length dims - 1 do
-    acc := (!acc * dims.(i)) + index env arr i dims.(i) regs.(i) ks.(i)
+    let r, m, k = subs.(i) in
+    acc := (!acc * dims.(i)) + index arr i dims.(i) ((ig env r).!(l land m) + k)
   done;
   !acc
 
-let[@inline] get env s o = (Array.unsafe_get env.srcs s).(o)
-
-let[@inline] put env s o x =
-  (Array.unsafe_get env.dsts s).(o) <- x;
-  let m = Array.unsafe_get env.masks s in
-  if m != no_mask then m.(o) <- true
-
-let load_step ~arr s dims subs d : step =
-  match (dims, subs) with
-  | [| d0 |], [| (r0, k0) |] -> fun env -> sf env d (get env s (off1 env arr d0 r0 k0))
-  | [| d0; d1 |], [| (r0, k0); (r1, k1) |] ->
-    fun env -> sf env d (get env s (off2 env arr d0 d1 r0 k0 r1 k1))
-  | [| d0; d1; d2 |], [| (r0, k0); (r1, k1); (r2, k2) |] ->
-    fun env -> sf env d (get env s (off3 env arr d0 d1 d2 r0 k0 r1 k1 r2 k2))
-  | _ ->
-    let regs = Array.map fst subs and ks = Array.map snd subs in
-    fun env -> sf env d (get env s (offn env arr dims regs ks))
-
-let store_step ~arr s dims subs v : step =
-  match (dims, subs) with
-  | [| d0 |], [| (r0, k0) |] -> fun env -> put env s (off1 env arr d0 r0 k0) (gf env v)
-  | [| d0; d1 |], [| (r0, k0); (r1, k1) |] ->
-    fun env -> put env s (off2 env arr d0 d1 r0 k0 r1 k1) (gf env v)
-  | [| d0; d1; d2 |], [| (r0, k0); (r1, k1); (r2, k2) |] ->
-    fun env -> put env s (off3 env arr d0 d1 d2 r0 k0 r1 k1 r2 k2) (gf env v)
-  | _ ->
-    let regs = Array.map fst subs and ks = Array.map snd subs in
-    fun env -> put env s (offn env arr dims regs ks) (gf env v)
-
-(* The checked linear offset into an int register: a store or atomic
-   whose value may raise runs this first. *)
+(* The checked linear offset into int register [o]. *)
 let offset_step ~arr dims subs o : step =
   match (dims, subs) with
-  | [| d0 |], [| (r0, k0) |] -> fun env -> si env o (off1 env arr d0 r0 k0)
-  | [| d0; d1 |], [| (r0, k0); (r1, k1) |] ->
-    fun env -> si env o (off2 env arr d0 d1 r0 k0 r1 k1)
-  | [| d0; d1; d2 |], [| (r0, k0); (r1, k1); (r2, k2) |] ->
-    fun env -> si env o (off3 env arr d0 d1 d2 r0 k0 r1 k1 r2 k2)
+  | [| d0 |], [| (r0, m0, k0) |] ->
+    fun env set n ->
+      let i0 = ig env r0 and z = ig env o in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- off1 arr d0 i0 m0 k0 l done
+      else
+        for k = 0 to n - 1 do
+          let l = set.!(k) in
+          z.!(l) <- off1 arr d0 i0 m0 k0 l
+        done
+  | [| d0; d1 |], [| (r0, m0, k0); (r1, m1, k1) |] ->
+    fun env set n ->
+      let i0 = ig env r0 and i1 = ig env r1 and z = ig env o in
+      if n = env.w then
+        for l = 0 to n - 1 do z.!(l) <- off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l done
+      else
+        for k = 0 to n - 1 do
+          let l = set.!(k) in
+          z.!(l) <- off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l
+        done
+  | [| d0; d1; d2 |], [| (r0, m0, k0); (r1, m1, k1); (r2, m2, k2) |] ->
+    fun env set n ->
+      let i0 = ig env r0 and i1 = ig env r1 and i2 = ig env r2 and z = ig env o in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- off3 arr d0 d1 d2 i0 m0 k0 i1 m1 k1 i2 m2 k2 l
+      done
   | _ ->
-    let regs = Array.map fst subs and ks = Array.map snd subs in
-    fun env -> si env o (offn env arr dims regs ks)
+    fun env set n ->
+      let z = ig env o in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- offn env arr dims subs l
+      done
+
+(* Loads fuse the offset for ranks 1–3; a checked OCaml access guards
+   a backing array shorter than the extents. *)
+let load_step ~arr s dims subs d : step =
+  match (dims, subs) with
+  | [| d0 |], [| (r0, m0, k0) |] ->
+    fun env set n ->
+      let i0 = ig env r0 and src = env.srcs.!(s) and z = fg env d in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- src.(off1 arr d0 i0 m0 k0 l) done
+      else
+        for k = 0 to n - 1 do
+          let l = set.!(k) in
+          z.!(l) <- src.(off1 arr d0 i0 m0 k0 l)
+        done
+  | [| d0; d1 |], [| (r0, m0, k0); (r1, m1, k1) |] ->
+    fun env set n ->
+      let i0 = ig env r0 and i1 = ig env r1 and src = env.srcs.!(s) and z = fg env d in
+      if n = env.w then
+        for l = 0 to n - 1 do
+          z.!(l) <- src.(off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l)
+        done
+      else
+        for k = 0 to n - 1 do
+          let l = set.!(k) in
+          z.!(l) <- src.(off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l)
+        done
+  | [| d0; d1; d2 |], [| (r0, m0, k0); (r1, m1, k1); (r2, m2, k2) |] ->
+    fun env set n ->
+      let i0 = ig env r0 and i1 = ig env r1 and i2 = ig env r2 in
+      let src = env.srcs.!(s) and z = fg env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- src.(off3 arr d0 d1 d2 i0 m0 k0 i1 m1 k1 i2 m2 k2 l)
+      done
+  | _ ->
+    fun env set n ->
+      let src = env.srcs.!(s) and z = fg env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- src.(offn env arr dims subs l)
+      done
+
+(* --- Stores, atomics and the block log ---------------------------------- *)
+
+(* One write as the interpreter performs it: the atomic's load of the
+   old element (bounds-checked) before the store. *)
+let[@inline] apply env code o x =
+  let s = code lsr 2 in
+  let dst = env.dsts.!(s) in
+  (match code land 3 with
+   | 0 -> dst.(o) <- x
+   | 1 -> dst.(o) <- env.srcs.!(s).(o) +. x
+   | 2 -> dst.(o) <- fmin env.srcs.!(s).(o) x
+   | _ -> dst.(o) <- fmax env.srcs.!(s).(o) x);
+  let m = env.masks.!(s) in
+  if m != no_mask then m.(o) <- true
+
+(* Log entries [i, j) of one segment, in order.  Their offsets were
+   checked against the slot's limit when they were logged. *)
+let apply_run env code i j =
+  let s = code lsr 2 and offs = env.log_off and vals = env.log_val in
+  let dst = env.dsts.!(s) and src = env.srcs.!(s) in
+  (match code land 3 with
+   | 0 -> for e = i to j - 1 do dst.!(offs.!(e)) <- vals.!(e) done
+   | 1 ->
+     for e = i to j - 1 do
+       let o = offs.!(e) in
+       dst.!(o) <- src.!(o) +. vals.!(e)
+     done
+   | 2 ->
+     for e = i to j - 1 do
+       let o = offs.!(e) in
+       dst.!(o) <- fmin src.!(o) vals.!(e)
+     done
+   | _ ->
+     for e = i to j - 1 do
+       let o = offs.!(e) in
+       dst.!(o) <- fmax src.!(o) vals.!(e)
+     done);
+  let m = env.masks.!(s) in
+  if m != no_mask then for e = i to j - 1 do m.!(offs.!(e)) <- true done
+
+let grow a n z =
+  let b = Array.make n z in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* A block that would log more entries or segments than this runs at
+   width 1 instead, so the log's memory stays bounded (~10 MB). *)
+let max_log = 1 lsl 18
+
+exception Log_full
+
+(* Room for [n] more entries and one more segment. *)
+let reserve env n =
+  let need = env.log_n + n in
+  if need > max_log || env.seg_n >= max_log then raise Log_full;
+  if need > Array.length env.log_off then begin
+    let size = max need (2 * Array.length env.log_off) in
+    env.log_off <- grow env.log_off size 0;
+    env.log_val <- grow env.log_val size 0.0;
+    env.log_lane <- grow env.log_lane size 0;
+    env.log_code <- grow env.log_code size 0;
+    env.log_perm <- grow env.log_perm size 0
+  end;
+  if env.seg_n = Array.length env.seg_code then begin
+    let size = 2 * max 8 env.seg_n in
+    env.seg_code <- grow env.seg_code size 0;
+    env.seg_start <- grow env.seg_start size 0;
+    env.seg_dense <- grow env.seg_dense size false
+  end
+
+let drop_log env =
+  env.log_n <- 0;
+  env.seg_n <- 0
+
+let seg_end env s = if s + 1 < env.seg_n then env.seg_start.!(s + 1) else env.log_n
+
+(* Apply the log in thread order: one segment is in lane order already,
+   several take a stable counting sort by lane. *)
+let flush env =
+  let ns = env.seg_n in
+  if ns = 1 then apply_run env env.seg_code.!(0) 0 env.log_n
+  else if ns > 1 then begin
+    let n = env.log_n and codes = env.log_code and lanes = env.log_lane in
+    for s = 0 to ns - 1 do
+      let i = env.seg_start.!(s) and code = env.seg_code.!(s) in
+      for e = i to seg_end env s - 1 do
+        codes.!(e) <- code;
+        if env.seg_dense.!(s) then lanes.!(e) <- e - i
+      done
+    done;
+    let cnt = env.counts in
+    Array.fill cnt 0 (Array.length cnt) 0;
+    for e = 0 to n - 1 do
+      let l = lanes.!(e) + 1 in
+      cnt.!(l) <- cnt.!(l) + 1
+    done;
+    for l = 1 to env.w do
+      cnt.!(l) <- cnt.!(l) + cnt.!(l - 1)
+    done;
+    let perm = env.log_perm in
+    for e = 0 to n - 1 do
+      let l = lanes.!(e) in
+      let p = cnt.!(l) in
+      perm.!(p) <- e;
+      cnt.!(l) <- p + 1
+    done;
+    for p = 0 to n - 1 do
+      let e = perm.!(p) in
+      apply_run env codes.!(e) e (e + 1)
+    done
+  end;
+  drop_log env
+
+(* A store or atomic of [v] at offset [o]: direct at width 1; in lane
+   mode one log segment of an entry per active lane, where an offset
+   the flush could not apply raises now, while the block can still
+   re-run from its start.  Never uniform: every active lane writes. *)
+let put_step code o mo v mv : step =
+ fun env set n ->
+  let oo = ig env o and vv = fg env v in
+  if env.w = 1 then apply env code oo.!(0) vv.!(0)
+  else begin
+    let lim = env.limit.!(code lsr 2) and dense = n = env.w in
+    reserve env n;
+    let s = env.seg_n and base = env.log_n in
+    env.seg_code.!(s) <- code;
+    env.seg_start.!(s) <- base;
+    env.seg_dense.!(s) <- dense;
+    env.seg_n <- s + 1;
+    let offs = env.log_off and vals = env.log_val in
+    if dense then
+      for l = 0 to n - 1 do
+        let o = oo.!(l land mo) in
+        if o < 0 || o >= lim then invalid_arg "index out of bounds";
+        offs.!(base + l) <- o;
+        vals.!(base + l) <- vv.!(l land mv)
+      done
+    else begin
+      let lanes = env.log_lane in
+      for k = 0 to n - 1 do
+        let l = set.!(k) in
+        let o = oo.!(l land mo) in
+        if o < 0 || o >= lim then invalid_arg "index out of bounds";
+        offs.!(base + k) <- o;
+        vals.!(base + k) <- vv.!(l land mv);
+        lanes.!(base + k) <- l
+      done
+    end;
+    env.log_n <- base + n
+  end
 
 (* --- Compilation ------------------------------------------------------- *)
 
@@ -198,64 +447,141 @@ type vtype = TInt | TFloat | TBool
 
 let vtype_name = function TInt -> "int" | TFloat -> "float" | TBool -> "bool"
 
-(* A compiled expression's value: a launch-time constant, a register
-   (booleans live in int registers as 0/1), or a pure test. *)
+(* A compiled expression's value: a launch-time constant or a register
+   (booleans live in int registers as 0/1). *)
 type value =
   | Ki of int
   | Kf of float
+  | Kb of bool
   | Ri of int
   | Rf of int
   | Rb of int
-  | Cb of (env -> bool)
 
 let vtype_of = function
   | Ki _ | Ri _ -> TInt
   | Kf _ | Rf _ -> TFloat
-  | Rb _ | Cb _ -> TBool
+  | Kb _ | Rb _ -> TBool
 
 let is_int = function Ki _ | Ri _ -> true | _ -> false
 
 module S = Set.Make (String)
+
+(* --- Uniformity analysis ------------------------------------------------ *)
+
+(* Arrays some store or atomic writes. *)
+let written_arrays (k : Kir.t) =
+  let rec go acc = function
+    | Kir.Store (a, _, _) | Kir.Atomic (_, a, _, _) -> S.add a acc
+    | Kir.If (_, t, e) -> List.fold_left go (List.fold_left go acc t) e
+    | Kir.For { body; _ } -> List.fold_left go acc body
+    | Kir.Local _ | Kir.Assign _ | Kir.Syncthreads -> acc
+  in
+  List.fold_left go S.empty k.Kir.body
+
+(* The locals whose value may differ between the lanes of a block, to a
+   fixpoint: a local is varying when some binding's value is, or when it
+   is bound under varying control (the lanes that skip the binding keep
+   their old value).  A loop counter is varying only when its loop's
+   bounds are: under varying control, the lanes that run a
+   uniform-bounds loop all see the same counter, and the loop restores
+   the counter for everyone on exit. *)
+let varying_locals (k : Kir.t) ~written =
+  let vary = ref S.empty and changed = ref true in
+  let mark n =
+    if not (S.mem n !vary) then begin
+      vary := S.add n !vary;
+      changed := true
+    end
+  in
+  let rec exp = function
+    | Kir.Special (Kir.Thread_idx _) -> true
+    | Kir.Iconst _ | Kir.Fconst _ | Kir.Special _ | Kir.Param _ -> false
+    | Kir.Var n -> S.mem n !vary
+    | Kir.Load (a, idx) -> S.mem a written || List.exists exp idx
+    | Kir.Unop (_, x) -> exp x
+    | Kir.Binop (_, x, y) -> exp x || exp y
+  in
+  let rec stmt ctl = function
+    | Kir.Local (n, e) | Kir.Assign (n, e) -> if ctl || exp e then mark n
+    | Kir.If (c, t, e) ->
+      let ctl = ctl || exp c in
+      List.iter (stmt ctl) t;
+      List.iter (stmt ctl) e
+    | Kir.For { var; from_; to_; body } ->
+      let bounds = exp from_ || exp to_ in
+      if bounds then mark var;
+      List.iter (stmt (ctl || bounds)) body
+    | Kir.Store _ | Kir.Atomic _ | Kir.Syncthreads -> ()
+  in
+  while !changed do
+    changed := false;
+    List.iter (stmt false) k.Kir.body
+  done;
+  !vary
 
 type ctx = {
   cgrid : Dim3.t;
   cblock : Dim3.t;
   scalars : (string, Keval.value) Hashtbl.t;
   arr_slots : (string, int * int array) Hashtbl.t;  (* name -> slot, extents *)
+  written : S.t;
+  varying : S.t;  (* locals, from [varying_locals] *)
   slots : (string, vtype * int) Hashtbl.t;  (* local -> register *)
   iconsts : (int, int) Hashtbl.t;  (* value -> preset register *)
   fconsts : (int64, int) Hashtbl.t;  (* bit pattern -> preset register *)
+  ivary : (int, unit) Hashtbl.t;  (* varying int registers *)
+  fvary : (int, unit) Hashtbl.t;
   mutable n_i : int;
   mutable n_f : int;
+  mutable n_bufs : int;
+  mutable loaded : int list;  (* slots of load steps *)
+  mutable stored : int list;  (* slots of store and atomic steps *)
+  mutable atomic : int list;
   mutable code : step list;  (* the open block, newest step first *)
-  mutable raising : bool;  (* the open block has a step that may raise *)
 }
 
-let emit ?(raises = false) c s =
-  c.code <- s :: c.code;
-  if raises then c.raising <- true
+let uni_i c r = not (Hashtbl.mem c.ivary r)
+let uni_f c r = not (Hashtbl.mem c.fvary r)
+let mask_i c r = if uni_i c r then 0 else -1
+let mask_f c r = if uni_f c r then 0 else -1
 
-(* Compile [f] into a fresh block: its result, its steps in order, and
-   whether any of them may raise. *)
+let uni_v c = function
+  | Ki _ | Kf _ | Kb _ -> true
+  | Ri r | Rb r -> uni_i c r
+  | Rf r -> uni_f c r
+
+(* A uniform step runs once, on lane 0, whatever lanes are active. *)
+let uniform (s : step) : step = fun env _ _ -> s env lane0 1
+
+let emit c s = c.code <- s :: c.code
+let emit_i c d s = emit c (if uni_i c d then uniform s else s)
+let emit_f c d s = emit c (if uni_f c d then uniform s else s)
+
+(* Compile [f] into a fresh block: its result and its steps in order. *)
 let in_block c f =
-  let code = c.code and raising = c.raising in
+  let code = c.code in
   c.code <- [];
-  c.raising <- false;
   let x = f () in
-  let block = (x, List.rev c.code, c.raising) in
+  let block = (x, List.rev c.code) in
   c.code <- code;
-  c.raising <- raising;
   block
 
-let fresh_i c =
+let fresh_i ?(uni = true) c =
   let r = c.n_i in
   c.n_i <- r + 1;
+  if not uni then Hashtbl.replace c.ivary r ();
   r
 
-let fresh_f c =
+let fresh_f ?(uni = true) c =
   let r = c.n_f in
   c.n_f <- r + 1;
+  if not uni then Hashtbl.replace c.fvary r ();
   r
+
+let fresh_buf c =
+  let b = c.n_bufs in
+  c.n_bufs <- b + 1;
+  b
 
 let const_i c k =
   match Hashtbl.find_opt c.iconsts k with
@@ -274,16 +600,350 @@ let const_f c x =
     Hashtbl.add c.fconsts key r;
     r
 
-(* Where a root writes: the destination slot when its type matches,
+(* Where a root writes: the destination slot when its type matches and
+   it can hold the value (a uniform slot only takes uniform values),
    else a fresh temporary. *)
-let out_i c = function Some (TInt, r) -> r | _ -> fresh_i c
-let out_f c = function Some (TFloat, r) -> r | _ -> fresh_f c
+let out_i c ~uni = function
+  | Some (TInt, r) when uni || not (uni_i c r) -> r
+  | _ -> fresh_i ~uni c
+
+let out_f c ~uni = function
+  | Some (TFloat, r) when uni || not (uni_f c r) -> r
+  | _ -> fresh_f ~uni c
+
+(* --- Step constructors --------------------------------------------------
+
+   Every sweep below is spelled twice, dense and over a lane list: a
+   helper taking the lane body as a closure would cost a call per lane
+   (no flambda). *)
+
+let int_step op d a ma b mb : step =
+  match op with
+  | Kir.Add ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) + y.!(l land mb) done
+      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) + y.!(l land mb) done
+  | Kir.Sub ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) - y.!(l land mb) done
+      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) - y.!(l land mb) done
+  | Kir.Mul ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) * y.!(l land mb) done
+      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) * y.!(l land mb) done
+  | Kir.Minb ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- imin x.!(l land ma) y.!(l land mb)
+      done
+  | Kir.Maxb ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- imax x.!(l land ma) y.!(l land mb)
+      done
+  | Kir.Idiv ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- x.!(l land ma) / y.!(l land mb)
+      done
+  | _ ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- x.!(l land ma) mod y.!(l land mb)
+      done
+
+let float_step op d a ma b mb : step =
+  match op with
+  | Kir.Add ->
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) +. y.!(l land mb) done
+      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) +. y.!(l land mb) done
+  | Kir.Sub ->
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) -. y.!(l land mb) done
+      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) -. y.!(l land mb) done
+  | Kir.Mul ->
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) *. y.!(l land mb) done
+      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) *. y.!(l land mb) done
+  | Kir.Minb ->
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- fmin x.!(l land ma) y.!(l land mb)
+      done
+  | Kir.Maxb ->
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- fmax x.!(l land ma) y.!(l land mb)
+      done
+  | _ ->
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) /. y.!(l land mb) done
+      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) /. y.!(l land mb) done
+
+(* [x ± y*z] in one step.  [x] is bound first: a commutative operand
+   read straight from memory lets ocamlopt swap the operands, and when
+   both are NaN the first operand's payload must win, as in the
+   interpreter. *)
+let fma_step op d a ma b mb e me : step =
+  if op = Kir.Add then
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = fg env e and r = fg env d in
+      if n = env.w then
+        for l = 0 to n - 1 do
+          let u = x.!(l land ma) in
+          r.!(l) <- u +. (y.!(l land mb) *. z.!(l land me))
+        done
+      else
+        for k = 0 to n - 1 do
+          let l = set.!(k) in
+          let u = x.!(l land ma) in
+          r.!(l) <- u +. (y.!(l land mb) *. z.!(l land me))
+        done
+  else
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = fg env e and r = fg env d in
+      if n = env.w then
+        for l = 0 to n - 1 do
+          r.!(l) <- x.!(l land ma) -. (y.!(l land mb) *. z.!(l land me))
+        done
+      else
+        for k = 0 to n - 1 do
+          let l = set.!(k) in
+          r.!(l) <- x.!(l land ma) -. (y.!(l land mb) *. z.!(l land me))
+        done
+
+let float_unop_step op d a ma : step =
+  match op with
+  | Kir.Neg ->
+    fun env set n ->
+      let x = fg env a and z = fg env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- -.x.!(l land ma)
+      done
+  | Kir.Abs ->
+    fun env set n ->
+      let x = fg env a and z = fg env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- Float.abs x.!(l land ma)
+      done
+  | Kir.Sqrt ->
+    fun env set n ->
+      let x = fg env a and z = fg env d in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- sqrt x.!(l land ma) done
+      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- sqrt x.!(l land ma) done
+  | _ ->
+    fun env set n ->
+      let x = fg env a and z = fg env d in
+      if n = env.w then for l = 0 to n - 1 do z.!(l) <- 1.0 /. sqrt x.!(l land ma) done
+      else
+        for k = 0 to n - 1 do
+          let l = set.!(k) in
+          z.!(l) <- 1.0 /. sqrt x.!(l land ma)
+        done
+
+let int_unop_step op d a ma : step =
+  if op = Kir.Neg then
+    fun env set n ->
+      let x = ig env a and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- - x.!(l land ma)
+      done
+  else
+    fun env set n ->
+      let x = ig env a and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- abs x.!(l land ma)
+      done
+
+(* Comparisons write 0/1.  [a > b] is [b < a] and [a >= b] is [b <= a],
+   NaNs included, so four operators cover six.  Integers compare as
+   floats, as in the interpreter. *)
+let mirror op a ma b mb =
+  match op with
+  | Kir.Gt -> (Kir.Lt, b, mb, a, ma)
+  | Kir.Ge -> (Kir.Le, b, mb, a, ma)
+  | _ -> (op, a, ma, b, mb)
+
+(* Integers compare as floats in the interpreter.  Within 2^53 in
+   magnitude that is the integer comparison, which spares two
+   conversions per lane (and cvtsi2sd, which merges into its
+   destination register, would chain every lane to the previous one). *)
+let[@inline] exact x y = ((x + (1 lsl 53)) lor (y + (1 lsl 53))) lsr 54 = 0
+let[@inline] ilt x y = if exact x y then x < y else float_of_int x < float_of_int y
+let[@inline] ile x y = if exact x y then x <= y else float_of_int x <= float_of_int y
+let[@inline] ieq x y = if exact x y then x = y else float_of_int x = float_of_int y
+
+let int_cmp_step op d a ma b mb : step =
+  let op, a, ma, b, mb = mirror op a ma b mb in
+  match op with
+  | Kir.Lt ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      if n = env.w then
+        for l = 0 to n - 1 do z.!(l) <- Bool.to_int (ilt x.!(l land ma) y.!(l land mb)) done
+      else
+        for k = 0 to n - 1 do
+          let l = set.!(k) in
+          z.!(l) <- Bool.to_int (ilt x.!(l land ma) y.!(l land mb))
+        done
+  | Kir.Le ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      if n = env.w then
+        for l = 0 to n - 1 do z.!(l) <- Bool.to_int (ile x.!(l land ma) y.!(l land mb)) done
+      else
+        for k = 0 to n - 1 do
+          let l = set.!(k) in
+          z.!(l) <- Bool.to_int (ile x.!(l land ma) y.!(l land mb))
+        done
+  | Kir.Eq ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- Bool.to_int (ieq x.!(l land ma) y.!(l land mb))
+      done
+  | _ ->
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- Bool.to_int (not (ieq x.!(l land ma) y.!(l land mb)))
+      done
+
+let float_cmp_step op d a ma b mb : step =
+  let op, a, ma, b, mb = mirror op a ma b mb in
+  match op with
+  | Kir.Lt ->
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- Bool.to_int (x.!(l land ma) < y.!(l land mb))
+      done
+  | Kir.Le ->
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- Bool.to_int (x.!(l land ma) <= y.!(l land mb))
+      done
+  | Kir.Eq ->
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- Bool.to_int (x.!(l land ma) = y.!(l land mb))
+      done
+  | _ ->
+    fun env set n ->
+      let x = fg env a and y = fg env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- Bool.to_int (x.!(l land ma) <> y.!(l land mb))
+      done
+
+(* [&&], [||] and [!] over int registers holding conditions (non-zero is
+   true), writing 0/1. *)
+let bool_step op d a ma b mb : step =
+  if op = Kir.And then
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- Bool.to_int (x.!(l land ma) <> 0 && y.!(l land mb) <> 0)
+      done
+  else
+    fun env set n ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for k = 0 to n - 1 do
+        let l = if n = env.w then k else set.!(k) in
+        z.!(l) <- Bool.to_int (x.!(l land ma) <> 0 || y.!(l land mb) <> 0)
+      done
+
+let not_step d a ma : step =
+ fun env set n ->
+  let x = ig env a and z = ig env d in
+  for k = 0 to n - 1 do
+    let l = if n = env.w then k else set.!(k) in
+    z.!(l) <- Bool.to_int (x.!(l land ma) = 0)
+  done
+
+let non_integer () = invalid_arg "Keval: non-integer index"
+
+let to_int_step d a ma : step =
+ fun env set n ->
+  let x = fg env a and z = ig env d in
+  for k = 0 to n - 1 do
+    let l = if n = env.w then k else set.!(k) in
+    let v = x.!(l land ma) in
+    let i = int_of_float v in
+    if float_of_int i = v then z.!(l) <- i else non_integer ()
+  done
+
+let to_float_step d a ma : step =
+ fun env set n ->
+  let x = ig env a and z = fg env d in
+  if n = env.w then for l = 0 to n - 1 do z.!(l) <- float_of_int x.!(l land ma) done
+  else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- float_of_int x.!(l land ma) done
+
+let move_i_step d a ma : step =
+ fun env set n ->
+  let x = ig env a and z = ig env d in
+  for k = 0 to n - 1 do
+    let l = if n = env.w then k else set.!(k) in
+    z.!(l) <- x.!(l land ma)
+  done
+
+let move_f_step d a ma : step =
+ fun env set n ->
+  let x = fg env a and z = fg env d in
+  if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) done
+  else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) done
+
+let set_i_step d v : step =
+ fun env set n ->
+  let z = ig env d in
+  for k = 0 to n - 1 do
+    z.!(if n = env.w then k else set.!(k)) <- v
+  done
+
+let set_f_step d v : step =
+ fun env set n ->
+  let z = fg env d in
+  for k = 0 to n - 1 do
+    z.!(if n = env.w then k else set.!(k)) <- v
+  done
+
+(* --- Typed compilation --------------------------------------------------- *)
 
 (* Coercions mirror Keval.as_int/as_float/as_bool.  Boolean operands
    in numeric position raise in the interpreter, so they leave the
    compiled fragment. *)
-
-let non_integer () = invalid_arg "Keval: non-integer index"
 
 let as_i c = function
   | (Ki _ | Ri _) as v -> v
@@ -291,37 +951,37 @@ let as_i c = function
     let n = int_of_float x in
     if float_of_int n = x then Ki n
     else begin
-      emit ~raises:true c (fun _ -> non_integer ());
+      emit c (fun _ _ _ -> non_integer ());
       Ri (fresh_i c)
     end
   | Rf r ->
-    let d = fresh_i c in
-    emit ~raises:true c (fun env ->
-        let x = gf env r in
-        let n = int_of_float x in
-        if float_of_int n = x then si env d n else non_integer ());
+    let d = fresh_i ~uni:(uni_f c r) c in
+    emit_i c d (to_int_step d r (mask_f c r));
     Ri d
-  | Rb _ | Cb _ -> fallback "boolean used as integer"
+  | Rb _ | Kb _ -> fallback "boolean used as integer"
 
 let as_f c = function
   | (Kf _ | Rf _) as v -> v
   | Ki k -> Kf (float_of_int k)
   | Ri r ->
-    let d = fresh_f c in
-    emit c (fun env -> sf env d (float_of_int (gi env r)));
+    let d = fresh_f ~uni:(uni_i c r) c in
+    emit_f c d (to_float_step d r (mask_i c r));
     Rf d
-  | Rb _ | Cb _ -> fallback "boolean used as float"
+  | Rb _ | Kb _ -> fallback "boolean used as float"
 
 let as_b = function
-  | Cb f -> f
-  | Ri r | Rb r -> fun env -> gi env r <> 0
-  | Ki k ->
-    let b = k <> 0 in
-    fun _ -> b
+  | (Kb _ | Ri _ | Rb _) as v -> v
+  | Ki k -> Kb (k <> 0)
   | Kf _ | Rf _ -> fallback "float used as condition"
 
 let rec ireg c v = match v with Ki k -> const_i c k | Ri r -> r | _ -> ireg c (as_i c v)
 let rec freg c v = match v with Kf x -> const_f c x | Rf r -> r | _ -> freg c (as_f c v)
+
+(* The register of a condition. *)
+let breg c = function
+  | Kb b -> const_i c (Bool.to_int b)
+  | Ri r | Rb r -> r
+  | _ -> fallback "float used as condition"
 
 (* A subscript operand [ir.(r) + k]. *)
 let isub c v = match as_i c v with Ki k -> (const_i c 0, k) | v -> (ireg c v, 0)
@@ -354,61 +1014,33 @@ let float_cmp op (u : float) v =
   | Kir.Eq -> u = v
   | _ -> u <> v
 
-let int_step op d a b : step =
-  match op with
-  | Kir.Add -> fun env -> si env d (gi env a + gi env b)
-  | Kir.Sub -> fun env -> si env d (gi env a - gi env b)
-  | Kir.Mul -> fun env -> si env d (gi env a * gi env b)
-  | Kir.Minb -> fun env -> si env d (imin (gi env a) (gi env b))
-  | Kir.Maxb -> fun env -> si env d (imax (gi env a) (gi env b))
-  | Kir.Idiv -> fun env -> si env d (gi env a / gi env b)
-  | _ -> fun env -> si env d (gi env a mod gi env b)
+let int_op c dst op a b =
+  let d = out_i c ~uni:(uni_i c a && uni_i c b) dst in
+  emit_i c d (int_step op d a (mask_i c a) b (mask_i c b));
+  Ri d
 
-let float_step op d a b : step =
-  match op with
-  | Kir.Add -> fun env -> sf env d (gf env a +. gf env b)
-  | Kir.Sub -> fun env -> sf env d (gf env a -. gf env b)
-  | Kir.Mul -> fun env -> sf env d (gf env a *. gf env b)
-  | Kir.Minb -> fun env -> sf env d (fmin (gf env a) (gf env b))
-  | Kir.Maxb -> fun env -> sf env d (fmax (gf env a) (gf env b))
-  | _ -> fun env -> sf env d (gf env a /. gf env b)
-
-(* Comparisons compare as floats in the interpreter, integers
-   included. *)
-let int_test op a b : env -> bool =
-  match op with
-  | Kir.Lt -> fun env -> float_of_int (gi env a) < float_of_int (gi env b)
-  | Kir.Le -> fun env -> float_of_int (gi env a) <= float_of_int (gi env b)
-  | Kir.Gt -> fun env -> float_of_int (gi env a) > float_of_int (gi env b)
-  | Kir.Ge -> fun env -> float_of_int (gi env a) >= float_of_int (gi env b)
-  | Kir.Eq -> fun env -> float_of_int (gi env a) = float_of_int (gi env b)
-  | _ -> fun env -> float_of_int (gi env a) <> float_of_int (gi env b)
-
-let float_test op a b : env -> bool =
-  match op with
-  | Kir.Lt -> fun env -> gf env a < gf env b
-  | Kir.Le -> fun env -> gf env a <= gf env b
-  | Kir.Gt -> fun env -> gf env a > gf env b
-  | Kir.Ge -> fun env -> gf env a >= gf env b
-  | Kir.Eq -> fun env -> gf env a = gf env b
-  | _ -> fun env -> gf env a <> gf env b
+let float_op c dst op a b =
+  let d = out_f c ~uni:(uni_f c a && uni_f c b) dst in
+  emit_f c d (float_step op d a (mask_f c a) b (mask_f c b));
+  Rf d
 
 (* Arithmetic stays integer only when both operands are; otherwise
    both sides coerce to float, exactly as [Keval.eval_binop]. *)
 let arith c dst op vx vy =
   match (vx, vy) with
   | Ki a, Ki b -> Ki (int_arith op a b)
-  | _ when is_int vx && is_int vy ->
-    let d = out_i c dst in
-    emit c (int_step op d (ireg c vx) (ireg c vy));
-    Ri d
+  | _ when is_int vx && is_int vy -> int_op c dst op (ireg c vx) (ireg c vy)
   | _ -> (
       match (as_f c vx, as_f c vy) with
       | Kf a, Kf b -> Kf (float_arith op a b)
-      | fx, fy ->
-        let d = out_f c dst in
-        emit c (float_step op d (freg c fx) (freg c fy));
-        Rf d)
+      | fx, fy -> float_op c dst op (freg c fx) (freg c fy))
+
+let compare_op c ~int op a b =
+  let d = fresh_i ~uni:(if int then uni_i c a && uni_i c b else uni_f c a && uni_f c b) c in
+  emit_i c d
+    (if int then int_cmp_step op d a (mask_i c a) b (mask_i c b)
+     else float_cmp_step op d a (mask_f c a) b (mask_f c b));
+  Rb d
 
 (* Finish a binary operator whose operands are compiled (right one
    first); coercions run after both operands, as in the interpreter. *)
@@ -419,30 +1051,24 @@ let binop c dst op vx vy =
   | Kir.Idiv | Kir.Imod -> (
       match (as_i c vx, as_i c vy) with
       | Ki a, Ki b when b <> 0 -> Ki (int_arith op a b)
-      | ix, iy ->
-        let d = out_i c dst in
-        let zero_safe = match iy with Ki b -> b <> 0 | _ -> false in
-        emit ~raises:(not zero_safe) c (int_step op d (ireg c ix) (ireg c iy));
-        Ri d)
+      | ix, iy -> int_op c dst op (ireg c ix) (ireg c iy))
   | Kir.Lt | Kir.Le | Kir.Gt | Kir.Ge | Kir.Eq | Kir.Ne -> (
       if is_int vx && is_int vy then
         match (vx, vy) with
-        | Ki a, Ki b ->
-          let r = float_cmp op (float_of_int a) (float_of_int b) in
-          Cb (fun _ -> r)
-        | _ -> Cb (int_test op (ireg c vx) (ireg c vy))
+        | Ki a, Ki b -> Kb (float_cmp op (float_of_int a) (float_of_int b))
+        | _ -> compare_op c ~int:true op (ireg c vx) (ireg c vy)
       else
         match (as_f c vx, as_f c vy) with
-        | Kf a, Kf b ->
-          let r = float_cmp op a b in
-          Cb (fun _ -> r)
-        | fx, fy -> Cb (float_test op (freg c fx) (freg c fy)))
-  | Kir.And ->
-    let u = as_b vx and v = as_b vy in
-    Cb (fun env -> u env && v env)
-  | Kir.Or ->
-    let u = as_b vx and v = as_b vy in
-    Cb (fun env -> u env || v env)
+        | Kf a, Kf b -> Kb (float_cmp op a b)
+        | fx, fy -> compare_op c ~int:false op (freg c fx) (freg c fy))
+  | Kir.And | Kir.Or -> (
+      match (as_b vx, as_b vy) with
+      | Kb u, Kb v -> Kb (if op = Kir.And then u && v else u || v)
+      | bx, by ->
+        let a = breg c bx and b = breg c by in
+        let d = fresh_i ~uni:(uni_i c a && uni_i c b) c in
+        emit_i c d (bool_step op d a (mask_i c a) b (mask_i c b));
+        Rb d)
 
 let float_unop c dst op v =
   match (op, as_f c v) with
@@ -451,34 +1077,36 @@ let float_unop c dst op v =
   | Kir.Sqrt, Kf x -> Kf (sqrt x)
   | Kir.Rsqrt, Kf x -> Kf (1.0 /. sqrt x)
   | op, fv ->
-    let d = out_f c dst and a = freg c fv in
-    emit c
-      (match op with
-       | Kir.Neg -> fun env -> sf env d (-.gf env a)
-       | Kir.Abs -> fun env -> sf env d (Float.abs (gf env a))
-       | Kir.Sqrt -> fun env -> sf env d (sqrt (gf env a))
-       | _ -> fun env -> sf env d (1.0 /. sqrt (gf env a)));
+    let a = freg c fv in
+    let d = out_f c ~uni:(uni_f c a) dst in
+    emit_f c d (float_unop_step op d a (mask_f c a));
     Rf d
 
 let unop c dst op v =
   match (op, v) with
   | (Kir.Neg | Kir.Abs), Ki k -> Ki (if op = Kir.Neg then -k else abs k)
   | (Kir.Neg | Kir.Abs), Ri a ->
-    let d = out_i c dst in
-    emit c
-      (if op = Kir.Neg then fun env -> si env d (-gi env a)
-       else fun env -> si env d (abs (gi env a)));
+    let d = out_i c ~uni:(uni_i c a) dst in
+    emit_i c d (int_unop_step op d a (mask_i c a));
     Ri d
-  | Kir.Neg, (Rb _ | Cb _) -> fallback "negating a boolean"
-  | Kir.Not, _ ->
-    let f = as_b v in
-    Cb (fun env -> not (f env))
+  | Kir.Neg, (Rb _ | Kb _) -> fallback "negating a boolean"
+  | Kir.Not, _ -> (
+      match as_b v with
+      | Kb b -> Kb (not b)
+      | bv ->
+        let a = breg c bv in
+        let d = fresh_i ~uni:(uni_i c a) c in
+        emit_i c d (not_step d a (mask_i c a));
+        Rb d)
   | _ -> float_unop c dst op v
 
 let array_slot c a =
   match Hashtbl.find_opt c.arr_slots a with
   | Some x -> x
   | None -> fallback "unknown array %s" a
+
+let lane_subs c subs = Array.map (fun (r, k) -> (r, mask_i c r, k)) subs
+let uniform_subs c subs = Array.for_all (fun (r, _) -> uni_i c r) subs
 
 let rec compile_exp c bound ?dst (e : Kir.exp) : value =
   match e with
@@ -509,11 +1137,13 @@ let rec compile_exp c bound ?dst (e : Kir.exp) : value =
   | Kir.Load (a, idx) -> (
       match reference c bound a idx with
       | `Arity raise_arity ->
-        emit ~raises:true c raise_arity;
-        Rf (out_f c dst)
+        emit c raise_arity;
+        Rf (out_f c ~uni:true dst)
       | `Ok (s, dims, subs) ->
-        let d = out_f c dst in
-        emit ~raises:true c (load_step ~arr:a s dims subs d);
+        c.loaded <- s :: c.loaded;
+        let uni = (not (S.mem a c.written)) && uniform_subs c subs in
+        let d = out_f c ~uni dst in
+        emit_f c d (load_step ~arr:a s dims (lane_subs c subs) d);
         Rf d)
   | Kir.Unop (op, x) -> unop c dst op (compile_exp c bound x)
   | Kir.Binop (((Kir.Add | Kir.Sub) as op), x, Kir.Binop (Kir.Mul, y, z)) ->
@@ -534,10 +1164,8 @@ let rec compile_exp c bound ?dst (e : Kir.exp) : value =
         let y = freg c fy in
         let z = freg c fz in
         let x = freg c (compile_exp c bound x) in
-        let d = out_f c dst in
-        emit c
-          (if op = Kir.Add then fun env -> sf env d (gf env x +. (gf env y *. gf env z))
-           else fun env -> sf env d (gf env x -. (gf env y *. gf env z)));
+        let d = out_f c ~uni:(uni_f c x && uni_f c y && uni_f c z) dst in
+        emit_f c d (fma_step op d x (mask_f c x) y (mask_f c y) z (mask_f c z));
         Rf d
     end
   | Kir.Binop (op, x, y) ->
@@ -565,7 +1193,7 @@ and reference c bound a idx =
   let s, dims = array_slot c a in
   let subs = Array.of_list (List.map (subscript c bound) idx) in
   let rank = Array.length dims and got = Array.length subs in
-  if got <> rank then `Arity (fun _ -> Keval.arity_error ~arr:a ~expected:rank ~got)
+  if got <> rank then `Arity (fun _ _ _ -> Keval.arity_error ~arr:a ~expected:rank ~got)
   else `Ok (s, dims, subs)
 
 let slot_for c name ty =
@@ -576,118 +1204,188 @@ let slot_for c name ty =
         (vtype_name ty');
     s
   | None ->
-    let s = if ty = TFloat then fresh_f c else fresh_i c in
+    let uni = not (S.mem name c.varying) in
+    let s = if ty = TFloat then fresh_f ~uni c else fresh_i ~uni c in
     Hashtbl.add c.slots name (ty, s);
     s
 
 (* Bind a local to a compiled value.  A first binding takes over the
-   expression's fresh temporary (registers at or above the marks); a
-   rebinding was compiled with the slot as its destination, so a move
-   is only left for leaves. *)
+   expression's fresh temporary (registers at or above the marks) when
+   it has the local's uniformity; a rebinding was compiled with the
+   slot as its destination, so a move is only left for leaves. *)
 let bind c name v ~mark_i ~mark_f =
+  let uni = not (S.mem name c.varying) in
   let adopt ty r = Hashtbl.add c.slots name (ty, r) in
   match (Hashtbl.find_opt c.slots name, v) with
-  | None, Ri r when r >= mark_i -> adopt TInt r
-  | None, Rf r when r >= mark_f -> adopt TFloat r
+  | None, Ri r when r >= mark_i && uni_i c r = uni -> adopt TInt r
+  | None, Rb r when r >= mark_i && uni_i c r = uni -> adopt TBool r
+  | None, Rf r when r >= mark_f && uni_f c r = uni -> adopt TFloat r
   | _ -> (
       let s = slot_for c name (vtype_of v) in
+      (* [varying_locals] and the registers agree by construction. *)
+      if uni && not (uni_v c v) then fallback "varying value bound to uniform local %s" name;
       match v with
-      | Ki k -> emit c (fun env -> si env s k)
-      | Kf x -> emit c (fun env -> sf env s x)
-      | (Ri r | Rb r) when r <> s -> emit c (fun env -> si env s (gi env r))
-      | Rf r when r <> s -> emit c (fun env -> sf env s (gf env r))
-      | Cb f -> emit c (fun env -> si env s (if f env then 1 else 0))
+      | Ki k -> emit_i c s (set_i_step s k)
+      | Kb b -> emit_i c s (set_i_step s (Bool.to_int b))
+      | Kf x -> emit_f c s (set_f_step s x)
+      | (Ri r | Rb r) when r <> s -> emit_i c s (move_i_step s r (mask_i c r))
+      | Rf r when r <> s -> emit_f c s (move_f_step s r (mask_f c r))
       | Ri _ | Rb _ | Rf _ -> ())
 
 let rec seq = function
-  | [] -> fun _ -> ()
+  | [] -> fun _ _ _ -> ()
   | [ a ] -> a
-  | [ a; b ] -> fun env -> a env; b env
-  | [ a; b; c ] -> fun env -> a env; b env; c env
-  | [ a; b; c; d ] -> fun env -> a env; b env; c env; d env
+  | [ a; b ] -> fun env s n -> a env s n; b env s n
+  | [ a; b; c ] -> fun env s n -> a env s n; b env s n; c env s n
+  | [ a; b; c; d ] -> fun env s n -> a env s n; b env s n; c env s n; d env s n
   | a :: b :: c :: d :: rest ->
     let r = seq rest in
-    fun env -> a env; b env; c env; d env; r env
+    fun env s n -> a env s n; b env s n; c env s n; d env s n; r env s n
 
-(* Loop [s] over [l, h) around the body, restoring the counter's slot
-   afterwards (the interpreter unbinds or restores it on exit).  Bodies
-   of up to three steps run inline, without a sequencer. *)
-let for_step s lo hi steps : step =
+(* A uniform condition is tested once, on lane 0. *)
+let if_uniform t th el : step =
+ fun env set n -> if (ig env t).!(0) <> 0 then th env set n else el env set n
+
+(* A varying condition splits the active lanes, in order, into the
+   buffers [tb] and [fb]; each branch runs over its lanes, if any. *)
+let if_lanes t tb fb th el : step =
+ fun env set n ->
+  let c = ig env t and ts = env.bufs.!(tb) and fs = env.bufs.!(fb) in
+  let nt = ref 0 and nf = ref 0 in
+  if n = env.w then
+    for l = 0 to n - 1 do
+      if c.!(l) <> 0 then begin
+        ts.!(!nt) <- l;
+        incr nt
+      end
+      else begin
+        fs.!(!nf) <- l;
+        incr nf
+      end
+    done
+  else
+    for k = 0 to n - 1 do
+      let l = set.!(k) in
+      if c.!(l) <> 0 then begin
+        ts.!(!nt) <- l;
+        incr nt
+      end
+      else begin
+        fs.!(!nf) <- l;
+        incr nf
+      end
+    done;
+  if !nt > 0 then th env ts !nt;
+  if !nf > 0 then el env fs !nf
+
+(* Loop a uniform counter [s] over [l, h) around the body, restoring the
+   counter afterwards (the interpreter unbinds or restores it on exit).
+   Bodies of up to three steps run inline, without a sequencer. *)
+let for_uniform s lo hi steps : step =
   match steps with
   | [ a ] ->
-    fun env ->
-      let l = gi env lo and h = gi env hi and saved = gi env s in
-      for iv = l to h - 1 do si env s iv; a env done;
-      si env s saved
+    fun env set n ->
+      let c = ig env s in
+      let l = (ig env lo).!(0) and h = (ig env hi).!(0) and saved = c.!(0) in
+      for iv = l to h - 1 do c.!(0) <- iv; a env set n done;
+      c.!(0) <- saved
   | [ a; b ] ->
-    fun env ->
-      let l = gi env lo and h = gi env hi and saved = gi env s in
-      for iv = l to h - 1 do si env s iv; a env; b env done;
-      si env s saved
-  | [ a; b; c ] ->
-    fun env ->
-      let l = gi env lo and h = gi env hi and saved = gi env s in
-      for iv = l to h - 1 do si env s iv; a env; b env; c env done;
-      si env s saved
+    fun env set n ->
+      let c = ig env s in
+      let l = (ig env lo).!(0) and h = (ig env hi).!(0) and saved = c.!(0) in
+      for iv = l to h - 1 do c.!(0) <- iv; a env set n; b env set n done;
+      c.!(0) <- saved
+  | [ a; b; d ] ->
+    fun env set n ->
+      let c = ig env s in
+      let l = (ig env lo).!(0) and h = (ig env hi).!(0) and saved = c.!(0) in
+      for iv = l to h - 1 do c.!(0) <- iv; a env set n; b env set n; d env set n done;
+      c.!(0) <- saved
   | _ ->
     let body = seq steps in
-    fun env ->
-      let l = gi env lo and h = gi env hi and saved = gi env s in
-      for iv = l to h - 1 do si env s iv; body env done;
-      si env s saved
+    fun env set n ->
+      let c = ig env s in
+      let l = (ig env lo).!(0) and h = (ig env hi).!(0) and saved = c.!(0) in
+      for iv = l to h - 1 do c.!(0) <- iv; body env set n done;
+      c.!(0) <- saved
+
+(* A varying counter: each lane keeps its own induction value [iv],
+   limit [hb] and saved counter [sv]; the body runs over the lanes
+   still inside their range ([act]) until none is. *)
+let for_lanes s lo mlo hi mhi ~act ~iv ~hb ~sv body : step =
+ fun env set n ->
+  let c = ig env s and lo = ig env lo and hi = ig env hi in
+  let a = env.bufs.!(act) and iv = env.bufs.!(iv) in
+  let hb = env.bufs.!(hb) and sv = env.bufs.!(sv) in
+  let m = ref 0 in
+  for k = 0 to n - 1 do
+    let l = if n = env.w then k else set.!(k) in
+    sv.!(l) <- c.!(l);
+    let x = lo.!(l land mlo) and y = hi.!(l land mhi) in
+    iv.!(l) <- x;
+    hb.!(l) <- y;
+    if x < y then begin
+      a.!(!m) <- l;
+      incr m
+    end
+  done;
+  while !m > 0 do
+    let cnt = !m in
+    for k = 0 to cnt - 1 do
+      let l = a.!(k) in
+      c.!(l) <- iv.!(l)
+    done;
+    body env a cnt;
+    m := 0;
+    for k = 0 to cnt - 1 do
+      let l = a.!(k) in
+      let x = iv.!(l) + 1 in
+      iv.!(l) <- x;
+      if x < hb.!(l) then begin
+        a.!(!m) <- l;
+        incr m
+      end
+    done
+  done;
+  for k = 0 to n - 1 do
+    let l = if n = env.w then k else set.!(k) in
+    c.!(l) <- sv.!(l)
+  done
+
+(* The checked offset of a store or atomic, then its value, then the
+   write: the interpreter's order. *)
+let put c bound slot code ~arr dims subs e =
+  let o = fresh_i ~uni:(uniform_subs c subs) c in
+  emit_i c o (offset_step ~arr dims (lane_subs c subs) o);
+  let v = freg c (compile_exp c bound e) in
+  c.stored <- slot :: c.stored;
+  if code land 3 <> 0 then c.atomic <- slot :: c.atomic;
+  emit c (put_step ((slot * 4) + code) o (mask_i c o) v (mask_f c v))
 
 (* Statement compilation threads the set of locals provably bound at
    that program point (per thread, since every thread runs the whole
    body): a straight-line [Local]/[Assign] binds, an [If] binds the
    intersection of its branches, a [For] binds its counter only inside
    the body (the interpreter unbinds a previously-unbound counter on
-   exit).  Registers persist across threads where the interpreter's
-   hashtable is fresh, but a use never precedes a bind in the same
-   thread, so stale register values are unobservable. *)
+   exit).  Registers persist across threads and blocks where the
+   interpreter's hashtable is fresh, but a use never precedes a bind in
+   the same thread, so stale register values are unobservable. *)
 let rec compile_stmt c bound (s : Kir.stmt) : S.t =
   match s with
-  | Kir.Store (a, idx, e) ->
+  | Kir.Store (a, idx, e) | Kir.Atomic (_, a, idx, e) ->
     (match reference c bound a idx with
      | `Arity raise_arity ->
-       emit ~raises:true c raise_arity;
+       emit c raise_arity;
        ignore (in_block c (fun () -> freg c (compile_exp c bound e)))
      | `Ok (slot, dims, subs) ->
-       let v, steps, raises = in_block c (fun () -> freg c (compile_exp c bound e)) in
-       if raises then begin
-         (* The bounds check must fire before the value's own errors. *)
-         let o = fresh_i c in
-         emit ~raises:true c (offset_step ~arr:a dims subs o);
-         List.iter (emit ~raises:true c) steps;
-         emit c (fun env -> put env slot (gi env o) (gf env v))
-       end
-       else begin
-         List.iter (emit c) steps;
-         emit ~raises:true c (store_step ~arr:a slot dims subs v)
-       end);
-    bound
-  | Kir.Atomic (op, a, idx, e) ->
-    (match reference c bound a idx with
-     | `Arity raise_arity ->
-       emit ~raises:true c raise_arity;
-       ignore (in_block c (fun () -> freg c (compile_exp c bound e)))
-     | `Ok (slot, dims, subs) ->
-       let o = fresh_i c in
-       emit ~raises:true c (offset_step ~arr:a dims subs o);
-       let v = freg c (compile_exp c bound e) in
-       emit c
-         (match op with
-          | Kir.AAdd ->
-            fun env ->
-              let o = gi env o in
-              put env slot o (get env slot o +. gf env v)
-          | Kir.AMin ->
-            fun env ->
-              let o = gi env o in
-              put env slot o (fmin (get env slot o) (gf env v))
-          | Kir.AMax ->
-            fun env ->
-              let o = gi env o in
-              put env slot o (fmax (get env slot o) (gf env v))));
+       let code =
+         match s with
+         | Kir.Atomic (Kir.AAdd, _, _, _) -> 1
+         | Kir.Atomic (Kir.AMin, _, _, _) -> 2
+         | Kir.Atomic (Kir.AMax, _, _, _) -> 3
+         | _ -> 0
+       in
+       put c bound slot code ~arr:a dims subs e);
     bound
   | Kir.Local (n, e) | Kir.Assign (n, e) ->
     let mark_i = c.n_i and mark_f = c.n_f in
@@ -696,30 +1394,41 @@ let rec compile_stmt c bound (s : Kir.stmt) : S.t =
     S.add n bound
   | Kir.If (cexp, ts, es) ->
     let test = as_b (compile_exp c bound cexp) in
-    let bt, tsteps, traises = in_block c (fun () -> compile_seq c bound ts) in
-    let be, esteps, eraises = in_block c (fun () -> compile_seq c bound es) in
-    let raises = traises || eraises in
-    (match (tsteps, esteps) with
-     | [], [] -> ()
-     | _, [] ->
-       let t = seq tsteps in
-       emit ~raises c (fun env -> if test env then t env)
-     | _ ->
-       let t = seq tsteps and f = seq esteps in
-       emit ~raises c (fun env -> if test env then t env else f env));
+    let bt, tsteps = in_block c (fun () -> compile_seq c bound ts) in
+    let be, esteps = in_block c (fun () -> compile_seq c bound es) in
+    (match test with
+     | Kb b -> List.iter (emit c) (if b then tsteps else esteps)
+     | _ when tsteps = [] && esteps = [] -> ()
+     | t ->
+       let r = breg c t and th = seq tsteps and el = seq esteps in
+       if uni_i c r then emit c (if_uniform r th el)
+       else
+         let tb = fresh_buf c in
+         let fb = fresh_buf c in
+         emit c (if_lanes r tb fb th el));
     S.union bound (S.inter bt be)
   | Kir.For { var; from_; to_; body } ->
     let lo = ireg c (compile_exp c bound from_) in
     let hi = ireg c (compile_exp c bound to_) in
     let s = slot_for c var TInt in
-    let _, steps, raises =
-      in_block c (fun () -> compile_seq c (S.add var bound) body)
-    in
-    emit ~raises c (for_step s lo hi steps);
+    let _, steps = in_block c (fun () -> compile_seq c (S.add var bound) body) in
+    if uni_i c s then begin
+      if not (uni_i c lo && uni_i c hi) then fallback "varying bounds for uniform counter %s" var;
+      emit c (for_uniform s lo hi steps)
+    end
+    else begin
+      let act = fresh_buf c in
+      let iv = fresh_buf c in
+      let hb = fresh_buf c in
+      let sv = fresh_buf c in
+      emit c (for_lanes s lo (mask_i c lo) hi (mask_i c hi) ~act ~iv ~hb ~sv (seq steps))
+    end;
     bound
   | Kir.Syncthreads -> bound
 
 and compile_seq c bound stmts = List.fold_left (compile_stmt c) bound stmts
+
+let slot_set l = Array.of_list (List.sort_uniq compare l)
 
 let compile kernel ~grid ~block ~args =
   Obs.Span.with_span ~cat:"kcompile" kernel.Kir.name @@ fun () ->
@@ -730,99 +1439,215 @@ let compile kernel ~grid ~block ~args =
   let dims = Keval.resolve_dims kernel ~scalars in
   let arr_slots = Hashtbl.create 8 in
   List.iteri (fun i (name, d) -> Hashtbl.add arr_slots name (i, d)) dims;
+  let written = written_arrays kernel in
   let c =
     {
       cgrid = grid;
       cblock = block;
       scalars;
       arr_slots;
+      written;
+      varying = varying_locals kernel ~written;
       slots = Hashtbl.create 16;
       iconsts = Hashtbl.create 16;
       fconsts = Hashtbl.create 16;
+      ivary = Hashtbl.create 16;
+      fvary = Hashtbl.create 16;
       n_i = r_tz + 1;
       n_f = 0;
+      n_bufs = 0;
+      loaded = [];
+      stored = [];
+      atomic = [];
       code = [];
-      raising = false;
     }
   in
+  List.iter (fun r -> Hashtbl.replace c.ivary r ()) [ r_tx; r_ty; r_tz ];
   match in_block c (fun () -> compile_seq c S.empty kernel.Kir.body) with
-  | _, steps, _ ->
+  | _, steps ->
     let iregs = Array.make c.n_i 0 and fregs = Array.make c.n_f 0.0 in
     Hashtbl.iter (fun k r -> iregs.(r) <- k) c.iconsts;
     Hashtbl.iter (fun bits r -> fregs.(r) <- Int64.float_of_bits bits) c.fconsts;
+    let arrays = Array.of_list (List.map fst dims) in
+    let atomic_slot = Array.make (Array.length arrays) false in
+    List.iter (fun s -> atomic_slot.(s) <- true) c.atomic;
     Ok
       {
         kname = kernel.Kir.name;
         grid;
         block;
-        arrays = Array.of_list (List.map fst dims);
+        width = Dim3.volume block;
+        arrays;
         iregs;
         fregs;
+        n_bufs = c.n_bufs;
+        load_slots = slot_set c.loaded;
+        store_slots = slot_set c.stored;
+        atomic_slot;
         body = seq steps;
+        envs = Atomic.make [];
+        narrow = Atomic.make 0;
       }
   | exception Fallback reason -> Error reason
 
 (* --- Execution --------------------------------------------------------- *)
 
-let make_env t ~access =
-  let recs = Array.map access t.arrays in
+let make_env t ~w ~srcs ~dsts ~masks ~limit =
+  let ir = Array.map (fun k -> Array.make w k) t.iregs in
+  if w > 1 then begin
+    let bx = t.block.Dim3.x and by = t.block.Dim3.y in
+    for l = 0 to w - 1 do
+      ir.(r_tx).(l) <- l mod bx;
+      ir.(r_ty).(l) <- l / bx mod by;
+      ir.(r_tz).(l) <- l / (bx * by)
+    done
+  end;
   {
-    ir = Array.copy t.iregs;
-    fr = Array.copy t.fregs;
-    srcs = Array.map (fun r -> r.loads) recs;
-    dsts = Array.map (fun r -> r.stores) recs;
-    masks = Array.map (fun r -> Option.value r.touched ~default:no_mask) recs;
+    w;
+    ir;
+    fr = Array.map (fun x -> Array.make w x) t.fregs;
+    bufs = Array.init t.n_bufs (fun _ -> Array.make w 0);
+    all = Array.init w Fun.id;
+    srcs;
+    dsts;
+    masks;
+    limit;
+    counts = Array.make (w + 1) 0;
+    log_n = 0;
+    log_off = Array.make w 0;
+    log_val = Array.make w 0.0;
+    log_lane = Array.make w 0;
+    log_code = Array.make w 0;
+    log_perm = Array.make w 0;
+    seg_n = 0;
+    seg_code = Array.make 8 0;
+    seg_start = Array.make 8 0;
+    seg_dense = Array.make 8 false;
   }
 
-(* Fresh register files, shared arrays: what each extra domain
-   needs. *)
-let clone_env t env = { env with ir = Array.copy t.iregs; fr = Array.copy t.fregs }
+let make_denv t =
+  let n = Array.length t.arrays in
+  let srcs = Array.make n [||] and dsts = Array.make n [||] in
+  let masks = Array.make n no_mask and limit = Array.make n 0 in
+  let scalar = make_env t ~w:1 ~srcs ~dsts ~masks ~limit in
+  let lanes =
+    if t.width > 1 then make_env t ~w:t.width ~srcs ~dsts ~masks ~limit else scalar
+  in
+  { lanes; scalar }
 
-let exec_block t env bz by bx =
-  si env r_bz bz;
-  si env r_by by;
-  si env r_bx bx;
+let rec find_denv id = function
+  | [] -> None
+  | (i, d) :: rest -> if i = id then Some d else find_denv id rest
+
+(* This domain's environments, made on its first block of the kernel. *)
+let rec denv t =
+  let id = (Domain.self () :> int) in
+  let l = Atomic.get t.envs in
+  match find_denv id l with
+  | Some d -> d
+  | None ->
+    let d = make_denv t in
+    if Atomic.compare_and_set t.envs l ((id, d) :: l) then d else denv t
+
+(* Point the environments at this launch's arrays. *)
+let bind_arrays t d ~access =
+  let e = d.scalar in
+  for s = 0 to Array.length t.arrays - 1 do
+    let r = access t.arrays.(s) in
+    let m = match r.touched with Some m -> m | None -> no_mask in
+    e.srcs.(s) <- r.loads;
+    e.dsts.(s) <- r.stores;
+    e.masks.(s) <- m;
+    let lim = Array.length r.stores in
+    let lim = if t.atomic_slot.(s) then min lim (Array.length r.loads) else lim in
+    e.limit.(s) <- (if m == no_mask then lim else min lim (Array.length m))
+  done
+
+let copy_arrays ~src ~dst =
+  let n = Array.length src.srcs in
+  Array.blit src.srcs 0 dst.srcs 0 n;
+  Array.blit src.dsts 0 dst.dsts 0 n;
+  Array.blit src.masks 0 dst.masks 0 n;
+  Array.blit src.limit 0 dst.limit 0 n
+
+(* No array a store or atomic writes is read by a load step. *)
+let lane_safe t e =
+  let ok = ref true in
+  Array.iter
+    (fun s ->
+       let d = e.dsts.(s) in
+       Array.iter (fun s' -> if d == e.srcs.(s') then ok := false) t.load_slots)
+    t.store_slots;
+  !ok
+
+let set_block env bz by bx =
+  (ig env r_bz).!(0) <- bz;
+  (ig env r_by).!(0) <- by;
+  (ig env r_bx).!(0) <- bx
+
+(* Thread by thread, stores written directly: the sequential order. *)
+let scalar_block t env bz by bx =
+  set_block env bz by bx;
   let b = t.block in
-  for tz = 0 to b.Dim3.z - 1 do
-    si env r_tz tz;
-    for ty = 0 to b.Dim3.y - 1 do
-      si env r_ty ty;
-      for tx = 0 to b.Dim3.x - 1 do
-        si env r_tx tx;
-        t.body env
+  let tx = ig env r_tx and ty = ig env r_ty and tz = ig env r_tz in
+  for z = 0 to b.Dim3.z - 1 do
+    tz.!(0) <- z;
+    for y = 0 to b.Dim3.y - 1 do
+      ty.!(0) <- y;
+      for x = 0 to b.Dim3.x - 1 do
+        tx.!(0) <- x;
+        t.body env env.all 1
       done
     done
   done
+
+let lane_block t d bz by bx =
+  let env = d.lanes in
+  set_block env bz by bx;
+  match t.body env env.all env.w with
+  | () -> flush env
+  | exception _ ->
+    drop_log env;
+    Atomic.incr t.narrow;
+    scalar_block t d.scalar bz by bx
 
 (* Run every block of the grid; returns the domains engaged (1 when
    the blocks ran sequentially on the caller). *)
 let run_blocks ?pool t ~access =
   let gx = t.grid.Dim3.x and gy = t.grid.Dim3.y and gz = t.grid.Dim3.z in
   let nblocks = if gx <= 0 || gy <= 0 || gz <= 0 then 0 else gx * gy * gz in
+  let d0 = denv t in
+  bind_arrays t d0 ~access;
+  let lanes = t.width > 1 && lane_safe t d0.scalar in
+  let block d bz by bx =
+    if lanes then lane_block t d bz by bx
+    else begin
+      if t.width > 1 then Atomic.incr t.narrow;
+      scalar_block t d.scalar bz by bx
+    end
+  in
   match pool with
   | Some pool when nblocks > 1 && Gpu_runtime.Dpool.size pool > 1 ->
-    let base = make_env t ~access in
     let plane = gy * gx in
     Gpu_runtime.Dpool.parallel_for pool ~n:nblocks (fun lo hi ->
         (* Chunks are linearized in the same z, y, x-major order the
-           sequential loops use; each chunk gets fresh register
-           files. *)
-        let env = clone_env t base in
+           sequential loops use; each domain runs on its own
+           environments. *)
+        let d = denv t in
+        if d != d0 then copy_arrays ~src:d0.scalar ~dst:d.scalar;
         for i = lo to hi - 1 do
           let r = i mod plane in
-          exec_block t env (i / plane) (r / gx) (r mod gx)
+          block d (i / plane) (r / gx) (r mod gx)
         done)
   | _ ->
-    if nblocks > 0 then begin
-      let env = make_env t ~access in
+    if nblocks > 0 then
       for z = 0 to gz - 1 do
         for y = 0 to gy - 1 do
           for x = 0 to gx - 1 do
-            exec_block t env z y x
+            block d0 z y x
           done
         done
-      done
-    end;
+      done;
     1
 
 let run ?pool t ~access = ignore (run_blocks ?pool t ~access : int)
@@ -860,6 +1685,7 @@ type executor = {
   seq_launches : Obs.Metrics.counter;
   par_launches : Obs.Metrics.counter;
   interpreted : Obs.Metrics.counter;
+  scalar_blocks : Obs.Metrics.counter;
   mutable max_domains : int;
 }
 
@@ -874,6 +1700,7 @@ let executor reg =
     seq_launches = counter "exec.seq_launches";
     par_launches = counter "exec.par_launches";
     interpreted = counter "exec.interpreted";
+    scalar_blocks = counter "kcompile.scalar_blocks";
     max_domains = 1;
   }
 
@@ -904,16 +1731,27 @@ let launch ex ?(parallel = false) ?(interpret = false) kernel ~grid ~block
   else
     match compiled () with
     | Error _ -> fallback ()
-    | Ok t ->
-      let pool = if parallel then Some (Gpu_runtime.Dpool.get ()) else None in
-      let d = run_blocks ?pool t ~access in
-      if d <= 1 then bump ex.seq_launches
-      else begin
-        bump ex.par_launches;
-        if d > ex.max_domains then begin
-          ex.max_domains <- d;
-          Obs.Metrics.set ex.reg "exec.max_domains" (float_of_int d)
-        end
-      end
+    | Ok t -> (
+        let pool = if parallel then Some (Gpu_runtime.Dpool.get ()) else None in
+        let before = Atomic.get t.narrow in
+        let count_narrow () =
+          let n = Atomic.get t.narrow - before in
+          if n > 0 then Obs.Metrics.add ex.scalar_blocks (float_of_int n)
+        in
+        match run_blocks ?pool t ~access with
+        | d ->
+          count_narrow ();
+          if d <= 1 then bump ex.seq_launches
+          else begin
+            bump ex.par_launches;
+            if d > ex.max_domains then begin
+              ex.max_domains <- d;
+              Obs.Metrics.set ex.reg "exec.max_domains" (float_of_int d)
+            end
+          end
+        | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          count_narrow ();
+          Printexc.raise_with_backtrace e bt)
 
 let publish_metrics ?(into = Obs.Metrics.default) reg = Obs.Metrics.merge ~into reg

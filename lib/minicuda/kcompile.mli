@@ -1,16 +1,20 @@
-(** Launch-time compilation of kernel IR to register-file code.
+(** Launch-time compilation of kernel IR to lane-sweep register code.
 
     A kernel plus everything resolved at launch (grid, block, scalar
     arguments, array extents) partially evaluates into
-    destination-passing steps over unboxed [int]/[float] register
-    files: constants preset, locals in slots, subscript linearization
-    and bounds checks inlined into direct array accesses, no float
-    crossing a closure boundary, so a launch allocates only its
-    register files.  Evaluation follows {!Keval}'s order, so results
-    and diagnostics are identical.  {!Keval} remains the semantics
-    oracle, and kernels outside the statically-typable fragment return
-    [Error] so {!launch} falls back to the interpreter (see DESIGN.md
-    §13). *)
+    destination-passing steps over structure-of-arrays [int]/[float]
+    register files: each step runs once per block as a loop over the
+    block's threads (its lanes), values uniform across the block are
+    computed once, subscript linearization and bounds checks are
+    inlined into direct array accesses, and no float crosses a
+    closure boundary.  Stores and atomics go to a per-block log that
+    is flushed in thread order.  Launches that are not lane-safe (an
+    array some store writes is also read by a load) run the same steps
+    one thread at a time, and a block whose lane run raises re-runs
+    that way from its start.  Results and diagnostics are therefore
+    {!Keval}'s.  {!Keval} remains the semantics oracle, and kernels
+    outside the statically-typable fragment return [Error] so
+    {!launch} falls back to the interpreter (see DESIGN.md §13). *)
 
 type t
 (** A kernel specialized to one (grid, block, args) launch shape. *)
@@ -44,7 +48,9 @@ val run : ?pool:Gpu_runtime.Dpool.t -> t -> access:(string -> access) -> unit
 (** Execute every block of the grid.  [access] is applied once per
     array parameter per launch; accesses then index the records' arrays
     directly (an offset past an array's length raises
-    [Invalid_argument] like any OCaml array access).
+    [Invalid_argument] like any OCaml array access).  Each domain's
+    register files and log are allocated on its first block of [t] and
+    reused by later launches, so launches of one [t] must not overlap.
 
     With [pool], the blocks are split across its domains.  Only pass a
     pool for kernels whose accesses prove distinct blocks disjoint (a
@@ -66,9 +72,9 @@ type executor
 
 val executor : Obs.Metrics.t -> executor
 (** An empty cache counting into the registry: [exec.compiles],
-    [exec.cache_hits], [exec.seq_launches], [exec.par_launches] and
-    [exec.interpreted] registered at zero, the [exec.max_domains]
-    gauge at 1. *)
+    [exec.cache_hits], [exec.seq_launches], [exec.par_launches],
+    [exec.interpreted] and [kcompile.scalar_blocks] registered at zero,
+    the [exec.max_domains] gauge at 1. *)
 
 val clear_cache : executor -> unit
 (** Drop every compiled kernel; the counters keep counting. *)
@@ -92,7 +98,9 @@ val launch :
     global {!Gpu_runtime.Dpool}; pass it only for a [Verify.Safe]
     kernel.  Each launch bumps one of [exec.seq_launches],
     [exec.par_launches] or [exec.interpreted], and [exec.max_domains]
-    records the most domains any launch engaged. *)
+    records the most domains any launch engaged.
+    [kcompile.scalar_blocks] counts the blocks of more than one thread
+    that ran one thread at a time, raising launches included. *)
 
 val publish_metrics : ?into:Obs.Metrics.t -> Obs.Metrics.t -> unit
 (** Merge an executor's registry into another (default:

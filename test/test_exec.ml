@@ -750,11 +750,263 @@ let prop_differential =
            | `Completed -> rp = ri
            | `Raised _ -> ( match fst rp with `Raised _ -> true | `Completed -> false)))
 
+(* The same comparison on shapes that running a block as lane sweeps
+   could get wrong if it broke thread order: 2-D blocks, loops whose
+   bounds differ per thread, atomics (float combines depend on their
+   order), stores from different threads to one element (the last in
+   thread order must win), and a written array that also backs a load
+   slot (the launch must then run thread by thread).  Outputs, atomic
+   accumulators, aliased inputs and diagnostics must all match. *)
+type lspec = {
+  lk : Kir.t;
+  l_n : int;
+  l_block : Dim3.t;
+  l_grid : Dim3.t;
+  l_s : float;
+  l_alias : bool;  (* "a" is backed by the array "out" writes *)
+}
+
+let print_lspec s =
+  Printf.sprintf "n=%d block=%dx%d grid=%dx%d s=%g alias=%b\n%s" s.l_n
+    s.l_block.Dim3.x s.l_block.Dim3.y s.l_grid.Dim3.x s.l_grid.Dim3.y s.l_s
+    s.l_alias (Kir.to_string s.lk)
+
+let gen_lspec =
+  let open QCheck.Gen in
+  gen_fexp 2 >>= fun init ->
+  oneofl [ `None; `Per_lane; `Uniform ] >>= fun loop ->
+  gen_fexp 1 >>= fun factor ->
+  gen_bexp 1 >>= fun cond ->
+  gen_fexp 2 >>= fun e_then ->
+  gen_fexp 2 >>= fun e_else ->
+  gen_sub >>= fun sub_then ->
+  gen_sub >>= fun sub_else ->
+  opt (oneofl [ Kir.AAdd; Kir.AMin; Kir.AMax ]) >>= fun atomic ->
+  bool >>= fun collide ->
+  bool >>= fun alias ->
+  opt (gen_bexp 1) >>= fun diverge ->
+  int_range 3 40 >>= fun n ->
+  int_range 1 4 >>= fun bx ->
+  int_range 1 4 >>= fun by ->
+  int_range 1 3 >>= fun gx ->
+  int_range 1 3 >>= fun gy ->
+  int_range (-12) 12 >>= fun s4 ->
+  let open Kir in
+  let gi = v "gi" in
+  let accumulate to_ =
+    [
+      For
+        {
+          var = "k";
+          from_ = i 0;
+          to_;
+          body = [ Assign ("acc", v "acc" + (load "a" [ v "k" ] * factor)) ];
+        };
+    ]
+  in
+  let body =
+    [ Local ("acc", init) ]
+    (* a launch constant assigned on some threads only *)
+    @ (match diverge with
+       | Some c ->
+         [
+           Local ("u", f 1.5);
+           If (c, [ Assign ("u", p "s") ], []);
+           Assign ("acc", v "acc" + v "u");
+         ]
+       | None -> [])
+    @ (match loop with
+       | `None -> []
+       | `Per_lane -> accumulate (Binop (Imod, gi, i 4))
+       | `Uniform -> accumulate (p "n"))
+    @ [
+      If
+        ( cond,
+          [ store "out" [ sub_then ] (v "acc" + e_then) ],
+          [ store "out" [ sub_else ] (v "acc" - e_else) ] );
+    ]
+    @ (if collide then [ store "out" [ Binop (Idiv, gi, i 2) ] (v "acc" * f 0.5) ]
+       else [])
+    @ (match atomic with
+       | Some op -> [ Atomic (op, "h", [ Binop (Imod, gi, i 3) ], v "acc") ]
+       | None -> [])
+  in
+  let dims = [| Dim_param "n" |] in
+  let lk =
+    Kir.kernel ~name:"rand_lanes"
+      ~params:
+        [
+          Scalar "n";
+          Fscalar "s";
+          Array { name = "a"; dims };
+          Array { name = "b"; dims };
+          Array { name = "out"; dims };
+          Array { name = "h"; dims };
+        ]
+      [
+        Local
+          ( "gi",
+            (global_id Dim3.Y * (gdim Dim3.X * bdim Dim3.X)) + global_id Dim3.X );
+        If (gi < p "n", body, []);
+      ]
+  in
+  return
+    {
+      lk;
+      l_n = n;
+      l_block = Dim3.make bx ~y:by;
+      l_grid = Dim3.make gx ~y:gy;
+      l_s = float_of_int s4 /. 4.0;
+      l_alias = alias;
+    }
+
+let run_lspec spec engine =
+  let n = spec.l_n in
+  let out = Array.init n (fun i -> float_of_int (i mod 5) -. 2.0) in
+  let a = if spec.l_alias then out else Array.init n (fun i -> float_of_int ((i * 13 mod 23) - 11) /. 8.0) in
+  let b = Array.init n (fun i -> float_of_int ((i * 7 mod 17) - 8) /. 4.0) in
+  let h = Array.init n (fun i -> float_of_int i /. 3.0) in
+  let access name =
+    let d = match name with "a" -> a | "b" -> b | "h" -> h | _ -> out in
+    { Kcompile.loads = d; stores = d; touched = None }
+  in
+  let args = [ Keval.AInt n; Keval.AFloat spec.l_s ] in
+  let grid = spec.l_grid and block = spec.l_block in
+  let outcome =
+    try
+      (match engine with
+       | `Interp ->
+         let load, store = Kcompile.callbacks access in
+         Keval.run spec.lk ~grid ~block ~args ~load ~store
+       | `Compiled -> (
+           match Kcompile.compile spec.lk ~grid ~block ~args with
+           | Error e -> QCheck.Test.fail_reportf "fell out of the fragment: %s" e
+           | Ok ck -> Kcompile.run ck ~access));
+      `Completed
+    with Invalid_argument m | Failure m -> `Raised m
+  in
+  let bits = Array.map Int64.bits_of_float in
+  (outcome, bits a, bits b, bits out, bits h)
+
+let prop_lane_order =
+  QCheck.Test.make ~name:"lane-order kernels: interpreter == compiled" ~count:1000
+    (QCheck.make ~print:print_lspec gen_lspec)
+    (fun spec -> run_lspec spec `Interp = run_lspec spec `Compiled)
+
+(* ---------------- Lane faults and aliasing ---------------- *)
+
+let scalar_blocks reg = int_of_float (Obs.Metrics.get reg "kcompile.scalar_blocks")
+
+(* Run [k] through one executor and through Keval over fresh copies of
+   [inputs]; both outcomes, both final arrays, and the executor's
+   registry. *)
+let executor_vs_keval k ~grid ~block ~args inputs =
+  let run engine =
+    let arrays = List.map (fun (name, d) -> (name, Array.copy d)) inputs in
+    let access name =
+      let d = List.assoc name arrays in
+      { Kcompile.loads = d; stores = d; touched = None }
+    in
+    let reg = Obs.Metrics.create () in
+    let outcome =
+      try
+        (match engine with
+         | `Interp ->
+           let load, store = Kcompile.callbacks access in
+           Keval.run k ~grid ~block ~args ~load ~store
+         | `Compiled ->
+           Kcompile.launch (Kcompile.executor reg) k ~grid ~block ~args ~access);
+        Ok ()
+      with Invalid_argument m -> Error m
+    in
+    (outcome, List.map (fun (_, d) -> Array.map Int64.bits_of_float d) arrays, reg)
+  in
+  let ri, ai, _ = run `Interp and rc, ac, reg = run `Compiled in
+  (ri, ai, rc, ac, reg)
+
+(* Lane 5 of block 1 (gi = 13) stores out of bounds after lanes 0–4
+   of its block stored: the lane run must be dropped and the block
+   re-run thread by thread, leaving exactly Keval's partial outputs. *)
+let lane_fault_kernel =
+  let open Kir in
+  Kir.kernel ~name:"lane_fault"
+    ~params:
+      [
+        Array { name = "a"; dims = [| Dim_const 16 |] };
+        Array { name = "out"; dims = [| Dim_const 16 |] };
+      ]
+    [
+      Local ("gi", global_id Dim3.X);
+      store "out" [ v "gi" ] (load "a" [ v "gi" ] * f 2.0);
+      If (v "gi" = i 13, [ store "out" [ v "gi" + i 100 ] (f 1.0) ], []);
+    ]
+
+let test_kcompile_lane_fault_rerun () =
+  let ri, ai, rc, ac, reg =
+    executor_vs_keval lane_fault_kernel ~grid:(Dim3.make 2) ~block:(Dim3.make 8)
+      ~args:[]
+      [ ("a", Array.init 16 float_of_int); ("out", Array.make 16 (-1.0)) ]
+  in
+  (match (ri, rc) with
+   | Error mi, Error mc -> checks "same diagnostic" mi mc
+   | _ -> Alcotest.fail "both engines must reject the out-of-bounds store");
+  checkb "same partial outputs" true (ai = ac);
+  checki "the faulting block re-ran at width 1" 1 (scalar_blocks reg)
+
+(* y[i] = y[i] * 2 reads the array it writes: not lane-safe, so every
+   block runs thread by thread. *)
+let in_place_kernel =
+  let open Kir in
+  Kir.kernel ~name:"in_place"
+    ~params:[ Scalar "n"; Array { name = "y"; dims = [| Dim_param "n" |] } ]
+    [
+      Local ("gi", global_id Dim3.X);
+      If (v "gi" < p "n", [ store "y" [ v "gi" ] (load "y" [ v "gi" ] * f 2.0) ], []);
+    ]
+
+let test_kcompile_in_place_width1 () =
+  let ri, ai, rc, ac, reg =
+    executor_vs_keval in_place_kernel ~grid:(Dim3.make 3) ~block:(Dim3.make 8)
+      ~args:[ Keval.AInt 20 ]
+      [ ("y", Array.init 20 (fun i -> float_of_int i /. 4.0)) ]
+  in
+  checkb "both complete" true (ri = Ok () && rc = Ok ());
+  checkb "bit-identical" true (ai = ac);
+  checki "every block ran at width 1" 3 (scalar_blocks reg)
+
+(* Each thread stores 1,100 times, so a 256-thread block would log
+   281,600 entries, over the log's cap of 2^18: the block runs at width
+   1 instead, with the same results. *)
+let long_log_kernel =
+  let open Kir in
+  Kir.kernel ~name:"long_log"
+    ~params:[ Array { name = "out"; dims = [| Dim_const 256 |] } ]
+    [
+      For
+        {
+          var = "k";
+          from_ = i 0;
+          to_ = i 1100;
+          body = [ store "out" [ tid Dim3.X ] (v "k" * f 0.5) ];
+        };
+    ]
+
+let test_kcompile_log_cap () =
+  let ri, ai, rc, ac, reg =
+    executor_vs_keval long_log_kernel ~grid:Dim3.one ~block:(Dim3.make 256) ~args:[]
+      [ ("out", Array.make 256 0.0) ]
+  in
+  checkb "both complete" true (ri = Ok () && rc = Ok ());
+  checkb "bit-identical" true (ai = ac);
+  checki "the block ran at width 1" 1 (scalar_blocks reg)
+
 (* ---------------- Allocation guard ----------------
 
-   The compiled executor keeps every value in its register files, so a
-   launch allocates only those files: at most one minor word per
-   thread on average, on the engine's partitioned kernels. *)
+   The compiled executor keeps every value in its register files and
+   its stores in the block log, both allocated on a domain's first
+   block of a compiled kernel, so a later launch allocates at most one
+   minor word per thread on average, on the engine's partitioned
+   kernels. *)
 
 let test_kcompile_allocation () =
   let part k = Kopt.optimize (Mekong.Partition.transform_kernel k) in
@@ -886,6 +1138,13 @@ let () =
           Alcotest.test_case "engine fallback + cache" `Quick
             test_engine_fallback_and_cache;
           qtest prop_differential;
+          qtest prop_lane_order;
+          Alcotest.test_case "lane fault re-runs the block" `Quick
+            test_kcompile_lane_fault_rerun;
+          Alcotest.test_case "in-place kernel runs at width 1" `Quick
+            test_kcompile_in_place_width1;
+          Alcotest.test_case "log cap re-runs the block" `Quick
+            test_kcompile_log_cap;
           Alcotest.test_case "allocation guard" `Quick test_kcompile_allocation;
         ] );
       ( "multi_gpu",

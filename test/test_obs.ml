@@ -427,6 +427,7 @@ let report_fields =
         [
           "exec.compiles"; "exec.cache_hits"; "exec.seq_launches";
           "exec.par_launches"; "exec.max_domains"; "exec.interpreted";
+          "kcompile.scalar_blocks";
         ] );
       ( Gate,
         [
