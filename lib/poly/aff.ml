@@ -97,15 +97,17 @@ let rebase a new_space remap =
     a.coeffs;
   { space = new_space; coeffs; const = a.const }
 
-let gcd_content a =
-  Ints.gcd (Ints.gcd_array a.coeffs) a.const
+(* The row layout of {!Row}: coefficients, constant, then [tag]. *)
+let to_row a tag =
+  let n = Array.length a.coeffs in
+  let r = Array.make (n + 2) tag in
+  Array.blit a.coeffs 0 r 0 n;
+  r.(n) <- a.const;
+  r
 
-(* Gcd of variable coefficients only (constant excluded). *)
-let gcd_coeffs a = Ints.gcd_array a.coeffs
-
-let divide_exact a g =
-  assert (g > 0);
-  { a with coeffs = Array.map (fun c -> c / g) a.coeffs; const = a.const / g }
+let of_row space r =
+  let n = Space.n_total space in
+  { space; coeffs = Array.sub r 0 n; const = r.(n) }
 
 let pp fmt a =
   let open Format in

@@ -46,15 +46,13 @@ val rebase : t -> Space.t -> int array -> t
     new index of old variable [i], or [-1] if dropped (its coefficient
     must be zero). *)
 
-val gcd_content : t -> int
-(** Gcd of all coefficients and the constant. *)
+val to_row : t -> int -> Row.t
+(** [to_row a tag] is a fresh row: [a]'s coefficients, its constant,
+    then [tag] ({!Row.eq} or {!Row.ge}). *)
 
-val gcd_coeffs : t -> int
-(** Gcd of variable coefficients only. *)
-
-val divide_exact : t -> int -> t
-(** Divide all coefficients and the constant by a positive divisor that
-    is assumed to divide them exactly. *)
+val of_row : Space.t -> Row.t -> t
+(** The expression of a row's coefficients and constant (its kind tag
+    is ignored). *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

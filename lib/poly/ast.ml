@@ -147,7 +147,11 @@ let scan_poly ?(emit_ranges = false) p =
         let lb, ub = bound i in
         For { var = dim_name i; lb; ub; body = build (i + 1) }
     in
-    if nd = 0 then
+    if Array.exists Poly.is_trivially_empty proj then
+      (* Elimination exposed a false row the input did not show: the
+         set is empty, and its projections have no bounds. *)
+      Seq []
+    else if nd = 0 then
       (* Zero-dimensional: the set is a single point if the (parameter)
          constraints hold.  Equalities contribute both sides. *)
       let conds =

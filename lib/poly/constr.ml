@@ -37,7 +37,7 @@ let negate_ge c =
   assert (c.kind = Ge);
   ge (Aff.add_const (Aff.neg c.aff) (-1))
 
-type triviality = Trivially_true | Trivially_false | Nontrivial
+type triviality = Row.triviality = Trivially_true | Trivially_false | Nontrivial
 
 let triviality c =
   if Aff.is_constant c.aff then
@@ -47,33 +47,15 @@ let triviality c =
     | Ge -> if k >= 0 then Trivially_true else Trivially_false
   else Nontrivial
 
-(* Normalize: divide by gcd of variable coefficients; tighten the
-   constant of inequalities; canonicalize the sign of equalities so the
-   first nonzero coefficient is positive. *)
+let to_row c = Aff.to_row c.aff (match c.kind with Eq -> Row.eq | Ge -> Row.ge)
+let of_row space r = { kind = (if Row.is_eq r then Eq else Ge); aff = Aff.of_row space r }
+
+(* Normalize through the row form, so that constraints and the rows
+   {!Poly} stores share one normalization. *)
 let normalize c =
-  let g = Aff.gcd_coeffs c.aff in
-  if g = 0 then c
-  else
-    match c.kind with
-    | Ge ->
-      if g = 1 then c
-      else
-        let aff = Aff.divide_exact (Aff.add_const c.aff (- Aff.constant c.aff)) g in
-        ge (Aff.add_const aff (Ints.fdiv (Aff.constant c.aff) g))
-    | Eq ->
-      let aff = if g = 1 then c.aff else
-          (* An equality g*x + c = 0 with g not dividing c is infeasible;
-             represent that as the trivially-false constraint 0 = c'. *)
-          if Aff.constant c.aff mod g <> 0 then
-            Aff.const (Aff.space c.aff) 1
-          else Aff.divide_exact c.aff g
-      in
-      (* Canonical sign. *)
-      let n = Space.n_total (Aff.space aff) in
-      let rec first_nonzero i =
-        if i >= n then 0 else if Aff.coeff aff i <> 0 then Aff.coeff aff i else first_nonzero (i + 1)
-      in
-      if first_nonzero 0 < 0 then eq (Aff.neg aff) else eq aff
+  let r = to_row c in
+  ignore (Row.normalize r);
+  of_row (space c) r
 
 let equal a b = a.kind = b.kind && Aff.equal a.aff b.aff
 
@@ -89,19 +71,3 @@ let pp fmt c =
   Format.fprintf fmt "%a %s 0" Aff.pp c.aff (match c.kind with Eq -> "=" | Ge -> ">=")
 
 let to_string c = Format.asprintf "%a" pp c
-
-(* Total order used for deduplication. *)
-let compare a b =
-  match (a.kind, b.kind) with
-  | Eq, Ge -> -1
-  | Ge, Eq -> 1
-  | _ ->
-    let ca = Aff.constant a.aff and cb = Aff.constant b.aff in
-    let n = Space.n_total (space a) in
-    let rec go i =
-      if i >= n then compare ca cb
-      else
-        let d = compare (Aff.coeff a.aff i) (Aff.coeff b.aff i) in
-        if d <> 0 then d else go (i + 1)
-    in
-    go 0

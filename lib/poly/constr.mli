@@ -1,5 +1,9 @@
 (** Affine constraints: [aff = 0] (equality) or [aff >= 0]
-    (inequality). *)
+    (inequality).
+
+    Constraints have no order of their own.  A polyhedron lists its
+    constraints in the one canonical order of {!Row.compare}
+    (see {!Poly}). *)
 
 type kind = Eq | Ge
 
@@ -31,7 +35,7 @@ val negate_ge : t -> t
 (** Integer negation of an inequality: [not (aff >= 0)] is
     [-aff - 1 >= 0].  Must not be applied to equalities. *)
 
-type triviality = Trivially_true | Trivially_false | Nontrivial
+type triviality = Row.triviality = Trivially_true | Trivially_false | Nontrivial
 
 val triviality : t -> triviality
 (** Classification of constraints with no variable coefficients. *)
@@ -42,8 +46,13 @@ val normalize : t -> t
     unsatisfiable equality (gcd does not divide the constant) becomes a
     trivially-false constraint. *)
 
+val to_row : t -> Row.t
+(** A fresh row of the constraint (see {!Row}). *)
+
+val of_row : Space.t -> Row.t -> t
+(** The constraint of a row over the given space. *)
+
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val eval : t -> int array -> bool
 (** Does the assignment satisfy the constraint? *)

@@ -53,7 +53,7 @@ let var_name t i =
   let np = n_params t in
   if i < np then t.params.(i) else t.dims.(i - np)
 
-let equal a b = a.params = b.params && a.dims = b.dims
+let equal a b = a == b || (a.params = b.params && a.dims = b.dims)
 
 (* Remove the dim at combined-vector index [i] (must denote a dim, not a
    param). *)

@@ -832,6 +832,411 @@ let test_aff_rebase () =
   checki "coeff z" 0 (Aff.coeff_of aff' "z");
   checki "const" 1 (Aff.constant aff')
 
+(* ---------------- Flat-row core vs the list oracle ---------------- *)
+
+(* The flat-row core must return the list oracle's constraint list in
+   the same order, the same answers, and raise [Ints.Overflow] (or
+   [Invalid_argument]) in exactly the same cases.  Coefficients include
+   values near [max_int] and [min_int]; constraint lists include
+   non-unit equalities, duplicates, opposing pairs and scaled copies;
+   [rebase] remaps include permutations and merged variables. *)
+
+let osp = Space.make ~params:[| "n" |] ~dims:[| "x"; "y"; "z" |]
+
+let gen_coeff =
+  QCheck.Gen.(
+    frequency
+      [ (12, int_range (-3) 3);
+        ( 1,
+          oneofl
+            [ max_int; max_int - 1; max_int / 2; (max_int / 2) + 1; min_int; min_int + 1;
+              1 lsl 61; -(1 lsl 61); (1 lsl 31) + 1; -(1 lsl 40) ] ) ])
+
+(* A constraint spec: kind, four coefficients (truncated to the current
+   space), constant. *)
+let gen_cspec =
+  QCheck.Gen.(
+    map3
+      (fun eq cs k -> (eq, cs, k))
+      (frequency [ (1, return true); (3, return false) ])
+      (array_repeat 4 gen_coeff)
+      (frequency [ (6, int_range (-8) 8); (1, gen_coeff) ]))
+
+(* A list of specs plus duplicates, opposing rows, scaled copies and
+   contradictions of some of them. *)
+let gen_cspecs =
+  QCheck.Gen.(
+    list_size (int_range 0 5) gen_cspec >>= fun base ->
+    list_size (int_range 0 3)
+      (int_range 0 3 >>= fun how ->
+       int_range 0 9 >>= fun which -> return (how, which))
+    >>= fun extras ->
+    let derived =
+      List.filter_map
+        (fun (how, which) ->
+           match List.nth_opt base which with
+           | None -> None
+           | Some (eq, cs, k) ->
+             Some
+               (match how with
+                | 0 -> (eq, cs, k)
+                | 1 -> (eq, Array.map (fun c -> -c) cs, -k)
+                | 2 -> (eq, Array.map (fun c -> 2 * c) cs, (2 * k) + 1)
+                | _ -> (false, Array.map (fun c -> -c) cs, -k - 1)))
+        extras
+    in
+    shuffle_l (base @ derived))
+
+let constr_of_spec space (eq, cs, k) =
+  let n = Space.n_total space in
+  let aff =
+    Aff.of_terms space
+      (List.init n (fun i -> (cs.(i), Space.var_name space i)))
+      ~const:k
+  in
+  if eq then Constr.eq aff else Constr.ge aff
+
+type oracle_op =
+  | O_add of (bool * int array * int) list
+  | O_intersect of (bool * int array * int) list
+  | O_elim of int
+  | O_project_out of int list
+  | O_substitute of int * (bool * int array * int)
+  | O_rebase of int array
+
+let gen_oracle_op =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun l -> O_add l) gen_cspecs);
+        (2, map (fun l -> O_intersect l) gen_cspecs);
+        (4, map (fun i -> O_elim i) (int_range 0 3));
+        (2, map (fun l -> O_project_out l) (list_size (int_range 0 2) (int_range 1 3)));
+        (1, map2 (fun i s -> O_substitute (i, s)) (int_range 0 3) gen_cspec);
+        ( 2,
+          oneof
+            [ map Array.of_list (shuffle_l [ 0; 1; 2; 3 ]);
+              array_repeat 4 (int_range 0 3) ]
+          >|= fun r -> O_rebase r ) ])
+
+let pp_spec (eq, cs, k) =
+  Printf.sprintf "%s[%s]%d" (if eq then "=" else ">=")
+    (String.concat "," (Array.to_list (Array.map string_of_int cs))) k
+
+let pp_oracle_op = function
+  | O_add l -> "add " ^ String.concat " " (List.map pp_spec l)
+  | O_intersect l -> "intersect " ^ String.concat " " (List.map pp_spec l)
+  | O_elim i -> Printf.sprintf "elim %d" i
+  | O_project_out l -> "project_out " ^ String.concat "," (List.map string_of_int l)
+  | O_substitute (i, s) -> Printf.sprintf "subst %d %s" i (pp_spec s)
+  | O_rebase r -> "rebase " ^ String.concat "," (Array.to_list (Array.map string_of_int r))
+
+let arb_oracle_case =
+  QCheck.make
+    ~print:(fun (specs, ops, probe, point) ->
+        Printf.sprintf "make %s; %s; probe %s; point %s"
+          (String.concat " " (List.map pp_spec specs))
+          (String.concat "; " (List.map pp_oracle_op ops))
+          (String.concat " " (List.map pp_spec probe))
+          (String.concat "," (Array.to_list (Array.map string_of_int point))))
+    QCheck.Gen.(
+      quad gen_cspecs (list_size (int_range 1 4) gen_oracle_op) gen_cspecs
+        (array_repeat 4 (int_range (-3) 3)))
+
+type 'a outcome = Value of 'a | Raised of string
+
+let outcome f =
+  match f () with
+  | v -> Value v
+  | exception Ints.Overflow -> Raised "Overflow"
+  | exception Invalid_argument m -> Raised ("Invalid_argument " ^ m)
+
+(* What a caller can see of a polyhedron. *)
+let view space trivially_empty constrs =
+  (Format.asprintf "%a" Space.pp space, trivially_empty, List.map Constr.to_string constrs)
+
+let view_poly p = view (Poly.space p) (Poly.is_trivially_empty p) (Poly.constraints p)
+
+let view_oracle (o : Poly_oracle.t) =
+  view o.Poly_oracle.space o.Poly_oracle.trivially_empty (Poly_oracle.constraints o)
+
+(* A fresh space with [space]'s names, for [rebase]. *)
+let respace space = Space.make ~params:(Space.params space) ~dims:(Space.dims space)
+
+let prop_core_matches_oracle =
+  QCheck.Test.make ~name:"flat-row core matches the list oracle" ~count:2000 arb_oracle_case
+    (fun (specs, ops, probe, point) ->
+       let start () = List.map (constr_of_spec osp) specs in
+       match (outcome (fun () -> Poly.make osp (start ())), outcome (fun () -> Poly_oracle.make osp (start ()))) with
+       | Raised a, Raised b -> a = b
+       | Value _, Raised _ | Raised _, Value _ -> false
+       | Value p, Value o ->
+         let step (p, o) op =
+           let sp = Poly.space p in
+           let cs l = List.map (constr_of_spec sp) l in
+           match op with
+           | O_add l ->
+             (outcome (fun () -> Poly.add_constrs p (cs l)),
+              outcome (fun () -> Poly_oracle.add_constrs o (cs l)))
+           | O_intersect l ->
+             (outcome (fun () -> Poly.intersect p (Poly.make sp (cs l))),
+              outcome (fun () -> Poly_oracle.intersect o (Poly_oracle.make sp (cs l))))
+           | O_elim i ->
+             let i = i mod Space.n_total sp in
+             (outcome (fun () -> Poly.eliminate_var p i), outcome (fun () -> Poly_oracle.eliminate_var o i))
+           | O_project_out l ->
+             let l = List.filter (fun i -> i < Space.n_total sp) l in
+             (outcome (fun () -> Poly.project_out p l), outcome (fun () -> Poly_oracle.project_out o l))
+           | O_substitute (i, s) ->
+             let i = i mod Space.n_total sp in
+             let e = Constr.aff (constr_of_spec sp s) in
+             (outcome (fun () -> Poly.substitute p i e), outcome (fun () -> Poly_oracle.substitute o i e))
+           | O_rebase r ->
+             let n = Space.n_total sp in
+             let remap = Array.init n (fun i -> r.(i) mod n) in
+             let sp' = respace sp in
+             (* The flat-row [rebase] renormalizes, as [make] does. *)
+             let rebase_make o =
+               let o = Poly_oracle.rebase o sp' remap in
+               if o.Poly_oracle.trivially_empty then o else Poly_oracle.make sp' o.Poly_oracle.constrs
+             in
+             (outcome (fun () -> Poly.rebase p sp' remap), outcome (fun () -> rebase_make o))
+         in
+         let rec run (p, o) = function
+           | [] ->
+             (* Final observations on the surviving pair. *)
+             let sp = Poly.space p in
+             let q = List.map (constr_of_spec sp) probe in
+             let point = Array.sub point 0 (Space.n_total sp) in
+             let nd = Space.n_dims sp in
+             let agree f g = outcome f = outcome g in
+             agree (fun () -> Poly.is_empty p) (fun () -> Poly_oracle.is_empty o)
+             && agree
+                  (fun () -> view_poly (Poly.project_onto p [ 0 ]))
+                  (fun () -> view_oracle (Poly_oracle.project_onto o [ 0 ]))
+             && agree
+                  (fun () -> view_poly (Poly.project_onto p [ nd - 1 ]))
+                  (fun () -> view_oracle (Poly_oracle.project_onto o [ nd - 1 ]))
+             && agree
+                  (fun () -> Poly.subsumes p (Poly.make sp q))
+                  (fun () -> Poly_oracle.subsumes o (Poly_oracle.make sp q))
+             && agree
+                  (fun () -> Poly.subsumes (Poly.make sp q) p)
+                  (fun () -> Poly_oracle.subsumes (Poly_oracle.make sp q) o)
+             && agree
+                  (fun () -> Poly.mem p point)
+                  (fun () ->
+                     (not o.Poly_oracle.trivially_empty)
+                     && List.for_all (fun c -> Constr.eval c point) o.Poly_oracle.constrs)
+           | op :: rest -> (
+               match step (p, o) op with
+               | Raised a, Raised b -> a = b
+               | Value p, Value o -> view_poly p = view_oracle o && run (p, o) rest
+               | _ -> false)
+         in
+         view_poly p = view_oracle o && run (p, o) ops)
+
+(* ---------------- Brute-force oracle over small boxes ---------------- *)
+
+let bsp = Space.make ~params:[||] ~dims:[| "x"; "y" |]
+
+let gen_small_constr ~coeff =
+  QCheck.Gen.(
+    map3
+      (fun eq (cx, cy) k -> (eq, [| cx; cy |], k))
+      (frequency [ (1, return true); (5, return false) ])
+      (pair coeff coeff) (int_range (-4) 4))
+
+let small_poly space ~lo ~hi specs =
+  let n = Space.n_dims space in
+  let names = Space.dims space in
+  Poly.make space
+    (List.concat
+       (List.init n (fun d ->
+            let v = Aff.var space names.(d) in
+            [ Constr.ge2 v (Aff.const space lo); Constr.le2 v (Aff.const space hi) ]))
+     @ List.map (constr_of_spec space) specs)
+
+let gen_small_set ~coeff =
+  QCheck.Gen.(list_size (int_range 1 2) (list_size (int_range 0 3) (gen_small_constr ~coeff)))
+
+let small_set space ~lo ~hi pieces =
+  Pset.of_polys space (List.map (small_poly space ~lo ~hi) pieces)
+
+let grid lo hi =
+  List.concat_map (fun x -> List.map (fun y -> [ x; y ]) (List.init (hi - lo + 1) (( + ) lo)))
+    (List.init (hi - lo + 1) (( + ) lo))
+
+let print_pieces pieces =
+  String.concat " | "
+    (List.map (fun specs -> String.concat " " (List.map pp_spec specs)) pieces)
+
+(* Unimodular 2x2 matrices: products of swaps, sign flips and shears. *)
+let gen_unimodular =
+  QCheck.Gen.(
+    list_size (int_range 1 3)
+      (oneof
+         [ return [| [| 0; 1 |]; [| 1; 0 |] |];
+           return [| [| -1; 0 |]; [| 0; 1 |] |];
+           map (fun k -> [| [| 1; k |]; [| 0; 1 |] |]) (int_range (-2) 2);
+           map (fun k -> [| [| 1; 0 |]; [| k; 1 |] |]) (int_range (-2) 2) ])
+    >|= List.fold_left
+      (fun m e ->
+         Array.init 2 (fun i ->
+             Array.init 2 (fun j -> (e.(i).(0) * m.(0).(j)) + (e.(i).(1) * m.(1).(j)))))
+      [| [| 1; 0 |]; [| 0; 1 |] |])
+
+let map_of ~m ~shift =
+  let dom = bsp and ran = Space.make ~params:[||] ~dims:[| "u"; "v" |] in
+  let row i =
+    Aff.of_terms dom [ (m.(i).(0), "x"); (m.(i).(1), "y") ] ~const:shift.(i)
+  in
+  Pmap.of_affs ~dom ~ran ~affs:[| row 0; row 1 |] ~guards:[]
+
+let apply ~m ~shift = function
+  | [ x; y ] ->
+    [ (m.(0).(0) * x) + (m.(0).(1) * y) + shift.(0); (m.(1).(0) * x) + (m.(1).(1) * y) + shift.(1) ]
+  | _ -> assert false
+
+let gen_shift = QCheck.Gen.(array_repeat 2 (int_range (-3) 3))
+
+let coeff2 = QCheck.Gen.int_range (-2) 2
+
+(* Image under a unimodular map is exact over Z. *)
+let prop_brute_image =
+  QCheck.Test.make ~name:"image matches brute force" ~count:2500
+    (QCheck.make
+       ~print:(fun (pieces, _, _) -> print_pieces pieces)
+       QCheck.Gen.(triple (gen_small_set ~coeff:coeff2) gen_unimodular gen_shift))
+    (fun (pieces, m, shift) ->
+       let s = small_set bsp ~lo:(-4) ~hi:4 pieces in
+       let want =
+         List.filter (fun pt -> Pset.mem s (Array.of_list pt)) (grid (-4) 4)
+         |> List.map (apply ~m ~shift) |> List.sort_uniq compare
+       in
+       let img = Pmap.image (map_of ~m ~shift) s in
+       Pset.enumerate ~default_radius:100 img = want
+       || QCheck.Test.fail_reportf "m = [%d %d; %d %d], shift = (%d, %d): image %s"
+         m.(0).(0) m.(0).(1) m.(1).(0) m.(1).(1) shift.(0) shift.(1) (Pset.to_string img))
+
+(* Preimage under any integer map is exact over Z: the eliminated range
+   dims have unit coefficients. *)
+let prop_brute_preimage =
+  QCheck.Test.make ~name:"preimage matches brute force" ~count:2000
+    (QCheck.make
+       ~print:(fun (pieces, _, _) -> print_pieces pieces)
+       QCheck.Gen.(triple (gen_small_set ~coeff:coeff2) (array_repeat 2 (array_repeat 2 coeff2)) gen_shift))
+    (fun (pieces, m, shift) ->
+       let ran = Space.make ~params:[||] ~dims:[| "u"; "v" |] in
+       let t = small_set ran ~lo:(-6) ~hi:6 pieces in
+       let pre = Pmap.preimage (map_of ~m ~shift) t in
+       List.for_all
+         (fun pt ->
+            Pset.mem pre (Array.of_list pt) = Pset.mem t (Array.of_list (apply ~m ~shift pt)))
+         (grid (-5) 5))
+
+(* Projecting out a variable whose coefficients are all units is exact
+   over Z. *)
+let prop_brute_project =
+  let sp3 = Space.make ~params:[||] ~dims:[| "x"; "y"; "z" |] in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 2)
+        (list_size (int_range 0 4)
+           (map3
+              (fun eq (cx, cy, cz) k -> (eq, [| cx; cy; cz |], k))
+              (frequency [ (1, return true); (5, return false) ])
+              (triple coeff2 (int_range (-1) 1) coeff2)
+              (int_range (-4) 4))))
+  in
+  QCheck.Test.make ~name:"projection matches brute force" ~count:2000
+    (QCheck.make ~print:print_pieces gen)
+    (fun pieces ->
+       let s = small_set sp3 ~lo:(-3) ~hi:3 pieces in
+       let want =
+         List.concat_map (fun x -> List.map (fun z -> [ x; z ]) (List.init 7 (( + ) (-3)))) (List.init 7 (( + ) (-3)))
+         |> List.filter (fun [@warning "-8"] [ x; z ] ->
+             List.exists (fun y -> Pset.mem s [| x; y; z |]) (List.init 7 (( + ) (-3))))
+       in
+       Pset.enumerate (Pset.project_onto s [ 0; 2 ]) = want)
+
+(* Enumerators emit each row's lexmin..lexmax; the ranges must cover
+   exactly the set's points of an 8x8 (or 4x4x4) array. *)
+let prop_brute_enumerate =
+  QCheck.Test.make ~name:"enumerator rows match brute force" ~count:2000
+    (QCheck.make
+       ~print:(fun (rank3, pieces) -> Printf.sprintf "rank3=%b %s" rank3 (print_pieces pieces))
+       QCheck.Gen.(pair bool (gen_small_set ~coeff:coeff2)))
+    (fun (rank3, pieces) ->
+       let dims, side = if rank3 then ([| "x"; "y"; "z" |], 4) else ([| "x"; "y" |], 8) in
+       let sp = Space.make ~params:[||] ~dims in
+       let pieces =
+         if rank3 then
+           List.map (List.map (fun (eq, cs, k) -> (eq, [| cs.(0); cs.(1); cs.(0) - cs.(1) |], k))) pieces
+         else pieces
+       in
+       let s = small_set sp ~lo:0 ~hi:(side - 1) pieces in
+       let e = Enumerate.of_set ~sizes:(Array.map (fun _ -> Ast.Int side) dims) s in
+       let rec points d prefix =
+         if d = Array.length dims then
+           if Pset.mem s (Array.of_list (List.rev prefix)) then
+             [ List.fold_left (fun acc c -> (acc * side) + c) 0 (List.rev prefix) ]
+           else []
+         else List.concat_map (fun c -> points (d + 1) (c :: prefix)) (List.init side Fun.id)
+       in
+       Enumerate.eval e (Hashtbl.create 1)
+       = Enumerate.canonicalize (List.map (fun o -> (o, o + 1)) (points 0 []))
+       || QCheck.Test.fail_reportf "set %s, enumerator\n%a" (Pset.to_string s) Enumerate.pp e)
+
+(* Difference of unions of general polyhedra, point by point. *)
+let prop_brute_subtract =
+  QCheck.Test.make ~name:"subtract matches brute force" ~count:1500
+    (QCheck.make
+       ~print:(fun (a, b) -> print_pieces a ^ " minus " ^ print_pieces b)
+       QCheck.Gen.(pair (gen_small_set ~coeff:coeff2) (gen_small_set ~coeff:coeff2)))
+    (fun (a, b) ->
+       let a = small_set bsp ~lo:(-4) ~hi:4 a and b = small_set bsp ~lo:(-4) ~hi:4 b in
+       let d = Pset.subtract a b in
+       List.for_all
+         (fun pt ->
+            let pt = Array.of_list pt in
+            Pset.mem d pt = (Pset.mem a pt && not (Pset.mem b pt)))
+         (grid (-5) 5))
+
+(* ---------------- Documented inexactness and checked bounds ---------------- *)
+
+(* [Poly.project_onto] does not check the unimodularity precondition:
+   projecting { (i, x) : x = 2i, 0 <= i <= 3 } onto x gives the
+   rational shadow 0 <= x <= 6, which holds odd x. *)
+let test_non_unimodular_shadow () =
+  let sp = Space.make ~params:[||] ~dims:[| "i"; "x" |] in
+  let vi = Aff.var sp "i" and vx = Aff.var sp "x" in
+  let p =
+    Poly.make sp
+      [ Constr.eq2 vx (Aff.scale 2 vi); Constr.ge vi; Constr.le2 vi (Aff.const sp 3) ]
+  in
+  let px = Poly.project_onto p [ 1 ] in
+  check
+    Alcotest.(list (list int))
+    "shadow points" [ [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 5 ]; [ 6 ] ]
+    (Pset.enumerate (Pset.of_poly px));
+  checkb "odd x is in the shadow" true (Poly.mem px [| 1 |]);
+  checkb "but has no integer preimage" true
+    (Poly.is_empty (Poly.add_constrs p [ Constr.eq2 vx (Aff.const sp 1) ]))
+
+let test_numeric_bounds_checked () =
+  (* x <= 2^61 * y: at y = 4 the bound 2^63 does not fit. *)
+  let sp = Space.make ~params:[||] ~dims:[| "y"; "x" |] in
+  let p =
+    Poly.make sp
+      [ Constr.le2 (Aff.var sp "x") (Aff.scale (1 lsl 61) (Aff.var sp "y")); Constr.ge (Aff.var sp "y") ]
+  in
+  check
+    Alcotest.(pair (option int) (option int))
+    "in range" (None, Some (1 lsl 61))
+    (Poly.numeric_bounds p 1 [| Some 1; None |]);
+  Alcotest.check_raises "overflowing bound raises" Ints.Overflow (fun () ->
+      ignore (Poly.numeric_bounds p 1 [| Some 4; None |]))
+
 let () =
   Alcotest.run "poly"
     (base_suites
@@ -853,6 +1258,20 @@ let () =
              Alcotest.test_case "merge cases" `Quick test_merge_rects_cases;
            ] );
          ("aff-rebase", [ Alcotest.test_case "rebase" `Quick test_aff_rebase ]);
+         ( "poly-oracle",
+           [
+             qtest prop_core_matches_oracle;
+             Alcotest.test_case "non-unimodular shadow" `Quick test_non_unimodular_shadow;
+             Alcotest.test_case "checked numeric bounds" `Quick test_numeric_bounds_checked;
+           ] );
+         ( "brute-force",
+           [
+             qtest prop_brute_image;
+             qtest prop_brute_preimage;
+             qtest prop_brute_project;
+             qtest prop_brute_enumerate;
+             qtest prop_brute_subtract;
+           ] );
          ( "more-properties",
            [
              qtest prop_coalesce_preserves;
