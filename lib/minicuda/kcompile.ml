@@ -13,42 +13,48 @@
      launch constants (parameters, [blockDim], [gridDim], literals)
      are registers preset when the environment is created; every local
      has a slot, every compound subexpression a fresh temporary;
-   - a step is [env -> lanes -> n -> unit]: it sweeps the [n] active
-     lanes listed in [lanes] (a dense [0 .. w-1] loop when all [w] are
-     active), reads its operand registers and writes one register, so
-     no float ever crosses a closure boundary and the sweep allocates
-     nothing;
+   - a step is [env -> lo -> hi -> unit]: one dense loop over the
+     contiguous lanes [lo, hi) that reads its operand registers and
+     writes one register, so no float ever crosses a closure boundary
+     and the sweep allocates nothing.  A block runs its body over
+     [0, w);
    - a value is uniform when it depends only on launch constants, block
      indices and uniform loop counters (a load is uniform when its
      subscripts are and no store or atomic writes its array).  A
      uniform register keeps its value in slot 0; a uniform step runs
-     once per block, and a varying step reads a uniform operand through
-     the lane mask 0 ([x.(l land 0)]) instead of [-1];
+     over [0, 1) whatever lanes are active, and a varying step reads a
+     uniform operand through the lane mask 0 ([x.(l land 0)]) instead
+     of [-1];
    - a block of statements is a flat list of steps run by one
-     sequencer; only [If] and [For] nest.  A varying [If] splits the
-     active lanes into the ones that take each branch; a uniform one
-     tests once.  A [For] with varying bounds runs until no lane is
-     active;
+     sequencer; only [If] and [For] nest.  A varying [If] runs each
+     branch once per maximal run of lanes that takes it; a uniform one
+     tests once.  A [For] with varying bounds runs its body once per
+     run of lanes still in range, round after round, until no lane is;
    - array accesses read the backing [float array]s of the launch's
      access records directly, with the rank-1/2/3 linearization, the
      bounds checks and [reg ± const] subscripts inlined into the load;
-   - stores and atomics go to a per-block log, flushed at block end in
-     thread order (lane 0's entries in program order, then lane 1's,
-     ...), which also sets the touched masks and applies the atomics'
-     combine.
+   - stores and atomics go to a per-block log of segments, one per
+     store sweep, each recording its first lane.  The log is flushed
+     at block end in thread order (lane 0's entries in program order,
+     then lane 1's, ...), which also sets the touched masks and
+     applies the atomics' combine.
 
-   Lane mode (width w = threads per block) is only used for lane-safe
-   launches: no array that a store or atomic writes is also read by a
-   load step, checked per slot at launch by the physical identity of
-   the access records' arrays.  Then no lane reads what another lane of
-   its block writes, and the deferred, thread-ordered flush is
-   observably the interpreter's sequential thread order.  Every other
-   launch runs the same steps at width 1, thread by thread, with stores
-   written directly: exactly the sequential order.  If any lane raises,
-   or the block's log outgrows its cap, the log is dropped and the
-   block re-runs at width 1 from its start, which reproduces [Keval]'s
-   diagnostic and partial outputs (the block read nothing it writes,
-   and wrote nothing yet).
+   Lane mode is only used for lane-safe launches: no array that a
+   store or atomic writes is also read by a load step, checked per
+   slot at launch by the physical identity of the access records'
+   arrays.  Then no lane reads what another lane of its block writes,
+   and the deferred, thread-ordered flush is observably the
+   interpreter's sequential thread order.  Every other launch runs the
+   same steps in the same environment thread by thread, thread [l] as
+   the one-lane sweep [l, l+1), with stores written directly: exactly
+   the sequential order.  If any lane raises, or the block's log
+   outgrows its cap, the log is dropped and the block re-runs thread
+   by thread from its start, which reproduces [Keval]'s diagnostic and
+   partial outputs (the block read nothing it writes, and wrote
+   nothing yet).  So in lane mode the order across lanes is free:
+   branches and loop rounds may visit lanes in any grouping, as long
+   as a step writes only the lanes it sweeps and each lane runs its
+   own steps in program order.
 
    Further fusions: comparisons are specialized per operator, float
    [x ± y*z] is one step (OCaml never contracts to FMA, so the result
@@ -59,7 +65,7 @@
    Evaluation order per thread is Keval's, step for step: a binary
    operator's right operand before its left, subscripts left to right
    and all of them before any bounds check, a store's (or atomic's)
-   bounds check before its value.  At width 1 that keeps every
+   bounds check before its value.  Thread by thread that keeps every
    diagnostic identical, not just every result.
 
    The IR is dynamically typed and the static pass is deliberately
@@ -69,15 +75,16 @@
    the semantics oracle and the fallback is always bit-identical.
 
    Parallel execution: [run] can split the grid's blocks over a
-   {!Gpu_runtime.Dpool}.  Each participating domain gets its own
-   register files and log, allocated once per compiled kernel and
-   reused across chunks and launches; array loads/stores go straight to
-   the shared backing arrays.  The *caller* is responsible for only
-   passing a pool when the kernel's verdict proves distinct blocks
-   never touch overlapping elements (a [Verify.Safe] verdict); under
-   that verdict any block interleaving writes each element exactly once
-   from one domain and reads only elements no other block writes, so
-   the result is bit-identical to the sequential order.  [Atomic] is a
+   {!Gpu_runtime.Dpool}.  Each participating domain gets one
+   environment (register files and log), allocated once per compiled
+   kernel and reused across chunks, launches and both block modes;
+   array loads/stores go straight to the shared backing arrays.  The
+   *caller* is responsible for only passing a pool when the kernel's
+   verdict proves distinct blocks never touch overlapping elements
+   (a [Verify.Safe] verdict); under that verdict any block interleaving
+   writes each element exactly once from one domain and reads only
+   elements no other block writes, so the result is bit-identical to
+   the sequential order.  [Atomic] is a
    plain load-combine-store, which is NOT indivisible across domains —
    kernels whose conflicts are merely atomic-reducible must run their
    blocks sequentially within one address space (the engine gives each
@@ -96,44 +103,38 @@ type access = {
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
-(* One executing domain's state at width [w].  [masks.(s)] is [no_mask]
-   for arrays without a touched mask; [limit.(s)] is the first offset
-   a logged write to slot [s] could not apply.  The log is a list of
-   segments, one per store or atomic sweep, each [slot * 4 + op]
-   (op 0 = store, 1/2/3 = atomic add/min/max) over a run of entries:
-   an offset and a value per active lane. *)
+(* One executing domain's state for a block of [w] lanes.  [masks.(s)]
+   is [no_mask] for arrays without a touched mask; [limit.(s)] is the
+   first offset a logged write to slot [s] could not apply.  The log is
+   a list of segments, one per store or atomic sweep, each
+   [slot * 4 + op] (op 0 = store, 1/2/3 = atomic add/min/max) over a
+   run of entries: an offset and a value per lane of the sweep, the
+   first entry for the segment's first lane. *)
 type env = {
-  w : int;
   ir : int array array;
   fr : float array array;
-  bufs : int array array;  (* lane lists and per-lane loop state *)
-  all : int array;  (* 0 .. w-1 *)
+  bufs : int array array;  (* per-lane loop state *)
   srcs : float array array;
   dsts : float array array;
   masks : bool array array;
   limit : int array;
-  counts : int array;
+  counts : int array;  (* the flush's per-lane counts, w + 1 *)
+  mutable direct : bool;  (* thread by thread: stores skip the log *)
   mutable log_n : int;
   mutable log_off : int array;
   mutable log_val : float array;
-  mutable log_lane : int array;  (* set for entries of sparse segments *)
   mutable log_code : int array;  (* the sort's scratch *)
   mutable log_perm : int array;
   mutable seg_n : int;
   mutable seg_code : int array;
   mutable seg_start : int array;
-  mutable seg_dense : bool array;  (* every lane active: lane = index *)
+  mutable seg_lane : int array;  (* the lane of the segment's first entry *)
 }
 
-type step = env -> int array -> int -> unit
-
-(* A domain's two environments: full width, and width 1 for launches
-   that are not lane-safe and for fault re-runs.  They share the
-   per-launch array binding. *)
-type denv = { lanes : env; scalar : env }
+(* A sweep over the lanes [lo, hi). *)
+type step = env -> int -> int -> unit
 
 type t = {
-  kname : string;
   grid : Dim3.t;
   block : Dim3.t;
   width : int;  (* threads per block *)
@@ -145,11 +146,9 @@ type t = {
   store_slots : int array;  (* slots some store or atomic writes *)
   atomic_slot : bool array;
   body : step;
-  envs : (int * denv) list Atomic.t;  (* per domain id *)
-  narrow : int Atomic.t;  (* blocks run at width 1 although w > 1 *)
+  envs : (int * env) list Atomic.t;  (* per domain id *)
+  narrow : int Atomic.t;  (* blocks run thread by thread although w > 1 *)
 }
-
-let name t = t.kname
 
 let r_bx = 0
 let r_by = 1
@@ -159,9 +158,6 @@ let r_ty = 4
 let r_tz = 5
 
 let no_mask : bool array = [||]
-
-(* The lane list of a uniform step: lane 0 alone. *)
-let lane0 = [| 0 |]
 
 let[@inline] ig env r = env.ir.!(r)
 let[@inline] fg env r = env.fr.!(r)
@@ -209,79 +205,49 @@ let offn env arr dims subs l =
 let offset_step ~arr dims subs o : step =
   match (dims, subs) with
   | [| d0 |], [| (r0, m0, k0) |] ->
-    fun env set n ->
+    fun env lo hi ->
       let i0 = ig env r0 and z = ig env o in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- off1 arr d0 i0 m0 k0 l done
-      else
-        for k = 0 to n - 1 do
-          let l = set.!(k) in
-          z.!(l) <- off1 arr d0 i0 m0 k0 l
-        done
+      for l = lo to hi - 1 do z.!(l) <- off1 arr d0 i0 m0 k0 l done
   | [| d0; d1 |], [| (r0, m0, k0); (r1, m1, k1) |] ->
-    fun env set n ->
+    fun env lo hi ->
       let i0 = ig env r0 and i1 = ig env r1 and z = ig env o in
-      if n = env.w then
-        for l = 0 to n - 1 do z.!(l) <- off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l done
-      else
-        for k = 0 to n - 1 do
-          let l = set.!(k) in
-          z.!(l) <- off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l
-        done
+      for l = lo to hi - 1 do z.!(l) <- off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l done
   | [| d0; d1; d2 |], [| (r0, m0, k0); (r1, m1, k1); (r2, m2, k2) |] ->
-    fun env set n ->
+    fun env lo hi ->
       let i0 = ig env r0 and i1 = ig env r1 and i2 = ig env r2 and z = ig env o in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
+      for l = lo to hi - 1 do
         z.!(l) <- off3 arr d0 d1 d2 i0 m0 k0 i1 m1 k1 i2 m2 k2 l
       done
   | _ ->
-    fun env set n ->
+    fun env lo hi ->
       let z = ig env o in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- offn env arr dims subs l
-      done
+      for l = lo to hi - 1 do z.!(l) <- offn env arr dims subs l done
 
 (* Loads fuse the offset for ranks 1–3; a checked OCaml access guards
    a backing array shorter than the extents. *)
 let load_step ~arr s dims subs d : step =
   match (dims, subs) with
   | [| d0 |], [| (r0, m0, k0) |] ->
-    fun env set n ->
+    fun env lo hi ->
       let i0 = ig env r0 and src = env.srcs.!(s) and z = fg env d in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- src.(off1 arr d0 i0 m0 k0 l) done
-      else
-        for k = 0 to n - 1 do
-          let l = set.!(k) in
-          z.!(l) <- src.(off1 arr d0 i0 m0 k0 l)
-        done
+      for l = lo to hi - 1 do z.!(l) <- src.(off1 arr d0 i0 m0 k0 l) done
   | [| d0; d1 |], [| (r0, m0, k0); (r1, m1, k1) |] ->
-    fun env set n ->
+    fun env lo hi ->
       let i0 = ig env r0 and i1 = ig env r1 and src = env.srcs.!(s) and z = fg env d in
-      if n = env.w then
-        for l = 0 to n - 1 do
-          z.!(l) <- src.(off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l)
-        done
-      else
-        for k = 0 to n - 1 do
-          let l = set.!(k) in
-          z.!(l) <- src.(off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l)
-        done
+      for l = lo to hi - 1 do
+        z.!(l) <- src.(off2 arr d0 d1 i0 m0 k0 i1 m1 k1 l)
+      done
   | [| d0; d1; d2 |], [| (r0, m0, k0); (r1, m1, k1); (r2, m2, k2) |] ->
-    fun env set n ->
+    fun env lo hi ->
       let i0 = ig env r0 and i1 = ig env r1 and i2 = ig env r2 in
       let src = env.srcs.!(s) and z = fg env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
+      for l = lo to hi - 1 do
         z.!(l) <- src.(off3 arr d0 d1 d2 i0 m0 k0 i1 m1 k1 i2 m2 k2 l)
       done
   | _ ->
-    fun env set n ->
+    fun env lo hi ->
       let src = env.srcs.!(s) and z = fg env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- src.(offn env arr dims subs l)
-      done
+      for l = lo to hi - 1 do z.!(l) <- src.(offn env arr dims subs l) done
 
 (* --- Stores, atomics and the block log ---------------------------------- *)
 
@@ -328,8 +294,9 @@ let grow a n z =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* A block that would log more entries or segments than this runs at
-   width 1 instead, so the log's memory stays bounded (~10 MB). *)
+(* A block that would log more entries or segments than this runs
+   thread by thread instead, so the log's memory stays bounded
+   (~10 MB). *)
 let max_log = 1 lsl 18
 
 exception Log_full
@@ -342,7 +309,6 @@ let reserve env n =
     let size = max need (2 * Array.length env.log_off) in
     env.log_off <- grow env.log_off size 0;
     env.log_val <- grow env.log_val size 0.0;
-    env.log_lane <- grow env.log_lane size 0;
     env.log_code <- grow env.log_code size 0;
     env.log_perm <- grow env.log_perm size 0
   end;
@@ -350,7 +316,7 @@ let reserve env n =
     let size = 2 * max 8 env.seg_n in
     env.seg_code <- grow env.seg_code size 0;
     env.seg_start <- grow env.seg_start size 0;
-    env.seg_dense <- grow env.seg_dense size false
+    env.seg_lane <- grow env.seg_lane size 0
   end
 
 let drop_log env =
@@ -360,34 +326,34 @@ let drop_log env =
 let seg_end env s = if s + 1 < env.seg_n then env.seg_start.!(s + 1) else env.log_n
 
 (* Apply the log in thread order: one segment is in lane order already,
-   several take a stable counting sort by lane. *)
+   several take a stable counting sort by lane, entry [e] of a segment
+   starting at entry [i] being lane [e - i] past the segment's first. *)
 let flush env =
   let ns = env.seg_n in
   if ns = 1 then apply_run env env.seg_code.!(0) 0 env.log_n
   else if ns > 1 then begin
-    let n = env.log_n and codes = env.log_code and lanes = env.log_lane in
+    let n = env.log_n and codes = env.log_code and cnt = env.counts in
+    Array.fill cnt 0 (Array.length cnt) 0;
     for s = 0 to ns - 1 do
       let i = env.seg_start.!(s) and code = env.seg_code.!(s) in
+      let lane = env.seg_lane.!(s) + 1 - i in
       for e = i to seg_end env s - 1 do
         codes.!(e) <- code;
-        if env.seg_dense.!(s) then lanes.!(e) <- e - i
+        cnt.!(lane + e) <- cnt.!(lane + e) + 1
       done
     done;
-    let cnt = env.counts in
-    Array.fill cnt 0 (Array.length cnt) 0;
-    for e = 0 to n - 1 do
-      let l = lanes.!(e) + 1 in
-      cnt.!(l) <- cnt.!(l) + 1
-    done;
-    for l = 1 to env.w do
+    for l = 1 to Array.length cnt - 1 do
       cnt.!(l) <- cnt.!(l) + cnt.!(l - 1)
     done;
     let perm = env.log_perm in
-    for e = 0 to n - 1 do
-      let l = lanes.!(e) in
-      let p = cnt.!(l) in
-      perm.!(p) <- e;
-      cnt.!(l) <- p + 1
+    for s = 0 to ns - 1 do
+      let i = env.seg_start.!(s) in
+      let lane = env.seg_lane.!(s) - i in
+      for e = i to seg_end env s - 1 do
+        let p = cnt.!(lane + e) in
+        perm.!(p) <- e;
+        cnt.!(lane + e) <- p + 1
+      done
     done;
     for p = 0 to n - 1 do
       let e = perm.!(p) in
@@ -396,42 +362,32 @@ let flush env =
   end;
   drop_log env
 
-(* A store or atomic of [v] at offset [o]: direct at width 1; in lane
-   mode one log segment of an entry per active lane, where an offset
-   the flush could not apply raises now, while the block can still
-   re-run from its start.  Never uniform: every active lane writes. *)
+(* A store or atomic of [v] at offset [o]: direct when the block runs
+   thread by thread; in lane mode one log segment of an entry per lane
+   of the sweep, where an offset the flush could not apply raises now,
+   while the block can still re-run from its start.  Never uniform:
+   every lane of the sweep writes. *)
 let put_step code o mo v mv : step =
- fun env set n ->
+ fun env lo hi ->
   let oo = ig env o and vv = fg env v in
-  if env.w = 1 then apply env code oo.!(0) vv.!(0)
+  if env.direct then
+    for l = lo to hi - 1 do apply env code oo.!(l land mo) vv.!(l land mv) done
   else begin
-    let lim = env.limit.!(code lsr 2) and dense = n = env.w in
-    reserve env n;
+    let lim = env.limit.!(code lsr 2) in
+    reserve env (hi - lo);
     let s = env.seg_n and base = env.log_n in
     env.seg_code.!(s) <- code;
     env.seg_start.!(s) <- base;
-    env.seg_dense.!(s) <- dense;
+    env.seg_lane.!(s) <- lo;
     env.seg_n <- s + 1;
-    let offs = env.log_off and vals = env.log_val in
-    if dense then
-      for l = 0 to n - 1 do
-        let o = oo.!(l land mo) in
-        if o < 0 || o >= lim then invalid_arg "index out of bounds";
-        offs.!(base + l) <- o;
-        vals.!(base + l) <- vv.!(l land mv)
-      done
-    else begin
-      let lanes = env.log_lane in
-      for k = 0 to n - 1 do
-        let l = set.!(k) in
-        let o = oo.!(l land mo) in
-        if o < 0 || o >= lim then invalid_arg "index out of bounds";
-        offs.!(base + k) <- o;
-        vals.!(base + k) <- vv.!(l land mv);
-        lanes.!(base + k) <- l
-      done
-    end;
-    env.log_n <- base + n
+    let offs = env.log_off and vals = env.log_val and e = base - lo in
+    for l = lo to hi - 1 do
+      let o = oo.!(l land mo) in
+      if o < 0 || o >= lim then invalid_arg "index out of bounds";
+      offs.!(e + l) <- o;
+      vals.!(e + l) <- vv.!(l land mv)
+    done;
+    env.log_n <- base + hi - lo
   end
 
 (* --- Compilation ------------------------------------------------------- *)
@@ -551,7 +507,7 @@ let uni_v c = function
   | Rf r -> uni_f c r
 
 (* A uniform step runs once, on lane 0, whatever lanes are active. *)
-let uniform (s : step) : step = fun env _ _ -> s env lane0 1
+let uniform (s : step) : step = fun env _ _ -> s env 0 1
 
 let emit c s = c.code <- s :: c.code
 let emit_i c d s = emit c (if uni_i c d then uniform s else s)
@@ -613,92 +569,66 @@ let out_f c ~uni = function
 
 (* --- Step constructors --------------------------------------------------
 
-   Every sweep below is spelled twice, dense and over a lane list: a
-   helper taking the lane body as a closure would cost a call per lane
-   (no flambda). *)
+   One sweep per operator: a helper taking the lane body as a closure
+   would cost a call per lane (no flambda). *)
 
 let int_step op d a ma b mb : step =
   match op with
   | Kir.Add ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) + y.!(l land mb) done
-      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) + y.!(l land mb) done
+      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) + y.!(l land mb) done
   | Kir.Sub ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) - y.!(l land mb) done
-      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) - y.!(l land mb) done
+      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) - y.!(l land mb) done
   | Kir.Mul ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) * y.!(l land mb) done
-      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) * y.!(l land mb) done
+      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) * y.!(l land mb) done
   | Kir.Minb ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- imin x.!(l land ma) y.!(l land mb)
-      done
+      for l = lo to hi - 1 do z.!(l) <- imin x.!(l land ma) y.!(l land mb) done
   | Kir.Maxb ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- imax x.!(l land ma) y.!(l land mb)
-      done
+      for l = lo to hi - 1 do z.!(l) <- imax x.!(l land ma) y.!(l land mb) done
   | Kir.Idiv ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- x.!(l land ma) / y.!(l land mb)
-      done
+      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) / y.!(l land mb) done
   | _ ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- x.!(l land ma) mod y.!(l land mb)
-      done
+      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) mod y.!(l land mb) done
 
 let float_step op d a ma b mb : step =
   match op with
   | Kir.Add ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = fg env d in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) +. y.!(l land mb) done
-      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) +. y.!(l land mb) done
+      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) +. y.!(l land mb) done
   | Kir.Sub ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = fg env d in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) -. y.!(l land mb) done
-      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) -. y.!(l land mb) done
+      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) -. y.!(l land mb) done
   | Kir.Mul ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = fg env d in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) *. y.!(l land mb) done
-      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) *. y.!(l land mb) done
+      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) *. y.!(l land mb) done
   | Kir.Minb ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = fg env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- fmin x.!(l land ma) y.!(l land mb)
-      done
+      for l = lo to hi - 1 do z.!(l) <- fmin x.!(l land ma) y.!(l land mb) done
   | Kir.Maxb ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = fg env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- fmax x.!(l land ma) y.!(l land mb)
-      done
+      for l = lo to hi - 1 do z.!(l) <- fmax x.!(l land ma) y.!(l land mb) done
   | _ ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = fg env d in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) /. y.!(l land mb) done
-      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) /. y.!(l land mb) done
+      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) /. y.!(l land mb) done
 
 (* [x ± y*z] in one step.  [x] is bound first: a commutative operand
    read straight from memory lets ocamlopt swap the operands, and when
@@ -706,78 +636,47 @@ let float_step op d a ma b mb : step =
    interpreter. *)
 let fma_step op d a ma b mb e me : step =
   if op = Kir.Add then
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = fg env e and r = fg env d in
-      if n = env.w then
-        for l = 0 to n - 1 do
-          let u = x.!(l land ma) in
-          r.!(l) <- u +. (y.!(l land mb) *. z.!(l land me))
-        done
-      else
-        for k = 0 to n - 1 do
-          let l = set.!(k) in
-          let u = x.!(l land ma) in
-          r.!(l) <- u +. (y.!(l land mb) *. z.!(l land me))
-        done
+      for l = lo to hi - 1 do
+        let u = x.!(l land ma) in
+        r.!(l) <- u +. (y.!(l land mb) *. z.!(l land me))
+      done
   else
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = fg env e and r = fg env d in
-      if n = env.w then
-        for l = 0 to n - 1 do
-          r.!(l) <- x.!(l land ma) -. (y.!(l land mb) *. z.!(l land me))
-        done
-      else
-        for k = 0 to n - 1 do
-          let l = set.!(k) in
-          r.!(l) <- x.!(l land ma) -. (y.!(l land mb) *. z.!(l land me))
-        done
+      for l = lo to hi - 1 do
+        r.!(l) <- x.!(l land ma) -. (y.!(l land mb) *. z.!(l land me))
+      done
 
 let float_unop_step op d a ma : step =
   match op with
   | Kir.Neg ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and z = fg env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- -.x.!(l land ma)
-      done
+      for l = lo to hi - 1 do z.!(l) <- -.x.!(l land ma) done
   | Kir.Abs ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and z = fg env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- Float.abs x.!(l land ma)
-      done
+      for l = lo to hi - 1 do z.!(l) <- Float.abs x.!(l land ma) done
   | Kir.Sqrt ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and z = fg env d in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- sqrt x.!(l land ma) done
-      else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- sqrt x.!(l land ma) done
+      for l = lo to hi - 1 do z.!(l) <- sqrt x.!(l land ma) done
   | _ ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and z = fg env d in
-      if n = env.w then for l = 0 to n - 1 do z.!(l) <- 1.0 /. sqrt x.!(l land ma) done
-      else
-        for k = 0 to n - 1 do
-          let l = set.!(k) in
-          z.!(l) <- 1.0 /. sqrt x.!(l land ma)
-        done
+      for l = lo to hi - 1 do z.!(l) <- 1.0 /. sqrt x.!(l land ma) done
 
 let int_unop_step op d a ma : step =
   if op = Kir.Neg then
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- - x.!(l land ma)
-      done
+      for l = lo to hi - 1 do z.!(l) <- - x.!(l land ma) done
   else
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- abs x.!(l land ma)
-      done
+      for l = lo to hi - 1 do z.!(l) <- abs x.!(l land ma) done
 
 (* Comparisons write 0/1.  [a > b] is [b < a] and [a >= b] is [b <= a],
    NaNs included, so four operators cover six.  Integers compare as
@@ -801,37 +700,21 @@ let int_cmp_step op d a ma b mb : step =
   let op, a, ma, b, mb = mirror op a ma b mb in
   match op with
   | Kir.Lt ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      if n = env.w then
-        for l = 0 to n - 1 do z.!(l) <- Bool.to_int (ilt x.!(l land ma) y.!(l land mb)) done
-      else
-        for k = 0 to n - 1 do
-          let l = set.!(k) in
-          z.!(l) <- Bool.to_int (ilt x.!(l land ma) y.!(l land mb))
-        done
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ilt x.!(l land ma) y.!(l land mb)) done
   | Kir.Le ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      if n = env.w then
-        for l = 0 to n - 1 do z.!(l) <- Bool.to_int (ile x.!(l land ma) y.!(l land mb)) done
-      else
-        for k = 0 to n - 1 do
-          let l = set.!(k) in
-          z.!(l) <- Bool.to_int (ile x.!(l land ma) y.!(l land mb))
-        done
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ile x.!(l land ma) y.!(l land mb)) done
   | Kir.Eq ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- Bool.to_int (ieq x.!(l land ma) y.!(l land mb))
-      done
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ieq x.!(l land ma) y.!(l land mb)) done
   | _ ->
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
+      for l = lo to hi - 1 do
         z.!(l) <- Bool.to_int (not (ieq x.!(l land ma) y.!(l land mb)))
       done
 
@@ -839,105 +722,78 @@ let float_cmp_step op d a ma b mb : step =
   let op, a, ma, b, mb = mirror op a ma b mb in
   match op with
   | Kir.Lt ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- Bool.to_int (x.!(l land ma) < y.!(l land mb))
-      done
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l land ma) < y.!(l land mb)) done
   | Kir.Le ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- Bool.to_int (x.!(l land ma) <= y.!(l land mb))
-      done
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l land ma) <= y.!(l land mb)) done
   | Kir.Eq ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- Bool.to_int (x.!(l land ma) = y.!(l land mb))
-      done
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l land ma) = y.!(l land mb)) done
   | _ ->
-    fun env set n ->
+    fun env lo hi ->
       let x = fg env a and y = fg env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
-        z.!(l) <- Bool.to_int (x.!(l land ma) <> y.!(l land mb))
-      done
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l land ma) <> y.!(l land mb)) done
 
 (* [&&], [||] and [!] over int registers holding conditions (non-zero is
    true), writing 0/1. *)
 let bool_step op d a ma b mb : step =
   if op = Kir.And then
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
+      for l = lo to hi - 1 do
         z.!(l) <- Bool.to_int (x.!(l land ma) <> 0 && y.!(l land mb) <> 0)
       done
   else
-    fun env set n ->
+    fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for k = 0 to n - 1 do
-        let l = if n = env.w then k else set.!(k) in
+      for l = lo to hi - 1 do
         z.!(l) <- Bool.to_int (x.!(l land ma) <> 0 || y.!(l land mb) <> 0)
       done
 
 let not_step d a ma : step =
- fun env set n ->
+ fun env lo hi ->
   let x = ig env a and z = ig env d in
-  for k = 0 to n - 1 do
-    let l = if n = env.w then k else set.!(k) in
-    z.!(l) <- Bool.to_int (x.!(l land ma) = 0)
-  done
+  for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l land ma) = 0) done
 
 let non_integer () = invalid_arg "Keval: non-integer index"
 
 let to_int_step d a ma : step =
- fun env set n ->
+ fun env lo hi ->
   let x = fg env a and z = ig env d in
-  for k = 0 to n - 1 do
-    let l = if n = env.w then k else set.!(k) in
+  for l = lo to hi - 1 do
     let v = x.!(l land ma) in
     let i = int_of_float v in
     if float_of_int i = v then z.!(l) <- i else non_integer ()
   done
 
 let to_float_step d a ma : step =
- fun env set n ->
+ fun env lo hi ->
   let x = ig env a and z = fg env d in
-  if n = env.w then for l = 0 to n - 1 do z.!(l) <- float_of_int x.!(l land ma) done
-  else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- float_of_int x.!(l land ma) done
+  for l = lo to hi - 1 do z.!(l) <- float_of_int x.!(l land ma) done
 
 let move_i_step d a ma : step =
- fun env set n ->
+ fun env lo hi ->
   let x = ig env a and z = ig env d in
-  for k = 0 to n - 1 do
-    let l = if n = env.w then k else set.!(k) in
-    z.!(l) <- x.!(l land ma)
-  done
+  for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) done
 
 let move_f_step d a ma : step =
- fun env set n ->
+ fun env lo hi ->
   let x = fg env a and z = fg env d in
-  if n = env.w then for l = 0 to n - 1 do z.!(l) <- x.!(l land ma) done
-  else for k = 0 to n - 1 do let l = set.!(k) in z.!(l) <- x.!(l land ma) done
+  for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) done
 
 let set_i_step d v : step =
- fun env set n ->
+ fun env lo hi ->
   let z = ig env d in
-  for k = 0 to n - 1 do
-    z.!(if n = env.w then k else set.!(k)) <- v
-  done
+  for l = lo to hi - 1 do z.!(l) <- v done
 
 let set_f_step d v : step =
- fun env set n ->
+ fun env lo hi ->
   let z = fg env d in
-  for k = 0 to n - 1 do
-    z.!(if n = env.w then k else set.!(k)) <- v
-  done
+  for l = lo to hi - 1 do z.!(l) <- v done
 
 (* --- Typed compilation --------------------------------------------------- *)
 
@@ -1235,122 +1091,103 @@ let bind c name v ~mark_i ~mark_f =
 let rec seq = function
   | [] -> fun _ _ _ -> ()
   | [ a ] -> a
-  | [ a; b ] -> fun env s n -> a env s n; b env s n
-  | [ a; b; c ] -> fun env s n -> a env s n; b env s n; c env s n
-  | [ a; b; c; d ] -> fun env s n -> a env s n; b env s n; c env s n; d env s n
+  | [ a; b ] -> fun env lo hi -> a env lo hi; b env lo hi
+  | [ a; b; c ] -> fun env lo hi -> a env lo hi; b env lo hi; c env lo hi
+  | [ a; b; c; d ] -> fun env lo hi -> a env lo hi; b env lo hi; c env lo hi; d env lo hi
   | a :: b :: c :: d :: rest ->
     let r = seq rest in
-    fun env s n -> a env s n; b env s n; c env s n; d env s n; r env s n
+    fun env lo hi -> a env lo hi; b env lo hi; c env lo hi; d env lo hi; r env lo hi
 
 (* A uniform condition is tested once, on lane 0. *)
 let if_uniform t th el : step =
- fun env set n -> if (ig env t).!(0) <> 0 then th env set n else el env set n
+ fun env lo hi -> if (ig env t).!(0) <> 0 then th env lo hi else el env lo hi
 
-(* A varying condition splits the active lanes, in order, into the
-   buffers [tb] and [fb]; each branch runs over its lanes, if any. *)
-let if_lanes t tb fb th el : step =
- fun env set n ->
-  let c = ig env t and ts = env.bufs.!(tb) and fs = env.bufs.!(fb) in
-  let nt = ref 0 and nf = ref 0 in
-  if n = env.w then
-    for l = 0 to n - 1 do
-      if c.!(l) <> 0 then begin
-        ts.!(!nt) <- l;
-        incr nt
-      end
-      else begin
-        fs.!(!nf) <- l;
-        incr nf
-      end
-    done
-  else
-    for k = 0 to n - 1 do
-      let l = set.!(k) in
-      if c.!(l) <> 0 then begin
-        ts.!(!nt) <- l;
-        incr nt
-      end
-      else begin
-        fs.!(!nf) <- l;
-        incr nf
-      end
-    done;
-  if !nt > 0 then th env ts !nt;
-  if !nf > 0 then el env fs !nf
+(* A varying condition: each maximal run of lanes that agree on it runs
+   its branch once, so interleaved divergence costs a call per run.  A
+   run's extent is scanned before its branch runs, and the branch
+   writes only the run's lanes, so every lane's condition is read as
+   it was at the [If] even when a branch reassigns the condition's
+   local. *)
+let if_lanes t th el : step =
+ fun env lo hi ->
+  let c = ig env t and l = ref lo in
+  while !l < hi do
+    let a = !l in
+    if c.!(a) <> 0 then begin
+      while !l < hi && c.!(!l) <> 0 do incr l done;
+      th env a !l
+    end
+    else begin
+      while !l < hi && c.!(!l) = 0 do incr l done;
+      el env a !l
+    end
+  done
 
 (* Loop a uniform counter [s] over [l, h) around the body, restoring the
    counter afterwards (the interpreter unbinds or restores it on exit).
    Bodies of up to three steps run inline, without a sequencer. *)
-let for_uniform s lo hi steps : step =
+let for_uniform s from_ to_ steps : step =
   match steps with
   | [ a ] ->
-    fun env set n ->
+    fun env lo hi ->
       let c = ig env s in
-      let l = (ig env lo).!(0) and h = (ig env hi).!(0) and saved = c.!(0) in
-      for iv = l to h - 1 do c.!(0) <- iv; a env set n done;
+      let l = (ig env from_).!(0) and h = (ig env to_).!(0) and saved = c.!(0) in
+      for iv = l to h - 1 do c.!(0) <- iv; a env lo hi done;
       c.!(0) <- saved
   | [ a; b ] ->
-    fun env set n ->
+    fun env lo hi ->
       let c = ig env s in
-      let l = (ig env lo).!(0) and h = (ig env hi).!(0) and saved = c.!(0) in
-      for iv = l to h - 1 do c.!(0) <- iv; a env set n; b env set n done;
+      let l = (ig env from_).!(0) and h = (ig env to_).!(0) and saved = c.!(0) in
+      for iv = l to h - 1 do c.!(0) <- iv; a env lo hi; b env lo hi done;
       c.!(0) <- saved
   | [ a; b; d ] ->
-    fun env set n ->
+    fun env lo hi ->
       let c = ig env s in
-      let l = (ig env lo).!(0) and h = (ig env hi).!(0) and saved = c.!(0) in
-      for iv = l to h - 1 do c.!(0) <- iv; a env set n; b env set n; d env set n done;
+      let l = (ig env from_).!(0) and h = (ig env to_).!(0) and saved = c.!(0) in
+      for iv = l to h - 1 do c.!(0) <- iv; a env lo hi; b env lo hi; d env lo hi done;
       c.!(0) <- saved
   | _ ->
     let body = seq steps in
-    fun env set n ->
+    fun env lo hi ->
       let c = ig env s in
-      let l = (ig env lo).!(0) and h = (ig env hi).!(0) and saved = c.!(0) in
-      for iv = l to h - 1 do c.!(0) <- iv; body env set n done;
+      let l = (ig env from_).!(0) and h = (ig env to_).!(0) and saved = c.!(0) in
+      for iv = l to h - 1 do c.!(0) <- iv; body env lo hi done;
       c.!(0) <- saved
 
 (* A varying counter: each lane keeps its own induction value [iv],
-   limit [hb] and saved counter [sv]; the body runs over the lanes
-   still inside their range ([act]) until none is. *)
-let for_lanes s lo mlo hi mhi ~act ~iv ~hb ~sv body : step =
- fun env set n ->
-  let c = ig env s and lo = ig env lo and hi = ig env hi in
-  let a = env.bufs.!(act) and iv = env.bufs.!(iv) in
-  let hb = env.bufs.!(hb) and sv = env.bufs.!(sv) in
-  let m = ref 0 in
-  for k = 0 to n - 1 do
-    let l = if n = env.w then k else set.!(k) in
+   limit [hb] and saved counter [sv].  Each round runs the body once
+   per run of lanes still inside their range and advances those lanes,
+   until no lane is.  Trip counts that differ lane by lane (SpMV's rows
+   on a banded matrix) split later rounds into short runs, each a full
+   body call. *)
+let for_lanes s from_ mf to_ mt ~iv ~hb ~sv body : step =
+ fun env lo hi ->
+  let c = ig env s and f = ig env from_ and t = ig env to_ in
+  let iv = env.bufs.!(iv) and hb = env.bufs.!(hb) and sv = env.bufs.!(sv) in
+  for l = lo to hi - 1 do
     sv.!(l) <- c.!(l);
-    let x = lo.!(l land mlo) and y = hi.!(l land mhi) in
-    iv.!(l) <- x;
-    hb.!(l) <- y;
-    if x < y then begin
-      a.!(!m) <- l;
-      incr m
-    end
+    iv.!(l) <- f.!(l land mf);
+    hb.!(l) <- t.!(l land mt)
   done;
-  while !m > 0 do
-    let cnt = !m in
-    for k = 0 to cnt - 1 do
-      let l = a.!(k) in
-      c.!(l) <- iv.!(l)
-    done;
-    body env a cnt;
-    m := 0;
-    for k = 0 to cnt - 1 do
-      let l = a.!(k) in
-      let x = iv.!(l) + 1 in
-      iv.!(l) <- x;
-      if x < hb.!(l) then begin
-        a.!(!m) <- l;
-        incr m
+  let live = ref true in
+  while !live do
+    live := false;
+    let l = ref lo in
+    while !l < hi do
+      let r = !l in
+      while !l < hi && iv.!(!l) < hb.!(!l) do
+        c.!(!l) <- iv.!(!l);
+        incr l
+      done;
+      if !l > r then begin
+        body env r !l;
+        for k = r to !l - 1 do iv.!(k) <- iv.!(k) + 1 done;
+        live := true
       end
+      else incr l
     done
   done;
-  for k = 0 to n - 1 do
-    let l = if n = env.w then k else set.!(k) in
-    c.!(l) <- sv.!(l)
-  done
+  for l = lo to hi - 1 do c.!(l) <- sv.!(l) done
 
 (* The checked offset of a store or atomic, then its value, then the
    write: the interpreter's order. *)
@@ -1401,11 +1238,7 @@ let rec compile_stmt c bound (s : Kir.stmt) : S.t =
      | _ when tsteps = [] && esteps = [] -> ()
      | t ->
        let r = breg c t and th = seq tsteps and el = seq esteps in
-       if uni_i c r then emit c (if_uniform r th el)
-       else
-         let tb = fresh_buf c in
-         let fb = fresh_buf c in
-         emit c (if_lanes r tb fb th el));
+       emit c ((if uni_i c r then if_uniform else if_lanes) r th el));
     S.union bound (S.inter bt be)
   | Kir.For { var; from_; to_; body } ->
     let lo = ireg c (compile_exp c bound from_) in
@@ -1417,11 +1250,10 @@ let rec compile_stmt c bound (s : Kir.stmt) : S.t =
       emit c (for_uniform s lo hi steps)
     end
     else begin
-      let act = fresh_buf c in
       let iv = fresh_buf c in
       let hb = fresh_buf c in
       let sv = fresh_buf c in
-      emit c (for_lanes s lo (mask_i c lo) hi (mask_i c hi) ~act ~iv ~hb ~sv (seq steps))
+      emit c (for_lanes s lo (mask_i c lo) hi (mask_i c hi) ~iv ~hb ~sv (seq steps))
     end;
     bound
   | Kir.Syncthreads -> bound
@@ -1473,7 +1305,6 @@ let compile kernel ~grid ~block ~args =
     List.iter (fun s -> atomic_slot.(s) <- true) c.atomic;
     Ok
       {
-        kname = kernel.Kir.name;
         grid;
         block;
         width = Dim3.volume block;
@@ -1492,66 +1323,52 @@ let compile kernel ~grid ~block ~args =
 
 (* --- Execution --------------------------------------------------------- *)
 
-let make_env t ~w ~srcs ~dsts ~masks ~limit =
+let make_env t =
+  let w = t.width and n = Array.length t.arrays in
   let ir = Array.map (fun k -> Array.make w k) t.iregs in
-  if w > 1 then begin
-    let bx = t.block.Dim3.x and by = t.block.Dim3.y in
-    for l = 0 to w - 1 do
-      ir.(r_tx).(l) <- l mod bx;
-      ir.(r_ty).(l) <- l / bx mod by;
-      ir.(r_tz).(l) <- l / (bx * by)
-    done
-  end;
+  let bx = t.block.Dim3.x and by = t.block.Dim3.y in
+  for l = 0 to w - 1 do
+    ir.(r_tx).(l) <- l mod bx;
+    ir.(r_ty).(l) <- l / bx mod by;
+    ir.(r_tz).(l) <- l / (bx * by)
+  done;
   {
-    w;
     ir;
     fr = Array.map (fun x -> Array.make w x) t.fregs;
     bufs = Array.init t.n_bufs (fun _ -> Array.make w 0);
-    all = Array.init w Fun.id;
-    srcs;
-    dsts;
-    masks;
-    limit;
+    srcs = Array.make n [||];
+    dsts = Array.make n [||];
+    masks = Array.make n no_mask;
+    limit = Array.make n 0;
     counts = Array.make (w + 1) 0;
+    direct = false;
     log_n = 0;
     log_off = Array.make w 0;
     log_val = Array.make w 0.0;
-    log_lane = Array.make w 0;
     log_code = Array.make w 0;
     log_perm = Array.make w 0;
     seg_n = 0;
     seg_code = Array.make 8 0;
     seg_start = Array.make 8 0;
-    seg_dense = Array.make 8 false;
+    seg_lane = Array.make 8 0;
   }
 
-let make_denv t =
-  let n = Array.length t.arrays in
-  let srcs = Array.make n [||] and dsts = Array.make n [||] in
-  let masks = Array.make n no_mask and limit = Array.make n 0 in
-  let scalar = make_env t ~w:1 ~srcs ~dsts ~masks ~limit in
-  let lanes =
-    if t.width > 1 then make_env t ~w:t.width ~srcs ~dsts ~masks ~limit else scalar
-  in
-  { lanes; scalar }
-
-let rec find_denv id = function
+let rec find_env id = function
   | [] -> None
-  | (i, d) :: rest -> if i = id then Some d else find_denv id rest
+  | (i, e) :: rest -> if i = id then Some e else find_env id rest
 
-(* This domain's environments, made on its first block of the kernel. *)
-let rec denv t =
+(* This domain's environment, made on its first block of the kernel. *)
+let rec domain_env t =
   let id = (Domain.self () :> int) in
   let l = Atomic.get t.envs in
-  match find_denv id l with
-  | Some d -> d
+  match find_env id l with
+  | Some e -> e
   | None ->
-    let d = make_denv t in
-    if Atomic.compare_and_set t.envs l ((id, d) :: l) then d else denv t
+    let e = make_env t in
+    if Atomic.compare_and_set t.envs l ((id, e) :: l) then e else domain_env t
 
-(* Point the environments at this launch's arrays. *)
-let bind_arrays t d ~access =
-  let e = d.scalar in
+(* Point the environment at this launch's arrays. *)
+let bind_arrays t e ~access =
   for s = 0 to Array.length t.arrays - 1 do
     let r = access t.arrays.(s) in
     let m = match r.touched with Some m -> m | None -> no_mask in
@@ -1585,45 +1402,38 @@ let set_block env bz by bx =
   (ig env r_by).!(0) <- by;
   (ig env r_bx).!(0) <- bx
 
-(* Thread by thread, stores written directly: the sequential order. *)
+(* Thread by thread, stores written directly: the sequential order.
+   Lanes are numbered in Keval's (z, y, x) thread order. *)
 let scalar_block t env bz by bx =
   set_block env bz by bx;
-  let b = t.block in
-  let tx = ig env r_tx and ty = ig env r_ty and tz = ig env r_tz in
-  for z = 0 to b.Dim3.z - 1 do
-    tz.!(0) <- z;
-    for y = 0 to b.Dim3.y - 1 do
-      ty.!(0) <- y;
-      for x = 0 to b.Dim3.x - 1 do
-        tx.!(0) <- x;
-        t.body env env.all 1
-      done
-    done
+  env.direct <- true;
+  for l = 0 to t.width - 1 do
+    t.body env l (l + 1)
   done
 
-let lane_block t d bz by bx =
-  let env = d.lanes in
+let lane_block t env bz by bx =
   set_block env bz by bx;
-  match t.body env env.all env.w with
+  env.direct <- false;
+  match t.body env 0 t.width with
   | () -> flush env
   | exception _ ->
     drop_log env;
     Atomic.incr t.narrow;
-    scalar_block t d.scalar bz by bx
+    scalar_block t env bz by bx
 
 (* Run every block of the grid; returns the domains engaged (1 when
    the blocks ran sequentially on the caller). *)
 let run_blocks ?pool t ~access =
   let gx = t.grid.Dim3.x and gy = t.grid.Dim3.y and gz = t.grid.Dim3.z in
   let nblocks = if gx <= 0 || gy <= 0 || gz <= 0 then 0 else gx * gy * gz in
-  let d0 = denv t in
-  bind_arrays t d0 ~access;
-  let lanes = t.width > 1 && lane_safe t d0.scalar in
-  let block d bz by bx =
-    if lanes then lane_block t d bz by bx
+  let e0 = domain_env t in
+  bind_arrays t e0 ~access;
+  let lanes = t.width > 1 && lane_safe t e0 in
+  let block env bz by bx =
+    if lanes then lane_block t env bz by bx
     else begin
       if t.width > 1 then Atomic.incr t.narrow;
-      scalar_block t d.scalar bz by bx
+      scalar_block t env bz by bx
     end
   in
   match pool with
@@ -1632,19 +1442,19 @@ let run_blocks ?pool t ~access =
     Gpu_runtime.Dpool.parallel_for pool ~n:nblocks (fun lo hi ->
         (* Chunks are linearized in the same z, y, x-major order the
            sequential loops use; each domain runs on its own
-           environments. *)
-        let d = denv t in
-        if d != d0 then copy_arrays ~src:d0.scalar ~dst:d.scalar;
+           environment. *)
+        let env = domain_env t in
+        if env != e0 then copy_arrays ~src:e0 ~dst:env;
         for i = lo to hi - 1 do
           let r = i mod plane in
-          block d (i / plane) (r / gx) (r mod gx)
+          block env (i / plane) (r / gx) (r mod gx)
         done)
   | _ ->
     if nblocks > 0 then
       for z = 0 to gz - 1 do
         for y = 0 to gy - 1 do
           for x = 0 to gx - 1 do
-            block d0 z y x
+            block e0 z y x
           done
         done
       done;
@@ -1755,3 +1565,4 @@ let launch ex ?(parallel = false) ?(interpret = false) kernel ~grid ~block
           Printexc.raise_with_backtrace e bt)
 
 let publish_metrics ?(into = Obs.Metrics.default) reg = Obs.Metrics.merge ~into reg
+

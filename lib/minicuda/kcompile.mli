@@ -3,18 +3,21 @@
     A kernel plus everything resolved at launch (grid, block, scalar
     arguments, array extents) partially evaluates into
     destination-passing steps over structure-of-arrays [int]/[float]
-    register files: each step runs once per block as a loop over the
-    block's threads (its lanes), values uniform across the block are
-    computed once, subscript linearization and bounds checks are
-    inlined into direct array accesses, and no float crosses a
-    closure boundary.  Stores and atomics go to a per-block log that
-    is flushed in thread order.  Launches that are not lane-safe (an
-    array some store writes is also read by a load) run the same steps
-    one thread at a time, and a block whose lane run raises re-runs
-    that way from its start.  Results and diagnostics are therefore
-    {!Keval}'s.  {!Keval} remains the semantics oracle, and kernels
-    outside the statically-typable fragment return [Error] so
-    {!launch} falls back to the interpreter (see DESIGN.md §13). *)
+    register files: each step is one loop over a contiguous range of
+    the block's threads (its lanes), the whole block at once unless a
+    branch or loop splits it into runs of lanes, values uniform across
+    the block are computed once, subscript linearization and bounds
+    checks are inlined into direct array accesses, and no float
+    crosses a closure boundary.  Stores and atomics go to a per-block
+    log that is flushed in thread order.  Launches that are not
+    lane-safe (an array some store writes is also read by a load) run
+    the same steps in the same environment one thread at a time, each
+    thread a one-lane range with its stores written directly, and a
+    block whose lane run raises re-runs that way from its start.
+    Results and diagnostics are therefore {!Keval}'s.  {!Keval} remains
+    the semantics oracle, and kernels outside the statically-typable
+    fragment return [Error] so {!launch} falls back to the interpreter
+    (see DESIGN.md §13). *)
 
 type t
 (** A kernel specialized to one (grid, block, args) launch shape. *)
@@ -31,8 +34,6 @@ val compile :
     executing any thread (argument-count mismatch, unbound dimension
     parameter). *)
 
-val name : t -> string
-
 type access = {
   loads : float array;  (** loads read this array *)
   stores : float array;  (** stores and atomics write this array *)
@@ -48,9 +49,10 @@ val run : ?pool:Gpu_runtime.Dpool.t -> t -> access:(string -> access) -> unit
 (** Execute every block of the grid.  [access] is applied once per
     array parameter per launch; accesses then index the records' arrays
     directly (an offset past an array's length raises
-    [Invalid_argument] like any OCaml array access).  Each domain's
-    register files and log are allocated on its first block of [t] and
-    reused by later launches, so launches of one [t] must not overlap.
+    [Invalid_argument] like any OCaml array access).  Each domain's one
+    environment (register files and log) is allocated on its first
+    block of [t] and reused by later launches, so launches of one [t]
+    must not overlap.
 
     With [pool], the blocks are split across its domains.  Only pass a
     pool for kernels whose accesses prove distinct blocks disjoint (a

@@ -754,9 +754,12 @@ let prop_differential =
    could get wrong if it broke thread order: 2-D blocks, loops whose
    bounds differ per thread, atomics (float combines depend on their
    order), stores from different threads to one element (the last in
-   thread order must win), and a written array that also backs a load
-   slot (the launch must then run thread by thread).  Outputs, atomic
-   accumulators, aliased inputs and diagnostics must all match. *)
+   thread order must win), a written array that also backs a load
+   slot (the launch must then run thread by thread), conditions whose
+   runs of agreeing lanes are one or two lanes long, and a branch that
+   reassigns the int local its [If] tests (each lane must still take
+   one branch only).  Outputs, atomic accumulators, aliased inputs and
+   diagnostics must all match. *)
 type lspec = {
   lk : Kir.t;
   l_n : int;
@@ -776,11 +779,14 @@ let gen_lspec =
   gen_fexp 2 >>= fun init ->
   oneofl [ `None; `Per_lane; `Uniform ] >>= fun loop ->
   gen_fexp 1 >>= fun factor ->
-  gen_bexp 1 >>= fun cond ->
+  (* [gi mod 2] alternates branches lane by lane *)
+  let parity = Kir.Binop (Kir.Imod, Kir.Var "gi", Kir.Iconst 2) in
+  frequency [ (3, gen_bexp 1); (1, return parity) ] >>= fun cond ->
   gen_fexp 2 >>= fun e_then ->
   gen_fexp 2 >>= fun e_else ->
   gen_sub >>= fun sub_then ->
   gen_sub >>= fun sub_else ->
+  opt (oneofl [ 2; 3 ]) >>= fun stripe ->
   opt (oneofl [ Kir.AAdd; Kir.AMin; Kir.AMax ]) >>= fun atomic ->
   bool >>= fun collide ->
   bool >>= fun alias ->
@@ -813,6 +819,17 @@ let gen_lspec =
            Local ("u", f 1.5);
            If (c, [ Assign ("u", p "s") ], []);
            Assign ("acc", v "acc" + v "u");
+         ]
+       | None -> [])
+    (* lanes taking the then-branch clear the condition they tested *)
+    @ (match stripe with
+       | Some m ->
+         [
+           Local ("c", Binop (Imod, gi, i m));
+           If
+             ( v "c",
+               [ Assign ("c", i 0); Assign ("acc", v "acc" + p "s") ],
+               [ Assign ("acc", v "acc" * f 0.5) ] );
          ]
        | None -> [])
     @ (match loop with
@@ -1000,6 +1017,68 @@ let test_kcompile_log_cap () =
   checkb "bit-identical" true (ai = ac);
   checki "the block ran at width 1" 1 (scalar_blocks reg)
 
+(* One compiled kernel launched through one executor, alternating
+   launches that run thread by thread (["a"] aliases ["out"]) with
+   lane-mode ones, one of which faults and re-runs its second block
+   thread by thread.  Four threads store each element of ["out"] and
+   the first of them stores it twice, so a lane-mode block whose stores
+   went straight to the arrays, as a thread-by-thread block's do, would
+   leave that thread's second value instead of the fourth thread's. *)
+let mixed_modes_kernel =
+  let open Kir in
+  let quarter = Binop (Idiv, v "gi", i 4) in
+  Kir.kernel ~name:"mixed_modes"
+    ~params:
+      [
+        Array { name = "a"; dims = [| Dim_const 16 |] };
+        Array { name = "out"; dims = [| Dim_const 16 |] };
+      ]
+    [
+      Local ("gi", global_id Dim3.X);
+      Local ("x", load "a" [ i 15 - v "gi" ]);
+      store "out" [ quarter ] (v "x" + f 1.0);
+      If (Binop (Imod, v "gi", i 4) = i 0, [ store "out" [ quarter ] (v "x" * f 2.0) ], []);
+      If (v "x" > f 100.0, [ store "out" [ v "gi" + i 100 ] (f 0.0) ], []);
+    ]
+
+let test_kcompile_mixed_block_modes () =
+  let reg = Obs.Metrics.create () in
+  let ex = Kcompile.executor reg in
+  let k = mixed_modes_kernel and grid = Dim3.make 2 and block = Dim3.make 8 in
+  let run ~alias ~fault f =
+    let out = Array.init 16 (fun i -> float_of_int i -. 0.5) in
+    let a =
+      if alias then out
+      else Array.init 16 (fun i -> if fault && i = 2 then 200.0 else float_of_int i /. 4.0)
+    in
+    let access name =
+      let d = if name = "a" then a else out in
+      { Kcompile.loads = d; stores = d; touched = None }
+    in
+    let outcome = try f access; Ok () with Invalid_argument m -> Error m in
+    (outcome, Array.map Int64.bits_of_float out)
+  in
+  List.iteri
+    (fun n (alias, fault, narrow) ->
+       let before = scalar_blocks reg in
+       let compiled =
+         run ~alias ~fault (fun access -> Kcompile.launch ex k ~grid ~block ~args:[] ~access)
+       in
+       let interpreted =
+         run ~alias ~fault (fun access ->
+             let load, store = Kcompile.callbacks access in
+             Keval.run k ~grid ~block ~args:[] ~load ~store)
+       in
+       let what = Printf.sprintf "launch %d (alias=%b fault=%b)" n alias fault in
+       checkb (what ^ ": outputs and diagnostic match Keval") true (compiled = interpreted);
+       checkb (what ^ ": raises exactly when faulting") fault (Result.is_error (fst compiled));
+       checki (what ^ ": blocks run thread by thread") narrow (scalar_blocks reg - before))
+    [
+      (false, false, 0); (true, false, 2); (false, false, 0); (false, true, 1);
+      (false, false, 0); (true, false, 2); (false, false, 0);
+    ];
+  checki "compiled once" 1 (int_of_float (Obs.Metrics.get reg "exec.compiles"))
+
 (* ---------------- Allocation guard ----------------
 
    The compiled executor keeps every value in its register files and
@@ -1046,6 +1125,12 @@ let test_kcompile_allocation () =
           ("pos_in", data 2048); ("vel_in", data 2048);
           ("pos_out", data 2048); ("vel_out", data 2048);
         ] );
+      ( "histogram 4096", Apps.Histogram.kernel, Apps.Histogram.grid_for 4096,
+        Apps.Histogram.block, [ Keval.AInt 4096; Keval.AInt 64 ],
+        [ ("data", Apps.Histogram.initial ~n:4096 ~nbins:64); ("hist", data 64) ] );
+      ( "dot 4096", Apps.Dot.kernel, Apps.Dot.grid_for 4096, Apps.Dot.block,
+        [ Keval.AInt 4096 ],
+        [ ("a", data 4096); ("b", data 4096); ("out", data 1) ] );
     ]
 
 (* ---------------- Multi_gpu integration ---------------- *)
@@ -1145,6 +1230,8 @@ let () =
             test_kcompile_in_place_width1;
           Alcotest.test_case "log cap re-runs the block" `Quick
             test_kcompile_log_cap;
+          Alcotest.test_case "block modes share one environment" `Quick
+            test_kcompile_mixed_block_modes;
           Alcotest.test_case "allocation guard" `Quick test_kcompile_allocation;
         ] );
       ( "multi_gpu",
