@@ -262,16 +262,23 @@ let topology_arg =
            SIZE devices with a LINK_GBS GB/s intra-island link each and a \
            host uplink per island at UPLINK_GBS GB/s)")
 
+(* Validated like --gpus: a non-positive capacity is a user error. *)
 let mem_cap_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "mem-cap" ] ~docv:"BYTES"
-        ~doc:
-          "per-device memory capacity in bytes (default: unlimited); the \
-           engine spills cold segments to the host and chunks launches \
-           that do not fit, and exits with code 2 and a one-line \
-           diagnostic when no chunking fits")
+  let positive = function
+    | Some c when c <= 0 -> die "--mem-cap must be positive (got %d)" c
+    | cap -> cap
+  in
+  Term.(
+    const positive
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "mem-cap" ] ~docv:"BYTES"
+            ~doc:
+              "per-device memory capacity in bytes (default: unlimited); \
+               the engine spills cold segments to the host and chunks \
+               launches that do not fit, and exits with code 2 and a \
+               one-line diagnostic when no chunking fits"))
 
 let autotune_arg =
   Arg.(
@@ -330,9 +337,6 @@ let print_choices choices =
 let run_cmd =
   let run app gpus faults domains trace mem_cap overlap topology autotune
       explain speeds =
-    (match mem_cap with
-     | Some c when c <= 0 -> die "--mem-cap must be positive (got %d)" c
-     | _ -> ());
     let device_speeds = device_speeds_of ~gpus speeds in
     set_domains domains;
     if trace <> None then enable_observability ();
@@ -507,9 +511,6 @@ let serve_cmd =
   in
   let run gpus jobs tenants poison seed max_queue mem_cap deadline losses
       domains json trace analyze =
-    (match mem_cap with
-     | Some c when c <= 0 -> die "--mem-cap must be positive (got %d)" c
-     | _ -> ());
     set_domains domains;
     let built =
       try Serve.Mix.generate ~seed ~tenants ~poison ?deadline ~jobs ()
@@ -674,9 +675,6 @@ let analyze_cmd =
   in
   let run target gpus faults domains trace mem_cap overlap topology autotune
       what_if_opt dump json =
-    (match mem_cap with
-     | Some c when c <= 0 -> die "--mem-cap must be positive (got %d)" c
-     | _ -> ());
     let dag, machine =
       match List.assoc_opt target apps with
       | Some mk ->

@@ -233,6 +233,23 @@ let boost_factor t ~active =
       *. float_of_int (max 0 (min active t.total_dies - 1))
       /. float_of_int total)
 
+(* Duration of a kernel launch of [blocks] blocks on a device of
+   relative [speed] while [active] devices are busy.  Blocks execute
+   over the device's resident-block slots; below full occupancy the
+   whole wave takes one block's time (latency bound), above it the
+   duration grows linearly.  The per-SM rate is derated by the
+   autoboost factor. *)
+let kernel_seconds t ~active ~speed ~blocks ~ops_per_block =
+  if blocks = 0 then 0.0
+  else
+    let slots = t.sms_per_device * t.blocks_per_sm in
+    let block_time =
+      ops_per_block
+      *. float_of_int t.blocks_per_sm
+      /. (t.ops_per_sm *. speed *. boost_factor t ~active)
+    in
+    block_time *. Float.max 1.0 (float_of_int blocks /. float_of_int slots)
+
 (* CLI spec for a topology: "flat", or "islands:SIZE,LINK,UPLINK" with
    the bandwidths in GB/s (e.g. "islands:4,80,12").  The inverse of
    [topology_to_string] up to number formatting. *)

@@ -105,6 +105,13 @@ val lease : t -> n_devices:int -> t
 val boost_factor : t -> active:int -> float
 (** Per-die throughput factor when [active] dies are busy. *)
 
+val kernel_seconds :
+  t -> active:int -> speed:float -> blocks:int -> ops_per_block:float -> float
+(** The wave model: seconds for a launch of [blocks] blocks on a device
+    of relative throughput [speed] while [active] devices are busy; 0
+    for no blocks.  The simulator, the autotuner and the scheduler's
+    runtime estimate all use it. *)
+
 val device_speed : t -> int -> float
 (** Throughput multiplier of one device: [device_speeds.(d)], or 1.0 on
     a homogeneous box (empty [device_speeds]) / out-of-range ids. *)

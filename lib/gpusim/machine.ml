@@ -836,29 +836,9 @@ let p2p_multi ?deps m ~src ~dst ~segments =
 
 (* --- Kernels ------------------------------------------------------------ *)
 
-(* Duration of a kernel launch on [device] (-1 = a homogeneous device).
-   Blocks execute over the device's resident-block slots; below full
-   occupancy the whole wave takes one block's time (latency bound),
-   above it the duration grows linearly.  The per-SM rate is derated
-   by the autoboost factor for the number of currently active
-   devices. *)
-let kernel_seconds m ~device ~blocks ~ops_per_block =
-  if blocks = 0 then 0.0
-  else begin
-    let cfg = m.cfg in
-    let slots = cfg.Config.sms_per_device * cfg.Config.blocks_per_sm in
-    let boost = Config.boost_factor cfg ~active:m.active_devices in
-    let speed = Config.device_speed cfg device in
-    let block_time =
-      ops_per_block
-      *. float_of_int cfg.Config.blocks_per_sm
-      /. (cfg.Config.ops_per_sm *. speed *. boost)
-    in
-    block_time *. Float.max 1.0 (float_of_int blocks /. float_of_int slots)
-  end
-
 let kernel_duration ?(device = -1) m ~blocks ~ops_per_block =
-  kernel_seconds m ~device ~blocks ~ops_per_block
+  Config.kernel_seconds m.cfg ~active:m.active_devices
+    ~speed:(Config.device_speed m.cfg device) ~blocks ~ops_per_block
 
 (* Declare how many devices the workload will keep busy (drives the
    autoboost derate deterministically from the first launch). *)
@@ -888,7 +868,10 @@ let launch ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run =
     Float.max host.(2) (Float.max (ready_of dev.copy_in) (ready_of dev.copy_out))
   in
   let after = match deps with [] -> after | _ -> latest after deps in
-  let dur = kernel_seconds m ~device:d ~blocks ~ops_per_block in
+  let dur =
+    Config.kernel_seconds m.cfg ~active:m.active_devices
+      ~speed:(Config.device_speed m.cfg d) ~blocks ~ops_per_block
+  in
   Timeline.schedule dev.compute ~after ~duration:dur ~category:"kernel";
   let c = Timeline.clock dev.compute in
   m.op_clock.(0) <- c.(1);

@@ -9,8 +9,8 @@
    own cost model:
 
      compute   per-partition [Costmodel.ops_per_block] through the
-               same wave/occupancy/autoboost formula as
-               [Gpusim.Machine.kernel_duration], with per-device
+               simulator's wave/occupancy/autoboost formula
+               ([Gpusim.Config.kernel_seconds]), with per-device
                [Config.device_speeds];
      transfer  the polyhedral footprint of cross-device bytes: the
                elements each partition reads but does not own in the
@@ -173,22 +173,6 @@ let clamp ~len ranges =
     ranges
 
 (* --- Scoring -------------------------------------------------------- *)
-
-(* Mirror of [Gpusim.Machine.kernel_duration] for a hypothetical
-   partition on a device of relative [speed], with [active] devices
-   busy. *)
-let duration (cfg : Gpusim.Config.t) ~active ~speed ~blocks ~ops_per_block =
-  if blocks = 0 then 0.0
-  else begin
-    let slots = cfg.Gpusim.Config.sms_per_device * cfg.Gpusim.Config.blocks_per_sm in
-    let boost = Gpusim.Config.boost_factor cfg ~active in
-    let block_time =
-      ops_per_block
-      *. float_of_int cfg.Gpusim.Config.blocks_per_sm
-      /. (cfg.Gpusim.Config.ops_per_sm *. speed *. boost)
-    in
-    block_time *. Float.max 1.0 (float_of_int blocks /. float_of_int slots)
-  end
 
 (* One partition's evaluated access sets, merged per buffer name. *)
 type part_access = {
@@ -474,8 +458,8 @@ let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
                (0, 0, 0) a.pa_reads
            in
            let dur =
-             duration cfg ~active:n ~speed:a.pa_speed ~blocks:a.pa_blocks
-               ~ops_per_block:a.pa_ops_per_block
+             Gpusim.Config.kernel_seconds cfg ~active:n ~speed:a.pa_speed
+               ~blocks:a.pa_blocks ~ops_per_block:a.pa_ops_per_block
            in
            (a, cross * elem_bytes, nseg, nranges, dur))
         accesses
@@ -557,12 +541,12 @@ let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
                  Partition.widen a.pa_part ~grid ~axis:hp.hp_axis ~blocks:1
                in
                let dwide =
-                 duration cfg ~active:n ~speed:a.pa_speed
+                 Gpusim.Config.kernel_seconds cfg ~active:n ~speed:a.pa_speed
                    ~blocks:(Partition.n_blocks wide)
                    ~ops_per_block:a.pa_ops_per_block
                in
                let dband =
-                 duration cfg ~active:n ~speed:a.pa_speed
+                 Gpusim.Config.kernel_seconds cfg ~active:n ~speed:a.pa_speed
                    ~blocks:a.pa_blocks ~ops_per_block:a.pa_ops_per_block
                in
                max acc (dwide -. dband))

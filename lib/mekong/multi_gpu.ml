@@ -210,7 +210,7 @@ let launch_bindings = Plan.launch_bindings
    seconds: the retried operation itself advances the simulated clock,
    so the penalty a real driver would impose must live on the same
    clock (wall-clock sleeps would be invisible to the reported times).
-   The budget bounds total backoff per statement; the fault layer's
+   The budget bounds total backoff per action; the fault layer's
    consecutive cap means it is never reached under any rate < 1. *)
 let backoff_base = 100e-6
 let backoff_cap = 10e-3
@@ -721,19 +721,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     List.iter (step (context ck ~block plan)) (Plan.of_launch (env ()) ck plan);
     bases := None
   in
-  (* Rebuild the buffer population from a preemption handoff: allocate
-     every buffer first (so the eviction pool sees the whole set), then
-     re-scatter each one's content, paying the upload like any h2d.
-     Statement [h_index] then continues as if nothing happened. *)
-  let install_resume (h : handoff) =
-    span "resume" @@ fun () ->
-    List.iter
-      (fun (name, len, _) ->
-         Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len))
-      h.h_buffers;
-    refresh_pool ();
-    List.iter (fun (name, _, data) -> h2d (find name) data) h.h_buffers
-  in
   let rec exec (s : Host_ir.stmt) =
     match s with
     | Host_ir.Malloc (name, len) ->
@@ -798,6 +785,44 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     List.iter go exe.prog.Host_ir.body;
     Array.of_list (List.rev !acc)
   in
+  let n_stmts = Array.length stmts in
+  (match resume with
+   | Some h when h.h_index < 0 || h.h_index > n_stmts ->
+     invalid_arg "Multi_gpu.run_bounded: resume index out of range"
+   | _ -> ());
+  (* The program counter, the handoff still to install (the resume, and
+     again whenever a replay rewinds to it) and the preemption's. *)
+  let i = ref 0 and pending = ref resume and preempted = ref None in
+  let launches_since_ckpt = ref 0 in
+  (* Every live buffer in name order, the order checkpoints and
+     preemption gather in: the gathers charge simulated transfer time
+     and consume the fault stream. *)
+  let live_buffers () =
+    List.sort
+      (fun (a, _) (b, _) -> compare a b)
+      (Hashtbl.fold (fun name vb acc -> (name, vb) :: acc) vbufs [])
+  in
+  let drop_buffers () =
+    Hashtbl.iter (fun _ vb -> Gpu_runtime.Vbuf.free vb) vbufs;
+    Hashtbl.reset vbufs;
+    refresh_pool ()
+  in
+  (* Rebuild the buffer population from a handoff: free whatever a
+     failed attempt allocated, allocate every buffer first (so the
+     eviction pool sees the whole set), then re-scatter each one's
+     content, paying the upload like any h2d.  Statement [h_index]
+     then continues as if nothing happened. *)
+  let install (h : handoff) =
+    span "resume" @@ fun () ->
+    drop_buffers ();
+    List.iter
+      (fun (name, len, _) ->
+         Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len))
+      h.h_buffers;
+    refresh_pool ();
+    List.iter (fun (name, _, data) -> h2d (find name) data) h.h_buffers;
+    i := h.h_index
+  in
   (* An engine checkpoint: the statement index to resume from plus a
      snapshot of every buffer binding.  [None] means "replay from the
      beginning with no buffers" — statement 0 re-mallocs everything. *)
@@ -806,15 +831,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   in
   let take_checkpoint index =
     span "checkpoint" @@ fun () ->
-    let bufs =
-      Hashtbl.fold
-        (fun name vb acc -> (name, vb, Gpu_runtime.Vbuf.checkpoint ~cfg vb) :: acc)
-        vbufs []
-    in
-    (* Deterministic snapshot order: the gathers charge simulated
-       transfer time and consume the fault stream. *)
-    let bufs = List.sort (fun (a, _, _) (b, _, _) -> compare a b) bufs in
-    ckpt := Some (index, bufs)
+    ckpt :=
+      Some
+        ( index,
+          List.map
+            (fun (name, vb) -> (name, vb, Gpu_runtime.Vbuf.checkpoint ~cfg vb))
+            (live_buffers ()) )
   in
   let restore_checkpoint () =
     span "replay" @@ fun () ->
@@ -833,17 +855,13 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
         bufs;
       refresh_pool ();
       index
-    | None -> (
-        Hashtbl.iter (fun _ vb -> Gpu_runtime.Vbuf.free vb) vbufs;
-        Hashtbl.reset vbufs;
-        refresh_pool ();
-        (* A resumed run's earliest recovery point is its handoff: the
-           buffers it restored are this segment's "beginning". *)
-        match resume with
-        | Some h ->
-          install_resume h;
-          h.h_index
-        | None -> 0)
+    | None ->
+      (* A resumed run's earliest recovery point is its handoff: the
+         buffers it restored are this segment's "beginning", so the
+         loop installs it again. *)
+      drop_buffers ();
+      pending := resume;
+      0
   in
   (* Permanent loss: shrink the live set, drop every cached plan (they
      all name the dead device), re-home what the dead device owned onto
@@ -864,113 +882,94 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     in
     if data_lost then begin
       bump replays;
-      `Replay (restore_checkpoint ())
+      i := restore_checkpoint ();
+      bases := None;
+      launches_since_ckpt := 0;
+      `Replay
     end
     else `Retry
   in
-  let n_stmts = Array.length stmts in
-  let launches_since_ckpt = ref 0 in
-  let i =
-    ref
-      (match resume with
-       | Some h ->
-         if h.h_index < 0 || h.h_index > n_stmts then
-           invalid_arg "Multi_gpu.run_bounded: resume index out of range";
-         install_resume h;
-         h.h_index
-       | None -> 0)
-  in
   (* Preemption: gather every live buffer to the host (a checkpoint in
-     handoff form) and stop.  The gather itself runs on the simulated
-     machine, so it pays transfer time and can itself fault: transient
-     faults back off and retry, a device loss re-homes/replays through
-     [handle_loss] and falls back into the main loop, whose abort check
-     immediately re-enters here against the recovered state. *)
-  let preempt_now () =
+     handoff form) and stop.  The gather runs on the simulated machine,
+     so it pays transfer time and can fault like any statement. *)
+  let preempt () =
+    span "preempt" @@ fun () ->
+    Gpusim.Machine.synchronize m;
+    let captured =
+      List.map
+        (fun (name, vb) -> (name, Gpu_runtime.Vbuf.len vb, gather vb))
+        (live_buffers ())
+    in
+    Gpusim.Machine.synchronize m;
+    preempted := Some { h_index = !i; h_buffers = captured }
+  in
+  let run_stmt stmt =
+    exec stmt;
+    if healing then begin
+      (match stmt with
+       | Host_ir.Launch _ -> incr launches_since_ckpt
+       | _ -> ());
+      if !launches_since_ckpt >= checkpoint_every then begin
+        take_checkpoint (!i + 1);
+        launches_since_ckpt := 0
+      end
+    end;
+    incr i
+  in
+  (* The one fault handler: a transient fault repeats the action after
+     a backoff, a device loss repeats it unless a replay moved the
+     program counter, and a live Out_of_memory refines a capped launch. *)
+  let rec attempt action ~tries ~spent =
     try
-      span "preempt" @@ fun () ->
-      Gpusim.Machine.synchronize m;
-      let bufs =
-        List.sort
-          (fun (a, _) (b, _) -> compare a b)
-          (Hashtbl.fold (fun name vb acc -> (name, vb) :: acc) vbufs [])
-      in
-      let captured =
-        List.map (fun (name, vb) -> (name, Gpu_runtime.Vbuf.len vb, gather vb)) bufs
-      in
-      Gpusim.Machine.synchronize m;
-      Some { h_index = !i; h_buffers = captured }
+      match action with
+      | `Install h -> install h
+      | `Preempt -> preempt ()
+      | `Run stmt -> run_stmt stmt
     with
     | Gpusim.Machine.Transient_fault _ when healing ->
       bump retries;
-      Gpusim.Machine.host_work m ~seconds:backoff_base ~category:"backoff";
-      None
-    | Gpusim.Machine.Device_lost dead when healing ->
-      (match handle_loss dead with
-       | `Retry -> ()
-       | `Replay index ->
-         i := index;
-         launches_since_ckpt := 0);
-      None
+      let delay =
+        Float.min backoff_cap (backoff_base *. (2.0 ** float_of_int tries))
+      in
+      if spent +. delay > backoff_budget then
+        failwith "Multi_gpu: transient-fault backoff budget exhausted";
+      Gpusim.Machine.host_work m ~seconds:delay ~category:"backoff";
+      attempt action ~tries:(tries + 1) ~spent:(spent +. delay)
+    | Gpusim.Machine.Device_lost dead when healing -> (
+        match handle_loss dead with
+        | `Retry -> attempt action ~tries:0 ~spent
+        | `Replay -> ())
+    | Gpusim.Machine.Out_of_memory { device; requested; free } -> (
+        match action with
+        | `Run (Host_ir.Launch { kernel; grid; block; args }) when capped ->
+          refine_chunks kernel grid block args;
+          attempt action ~tries ~spent
+        | _ ->
+          failwith
+            (Printf.sprintf
+               "Multi_gpu: out of device memory: %d bytes requested \
+                on device %d with only %d bytes free (capacity %d)"
+               requested device free mem_cap))
   in
-  let aborting () =
-    match abort_at with
-    | Some t -> Gpusim.Machine.elapsed m >= t
-    | None -> false
-  in
-  let preempted = ref None in
-  while !preempted = None && !i < n_stmts do
-    if aborting () then preempted := preempt_now ()
-    else begin
-    let stmt = stmts.(!i) in
-    let rec attempt ~tries ~spent =
-      try
-        exec stmt;
-        if healing then begin
-          (match stmt with
-           | Host_ir.Launch _ -> incr launches_since_ckpt
-           | _ -> ());
-          if !launches_since_ckpt >= checkpoint_every then begin
-            take_checkpoint (!i + 1);
-            launches_since_ckpt := 0
-          end
-        end;
-        `Next
-      with
-      | Gpusim.Machine.Transient_fault _ when healing ->
-        bump retries;
-        let delay =
-          Float.min backoff_cap (backoff_base *. (2.0 ** float_of_int tries))
-        in
-        if spent +. delay > backoff_budget then
-          failwith "Multi_gpu: transient-fault backoff budget exhausted";
-        Gpusim.Machine.host_work m ~seconds:delay ~category:"backoff";
-        attempt ~tries:(tries + 1) ~spent:(spent +. delay)
-      | Gpusim.Machine.Device_lost dead when healing -> (
-          match handle_loss dead with
-          | `Retry -> attempt ~tries:0 ~spent
-          | `Replay index -> `Goto index)
-      | Gpusim.Machine.Out_of_memory { device; requested; free } -> (
-          match stmt with
-          | Host_ir.Launch { kernel; grid; block; args } when capped ->
-            refine_chunks kernel grid block args;
-            attempt ~tries ~spent
-          | _ ->
-            failwith
-              (Printf.sprintf
-                 "Multi_gpu: out of device memory: %d bytes requested \
-                  on device %d with only %d bytes free (capacity %d)"
-                 requested device free mem_cap))
+  (* The recovery loop.  Each round picks one action, once: install a
+     pending handoff, preempt once [abort_at] has passed, or run the next
+     statement, so a statement's retry never turns into a preemption. *)
+  while
+    Option.is_some !pending || (Option.is_none !preempted && !i < n_stmts)
+  do
+    let action =
+      match !pending with
+      | Some h ->
+        pending := None;
+        `Install h
+      | None -> (
+          match abort_at with
+          | Some t when Gpusim.Machine.elapsed m >= t -> `Preempt
+          | _ -> `Run stmts.(!i))
     in
-    (match attempt ~tries:0 ~spent:0.0 with
-    | `Next -> incr i
-    | `Goto j ->
-      i := j;
-      bases := None;
-      launches_since_ckpt := 0)
-    end
+    attempt action ~tries:0 ~spent:0.0
   done;
-  if !preempted = None then Gpusim.Machine.synchronize m;
+  if Option.is_none !preempted then Gpusim.Machine.synchronize m;
   if healing then
     Obs.Metrics.add observed
       (float_of_int

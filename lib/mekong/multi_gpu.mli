@@ -214,13 +214,21 @@ val run_bounded :
 (** {!run} with preemption.  When the machine's simulated clock
     ({!Gpusim.Machine.elapsed}) reaches [abort_at] (seconds, machine
     time, must be positive), the engine stops between statements,
-    gathers every live buffer to the host — paying the simulated
-    transfer time, and riding the self-healing machinery if the gather
-    itself faults — and returns [Preempted (partial_result, handoff)].
-    [resume] restores a previous handoff before executing: buffers are
-    re-allocated and re-scattered (paying the upload), and execution
-    continues from the handoff's statement index.  The resuming
-    machine must run the same linked [exe] in the same mode
-    (functional/performance); it may have a different device count.
-    Without [abort_at] the result is always [Done] and behavior is
-    exactly {!run}'s. *)
+    gathers every live buffer to the host in name order — paying the
+    simulated transfer time — and returns
+    [Preempted (partial_result, handoff)].  [resume] restores a
+    previous handoff before executing: buffers are re-allocated and
+    re-scattered (paying the upload), and execution continues from the
+    handoff's statement index.  The resuming machine must run the same
+    linked [exe] in the same mode (functional/performance); it may
+    have a different device count.  Without [abort_at] the result is
+    always [Done] and behavior is exactly {!run}'s.
+
+    Installing the handoff, preempting and running a statement are
+    the actions of one recovery loop, and all three self-heal under
+    {!run}'s retry policy: a retry repeats its action (a statement's
+    retry never becomes a preemption), and a replay before a resumed
+    run's first checkpoint installs the handoff again.  Only
+    {!All_devices_lost}, [Failure] (backoff budget exhausted, or
+    device memory no chunking can satisfy) and [Invalid_argument]
+    escape. *)

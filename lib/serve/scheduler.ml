@@ -6,28 +6,24 @@
    self-heals through the PR-2 machinery, checkpoints into a portable
    handoff, and re-queues for the surviving devices. *)
 
+(* The serving policy (DESIGN.md §17): failures before quarantine, the
+   requeue delay after a failure (simulated seconds, doubling from the
+   base to the cap), and the engine checkpoint cadence per lease. *)
+let max_strikes = 3
+let retry_base = 1e-3
+let retry_cap = 0.25
+let checkpoint_every = 4
+
 type config = {
   fleet : Gpusim.Config.t;
-  functional : bool;
   max_queue : int;
-  max_strikes : int;
-  retry_base : float;
-  retry_cap : float;
   losses : (int * float) list;
-  checkpoint_every : int;
 }
 
-let config ?(functional = true) ?(max_queue = 64) ?(max_strikes = 3)
-    ?(retry_base = 1e-3) ?(retry_cap = 0.25) ?(losses = [])
-    ?(checkpoint_every = 4) fleet =
+let config ?(max_queue = 64) ?(losses = []) fleet =
   let fleet = Gpusim.Config.validate fleet in
   let reject what = invalid_arg ("Scheduler.config: " ^ what) in
   if max_queue < 1 then reject "max_queue must be positive";
-  if max_strikes < 1 then reject "max_strikes must be positive";
-  if not (retry_base > 0.0) then reject "retry_base must be positive";
-  if not (retry_cap >= retry_base) then
-    reject "retry_cap must be at least retry_base";
-  if checkpoint_every < 1 then reject "checkpoint_every must be positive";
   List.iter
     (fun (d, t) ->
        if d < 0 || d >= fleet.Gpusim.Config.n_devices then
@@ -46,16 +42,7 @@ let config ?(functional = true) ?(max_queue = 64) ?(max_strikes = 3)
       []
     |> List.rev
   in
-  {
-    fleet;
-    functional;
-    max_queue;
-    max_strikes;
-    retry_base;
-    retry_cap;
-    losses;
-    checkpoint_every;
-  }
+  { fleet; max_queue; losses }
 
 type segment = {
   sg_job : string;
@@ -142,10 +129,6 @@ let footprint_elems (prog : Host_ir.t) =
    heuristic for the queue, never a promise to the job. *)
 let predicted_runtime (fleet : Gpusim.Config.t) (spec : Job.spec) =
   let n = max 1 (min spec.Job.devices fleet.Gpusim.Config.n_devices) in
-  let slots =
-    fleet.Gpusim.Config.sms_per_device * fleet.Gpusim.Config.blocks_per_sm
-  in
-  let boost = Gpusim.Config.boost_factor fleet ~active:n in
   let total = ref 0.0 in
   let rec go ~mult (s : Host_ir.stmt) =
     match s with
@@ -155,14 +138,9 @@ let predicted_runtime (fleet : Gpusim.Config.t) (spec : Job.spec) =
       let scalar_env =
         Mekong.Multi_gpu.launch_bindings kernel ~grid ~block ~args
       in
-      let opb = Costmodel.ops_per_block kernel ~scalar_env ~block in
-      let block_time =
-        opb
-        *. float_of_int fleet.Gpusim.Config.blocks_per_sm
-        /. (fleet.Gpusim.Config.ops_per_sm *. boost)
-      in
       let t =
-        block_time *. Float.max 1.0 (float_of_int per_dev /. float_of_int slots)
+        Gpusim.Config.kernel_seconds fleet ~active:n ~speed:1.0 ~blocks:per_dev
+          ~ops_per_block:(Costmodel.ops_per_block kernel ~scalar_env ~block)
       in
       total := !total +. (mult *. (t +. fleet.Gpusim.Config.launch_latency))
     | Host_ir.Memcpy_h2d { src = a; _ } | Host_ir.Memcpy_d2h { dst = a; _ } ->
@@ -279,7 +257,7 @@ let run (cfg : config) (specs : Job.spec list) : report =
     let sub_cfg =
       Gpusim.Config.lease cfg.fleet ~n_devices:(List.length lease)
     in
-    let m = Gpusim.Machine.create ~functional:cfg.functional sub_cfg in
+    let m = Gpusim.Machine.create ~functional:true sub_cfg in
     (* Fleet-wide scheduled losses that will hit this lease, in lease-
        local device ids and machine-local time.  Injecting them makes
        the sub-machine physically honest: data on a dying device is
@@ -338,7 +316,7 @@ let run (cfg : config) (specs : Job.spec list) : report =
       try
         match
           Mekong.Multi_gpu.run_bounded
-            ~checkpoint_every:cfg.checkpoint_every ?abort_at
+            ~checkpoint_every ?abort_at
             ?resume:j.js_handoff ~machine:m exe
         with
         | Mekong.Multi_gpu.Done _ -> Fate_done
@@ -347,12 +325,6 @@ let run (cfg : config) (specs : Job.spec list) : report =
       | Mekong.Multi_gpu.All_devices_lost ->
         Fate_fail "every leased device lost"
       | Failure msg -> Fate_fail msg
-      | Gpusim.Machine.Out_of_memory { device; requested; free } ->
-        Fate_fail
-          (Printf.sprintf
-             "out of device memory: %d bytes requested on lease slot %d \
-              (%d free)"
-             requested device free)
     in
     let duration = Gpusim.Machine.elapsed m in
     j.js_engine_time <- j.js_engine_time +. duration;
@@ -456,15 +428,15 @@ let run (cfg : config) (specs : Job.spec list) : report =
      | Fate_preempt (_, `Deadline) -> time_out now j
      | Fate_fail msg ->
        j.js_strikes <- j.js_strikes + 1;
-       if j.js_strikes >= cfg.max_strikes then
+       if j.js_strikes >= max_strikes then
          finish now "quarantine" j
            (Job.Quarantined
               { at = now; strikes = j.js_strikes; last_error = msg })
        else begin
          j.js_retries <- j.js_retries + 1;
          let delay =
-           Float.min cfg.retry_cap
-             (cfg.retry_base *. (2.0 ** float_of_int (j.js_strikes - 1)))
+           Float.min retry_cap
+             (retry_base *. (2.0 ** float_of_int (j.js_strikes - 1)))
          in
          push (now +. delay) (Requeue j)
        end);

@@ -8,7 +8,7 @@
       overflow and infeasibility are typed rejections, never drops;
     - per-job deadlines preempt in simulated time ([Timed_out]);
     - repeated failures trip a circuit breaker ([Quarantined]) after
-      [max_strikes], with capped-exponential retry backoff in between;
+      3 strikes, with capped-exponential retry backoff in between;
     - a permanent fleet device loss degrades gracefully: in-flight
       jobs on the dead device preempt into a checkpoint handoff and
       re-queue, later re-admitted onto the surviving devices;
@@ -20,32 +20,20 @@ type config = {
   fleet : Gpusim.Config.t;
       (** the whole box; [n_devices] is the fleet size and
           [mem_capacity] drives admission *)
-  functional : bool;
   max_queue : int;  (** bounded pending queue (backpressure) *)
-  max_strikes : int;  (** circuit breaker: failures before quarantine *)
-  retry_base : float;  (** first retry delay, simulated seconds *)
-  retry_cap : float;  (** retry delay ceiling *)
   losses : (int * float) list;
       (** fleet-level permanent losses: (device, simulated seconds) *)
-  checkpoint_every : int;  (** engine checkpoint cadence per lease *)
 }
 
 val config :
-  ?functional:bool ->
-  ?max_queue:int ->
-  ?max_strikes:int ->
-  ?retry_base:float ->
-  ?retry_cap:float ->
-  ?losses:(int * float) list ->
-  ?checkpoint_every:int ->
-  Gpusim.Config.t ->
-  config
-(** Defaults: functional, queue bound 64, 3 strikes, retries at
-    1ms doubling to a 250ms cap, no losses, checkpoints every 4
-    launches.  Raises [Invalid_argument] on a non-positive bound or
-    rate, an out-of-range loss device, a negative loss time, or an
-    invalid fleet config.  Duplicate losses of one device keep the
-    earliest. *)
+  ?max_queue:int -> ?losses:(int * float) list -> Gpusim.Config.t -> config
+(** Defaults: queue bound 64, no losses.  Raises [Invalid_argument] on
+    a non-positive bound, an out-of-range loss device, a negative loss
+    time, or an invalid fleet config.  Duplicate losses of one device
+    keep the earliest.  The rest of the policy is fixed: functional
+    machines, quarantine at the 3rd failure, a re-queue delay of 1 ms
+    doubling per strike to 250 ms (simulated), and engine checkpoints
+    every 4 launches per lease. *)
 
 (** One lease occupancy: a job running on a device subset for a span
     of simulated time. *)

@@ -119,6 +119,91 @@ let test_run_without_abort_never_preempts () =
    | Mekong.Multi_gpu.Preempted _ -> Alcotest.fail "preempted without abort_at");
   checkb "output = CPU" true (out = cpu ())
 
+(* The recovery loop: a fault while a handoff is installed or while a
+   preemption gathers heals like a fault during a statement.  The
+   resume cases take the handoff of a hotspot run on 4 GPUs preempted
+   at 2e-4 s. *)
+
+let hotspot_handoff () =
+  let prog, out, cpu = Apps.Workloads.functional_hotspot ~n:32 ~iterations:3 in
+  let exe = compile_exn prog in
+  let m = Gpusim.Machine.create ~functional:true (fleet 4) in
+  match Mekong.Multi_gpu.run_bounded ~abort_at:2e-4 ~machine:m exe with
+  | Mekong.Multi_gpu.Preempted (_, h) -> (exe, h, out, cpu)
+  | Mekong.Multi_gpu.Done _ -> Alcotest.fail "hotspot run was not preempted"
+
+let faulty_machine g spec =
+  let m = Gpusim.Machine.create ~functional:true (fleet g) in
+  Gpusim.Machine.inject_faults m (Gpusim.Faults.create spec);
+  m
+
+let resume_done ~g spec =
+  let exe, h, out, cpu = hotspot_handoff () in
+  let m = faulty_machine g spec in
+  match Mekong.Multi_gpu.run_bounded ~resume:h ~machine:m exe with
+  | Mekong.Multi_gpu.Done r ->
+    checkb "resumed output = CPU reference" true (out = cpu ());
+    r.Mekong.Multi_gpu.faults
+  | Mekong.Multi_gpu.Preempted _ -> Alcotest.fail "preempted without abort_at"
+
+let test_resume_transient_faults () =
+  let f =
+    resume_done ~g:2
+      { Gpusim.Faults.null_spec with seed = 3; transfer_fault_rate = 0.5 }
+  in
+  checkb "the install's transfer faults were retried" true
+    (f.Mekong.Multi_gpu.fr_retries > 0)
+
+let test_resume_device_lost () =
+  let f =
+    resume_done ~g:2
+      { Gpusim.Faults.null_spec with scheduled_losses = [ (1, 0.0) ] }
+  in
+  checki "devices lost" 1 f.Mekong.Multi_gpu.fr_devices_lost
+
+(* Losing device 1 leaves output no replica holds, and there is no
+   checkpoint yet, so the replay rewinds to the handoff; device 2 dies
+   during that re-install, which then runs again on device 0 alone. *)
+let test_replay_reinstall_faults () =
+  let f =
+    resume_done ~g:3
+      {
+        Gpusim.Faults.null_spec with
+        scheduled_losses = [ (1, 1.8e-4); (2, 2e-4) ];
+      }
+  in
+  checki "one replay to the handoff" 1 f.Mekong.Multi_gpu.fr_replays;
+  checki "both devices lost" 2 f.Mekong.Multi_gpu.fr_devices_lost
+
+(* A preemption gather retries under the statement policy: 100 us
+   doubling to a 10 ms cap.  With this seed no statement before the
+   preemption faults, so all nine retries fall in the gather and the
+   backoff is that of nine consecutive retries of one action. *)
+let test_preempt_gather_backoff () =
+  let prog, out, cpu = Apps.Workloads.functional_hotspot ~n:32 ~iterations:3 in
+  let exe = compile_exn prog in
+  let m =
+    faulty_machine 4
+      { Gpusim.Faults.null_spec with seed = 51; transfer_fault_rate = 0.2 }
+  in
+  match Mekong.Multi_gpu.run_bounded ~abort_at:2e-4 ~machine:m exe with
+  | Mekong.Multi_gpu.Done _ -> Alcotest.fail "not preempted"
+  | Mekong.Multi_gpu.Preempted (r, h) ->
+    checki "gather retries" 9 r.Mekong.Multi_gpu.faults.Mekong.Multi_gpu.fr_retries;
+    let expected =
+      List.fold_left
+        (fun acc k -> acc +. Float.min 10e-3 (100e-6 *. (2.0 ** float_of_int k)))
+        0.0
+        (List.init 9 Fun.id)
+    in
+    Alcotest.check (Alcotest.float 1e-12) "backoff seconds" expected
+      (Gpusim.Timeline.busy_in (Gpusim.Machine.host_timeline m) "backoff");
+    let m' = Gpusim.Machine.create ~functional:true (fleet 2) in
+    (match Mekong.Multi_gpu.run_bounded ~resume:h ~machine:m' exe with
+     | Mekong.Multi_gpu.Done _ -> ()
+     | Mekong.Multi_gpu.Preempted _ -> Alcotest.fail "resume preempted");
+    checkb "resumed output = CPU reference" true (out = cpu ())
+
 (* ---------------- Scheduler: happy path ---------------- *)
 
 let test_mix_all_complete_bit_identical () =
@@ -276,7 +361,7 @@ let test_edf_short_deadline_not_starved () =
 
 let test_poison_quarantined () =
   let built = Serve.Mix.generate ~seed:5 ~jobs:6 ~poison:2 () in
-  let cfg = Serve.Scheduler.config ~max_strikes:3 (fleet 2) in
+  let cfg = Serve.Scheduler.config (fleet 2) in
   let r =
     Serve.Scheduler.run cfg (List.map (fun b -> b.Serve.Mix.b_spec) built)
   in
@@ -443,6 +528,14 @@ let () =
             test_preempt_resume_bit_identical;
           Alcotest.test_case "run_bounded without abort never preempts" `Quick
             test_run_without_abort_never_preempts;
+          Alcotest.test_case "resume heals transient transfer faults" `Quick
+            test_resume_transient_faults;
+          Alcotest.test_case "resume heals a leased device's loss" `Quick
+            test_resume_device_lost;
+          Alcotest.test_case "replay to the handoff heals a re-install fault"
+            `Quick test_replay_reinstall_faults;
+          Alcotest.test_case "preemption gather uses the statement backoff"
+            `Quick test_preempt_gather_backoff;
         ] );
       ( "scheduler",
         [
