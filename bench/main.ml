@@ -1073,26 +1073,19 @@ let calibrate_ops m ~blocks ~target =
   1.0e6 *. target /. d1
 
 (* Does any kernel run concurrently with any transfer anywhere on the
-   machine?  Uses the per-engine operation logs (enable_trace). *)
+   machine?  Uses the machine's event trace (enable_trace). *)
 let kernel_transfer_concurrency m =
-  let g = Gpusim.Machine.n_devices m in
-  let ops tl = Gpusim.Timeline.log tl in
-  let kernels = ref [] and copies = ref [] in
-  for d = 0 to g - 1 do
-    let compute, cin, cout = Gpusim.Machine.device_timelines m d in
-    kernels := ops compute @ !kernels;
-    copies := ops cin @ ops cout @ !copies
-  done;
+  let events = Gpusim.Machine.trace m in
+  let of_kind p = List.filter (fun e -> p e.Gpusim.Machine.ev_kind) events in
+  let copies = of_kind (function `H2d | `D2h | `P2p -> true | _ -> false) in
   List.exists
-    (fun (k : Gpusim.Timeline.op) ->
-       k.Gpusim.Timeline.op_category = "kernel"
-       && List.exists
-            (fun (t : Gpusim.Timeline.op) ->
-               t.Gpusim.Timeline.op_category = "transfer"
-               && k.Gpusim.Timeline.op_start < t.Gpusim.Timeline.op_finish
-               && t.Gpusim.Timeline.op_start < k.Gpusim.Timeline.op_finish)
-            !copies)
-    !kernels
+    (fun (k : Gpusim.Machine.event) ->
+       List.exists
+         (fun (t : Gpusim.Machine.event) ->
+            k.Gpusim.Machine.ev_start < t.Gpusim.Machine.ev_finish
+            && t.Gpusim.Machine.ev_start < k.Gpusim.Machine.ev_finish)
+         copies)
+    (of_kind (( = ) `Kernel))
 
 let aggregate_util m ~engine =
   let g = Gpusim.Machine.n_devices m in

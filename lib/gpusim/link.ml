@@ -1,6 +1,7 @@
 (* One contention lane of the fabric (the flat bus, an island link or
-   an island uplink).  The timeline carries the busy accounting and the
-   trace lane; the reservation window is the admission index.
+   an island uplink).  The timeline carries the busy accounting; the
+   reservation window is the admission index.  The machine traces each
+   admitted leg itself.
 
    Links arbitrate by TIME, not by issue order: a transfer whose
    dependencies resolve early may start before a later-starting

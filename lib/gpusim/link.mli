@@ -1,8 +1,7 @@
-(** One contention lane of the fabric: a timeline for busy accounting
-    and the trace, plus a time-ordered reservation index that admits
-    transfers by time with backfill (a transfer may start before a
-    later-starting reservation issued earlier, if it fits in the
-    gap). *)
+(** One contention lane of the fabric: a timeline for busy accounting,
+    plus a time-ordered reservation index that admits transfers by
+    time with backfill (a transfer may start before a later-starting
+    reservation issued earlier, if it fits in the gap). *)
 
 type t
 

@@ -56,12 +56,19 @@ type stats = {
   transfer_seconds : float;
 }
 
-(* One entry of the optional execution trace. *)
+(* One entry of the optional execution trace: the simulator's only
+   per-operation record.  [`Host] carries the host op's busy category,
+   [`Fabric] the lane (index into [link_timelines]) of one fabric leg
+   of a transfer. *)
 type event = {
-  ev_kind : [ `Kernel | `H2d | `D2h | `P2p | `Fault | `Mem ];
+  ev_kind :
+    [ `Kernel | `H2d | `D2h | `P2p | `Fault | `Mem | `Host of string
+    | `Fabric of int ];
   ev_src : int; (* device id, or -1 for host *)
   ev_dst : int;
-  ev_bytes : int; (* 0 for kernels; bytes in use for `Mem *)
+  ev_bytes : int;
+      (* 0 for kernels and host ops; bytes in use for `Mem; the bytes a
+         leg carried for `Fabric *)
   ev_start : float;
   ev_finish : float;
 }
@@ -98,6 +105,7 @@ type topo = {
    transfer, so issuing one builds no list. *)
 type route = {
   legs : Link.t array; (* contention legs, in route order *)
+  leg_lane : int array; (* each leg's index in [link_timelines] *)
   leg_scale : int array; (* fabric bytes per payload byte on each leg *)
   leg_bandwidth : float array;
   occupancy : float array; (* per-transfer scratch: each leg's busy seconds *)
@@ -171,8 +179,8 @@ let issue_overhead = 1.5e-6 (* host-side cost of issuing one async op *)
 
 (* The placeholder of a pair no transfer has used yet. *)
 let unplanned =
-  { legs = [||]; leg_scale = [||]; leg_bandwidth = [||]; occupancy = [||];
-    bandwidth = 0.0; engines = [||]; waits = [||] }
+  { legs = [||]; leg_lane = [||]; leg_scale = [||]; leg_bandwidth = [||];
+    occupancy = [||]; bandwidth = 0.0; engines = [||]; waits = [||] }
 
 (* Plan the route of transfers between two endpoints (-1 = host): the
    contention legs they occupy, with the bytes each leg carries per
@@ -195,28 +203,37 @@ let unplanned =
 let plan_route m ~src ~dst =
   let cfg = m.cfg and devices = m.devices in
   let pcie = cfg.Config.pcie_bandwidth and p2p = cfg.Config.p2p_bandwidth in
-  let legs, leg_scale, leg_bandwidth, bandwidth =
-    if src < 0 && dst < 0 then ([||], [||], [||], pcie) (* never issued *)
-    else if src = dst then ([||], [||], [||], cfg.Config.dmem_bandwidth)
+  let legs, leg_lane, leg_scale, leg_bandwidth, bandwidth =
+    if src < 0 && dst < 0 then ([||], [||], [||], [||], pcie) (* never issued *)
+    else if src = dst then ([||], [||], [||], [||], cfg.Config.dmem_bandwidth)
     else
       match m.topo with
       | None ->
         let peer = src >= 0 && dst >= 0 in
         ( [| m.fabric |],
+          [| 0 |],
           [| (if peer then 2 else 1) |],
           [| cfg.Config.fabric_bandwidth |],
           if peer then p2p else pcie )
       | Some topo ->
+        (* Island i's link is lane 2i and its uplink lane 2i + 1. *)
         let island d = d / topo.t_isl_size in
+        let uplink d = topo.t_uplink.(island d) in
+        let up_lane d = (2 * island d) + 1 in
         let link_bw = topo.t_link_bw and uplink_bw = topo.t_uplink_bw in
         if src < 0 then
-          ([| topo.t_uplink.(island dst) |], [| 1 |], [| uplink_bw |], pcie)
+          ([| uplink dst |], [| up_lane dst |], [| 1 |], [| uplink_bw |], pcie)
         else if dst < 0 then
-          ([| topo.t_uplink.(island src) |], [| 1 |], [| uplink_bw |], pcie)
+          ([| uplink src |], [| up_lane src |], [| 1 |], [| uplink_bw |], pcie)
         else if island src = island dst then
-          ([| topo.t_island.(island src) |], [| 1 |], [| link_bw |], link_bw)
+          ( [| topo.t_island.(island src) |],
+            [| 2 * island src |],
+            [| 1 |],
+            [| link_bw |],
+            link_bw )
         else
-          ( [| topo.t_uplink.(island src); topo.t_uplink.(island dst) |],
+          ( [| uplink src; uplink dst |],
+            [| up_lane src; up_lane dst |],
             [| 1; 1 |],
             [| uplink_bw; uplink_bw |],
             p2p )
@@ -234,6 +251,7 @@ let plan_route m ~src ~dst =
   in
   {
     legs;
+    leg_lane;
     leg_scale;
     leg_bandwidth;
     occupancy = Array.make (Array.length legs) 0.0;
@@ -308,36 +326,32 @@ let create ?(functional = false) cfg =
     phase = "";
   }
 
-(* Enable event tracing.  Events land in a bounded ring buffer (the
-   newest [capacity] survive; drops are counted and reported), so
-   tracing is safe even on paper-scale sweeps.  Per-engine operation
-   logging is switched on alongside, with the same capacity per
-   engine, for the Chrome-trace lanes. *)
+(* Enable event tracing.  Every traced op of every engine lands in one
+   bounded ring buffer (the newest [capacity] survive; drops are
+   counted and reported), so tracing is safe even on paper-scale
+   sweeps, and on overflow every lane covers the same newest window. *)
 let default_trace_capacity = 65536
 
 let enable_trace ?(capacity = default_trace_capacity) m =
-  m.trace <- Some (Obs.Ring.create ~capacity);
-  Timeline.enable_log ~capacity m.host;
-  let log l = Timeline.enable_log ~capacity (Link.timeline l) in
-  log m.fabric;
-  (match m.topo with
-   | None -> ()
-   | Some topo ->
-     Array.iter log topo.t_island;
-     Array.iter log topo.t_uplink);
-  Array.iter
-    (fun d ->
-       Timeline.enable_log ~capacity d.compute;
-       Timeline.enable_log ~capacity d.copy_in;
-       Timeline.enable_log ~capacity d.copy_out)
-    m.devices
+  m.trace <- Some (Obs.Ring.create ~capacity)
 
 let trace m = match m.trace with None -> [] | Some r -> Obs.Ring.to_list r
-let trace_enabled m = m.trace <> None
 let trace_dropped m = match m.trace with None -> 0 | Some r -> Obs.Ring.dropped r
 
 let record m ev =
   match m.trace with None -> () | Some r -> Obs.Ring.push r ev
+
+(* Trace the host's last scheduled op under its busy category.  The
+   event is built only when tracing is on, so an untraced run
+   allocates nothing here. *)
+let record_host m category =
+  match m.trace with
+  | None -> ()
+  | Some r ->
+    let c = Timeline.clock m.host in
+    Obs.Ring.push r
+      { ev_kind = `Host category; ev_src = -1; ev_dst = -1; ev_bytes = 0;
+        ev_start = c.(1); ev_finish = c.(2) }
 
 (* --- Causal recording --------------------------------------------------- *)
 
@@ -349,8 +363,6 @@ let causal_dag m = Option.map Obs.Causal.dag m.causal
 
 let causal_dropped m =
   match m.causal with None -> 0 | Some b -> Obs.Causal.builder_dropped b
-
-let set_phase m phase = m.phase <- phase
 
 let with_phase m phase f =
   let saved = m.phase in
@@ -590,6 +602,7 @@ let synchronize m =
         [] m.devices
   in
   Timeline.schedule m.host ~after:(elapsed m) ~duration:serial ~category:"sync";
+  record_host m "sync";
   match m.causal with
   | None -> ()
   | Some _ ->
@@ -603,6 +616,7 @@ let synchronize m =
    host timeline. *)
 let host_work m ~seconds ~category =
   Timeline.schedule m.host ~after:0.0 ~duration:seconds ~category;
+  record_host m category;
   (match m.causal with
    | None -> ()
    | Some _ ->
@@ -660,6 +674,7 @@ let route m ~src ~dst =
 let transfer ?deps m ~kind r ~bytes =
   Timeline.schedule m.host ~after:0.0 ~duration:issue_overhead
     ~category:"issue";
+  record_host m "issue";
   let host = Timeline.clock m.host in
   let issue = host.(2) in
   let ready = ref issue in
@@ -680,6 +695,15 @@ let transfer ?deps m ~kind r ~bytes =
       float_of_int (r.leg_scale.(i) * bytes) /. r.leg_bandwidth.(i)
   done;
   let start = Link.admit ~now:issue ~start:!ready legs r.occupancy in
+  (match m.trace with
+   | None -> ()
+   | Some tr ->
+     for i = 0 to Array.length legs - 1 do
+       Obs.Ring.push tr
+         { ev_kind = `Fabric r.leg_lane.(i); ev_src = -1; ev_dst = -1;
+           ev_bytes = r.leg_scale.(i) * bytes; ev_start = start;
+           ev_finish = start +. r.occupancy.(i) }
+     done);
   (* Boxed once here rather than once per engine below. *)
   let dur =
     Sys.opaque_identity
@@ -863,6 +887,7 @@ let launch ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run =
   m.active_devices <- max m.active_devices (d + 1);
   Timeline.schedule m.host ~after:0.0 ~duration:m.cfg.Config.launch_latency
     ~category:"issue";
+  record_host m "issue";
   let host = Timeline.clock m.host in
   let after =
     Float.max host.(2) (Float.max (ready_of dev.copy_in) (ready_of dev.copy_out))
@@ -898,18 +923,21 @@ let launch ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run =
           ~deps ~wait:""));
   m.n_launches <- m.n_launches + 1;
   m.seconds.(kernel_s) <- m.seconds.(kernel_s) +. dur;
-  (* A transient fault consumes the launch's time but produces no
-     writes: raise before the functional element work runs. *)
-  if transient then begin
-    record_fault m ~src:d ~dst:d;
-    raise (Transient_fault { op = "kernel"; device = d })
-  end;
+  (* Traced before a fault is raised, like a faulted copy: the launch
+     occupied its compute engine either way, so its lane matches the
+     engine's busy time. *)
   (match m.trace with
    | None -> ()
    | Some r ->
      Obs.Ring.push r
        { ev_kind = `Kernel; ev_src = d; ev_dst = d; ev_bytes = 0;
          ev_start = c.(1); ev_finish = c.(2) });
+  (* A transient fault consumes the launch's time but produces no
+     writes: raise before the functional element work runs. *)
+  if transient then begin
+    record_fault m ~src:d ~dst:d;
+    raise (Transient_fault { op = "kernel"; device = d })
+  end;
   if m.functional then run ()
 
 let launch_async ?deps m ~device ~blocks ~ops_per_block ~run : evt =
@@ -938,22 +966,6 @@ let link_timelines m =
 let device_timelines m d =
   let dev = device m d in
   (dev.compute, dev.copy_in, dev.copy_out)
-
-(* Total per-engine log entries evicted from the bounded rings — a
-   truncated log silently drops lanes from the Chrome trace and edges
-   from the causal DAG, so the drop count is surfaced as a metric and
-   a loud report warning. *)
-let timeline_dropped m =
-  let sum =
-    Array.fold_left
-      (fun acc d ->
-         acc + Timeline.log_dropped d.compute + Timeline.log_dropped d.copy_in
-         + Timeline.log_dropped d.copy_out)
-      (Timeline.log_dropped m.host) m.devices
-  in
-  List.fold_left
-    (fun acc (_, tl) -> acc + Timeline.log_dropped tl)
-    sum (link_timelines m)
 
 let pp_stats fmt (s : stats) =
   Format.fprintf fmt
@@ -985,8 +997,9 @@ let publish_metrics ?(into = Obs.Metrics.default) m =
   seti "gpusim.devices" (n_devices m);
   seti "gpusim.devices_live" (List.length (live_devices m));
   seti "gpusim.trace_dropped" (trace_dropped m);
+  (* A truncated trace silently drops ops from every lane of the Chrome
+     trace, so the drop count also feeds the report's loud warning. *)
   seti "obs.dropped.trace" (trace_dropped m);
-  seti "obs.dropped.timeline" (timeline_dropped m);
   seti "obs.dropped.causal" (causal_dropped m);
   seti "gpusim.mem.spills" s.n_spills;
   seti "gpusim.mem.spill_bytes" s.spill_bytes;

@@ -12,12 +12,20 @@
 
 type t
 
-(** One entry of the optional execution trace. *)
+(** One entry of the optional execution trace, the simulator's only
+    per-operation record.  [`Host category] is one op on the host
+    timeline (an issue, a sync, or charged host work);
+    [`Fabric lane] is one fabric leg of a transfer, [lane] indexing
+    {!link_timelines}. *)
 type event = {
-  ev_kind : [ `Kernel | `H2d | `D2h | `P2p | `Fault | `Mem ];
-  ev_src : int;  (** device id, or -1 for the host *)
+  ev_kind :
+    [ `Kernel | `H2d | `D2h | `P2p | `Fault | `Mem | `Host of string
+    | `Fabric of int ];
+  ev_src : int;  (** device id, or -1 for the host (and host/fabric ops) *)
   ev_dst : int;
-  ev_bytes : int;  (** 0 for kernels; bytes in use for [`Mem] *)
+  ev_bytes : int;
+      (** 0 for kernels and host ops; bytes in use for [`Mem]; the
+          bytes the leg carried for [`Fabric] *)
   ev_start : float;
   ev_finish : float;
 }
@@ -213,21 +221,21 @@ val launch_async : ?deps:evt list ->
 (** [launch] returning the kernel's completion event. *)
 
 val enable_trace : ?capacity:int -> t -> unit
-(** Record kernel, transfer and fault events in a bounded ring buffer
-    (default capacity 65536; the newest events survive and drops are
-    counted), and enable per-engine operation logs with the same
-    capacity — safe even on paper-scale sweeps. *)
+(** Record, in one bounded ring buffer, every op the machine
+    schedules: host issues, syncs and host work, fabric legs, kernels
+    (faulted ones too) and transfers, plus fault and memory-pressure
+    instants.  The default capacity is 65536.  The newest events
+    survive and drops are counted, so every lane of the trace covers
+    the same window and tracing is safe even on paper-scale sweeps. *)
 
 val trace : t -> event list
-(** The recorded events in chronological order ([] when disabled). *)
-
-val trace_enabled : t -> bool
+(** The recorded events in the order they were recorded ([] when
+    disabled).  That is per-engine schedule order, not a global time
+    order: the host issues ahead of the devices, and a fabric leg may
+    backfill before an earlier-admitted one. *)
 
 val trace_dropped : t -> int
 (** Events evicted from the bounded trace since it was enabled. *)
-
-val timeline_dropped : t -> int
-(** Total per-engine log entries evicted from the bounded rings. *)
 
 val enable_causal : ?capacity:int -> t -> unit
 (** Record every scheduled operation as a node of a causal DAG, with
@@ -246,12 +254,9 @@ val causal_dag : t -> Obs.Causal.dag option
 
 val causal_dropped : t -> int
 
-val set_phase : t -> string -> unit
-(** Label subsequently recorded causal nodes with an engine phase
-    (barrier, sync_reads, halo_exchange, ...); [""] clears it. *)
-
 val with_phase : t -> string -> (unit -> 'a) -> 'a
-(** Run [f] with the phase label set, restoring the previous label
+(** Run [f] with causal nodes labelled with an engine phase (barrier,
+    sync_reads, halo_exchange, ...), restoring the previous label
     (exception-safe).  The ["spill"] phase also switches a d2h's
     attribution category to spill. *)
 

@@ -12,11 +12,9 @@
    nothing; a caller that needs the operation's start or finish reads
    the clock cell.
 
-   With logging enabled the timeline additionally keeps its individual
-   operations in a bounded ring buffer — that log is what the Chrome
-   trace exporter renders as this engine's lane. *)
-
-type op = { op_start : float; op_finish : float; op_category : string }
+   A timeline keeps no per-operation record: the machine pushes each
+   traced op onto its one event ring, which the Chrome trace renders
+   lane by lane. *)
 
 type t = {
   name : string;
@@ -34,13 +32,11 @@ type t = {
          charges runs of one category, and the host alternates between
          a few, so a charge checks this slot, then scans [names], and
          hashes only a category it has never seen *)
-  mutable ops : op Obs.Ring.t option; (* per-op log when enabled *)
 }
 
 let create name =
   { name; clock = Array.make 3 0.0; busy = Array.make 4 0.0;
-    names = Array.make 4 ""; slots = Hashtbl.create 8; last_slot = -1;
-    ops = None }
+    names = Array.make 4 ""; slots = Hashtbl.create 8; last_slot = -1 }
 
 let name t = t.name
 let clock t = t.clock
@@ -51,8 +47,7 @@ let reset t =
   Array.fill t.busy 0 (Array.length t.busy) 0.0;
   Array.fill t.names 0 (Array.length t.names) "";
   Hashtbl.reset t.slots;
-  t.last_slot <- -1;
-  match t.ops with None -> () | Some r -> Obs.Ring.clear r
+  t.last_slot <- -1
 
 let[@inline] is_slot t s category =
   let name = t.names.(s) in
@@ -84,14 +79,6 @@ let charge t category duration =
   t.last_slot <- s;
   t.busy.(s) <- t.busy.(s) +. duration
 
-let log_op t category =
-  match t.ops with
-  | None -> ()
-  | Some r ->
-    Obs.Ring.push r
-      { op_start = t.clock.(1); op_finish = t.clock.(2);
-        op_category = category }
-
 (* Schedule an operation of the given duration that cannot start before
    [after]. *)
 let schedule t ~after ~duration ~category =
@@ -101,8 +88,7 @@ let schedule t ~after ~duration ~category =
   t.clock.(0) <- finish;
   t.clock.(1) <- start;
   t.clock.(2) <- finish;
-  charge t category duration;
-  log_op t category
+  charge t category duration
 
 (* Record an operation at exactly [start], without clamping against
    the engine's ready time: for contention lanes whose admission is
@@ -116,8 +102,7 @@ let schedule_at t ~start ~duration ~category =
   if finish > t.clock.(0) then t.clock.(0) <- finish;
   t.clock.(1) <- start;
   t.clock.(2) <- finish;
-  charge t category duration;
-  log_op t category
+  charge t category duration
 
 (* Force the engine to be idle until at least [time] (a synchronization
    barrier). *)
@@ -148,16 +133,6 @@ let idle_in t ~span =
    zero-length or NaN window (the division would yield NaN/inf). *)
 let utilization t ~span =
   if not (span > 0.0) then 0.0 else Float.min 1.0 (total_busy t /. span)
-
-(* --- Per-operation log ------------------------------------------------- *)
-
-let enable_log ?(capacity = 65536) t =
-  match t.ops with
-  | Some r when Obs.Ring.capacity r = capacity -> ()
-  | _ -> t.ops <- Some (Obs.Ring.create ~capacity)
-
-let log t = match t.ops with None -> [] | Some r -> Obs.Ring.to_list r
-let log_dropped t = match t.ops with None -> 0 | Some r -> Obs.Ring.dropped r
 
 let pp fmt t =
   Format.fprintf fmt "%s: ready=%.6fs busy=%.6fs" t.name (ready t) (total_busy t)

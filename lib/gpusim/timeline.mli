@@ -1,11 +1,9 @@
 (** One in-order execution engine (a device stream, a copy engine, the
     host thread, or the shared fabric) in the discrete-event
-    simulation. *)
+    simulation.  It keeps clocks and busy time only; the per-operation
+    record is [Machine.trace]. *)
 
 type t
-
-(** One logged operation (only kept when logging is enabled). *)
-type op = { op_start : float; op_finish : float; op_category : string }
 
 val create : string -> t
 val name : t -> string
@@ -33,8 +31,7 @@ val schedule_at : t -> start:float -> duration:float -> category:string -> unit
     [ready] (the engine's ready still advances to at least the
     operation's finish).  For contention lanes whose admission is
     computed externally with backfill, where a later-recorded
-    operation may start before an earlier reservation ends; the
-    per-op log is then ordered by admission, not by start. *)
+    operation may start before an earlier reservation ends. *)
 
 val wait_until : t -> float -> unit
 (** Force the engine idle until at least the given time (a
@@ -54,14 +51,5 @@ val idle_in : t -> span:float -> float
 
 val utilization : t -> span:float -> float
 (** Busy fraction of a span, clamped to [0, 1]; 0 for empty spans. *)
-
-val enable_log : ?capacity:int -> t -> unit
-(** Keep each scheduled operation in a bounded ring buffer (oldest
-    dropped).  Idempotent for an unchanged capacity. *)
-
-val log : t -> op list
-(** Logged operations in schedule order ([] when logging is off). *)
-
-val log_dropped : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -8,15 +8,15 @@
                             lanes on an islands topology)
      pid 2 + d    "dev d"   tid 0 compute   tid 1 copy_in   tid 2 copy_out
 
-   Device lanes are built from the machine's event trace (which knows
-   the endpoints and byte counts); the host and fabric lanes come from
-   their per-operation timeline logs; host-side spans that carried a
-   simulated-time sampler are rendered on the spans lane.  Everything
+   Every engine lane is built from the machine's one event trace:
+   device ops carry their endpoints and byte counts, host ops their
+   busy category, fabric legs their lane.  Host-side spans that carried
+   a simulated-time sampler are rendered on the spans lane.  Everything
    is on the *simulated* clock (microseconds) — wall-clock-only spans
    (toolchain phases) belong to the profile report, not the trace.
 
    Requires [Machine.enable_trace] before the run; with tracing off
-   the export degrades to metadata plus host/fabric lanes only. *)
+   the export degrades to metadata, spans and the critical path. *)
 
 let host_pid = 0
 let fabric_pid = 1
@@ -114,6 +114,19 @@ let event_lanes (e : Machine.event) =
             ];
         };
     ]
+  | `Host category ->
+    [
+      Complete
+        { name = category; cat = "host"; pid = host_pid;
+          tid = host_tid_timeline; ts; dur; args = [] };
+    ]
+  | `Fabric lane ->
+    (* Named like the links' busy category. *)
+    [
+      Complete
+        { name = "bus"; cat = "fabric"; pid = fabric_pid; tid = lane; ts; dur;
+          args = [] };
+    ]
   | `Mem ->
     (* Memory-pressure marker on the device's compute lane: emitted on
        90%-of-capacity crossings and on out-of-memory, carrying the
@@ -129,21 +142,6 @@ let event_lanes (e : Machine.event) =
           args = [ ("used_bytes", Obs.Json.Int e.Machine.ev_bytes) ];
         };
     ]
-
-let timeline_lane ~pid ~tid ~cat tl =
-  List.map
-    (fun (op : Timeline.op) ->
-       Obs.Chrome_trace.Complete
-         {
-           name = op.Timeline.op_category;
-           cat;
-           pid;
-           tid;
-           ts = us op.Timeline.op_start;
-           dur = us (op.Timeline.op_finish -. op.Timeline.op_start);
-           args = [];
-         })
-    (Timeline.log tl)
 
 let span_events spans =
   List.filter_map
@@ -242,12 +240,6 @@ let lane_order a b =
 let events ?(spans = []) ?critpath m =
   let timing =
     List.concat_map event_lanes (Machine.trace m)
-    @ timeline_lane ~pid:host_pid ~tid:host_tid_timeline ~cat:"host"
-        (Machine.host_timeline m)
-    @ List.concat
-        (List.mapi
-           (fun tid (_, tl) -> timeline_lane ~pid:fabric_pid ~tid ~cat:"fabric" tl)
-           (Machine.link_timelines m))
     @ span_events spans
     @ (match critpath with None -> [] | Some an -> critpath_events an)
   in

@@ -3,8 +3,9 @@
     plus a lane for host-side spans that carry simulated time and —
     when a causal analysis is supplied — a "critical path" lane whose
     segments tile the makespan, chained by flow arrows.  All
-    timestamps are simulated microseconds.  Enable
-    {!Machine.enable_trace} before the run for the device lanes. *)
+    timestamps are simulated microseconds.  Every engine lane is
+    rendered from {!Machine.trace}; enable {!Machine.enable_trace}
+    before the run. *)
 
 val device_pid : int -> int
 (** Process id a device's lanes appear under (host is 0, fabric 1). *)

@@ -132,23 +132,10 @@ let max_halo_depth = 16
 
 (* --- Range-set arithmetic (sorted, disjoint, half-open) ------------- *)
 
-let normalize ranges =
-  let ranges = List.filter (fun (s, e) -> e > s) ranges in
-  match List.sort compare ranges with
-  | [] -> []
-  | (s0, e0) :: rest ->
-    let closed, last =
-      List.fold_left
-        (fun (acc, (cs, ce)) (s, e) ->
-           if s > ce then ((cs, ce) :: acc, (s, e)) else (acc, (cs, max ce e)))
-        ([], (s0, e0))
-        rest
-    in
-    List.rev (last :: closed)
-
 let total_len ranges = List.fold_left (fun a (s, e) -> a + e - s) 0 ranges
 
-(* [diff a b]: elements of [a] not in [b]; both normalized. *)
+(* [diff a b]: elements of [a] not in [b]; both canonical
+   ([Enumerate.canonicalize]). *)
 let diff a b =
   let rec go acc a b =
     match (a, b) with
@@ -391,7 +378,9 @@ let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
          | None -> ())
       arg_arrays;
     List.sort compare
-      (Hashtbl.fold (fun b rs acc -> (b, normalize rs) :: acc) tbl [])
+      (Hashtbl.fold
+         (fun b rs acc -> (b, Ppoly.Enumerate.canonicalize rs) :: acc)
+         tbl [])
   in
   let score_candidate (shape, parts) =
     let parts = List.filter (fun p -> not (Partition.is_empty p)) parts in

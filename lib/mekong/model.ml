@@ -10,20 +10,18 @@
 
 open Ppoly
 
-type array_model = {
+(* The per-array record is the analysis's own (see Access for the
+   fields); the model stores it as is. *)
+type array_model = Access.array_access = {
   arr : string;
   dims : Kir.dim array;
   read : Pmap.t option;
   write : Pmap.t option;
   atomic : Pmap.t option;
-      (* atomic read-modify-write accesses, when exactly modeled *)
   atomic_ops : Kir.atomic_op list;
-      (* distinct atomic operators applied to this array *)
   atomic_exact : bool;
-      (* false when atomic accesses were unanalyzable *)
   read_exact : bool;
   write_instrumented : bool;
-      (* writes collected at run time by the instrumentation fallback *)
 }
 
 type kernel_model = {
@@ -49,21 +47,7 @@ let of_analysis (a : Access.t) : kernel_model =
     kname = a.Access.kernel.Kir.name;
     strategy = a.Access.strategy;
     params = a.Access.params;
-    arrays =
-      List.map
-        (fun (acc : Access.array_access) ->
-           {
-             arr = acc.Access.arr;
-             dims = acc.Access.dims;
-             read = acc.Access.read;
-             write = acc.Access.write;
-             atomic = acc.Access.atomic;
-             atomic_ops = acc.Access.atomic_ops;
-             atomic_exact = acc.Access.atomic_exact;
-             read_exact = acc.Access.read_exact;
-             write_instrumented = acc.Access.write_instrumented;
-           })
-        a.Access.accesses;
+    arrays = a.Access.accesses;
   }
 
 let of_analyses l = { kernels = List.map of_analysis l }

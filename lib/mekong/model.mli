@@ -5,21 +5,18 @@
 
 open Ppoly
 
-type array_model = {
+(** The analysis's per-array record, stored as is; the fields are
+    documented at {!Access.array_access}. *)
+type array_model = Access.array_access = {
   arr : string;
   dims : Kir.dim array;
   read : Pmap.t option;
   write : Pmap.t option;
   atomic : Pmap.t option;
-      (** atomic read-modify-write accesses, when exactly modeled *)
   atomic_ops : Kir.atomic_op list;
-      (** distinct atomic operators applied to this array; [[]] = none *)
   atomic_exact : bool;
-      (** [false] when atomic accesses were unanalyzable *)
   read_exact : bool;
   write_instrumented : bool;
-      (** writes collected at run time by the instrumentation fallback
-          (paper §11) *)
 }
 
 type kernel_model = {

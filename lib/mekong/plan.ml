@@ -69,16 +69,8 @@ type env = {
 
 (* Total length covered by a union of half-open ranges. *)
 let union_len ranges =
-  match List.sort compare ranges with
-  | [] -> 0
-  | (s0, e0) :: rest ->
-    let closed, (cs, ce) =
-      List.fold_left
-        (fun (acc, (cs, ce)) (s, e) ->
-           if s > ce then (acc + (ce - cs), (s, e)) else (acc, (cs, max ce e)))
-        (0, (s0, e0)) rest
-    in
-    closed + (ce - cs)
+  List.fold_left (fun acc (s, e) -> acc + e - s) 0
+    (Ppoly.Enumerate.canonicalize ranges)
 
 (* Per-buffer device footprint of one partition plan, in bytes: the
    union of its clamped read and write ranges.  This is exactly what

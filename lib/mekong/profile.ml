@@ -77,5 +77,4 @@ let collect ?result ?(spans = true) (m : Gpusim.Machine.t) : Obs.Report.t =
     rp_counters = counters;
     rp_spans =
       (if spans then Obs.Span.summarize (Obs.Span.records ()) else []);
-    rp_trace_dropped = Gpusim.Machine.trace_dropped m;
   }

@@ -24,7 +24,6 @@ type t = {
   rp_counters : (string * float) list;
       (* flattened metric read-out: cache, executor, fault counters *)
   rp_spans : Span.summary list;
-  rp_trace_dropped : int; (* events evicted from the bounded trace *)
 }
 
 let endpoint_name d = if d < 0 then "host" else Printf.sprintf "dev%d" d
@@ -102,8 +101,6 @@ let pp fmt t =
             s.su_count s.su_wall s.su_sim)
        spans;
      p "%s@." (line 74));
-  if t.rp_trace_dropped > 0 then
-    p "@.trace ring overflowed: %d event(s) dropped@." t.rp_trace_dropped;
   (* Any dropped observability event means the tables above undercount:
      say so loudly rather than let a silently-truncated profile pass
      for a complete one. *)
@@ -189,5 +186,4 @@ let to_json t =
                     ("sim_seconds", Json.Float s.su_sim);
                   ])
              t.rp_spans) );
-      ("trace_dropped", Json.Int t.rp_trace_dropped);
     ]

@@ -22,7 +22,6 @@ type t = {
       (** bytes per (src, dst) device pair; -1 is the host *)
   rp_counters : (string * float) list;
   rp_spans : Span.summary list;
-  rp_trace_dropped : int;
 }
 
 val matrix_totals : t -> int * int * int

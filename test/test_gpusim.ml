@@ -262,8 +262,28 @@ let test_trace () =
   Machine.p2p m ~src:b0 ~src_off:0 ~dst:b1 ~dst_off:0 ~len:50;
   Machine.launch m ~device:1 ~blocks:1 ~ops_per_block:1e3 ~run:(fun () -> ());
   let tr = Machine.trace m in
-  checki "three events" 3 (List.length tr);
-  (match tr with
+  (* Every op lands in the one ring, in schedule order: each copy's
+     host issue and fabric leg, then the copy itself; the launch's host
+     issue, then the kernel. *)
+  checkb "full event sequence" true
+    (List.map (fun e -> e.Machine.ev_kind) tr
+     = [ `Host "issue"; `Fabric 0; `H2d; `Host "issue"; `Fabric 0; `P2p;
+         `Host "issue"; `Kernel ]);
+  checkb "fabric legs carry the wire bytes" true
+    (List.filter_map
+       (fun e ->
+          match e.Machine.ev_kind with
+          | `Fabric _ -> Some e.Machine.ev_bytes
+          | _ -> None)
+       tr
+     = [ 400; 2 * 200 ]);
+  let devices =
+    List.filter
+      (fun e ->
+         match e.Machine.ev_kind with `Host _ | `Fabric _ -> false | _ -> true)
+      tr
+  in
+  (match devices with
    | [ e1; e2; e3 ] ->
      checkb "h2d first" true (e1.Machine.ev_kind = `H2d);
      checki "h2d bytes" 400 e1.Machine.ev_bytes;

@@ -321,22 +321,79 @@ let test_trace_ring_bounded () =
     | Ok a -> a
     | Error e -> failwith (Mekong.Toolchain.error_message e)
   in
-  let m =
-    Gpusim.Machine.create ~functional:false
-      (Gpusim.Config.k80_box ~n_devices:2 ())
+  let traced capacity =
+    let m =
+      Gpusim.Machine.create ~functional:false
+        (Gpusim.Config.k80_box ~n_devices:2 ())
+    in
+    Gpusim.Machine.enable_trace ?capacity m;
+    ignore (Mekong.Multi_gpu.run ~machine:m a.Mekong.Toolchain.exe);
+    m
   in
-  Gpusim.Machine.enable_trace ~capacity:4 m;
-  ignore (Mekong.Multi_gpu.run ~machine:m a.Mekong.Toolchain.exe);
+  let full = traced None and m = traced (Some 4) in
+  checki "unbounded run drops nothing" 0 (Gpusim.Machine.trace_dropped full);
+  let all = Gpusim.Machine.trace full in
   let tr = Gpusim.Machine.trace m in
   checki "trace bounded" 4 (List.length tr);
-  checkb "drops counted" true (Gpusim.Machine.trace_dropped m > 0);
-  (* the surviving suffix is still chronological *)
-  let rec mono = function
-    | (a : Gpusim.Machine.event) :: (b :: _ as rest) ->
-      a.Gpusim.Machine.ev_start <= b.Gpusim.Machine.ev_start && mono rest
-    | _ -> true
+  checki "drops counted" (List.length all - 4) (Gpusim.Machine.trace_dropped m);
+  (* The ring keeps exactly the newest events of the same run. *)
+  checkb "newest four survive" true
+    (tr = List.filteri (fun i _ -> i >= List.length all - 4) all)
+
+(* Under kernel and transfer faults, each engine's trace lane holds
+   every op it ran: faulted kernels and copies consumed their time, so
+   they appear like any other.  A lane's durations then add up to its
+   engine's busy seconds. *)
+let test_trace_lanes_match_busy () =
+  let m =
+    Gpusim.Machine.create ~functional:false
+      (Gpusim.Config.k80_box ~n_devices:4 ())
   in
-  checkb "chronological" true (mono tr)
+  Gpusim.Machine.enable_trace m;
+  let faults =
+    Gpusim.Faults.create
+      { Gpusim.Faults.null_spec with seed = 7; kernel_fault_rate = 0.2;
+        transfer_fault_rate = 0.2 }
+  in
+  Gpusim.Machine.inject_faults m faults;
+  ignore
+    (Mekong.Multi_gpu.run ~machine:m
+       (compile_exe
+          (Apps.Workloads.program ~iterations:4 Apps.Workloads.Hotspot_b
+             Apps.Workloads.Small)));
+  let c = Gpusim.Faults.counters faults in
+  checkb "kernels faulted" true (c.Gpusim.Faults.kernel_faults > 0);
+  checkb "transfers faulted" true (c.Gpusim.Faults.transfer_faults > 0);
+  checki "nothing dropped" 0 (Gpusim.Machine.trace_dropped m);
+  let lane_us = Hashtbl.create 16 in
+  List.iter
+    (function
+      | Obs.Chrome_trace.Complete e ->
+        let k = (e.pid, e.tid) in
+        Hashtbl.replace lane_us k
+          (e.dur +. Option.value ~default:0.0 (Hashtbl.find_opt lane_us k))
+      | _ -> ())
+    (Gpusim.Trace_export.events m);
+  let check name (pid, tid) tl =
+    let traced =
+      Option.value ~default:0.0 (Hashtbl.find_opt lane_us (pid, tid)) *. 1e-6
+    in
+    let busy = Gpusim.Timeline.total_busy tl in
+    if Float.abs (traced -. busy) > 1e-9 *. busy then
+      Alcotest.failf "%s: lane sums to %.12g s, engine busy %.12g s" name
+        traced busy
+  in
+  check "host" (0, 0) (Gpusim.Machine.host_timeline m);
+  List.iteri
+    (fun tid (name, tl) -> check name (1, tid) tl)
+    (Gpusim.Machine.link_timelines m);
+  for d = 0 to Gpusim.Machine.n_devices m - 1 do
+    let compute, copy_in, copy_out = Gpusim.Machine.device_timelines m d in
+    let pid = Gpusim.Trace_export.device_pid d in
+    check (Printf.sprintf "dev%d.compute" d) (pid, 0) compute;
+    check (Printf.sprintf "dev%d.copy_in" d) (pid, 1) copy_in;
+    check (Printf.sprintf "dev%d.copy_out" d) (pid, 2) copy_out
+  done
 
 (* ---------------- Engine registry ---------------- *)
 
@@ -528,6 +585,8 @@ let () =
           Alcotest.test_case "byte matrix reconciles" `Quick
             test_byte_matrix_reconciles;
           Alcotest.test_case "trace ring bounded" `Quick test_trace_ring_bounded;
+          Alcotest.test_case "trace lanes match busy time under faults" `Quick
+            test_trace_lanes_match_busy;
         ] );
       ( "trace",
         [
