@@ -2039,7 +2039,8 @@ let () =
           parse acc rest)
     | "--domains" :: v :: rest ->
       int_flag "--domains" v rest (fun n rest ->
-          Gpu_runtime.Dpool.set_default_domains n;
+          (try Gpu_runtime.Dpool.set_default_domains n
+           with Invalid_argument msg -> die msg);
           parse acc rest)
     | "--trace" :: path :: rest ->
       trace_path := Some path;

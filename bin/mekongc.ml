@@ -206,14 +206,16 @@ let domains_arg =
    --domains or $MEKONG_DOMAINS, is a user error (one-line diagnostic,
    exit 2), not an internal one. *)
 let set_domains domains =
+  let limit = Gpu_runtime.Dpool.max_domains in
   match domains with
   | Some d when d < 1 -> die "--domains must be a positive integer (got %d)" d
+  | Some d when d > limit ->
+    die "--domains must be at most %d, the OCaml runtime's domain limit (got %d)"
+      limit d
   | Some d -> Gpu_runtime.Dpool.set_default_domains d
   | None -> (
       try ignore (Gpu_runtime.Dpool.default_domains ())
-      with Invalid_argument _ ->
-        die "MEKONG_DOMAINS must be a positive integer (got %S)"
-          (Sys.getenv "MEKONG_DOMAINS"))
+      with Invalid_argument msg -> die "%s" msg)
 
 (* Observability is off by default (the instrumentation points cost
    one load-and-branch); --trace and the profile subcommand switch it
@@ -316,8 +318,8 @@ let device_speeds_of ~gpus speeds =
   | Some l ->
     if List.length l <> gpus then
       die "--speeds needs exactly %d values (got %d)" gpus (List.length l);
-    if List.exists (fun v -> not (v > 0.0)) l then
-      die "--speeds values must be positive";
+    if List.exists (fun v -> not (v > 0.0 && Float.is_finite v)) l then
+      die "--speeds values must be finite and positive";
     Some (Array.of_list l)
 
 let print_choices choices =

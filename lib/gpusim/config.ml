@@ -132,9 +132,9 @@ let validate t =
             (Array.length t.device_speeds));
      Array.iteri
        (fun d s ->
-          if not (s > 0.0) then
+          if not (s > 0.0 && Float.is_finite s) then
             reject "device_speeds"
-              (Printf.sprintf "positive for every device (device %d: %g)" d s))
+              (Printf.sprintf "finite and positive for every device (device %d: %g)" d s))
        t.device_speeds
    end);
   non_negative "transfer_latency" t.transfer_latency;

@@ -64,7 +64,7 @@ type t = {
       (** per-device throughput multiplier on [ops_per_sm] for
           heterogeneous fleets; [[||]] (the default) = homogeneous.
           Non-empty arrays must have length [n_devices] with every
-          entry positive. *)
+          entry finite and positive. *)
   host : host_costs;
   faults : Faults.spec option;
       (** fault-injection spec applied to machines built over this

@@ -156,8 +156,9 @@ let pp_report lines fmt (reg : Obs.Metrics.t) =
   List.iter
     (function
       | Plan_cache ->
-        Format.fprintf fmt "plan cache: %d hits / %d misses@."
-          (i "cache.plan_hits") (i "cache.plan_misses")
+        Format.fprintf fmt "plan cache: %d hits / %d misses; sync memo: %d hits / %d misses@."
+          (i "cache.plan_hits") (i "cache.plan_misses") (i "cache.sync_hits")
+          (i "cache.sync_misses")
       | Executor ->
         Format.fprintf fmt
           "executor: %d compiled (%d cache hits), %d launches sequential, \
@@ -221,6 +222,10 @@ type context = {
   c_ck : compiled_kernel;
   c_block : Dim3.t;
   c_args : (string * string) list; (* array parameter -> buffer name *)
+  mutable c_bufs : (string * Gpu_runtime.Vbuf.t) list;
+      (* the launch's buffers by name, as bound now: read once per
+         launch instead of once per range list, and again after a
+         [Swap] step *)
   c_pool : Gpu_runtime.Vbuf.t list; (* the eviction pool *)
   c_accs : (string * (float array * bool array)) list array option;
       (* per partition, each reducible array's accumulator and touched
@@ -253,10 +258,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      wall time, so the trace shows where simulated time is created. *)
   let sim () = Gpusim.Machine.host_time m in
   (* The span name doubles as the causal phase label, so DAG nodes
-     carry the engine phase that scheduled them. *)
+     carry the engine phase that scheduled them; only the causal DAG
+     reads the label, so without it no phase is set. *)
+  let causal = Gpusim.Machine.causal_enabled m in
   let span name f =
-    Obs.Span.with_span ~cat:"engine" ~sim name (fun () ->
-        Gpusim.Machine.with_phase m name f)
+    Obs.Span.with_span ~cat:"engine" ~sim name
+      (if causal then fun () -> Gpusim.Machine.with_phase m name f else f)
   in
   let tick () = Gpusim.Machine.lru_tick m in
   let host_costs = (Gpusim.Machine.config m).Gpusim.Config.host in
@@ -273,7 +280,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   and replays = counter "faults.replays"
   and devices_lost = counter "faults.devices_lost" in
   let vbufs : (string, Gpu_runtime.Vbuf.t) Hashtbl.t = Hashtbl.create 16 in
-  let transfers = counter "engine.transfers" in
   (* Memory-pressure adaptation (DESIGN.md §15): a finite capacity makes
      the whole buffer population the eviction pool and chunks launches
      whose footprint does not fit. *)
@@ -366,6 +372,20 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   and gate_merged_elems = counter "engine.gate.merged_elems" in
   let plan_hits = counter "cache.plan_hits"
   and plan_misses = counter "cache.plan_misses" in
+  (* Transfers, sync-memo lookups and charged tracker ops are counted
+     once per range list, so the hot path counts them in ints; their
+     series are registered here and added to once, at the end of the
+     run. *)
+  let transfers = ref 0 and sync_hits = ref 0 and sync_misses = ref 0
+  and ops_charged = ref 0 in
+  let hot_counts =
+    [
+      (counter "engine.transfers", transfers);
+      (counter "cache.sync_hits", sync_hits);
+      (counter "cache.sync_misses", sync_misses);
+      (counter "engine.tracker_ops", ops_charged);
+    ]
+  in
   (* The cache lives for one cache generation: device count, tiling and
      measurement config are fixed within it, so they need not be part
      of the key.  A permanent device loss changes the partitioning and
@@ -382,9 +402,19 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     Hashtbl.replace vbufs a vb;
     Hashtbl.replace vbufs b va
   in
+  let bind args = List.map (fun (_, b) -> (b, find b)) args in
+  (* A launch's buffer by name: range lists name their buffers with the
+     plan's own strings, so the physical test almost always settles it. *)
+  let rec bound bufs name =
+    match bufs with
+    | (b, vb) :: rest ->
+      if b == name || String.equal b name then vb else bound rest name
+    | [] -> find name
+  in
   (* Charge host-side dependency-resolution work (the "patterns"
      overhead of §9.2). *)
   let charge ~tracker_ops ~ranges ~dispatches =
+    ops_charged := !ops_charged + tracker_ops;
     let seconds =
       (float_of_int tracker_ops *. host_costs.Gpusim.Config.tracker_op_seconds)
       +. (float_of_int ranges *. host_costs.Gpusim.Config.range_seconds)
@@ -532,25 +562,86 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           ~grid:pp.pp_launch_grid ~block:c.c_block ~args:pp.pp_scalar_args
           ~access)
   in
+  (* The sync memo (DESIGN.md §4).  A range list's sync or write whose
+     buffer finds its ownership tracker, and its residency tracker on
+     the partition's device, at the versions a recorded call saw (and
+     left) is replayed: the recorded transfers are issued in order and
+     the recorded tracker ops charged, skipping the tracker walk and the
+     residency check.  Off under fault injection, where every sync
+     writes the validity trackers the key does not cover, and under a
+     finite capacity, where every access re-stamps residency; batched
+     syncs always walk. *)
+  let memo = (not healing) && mem_cap = max_int in
+  (* One range list's sync ([write] false; returns the transfers it
+     issued) or tracker update ([write] true; returns 0), through the
+     memo. *)
+  let memoized ~write c ~stamp (rg : Launch_cache.ranges) vb ~dev =
+    let tr = Gpu_runtime.Vbuf.tracker vb
+    and res = Gpu_runtime.Vbuf.residency vb ~dev in
+    let owner = Gpu_runtime.Tracker.version tr
+    and resident = Gpu_runtime.Tracker.version res in
+    match Launch_cache.recall rg ~owner ~resident with
+    | Some o ->
+      incr sync_hits;
+      Gpu_runtime.Tracker.add_ops tr o.o_ops;
+      let n = Gpu_runtime.Vbuf.replay_reads ~cfg vb ~dev o.o_transfers in
+      charge ~tracker_ops:o.o_ops ~ranges:rg.rg_raw ~dispatches:0;
+      n
+    | None ->
+      incr sync_misses;
+      let log = ref [] in
+      let before = Gpu_runtime.Tracker.ops tr in
+      let n =
+        if write then begin
+          Gpu_runtime.Vbuf.update_for_write ~cfg ~pool:c.c_pool ~stamp vb ~dev
+            ~ranges:rg.rg_ranges;
+          0
+        end
+        else
+          Gpu_runtime.Vbuf.sync_for_read ~cfg ~pool:c.c_pool ~stamp
+            ~record:(fun o s e -> log := e :: s :: o :: !log)
+            vb ~dev ~ranges:rg.rg_ranges
+      in
+      let ops = Gpu_runtime.Tracker.ops tr - before in
+      charge ~tracker_ops:ops ~ranges:rg.rg_raw ~dispatches:0;
+      if
+        Gpu_runtime.Tracker.version tr = owner
+        && Gpu_runtime.Tracker.version res = resident
+      then
+        Launch_cache.remember rg
+          {
+            o_owner = owner;
+            o_resident = resident;
+            o_ops = ops;
+            o_transfers = Array.of_list (List.rev !log);
+          };
+      n
+  in
   let sync_reads c ~batch ~stamp (pp : Launch_cache.partition_plan) =
+    let dev = pp.pp_part.Partition.device in
     List.iter
-      (fun { Launch_cache.rg_buf; rg_ranges; rg_raw } ->
-         let vb = find rg_buf in
-         Obs.Metrics.add transfers
-           (float_of_int
-              (tracked ~ranges:rg_raw vb (fun () ->
-                   Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch ~pool:c.c_pool
-                     ~stamp vb ~dev:pp.pp_part.Partition.device
-                     ~ranges:rg_ranges))))
+      (fun (rg : Launch_cache.ranges) ->
+         let vb = bound c.c_bufs rg.rg_buf in
+         let n =
+           if memo && not batch then memoized ~write:false c ~stamp rg vb ~dev
+           else
+             tracked ~ranges:rg.rg_raw vb (fun () ->
+                 Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch ~pool:c.c_pool
+                   ~stamp vb ~dev ~ranges:rg.rg_ranges)
+         in
+         transfers := !transfers + n)
       pp.pp_reads
   in
   let update_writes c ~stamp (pp : Launch_cache.partition_plan) =
+    let dev = pp.pp_part.Partition.device in
     List.iter
-      (fun { Launch_cache.rg_buf; rg_ranges; rg_raw } ->
-         let vb = find rg_buf in
-         tracked ~ranges:rg_raw vb (fun () ->
-             Gpu_runtime.Vbuf.update_for_write ~cfg ~pool:c.c_pool ~stamp vb
-               ~dev:pp.pp_part.Partition.device ~ranges:rg_ranges))
+      (fun (rg : Launch_cache.ranges) ->
+         let vb = bound c.c_bufs rg.rg_buf in
+         if memo then ignore (memoized ~write:true c ~stamp rg vb ~dev)
+         else
+           tracked ~ranges:rg.rg_raw vb (fun () ->
+               Gpu_runtime.Vbuf.update_for_write ~cfg ~pool:c.c_pool ~stamp vb
+                 ~dev ~ranges:rg.rg_ranges))
       pp.pp_writes
   in
   (* Instrumented write-set collection (paper §11 fallback): the shadow
@@ -634,7 +725,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
                    List.iter
                      (fun { Launch_cache.rg_buf; rg_ranges; _ } ->
                         Gpu_runtime.Vbuf.ensure_resident ~cfg ~pool:c.c_pool
-                          ~stamp (find rg_buf) ~dev:cp.pp_part.Partition.device
+                          ~stamp (bound c.c_bufs rg_buf) ~dev:cp.pp_part.Partition.device
                           ~ranges:rg_ranges)
                      cp.pp_writes;
                    launch c ~index cp;
@@ -682,13 +773,15 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           let stamp = tick () and vb = find buf in
           List.iter
             (fun (dev, range) ->
-               Obs.Metrics.add transfers
-                 (float_of_int
-                    (tracked ~ranges:1 vb (fun () ->
-                         Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch:true
-                           ~pool:c.c_pool ~stamp vb ~dev ~ranges:[ range ]))))
+               transfers :=
+                 !transfers
+                 + tracked ~ranges:1 vb (fun () ->
+                     Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch:true
+                       ~pool:c.c_pool ~stamp vb ~dev ~ranges:[ range ]))
             fetch)
-    | Plan.Swap (a, b) -> swap a b
+    | Plan.Swap (a, b) ->
+      swap a b;
+      c.c_bufs <- bind c.c_args
     | Plan.Measure (predicted, steps) ->
       (* Calibration: the makespan the steps actually added (latest
          engine time, so async kernel completions are included). *)
@@ -702,6 +795,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       c_ck = ck;
       c_block = block;
       c_args;
+      c_bufs = bind c_args;
       c_pool = !pool;
       c_accs =
         (match Plan.reducible ck with
@@ -974,6 +1068,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     Obs.Metrics.add observed
       (float_of_int
          ((Gpusim.Machine.stats m).Gpusim.Machine.n_faults - faults_at_entry));
+  List.iter (fun (c, n) -> Obs.Metrics.add c (float_of_int !n)) hot_counts;
   Obs.Metrics.add predicted_us (!tune_pred *. 1e6);
   Obs.Metrics.add actual_us (!tune_act *. 1e6);
   let time = Gpusim.Machine.host_time m in

@@ -72,15 +72,28 @@ let rec worker_loop t last_epoch =
     worker_loop t epoch
   end
 
+(* The OCaml 5.1 runtime's fixed domain limit (its [Max_domains]),
+   the main domain included.  A pool asking for more would spawn until
+   the runtime refuses and die half-built, so sizes are checked first. *)
+let max_domains = 128
+
+let check_domains ~what d =
+  if d < 1 then
+    invalid_arg
+      (Printf.sprintf "Dpool: %s must be a positive integer, got %d" what d);
+  if d > max_domains then
+    invalid_arg
+      (Printf.sprintf
+         "Dpool: %s must be at most %d (the OCaml runtime's domain limit), got %d"
+         what max_domains d)
+
 let create ?domains () =
   let n =
     match domains with
     | Some d ->
-      if d < 1 then
-        invalid_arg
-          (Printf.sprintf "Dpool: domains must be a positive integer, got %d" d);
+      check_domains ~what:"domains" d;
       d
-    | None -> max 1 (Domain.recommended_domain_count ())
+    | None -> max 1 (min max_domains (Domain.recommended_domain_count ()))
   in
   let t =
     {
@@ -156,9 +169,7 @@ let parallel_for t ~n f =
 let default_override = ref None
 
 let set_default_domains n =
-  if n < 1 then
-    invalid_arg
-      (Printf.sprintf "Dpool: domains must be a positive integer, got %d" n);
+  check_domains ~what:"domains" n;
   default_override := Some n
 
 let default_domains () =
@@ -168,11 +179,13 @@ let default_domains () =
       match Sys.getenv_opt "MEKONG_DOMAINS" with
       | Some s -> (
           match int_of_string_opt (String.trim s) with
-          | Some n when n >= 1 -> n
+          | Some n when n >= 1 ->
+            check_domains ~what:"MEKONG_DOMAINS" n;
+            n
           | _ ->
             invalid_arg
               ("Dpool: MEKONG_DOMAINS must be a positive integer, got " ^ s))
-      | None -> Domain.recommended_domain_count ())
+      | None -> min max_domains (Domain.recommended_domain_count ()))
 
 let global = ref None
 

@@ -10,12 +10,18 @@
 
 type t
 
+val max_domains : int
+(** The most participants a pool may have: the OCaml 5.1 runtime's
+    domain limit (128), the main domain included. *)
+
 val create : ?domains:int -> unit -> t
 (** Pool with [domains] total participants (the submitter plus
     [domains - 1] spawned workers); defaults to
-    [Domain.recommended_domain_count ()].  Raises [Invalid_argument]
-    with a one-line diagnostic when [domains] is not positive; with
-    [domains:1] nothing is spawned and jobs run inline. *)
+    [Domain.recommended_domain_count ()] (at most {!max_domains}).
+    Raises [Invalid_argument] with a one-line diagnostic, before any
+    domain is spawned, when [domains] is not positive or exceeds
+    {!max_domains}; with [domains:1] nothing is spawned and jobs run
+    inline. *)
 
 val size : t -> int
 (** Total participants, including the submitting domain. *)
@@ -46,9 +52,10 @@ val get : unit -> t
 val default_domains : unit -> int
 (** The size the global pool would be created with.  Raises
     [Invalid_argument] if [MEKONG_DOMAINS] is set but not a positive
-    integer. *)
+    integer, or exceeds {!max_domains}. *)
 
 val set_default_domains : int -> unit
 (** Override the global pool size (CLI knob).  Takes effect only if
     called before the first [get].  Raises [Invalid_argument] with a
-    one-line diagnostic when the value is not positive. *)
+    one-line diagnostic when the value is not positive or exceeds
+    {!max_domains}. *)

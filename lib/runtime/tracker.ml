@@ -17,7 +17,14 @@
    vbuf residency trackers of a capacity-limited machine use it: their
    owners are LRU stamps and eviction wants the oldest.  The index is
    updated at the same add/remove sites as the segment map, so the two
-   cannot drift. *)
+   cannot drift.
+
+   Every tracker carries a version, drawn from one process-wide clock
+   when it is created and again at every add/remove.  Versions are
+   never reused, so one version names one state of one tracker: a
+   caller that saw a version can tell, in one comparison, that the
+   segments have not changed since (the engine's sync memo keys on
+   this).  Writes that leave the map alone keep the version. *)
 
 module M = Btree.Int_map
 
@@ -31,7 +38,11 @@ type t = {
   index : segment M.tree option;
       (* the same segments keyed by [index_key], when indexed *)
   mutable ops : int; (* B-tree operations performed, for cost accounting *)
+  mutable version : int; (* changes with every add/remove; see above *)
 }
+
+let clock = Atomic.make 0
+let next_version () = Atomic.fetch_and_add clock 1 + 1
 
 (* Index keys: owner in the high bits, start in the low
    [index_start_bits], so key order is (owner, start) order. *)
@@ -52,12 +63,14 @@ let check_indexed_owner owner =
    replaced segment always has [seg]'s owner, so its index key is
    [seg]'s too and is replaced with it. *)
 let add t seg =
+  t.version <- next_version ();
   M.add t.map seg.start seg;
   match t.index with
   | None -> ()
   | Some ix -> M.add ix (index_key seg.owner seg.start) seg
 
 let remove t seg =
+  t.version <- next_version ();
   M.remove t.map seg.start;
   match t.index with
   | None -> ()
@@ -71,6 +84,7 @@ let make ~indexed ~len ~initial_owner =
       map = M.create ();
       index = (if indexed then Some (M.create ()) else None);
       ops = 1;
+      version = next_version ();
     }
   in
   add t { start = 0; stop = len; owner = initial_owner };
@@ -92,8 +106,10 @@ let segment_count t = M.size t.map
 
 let ops t = t.ops
 let reset_ops t = t.ops <- 0
+let version t = t.version
 
 let bump t n = t.ops <- t.ops + n
+let add_ops = bump
 
 let check_range t ~start ~stop ~what =
   if start < 0 || stop > t.len || start >= stop then

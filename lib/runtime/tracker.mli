@@ -36,6 +36,18 @@ val ops : t -> int
 
 val reset_ops : t -> unit
 
+val add_ops : t -> int -> unit
+(** Count [n] more operations without touching the segments: replaying
+    a memoized walk charges what the walk itself would have. *)
+
+val version : t -> int
+(** The tracker's current version.  Versions come from one
+    process-wide counter, at creation and at every change to the
+    segment map, so they are unique across trackers and never reused:
+    equal versions mean the same tracker with the same segments.
+    Queries and writes that leave the segments as they were (the
+    in-segment fast path of {!write}) keep the version. *)
+
 val query : t -> start:int -> stop:int -> segment list
 (** The segments overlapping [start, stop), clipped to it, in order.
     The result covers every element of the range. *)

@@ -567,14 +567,6 @@ let d2h ?(cfg = Rconfig.alpha) t ~dst =
            ~dst ~dst_off:start ~len:(stop - start))
     segs
 
-(* Bring the given element ranges up to date on device [dev] by copying
-   stale segments from their owners (paper §8.3).  Returns the number
-   of transfers issued.
-
-   With [batch] the stale segments are grouped per owner and moved as
-   one packed transfer each (a pitched cudaMemcpy2D) — used by the 2-D
-   tiling extension, whose column halos fragment into thousands of
-   tiny row segments that would otherwise pay a latency each. *)
 (* Upload one host-owned segment onto device [dev]: host data never
    lives in a device instance, so it moves over PCIe, not peer-to-peer. *)
 let fetch_from_host t ~dev ~start ~len ~do_data =
@@ -593,8 +585,28 @@ let fetch_from_host t ~dev ~start ~len ~do_data =
       ~dst_off:start ~len
   end
 
+(* Copy the stale segment [s, e), freshest at [owner] (a device or
+   [Tracker.host]), onto device [dev]: one transfer of the unbatched
+   sync, issued alike by a live walk and by a replay. *)
+let fetch t ~dev ~do_data owner s e =
+  if owner = Tracker.host then
+    fetch_from_host t ~dev ~start:s ~len:(e - s) ~do_data
+  else if do_data then
+    Gpusim.Machine.p2p t.machine ~src:t.instances.(owner) ~src_off:s
+      ~dst:t.instances.(dev) ~dst_off:s ~len:(e - s);
+  mark_fresh t ~who:dev ~start:s ~stop:e
+
+(* Bring the given element ranges up to date on device [dev] by copying
+   stale segments from their owners (paper §8.3).  Returns the number
+   of transfers issued; [record] sees each unbatched one as it is
+   issued.
+
+   With [batch] the stale segments are grouped per owner and moved as
+   one packed transfer each (a pitched cudaMemcpy2D) — used by the 2-D
+   tiling extension, whose column halos fragment into thousands of
+   tiny row segments that would otherwise pay a latency each. *)
 let sync_for_read ?(cfg = Rconfig.alpha) ?(batch = false) ?(pool = []) ?stamp
-    t ~dev ~ranges =
+    ?record t ~dev ~ranges =
   if not cfg.Rconfig.patterns then 0
   else begin
     let transfers = ref 0 in
@@ -616,8 +628,7 @@ let sync_for_read ?(cfg = Rconfig.alpha) ?(batch = false) ?(pool = []) ?stamp
                  (* Host-owned segments cannot join a packed
                     device-to-device transfer; upload each directly. *)
                  incr transfers;
-                 fetch_from_host t ~dev ~start:s ~len:(e - s) ~do_data;
-                 mark_fresh t ~who:dev ~start:s ~stop:e
+                 fetch t ~dev ~do_data owner s e
                end
                else if owner <> dev then begin
                  let slot =
@@ -646,22 +657,27 @@ let sync_for_read ?(cfg = Rconfig.alpha) ?(batch = false) ?(pool = []) ?stamp
       List.iter
         (fun (start, stop) ->
            Tracker.iter_range t.tracker ~start ~stop (fun s e owner ->
-               if owner = Tracker.host then begin
+               if owner <> dev then begin
                  incr transfers;
-                 fetch_from_host t ~dev ~start:s ~len:(e - s) ~do_data;
-                 mark_fresh t ~who:dev ~start:s ~stop:e
-               end
-               else if owner <> dev then begin
-                 incr transfers;
-                 if do_data then
-                   Gpusim.Machine.p2p t.machine ~src:t.instances.(owner)
-                     ~src_off:s ~dst:t.instances.(dev) ~dst_off:s
-                     ~len:(e - s);
-                 mark_fresh t ~who:dev ~start:s ~stop:e
+                 fetch t ~dev ~do_data owner s e;
+                 match record with Some f -> f owner s e | None -> ()
                end))
         ranges;
     !transfers
   end
+
+(* Issue recorded transfers again, in order: what an unbatched
+   [sync_for_read] does when the trackers it read are as they were. *)
+let replay_reads ?(cfg = Rconfig.alpha) t ~dev transfers =
+  let do_data =
+    cfg.Rconfig.transfers || Gpusim.Machine.is_functional t.machine
+  in
+  let n = Array.length transfers / 3 in
+  for i = 0 to n - 1 do
+    fetch t ~dev ~do_data transfers.(3 * i) transfers.((3 * i) + 1)
+      transfers.((3 * i) + 2)
+  done;
+  n
 
 (* Record that device [dev] wrote the given element ranges.  The
    written bytes necessarily exist on the device, so the ranges are

@@ -21,7 +21,8 @@ val tracker : t -> Tracker.t
 val residency : t -> dev:int -> Tracker.t
 (** The residency tracker of one device: owner 0 = not resident, a
     positive owner = resident, stamped by the last {!ensure_resident}
-    that touched it.  Test support; callers must not write it. *)
+    that touched it.  Tests and version checks read it; callers must
+    not write it. *)
 
 val instance : t -> int -> Gpusim.Buffer.t
 (** The device-local instance for one device. *)
@@ -52,8 +53,9 @@ val d2h : ?cfg:Rconfig.t -> t -> dst:float array option -> unit
     differs from [len t]. *)
 
 val sync_for_read :
-  ?cfg:Rconfig.t -> ?batch:bool -> ?pool:t list -> ?stamp:int -> t ->
-  dev:int -> ranges:(int * int) list -> int
+  ?cfg:Rconfig.t -> ?batch:bool -> ?pool:t list -> ?stamp:int ->
+  ?record:(int -> int -> int -> unit) -> t -> dev:int ->
+  ranges:(int * int) list -> int
 (** Bring the element ranges up to date on device [dev], copying stale
     segments from their owners; returns the number of transfers issued.
     Ranges are clamped to the buffer (enumerators over-approximate);
@@ -62,7 +64,17 @@ val sync_for_read :
     {!ensure_resident}; [pool]/[stamp] are passed through).  [batch]
     groups stale segments per owner into packed transfers (pitched
     cudaMemcpy2D), which the 2-D tiling extension needs for its
-    fragmented column halos. *)
+    fragmented column halos.  Without [batch], [record owner start stop]
+    is called after each transfer is issued ([owner] is a device or
+    [Tracker.host]). *)
+
+val replay_reads : ?cfg:Rconfig.t -> t -> dev:int -> int array -> int
+(** Issue recorded unbatched transfers onto [dev] again, in order:
+    [(owner, start, stop)] triples as {!sync_for_read}'s [record] saw
+    them.  Each goes through the same calls a live sync makes for it;
+    no tracker is read.  Returns the transfer count.  Exact only while
+    the trackers the recording sync read are unchanged (the caller
+    checks their {!Tracker.version}s). *)
 
 val update_for_write :
   ?cfg:Rconfig.t -> ?pool:t list -> ?stamp:int -> t -> dev:int ->

@@ -538,6 +538,27 @@ let test_config_validation () =
   checkb "default unlimited" true
     ((Config.k80_box ()).Config.mem_capacity = max_int)
 
+(* An infinite speed would pass a plain positivity check and hand the
+   autotuner an infinite weight; every non-finite or non-positive speed
+   is refused, by the validator and by the constructors. *)
+let test_device_speeds_finite () =
+  let base = Config.k80_box ~n_devices:4 () in
+  let speeds s = { base with Config.device_speeds = [| 1.0; s; 1.0; 1.0 |] } in
+  ignore (Config.validate (speeds 0.5));
+  List.iter
+    (fun s ->
+       match Config.validate (speeds s) with
+       | _ -> Alcotest.failf "device speed %g accepted" s
+       | exception Invalid_argument msg ->
+         checkb
+           (Printf.sprintf "speed %g: %S names the field" s msg)
+           true
+           (Str.string_match (Str.regexp ".*device_speeds.*finite") msg 0))
+    [ infinity; neg_infinity; nan; 0.0; -1.0 ];
+  match Config.k80_box ~n_devices:4 ~device_speeds:[| infinity; 1.0; 1.0; 1.0 |] () with
+  | _ -> Alcotest.fail "k80_box accepted an infinite speed"
+  | exception Invalid_argument _ -> ()
+
 (* CLI topology specs: the parser and printer must be inverses, and
    malformed or non-positive specs must be rejected with an error
    (never a crash or a silently-flat topology). *)
@@ -921,6 +942,7 @@ let () =
       ( "config",
         [
           Alcotest.test_case "field validation" `Quick test_config_validation;
+          Alcotest.test_case "device speeds finite" `Quick test_device_speeds_finite;
           Alcotest.test_case "topology specs" `Quick test_topology_spec;
         ] );
       ( "memory",

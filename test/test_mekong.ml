@@ -751,61 +751,208 @@ let program_of_spec ?(repeat = 1) spec ~(result : float array) =
       Host_ir.Free "out";
     ]
 
-(* ---------------- Launch-plan cache ---------------- *)
+(* ---------------- Launch-plan cache and sync memo ---------------- *)
 
 (* The cache must be observationally invisible: simulated time, every
-   machine statistic and the functional output must be bit-identical
-   with the cache on and off; only the hit/miss counters differ. *)
-let run_spec_cached spec ~cache ~out =
-  let artifacts = compile_exn (program_of_spec ~repeat:3 spec ~result:out) in
-  let m =
-    Gpusim.Machine.create ~functional:true
-      (Gpusim.Config.test_box ~n_devices:spec.rs_gpus ())
-  in
-  let res = Mekong.Multi_gpu.run ~cache ~machine:m artifacts.Mekong.Toolchain.exe in
-  let s = Gpusim.Machine.stats m in
-  ( res.Mekong.Multi_gpu.time,
-    metric res "engine.transfers",
-    ( s.Gpusim.Machine.h2d_bytes,
-      s.Gpusim.Machine.d2h_bytes,
-      s.Gpusim.Machine.p2p_bytes,
-      s.Gpusim.Machine.n_transfers,
-      s.Gpusim.Machine.n_launches,
-      s.Gpusim.Machine.kernel_seconds,
-      s.Gpusim.Machine.pattern_seconds,
-      s.Gpusim.Machine.transfer_seconds ),
-    (metric res "cache.plan_hits", metric res "cache.plan_misses") )
+   machine statistic, every traced machine op and the functional output
+   must be bit-identical with the cache on and off; only the hit/miss
+   counters differ.  [cache:false] rebuilds every launch's plan, so its
+   range lists start with an empty sync memo every launch: outside a
+   halo-tiled loop it never hits, which makes it the memo-off oracle.
+   Each variant runs one engine mode the memo must compose with; under
+   a memory cap and under faults the memo is off. *)
+type memo_variant = Plain | Overlap | Autotune | Capped | Transient | Loss
 
-let prop_cache_equivalence =
-  QCheck.Test.make ~name:"plan cache: cached == uncached, bit for bit"
-    ~count:40
+let variant_name = function
+  | Plain -> "plain"
+  | Overlap -> "overlap"
+  | Autotune -> "autotune"
+  | Capped -> "50% memory cap"
+  | Transient -> "transient faults"
+  | Loss -> "device loss"
+
+let run_spec_cached ?(variant = Plain) spec ~cache ~out =
+  let artifacts = compile_exn (program_of_spec ~repeat:3 spec ~result:out) in
+  let exe = artifacts.Mekong.Toolchain.exe in
+  let machine ?mem_capacity () =
+    Gpusim.Machine.create ~functional:true
+      (Gpusim.Config.test_box ~n_devices:spec.rs_gpus ?mem_capacity ())
+  in
+  (* Capacity and loss time come from a clean run of the same program. *)
+  let clean () =
+    let m = machine () in
+    (m, Mekong.Multi_gpu.run ~machine:m exe)
+  in
+  let m =
+    match variant with
+    | Capped ->
+      let m0, _ = clean () in
+      let high_water =
+        List.fold_left max 0
+          (List.init spec.rs_gpus (Gpusim.Machine.mem_high_water m0))
+      in
+      machine ~mem_capacity:(max 8 (high_water / 2)) ()
+    | Transient ->
+      let m = machine () in
+      Gpusim.Machine.inject_faults m
+        (Gpusim.Faults.create
+           {
+             Gpusim.Faults.null_spec with
+             seed = spec.rs_n;
+             kernel_fault_rate = 0.1;
+             transfer_fault_rate = 0.1;
+           });
+      m
+    | Loss ->
+      let _, r0 = clean () in
+      let m = machine () in
+      Gpusim.Machine.inject_faults m
+        (Gpusim.Faults.create
+           {
+             Gpusim.Faults.null_spec with
+             scheduled_losses =
+               [ (spec.rs_gpus - 1, r0.Mekong.Multi_gpu.time /. 2.0) ];
+           });
+      m
+    | Plain | Overlap | Autotune -> machine ()
+  in
+  Gpusim.Machine.enable_trace m;
+  match
+    Mekong.Multi_gpu.run ~cache ~checkpoint_every:2
+      ~overlap:(variant = Overlap) ~autotune:(variant = Autotune) ~machine:m exe
+  with
+  | exception Failure msg -> Error msg
+  | res ->
+    let s = Gpusim.Machine.stats m in
+    Ok
+      ( ( res.Mekong.Multi_gpu.time,
+          metric res "engine.transfers",
+          metric res "engine.tracker_ops",
+          ( s.Gpusim.Machine.h2d_bytes,
+            s.Gpusim.Machine.d2h_bytes,
+            s.Gpusim.Machine.p2p_bytes,
+            s.Gpusim.Machine.n_transfers,
+            s.Gpusim.Machine.n_launches,
+            s.Gpusim.Machine.kernel_seconds,
+            s.Gpusim.Machine.pattern_seconds,
+            s.Gpusim.Machine.transfer_seconds ),
+          List.map
+            (fun (e : Gpusim.Machine.event) ->
+               ( e.Gpusim.Machine.ev_kind,
+                 e.Gpusim.Machine.ev_src,
+                 e.Gpusim.Machine.ev_dst,
+                 e.Gpusim.Machine.ev_bytes,
+                 e.Gpusim.Machine.ev_start,
+                 e.Gpusim.Machine.ev_finish ))
+            (Gpusim.Machine.trace m),
+          Gpusim.Machine.trace_dropped m ),
+        (metric res "cache.plan_hits", metric res "cache.plan_misses"),
+        (metric res "cache.sync_hits", metric res "cache.sync_misses") )
+
+let cache_equivalence variant =
+  QCheck.Test.make
+    ~name:
+      (match variant with
+       | Plain -> "plan cache: cached == uncached, bit for bit"
+       | v -> "sync memo, " ^ variant_name v ^ ": cached == uncached, bit for bit")
+    ~count:(match variant with Plain -> 40 | Capped -> 25 | _ -> 15)
     (QCheck.make ~print:print_rand_spec gen_rand_spec)
     (fun spec ->
+      (* A lost device needs a survivor. *)
+      QCheck.assume (variant <> Loss || spec.rs_gpus >= 2);
       let total = if spec.rs_two_d then spec.rs_n * spec.rs_n else spec.rs_n in
       let out_on = Array.make total nan in
       let out_off = Array.make total nan in
-      let t1, tr1, s1, c_on = run_spec_cached spec ~cache:true ~out:out_on in
-      let t2, tr2, s2, c_off = run_spec_cached spec ~cache:false ~out:out_off in
-      t1 = t2 && tr1 = tr2 && s1 = s2
-      && out_on = out_off
-      (* three identical launches: one miss, two hits *)
-      && c_on = (2, 1)
-      && c_off = (0, 0))
+      match
+        ( run_spec_cached ~variant spec ~cache:true ~out:out_on,
+          run_spec_cached ~variant spec ~cache:false ~out:out_off )
+      with
+      | Error e1, Error e2 -> e1 = e2
+      | Ok (r_on, plan_on, (hits_on, _)), Ok (r_off, plan_off, (hits_off, _)) ->
+        r_on = r_off
+        && out_on = out_off
+        && plan_off = (0, 0)
+        && hits_off = 0
+        && (match variant with
+            | Plain ->
+              (* three identical launches: one miss, two hits; the
+                 third launch finds every buffer as the second left it *)
+              plan_on = (2, 1) && hits_on > 0
+            | Overlap -> hits_on > 0
+            | Capped | Transient | Loss -> hits_on = 0
+            | Autotune -> true)
+      | _ -> false)
+
+let prop_cache_equivalence = cache_equivalence Plain
+
+(* The sync memo on a double-buffered stencil: 6 hotspot launches on 4
+   devices, 2 of them holding rows of the 2x2 block grid, each with one
+   read and one write range list per launch (4 lookups).  A call is
+   recorded only when it leaves its buffer's trackers as it found them,
+   so each buffer state costs two misses: the call that changes it (the
+   first sync makes the halo resident, the first write hands the band
+   to its writer) and the one that records the settled state.  With
+   Swap alternating the names between two buffers, launches 1-4 miss
+   and 5-6 hit. *)
+let memo_counts ?resume ?abort_at prog =
+  let exe = (compile_exn prog).Mekong.Toolchain.exe in
+  let m =
+    Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:4 ())
+  in
+  match Mekong.Multi_gpu.run_bounded ?resume ?abort_at ~machine:m exe with
+  | Mekong.Multi_gpu.Done r -> (r, None)
+  | Mekong.Multi_gpu.Preempted (r, h) -> (r, Some h)
+
+let sync_counts r = (metric r "cache.sync_hits", metric r "cache.sync_misses")
+let check_counts = Alcotest.(check (pair int int))
 
 let test_cache_stats () =
   (* Hotspot swaps its buffers every iteration; the plan is keyed by
      buffer *name*, which Swap leaves stable, so all iterations after
      the first hit the cache — and the result stays golden. *)
   let prog, out, cpu = Apps.Workloads.functional_hotspot ~n:32 ~iterations:6 in
-  let artifacts = compile_exn prog in
-  let m =
-    Gpusim.Machine.create ~functional:true
-      (Gpusim.Config.test_box ~n_devices:4 ())
-  in
-  let res = Mekong.Multi_gpu.run ~machine:m artifacts.Mekong.Toolchain.exe in
+  let res, _ = memo_counts prog in
   checki "one miss" 1 (metric res "cache.plan_misses");
   checki "five hits" 5 (metric res "cache.plan_hits");
-  checkb "still golden" true (out = cpu ())
+  checkb "still golden" true (out = cpu ());
+  check_counts "sync memo hits, misses" (8, 16) (sync_counts res)
+
+(* Fresh tracker versions invalidate recorded outcomes.  A buffer freed
+   and allocated again under the same name, in the same run and under
+   the same cached plan, misses where the old one hit; a resumed
+   handoff rebuilds every buffer, so its first launch misses throughout. *)
+let test_memo_fresh_buffers () =
+  let n = 32 in
+  let prog, out, cpu = Apps.Workloads.functional_hotspot ~n ~iterations:6 in
+  (* After launch 4, t_out names the buffer launch 3 wrote; launch 5
+     overwrites all of it, so a fresh one keeps the result golden. *)
+  let realloc = function
+    | Host_ir.Repeat (k, step) ->
+      [ Host_ir.Repeat (k - 2, step);
+        Host_ir.Free "t_out";
+        Host_ir.Malloc ("t_out", n * n);
+        Host_ir.Repeat (2, step) ]
+    | s -> [ s ]
+  in
+  let res, _ =
+    memo_counts { prog with Host_ir.body = List.concat_map realloc prog.Host_ir.body }
+  in
+  checkb "still golden" true (out = cpu ());
+  checki "one plan miss" 1 (metric res "cache.plan_misses");
+  (* Launch 5's write and launch 6's read meet the fresh buffer: those 4
+     lookups, hits in [test_cache_stats], miss. *)
+  check_counts "sync memo hits, misses" (4, 20) (sync_counts res);
+  let full, _ = memo_counts prog in
+  let _, h = memo_counts ~abort_at:(full.Mekong.Multi_gpu.time /. 2.0) prog in
+  let h = Option.get h in
+  Array.fill out 0 (Array.length out) nan;
+  let resumed, _ = memo_counts ~resume:h prog in
+  checkb "resumed run golden" true (out = cpu ());
+  let launches = metric resumed "cache.plan_hits" + metric resumed "cache.plan_misses" in
+  let hits, misses = sync_counts resumed in
+  checkb "launches left to resume" true (launches >= 2);
+  checki "four lookups per launch" (4 * launches) (hits + misses);
+  checkb "the first launch misses throughout" true (misses >= 4)
 
 let prop_random_kernels_golden =
   QCheck.Test.make ~name:"random affine kernels: multi-GPU == single-GPU"
@@ -1478,7 +1625,14 @@ let () =
          ( "plan-cache",
            [
              qtest prop_cache_equivalence;
+             qtest (cache_equivalence Overlap);
+             qtest (cache_equivalence Autotune);
+             qtest (cache_equivalence Capped);
+             qtest (cache_equivalence Transient);
+             qtest (cache_equivalence Loss);
              Alcotest.test_case "hit/miss stats" `Quick test_cache_stats;
+             Alcotest.test_case "sync memo misses on fresh buffers" `Quick
+               test_memo_fresh_buffers;
            ] );
          ( "instrumentation",
            [

@@ -479,7 +479,8 @@ let test_profile_reports_registry () =
 let report_fields =
   Mekong.Multi_gpu.
     [
-      (Plan_cache, [ "cache.plan_hits"; "cache.plan_misses" ]);
+      ( Plan_cache,
+        [ "cache.plan_hits"; "cache.plan_misses"; "cache.sync_hits"; "cache.sync_misses" ] );
       ( Executor,
         [
           "exec.compiles"; "exec.cache_hits"; "exec.seq_launches";

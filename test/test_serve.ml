@@ -50,6 +50,25 @@ let test_dpool_rejects_nonpositive () =
   let p = Gpu_runtime.Dpool.create ~domains:1 () in
   Gpu_runtime.Dpool.shutdown p
 
+(* Sizes above the runtime's domain limit are refused before any domain
+   is spawned (a spawned-then-refused pool would die half-built). *)
+let test_dpool_rejects_over_limit () =
+  let limit = Gpu_runtime.Dpool.max_domains in
+  checki "OCaml 5.1 limit" 128 limit;
+  let names_limit f =
+    match f () with
+    | exception Invalid_argument msg ->
+      Str.string_match (Str.regexp (".*at most " ^ string_of_int limit)) msg 0
+    | _ -> false
+  in
+  List.iter
+    (fun d ->
+       checkb (Printf.sprintf "create ~domains:%d rejected" d) true
+         (names_limit (fun () -> Gpu_runtime.Dpool.create ~domains:d ()));
+       checkb (Printf.sprintf "set_default_domains %d rejected" d) true
+         (names_limit (fun () -> Gpu_runtime.Dpool.set_default_domains d)))
+    [ limit + 1; 100_000 ]
+
 (* ---------------- Satellite: typed total-loss failure ---------------- *)
 
 let test_all_devices_lost_typed () =
@@ -518,6 +537,8 @@ let () =
         [
           Alcotest.test_case "dpool rejects non-positive domains" `Quick
             test_dpool_rejects_nonpositive;
+          Alcotest.test_case "dpool rejects sizes over the domain limit" `Quick
+            test_dpool_rejects_over_limit;
           Alcotest.test_case "All_devices_lost is typed" `Quick
             test_all_devices_lost_typed;
           Alcotest.test_case "Config.lease" `Quick test_config_lease;
