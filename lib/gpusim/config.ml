@@ -79,9 +79,6 @@ type t = {
          field.  When non-empty the length must equal [n_devices] and
          every entry must be positive. *)
   host : host_costs;
-  faults : Faults.spec option;
-      (* fault-injection spec applied to machines built over this
-         config; None = ideal hardware (the default everywhere) *)
 }
 
 (* Construction-time sanity checks.  Every rate and capacity below
@@ -181,7 +178,6 @@ let k80_box ?(n_devices = 16) ?(mem_capacity = max_int) ?(topology = Flat)
       topology;
       device_speeds;
       host = k80_host_costs;
-      faults = None;
     }
 
 (* A tiny machine for functional tests: timing constants are irrelevant
@@ -191,11 +187,8 @@ let test_box ?(n_devices = 4) ?mem_capacity ?topology ?device_speeds () =
     name = "test-box" }
 
 (* The config of a leased sub-machine: the same per-device constants
-   over [n_devices] of the fleet's devices.  The fleet-level fault spec
-   is dropped — a scheduler injects per-job faults and translates
-   fleet-wide scheduled losses into lease-local ones itself.  The
-   thermal envelope ([total_dies]) is kept: leased dies share the
-   box. *)
+   over [n_devices] of the fleet's devices.  The thermal envelope
+   ([total_dies]) is kept: leased dies share the box. *)
 let lease t ~n_devices =
   if n_devices < 1 || n_devices > t.n_devices then
     invalid_arg
@@ -207,7 +200,6 @@ let lease t ~n_devices =
         t with
         n_devices;
         name = Printf.sprintf "%s/lease%d" t.name n_devices;
-        faults = None;
         (* A lease grabs whichever fleet devices are free, so a
            per-device speed map keyed by fleet id cannot be sliced
            meaningfully; leased sub-machines run homogeneous. *)
@@ -219,10 +211,6 @@ let lease t ~n_devices =
 let device_speed t d =
   if d >= 0 && d < Array.length t.device_speeds then t.device_speeds.(d)
   else 1.0
-
-let heterogeneous t =
-  Array.length t.device_speeds > 0
-  && Array.exists (fun s -> s <> t.device_speeds.(0)) t.device_speeds
 
 (* Per-die throughput factor when [active] dies are busy out of the
    box's thermal envelope of [total_dies]. *)

@@ -66,9 +66,6 @@ type t = {
           Non-empty arrays must have length [n_devices] with every
           entry finite and positive. *)
   host : host_costs;
-  faults : Faults.spec option;
-      (** fault-injection spec applied to machines built over this
-          config; [None] = ideal hardware (the default) *)
 }
 
 val k80_host_costs : host_costs
@@ -94,13 +91,11 @@ val test_box :
 val lease : t -> n_devices:int -> t
 (** The config of a leased sub-machine: the same per-device constants
     over [n_devices] (1 <= [n_devices] <= [t.n_devices], else
-    [Invalid_argument]) of the fleet's devices, with the fleet-level
-    fault spec dropped — the serving scheduler injects per-job faults
-    and translates fleet-wide scheduled losses into lease-local ones
-    itself.  [total_dies] is kept: leased dies share the box's thermal
-    envelope.  [device_speeds] is reset to homogeneous — a lease grabs
-    whichever fleet devices are free, so a speed map keyed by fleet id
-    cannot be sliced meaningfully. *)
+    [Invalid_argument]) of the fleet's devices.  [total_dies] is kept:
+    leased dies share the box's thermal envelope.  [device_speeds] is
+    reset to homogeneous — a lease grabs whichever fleet devices are
+    free, so a speed map keyed by fleet id cannot be sliced
+    meaningfully. *)
 
 val boost_factor : t -> active:int -> float
 (** Per-die throughput factor when [active] dies are busy. *)
@@ -115,9 +110,6 @@ val kernel_seconds :
 val device_speed : t -> int -> float
 (** Throughput multiplier of one device: [device_speeds.(d)], or 1.0 on
     a homogeneous box (empty [device_speeds]) / out-of-range ids. *)
-
-val heterogeneous : t -> bool
-(** Whether [device_speeds] names at least two different speeds. *)
 
 val topology_of_string : string -> (topology, string) result
 (** Parse a CLI topology spec: ["flat"], or

@@ -18,8 +18,14 @@
    two runs over the same program see the identical schedule, which is
    what makes fault campaigns and the bit-identity property testable.
 
-   A global cap on *consecutive* transient faults guarantees that an
-   engine which retries always makes progress, whatever the rate. *)
+   A global cap on *consecutive* transient faults bounds the retries of
+   one operation retried alone: at most [max_consecutive] faults in a
+   row, then a forced success.  It does not bound the retries of a
+   sequence of operations.  An engine that retries a whole statement of
+   k fault-drawing operations needs all k to succeed in one attempt,
+   which at rate r happens with probability about (1 - r){^k}; the cap
+   rarely fires between successes, so at high rates a long statement
+   can outlast any retry budget. *)
 
 type spec = {
   seed : int;

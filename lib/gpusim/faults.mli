@@ -5,8 +5,10 @@
     operation).  All randomness comes from one splitmix64 stream seeded
     by the spec, so the fault schedule is a pure function of
     (seed, operation sequence) — two runs over the same program see the
-    identical schedule.  A cap on consecutive transient faults
-    guarantees that a retrying engine always makes progress. *)
+    identical schedule.  A cap on consecutive transient faults bounds
+    the retries of one operation retried alone; it does not bound the
+    retries of a statement of many operations, which succeeds only when
+    all of them draw no fault in one attempt. *)
 
 type spec = {
   seed : int;

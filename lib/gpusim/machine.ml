@@ -317,10 +317,7 @@ let create ?(functional = false) cfg =
     next_buffer_id = 0;
     active_devices = 1;
     trace = None;
-    faults =
-      (match cfg.Config.faults with
-       | Some spec when not (Faults.is_null spec) -> Some (Faults.create spec)
-       | _ -> None);
+    faults = None;
     lru_clock = 0;
     causal = None;
     phase = "";
@@ -834,12 +831,11 @@ let p2p_async ?deps m ~src ~src_off ~dst ~dst_off ~len : evt =
 
 (* A packed device-to-device copy of several segments (the simulated
    counterpart of a pitched cudaMemcpy2D): one transfer event moves the
-   summed bytes, paying the latency once.  Returns the completion
-   event (the issue time when [segments] is empty — nothing moves). *)
-let p2p_multi_async ?deps m ~src ~dst ~segments : evt =
+   summed bytes, paying the latency once.  Empty [segments] move
+   nothing. *)
+let p2p_multi ?deps m ~src ~dst ~segments =
   let len = List.fold_left (fun acc (_, _, l) -> acc + l) 0 segments in
-  if len = 0 then Timeline.ready m.host
-  else begin
+  if len > 0 then begin
     List.iter
       (fun (src_off, dst_off, l) ->
          Buffer.check_range src ~off:src_off ~len:l ~what:"p2p_multi(src)";
@@ -851,12 +847,8 @@ let p2p_multi_async ?deps m ~src ~dst ~segments : evt =
       List.iter
         (fun (src_off, dst_off, l) ->
            Buffer.blit ~src ~src_off ~dst ~dst_off ~len:l)
-        segments;
-    m.op_clock.(1)
+        segments
   end
-
-let p2p_multi ?deps m ~src ~dst ~segments =
-  ignore (p2p_multi_async ?deps m ~src ~dst ~segments)
 
 (* --- Kernels ------------------------------------------------------------ *)
 

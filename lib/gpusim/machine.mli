@@ -194,9 +194,6 @@ val p2p_multi : ?deps:evt list ->
     (a pitched cudaMemcpy2D): the summed bytes move as one transfer,
     paying the latency once. *)
 
-val p2p_multi_async : ?deps:evt list ->
-  t -> src:Buffer.t -> dst:Buffer.t -> segments:(int * int * int) list -> evt
-
 val kernel_duration :
   ?device:int -> t -> blocks:int -> ops_per_block:float -> float
 (** Modelled duration of a kernel launch (wave model with autoboost

@@ -19,13 +19,10 @@
    time, transfers and functional results; only redundant host
    computation is skipped.
 
-   Each range list also memoizes what syncing or recording it did on
-   its partition's device: the transfers issued and the tracker ops
-   charged, keyed by the versions of the buffer's ownership tracker and
-   of its residency tracker on that device.  The memo caches tracker
-   *outcomes*, never charges: a hit issues the recorded transfers and
-   pays the recorded charge again, it only skips the walk that found
-   them (DESIGN.md §4).
+   Each range list also carries the slot of [Vbuf]'s sync memo, which
+   replays what syncing or recording it did on its partition's device
+   while the buffer's trackers are unchanged.  The slot is opaque here:
+   [Vbuf] decides hit, miss and record (DESIGN.md §4).
 
    The memory-pressure chunking decision (each partition's sequential
    sub-chunks) is part of the plan, so the per-device memory capacity
@@ -56,32 +53,12 @@ type key = {
          plan is never replayed under a different execution mode *)
 }
 
-type outcome = {
-  o_owner : int; (* ownership-tracker version recorded at *)
-  o_resident : int; (* residency-tracker version of the device *)
-  o_ops : int; (* ownership-tracker ops charged *)
-  o_transfers : int array; (* (owner, start, stop) triples, in order *)
-}
-
 type ranges = {
   rg_buf : string; (* buffer name the array argument is bound to *)
   rg_ranges : (int * int) list; (* canonical half-open element ranges *)
   rg_raw : int; (* raw emission count (host "patterns" cost driver) *)
-  mutable rg_memo : outcome list; (* newest first, at most memo_slots *)
+  rg_memo : Gpu_runtime.Vbuf.memo; (* this range list's sync memo slot *)
 }
-
-let memo_slots = 4
-
-let rec find_outcome owner resident = function
-  | [] -> None
-  | o :: rest ->
-    if o.o_owner = owner && o.o_resident = resident then Some o
-    else find_outcome owner resident rest
-
-let recall rg ~owner ~resident = find_outcome owner resident rg.rg_memo
-
-let remember rg o =
-  rg.rg_memo <- o :: List.filteri (fun i _ -> i < memo_slots - 1) rg.rg_memo
 
 type partition_plan = {
   pp_part : Partition.t;

@@ -4,14 +4,11 @@
     {!Multi_gpu.run} derives from the launch parameters alone: the
     non-empty partition list, the evaluated read/write range lists with
     their raw emission counts, per-partition arguments and the cost
-    model's ops-per-block.  Each range list also memoizes tracker
-    outcomes ({!outcome}): what syncing or recording it did on its
-    partition's device, keyed by tracker versions, so a launch that
-    finds the trackers as a recorded call left them replays the
-    recorded transfers instead of walking the trackers again.  The memo
-    caches tracker outcomes only: every transfer and every simulated
-    charge is still paid on every launch, so cached and uncached runs
-    produce bit-identical results; only redundant host computation is
+    model's ops-per-block.  Each range list also carries a
+    {!Gpu_runtime.Vbuf.memo} slot, which [Vbuf] alone reads and writes
+    (DESIGN.md §4).  Every transfer and every simulated charge is still
+    paid on every launch, so cached and uncached runs produce
+    bit-identical results; only redundant host computation is
     skipped. *)
 
 type key = {
@@ -34,38 +31,14 @@ type key = {
           verifier proved reducible, [""] otherwise *)
 }
 
-type outcome = {
-  o_owner : int;
-      (** ownership-tracker version of the buffer the outcome was
-          recorded at ({!Gpu_runtime.Tracker.version}) *)
-  o_resident : int;
-      (** version of the buffer's residency tracker on the partition's
-          device *)
-  o_ops : int;  (** ownership-tracker operations the call charged *)
-  o_transfers : int array;
-      (** the transfers it issued, as (owner, start, stop) triples in
-          issue order ([[||]] for a write) *)
-}
-(** What one unbatched [Vbuf.sync_for_read] or one
-    [Vbuf.update_for_write] of a range list did on one partition's
-    device, recorded only when it left both trackers' versions as it
-    found them.  Versions are never reused, so the pair names one state
-    of one buffer on one device. *)
-
 type ranges = {
   rg_buf : string;  (** buffer name the array argument is bound to *)
   rg_ranges : (int * int) list;  (** canonical half-open element ranges *)
   rg_raw : int;  (** raw emission count (the host "patterns" cost driver) *)
-  mutable rg_memo : outcome list;
-      (** the latest outcomes, newest first: at most four, since a
-          [Swap] alternating one name between two buffers needs two *)
+  rg_memo : Gpu_runtime.Vbuf.memo;
+      (** the sync memo slot of this range list, passed to every
+          [Vbuf.sync_for_read] or [Vbuf.update_for_write] of it *)
 }
-
-val recall : ranges -> owner:int -> resident:int -> outcome option
-(** The outcome recorded at exactly these versions, if any. *)
-
-val remember : ranges -> outcome -> unit
-(** Record an outcome, dropping the oldest beyond four. *)
 
 type partition_plan = {
   pp_part : Partition.t;

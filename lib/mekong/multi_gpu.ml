@@ -211,8 +211,11 @@ let launch_bindings = Plan.launch_bindings
    seconds: the retried operation itself advances the simulated clock,
    so the penalty a real driver would impose must live on the same
    clock (wall-clock sleeps would be invisible to the reported times).
-   The budget bounds total backoff per action; the fault layer's
-   consecutive cap means it is never reached under any rate < 1. *)
+   The budget bounds total backoff per action, about a hundred retries.
+   The fault layer's consecutive cap bounds the retries of one
+   operation, not of a whole statement: a statement of many operations
+   at a high rate can exhaust the budget, and the run then fails with a
+   one-line [Failure]. *)
 let backoff_base = 100e-6
 let backoff_cap = 10e-3
 let backoff_budget = 1.0
@@ -376,14 +379,14 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      once per range list, so the hot path counts them in ints; their
      series are registered here and added to once, at the end of the
      run. *)
-  let transfers = ref 0 and sync_hits = ref 0 and sync_misses = ref 0
-  and ops_charged = ref 0 in
+  let transfers = ref 0 and ops_charged = ref 0 in
+  let memo_stats = { Gpu_runtime.Vbuf.hits = 0; misses = 0 } in
   let hot_counts =
     [
-      (counter "engine.transfers", transfers);
-      (counter "cache.sync_hits", sync_hits);
-      (counter "cache.sync_misses", sync_misses);
-      (counter "engine.tracker_ops", ops_charged);
+      (counter "engine.transfers", fun () -> !transfers);
+      (counter "cache.sync_hits", fun () -> memo_stats.hits);
+      (counter "cache.sync_misses", fun () -> memo_stats.misses);
+      (counter "engine.tracker_ops", fun () -> !ops_charged);
     ]
   in
   (* The cache lives for one cache generation: device count, tiling and
@@ -562,74 +565,22 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           ~grid:pp.pp_launch_grid ~block:c.c_block ~args:pp.pp_scalar_args
           ~access)
   in
-  (* The sync memo (DESIGN.md §4).  A range list's sync or write whose
-     buffer finds its ownership tracker, and its residency tracker on
-     the partition's device, at the versions a recorded call saw (and
-     left) is replayed: the recorded transfers are issued in order and
-     the recorded tracker ops charged, skipping the tracker walk and the
-     residency check.  Off under fault injection, where every sync
-     writes the validity trackers the key does not cover, and under a
-     finite capacity, where every access re-stamps residency; batched
-     syncs always walk. *)
-  let memo = (not healing) && mem_cap = max_int in
-  (* One range list's sync ([write] false; returns the transfers it
-     issued) or tracker update ([write] true; returns 0), through the
-     memo. *)
-  let memoized ~write c ~stamp (rg : Launch_cache.ranges) vb ~dev =
-    let tr = Gpu_runtime.Vbuf.tracker vb
-    and res = Gpu_runtime.Vbuf.residency vb ~dev in
-    let owner = Gpu_runtime.Tracker.version tr
-    and resident = Gpu_runtime.Tracker.version res in
-    match Launch_cache.recall rg ~owner ~resident with
-    | Some o ->
-      incr sync_hits;
-      Gpu_runtime.Tracker.add_ops tr o.o_ops;
-      let n = Gpu_runtime.Vbuf.replay_reads ~cfg vb ~dev o.o_transfers in
-      charge ~tracker_ops:o.o_ops ~ranges:rg.rg_raw ~dispatches:0;
-      n
-    | None ->
-      incr sync_misses;
-      let log = ref [] in
-      let before = Gpu_runtime.Tracker.ops tr in
-      let n =
-        if write then begin
-          Gpu_runtime.Vbuf.update_for_write ~cfg ~pool:c.c_pool ~stamp vb ~dev
-            ~ranges:rg.rg_ranges;
-          0
-        end
-        else
-          Gpu_runtime.Vbuf.sync_for_read ~cfg ~pool:c.c_pool ~stamp
-            ~record:(fun o s e -> log := e :: s :: o :: !log)
-            vb ~dev ~ranges:rg.rg_ranges
-      in
-      let ops = Gpu_runtime.Tracker.ops tr - before in
-      charge ~tracker_ops:ops ~ranges:rg.rg_raw ~dispatches:0;
-      if
-        Gpu_runtime.Tracker.version tr = owner
-        && Gpu_runtime.Tracker.version res = resident
-      then
-        Launch_cache.remember rg
-          {
-            o_owner = owner;
-            o_resident = resident;
-            o_ops = ops;
-            o_transfers = Array.of_list (List.rev !log);
-          };
-      n
+  (* Every range list syncs or records through [tracked], with its
+     sync memo slot ([Vbuf] decides hits, DESIGN.md §4); a halo fetch
+     has no slot. *)
+  let sync c ~batch ~stamp ?memo vb ~dev ~raw ranges =
+    transfers :=
+      !transfers
+      + tracked ~ranges:raw vb (fun () ->
+          Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch ~pool:c.c_pool ~stamp
+            ?memo ~stats:memo_stats vb ~dev ~ranges)
   in
   let sync_reads c ~batch ~stamp (pp : Launch_cache.partition_plan) =
     let dev = pp.pp_part.Partition.device in
     List.iter
       (fun (rg : Launch_cache.ranges) ->
-         let vb = bound c.c_bufs rg.rg_buf in
-         let n =
-           if memo && not batch then memoized ~write:false c ~stamp rg vb ~dev
-           else
-             tracked ~ranges:rg.rg_raw vb (fun () ->
-                 Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch ~pool:c.c_pool
-                   ~stamp vb ~dev ~ranges:rg.rg_ranges)
-         in
-         transfers := !transfers + n)
+         sync c ~batch ~stamp ~memo:rg.rg_memo (bound c.c_bufs rg.rg_buf) ~dev
+           ~raw:rg.rg_raw rg.rg_ranges)
       pp.pp_reads
   in
   let update_writes c ~stamp (pp : Launch_cache.partition_plan) =
@@ -637,11 +588,9 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     List.iter
       (fun (rg : Launch_cache.ranges) ->
          let vb = bound c.c_bufs rg.rg_buf in
-         if memo then ignore (memoized ~write:true c ~stamp rg vb ~dev)
-         else
-           tracked ~ranges:rg.rg_raw vb (fun () ->
-               Gpu_runtime.Vbuf.update_for_write ~cfg ~pool:c.c_pool ~stamp vb
-                 ~dev ~ranges:rg.rg_ranges))
+         tracked ~ranges:rg.rg_raw vb (fun () ->
+             Gpu_runtime.Vbuf.update_for_write ~cfg ~pool:c.c_pool ~stamp
+               ~memo:rg.rg_memo ~stats:memo_stats vb ~dev ~ranges:rg.rg_ranges))
       pp.pp_writes
   in
   (* Instrumented write-set collection (paper §11 fallback): the shadow
@@ -773,11 +722,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           let stamp = tick () and vb = find buf in
           List.iter
             (fun (dev, range) ->
-               transfers :=
-                 !transfers
-                 + tracked ~ranges:1 vb (fun () ->
-                     Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch:true
-                       ~pool:c.c_pool ~stamp vb ~dev ~ranges:[ range ]))
+               sync c ~batch:true ~stamp vb ~dev ~raw:1 [ range ])
             fetch)
     | Plan.Swap (a, b) ->
       swap a b;
@@ -828,27 +773,27 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       Gpusim.Machine.synchronize m
     | Host_ir.Launch { kernel; grid; block; args } ->
       exec_launch kernel grid block args
-    | Host_ir.Repeat
-        (n, [ Host_ir.Launch { kernel; grid; block; args }; Host_ir.Swap (sx, sy) ])
-      when halo_repeats_ok && n > 1 -> (
-        (* A double-buffered stencil loop kept whole by the flattening
-           runs halo-tiled when its winner has a halo schedule, else as
-           the flattened engine would. *)
-        let ck, plan = plan_for kernel grid block args in
-        match
-          Plan.halo (env ()) ck kernel plan ~grid ~block ~args ~iters:n
-            ~swap:(sx, sy)
-        with
-        | Some steps -> List.iter (step (context ck ~block plan)) steps
+    | Host_ir.Repeat (n, body) -> (
+        (* Only a halo-eligible double-buffered stencil loop survives the
+           flattening whole.  It runs halo-tiled when its winner has a
+           halo schedule, else as the flattened engine would. *)
+        let halo =
+          match body with
+          | [ Host_ir.Launch { kernel; grid; block; args }; Host_ir.Swap (sx, sy) ]
+            ->
+            let ck, plan = plan_for kernel grid block args in
+            Option.map
+              (fun steps -> (context ck ~block plan, steps))
+              (Plan.halo (env ()) ck kernel plan ~grid ~block ~args ~iters:n
+                 ~swap:(sx, sy))
+          | _ -> None
+        in
+        match halo with
+        | Some (c, steps) -> List.iter (step c) steps
         | None ->
           for _ = 1 to n do
-            exec_launch kernel grid block args;
-            swap sx sy
+            List.iter exec body
           done)
-    | Host_ir.Repeat (n, body) ->
-      for _ = 1 to n do
-        List.iter exec body
-      done
     | Host_ir.Swap (a, b) -> swap a b
     | Host_ir.Free name ->
       Gpu_runtime.Vbuf.free (find name);
@@ -1068,7 +1013,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     Obs.Metrics.add observed
       (float_of_int
          ((Gpusim.Machine.stats m).Gpusim.Machine.n_faults - faults_at_entry));
-  List.iter (fun (c, n) -> Obs.Metrics.add c (float_of_int !n)) hot_counts;
+  List.iter (fun (c, n) -> Obs.Metrics.add c (float_of_int (n ()))) hot_counts;
   Obs.Metrics.add predicted_us (!tune_pred *. 1e6);
   Obs.Metrics.add actual_us (!tune_act *. 1e6);
   let time = Gpusim.Machine.host_time m in

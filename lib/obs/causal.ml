@@ -49,7 +49,6 @@ type node = {
 type dag = { d_nodes : node array; d_dropped : int }
 
 let nodes d = d.d_nodes
-let dag_dropped d = d.d_dropped
 
 (* --- Builder ----------------------------------------------------------- *)
 
@@ -122,7 +121,6 @@ let add b ~label ~category ~phase ~resources ~ready ~start ~finish ~fixed
   end
 
 let builder_dropped b = b.b_dropped
-let builder_count b = b.b_count
 
 let dag b =
   { d_nodes = Array.of_list (List.rev b.b_nodes); d_dropped = b.b_dropped }

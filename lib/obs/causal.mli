@@ -26,7 +26,6 @@ type node = {
 type dag
 
 val nodes : dag -> node array
-val dag_dropped : dag -> int
 
 (** {1 Builder} — bounded; past capacity nodes are dropped (newest
     lost) and counted, since a truncated DAG must be detectable. *)
@@ -64,7 +63,6 @@ val last_on : builder -> string -> int option
 (** Last node recorded on a resource. *)
 
 val builder_dropped : builder -> int
-val builder_count : builder -> int
 val dag : builder -> dag
 
 (** {1 Critical path} *)

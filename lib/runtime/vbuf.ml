@@ -88,6 +88,11 @@ let n_devices t = Array.length t.instances
 let elem_bytes t =
   (Gpusim.Machine.config t.machine).Gpusim.Config.elem_bytes
 
+(* Whether a copy moves data as well as simulated time: always on a
+   functional machine, else as the measurement config says. *)
+let do_data ~cfg t =
+  cfg.Rconfig.transfers || Gpusim.Machine.is_functional t.machine
+
 (* Forget every resident segment of device [dev] without any writeback
    (used when a device dies, on restore, and on free). *)
 let drop_residency t ~dev =
@@ -218,9 +223,7 @@ let spill_target t =
    and counted as spill traffic; the rest is dropped free. *)
 let evict ~cfg t ~dev ~start:s ~stop:e =
   let eb = elem_bytes t in
-  let do_data =
-    cfg.Rconfig.transfers || Gpusim.Machine.is_functional t.machine
-  in
+  let do_data = do_data ~cfg t in
   List.iter
     (fun (o : Tracker.segment) ->
        if o.owner = dev then begin
@@ -494,9 +497,7 @@ let h2d ?(cfg = Rconfig.alpha) ?(pool = []) t ~src =
    | Some a -> t.host_copy <- Some (Array.copy a)
    | None -> ());
   let src = Option.value src ~default:[||] in
-  let do_data =
-    cfg.Rconfig.transfers || Gpusim.Machine.is_functional t.machine
-  in
+  let do_data = do_data ~cfg t in
   let live = scatter_targets t in
   let n = List.length live in
   List.iteri
@@ -561,8 +562,7 @@ let d2h ?(cfg = Rconfig.alpha) t ~dst =
                ("Vbuf.d2h: host-owned segment of " ^ t.name
                 ^ " has no host data")
        end
-       else if cfg.Rconfig.transfers || Gpusim.Machine.is_functional t.machine
-       then
+       else if do_data ~cfg t then
          Gpusim.Machine.d2h t.machine ~src:t.instances.(owner) ~src_off:start
            ~dst ~dst_off:start ~len:(stop - start))
     segs
@@ -587,7 +587,7 @@ let fetch_from_host t ~dev ~start ~len ~do_data =
 
 (* Copy the stale segment [s, e), freshest at [owner] (a device or
    [Tracker.host]), onto device [dev]: one transfer of the unbatched
-   sync, issued alike by a live walk and by a replay. *)
+   sync, issued alike by a live walk and by a memo hit. *)
 let fetch t ~dev ~do_data owner s e =
   if owner = Tracker.host then
     fetch_from_host t ~dev ~start:s ~len:(e - s) ~do_data
@@ -595,6 +595,85 @@ let fetch t ~dev ~do_data owner s e =
     Gpusim.Machine.p2p t.machine ~src:t.instances.(owner) ~src_off:s
       ~dst:t.instances.(dev) ~dst_off:s ~len:(e - s);
   mark_fresh t ~who:dev ~start:s ~stop:e
+
+(* --- The sync memo ------------------------------------------------------ *)
+
+(* What one unbatched sync or one write of a range list did on one
+   device, recorded only when it left the buffer's ownership tracker
+   and the device's residency tracker at the versions it found them
+   at.  Versions are never reused, so the pair names one state of one
+   buffer on one device. *)
+type outcome = {
+  o_owner : int; (* ownership-tracker version *)
+  o_resident : int; (* residency-tracker version of the device *)
+  o_ops : int; (* ownership-tracker ops the call charged *)
+  o_transfers : int array; (* (owner, start, stop) triples, in order *)
+}
+
+(* Newest first, at most [memo_slots]: a [Swap] alternating one name
+   between two buffers needs two. *)
+type memo = { mutable outcomes : outcome list }
+type memo_stats = { mutable hits : int; mutable misses : int }
+
+let memo () = { outcomes = [] }
+let memo_slots = 4
+
+(* What a call finds in its slot: no lookup, a recorded outcome, or a
+   miss at the versions the call starts from. *)
+type lookup = Off | Hit of outcome | Miss of memo * int * int
+
+let rec recall slot owner resident = function
+  | [] -> Miss (slot, owner, resident)
+  | o :: rest ->
+    if o.o_owner = owner && o.o_resident = resident then Hit o
+    else recall slot owner resident rest
+
+(* The memo is off where this module keeps state the key does not
+   cover: the validity trackers of a faulty machine and the LRU stamps
+   of a capacity-limited one. *)
+let lookup memo t ~dev =
+  match memo with
+  | Some slot
+    when Option.is_none (Gpusim.Machine.fault_state t.machine)
+         && Gpusim.Machine.mem_capacity t.machine = max_int ->
+    recall slot (Tracker.version t.tracker)
+      (Tracker.version t.residency.(dev)) slot.outcomes
+  | _ -> Off
+
+(* A hit issues the recorded transfers through the same [fetch] a walk
+   uses and counts the recorded ops on the ownership tracker, skipping
+   everything else: the clamp, the residency check and the tracker walk
+   and writes. *)
+let replay ?stats t ~dev ~do_data o =
+  Option.iter (fun s -> s.hits <- s.hits + 1) stats;
+  Tracker.add_ops t.tracker o.o_ops;
+  let tr = o.o_transfers in
+  let n = Array.length tr / 3 in
+  for i = 0 to n - 1 do
+    fetch t ~dev ~do_data tr.(3 * i) tr.((3 * i) + 1) tr.((3 * i) + 2)
+  done;
+  n
+
+(* A miss runs [walk record], which reports each transfer it issues to
+   [record], and records the outcome if the call left both trackers at
+   the versions it started from. *)
+let record ?stats slot ~owner ~resident t ~dev walk =
+  Option.iter (fun s -> s.misses <- s.misses + 1) stats;
+  let log = ref [] and before = Tracker.ops t.tracker in
+  let n = walk (Some (fun o s e -> log := e :: s :: o :: !log)) in
+  if
+    Tracker.version t.tracker = owner
+    && Tracker.version t.residency.(dev) = resident
+  then
+    slot.outcomes <-
+      {
+        o_owner = owner;
+        o_resident = resident;
+        o_ops = Tracker.ops t.tracker - before;
+        o_transfers = Array.of_list (List.rev !log);
+      }
+      :: List.filteri (fun i _ -> i < memo_slots - 1) slot.outcomes;
+  n
 
 (* Bring the given element ranges up to date on device [dev] by copying
    stale segments from their owners (paper §8.3).  Returns the number
@@ -605,14 +684,10 @@ let fetch t ~dev ~do_data owner s e =
    one packed transfer each (a pitched cudaMemcpy2D) — used by the 2-D
    tiling extension, whose column halos fragment into thousands of
    tiny row segments that would otherwise pay a latency each. *)
-let sync_for_read ?(cfg = Rconfig.alpha) ?(batch = false) ?(pool = []) ?stamp
-    ?record t ~dev ~ranges =
+let sync_walk ~cfg ~batch ~pool ?stamp ~do_data t ~dev ~ranges record =
   if not cfg.Rconfig.patterns then 0
   else begin
     let transfers = ref 0 in
-    let do_data =
-      cfg.Rconfig.transfers || Gpusim.Machine.is_functional t.machine
-    in
     let ranges = clamp_ranges t ranges in
     (* Fetched segments will land in this device's instance: charge the
        whole read set as resident before any data moves. *)
@@ -666,26 +741,23 @@ let sync_for_read ?(cfg = Rconfig.alpha) ?(batch = false) ?(pool = []) ?stamp
     !transfers
   end
 
-(* Issue recorded transfers again, in order: what an unbatched
-   [sync_for_read] does when the trackers it read are as they were. *)
-let replay_reads ?(cfg = Rconfig.alpha) t ~dev transfers =
-  let do_data =
-    cfg.Rconfig.transfers || Gpusim.Machine.is_functional t.machine
-  in
-  let n = Array.length transfers / 3 in
-  for i = 0 to n - 1 do
-    fetch t ~dev ~do_data transfers.(3 * i) transfers.((3 * i) + 1)
-      transfers.((3 * i) + 2)
-  done;
-  n
+(* Batched syncs always walk. *)
+let sync_for_read ?(cfg = Rconfig.alpha) ?(batch = false) ?(pool = []) ?stamp
+    ?memo ?stats t ~dev ~ranges =
+  let do_data = do_data ~cfg t in
+  match lookup (if batch then None else memo) t ~dev with
+  | Hit o -> replay ?stats t ~dev ~do_data o
+  | Off -> sync_walk ~cfg ~batch ~pool ?stamp ~do_data t ~dev ~ranges None
+  | Miss (slot, owner, resident) ->
+    record ?stats slot ~owner ~resident t ~dev
+      (sync_walk ~cfg ~batch ~pool ?stamp ~do_data t ~dev ~ranges)
 
 (* Record that device [dev] wrote the given element ranges.  The
    written bytes necessarily exist on the device, so the ranges are
    made resident first — a backstop that raises [Out_of_memory] if the
    engine's footprint planning under-estimated, rather than letting
    the accounting drift from reality. *)
-let update_for_write ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges
-  =
+let write_walk ~cfg ~pool ?stamp t ~dev ~ranges =
   if cfg.Rconfig.patterns then begin
     let ranges = clamp_ranges t ranges in
     ensure_resident ~cfg ~pool ?stamp t ~dev ~ranges;
@@ -697,6 +769,18 @@ let update_for_write ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges
          mark_fresh t ~who:dev ~start ~stop)
       ranges
   end
+
+(* A write issues no transfers, so its outcomes record none. *)
+let update_for_write ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp ?memo ?stats t
+    ~dev ~ranges =
+  match lookup memo t ~dev with
+  | Hit o -> ignore (replay ?stats t ~dev ~do_data:false o)
+  | Off -> write_walk ~cfg ~pool ?stamp t ~dev ~ranges
+  | Miss (slot, owner, resident) ->
+    ignore
+      (record ?stats slot ~owner ~resident t ~dev (fun _ ->
+           write_walk ~cfg ~pool ?stamp t ~dev ~ranges;
+           0))
 
 (* --- Checkpoint / restore / recovery (fault tolerance) ----------------- *)
 

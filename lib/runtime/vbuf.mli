@@ -5,7 +5,10 @@
     - host-to-device scatters linearly over all devices (§8.2);
     - device-to-host gathers each segment from its owner;
     - {!sync_for_read} fetches stale ranges before a kernel partition
-      runs; {!update_for_write} records its writes (§8.3). *)
+      runs; {!update_for_write} records its writes (§8.3);
+    - both take an optional {!memo} slot per range list, which replays
+      a recorded call while the trackers it read are unchanged; this
+      module alone decides hit, miss, record and when the memo is off. *)
 
 type t
 
@@ -21,8 +24,7 @@ val tracker : t -> Tracker.t
 val residency : t -> dev:int -> Tracker.t
 (** The residency tracker of one device: owner 0 = not resident, a
     positive owner = resident, stamped by the last {!ensure_resident}
-    that touched it.  Tests and version checks read it; callers must
-    not write it. *)
+    that touched it.  Tests read it; callers must not write it. *)
 
 val instance : t -> int -> Gpusim.Buffer.t
 (** The device-local instance for one device. *)
@@ -52,9 +54,42 @@ val d2h : ?cfg:Rconfig.t -> t -> dst:float array option -> unit
     [Invalid_argument] naming the buffer if the host array's length
     differs from [len t]. *)
 
+(** {2 The sync memo}
+
+    A caller that issues the same range list again and again (the
+    engine, per range list of a cached launch plan) can keep a {!memo}
+    slot with it and pass it to
+    {!sync_for_read} and {!update_for_write}.  The slot records what a
+    call did on its device — the transfers it issued and the
+    ownership-tracker ops it performed — keyed by the versions
+    ({!Tracker.version}) of the buffer's ownership tracker and of its
+    residency tracker on that device, and only when the call left both
+    as it found them.  A later call that finds both at a recorded pair
+    is a hit: it issues the recorded transfers in order, through the
+    same calls a walk makes, and adds the recorded ops to the tracker's
+    {!Tracker.ops}, so a caller charging ops deltas charges the same.
+    It skips the range clamp, {!ensure_resident} and the tracker walk
+    and writes, which would find and change nothing.
+
+    The memo is off (the slot is not looked up) where this module keeps
+    state the key does not cover: replica validity under fault
+    injection and LRU stamps under a finite [Config.mem_capacity].
+    Batched syncs never use it. *)
+
+type memo
+(** One range list's slot: its four latest outcomes, since a [Swap]
+    alternating one name between two buffers needs two. *)
+
+val memo : unit -> memo
+(** An empty slot. *)
+
+type memo_stats = { mutable hits : int; mutable misses : int }
+(** Lookups counted by the calls this is passed to: the per-run
+    [cache.sync_hits] and [cache.sync_misses]. *)
+
 val sync_for_read :
   ?cfg:Rconfig.t -> ?batch:bool -> ?pool:t list -> ?stamp:int ->
-  ?record:(int -> int -> int -> unit) -> t -> dev:int ->
+  ?memo:memo -> ?stats:memo_stats -> t -> dev:int ->
   ranges:(int * int) list -> int
 (** Bring the element ranges up to date on device [dev], copying stale
     segments from their owners; returns the number of transfers issued.
@@ -64,21 +99,11 @@ val sync_for_read :
     {!ensure_resident}; [pool]/[stamp] are passed through).  [batch]
     groups stale segments per owner into packed transfers (pitched
     cudaMemcpy2D), which the 2-D tiling extension needs for its
-    fragmented column halos.  Without [batch], [record owner start stop]
-    is called after each transfer is issued ([owner] is a device or
-    [Tracker.host]). *)
-
-val replay_reads : ?cfg:Rconfig.t -> t -> dev:int -> int array -> int
-(** Issue recorded unbatched transfers onto [dev] again, in order:
-    [(owner, start, stop)] triples as {!sync_for_read}'s [record] saw
-    them.  Each goes through the same calls a live sync makes for it;
-    no tracker is read.  Returns the transfer count.  Exact only while
-    the trackers the recording sync read are unchanged (the caller
-    checks their {!Tracker.version}s). *)
+    fragmented column halos; a batched sync never consults [memo]. *)
 
 val update_for_write :
-  ?cfg:Rconfig.t -> ?pool:t list -> ?stamp:int -> t -> dev:int ->
-  ranges:(int * int) list -> unit
+  ?cfg:Rconfig.t -> ?pool:t list -> ?stamp:int -> ?memo:memo ->
+  ?stats:memo_stats -> t -> dev:int -> ranges:(int * int) list -> unit
 (** Record that device [dev] wrote the ranges (clamped to the buffer).
     The ranges are made resident first — written bytes necessarily
     exist on the device — raising [Gpusim.Machine.Out_of_memory] if

@@ -460,20 +460,20 @@ let test_machine_faults_off_by_default () =
   let b = Machine.alloc m ~device:0 ~len:10 in
   Machine.h2d m ~src:[||] ~src_off:0 ~dst:b ~dst_off:0 ~len:10;
   checki "no faults" 0 (Machine.stats m).Machine.n_faults;
-  (* a null spec in the config arms nothing *)
-  let m2 =
-    Machine.create { (quiet_cfg 2) with Config.faults = Some Faults.null_spec }
-  in
-  checkb "null spec ignored" true (Machine.fault_state m2 = None);
-  let m3 =
-    Machine.create
-      {
-        (quiet_cfg 2) with
-        Config.faults =
-          Some { Faults.null_spec with seed = 5; kernel_fault_rate = 0.5 };
-      }
-  in
-  checkb "real spec armed" true (Machine.fault_state m3 <> None)
+  (* Faults are armed only by [inject_faults].  A null spec arms
+     nothing: it is null, and injected anyway it never fires. *)
+  checkb "null spec is null" true (Faults.is_null Faults.null_spec);
+  checkb "real spec is not" false
+    (Faults.is_null { Faults.null_spec with seed = 5; kernel_fault_rate = 0.5 });
+  let m2 = Machine.create (quiet_cfg 2) in
+  Machine.inject_faults m2 (Faults.create { Faults.null_spec with seed = 5 });
+  let b2 = Machine.alloc m2 ~device:1 ~len:10 in
+  for _ = 1 to 100 do
+    Machine.h2d m2 ~src:[||] ~src_off:0 ~dst:b2 ~dst_off:0 ~len:10;
+    Machine.launch m2 ~device:1 ~blocks:1 ~ops_per_block:1e3 ~run:ignore
+  done;
+  checki "null spec never fires" 0 (Machine.stats m2).Machine.n_faults;
+  checkb "null spec loses nothing" true (Machine.live_devices m2 = [ 0; 1 ])
 
 (* ---------------- Config validation ---------------- *)
 

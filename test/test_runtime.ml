@@ -889,6 +889,111 @@ let test_rconfig () =
     (String.concat ","
        (List.map Rconfig.name [ Rconfig.alpha; Rconfig.beta; Rconfig.gamma ]))
 
+(* ---------------- Sync memo ---------------- *)
+
+(* A 100-element buffer scattered over 4 devices, with [30, 35) then
+   written by device 3: a read of [10, 90) on device 0 makes five
+   transfers, from devices 1, 3, 1, 2 and 3.  Tracing is on, so every issued
+   transfer is visible with its simulated times. *)
+let memo_machine ?mem_capacity ?(faults = false) () =
+  let m =
+    Gpusim.Machine.create ~functional:true
+      (Gpusim.Config.test_box ~n_devices:4 ?mem_capacity ())
+  in
+  if faults then
+    Gpusim.Machine.inject_faults m
+      (Gpusim.Faults.create { Gpusim.Faults.null_spec with seed = 1 });
+  Gpusim.Machine.enable_trace m;
+  m
+
+let memo_buffer ?(name = "a") m =
+  let vb = Vbuf.create m ~name ~len:100 in
+  Vbuf.h2d vb ~src:(Some (Array.init 100 float_of_int));
+  Vbuf.update_for_write vb ~dev:3 ~ranges:[ (30, 35) ];
+  vb
+
+(* One sync of [10, 90) onto device 0: the transfers it reported, the
+   ownership-tracker ops it added and the machine events it issued. *)
+let memo_sync ?memo ?stats ?batch m vb =
+  let tr = Vbuf.tracker vb in
+  let ops = Tracker.ops tr and seen = List.length (Gpusim.Machine.trace m) in
+  let n = Vbuf.sync_for_read ?batch ?memo ?stats vb ~dev:0 ~ranges:[ (10, 90) ] in
+  (n, Tracker.ops tr - ops, List.filteri (fun i _ -> i >= seen) (Gpusim.Machine.trace m))
+
+let check_stats what (hits, misses) (s : Vbuf.memo_stats) =
+  Alcotest.(check (pair int int)) what (hits, misses) (s.Vbuf.hits, s.Vbuf.misses)
+
+let test_vbuf_sync_memo () =
+  (* A hit does what a live walk from the same state does: the same
+     transfers at the same simulated times, the same tracker ops, the
+     same data.  The first sync makes the read set resident, so it is
+     not recorded; the second records; the third hits. *)
+  let live_m = memo_machine () and memo_m = memo_machine () in
+  let live = memo_buffer live_m and memoed = memo_buffer memo_m in
+  let memo = Vbuf.memo () and stats = { Vbuf.hits = 0; misses = 0 } in
+  let same ?(transfers = 5) what =
+    let a = memo_sync live_m live and b = memo_sync ~memo ~stats memo_m memoed in
+    checkb what true (a = b);
+    let (n, _, evs) = b in
+    checkb (what ^ ": transfers issued") true (n = transfers && evs <> [])
+  in
+  same "first sync";
+  same "second sync";
+  check_stats "two misses" (0, 2) stats;
+  same "hit";
+  check_stats "then a hit" (1, 2) stats;
+  checkb "same data" true
+    (Gpusim.Buffer.data_exn (Vbuf.instance live 0)
+     = Gpusim.Buffer.data_exn (Vbuf.instance memoed 0));
+  (* A write by another device changes the ownership tracker: the next
+     sync misses, and it and the syncs after it also fetch the new
+     owner's range, which splits device 2's. *)
+  Vbuf.update_for_write live ~dev:1 ~ranges:[ (60, 70) ];
+  Vbuf.update_for_write memoed ~dev:1 ~ranges:[ (60, 70) ];
+  same ~transfers:7 "after a write";
+  check_stats "the write forces a miss" (1, 3) stats;
+  (* Device 0's residency is as it was, so that miss recorded. *)
+  same ~transfers:7 "hit again";
+  check_stats "then hits again" (2, 3) stats;
+  (* The memo is never looked up under fault injection or under a
+     finite capacity, for syncs or writes, nor for a batched sync. *)
+  let never what ?batch m =
+    let vb = memo_buffer m and stats = { Vbuf.hits = 0; misses = 0 } in
+    let memo = Vbuf.memo () in
+    for _ = 1 to 4 do
+      ignore (memo_sync ?batch ~memo ~stats m vb);
+      if batch = None then
+        Vbuf.update_for_write ~memo ~stats vb ~dev:0 ~ranges:[ (0, 5) ]
+    done;
+    check_stats what (0, 0) stats
+  in
+  never "faults: no lookups" (memo_machine ~faults:true ());
+  never "finite capacity: no lookups" (memo_machine ~mem_capacity:(1 lsl 20) ());
+  never "batch: no lookups" ~batch:true (memo_machine ());
+  (* A slot keeps the four latest outcomes: after recording five
+     buffers, the four newest hit and the oldest misses. *)
+  let m = memo_machine () in
+  let bufs = List.init 5 (fun i -> memo_buffer ~name:(string_of_int i) m) in
+  let memo = Vbuf.memo () and stats = { Vbuf.hits = 0; misses = 0 } in
+  List.iter
+    (fun vb -> for _ = 1 to 2 do ignore (memo_sync ~memo ~stats m vb) done)
+    bufs;
+  check_stats "five buffers recorded" (0, 10) stats;
+  List.iter (fun vb -> ignore (memo_sync ~memo ~stats m vb)) (List.rev (List.tl bufs));
+  check_stats "the four newest hit" (4, 10) stats;
+  ignore (memo_sync ~memo ~stats m (List.hd bufs));
+  check_stats "the oldest was dropped" (4, 11) stats;
+  (* A Swap alternating one name between two buffers: one slot serves
+     both, and once each is recorded both hit. *)
+  let m = memo_machine () in
+  let x = memo_buffer ~name:"x" m and y = memo_buffer ~name:"y" m in
+  let memo = Vbuf.memo () and stats = { Vbuf.hits = 0; misses = 0 } in
+  for _ = 1 to 4 do
+    ignore (memo_sync ~memo ~stats m x);
+    ignore (memo_sync ~memo ~stats m y)
+  done;
+  check_stats "both buffers hit" (4, 4) stats
+
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -923,6 +1028,7 @@ let () =
           Alcotest.test_case "range clamping" `Quick test_vbuf_range_clamping;
           Alcotest.test_case "tracker ops accounting" `Quick test_tracker_ops_accounting;
           Alcotest.test_case "rconfig" `Quick test_rconfig;
+          Alcotest.test_case "sync memo" `Quick test_vbuf_sync_memo;
           qtest prop_vbuf_model;
         ] );
       ( "fault-recovery",
