@@ -6,6 +6,8 @@
    what happens, the interpreter in [run_bounded] makes it happen and
    owns retry, replay, checkpoints and preemption. *)
 
+module Vbuf = Gpu_runtime.Vbuf
+
 type compiled_kernel = Plan.compiled_kernel = {
   ck_model : Model.kernel_model;
   ck_partitioned : Kir.t;
@@ -225,11 +227,10 @@ type context = {
   c_ck : compiled_kernel;
   c_block : Dim3.t;
   c_args : (string * string) list; (* array parameter -> buffer name *)
-  mutable c_bufs : (string * Gpu_runtime.Vbuf.t) list;
+  mutable c_bufs : (string * Vbuf.t) list;
       (* the launch's buffers by name, as bound now: read once per
          launch instead of once per range list, and again after a
          [Swap] step *)
-  c_pool : Gpu_runtime.Vbuf.t list; (* the eviction pool *)
   c_accs : (string * (float array * bool array)) list array option;
       (* per partition, each reducible array's accumulator and touched
          flags (functional machines only) *)
@@ -282,10 +283,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   and retries = counter "faults.retries"
   and replays = counter "faults.replays"
   and devices_lost = counter "faults.devices_lost" in
-  let vbufs : (string, Gpu_runtime.Vbuf.t) Hashtbl.t = Hashtbl.create 16 in
+  (* Every buffer of the run lives in one space (DESIGN.md §4). *)
+  let space = Vbuf.space ~cfg m in
+  let vbufs : (string, Vbuf.t) Hashtbl.t = Hashtbl.create 16 in
   (* Memory-pressure adaptation (DESIGN.md §15): a finite capacity makes
-     the whole buffer population the eviction pool and chunks launches
-     whose footprint does not fit. *)
+     the whole buffer population (the space's pool) the eviction pool
+     and chunks launches whose footprint does not fit. *)
   let mem_cap = Gpusim.Machine.mem_capacity m in
   let capped = mem_cap < max_int && cfg.Gpu_runtime.Rconfig.patterns in
   let chunked_launches = counter "engine.chunked_launches"
@@ -340,19 +343,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
        | Some (_, c) -> c
        | None -> err_gt)
   in
-  (* The eviction pool, sorted by name: stamps shared across vbufs can
-     tie, and [coldest] breaks ties by pool order, so the order must
-     not depend on hash-table internals.  Swaps only rebind names, so
-     the pool changes only where buffers are created or dropped, and
-     is re-sorted there rather than on every launch. *)
-  let pool = ref [] in
-  let refresh_pool () =
-    pool :=
-      List.sort
-        (fun a b ->
-           compare (Gpu_runtime.Vbuf.name a) (Gpu_runtime.Vbuf.name b))
-        (Hashtbl.fold (fun _ vb acc -> vb :: acc) vbufs [])
-  in
   (* Per-launch compiled-kernel lookup must not be linear in the kernel
      count. *)
   let compiled_tbl : (string, compiled_kernel) Hashtbl.t =
@@ -375,20 +365,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   and gate_merged_elems = counter "engine.gate.merged_elems" in
   let plan_hits = counter "cache.plan_hits"
   and plan_misses = counter "cache.plan_misses" in
-  (* Transfers, sync-memo lookups and charged tracker ops are counted
-     once per range list, so the hot path counts them in ints; their
-     series are registered here and added to once, at the end of the
-     run. *)
-  let transfers = ref 0 and ops_charged = ref 0 in
-  let memo_stats = { Gpu_runtime.Vbuf.hits = 0; misses = 0 } in
-  let hot_counts =
-    [
-      (counter "engine.transfers", fun () -> !transfers);
-      (counter "cache.sync_hits", fun () -> memo_stats.hits);
-      (counter "cache.sync_misses", fun () -> memo_stats.misses);
-      (counter "engine.tracker_ops", fun () -> !ops_charged);
-    ]
-  in
   (* The cache lives for one cache generation: device count, tiling and
      measurement config are fixed within it, so they need not be part
      of the key.  A permanent device loss changes the partitioning and
@@ -414,40 +390,18 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       if b == name || String.equal b name then vb else bound rest name
     | [] -> find name
   in
-  (* Charge host-side dependency-resolution work (the "patterns"
-     overhead of §9.2). *)
-  let charge ~tracker_ops ~ranges ~dispatches =
-    ops_charged := !ops_charged + tracker_ops;
-    let seconds =
-      (float_of_int tracker_ops *. host_costs.Gpusim.Config.tracker_op_seconds)
-      +. (float_of_int ranges *. host_costs.Gpusim.Config.range_seconds)
-      +. (float_of_int dispatches *. host_costs.Gpusim.Config.dispatch_seconds)
-    in
+  (* Charge launch dispatches and shadow-collected ranges as "patterns"
+     overhead (§9.2); buffer operations charge their own work. *)
+  let charge seconds =
     if seconds > 0.0 then Gpusim.Machine.host_work m ~seconds ~category:"pattern"
   in
-  (* Run one buffer operation and charge the tracker operations it
-     performed, plus [ranges] raw enumerator emissions. *)
-  let tracked ?(ranges = 0) vb f =
-    let tr = Gpu_runtime.Vbuf.tracker vb in
-    let before = Gpu_runtime.Tracker.ops tr in
-    let res = f () in
-    charge ~tracker_ops:(Gpu_runtime.Tracker.ops tr - before) ~ranges
-      ~dispatches:0;
-    res
-  in
-  let h2d vb src =
-    tracked vb (fun () -> Gpu_runtime.Vbuf.h2d ~cfg ~pool:!pool vb ~src)
-  in
-  let d2h vb dst =
-    tracked vb (fun () -> Gpu_runtime.Vbuf.d2h ~cfg vb ~dst);
-    dst
-  in
+  let dispatch () = charge host_costs.Gpusim.Config.dispatch_seconds in
   (* The whole-buffer gather to a fresh host array (no data on
      performance machines). *)
   let gather vb =
-    d2h vb
-      (if functional then Some (Array.make (Gpu_runtime.Vbuf.len vb) 0.0)
-       else None)
+    let dst = if functional then Some (Array.make (Vbuf.len vb) 0.0) else None in
+    Vbuf.d2h vb ~dst;
+    dst
   in
   (* --- Launch plans ------------------------------------------------- *)
   let env () =
@@ -459,7 +413,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       live = !live;
       mem_cap;
       elem_bytes = (Gpusim.Machine.config m).Gpusim.Config.elem_bytes;
-      buf_len = (fun b -> Gpu_runtime.Vbuf.len (find b));
+      buf_len = (fun b -> Vbuf.len (find b));
     }
   in
   (* A launch's compiled kernel and cache key.  The key extends the
@@ -535,7 +489,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   (* --- The step interpreter ------------------------------------------ *)
   let data c dev a =
     Gpusim.Buffer.data_exn
-      (Gpu_runtime.Vbuf.instance (find (List.assoc a c.c_args)) dev)
+      (Vbuf.instance (find (List.assoc a c.c_args)) dev)
   in
   let launch c ~index (pp : Launch_cache.partition_plan) =
     let dev = pp.pp_part.Partition.device in
@@ -544,7 +498,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
        the merge skip identity elements (preserving the base bits,
        -0.0 included). *)
     let redirect a = Option.bind c.c_accs (fun accs -> List.assoc_opt a accs.(index)) in
-    charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
+    dispatch ();
     Gpusim.Machine.launch m ~device:dev ~blocks:pp.pp_n_blocks
       ~ops_per_block:pp.pp_ops_per_block ~run:(fun () ->
         let access a =
@@ -565,32 +519,23 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           ~grid:pp.pp_launch_grid ~block:c.c_block ~args:pp.pp_scalar_args
           ~access)
   in
-  (* Every range list syncs or records through [tracked], with its
-     sync memo slot ([Vbuf] decides hits, DESIGN.md §4); a halo fetch
-     has no slot. *)
-  let sync c ~batch ~stamp ?memo vb ~dev ~raw ranges =
-    transfers :=
-      !transfers
-      + tracked ~ranges:raw vb (fun () ->
-          Gpu_runtime.Vbuf.sync_for_read ~cfg ~batch ~pool:c.c_pool ~stamp
-            ?memo ~stats:memo_stats vb ~dev ~ranges)
-  in
+  (* Every range list syncs or records with its sync memo slot; [Vbuf]
+     decides hits and charges the work (DESIGN.md §4). *)
   let sync_reads c ~batch ~stamp (pp : Launch_cache.partition_plan) =
     let dev = pp.pp_part.Partition.device in
     List.iter
       (fun (rg : Launch_cache.ranges) ->
-         sync c ~batch ~stamp ~memo:rg.rg_memo (bound c.c_bufs rg.rg_buf) ~dev
-           ~raw:rg.rg_raw rg.rg_ranges)
+         ignore
+           (Vbuf.sync_for_read (bound c.c_bufs rg.rg_buf) ~dev ~batch ~stamp
+              ~memo:rg.rg_memo ~raw:rg.rg_raw ~ranges:rg.rg_ranges))
       pp.pp_reads
   in
   let update_writes c ~stamp (pp : Launch_cache.partition_plan) =
     let dev = pp.pp_part.Partition.device in
     List.iter
       (fun (rg : Launch_cache.ranges) ->
-         let vb = bound c.c_bufs rg.rg_buf in
-         tracked ~ranges:rg.rg_raw vb (fun () ->
-             Gpu_runtime.Vbuf.update_for_write ~cfg ~pool:c.c_pool ~stamp
-               ~memo:rg.rg_memo ~stats:memo_stats vb ~dev ~ranges:rg.rg_ranges))
+         Vbuf.update_for_write (bound c.c_bufs rg.rg_buf) ~dev
+           ~stamp ~memo:rg.rg_memo ~raw:rg.rg_raw ~ranges:rg.rg_ranges)
       pp.pp_writes
   in
   (* Instrumented write-set collection (paper §11 fallback): the shadow
@@ -607,7 +552,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       (fun (pp : Launch_cache.partition_plan) ->
          let dev = pp.pp_part.Partition.device in
          let collected = ref [] in
-         charge ~tracker_ops:0 ~ranges:0 ~dispatches:1;
+         dispatch ();
          Gpusim.Machine.launch m ~device:dev ~blocks:pp.pp_n_blocks
            ~ops_per_block:pp.pp_shadow_cost ~run:(fun () ->
              (* Shadows instrument unanalyzable writes, which have no
@@ -621,7 +566,9 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
            (fun (arr, ranges) ->
               let slot = List.assoc arr per_array in
               slot := (dev, ranges) :: !slot;
-              charge ~tracker_ops:0 ~ranges:(List.length ranges) ~dispatches:0)
+              charge
+                (float_of_int (List.length ranges)
+                 *. host_costs.Gpusim.Config.range_seconds))
            !collected)
       parts;
     List.iter
@@ -630,8 +577,8 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
          let vb = find (List.assoc arr c.c_args) in
          List.iter
            (fun (dev, ranges) ->
-              tracked vb (fun () ->
-                  Gpu_runtime.Vbuf.update_for_write ~cfg vb ~dev ~ranges))
+              Vbuf.update_for_write vb ~dev ~stamp:(tick ()) ~memo:Vbuf.no_memo
+                ~raw:0 ~ranges)
            !slot)
       per_array
   in
@@ -673,9 +620,8 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
                       capacity is honest while the kernel runs. *)
                    List.iter
                      (fun { Launch_cache.rg_buf; rg_ranges; _ } ->
-                        Gpu_runtime.Vbuf.ensure_resident ~cfg ~pool:c.c_pool
-                          ~stamp (bound c.c_bufs rg_buf) ~dev:cp.pp_part.Partition.device
-                          ~ranges:rg_ranges)
+                        Vbuf.ensure_resident ~stamp (bound c.c_bufs rg_buf)
+                          ~dev:cp.pp_part.Partition.device ~ranges:rg_ranges)
                      cp.pp_writes;
                    launch c ~index cp;
                    update_writes c ~stamp cp))
@@ -711,7 +657,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
                          touched)
                     accs
                 | _ -> ());
-               h2d (find (List.assoc arr c.c_args)) merged)
+               Vbuf.h2d (find (List.assoc arr c.c_args)) ~src:merged)
             red (Option.get !bases);
           Gpusim.Machine.synchronize m)
     | Plan.Shadow { arrays; parts } -> span "shadow" (fun () -> shadow c arrays parts)
@@ -722,7 +668,9 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           let stamp = tick () and vb = find buf in
           List.iter
             (fun (dev, range) ->
-               sync c ~batch:true ~stamp vb ~dev ~raw:1 [ range ])
+               ignore
+                 (Vbuf.sync_for_read vb ~dev ~batch:true ~stamp
+                    ~memo:Vbuf.no_memo ~raw:1 ~ranges:[ range ]))
             fetch)
     | Plan.Swap (a, b) ->
       swap a b;
@@ -741,12 +689,11 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       c_block = block;
       c_args;
       c_bufs = bind c_args;
-      c_pool = !pool;
       c_accs =
         (match Plan.reducible ck with
          | _ :: _ as red when functional ->
            let acc (arr, op) =
-             let len = Gpu_runtime.Vbuf.len (find (List.assoc arr c_args)) in
+             let len = Vbuf.len (find (List.assoc arr c_args)) in
              (arr, (Array.make len (reduce_identity op), Array.make len false))
            in
            Some
@@ -763,13 +710,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   let rec exec (s : Host_ir.stmt) =
     match s with
     | Host_ir.Malloc (name, len) ->
-      Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len);
-      refresh_pool ()
-    | Host_ir.Memcpy_h2d { dst; src } -> h2d (find dst) src.Host_ir.data
+      Hashtbl.replace vbufs name (Vbuf.create space ~name ~len)
+    | Host_ir.Memcpy_h2d { dst; src } -> Vbuf.h2d (find dst) ~src:src.data
     | Host_ir.Memcpy_d2h { dst; src } ->
       let vb = find src in
       Gpusim.Machine.synchronize m;
-      ignore (d2h vb dst.Host_ir.data);
+      Vbuf.d2h vb ~dst:dst.Host_ir.data;
       Gpusim.Machine.synchronize m
     | Host_ir.Launch { kernel; grid; block; args } ->
       exec_launch kernel grid block args
@@ -796,9 +742,8 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           done)
     | Host_ir.Swap (a, b) -> swap a b
     | Host_ir.Free name ->
-      Gpu_runtime.Vbuf.free (find name);
-      Hashtbl.remove vbufs name;
-      refresh_pool ()
+      Vbuf.free (find name);
+      Hashtbl.remove vbufs name
     | Host_ir.Sync -> Gpusim.Machine.synchronize m
   in
   (* Flatten the statement stream (Repeat bodies expanded) so execution
@@ -842,9 +787,8 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       (Hashtbl.fold (fun name vb acc -> (name, vb) :: acc) vbufs [])
   in
   let drop_buffers () =
-    Hashtbl.iter (fun _ vb -> Gpu_runtime.Vbuf.free vb) vbufs;
-    Hashtbl.reset vbufs;
-    refresh_pool ()
+    Hashtbl.iter (fun _ vb -> Vbuf.free vb) vbufs;
+    Hashtbl.reset vbufs
   in
   (* Rebuild the buffer population from a handoff: free whatever a
      failed attempt allocated, allocate every buffer first (so the
@@ -856,16 +800,15 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     drop_buffers ();
     List.iter
       (fun (name, len, _) ->
-         Hashtbl.replace vbufs name (Gpu_runtime.Vbuf.create m ~name ~len))
+         Hashtbl.replace vbufs name (Vbuf.create space ~name ~len))
       h.h_buffers;
-    refresh_pool ();
-    List.iter (fun (name, _, data) -> h2d (find name) data) h.h_buffers;
+    List.iter (fun (name, _, src) -> Vbuf.h2d (find name) ~src) h.h_buffers;
     i := h.h_index
   in
   (* An engine checkpoint: the statement index to resume from plus a
      snapshot of every buffer binding.  [None] means "replay from the
      beginning with no buffers" — statement 0 re-mallocs everything. *)
-  let ckpt : (int * (string * Gpu_runtime.Vbuf.t * Gpu_runtime.Vbuf.snapshot) list) option ref =
+  let ckpt : (int * (string * Vbuf.t * Vbuf.snapshot) list) option ref =
     ref None
   in
   let take_checkpoint index =
@@ -874,25 +817,20 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       Some
         ( index,
           List.map
-            (fun (name, vb) -> (name, vb, Gpu_runtime.Vbuf.checkpoint ~cfg vb))
+            (fun (name, vb) -> (name, vb, Vbuf.checkpoint vb))
             (live_buffers ()) )
   in
   let restore_checkpoint () =
     span "replay" @@ fun () ->
     match !ckpt with
     | Some (index, bufs) ->
-      let kept = List.map (fun (_, vb, _) -> vb) bufs in
-      Hashtbl.iter
-        (fun _ vb ->
-           if not (List.memq vb kept) then Gpu_runtime.Vbuf.free vb)
-        vbufs;
-      Hashtbl.reset vbufs;
+      (* Restoring a buffer brings it back into the pool. *)
+      drop_buffers ();
       List.iter
         (fun (name, vb, snap) ->
-           Gpu_runtime.Vbuf.restore vb snap;
+           Vbuf.restore vb snap;
            Hashtbl.replace vbufs name vb)
         bufs;
-      refresh_pool ();
       index
     | None ->
       (* A resumed run's earliest recovery point is its handoff: the
@@ -916,7 +854,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     Kcompile.clear_cache launcher;
     let data_lost =
       Hashtbl.fold
-        (fun _ vb lost -> Gpu_runtime.Vbuf.recover vb ~dev:dead ~live:!live <> [] || lost)
+        (fun _ vb lost -> Vbuf.recover vb ~dev:dead ~live:!live <> [] || lost)
         vbufs false
     in
     if data_lost then begin
@@ -936,7 +874,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     Gpusim.Machine.synchronize m;
     let captured =
       List.map
-        (fun (name, vb) -> (name, Gpu_runtime.Vbuf.len vb, gather vb))
+        (fun (name, vb) -> (name, Vbuf.len vb, gather vb))
         (live_buffers ())
     in
     Gpusim.Machine.synchronize m;
@@ -1013,7 +951,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     Obs.Metrics.add observed
       (float_of_int
          ((Gpusim.Machine.stats m).Gpusim.Machine.n_faults - faults_at_entry));
-  List.iter (fun (c, n) -> Obs.Metrics.add c (float_of_int (n ()))) hot_counts;
+  (* The space counts these once per range list; they are read once. *)
+  let count name by = Obs.Metrics.incr metrics name ~by in
+  count "engine.transfers" (Vbuf.transfers space);
+  count "cache.sync_hits" (Vbuf.sync_hits space);
+  count "cache.sync_misses" (Vbuf.sync_misses space);
+  count "engine.tracker_ops" (Vbuf.tracker_ops space);
   Obs.Metrics.add predicted_us (!tune_pred *. 1e6);
   Obs.Metrics.add actual_us (!tune_act *. 1e6);
   let time = Gpusim.Machine.host_time m in

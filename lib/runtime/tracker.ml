@@ -109,7 +109,6 @@ let reset_ops t = t.ops <- 0
 let version t = t.version
 
 let bump t n = t.ops <- t.ops + n
-let add_ops = bump
 
 let check_range t ~start ~stop ~what =
   if start < 0 || stop > t.len || start >= stop then
@@ -297,10 +296,3 @@ let check_invariants t =
   in
   go 0 segs;
   merged segs
-
-let pp fmt t =
-  Format.fprintf fmt "[%s]"
-    (String.concat "; "
-       (List.map
-          (fun s -> Printf.sprintf "[%d,%d)->%d" s.start s.stop s.owner)
-          (segments t)))

@@ -36,10 +36,6 @@ val ops : t -> int
 
 val reset_ops : t -> unit
 
-val add_ops : t -> int -> unit
-(** Count [n] more operations without touching the segments: replaying
-    a memoized walk charges what the walk itself would have. *)
-
 val version : t -> int
 (** The tracker's current version.  Versions come from one
     process-wide counter, at creation and at every change to the
@@ -94,5 +90,3 @@ val check_invariants : t -> unit
     and for an indexed tracker that the index holds exactly one entry
     per segment, under that segment's (owner, start); raises [Failure]
     on violation.  Test support. *)
-
-val pp : Format.formatter -> t -> unit

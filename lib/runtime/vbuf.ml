@@ -12,12 +12,15 @@
    - after it is launched, its write set is recorded in the tracker.
 
    The tracker does not represent shared copies, so repeatedly read
-   shared data is re-transferred — the redundancy the paper calls out. *)
+   shared data is re-transferred — the redundancy the paper calls out.
+   Every vbuf lives in a run's [space] and charges its own bookkeeping
+   as host "pattern" work (paper §9.2). *)
 
 type t = {
   name : string;
   len : int; (* elements *)
   machine : Gpusim.Machine.t;
+  space : space;
   instances : Gpusim.Buffer.t array; (* one full-size instance per device *)
   tracker : Tracker.t;
   residency : Tracker.t array;
@@ -48,7 +51,35 @@ type t = {
          find *other* fresh copies of what a lost device owned. *)
 }
 
-let create machine ~name ~len =
+and space = {
+  s_machine : Gpusim.Machine.t;
+  s_cfg : Rconfig.t;
+  mutable members : t list; (* the eviction pool, in name order *)
+  mutable transfers : int;
+  mutable sync_hits : int;
+  mutable sync_misses : int;
+  mutable tracker_ops : int;
+}
+
+let space ?(cfg = Rconfig.alpha) machine =
+  { s_machine = machine; s_cfg = cfg; members = [];
+    transfers = 0; sync_hits = 0; sync_misses = 0; tracker_ops = 0 }
+
+let members s = s.members
+let transfers s = s.transfers
+let sync_hits s = s.sync_hits
+let sync_misses s = s.sync_misses
+let tracker_ops s = s.tracker_ops
+
+(* Enter the pool in name order: stamps tie across vbufs, and
+   [coldest] breaks ties by pool order. *)
+let join t =
+  let s = t.space and by_name a b = String.compare a.name b.name in
+  if not (List.memq t s.members) then
+    s.members <- List.merge by_name s.members [ t ]
+
+let create space ~name ~len =
+  let machine = space.s_machine in
   let n = Gpusim.Machine.n_devices machine in
   (* Only a capacity-limited machine ever evicts, so only there does
      residency pay for the stamp index. *)
@@ -63,20 +94,25 @@ let create machine ~name ~len =
     if capped then Tracker.create_indexed ~len ~initial_owner:0
     else Tracker.create ~len ~initial_owner:0
   in
-  {
-    name;
-    len;
-    machine;
-    instances =
-      Array.init n (fun d ->
-          Gpusim.Machine.alloc ~charge:false machine ~device:d ~len);
-    tracker = Tracker.create ~len ~initial_owner:0;
-    residency = Array.init n (fun _ -> residency ());
-    charged = Array.make n 0;
-    distributed = false;
-    host_copy = None;
-    validity = None;
-  }
+  let t =
+    {
+      name;
+      len;
+      machine;
+      space;
+      instances =
+        Array.init n (fun d ->
+            Gpusim.Machine.alloc ~charge:false machine ~device:d ~len);
+      tracker = Tracker.create ~len ~initial_owner:0;
+      residency = Array.init n (fun _ -> residency ());
+      charged = Array.make n 0;
+      distributed = false;
+      host_copy = None;
+      validity = None;
+    }
+  in
+  join t;
+  t
 
 let name t = t.name
 let len t = t.len
@@ -88,10 +124,24 @@ let n_devices t = Array.length t.instances
 let elem_bytes t =
   (Gpusim.Machine.config t.machine).Gpusim.Config.elem_bytes
 
+let patterns t = t.space.s_cfg.Rconfig.patterns
+
 (* Whether a copy moves data as well as simulated time: always on a
    functional machine, else as the measurement config says. *)
-let do_data ~cfg t =
-  cfg.Rconfig.transfers || Gpusim.Machine.is_functional t.machine
+let do_data t =
+  t.space.s_cfg.Rconfig.transfers || Gpusim.Machine.is_functional t.machine
+
+(* Charge one public call's bookkeeping as host "pattern" work (paper
+   §9.2): [ops] ownership-tracker ops and [raw] enumerator emissions. *)
+let charge t ~ops ~raw =
+  t.space.tracker_ops <- t.space.tracker_ops + ops;
+  let host = (Gpusim.Machine.config t.machine).Gpusim.Config.host in
+  let seconds =
+    (float_of_int ops *. host.Gpusim.Config.tracker_op_seconds)
+    +. (float_of_int raw *. host.Gpusim.Config.range_seconds)
+  in
+  if seconds > 0.0 then
+    Gpusim.Machine.host_work t.machine ~seconds ~category:"pattern"
 
 (* Forget every resident segment of device [dev] without any writeback
    (used when a device dies, on restore, and on free). *)
@@ -102,10 +152,9 @@ let drop_residency t ~dev =
   Tracker.write t.residency.(dev) ~start:0 ~stop:t.len ~owner:0
 
 let free t =
-  for d = 0 to Array.length t.instances - 1 do
-    drop_residency t ~dev:d
-  done;
-  Array.iter (fun b -> Gpusim.Machine.free t.machine b) t.instances
+  Array.iteri (fun dev _ -> drop_residency t ~dev) t.instances;
+  Array.iter (fun b -> Gpusim.Machine.free t.machine b) t.instances;
+  t.space.members <- List.filter (fun v -> v != t) t.space.members
 
 (* --- Replica-freshness tracking (fault tolerance only) ----------------- *)
 
@@ -153,16 +202,25 @@ let linear_chunk ~len ~n_devices d =
   let stop = min len ((d + 1) * chunk) in
   (start, stop)
 
-(* Host-array length check: a mismatch would otherwise surface as an
-   off-by-some blit failure deep inside the scatter/gather loop; fail
-   up front, naming the buffer. *)
-let check_host_array t ~what a =
-  if Array.length a <> t.len then
-    invalid_arg
-      (Printf.sprintf
-         "Vbuf.%s(%s): host array has %d elements, buffer has %d across %d \
-          devices"
-         what t.name (Array.length a) t.len (n_devices t))
+(* Host-array check: a length mismatch would otherwise surface as an
+   off-by-some blit failure deep inside the scatter/gather loop, and a
+   phantom array ([None]) carries no data for a functional run; fail
+   up front, naming the buffer.  Returns the array to copy through. *)
+let host_array t ~what = function
+  | Some a ->
+    if Array.length a <> t.len then
+      invalid_arg
+        (Printf.sprintf
+           "Vbuf.%s(%s): host array has %d elements, buffer has %d across %d \
+            devices"
+           what t.name (Array.length a) t.len (n_devices t));
+    a
+  | None ->
+    if Gpusim.Machine.is_functional t.machine then
+      invalid_arg
+        (Printf.sprintf "Vbuf.%s(%s): phantom host array in a functional run"
+           what t.name);
+    [||]
 
 let rec in_bounds len = function
   | [] -> true
@@ -186,8 +244,8 @@ let clamp_ranges t ranges =
 
 (* Because the per-device instances are virtual, device memory is
    accounted segment-wise: [ensure_resident] charges the missing parts
-   of a range (evicting the globally coldest resident segments of a
-   caller-supplied pool of vbufs when the device is full) and [spill]
+   of a range (evicting the globally coldest resident segments of the
+   space's pool when the device is full) and [spill]
    evicts explicitly.  Evicting a segment the coherence tracker says
    this device *owns* must not lose the buffer's only fresh copy, so
    it is written back to the host copy first — a simulated d2h, which
@@ -221,9 +279,9 @@ let spill_target t =
    throughout; returns the bytes released.  Device-owned parts are
    written back to the host copy (simulated d2h + ownership handover)
    and counted as spill traffic; the rest is dropped free. *)
-let evict ~cfg t ~dev ~start:s ~stop:e =
+let evict t ~dev ~start:s ~stop:e =
   let eb = elem_bytes t in
-  let do_data = do_data ~cfg t in
+  let do_data = do_data t in
   List.iter
     (fun (o : Tracker.segment) ->
        if o.owner = dev then begin
@@ -262,7 +320,7 @@ let in_spill t f =
 
 (* Evict the resident parts of [start, stop) on [dev], as one spill;
    returns the bytes released. *)
-let spill_range ~cfg t ~dev ~start ~stop =
+let spill_range t ~dev ~start ~stop =
   let resident =
     List.filter
       (fun (seg : Tracker.segment) -> seg.owner > 0)
@@ -271,15 +329,15 @@ let spill_range ~cfg t ~dev ~start ~stop =
   let evict_all () =
     List.fold_left
       (fun acc (seg : Tracker.segment) ->
-         acc + evict ~cfg t ~dev ~start:seg.Tracker.start ~stop:seg.Tracker.stop)
+         acc + evict t ~dev ~start:seg.Tracker.start ~stop:seg.Tracker.stop)
       0 resident
   in
   if resident = [] then 0 else if traced t then in_spill t evict_all
   else evict_all ()
 
-let spill ?(cfg = Rconfig.alpha) t ~dev ~ranges =
+let spill t ~dev ~ranges =
   List.fold_left
-    (fun acc (start, stop) -> acc + spill_range ~cfg t ~dev ~start ~stop)
+    (fun acc (start, stop) -> acc + spill_range t ~dev ~start ~stop)
     0 (clamp_ranges t ranges)
 
 (* The globally coldest resident segment on [dev] across [pool] that
@@ -304,8 +362,8 @@ let coldest pool ~dev ~stamp =
 let eviction_hook = ref None
 let set_eviction_hook f = eviction_hook := f
 
-(* Make the ranges resident on [dev], evicting coldest-first from
-   [pool] (plus this vbuf) when the device is full.  All ranges of one
+(* Make the ranges resident on [dev], evicting coldest-first from the
+   space's pool when the device is full.  All ranges of one
    launch should share a [stamp] (one [Machine.lru_tick]) so none of
    them can evict another; raises [Machine.Out_of_memory] when even a
    full eviction of everything older cannot make room.  One residency
@@ -314,7 +372,7 @@ let set_eviction_hook f = eviction_hook := f
    the eviction loop, so the loop cannot pick any part of the range;
    if the loop fails, the gaps are unstamped again, so the range's
    residency ends as if only its resident parts had been re-stamped. *)
-let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
+let ensure_resident ?stamp t ~dev ~ranges =
   let stamp =
     match stamp with Some s -> s | None -> Gpusim.Machine.lru_tick t.machine
   in
@@ -341,10 +399,9 @@ let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
     let evicting = needed > Gpusim.Machine.mem_free t.machine dev in
     if evicting then begin
       Tracker.write res ~start ~stop ~owner:stamp;
-      let pool = if List.memq t pool then pool else t :: pool in
       try
         while Gpusim.Machine.mem_free t.machine dev < needed do
-          match coldest pool ~dev ~stamp with
+          match coldest t.space.members ~dev ~stamp with
           | Some (v, seg) ->
             let start = seg.Tracker.start and stop = seg.Tracker.stop in
             (match !eviction_hook with
@@ -352,8 +409,8 @@ let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
              | None -> ());
             ignore
               (if traced v then
-                 in_spill v (fun () -> evict ~cfg v ~dev ~start ~stop)
-               else evict ~cfg v ~dev ~start ~stop)
+                 in_spill v (fun () -> evict v ~dev ~start ~stop)
+               else evict v ~dev ~start ~stop)
           | None ->
             raise
               (Gpusim.Machine.Out_of_memory
@@ -392,8 +449,7 @@ let ensure_resident ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp t ~dev ~ranges =
    the scatter's ensure will draw), so the evictable bytes are the
    pool's charges on [dev], less the target range's own resident
    parts, which cost nothing to keep. *)
-let resident_budget t ~pool ~dev ~start ~stop =
-  let pool = if List.memq t pool then pool else t :: pool in
+let resident_budget t ~dev ~start ~stop =
   let eb = elem_bytes t in
   let segs = Tracker.query t.residency.(dev) ~start ~stop in
   let kept =
@@ -407,7 +463,7 @@ let resident_budget t ~pool ~dev ~start ~stop =
     List.fold_left
       (fun acc v ->
          if dev >= Array.length v.instances then acc else acc + v.charged.(dev))
-      0 pool
+      0 t.space.members
   in
   let budget =
     ref (Gpusim.Machine.mem_free t.machine dev + charged - (kept * eb))
@@ -487,17 +543,11 @@ let scatter_targets t =
 (* Host-to-device memcpy: scatter [src] linearly over the (live)
    devices and record ownership.  [src = None] is a phantom host array
    (performance runs at paper scale never materialize host data). *)
-let h2d ?(cfg = Rconfig.alpha) ?(pool = []) t ~src =
-  (match src with
-   | Some a -> check_host_array t ~what:"h2d" a
-   | None ->
-     if Gpusim.Machine.is_functional t.machine then
-       invalid_arg ("Vbuf.h2d(" ^ t.name ^ "): phantom host array in a functional run"));
-  (match src with
-   | Some a -> t.host_copy <- Some (Array.copy a)
-   | None -> ());
-  let src = Option.value src ~default:[||] in
-  let do_data = do_data ~cfg t in
+let h2d t ~src:host =
+  let before = Tracker.ops t.tracker in
+  let src = host_array t ~what:"h2d" host in
+  if Option.is_some host then t.host_copy <- Some (Array.copy src);
+  let do_data = do_data t in
   let live = scatter_targets t in
   let n = List.length live in
   List.iteri
@@ -509,10 +559,10 @@ let h2d ?(cfg = Rconfig.alpha) ?(pool = []) t ~src =
             stays host-owned (the source array *is* the fresh copy), so
             a scatter chunk larger than the device is never fatal. *)
          let fit =
-           if cfg.Rconfig.patterns then begin
-             let fit = resident_budget t ~pool ~dev:d ~start ~stop in
+           if patterns t then begin
+             let fit = resident_budget t ~dev:d ~start ~stop in
              if fit > start then
-               ensure_resident ~cfg ~pool t ~dev:d ~ranges:[ (start, fit) ];
+               ensure_resident t ~dev:d ~ranges:[ (start, fit) ];
              fit
            end
            else stop
@@ -520,7 +570,7 @@ let h2d ?(cfg = Rconfig.alpha) ?(pool = []) t ~src =
          if do_data && fit > start then
            Gpusim.Machine.h2d t.machine ~src ~src_off:start ~dst:t.instances.(d)
              ~dst_off:start ~len:(fit - start);
-         if cfg.Rconfig.patterns then begin
+         if patterns t then begin
            t.distributed <- true;
            (* Nothing fits when even one element exceeds the capacity. *)
            if fit > start then Tracker.write t.tracker ~start ~stop:fit ~owner:d;
@@ -534,18 +584,14 @@ let h2d ?(cfg = Rconfig.alpha) ?(pool = []) t ~src =
          (if fit > start then mark_fresh t ~who:d ~start ~stop:fit);
          mark_fresh t ~who:(host_slot t) ~start ~stop
        end)
-    live
+    live;
+  charge t ~ops:(Tracker.ops t.tracker - before) ~raw:0
 
 (* Device-to-host memcpy: gather every segment from its owner. *)
-let d2h ?(cfg = Rconfig.alpha) t ~dst =
-  (match dst with
-   | Some a -> check_host_array t ~what:"d2h" a
-   | None ->
-     if Gpusim.Machine.is_functional t.machine then
-       invalid_arg ("Vbuf.d2h(" ^ t.name ^ "): phantom host array in a functional run"));
-  let dst = Option.value dst ~default:[||] in
+let gather t ~dst =
+  let dst = host_array t ~what:"d2h" dst in
   let segs =
-    if cfg.Rconfig.patterns then Tracker.query t.tracker ~start:0 ~stop:t.len
+    if patterns t then Tracker.query t.tracker ~start:0 ~stop:t.len
     else [ { Tracker.start = 0; stop = t.len; owner = 0 } ]
   in
   List.iter
@@ -562,38 +608,41 @@ let d2h ?(cfg = Rconfig.alpha) t ~dst =
                ("Vbuf.d2h: host-owned segment of " ^ t.name
                 ^ " has no host data")
        end
-       else if do_data ~cfg t then
+       else if do_data t then
          Gpusim.Machine.d2h t.machine ~src:t.instances.(owner) ~src_off:start
            ~dst ~dst_off:start ~len:(stop - start))
     segs
 
-(* Upload one host-owned segment onto device [dev]: host data never
-   lives in a device instance, so it moves over PCIe, not peer-to-peer. *)
-let fetch_from_host t ~dev ~start ~len ~do_data =
-  if do_data then begin
-    let src =
-      match t.host_copy with
-      | Some h -> h
-      | None ->
-        if Gpusim.Machine.is_functional t.machine then
-          invalid_arg
-            ("Vbuf.sync_for_read: host-owned segment of " ^ t.name
-             ^ " has no host data")
-        else [||]
-    in
-    Gpusim.Machine.h2d t.machine ~src ~src_off:start ~dst:t.instances.(dev)
-      ~dst_off:start ~len
-  end
+let d2h t ~dst =
+  let before = Tracker.ops t.tracker in
+  gather t ~dst;
+  charge t ~ops:(Tracker.ops t.tracker - before) ~raw:0
 
 (* Copy the stale segment [s, e), freshest at [owner] (a device or
    [Tracker.host]), onto device [dev]: one transfer of the unbatched
-   sync, issued alike by a live walk and by a memo hit. *)
+   sync, issued alike by a live walk and by a memo hit.  Host data
+   never lives in a device instance, so a host-owned segment moves
+   over PCIe, not peer-to-peer. *)
 let fetch t ~dev ~do_data owner s e =
-  if owner = Tracker.host then
-    fetch_from_host t ~dev ~start:s ~len:(e - s) ~do_data
-  else if do_data then
-    Gpusim.Machine.p2p t.machine ~src:t.instances.(owner) ~src_off:s
-      ~dst:t.instances.(dev) ~dst_off:s ~len:(e - s);
+  if do_data then begin
+    if owner = Tracker.host then begin
+      let src =
+        match t.host_copy with
+        | Some h -> h
+        | None ->
+          if Gpusim.Machine.is_functional t.machine then
+            invalid_arg
+              ("Vbuf.sync_for_read: host-owned segment of " ^ t.name
+               ^ " has no host data")
+          else [||]
+      in
+      Gpusim.Machine.h2d t.machine ~src ~src_off:s ~dst:t.instances.(dev)
+        ~dst_off:s ~len:(e - s)
+    end
+    else
+      Gpusim.Machine.p2p t.machine ~src:t.instances.(owner) ~src_off:s
+        ~dst:t.instances.(dev) ~dst_off:s ~len:(e - s)
+  end;
   mark_fresh t ~who:dev ~start:s ~stop:e
 
 (* --- The sync memo ------------------------------------------------------ *)
@@ -613,40 +662,40 @@ type outcome = {
 (* Newest first, at most [memo_slots]: a [Swap] alternating one name
    between two buffers needs two. *)
 type memo = { mutable outcomes : outcome list }
-type memo_stats = { mutable hits : int; mutable misses : int }
 
 let memo () = { outcomes = [] }
+let no_memo = memo ()
 let memo_slots = 4
 
-(* What a call finds in its slot: no lookup, a recorded outcome, or a
-   miss at the versions the call starts from. *)
-type lookup = Off | Hit of outcome | Miss of memo * int * int
+(* A lookup's answer, allocation-free: [off] (the memo does not apply),
+   [missing] (no outcome matches) or the matching outcome. *)
+let off = { o_owner = -1; o_resident = -1; o_ops = 0; o_transfers = [||] }
+let missing = { off with o_owner = -2 }
 
-let rec recall slot owner resident = function
-  | [] -> Miss (slot, owner, resident)
+let rec recall owner resident = function
+  | [] -> missing
   | o :: rest ->
-    if o.o_owner = owner && o.o_resident = resident then Hit o
-    else recall slot owner resident rest
+    if o.o_owner = owner && o.o_resident = resident then o
+    else recall owner resident rest
 
-(* The memo is off where this module keeps state the key does not
-   cover: the validity trackers of a faulty machine and the LRU stamps
-   of a capacity-limited one. *)
+(* The memo is off for [no_memo] and where this module keeps state the
+   key does not cover: the validity trackers of a faulty machine and
+   the LRU stamps of a capacity-limited one. *)
 let lookup memo t ~dev =
-  match memo with
-  | Some slot
-    when Option.is_none (Gpusim.Machine.fault_state t.machine)
-         && Gpusim.Machine.mem_capacity t.machine = max_int ->
-    recall slot (Tracker.version t.tracker)
-      (Tracker.version t.residency.(dev)) slot.outcomes
-  | _ -> Off
+  if
+    memo == no_memo
+    || Option.is_some (Gpusim.Machine.fault_state t.machine)
+    || Gpusim.Machine.mem_capacity t.machine < max_int
+  then off
+  else
+    recall (Tracker.version t.tracker)
+      (Tracker.version t.residency.(dev)) memo.outcomes
 
 (* A hit issues the recorded transfers through the same [fetch] a walk
-   uses and counts the recorded ops on the ownership tracker, skipping
-   everything else: the clamp, the residency check and the tracker walk
-   and writes. *)
-let replay ?stats t ~dev ~do_data o =
-  Option.iter (fun s -> s.hits <- s.hits + 1) stats;
-  Tracker.add_ops t.tracker o.o_ops;
+   uses, skipping everything else: the clamp, the residency check and
+   the tracker walk and writes. *)
+let replay t ~dev ~do_data o =
+  t.space.sync_hits <- t.space.sync_hits + 1;
   let tr = o.o_transfers in
   let n = Array.length tr / 3 in
   for i = 0 to n - 1 do
@@ -657,8 +706,10 @@ let replay ?stats t ~dev ~do_data o =
 (* A miss runs [walk record], which reports each transfer it issues to
    [record], and records the outcome if the call left both trackers at
    the versions it started from. *)
-let record ?stats slot ~owner ~resident t ~dev walk =
-  Option.iter (fun s -> s.misses <- s.misses + 1) stats;
+let record slot t ~dev walk =
+  t.space.sync_misses <- t.space.sync_misses + 1;
+  let owner = Tracker.version t.tracker
+  and resident = Tracker.version t.residency.(dev) in
   let log = ref [] and before = Tracker.ops t.tracker in
   let n = walk (Some (fun o s e -> log := e :: s :: o :: !log)) in
   if
@@ -684,14 +735,14 @@ let record ?stats slot ~owner ~resident t ~dev walk =
    one packed transfer each (a pitched cudaMemcpy2D) — used by the 2-D
    tiling extension, whose column halos fragment into thousands of
    tiny row segments that would otherwise pay a latency each. *)
-let sync_walk ~cfg ~batch ~pool ?stamp ~do_data t ~dev ~ranges record =
-  if not cfg.Rconfig.patterns then 0
+let sync_walk t ~dev ~batch ~stamp ~do_data ~ranges record =
+  if not (patterns t) then 0
   else begin
     let transfers = ref 0 in
     let ranges = clamp_ranges t ranges in
     (* Fetched segments will land in this device's instance: charge the
        whole read set as resident before any data moves. *)
-    ensure_resident ~cfg ~pool ?stamp t ~dev ~ranges;
+    ensure_resident ~stamp t ~dev ~ranges;
     if batch then begin
       let per_owner : (int, (int * int * int) list ref) Hashtbl.t =
         Hashtbl.create 8
@@ -741,26 +792,30 @@ let sync_walk ~cfg ~batch ~pool ?stamp ~do_data t ~dev ~ranges record =
     !transfers
   end
 
-(* Batched syncs always walk. *)
-let sync_for_read ?(cfg = Rconfig.alpha) ?(batch = false) ?(pool = []) ?stamp
-    ?memo ?stats t ~dev ~ranges =
-  let do_data = do_data ~cfg t in
-  match lookup (if batch then None else memo) t ~dev with
-  | Hit o -> replay ?stats t ~dev ~do_data o
-  | Off -> sync_walk ~cfg ~batch ~pool ?stamp ~do_data t ~dev ~ranges None
-  | Miss (slot, owner, resident) ->
-    record ?stats slot ~owner ~resident t ~dev
-      (sync_walk ~cfg ~batch ~pool ?stamp ~do_data t ~dev ~ranges)
+(* A hit charges its recorded ops, a walk the ops it performs (the
+   sentinels record none).  Batched syncs always walk. *)
+let sync_for_read t ~dev ~batch ~stamp ~memo ~raw ~ranges =
+  let before = Tracker.ops t.tracker and do_data = do_data t in
+  let o = if batch then off else lookup memo t ~dev in
+  let n =
+    if o == off then sync_walk t ~dev ~batch ~stamp ~do_data ~ranges None
+    else if o == missing then
+      record memo t ~dev (sync_walk t ~dev ~batch ~stamp ~do_data ~ranges)
+    else replay t ~dev ~do_data o
+  in
+  charge t ~ops:(Tracker.ops t.tracker - before + o.o_ops) ~raw;
+  t.space.transfers <- t.space.transfers + n;
+  n
 
 (* Record that device [dev] wrote the given element ranges.  The
    written bytes necessarily exist on the device, so the ranges are
    made resident first — a backstop that raises [Out_of_memory] if the
    engine's footprint planning under-estimated, rather than letting
    the accounting drift from reality. *)
-let write_walk ~cfg ~pool ?stamp t ~dev ~ranges =
-  if cfg.Rconfig.patterns then begin
+let write_walk t ~dev ~stamp ~ranges =
+  if patterns t then begin
     let ranges = clamp_ranges t ranges in
-    ensure_resident ~cfg ~pool ?stamp t ~dev ~ranges;
+    ensure_resident ~stamp t ~dev ~ranges;
     List.iter
       (fun (start, stop) ->
          Tracker.write t.tracker ~start ~stop ~owner:dev;
@@ -771,16 +826,17 @@ let write_walk ~cfg ~pool ?stamp t ~dev ~ranges =
   end
 
 (* A write issues no transfers, so its outcomes record none. *)
-let update_for_write ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp ?memo ?stats t
-    ~dev ~ranges =
-  match lookup memo t ~dev with
-  | Hit o -> ignore (replay ?stats t ~dev ~do_data:false o)
-  | Off -> write_walk ~cfg ~pool ?stamp t ~dev ~ranges
-  | Miss (slot, owner, resident) ->
+let update_for_write t ~dev ~stamp ~memo ~raw ~ranges =
+  let before = Tracker.ops t.tracker in
+  let o = lookup memo t ~dev in
+  if o == off then write_walk t ~dev ~stamp ~ranges
+  else if o == missing then
     ignore
-      (record ?stats slot ~owner ~resident t ~dev (fun _ ->
-           write_walk ~cfg ~pool ?stamp t ~dev ~ranges;
+      (record memo t ~dev (fun _ ->
+           write_walk t ~dev ~stamp ~ranges;
            0))
+  else ignore (replay t ~dev ~do_data:false o);
+  charge t ~ops:(Tracker.ops t.tracker - before + o.o_ops) ~raw
 
 (* --- Checkpoint / restore / recovery (fault tolerance) ----------------- *)
 
@@ -790,19 +846,13 @@ let update_for_write ?(cfg = Rconfig.alpha) ?(pool = []) ?stamp ?memo ?stats t
    move. *)
 type snapshot = { ck_name : string; ck_len : int; ck_data : float array option }
 
-let checkpoint ?(cfg = Rconfig.alpha) t =
-  let data =
-    if Gpusim.Machine.is_functional t.machine then begin
-      let a = Array.make t.len 0.0 in
-      d2h ~cfg t ~dst:(Some a);
-      Some a
-    end
-    else begin
-      d2h ~cfg t ~dst:None;
-      None
-    end
+let checkpoint t =
+  let dst =
+    if Gpusim.Machine.is_functional t.machine then Some (Array.make t.len 0.0)
+    else None
   in
-  { ck_name = t.name; ck_len = t.len; ck_data = data }
+  gather t ~dst;
+  { ck_name = t.name; ck_len = t.len; ck_data = dst }
 
 (* Roll the buffer back to a snapshot: the host copy becomes the
    freshest (and only fresh) replica, so subsequent reads re-upload
@@ -815,12 +865,12 @@ let restore t ck =
   (match ck.ck_data with
    | Some a -> t.host_copy <- Some (Array.copy a)
    | None -> ());
+  (* A replay can restore a buffer that a later [free] released. *)
+  join t;
   Tracker.write t.tracker ~start:0 ~stop:t.len ~owner:Tracker.host;
   (* Every device copy is now stale, so nothing is worth keeping
      resident: replayed reads re-upload (and re-charge) on demand. *)
-  for d = 0 to Array.length t.instances - 1 do
-    drop_residency t ~dev:d
-  done;
+  Array.iteri (fun dev _ -> drop_residency t ~dev) t.instances;
   match validity t with
   | None -> ()
   | Some v ->
@@ -891,7 +941,3 @@ let recover t ~dev ~live =
          done)
       owned;
     List.rev !lost
-
-let pp fmt t =
-  Format.fprintf fmt "vbuf %s (%d elements, %d instances) %a" t.name t.len
-    (n_devices t) Tracker.pp t.tracker

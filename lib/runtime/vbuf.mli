@@ -6,16 +6,43 @@
     - device-to-host gathers each segment from its owner;
     - {!sync_for_read} fetches stale ranges before a kernel partition
       runs; {!update_for_write} records its writes (§8.3);
-    - both take an optional {!memo} slot per range list, which replays
-      a recorded call while the trackers it read are unchanged; this
-      module alone decides hit, miss, record and when the memo is off. *)
+    - both take a {!memo} slot per range list, which replays a recorded
+      call while the trackers it read are unchanged; this module alone
+      decides hit, miss, record and when the memo is off.
+
+    {b Charges.}  {!h2d}, {!d2h}, {!sync_for_read} and
+    {!update_for_write} charge their own bookkeeping (the "patterns" of
+    §9.2): [ops × tracker_op_seconds + raw × range_seconds] as one
+    [Machine.host_work ~category:"pattern"] after the call's last
+    transfer, when positive.  [ops] is the call's ownership-tracker
+    delta on this buffer (on a memo hit, the recorded ops) and [raw]
+    the caller's enumerator emissions.  A call that raises, and
+    {!checkpoint}, {!restore}, {!recover}, {!spill} and
+    {!ensure_resident}, charge nothing. *)
 
 type t
 
-val create : Gpusim.Machine.t -> name:string -> len:int -> t
-(** Allocate one full-size *virtual* instance on every device of the
-    machine: instances charge no device memory; only resident segments
-    do (see {!ensure_resident}). *)
+type space
+(** One run's buffers: the measurement config, the eviction pool and
+    the run's counters. *)
+
+val space : ?cfg:Rconfig.t -> Gpusim.Machine.t -> space
+(** An empty space (default config [Rconfig.alpha]). *)
+
+val members : space -> t list
+(** The eviction pool: the live buffers, in name order. *)
+
+val transfers : space -> int
+val sync_hits : space -> int
+val sync_misses : space -> int
+val tracker_ops : space -> int
+(** Transfers issued by syncs, {!memo} lookups that hit and missed,
+    and charged ownership-tracker ops. *)
+
+val create : space -> name:string -> len:int -> t
+(** Allocate one full-size *virtual* instance on every device and join
+    the pool: instances charge no device memory; only resident
+    segments do (see {!ensure_resident}). *)
 
 val name : t -> string
 val len : t -> int
@@ -29,25 +56,25 @@ val residency : t -> dev:int -> Tracker.t
 val instance : t -> int -> Gpusim.Buffer.t
 (** The device-local instance for one device. *)
 
-val n_devices : t -> int
 val free : t -> unit
+(** Release the device memory and leave the pool. *)
 
 val linear_chunk : len:int -> n_devices:int -> int -> (int * int)
 (** The half-open element range device [d] owns under the linear
     distribution (the "predefined pattern" of §8.2). *)
 
-val h2d : ?cfg:Rconfig.t -> ?pool:t list -> t -> src:float array option -> unit
+val h2d : t -> src:float array option -> unit
 (** Host-to-device memcpy: linear scatter plus tracker update.  Under
     fault injection the scatter targets only the surviving devices.
     Under a finite memory capacity each chunk's resident prefix is
     limited to what the target device can hold after evicting
-    everything evictable from [pool]; the remainder stays host-owned
+    everything evictable from the pool; the remainder stays host-owned
     and is uploaded on demand.  [src = None] is a phantom host array
     (performance runs only).  Raises [Invalid_argument] naming the
     buffer, lengths and device count if the host array's length
     differs from [len t]. *)
 
-val d2h : ?cfg:Rconfig.t -> t -> dst:float array option -> unit
+val d2h : t -> dst:float array option -> unit
 (** Device-to-host memcpy: gather every segment from its owner.
     Segments owned by [Tracker.host] are served from the buffer's host
     copy (already fresh — no device transfer).  Raises
@@ -66,10 +93,9 @@ val d2h : ?cfg:Rconfig.t -> t -> dst:float array option -> unit
     residency tracker on that device, and only when the call left both
     as it found them.  A later call that finds both at a recorded pair
     is a hit: it issues the recorded transfers in order, through the
-    same calls a walk makes, and adds the recorded ops to the tracker's
-    {!Tracker.ops}, so a caller charging ops deltas charges the same.
-    It skips the range clamp, {!ensure_resident} and the tracker walk
-    and writes, which would find and change nothing.
+    same calls a walk makes, and charges what that walk charged.  It
+    skips the range clamp, {!ensure_resident} and the tracker walk and
+    writes, which would find and change nothing.
 
     The memo is off (the slot is not looked up) where this module keeps
     state the key does not cover: replica validity under fault
@@ -83,31 +109,30 @@ type memo
 val memo : unit -> memo
 (** An empty slot. *)
 
-type memo_stats = { mutable hits : int; mutable misses : int }
-(** Lookups counted by the calls this is passed to: the per-run
-    [cache.sync_hits] and [cache.sync_misses]. *)
+val no_memo : memo
+(** The slot that is never looked up nor recorded into. *)
 
 val sync_for_read :
-  ?cfg:Rconfig.t -> ?batch:bool -> ?pool:t list -> ?stamp:int ->
-  ?memo:memo -> ?stats:memo_stats -> t -> dev:int ->
+  t -> dev:int -> batch:bool -> stamp:int -> memo:memo -> raw:int ->
   ranges:(int * int) list -> int
 (** Bring the element ranges up to date on device [dev], copying stale
     segments from their owners; returns the number of transfers issued.
     Ranges are clamped to the buffer (enumerators over-approximate);
     segments owned by [Tracker.host] are uploaded over PCIe from the
-    host copy.  The read set is made resident first (see
-    {!ensure_resident}; [pool]/[stamp] are passed through).  [batch]
-    groups stale segments per owner into packed transfers (pitched
-    cudaMemcpy2D), which the 2-D tiling extension needs for its
-    fragmented column halos; a batched sync never consults [memo]. *)
+    host copy.  The read set is made resident first under [stamp] (see
+    {!ensure_resident}).  [batch] groups stale segments per owner into
+    packed transfers (pitched cudaMemcpy2D), which the 2-D tiling
+    extension needs for its fragmented column halos; a batched sync
+    never consults [memo]. *)
 
 val update_for_write :
-  ?cfg:Rconfig.t -> ?pool:t list -> ?stamp:int -> ?memo:memo ->
-  ?stats:memo_stats -> t -> dev:int -> ranges:(int * int) list -> unit
+  t -> dev:int -> stamp:int -> memo:memo -> raw:int ->
+  ranges:(int * int) list -> unit
 (** Record that device [dev] wrote the ranges (clamped to the buffer).
-    The ranges are made resident first — written bytes necessarily
-    exist on the device — raising [Gpusim.Machine.Out_of_memory] if
-    they cannot fit, rather than letting accounting drift. *)
+    The ranges are made resident first under [stamp] — written bytes
+    necessarily exist on the device — raising
+    [Gpusim.Machine.Out_of_memory] if they cannot fit, rather than
+    letting accounting drift. *)
 
 (** {2 Segment residency under finite device memory}
 
@@ -120,14 +145,13 @@ val update_for_write :
     whatever a read needs, from the host copy if need be. *)
 
 val ensure_resident :
-  ?cfg:Rconfig.t -> ?pool:t list -> ?stamp:int -> t -> dev:int ->
-  ranges:(int * int) list -> unit
+  ?stamp:int -> t -> dev:int -> ranges:(int * int) list -> unit
 (** Make the ranges resident on [dev], evicting the globally coldest
-    resident segments across [pool] (plus this vbuf) when the device
-    is full.  All ranges of one launch should share a [stamp] (one
-    {!Gpusim.Machine.lru_tick}) so none of them can evict another.
-    Raises [Gpusim.Machine.Out_of_memory] when a full eviction of
-    everything older still cannot make room. *)
+    resident segments across the pool when the device is full.  All
+    ranges of one launch should share a [stamp] (one
+    {!Gpusim.Machine.lru_tick}, drawn here when omitted) so none of them
+    can evict another.  Raises [Gpusim.Machine.Out_of_memory] when a
+    full eviction of everything older still cannot make room. *)
 
 val set_eviction_hook :
   (t -> dev:int -> stamp:int -> start:int -> stop:int -> unit) option -> unit
@@ -137,8 +161,7 @@ val set_eviction_hook :
     the coldest below [stamp] across the pool: the smallest stamp, the
     first vbuf in pool order among equals, then the lowest start. *)
 
-val spill :
-  ?cfg:Rconfig.t -> t -> dev:int -> ranges:(int * int) list -> int
+val spill : t -> dev:int -> ranges:(int * int) list -> int
 (** Evict the resident parts of the ranges from [dev]; returns the
     bytes released.  Device-owned parts are written back to the host
     copy and counted as spill traffic. *)
@@ -160,13 +183,14 @@ val check_residency : t -> unit
 type snapshot
 (** A host-side snapshot of the buffer's logical content. *)
 
-val checkpoint : ?cfg:Rconfig.t -> t -> snapshot
+val checkpoint : t -> snapshot
 (** Snapshot the buffer: a tracker-directed d2h gather that charges its
     simulated transfer time (data only in functional mode). *)
 
 val restore : t -> snapshot -> unit
 (** Roll back to a snapshot: the host copy becomes the only fresh
-    replica, so replayed reads re-upload over PCIe. *)
+    replica, so replayed reads re-upload over PCIe.  A freed buffer
+    re-joins the pool. *)
 
 val recover : t -> dev:int -> live:int list -> (int * int) list
 (** Device [dev] was permanently lost.  Re-home every segment it owned
@@ -174,5 +198,3 @@ val recover : t -> dev:int -> live:int list -> (int * int) list
     — no data moves — and return the ranges with no fresh copy
     anywhere: those are lost and the engine must replay their
     producers. *)
-
-val pp : Format.formatter -> t -> unit

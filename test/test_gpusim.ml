@@ -833,8 +833,9 @@ let test_uncapped_hotspot_residency () =
   let n = 64 and devs = 4 in
   let m = Machine.create ~functional:true (Config.test_box ~n_devices:devs ()) in
   let open Gpu_runtime in
-  let a = Vbuf.create m ~name:"t_in" ~len:(n * n) in
-  let b = Vbuf.create m ~name:"t_out" ~len:(n * n) in
+  let space = Vbuf.space m in
+  let a = Vbuf.create space ~name:"t_in" ~len:(n * n) in
+  let b = Vbuf.create space ~name:"t_out" ~len:(n * n) in
   Vbuf.h2d a ~src:(Some (Array.init (n * n) float_of_int));
   let band d = (d * n / devs, (d + 1) * n / devs) in
   let src = ref a and dst = ref b in
@@ -842,11 +843,11 @@ let test_uncapped_hotspot_residency () =
     for d = 0 to devs - 1 do
       let lo, hi = band d in
       let stamp = Machine.lru_tick m in
-      let pool = [ !src; !dst ] in
       ignore
-        (Vbuf.sync_for_read ~pool ~stamp !src ~dev:d
-           ~ranges:[ ((lo - 1) * n, (hi + 1) * n) ]);
-      Vbuf.update_for_write ~pool ~stamp !dst ~dev:d ~ranges:[ (lo * n, hi * n) ];
+        (Vbuf.sync_for_read !src ~dev:d ~batch:false ~stamp ~memo:Vbuf.no_memo
+           ~raw:0 ~ranges:[ ((lo - 1) * n, (hi + 1) * n) ]);
+      Vbuf.update_for_write !dst ~dev:d ~stamp ~memo:Vbuf.no_memo ~raw:0
+        ~ranges:[ (lo * n, hi * n) ];
       Vbuf.check_residency !src;
       Vbuf.check_residency !dst
     done;
@@ -894,7 +895,25 @@ let test_hot_path_allocation () =
   bounded "Machine.launch" 16.0 (fun i ->
       Machine.launch m ~device:(i mod 4) ~blocks:64 ~ops_per_block:1e4 ~run);
   bounded "Machine.host_work" 4.0 (fun _ ->
-      Machine.host_work m ~seconds:1e-6 ~category:"pattern")
+      Machine.host_work m ~seconds:1e-6 ~category:"pattern");
+  (* A memo hit of a cached range list, including the pattern charge it
+     issues (host_work's own 2 words): a read of device 0's own chunk,
+     which issues no transfer, and a write into it. *)
+  let open Gpu_runtime in
+  let space = Vbuf.space m in
+  let vb = Vbuf.create space ~name:"hot" ~len:4096 in
+  Vbuf.h2d vb ~src:None;
+  let ranges = [ (0, 512) ] and stamp = Machine.lru_tick m in
+  let read_memo = Vbuf.memo () and write_memo = Vbuf.memo () in
+  bounded "Vbuf.sync_for_read hit" 4.0 (fun _ ->
+      ignore
+        (Vbuf.sync_for_read vb ~dev:0 ~batch:false ~stamp ~memo:read_memo
+           ~raw:1 ~ranges));
+  bounded "Vbuf.update_for_write hit" 4.0 (fun _ ->
+      Vbuf.update_for_write vb ~dev:0 ~stamp ~memo:write_memo ~raw:1 ~ranges);
+  Alcotest.(check (pair int int))
+    "each warm-up call records, every timed call hits" (20_000, 2)
+    (Vbuf.sync_hits space, Vbuf.sync_misses space)
 
 (* Scheduled losses that could never fire are rejected, not ignored. *)
 let test_faults_reject_impossible_losses () =

@@ -172,7 +172,7 @@ let test_capped_length_limit () =
     Gpusim.Machine.create ~functional:false
       (Gpusim.Config.test_box ~n_devices:2 ~mem_capacity:1024 ())
   in
-  match Vbuf.create capped ~name:"huge" ~len with
+  match Vbuf.create (Vbuf.space capped) ~name:"huge" ~len with
   | _ -> Alcotest.fail "unpackable capped vbuf accepted"
   | exception Invalid_argument msg ->
     checkb "one line" true (one_line msg);
@@ -246,10 +246,11 @@ let scan_coldest pool ~dev ~stamp =
          (Tracker.segments (Vbuf.residency v ~dev)))
     None pool
 
-(* Random schedules over a name-sorted pool of 2-3 vbufs on a
-   capacity-limited machine: device writes, synced reads, explicit
-   spills, ensure_resident calls, launches whose reads and writes over
-   several vbufs share one stamp (so stamps tie across the pool), and
+(* Random schedules over one space of 2-3 vbufs on a capacity-limited
+   machine, created in name order or in reverse (the pool is in name
+   order either way): device writes, synced reads, explicit spills,
+   ensure_resident calls, launches whose reads and writes over several
+   vbufs share one stamp (so stamps tie across the pool), and
    checkpoint/restore cycles.  After every operation the segment
    trackers must satisfy their invariants and the residency accounting
    must be consistent (Vbuf.check_residency); every synced read and
@@ -302,8 +303,8 @@ let print_mop = function
   | MCheckpoint -> "C"
   | MRestore -> "X"
 
-let prop_residency_model =
-  QCheck.Test.make ~name:"capped vbuf matches flat model" ~count:150
+let residency_model ~name ~reverse =
+  QCheck.Test.make ~name ~count:150
     (QCheck.make
        ~print:(fun (n, l) ->
          Printf.sprintf "%d vbufs: %s" n
@@ -320,11 +321,15 @@ let prop_residency_model =
              A launch's parts (<= 48 elements) may not fit together. *)
           (Gpusim.Config.test_box ~n_devices:4 ~mem_capacity:128 ())
       in
-      (* Name-sorted, like the engine's pool. *)
-      let vbs =
-        Array.init n (fun i ->
-            Vbuf.create m ~name:(String.make 1 (Char.chr (97 + i))) ~len)
+      let space = Vbuf.space m and order = List.init n Fun.id in
+      let created =
+        List.map
+          (fun i ->
+             (i, Vbuf.create space ~name:(String.make 1 (Char.chr (97 + i))) ~len))
+          (if reverse then List.rev order else order)
       in
+      let vbs = Array.init n (fun i -> List.assoc i created) in
+      (* The oracle scans the buffers in name order. *)
       let pool = Array.to_list vbs in
       let models =
         Array.init n (fun i ->
@@ -344,7 +349,7 @@ let prop_residency_model =
       Fun.protect ~finally:(fun () -> Vbuf.set_eviction_hook None)
       @@ fun () ->
       Array.iteri
-        (fun i vb -> Vbuf.h2d ~pool vb ~src:(Some (Array.copy models.(i))))
+        (fun i vb -> Vbuf.h2d vb ~src:(Some (Array.copy models.(i))))
         vbs;
       let snap = ref None in
       let tag = ref 100.0 in
@@ -356,9 +361,13 @@ let prop_residency_model =
              Vbuf.check_residency vb)
           vbs
       in
+      let stamp_or s =
+        match s with Some s -> s | None -> Gpusim.Machine.lru_tick m
+      in
       let read ?stamp vi dev lo hi =
         ignore
-          (Vbuf.sync_for_read ~pool ?stamp vbs.(vi) ~dev ~ranges:[ (lo, hi) ]);
+          (Vbuf.sync_for_read vbs.(vi) ~dev ~batch:false ~stamp:(stamp_or stamp)
+             ~memo:Vbuf.no_memo ~raw:0 ~ranges:[ (lo, hi) ]);
         let inst = Gpusim.Buffer.data_exn (Vbuf.instance vbs.(vi) dev) in
         for i = lo to hi - 1 do
           if inst.(i) <> models.(vi).(i) then ok := false
@@ -368,13 +377,14 @@ let prop_residency_model =
          like a kernel would, then declare the write. *)
       let write ?stamp vi dev lo hi =
         tag := !tag +. 1.0;
-        Vbuf.ensure_resident ~pool ?stamp vbs.(vi) ~dev ~ranges:[ (lo, hi) ];
+        Vbuf.ensure_resident ?stamp vbs.(vi) ~dev ~ranges:[ (lo, hi) ];
         let inst = Gpusim.Buffer.data_exn (Vbuf.instance vbs.(vi) dev) in
         for i = lo to hi - 1 do
           inst.(i) <- !tag +. float_of_int i;
           models.(vi).(i) <- !tag +. float_of_int i
         done;
-        Vbuf.update_for_write ~pool ?stamp vbs.(vi) ~dev ~ranges:[ (lo, hi) ]
+        Vbuf.update_for_write vbs.(vi) ~dev ~stamp:(stamp_or stamp)
+          ~memo:Vbuf.no_memo ~raw:0 ~ranges:[ (lo, hi) ]
       in
       validate ();
       List.iter
@@ -385,7 +395,7 @@ let prop_residency_model =
             | MSpill (vi, dev, lo, hi) ->
               ignore (Vbuf.spill vbs.(vi mod n) ~dev ~ranges:[ (lo, hi) ])
             | MEnsure (vi, dev, lo, hi) ->
-              Vbuf.ensure_resident ~pool vbs.(vi mod n) ~dev ~ranges:[ (lo, hi) ]
+              Vbuf.ensure_resident vbs.(vi mod n) ~dev ~ranges:[ (lo, hi) ]
             | MLaunch (dev, parts) -> (
                 (* One stamp for the whole launch: none of its parts can
                    evict another, and they all tie for later evictions. *)
@@ -426,6 +436,34 @@ let prop_residency_model =
       in
       !ok && gathered && want = !oracle)
 
+(* A space's pool is its live buffers in name order: [create] joins it
+   whatever the creation order, [free] leaves it, and [restore] of a
+   freed buffer (a replay to a checkpoint taken before a [Free])
+   re-joins it. *)
+let test_pool_membership () =
+  let m =
+    Gpusim.Machine.create ~functional:true
+      (Gpusim.Config.test_box ~n_devices:2 ~mem_capacity:1024 ())
+  in
+  let space = Vbuf.space m in
+  let names () = List.map Vbuf.name (Vbuf.members space) in
+  let pool = Alcotest.(check (list string)) in
+  let c = Vbuf.create space ~name:"c" ~len:16 in
+  let a = Vbuf.create space ~name:"a" ~len:16 in
+  let b = Vbuf.create space ~name:"b" ~len:16 in
+  pool "name order" [ "a"; "b"; "c" ] (names ());
+  Vbuf.h2d b ~src:(Some (Array.make 16 1.0));
+  let snap = Vbuf.checkpoint b in
+  Vbuf.free b;
+  pool "free leaves" [ "a"; "c" ] (names ());
+  Vbuf.restore b snap;
+  pool "restore re-joins" [ "a"; "b"; "c" ] (names ());
+  Vbuf.restore b snap;
+  pool "restore of a member keeps it once" [ "a"; "b"; "c" ] (names ());
+  Vbuf.free a;
+  Vbuf.free c;
+  pool "one left" [ "b" ] (names ())
+
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -456,5 +494,15 @@ let () =
           Alcotest.test_case "capped + fault schedule" `Quick
             test_capped_run_survives_faults;
         ] );
-      ("residency", [ qtest prop_residency_model ]);
+      ( "residency",
+          [
+            qtest
+              (residency_model ~name:"capped vbuf matches flat model"
+                 ~reverse:false);
+            qtest
+              (residency_model
+                 ~name:"capped vbuf matches flat model, reverse creation"
+                 ~reverse:true);
+            Alcotest.test_case "pool membership" `Quick test_pool_membership;
+          ] );
     ]

@@ -538,9 +538,22 @@ let prop_tracker_ownership =
 let machine4 () =
   Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:4 ())
 
+(* A buffer in a space of its own: its eviction pool is itself. *)
+let vbuf ?cfg m ~name ~len = Vbuf.create (Vbuf.space ?cfg m) ~name ~len
+
+(* One range list's sync or write outside any launch: a fresh stamp and
+   no enumerator emissions. *)
+let vsync ?(batch = false) ?(memo = Vbuf.no_memo) m vb ~dev ~ranges =
+  Vbuf.sync_for_read vb ~dev ~batch ~stamp:(Gpusim.Machine.lru_tick m) ~memo
+    ~raw:0 ~ranges
+
+let vwrite ?(memo = Vbuf.no_memo) m vb ~dev ~ranges =
+  Vbuf.update_for_write vb ~dev ~stamp:(Gpusim.Machine.lru_tick m) ~memo
+    ~raw:0 ~ranges
+
 let test_vbuf_h2d_d2h_roundtrip () =
   let m = machine4 () in
-  let vb = Vbuf.create m ~name:"a" ~len:103 in
+  let vb = vbuf m ~name:"a" ~len:103 in
   let src = Array.init 103 (fun i -> float_of_int i *. 0.5) in
   Vbuf.h2d vb ~src:(Some src);
   Tracker.check_invariants (Vbuf.tracker vb);
@@ -555,25 +568,25 @@ let test_vbuf_h2d_d2h_roundtrip () =
 
 let test_vbuf_sync_for_read () =
   let m = machine4 () in
-  let vb = Vbuf.create m ~name:"a" ~len:100 in
+  let vb = vbuf m ~name:"a" ~len:100 in
   let src = Array.init 100 float_of_int in
   Vbuf.h2d vb ~src:(Some src);
   (* Device 1 wants to read [0, 50): elements [0,25) live on device 0,
      [25,50) already on device 1. *)
-  let n = Vbuf.sync_for_read vb ~dev:1 ~ranges:[ (0, 50) ] in
+  let n = vsync m vb ~dev:1 ~ranges:[ (0, 50) ] in
   checki "one transfer issued" 1 n;
   let inst1 = Gpusim.Buffer.data_exn (Vbuf.instance vb 1) in
   checkb "data arrived" true (inst1.(10) = 10.0);
   (* Owners unchanged by reads. *)
   checki "owner still 0" 0 (Tracker.owner_at (Vbuf.tracker vb) 10);
   (* Writes change ownership. *)
-  Vbuf.update_for_write vb ~dev:1 ~ranges:[ (0, 50) ];
+  vwrite m vb ~dev:1 ~ranges:[ (0, 50) ];
   checki "owner now 1" 1 (Tracker.owner_at (Vbuf.tracker vb) 10);
   Tracker.check_invariants (Vbuf.tracker vb)
 
 let test_vbuf_gather_after_writes () =
   let m = machine4 () in
-  let vb = Vbuf.create m ~name:"a" ~len:40 in
+  let vb = vbuf m ~name:"a" ~len:40 in
   let src = Array.init 40 float_of_int in
   Vbuf.h2d vb ~src:(Some src);
   (* Each device overwrites its chunk with dev-id marks. *)
@@ -582,7 +595,7 @@ let test_vbuf_gather_after_writes () =
     for i = d * 10 to (d * 10) + 9 do
       inst.(i) <- float_of_int (1000 + d)
     done;
-    Vbuf.update_for_write vb ~dev:d ~ranges:[ (d * 10, (d * 10) + 10) ]
+    vwrite m vb ~dev:d ~ranges:[ (d * 10, (d * 10) + 10) ]
   done;
   let dst = Array.make 40 nan in
   Vbuf.d2h vb ~dst:(Some dst);
@@ -597,19 +610,19 @@ let test_vbuf_beta_gamma () =
      stats.  gamma: nothing. *)
   let cfg_m = Gpusim.Config.test_box ~n_devices:2 () in
   let m = Gpusim.Machine.create ~functional:false cfg_m in
-  let vb = Vbuf.create m ~name:"a" ~len:100 in
+  let vb = vbuf ~cfg:Rconfig.beta m ~name:"a" ~len:100 in
   let src = Array.make 100 0.0 in
-  Vbuf.h2d ~cfg:Rconfig.beta vb ~src:(Some src);
+  Vbuf.h2d vb ~src:(Some src);
   checki "beta: no h2d bytes" 0 (Gpusim.Machine.stats m).Gpusim.Machine.h2d_bytes;
   checki "beta: tracker updated" 2 (Tracker.segment_count (Vbuf.tracker vb));
-  let n = Vbuf.sync_for_read ~cfg:Rconfig.beta vb ~dev:1 ~ranges:[ (0, 100) ] in
+  let n = vsync m vb ~dev:1 ~ranges:[ (0, 100) ] in
   checki "beta: stale segments counted" 1 n;
   checki "beta: no p2p bytes" 0 (Gpusim.Machine.stats m).Gpusim.Machine.p2p_bytes;
-  let vb2 = Vbuf.create m ~name:"b" ~len:100 in
-  Vbuf.h2d ~cfg:Rconfig.gamma vb2 ~src:(Some src);
+  let vb2 = vbuf ~cfg:Rconfig.gamma m ~name:"b" ~len:100 in
+  Vbuf.h2d vb2 ~src:(Some src);
   checki "gamma: tracker untouched" 1 (Tracker.segment_count (Vbuf.tracker vb2));
   checki "gamma: no sync work" 0
-    (Vbuf.sync_for_read ~cfg:Rconfig.gamma vb2 ~dev:1 ~ranges:[ (0, 100) ])
+    (vsync m vb2 ~dev:1 ~ranges:[ (0, 100) ])
 
 let test_linear_chunk () =
   (* Chunks partition [0,len) and are balanced. *)
@@ -631,7 +644,7 @@ let test_linear_chunk () =
 
 let test_vbuf_host_array_validation () =
   let m = machine4 () in
-  let vb = Vbuf.create m ~name:"temps" ~len:10 in
+  let vb = vbuf m ~name:"temps" ~len:10 in
   Alcotest.check_raises "h2d length mismatch"
     (Invalid_argument
        "Vbuf.h2d(temps): host array has 7 elements, buffer has 10 across 4 devices")
@@ -655,7 +668,7 @@ let faulty_machine4 () =
 
 let test_vbuf_checkpoint_restore () =
   let m = faulty_machine4 () in
-  let vb = Vbuf.create m ~name:"a" ~len:50 in
+  let vb = vbuf m ~name:"a" ~len:50 in
   let v1 = Array.init 50 float_of_int in
   Vbuf.h2d vb ~src:(Some v1);
   let snap = Vbuf.checkpoint vb in
@@ -671,7 +684,7 @@ let test_vbuf_checkpoint_restore () =
   checkb "restored" true (out = v1);
   Tracker.check_invariants (Vbuf.tracker vb);
   (* a snapshot of one buffer cannot restore another *)
-  let other = Vbuf.create m ~name:"b" ~len:50 in
+  let other = vbuf m ~name:"b" ~len:50 in
   checkb "wrong-buffer restore rejected" true
     (try
        Vbuf.restore other snap;
@@ -680,7 +693,7 @@ let test_vbuf_checkpoint_restore () =
 
 let test_vbuf_recover_fresh_replica () =
   let m = faulty_machine4 () in
-  let vb = Vbuf.create m ~name:"a" ~len:40 in
+  let vb = vbuf m ~name:"a" ~len:40 in
   let src = Array.init 40 float_of_int in
   Vbuf.h2d vb ~src:(Some src);
   (* Device 1 owns [10,20); the host holds a fresh copy of everything
@@ -698,10 +711,10 @@ let test_vbuf_recover_fresh_replica () =
 
 let test_vbuf_recover_lost_data () =
   let m = faulty_machine4 () in
-  let vb = Vbuf.create m ~name:"a" ~len:40 in
+  let vb = vbuf m ~name:"a" ~len:40 in
   Vbuf.h2d vb ~src:(Some (Array.init 40 float_of_int));
   (* Device 1 writes [12,18): that range now exists nowhere else. *)
-  Vbuf.update_for_write vb ~dev:1 ~ranges:[ (12, 18) ];
+  vwrite m vb ~dev:1 ~ranges:[ (12, 18) ];
   Gpusim.Faults.mark_lost (Option.get (Gpusim.Machine.fault_state m)) 1;
   let lost = Vbuf.recover vb ~dev:1 ~live:[ 0; 2; 3 ] in
   checkb "exactly the written range is lost" true (lost = [ (12, 18) ]);
@@ -746,7 +759,7 @@ let prop_vbuf_model =
         Gpusim.Machine.create ~functional:true
           (Gpusim.Config.test_box ~n_devices:4 ())
       in
-      let vb = Vbuf.create m ~name:"v" ~len in
+      let vb = vbuf m ~name:"v" ~len in
       let model = Array.make len 0.0 in
       let init = Array.init len float_of_int in
       Vbuf.h2d vb ~src:(Some init);
@@ -764,10 +777,10 @@ let prop_vbuf_model =
                inst.(i) <- !stamp +. float_of_int i;
                model.(i) <- !stamp +. float_of_int i
              done;
-             Vbuf.update_for_write vb ~dev ~ranges:[ (lo, hi) ];
+             vwrite m vb ~dev ~ranges:[ (lo, hi) ];
              Tracker.check_invariants (Vbuf.tracker vb)
            | VRead (dev, lo, hi) ->
-             ignore (Vbuf.sync_for_read vb ~dev ~ranges:[ (lo, hi) ]);
+             ignore (vsync m vb ~dev ~ranges:[ (lo, hi) ]);
              let inst = Gpusim.Buffer.data_exn (Vbuf.instance vb dev) in
              for i = lo to hi - 1 do
                if inst.(i) <> model.(i) then ok := false
@@ -783,7 +796,7 @@ let prop_vbuf_model =
    from a device instance, whose copy may be stale. *)
 let test_vbuf_host_owned_segments () =
   let m = machine4 () in
-  let vb = Vbuf.create m ~name:"h" ~len:40 in
+  let vb = vbuf m ~name:"h" ~len:40 in
   let src = Array.init 40 float_of_int in
   Vbuf.h2d vb ~src:(Some src);
   (* Pretend the host re-produced [10,20) (e.g. a host-side loop
@@ -801,7 +814,7 @@ let test_vbuf_host_owned_segments () =
   checkb "d2h serves host-owned from host copy" true (dst = src);
   let p2p_before = (Gpusim.Machine.stats m).Gpusim.Machine.p2p_bytes in
   let h2d_before = (Gpusim.Machine.stats m).Gpusim.Machine.h2d_bytes in
-  let n = Vbuf.sync_for_read vb ~dev:2 ~ranges:[ (10, 20) ] in
+  let n = vsync m vb ~dev:2 ~ranges:[ (10, 20) ] in
   checki "one upload" 1 n;
   let inst2 = Gpusim.Buffer.data_exn (Vbuf.instance vb 2) in
   checkb "sync uploads host data" true
@@ -810,7 +823,7 @@ let test_vbuf_host_owned_segments () =
   checki "no peer traffic" p2p_before stats.Gpusim.Machine.p2p_bytes;
   checkb "went over PCIe" true (stats.Gpusim.Machine.h2d_bytes > h2d_before);
   (* Batch mode cannot pack host-owned segments into a peer copy. *)
-  let n = Vbuf.sync_for_read ~batch:true vb ~dev:3 ~ranges:[ (10, 20) ] in
+  let n = vsync ~batch:true m vb ~dev:3 ~ranges:[ (10, 20) ] in
   checki "batch uploads individually" 1 n;
   let inst3 = Gpusim.Buffer.data_exn (Vbuf.instance vb 3) in
   checkb "batch data correct" true (inst3.(15) = 15.0)
@@ -820,16 +833,16 @@ let test_vbuf_host_owned_segments () =
    tracker rejects them with Invalid_argument). *)
 let test_vbuf_range_clamping () =
   let m = machine4 () in
-  let vb = Vbuf.create m ~name:"c" ~len:100 in
+  let vb = vbuf m ~name:"c" ~len:100 in
   let src = Array.init 100 float_of_int in
   Vbuf.h2d vb ~src:(Some src);
   let wild = [ (-5, 3); (95, 200); (150, 160); (4, 4) ] in
-  let n = Vbuf.sync_for_read vb ~dev:1 ~ranges:wild in
+  let n = vsync m vb ~dev:1 ~ranges:wild in
   checkb "some transfers" true (n > 0);
   let inst1 = Gpusim.Buffer.data_exn (Vbuf.instance vb 1) in
   checkb "head synced" true (inst1.(0) = 0.0 && inst1.(2) = 2.0);
   checkb "tail synced" true (inst1.(95) = 95.0 && inst1.(99) = 99.0);
-  Vbuf.update_for_write vb ~dev:1 ~ranges:wild;
+  vwrite m vb ~dev:1 ~ranges:wild;
   Tracker.check_invariants (Vbuf.tracker vb);
   checki "head owned" 1 (Tracker.owner_at (Vbuf.tracker vb) 0);
   checki "tail owned" 1 (Tracker.owner_at (Vbuf.tracker vb) 99);
@@ -906,66 +919,80 @@ let memo_machine ?mem_capacity ?(faults = false) () =
   Gpusim.Machine.enable_trace m;
   m
 
-let memo_buffer ?(name = "a") m =
-  let vb = Vbuf.create m ~name ~len:100 in
+let memo_buffer ?(name = "a") m space =
+  let vb = Vbuf.create space ~name ~len:100 in
   Vbuf.h2d vb ~src:(Some (Array.init 100 float_of_int));
-  Vbuf.update_for_write vb ~dev:3 ~ranges:[ (30, 35) ];
+  vwrite m vb ~dev:3 ~ranges:[ (30, 35) ];
   vb
 
-(* One sync of [10, 90) onto device 0: the transfers it reported, the
-   ownership-tracker ops it added and the machine events it issued. *)
-let memo_sync ?memo ?stats ?batch m vb =
-  let tr = Vbuf.tracker vb in
-  let ops = Tracker.ops tr and seen = List.length (Gpusim.Machine.trace m) in
-  let n = Vbuf.sync_for_read ?batch ?memo ?stats vb ~dev:0 ~ranges:[ (10, 90) ] in
-  (n, Tracker.ops tr - ops, List.filteri (fun i _ -> i >= seen) (Gpusim.Machine.trace m))
+let pattern_seconds m =
+  Gpusim.Timeline.busy_in (Gpusim.Machine.host_timeline m) "pattern"
 
-let check_stats what (hits, misses) (s : Vbuf.memo_stats) =
-  Alcotest.(check (pair int int)) what (hits, misses) (s.Vbuf.hits, s.Vbuf.misses)
+(* One sync of [10, 90) onto device 0: the transfers it reported, the
+   tracker ops and pattern seconds it charged and the machine events it
+   issued. *)
+let memo_sync ?memo ?batch m vb space =
+  let ops = Vbuf.tracker_ops space and busy = pattern_seconds m in
+  let seen = List.length (Gpusim.Machine.trace m) in
+  let n = vsync ?batch ?memo m vb ~dev:0 ~ranges:[ (10, 90) ] in
+  ( n,
+    Vbuf.tracker_ops space - ops,
+    pattern_seconds m -. busy,
+    List.filteri (fun i _ -> i >= seen) (Gpusim.Machine.trace m) )
+
+let check_stats what (hits, misses) space =
+  Alcotest.(check (pair int int))
+    what (hits, misses)
+    (Vbuf.sync_hits space, Vbuf.sync_misses space)
 
 let test_vbuf_sync_memo () =
   (* A hit does what a live walk from the same state does: the same
-     transfers at the same simulated times, the same tracker ops, the
-     same data.  The first sync makes the read set resident, so it is
-     not recorded; the second records; the third hits. *)
+     transfers at the same simulated times, the same charged ops and
+     pattern seconds, the same data.  The first sync makes the read set
+     resident, so it is not recorded; the second records; the third
+     hits. *)
   let live_m = memo_machine () and memo_m = memo_machine () in
-  let live = memo_buffer live_m and memoed = memo_buffer memo_m in
-  let memo = Vbuf.memo () and stats = { Vbuf.hits = 0; misses = 0 } in
+  let live_s = Vbuf.space live_m and memo_s = Vbuf.space memo_m in
+  let live = memo_buffer live_m live_s and memoed = memo_buffer memo_m memo_s in
+  let memo = Vbuf.memo () in
   let same ?(transfers = 5) what =
-    let a = memo_sync live_m live and b = memo_sync ~memo ~stats memo_m memoed in
+    let a = memo_sync live_m live live_s
+    and b = memo_sync ~memo memo_m memoed memo_s in
     checkb what true (a = b);
-    let (n, _, evs) = b in
-    checkb (what ^ ": transfers issued") true (n = transfers && evs <> [])
+    let n, ops, _, evs = b in
+    checkb (what ^ ": transfers issued and ops charged") true
+      (n = transfers && ops > 0 && evs <> [])
   in
   same "first sync";
   same "second sync";
-  check_stats "two misses" (0, 2) stats;
+  check_stats "two misses" (0, 2) memo_s;
   same "hit";
-  check_stats "then a hit" (1, 2) stats;
+  check_stats "then a hit" (1, 2) memo_s;
+  check_stats "no memo, no lookups" (0, 0) live_s;
   checkb "same data" true
     (Gpusim.Buffer.data_exn (Vbuf.instance live 0)
      = Gpusim.Buffer.data_exn (Vbuf.instance memoed 0));
   (* A write by another device changes the ownership tracker: the next
      sync misses, and it and the syncs after it also fetch the new
      owner's range, which splits device 2's. *)
-  Vbuf.update_for_write live ~dev:1 ~ranges:[ (60, 70) ];
-  Vbuf.update_for_write memoed ~dev:1 ~ranges:[ (60, 70) ];
+  vwrite live_m live ~dev:1 ~ranges:[ (60, 70) ];
+  vwrite memo_m memoed ~dev:1 ~ranges:[ (60, 70) ];
   same ~transfers:7 "after a write";
-  check_stats "the write forces a miss" (1, 3) stats;
+  check_stats "the write forces a miss" (1, 3) memo_s;
   (* Device 0's residency is as it was, so that miss recorded. *)
   same ~transfers:7 "hit again";
-  check_stats "then hits again" (2, 3) stats;
+  check_stats "then hits again" (2, 3) memo_s;
   (* The memo is never looked up under fault injection or under a
      finite capacity, for syncs or writes, nor for a batched sync. *)
   let never what ?batch m =
-    let vb = memo_buffer m and stats = { Vbuf.hits = 0; misses = 0 } in
+    let space = Vbuf.space m in
+    let vb = memo_buffer m space in
     let memo = Vbuf.memo () in
     for _ = 1 to 4 do
-      ignore (memo_sync ?batch ~memo ~stats m vb);
-      if batch = None then
-        Vbuf.update_for_write ~memo ~stats vb ~dev:0 ~ranges:[ (0, 5) ]
+      ignore (memo_sync ?batch ~memo m vb space);
+      if batch = None then vwrite ~memo m vb ~dev:0 ~ranges:[ (0, 5) ]
     done;
-    check_stats what (0, 0) stats
+    check_stats what (0, 0) space
   in
   never "faults: no lookups" (memo_machine ~faults:true ());
   never "finite capacity: no lookups" (memo_machine ~mem_capacity:(1 lsl 20) ());
@@ -973,26 +1000,144 @@ let test_vbuf_sync_memo () =
   (* A slot keeps the four latest outcomes: after recording five
      buffers, the four newest hit and the oldest misses. *)
   let m = memo_machine () in
-  let bufs = List.init 5 (fun i -> memo_buffer ~name:(string_of_int i) m) in
-  let memo = Vbuf.memo () and stats = { Vbuf.hits = 0; misses = 0 } in
+  let space = Vbuf.space m in
+  let bufs =
+    List.init 5 (fun i -> memo_buffer ~name:(string_of_int i) m space)
+  in
+  let memo = Vbuf.memo () in
   List.iter
-    (fun vb -> for _ = 1 to 2 do ignore (memo_sync ~memo ~stats m vb) done)
+    (fun vb -> for _ = 1 to 2 do ignore (memo_sync ~memo m vb space) done)
     bufs;
-  check_stats "five buffers recorded" (0, 10) stats;
-  List.iter (fun vb -> ignore (memo_sync ~memo ~stats m vb)) (List.rev (List.tl bufs));
-  check_stats "the four newest hit" (4, 10) stats;
-  ignore (memo_sync ~memo ~stats m (List.hd bufs));
-  check_stats "the oldest was dropped" (4, 11) stats;
+  check_stats "five buffers recorded" (0, 10) space;
+  List.iter
+    (fun vb -> ignore (memo_sync ~memo m vb space))
+    (List.rev (List.tl bufs));
+  check_stats "the four newest hit" (4, 10) space;
+  ignore (memo_sync ~memo m (List.hd bufs) space);
+  check_stats "the oldest was dropped" (4, 11) space;
   (* A Swap alternating one name between two buffers: one slot serves
      both, and once each is recorded both hit. *)
   let m = memo_machine () in
-  let x = memo_buffer ~name:"x" m and y = memo_buffer ~name:"y" m in
-  let memo = Vbuf.memo () and stats = { Vbuf.hits = 0; misses = 0 } in
+  let space = Vbuf.space m in
+  let x = memo_buffer ~name:"x" m space and y = memo_buffer ~name:"y" m space in
+  let memo = Vbuf.memo () in
   for _ = 1 to 4 do
-    ignore (memo_sync ~memo ~stats m x);
-    ignore (memo_sync ~memo ~stats m y)
+    ignore (memo_sync ~memo m x space);
+    ignore (memo_sync ~memo m y space)
   done;
-  check_stats "both buffers hit" (4, 4) stats
+  check_stats "both buffers hit" (4, 4) space
+
+(* ---------------- The charge contract ---------------- *)
+
+(* Each charging call adds exactly ops x tracker_op_seconds + raw x
+   range_seconds to the host's "pattern" busy seconds, where ops is its
+   own tracker's ops delta (or, on a memo hit, the ops the replayed
+   walk charged), and adds ops to the space's tracker-op count and its
+   sync transfers to the transfer count; the other calls add
+   nothing. *)
+let test_vbuf_charges () =
+  let m = faulty_machine4 () in
+  let host = (Gpusim.Machine.config m).Gpusim.Config.host in
+  let space = Vbuf.space m in
+  let vb = Vbuf.create space ~name:"a" ~len:100 in
+  let other = Vbuf.create space ~name:"b" ~len:100 in
+  let counts () =
+    (Vbuf.tracker_ops space, Vbuf.transfers space, pattern_seconds m)
+  in
+  (* [f] returns its transfer count and the raw emissions it passed. *)
+  let charges what f =
+    let ops0, tr0, busy0 = counts () in
+    let tops0 = Tracker.ops (Vbuf.tracker vb) in
+    let transfers, raw = f () in
+    let ops = Tracker.ops (Vbuf.tracker vb) - tops0 in
+    let seconds =
+      (float_of_int ops *. host.Gpusim.Config.tracker_op_seconds)
+      +. (float_of_int raw *. host.Gpusim.Config.range_seconds)
+    in
+    checkb (what ^ ": did tracker work") true (ops > 0);
+    Alcotest.(check (triple int int (float 0.0)))
+      what
+      (ops0 + ops, tr0 + transfers, busy0 +. seconds)
+      (counts ())
+  in
+  let free what f =
+    let before = counts () in
+    f ();
+    Alcotest.(check (triple int int (float 0.0))) what before (counts ())
+  in
+  let src = Some (Array.init 100 float_of_int) in
+  charges "h2d" (fun () ->
+      Vbuf.h2d vb ~src;
+      (0, 0));
+  Vbuf.h2d other ~src;
+  charges "sync_for_read" (fun () ->
+      let stamp = Gpusim.Machine.lru_tick m in
+      let n =
+        Vbuf.sync_for_read vb ~dev:0 ~batch:false ~stamp ~memo:Vbuf.no_memo
+          ~raw:3 ~ranges:[ (10, 90) ]
+      in
+      (n, 3));
+  charges "batched sync_for_read" (fun () ->
+      let stamp = Gpusim.Machine.lru_tick m in
+      let n =
+        Vbuf.sync_for_read vb ~dev:1 ~batch:true ~stamp ~memo:Vbuf.no_memo
+          ~raw:1 ~ranges:[ (0, 100) ]
+      in
+      (n, 1));
+  charges "update_for_write" (fun () ->
+      let stamp = Gpusim.Machine.lru_tick m in
+      Vbuf.update_for_write vb ~dev:2 ~stamp ~memo:Vbuf.no_memo ~raw:2
+        ~ranges:[ (20, 40) ];
+      (0, 2));
+  charges "d2h" (fun () ->
+      Vbuf.d2h vb ~dst:(Some (Array.make 100 0.0));
+      (0, 0));
+  let snap = ref None in
+  free "checkpoint" (fun () -> snap := Some (Vbuf.checkpoint vb));
+  free "ensure_resident" (fun () ->
+      Vbuf.ensure_resident vb ~dev:3 ~ranges:[ (0, 100) ]);
+  free "spill" (fun () -> ignore (Vbuf.spill vb ~dev:2 ~ranges:[ (0, 100) ]));
+  free "recover" (fun () -> ignore (Vbuf.recover vb ~dev:1 ~live:[ 0; 2; 3 ]));
+  free "restore" (fun () -> Vbuf.restore vb (Option.get !snap));
+  (* A call that raises charges nothing. *)
+  free "failed h2d" (fun () ->
+      match Vbuf.h2d vb ~src:(Some [||]) with
+      | () -> Alcotest.fail "short host array accepted"
+      | exception Invalid_argument _ -> ());
+  (* A memo hit charges the recorded ops and raw emissions, exactly
+     what the walk it replays charged. *)
+  let m = memo_machine () in
+  let space = Vbuf.space m in
+  let vb = memo_buffer m space in
+  let read_memo = Vbuf.memo () and write_memo = Vbuf.memo () in
+  let charged f =
+    let ops = Vbuf.tracker_ops space and busy = pattern_seconds m in
+    f (Gpusim.Machine.lru_tick m);
+    (Vbuf.tracker_ops space - ops, pattern_seconds m -. busy)
+  in
+  let read () =
+    charged (fun stamp ->
+        ignore
+          (Vbuf.sync_for_read vb ~dev:0 ~batch:false ~stamp ~memo:read_memo
+             ~raw:5 ~ranges:[ (10, 90) ]))
+  and write () =
+    charged (fun stamp ->
+        Vbuf.update_for_write vb ~dev:0 ~stamp ~memo:write_memo ~raw:2
+          ~ranges:[ (10, 12) ])
+  in
+  (* The first read makes its range resident, so only the second is
+     recorded; the write into device 0's own resident segment changes
+     neither tracker, so its first walk is recorded. *)
+  ignore (read ());
+  let write_walk = write () in
+  check_stats "two misses" (0, 2) space;
+  let read_walk = read () in
+  let write_hit = write () in
+  let read_hit = read () in
+  check_stats "then two hits" (2, 3) space;
+  checkb "walks charge ops" true (fst read_walk > 0 && fst write_walk > 0);
+  Alcotest.(check (pair int (float 0.0))) "read hit = walk" read_walk read_hit;
+  Alcotest.(check (pair int (float 0.0))) "write hit = walk" write_walk write_hit
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
@@ -1029,6 +1174,7 @@ let () =
           Alcotest.test_case "tracker ops accounting" `Quick test_tracker_ops_accounting;
           Alcotest.test_case "rconfig" `Quick test_rconfig;
           Alcotest.test_case "sync memo" `Quick test_vbuf_sync_memo;
+          Alcotest.test_case "charge contract" `Quick test_vbuf_charges;
           qtest prop_vbuf_model;
         ] );
       ( "fault-recovery",
