@@ -169,6 +169,24 @@ type t = {
   mutable phase : string;
       (* engine phase label stamped on causal nodes ("" = none); the
          spill phase also switches a d2h's attribution category *)
+  mutable capturing : recording option;
+      (* the launch graph being recorded by [capture], if any *)
+}
+
+(* One simulator op of a launch graph, as the live call issued it: a
+   copy with its resolved route and bytes, a kernel with its device and
+   the duration the live launch modelled, host work with its seconds
+   and category, or a host synchronization. *)
+and gop =
+  | Copy of { kind : string; route : route; src : int; dst : int; bytes : int }
+  | Kernel of { dev : device; dur : float }
+  | Host of { seconds : float; category : string }
+  | Sync
+
+and recording = {
+  mutable r_ops : gop list; (* newest first *)
+  mutable r_ticks : int; (* [lru_tick] calls *)
+  mutable r_ok : bool; (* no call a graph cannot hold was made *)
 }
 
 let kernel_s = 0
@@ -321,6 +339,7 @@ let create ?(functional = false) cfg =
     lru_clock = 0;
     causal = None;
     phase = "";
+    capturing = None;
   }
 
 (* Enable event tracing.  Every traced op of every engine lands in one
@@ -337,6 +356,10 @@ let trace_dropped m = match m.trace with None -> 0 | Some r -> Obs.Ring.dropped 
 
 let record m ev =
   match m.trace with None -> () | Some r -> Obs.Ring.push r ev
+
+(* A call a launch graph cannot hold: the graph being captured, if
+   any, is void. *)
+let taint m = match m.capturing with None -> () | Some r -> r.r_ok <- false
 
 (* Trace the host's last scheduled op under its busy category.  The
    event is built only when tracing is on, so an untraced run
@@ -497,6 +520,7 @@ let under_pressure m dev =
    capacity of [max_int] cannot overflow. *)
 let mem_reserve m ~device:d ~bytes =
   if bytes < 0 then invalid_arg "Machine.mem_reserve: negative bytes";
+  taint m;
   let dev = device m d in
   let free = mem_capacity m - dev.mem_used in
   if bytes > free then begin
@@ -511,6 +535,7 @@ let mem_reserve m ~device:d ~bytes =
 
 let mem_release m ~device:d ~bytes =
   if bytes < 0 then invalid_arg "Machine.mem_release: negative bytes";
+  taint m;
   let dev = device m d in
   if bytes > dev.mem_used then
     invalid_arg
@@ -522,10 +547,12 @@ let mem_release m ~device:d ~bytes =
 
 (* Monotone stamp for LRU ordering of resident segments. *)
 let lru_tick m =
+  (match m.capturing with None -> () | Some r -> r.r_ticks <- r.r_ticks + 1);
   m.lru_clock <- m.lru_clock + 1;
   m.lru_clock
 
 let note_spill m ~bytes =
+  taint m;
   m.n_spills <- m.n_spills + 1;
   m.spill_bytes <- m.spill_bytes + bytes
 
@@ -535,6 +562,7 @@ let note_spill m ~bytes =
    [mem_reserve]/[mem_release]. *)
 let alloc ?(charge = true) m ~device:d ~len =
   let dev = device m d in
+  taint m;
   let bytes = if charge then len * m.cfg.Config.elem_bytes else 0 in
   if bytes > 0 then mem_reserve m ~device:d ~bytes;
   let id = m.next_buffer_id in
@@ -548,6 +576,7 @@ let alloc ?(charge = true) m ~device:d ~len =
 
 let free m b =
   let dev = device m (Buffer.device b) in
+  taint m;
   if Hashtbl.mem dev.buffers (Buffer.id b) then begin
     let bytes = Buffer.charged_bytes b in
     if bytes > 0 then mem_release m ~device:dev.dev_id ~bytes
@@ -583,6 +612,7 @@ let elapsed m =
    issue time would hide it entirely under device execution, making
    sync free in every timing and trace.) *)
 let synchronize m =
+  (match m.capturing with None -> () | Some r -> r.r_ops <- Sync :: r.r_ops);
   let serial =
     m.cfg.Config.sync_device_seconds *. float_of_int (n_devices m)
   in
@@ -612,6 +642,11 @@ let synchronize m =
 (* Charge host-side computation (e.g. dependency resolution) to the
    host timeline. *)
 let host_work m ~seconds ~category =
+  (* The op is built only while capturing, so other calls allocate
+     nothing here. *)
+  (match m.capturing with
+   | None -> ()
+   | Some r -> r.r_ops <- Host { seconds; category } :: r.r_ops);
   Timeline.schedule m.host ~after:0.0 ~duration:seconds ~category;
   record_host m category;
   (match m.causal with
@@ -749,6 +784,22 @@ let transfer ?deps m ~kind r ~bytes =
             :: (List.map (causal_ev m) events @ List.map (causal_last m) waits))
          ~wait:"link_wait")
 
+(* A copy past its fault draw, as a live call and a graph replay issue
+   it: timing, trace and byte accounting. *)
+let issue_copy ?deps m ~kind r ~src ~dst ~bytes =
+  transfer ?deps m ~kind r ~bytes;
+  (match m.trace with
+   | None -> ()
+   | Some r ->
+     Obs.Ring.push r
+       { ev_kind = (if src < 0 then `H2d else if dst < 0 then `D2h else `P2p);
+         ev_src = src; ev_dst = dst; ev_bytes = bytes;
+         ev_start = m.op_clock.(0); ev_finish = m.op_clock.(1) });
+  if src < 0 then m.h2d_bytes <- m.h2d_bytes + bytes
+  else if dst < 0 then m.d2h_bytes <- m.d2h_bytes + bytes
+  else m.p2p_bytes <- m.p2p_bytes + bytes;
+  count_pair m ~src ~dst ~bytes
+
 (* One copy between two endpoints (-1 = host): fault check, timing,
    trace and byte accounting.  A transiently faulted copy paid its wire
    time and its bytes really crossed the fabric, so it is charged to
@@ -776,18 +827,12 @@ let copy ?deps m ~src ~dst ~len =
         | `Transient -> true
         | `Ok -> false)
   in
-  transfer ?deps m ~kind (route m ~src ~dst) ~bytes;
-  (match m.trace with
-   | None -> ()
-   | Some r ->
-     Obs.Ring.push r
-       { ev_kind = (if src < 0 then `H2d else if dst < 0 then `D2h else `P2p);
-         ev_src = src; ev_dst = dst; ev_bytes = bytes;
-         ev_start = m.op_clock.(0); ev_finish = m.op_clock.(1) });
-  if src < 0 then m.h2d_bytes <- m.h2d_bytes + bytes
-  else if dst < 0 then m.d2h_bytes <- m.d2h_bytes + bytes
-  else m.p2p_bytes <- m.p2p_bytes + bytes;
-  count_pair m ~src ~dst ~bytes;
+  let route = route m ~src ~dst in
+  (match (deps, m.capturing) with
+   | _, None -> ()
+   | None, Some r -> r.r_ops <- Copy { kind; route; src; dst; bytes } :: r.r_ops
+   | Some _, Some r -> r.r_ok <- false);
+  issue_copy ?deps m ~kind route ~src ~dst ~bytes;
   if transient then begin
     m.faulted_transfers <- m.faulted_transfers + 1;
     m.faulted_bytes <- m.faulted_bytes + bytes;
@@ -859,24 +904,14 @@ let kernel_duration ?(device = -1) m ~blocks ~ops_per_block =
 (* Declare how many devices the workload will keep busy (drives the
    autoboost derate deterministically from the first launch). *)
 let set_active_devices m n =
+  taint m;
   m.active_devices <- max 1 (min n (n_devices m))
 
-(* Launch a kernel asynchronously on a device.  [run] performs the
-   functional element work and is invoked only in functional mode. *)
-let launch ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run =
-  let dev = device m d in
-  let transient =
-    match m.faults with
-    | None -> false
-    | Some f -> (
-        match
-          Faults.kernel_outcome f ~device:d ~now:(fault_clock m ~devices:[ d ])
-        with
-        | `Lost -> fail_lost m ~op:"kernel" d
-        | `Transient -> true
-        | `Ok -> false)
-  in
-  m.active_devices <- max m.active_devices (d + 1);
+(* A kernel of modelled duration [dur] past its fault draw, as a live
+   launch and a graph replay issue it: host issue, compute timing,
+   trace and counters. *)
+let issue_kernel ?(deps = []) m dev ~dur =
+  let d = dev.dev_id in
   Timeline.schedule m.host ~after:0.0 ~duration:m.cfg.Config.launch_latency
     ~category:"issue";
   record_host m "issue";
@@ -885,10 +920,6 @@ let launch ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run =
     Float.max host.(2) (Float.max (ready_of dev.copy_in) (ready_of dev.copy_out))
   in
   let after = match deps with [] -> after | _ -> latest after deps in
-  let dur =
-    Config.kernel_seconds m.cfg ~active:m.active_devices
-      ~speed:(Config.device_speed m.cfg d) ~blocks ~ops_per_block
-  in
   Timeline.schedule dev.compute ~after ~duration:dur ~category:"kernel";
   let c = Timeline.clock dev.compute in
   m.op_clock.(0) <- c.(1);
@@ -923,7 +954,33 @@ let launch ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run =
    | Some r ->
      Obs.Ring.push r
        { ev_kind = `Kernel; ev_src = d; ev_dst = d; ev_bytes = 0;
-         ev_start = c.(1); ev_finish = c.(2) });
+         ev_start = c.(1); ev_finish = c.(2) })
+
+(* Launch a kernel asynchronously on a device.  [run] performs the
+   functional element work and is invoked only in functional mode. *)
+let launch ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run =
+  let dev = device m d in
+  let transient =
+    match m.faults with
+    | None -> false
+    | Some f -> (
+        match
+          Faults.kernel_outcome f ~device:d ~now:(fault_clock m ~devices:[ d ])
+        with
+        | `Lost -> fail_lost m ~op:"kernel" d
+        | `Transient -> true
+        | `Ok -> false)
+  in
+  m.active_devices <- max m.active_devices (d + 1);
+  let dur =
+    Config.kernel_seconds m.cfg ~active:m.active_devices
+      ~speed:(Config.device_speed m.cfg d) ~blocks ~ops_per_block
+  in
+  (match (deps, m.capturing) with
+   | _, None -> ()
+   | [], Some r -> r.r_ops <- Kernel { dev; dur } :: r.r_ops
+   | _ :: _, Some r -> r.r_ok <- false);
+  issue_kernel ~deps m dev ~dur;
   (* A transient fault consumes the launch's time but produces no
      writes: raise before the functional element work runs. *)
   if transient then begin
@@ -935,6 +992,63 @@ let launch ?(deps = []) m ~device:d ~blocks ~ops_per_block ~run =
 let launch_async ?deps m ~device ~blocks ~ops_per_block ~run : evt =
   launch ?deps m ~device ~blocks ~ops_per_block ~run;
   m.op_clock.(1)
+
+(* --- Launch graphs ------------------------------------------------------ *)
+
+(* A recorded run of simulator calls, replayed as one call.  A replay
+   issues every op through the same [issue_copy], [issue_kernel],
+   [host_work] and [synchronize] the live calls used, with the same
+   arguments, so it does the same float operations in the same order:
+   simulated time, the trace, stats and counters come out bit-identical
+   by construction.  What a live call does before that point (range
+   checks, the route lookup, the kernel's duration model, the fault
+   draw) is settled at capture. *)
+type graph = {
+  g_machine : t; (* the routes and engines of [g_ops] are this machine's *)
+  g_ops : gop array;
+  g_ticks : int; (* [lru_tick] calls to replay *)
+  g_active : int; (* the active-device count every kernel was modelled at *)
+}
+
+(* Only a performance machine on ideal hardware without causal
+   recording issues nothing a graph does not hold: no element work, no
+   fault draws, no DAG nodes. *)
+let replayable m = (not m.functional) && m.faults = None && m.causal = None
+
+let capture m f =
+  if m.capturing <> None then invalid_arg "Machine.capture: already capturing";
+  let r = { r_ops = []; r_ticks = 0; r_ok = replayable m } in
+  let active = m.active_devices in
+  m.capturing <- Some r;
+  match f () with
+  | exception e ->
+    m.capturing <- None;
+    raise e
+  | () ->
+    m.capturing <- None;
+    if r.r_ok && replayable m && m.active_devices = active then
+      Some
+        { g_machine = m; g_ops = Array.of_list (List.rev r.r_ops);
+          g_ticks = r.r_ticks; g_active = active }
+    else None
+
+let replay m g =
+  if
+    g.g_machine != m || m.capturing <> None || (not (replayable m))
+    || m.active_devices <> g.g_active
+  then invalid_arg "Machine.replay: the machine no longer matches the capture";
+  m.lru_clock <- m.lru_clock + g.g_ticks;
+  let ops = g.g_ops in
+  for i = 0 to Array.length ops - 1 do
+    match ops.(i) with
+    | Copy { kind; route; src; dst; bytes } ->
+      issue_copy m ~kind route ~src ~dst ~bytes
+    | Kernel { dev; dur } -> issue_kernel m dev ~dur
+    | Host { seconds; category } -> host_work m ~seconds ~category
+    | Sync -> synchronize m
+  done
+
+let graph_ops g = Array.length g.g_ops
 
 (* Timeline accessors for reporting and calibration. *)
 let host_timeline m = m.host

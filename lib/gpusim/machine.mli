@@ -217,6 +217,50 @@ val launch_async : ?deps:evt list ->
   run:(unit -> unit) -> evt
 (** [launch] returning the kernel's completion event. *)
 
+(** {2 Launch graphs}
+
+    A graph is a recorded run of simulator calls that {!replay} issues
+    again as one call, the way a CUDA graph replays a captured stream.
+    It is a flat program with one entry per op: a copy with its
+    resolved route and bytes, a kernel with its device and the
+    duration its live launch modelled, host work with its seconds and
+    category, and a host synchronization, plus the number of
+    {!lru_tick} calls.  A replay issues each entry through the same
+    internal code the live call used, with the same arguments, so it
+    does the same float operations in the same order: simulated time,
+    {!trace}, {!stats} and the byte matrix come out bit-identical to
+    issuing the calls live on a machine in the same state.  What a
+    live call settles before that point (range checks, the route
+    lookup, the kernel's duration model, the fault draw) is not
+    repeated.  Data never moves: graphs exist only on performance
+    machines. *)
+
+type graph
+
+val capture : t -> (unit -> unit) -> graph option
+(** [capture m f] runs [f], recording every call it makes on [m].
+    [Some g] when every call can be replayed; [None] when [m] is
+    functional, injects faults or records a causal DAG, when [f] made
+    a call a graph cannot hold (a copy or launch with explicit
+    [deps], an allocation, a free, a memory reservation or release, a
+    spill, {!set_active_devices}), or when the active-device count
+    changed, so that kernels were modelled at different derates.  If
+    [f] raises, recording stops and the exception propagates.  Raises
+    [Invalid_argument] when a capture is already running. *)
+
+val replay : t -> graph -> unit
+(** Issue a captured graph's ops again, in order, on the machine that
+    captured it, and advance the LRU counter by its ticks.  The caller
+    guarantees that the calls the graph stands for would be made again:
+    the graph does not know why they were made.  Raises
+    [Invalid_argument] on another machine, during a capture, on a
+    machine that is functional, injects faults or records a causal DAG,
+    or when the active-device count differs from the capture's (the
+    kernels' durations would differ). *)
+
+val graph_ops : graph -> int
+(** The number of simulator ops a graph replays. *)
+
 val enable_trace : ?capacity:int -> t -> unit
 (** Record, in one bounded ring buffer, every op the machine
     schedules: host issues, syncs and host work, fabric legs, kernels

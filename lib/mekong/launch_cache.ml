@@ -19,11 +19,6 @@
    time, transfers and functional results; only redundant host
    computation is skipped.
 
-   Each range list also carries the slot of [Vbuf]'s sync memo, which
-   replays what syncing or recording it did on its partition's device
-   while the buffer's trackers are unchanged.  The slot is opaque here:
-   [Vbuf] decides hit, miss and record (DESIGN.md §4).
-
    The memory-pressure chunking decision (each partition's sequential
    sub-chunks) is part of the plan, so the per-device memory capacity
    it was computed against is part of the key: a plan built for one
@@ -57,7 +52,6 @@ type ranges = {
   rg_buf : string; (* buffer name the array argument is bound to *)
   rg_ranges : (int * int) list; (* canonical half-open element ranges *)
   rg_raw : int; (* raw emission count (host "patterns" cost driver) *)
-  rg_memo : Gpu_runtime.Vbuf.memo; (* this range list's sync memo slot *)
 }
 
 type partition_plan = {

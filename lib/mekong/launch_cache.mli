@@ -4,9 +4,7 @@
     {!Multi_gpu.run} derives from the launch parameters alone: the
     non-empty partition list, the evaluated read/write range lists with
     their raw emission counts, per-partition arguments and the cost
-    model's ops-per-block.  Each range list also carries a
-    {!Gpu_runtime.Vbuf.memo} slot, which [Vbuf] alone reads and writes
-    (DESIGN.md §4).  Every transfer and every simulated charge is still
+    model's ops-per-block.  Every transfer and every simulated charge is still
     paid on every launch, so cached and uncached runs produce
     bit-identical results; only redundant host computation is
     skipped. *)
@@ -35,9 +33,6 @@ type ranges = {
   rg_buf : string;  (** buffer name the array argument is bound to *)
   rg_ranges : (int * int) list;  (** canonical half-open element ranges *)
   rg_raw : int;  (** raw emission count (the host "patterns" cost driver) *)
-  rg_memo : Gpu_runtime.Vbuf.memo;
-      (** the sync memo slot of this range list, passed to every
-          [Vbuf.sync_for_read] or [Vbuf.update_for_write] of it *)
 }
 
 type partition_plan = {

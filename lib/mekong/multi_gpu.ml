@@ -158,9 +158,10 @@ let pp_report lines fmt (reg : Obs.Metrics.t) =
   List.iter
     (function
       | Plan_cache ->
-        Format.fprintf fmt "plan cache: %d hits / %d misses; sync memo: %d hits / %d misses@."
-          (i "cache.plan_hits") (i "cache.plan_misses") (i "cache.sync_hits")
-          (i "cache.sync_misses")
+        Format.fprintf fmt
+          "plan cache: %d hits / %d misses; launch graphs: %d hits / %d misses@."
+          (i "cache.plan_hits") (i "cache.plan_misses") (i "cache.graph_hits")
+          (i "cache.graph_misses")
       | Executor ->
         Format.fprintf fmt
           "executor: %d compiled (%d cache hits), %d launches sequential, \
@@ -235,6 +236,61 @@ type context = {
       (* per partition, each reducible array's accumulator and touched
          flags (functional machines only) *)
 }
+
+(* A [Repeat] loop's launch graph (DESIGN.md §4): the simulator calls
+   of one period, captured from a live run of it, with what that run
+   added to the run's counters.  [g_key] is every live binding, its
+   buffer and the buffer's tracker versions at the period's start; the
+   period left them as it found them. *)
+type graph = {
+  g_key : (string * Vbuf.t * int array) list;
+  g_prog : Gpusim.Machine.graph;
+  g_plan_hits : float;
+  g_transfers : int;
+  g_tracker_ops : int;
+}
+
+(* One [Repeat] statement's graph slot, shared by its expansions.
+   [s_dead]: a period ran a step a graph cannot replay, as every later
+   period would. *)
+type site = { mutable s_graph : graph option; mutable s_dead : bool }
+
+(* One expansion of a [Repeat] in the flattened statement stream:
+   [l_periods] full periods of [l_len] statements from statement
+   [l_first]. *)
+type loop = { l_first : int; l_len : int; l_periods : int; l_site : site }
+
+(* Iterations of a [Repeat] body after which its swaps have returned
+   every binding: 1 or 2, or 0 when the body is not launches and swaps
+   or its swaps take longer. *)
+let period_of body =
+  let swap bs (a, b) =
+    List.map
+      (fun (n, v) ->
+         (n, if n = a then List.assoc b bs else if n = b then List.assoc a bs else v))
+      bs
+  in
+  let swaps =
+    List.filter_map (function Host_ir.Swap (a, b) -> Some (a, b) | _ -> None) body
+  in
+  let iteration bs = List.fold_left swap bs swaps in
+  let start =
+    List.map (fun n -> (n, n))
+      (List.sort_uniq compare (List.concat_map (fun (a, b) -> [ a; b ]) swaps))
+  in
+  if not (List.for_all (function Host_ir.Launch _ | Host_ir.Swap _ -> true | _ -> false) body)
+  then 0
+  else if iteration start = start then 1
+  else if iteration (iteration start) = start then 2
+  else 0
+
+let replayable_step = function
+  | Plan.Sync_reads _ | Plan.Barrier | Plan.Launch _ | Plan.Update_writes _
+  | Plan.Swap _ ->
+    true
+  | Plan.Chunk _ | Plan.Gather_bases _ | Plan.Merge _ | Plan.Shadow _
+  | Plan.Halo_exchange _ | Plan.Measure _ ->
+    false
 
 let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     ?(cache = true) ?(checkpoint_every = 8) ?(overlap = false)
@@ -344,14 +400,20 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
        | None -> err_gt)
   in
   (* Per-launch compiled-kernel lookup must not be linear in the kernel
-     count. *)
-  let compiled_tbl : (string, compiled_kernel) Hashtbl.t =
+     count.  Each kernel keeps its launch key's reduction-mode
+     signature, which depends on the compiled kernel alone. *)
+  let compiled_tbl : (string, compiled_kernel * string) Hashtbl.t =
     Hashtbl.create 16
   in
   List.iter
     (fun (name, ck) ->
        if not (Hashtbl.mem compiled_tbl name) then
-         Hashtbl.add compiled_tbl name ck)
+         Hashtbl.add compiled_tbl name
+           ( ck,
+             String.concat ","
+               (List.map
+                  (fun (arr, op) -> Kir.atomic_name op ^ ":" ^ arr)
+                  (Plan.reducible ck)) ))
     exe.compiled;
   let gate =
     List.map
@@ -359,12 +421,23 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       [ "safe"; "reducible"; "racy"; "unknown" ]
   in
   Hashtbl.iter
-    (fun _ ck -> bump (List.assoc (Verify.verdict_name ck.ck_gate) gate))
+    (fun _ (ck, _) -> bump (List.assoc (Verify.verdict_name ck.ck_gate) gate))
     compiled_tbl;
   let gate_merges = counter "engine.gate.merges"
   and gate_merged_elems = counter "engine.gate.merged_elems" in
   let plan_hits = counter "cache.plan_hits"
   and plan_misses = counter "cache.plan_misses" in
+  (* Launch graphs (DESIGN.md §4) replay only what a graph holds: the
+     calls of a performance machine on ideal hardware, uncapped,
+     without causal recording, in a run nothing indexes into. *)
+  let graphs =
+    cache && (not functional) && (not healing) && (not causal)
+    && mem_cap = max_int && abort_at = None && resume = None
+  in
+  let graph_hits = counter "cache.graph_hits"
+  and graph_misses = counter "cache.graph_misses" in
+  (* Cleared by a live launch whose steps a graph cannot replay. *)
+  let period_plain = ref true in
   (* The cache lives for one cache generation: device count, tiling and
      measurement config are fixed within it, so they need not be part
      of the key.  A permanent device loss changes the partitioning and
@@ -421,9 +494,9 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      when autotuning is off) and the reduction mode, so a plan is never
      replayed under another regime. *)
   let lookup kernel grid block args =
-    let ck =
+    let ck, reduce =
       match Hashtbl.find_opt compiled_tbl kernel.Kir.name with
-      | Some ck -> ck
+      | Some entry -> entry
       | None -> invalid_arg ("Multi_gpu: unlinked kernel " ^ kernel.Kir.name)
     in
     ( ck,
@@ -438,11 +511,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
            else
              Autotune.signature ~cfg:(Gpusim.Machine.config m) ~live:!live
                ~iters:(iters_of kernel));
-        reduce =
-          String.concat ","
-            (List.map
-               (fun (arr, op) -> Kir.atomic_name op ^ ":" ^ arr)
-               (Plan.reducible ck));
+        reduce;
       } )
   in
   let build_plan ck key kernel grid block args =
@@ -519,23 +588,22 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           ~grid:pp.pp_launch_grid ~block:c.c_block ~args:pp.pp_scalar_args
           ~access)
   in
-  (* Every range list syncs or records with its sync memo slot; [Vbuf]
-     decides hits and charges the work (DESIGN.md §4). *)
+  (* [Vbuf] charges each range list's work (DESIGN.md §4). *)
   let sync_reads c ~batch ~stamp (pp : Launch_cache.partition_plan) =
     let dev = pp.pp_part.Partition.device in
     List.iter
       (fun (rg : Launch_cache.ranges) ->
          ignore
            (Vbuf.sync_for_read (bound c.c_bufs rg.rg_buf) ~dev ~batch ~stamp
-              ~memo:rg.rg_memo ~raw:rg.rg_raw ~ranges:rg.rg_ranges))
+              ~raw:rg.rg_raw ~ranges:rg.rg_ranges))
       pp.pp_reads
   in
   let update_writes c ~stamp (pp : Launch_cache.partition_plan) =
     let dev = pp.pp_part.Partition.device in
     List.iter
       (fun (rg : Launch_cache.ranges) ->
-         Vbuf.update_for_write (bound c.c_bufs rg.rg_buf) ~dev
-           ~stamp ~memo:rg.rg_memo ~raw:rg.rg_raw ~ranges:rg.rg_ranges)
+         Vbuf.update_for_write (bound c.c_bufs rg.rg_buf) ~dev ~stamp
+           ~raw:rg.rg_raw ~ranges:rg.rg_ranges)
       pp.pp_writes
   in
   (* Instrumented write-set collection (paper §11 fallback): the shadow
@@ -577,8 +645,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
          let vb = find (List.assoc arr c.c_args) in
          List.iter
            (fun (dev, ranges) ->
-              Vbuf.update_for_write vb ~dev ~stamp:(tick ()) ~memo:Vbuf.no_memo
-                ~raw:0 ~ranges)
+              Vbuf.update_for_write vb ~dev ~stamp:(tick ()) ~raw:0 ~ranges)
            !slot)
       per_array
   in
@@ -669,8 +736,8 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           List.iter
             (fun (dev, range) ->
                ignore
-                 (Vbuf.sync_for_read vb ~dev ~batch:true ~stamp
-                    ~memo:Vbuf.no_memo ~raw:1 ~ranges:[ range ]))
+                 (Vbuf.sync_for_read vb ~dev ~batch:true ~stamp ~raw:1
+                    ~ranges:[ range ]))
             fetch)
     | Plan.Swap (a, b) ->
       swap a b;
@@ -704,7 +771,10 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   in
   let exec_launch kernel grid block args =
     let ck, plan = plan_for kernel grid block args in
-    List.iter (step (context ck ~block plan)) (Plan.of_launch (env ()) ck plan);
+    let steps = Plan.of_launch (env ()) ck plan in
+    if graphs && not (List.for_all replayable_step steps) then
+      period_plain := false;
+    List.iter (step (context ck ~block plan)) steps;
     bases := None
   in
   let rec exec (s : Host_ir.stmt) =
@@ -751,9 +821,11 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      Re-executing any statement is idempotent — h2d re-scatters the
      same source, launches recompute the same values from the same
      synchronized inputs, tracker updates converge — which is what
-     makes both retry and replay safe. *)
-  let stmts =
-    let acc = ref [] in
+     makes both retry and replay safe.  With graphs on, a loop keeps
+     its period starts: each full period of a loop with at least two
+     is marked at its first statement. *)
+  let stmts, loops =
+    let acc = ref [] and len = ref 0 and loops = ref [] and sites = ref [] in
     let rec go (s : Host_ir.stmt) =
       match s with
       | Host_ir.Repeat
@@ -761,13 +833,33 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
         when halo_repeats_ok && n > 1 ->
         (* A double-buffered stencil loop stays whole for halo tiling
            (only when nothing indexes into the flattened stream). *)
-        acc := s :: !acc
+        acc := s :: !acc;
+        incr len
       | Host_ir.Repeat (n, body) ->
-        for _ = 1 to n do List.iter go body done
-      | s -> acc := s :: !acc
+        let k = if graphs then period_of body else 0 in
+        if k > 0 && n / k >= 2 then begin
+          let site =
+            match List.assq_opt s !sites with
+            | Some site -> site
+            | None ->
+              let site = { s_graph = None; s_dead = false } in
+              sites := (s, site) :: !sites;
+              site
+          in
+          loops :=
+            { l_first = !len; l_len = k * List.length body; l_periods = n / k;
+              l_site = site }
+            :: !loops
+        end;
+        for _ = 1 to n do
+          List.iter go body
+        done
+      | s ->
+        acc := s :: !acc;
+        incr len
     in
     List.iter go exe.prog.Host_ir.body;
-    Array.of_list (List.rev !acc)
+    (Array.of_list (List.rev !acc), ref (List.rev !loops))
   in
   let n_stmts = Array.length stmts in
   (match resume with
@@ -893,6 +985,73 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     end;
     incr i
   in
+  (* A period start: replay the loop's graph for every full period left
+     when the key matches, else run one period live and capture it.
+     The capture is kept when its calls all replay, its launches all
+     hit the plan cache and it left the key as it found it. *)
+  let graph_key () =
+    List.map (fun (name, vb) -> (name, vb, Vbuf.versions vb)) (live_buffers ())
+  in
+  let same_key =
+    List.equal (fun (a, va, ka) (b, vb, kb) ->
+        String.equal a b && va == vb && ka = kb)
+  in
+  let replayed_transfers = ref 0 and replayed_ops = ref 0 in
+  let run_period l =
+    let site = l.l_site and key = graph_key () in
+    match site.s_graph with
+    | Some g when same_key g.g_key key ->
+      let k = l.l_periods - ((!i - l.l_first) / l.l_len) in
+      span "graph" (fun () ->
+          for _ = 1 to k do
+            Gpusim.Machine.replay m g.g_prog
+          done);
+      Obs.Metrics.add graph_hits (float_of_int k);
+      Obs.Metrics.add plan_hits (g.g_plan_hits *. float_of_int k);
+      replayed_transfers := !replayed_transfers + (k * g.g_transfers);
+      replayed_ops := !replayed_ops + (k * g.g_tracker_ops);
+      i := !i + (k * l.l_len)
+    | _ -> (
+        bump graph_misses;
+        let hits = Obs.Metrics.total plan_hits
+        and misses = Obs.Metrics.total plan_misses
+        and transfers = Vbuf.transfers space
+        and ops = Vbuf.tracker_ops space in
+        period_plain := true;
+        let prog =
+          Gpusim.Machine.capture m (fun () ->
+              for _ = 1 to l.l_len do
+                run_stmt stmts.(!i)
+              done)
+        in
+        if not !period_plain then site.s_dead <- true;
+        match prog with
+        | Some prog
+          when !period_plain
+               && Obs.Metrics.total plan_misses = misses
+               && same_key key (graph_key ()) ->
+          site.s_graph <-
+            Some
+              {
+                g_key = key;
+                g_prog = prog;
+                g_plan_hits = Obs.Metrics.total plan_hits -. hits;
+                g_transfers = Vbuf.transfers space - transfers;
+                g_tracker_ops = Vbuf.tracker_ops space - ops;
+              }
+        | _ -> ())
+  in
+  (* The loop whose period starts at statement [i], if any.  With
+     graphs on nothing moves the program counter back, so loops behind
+     it, and dead ones, leave the list. *)
+  let rec period_at i =
+    match !loops with
+    | l :: rest when l.l_site.s_dead || i >= l.l_first + (l.l_periods * l.l_len) ->
+      loops := rest;
+      period_at i
+    | l :: _ when i >= l.l_first && (i - l.l_first) mod l.l_len = 0 -> Some l
+    | _ -> None
+  in
   (* The one fault handler: a transient fault repeats the action after
      a backoff, a device loss repeats it unless a replay moved the
      program counter, and a live Out_of_memory refines a capped launch. *)
@@ -901,6 +1060,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       match action with
       | `Install h -> install h
       | `Preempt -> preempt ()
+      | `Period p -> run_period p
       | `Run stmt -> run_stmt stmt
     with
     | Gpusim.Machine.Transient_fault _ when healing ->
@@ -942,7 +1102,10 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       | None -> (
           match abort_at with
           | Some t when Gpusim.Machine.elapsed m >= t -> `Preempt
-          | _ -> `Run stmts.(!i))
+          | _ -> (
+              match period_at !i with
+              | Some l -> `Period l
+              | None -> `Run stmts.(!i)))
     in
     attempt action ~tries:0 ~spent:0.0
   done;
@@ -953,10 +1116,8 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
          ((Gpusim.Machine.stats m).Gpusim.Machine.n_faults - faults_at_entry));
   (* The space counts these once per range list; they are read once. *)
   let count name by = Obs.Metrics.incr metrics name ~by in
-  count "engine.transfers" (Vbuf.transfers space);
-  count "cache.sync_hits" (Vbuf.sync_hits space);
-  count "cache.sync_misses" (Vbuf.sync_misses space);
-  count "engine.tracker_ops" (Vbuf.tracker_ops space);
+  count "engine.transfers" (Vbuf.transfers space + !replayed_transfers);
+  count "engine.tracker_ops" (Vbuf.tracker_ops space + !replayed_ops);
   Obs.Metrics.add predicted_us (!tune_pred *. 1e6);
   Obs.Metrics.add actual_us (!tune_act *. 1e6);
   let time = Gpusim.Machine.host_time m in

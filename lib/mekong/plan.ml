@@ -116,7 +116,7 @@ let partition_planner env ck kernel ~grid ~block ~args =
              Option.map
                (fun enum ->
                   let rg_ranges, rg_raw = Codegen.ranges_counted enum ~bindings in
-                  { rg_buf; rg_ranges; rg_raw; rg_memo = Gpu_runtime.Vbuf.memo () })
+                  { rg_buf; rg_ranges; rg_raw })
                (Option.bind (Codegen.entry ck.ck_enums arr) select))
           arg_arrays
     in

@@ -78,7 +78,8 @@ let scalar_bindings kernel args =
   go kernel.Kir.params args []
 
 (* Static checks: buffers are allocated before use, freed at most once,
-   launch arguments match kernel signatures.  Raises
+   never allocated twice (across iterations of a Repeat too), launch
+   arguments match kernel signatures.  Raises
    [Invalid_argument] describing the first problem found. *)
 let validate t =
   let live = Hashtbl.create 16 in
@@ -108,7 +109,12 @@ let validate t =
       List.iter (fun (_, b) -> need b "launch") (array_bindings kernel args)
     | Repeat (n, body) ->
       if n < 0 then invalid_arg "Host_ir.validate: negative repeat count";
-      List.iter go body
+      (* After one pass each buffer's liveness is fixed by its last
+         Malloc or Free in the body, so a second pass starts where every
+         later iteration does. *)
+      for _ = 1 to if n >= 2 then 2 else 1 do
+        List.iter go body
+      done
     | Swap (a, b) ->
       need a "swap";
       need b "swap"

@@ -40,6 +40,7 @@ val scalar_bindings : Kir.t -> harg list -> (string * int) list
 
 val validate : t -> unit
 (** Static checks: buffers allocated before use, freed at most once,
+    never allocated twice (across the iterations of a [Repeat] too),
     launch arguments matching kernel signatures.  Raises
     [Invalid_argument] on the first problem. *)
 

@@ -23,8 +23,8 @@
    when it is created and again at every add/remove.  Versions are
    never reused, so one version names one state of one tracker: a
    caller that saw a version can tell, in one comparison, that the
-   segments have not changed since ([Vbuf]'s sync memo keys on
-   this).  Writes that leave the map alone keep the version. *)
+   segments have not changed since (the engine's launch graphs key
+   on this, through [Vbuf.versions]).  Writes that leave the map alone keep the version. *)
 
 module M = Btree.Int_map
 

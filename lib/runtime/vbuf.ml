@@ -56,19 +56,15 @@ and space = {
   s_cfg : Rconfig.t;
   mutable members : t list; (* the eviction pool, in name order *)
   mutable transfers : int;
-  mutable sync_hits : int;
-  mutable sync_misses : int;
   mutable tracker_ops : int;
 }
 
 let space ?(cfg = Rconfig.alpha) machine =
-  { s_machine = machine; s_cfg = cfg; members = [];
-    transfers = 0; sync_hits = 0; sync_misses = 0; tracker_ops = 0 }
+  { s_machine = machine; s_cfg = cfg; members = []; transfers = 0;
+    tracker_ops = 0 }
 
 let members s = s.members
 let transfers s = s.transfers
-let sync_hits s = s.sync_hits
-let sync_misses s = s.sync_misses
 let tracker_ops s = s.tracker_ops
 
 (* Enter the pool in name order: stamps tie across vbufs, and
@@ -118,6 +114,12 @@ let name t = t.name
 let len t = t.len
 let tracker t = t.tracker
 let residency t ~dev = t.residency.(dev)
+
+let versions t =
+  Array.init
+    (Array.length t.residency + 1)
+    (fun i -> Tracker.version (if i = 0 then t.tracker else t.residency.(i - 1)))
+
 let instance t d = t.instances.(d)
 let n_devices t = Array.length t.instances
 
@@ -620,9 +622,8 @@ let d2h t ~dst =
 
 (* Copy the stale segment [s, e), freshest at [owner] (a device or
    [Tracker.host]), onto device [dev]: one transfer of the unbatched
-   sync, issued alike by a live walk and by a memo hit.  Host data
-   never lives in a device instance, so a host-owned segment moves
-   over PCIe, not peer-to-peer. *)
+   sync.  Host data never lives in a device instance, so a host-owned
+   segment moves over PCIe, not peer-to-peer. *)
 let fetch t ~dev ~do_data owner s e =
   if do_data then begin
     if owner = Tracker.host then begin
@@ -645,97 +646,15 @@ let fetch t ~dev ~do_data owner s e =
   end;
   mark_fresh t ~who:dev ~start:s ~stop:e
 
-(* --- The sync memo ------------------------------------------------------ *)
-
-(* What one unbatched sync or one write of a range list did on one
-   device, recorded only when it left the buffer's ownership tracker
-   and the device's residency tracker at the versions it found them
-   at.  Versions are never reused, so the pair names one state of one
-   buffer on one device. *)
-type outcome = {
-  o_owner : int; (* ownership-tracker version *)
-  o_resident : int; (* residency-tracker version of the device *)
-  o_ops : int; (* ownership-tracker ops the call charged *)
-  o_transfers : int array; (* (owner, start, stop) triples, in order *)
-}
-
-(* Newest first, at most [memo_slots]: a [Swap] alternating one name
-   between two buffers needs two. *)
-type memo = { mutable outcomes : outcome list }
-
-let memo () = { outcomes = [] }
-let no_memo = memo ()
-let memo_slots = 4
-
-(* A lookup's answer, allocation-free: [off] (the memo does not apply),
-   [missing] (no outcome matches) or the matching outcome. *)
-let off = { o_owner = -1; o_resident = -1; o_ops = 0; o_transfers = [||] }
-let missing = { off with o_owner = -2 }
-
-let rec recall owner resident = function
-  | [] -> missing
-  | o :: rest ->
-    if o.o_owner = owner && o.o_resident = resident then o
-    else recall owner resident rest
-
-(* The memo is off for [no_memo] and where this module keeps state the
-   key does not cover: the validity trackers of a faulty machine and
-   the LRU stamps of a capacity-limited one. *)
-let lookup memo t ~dev =
-  if
-    memo == no_memo
-    || Option.is_some (Gpusim.Machine.fault_state t.machine)
-    || Gpusim.Machine.mem_capacity t.machine < max_int
-  then off
-  else
-    recall (Tracker.version t.tracker)
-      (Tracker.version t.residency.(dev)) memo.outcomes
-
-(* A hit issues the recorded transfers through the same [fetch] a walk
-   uses, skipping everything else: the clamp, the residency check and
-   the tracker walk and writes. *)
-let replay t ~dev ~do_data o =
-  t.space.sync_hits <- t.space.sync_hits + 1;
-  let tr = o.o_transfers in
-  let n = Array.length tr / 3 in
-  for i = 0 to n - 1 do
-    fetch t ~dev ~do_data tr.(3 * i) tr.((3 * i) + 1) tr.((3 * i) + 2)
-  done;
-  n
-
-(* A miss runs [walk record], which reports each transfer it issues to
-   [record], and records the outcome if the call left both trackers at
-   the versions it started from. *)
-let record slot t ~dev walk =
-  t.space.sync_misses <- t.space.sync_misses + 1;
-  let owner = Tracker.version t.tracker
-  and resident = Tracker.version t.residency.(dev) in
-  let log = ref [] and before = Tracker.ops t.tracker in
-  let n = walk (Some (fun o s e -> log := e :: s :: o :: !log)) in
-  if
-    Tracker.version t.tracker = owner
-    && Tracker.version t.residency.(dev) = resident
-  then
-    slot.outcomes <-
-      {
-        o_owner = owner;
-        o_resident = resident;
-        o_ops = Tracker.ops t.tracker - before;
-        o_transfers = Array.of_list (List.rev !log);
-      }
-      :: List.filteri (fun i _ -> i < memo_slots - 1) slot.outcomes;
-  n
-
 (* Bring the given element ranges up to date on device [dev] by copying
    stale segments from their owners (paper §8.3).  Returns the number
-   of transfers issued; [record] sees each unbatched one as it is
-   issued.
+   of transfers issued.
 
    With [batch] the stale segments are grouped per owner and moved as
    one packed transfer each (a pitched cudaMemcpy2D) — used by the 2-D
    tiling extension, whose column halos fragment into thousands of
    tiny row segments that would otherwise pay a latency each. *)
-let sync_walk t ~dev ~batch ~stamp ~do_data ~ranges record =
+let sync_walk t ~dev ~batch ~stamp ~do_data ~ranges =
   if not (patterns t) then 0
   else begin
     let transfers = ref 0 in
@@ -785,25 +704,17 @@ let sync_walk t ~dev ~batch ~stamp ~do_data ~ranges record =
            Tracker.iter_range t.tracker ~start ~stop (fun s e owner ->
                if owner <> dev then begin
                  incr transfers;
-                 fetch t ~dev ~do_data owner s e;
-                 match record with Some f -> f owner s e | None -> ()
+                 fetch t ~dev ~do_data owner s e
                end))
         ranges;
     !transfers
   end
 
-(* A hit charges its recorded ops, a walk the ops it performs (the
-   sentinels record none).  Batched syncs always walk. *)
-let sync_for_read t ~dev ~batch ~stamp ~memo ~raw ~ranges =
-  let before = Tracker.ops t.tracker and do_data = do_data t in
-  let o = if batch then off else lookup memo t ~dev in
-  let n =
-    if o == off then sync_walk t ~dev ~batch ~stamp ~do_data ~ranges None
-    else if o == missing then
-      record memo t ~dev (sync_walk t ~dev ~batch ~stamp ~do_data ~ranges)
-    else replay t ~dev ~do_data o
-  in
-  charge t ~ops:(Tracker.ops t.tracker - before + o.o_ops) ~raw;
+(* Each call charges the ownership-tracker ops its walk performs. *)
+let sync_for_read t ~dev ~batch ~stamp ~raw ~ranges =
+  let before = Tracker.ops t.tracker in
+  let n = sync_walk t ~dev ~batch ~stamp ~do_data:(do_data t) ~ranges in
+  charge t ~ops:(Tracker.ops t.tracker - before) ~raw;
   t.space.transfers <- t.space.transfers + n;
   n
 
@@ -812,7 +723,8 @@ let sync_for_read t ~dev ~batch ~stamp ~memo ~raw ~ranges =
    made resident first — a backstop that raises [Out_of_memory] if the
    engine's footprint planning under-estimated, rather than letting
    the accounting drift from reality. *)
-let write_walk t ~dev ~stamp ~ranges =
+let update_for_write t ~dev ~stamp ~raw ~ranges =
+  let before = Tracker.ops t.tracker in
   if patterns t then begin
     let ranges = clamp_ranges t ranges in
     ensure_resident ~stamp t ~dev ~ranges;
@@ -823,20 +735,8 @@ let write_walk t ~dev ~stamp ~ranges =
          mark_stale_others t ~who:dev ~start ~stop;
          mark_fresh t ~who:dev ~start ~stop)
       ranges
-  end
-
-(* A write issues no transfers, so its outcomes record none. *)
-let update_for_write t ~dev ~stamp ~memo ~raw ~ranges =
-  let before = Tracker.ops t.tracker in
-  let o = lookup memo t ~dev in
-  if o == off then write_walk t ~dev ~stamp ~ranges
-  else if o == missing then
-    ignore
-      (record memo t ~dev (fun _ ->
-           write_walk t ~dev ~stamp ~ranges;
-           0))
-  else ignore (replay t ~dev ~do_data:false o);
-  charge t ~ops:(Tracker.ops t.tracker - before + o.o_ops) ~raw
+  end;
+  charge t ~ops:(Tracker.ops t.tracker - before) ~raw
 
 (* --- Checkpoint / restore / recovery (fault tolerance) ----------------- *)
 

@@ -5,18 +5,14 @@
     - host-to-device scatters linearly over all devices (§8.2);
     - device-to-host gathers each segment from its owner;
     - {!sync_for_read} fetches stale ranges before a kernel partition
-      runs; {!update_for_write} records its writes (§8.3);
-    - both take a {!memo} slot per range list, which replays a recorded
-      call while the trackers it read are unchanged; this module alone
-      decides hit, miss, record and when the memo is off.
+      runs; {!update_for_write} records its writes (§8.3).
 
     {b Charges.}  {!h2d}, {!d2h}, {!sync_for_read} and
     {!update_for_write} charge their own bookkeeping (the "patterns" of
     §9.2): [ops × tracker_op_seconds + raw × range_seconds] as one
     [Machine.host_work ~category:"pattern"] after the call's last
     transfer, when positive.  [ops] is the call's ownership-tracker
-    delta on this buffer (on a memo hit, the recorded ops) and [raw]
-    the caller's enumerator emissions.  A call that raises, and
+    delta on this buffer and [raw] the caller's enumerator emissions.  A call that raises, and
     {!checkpoint}, {!restore}, {!recover}, {!spill} and
     {!ensure_resident}, charge nothing. *)
 
@@ -33,11 +29,8 @@ val members : space -> t list
 (** The eviction pool: the live buffers, in name order. *)
 
 val transfers : space -> int
-val sync_hits : space -> int
-val sync_misses : space -> int
 val tracker_ops : space -> int
-(** Transfers issued by syncs, {!memo} lookups that hit and missed,
-    and charged ownership-tracker ops. *)
+(** Transfers issued by syncs, and charged ownership-tracker ops. *)
 
 val create : space -> name:string -> len:int -> t
 (** Allocate one full-size *virtual* instance on every device and join
@@ -52,6 +45,11 @@ val residency : t -> dev:int -> Tracker.t
 (** The residency tracker of one device: owner 0 = not resident, a
     positive owner = resident, stamped by the last {!ensure_resident}
     that touched it.  Tests read it; callers must not write it. *)
+
+val versions : t -> int array
+(** The {!Tracker.version} of the ownership tracker, then of each
+    device's residency tracker.  Versions are never reused, so an equal
+    array means this buffer's trackers have not changed. *)
 
 val instance : t -> int -> Gpusim.Buffer.t
 (** The device-local instance for one device. *)
@@ -81,39 +79,8 @@ val d2h : t -> dst:float array option -> unit
     [Invalid_argument] naming the buffer if the host array's length
     differs from [len t]. *)
 
-(** {2 The sync memo}
-
-    A caller that issues the same range list again and again (the
-    engine, per range list of a cached launch plan) can keep a {!memo}
-    slot with it and pass it to
-    {!sync_for_read} and {!update_for_write}.  The slot records what a
-    call did on its device — the transfers it issued and the
-    ownership-tracker ops it performed — keyed by the versions
-    ({!Tracker.version}) of the buffer's ownership tracker and of its
-    residency tracker on that device, and only when the call left both
-    as it found them.  A later call that finds both at a recorded pair
-    is a hit: it issues the recorded transfers in order, through the
-    same calls a walk makes, and charges what that walk charged.  It
-    skips the range clamp, {!ensure_resident} and the tracker walk and
-    writes, which would find and change nothing.
-
-    The memo is off (the slot is not looked up) where this module keeps
-    state the key does not cover: replica validity under fault
-    injection and LRU stamps under a finite [Config.mem_capacity].
-    Batched syncs never use it. *)
-
-type memo
-(** One range list's slot: its four latest outcomes, since a [Swap]
-    alternating one name between two buffers needs two. *)
-
-val memo : unit -> memo
-(** An empty slot. *)
-
-val no_memo : memo
-(** The slot that is never looked up nor recorded into. *)
-
 val sync_for_read :
-  t -> dev:int -> batch:bool -> stamp:int -> memo:memo -> raw:int ->
+  t -> dev:int -> batch:bool -> stamp:int -> raw:int ->
   ranges:(int * int) list -> int
 (** Bring the element ranges up to date on device [dev], copying stale
     segments from their owners; returns the number of transfers issued.
@@ -122,12 +89,10 @@ val sync_for_read :
     host copy.  The read set is made resident first under [stamp] (see
     {!ensure_resident}).  [batch] groups stale segments per owner into
     packed transfers (pitched cudaMemcpy2D), which the 2-D tiling
-    extension needs for its fragmented column halos; a batched sync
-    never consults [memo]. *)
+    extension needs for its fragmented column halos. *)
 
 val update_for_write :
-  t -> dev:int -> stamp:int -> memo:memo -> raw:int ->
-  ranges:(int * int) list -> unit
+  t -> dev:int -> stamp:int -> raw:int -> ranges:(int * int) list -> unit
 (** Record that device [dev] wrote the ranges (clamped to the buffer).
     The ranges are made resident first under [stamp] — written bytes
     necessarily exist on the device — raising

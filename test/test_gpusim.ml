@@ -844,10 +844,9 @@ let test_uncapped_hotspot_residency () =
       let lo, hi = band d in
       let stamp = Machine.lru_tick m in
       ignore
-        (Vbuf.sync_for_read !src ~dev:d ~batch:false ~stamp ~memo:Vbuf.no_memo
-           ~raw:0 ~ranges:[ ((lo - 1) * n, (hi + 1) * n) ]);
-      Vbuf.update_for_write !dst ~dev:d ~stamp ~memo:Vbuf.no_memo ~raw:0
-        ~ranges:[ (lo * n, hi * n) ];
+        (Vbuf.sync_for_read !src ~dev:d ~batch:false ~stamp ~raw:0
+           ~ranges:[ ((lo - 1) * n, (hi + 1) * n) ]);
+      Vbuf.update_for_write !dst ~dev:d ~stamp ~raw:0 ~ranges:[ (lo * n, hi * n) ];
       Vbuf.check_residency !src;
       Vbuf.check_residency !dst
     done;
@@ -896,24 +895,82 @@ let test_hot_path_allocation () =
       Machine.launch m ~device:(i mod 4) ~blocks:64 ~ops_per_block:1e4 ~run);
   bounded "Machine.host_work" 4.0 (fun _ ->
       Machine.host_work m ~seconds:1e-6 ~category:"pattern");
-  (* A memo hit of a cached range list, including the pattern charge it
-     issues (host_work's own 2 words): a read of device 0's own chunk,
-     which issues no transfer, and a write into it. *)
-  let open Gpu_runtime in
-  let space = Vbuf.space m in
-  let vb = Vbuf.create space ~name:"hot" ~len:4096 in
-  Vbuf.h2d vb ~src:None;
-  let ranges = [ (0, 512) ] and stamp = Machine.lru_tick m in
-  let read_memo = Vbuf.memo () and write_memo = Vbuf.memo () in
-  bounded "Vbuf.sync_for_read hit" 4.0 (fun _ ->
+  (* A launch graph of one period (per device a p2p, host work and a
+     launch, then a sync) replays in one call allocating no more words
+     per op than issuing the same calls live. *)
+  let period () =
+    for d = 0 to 3 do
+      Machine.p2p m ~src:bufs.(d) ~src_off:0 ~dst:bufs.((d + 1) mod 4)
+        ~dst_off:0 ~len:256;
+      Machine.host_work m ~seconds:1e-6 ~category:"pattern";
+      Machine.launch m ~device:d ~blocks:64 ~ops_per_block:1e4 ~run
+    done;
+    Machine.synchronize m
+  in
+  let g = Option.get (Machine.capture m period) in
+  checki "one op per call" 13 (Machine.graph_ops g);
+  let ops = float_of_int (Machine.graph_ops g) in
+  let live = words_per_call 2_000 (fun _ -> period ()) /. ops in
+  let replayed = words_per_call 2_000 (fun _ -> Machine.replay m g) /. ops in
+  Printf.printf "period: %.2f minor words per op live, %.2f replayed\n" live
+    replayed;
+  if replayed > live || replayed > 4.0 then
+    Alcotest.failf
+      "a replayed op allocates %.2f minor words (live %.2f, bound 4)" replayed
+      live
+
+(* ---------------- Launch graphs ---------------- *)
+
+(* Replaying a captured graph is bit-identical to issuing its calls
+   live on a machine in the same state: of two identical machines, one
+   runs a period of calls three times live, the other captures it once
+   and replays it twice.  Whatever a graph cannot hold voids the
+   capture, and a graph replays only on the machine that captured it. *)
+let test_graph_replay () =
+  let setup ?(functional = false) () =
+    let m = Machine.create ~functional (Config.k80_box ~n_devices:4 ()) in
+    Machine.enable_trace m;
+    Machine.set_active_devices m 4;
+    (m, Array.init 4 (fun d -> Machine.alloc m ~device:d ~len:1024))
+  in
+  let period m bufs () =
+    for d = 0 to 3 do
+      ignore (Machine.lru_tick m);
+      Machine.p2p m ~src:bufs.((d + 1) mod 4) ~src_off:0 ~dst:bufs.(d)
+        ~dst_off:0 ~len:(64 * (d + 1));
+      Machine.host_work m ~seconds:1e-6 ~category:"pattern";
+      Machine.launch m ~device:d ~blocks:(8 * (d + 1)) ~ops_per_block:1e4
+        ~run:ignore
+    done;
+    Machine.synchronize m
+  in
+  let live, lb = setup () and rep, rb = setup () in
+  for _ = 1 to 3 do
+    period live lb ()
+  done;
+  let g = Option.get (Machine.capture rep (period rep rb)) in
+  Machine.replay rep g;
+  Machine.replay rep g;
+  checkb "same trace" true (Machine.trace live = Machine.trace rep);
+  checkb "same stats" true (Machine.stats live = Machine.stats rep);
+  checkb "same byte matrix" true (Machine.byte_matrix live = Machine.byte_matrix rep);
+  checki "same LRU clock" (Machine.lru_tick live) (Machine.lru_tick rep);
+  let void what m f = checkb what true (Option.is_none (Machine.capture m f)) in
+  void "an allocation" rep (fun () -> ignore (Machine.alloc rep ~device:0 ~len:4));
+  void "explicit events" rep (fun () ->
       ignore
-        (Vbuf.sync_for_read vb ~dev:0 ~batch:false ~stamp ~memo:read_memo
-           ~raw:1 ~ranges));
-  bounded "Vbuf.update_for_write hit" 4.0 (fun _ ->
-      Vbuf.update_for_write vb ~dev:0 ~stamp ~memo:write_memo ~raw:1 ~ranges);
-  Alcotest.(check (pair int int))
-    "each warm-up call records, every timed call hits" (20_000, 2)
-    (Vbuf.sync_hits space, Vbuf.sync_misses space)
+        (Machine.p2p_async ~deps:[] rep ~src:rb.(0) ~src_off:0 ~dst:rb.(1)
+           ~dst_off:0 ~len:8));
+  void "a reservation" rep (fun () -> Machine.mem_reserve rep ~device:0 ~bytes:8);
+  void "a release" rep (fun () -> Machine.mem_release rep ~device:0 ~bytes:8);
+  let fresh, freshb = setup () in
+  Machine.set_active_devices fresh 1;
+  void "kernels modelled at two derates" fresh (period fresh freshb);
+  let f, fb = setup ~functional:true () in
+  void "a functional machine" f (period f fb);
+  Alcotest.check_raises "another machine"
+    (Invalid_argument "Machine.replay: the machine no longer matches the capture")
+    (fun () -> Machine.replay live g)
 
 (* Scheduled losses that could never fire are rejected, not ignored. *)
 let test_faults_reject_impossible_losses () =
@@ -984,6 +1041,8 @@ let () =
             test_sync_charged_after_drain;
           Alcotest.test_case "hot-path allocation" `Quick
             test_hot_path_allocation;
+          Alcotest.test_case "launch graph replay == live" `Quick
+            test_graph_replay;
         ] );
       ( "data",
         [

@@ -751,17 +751,18 @@ let program_of_spec ?(repeat = 1) spec ~(result : float array) =
       Host_ir.Free "out";
     ]
 
-(* ---------------- Launch-plan cache and sync memo ---------------- *)
+(* ---------------- Launch-plan cache and launch graphs ---------------- *)
 
 (* The cache must be observationally invisible: simulated time, every
    machine statistic, every traced machine op and the functional output
    must be bit-identical with the cache on and off; only the hit/miss
-   counters differ.  [cache:false] rebuilds every launch's plan, so its
-   range lists start with an empty sync memo every launch: outside a
-   halo-tiled loop it never hits, which makes it the memo-off oracle.
-   Each variant runs one engine mode the memo must compose with; under
-   a memory cap and under faults the memo is off. *)
-type memo_variant = Plain | Overlap | Autotune | Capped | Transient | Loss
+   counters differ.  [cache:false] rebuilds every launch's plan and
+   turns launch graphs off, which makes it the oracle for both.  Each
+   variant runs one engine mode the cache must compose with, on a
+   functional and on a performance machine; graphs replay only on the
+   performance machine, and are off under a memory cap and under
+   faults. *)
+type cache_variant = Plain | Overlap | Autotune | Capped | Transient | Loss
 
 let variant_name = function
   | Plain -> "plain"
@@ -771,11 +772,42 @@ let variant_name = function
   | Transient -> "transient faults"
   | Loss -> "device loss"
 
-let run_spec_cached ?(variant = Plain) spec ~cache ~out =
+(* Everything a run shows but its cache counters: time, the engine's
+   transfer and tracker-op counts, the machine's stats and its full
+   trace. *)
+let observed (res : Mekong.Multi_gpu.result) =
+  let m = res.Mekong.Multi_gpu.machine in
+  let s = Gpusim.Machine.stats m in
+  ( res.Mekong.Multi_gpu.time,
+    metric res "engine.transfers",
+    metric res "engine.tracker_ops",
+    ( s.Gpusim.Machine.h2d_bytes,
+      s.Gpusim.Machine.d2h_bytes,
+      s.Gpusim.Machine.p2p_bytes,
+      s.Gpusim.Machine.n_transfers,
+      s.Gpusim.Machine.n_launches,
+      s.Gpusim.Machine.kernel_seconds,
+      s.Gpusim.Machine.pattern_seconds,
+      s.Gpusim.Machine.transfer_seconds ),
+    List.map
+      (fun (e : Gpusim.Machine.event) ->
+         ( e.Gpusim.Machine.ev_kind,
+           e.Gpusim.Machine.ev_src,
+           e.Gpusim.Machine.ev_dst,
+           e.Gpusim.Machine.ev_bytes,
+           e.Gpusim.Machine.ev_start,
+           e.Gpusim.Machine.ev_finish ))
+      (Gpusim.Machine.trace m),
+    Gpusim.Machine.trace_dropped m )
+
+let plan_counts r = (metric r "cache.plan_hits", metric r "cache.plan_misses")
+let graph_counts r = (metric r "cache.graph_hits", metric r "cache.graph_misses")
+
+let run_spec_cached ?(variant = Plain) ~functional spec ~cache ~out =
   let artifacts = compile_exn (program_of_spec ~repeat:3 spec ~result:out) in
   let exe = artifacts.Mekong.Toolchain.exe in
   let machine ?mem_capacity () =
-    Gpusim.Machine.create ~functional:true
+    Gpusim.Machine.create ~functional
       (Gpusim.Config.test_box ~n_devices:spec.rs_gpus ?mem_capacity ())
   in
   (* Capacity and loss time come from a clean run of the same program. *)
@@ -822,33 +854,9 @@ let run_spec_cached ?(variant = Plain) spec ~cache ~out =
       ~overlap:(variant = Overlap) ~autotune:(variant = Autotune) ~machine:m exe
   with
   | exception Failure msg -> Error msg
-  | res ->
-    let s = Gpusim.Machine.stats m in
-    Ok
-      ( ( res.Mekong.Multi_gpu.time,
-          metric res "engine.transfers",
-          metric res "engine.tracker_ops",
-          ( s.Gpusim.Machine.h2d_bytes,
-            s.Gpusim.Machine.d2h_bytes,
-            s.Gpusim.Machine.p2p_bytes,
-            s.Gpusim.Machine.n_transfers,
-            s.Gpusim.Machine.n_launches,
-            s.Gpusim.Machine.kernel_seconds,
-            s.Gpusim.Machine.pattern_seconds,
-            s.Gpusim.Machine.transfer_seconds ),
-          List.map
-            (fun (e : Gpusim.Machine.event) ->
-               ( e.Gpusim.Machine.ev_kind,
-                 e.Gpusim.Machine.ev_src,
-                 e.Gpusim.Machine.ev_dst,
-                 e.Gpusim.Machine.ev_bytes,
-                 e.Gpusim.Machine.ev_start,
-                 e.Gpusim.Machine.ev_finish ))
-            (Gpusim.Machine.trace m),
-          Gpusim.Machine.trace_dropped m ),
-        (metric res "cache.plan_hits", metric res "cache.plan_misses"),
-        (metric res "cache.sync_hits", metric res "cache.sync_misses") )
+  | res -> Ok (observed res, plan_counts res, graph_counts res)
 
+(* Variant names are stable test identifiers. *)
 let cache_equivalence variant =
   QCheck.Test.make
     ~name:
@@ -861,49 +869,55 @@ let cache_equivalence variant =
       (* A lost device needs a survivor. *)
       QCheck.assume (variant <> Loss || spec.rs_gpus >= 2);
       let total = if spec.rs_two_d then spec.rs_n * spec.rs_n else spec.rs_n in
-      let out_on = Array.make total nan in
-      let out_off = Array.make total nan in
-      match
-        ( run_spec_cached ~variant spec ~cache:true ~out:out_on,
-          run_spec_cached ~variant spec ~cache:false ~out:out_off )
-      with
-      | Error e1, Error e2 -> e1 = e2
-      | Ok (r_on, plan_on, (hits_on, _)), Ok (r_off, plan_off, (hits_off, _)) ->
-        r_on = r_off
-        && out_on = out_off
-        && plan_off = (0, 0)
-        && hits_off = 0
-        && (match variant with
-            | Plain ->
-              (* three identical launches: one miss, two hits; the
-                 third launch finds every buffer as the second left it *)
-              plan_on = (2, 1) && hits_on > 0
-            | Overlap -> hits_on > 0
-            | Capped | Transient | Loss -> hits_on = 0
-            | Autotune -> true)
-      | _ -> false)
+      List.for_all
+        (fun functional ->
+           let out_on = Array.make total nan in
+           let out_off = Array.make total nan in
+           match
+             ( run_spec_cached ~variant ~functional spec ~cache:true ~out:out_on,
+               run_spec_cached ~variant ~functional spec ~cache:false ~out:out_off )
+           with
+           | Error e1, Error e2 -> e1 = e2
+           | Ok (r_on, plan_on, graphs_on), Ok (r_off, plan_off, graphs_off) ->
+             r_on = r_off
+             && ((not functional) || out_on = out_off)
+             && plan_off = (0, 0)
+             && graphs_off = (0, 0)
+             && (match variant with
+                 | Plain ->
+                   (* three identical launches: one miss, two hits *)
+                   plan_on = (2, 1)
+                 | _ -> true)
+             &&
+             if functional then graphs_on = (0, 0)
+             else (
+               match variant with
+               | Plain | Overlap ->
+                 (* The first period misses the plan cache, the second
+                    is captured and the third replays it. *)
+                 graphs_on = (1, 2)
+               | Capped | Transient | Loss -> graphs_on = (0, 0)
+               | Autotune -> true)
+           | _ -> false)
+        [ true; false ])
 
 let prop_cache_equivalence = cache_equivalence Plain
 
-(* The sync memo on a double-buffered stencil: 6 hotspot launches on 4
-   devices, 2 of them holding rows of the 2x2 block grid, each with one
-   read and one write range list per launch (4 lookups).  A call is
-   recorded only when it leaves its buffer's trackers as it found them,
-   so each buffer state costs two misses: the call that changes it (the
-   first sync makes the halo resident, the first write hands the band
-   to its writer) and the one that records the settled state.  With
-   Swap alternating the names between two buffers, launches 1-4 miss
-   and 5-6 hit. *)
-let memo_counts ?resume ?abort_at prog =
+(* Launch graphs on a double-buffered stencil: 6 hotspot launches on 4
+   devices, so 3 periods of [Launch; Swap; Launch; Swap].  The first
+   period builds the plan and moves the buffers into their steady
+   state, so its capture is dropped; the second is captured; the third
+   replays it. *)
+let stencil_run ?(functional = true) ?(cache = true) ?resume ?abort_at prog =
   let exe = (compile_exn prog).Mekong.Toolchain.exe in
   let m =
-    Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:4 ())
+    Gpusim.Machine.create ~functional (Gpusim.Config.test_box ~n_devices:4 ())
   in
-  match Mekong.Multi_gpu.run_bounded ?resume ?abort_at ~machine:m exe with
+  Gpusim.Machine.enable_trace m;
+  match Mekong.Multi_gpu.run_bounded ~cache ?resume ?abort_at ~machine:m exe with
   | Mekong.Multi_gpu.Done r -> (r, None)
   | Mekong.Multi_gpu.Preempted (r, h) -> (r, Some h)
 
-let sync_counts r = (metric r "cache.sync_hits", metric r "cache.sync_misses")
 let check_counts = Alcotest.(check (pair int int))
 
 let test_cache_stats () =
@@ -911,48 +925,89 @@ let test_cache_stats () =
      buffer *name*, which Swap leaves stable, so all iterations after
      the first hit the cache — and the result stays golden. *)
   let prog, out, cpu = Apps.Workloads.functional_hotspot ~n:32 ~iterations:6 in
-  let res, _ = memo_counts prog in
+  let res, _ = stencil_run prog in
   checki "one miss" 1 (metric res "cache.plan_misses");
   checki "five hits" 5 (metric res "cache.plan_hits");
   checkb "still golden" true (out = cpu ());
-  check_counts "sync memo hits, misses" (8, 16) (sync_counts res)
+  check_counts "no graphs on a functional machine" (0, 0) (graph_counts res);
+  let perf, _ = stencil_run ~functional:false prog in
+  let live, _ = stencil_run ~functional:false ~cache:false prog in
+  check_counts "plan hits, misses" (5, 1) (plan_counts perf);
+  check_counts "graph hits, misses" (1, 2) (graph_counts perf);
+  checkb "replayed == live" true (observed perf = observed live)
 
-(* Fresh tracker versions invalidate recorded outcomes.  A buffer freed
-   and allocated again under the same name, in the same run and under
-   the same cached plan, misses where the old one hit; a resumed
-   handoff rebuilds every buffer, so its first launch misses throughout. *)
-let test_memo_fresh_buffers () =
+(* A graph is keyed by the buffers bound at its period's start and
+   their tracker versions.  The inner loop runs twice, each time on a
+   freshly allocated [t_out]: its second run finds the graph the first
+   captured, misses on the new buffer, and captures again. *)
+let test_graphs_fresh_buffers () =
   let n = 32 in
-  let prog, out, cpu = Apps.Workloads.functional_hotspot ~n ~iterations:6 in
-  (* After launch 4, t_out names the buffer launch 3 wrote; launch 5
-     overwrites all of it, so a fresh one keeps the result golden. *)
-  let realloc = function
+  let prog, _, _ = Apps.Workloads.functional_hotspot ~n ~iterations:6 in
+  let nest = function
     | Host_ir.Repeat (k, step) ->
-      [ Host_ir.Repeat (k - 2, step);
-        Host_ir.Free "t_out";
-        Host_ir.Malloc ("t_out", n * n);
-        Host_ir.Repeat (2, step) ]
+      [ Host_ir.Repeat
+          (2, [ Host_ir.Repeat (k, step); Host_ir.Free "t_out";
+                Host_ir.Malloc ("t_out", n * n) ]) ]
     | s -> [ s ]
   in
-  let res, _ =
-    memo_counts { prog with Host_ir.body = List.concat_map realloc prog.Host_ir.body }
+  let prog = { prog with Host_ir.body = List.concat_map nest prog.Host_ir.body } in
+  let res, _ = stencil_run ~functional:false prog in
+  let live, _ = stencil_run ~functional:false ~cache:false prog in
+  check_counts "graph hits, misses" (2, 4) (graph_counts res);
+  checkb "replayed == live" true (observed res = observed live);
+  (* Nothing indexes into the statement stream of a run with graphs:
+     a preempted run and its resumption take no graph. *)
+  let _, h =
+    stencil_run ~functional:false ~abort_at:(res.Mekong.Multi_gpu.time /. 2.0) prog
   in
-  checkb "still golden" true (out = cpu ());
-  checki "one plan miss" 1 (metric res "cache.plan_misses");
-  (* Launch 5's write and launch 6's read meet the fresh buffer: those 4
-     lookups, hits in [test_cache_stats], miss. *)
-  check_counts "sync memo hits, misses" (4, 20) (sync_counts res);
-  let full, _ = memo_counts prog in
-  let _, h = memo_counts ~abort_at:(full.Mekong.Multi_gpu.time /. 2.0) prog in
   let h = Option.get h in
-  Array.fill out 0 (Array.length out) nan;
-  let resumed, _ = memo_counts ~resume:h prog in
-  checkb "resumed run golden" true (out = cpu ());
-  let launches = metric resumed "cache.plan_hits" + metric resumed "cache.plan_misses" in
-  let hits, misses = sync_counts resumed in
-  checkb "launches left to resume" true (launches >= 2);
-  checki "four lookups per launch" (4 * launches) (hits + misses);
-  checkb "the first launch misses throughout" true (misses >= 4)
+  let resumed, _ = stencil_run ~functional:false ~resume:h prog in
+  check_counts "resumed: no graphs" (0, 0) (graph_counts resumed)
+
+(* A 50-iteration hotspot on 4 performance-mode GPUs replays almost
+   every period and is bit-identical to the uncached run, trace
+   included.  Graphs stay off wherever a graph cannot hold what the run
+   does: faults, a memory cap, causal recording, preemption and
+   functional machines. *)
+let test_graphs_hotspot () =
+  let prog, _, _ = Apps.Workloads.functional_hotspot ~n:64 ~iterations:50 in
+  let exe = (compile_exn prog).Mekong.Toolchain.exe in
+  let run ?(cache = true) ?(setup = ignore) ?mem_capacity ?abort_at () =
+    let m =
+      Gpusim.Machine.create ~functional:false
+        (Gpusim.Config.k80_box ~n_devices:4 ?mem_capacity ())
+    in
+    Gpusim.Machine.enable_trace m;
+    setup m;
+    match Mekong.Multi_gpu.run_bounded ~cache ?abort_at ~machine:m exe with
+    | Mekong.Multi_gpu.Done r | Mekong.Multi_gpu.Preempted (r, _) -> r
+  in
+  let replayed = run () and live = run ~cache:false () in
+  let hits, misses = graph_counts replayed in
+  checkb "graphs replay" true (hits > 0);
+  checki "every period is replayed or run live" 25 (hits + misses);
+  checkb "replayed == live" true (observed replayed = observed live);
+  check_counts "plan counts" (49, 1) (plan_counts replayed);
+  let high_water =
+    List.fold_left max 0
+      (List.init 4
+         (Gpusim.Machine.mem_high_water replayed.Mekong.Multi_gpu.machine))
+  in
+  let off what r = check_counts (what ^ ": no graphs") (0, 0) (graph_counts r) in
+  off "faults"
+    (run
+       ~setup:(fun m ->
+           Gpusim.Machine.inject_faults m
+             (Gpusim.Faults.create
+                { Gpusim.Faults.null_spec with seed = 3; transfer_fault_rate = 0.01 }))
+       ());
+  off "50% capacity" (run ~mem_capacity:(high_water / 2) ());
+  off "causal recording" (run ~setup:(fun m -> Gpusim.Machine.enable_causal m) ());
+  off "abort_at" (run ~abort_at:(replayed.Mekong.Multi_gpu.time /. 2.0) ());
+  let m =
+    Gpusim.Machine.create ~functional:true (Gpusim.Config.k80_box ~n_devices:4 ())
+  in
+  off "functional" (Mekong.Multi_gpu.run ~machine:m exe)
 
 let prop_random_kernels_golden =
   QCheck.Test.make ~name:"random affine kernels: multi-GPU == single-GPU"
@@ -1631,8 +1686,10 @@ let () =
              qtest (cache_equivalence Transient);
              qtest (cache_equivalence Loss);
              Alcotest.test_case "hit/miss stats" `Quick test_cache_stats;
-             Alcotest.test_case "sync memo misses on fresh buffers" `Quick
-               test_memo_fresh_buffers;
+             Alcotest.test_case "graphs miss on fresh buffers" `Quick
+               test_graphs_fresh_buffers;
+             Alcotest.test_case "launch graphs replay hotspot" `Quick
+               test_graphs_hotspot;
            ] );
          ( "instrumentation",
            [

@@ -367,7 +367,7 @@ let residency_model ~name ~reverse =
       let read ?stamp vi dev lo hi =
         ignore
           (Vbuf.sync_for_read vbs.(vi) ~dev ~batch:false ~stamp:(stamp_or stamp)
-             ~memo:Vbuf.no_memo ~raw:0 ~ranges:[ (lo, hi) ]);
+             ~raw:0 ~ranges:[ (lo, hi) ]);
         let inst = Gpusim.Buffer.data_exn (Vbuf.instance vbs.(vi) dev) in
         for i = lo to hi - 1 do
           if inst.(i) <> models.(vi).(i) then ok := false
@@ -384,7 +384,7 @@ let residency_model ~name ~reverse =
           models.(vi).(i) <- !tag +. float_of_int i
         done;
         Vbuf.update_for_write vbs.(vi) ~dev ~stamp:(stamp_or stamp)
-          ~memo:Vbuf.no_memo ~raw:0 ~ranges:[ (lo, hi) ]
+          ~raw:0 ~ranges:[ (lo, hi) ]
       in
       validate ();
       List.iter

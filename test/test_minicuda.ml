@@ -268,6 +268,72 @@ let test_validate_catches () =
   let ok_prog, _, _ = Apps.Workloads.functional_vecadd ~n:16 in
   validate ok_prog
 
+let validation_error prog =
+  match Host_ir.validate prog with
+  | () -> None
+  | exception Invalid_argument msg -> Some msg
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* A Repeat body runs more than once: what it leaves live the next
+   iteration finds. *)
+let test_validate_repeat () =
+  let open Host_ir in
+  let p body = program ~name:"p" body in
+  (match validation_error (p [ Repeat (2, [ Malloc ("a", 16) ]) ]) with
+   | Some msg -> checkb "double malloc across iterations" true (contains msg "double malloc")
+   | None -> Alcotest.fail "Repeat (2, [Malloc]) accepted");
+  checkb "a second iteration frees a freed buffer" true
+    (validation_error (p [ Malloc ("a", 16); Repeat (2, [ Free "a" ]) ]) <> None);
+  checkb "free then malloc balances" true
+    (validation_error
+       (p [ Malloc ("a", 16); Repeat (3, [ Free "a"; Malloc ("a", 16) ]) ])
+     = None)
+
+(* Validating a Repeat of at most 3 iterations agrees with validating
+   the program with every Repeat unrolled. *)
+let rec unroll body =
+  List.concat_map
+    (function
+      | Host_ir.Repeat (n, b) -> List.concat (List.init n (fun _ -> unroll b))
+      | s -> [ s ])
+    body
+
+let gen_host_body =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b" ] in
+  let leaf =
+    oneof
+      [
+        map (fun b -> Host_ir.Malloc (b, 4)) name;
+        map (fun b -> Host_ir.Free b) name;
+        map2 (fun a b -> Host_ir.Swap (a, b)) name name;
+        return Host_ir.Sync;
+      ]
+  in
+  sized_size (int_bound 3)
+  @@ fix (fun self depth ->
+      let stmt =
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (3, leaf);
+              (1, map2 (fun n b -> Host_ir.Repeat (n, b)) (int_range 1 3)
+                   (self (depth - 1))) ]
+      in
+      list_size (int_range 1 5) stmt)
+
+let prop_validate_unrolled =
+  QCheck.Test.make ~name:"validate == validate of the unrolled program"
+    ~count:500
+    (QCheck.make gen_host_body)
+    (fun body ->
+       let p b = Host_ir.program ~name:"p" b in
+       validation_error (p body) = validation_error (p (unroll body)))
+
 let test_phantom_arrays () =
   let ph = Host_ir.host_phantom 42 in
   checki "phantom length" 42 ph.Host_ir.len;
@@ -369,6 +435,8 @@ let () =
       ( "host_ir",
         [
           Alcotest.test_case "validation" `Quick test_validate_catches;
+          Alcotest.test_case "repeat validation" `Quick test_validate_repeat;
+          QCheck_alcotest.to_alcotest prop_validate_unrolled;
           Alcotest.test_case "phantom arrays" `Quick test_phantom_arrays;
           Alcotest.test_case "kernel dedup" `Quick test_kernels_dedup;
         ] );

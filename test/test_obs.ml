@@ -480,7 +480,7 @@ let report_fields =
   Mekong.Multi_gpu.
     [
       ( Plan_cache,
-        [ "cache.plan_hits"; "cache.plan_misses"; "cache.sync_hits"; "cache.sync_misses" ] );
+        [ "cache.plan_hits"; "cache.plan_misses"; "cache.graph_hits"; "cache.graph_misses" ] );
       ( Executor,
         [
           "exec.compiles"; "exec.cache_hits"; "exec.seq_launches";

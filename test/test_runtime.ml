@@ -543,13 +543,13 @@ let vbuf ?cfg m ~name ~len = Vbuf.create (Vbuf.space ?cfg m) ~name ~len
 
 (* One range list's sync or write outside any launch: a fresh stamp and
    no enumerator emissions. *)
-let vsync ?(batch = false) ?(memo = Vbuf.no_memo) m vb ~dev ~ranges =
-  Vbuf.sync_for_read vb ~dev ~batch ~stamp:(Gpusim.Machine.lru_tick m) ~memo
-    ~raw:0 ~ranges
+let vsync ?(batch = false) m vb ~dev ~ranges =
+  Vbuf.sync_for_read vb ~dev ~batch ~stamp:(Gpusim.Machine.lru_tick m) ~raw:0
+    ~ranges
 
-let vwrite ?(memo = Vbuf.no_memo) m vb ~dev ~ranges =
-  Vbuf.update_for_write vb ~dev ~stamp:(Gpusim.Machine.lru_tick m) ~memo
-    ~raw:0 ~ranges
+let vwrite m vb ~dev ~ranges =
+  Vbuf.update_for_write vb ~dev ~stamp:(Gpusim.Machine.lru_tick m) ~raw:0
+    ~ranges
 
 let test_vbuf_h2d_d2h_roundtrip () =
   let m = machine4 () in
@@ -902,25 +902,21 @@ let test_rconfig () =
     (String.concat ","
        (List.map Rconfig.name [ Rconfig.alpha; Rconfig.beta; Rconfig.gamma ]))
 
-(* ---------------- Sync memo ---------------- *)
+(* ---------------- Tracker versions ---------------- *)
 
 (* A 100-element buffer scattered over 4 devices, with [30, 35) then
    written by device 3: a read of [10, 90) on device 0 makes five
-   transfers, from devices 1, 3, 1, 2 and 3.  Tracing is on, so every issued
-   transfer is visible with its simulated times. *)
-let memo_machine ?mem_capacity ?(faults = false) () =
+   transfers, from devices 1, 3, 1, 2 and 3.  Tracing is on, so every
+   issued transfer is visible with its simulated times. *)
+let version_machine () =
   let m =
-    Gpusim.Machine.create ~functional:true
-      (Gpusim.Config.test_box ~n_devices:4 ?mem_capacity ())
+    Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:4 ())
   in
-  if faults then
-    Gpusim.Machine.inject_faults m
-      (Gpusim.Faults.create { Gpusim.Faults.null_spec with seed = 1 });
   Gpusim.Machine.enable_trace m;
   m
 
-let memo_buffer ?(name = "a") m space =
-  let vb = Vbuf.create space ~name ~len:100 in
+let version_buffer m space =
+  let vb = Vbuf.create space ~name:"a" ~len:100 in
   Vbuf.h2d vb ~src:(Some (Array.init 100 float_of_int));
   vwrite m vb ~dev:3 ~ranges:[ (30, 35) ];
   vb
@@ -929,110 +925,59 @@ let pattern_seconds m =
   Gpusim.Timeline.busy_in (Gpusim.Machine.host_timeline m) "pattern"
 
 (* One sync of [10, 90) onto device 0: the transfers it reported, the
-   tracker ops and pattern seconds it charged and the machine events it
-   issued. *)
-let memo_sync ?memo ?batch m vb space =
-  let ops = Vbuf.tracker_ops space and busy = pattern_seconds m in
+   tracker ops it charged and the kinds, endpoints and bytes of the
+   machine events it issued. *)
+let read_walk m vb space =
+  let ops = Vbuf.tracker_ops space in
   let seen = List.length (Gpusim.Machine.trace m) in
-  let n = vsync ?batch ?memo m vb ~dev:0 ~ranges:[ (10, 90) ] in
+  let n = vsync m vb ~dev:0 ~ranges:[ (10, 90) ] in
   ( n,
     Vbuf.tracker_ops space - ops,
-    pattern_seconds m -. busy,
-    List.filteri (fun i _ -> i >= seen) (Gpusim.Machine.trace m) )
+    List.filter_map
+      (fun (e : Gpusim.Machine.event) ->
+         match e.Gpusim.Machine.ev_kind with
+         | `Fabric _ | `Host _ -> None
+         | k -> Some (k, e.Gpusim.Machine.ev_src, e.Gpusim.Machine.ev_dst, e.Gpusim.Machine.ev_bytes))
+      (List.filteri (fun i _ -> i >= seen) (Gpusim.Machine.trace m)) )
 
-let check_stats what (hits, misses) space =
-  Alcotest.(check (pair int int))
-    what (hits, misses)
-    (Vbuf.sync_hits space, Vbuf.sync_misses space)
-
-let test_vbuf_sync_memo () =
-  (* A hit does what a live walk from the same state does: the same
-     transfers at the same simulated times, the same charged ops and
-     pattern seconds, the same data.  The first sync makes the read set
-     resident, so it is not recorded; the second records; the third
-     hits. *)
-  let live_m = memo_machine () and memo_m = memo_machine () in
-  let live_s = Vbuf.space live_m and memo_s = Vbuf.space memo_m in
-  let live = memo_buffer live_m live_s and memoed = memo_buffer memo_m memo_s in
-  let memo = Vbuf.memo () in
-  let same ?(transfers = 5) what =
-    let a = memo_sync live_m live live_s
-    and b = memo_sync ~memo memo_m memoed memo_s in
-    checkb what true (a = b);
-    let n, ops, _, evs = b in
-    checkb (what ^ ": transfers issued and ops charged") true
-      (n = transfers && ops > 0 && evs <> [])
-  in
-  same "first sync";
-  same "second sync";
-  check_stats "two misses" (0, 2) memo_s;
-  same "hit";
-  check_stats "then a hit" (1, 2) memo_s;
-  check_stats "no memo, no lookups" (0, 0) live_s;
-  checkb "same data" true
-    (Gpusim.Buffer.data_exn (Vbuf.instance live 0)
-     = Gpusim.Buffer.data_exn (Vbuf.instance memoed 0));
-  (* A write by another device changes the ownership tracker: the next
-     sync misses, and it and the syncs after it also fetch the new
-     owner's range, which splits device 2's. *)
-  vwrite live_m live ~dev:1 ~ranges:[ (60, 70) ];
-  vwrite memo_m memoed ~dev:1 ~ranges:[ (60, 70) ];
-  same ~transfers:7 "after a write";
-  check_stats "the write forces a miss" (1, 3) memo_s;
-  (* Device 0's residency is as it was, so that miss recorded. *)
-  same ~transfers:7 "hit again";
-  check_stats "then hits again" (2, 3) memo_s;
-  (* The memo is never looked up under fault injection or under a
-     finite capacity, for syncs or writes, nor for a batched sync. *)
-  let never what ?batch m =
-    let space = Vbuf.space m in
-    let vb = memo_buffer m space in
-    let memo = Vbuf.memo () in
-    for _ = 1 to 4 do
-      ignore (memo_sync ?batch ~memo m vb space);
-      if batch = None then vwrite ~memo m vb ~dev:0 ~ranges:[ (0, 5) ]
-    done;
-    check_stats what (0, 0) space
-  in
-  never "faults: no lookups" (memo_machine ~faults:true ());
-  never "finite capacity: no lookups" (memo_machine ~mem_capacity:(1 lsl 20) ());
-  never "batch: no lookups" ~batch:true (memo_machine ());
-  (* A slot keeps the four latest outcomes: after recording five
-     buffers, the four newest hit and the oldest misses. *)
-  let m = memo_machine () in
+(* Launch graphs key a period on [Vbuf.versions]: a call that leaves
+   them as it found them changed nothing, so issuing it again from
+   the same versions issues the same transfers and charges the same
+   ops.  The first read makes its range resident; from then on reads
+   keep the versions and repeat one walk, and so does a write into the
+   device's own resident segment.  A write by another device moves the
+   ownership version, and the walk changes with it. *)
+let test_vbuf_versions () =
+  let m = version_machine () in
   let space = Vbuf.space m in
-  let bufs =
-    List.init 5 (fun i -> memo_buffer ~name:(string_of_int i) m space)
-  in
-  let memo = Vbuf.memo () in
-  List.iter
-    (fun vb -> for _ = 1 to 2 do ignore (memo_sync ~memo m vb space) done)
-    bufs;
-  check_stats "five buffers recorded" (0, 10) space;
-  List.iter
-    (fun vb -> ignore (memo_sync ~memo m vb space))
-    (List.rev (List.tl bufs));
-  check_stats "the four newest hit" (4, 10) space;
-  ignore (memo_sync ~memo m (List.hd bufs) space);
-  check_stats "the oldest was dropped" (4, 11) space;
-  (* A Swap alternating one name between two buffers: one slot serves
-     both, and once each is recorded both hit. *)
-  let m = memo_machine () in
-  let space = Vbuf.space m in
-  let x = memo_buffer ~name:"x" m space and y = memo_buffer ~name:"y" m space in
-  let memo = Vbuf.memo () in
-  for _ = 1 to 4 do
-    ignore (memo_sync ~memo m x space);
-    ignore (memo_sync ~memo m y space)
-  done;
-  check_stats "both buffers hit" (4, 4) space
+  let vb = version_buffer m space in
+  let v0 = Vbuf.versions vb in
+  checki "ownership plus one residency version per device" 5 (Array.length v0);
+  ignore (read_walk m vb space);
+  let v1 = Vbuf.versions vb in
+  checkb "the first read makes device 0 resident" true (v1.(1) <> v0.(1));
+  checkb "the first read leaves ownership" true (v1.(0) = v0.(0));
+  let walk = read_walk m vb space in
+  let n, ops, copies = walk in
+  checkb "five transfers, charged ops, five copies" true
+    (n = 5 && ops > 0 && List.length copies = 5);
+  checkb "a settled read keeps the versions" true (Vbuf.versions vb = v1);
+  checkb "and repeats its walk" true (read_walk m vb space = walk);
+  vwrite m vb ~dev:0 ~ranges:[ (10, 12) ];
+  checkb "a write into an owned resident segment keeps them" true
+    (Vbuf.versions vb = v1);
+  vwrite m vb ~dev:1 ~ranges:[ (60, 70) ];
+  let v2 = Vbuf.versions vb in
+  checkb "a write by another device moves ownership" true (v2.(0) <> v1.(0));
+  let n', _, _ = read_walk m vb space in
+  checki "and the walk fetches the new owner's range" 7 n';
+  checkb "that read settled nothing new" true (Vbuf.versions vb = v2)
 
 (* ---------------- The charge contract ---------------- *)
 
 (* Each charging call adds exactly ops x tracker_op_seconds + raw x
    range_seconds to the host's "pattern" busy seconds, where ops is its
-   own tracker's ops delta (or, on a memo hit, the ops the replayed
-   walk charged), and adds ops to the space's tracker-op count and its
+   own tracker's ops delta, and adds ops to the space's tracker-op count and its
    sync transfers to the transfer count; the other calls add
    nothing. *)
 let test_vbuf_charges () =
@@ -1073,21 +1018,20 @@ let test_vbuf_charges () =
   charges "sync_for_read" (fun () ->
       let stamp = Gpusim.Machine.lru_tick m in
       let n =
-        Vbuf.sync_for_read vb ~dev:0 ~batch:false ~stamp ~memo:Vbuf.no_memo
-          ~raw:3 ~ranges:[ (10, 90) ]
+        Vbuf.sync_for_read vb ~dev:0 ~batch:false ~stamp ~raw:3
+          ~ranges:[ (10, 90) ]
       in
       (n, 3));
   charges "batched sync_for_read" (fun () ->
       let stamp = Gpusim.Machine.lru_tick m in
       let n =
-        Vbuf.sync_for_read vb ~dev:1 ~batch:true ~stamp ~memo:Vbuf.no_memo
-          ~raw:1 ~ranges:[ (0, 100) ]
+        Vbuf.sync_for_read vb ~dev:1 ~batch:true ~stamp ~raw:1
+          ~ranges:[ (0, 100) ]
       in
       (n, 1));
   charges "update_for_write" (fun () ->
       let stamp = Gpusim.Machine.lru_tick m in
-      Vbuf.update_for_write vb ~dev:2 ~stamp ~memo:Vbuf.no_memo ~raw:2
-        ~ranges:[ (20, 40) ];
+      Vbuf.update_for_write vb ~dev:2 ~stamp ~raw:2 ~ranges:[ (20, 40) ];
       (0, 2));
   charges "d2h" (fun () ->
       Vbuf.d2h vb ~dst:(Some (Array.make 100 0.0));
@@ -1103,41 +1047,7 @@ let test_vbuf_charges () =
   free "failed h2d" (fun () ->
       match Vbuf.h2d vb ~src:(Some [||]) with
       | () -> Alcotest.fail "short host array accepted"
-      | exception Invalid_argument _ -> ());
-  (* A memo hit charges the recorded ops and raw emissions, exactly
-     what the walk it replays charged. *)
-  let m = memo_machine () in
-  let space = Vbuf.space m in
-  let vb = memo_buffer m space in
-  let read_memo = Vbuf.memo () and write_memo = Vbuf.memo () in
-  let charged f =
-    let ops = Vbuf.tracker_ops space and busy = pattern_seconds m in
-    f (Gpusim.Machine.lru_tick m);
-    (Vbuf.tracker_ops space - ops, pattern_seconds m -. busy)
-  in
-  let read () =
-    charged (fun stamp ->
-        ignore
-          (Vbuf.sync_for_read vb ~dev:0 ~batch:false ~stamp ~memo:read_memo
-             ~raw:5 ~ranges:[ (10, 90) ]))
-  and write () =
-    charged (fun stamp ->
-        Vbuf.update_for_write vb ~dev:0 ~stamp ~memo:write_memo ~raw:2
-          ~ranges:[ (10, 12) ])
-  in
-  (* The first read makes its range resident, so only the second is
-     recorded; the write into device 0's own resident segment changes
-     neither tracker, so its first walk is recorded. *)
-  ignore (read ());
-  let write_walk = write () in
-  check_stats "two misses" (0, 2) space;
-  let read_walk = read () in
-  let write_hit = write () in
-  let read_hit = read () in
-  check_stats "then two hits" (2, 3) space;
-  checkb "walks charge ops" true (fst read_walk > 0 && fst write_walk > 0);
-  Alcotest.(check (pair int (float 0.0))) "read hit = walk" read_walk read_hit;
-  Alcotest.(check (pair int (float 0.0))) "write hit = walk" write_walk write_hit
+      | exception Invalid_argument _ -> ())
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
@@ -1173,7 +1083,7 @@ let () =
           Alcotest.test_case "range clamping" `Quick test_vbuf_range_clamping;
           Alcotest.test_case "tracker ops accounting" `Quick test_tracker_ops_accounting;
           Alcotest.test_case "rconfig" `Quick test_rconfig;
-          Alcotest.test_case "sync memo" `Quick test_vbuf_sync_memo;
+          Alcotest.test_case "versions key a repeated walk" `Quick test_vbuf_versions;
           Alcotest.test_case "charge contract" `Quick test_vbuf_charges;
           qtest prop_vbuf_model;
         ] );
