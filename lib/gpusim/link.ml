@@ -29,6 +29,7 @@
 
 type t = {
   tl : Timeline.t;
+  span : float array; (* a leg's (start, occupancy) for its timeline *)
   mutable starts : float array;
   mutable stops : float array; (* stops.(i) ends starts.(i) *)
   mutable lo : int; (* first live reservation *)
@@ -36,7 +37,7 @@ type t = {
 }
 
 let create name =
-  { tl = Timeline.create name; starts = Array.make 8 0.0;
+  { tl = Timeline.create name; span = Array.make 2 0.0; starts = Array.make 8 0.0;
     stops = Array.make 8 0.0; lo = 0; hi = 0 }
 
 let timeline l = l.tl
@@ -133,14 +134,15 @@ let[@inline] insert l ~start ~stop =
    simultaneously free for its occupancy, then reserved on each leg:
    iterate every leg's earliest fit to a fixpoint.  [now] is the
    transfer's host issue time, a lower bound on every future
-   admission. *)
-let admit ~now ~start legs occupancy =
+   admission.  Both arrive in [a] and the admitted time leaves in it:
+   under [-opaque] a float argument or result would be boxed. *)
+let admit_in a legs occupancy =
   let n = Array.length legs in
-  if n = 0 then start
-  else begin
+  if n > 0 then begin
+    let now = a.(0) and start = a.(1) in
     for i = 0 to n - 1 do
       if not (occupancy.(i) > 0.0) then
-        invalid_arg "Link.admit: occupancy must be positive";
+        invalid_arg "Link.admit_in: occupancy must be positive";
       prune legs.(i) ~now
     done;
     (* A leg's earliest fit is a fixpoint of its own, so one pass
@@ -155,13 +157,13 @@ let admit ~now ~start legs occupancy =
       settled := n = 1 || not (!acc > !t);
       t := !acc
     done;
-    (* Boxed once, for every leg's timeline and the caller. *)
-    let s = Sys.opaque_identity !t in
+    let s = !t in
     for i = 0 to n - 1 do
       let l = legs.(i) in
       insert l ~start:s ~stop:(s +. occupancy.(i));
-      Timeline.schedule_at l.tl ~start:s ~duration:occupancy.(i)
-        ~category:"bus"
+      l.span.(0) <- s;
+      l.span.(1) <- occupancy.(i);
+      Timeline.schedule_at_in l.tl l.span ~category:"bus"
     done;
-    s
+    a.(1) <- s
   end

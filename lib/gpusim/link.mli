@@ -15,13 +15,16 @@ val reservations : t -> (float * float) list
     coalesced (no two touch).  Drained ones are dropped at each
     admission. *)
 
-val admit : now:float -> start:float -> t array -> float array -> float
-(** [admit ~now ~start legs occupancy] is the earliest time [>= start]
-    at which every leg [legs.(i)] is simultaneously free for
-    [occupancy.(i)] seconds; the route is then reserved on every leg
-    from that time and scheduled on each link's timeline (category
-    ["bus"]).  [now] is the transfer's host issue time, a lower bound
-    on every later admission, below which reservations are dropped.
-    Occupancies must be positive.  An empty route is admitted at
-    [start].  Allocates only the returned float, and when a link's
-    reservation arrays grow. *)
+val admit_in : float array -> t array -> float array -> unit
+(** [admit_in a legs occupancy], with [now = a.(0)] and
+    [start = a.(1)], finds the earliest time [>= start] at which every
+    leg [legs.(i)] is simultaneously free for [occupancy.(i)] seconds;
+    the route is then reserved on every leg from that time and
+    scheduled on each link's timeline (category ["bus"]), and the time
+    is written to [a.(1)].  [now] is the transfer's host issue time, a
+    lower bound on every later admission, below which reservations are
+    dropped.  Occupancies must be positive.  An empty route is
+    admitted at [start].  The floats travel in [a] because under
+    [-opaque] a float passed to or returned from another module is
+    boxed; nothing is allocated except when a link's reservation
+    arrays grow. *)

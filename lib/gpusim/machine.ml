@@ -142,6 +142,10 @@ type t = {
   op_clock : float array;
       (* start and finish of the last transfer or kernel, which the
          [*_async] operations return *)
+  args : float array;
+      (* the two float arguments of the next [Timeline]/[Link] call:
+         the dev profile compiles with [-opaque], so a float passed to
+         another module is boxed, an array slot is not *)
   pair_bytes : int array;
       (* bytes moved per (src, dst) endpoint pair, dense over
          (n+1)^2 endpoints with the host (-1) at index 0; -1 marks a
@@ -331,6 +335,7 @@ let create ?(functional = false) cfg =
     n_spills = 0;
     seconds = Array.make 3 0.0;
     op_clock = Array.make 2 0.0;
+    args = Array.make 2 0.0;
     pair_bytes = Array.make (side * side) (-1);
     next_buffer_id = 0;
     active_devices = 1;
@@ -597,7 +602,7 @@ let[@inline] engines_ready d =
 
 let device_time m d = engines_ready (device m d)
 
-let elapsed m =
+let[@inline] elapsed m =
   let t = ref (ready_of m.host) in
   for i = 0 to Array.length m.devices - 1 do
     t := Float.max !t (engines_ready m.devices.(i))
@@ -628,7 +633,9 @@ let synchronize m =
            :: causal_last m d.copy_out :: acc)
         [] m.devices
   in
-  Timeline.schedule m.host ~after:(elapsed m) ~duration:serial ~category:"sync";
+  m.args.(0) <- elapsed m;
+  m.args.(1) <- serial;
+  Timeline.schedule_in m.host m.args ~category:"sync";
   record_host m "sync";
   match m.causal with
   | None -> ()
@@ -701,8 +708,9 @@ let route m ~src ~dst =
    current kernel.
 
    All clock arithmetic stays in this function, on floats read from
-   clock arrays: the dev profile compiles with [-opaque], so every
-   float passed to or returned from another module is boxed. *)
+   clock arrays, and floats reach [Link] and [Timeline] through
+   [m.args]: the dev profile compiles with [-opaque], so every float
+   passed to or returned from another module is boxed. *)
 let transfer ?deps m ~kind r ~bytes =
   Timeline.schedule m.host ~after:0.0 ~duration:issue_overhead
     ~category:"issue";
@@ -726,7 +734,10 @@ let transfer ?deps m ~kind r ~bytes =
     r.occupancy.(i) <-
       float_of_int (r.leg_scale.(i) * bytes) /. r.leg_bandwidth.(i)
   done;
-  let start = Link.admit ~now:issue ~start:!ready legs r.occupancy in
+  m.args.(0) <- issue;
+  m.args.(1) <- !ready;
+  Link.admit_in m.args legs r.occupancy;
+  let start = m.args.(1) in
   (match m.trace with
    | None -> ()
    | Some tr ->
@@ -736,14 +747,11 @@ let transfer ?deps m ~kind r ~bytes =
            ev_bytes = r.leg_scale.(i) * bytes; ev_start = start;
            ev_finish = start +. r.occupancy.(i) }
      done);
-  (* Boxed once here rather than once per engine below. *)
-  let dur =
-    Sys.opaque_identity
-      (m.cfg.Config.transfer_latency +. (float_of_int bytes /. r.bandwidth))
-  in
+  let dur = m.cfg.Config.transfer_latency +. (float_of_int bytes /. r.bandwidth) in
   for i = 0 to Array.length r.engines - 1 do
-    Timeline.schedule r.engines.(i) ~after:start ~duration:dur
-      ~category:"transfer"
+    m.args.(0) <- start;
+    m.args.(1) <- dur;
+    Timeline.schedule_in r.engines.(i) m.args ~category:"transfer"
   done;
   m.op_clock.(0) <- start;
   m.op_clock.(1) <- start +. dur;
@@ -920,7 +928,9 @@ let issue_kernel ?(deps = []) m dev ~dur =
     Float.max host.(2) (Float.max (ready_of dev.copy_in) (ready_of dev.copy_out))
   in
   let after = match deps with [] -> after | _ -> latest after deps in
-  Timeline.schedule dev.compute ~after ~duration:dur ~category:"kernel";
+  m.args.(0) <- after;
+  m.args.(1) <- dur;
+  Timeline.schedule_in dev.compute m.args ~category:"kernel";
   let c = Timeline.clock dev.compute in
   m.op_clock.(0) <- c.(1);
   m.op_clock.(1) <- c.(2);

@@ -71,7 +71,7 @@ let rec find_slot t category s =
   else if is_slot t s category then s
   else find_slot t category (s + 1)
 
-let charge t category duration =
+let[@inline] charge t category duration =
   let s = t.last_slot in
   let s =
     if s >= 0 && is_slot t s category then s else find_slot t category 0
@@ -81,7 +81,7 @@ let charge t category duration =
 
 (* Schedule an operation of the given duration that cannot start before
    [after]. *)
-let schedule t ~after ~duration ~category =
+let[@inline] schedule_after t after duration category =
   if duration < 0.0 then invalid_arg "Timeline.schedule: negative duration";
   let start = Float.max t.clock.(0) after in
   let finish = start +. duration in
@@ -90,19 +90,25 @@ let schedule t ~after ~duration ~category =
   t.clock.(2) <- finish;
   charge t category duration
 
+let schedule t ~after ~duration ~category = schedule_after t after duration category
+let schedule_in t a ~category = schedule_after t a.(0) a.(1) category
+
 (* Record an operation at exactly [start], without clamping against
    the engine's ready time: for contention lanes whose admission is
    computed externally (time-based backfill), where a later-recorded
    operation may legitimately start before an earlier reservation
    ends.  The ready time still covers the operation's finish, so
    [elapsed]-style maxima stay correct. *)
-let schedule_at t ~start ~duration ~category =
+let[@inline] schedule_start t start duration category =
   if duration < 0.0 then invalid_arg "Timeline.schedule_at: negative duration";
   let finish = start +. duration in
   if finish > t.clock.(0) then t.clock.(0) <- finish;
   t.clock.(1) <- start;
   t.clock.(2) <- finish;
   charge t category duration
+
+let schedule_at t ~start ~duration ~category = schedule_start t start duration category
+let schedule_at_in t a ~category = schedule_start t a.(0) a.(1) category
 
 (* Force the engine to be idle until at least [time] (a synchronization
    barrier). *)

@@ -33,6 +33,13 @@ val schedule_at : t -> start:float -> duration:float -> category:string -> unit
     computed externally with backfill, where a later-recorded
     operation may start before an earlier reservation ends. *)
 
+val schedule_in : t -> float array -> category:string -> unit
+val schedule_at_in : t -> float array -> category:string -> unit
+(** {!schedule} with [after] and [duration] read from slots 0 and 1 of
+    the array, and {!schedule_at} with [start] and [duration]: the same
+    float operations, for hot callers in other modules, which under
+    [-opaque] would box every float argument. *)
+
 val wait_until : t -> float -> unit
 (** Force the engine idle until at least the given time (a
     synchronization barrier). *)

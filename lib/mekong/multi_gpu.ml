@@ -165,10 +165,12 @@ let pp_report lines fmt (reg : Obs.Metrics.t) =
       | Executor ->
         Format.fprintf fmt
           "executor: %d compiled (%d cache hits), %d launches sequential, \
-           %d parallel (max %d domains), %d interpreted, %d scalar blocks@."
+           %d parallel (max %d domains), %d interpreted, %d scalar blocks; \
+           guards_folded=%d guards_scanned=%d@."
           (i "exec.compiles") (i "exec.cache_hits") (i "exec.seq_launches")
           (i "exec.par_launches") (i "exec.max_domains") (i "exec.interpreted")
-          (i "kcompile.scalar_blocks")
+          (i "kcompile.scalar_blocks") (i "kcompile.guards_folded")
+          (i "kcompile.guards_scanned")
       | Gate ->
         Format.fprintf fmt
           "race gate: safe=%d reducible=%d racy=%d unknown=%d merges=%d \
@@ -181,9 +183,10 @@ let pp_report lines fmt (reg : Obs.Metrics.t) =
           (i "faults.observed") (i "faults.retries") (i "faults.replays")
           (i "faults.devices_lost")
       | Memory ->
-        Format.fprintf fmt "chunked_launches=%d chunks=%d oom_refinements=%d@."
+        Format.fprintf fmt
+          "chunked_launches=%d chunks=%d oom_refinements=%d evict_passes=%d@."
           (i "engine.chunked_launches") (i "engine.chunks")
-          (i "engine.oom_refinements")
+          (i "engine.oom_refinements") (i "engine.evict_passes")
       | Autotune ->
         Format.fprintf fmt
           "autotuned=%d predicted=%.6fs actual=%.6fs halo_blocks=%d \
@@ -1118,6 +1121,9 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   let count name by = Obs.Metrics.incr metrics name ~by in
   count "engine.transfers" (Vbuf.transfers space + !replayed_transfers);
   count "engine.tracker_ops" (Vbuf.tracker_ops space + !replayed_ops);
+  (* Graphs never replay under a capacity limit, the only place a pass
+     runs. *)
+  count "engine.evict_passes" (Vbuf.evict_passes space);
   Obs.Metrics.add predicted_us (!tune_pred *. 1e6);
   Obs.Metrics.add actual_us (!tune_act *. 1e6);
   let time = Gpusim.Machine.host_time m in

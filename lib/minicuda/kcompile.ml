@@ -30,6 +30,11 @@
      branch once per maximal run of lanes that takes it; a uniform one
      tests once.  A [For] with varying bounds runs its body once per
      run of lanes still in range, round after round, until no lane is;
+   - an [If] whose condition is a conjunction of compares affine in
+     the thread and block indices is decided per block from the corners
+     of the block's thread box: a block where it holds on every lane,
+     or on none, runs one branch without the compare steps or the scan
+     (see "Block-class guards");
    - array accesses read the backing [float array]s of the launch's
      access records directly, with the rank-1/2/3 linearization, the
      bounds checks and [reg ± const] subscripts inlined into the load;
@@ -129,6 +134,11 @@ type env = {
   mutable seg_code : int array;
   mutable seg_start : int array;
   mutable seg_lane : int array;  (* the lane of the segment's first entry *)
+  mutable serial : int;  (* the running block's number, from 1 *)
+  gseen : int array;  (* per guard: the block it was last classified for *)
+  gcls : int array;  (* per guard: that block's class *)
+  mutable folded : int;  (* (guard, block) pairs that took a branch directly *)
+  mutable scanned : int;  (* (guard, block) pairs that ran the lane scan *)
 }
 
 (* A sweep over the lanes [lo, hi). *)
@@ -145,6 +155,7 @@ type t = {
   load_slots : int array;  (* slots some load step reads *)
   store_slots : int array;  (* slots some store or atomic writes *)
   atomic_slot : bool array;
+  n_guards : int;
   body : step;
   envs : (int * env) list Atomic.t;  (* per domain id *)
   narrow : int Atomic.t;  (* blocks run thread by thread although w > 1 *)
@@ -475,6 +486,162 @@ let varying_locals (k : Kir.t) ~written =
   done;
   !vary
 
+(* --- Block-class guards ---------------------------------------------------
+
+   A bounds guard like [gx < n && gy < n] is affine in the thread and
+   block indices.  Fix the block: each compare [a op b] becomes
+   [k + ct·t <= 0] over the block's box of thread indices [t], and an
+   affine function over a box takes its minimum and maximum at corners
+   of the box, [k + tmin] and [k + tmax].  So a few integer ops per
+   block tell whether the compare holds on every lane ([k + tmax <= 0]),
+   on none ([k + tmin > 0]) or on some, exactly over the integers.  A
+   conjunction holds on every lane when each compare does and on none
+   when some compare holds on none; otherwise (mixed compares, even
+   jointly unsatisfiable ones) the block is mixed and takes the scan.
+
+   A compare side is affine when it is built by [+], [-], unary [-]
+   and multiplication by a launch constant from thread and block
+   indices, [blockDim], [gridDim], integer literals and integer
+   parameters, and from locals bound by exactly one [Local], never
+   [Assign]ed and not a loop counter: such a local holds its one
+   binding's value wherever it is bound.  Every operation on the way is
+   a ring operation on 63-bit integers, so the register values equal
+   the affine form modulo 2^63; a form bounded below 2^52 in magnitude
+   over the whole launch is therefore the exact integer value, which
+   the compiled compare (integer compare within 2^53) also reads. *)
+
+(* [k + Σ co.(r) * index register r] over the six index registers. *)
+type form = { co : int array; k : int }
+
+(* What a launch fixes, for the affine forms. *)
+type genv = {
+  g_scalars : (string, Keval.value) Hashtbl.t;
+  g_grid : Dim3.t;
+  g_block : Dim3.t;
+  g_locals : (string, Kir.exp) Hashtbl.t;  (* single-binding locals *)
+  g_forms : (string, form option) Hashtbl.t;  (* their forms, once computed *)
+}
+
+(* The locals bound by exactly one [Local], never assigned, never a
+   loop counter, with their bound expression. *)
+let single_locals (k : Kir.t) =
+  let locals = Hashtbl.create 8 and bad = ref S.empty in
+  let rec stmt = function
+    | Kir.Local (n, e) ->
+      if Hashtbl.mem locals n then bad := S.add n !bad else Hashtbl.add locals n e
+    | Kir.Assign (n, _) -> bad := S.add n !bad
+    | Kir.If (_, t, e) -> List.iter stmt t; List.iter stmt e
+    | Kir.For { var; body; _ } -> bad := S.add var !bad; List.iter stmt body
+    | Kir.Store _ | Kir.Atomic _ | Kir.Syncthreads -> ()
+  in
+  List.iter stmt k.Kir.body;
+  S.iter (Hashtbl.remove locals) !bad;
+  locals
+
+let konst k = { co = Array.make (r_tz + 1) 0; k }
+let index_reg r = { co = Array.init (r_tz + 1) (fun i -> Bool.to_int (i = r)); k = 0 }
+let axis_i = function Dim3.X -> 0 | Dim3.Y -> 1 | Dim3.Z -> 2
+
+(* [f + s * g] *)
+let combine f s g = { co = Array.map2 (fun x y -> x + (s * y)) f.co g.co; k = f.k + (s * g.k) }
+let scale s f = { co = Array.map (( * ) s) f.co; k = s * f.k }
+let is_const f = Array.for_all (( = ) 0) f.co
+
+let rec affine ge seen (e : Kir.exp) =
+  let ( let* ) = Option.bind in
+  match e with
+  | Kir.Iconst n -> Some (konst n)
+  | Kir.Special (Kir.Thread_idx a) -> Some (index_reg (r_tx + axis_i a))
+  | Kir.Special (Kir.Block_idx a) -> Some (index_reg (r_bx + axis_i a))
+  | Kir.Special (Kir.Block_dim a) -> Some (konst (Dim3.get ge.g_block a))
+  | Kir.Special (Kir.Grid_dim a) -> Some (konst (Dim3.get ge.g_grid a))
+  | Kir.Param n -> (
+      match Hashtbl.find_opt ge.g_scalars n with
+      | Some (Keval.VInt v) -> Some (konst v)
+      | _ -> None)
+  | Kir.Var n when not (S.mem n seen) -> (
+      match Hashtbl.find_opt ge.g_forms n with
+      | Some f -> f
+      | None ->
+        let f = Option.bind (Hashtbl.find_opt ge.g_locals n) (affine ge (S.add n seen)) in
+        Hashtbl.replace ge.g_forms n f;
+        f)
+  | Kir.Unop (Kir.Neg, x) -> Option.map (scale (-1)) (affine ge seen x)
+  | Kir.Binop (((Kir.Add | Kir.Sub) as op), x, y) ->
+    let* f = affine ge seen x in
+    let* g = affine ge seen y in
+    Some (combine f (if op = Kir.Add then 1 else -1) g)
+  | Kir.Binop (Kir.Mul, x, y) ->
+    let* f = affine ge seen x in
+    let* g = affine ge seen y in
+    if is_const f then Some (scale f.k g) else if is_const g then Some (scale g.k f) else None
+  | _ -> None
+
+(* The largest index register [r] takes over the launch. *)
+let reg_max ge r =
+  let d = if r < r_tx then ge.g_grid else ge.g_block in
+  max 0 (Dim3.get d (match r mod 3 with 0 -> Dim3.X | 1 -> Dim3.Y | _ -> Dim3.Z) - 1)
+
+(* |f| < 2^52 everywhere in the launch. *)
+let small ge f =
+  let b = ref (Float.abs (float_of_int f.k)) in
+  for r = 0 to r_tz do
+    b := !b +. (Float.abs (float_of_int f.co.(r)) *. float_of_int (reg_max ge r))
+  done;
+  !b < 0x1p52
+
+(* A guard's test rows, six ints per compare: [k; cbx; cby; cbz; tmin;
+   tmax], the compare holding at block [b] and thread [t] iff
+   [k + cb·b + ct·t <= 0], where [tmin]/[tmax] bound [ct·t] over the
+   block's threads. *)
+let rec guard_rows ge (e : Kir.exp) acc =
+  match e with
+  | Kir.Binop (Kir.And, x, y) -> Option.bind (guard_rows ge x acc) (guard_rows ge y)
+  | Kir.Binop (((Kir.Lt | Kir.Le | Kir.Gt | Kir.Ge) as op), x, y) -> (
+      match (affine ge S.empty x, affine ge S.empty y) with
+      | Some a, Some b when small ge a && small ge b ->
+        (* a < b is a - b + 1 <= 0 over the integers. *)
+        let d = if op = Kir.Lt || op = Kir.Le then combine a (-1) b else combine b (-1) a in
+        let k = if op = Kir.Lt || op = Kir.Gt then d.k + 1 else d.k in
+        let tmin = ref 0 and tmax = ref 0 in
+        for r = r_tx to r_tz do
+          let span = d.co.(r) * reg_max ge r in
+          tmin := !tmin + min 0 span;
+          tmax := !tmax + max 0 span
+        done;
+        Some (k :: d.co.(r_bx) :: d.co.(r_by) :: d.co.(r_bz) :: !tmin :: !tmax :: acc)
+      | _ -> None)
+  | _ -> None
+
+let block_guard ge e = Option.map Array.of_list (guard_rows ge e [])
+
+let g_mixed = 0
+let g_true = 1
+let g_false = 2
+
+let classify_at rows bx by bz =
+  let cls = ref g_true and i = ref 0 and n = Array.length rows in
+  while !i < n && !cls <> g_false do
+    let j = !i in
+    let v = rows.!(j) + (rows.!(j + 1) * bx) + (rows.!(j + 2) * by) + (rows.!(j + 3) * bz) in
+    if v + rows.!(j + 5) > 0 then cls := if v + rows.!(j + 4) > 0 then g_false else g_mixed;
+    i := j + 6
+  done;
+  !cls
+
+type guard_class = All_true | All_false | Mixed
+
+let guard_classifier kernel ~grid ~block ~args e =
+  let ge =
+    { g_scalars = Keval.bind_scalars kernel ~args; g_grid = grid; g_block = block;
+      g_locals = single_locals kernel; g_forms = Hashtbl.create 8 }
+  in
+  Option.map
+    (fun rows (b : Dim3.t) ->
+       let c = classify_at rows b.Dim3.x b.Dim3.y b.Dim3.z in
+       if c = g_true then All_true else if c = g_false then All_false else Mixed)
+    (block_guard ge e)
+
 type ctx = {
   cgrid : Dim3.t;
   cblock : Dim3.t;
@@ -482,6 +649,8 @@ type ctx = {
   arr_slots : (string, int * int array) Hashtbl.t;  (* name -> slot, extents *)
   written : S.t;
   varying : S.t;  (* locals, from [varying_locals] *)
+  ge : genv;
+  mutable n_guards : int;
   slots : (string, vtype * int) Hashtbl.t;  (* local -> register *)
   iconsts : (int, int) Hashtbl.t;  (* value -> preset register *)
   fconsts : (int64, int) Hashtbl.t;  (* bit pattern -> preset register *)
@@ -1123,6 +1292,31 @@ let if_lanes t th el : step =
     end
   done
 
+(* An affine guard: one branch directly when the block's class decides
+   it, else the compare steps and the scan.  The class is computed on
+   the guard's first run in a block (the block index is all it reads)
+   and counted once per (guard, block).  The compare steps write only
+   temporaries nothing else reads, and cannot raise. *)
+let if_folded g rows cond scan th el : step =
+ fun env lo hi ->
+  let cls =
+    if env.gseen.!(g) = env.serial then env.gcls.!(g)
+    else begin
+      let ir = env.ir in
+      let k = classify_at rows ir.!(r_bx).!(0) ir.!(r_by).!(0) ir.!(r_bz).!(0) in
+      env.gseen.!(g) <- env.serial;
+      env.gcls.!(g) <- k;
+      if k = g_mixed then env.scanned <- env.scanned + 1 else env.folded <- env.folded + 1;
+      k
+    end
+  in
+  if cls = g_true then th env lo hi
+  else if cls = g_false then el env lo hi
+  else begin
+    cond env lo hi;
+    scan env lo hi
+  end
+
 (* Loop a uniform counter [s] over [l, h) around the body, restoring the
    counter afterwards (the interpreter unbinds or restores it on exit).
    Bodies of up to three steps run inline, without a sequencer. *)
@@ -1230,15 +1424,21 @@ let rec compile_stmt c bound (s : Kir.stmt) : S.t =
     bind c n v ~mark_i ~mark_f;
     S.add n bound
   | Kir.If (cexp, ts, es) ->
-    let test = as_b (compile_exp c bound cexp) in
+    let test, csteps = in_block c (fun () -> as_b (compile_exp c bound cexp)) in
     let bt, tsteps = in_block c (fun () -> compile_seq c bound ts) in
     let be, esteps = in_block c (fun () -> compile_seq c bound es) in
     (match test with
-     | Kb b -> List.iter (emit c) (if b then tsteps else esteps)
-     | _ when tsteps = [] && esteps = [] -> ()
-     | t ->
-       let r = breg c t and th = seq tsteps and el = seq esteps in
-       emit c ((if uni_i c r then if_uniform else if_lanes) r th el));
+     | Kb b -> List.iter (emit c) (csteps @ if b then tsteps else esteps)
+     | _ when tsteps = [] && esteps = [] -> List.iter (emit c) csteps
+     | t -> (
+         let r = breg c t and th = seq tsteps and el = seq esteps in
+         let scan = (if uni_i c r then if_uniform else if_lanes) r th el in
+         match block_guard c.ge cexp with
+         | Some rows ->
+           let g = c.n_guards in
+           c.n_guards <- g + 1;
+           emit c (if_folded g rows (seq csteps) scan th el)
+         | None -> List.iter (emit c) (csteps @ [ scan ])));
     S.union bound (S.inter bt be)
   | Kir.For { var; from_; to_; body } ->
     let lo = ireg c (compile_exp c bound from_) in
@@ -1260,6 +1460,32 @@ let rec compile_stmt c bound (s : Kir.stmt) : S.t =
 
 and compile_seq c bound stmts = List.fold_left (compile_stmt c) bound stmts
 
+let rec mentions x (e : Kir.exp) =
+  match e with
+  | Kir.Var y -> y = x
+  | Kir.Iconst _ | Kir.Fconst _ | Kir.Special _ | Kir.Param _ -> false
+  | Kir.Load (_, idx) -> List.exists (mentions x) idx
+  | Kir.Unop (_, a) -> mentions x a
+  | Kir.Binop (_, a, b) -> mentions x a || mentions x b
+
+(* Sink an initial value that a branch overwrites first into the other
+   branch: [x = v; if (c) { x = e; ... } else { ... }] compiles as
+   [if (c) { x = e; ... } else { x = v; ... }] when [c] and [e] do not
+   read [x] and [v] is a local, a literal or a parameter.  The then
+   branch never reads the dropped [x = v], which cannot raise, so this
+   is [Keval]'s result and diagnostic; a block where a folded guard
+   holds on every lane (hotspot's interior) then skips the move, as a
+   hand-written guard-free kernel would. *)
+let rec sink = function
+  | Kir.Local (x, ((Kir.Var _ | Kir.Iconst _ | Kir.Fconst _ | Kir.Param _) as v))
+    :: Kir.If (c, Kir.Assign (x', e) :: t, el) :: rest
+    when x = x' && (not (mentions x c)) && not (mentions x e) ->
+    Kir.If (c, Kir.Local (x, e) :: sink t, Kir.Local (x, v) :: sink el) :: sink rest
+  | Kir.If (c, t, e) :: rest -> Kir.If (c, sink t, sink e) :: sink rest
+  | Kir.For f :: rest -> Kir.For { f with body = sink f.body } :: sink rest
+  | s :: rest -> s :: sink rest
+  | [] -> []
+
 let slot_set l = Array.of_list (List.sort_uniq compare l)
 
 let compile kernel ~grid ~block ~args =
@@ -1271,7 +1497,8 @@ let compile kernel ~grid ~block ~args =
   let dims = Keval.resolve_dims kernel ~scalars in
   let arr_slots = Hashtbl.create 8 in
   List.iteri (fun i (name, d) -> Hashtbl.add arr_slots name (i, d)) dims;
-  let written = written_arrays kernel in
+  let body = { kernel with Kir.body = sink kernel.Kir.body } in
+  let written = written_arrays body in
   let c =
     {
       cgrid = grid;
@@ -1279,7 +1506,11 @@ let compile kernel ~grid ~block ~args =
       scalars;
       arr_slots;
       written;
-      varying = varying_locals kernel ~written;
+      varying = varying_locals body ~written;
+      ge =
+        { g_scalars = scalars; g_grid = grid; g_block = block;
+          g_locals = single_locals body; g_forms = Hashtbl.create 8 };
+      n_guards = 0;
       slots = Hashtbl.create 16;
       iconsts = Hashtbl.create 16;
       fconsts = Hashtbl.create 16;
@@ -1295,7 +1526,7 @@ let compile kernel ~grid ~block ~args =
     }
   in
   List.iter (fun r -> Hashtbl.replace c.ivary r ()) [ r_tx; r_ty; r_tz ];
-  match in_block c (fun () -> compile_seq c S.empty kernel.Kir.body) with
+  match in_block c (fun () -> compile_seq c S.empty body.Kir.body) with
   | _, steps ->
     let iregs = Array.make c.n_i 0 and fregs = Array.make c.n_f 0.0 in
     Hashtbl.iter (fun k r -> iregs.(r) <- k) c.iconsts;
@@ -1315,6 +1546,7 @@ let compile kernel ~grid ~block ~args =
         load_slots = slot_set c.loaded;
         store_slots = slot_set c.stored;
         atomic_slot;
+        n_guards = c.n_guards;
         body = seq steps;
         envs = Atomic.make [];
         narrow = Atomic.make 0;
@@ -1351,6 +1583,11 @@ let make_env t =
     seg_code = Array.make 8 0;
     seg_start = Array.make 8 0;
     seg_lane = Array.make 8 0;
+    serial = 0;
+    gseen = Array.make t.n_guards (-1);
+    gcls = Array.make t.n_guards g_mixed;
+    folded = 0;
+    scanned = 0;
   }
 
 let rec find_env id = function
@@ -1400,16 +1637,20 @@ let lane_safe t e =
 let set_block env bz by bx =
   (ig env r_bz).!(0) <- bz;
   (ig env r_by).!(0) <- by;
-  (ig env r_bx).!(0) <- bx
+  (ig env r_bx).!(0) <- bx;
+  env.serial <- env.serial + 1
 
 (* Thread by thread, stores written directly: the sequential order.
    Lanes are numbered in Keval's (z, y, x) thread order. *)
-let scalar_block t env bz by bx =
-  set_block env bz by bx;
+let scalar_lanes t env =
   env.direct <- true;
   for l = 0 to t.width - 1 do
     t.body env l (l + 1)
   done
+
+let scalar_block t env bz by bx =
+  set_block env bz by bx;
+  scalar_lanes t env
 
 let lane_block t env bz by bx =
   set_block env bz by bx;
@@ -1419,7 +1660,7 @@ let lane_block t env bz by bx =
   | exception _ ->
     drop_log env;
     Atomic.incr t.narrow;
-    scalar_block t env bz by bx
+    scalar_lanes t env
 
 (* Run every block of the grid; returns the domains engaged (1 when
    the blocks ran sequentially on the caller). *)
@@ -1496,6 +1737,8 @@ type executor = {
   par_launches : Obs.Metrics.counter;
   interpreted : Obs.Metrics.counter;
   scalar_blocks : Obs.Metrics.counter;
+  guards_folded : Obs.Metrics.counter;
+  guards_scanned : Obs.Metrics.counter;
   mutable max_domains : int;
 }
 
@@ -1511,6 +1754,8 @@ let executor reg =
     par_launches = counter "exec.par_launches";
     interpreted = counter "exec.interpreted";
     scalar_blocks = counter "kcompile.scalar_blocks";
+    guards_folded = counter "kcompile.guards_folded";
+    guards_scanned = counter "kcompile.guards_scanned";
     max_domains = 1;
   }
 
@@ -1544,13 +1789,21 @@ let launch ex ?(parallel = false) ?(interpret = false) kernel ~grid ~block
     | Ok t -> (
         let pool = if parallel then Some (Gpu_runtime.Dpool.get ()) else None in
         let before = Atomic.get t.narrow in
-        let count_narrow () =
+        let count_blocks () =
           let n = Atomic.get t.narrow - before in
-          if n > 0 then Obs.Metrics.add ex.scalar_blocks (float_of_int n)
+          if n > 0 then Obs.Metrics.add ex.scalar_blocks (float_of_int n);
+          (* Each domain's environment counted its own guard classes. *)
+          List.iter
+            (fun (_, e) ->
+               if e.folded > 0 then Obs.Metrics.add ex.guards_folded (float_of_int e.folded);
+               if e.scanned > 0 then Obs.Metrics.add ex.guards_scanned (float_of_int e.scanned);
+               e.folded <- 0;
+               e.scanned <- 0)
+            (Atomic.get t.envs)
         in
         match run_blocks ?pool t ~access with
         | d ->
-          count_narrow ();
+          count_blocks ();
           if d <= 1 then bump ex.seq_launches
           else begin
             bump ex.par_launches;
@@ -1561,7 +1814,7 @@ let launch ex ?(parallel = false) ?(interpret = false) kernel ~grid ~block
           end
         | exception e ->
           let bt = Printexc.get_raw_backtrace () in
-          count_narrow ();
+          count_blocks ();
           Printexc.raise_with_backtrace e bt)
 
 let publish_metrics ?(into = Obs.Metrics.default) reg = Obs.Metrics.merge ~into reg

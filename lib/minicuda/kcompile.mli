@@ -34,6 +34,26 @@ val compile :
     executing any thread (argument-count mismatch, unbound dimension
     parameter). *)
 
+type guard_class = All_true | All_false | Mixed
+(** How a guard evaluates over the threads of one block. *)
+
+val guard_classifier :
+  Kir.t ->
+  grid:Dim3.t ->
+  block:Dim3.t ->
+  args:Keval.arg list ->
+  Kir.exp ->
+  (Dim3.t -> guard_class) option
+(** The block classifier {!compile} folds an [If] condition of the
+    kernel with, or [None] when the condition does not fold: it must be
+    a conjunction of [<], [<=], [>], [>=] compares whose sides are
+    affine in thread and block indices, launch constants and locals
+    bound by one [Local] only, small enough to be exact (DESIGN.md
+    §13).  Applied to a block index, it returns [All_true] or
+    [All_false] only when every thread of that block agrees; a
+    conjunction of individually mixed compares is [Mixed] even when it
+    holds nowhere.  Test support. *)
+
 type access = {
   loads : float array;  (** loads read this array *)
   stores : float array;  (** stores and atomics write this array *)
@@ -75,7 +95,8 @@ type executor
 val executor : Obs.Metrics.t -> executor
 (** An empty cache counting into the registry: [exec.compiles],
     [exec.cache_hits], [exec.seq_launches], [exec.par_launches],
-    [exec.interpreted] and [kcompile.scalar_blocks] registered at zero,
+    [exec.interpreted], [kcompile.scalar_blocks],
+    [kcompile.guards_folded] and [kcompile.guards_scanned] registered at zero,
     the [exec.max_domains] gauge at 1. *)
 
 val clear_cache : executor -> unit
@@ -102,7 +123,10 @@ val launch :
     [exec.par_launches] or [exec.interpreted], and [exec.max_domains]
     records the most domains any launch engaged.
     [kcompile.scalar_blocks] counts the blocks of more than one thread
-    that ran one thread at a time, raising launches included. *)
+    that ran one thread at a time, raising launches included.
+    [kcompile.guards_folded] and [kcompile.guards_scanned] count the
+    (folded guard, block) pairs whose block class took one branch
+    directly, or the compare steps and lane scan (DESIGN.md §13). *)
 
 val publish_metrics : ?into:Obs.Metrics.t -> Obs.Metrics.t -> unit
 (** Merge an executor's registry into another (default:

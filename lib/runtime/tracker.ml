@@ -11,13 +11,13 @@
    Owners are small integers: a device id, or {!host} for data whose
    freshest copy is in host memory.
 
-   A tracker made by [create_indexed] also keeps every segment in a
-   second B-tree keyed by (owner, start), packed into one int, so
-   {!coldest} finds the smallest positive owner in one descent.  The
-   vbuf residency trackers of a capacity-limited machine use it: their
-   owners are LRU stamps and eviction wants the oldest.  The index is
-   updated at the same add/remove sites as the segment map, so the two
-   cannot drift.
+   A tracker made by [create_indexed] also keeps every segment with a
+   positive owner in a second B-tree keyed by (owner, start), packed
+   into one int, so {!coldest} finds the smallest positive owner in one
+   descent.  The vbuf residency trackers of a capacity-limited machine
+   use it: their owners are LRU stamps and eviction wants the oldest.
+   The index is updated at the same add/remove sites as the segment
+   map, so the two cannot drift.
 
    Every tracker carries a version, drawn from one process-wide clock
    when it is created and again at every add/remove.  Versions are
@@ -59,22 +59,25 @@ let check_indexed_owner owner =
          owner max_indexed_owner)
 
 (* Every change to the segment map goes through these two, which keep
-   the index in step.  [add] may replace the entry at [seg.start]; the
-   replaced segment always has [seg]'s owner, so its index key is
-   [seg]'s too and is replaced with it. *)
+   the index in step.  The index holds the segments with a positive
+   owner only: {!coldest} never looks below owner 1, and the zero-owner
+   gaps of a residency tracker are half of its segments.  [add] may
+   replace the entry at [seg.start]; the replaced segment always has
+   [seg]'s owner, so its index key is [seg]'s too and is replaced with
+   it. *)
 let add t seg =
   t.version <- next_version ();
   M.add t.map seg.start seg;
   match t.index with
-  | None -> ()
-  | Some ix -> M.add ix (index_key seg.owner seg.start) seg
+  | Some ix when seg.owner > 0 -> M.add ix (index_key seg.owner seg.start) seg
+  | _ -> ()
 
 let remove t seg =
   t.version <- next_version ();
   M.remove t.map seg.start;
   match t.index with
-  | None -> ()
-  | Some ix -> M.remove ix (index_key seg.owner seg.start)
+  | Some ix when seg.owner > 0 -> M.remove ix (index_key seg.owner seg.start)
+  | _ -> ()
 
 let make ~indexed ~len ~initial_owner =
   if len <= 0 then invalid_arg "Tracker.create: empty index space";
@@ -165,14 +168,20 @@ let owner_at t idx =
    split/absorbed and the new segment is merged with equal-owner
    neighbors.
 
+   The ops charged are those of the textbook sequence: split at
+   [start] and at [stop] (3 ops for a split, 1 for a boundary already
+   there), walk and remove the segments inside (one op per entry
+   visited, the one that ends the walk included, and one per removal),
+   probe both neighbours for a merge and insert (5).  The map itself
+   takes the fewest changes that reach the same segments: the outer
+   parts of the end segments are written once, not split off and put
+   back, and a merge rewrites the neighbour's entry in place.
+
    Most writes in a steady-state loop land inside a segment their
    writer already owns, where that sequence would split the segment,
    remove the middle and merge all three pieces back: the map ends as
-   it began.  Such a write leaves the map alone and charges exactly
-   the ops the sequence would have: a split (3) or a miss (1) at each
-   end, the removal walk's first entry, the removal, both merge probes
-   and the insert (5), and the walk's terminating entry when one
-   follows the range. *)
+   it began.  Such a write leaves the map alone and charges the same
+   ops. *)
 let write t ~start ~stop ~owner =
   check_range t ~start ~stop ~what:"write";
   (match t.index with Some _ -> check_indexed_owner owner | None -> ());
@@ -184,52 +193,55 @@ let write t ~start ~stop ~owner =
        + 5
        + if stop < t.len then 1 else 0)
   else begin
-    (* Split a segment straddling [at]. *)
-    let split at =
-      let seg = holding t at in
-      if seg.start < at && at < seg.stop then begin
-        bump t 3;
-        add t { seg with stop = at };
-        add t { seg with start = at }
-      end
-      else bump t 1
-    in
-    split start;
-    split stop;
-    (* Remove all segments fully inside [start, stop). *)
-    let doomed = ref [] in
-    M.iter_from t.map start (fun s seg ->
-        bump t 1;
+    (* The segments overlapping [start, stop), [seg] to [last]; the ones
+       starting inside the range go. *)
+    let inside = ref 0 and doomed = ref [] and last = ref seg in
+    M.iter_from t.map seg.start (fun s sg ->
         if s < stop then begin
-          doomed := seg :: !doomed;
+          incr inside;
+          if s >= start then doomed := sg :: !doomed;
+          last := sg;
           true
         end
         else false);
-    List.iter
-      (fun seg ->
-         bump t 1;
-         remove t seg)
-      !doomed;
-    (* Insert, then merge with equal-owner neighbors. *)
+    let last = !last in
+    bump t
+      ((if seg.start < start then 3 else 1)
+       + (if stop < last.stop then 3 else 1)
+       + (2 * !inside)
+       + (if stop < t.len then 1 else 0)
+       + 3);
+    List.iter (remove t) !doomed;
+    (* The new segment's start: merged into [seg]'s outer part or into
+       the segment ending at [start] when the owner matches. *)
     let seg_start =
-      let left = holding t (start - 1) in
-      bump t 1;
-      if left.stop = start && left.owner = owner then begin
-        remove t left;
-        left.start
-      end
-      else start
+      if seg.start < start then
+        if seg.owner = owner then seg.start
+        else begin
+          add t { seg with stop = start };
+          start
+        end
+      else
+        let left = holding t (start - 1) in
+        if left.stop = start && left.owner = owner then left.start else start
     in
     let seg_stop =
-      let right = holding t stop in
-      bump t 1;
-      if right.start = stop && right.owner = owner then begin
-        remove t right;
-        right.stop
+      if stop < last.stop then
+        if last.owner = owner then last.stop
+        else begin
+          add t { last with start = stop };
+          stop
+        end
+      else if stop < t.len then begin
+        let right = holding t stop in
+        if right.owner = owner then begin
+          remove t right;
+          right.stop
+        end
+        else stop
       end
       else stop
     in
-    bump t 1;
     add t { start = seg_start; stop = seg_stop; owner }
   end
 
@@ -273,13 +285,14 @@ let check_invariants t =
    | None -> ()
    | Some ix ->
      ignore (M.validate ix);
-     if M.size ix <> M.size t.map then
-       failwith "Tracker: index and segment map differ in size";
+     let owned = List.filter (fun seg -> seg.owner > 0) segs in
+     if M.size ix <> List.length owned then
+       failwith "Tracker: index size differs from the positive-owner segments";
      List.iter
        (fun seg ->
           if M.find_opt ix (index_key seg.owner seg.start) <> Some seg then
             failwith "Tracker: segment missing from the index")
-       segs);
+       owned);
   let rec go pos = function
     | [] -> if pos <> t.len then failwith "Tracker: space not fully covered"
     | { start; stop; owner = _ } :: rest ->

@@ -88,5 +88,6 @@ val segments : t -> segment list
 val check_invariants : t -> unit
 (** Verify full coverage, no overlap, sortedness and maximal merging,
     and for an indexed tracker that the index holds exactly one entry
-    per segment, under that segment's (owner, start); raises [Failure]
-    on violation.  Test support. *)
+    per segment with a positive owner, under that segment's (owner,
+    start), and nothing else; raises [Failure] on violation.  Test
+    support. *)

@@ -57,15 +57,17 @@ and space = {
   mutable members : t list; (* the eviction pool, in name order *)
   mutable transfers : int;
   mutable tracker_ops : int;
+  mutable evict_passes : int;
 }
 
 let space ?(cfg = Rconfig.alpha) machine =
   { s_machine = machine; s_cfg = cfg; members = []; transfers = 0;
-    tracker_ops = 0 }
+    tracker_ops = 0; evict_passes = 0 }
 
 let members s = s.members
 let transfers s = s.transfers
 let tracker_ops s = s.tracker_ops
+let evict_passes s = s.evict_passes
 
 (* Enter the pool in name order: stamps tie across vbufs, and
    [coldest] breaks ties by pool order. *)
@@ -400,6 +402,7 @@ let ensure_resident ?stamp t ~dev ~ranges =
     in
     let evicting = needed > Gpusim.Machine.mem_free t.machine dev in
     if evicting then begin
+      t.space.evict_passes <- t.space.evict_passes + 1;
       Tracker.write res ~start ~stop ~owner:stamp;
       try
         while Gpusim.Machine.mem_free t.machine dev < needed do

@@ -30,7 +30,10 @@ val members : space -> t list
 
 val transfers : space -> int
 val tracker_ops : space -> int
-(** Transfers issued by syncs, and charged ownership-tracker ops. *)
+val evict_passes : space -> int
+(** Transfers issued by syncs, charged ownership-tracker ops, and
+    eviction passes: runs of {!ensure_resident}'s eviction loop, one
+    per range whose gaps did not fit. *)
 
 val create : space -> name:string -> len:int -> t
 (** Allocate one full-size *virtual* instance on every device and join

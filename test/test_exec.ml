@@ -1079,6 +1079,315 @@ let test_kcompile_mixed_block_modes () =
     ];
   checki "compiled once" 1 (int_of_float (Obs.Metrics.get reg "exec.compiles"))
 
+(* ---------------- Block-class guards ----------------
+
+   Random affine guards over random 1-, 2- and 3-D launches: each
+   compare side is [k + Σ ct·tid + Σ cg·gid + cn·n], coefficients in
+   [-3, 3], where [gid.a] is a local bound once to
+   [tid.a + (off.a + bid.a) * bdim.a] (the partitioned kernel's global
+   index, [off] a partition's block offset).  The grid is [n] over the
+   block rounded up, so the last blocks straddle [n].  For every block
+   the classifier must match brute force over the block's threads and
+   the polyhedral oracle ([Poly.is_empty] over the block's thread box,
+   exact here: the box is integral and each compare one inequality). *)
+
+type gside = { g_k : int; g_ct : int array; g_cg : int array; g_cn : int }
+type gspec = {
+  gs_dims : int;  (* axes in use, x first *)
+  gs_block : Dim3.t;
+  gs_grid : Dim3.t;
+  gs_off : int array;
+  gs_n : int;
+  gs_cmps : (Kir.binop * gside * gside) list;
+}
+
+let axes3 = [| Dim3.X; Dim3.Y; Dim3.Z |]
+let gid_name a = "g" ^ Dim3.axis_name a
+
+let guard_kernel spec =
+  let open Kir in
+  let side s =
+    let terms = ref (i s.g_k) in
+    Array.iteri
+      (fun a c ->
+         if Stdlib.( <> ) c 0 then terms := !terms + (i c * tid axes3.(a));
+         if Stdlib.( <> ) s.g_cg.(a) 0 then terms := !terms + (i s.g_cg.(a) * v (gid_name axes3.(a))))
+      s.g_ct;
+    if Stdlib.( <> ) s.g_cn 0 then !terms + (i s.g_cn * p "n") else !terms
+  in
+  let cond =
+    match List.map (fun (op, a, b) -> Binop (op, side a, side b)) spec.gs_cmps with
+    | c :: rest -> List.fold_left ( && ) c rest
+    | [] -> assert false
+  in
+  let off a = p ("off" ^ Dim3.axis_name a) in
+  let k =
+    Kir.kernel ~name:"guard"
+      ~params:
+        ([ Scalar "n" ]
+         @ List.map (fun a -> Scalar ("off" ^ Dim3.axis_name a)) [ Dim3.X; Dim3.Y; Dim3.Z ]
+         @ [ Array { name = "out"; dims = [| Dim_const 1 |] } ])
+      (List.map
+         (fun a -> Local (gid_name a, tid a + ((off a + bid a) * bdim a)))
+         [ Dim3.X; Dim3.Y; Dim3.Z ]
+       @ [ If (cond, [ store "out" [ i 0 ] (f 1.0) ], []) ])
+  in
+  (k, cond)
+
+let gen_gspec =
+  let open QCheck.Gen in
+  let coef = int_range (-3) 3 in
+  int_range 1 3 >>= fun dims ->
+  let ext a = if a < dims then int_range 1 5 else return 1 in
+  ext 0 >>= fun bx ->
+  ext 1 >>= fun by ->
+  ext 2 >>= fun bz ->
+  int_range 1 13 >>= fun n ->
+  array_size (return 3) (int_range 0 4) >>= fun off ->
+  let used arr = Array.mapi (fun i c -> if i < dims then c else 0) arr in
+  let gen_side =
+    int_range (-8) 8 >>= fun k ->
+    array_size (return 3) coef >>= fun ct ->
+    array_size (return 3) coef >>= fun cg ->
+    coef >>= fun cn -> return { g_k = k; g_ct = used ct; g_cg = used cg; g_cn = cn }
+  in
+  list_size (int_range 1 3)
+    (triple (oneofl [ Kir.Lt; Kir.Le; Kir.Gt; Kir.Ge ]) gen_side gen_side)
+  >>= fun cmps ->
+  let block = Dim3.make bx ~y:by ~z:bz in
+  let cover e = (n + e - 1) / e in
+  let grid =
+    Dim3.make (cover bx) ~y:(if dims > 1 then cover by else 1) ~z:(if dims > 2 then cover bz else 1)
+  in
+  return { gs_dims = dims; gs_block = block; gs_grid = grid; gs_off = off; gs_n = n; gs_cmps = cmps }
+
+let print_gspec s =
+  Printf.sprintf "n=%d block=%s grid=%s off=%d,%d,%d\n%s" s.gs_n (Dim3.to_string s.gs_block)
+    (Dim3.to_string s.gs_grid) s.gs_off.(0) s.gs_off.(1) s.gs_off.(2)
+    (Kir.to_string (fst (guard_kernel s)))
+
+let gargs s = List.map (fun v -> Keval.AInt v) (s.gs_n :: Array.to_list s.gs_off)
+
+(* A side's value at one thread of one block. *)
+let side_at s b t side =
+  let v = ref (side.g_k + (side.g_cn * s.gs_n)) in
+  for a = 0 to 2 do
+    let bd = Dim3.get s.gs_block axes3.(a) in
+    let gid = t.(a) + ((s.gs_off.(a) + b.(a)) * bd) in
+    v := !v + (side.g_ct.(a) * t.(a)) + (side.g_cg.(a) * gid)
+  done;
+  !v
+
+let holds op x y =
+  match op with Kir.Lt -> x < y | Kir.Le -> x <= y | Kir.Gt -> x > y | _ -> x >= y
+
+let threads s =
+  let out = ref [] in
+  Dim3.iter s.gs_block (fun t -> out := [| t.Dim3.x; t.Dim3.y; t.Dim3.z |] :: !out);
+  !out
+
+(* One compare over a block's threads, as (all true, all false). *)
+let brute s b (op, x, y) =
+  let vals = List.map (fun t -> holds op (side_at s b t x) (side_at s b t y)) (threads s) in
+  (List.for_all Fun.id vals, not (List.exists Fun.id vals))
+
+(* The same compare as a constraint over the thread box, block fixed:
+   [op] or its integer negation. *)
+let poly_empty s b (op, x, y) ~negated =
+  let sp = Ppoly.Space.make ~params:[||] ~dims:[| "tx"; "ty"; "tz" |] in
+  let aff side =
+    let at0 = side_at s b [| 0; 0; 0 |] side in
+    (* [gid.a] moves with [tid.a] one for one. *)
+    let terms = List.init 3 (fun a -> (side.g_ct.(a) + side.g_cg.(a), [| "tx"; "ty"; "tz" |].(a))) in
+    Ppoly.Aff.of_terms sp terms ~const:at0
+  in
+  let op = if negated then match op with Kir.Lt -> Kir.Ge | Kir.Le -> Kir.Gt | Kir.Gt -> Kir.Le | _ -> Kir.Lt else op in
+  let c =
+    (match op with
+     | Kir.Lt -> Ppoly.Constr.lt2
+     | Kir.Le -> Ppoly.Constr.le2
+     | Kir.Gt -> Ppoly.Constr.gt2
+     | _ -> Ppoly.Constr.ge2)
+      (aff x) (aff y)
+  in
+  let box =
+    List.concat_map
+      (fun a ->
+         let name = [| "tx"; "ty"; "tz" |].(a) in
+         let t = Ppoly.Aff.var sp name in
+         [ Ppoly.Constr.ge2 t (Ppoly.Aff.const sp 0);
+           Ppoly.Constr.le2 t (Ppoly.Aff.const sp (Dim3.get s.gs_block axes3.(a) - 1)) ])
+      [ 0; 1; 2 ]
+  in
+  Ppoly.Poly.is_empty (Ppoly.Poly.make sp (c :: box))
+
+let prop_guard_classifier =
+  QCheck.Test.make ~name:"block classifier == brute force == Poly over the thread box" ~count:500
+    (QCheck.make ~print:print_gspec gen_gspec)
+    (fun s ->
+       let k, cond = guard_kernel s in
+       match
+         Kcompile.guard_classifier k ~grid:s.gs_grid ~block:s.gs_block ~args:(gargs s) cond
+       with
+       | None -> QCheck.Test.fail_report "an affine guard did not fold"
+       | Some classify ->
+         let ok = ref true in
+         Dim3.iter s.gs_grid (fun bi ->
+             let b = [| bi.Dim3.x; bi.Dim3.y; bi.Dim3.z |] in
+             let per = List.map (brute s b) s.gs_cmps in
+             let all_true = List.for_all fst per and some_false = List.exists snd per in
+             let poly_true = List.for_all (poly_empty s b ~negated:true) s.gs_cmps in
+             let poly_false = List.exists (poly_empty s b ~negated:false) s.gs_cmps in
+             let want =
+               if all_true then Kcompile.All_true
+               else if some_false then Kcompile.All_false
+               else Kcompile.Mixed
+             in
+             (* A whole-guard check: the classifier never claims a class
+                some thread contradicts. *)
+             let lanes =
+               List.map
+                 (fun t -> List.for_all (fun (op, x, y) -> holds op (side_at s b t x) (side_at s b t y)) s.gs_cmps)
+                 (threads s)
+             in
+             let got = classify bi in
+             let sound =
+               match got with
+               | Kcompile.All_true -> List.for_all Fun.id lanes
+               | Kcompile.All_false -> not (List.exists Fun.id lanes)
+               | Kcompile.Mixed -> true
+             in
+             if not (got = want && sound && poly_true = all_true && poly_false = some_false) then
+               ok := false);
+         !ok)
+
+(* Guards that must not fold: a local a branch reassigns, a loop
+   counter, and a guard that reads an array. *)
+let unfoldable =
+  let open Kir in
+  let params =
+    [ Scalar "n"; Array { name = "a"; dims = [| Dim_param "n" |] };
+      Array { name = "out"; dims = [| Dim_param "n" |] } ]
+  in
+  let gi = global_id Dim3.X in
+  [
+    ( "reassigned local",
+      Kir.kernel ~name:"reassigned" ~params
+        [
+          Local ("x", gi);
+          If (load "a" [ i 0 ] > f 0.0, [ Assign ("x", gi - i 1) ], []);
+          If (v "x" < p "n", [ store "out" [ v "x" ] (f 1.0) ], []);
+        ],
+      v "x" < p "n" );
+    ( "loop counter",
+      Kir.kernel ~name:"counter" ~params
+        [
+          Local ("gi", gi);
+          For
+            {
+              var = "k";
+              from_ = i 0;
+              to_ = i 3;
+              body = [ If (v "k" < v "gi", [ store "out" [ v "gi" ] (f 2.0) ], []) ];
+            };
+        ],
+      v "k" < v "gi" );
+    ( "load in guard",
+      Kir.kernel ~name:"loaded" ~params
+        [
+          Local ("gi", gi);
+          If (v "gi" < p "n" && load "a" [ v "gi" ] < f 0.5, [ store "out" [ v "gi" ] (f 3.0) ], []);
+        ],
+      v "gi" < p "n" && load "a" [ v "gi" ] < f 0.5 );
+  ]
+
+let guards reg name = int_of_float (Obs.Metrics.get reg ("kcompile.guards_" ^ name))
+
+(* Folded guards run the executor bit-identically to Keval, diagnostics
+   included; unfoldable ones are classified by nobody. *)
+let test_folded_guards_match_keval () =
+  let n = 37 in
+  let a = Array.init n (fun i -> float_of_int ((i * 7) mod 11) /. 8.0 -. 0.25) in
+  let inputs = [ ("a", a); ("out", Array.make n nan) ] in
+  let grid = Dim3.make ((n + 7) / 8) and block = Dim3.make 8 in
+  let args = [ Keval.AInt n ] in
+  let same what (ri, ai, rc, ac, _) = checkb (what ^ ": outputs and diagnostic match Keval") true (ri = rc && ai = ac) in
+  (* The hotspot stencil, 2-D, partitioned: interior blocks fold every
+     guard. *)
+  let part = Kopt.optimize (Mekong.Partition.transform_kernel Apps.Hotspot.kernel) in
+  let hn = 40 in
+  let hg = Apps.Hotspot.grid_for hn in
+  let hargs =
+    Keval.AInt hn
+    :: List.concat_map (fun ax -> [ Keval.AInt 0; Keval.AInt (Dim3.get hg ax - 1) ]) Dim3.axes
+  in
+  let data = Array.init (hn * hn) (fun i -> float_of_int ((i * 13) mod 29) /. 4.0) in
+  let ((_, _, _, _, reg) as r) =
+    executor_vs_keval part ~grid:hg ~block:Apps.Hotspot.block ~args:hargs
+      [ ("inp", data); ("out", Array.make (hn * hn) nan) ]
+  in
+  same "hotspot" r;
+  checkb "hotspot folds guards" true (guards reg "folded" > 0);
+  checkb "hotspot scans its boundary blocks" true (guards reg "scanned" > 0);
+  (* A folded branch that faults: the diagnostic and partial outputs
+     are Keval's. *)
+  let faulting =
+    let open Kir in
+    Kir.kernel ~name:"folded_fault"
+      ~params:[ Scalar "n"; Array { name = "a"; dims = [| Dim_param "n" |] };
+                Array { name = "out"; dims = [| Dim_param "n" |] } ]
+      [
+        Local ("gi", global_id Dim3.X);
+        If (v "gi" < i 30, [ store "out" [ v "gi" ] (load "a" [ v "gi" ]) ],
+            [ store "out" [ v "gi" + i 5 ] (f 9.0) ]);
+      ]
+  in
+  let ((ri, _, _, _, reg) as r) = executor_vs_keval faulting ~grid ~block ~args inputs in
+  same "faulting folded branch" r;
+  checkb "the else branch faults" true (Result.is_error ri);
+  checkb "faulting kernel folds guards" true (guards reg "folded" > 0);
+  (* An initial value the folded branch overwrites is sunk into the
+     other branch; the guard's edge blocks read it, the last block's
+     load leaves bounds.  Variants whose condition or new value reads
+     the local keep the initialization where it is. *)
+  let sunk guard value =
+    let open Kir in
+    Kir.kernel ~name:"sunk"
+      ~params:[ Scalar "n"; Array { name = "a"; dims = [| Dim_param "n" |] };
+                Array { name = "out"; dims = [| Dim_param "n" |] } ]
+      [
+        Local ("gi", global_id Dim3.X);
+        Local ("x", f 0.5);
+        If (guard, [ Assign ("x", value) ], []);
+        If (v "gi" < p "n", [ store "out" [ v "gi" ] (v "x" * f 3.0) ], []);
+      ]
+  in
+  List.iter
+    (fun (what, k) ->
+       let ((ri, _, _, _, reg) as r) = executor_vs_keval k ~grid ~block ~args inputs in
+       same what r;
+       checkb (what ^ ": completes") true (Result.is_ok ri);
+       checkb (what ^ ": folds guards") true (guards reg "folded" > 0))
+    (let open Kir in
+     [
+       ("sunk initial value", sunk (v "gi" < i 20) (load "a" [ v "gi" + i 1 ]));
+       ("condition reads the local", sunk (v "gi" < i 20 && v "x" > f 0.0) (load "a" [ v "gi" ]));
+       ("new value reads the local", sunk (v "gi" < i 20) (v "x" + load "a" [ v "gi" ]));
+     ]);
+  let ((ri, _, _, _, _) as r) =
+    executor_vs_keval (sunk Kir.(v "gi" < i 37) Kir.(load "a" [ v "gi" + i 1 ])) ~grid ~block ~args inputs
+  in
+  same "sunk value that leaves bounds" r;
+  checkb "the sunk load faults" true (Result.is_error ri);
+  List.iter
+    (fun (what, k, cond) ->
+       checkb (what ^ ": not foldable") true
+         (Kcompile.guard_classifier k ~grid ~block ~args cond = None);
+       let ((_, _, _, _, reg) as r) = executor_vs_keval k ~grid ~block ~args inputs in
+       same what r;
+       checki (what ^ ": no folded pairs") 0 (guards reg "folded"))
+    unfoldable
+
 (* ---------------- Allocation guard ----------------
 
    The compiled executor keeps every value in its register files and
@@ -1233,6 +1542,12 @@ let () =
           Alcotest.test_case "block modes share one environment" `Quick
             test_kcompile_mixed_block_modes;
           Alcotest.test_case "allocation guard" `Quick test_kcompile_allocation;
+        ] );
+      ( "guards",
+        [
+          qtest prop_guard_classifier;
+          Alcotest.test_case "folded guards match Keval" `Quick
+            test_folded_guards_match_keval;
         ] );
       ( "multi_gpu",
         [

@@ -745,6 +745,12 @@ let print_request (dnow, dready, legs) =
   Printf.sprintf "(+%g, ready+%g, [%s])" dnow dready
     (String.concat "; " (List.map (fun (i, o) -> Printf.sprintf "L%d:%g" i o) legs))
 
+(* [Link.admit_in] with its two inputs, returning the admitted time. *)
+let admit ~now ~start legs occupancy =
+  let a = [| now; start |] in
+  Link.admit_in a legs occupancy;
+  a.(1)
+
 let prop_link_matches_oracle =
   QCheck.Test.make ~name:"link admission matches the list oracle" ~count:500
     (QCheck.make
@@ -759,7 +765,7 @@ let prop_link_matches_oracle =
            now := !now +. dnow;
            let start = !now +. dready in
            let got =
-             Link.admit ~now:!now ~start
+             admit ~now:!now ~start
                (Array.of_list (List.map (fun (i, _) -> links.(i)) legs))
                (Array.of_list (List.map snd legs))
            in
@@ -778,18 +784,18 @@ let prop_link_matches_oracle =
 let test_link_coalesces () =
   let l = Link.create "bus" in
   for i = 0 to 999 do
-    let s = Link.admit ~now:0.0 ~start:0.0 [| l |] [| 1.0 |] in
+    let s = admit ~now:0.0 ~start:0.0 [| l |] [| 1.0 |] in
     checkf "back to back" (float_of_int i) s
   done;
   checkb "one coalesced interval" true (Link.reservations l = [ (0.0, 1000.0) ]);
   checkf "busy accounted" 1000.0 (Timeline.busy_in (Link.timeline l) "bus");
   (* a gap left open is still found by backfill, and closing it merges
      both sides *)
-  ignore (Link.admit ~now:0.0 ~start:1001.0 [| l |] [| 1.0 |]);
-  checkf "backfill" 1000.0 (Link.admit ~now:0.0 ~start:0.0 [| l |] [| 1.0 |]);
+  ignore (admit ~now:0.0 ~start:1001.0 [| l |] [| 1.0 |]);
+  checkf "backfill" 1000.0 (admit ~now:0.0 ~start:0.0 [| l |] [| 1.0 |]);
   checkb "gap closed" true (Link.reservations l = [ (0.0, 1002.0) ]);
   (* drained reservations are dropped at the next admission *)
-  checkf "after drain" 2000.0 (Link.admit ~now:2000.0 ~start:2000.0 [| l |] [| 1.0 |]);
+  checkf "after drain" 2000.0 (admit ~now:2000.0 ~start:2000.0 [| l |] [| 1.0 |]);
   checkb "drained" true (Link.reservations l = [ (2000.0, 2001.0) ])
 
 (* ---------------- Transfer accounting ---------------- *)
@@ -896,8 +902,8 @@ let test_hot_path_allocation () =
   bounded "Machine.host_work" 4.0 (fun _ ->
       Machine.host_work m ~seconds:1e-6 ~category:"pattern");
   (* A launch graph of one period (per device a p2p, host work and a
-     launch, then a sync) replays in one call allocating no more words
-     per op than issuing the same calls live. *)
+     launch, then a sync) replays in one call allocating nothing: every
+     float reaches [Timeline] and [Link] through an array slot. *)
   let period () =
     for d = 0 to 3 do
       Machine.p2p m ~src:bufs.(d) ~src_off:0 ~dst:bufs.((d + 1) mod 4)
@@ -914,9 +920,9 @@ let test_hot_path_allocation () =
   let replayed = words_per_call 2_000 (fun _ -> Machine.replay m g) /. ops in
   Printf.printf "period: %.2f minor words per op live, %.2f replayed\n" live
     replayed;
-  if replayed > live || replayed > 4.0 then
+  if replayed > live || replayed > 0.0 then
     Alcotest.failf
-      "a replayed op allocates %.2f minor words (live %.2f, bound 4)" replayed
+      "a replayed op allocates %.2f minor words (live %.2f, bound 0)" replayed
       live
 
 (* ---------------- Launch graphs ---------------- *)

@@ -436,6 +436,275 @@ let residency_model ~name ~reverse =
       in
       !ok && gathered && want = !oracle)
 
+(* ---------------- The eviction loop against a spill-built loop ----------------
+
+   [ensure_resident] evicts one segment per round: stamp the range,
+   then take the pool's coldest segment older than the stamp and evict
+   it, until the range's gaps fit.  The oracle is that loop built from
+   public calls and a scan of every residency segment: before each
+   range it evicts with [Vbuf.spill], one segment at a time, and then
+   the real [ensure_resident] finds room without evicting.  The real
+   loop stamps the range first so no part of it can be picked; the
+   oracle instead clips the target's segments to outside the range,
+   which yields the same pieces (a straddling segment's outer part).
+   Two worlds run the same schedule, one through [ensure_resident] and
+   one through the oracle, and must agree after every step: the
+   victims in order, every ownership and residency tracker (segments
+   and, for ownership, the ops the pattern charge reads), resident
+   bytes, device memory and [Machine.stats] (spill counters and
+   pattern seconds included), and the final gathers.  This checks
+   [Tracker.write]'s in-place merges and lookup hint where eviction
+   cuts the residency maps finest. *)
+
+type world = { w_m : Gpusim.Machine.t; w_space : Vbuf.space; w_vbs : Vbuf.t array }
+
+let make_world ~n ~fault_seed =
+  let m =
+    Gpusim.Machine.create ~functional:true
+      (Gpusim.Config.test_box ~n_devices:2 ~mem_capacity:128 ())
+  in
+  Option.iter
+    (fun seed ->
+       Gpusim.Machine.inject_faults m
+         (Gpusim.Faults.create
+            { Gpusim.Faults.null_spec with seed; transfer_fault_rate = 0.15 }))
+    fault_seed;
+  let space = Vbuf.space m in
+  let vbs = Array.init n (fun i -> Vbuf.create space ~name:(String.make 1 (Char.chr (97 + i))) ~len:80) in
+  { w_m = m; w_space = space; w_vbs = vbs }
+
+(* The pieces of [seg] outside [rs, re). *)
+let outside (seg : Tracker.segment) (rs, re) =
+  List.filter
+    (fun (s, e) -> s < e)
+    [ (seg.Tracker.start, min seg.Tracker.stop rs); (max seg.Tracker.start re, seg.Tracker.stop) ]
+
+let old_coldest w t ~dev ~stamp range =
+  let best = ref None in
+  List.iteri
+    (fun pi v ->
+       List.iter
+         (fun (seg : Tracker.segment) ->
+            if seg.owner > 0 && seg.owner < stamp then
+              List.iter
+                (fun (s, e) ->
+                   match !best with
+                   | Some (key, _) when compare key (seg.owner, pi, s) <= 0 -> ()
+                   | _ -> best := Some ((seg.owner, pi, s), (v, s, e)))
+                (if v == t then outside seg range else [ (seg.Tracker.start, seg.Tracker.stop) ]))
+         (Tracker.segments (Vbuf.residency v ~dev)))
+    (Vbuf.members w.w_space);
+  Option.map snd !best
+
+(* The oracle loop for each range, then the real ensure.  [fault_at k]
+   raises [Exit] just before the k-th victim (from 0) of a loop.  On
+   any exception the range ends re-stamped over its resident parts,
+   as [ensure_resident]'s handler leaves it. *)
+let old_ensure ?(fault_at = -1) w t ~dev ~stamp ~log ranges =
+  List.iter
+    (fun (rs, re) ->
+       let res = Vbuf.residency t ~dev in
+       let gaps = ref [] in
+       Tracker.iter_range res ~start:rs ~stop:re (fun s e owner ->
+           if owner = 0 then gaps := (s, e) :: !gaps);
+       let needed = 4 * List.fold_left (fun acc (s, e) -> acc + e - s) 0 !gaps in
+       let k = ref 0 in
+       (try
+          while Gpusim.Machine.mem_free w.w_m dev < needed do
+            match old_coldest w t ~dev ~stamp (rs, re) with
+            | None ->
+              raise
+                (Gpusim.Machine.Out_of_memory
+                   { device = dev; requested = needed; free = Gpusim.Machine.mem_free w.w_m dev })
+            | Some (v, s, e) ->
+              if !k = fault_at then raise Exit;
+              incr k;
+              log := (Vbuf.name v, dev, s, e) :: !log;
+              ignore (Vbuf.spill v ~dev ~ranges:[ (s, e) ])
+          done
+        with exn ->
+          Tracker.write res ~start:rs ~stop:re ~owner:stamp;
+          List.iter (fun (s, e) -> Tracker.write res ~start:s ~stop:e ~owner:0) !gaps;
+          raise exn);
+       Vbuf.ensure_resident ~stamp t ~dev ~ranges:[ (rs, re) ])
+    ranges
+
+(* Everything the two worlds must agree on. *)
+let snapshot w =
+  let per_vbuf v =
+    let tr = Vbuf.tracker v in
+    ( Tracker.segments tr,
+      Tracker.ops tr,
+      List.init 2 (fun dev -> (Tracker.segments (Vbuf.residency v ~dev), Vbuf.resident_bytes v ~dev)) )
+  in
+  ( Array.map per_vbuf w.w_vbs,
+    List.init 2 (Gpusim.Machine.mem_used w.w_m),
+    Gpusim.Machine.stats w.w_m )
+
+type pop =
+  | PLaunch of int * (int * int * int) list (* device, (vbuf, lo, hi) *)
+  | PEnsure of int * int * (int * int) list (* vbuf, device, ranges *)
+
+let gen_pop =
+  QCheck.Gen.(
+    let range = int_range 0 74 >>= fun lo -> int_range 1 6 >|= fun w -> (lo, lo + w) in
+    int_range 0 2 >>= fun vb ->
+    int_range 0 1 >>= fun dev ->
+    frequency
+      [
+        ( 3,
+          list_size (int_range 1 3) (pair (int_range 0 2) range)
+          >|= fun parts -> PLaunch (dev, List.map (fun (v, (lo, hi)) -> (v, lo, hi)) parts) );
+        (2, list_size (int_range 1 3) range >|= fun rs -> PEnsure (vb, dev, rs));
+      ])
+
+let print_pop = function
+  | PLaunch (d, parts) ->
+    Printf.sprintf "L%d{%s}" d
+      (String.concat "," (List.map (fun (v, l, h) -> Printf.sprintf "%d[%d,%d)" v l h) parts))
+  | PEnsure (v, d, rs) ->
+    Printf.sprintf "E%d.%d{%s}" v d
+      (String.concat "," (List.map (fun (l, h) -> Printf.sprintf "[%d,%d)" l h) rs))
+
+let outcome f =
+  match f () with
+  | () -> "ok"
+  | exception Gpusim.Machine.Out_of_memory _ -> "oom"
+  | exception Gpusim.Machine.Transient_fault _ -> "fault"
+
+(* Run one schedule in a world; [ensure] is the world's eviction.
+   Returns the per-step outcomes and snapshots, and the gathers. *)
+let run_world w ~ensure ops =
+  let n = Array.length w.w_vbs in
+  let models = Array.init n (fun i -> Array.init 80 (fun j -> float_of_int ((100 * i) + j))) in
+  let steps =
+    List.map
+      (fun op ->
+         let r =
+           match op with
+           | PEnsure (vi, dev, ranges) ->
+             outcome (fun () ->
+                 ensure w w.w_vbs.(vi mod n) ~dev ~stamp:(Gpusim.Machine.lru_tick w.w_m) ranges)
+           | PLaunch (dev, parts) ->
+             let stamp = Gpusim.Machine.lru_tick w.w_m in
+             outcome (fun () ->
+                 List.iter
+                   (fun (vi, lo, hi) ->
+                      let v = w.w_vbs.(vi mod n) in
+                      ensure w v ~dev ~stamp [ (lo, hi) ];
+                      ignore (Vbuf.sync_for_read v ~dev ~batch:false ~stamp ~raw:0 ~ranges:[ (lo, hi) ]);
+                      let inst = Gpusim.Buffer.data_exn (Vbuf.instance v dev) in
+                      for i = lo to hi - 1 do
+                        inst.(i) <- inst.(i) +. 1.0
+                      done;
+                      Vbuf.update_for_write v ~dev ~stamp ~raw:0 ~ranges:[ (lo, hi) ])
+                   parts)
+         in
+         (r, snapshot w))
+      ops
+  in
+  ignore models;
+  let gathers =
+    Array.map
+      (fun v ->
+         let out = Array.make 80 nan in
+         (try Vbuf.d2h v ~dst:(Some out) with Gpusim.Machine.Transient_fault _ -> ());
+         Array.map Int64.bits_of_float out)
+      w.w_vbs
+  in
+  (steps, gathers)
+
+let with_hook f body =
+  Vbuf.set_eviction_hook (Some f);
+  Fun.protect ~finally:(fun () -> Vbuf.set_eviction_hook None) body
+
+let loop_vs_oracle ~name ~faults =
+  QCheck.Test.make ~name ~count:200
+    (QCheck.make
+       ~print:(fun (n, seed, l) ->
+         Printf.sprintf "%d vbufs, fault seed %d: %s" n seed (String.concat "; " (List.map print_pop l)))
+       QCheck.Gen.(triple (int_range 2 3) (int_range 0 1000) (list_size (int_range 1 30) gen_pop)))
+    (fun (n, seed, ops) ->
+       let fault_seed = if faults then Some seed else None in
+       let setup w =
+         Array.iteri
+           (fun i v ->
+              try Vbuf.h2d v ~src:(Some (Array.init 80 (fun j -> float_of_int ((100 * i) + j))))
+              with Gpusim.Machine.Transient_fault _ -> ())
+           w.w_vbs
+       in
+       let wa = make_world ~n ~fault_seed and wb = make_world ~n ~fault_seed in
+       setup wa;
+       setup wb;
+       let real_log = ref [] and old_log = ref [] in
+       let a =
+         with_hook
+           (fun v ~dev ~stamp:_ ~start ~stop -> real_log := (Vbuf.name v, dev, start, stop) :: !real_log)
+           (fun () ->
+              run_world wa
+                ~ensure:(fun _ v ~dev ~stamp ranges -> Vbuf.ensure_resident ~stamp v ~dev ~ranges)
+                ops)
+       in
+       let b =
+         with_hook
+           (fun _ ~dev:_ ~stamp:_ ~start:_ ~stop:_ -> failwith "the oracle world's ensure evicted")
+           (fun () ->
+              run_world wb
+                ~ensure:(fun w v ~dev ~stamp ranges -> old_ensure w v ~dev ~stamp ~log:old_log ranges)
+                ops)
+       in
+       !real_log = !old_log && a = b)
+
+(* An eviction of three victims, broken before its k-th: the victims
+   before k are evicted (host-owned, not resident), the rest stay
+   resident, and the world matches the oracle broken at the same
+   victim. *)
+let test_fault_at_kth_victim () =
+  let setup () =
+    let w = make_world ~n:1 ~fault_seed:None in
+    let v = w.w_vbs.(0) in
+    (* Eight 16-byte segments of distinct stamps fill the device. *)
+    List.iter
+      (fun i -> Vbuf.ensure_resident v ~dev:0 ~ranges:[ (8 * i, (8 * i) + 4) ])
+      [ 0; 1; 2; 3; 4; 5; 6; 7 ];
+    (w, v)
+  in
+  let victims = [ (0, 4); (8, 12); (16, 20) ] in
+  List.iter
+    (fun k ->
+       let wa, va = setup () and wb, vb = setup () in
+       let stamp = Gpusim.Machine.lru_tick wa.w_m in
+       ignore (Gpusim.Machine.lru_tick wb.w_m);
+       let seen = ref [] in
+       let ra =
+         with_hook
+           (fun _ ~dev:_ ~stamp:_ ~start ~stop ->
+              if List.length !seen = k then raise Exit;
+              seen := (start, stop) :: !seen)
+           (fun () ->
+              match Vbuf.ensure_resident ~stamp va ~dev:0 ~ranges:[ (64, 76) ] with
+              | () -> "ok"
+              | exception Exit -> "broken")
+       in
+       let rb =
+         match old_ensure ~fault_at:k wb vb ~dev:0 ~stamp ~log:(ref []) [ (64, 76) ] with
+         | () -> "ok"
+         | exception Exit -> "broken"
+       in
+       let what = Printf.sprintf "break at victim %d" k in
+       Alcotest.(check string) (what ^ ": raised") "broken" ra;
+       Alcotest.(check string) (what ^ ": oracle raised") "broken" rb;
+       checkb (what ^ ": same state as the oracle") true (snapshot wa = snapshot wb);
+       List.iteri
+         (fun i (s, e) ->
+            let owner = Tracker.owner_at (Vbuf.tracker va) s in
+            let resident = (Tracker.segment_at (Vbuf.residency va ~dev:0) s).Tracker.owner > 0 in
+            checkb (Printf.sprintf "%s: victim %d [%d,%d) evicted" what i s e) (i < k) (not resident);
+            checki (Printf.sprintf "%s: victim %d owner" what i) (if i < k then Tracker.host else 0) owner)
+         victims;
+       checki (what ^ ": spills") k (Gpusim.Machine.stats wa.w_m).Gpusim.Machine.n_spills)
+    [ 0; 1; 2 ]
+
 (* A space's pool is its live buffers in name order: [create] joins it
    whatever the creation order, [free] leaves it, and [restore] of a
    freed buffer (a replay to a checkpoint taken before a [Free])
@@ -504,5 +773,11 @@ let () =
                  ~name:"capped vbuf matches flat model, reverse creation"
                  ~reverse:true);
             Alcotest.test_case "pool membership" `Quick test_pool_membership;
+          ] );
+      ( "evict loop",
+          [
+            qtest (loop_vs_oracle ~name:"ensure == oracle loop" ~faults:false);
+            qtest (loop_vs_oracle ~name:"ensure == oracle loop, faults" ~faults:true);
+            Alcotest.test_case "fault at the k-th victim" `Quick test_fault_at_kth_victim;
           ] );
     ]

@@ -485,7 +485,7 @@ let report_fields =
         [
           "exec.compiles"; "exec.cache_hits"; "exec.seq_launches";
           "exec.par_launches"; "exec.max_domains"; "exec.interpreted";
-          "kcompile.scalar_blocks";
+          "kcompile.scalar_blocks"; "kcompile.guards_folded"; "kcompile.guards_scanned";
         ] );
       ( Gate,
         [
@@ -493,7 +493,11 @@ let report_fields =
           "engine.gate.unknown"; "engine.gate.merges"; "engine.gate.merged_elems";
         ] );
       (Faults, [ "faults.observed"; "faults.retries"; "faults.replays"; "faults.devices_lost" ]);
-      (Memory, [ "engine.chunked_launches"; "engine.chunks"; "engine.oom_refinements" ]);
+      ( Memory,
+        [
+          "engine.chunked_launches"; "engine.chunks"; "engine.oom_refinements";
+          "engine.evict_passes";
+        ] );
       ( Autotune,
         [
           "autotune.launches"; "autotune.predicted_us"; "autotune.actual_us";
