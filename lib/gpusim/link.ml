@@ -45,6 +45,23 @@ let timeline l = l.tl
 let reservations l =
   List.init (l.hi - l.lo) (fun i -> (l.starts.(l.lo + i), l.stops.(l.lo + i)))
 
+let live l = l.hi - l.lo
+
+(* The live reservations' starts, then their stops, into [dst] from
+   [off]. *)
+let save_window l dst off =
+  let n = live l in
+  Array.blit l.starts l.lo dst off n;
+  Array.blit l.stops l.lo dst (off + n) n
+
+(* Move every live reservation later by [a.(0)]. *)
+let shift_in l a =
+  let d = a.(0) in
+  for i = l.lo to l.hi - 1 do
+    l.starts.(i) <- l.starts.(i) +. d;
+    l.stops.(i) <- l.stops.(i) +. d
+  done
+
 (* Drop every reservation that ended at or before [now].  Reservations
    are disjoint, so ordered by start they are ordered by stop too and
    the drained ones form a prefix. *)

@@ -15,6 +15,18 @@ val reservations : t -> (float * float) list
     coalesced (no two touch).  Drained ones are dropped at each
     admission. *)
 
+val live : t -> int
+(** The number of {!reservations}. *)
+
+val save_window : t -> float array -> int -> unit
+(** [save_window l dst off] writes the {!live} reservations' starts,
+    then their stops, in order, to [dst] from [off]. *)
+
+val shift_in : t -> float array -> unit
+(** Move every reservation later by [a.(0)] seconds (the float travels
+    in the array, unboxed).  Only a fold that has proved the shift
+    exact calls it (DESIGN.md §4). *)
+
 val admit_in : float array -> t array -> float array -> unit
 (** [admit_in a legs occupancy], with [now = a.(0)] and
     [start = a.(1)], finds the earliest time [>= start] at which every

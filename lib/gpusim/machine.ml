@@ -139,6 +139,9 @@ type t = {
   seconds : float array;
       (* kernel, pattern and transfer seconds, unboxed: a float field
          of this record would box a fresh float on every update *)
+  links : Link.t array; (* every link [transfer] admits on *)
+  clocks : Timeline.t array;
+      (* every timeline: the host, each device's engines, each link *)
   op_clock : float array;
       (* start and finish of the last transfer or kernel, which the
          [*_async] operations return *)
@@ -191,6 +194,7 @@ and recording = {
   mutable r_ops : gop list; (* newest first *)
   mutable r_ticks : int; (* [lru_tick] calls *)
   mutable r_ok : bool; (* no call a graph cannot hold was made *)
+  r_seconds : Timeline.tape; (* the charges to [seconds] *)
 }
 
 let kernel_s = 0
@@ -198,6 +202,16 @@ let pattern_s = 1
 let transfer_s = 2
 
 let issue_overhead = 1.5e-6 (* host-side cost of issuing one async op *)
+
+(* Charge [x] seconds to one [seconds] slot, on the capture's tape
+   too while a launch graph is recorded. *)
+let[@inline] add_seconds m s x =
+  m.seconds.(s) <- m.seconds.(s) +. x;
+  match m.capturing with
+  | None -> ()
+  | Some r ->
+    m.args.(0) <- x;
+    Timeline.push_in r.r_seconds s m.args
 
 (* The placeholder of a pair no transfer has used yet. *)
 let unplanned =
@@ -299,29 +313,42 @@ let create ?(functional = false) cfg =
         })
   in
   let side = n + 1 in
+  let host = Timeline.create "host" and fabric = Link.create "fabric" in
+  let topo =
+    match cfg.Config.topology with
+    | Config.Flat -> None
+    | Config.Islands { island_size; link_bandwidth; uplink_bandwidth } ->
+      let n_islands = (n + island_size - 1) / island_size in
+      Some
+        {
+          t_island =
+            Array.init n_islands (fun i -> Link.create (Printf.sprintf "isl%d.link" i));
+          t_uplink =
+            Array.init n_islands (fun i -> Link.create (Printf.sprintf "isl%d.uplink" i));
+          t_isl_size = island_size;
+          t_link_bw = link_bandwidth;
+          t_uplink_bw = uplink_bandwidth;
+        }
+  in
+  let links =
+    match topo with
+    | None -> [| fabric |]
+    | Some topo -> Array.append topo.t_island topo.t_uplink
+  in
+  let clocks =
+    Array.concat
+      ([| host |]
+       :: List.map (fun d -> [| d.compute; d.copy_in; d.copy_out |]) (Array.to_list devices)
+       @ [ Array.map Link.timeline links ])
+  in
   {
     cfg;
     functional;
     devices;
-    host = Timeline.create "host";
-    fabric = Link.create "fabric";
-    topo =
-      (match cfg.Config.topology with
-       | Config.Flat -> None
-       | Config.Islands { island_size; link_bandwidth; uplink_bandwidth } ->
-         let n_islands = (n + island_size - 1) / island_size in
-         Some
-           {
-             t_island =
-               Array.init n_islands (fun i ->
-                   Link.create (Printf.sprintf "isl%d.link" i));
-             t_uplink =
-               Array.init n_islands (fun i ->
-                   Link.create (Printf.sprintf "isl%d.uplink" i));
-             t_isl_size = island_size;
-             t_link_bw = link_bandwidth;
-             t_uplink_bw = uplink_bandwidth;
-           });
+    host;
+    fabric;
+    topo;
+    links;
     routes = Array.make (side * side) unplanned;
     h2d_bytes = 0;
     d2h_bytes = 0;
@@ -334,6 +361,7 @@ let create ?(functional = false) cfg =
     spill_bytes = 0;
     n_spills = 0;
     seconds = Array.make 3 0.0;
+    clocks;
     op_clock = Array.make 2 0.0;
     args = Array.make 2 0.0;
     pair_bytes = Array.make (side * side) (-1);
@@ -417,9 +445,12 @@ let causal_last m tl =
   | None -> -1
   | Some b -> Option.value ~default:(-1) (Obs.Causal.last_on b (Timeline.name tl))
 
+(* An endpoint pair's index in [pair_bytes] and [routes]. *)
+let[@inline] pair_index m ~src ~dst = ((src + 1) * (Array.length m.devices + 1)) + dst + 1
+
 (* Byte-matrix accounting, charged exactly where [stats] bytes are. *)
 let count_pair m ~src ~dst ~bytes =
-  let i = ((src + 1) * (Array.length m.devices + 1)) + dst + 1 in
+  let i = pair_index m ~src ~dst in
   m.pair_bytes.(i) <- max 0 m.pair_bytes.(i) + bytes
 
 (* Built from the highest pair down, so the list comes out sorted. *)
@@ -667,8 +698,7 @@ let host_work m ~seconds ~category =
        (causal_add m ~label:category ~category:ccat ~resources:[ "host" ]
           ~ready:c.(1) ~start:c.(1) ~finish:c.(2) ~fixed:0.0 ~legs:[]
           ~deps:[] ~wait:""));
-  if String.equal category "pattern" then
-    m.seconds.(pattern_s) <- m.seconds.(pattern_s) +. seconds
+  if String.equal category "pattern" then add_seconds m pattern_s seconds
 
 (* --- Transfers --------------------------------------------------------- *)
 
@@ -682,7 +712,7 @@ type evt = float
 let rec latest t = function [] -> t | e :: rest -> latest (Float.max t e) rest
 
 let route m ~src ~dst =
-  let i = ((src + 1) * (Array.length m.devices + 1)) + dst + 1 in
+  let i = pair_index m ~src ~dst in
   let r = m.routes.(i) in
   if r != unplanned then r
   else begin
@@ -756,7 +786,7 @@ let transfer ?deps m ~kind r ~bytes =
   m.op_clock.(0) <- start;
   m.op_clock.(1) <- start +. dur;
   m.n_transfers <- m.n_transfers + 1;
-  m.seconds.(transfer_s) <- m.seconds.(transfer_s) +. dur;
+  add_seconds m transfer_s dur;
   match m.causal with
   | None -> ()
   | Some _ ->
@@ -955,7 +985,7 @@ let issue_kernel ?(deps = []) m dev ~dur =
           ~ready:c.(1) ~start:c.(1) ~finish:c.(2) ~fixed:0.0 ~legs:[]
           ~deps ~wait:""));
   m.n_launches <- m.n_launches + 1;
-  m.seconds.(kernel_s) <- m.seconds.(kernel_s) +. dur;
+  add_seconds m kernel_s dur;
   (* Traced before a fault is raised, like a faulted copy: the launch
      occupied its compute engine either way, so its lane matches the
      engine's busy time. *)
@@ -1012,12 +1042,35 @@ let launch_async ?deps m ~device ~blocks ~ops_per_block ~run : evt =
    simulated time, the trace, stats and counters come out bit-identical
    by construction.  What a live call does before that point (range
    checks, the route lookup, the kernel's duration model, the fault
-   draw) is settled at capture. *)
+   draw) is settled at capture.
+
+   The rest of the record serves the fold (DESIGN.md §4): what a period
+   schedules on and reads, what it charges, and a snapshot buffer for
+   its scheduling state, kept with the graph so that replaying a period
+   allocates nothing. *)
 type graph = {
   g_machine : t; (* the routes and engines of [g_ops] are this machine's *)
   g_ops : gop array;
   g_ticks : int; (* [lru_tick] calls to replay *)
   g_active : int; (* the active-device count every kernel was modelled at *)
+  g_moving : Timeline.t array;
+      (* the timelines a period schedules on, the host first *)
+  g_read : Timeline.t array; (* engines a period reads but never schedules on *)
+  g_links : Link.t array; (* links a period admits transfers on *)
+  g_op_clock : bool; (* a period sets [op_clock]: it has a copy or a kernel *)
+  g_charges : (Timeline.t * int * float array) array;
+      (* one period's charge tape: per busy slot, its adds in order *)
+  g_seconds : (int * float array) array; (* the same for [seconds] *)
+  g_longest : float; (* the longest duration a period adds to a clock *)
+  g_counts : int array;
+      (* one period's h2d, d2h and p2p bytes, transfers and launches *)
+  g_pairs : (int * int) array; (* byte-matrix index, bytes its copies move per period *)
+  mutable g_state : float array;
+      (* the scheduling state before the last live period, then after
+         it, [g_size] cells each *)
+  mutable g_size : int;
+  g_lens : int array; (* each link's live reservations before it *)
+  g_shift : float array; (* one slot: the shift of the next fold *)
 }
 
 (* Only a performance machine on ideal hardware without causal
@@ -1025,28 +1078,109 @@ type graph = {
    fault draws, no DAG nodes. *)
 let replayable m = (not m.functional) && m.faults = None && m.causal = None
 
+(* Mark in [read], indexed like [m.clocks], the engines an op reads: a
+   copy's copy engines and the compute engines it waits, a kernel's copy
+   engines, every engine for a sync. *)
+let mark_reads m read op =
+  let mark tl =
+    let i = ref 0 in
+    while m.clocks.(!i) != tl do
+      incr i
+    done;
+    read.(!i) <- true
+  in
+  match op with
+  | Copy { route; _ } ->
+    Array.iter mark route.engines;
+    Array.iter mark route.waits
+  | Kernel { dev; _ } ->
+    mark dev.copy_in;
+    mark dev.copy_out
+  | Host _ -> ()
+  | Sync -> Array.iter (fun d -> mark d.compute; mark d.copy_in; mark d.copy_out) m.devices
+
+let counts m = [| m.h2d_bytes; m.d2h_bytes; m.p2p_bytes; m.n_transfers; m.n_launches |]
+
+(* A graph of the ops [r] recorded, given the charges each timeline of
+   [m.clocks] took ([tapes]), those [seconds] took, and the counters
+   before the capture. *)
+let make_graph m r ~active ~tapes ~seconds ~counts0 =
+  let tls = m.clocks in
+  let ops = Array.of_list (List.rev r.r_ops) in
+  let read = Array.make (Array.length tls) false in
+  Array.iter (mark_reads m read) ops;
+  let scheduled i = tapes.(i) <> [] in
+  let select keep = Array.of_list (List.filteri (fun i _ -> keep i) (Array.to_list tls)) in
+  let moving = select scheduled in
+  let charges =
+    List.concat
+      (List.mapi (fun i slots -> List.map (fun (s, a) -> (tls.(i), s, a)) slots)
+         (Array.to_list tapes))
+  in
+  let used =
+    List.filter
+      (fun l -> Array.exists (fun tl -> tl == Link.timeline l) moving)
+      (Array.to_list m.links)
+  in
+  {
+    g_machine = m;
+    g_ops = ops;
+    g_ticks = r.r_ticks;
+    g_active = active;
+    g_moving = moving;
+    g_read = select (fun i -> read.(i) && not (scheduled i));
+    g_links = Array.of_list used;
+    g_op_clock = Array.exists (function Copy _ | Kernel _ -> true | Host _ | Sync -> false) ops;
+    g_charges = Array.of_list charges;
+    g_seconds = Array.of_list seconds;
+    g_longest =
+      List.fold_left (fun acc (_, _, a) -> Array.fold_left Float.max acc a) 0.0 charges;
+    g_counts = Array.map2 ( - ) (counts m) counts0;
+    g_pairs =
+      (let sums = Hashtbl.create 16 in
+       Array.iter
+         (function
+           | Copy { src; dst; bytes; _ } -> (
+               let i = pair_index m ~src ~dst in
+               match Hashtbl.find sums i with
+               | sum -> sum := !sum + bytes
+               | exception Not_found -> Hashtbl.add sums i (ref bytes))
+           | Kernel _ | Host _ | Sync -> ())
+         ops;
+       Array.of_seq (Seq.map (fun (i, sum) -> (i, !sum)) (Hashtbl.to_seq sums)));
+    g_state = [||];
+    g_size = 0;
+    g_lens = Array.make (List.length used) 0;
+    g_shift = [| 0.0 |];
+  }
+
 let capture m f =
   if m.capturing <> None then invalid_arg "Machine.capture: already capturing";
-  let r = { r_ops = []; r_ticks = 0; r_ok = replayable m } in
+  let r =
+    { r_ops = []; r_ticks = 0; r_ok = replayable m; r_seconds = Timeline.new_tape () }
+  in
   let active = m.active_devices in
+  let counts0 = counts m in
+  let tape tl = Timeline.timeline_tape tl in
+  Array.iter (fun tl -> Timeline.start_tape (tape tl)) m.clocks;
+  Timeline.start_tape r.r_seconds;
   m.capturing <- Some r;
+  let stop () =
+    m.capturing <- None;
+    (Array.map (fun tl -> Timeline.stop_tape (tape tl)) m.clocks, Timeline.stop_tape r.r_seconds)
+  in
   match f () with
   | exception e ->
-    m.capturing <- None;
+    ignore (stop ());
     raise e
   | () ->
-    m.capturing <- None;
+    let tapes, seconds = stop () in
     if r.r_ok && replayable m && m.active_devices = active then
-      Some
-        { g_machine = m; g_ops = Array.of_list (List.rev r.r_ops);
-          g_ticks = r.r_ticks; g_active = active }
+      Some (make_graph m r ~active ~tapes ~seconds ~counts0)
     else None
 
-let replay m g =
-  if
-    g.g_machine != m || m.capturing <> None || (not (replayable m))
-    || m.active_devices <> g.g_active
-  then invalid_arg "Machine.replay: the machine no longer matches the capture";
+(* One period, live: every op through the code its live call used. *)
+let replay_period m g =
   m.lru_clock <- m.lru_clock + g.g_ticks;
   let ops = g.g_ops in
   for i = 0 to Array.length ops - 1 do
@@ -1058,6 +1192,183 @@ let replay m g =
     | Sync -> synchronize m
   done
 
+(* --- Folding steady-state periods (DESIGN.md §4) -------------------------
+
+   The scheduling state of a graph is every clock cell of the timelines
+   it schedules on, [op_clock] when it sets it, and the live
+   reservations of its links.  Scheduling does nothing with them but
+   [max], comparisons and [x +. c] with a duration [c >= 0] fixed by
+   the graph.  Take every value of a period inside one binade, the
+   floats [x] with [2^e <= x < 2^(e+1)], which are the multiples of
+   [u = 2^(e-52)] there, and a shift [d] that is an even multiple of
+   [u]: then
+   [fl(x + d + c) = fl(x + c) + d] (ties still round to even), and
+   every comparison is unchanged.  So a period that moved every cell by
+   the same [d], without the engines it only reads catching up with
+   it, moves it by [d] again as long as every value stays below
+   [2^(e+1)]: [j] periods are one shift by [j * d]. *)
+
+(* Write the graph's scheduling state to [g.g_state] from [off]. *)
+let write_state m g off =
+  let st = g.g_state and moving = g.g_moving in
+  for i = 0 to Array.length moving - 1 do
+    let c = Timeline.clock moving.(i) and o = off + (3 * i) in
+    st.(o) <- c.(0);
+    st.(o + 1) <- c.(1);
+    st.(o + 2) <- c.(2)
+  done;
+  let o = ref (off + (3 * Array.length moving)) in
+  if g.g_op_clock then begin
+    st.(!o) <- m.op_clock.(0);
+    st.(!o + 1) <- m.op_clock.(1);
+    o := !o + 2
+  end;
+  for i = 0 to Array.length g.g_links - 1 do
+    let l = g.g_links.(i) in
+    Link.save_window l st !o;
+    o := !o + (2 * Link.live l)
+  done
+
+(* Snapshot the state before a live period. *)
+let save_state m g =
+  let size = ref ((3 * Array.length g.g_moving) + if g.g_op_clock then 2 else 0) in
+  for i = 0 to Array.length g.g_links - 1 do
+    let n = Link.live g.g_links.(i) in
+    g.g_lens.(i) <- n;
+    size := !size + (2 * n)
+  done;
+  (* Room for both snapshots and a few more reservations each. *)
+  if Array.length g.g_state < 2 * !size then g.g_state <- Array.make ((2 * !size) + 16) 0.0;
+  g.g_size <- !size;
+  write_state m g 0
+
+(* The [e] with [2^e <= x < 2^(e+1)], for a positive normal [x]. *)
+let[@inline] binade x =
+  (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52) land 0x7ff) - 1023
+
+(* How many of the [left] periods still to run the live period just
+   replayed lets a fold skip, with the shift in [g.g_shift]: 0 unless
+   that period moved every cell of the state by one [d], the engines
+   the graph only reads are no later than its earliest cell, and [d] is
+   an even number of ulps of that cell's binade; then as many as keep
+   the latest cell plus the longest duration below the binade's top
+   (with a few ulps to spare). *)
+let fold_span m g left =
+  let same = ref true in
+  for i = 0 to Array.length g.g_links - 1 do
+    if Link.live g.g_links.(i) <> g.g_lens.(i) then same := false
+  done;
+  let n = g.g_size and st = g.g_state in
+  if not !same then 0
+  else if n = 0 then begin
+    (* No ops: nothing moves. *)
+    g.g_shift.(0) <- 0.0;
+    left
+  end
+  else begin
+    write_state m g n;
+    let d = st.(n) -. st.(0) in
+    let ok = ref (d >= 0.0) and lo = ref st.(0) and hi = ref st.(n) in
+    for i = 0 to n - 1 do
+      let x = st.(i) and y = st.(n + i) in
+      if x +. d <> y then ok := false;
+      if x < !lo then lo := x;
+      if y > !hi then hi := y
+    done;
+    let lo = !lo and hi = !hi in
+    for i = 0 to Array.length g.g_read - 1 do
+      if not ((Timeline.clock g.g_read.(i)).(0) <= lo) then ok := false
+    done;
+    let e = binade lo in
+    let top = Float.ldexp 1.0 (e + 1) and spare = Float.ldexp 4.0 (e - 52) in
+    if not (!ok && lo >= Float.min_float && d < top) then 0
+    else begin
+      let ulps = Float.ldexp d (52 - e) in
+      let q = Float.to_int ulps in
+      if Float.of_int q <> ulps || q land 1 = 1 then 0
+      else begin
+        let room = (top -. spare -. g.g_longest -. hi) /. d in
+        let j =
+          ref
+            (if not (room >= 1.0) then 0
+             else if room >= float_of_int left then left
+             else int_of_float room)
+        in
+        while
+          !j > 0 && not (hi +. (float_of_int !j *. d) +. g.g_longest +. spare < top)
+        do
+          decr j
+        done;
+        g.g_shift.(0) <- float_of_int !j *. d;
+        !j
+      end
+    end
+  end
+
+(* Advance the machine by [j] periods without issuing them: shift the
+   state by [g.g_shift], replay the charge tape [j] times, and add [j]
+   periods' counts. *)
+let fold m g j =
+  let shift = g.g_shift in
+  for i = 0 to Array.length g.g_moving - 1 do
+    Timeline.shift_in g.g_moving.(i) shift
+  done;
+  if g.g_op_clock then begin
+    m.op_clock.(0) <- m.op_clock.(0) +. shift.(0);
+    m.op_clock.(1) <- m.op_clock.(1) +. shift.(0)
+  end;
+  for i = 0 to Array.length g.g_links - 1 do
+    Link.shift_in g.g_links.(i) shift
+  done;
+  for i = 0 to Array.length g.g_charges - 1 do
+    let tl, s, amounts = g.g_charges.(i) in
+    Timeline.recharge tl s amounts ~times:j
+  done;
+  for i = 0 to Array.length g.g_seconds - 1 do
+    let s, amounts = g.g_seconds.(i) in
+    Timeline.repeat_adds m.seconds s amounts ~times:j
+  done;
+  let c = g.g_counts in
+  m.h2d_bytes <- m.h2d_bytes + (j * c.(0));
+  m.d2h_bytes <- m.d2h_bytes + (j * c.(1));
+  m.p2p_bytes <- m.p2p_bytes + (j * c.(2));
+  m.n_transfers <- m.n_transfers + (j * c.(3));
+  m.n_launches <- m.n_launches + (j * c.(4));
+  for i = 0 to Array.length g.g_pairs - 1 do
+    let p, bytes = g.g_pairs.(i) in
+    m.pair_bytes.(p) <- m.pair_bytes.(p) + (j * bytes)
+  done;
+  m.lru_clock <- m.lru_clock + (j * g.g_ticks)
+
+let replay m g ~periods =
+  if
+    g.g_machine != m || m.capturing <> None || (not (replayable m))
+    || m.active_devices <> g.g_active
+  then invalid_arg "Machine.replay: the machine no longer matches the capture";
+  match m.trace with
+  | Some _ ->
+    (* Every op is an event of the trace. *)
+    for _ = 1 to periods do
+      replay_period m g
+    done;
+    0
+  | None ->
+    let left = ref periods and folded = ref 0 in
+    while !left > 0 do
+      if !left > 1 then save_state m g;
+      replay_period m g;
+      decr left;
+      if !left > 0 then begin
+        let j = fold_span m g !left in
+        if j > 0 then begin
+          fold m g j;
+          left := !left - j;
+          folded := !folded + j
+        end
+      end
+    done;
+    !folded
+
 let graph_ops g = Array.length g.g_ops
 
 (* Timeline accessors for reporting and calibration. *)
@@ -1068,16 +1379,22 @@ let fabric_timeline m = Link.timeline m.fabric
    the one shared bus on the flat topology, the per-island links and
    uplinks on an islands topology (in island order, link before
    uplink). *)
-let link_timelines m =
+let named_links m =
   match m.topo with
-  | None -> [ ("bus", Link.timeline m.fabric) ]
+  | None -> [ ("bus", m.fabric) ]
   | Some topo ->
     List.concat
       (List.init (Array.length topo.t_island) (fun i ->
            [
-             (Printf.sprintf "isl%d.link" i, Link.timeline topo.t_island.(i));
-             (Printf.sprintf "isl%d.uplink" i, Link.timeline topo.t_uplink.(i));
+             (Printf.sprintf "isl%d.link" i, topo.t_island.(i));
+             (Printf.sprintf "isl%d.uplink" i, topo.t_uplink.(i));
            ]))
+
+let link_timelines m =
+  List.map (fun (name, l) -> (name, Link.timeline l)) (named_links m)
+
+let link_reservations m =
+  List.map (fun (name, l) -> (name, Link.reservations l)) (named_links m)
 
 let device_timelines m d =
   let dev = device m d in

@@ -248,15 +248,24 @@ val capture : t -> (unit -> unit) -> graph option
     [f] raises, recording stops and the exception propagates.  Raises
     [Invalid_argument] when a capture is already running. *)
 
-val replay : t -> graph -> unit
-(** Issue a captured graph's ops again, in order, on the machine that
-    captured it, and advance the LRU counter by its ticks.  The caller
-    guarantees that the calls the graph stands for would be made again:
-    the graph does not know why they were made.  Raises
-    [Invalid_argument] on another machine, during a capture, on a
-    machine that is functional, injects faults or records a causal DAG,
-    or when the active-device count differs from the capture's (the
-    kernels' durations would differ). *)
+val replay : t -> graph -> periods:int -> int
+(** [replay m g ~periods:k] advances [m] by [k] periods of a captured
+    graph, on the machine that captured it, each as if its ops were
+    issued again in order and the LRU counter advanced by its ticks.
+    On an untraced machine, once a live period has moved the graph's
+    whole scheduling state by one exact shift, the periods that shift
+    provably repeats are folded: the clocks and link reservations move
+    by a multiple of the shift, a charge tape recorded at capture adds
+    the busy seconds again in their order, and the counters advance by
+    whole periods (DESIGN.md §4).  Simulated time, {!stats}, the byte
+    matrix and the LRU counter come out bit-identical to issuing every
+    op; with tracing on every op is issued.  Returns the number of
+    periods folded.  The caller guarantees that the calls the graph
+    stands for would be made again: the graph does not know why they
+    were made.  Raises [Invalid_argument] on another machine, during a
+    capture, on a machine that is functional, injects faults or records
+    a causal DAG, or when the active-device count differs from the
+    capture's (the kernels' durations would differ). *)
 
 val graph_ops : graph -> int
 (** The number of simulator ops a graph replays. *)
@@ -324,6 +333,10 @@ val link_timelines : t -> (string * Timeline.t) list
     [["bus", _]] on the flat topology; per-island [["isl<i>.link";
     "isl<i>.uplink"]] pairs (in island order) on an islands
     topology. *)
+
+val link_reservations : t -> (string * (float * float) list) list
+(** Each lane of {!link_timelines}, in the same order, with its live
+    reservations as [(start, stop)] ({!Link.reservations}). *)
 
 val device_timelines : t -> int -> Timeline.t * Timeline.t * Timeline.t
 (** (compute, copy-in, copy-out) engines of one device. *)

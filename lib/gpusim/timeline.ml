@@ -16,6 +16,21 @@
    traced op onto its one event ring, which the Chrome trace renders
    lane by lane. *)
 
+(* A charge tape: (slot, seconds) charges in order, unboxed in chunks
+   of at most [chunk] entries.  Chunks that small are allocated in the
+   minor heap and die young once the tape stops, where one long array
+   would be allocated in the major heap and raise its high-water
+   mark. *)
+type tape = {
+  mutable on : bool;
+  mutable fill : int; (* entries in the current chunk *)
+  mutable c_slots : int array; (* the current chunk *)
+  mutable c_amounts : float array;
+  mutable full : (int array * float array) list; (* full chunks, newest first *)
+}
+
+let chunk = 128
+
 type t = {
   name : string;
   clock : float array;
@@ -32,11 +47,15 @@ type t = {
          charges runs of one category, and the host alternates between
          a few, so a charge checks this slot, then scans [names], and
          hashes only a category it has never seen *)
+  tape : tape; (* its charges, while that records *)
 }
+
+let new_tape () = { on = false; fill = 0; c_slots = [||]; c_amounts = [||]; full = [] }
 
 let create name =
   { name; clock = Array.make 3 0.0; busy = Array.make 4 0.0;
-    names = Array.make 4 ""; slots = Hashtbl.create 8; last_slot = -1 }
+    names = Array.make 4 ""; slots = Hashtbl.create 8; last_slot = -1;
+    tape = new_tape () }
 
 let name t = t.name
 let clock t = t.clock
@@ -71,13 +90,31 @@ let rec find_slot t category s =
   else if is_slot t s category then s
   else find_slot t category (s + 1)
 
+(* A fresh current chunk, twice the last one's size up to [chunk]. *)
+let next_chunk tp =
+  let n = Array.length tp.c_slots in
+  if n > 0 then tp.full <- (tp.c_slots, tp.c_amounts) :: tp.full;
+  let size = min chunk (max 8 (2 * n)) in
+  tp.c_slots <- Array.make size 0;
+  tp.c_amounts <- Array.make size 0.0;
+  tp.fill <- 0
+
+let[@inline] push tp s x =
+  if tp.on then begin
+    if tp.fill = Array.length tp.c_slots then next_chunk tp;
+    tp.c_slots.(tp.fill) <- s;
+    tp.c_amounts.(tp.fill) <- x;
+    tp.fill <- tp.fill + 1
+  end
+
 let[@inline] charge t category duration =
   let s = t.last_slot in
   let s =
     if s >= 0 && is_slot t s category then s else find_slot t category 0
   in
   t.last_slot <- s;
-  t.busy.(s) <- t.busy.(s) +. duration
+  t.busy.(s) <- t.busy.(s) +. duration;
+  push t.tape s duration
 
 (* Schedule an operation of the given duration that cannot start before
    [after]. *)
@@ -113,6 +150,76 @@ let schedule_at_in t a ~category = schedule_start t a.(0) a.(1) category
 (* Force the engine to be idle until at least [time] (a synchronization
    barrier). *)
 let wait_until t time = if time > t.clock.(0) then t.clock.(0) <- time
+
+(* --- Charge tapes ---------------------------------------------------------
+
+   A tape records the charges of a stretch of scheduling, so that they
+   can be added again later without scheduling anything: the same adds,
+   in the same order, per slot.  Slots are independent accumulators, so
+   replaying each slot's sequence on its own gives the sums the
+   interleaved charges would. *)
+
+let timeline_tape t = t.tape
+
+let start_tape tp =
+  tp.on <- true;
+  tp.fill <- 0;
+  tp.c_slots <- [||];
+  tp.c_amounts <- [||];
+  tp.full <- []
+
+let push_in tp s a = push tp s a.(0)
+
+(* Stop recording and drop the chunks; per slot, in slot order, the
+   amounts charged to it in charge order. *)
+let stop_tape tp =
+  tp.on <- false;
+  if tp.fill = 0 then []
+  else begin
+    let chunks = List.rev ((Array.sub tp.c_slots 0 tp.fill, tp.c_amounts) :: tp.full) in
+    tp.c_slots <- [||];
+    tp.c_amounts <- [||];
+    tp.full <- [];
+    let width =
+      List.fold_left
+        (fun w (slots, _) -> Array.fold_left (fun w s -> max w (s + 1)) w slots)
+        0 chunks
+    in
+    let counts = Array.make width 0 in
+    List.iter (fun (slots, _) -> Array.iter (fun s -> counts.(s) <- counts.(s) + 1) slots) chunks;
+    let groups = Array.map (fun n -> Array.make n 0.0) counts in
+    Array.fill counts 0 width 0;
+    List.iter
+      (fun (slots, amounts) ->
+         for i = 0 to Array.length slots - 1 do
+           let s = slots.(i) in
+           groups.(s).(counts.(s)) <- amounts.(i);
+           counts.(s) <- counts.(s) + 1
+         done)
+      chunks;
+    List.filter
+      (fun (_, a) -> Array.length a > 0)
+      (List.mapi (fun s a -> (s, a)) (Array.to_list groups))
+  end
+
+(* Add [amounts], in order, [times] times over, to [acc.(s)]. *)
+let repeat_adds acc s amounts ~times =
+  let x = ref acc.(s) in
+  for _ = 1 to times do
+    for i = 0 to Array.length amounts - 1 do
+      x := !x +. amounts.(i)
+    done
+  done;
+  acc.(s) <- !x
+
+let recharge t s amounts ~times = repeat_adds t.busy s amounts ~times
+
+(* Move every clock cell by [a.(0)]. *)
+let shift_in t a =
+  let d = a.(0) in
+  for i = 0 to 2 do
+    t.clock.(i) <- t.clock.(i) +. d
+  done
 
 let busy_in t category =
   match Hashtbl.find t.slots category with

@@ -44,6 +44,46 @@ val wait_until : t -> float -> unit
 (** Force the engine idle until at least the given time (a
     synchronization barrier). *)
 
+(** {2 Charge tapes}
+
+    A tape records a stretch of charges so that they can be added
+    again without scheduling anything: the same adds, in the same
+    order, per busy slot.  [Machine] records one per launch graph and
+    replays it for the periods a fold skips. *)
+
+type tape
+
+val new_tape : unit -> tape
+(** A tape for an accumulator outside any timeline (charged with
+    {!push_in}). *)
+
+val timeline_tape : t -> tape
+(** The tape each charge of the timeline goes to while it records. *)
+
+val start_tape : tape -> unit
+(** Record every later charge, until {!stop_tape}. *)
+
+val push_in : tape -> int -> float array -> unit
+(** [push_in tp s a] records a charge of [a.(0)] seconds to slot [s]
+    while [tp] records (the float travels in the array, unboxed). *)
+
+val stop_tape : tape -> (int * float array) list
+(** Stop recording and return, per slot in slot order, the seconds
+    charged to it in charge order ([[]] when none). *)
+
+val repeat_adds : float array -> int -> float array -> times:int -> unit
+(** [repeat_adds acc s amounts ~times] adds [amounts] to [acc.(s)] in
+    order, [times] times over: the float operations of charging them
+    one by one. *)
+
+val recharge : t -> int -> float array -> times:int -> unit
+(** {!repeat_adds} on one busy slot of the timeline. *)
+
+val shift_in : t -> float array -> unit
+(** Move every cell of {!clock} later by [a.(0)] seconds, read from
+    the array so that the float is not boxed.  Only a fold that has
+    proved the shift exact calls it (DESIGN.md §4). *)
+
 val busy_in : t -> string -> float
 (** Accumulated busy seconds in one category. *)
 

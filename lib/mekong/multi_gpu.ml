@@ -159,9 +159,11 @@ let pp_report lines fmt (reg : Obs.Metrics.t) =
     (function
       | Plan_cache ->
         Format.fprintf fmt
-          "plan cache: %d hits / %d misses; launch graphs: %d hits / %d misses@."
+          "plan cache: %d hits / %d misses; launch graphs: %d hits / %d \
+           misses, %d folded, %d ops replayed@."
           (i "cache.plan_hits") (i "cache.plan_misses") (i "cache.graph_hits")
-          (i "cache.graph_misses")
+          (i "cache.graph_misses") (i "cache.graph_folded")
+          (i "cache.graph_replayed_ops")
       | Executor ->
         Format.fprintf fmt
           "executor: %d compiled (%d cache hits), %d launches sequential, \
@@ -438,7 +440,9 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     && mem_cap = max_int && abort_at = None && resume = None
   in
   let graph_hits = counter "cache.graph_hits"
-  and graph_misses = counter "cache.graph_misses" in
+  and graph_misses = counter "cache.graph_misses"
+  and graph_folded = counter "cache.graph_folded"
+  and graph_replayed_ops = counter "cache.graph_replayed_ops" in
   (* Cleared by a live launch whose steps a graph cannot replay. *)
   let period_plain = ref true in
   (* The cache lives for one cache generation: device count, tiling and
@@ -1005,11 +1009,13 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     match site.s_graph with
     | Some g when same_key g.g_key key ->
       let k = l.l_periods - ((!i - l.l_first) / l.l_len) in
-      span "graph" (fun () ->
-          for _ = 1 to k do
-            Gpusim.Machine.replay m g.g_prog
-          done);
+      let folded =
+        span "graph" (fun () -> Gpusim.Machine.replay m g.g_prog ~periods:k)
+      in
       Obs.Metrics.add graph_hits (float_of_int k);
+      Obs.Metrics.add graph_folded (float_of_int folded);
+      Obs.Metrics.add graph_replayed_ops
+        (float_of_int ((k - folded) * Gpusim.Machine.graph_ops g.g_prog));
       Obs.Metrics.add plan_hits (g.g_plan_hits *. float_of_int k);
       replayed_transfers := !replayed_transfers + (k * g.g_transfers);
       replayed_ops := !replayed_ops + (k * g.g_tracker_ops);

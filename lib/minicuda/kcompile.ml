@@ -510,8 +510,12 @@ let varying_locals (k : Kir.t) ~written =
    over the whole launch is therefore the exact integer value, which
    the compiled compare (integer compare within 2^53) also reads. *)
 
-(* [k + Σ co.(r) * index register r] over the six index registers. *)
-type form = { co : int array; k : int }
+(* An affine form [k + Σ co.(r) * index register r] over the six index
+   registers is [form_size] ints of a workspace: the six coefficients [co],
+   then [k].  The analysis writes each node's form into the workspace
+   above its parent's, so it allocates nothing per node. *)
+let form_size = r_tz + 2
+let k_of = r_tz + 1
 
 (* What a launch fixes, for the affine forms. *)
 type genv = {
@@ -519,8 +523,15 @@ type genv = {
   g_grid : Dim3.t;
   g_block : Dim3.t;
   g_locals : (string, Kir.exp) Hashtbl.t;  (* single-binding locals *)
-  g_forms : (string, form option) Hashtbl.t;  (* their forms, once computed *)
+  g_forms : (string, int array) Hashtbl.t;
+      (* their forms, once computed; [[||]] when not affine, and while
+         being computed, so a local reached through itself is not *)
+  mutable g_ws : int array;  (* the workspace, grown on demand *)
 }
+
+let genv ~scalars ~grid ~block locals =
+  { g_scalars = scalars; g_grid = grid; g_block = block; g_locals = locals;
+    g_forms = Hashtbl.create 8; g_ws = [||] }
 
 (* The locals bound by exactly one [Local], never assigned, never a
    loop counter, with their bound expression. *)
@@ -538,55 +549,95 @@ let single_locals (k : Kir.t) =
   S.iter (Hashtbl.remove locals) !bad;
   locals
 
-let konst k = { co = Array.make (r_tz + 1) 0; k }
-let index_reg r = { co = Array.init (r_tz + 1) (fun i -> Bool.to_int (i = r)); k = 0 }
 let axis_i = function Dim3.X -> 0 | Dim3.Y -> 1 | Dim3.Z -> 2
 
-(* [f + s * g] *)
-let combine f s g = { co = Array.map2 (fun x y -> x + (s * y)) f.co g.co; k = f.k + (s * g.k) }
-let scale s f = { co = Array.map (( * ) s) f.co; k = s * f.k }
-let is_const f = Array.for_all (( = ) 0) f.co
+(* The form [k] at [at]; with [r >= 0], plus index register [r]. *)
+let set_form ge at ~r k =
+  let ws = ge.g_ws in
+  Array.fill ws at form_size 0;
+  if r >= 0 then ws.(at + r) <- 1;
+  ws.(at + k_of) <- k
 
-let rec affine ge seen (e : Kir.exp) =
-  let ( let* ) = Option.bind in
+(* [f <- f + s * g] for the forms at [f] and [g]. *)
+let combine ge f s g =
+  let ws = ge.g_ws in
+  for i = 0 to form_size - 1 do
+    ws.(f + i) <- ws.(f + i) + (s * ws.(g + i))
+  done
+
+let scale ge f s =
+  let ws = ge.g_ws in
+  for i = 0 to form_size - 1 do
+    ws.(f + i) <- s * ws.(f + i)
+  done
+
+let is_const ge f =
+  let ws = ge.g_ws and c = ref true in
+  for r = 0 to r_tz do
+    if ws.(f + r) <> 0 then c := false
+  done;
+  !c
+
+(* Write the form of [e] at [at], using the workspace above it for
+   operands; false when [e] is not affine. *)
+let rec affine ge (e : Kir.exp) at =
+  if at + (2 * form_size) > Array.length ge.g_ws then begin
+    let ws = Array.make (max (2 * Array.length ge.g_ws) (at + (4 * form_size))) 0 in
+    Array.blit ge.g_ws 0 ws 0 at;
+    ge.g_ws <- ws
+  end;
   match e with
-  | Kir.Iconst n -> Some (konst n)
-  | Kir.Special (Kir.Thread_idx a) -> Some (index_reg (r_tx + axis_i a))
-  | Kir.Special (Kir.Block_idx a) -> Some (index_reg (r_bx + axis_i a))
-  | Kir.Special (Kir.Block_dim a) -> Some (konst (Dim3.get ge.g_block a))
-  | Kir.Special (Kir.Grid_dim a) -> Some (konst (Dim3.get ge.g_grid a))
+  | Kir.Iconst n -> set_form ge at ~r:(-1) n; true
+  | Kir.Special (Kir.Thread_idx a) -> set_form ge at ~r:(r_tx + axis_i a) 0; true
+  | Kir.Special (Kir.Block_idx a) -> set_form ge at ~r:(r_bx + axis_i a) 0; true
+  | Kir.Special (Kir.Block_dim a) -> set_form ge at ~r:(-1) (Dim3.get ge.g_block a); true
+  | Kir.Special (Kir.Grid_dim a) -> set_form ge at ~r:(-1) (Dim3.get ge.g_grid a); true
   | Kir.Param n -> (
-      match Hashtbl.find_opt ge.g_scalars n with
-      | Some (Keval.VInt v) -> Some (konst v)
-      | _ -> None)
-  | Kir.Var n when not (S.mem n seen) -> (
-      match Hashtbl.find_opt ge.g_forms n with
-      | Some f -> f
-      | None ->
-        let f = Option.bind (Hashtbl.find_opt ge.g_locals n) (affine ge (S.add n seen)) in
-        Hashtbl.replace ge.g_forms n f;
-        f)
-  | Kir.Unop (Kir.Neg, x) -> Option.map (scale (-1)) (affine ge seen x)
+      match Hashtbl.find ge.g_scalars n with
+      | Keval.VInt v -> set_form ge at ~r:(-1) v; true
+      | _ | (exception Not_found) -> false)
+  | Kir.Var n -> (
+      match Hashtbl.find ge.g_forms n with
+      | f ->
+        Array.blit f 0 ge.g_ws at (Array.length f);
+        f <> [||]
+      | exception Not_found -> (
+          match Hashtbl.find ge.g_locals n with
+          | exception Not_found -> false
+          | bound ->
+            Hashtbl.replace ge.g_forms n [||];
+            let ok = affine ge bound at in
+            if ok then Hashtbl.replace ge.g_forms n (Array.sub ge.g_ws at form_size);
+            ok))
+  | Kir.Unop (Kir.Neg, x) -> affine ge x at && (scale ge at (-1); true)
   | Kir.Binop (((Kir.Add | Kir.Sub) as op), x, y) ->
-    let* f = affine ge seen x in
-    let* g = affine ge seen y in
-    Some (combine f (if op = Kir.Add then 1 else -1) g)
+    affine ge x at && affine ge y (at + form_size)
+    && (combine ge at (if op = Kir.Add then 1 else -1) (at + form_size); true)
   | Kir.Binop (Kir.Mul, x, y) ->
-    let* f = affine ge seen x in
-    let* g = affine ge seen y in
-    if is_const f then Some (scale f.k g) else if is_const g then Some (scale g.k f) else None
-  | _ -> None
+    let g = at + form_size in
+    affine ge x at && affine ge y g
+    &&
+    if is_const ge at then begin
+      let k = ge.g_ws.(at + k_of) in
+      Array.blit ge.g_ws g ge.g_ws at form_size;
+      scale ge at k;
+      true
+    end
+    else if is_const ge g then (scale ge at ge.g_ws.(g + k_of); true)
+    else false
+  | _ -> false
 
 (* The largest index register [r] takes over the launch. *)
 let reg_max ge r =
   let d = if r < r_tx then ge.g_grid else ge.g_block in
   max 0 (Dim3.get d (match r mod 3 with 0 -> Dim3.X | 1 -> Dim3.Y | _ -> Dim3.Z) - 1)
 
-(* |f| < 2^52 everywhere in the launch. *)
+(* |f| < 2^52 everywhere in the launch, for the form at [f]. *)
 let small ge f =
-  let b = ref (Float.abs (float_of_int f.k)) in
+  let ws = ge.g_ws in
+  let b = ref (Float.abs (float_of_int ws.(f + k_of))) in
   for r = 0 to r_tz do
-    b := !b +. (Float.abs (float_of_int f.co.(r)) *. float_of_int (reg_max ge r))
+    b := !b +. (Float.abs (float_of_int ws.(f + r)) *. float_of_int (reg_max ge r))
   done;
   !b < 0x1p52
 
@@ -597,20 +648,20 @@ let small ge f =
 let rec guard_rows ge (e : Kir.exp) acc =
   match e with
   | Kir.Binop (Kir.And, x, y) -> Option.bind (guard_rows ge x acc) (guard_rows ge y)
-  | Kir.Binop (((Kir.Lt | Kir.Le | Kir.Gt | Kir.Ge) as op), x, y) -> (
-      match (affine ge S.empty x, affine ge S.empty y) with
-      | Some a, Some b when small ge a && small ge b ->
-        (* a < b is a - b + 1 <= 0 over the integers. *)
-        let d = if op = Kir.Lt || op = Kir.Le then combine a (-1) b else combine b (-1) a in
-        let k = if op = Kir.Lt || op = Kir.Gt then d.k + 1 else d.k in
-        let tmin = ref 0 and tmax = ref 0 in
-        for r = r_tx to r_tz do
-          let span = d.co.(r) * reg_max ge r in
-          tmin := !tmin + min 0 span;
-          tmax := !tmax + max 0 span
-        done;
-        Some (k :: d.co.(r_bx) :: d.co.(r_by) :: d.co.(r_bz) :: !tmin :: !tmax :: acc)
-      | _ -> None)
+  | Kir.Binop (((Kir.Lt | Kir.Le | Kir.Gt | Kir.Ge) as op), x, y)
+    when affine ge x 0 && affine ge y form_size && small ge 0 && small ge form_size ->
+    (* x < y is x - y + 1 <= 0 over the integers. *)
+    let d = if op = Kir.Lt || op = Kir.Le then 0 else form_size in
+    combine ge d (-1) (form_size - d);
+    let ws = ge.g_ws in
+    let k = if op = Kir.Lt || op = Kir.Gt then ws.(d + k_of) + 1 else ws.(d + k_of) in
+    let tmin = ref 0 and tmax = ref 0 in
+    for r = r_tx to r_tz do
+      let span = ws.(d + r) * reg_max ge r in
+      tmin := !tmin + min 0 span;
+      tmax := !tmax + max 0 span
+    done;
+    Some (k :: ws.(d + r_bx) :: ws.(d + r_by) :: ws.(d + r_bz) :: !tmin :: !tmax :: acc)
   | _ -> None
 
 let block_guard ge e = Option.map Array.of_list (guard_rows ge e [])
@@ -633,8 +684,7 @@ type guard_class = All_true | All_false | Mixed
 
 let guard_classifier kernel ~grid ~block ~args e =
   let ge =
-    { g_scalars = Keval.bind_scalars kernel ~args; g_grid = grid; g_block = block;
-      g_locals = single_locals kernel; g_forms = Hashtbl.create 8 }
+    genv ~scalars:(Keval.bind_scalars kernel ~args) ~grid ~block (single_locals kernel)
   in
   Option.map
     (fun rows (b : Dim3.t) ->
@@ -1507,9 +1557,7 @@ let compile kernel ~grid ~block ~args =
       arr_slots;
       written;
       varying = varying_locals body ~written;
-      ge =
-        { g_scalars = scalars; g_grid = grid; g_block = block;
-          g_locals = single_locals body; g_forms = Hashtbl.create 8 };
+      ge = genv ~scalars ~grid ~block (single_locals body);
       n_guards = 0;
       slots = Hashtbl.create 16;
       iconsts = Hashtbl.create 16;

@@ -917,13 +917,27 @@ let test_hot_path_allocation () =
   checki "one op per call" 13 (Machine.graph_ops g);
   let ops = float_of_int (Machine.graph_ops g) in
   let live = words_per_call 2_000 (fun _ -> period ()) /. ops in
-  let replayed = words_per_call 2_000 (fun _ -> Machine.replay m g) /. ops in
+  let replayed =
+    words_per_call 2_000 (fun _ -> ignore (Machine.replay m g ~periods:1)) /. ops
+  in
   Printf.printf "period: %.2f minor words per op live, %.2f replayed\n" live
     replayed;
   if replayed > live || replayed > 0.0 then
     Alcotest.failf
       "a replayed op allocates %.2f minor words (live %.2f, bound 0)" replayed
-      live
+      live;
+  (* Folding allocates nothing either: its snapshot buffers are the
+     graph's, so 0 words per call is 0 per op replayed one by one. *)
+  let folded = ref 0 in
+  let per_call =
+    words_per_call 200 (fun _ -> folded := !folded + Machine.replay m g ~periods:50)
+  in
+  Printf.printf "folding: %d of %d periods folded, %.2f minor words per call\n"
+    !folded (201 * 50) per_call;
+  checkb "folds" true (!folded > 0);
+  if per_call > 0.0 then
+    Alcotest.failf "a folding replay allocates %.2f minor words per call (bound 0)"
+      per_call
 
 (* ---------------- Launch graphs ---------------- *)
 
@@ -955,8 +969,7 @@ let test_graph_replay () =
     period live lb ()
   done;
   let g = Option.get (Machine.capture rep (period rep rb)) in
-  Machine.replay rep g;
-  Machine.replay rep g;
+  checki "traced: nothing folded" 0 (Machine.replay rep g ~periods:2);
   checkb "same trace" true (Machine.trace live = Machine.trace rep);
   checkb "same stats" true (Machine.stats live = Machine.stats rep);
   checkb "same byte matrix" true (Machine.byte_matrix live = Machine.byte_matrix rep);
@@ -976,7 +989,136 @@ let test_graph_replay () =
   void "a functional machine" f (period f fb);
   Alcotest.check_raises "another machine"
     (Invalid_argument "Machine.replay: the machine no longer matches the capture")
-    (fun () -> Machine.replay live g)
+    (fun () -> ignore (Machine.replay live g ~periods:1))
+
+(* Everything a folded replay must leave as issuing every period would,
+   bit for bit: every timeline's clock cells and busy seconds per
+   category, every link's reservations, the stats, the byte matrix and
+   the LRU clock. *)
+let machine_state m =
+  let bits = Int64.bits_of_float in
+  let timeline tl =
+    ( Timeline.name tl,
+      Array.map bits (Timeline.clock tl),
+      List.map (fun c -> (c, bits (Timeline.busy_in tl c))) (Timeline.categories tl) )
+  in
+  let devices =
+    List.concat_map
+      (fun d ->
+         let c, i, o = Machine.device_timelines m d in
+         [ c; i; o ])
+      (List.init (Machine.n_devices m) Fun.id)
+  in
+  let s = Machine.stats m in
+  ( List.map timeline
+      (Machine.host_timeline m :: devices @ List.map snd (Machine.link_timelines m)),
+    List.map
+      (fun (name, r) -> (name, List.map (fun (a, b) -> (bits a, bits b)) r))
+      (Machine.link_reservations m),
+    ( { s with kernel_seconds = 0.0; pattern_seconds = 0.0; transfer_seconds = 0.0 },
+      List.map bits [ s.kernel_seconds; s.pattern_seconds; s.transfer_seconds ] ),
+    Machine.byte_matrix m,
+    Machine.lru_tick m )
+
+(* Two identical untraced machines run [setup], then capture [period]:
+   one replays it for [k] periods in one call, which may fold, the
+   other in [k] calls of one period each, which never fold.  Both must
+   end in the same state; returns the periods the first folded. *)
+let fold_vs_live ?(n_devices = 4) ?topology ~setup ~period k =
+  let make () =
+    let m = Machine.create (Config.k80_box ~n_devices ?topology ()) in
+    Machine.set_active_devices m n_devices;
+    let bufs = Array.init n_devices (fun d -> Machine.alloc m ~device:d ~len:4096) in
+    setup m bufs;
+    (m, Option.get (Machine.capture m (fun () -> period m bufs)))
+  in
+  let folding, g = make () and live, g1 = make () in
+  let folded = Machine.replay folding g ~periods:k in
+  let single = ref 0 in
+  for _ = 1 to k do
+    single := !single + Machine.replay live g1 ~periods:1
+  done;
+  checki "one period never folds" 0 !single;
+  checkb "folded == live periods" true (machine_state folding = machine_state live);
+  folded
+
+(* The period of [test_graph_replay]: per device an LRU tick, a p2p from
+   its neighbour, host work and a launch, then a sync. *)
+let ring_period m bufs =
+  let n = Array.length bufs in
+  for d = 0 to n - 1 do
+    ignore (Machine.lru_tick m);
+    Machine.p2p m ~src:bufs.((d + 1) mod n) ~src_off:0 ~dst:bufs.(d) ~dst_off:0
+      ~len:(64 * (d + 1));
+    Machine.host_work m ~seconds:1e-6 ~category:"pattern";
+    Machine.launch m ~device:d ~blocks:(8 * (d + 1)) ~ops_per_block:1e4 ~run:ignore
+  done;
+  Machine.synchronize m
+
+let no_setup _ _ = ()
+
+(* Folding replays each period's ops once the state shifts exactly, and
+   only while that shift provably repeats.  The shift must be an even
+   number of ulps of the clock's binade (DESIGN.md §4): for the periods
+   below it is in the binade of 3 s and in those either side of 4 s,
+   while 0.75 s gives the ring period an odd one. *)
+let test_graph_fold () =
+  let k = 200 in
+  (* From the start the clocks cross a binade every few periods. *)
+  let folded = fold_vs_live ~setup:no_setup ~period:ring_period k in
+  Printf.printf "flat, from 0: %d of %d periods folded\n" folded k;
+  checkb "flat, from 0: folds" true (folded > 0);
+  let mid m _ = Machine.host_work m ~seconds:3.0 ~category:"setup" in
+  let folded = fold_vs_live ~setup:mid ~period:ring_period k in
+  Printf.printf "flat: %d of %d periods folded\n" folded k;
+  checkb "flat: folds" true (folded > k / 2);
+  (* Islands: intra-island copies on the island links, inter-island ones
+     on both uplinks, and host traffic on each device's uplink. *)
+  let topology =
+    Config.Islands { island_size = 2; link_bandwidth = 80e9; uplink_bandwidth = 12e9 }
+  in
+  let islands m bufs =
+    ring_period m bufs;
+    Machine.h2d m ~src:(Array.make 256 0.0) ~src_off:0 ~dst:bufs.(1) ~dst_off:0 ~len:256;
+    Machine.d2h m ~src:bufs.(2) ~src_off:0 ~dst:(Array.make 128 0.0) ~dst_off:0 ~len:128
+  in
+  let folded = fold_vs_live ~topology ~setup:mid ~period:islands k in
+  Printf.printf "islands: %d of %d periods folded\n" folded k;
+  checkb "islands: folds" true (folded > k / 2);
+  (* Starting just below 4 s, the periods cross into the next binade: no
+     fold may step over the edge, so the crossing runs live. *)
+  let edge m _ = Machine.host_work m ~seconds:(4.0 -. 2e-3) ~category:"setup" in
+  let folded = fold_vs_live ~setup:edge ~period:ring_period k in
+  Printf.printf "binade edge: %d of %d periods folded\n" folded k;
+  checkb "edge: folds on both sides" true (folded > k / 2);
+  checkb "edge: crossed live" true (k - folded > 2);
+  (* One device: its copy engines, idle since an early upload, are only
+     read (by each launch). *)
+  let one m bufs =
+    Machine.h2d m ~src:(Array.make 64 0.0) ~src_off:0 ~dst:bufs.(0) ~dst_off:0 ~len:64
+  in
+  let launch_only m _ =
+    Machine.host_work m ~seconds:2e-6 ~category:"pattern";
+    Machine.launch m ~device:0 ~blocks:16 ~ops_per_block:1e4 ~run:ignore
+  in
+  let folded =
+    fold_vs_live ~n_devices:1 ~setup:(fun m b -> one m b; mid m b) ~period:launch_only k
+  in
+  checkb "one device: folds" true (folded > k / 2);
+  (* Refused: at 0.75 s a host step of three ulps is an odd shift, and
+     so is the ring period's; every period runs live. *)
+  let early m _ = Machine.host_work m ~seconds:0.75 ~category:"setup" in
+  let odd m _ = Machine.host_work m ~seconds:(Float.ldexp 3.0 (-53)) ~category:"pattern" in
+  checki "odd shift: no fold" 0 (fold_vs_live ~setup:early ~period:odd k);
+  checki "odd ring shift: no fold" 0 (fold_vs_live ~setup:early ~period:ring_period k);
+  (* Refused: each period's download waits a kernel that runs far past
+     the host, so the bus's reservation window grows by one every
+     period. *)
+  let behind m bufs =
+    Machine.launch m ~device:0 ~blocks:4096 ~ops_per_block:1e6 ~run:ignore;
+    Machine.d2h m ~src:bufs.(0) ~src_off:0 ~dst:(Array.make 64 0.0) ~dst_off:0 ~len:64
+  in
+  checki "growing window: no fold" 0 (fold_vs_live ~setup:no_setup ~period:behind 50)
 
 (* Scheduled losses that could never fire are rejected, not ignored. *)
 let test_faults_reject_impossible_losses () =
@@ -1049,6 +1191,8 @@ let () =
             test_hot_path_allocation;
           Alcotest.test_case "launch graph replay == live" `Quick
             test_graph_replay;
+          Alcotest.test_case "launch graph fold == replay" `Quick
+            test_graph_fold;
         ] );
       ( "data",
         [

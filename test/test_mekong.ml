@@ -903,6 +903,59 @@ let cache_equivalence variant =
 
 let prop_cache_equivalence = cache_equivalence Plain
 
+(* Untraced, a graph's replayed periods fold (DESIGN.md §4), so the
+   trace cannot witness them: compare simulated time, the engine's
+   transfer and tracker-op counts, the machine's stats, every engine's
+   busy seconds per category and the byte matrix. *)
+let observed_untraced (res : Mekong.Multi_gpu.result) =
+  let m = res.Mekong.Multi_gpu.machine in
+  let busy tl =
+    List.map (fun c -> (c, Gpusim.Timeline.busy_in tl c)) (Gpusim.Timeline.categories tl)
+  in
+  let devices =
+    List.concat_map
+      (fun d ->
+         let c, i, o = Gpusim.Machine.device_timelines m d in
+         [ c; i; o ])
+      (List.init (Gpusim.Machine.n_devices m) Fun.id)
+  in
+  ( res.Mekong.Multi_gpu.time,
+    metric res "engine.transfers",
+    metric res "engine.tracker_ops",
+    Gpusim.Machine.stats m,
+    List.map busy
+      ((Gpusim.Machine.host_timeline m :: devices)
+       @ List.map snd (Gpusim.Machine.link_timelines m)),
+    Gpusim.Machine.byte_matrix m )
+
+(* Folded runs found by [prop_cache_equivalence_untraced]: its cases
+   must fold somewhere, or it compares nothing a traced run does not. *)
+let untraced_folds = ref 0
+
+let prop_cache_equivalence_untraced =
+  QCheck.Test.make ~name:"launch graphs, untraced: cached == uncached" ~count:40
+    (QCheck.make ~print:print_rand_spec gen_rand_spec)
+    (fun spec ->
+      let total = if spec.rs_two_d then spec.rs_n * spec.rs_n else spec.rs_n in
+      let exe =
+        (compile_exn (program_of_spec ~repeat:24 spec ~result:(Array.make total nan)))
+          .Mekong.Toolchain.exe
+      in
+      let run ~cache =
+        let m =
+          Gpusim.Machine.create ~functional:false
+            (Gpusim.Config.test_box ~n_devices:spec.rs_gpus ())
+        in
+        Mekong.Multi_gpu.run ~cache ~machine:m exe
+      in
+      let on = run ~cache:true and off = run ~cache:false in
+      if metric on "cache.graph_folded" > 0 then incr untraced_folds;
+      observed_untraced on = observed_untraced off
+      && metric off "cache.graph_hits" = 0
+      && metric on "cache.graph_hits" > 0)
+
+let test_untraced_folds () = checkb "some case folded" true (!untraced_folds > 0)
+
 (* Launch graphs on a double-buffered stencil: 6 hotspot launches on 4
    devices, so 3 periods of [Launch; Swap; Launch; Swap].  The first
    period builds the plan and moves the buffers into their steady
@@ -1680,6 +1733,8 @@ let () =
          ( "plan-cache",
            [
              qtest prop_cache_equivalence;
+             qtest prop_cache_equivalence_untraced;
+             Alcotest.test_case "untraced cases fold" `Quick test_untraced_folds;
              qtest (cache_equivalence Overlap);
              qtest (cache_equivalence Autotune);
              qtest (cache_equivalence Capped);

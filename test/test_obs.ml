@@ -480,7 +480,10 @@ let report_fields =
   Mekong.Multi_gpu.
     [
       ( Plan_cache,
-        [ "cache.plan_hits"; "cache.plan_misses"; "cache.graph_hits"; "cache.graph_misses" ] );
+        [
+          "cache.plan_hits"; "cache.plan_misses"; "cache.graph_hits";
+          "cache.graph_misses"; "cache.graph_folded"; "cache.graph_replayed_ops";
+        ] );
       ( Executor,
         [
           "exec.compiles"; "exec.cache_hits"; "exec.seq_launches";
