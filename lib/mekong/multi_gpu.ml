@@ -168,11 +168,11 @@ let pp_report lines fmt (reg : Obs.Metrics.t) =
         Format.fprintf fmt
           "executor: %d compiled (%d cache hits), %d launches sequential, \
            %d parallel (max %d domains), %d interpreted, %d scalar blocks; \
-           guards_folded=%d guards_scanned=%d@."
+           guards_folded=%d guards_scanned=%d affine_accesses=%d@."
           (i "exec.compiles") (i "exec.cache_hits") (i "exec.seq_launches")
           (i "exec.par_launches") (i "exec.max_domains") (i "exec.interpreted")
           (i "kcompile.scalar_blocks") (i "kcompile.guards_folded")
-          (i "kcompile.guards_scanned")
+          (i "kcompile.guards_scanned") (i "kcompile.affine_accesses")
       | Gate ->
         Format.fprintf fmt
           "race gate: safe=%d reducible=%d racy=%d unknown=%d merges=%d \

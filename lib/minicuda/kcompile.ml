@@ -36,8 +36,14 @@
      or on none, runs one branch without the compare steps or the scan
      (see "Block-class guards");
    - array accesses read the backing [float array]s of the launch's
-     access records directly, with the rank-1/2/3 linearization, the
-     bounds checks and [reg ± const] subscripts inlined into the load;
+     access records directly.  A load, store or atomic whose every
+     subscript is affine in the thread and block indices, or a uniform
+     register plus a constant, and which moves with the thread index,
+     is one affine step: it checks each dimension at the corners of its
+     lanes' box of thread indices, or of each row of lanes, then copies
+     (see [affine_step]).  Any other access inlines the rank-1/2/3
+     linearization, the bounds checks and [reg ± const] subscripts into
+     a per-lane load;
    - stores and atomics go to a per-block log of segments, one per
      store sweep, each recording its first lane.  The log is flushed
      at block end in thread order (lane 0's entries in program order,
@@ -156,6 +162,7 @@ type t = {
   store_slots : int array;  (* slots some store or atomic writes *)
   atomic_slot : bool array;
   n_guards : int;
+  affine : int;  (* accesses compiled to the affine step *)
   body : step;
   envs : (int * env) list Atomic.t;  (* per domain id *)
   narrow : int Atomic.t;  (* blocks run thread by thread although w > 1 *)
@@ -259,6 +266,102 @@ let load_step ~arr s dims subs d : step =
     fun env lo hi ->
       let src = env.srcs.!(s) and z = fg env d in
       for l = lo to hi - 1 do z.!(l) <- src.(offn env arr dims subs l) done
+
+(* An affine access: each subscript is [u + k + cb·b + ct·t] for a
+   uniform register [u] (the zero constant when there is none), the
+   block index [b] and the thread index [t], exactly over Z.  [co]
+   holds [a_size] ints per dimension: [u; k; cb (3); ct (3); extent];
+   [ct] holds the linear offset's coefficients [cx], [cy], [cz] on [t].
+
+   An affine function over a box of thread indices takes its extremes
+   at the box's corners.  So the sweep first checks every dimension
+   over the box around its lanes [lo, hi) and, when all are in range
+   (and, for a load, the box's last offset is inside the backing
+   array), fills its lanes unchecked.  Otherwise it walks [lo, hi) row
+   by row, a row being a run of lanes with one [ty]/[tz]: along a row
+   every subscript is affine in [tx], so checking each dimension at the
+   row's two end lanes checks every lane of the row.  Dimensions are
+   checked in order, so a one-lane sweep (thread by thread) raises
+   [index]'s diagnostic, and a backing array shorter than the extents
+   fails as the checked OCaml access does; in lane mode any raise
+   re-runs the block thread by thread.  A row's offsets are
+   [start + cx·i]: a contiguous copy when [cx = 1], one broadcast value
+   when [cx = 0].  [slot >= 0] loads that slot into float register [d];
+   [slot < 0] writes the offsets into int register [d].  The step
+   keeps no state between lanes or rows outside [env]'s registers, so
+   domains running blocks at once share nothing. *)
+let a_size = 9
+
+(* Dimension [j / a_size]'s subscript at thread index 0. *)
+let[@inline] block_part ir co j b0 b1 b2 =
+  ir.!(co.!(j)).!(0) + co.!(j + 1) + (co.!(j + 2) * b0) + (co.!(j + 3) * b1) + (co.!(j + 4) * b2)
+
+let[@inline] low c a b = imin (c * a) (c * b)
+let[@inline] high c a b = imax (c * a) (c * b)
+
+let affine_step ~arr co ~(block : Dim3.t) ~ct ~slot d : step =
+  let rank = Array.length co / a_size in
+  let bx = block.Dim3.x and by = block.Dim3.y in
+  let cx = ct.(0) and cy = ct.(1) and cz = ct.(2) in
+  fun env lo hi ->
+    let ir = env.ir in
+    let txs = ir.!(r_tx) and tys = ir.!(r_ty) and tzs = ir.!(r_tz) in
+    let z0 = tzs.!(lo) and z1 = tzs.!(hi - 1) in
+    let y0 = if z0 = z1 then tys.!(lo) else 0 and y1 = if z0 = z1 then tys.!(hi - 1) else by - 1 in
+    let row = hi - lo <= bx - txs.!(lo) in
+    let x0 = if row then txs.!(lo) else 0 and x1 = if row then txs.!(hi - 1) else bx - 1 in
+    let b0 = ir.!(r_bx).!(0) and b1 = ir.!(r_by).!(0) and b2 = ir.!(r_bz).!(0) in
+    let inside = ref true and base = ref 0 in
+    for i = 0 to rank - 1 do
+      let j = i * a_size in
+      let v = block_part ir co j b0 b1 b2 in
+      let px = co.!(j + 5) and py = co.!(j + 6) and pz = co.!(j + 7) and e = co.!(j + 8) in
+      let vmin = v + low px x0 x1 + low py y0 y1 + low pz z0 z1 in
+      let vmax = v + high px x0 x1 + high py y0 y1 + high pz z0 z1 in
+      if vmin lor (e - 1 - vmax) < 0 then inside := false;
+      base := (!base * e) + v
+    done;
+    let base = !base in
+    if !inside && slot >= 0 then
+      if base + high cx x0 x1 + high cy y0 y1 + high cz z0 z1 >= Array.length env.srcs.!(slot)
+      then inside := false;
+    let a = ref lo in
+    while !a < hi do
+      let l0 = !a in
+      let tx0 = txs.!(l0) and ty = tys.!(l0) and tz = tzs.!(l0) in
+      let l1 = imin hi (l0 + bx - tx0) in
+      let o = ref (base + (cx * tx0) + (cy * ty) + (cz * tz)) in
+      if not !inside then begin
+        let tx1 = tx0 + (l1 - 1 - l0) in
+        for i = 0 to rank - 1 do
+          let j = i * a_size in
+          let e = co.!(j + 8) in
+          let v = block_part ir co j b0 b1 b2 + (co.!(j + 6) * ty) + (co.!(j + 7) * tz) in
+          let v0 = v + (co.!(j + 5) * tx0) and v1 = v + (co.!(j + 5) * tx1) in
+          if v0 lor v1 lor (e - 1 - v0) lor (e - 1 - v1) < 0 then begin
+            ignore (index arr i e v0 : int);
+            ignore (index arr i e v1 : int)
+          end
+        done;
+        if slot >= 0 && imax !o (!o + (cx * (l1 - 1 - l0))) >= Array.length env.srcs.!(slot)
+        then invalid_arg "index out of bounds"
+      end;
+      if slot >= 0 then begin
+        let src = env.srcs.!(slot) and z = env.fr.!(d) in
+        for l = l0 to l1 - 1 do
+          z.!(l) <- src.!(!o);
+          o := !o + cx
+        done
+      end
+      else begin
+        let z = ir.!(d) in
+        for l = l0 to l1 - 1 do
+          z.!(l) <- !o;
+          o := !o + cx
+        done
+      end;
+      a := l1
+    done
 
 (* --- Stores, atomics and the block log ---------------------------------- *)
 
@@ -701,6 +804,7 @@ type ctx = {
   varying : S.t;  (* locals, from [varying_locals] *)
   ge : genv;
   mutable n_guards : int;
+  mutable n_affine : int;
   slots : (string, vtype * int) Hashtbl.t;  (* local -> register *)
   iconsts : (int, int) Hashtbl.t;  (* value -> preset register *)
   fconsts : (int64, int) Hashtbl.t;  (* bit pattern -> preset register *)
@@ -1183,6 +1287,57 @@ let array_slot c a =
 let lane_subs c subs = Array.map (fun (r, k) -> (r, mask_i c r, k)) subs
 let uniform_subs c subs = Array.for_all (fun (r, _) -> uni_i c r) subs
 
+(* An access is affine when each subscript is affine over the index
+   registers and small enough to be exact, or compiles to a uniform
+   register plus a constant, and some subscript moves with the thread
+   index.  Returns its [affine_step] form, the linear offset's
+   coefficients on [tx], [ty], [tz], and whether every subscript came
+   from a form.  An access uniform over the block keeps [load_step]: it
+   runs on one lane already.  Deciding allocates nothing. *)
+let affine_access c dims idx (subs : (int * int) array) =
+  let ok = ref true and moves = ref false and formed = ref true in
+  let l = ref idx and d = ref 0 in
+  while !ok && !l != [] do
+    let e = List.hd !l in
+    if affine c.ge e 0 && small c.ge 0 then begin
+      let ws = c.ge.g_ws in
+      if ws.(r_tx) <> 0 || ws.(r_ty) <> 0 || ws.(r_tz) <> 0 then moves := true
+    end
+    else begin
+      formed := false;
+      if not (uni_i c (fst subs.(!d))) then ok := false
+    end;
+    l := List.tl !l;
+    incr d
+  done;
+  if not (!ok && !moves) then None
+  else begin
+    let rank = Array.length dims in
+    let co = Array.make (rank * a_size) 0 and ct = Array.make 3 0 in
+    List.iteri
+      (fun d e ->
+         let j = d * a_size and r, k = subs.(d) in
+         co.(j + 8) <- dims.(d);
+         if affine c.ge e 0 && small c.ge 0 then begin
+           let ws = c.ge.g_ws in
+           co.(j) <- const_i c 0;
+           co.(j + 1) <- ws.(k_of);
+           for x = r_bx to r_tz do
+             co.(j + 2 + x) <- ws.(x)
+           done
+         end
+         else begin
+           co.(j) <- r;
+           co.(j + 1) <- k
+         end;
+         for x = 0 to 2 do
+           ct.(x) <- (ct.(x) * dims.(d)) + co.(j + 2 + r_tx + x)
+         done)
+      idx;
+    c.n_affine <- c.n_affine + 1;
+    Some (co, ct, !formed)
+  end
+
 let rec compile_exp c bound ?dst (e : Kir.exp) : value =
   match e with
   | Kir.Iconst n -> Ki n
@@ -1219,6 +1374,11 @@ let rec compile_exp c bound ?dst (e : Kir.exp) : value =
         let uni = (not (S.mem a c.written)) && uniform_subs c subs in
         let d = out_f c ~uni dst in
         emit_f c d (load_step ~arr:a s dims (lane_subs c subs) d);
+        Rf d
+      | `Affine (s, co, ct) ->
+        c.loaded <- s :: c.loaded;
+        let d = out_f c ~uni:false dst in
+        emit c (affine_step ~arr:a co ~block:c.cblock ~ct ~slot:s d);
         Rf d)
   | Kir.Unop (op, x) -> unop c dst op (compile_exp c bound x)
   | Kir.Binop (((Kir.Add | Kir.Sub) as op), x, Kir.Binop (Kir.Mul, y, z)) ->
@@ -1261,15 +1421,24 @@ and subscript c bound (e : Kir.exp) : int * int =
       | _ -> isub c (binop c None op vx vy))
   | _ -> isub c (compile_exp c bound e)
 
-(* An array reference: its slot, extents and subscripts (evaluated
-   left to right, each coerced as it is evaluated), or the always-
-   raising arity diagnostic. *)
+(* An array reference: its slot and its extents and [reg + k]
+   subscripts (evaluated left to right, each coerced as it is
+   evaluated), or its affine form, or the always-raising arity
+   diagnostic.  When every subscript of an affine access comes from a
+   form, their steps are ring operations on temporaries, which cannot
+   raise and which the access no longer reads: they are dropped. *)
 and reference c bound a idx =
   let s, dims = array_slot c a in
+  let before = c.code in
   let subs = Array.of_list (List.map (subscript c bound) idx) in
   let rank = Array.length dims and got = Array.length subs in
   if got <> rank then `Arity (fun _ _ _ -> Keval.arity_error ~arr:a ~expected:rank ~got)
-  else `Ok (s, dims, subs)
+  else
+    match affine_access c dims idx subs with
+    | Some (co, ct, formed) ->
+      if formed then c.code <- before;
+      `Affine (s, co, ct)
+    | None -> `Ok (s, dims, subs)
 
 let slot_for c name ty =
   match Hashtbl.find_opt c.slots name with
@@ -1435,9 +1604,18 @@ let for_lanes s from_ mf to_ mt ~iv ~hb ~sv body : step =
 
 (* The checked offset of a store or atomic, then its value, then the
    write: the interpreter's order. *)
-let put c bound slot code ~arr dims subs e =
-  let o = fresh_i ~uni:(uniform_subs c subs) c in
-  emit_i c o (offset_step ~arr dims (lane_subs c subs) o);
+let put c bound ~arr reference code e =
+  let slot, o =
+    match reference with
+    | `Ok (slot, dims, subs) ->
+      let o = fresh_i ~uni:(uniform_subs c subs) c in
+      emit_i c o (offset_step ~arr dims (lane_subs c subs) o);
+      (slot, o)
+    | `Affine (slot, co, ct) ->
+      let o = fresh_i ~uni:false c in
+      emit c (affine_step ~arr co ~block:c.cblock ~ct ~slot:(-1) o);
+      (slot, o)
+  in
   let v = freg c (compile_exp c bound e) in
   c.stored <- slot :: c.stored;
   if code land 3 <> 0 then c.atomic <- slot :: c.atomic;
@@ -1458,7 +1636,7 @@ let rec compile_stmt c bound (s : Kir.stmt) : S.t =
      | `Arity raise_arity ->
        emit c raise_arity;
        ignore (in_block c (fun () -> freg c (compile_exp c bound e)))
-     | `Ok (slot, dims, subs) ->
+     | (`Ok _ | `Affine _) as r ->
        let code =
          match s with
          | Kir.Atomic (Kir.AAdd, _, _, _) -> 1
@@ -1466,7 +1644,7 @@ let rec compile_stmt c bound (s : Kir.stmt) : S.t =
          | Kir.Atomic (Kir.AMax, _, _, _) -> 3
          | _ -> 0
        in
-       put c bound slot code ~arr:a dims subs e);
+       put c bound ~arr:a r code e);
     bound
   | Kir.Local (n, e) | Kir.Assign (n, e) ->
     let mark_i = c.n_i and mark_f = c.n_f in
@@ -1559,6 +1737,7 @@ let compile kernel ~grid ~block ~args =
       varying = varying_locals body ~written;
       ge = genv ~scalars ~grid ~block (single_locals body);
       n_guards = 0;
+      n_affine = 0;
       slots = Hashtbl.create 16;
       iconsts = Hashtbl.create 16;
       fconsts = Hashtbl.create 16;
@@ -1595,6 +1774,7 @@ let compile kernel ~grid ~block ~args =
         store_slots = slot_set c.stored;
         atomic_slot;
         n_guards = c.n_guards;
+        affine = c.n_affine;
         body = seq steps;
         envs = Atomic.make [];
         narrow = Atomic.make 0;
@@ -1787,6 +1967,7 @@ type executor = {
   scalar_blocks : Obs.Metrics.counter;
   guards_folded : Obs.Metrics.counter;
   guards_scanned : Obs.Metrics.counter;
+  affine_accesses : Obs.Metrics.counter;
   mutable max_domains : int;
 }
 
@@ -1804,6 +1985,7 @@ let executor reg =
     scalar_blocks = counter "kcompile.scalar_blocks";
     guards_folded = counter "kcompile.guards_folded";
     guards_scanned = counter "kcompile.guards_scanned";
+    affine_accesses = counter "kcompile.affine_accesses";
     max_domains = 1;
   }
 
@@ -1828,6 +2010,9 @@ let launch ex ?(parallel = false) ?(interpret = false) kernel ~grid ~block
       let c = compile kernel ~grid ~block ~args in
       Hashtbl.replace ex.cache key c;
       bump ex.compiles;
+      (match c with
+       | Ok t when t.affine > 0 -> Obs.Metrics.add ex.affine_accesses (float_of_int t.affine)
+       | _ -> ());
       c
   in
   if interpret then fallback ()

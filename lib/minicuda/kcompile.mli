@@ -7,9 +7,10 @@
     the block's threads (its lanes), the whole block at once unless a
     branch or loop splits it into runs of lanes, values uniform across
     the block are computed once, subscript linearization and bounds
-    checks are inlined into direct array accesses, and no float
-    crosses a closure boundary.  Stores and atomics go to a per-block
-    log that is flushed in thread order.  Launches that are not
+    checks are inlined into direct array accesses (an access affine in
+    the thread index is checked per box or row of lanes, then copied),
+    and no float crosses a closure boundary.  Stores and atomics go to
+    a per-block log that is flushed in thread order.  Launches that are not
     lane-safe (an array some store writes is also read by a load) run
     the same steps in the same environment one thread at a time, each
     thread a one-lane range with its stores written directly, and a
@@ -96,8 +97,9 @@ val executor : Obs.Metrics.t -> executor
 (** An empty cache counting into the registry: [exec.compiles],
     [exec.cache_hits], [exec.seq_launches], [exec.par_launches],
     [exec.interpreted], [kcompile.scalar_blocks],
-    [kcompile.guards_folded] and [kcompile.guards_scanned] registered at zero,
-    the [exec.max_domains] gauge at 1. *)
+    [kcompile.guards_folded], [kcompile.guards_scanned] and
+    [kcompile.affine_accesses] registered at zero, the [exec.max_domains]
+    gauge at 1. *)
 
 val clear_cache : executor -> unit
 (** Drop every compiled kernel; the counters keep counting. *)
@@ -126,7 +128,9 @@ val launch :
     that ran one thread at a time, raising launches included.
     [kcompile.guards_folded] and [kcompile.guards_scanned] count the
     (folded guard, block) pairs whose block class took one branch
-    directly, or the compare steps and lane scan (DESIGN.md §13). *)
+    directly, or the compare steps and lane scan (DESIGN.md §13).
+    [kcompile.affine_accesses] counts, per compilation, the loads,
+    stores and atomics compiled to the affine access step. *)
 
 val publish_metrics : ?into:Obs.Metrics.t -> Obs.Metrics.t -> unit
 (** Merge an executor's registry into another (default:

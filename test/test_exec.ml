@@ -1388,6 +1388,399 @@ let test_folded_guards_match_keval () =
        checki (what ^ ": no folded pairs") 0 (guards reg "folded"))
     unfoldable
 
+(* ---------------- Affine accesses ----------------
+
+   Random kernels whose loads, stores and atomics have subscripts
+   affine in the thread and block indices (coefficients in [-2, 2],
+   [±const] shifts, the global indices of a partitioned kernel with
+   its [__part_min_*] block offsets), a uniform loop counter times 1
+   or 2 plus a constant, or a counter plus a global index (which must
+   stay per lane), on 1-, 2- and 3-D blocks behind an edge guard.  Loads may sit
+   behind their own range guard or a stripe of lanes (partial sweeps
+   that start and end anywhere in a row) or leave bounds below 0 or at
+   the extent, and the loaded array may be backed by an array shorter
+   than its extents.  The executor must match Keval in lane
+   mode, thread by thread and on the 2-domain pool: outputs, touched
+   mask and diagnostic. *)
+
+type asub =
+  | Aff of int * int array * int array  (* k + ct·tid + cg·gid *)
+  | Ctr of int * int  (* m·k + c *)
+  | Ctr_gid of int  (* k + gid.(axis): not affine *)
+
+type aspec = {
+  a_kernel : Kir.t;  (* partitioned (and maybe optimized) *)
+  a_dead : Kir.t;  (* the same with a load of [out] that never runs *)
+  a_block : Dim3.t;
+  a_grid : Dim3.t;
+  a_args : Keval.arg list;
+  a_ext : int array;  (* extents of [a] *)
+  a_short : int;  (* [a]'s backing array is this much shorter *)
+  a_out : int;  (* elements of [out] and [h] *)
+  a_injective : bool;  (* every write is a shifted global index *)
+  a_expect : int;  (* accesses that must compile to the affine step *)
+}
+
+let asub_exp s =
+  let open Kir in
+  match s with
+  | Ctr (1, c) -> v "k" + i c
+  | Ctr (m, c) -> (i m * v "k") + i c
+  | Ctr_gid a -> v "k" + v (gid_name axes3.(a))
+  | Aff (k, ct, cg) ->
+    let e = ref (i k) in
+    for a = 0 to 2 do
+      if Stdlib.( <> ) ct.(a) 0 then e := !e + (i ct.(a) * tid axes3.(a));
+      if Stdlib.( <> ) cg.(a) 0 then e := !e + (i cg.(a) * v (gid_name axes3.(a)))
+    done;
+    !e
+
+(* The access takes the affine step: no counter mixed with an index,
+   and some subscript moves with the thread index. *)
+let affine_subs subs =
+  List.for_all (function Ctr_gid _ -> false | _ -> true) subs
+  && List.exists
+       (function
+         | Aff (_, ct, cg) -> Array.exists (fun x -> x <> 0) (Array.map2 ( + ) ct cg)
+         | _ -> false)
+       subs
+
+(* [gid.(a) + c]. *)
+let shift a c = Aff (c, [| 0; 0; 0 |], Array.init 3 (fun x -> if x = a then 1 else 0))
+
+let gen_aspec =
+  let open QCheck.Gen in
+  int_range 1 3 >>= fun dims ->
+  let used a = a < dims in
+  let ext a = if used a then int_range 1 4 else return 1 in
+  ext 0 >>= fun bx ->
+  ext 1 >>= fun by ->
+  ext 2 >>= fun bz ->
+  int_range 1 9 >>= fun n ->
+  array_size (return 3) (int_range 0 2) >>= fun off ->
+  let off = Array.mapi (fun a o -> if used a then o else 0) off in
+  let bdims = [| bx; by; bz |] in
+  (* One block past those that cover [n]. *)
+  let cover a = if used a then ((n + bdims.(a) - 1) / bdims.(a)) + 1 else 1 in
+  int_range 1 3 >>= fun rank ->
+  array_size (return rank) (int_range 1 (n + 2)) >>= fun a_ext ->
+  bool >>= fun looped ->
+  let coef a = if used a then int_range (-2) 2 else return 0 in
+  let gen_aff =
+    int_range (-2) (n + 1) >>= fun k ->
+    coef 0 >>= fun t0 -> coef 1 >>= fun t1 -> coef 2 >>= fun t2 ->
+    coef 0 >>= fun g0 -> coef 1 >>= fun g1 -> coef 2 >>= fun g2 ->
+    return (Aff (k, [| t0; t1; t2 |], [| g0; g1; g2 |]))
+  in
+  let gen_shift =
+    int_range 0 (dims - 1) >>= fun a ->
+    int_range (-1) 1 >>= fun c -> return (shift a c)
+  in
+  let gen_sub =
+    if looped then
+      frequency
+        [
+          (4, gen_shift); (3, gen_aff); (2, map2 (fun m c -> Ctr (m, c)) (int_range 1 2) (int_range (-1) 2));
+          (1, map (fun a -> Ctr_gid a) (int_range 0 (dims - 1)));
+        ]
+    else frequency [ (4, gen_shift); (3, gen_aff) ]
+  in
+  (* A load runs on every lane, behind its own range guard, or on the
+     lanes whose number in the block is below [r] modulo [m]: runs
+     that start and end anywhere in a row, or a z plane. *)
+  let gen_guard =
+    frequency
+      [ (2, return `Plain); (2, return `Range);
+        (3, map2 (fun m r -> `Stripe (m, r)) (int_range 2 7) (int_range 1 5)) ]
+  in
+  list_size (int_range 1 3) (pair (list_repeat rank gen_sub) gen_guard) >>= fun loads ->
+  (* [out] and [h] are indexed by the global indices, slowest axis
+     first, shifted by [-1, 1] or replaced by a random form. *)
+  let gen_write =
+    let w = frequency [ (5, int_range (-1) 1 >|= fun c -> `Shift c); (1, gen_aff >|= fun s -> `Sub s) ] in
+    list_repeat dims w
+    >|= List.mapi (fun d -> function
+        | `Shift c -> (true, shift (dims - 1 - d) c)
+        | `Sub s -> (false, s))
+  in
+  gen_write >>= fun stored ->
+  opt gen_write >>= fun atomic ->
+  frequency [ (3, return 0); (1, int_range 1 3) ] >>= fun short ->
+  bool >>= fun optimize ->
+  let open Kir in
+  let in_range subs =
+    List.mapi (fun d s -> (i 0 <= asub_exp s) && (asub_exp s < i a_ext.(d))) subs
+    |> List.fold_left (fun c x -> match c with None -> Some x | Some c -> Some (c && x)) None
+    |> Option.get
+  in
+  let lane = tid Dim3.X + (bdim Dim3.X * (tid Dim3.Y + (bdim Dim3.Y * tid Dim3.Z))) in
+  let load_stmts =
+    List.map
+      (fun (subs, guard) ->
+         let add = Assign ("acc", v "acc" + (load "a" (List.map asub_exp subs) * f 0.5)) in
+         match guard with
+         | `Plain -> add
+         | `Range -> If (in_range subs, [ add ], [])
+         | `Stripe (m, r) -> If (Binop (Imod, lane, i m) < i r, [ add ], []))
+      loads
+  in
+  let loads_block =
+    if looped then [ For { var = "k"; from_ = i 0; to_ = i 3; body = load_stmts } ]
+    else load_stmts
+  in
+  let out_dims = Array.make dims (Dim_param "m") in
+  let writes = List.map snd in
+  let body =
+    [ Local ("acc", f 0.25) ] @ loads_block
+    @ [ store "out" (List.map asub_exp (writes stored)) (v "acc") ]
+    @ (match atomic with
+       | Some w -> [ atomic_add "h" (List.map asub_exp (writes w)) (v "acc") ]
+       | None -> [])
+  in
+  let guard =
+    List.init dims (fun a -> v (gid_name axes3.(a)) < p "n")
+    |> List.fold_left (fun c x -> match c with None -> Some x | Some c -> Some (c && x)) None
+    |> Option.get
+  in
+  let kernel prefix =
+    let k =
+      Kir.kernel ~name:"affine"
+        ~params:
+          [
+            Scalar "n"; Scalar "m";
+            Array { name = "a"; dims = Array.map (fun e -> Dim_const e) a_ext };
+            Array { name = "out"; dims = out_dims }; Array { name = "h"; dims = out_dims };
+          ]
+        (prefix
+         @ List.map (fun a -> Local (gid_name a, global_id a)) (Array.to_list axes3)
+         @ [ If (guard, body, []) ])
+    in
+    let k = Mekong.Partition.transform_kernel k in
+    if optimize then Kopt.optimize k else k
+  in
+  let dead =
+    let zeros = List.init dims (fun _ -> i 0) in
+    [ If (tid Dim3.X < i 0, [ store "out" zeros (load "out" zeros) ], []) ]
+  in
+  let grid = Dim3.make (cover 0) ~y:(cover 1) ~z:(cover 2) in
+  let m = Stdlib.( + ) n 2 in
+  let part_args =
+    List.concat_map
+      (fun a -> [ Keval.AInt off.(a); Keval.AInt (Stdlib.( + ) off.(a) (Dim3.get grid axes3.(a))) ])
+      [ 0; 1; 2 ]
+  in
+  let writes_all = writes stored :: Option.to_list (Option.map writes atomic) in
+  return
+    {
+      a_kernel = kernel [];
+      a_dead = kernel dead;
+      a_block = Dim3.make bx ~y:by ~z:bz;
+      a_grid = grid;
+      a_args = Keval.AInt n :: Keval.AInt m :: part_args;
+      a_ext;
+      a_short = short;
+      a_out = Array.fold_left Stdlib.( * ) 1 (Array.make dims m);
+      a_injective =
+        Stdlib.( && ) (List.for_all fst stored)
+          (match atomic with Some w -> List.for_all fst w | None -> true);
+      a_expect = List.length (List.filter affine_subs (List.map fst loads @ writes_all));
+    }
+
+let print_aspec s =
+  Printf.sprintf "block=%s grid=%s ext=%s short=%d expect=%d\n%s" (Dim3.to_string s.a_block)
+    (Dim3.to_string s.a_grid)
+    (String.concat "x" (Array.to_list (Array.map string_of_int s.a_ext)))
+    s.a_short s.a_expect (Kir.to_string s.a_kernel)
+
+(* One run: the outcome, [out], [h] and [out]'s touched mask, and the
+   executor's registry.  [block] restricts Keval to one block. *)
+let run_aspec ?block s engine =
+  let len = Array.fold_left ( * ) 1 s.a_ext - s.a_short in
+  let a = Array.init (max 0 len) (fun i -> float_of_int ((i * 5 mod 13) - 6) /. 4.0) in
+  let out = Array.make s.a_out nan and h = Array.init s.a_out (fun i -> float_of_int i) in
+  let mask = Array.make s.a_out false in
+  let access = function
+    | "a" -> { Kcompile.loads = a; stores = a; touched = None }
+    | "h" -> { Kcompile.loads = h; stores = h; touched = None }
+    | _ -> { Kcompile.loads = out; stores = out; touched = Some mask }
+  in
+  let reg = Obs.Metrics.create () in
+  let ex = Kcompile.executor reg in
+  let outcome =
+    try
+      (match engine with
+       | `Interp ->
+         let load, store = Kcompile.callbacks access in
+         let block_range = Option.map (fun b -> (b, b)) block in
+         Keval.run ?block_range s.a_kernel ~grid:s.a_grid ~block:s.a_block ~args:s.a_args ~load ~store
+       | `Lanes -> Kcompile.launch ex s.a_kernel ~grid:s.a_grid ~block:s.a_block ~args:s.a_args ~access
+       | `Threads -> Kcompile.launch ex s.a_dead ~grid:s.a_grid ~block:s.a_block ~args:s.a_args ~access
+       | `Par ->
+         Kcompile.launch ex ~parallel:true s.a_kernel ~grid:s.a_grid ~block:s.a_block ~args:s.a_args
+           ~access);
+      Ok ()
+    with Invalid_argument m -> Error m
+  in
+  let bits = Array.map Int64.bits_of_float in
+  ((outcome, bits out, bits h, mask), reg)
+
+let prop_affine_differential =
+  QCheck.Test.make ~name:"affine accesses: Keval == lanes == threads == 2 domains" ~count:600
+    (QCheck.make ~print:print_aspec gen_aspec)
+    (fun s ->
+       let count reg name = int_of_float (Obs.Metrics.get reg name) in
+       let ri, _ = run_aspec s `Interp in
+       let rl, regl = run_aspec s `Lanes in
+       let rt, regt = run_aspec s `Threads in
+       let width = Dim3.volume s.a_block and blocks = Dim3.volume s.a_grid in
+       if count regl "exec.interpreted" + count regt "exec.interpreted" > 0 then
+         QCheck.Test.fail_report "fell back to the interpreter";
+       if count regl "kcompile.affine_accesses" <> s.a_expect then
+         QCheck.Test.fail_reportf "%d affine accesses, expected %d"
+           (count regl "kcompile.affine_accesses") s.a_expect;
+       if width > 1 && count regt "kcompile.scalar_blocks" = 0 then
+         QCheck.Test.fail_report "the aliased launch did not run thread by thread";
+       if rl <> ri then QCheck.Test.fail_report "lane mode differs from Keval";
+       if rt <> ri then QCheck.Test.fail_report "thread by thread differs from Keval";
+       (not s.a_injective)
+       ||
+       let rp, regp = run_aspec s `Par in
+       let (oi, _, _, _), (op, _, _, _) = (ri, rp) in
+       if blocks > 1 && op = Ok () && count regp "exec.par_launches" <> 1 then
+         QCheck.Test.fail_report "no parallel launch";
+       match (oi, op) with
+       | Ok (), _ -> rp = ri
+       | Error _, Ok () -> false
+       | Error _, Error m ->
+         (* Blocks are independent; which failing block the pool
+            reports first is the schedule's choice. *)
+         let found = ref false in
+         Dim3.iter s.a_grid (fun b ->
+             match run_aspec ~block:b s `Interp with
+             | ((Error m', _, _, _), _) when m' = m -> found := true
+             | _ -> ());
+         !found)
+
+(* Every run of lanes [lo, hi) of a 3×2×2 block, as an affine guard
+   selects it, loads through subscripts that leave bounds on some
+   lanes: a run inside a row, across rows and across z planes, whose
+   box of thread indices the step must neither miss lanes of nor
+   trust when a lane is out of range.  Lane mode and Keval must agree
+   on the outputs and the diagnostic. *)
+let test_affine_every_range () =
+  let block = Dim3.make 3 ~y:2 ~z:2 and grid = Dim3.make 2 in
+  let lane, forms =
+    let open Kir in
+    let x = tid Dim3.X and y = tid Dim3.Y and z = tid Dim3.Z in
+    ( x + (i 3 * (y + (i 2 * z))),
+      [
+        ([| 3; 2 |], [ x - i 1; y ]);
+        ([| 3; 2 |], [ x + i 1; z ]);
+        ([| 2; 2 |], [ y; z - y ]);
+        ([| 3; 2 |], [ i 2 - x; y + z ]);
+        ([| 4; 3 |], [ (i 2 * x) - y; z + bid Dim3.X ]);
+        ([| 3; 3 |], [ x; (i 2 * z) - y ]);
+        ([| 2; 1 |], [ z; y - i 1 ]);
+      ] )
+  in
+  List.iteri
+    (fun fi (ext, subs) ->
+       let k =
+         let open Kir in
+         Kir.kernel ~name:"ranges"
+           ~params:
+             [
+               Scalar "lo"; Scalar "hi";
+               Array { name = "a"; dims = Array.map (fun e -> Dim_const e) ext };
+               Array { name = "out"; dims = [| Dim_const 24 |] };
+             ]
+           [
+             If
+               ( p "lo" <= lane && lane < p "hi",
+                 [ store "out" [ lane + (i 12 * bid Dim3.X) ] (load "a" subs) ],
+                 [ store "out" [ lane + (i 12 * bid Dim3.X) ] (f (-1.0)) ] );
+           ]
+       in
+       let a = Array.init (ext.(0) * ext.(1)) (fun i -> float_of_int (i + 1)) in
+       for lo = 0 to 11 do
+         for hi = lo + 1 to 12 do
+           let ri, ai, rc, ac, reg =
+             executor_vs_keval k ~grid ~block
+               ~args:[ Keval.AInt lo; Keval.AInt hi ]
+               [ ("a", a); ("out", Array.make 24 nan) ]
+           in
+           if not (ri = rc && ai = ac) then
+             Alcotest.failf "form %d, lanes [%d, %d): lane mode differs from Keval" fi lo hi;
+           checkb "an affine access" true
+             (Obs.Metrics.get reg "kcompile.affine_accesses" > 0.0)
+         done
+       done)
+    forms
+
+(* Lanes 40–89 of each 16×16 block copy row [b] of [a]: their run is
+   not a box of thread indices (its box reaches lanes 32–95, outside
+   [a]'s rows), so the affine step checks it row by row. *)
+let rows_kernel =
+  let open Kir in
+  let b = v "b" and l = v "l" in
+  Kir.kernel ~name:"rows"
+    ~params:
+      [
+        Scalar "g";
+        Array { name = "a"; dims = [| Dim_param "g"; Dim_const 50 |] };
+        Array { name = "out"; dims = [| Dim_param "g"; Dim_const 256 |] };
+      ]
+    [
+      Local ("l", tid Dim3.X + (tid Dim3.Y * bdim Dim3.X));
+      Local ("b", bid Dim3.X + (bid Dim3.Y * gdim Dim3.X));
+      If
+        ( l >= i 40 && l < i 90,
+          [ store "out" [ b; l ] (load "a" [ b; l - i 40 ]) ],
+          [ store "out" [ b; l ] (f (-1.0)) ] );
+    ]
+
+(* Two domains run blocks of one compiled kernel at once, each on its
+   own environment, so nothing an affine step computes for one block
+   may be visible to another: matmul and hotspot sweep whole boxes,
+   [rows_kernel] sweeps row by row. *)
+let test_affine_two_domains () =
+  let n = 256 in
+  let bits = Array.map Int64.bits_of_float in
+  let run k ~grid ~block ~args arrays =
+    let reg = Obs.Metrics.create () in
+    let access name =
+      let d = List.assoc name arrays in
+      { Kcompile.loads = d; stores = d; touched = None }
+    in
+    Kcompile.launch (Kcompile.executor reg) ~parallel:true k ~grid ~block ~args ~access;
+    let count name = int_of_float (Obs.Metrics.get reg name) in
+    checki "two domains" 2 (count "exec.max_domains");
+    checkb "affine accesses" true (count "kcompile.affine_accesses" > 0);
+    checki "no scalar blocks" 0 (count "kcompile.scalar_blocks")
+  in
+  let a, b = Apps.Matmul.initial ~n in
+  let c = Array.make (n * n) nan in
+  run Apps.Matmul.kernel ~grid:(Apps.Matmul.grid_for n) ~block:Apps.Matmul.block
+    ~args:[ Keval.AInt n ] [ ("a", a); ("b", b); ("c", c) ];
+  checkb "matmul 256 matches the CPU reference" true (bits c = bits (Apps.Matmul.reference ~n a b));
+  let inp = Apps.Hotspot.initial ~n in
+  let out = Array.make (n * n) nan in
+  run Apps.Hotspot.kernel ~grid:(Apps.Hotspot.grid_for n) ~block:Apps.Hotspot.block
+    ~args:[ Keval.AInt n ] [ ("inp", inp); ("out", out) ];
+  checkb "hotspot 256 matches the CPU reference" true
+    (bits out = bits (Apps.Hotspot.reference ~n ~iterations:1 inp));
+  let g = 256 in
+  let a = Array.init (g * 50) (fun i -> float_of_int i) in
+  let out = Array.make (g * 256) nan in
+  run rows_kernel ~grid:(Dim3.make 16 ~y:16) ~block:(Dim3.make 16 ~y:16) ~args:[ Keval.AInt g ]
+    [ ("a", a); ("out", out) ];
+  let want =
+    Array.init (g * 256) (fun i ->
+        let b = i / 256 and l = i mod 256 in
+        if l >= 40 && l < 90 then a.((b * 50) + l - 40) else -1.0)
+  in
+  checkb "row-by-row copies match" true (bits out = bits want)
+
 (* ---------------- Allocation guard ----------------
 
    The compiled executor keeps every value in its register files and
@@ -1548,6 +1941,13 @@ let () =
           qtest prop_guard_classifier;
           Alcotest.test_case "folded guards match Keval" `Quick
             test_folded_guards_match_keval;
+        ] );
+      ( "affine",
+        [
+          qtest prop_affine_differential;
+          Alcotest.test_case "every run of lanes" `Quick test_affine_every_range;
+          Alcotest.test_case "matmul and hotspot on 2 domains" `Quick
+            test_affine_two_domains;
         ] );
       ( "multi_gpu",
         [

@@ -489,6 +489,7 @@ let report_fields =
           "exec.compiles"; "exec.cache_hits"; "exec.seq_launches";
           "exec.par_launches"; "exec.max_domains"; "exec.interpreted";
           "kcompile.scalar_blocks"; "kcompile.guards_folded"; "kcompile.guards_scanned";
+          "kcompile.affine_accesses";
         ] );
       ( Gate,
         [
