@@ -199,11 +199,12 @@ let pp_report lines fmt (reg : Obs.Metrics.t) =
           (i "autotune.halo_blocks") (i "autotune.halo_steps"))
     lines
 
-(* A preemption handoff: the flattened-statement index to resume from
+(* A preemption handoff: the index to resume from in the expanded
+   statement stream of a run that indexes into it (see [stmts] below),
    plus the logical content of every live buffer, gathered host-side.
-   Statements are idempotent (see the flattening comment below), so
-   resuming a fresh engine at [h_index] with these buffers restored
-   reproduces the uninterrupted run bit-identically. *)
+   Statements are idempotent, so resuming a fresh engine at [h_index]
+   with these buffers restored reproduces the uninterrupted run
+   bit-identically. *)
 type handoff = {
   h_index : int;
   h_buffers : (string * int * float array option) list;
@@ -212,8 +213,6 @@ type handoff = {
 }
 
 type bounded = Done of result | Preempted of result * handoff
-
-let launch_bindings = Plan.launch_bindings
 
 (* Backoff constants for transient-fault retries, all in *simulated*
    seconds: the retried operation itself advances the simulated clock,
@@ -255,15 +254,11 @@ type graph = {
   g_tracker_ops : int;
 }
 
-(* One [Repeat] statement's graph slot, shared by its expansions.
-   [s_dead]: a period ran a step a graph cannot replay, as every later
-   period would. *)
+(* One [Repeat] statement's graph slot, shared by every run of it (a
+   loop nested in another runs once per outer iteration).  [s_dead]: a
+   period ran a step a graph cannot replay, as every later period
+   would. *)
 type site = { mutable s_graph : graph option; mutable s_dead : bool }
-
-(* One expansion of a [Repeat] in the flattened statement stream:
-   [l_periods] full periods of [l_len] statements from statement
-   [l_first]. *)
-type loop = { l_first : int; l_len : int; l_periods : int; l_site : site }
 
 (* Iterations of a [Repeat] body after which its swaps have returned
    every binding: 1 or 2, or 0 when the body is not launches and swaps
@@ -352,6 +347,14 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      and chunks launches whose footprint does not fit. *)
   let mem_cap = Gpusim.Machine.mem_capacity m in
   let capped = mem_cap < max_int && cfg.Gpu_runtime.Rconfig.patterns in
+  (* The one rule for [Repeat]: a loop runs whole (see [exec]) unless
+     something indexes into the statement stream.  Checkpoints, handoffs
+     and the capped per-launch Out_of_memory retry name a statement by
+     index, so a run with healing, preemption, a resume or a memory cap
+     expands every loop (see [stmts]). *)
+  let whole_loops =
+    (not healing) && abort_at = None && resume = None && mem_cap = max_int
+  in
   let chunked_launches = counter "engine.chunked_launches"
   and chunks_run = counter "engine.chunks"
   and oom_refinements = counter "engine.oom_refinements" in
@@ -365,16 +368,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   (* The autotuner's static inputs: double-buffer pairs and per-kernel
      Repeat iteration counts. *)
   let swap_aliases, iters_of = Plan.loop_context exe.prog in
-  (* Halo-tiled Repeat execution composes with the plain engine only:
-     self-healing checkpoints count per-launch, preemption and resume
-     index into the flattened stream, and memory chunking re-syncs
-     between chunks — all assume the per-step schedule, so any of them
-     disables Repeat interception (never the autotuned partition
-     choice itself). *)
-  let halo_repeats_ok =
-    tune_enabled && (not healing) && abort_at = None && resume = None
-    && not capped
-  in
   let tune_launches = counter "autotune.launches" in
   (* The calibration sums are added to their series once, at the end,
      so the published microseconds are the scaled sum of the seconds. *)
@@ -433,12 +426,9 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   let plan_hits = counter "cache.plan_hits"
   and plan_misses = counter "cache.plan_misses" in
   (* Launch graphs (DESIGN.md §4) replay only what a graph holds: the
-     calls of a performance machine on ideal hardware, uncapped,
-     without causal recording, in a run nothing indexes into. *)
-  let graphs =
-    cache && (not functional) && (not healing) && (not causal)
-    && mem_cap = max_int && abort_at = None && resume = None
-  in
+     calls of a performance machine without causal recording, in a run
+     that keeps its loops whole. *)
+  let graphs = whole_loops && cache && (not functional) && not causal in
   let graph_hits = counter "cache.graph_hits"
   and graph_misses = counter "cache.graph_misses"
   and graph_folded = counter "cache.graph_folded"
@@ -784,6 +774,72 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     List.iter (step (context ck ~block plan)) steps;
     bases := None
   in
+  (* Every live buffer in name order, the order checkpoints, preemption
+     and graph keys read them in: the gathers charge simulated transfer
+     time and consume the fault stream. *)
+  let live_buffers () =
+    List.sort
+      (fun (a, _) (b, _) -> compare a b)
+      (Hashtbl.fold (fun name vb acc -> (name, vb) :: acc) vbufs [])
+  in
+  let graph_key () =
+    List.map (fun (name, vb) -> (name, vb, Vbuf.versions vb)) (live_buffers ())
+  in
+  let same_key =
+    List.equal (fun (a, va, ka) (b, vb, kb) ->
+        String.equal a b && va == vb && ka = kb)
+  in
+  let replayed_transfers = ref 0 and replayed_ops = ref 0 in
+  let sites = ref [] in
+  (* A graph-eligible loop's [periods] full periods of [k] iterations
+     each: replay all of them when the key matches the site's graph,
+     else run one live under a capture and go on with the rest.  The
+     capture is kept when its calls all replay, its launches all hit the
+     plan cache and it left the key as it found it.  A dead site runs
+     what is left live. *)
+  let rec run_periods site ~k ~iterate periods =
+    if periods = 0 then ()
+    else if site.s_dead then iterate (k * periods)
+    else
+      let key = graph_key () in
+      match site.s_graph with
+      | Some g when same_key g.g_key key ->
+        let folded =
+          span "graph" (fun () -> Gpusim.Machine.replay m g.g_prog ~periods)
+        in
+        Obs.Metrics.add graph_hits (float_of_int periods);
+        Obs.Metrics.add graph_folded (float_of_int folded);
+        Obs.Metrics.add graph_replayed_ops
+          (float_of_int ((periods - folded) * Gpusim.Machine.graph_ops g.g_prog));
+        Obs.Metrics.add plan_hits (g.g_plan_hits *. float_of_int periods);
+        replayed_transfers := !replayed_transfers + (periods * g.g_transfers);
+        replayed_ops := !replayed_ops + (periods * g.g_tracker_ops)
+      | _ ->
+        bump graph_misses;
+        let hits = Obs.Metrics.total plan_hits
+        and misses = Obs.Metrics.total plan_misses
+        and transfers = Vbuf.transfers space
+        and ops = Vbuf.tracker_ops space in
+        period_plain := true;
+        let prog = Gpusim.Machine.capture m (fun () -> iterate k) in
+        if not !period_plain then site.s_dead <- true;
+        (match prog with
+         | Some prog
+           when !period_plain
+                && Obs.Metrics.total plan_misses = misses
+                && same_key key (graph_key ()) ->
+           site.s_graph <-
+             Some
+               {
+                 g_key = key;
+                 g_prog = prog;
+                 g_plan_hits = Obs.Metrics.total plan_hits -. hits;
+                 g_transfers = Vbuf.transfers space - transfers;
+                 g_tracker_ops = Vbuf.tracker_ops space - ops;
+               }
+         | _ -> ());
+        run_periods site ~k ~iterate (periods - 1)
+  in
   let rec exec (s : Host_ir.stmt) =
     match s with
     | Host_ir.Malloc (name, len) ->
@@ -797,76 +853,68 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     | Host_ir.Launch { kernel; grid; block; args } ->
       exec_launch kernel grid block args
     | Host_ir.Repeat (n, body) -> (
-        (* Only a halo-eligible double-buffered stencil loop survives the
-           flattening whole.  It runs halo-tiled when its winner has a
-           halo schedule, else as the flattened engine would. *)
-        let halo =
-          match body with
-          | [ Host_ir.Launch { kernel; grid; block; args }; Host_ir.Swap (sx, sy) ]
-            ->
-            let ck, plan = plan_for kernel grid block args in
-            Option.map
-              (fun steps -> (context ck ~block plan, steps))
-              (Plan.halo (env ()) ck kernel plan ~grid ~block ~args ~iters:n
-                 ~swap:(sx, sy))
-          | _ -> None
-        in
-        match halo with
-        | Some (c, steps) -> List.iter (step c) steps
-        | None ->
+        (* Only a run that keeps its loops whole gets here.  An
+           autotuned double-buffered stencil loop runs halo-tiled when
+           its winner has a halo schedule; a graph-eligible loop runs its
+           full periods through its site, then its trailing iterations
+           live; any other loop runs plain. *)
+        let iterate n =
           for _ = 1 to n do
             List.iter exec body
-          done)
+          done
+        in
+        match body with
+        | [ Host_ir.Launch { kernel; grid; block; args }; Host_ir.Swap (sx, sy) ]
+          when tune_enabled && n > 1 -> (
+            let ck, plan = plan_for kernel grid block args in
+            match
+              Plan.halo (env ()) ck kernel plan ~grid ~block ~args ~iters:n
+                ~swap:(sx, sy)
+            with
+            | Some steps -> List.iter (step (context ck ~block plan)) steps
+            | None -> iterate n)
+        | _ ->
+          let k = if graphs then period_of body else 0 in
+          if k > 0 && n / k >= 2 then begin
+            let site =
+              match List.assq_opt s !sites with
+              | Some site -> site
+              | None ->
+                let site = { s_graph = None; s_dead = false } in
+                sites := (s, site) :: !sites;
+                site
+            in
+            run_periods site ~k ~iterate (n / k);
+            iterate (n mod k)
+          end
+          else iterate n)
     | Host_ir.Swap (a, b) -> swap a b
     | Host_ir.Free name ->
       Vbuf.free (find name);
       Hashtbl.remove vbufs name
     | Host_ir.Sync -> Gpusim.Machine.synchronize m
   in
-  (* Flatten the statement stream (Repeat bodies expanded) so execution
-     has a program counter: checkpoints record an index to replay from.
-     Re-executing any statement is idempotent — h2d re-scatters the
-     same source, launches recompute the same values from the same
+  (* The statement stream.  A run that keeps its loops whole runs the
+     program's top-level statements; any other expands every [Repeat]
+     body, so that the program counter can name any statement:
+     checkpoints record an index to replay from, handoffs one to resume
+     from.  Re-executing any statement is idempotent — h2d re-scatters
+     the same source, launches recompute the same values from the same
      synchronized inputs, tracker updates converge — which is what
-     makes both retry and replay safe.  With graphs on, a loop keeps
-     its period starts: each full period of a loop with at least two
-     is marked at its first statement. *)
-  let stmts, loops =
-    let acc = ref [] and len = ref 0 and loops = ref [] and sites = ref [] in
-    let rec go (s : Host_ir.stmt) =
-      match s with
-      | Host_ir.Repeat
-          (n, [ Host_ir.Launch _; Host_ir.Swap _ ])
-        when halo_repeats_ok && n > 1 ->
-        (* A double-buffered stencil loop stays whole for halo tiling
-           (only when nothing indexes into the flattened stream). *)
-        acc := s :: !acc;
-        incr len
-      | Host_ir.Repeat (n, body) ->
-        let k = if graphs then period_of body else 0 in
-        if k > 0 && n / k >= 2 then begin
-          let site =
-            match List.assq_opt s !sites with
-            | Some site -> site
-            | None ->
-              let site = { s_graph = None; s_dead = false } in
-              sites := (s, site) :: !sites;
-              site
-          in
-          loops :=
-            { l_first = !len; l_len = k * List.length body; l_periods = n / k;
-              l_site = site }
-            :: !loops
-        end;
-        for _ = 1 to n do
-          List.iter go body
-        done
-      | s ->
-        acc := s :: !acc;
-        incr len
-    in
-    List.iter go exe.prog.Host_ir.body;
-    (Array.of_list (List.rev !acc), ref (List.rev !loops))
+     makes both retry and replay safe. *)
+  let stmts =
+    if whole_loops then Array.of_list exe.prog.Host_ir.body
+    else
+      let acc = ref [] in
+      let rec go = function
+        | Host_ir.Repeat (n, body) ->
+          for _ = 1 to n do
+            List.iter go body
+          done
+        | s -> acc := s :: !acc
+      in
+      List.iter go exe.prog.Host_ir.body;
+      Array.of_list (List.rev !acc)
   in
   let n_stmts = Array.length stmts in
   (match resume with
@@ -877,14 +925,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      again whenever a replay rewinds to it) and the preemption's. *)
   let i = ref 0 and pending = ref resume and preempted = ref None in
   let launches_since_ckpt = ref 0 in
-  (* Every live buffer in name order, the order checkpoints and
-     preemption gather in: the gathers charge simulated transfer time
-     and consume the fault stream. *)
-  let live_buffers () =
-    List.sort
-      (fun (a, _) (b, _) -> compare a b)
-      (Hashtbl.fold (fun name vb acc -> (name, vb) :: acc) vbufs [])
-  in
   let drop_buffers () =
     Hashtbl.iter (fun _ vb -> Vbuf.free vb) vbufs;
     Hashtbl.reset vbufs
@@ -992,75 +1032,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     end;
     incr i
   in
-  (* A period start: replay the loop's graph for every full period left
-     when the key matches, else run one period live and capture it.
-     The capture is kept when its calls all replay, its launches all
-     hit the plan cache and it left the key as it found it. *)
-  let graph_key () =
-    List.map (fun (name, vb) -> (name, vb, Vbuf.versions vb)) (live_buffers ())
-  in
-  let same_key =
-    List.equal (fun (a, va, ka) (b, vb, kb) ->
-        String.equal a b && va == vb && ka = kb)
-  in
-  let replayed_transfers = ref 0 and replayed_ops = ref 0 in
-  let run_period l =
-    let site = l.l_site and key = graph_key () in
-    match site.s_graph with
-    | Some g when same_key g.g_key key ->
-      let k = l.l_periods - ((!i - l.l_first) / l.l_len) in
-      let folded =
-        span "graph" (fun () -> Gpusim.Machine.replay m g.g_prog ~periods:k)
-      in
-      Obs.Metrics.add graph_hits (float_of_int k);
-      Obs.Metrics.add graph_folded (float_of_int folded);
-      Obs.Metrics.add graph_replayed_ops
-        (float_of_int ((k - folded) * Gpusim.Machine.graph_ops g.g_prog));
-      Obs.Metrics.add plan_hits (g.g_plan_hits *. float_of_int k);
-      replayed_transfers := !replayed_transfers + (k * g.g_transfers);
-      replayed_ops := !replayed_ops + (k * g.g_tracker_ops);
-      i := !i + (k * l.l_len)
-    | _ -> (
-        bump graph_misses;
-        let hits = Obs.Metrics.total plan_hits
-        and misses = Obs.Metrics.total plan_misses
-        and transfers = Vbuf.transfers space
-        and ops = Vbuf.tracker_ops space in
-        period_plain := true;
-        let prog =
-          Gpusim.Machine.capture m (fun () ->
-              for _ = 1 to l.l_len do
-                run_stmt stmts.(!i)
-              done)
-        in
-        if not !period_plain then site.s_dead <- true;
-        match prog with
-        | Some prog
-          when !period_plain
-               && Obs.Metrics.total plan_misses = misses
-               && same_key key (graph_key ()) ->
-          site.s_graph <-
-            Some
-              {
-                g_key = key;
-                g_prog = prog;
-                g_plan_hits = Obs.Metrics.total plan_hits -. hits;
-                g_transfers = Vbuf.transfers space - transfers;
-                g_tracker_ops = Vbuf.tracker_ops space - ops;
-              }
-        | _ -> ())
-  in
-  (* The loop whose period starts at statement [i], if any.  With
-     graphs on nothing moves the program counter back, so loops behind
-     it, and dead ones, leave the list. *)
-  let rec period_at i =
-    match !loops with
-    | l :: rest when l.l_site.s_dead || i >= l.l_first + (l.l_periods * l.l_len) ->
-      loops := rest;
-      period_at i
-    | l :: _ when i >= l.l_first && (i - l.l_first) mod l.l_len = 0 -> Some l
-    | _ -> None
-  in
   (* The one fault handler: a transient fault repeats the action after
      a backoff, a device loss repeats it unless a replay moved the
      program counter, and a live Out_of_memory refines a capped launch. *)
@@ -1069,7 +1040,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       match action with
       | `Install h -> install h
       | `Preempt -> preempt ()
-      | `Period p -> run_period p
       | `Run stmt -> run_stmt stmt
     with
     | Gpusim.Machine.Transient_fault _ when healing ->
@@ -1111,10 +1081,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       | None -> (
           match abort_at with
           | Some t when Gpusim.Machine.elapsed m >= t -> `Preempt
-          | _ -> (
-              match period_at !i with
-              | Some l -> `Period l
-              | None -> `Run stmts.(!i)))
+          | _ -> `Run stmts.(!i))
     in
     attempt action ~tries:0 ~spent:0.0
   done;

@@ -67,10 +67,6 @@ type result = {
           DESIGN.md §14.  Every series is registered at zero. *)
 }
 
-val launch_bindings :
-  Kir.t -> grid:Dim3.t -> block:Dim3.t -> args:Host_ir.harg list ->
-  (string * int) list
-
 val publish_metrics : ?into:Obs.Metrics.t -> result -> unit
 (** Merge the run's {!result.metrics} into a registry (default:
     {!Obs.Metrics.default}; see {!Obs.Metrics.merge}) and snapshot the
@@ -179,19 +175,23 @@ val run :
     transfer counts — changes.  Requires a patterns config (alpha or
     beta); under gamma the flag is ignored.  Plans are cached under a
     key extended with the scoring inputs ({!Autotune.signature}), so
-    device loss or speed changes never replay a stale choice; halo
-    tiling additionally requires ideal hardware, no preemption/resume,
-    and unlimited device memory, and falls back to the per-step
-    schedule otherwise. *)
+    device loss or speed changes never replay a stale choice.  Halo
+    tiling, like launch graphs, needs a loop that runs whole: ideal
+    hardware, no preemption/resume and unlimited device memory, where
+    nothing indexes into the statement stream (DESIGN.md §21); any
+    other run expands its loops and uses the per-step schedule. *)
 
 type handoff = {
-  h_index : int;  (** flattened-statement index to resume from *)
+  h_index : int;
+      (** index to resume from, into the expanded statement stream: a
+          run with [abort_at] or [resume] indexes into its stream, so
+          every [Repeat] body is expanded in it *)
   h_buffers : (string * int * float array option) list;
       (** (name, len, content) of every live buffer at preemption;
           content is [None] on performance machines *)
 }
 (** A preemption handoff: a checkpoint in portable form.  Because the
-    engine's flattened statements are idempotent, resuming a fresh
+    engine's statements are idempotent, resuming a fresh
     engine at [h_index] with these buffers restored reproduces the
     uninterrupted run bit-identically — including on a {e different}
     machine (the serving layer re-dispatches preempted jobs onto new

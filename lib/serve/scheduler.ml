@@ -136,7 +136,7 @@ let predicted_runtime (fleet : Gpusim.Config.t) (spec : Job.spec) =
       let blocks = grid.Dim3.x * grid.Dim3.y * grid.Dim3.z in
       let per_dev = (blocks + n - 1) / n in
       let scalar_env =
-        Mekong.Multi_gpu.launch_bindings kernel ~grid ~block ~args
+        Mekong.Plan.launch_bindings kernel ~grid ~block ~args
       in
       let t =
         Gpusim.Config.kernel_seconds fleet ~active:n ~speed:1.0 ~blocks:per_dev

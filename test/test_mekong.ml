@@ -1062,6 +1062,77 @@ let test_graphs_hotspot () =
   in
   off "functional" (Mekong.Multi_gpu.run ~machine:m exe)
 
+(* A loop whose count is not a multiple of its period: 7 hotspot
+   launches are 3 periods of 2 plus 1 trailing iteration, which runs
+   live after the periods. *)
+let test_graphs_trailing_period () =
+  let prog, _, _ = Apps.Workloads.functional_hotspot ~n:32 ~iterations:7 in
+  let res, _ = stencil_run ~functional:false prog in
+  let live, _ = stencil_run ~functional:false ~cache:false prog in
+  checkb "replayed == live" true (observed res = observed live);
+  check_counts "graph hits, misses" (1, 2) (graph_counts res);
+  check_counts "plan hits, misses" (6, 1) (plan_counts res)
+
+(* An autotuned double-buffered stencil on a performance machine takes
+   the halo route with graphs on: the loop runs halo-tiled, not through
+   a graph, and matches the uncached run. *)
+let test_graphs_autotune_halo () =
+  let prog, _, _ = Apps.Workloads.functional_hotspot ~n:128 ~iterations:24 in
+  let exe = (compile_exn prog).Mekong.Toolchain.exe in
+  let run ~cache =
+    let m =
+      Gpusim.Machine.create ~functional:false (Gpusim.Config.k80_box ~n_devices:4 ())
+    in
+    Gpusim.Machine.enable_trace m;
+    Mekong.Multi_gpu.run ~cache ~autotune:true ~machine:m exe
+  in
+  let on = run ~cache:true and off = run ~cache:false in
+  checkb "cached == uncached" true (observed on = observed off);
+  List.iter
+    (fun (name, want) -> checki name want (metric on name))
+    [
+      ("cache.graph_hits", 0);
+      ("cache.graph_misses", 0);
+      ("cache.graph_folded", 0);
+      ("cache.graph_replayed_ops", 0);
+      ("autotune.halo_blocks", 2);
+      ("autotune.halo_steps", 24);
+      ("cache.plan_hits", 0);
+      ("cache.plan_misses", 1);
+    ]
+
+(* [run_bounded] rejects a non-positive checkpoint interval or abort
+   time, and a handoff past the end of the expanded statement stream
+   (a resumed run indexes into it, so its loops are expanded). *)
+let test_run_bounded_arguments () =
+  let prog, _, _ = Apps.Workloads.functional_hotspot ~n:32 ~iterations:6 in
+  let exe = (compile_exn prog).Mekong.Toolchain.exe in
+  let run ?checkpoint_every ?abort_at ?resume () =
+    let m =
+      Gpusim.Machine.create ~functional:false (Gpusim.Config.test_box ~n_devices:4 ())
+    in
+    Mekong.Multi_gpu.run_bounded ?checkpoint_every ?abort_at ?resume ~machine:m exe
+  in
+  Alcotest.check_raises "checkpoint_every 0"
+    (Invalid_argument "Multi_gpu.run: checkpoint_every must be positive")
+    (fun () -> ignore (run ~checkpoint_every:0 ()));
+  Alcotest.check_raises "abort_at 0"
+    (Invalid_argument "Multi_gpu.run_bounded: abort_at must be positive")
+    (fun () -> ignore (run ~abort_at:0.0 ()));
+  let rec expanded = function
+    | Host_ir.Repeat (n, body) -> n * List.fold_left (fun acc s -> acc + expanded s) 0 body
+    | _ -> 1
+  in
+  let len = List.fold_left (fun acc s -> acc + expanded s) 0 prog.Host_ir.body in
+  checkb "the loop expands" true (len > List.length prog.Host_ir.body);
+  let at h_index = { Mekong.Multi_gpu.h_index; h_buffers = [] } in
+  (match run ~resume:(at len) () with
+   | Mekong.Multi_gpu.Done _ -> ()
+   | Mekong.Multi_gpu.Preempted _ -> Alcotest.fail "resume at the end preempted");
+  Alcotest.check_raises "h_index past the stream"
+    (Invalid_argument "Multi_gpu.run_bounded: resume index out of range")
+    (fun () -> ignore (run ~resume:(at (len + 1)) ()))
+
 let prop_random_kernels_golden =
   QCheck.Test.make ~name:"random affine kernels: multi-GPU == single-GPU"
     ~count:60
@@ -1745,6 +1816,12 @@ let () =
                test_graphs_fresh_buffers;
              Alcotest.test_case "launch graphs replay hotspot" `Quick
                test_graphs_hotspot;
+             Alcotest.test_case "graphs: trailing partial period" `Quick
+               test_graphs_trailing_period;
+             Alcotest.test_case "graphs: autotuned halo loop keeps its route"
+               `Quick test_graphs_autotune_halo;
+             Alcotest.test_case "run_bounded argument checks" `Quick
+               test_run_bounded_arguments;
            ] );
          ( "instrumentation",
            [
