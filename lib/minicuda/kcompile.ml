@@ -22,9 +22,9 @@
      indices and uniform loop counters (a load is uniform when its
      subscripts are and no store or atomic writes its array).  A
      uniform register keeps its value in slot 0; a uniform step runs
-     over [0, 1) whatever lanes are active, and a varying step reads a
-     uniform operand through the lane mask 0 ([x.(l land 0)]) instead
-     of [-1];
+     over [0, 1) whatever lanes are active, and a varying step is
+     compiled for its operands' shape: it reads a uniform operand once,
+     before its loop (see "Step constructors");
    - a block of statements is a flat list of steps run by one
      sequencer; only [If] and [For] nest.  A varying [If] runs each
      branch once per maximal run of lanes that takes it; a uniform one
@@ -879,136 +879,290 @@ let const_f c x =
     Hashtbl.add c.fconsts key r;
     r
 
-(* Where a root writes: the destination slot when its type matches and
-   it can hold the value (a uniform slot only takes uniform values),
-   else a fresh temporary. *)
+(* Where a root writes: the destination slot when its type and its
+   uniformity match the value's, else a fresh temporary.  So a step
+   writes a uniform register exactly when its operands are uniform; a
+   uniform value bound to a varying local is computed once and
+   broadcast by [bind]'s move. *)
 let out_i c ~uni = function
-  | Some (TInt, r) when uni || not (uni_i c r) -> r
+  | Some (TInt, r) when uni = uni_i c r -> r
   | _ -> fresh_i ~uni c
 
 let out_f c ~uni = function
-  | Some (TFloat, r) when uni || not (uni_f c r) -> r
+  | Some (TFloat, r) when uni = uni_f c r -> r
   | _ -> fresh_f ~uni c
 
 (* --- Step constructors --------------------------------------------------
 
-   One sweep per operator: a helper taking the lane body as a closure
-   would cost a call per lane (no flambda). *)
+   One sweep per operator and operand shape: a helper taking the lane
+   body as a closure would cost a call per lane (no flambda).  A step's
+   destination is uniform exactly when its operands all are (only a
+   move broadcasts a uniform register into a varying one), and a
+   uniform step runs over [0, 1), where slot [l] is slot 0.  So a
+   one-operand step reads its operand at [l], and a two-operand step
+   has one of three shapes, fixed when it is compiled: [Vv] reads both
+   operands at [l], which also serves two uniform operands; [Uv] and
+   [Vu] read their uniform operand once, before the loop.  A hoisted
+   operand is never the destination, whose uniformity differs.
 
-let int_step op d a ma b mb : step =
-  match op with
-  | Kir.Add ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) + y.!(l land mb) done
-  | Kir.Sub ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) - y.!(l land mb) done
-  | Kir.Mul ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) * y.!(l land mb) done
-  | Kir.Minb ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- imin x.!(l land ma) y.!(l land mb) done
-  | Kir.Maxb ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- imax x.!(l land ma) y.!(l land mb) done
-  | Kir.Idiv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) / y.!(l land mb) done
-  | _ ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) mod y.!(l land mb) done
+   A float sweep binds its first operand before a commutative operator:
+   ocamlopt swaps the operands of one to read a load straight from
+   memory, and when both operands are NaN the first one's payload must
+   win, as in the interpreter. *)
 
-let float_step op d a ma b mb : step =
-  match op with
-  | Kir.Add ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) +. y.!(l land mb) done
-  | Kir.Sub ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) -. y.!(l land mb) done
-  | Kir.Mul ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) *. y.!(l land mb) done
-  | Kir.Minb ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- fmin x.!(l land ma) y.!(l land mb) done
-  | Kir.Maxb ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- fmax x.!(l land ma) y.!(l land mb) done
-  | _ ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) /. y.!(l land mb) done
+type shape = Vv | Uv | Vu
 
-(* [x ± y*z] in one step.  [x] is bound first: a commutative operand
-   read straight from memory lets ocamlopt swap the operands, and when
-   both are NaN the first operand's payload must win, as in the
-   interpreter. *)
-let fma_step op d a ma b mb e me : step =
-  if op = Kir.Add then
+let shape ua ub = if ua = ub then Vv else if ua then Uv else Vu
+
+(* An operator whose result does not depend on its operands' order
+   takes its uniform operand first. *)
+let commute sh a b = if sh = Vu then (Uv, b, a) else (sh, a, b)
+
+let int_step op sh d a b : step =
+  let sh, a, b =
+    match op with Kir.Add | Kir.Mul | Kir.Minb | Kir.Maxb -> commute sh a b | _ -> (sh, a, b)
+  in
+  match (op, sh) with
+  | Kir.Add, Vv ->
+    fun env lo hi ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) + y.!(l) done
+  | Kir.Add, _ ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- u + y.!(l) done
+  | Kir.Mul, Vv ->
+    fun env lo hi ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) * y.!(l) done
+  | Kir.Mul, _ ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- u * y.!(l) done
+  | Kir.Minb, Vv ->
+    fun env lo hi ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- imin x.!(l) y.!(l) done
+  | Kir.Minb, _ ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- imin u y.!(l) done
+  | Kir.Maxb, Vv ->
+    fun env lo hi ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- imax x.!(l) y.!(l) done
+  | Kir.Maxb, _ ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- imax u y.!(l) done
+  | Kir.Sub, Vv ->
+    fun env lo hi ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) - y.!(l) done
+  | Kir.Sub, Uv ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- u - y.!(l) done
+  | Kir.Sub, Vu ->
+    fun env lo hi ->
+      let x = ig env a and v = (ig env b).!(0) and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) - v done
+  | Kir.Idiv, Vv ->
+    fun env lo hi ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) / y.!(l) done
+  | Kir.Idiv, Uv ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- u / y.!(l) done
+  | Kir.Idiv, Vu ->
+    fun env lo hi ->
+      let x = ig env a and v = (ig env b).!(0) and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) / v done
+  | _, Vv ->
+    fun env lo hi ->
+      let x = ig env a and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) mod y.!(l) done
+  | _, Uv ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- u mod y.!(l) done
+  | _, Vu ->
+    fun env lo hi ->
+      let x = ig env a and v = (ig env b).!(0) and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) mod v done
+
+let float_step op sh d a b : step =
+  match (op, sh) with
+  | Kir.Add, Vv ->
+    fun env lo hi ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do
+        let u = x.!(l) in
+        z.!(l) <- u +. y.!(l)
+      done
+  | Kir.Add, Uv ->
+    fun env lo hi ->
+      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- u +. y.!(l) done
+  | Kir.Add, Vu ->
+    fun env lo hi ->
+      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
+      for l = lo to hi - 1 do
+        let u = x.!(l) in
+        z.!(l) <- u +. v
+      done
+  | Kir.Sub, Vv ->
+    fun env lo hi ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) -. y.!(l) done
+  | Kir.Sub, Uv ->
+    fun env lo hi ->
+      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- u -. y.!(l) done
+  | Kir.Sub, Vu ->
+    fun env lo hi ->
+      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) -. v done
+  | Kir.Mul, Vv ->
+    fun env lo hi ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do
+        let u = x.!(l) in
+        z.!(l) <- u *. y.!(l)
+      done
+  | Kir.Mul, Uv ->
+    fun env lo hi ->
+      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- u *. y.!(l) done
+  | Kir.Mul, Vu ->
+    fun env lo hi ->
+      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
+      for l = lo to hi - 1 do
+        let u = x.!(l) in
+        z.!(l) <- u *. v
+      done
+  | Kir.Minb, Vv ->
+    fun env lo hi ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- fmin x.!(l) y.!(l) done
+  | Kir.Minb, Uv ->
+    fun env lo hi ->
+      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- fmin u y.!(l) done
+  | Kir.Minb, Vu ->
+    fun env lo hi ->
+      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- fmin x.!(l) v done
+  | Kir.Maxb, Vv ->
+    fun env lo hi ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- fmax x.!(l) y.!(l) done
+  | Kir.Maxb, Uv ->
+    fun env lo hi ->
+      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- fmax u y.!(l) done
+  | Kir.Maxb, Vu ->
+    fun env lo hi ->
+      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- fmax x.!(l) v done
+  | _, Vv ->
+    fun env lo hi ->
+      let x = fg env a and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) /. y.!(l) done
+  | _, Uv ->
+    fun env lo hi ->
+      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- u /. y.!(l) done
+  | _, Vu ->
+    fun env lo hi ->
+      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) /. v done
+
+(* [x ± y*z] in one step: [x] is read at [l] and [sh] is the shape of
+   [y] and [z].  [x] is bound before the sum, and [y] before a product
+   with a hoisted [z], so [y]'s payload wins the product and [x]'s the
+   sum, as in the interpreter's two operators. *)
+let fma_step op sh d a b e : step =
+  match (op, sh) with
+  | Kir.Add, Vv ->
     fun env lo hi ->
       let x = fg env a and y = fg env b and z = fg env e and r = fg env d in
       for l = lo to hi - 1 do
-        let u = x.!(l land ma) in
-        r.!(l) <- u +. (y.!(l land mb) *. z.!(l land me))
+        let u = x.!(l) in
+        r.!(l) <- u +. (y.!(l) *. z.!(l))
       done
-  else
+  | Kir.Add, Uv ->
+    fun env lo hi ->
+      let x = fg env a and w = (fg env b).!(0) and z = fg env e and r = fg env d in
+      for l = lo to hi - 1 do
+        let u = x.!(l) in
+        r.!(l) <- u +. (w *. z.!(l))
+      done
+  | Kir.Add, Vu ->
+    fun env lo hi ->
+      let x = fg env a and y = fg env b and w = (fg env e).!(0) and r = fg env d in
+      for l = lo to hi - 1 do
+        let u = x.!(l) in
+        let p = y.!(l) in
+        r.!(l) <- u +. (p *. w)
+      done
+  | _, Vv ->
     fun env lo hi ->
       let x = fg env a and y = fg env b and z = fg env e and r = fg env d in
+      for l = lo to hi - 1 do r.!(l) <- x.!(l) -. (y.!(l) *. z.!(l)) done
+  | _, Uv ->
+    fun env lo hi ->
+      let x = fg env a and w = (fg env b).!(0) and z = fg env e and r = fg env d in
+      for l = lo to hi - 1 do r.!(l) <- x.!(l) -. (w *. z.!(l)) done
+  | _, Vu ->
+    fun env lo hi ->
+      let x = fg env a and y = fg env b and w = (fg env e).!(0) and r = fg env d in
       for l = lo to hi - 1 do
-        r.!(l) <- x.!(l land ma) -. (y.!(l land mb) *. z.!(l land me))
+        let p = y.!(l) in
+        r.!(l) <- x.!(l) -. (p *. w)
       done
 
-let float_unop_step op d a ma : step =
+let float_unop_step op d a : step =
   match op with
   | Kir.Neg ->
     fun env lo hi ->
       let x = fg env a and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- -.x.!(l land ma) done
+      for l = lo to hi - 1 do z.!(l) <- -.x.!(l) done
   | Kir.Abs ->
     fun env lo hi ->
       let x = fg env a and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- Float.abs x.!(l land ma) done
+      for l = lo to hi - 1 do z.!(l) <- Float.abs x.!(l) done
   | Kir.Sqrt ->
     fun env lo hi ->
       let x = fg env a and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- sqrt x.!(l land ma) done
+      for l = lo to hi - 1 do z.!(l) <- sqrt x.!(l) done
   | _ ->
     fun env lo hi ->
       let x = fg env a and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- 1.0 /. sqrt x.!(l land ma) done
+      for l = lo to hi - 1 do z.!(l) <- 1.0 /. sqrt x.!(l) done
 
-let int_unop_step op d a ma : step =
+let int_unop_step op d a : step =
   if op = Kir.Neg then
     fun env lo hi ->
       let x = ig env a and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- - x.!(l land ma) done
+      for l = lo to hi - 1 do z.!(l) <- - x.!(l) done
   else
     fun env lo hi ->
       let x = ig env a and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- abs x.!(l land ma) done
+      for l = lo to hi - 1 do z.!(l) <- abs x.!(l) done
 
 (* Comparisons write 0/1.  [a > b] is [b < a] and [a >= b] is [b <= a],
-   NaNs included, so four operators cover six.  Integers compare as
-   floats, as in the interpreter. *)
-let mirror op a ma b mb =
+   NaNs included, so four operators cover six; [=] and [<>] commute. *)
+let mirror op sh a b =
+  let flip = match sh with Uv -> Vu | Vu -> Uv | Vv -> Vv in
   match op with
-  | Kir.Gt -> (Kir.Lt, b, mb, a, ma)
-  | Kir.Ge -> (Kir.Le, b, mb, a, ma)
-  | _ -> (op, a, ma, b, mb)
+  | Kir.Gt -> (Kir.Lt, flip, b, a)
+  | Kir.Ge -> (Kir.Le, flip, b, a)
+  | Kir.Eq | Kir.Ne ->
+    let sh, a, b = commute sh a b in
+    (op, sh, a, b)
+  | _ -> (op, sh, a, b)
 
 (* Integers compare as floats in the interpreter.  Within 2^53 in
    magnitude that is the integer comparison, which spares two
@@ -1019,94 +1173,158 @@ let[@inline] ilt x y = if exact x y then x < y else float_of_int x < float_of_in
 let[@inline] ile x y = if exact x y then x <= y else float_of_int x <= float_of_int y
 let[@inline] ieq x y = if exact x y then x = y else float_of_int x = float_of_int y
 
-let int_cmp_step op d a ma b mb : step =
-  let op, a, ma, b, mb = mirror op a ma b mb in
-  match op with
-  | Kir.Lt ->
+let int_cmp_step op sh d a b : step =
+  let op, sh, a, b = mirror op sh a b in
+  match (op, sh) with
+  | Kir.Lt, Vv ->
     fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ilt x.!(l land ma) y.!(l land mb)) done
-  | Kir.Le ->
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ilt x.!(l) y.!(l)) done
+  | Kir.Lt, Uv ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ilt u y.!(l)) done
+  | Kir.Lt, Vu ->
+    fun env lo hi ->
+      let x = ig env a and v = (ig env b).!(0) and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ilt x.!(l) v) done
+  | Kir.Le, Vv ->
     fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ile x.!(l land ma) y.!(l land mb)) done
-  | Kir.Eq ->
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ile x.!(l) y.!(l)) done
+  | Kir.Le, Uv ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ile u y.!(l)) done
+  | Kir.Le, Vu ->
+    fun env lo hi ->
+      let x = ig env a and v = (ig env b).!(0) and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ile x.!(l) v) done
+  | Kir.Eq, Vv ->
     fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ieq x.!(l land ma) y.!(l land mb)) done
-  | _ ->
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ieq x.!(l) y.!(l)) done
+  | Kir.Eq, _ ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ieq u y.!(l)) done
+  | _, Vv ->
     fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do
-        z.!(l) <- Bool.to_int (not (ieq x.!(l land ma) y.!(l land mb)))
-      done
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (not (ieq x.!(l) y.!(l))) done
+  | _, _ ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (not (ieq u y.!(l))) done
 
-let float_cmp_step op d a ma b mb : step =
-  let op, a, ma, b, mb = mirror op a ma b mb in
-  match op with
-  | Kir.Lt ->
+let float_cmp_step op sh d a b : step =
+  let op, sh, a, b = mirror op sh a b in
+  match (op, sh) with
+  | Kir.Lt, Vv ->
     fun env lo hi ->
       let x = fg env a and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l land ma) < y.!(l land mb)) done
-  | Kir.Le ->
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) < y.!(l)) done
+  | Kir.Lt, Uv ->
+    fun env lo hi ->
+      let u = (fg env a).!(0) and y = fg env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u < y.!(l)) done
+  | Kir.Lt, Vu ->
+    fun env lo hi ->
+      let x = fg env a and v = (fg env b).!(0) and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) < v) done
+  | Kir.Le, Vv ->
     fun env lo hi ->
       let x = fg env a and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l land ma) <= y.!(l land mb)) done
-  | Kir.Eq ->
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) <= y.!(l)) done
+  | Kir.Le, Uv ->
+    fun env lo hi ->
+      let u = (fg env a).!(0) and y = fg env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u <= y.!(l)) done
+  | Kir.Le, Vu ->
+    fun env lo hi ->
+      let x = fg env a and v = (fg env b).!(0) and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) <= v) done
+  | Kir.Eq, Vv ->
     fun env lo hi ->
       let x = fg env a and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l land ma) = y.!(l land mb)) done
-  | _ ->
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) = y.!(l)) done
+  | Kir.Eq, _ ->
+    fun env lo hi ->
+      let u = (fg env a).!(0) and y = fg env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u = y.!(l)) done
+  | _, Vv ->
     fun env lo hi ->
       let x = fg env a and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l land ma) <> y.!(l land mb)) done
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) <> y.!(l)) done
+  | _, _ ->
+    fun env lo hi ->
+      let u = (fg env a).!(0) and y = fg env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u <> y.!(l)) done
 
 (* [&&], [||] and [!] over int registers holding conditions (non-zero is
    true), writing 0/1. *)
-let bool_step op d a ma b mb : step =
-  if op = Kir.And then
+let bool_step op sh d a b : step =
+  let sh, a, b = commute sh a b in
+  match (op, sh) with
+  | Kir.And, Vv ->
     fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do
-        z.!(l) <- Bool.to_int (x.!(l land ma) <> 0 && y.!(l land mb) <> 0)
-      done
-  else
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) <> 0 && y.!(l) <> 0) done
+  | Kir.And, _ ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) <> 0 and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u && y.!(l) <> 0) done
+  | _, Vv ->
     fun env lo hi ->
       let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do
-        z.!(l) <- Bool.to_int (x.!(l land ma) <> 0 || y.!(l land mb) <> 0)
-      done
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) <> 0 || y.!(l) <> 0) done
+  | _, _ ->
+    fun env lo hi ->
+      let u = (ig env a).!(0) <> 0 and y = ig env b and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u || y.!(l) <> 0) done
 
-let not_step d a ma : step =
+let not_step d a : step =
  fun env lo hi ->
   let x = ig env a and z = ig env d in
-  for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l land ma) = 0) done
+  for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) = 0) done
 
 let non_integer () = invalid_arg "Keval: non-integer index"
 
-let to_int_step d a ma : step =
+let to_int_step d a : step =
  fun env lo hi ->
   let x = fg env a and z = ig env d in
   for l = lo to hi - 1 do
-    let v = x.!(l land ma) in
+    let v = x.!(l) in
     let i = int_of_float v in
     if float_of_int i = v then z.!(l) <- i else non_integer ()
   done
 
-let to_float_step d a ma : step =
+let to_float_step d a : step =
  fun env lo hi ->
   let x = ig env a and z = fg env d in
-  for l = lo to hi - 1 do z.!(l) <- float_of_int x.!(l land ma) done
+  for l = lo to hi - 1 do z.!(l) <- float_of_int x.!(l) done
 
-let move_i_step d a ma : step =
- fun env lo hi ->
-  let x = ig env a and z = ig env d in
-  for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) done
+(* A move, or with [broadcast] a uniform register's value into every
+   swept lane of a varying one. *)
+let move_i_step ~broadcast d a : step =
+  if broadcast then
+    fun env lo hi ->
+      let v = (ig env a).!(0) and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- v done
+  else
+    fun env lo hi ->
+      let x = ig env a and z = ig env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) done
 
-let move_f_step d a ma : step =
- fun env lo hi ->
-  let x = fg env a and z = fg env d in
-  for l = lo to hi - 1 do z.!(l) <- x.!(l land ma) done
+let move_f_step ~broadcast d a : step =
+  if broadcast then
+    fun env lo hi ->
+      let v = (fg env a).!(0) and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- v done
+  else
+    fun env lo hi ->
+      let x = fg env a and z = fg env d in
+      for l = lo to hi - 1 do z.!(l) <- x.!(l) done
 
 let set_i_step d v : step =
  fun env lo hi ->
@@ -1135,7 +1353,7 @@ let as_i c = function
     end
   | Rf r ->
     let d = fresh_i ~uni:(uni_f c r) c in
-    emit_i c d (to_int_step d r (mask_f c r));
+    emit_i c d (to_int_step d r);
     Ri d
   | Rb _ | Kb _ -> fallback "boolean used as integer"
 
@@ -1144,7 +1362,7 @@ let as_f c = function
   | Ki k -> Kf (float_of_int k)
   | Ri r ->
     let d = fresh_f ~uni:(uni_i c r) c in
-    emit_f c d (to_float_step d r (mask_i c r));
+    emit_f c d (to_float_step d r);
     Rf d
   | Rb _ | Kb _ -> fallback "boolean used as float"
 
@@ -1195,12 +1413,12 @@ let float_cmp op (u : float) v =
 
 let int_op c dst op a b =
   let d = out_i c ~uni:(uni_i c a && uni_i c b) dst in
-  emit_i c d (int_step op d a (mask_i c a) b (mask_i c b));
+  emit_i c d (int_step op (shape (uni_i c a) (uni_i c b)) d a b);
   Ri d
 
 let float_op c dst op a b =
   let d = out_f c ~uni:(uni_f c a && uni_f c b) dst in
-  emit_f c d (float_step op d a (mask_f c a) b (mask_f c b));
+  emit_f c d (float_step op (shape (uni_f c a) (uni_f c b)) d a b);
   Rf d
 
 (* Arithmetic stays integer only when both operands are; otherwise
@@ -1217,8 +1435,8 @@ let arith c dst op vx vy =
 let compare_op c ~int op a b =
   let d = fresh_i ~uni:(if int then uni_i c a && uni_i c b else uni_f c a && uni_f c b) c in
   emit_i c d
-    (if int then int_cmp_step op d a (mask_i c a) b (mask_i c b)
-     else float_cmp_step op d a (mask_f c a) b (mask_f c b));
+    (if int then int_cmp_step op (shape (uni_i c a) (uni_i c b)) d a b
+     else float_cmp_step op (shape (uni_f c a) (uni_f c b)) d a b);
   Rb d
 
 (* Finish a binary operator whose operands are compiled (right one
@@ -1246,7 +1464,7 @@ let binop c dst op vx vy =
       | bx, by ->
         let a = breg c bx and b = breg c by in
         let d = fresh_i ~uni:(uni_i c a && uni_i c b) c in
-        emit_i c d (bool_step op d a (mask_i c a) b (mask_i c b));
+        emit_i c d (bool_step op (shape (uni_i c a) (uni_i c b)) d a b);
         Rb d)
 
 let float_unop c dst op v =
@@ -1258,7 +1476,7 @@ let float_unop c dst op v =
   | op, fv ->
     let a = freg c fv in
     let d = out_f c ~uni:(uni_f c a) dst in
-    emit_f c d (float_unop_step op d a (mask_f c a));
+    emit_f c d (float_unop_step op d a);
     Rf d
 
 let unop c dst op v =
@@ -1266,7 +1484,7 @@ let unop c dst op v =
   | (Kir.Neg | Kir.Abs), Ki k -> Ki (if op = Kir.Neg then -k else abs k)
   | (Kir.Neg | Kir.Abs), Ri a ->
     let d = out_i c ~uni:(uni_i c a) dst in
-    emit_i c d (int_unop_step op d a (mask_i c a));
+    emit_i c d (int_unop_step op d a);
     Ri d
   | Kir.Neg, (Rb _ | Kb _) -> fallback "negating a boolean"
   | Kir.Not, _ -> (
@@ -1275,7 +1493,7 @@ let unop c dst op v =
       | bv ->
         let a = breg c bv in
         let d = fresh_i ~uni:(uni_i c a) c in
-        emit_i c d (not_step d a (mask_i c a));
+        emit_i c d (not_step d a);
         Rb d)
   | _ -> float_unop c dst op v
 
@@ -1399,9 +1617,17 @@ let rec compile_exp c bound ?dst (e : Kir.exp) : value =
         let y = freg c fy in
         let z = freg c fz in
         let x = freg c (compile_exp c bound x) in
-        let d = out_f c ~uni:(uni_f c x && uni_f c y && uni_f c z) dst in
-        emit_f c d (fma_step op d x (mask_f c x) y (mask_f c y) z (mask_f c z));
-        Rf d
+        let ux = uni_f c x and uy = uni_f c y and uz = uni_f c z in
+        if ux = (uy && uz) then begin
+          let d = out_f c ~uni:ux dst in
+          emit_f c d (fma_step op (shape uy uz) d x y z);
+          Rf d
+        end
+        else
+          (* A uniform [x] beside a varying product, or a uniform
+             product beside a varying [x]: the product is a step of its
+             own, rounded as in one step. *)
+          float_op c dst op x (freg c (float_op c None Kir.Mul y z))
     end
   | Kir.Binop (op, x, y) ->
     let vy = compile_exp c bound y in
@@ -1472,8 +1698,9 @@ let bind c name v ~mark_i ~mark_f =
       | Ki k -> emit_i c s (set_i_step s k)
       | Kb b -> emit_i c s (set_i_step s (Bool.to_int b))
       | Kf x -> emit_f c s (set_f_step s x)
-      | (Ri r | Rb r) when r <> s -> emit_i c s (move_i_step s r (mask_i c r))
-      | Rf r when r <> s -> emit_f c s (move_f_step s r (mask_f c r))
+      | (Ri r | Rb r) when r <> s ->
+        emit_i c s (move_i_step ~broadcast:(uni_i c r && not uni) s r)
+      | Rf r when r <> s -> emit_f c s (move_f_step ~broadcast:(uni_f c r && not uni) s r)
       | Ri _ | Rb _ | Rf _ -> ())
 
 let rec seq = function

@@ -367,15 +367,18 @@ let eviction_hook = ref None
 let set_eviction_hook f = eviction_hook := f
 
 (* Make the ranges resident on [dev], evicting coldest-first from the
-   space's pool when the device is full.  All ranges of one
-   launch should share a [stamp] (one [Machine.lru_tick]) so none of
-   them can evict another; raises [Machine.Out_of_memory] when even a
-   full eviction of everything older cannot make room.  One residency
-   walk per range finds its non-resident gaps, and one whole-range
-   write stamps it.  When the gaps do not fit, that write comes before
-   the eviction loop, so the loop cannot pick any part of the range;
-   if the loop fails, the gaps are unstamped again, so the range's
-   residency ends as if only its resident parts had been re-stamped. *)
+   space's pool when the device is full.  The ranges of one launch
+   should share a [stamp] (one [Machine.lru_tick]), so that no range
+   evicts one already made resident in the launch.  A range not yet
+   reached keeps its older stamps, so an earlier range's eviction loop
+   can evict its segments, which are made resident again when its turn
+   comes.  Raises [Machine.Out_of_memory] when even a full eviction of
+   everything older cannot make room.  One residency walk per range
+   finds its non-resident gaps, and one whole-range write stamps it.
+   When the gaps do not fit, that write comes before the eviction loop,
+   so the loop cannot pick any part of the range; if the loop fails,
+   the gaps are unstamped again, so the range's residency ends as if
+   only its resident parts had been re-stamped. *)
 let ensure_resident ?stamp t ~dev ~ranges =
   let stamp =
     match stamp with Some s -> s | None -> Gpusim.Machine.lru_tick t.machine

@@ -114,12 +114,18 @@ val update_for_write :
 
 val ensure_resident :
   ?stamp:int -> t -> dev:int -> ranges:(int * int) list -> unit
-(** Make the ranges resident on [dev], evicting the globally coldest
-    resident segments across the pool when the device is full.  All
-    ranges of one launch should share a [stamp] (one
-    {!Gpusim.Machine.lru_tick}, drawn here when omitted) so none of them
-    can evict another.  Raises [Gpusim.Machine.Out_of_memory] when a
-    full eviction of everything older still cannot make room. *)
+(** Make the ranges resident on [dev], one range at a time, evicting
+    the globally coldest resident segments across the pool when the
+    device is full.  The eviction loop only picks segments stamped
+    before [stamp], so the ranges of one launch should share a [stamp]
+    (a {!Gpusim.Machine.lru_tick}, drawn here when omitted): then no
+    range evicts one made resident before it in the launch.  A range
+    not yet reached is not protected: its resident segments keep their
+    older stamps, so they can be evicted while an earlier range of the
+    same call is made resident, and are made resident again, under the
+    same stamp, when their range's turn comes.  Raises
+    [Gpusim.Machine.Out_of_memory] when a full eviction of everything
+    older still cannot make room. *)
 
 val set_eviction_hook :
   (t -> dev:int -> stamp:int -> start:int -> stop:int -> unit) option -> unit

@@ -1781,6 +1781,173 @@ let test_affine_two_domains () =
   in
   checkb "row-by-row copies match" true (bits out = bits want)
 
+(* ---------------- Operand shapes ----------------
+
+   Kcompile compiles each two-operand sweep for its operands' shape:
+   both varying (which also serves both uniform, on one lane), or one
+   uniform operand read once before the loop.  Every operator is run
+   here in each shape against Keval, bit for bit, in lane mode, thread
+   by thread and on the 2-domain pool.  Varying operands are loads at
+   the thread's index; uniform ones are loads at the loop counter [k]
+   inside a [For], or [k] itself.  Every float array holds NaNs with
+   its own payload at the same indices, so both operands are NaN with
+   different payloads in every shape; the integer runs also take every
+   operand across 2^53, where the interpreter's float compare and the
+   integer one part. *)
+
+let shape_n = 24 (* two blocks of 12 *)
+let shape_m = 11 (* loop trips, and the float table's length *)
+
+(* The float table of operand [a]'s varying or uniform array: a NaN at
+   index 0 whose payload is the array's own, and for [a] = 1 and 2 a
+   negative NaN at index [2a + 1], so that lane or trip 1 meets
+   [x = 1.5] with both factors of [y*z] NaN. *)
+let shape_floats a ~uni =
+  let nan_bits sign k =
+    Int64.float_of_bits (Int64.logor sign (Int64.of_int (0x10 + (8 * a) + (if uni then 2 else 0) + k)))
+  in
+  let t = [| 0.0; 1.5; -0.0; 0.0; -2.25; infinity; neg_infinity; 3.0; 0.5; -7.0; 1e308 |] in
+  t.(0) <- nan_bits 0x7ff8000000000000L 0;
+  if a > 0 then t.((2 * a) + 1) <- nan_bits 0xfff8000000000000L 1;
+  t
+
+let shape_ints = [| -3.0; 5.0; -1.0; 2.0; 4.0; -6.0; 1.0 |]
+
+(* Operand [a] (0, 1 or 2) of a float, int or boolean operator, varying
+   or uniform. *)
+let shape_operand ty a ~uni =
+  let arr prefix a = Printf.sprintf "%s%c%d" prefix (if uni then 'u' else 'v') a in
+  let counter = uni && a = 0 and next = (a + 1) mod 3 in
+  let open Kir in
+  let at = if uni then v "k" - p "klo" else v "gi" in
+  match ty with
+  | `Float -> load (arr "f" a) [ at ]
+  | `Int when counter -> v "k"
+  | `Int -> p "big" + Binop (Idiv, load (arr "i" a) [ at ], i 1)
+  | `Bool -> load (arr "f" a) [ at ] < load (arr "f" next) [ at ]
+
+(* The operands' arrays, by name: operand [a]'s varying ("v") and
+   uniform ("u") float and int arrays. *)
+let shape_inputs () =
+  List.concat_map
+    (fun a ->
+       let at g = g * ((2 * a) + 1) in
+       let floats ~uni n =
+         let t = shape_floats a ~uni in
+         Array.init n (fun g -> t.(at g mod shape_m))
+       in
+       let ints n = Array.init n (fun g -> shape_ints.((at g + a) mod 7)) in
+       List.map
+         (fun (kind, d) -> (Printf.sprintf "%s%d" kind a, d))
+         [ ("fv", floats ~uni:false shape_n); ("fu", floats ~uni:true shape_m);
+           ("iv", ints shape_n); ("iu", ints shape_m) ])
+    [ 0; 1; 2 ]
+
+(* [r] takes [e]'s value through a varying local, so a uniform result
+   is broadcast into it; the result is then stored per (thread, trip),
+   a boolean as 1.0/0.0.  The trips run under a varying branch, so the
+   sweeps are runs of lanes that do not start at lane 0.  With [dead],
+   a never-taken load of [out] makes the launch run thread by thread. *)
+let shape_kernel ~name ty ~dead e =
+  let out_len = shape_n * shape_m in
+  let open Kir in
+  let j = (v "gi" * i shape_m) + (v "k" - p "klo") in
+  let init = match ty with `Float -> load "fv2" [ v "gi" ] | `Int -> v "gi" | `Bool -> v "gi" < i 5 in
+  let put =
+    match ty with
+    | `Bool -> If (v "r", [ store "out" [ j ] (f 1.0) ], [ store "out" [ j ] (f 0.0) ])
+    | _ -> store "out" [ j ] (v "r")
+  in
+  let trip = [ Local ("r", init); Assign ("r", e); put ] in
+  Kir.kernel ~name
+    ~params:
+      (Scalar "big" :: Scalar "klo"
+       :: List.map
+            (fun (a, d) -> Array { name = a; dims = [| Dim_const (Array.length d) |] })
+            (shape_inputs ())
+       @ [ Array { name = "out"; dims = [| Dim_const out_len |] } ])
+    ([
+      Local ("gi", global_id Dim3.X);
+      For
+        {
+          var = "k";
+          from_ = p "klo";
+          to_ = p "klo" + i shape_m;
+          body = [ If (Binop (Imod, v "gi", i 3) = i 1, trip, trip) ];
+        };
+    ]
+     @ if dead then [ If (tid Dim3.X < i 0, [ store "out" [ i 0 ] (load "out" [ i 0 ]) ], []) ] else [])
+
+(* Every specialized operator: its result type, operand type, arity,
+   and its expression over the operands. *)
+let shape_ops =
+  let open Kir in
+  let bin op xs = Binop (op, List.nth xs 0, List.nth xs 1) in
+  let b2 ty rty ops = List.map (fun op -> (rty, ty, 2, bin op)) ops in
+  let u1 ty op = (ty, ty, 1, fun xs -> Unop (op, List.hd xs)) in
+  let arith = [ Add; Sub; Mul; Minb; Maxb ] and cmp = [ Lt; Le; Gt; Ge; Eq; Ne ] in
+  b2 `Float `Float (Div :: arith)
+  @ b2 `Int `Int (Idiv :: Imod :: arith)
+  @ b2 `Float `Bool cmp @ b2 `Int `Bool cmp @ b2 `Bool `Bool [ And; Or ]
+  @ List.map
+    (fun op -> (`Float, `Float, 3, fun xs -> Binop (op, List.nth xs 0, List.nth xs 1 * List.nth xs 2)))
+    [ Add; Sub ]
+  @ List.map (u1 `Float) [ Neg; Abs; Sqrt; Rsqrt ]
+  @ [ u1 `Int Neg; u1 `Int Abs; u1 `Bool Not; (`Float, `Int, 1, fun xs -> List.hd xs + f 0.5) ]
+
+let test_operand_shapes () =
+  let bits = Array.map Int64.bits_of_float in
+  let run k ~args engine =
+    let arrays = ("out", Array.make (shape_n * shape_m) nan) :: shape_inputs () in
+    let access name =
+      let d = List.assoc name arrays in
+      { Kcompile.loads = d; stores = d; touched = None }
+    in
+    let reg = Obs.Metrics.create () in
+    let grid = Dim3.make (shape_n / 12) and block = Dim3.make 12 in
+    let outcome =
+      try
+        (match engine with
+         | `Interp ->
+           let load, store = Kcompile.callbacks access in
+           Keval.run k ~grid ~block ~args ~load ~store
+         | `Lanes | `Threads -> Kcompile.launch (Kcompile.executor reg) k ~grid ~block ~args ~access
+         | `Par -> Kcompile.launch (Kcompile.executor reg) ~parallel:true k ~grid ~block ~args ~access);
+        Ok ()
+      with Invalid_argument m -> Error m
+    in
+    let count name = int_of_float (Obs.Metrics.get reg name) in
+    ((outcome, bits (List.assoc "out" arrays)), count)
+  in
+  List.iter
+    (fun (rty, ty, arity, build) ->
+       for s = 0 to (1 lsl arity) - 1 do
+         let xs = List.init arity (fun a -> shape_operand ty a ~uni:(s land (1 lsl a) <> 0)) in
+         let e = build xs in
+         let k = shape_kernel ~name:"shapes" rty ~dead:false e in
+         let kd = shape_kernel ~name:"shapes_dead" rty ~dead:true e in
+         List.iter
+           (fun (big, klo) ->
+              let args = [ Keval.AInt big; Keval.AInt klo ] in
+              let what = Format.asprintf "%a (big=%d)" Kir.pp_exp e big in
+              let want, _ = run k ~args `Interp in
+              if fst want <> Ok () then Alcotest.failf "%s: Keval raised" what;
+              List.iter
+                (fun (mode, kernel, engine, check) ->
+                   let got, count = run kernel ~args engine in
+                   if count "exec.interpreted" <> 0 then Alcotest.failf "%s %s: fell back" what mode;
+                   if not (check count) then Alcotest.failf "%s %s: wrong block mode" what mode;
+                   if got <> want then Alcotest.failf "%s %s differs from Keval" what mode)
+                [
+                  ("lanes", k, `Lanes, fun count -> count "kcompile.scalar_blocks" = 0);
+                  ("threads", kd, `Threads, fun count -> count "kcompile.scalar_blocks" > 0);
+                  ("2 domains", k, `Par, fun count ->
+                      count "exec.par_launches" = 1 && count "kcompile.scalar_blocks" = 0);
+                ])
+           (if ty = `Int then [ (0, 1); ((1 lsl 53) - 3, (1 lsl 53) - 5) ] else [ (0, 1) ])
+       done)
+    shape_ops
+
 (* ---------------- Allocation guard ----------------
 
    The compiled executor keeps every value in its register files and
@@ -1949,6 +2116,8 @@ let () =
           Alcotest.test_case "matmul and hotspot on 2 domains" `Quick
             test_affine_two_domains;
         ] );
+      ( "shapes",
+        [ Alcotest.test_case "every operator in every operand shape" `Quick test_operand_shapes ] );
       ( "multi_gpu",
         [
           Alcotest.test_case "parallel partitions golden" `Quick
