@@ -589,16 +589,17 @@ let micro_tests () =
       (Staged.stage (fun () ->
            ignore (Gpu_runtime.Tracker.query t ~start:100_000 ~stop:900_000)))
   in
-  let btree_ops =
-    Test.make ~name:"btree.add+find x256"
+  let tracker_seek =
+    Test.make ~name:"tracker.write+seek x256"
       (Staged.stage (fun () ->
-           let module M = Gpu_runtime.Btree.Int_map in
-           let t = M.create () in
+           let module T = Gpu_runtime.Tracker in
+           let t = T.create ~len:1024 ~initial_owner:0 in
            for i = 0 to 255 do
-             M.add t ((i * 7919) mod 1024) i
+             let s = (i * 7919) mod 1023 in
+             T.write t ~start:s ~stop:(s + 1) ~owner:(1 + (i mod 3))
            done;
            for i = 0 to 255 do
-             ignore (M.find_opt t i)
+             T.seek t i
            done))
   in
   let enum_eval =
@@ -636,7 +637,7 @@ let micro_tests () =
       (Staged.stage (fun () ->
            ignore (Mekong.Access.analyze Apps.Hotspot.kernel)))
   in
-  [ tracker_write; tracker_query; btree_ops; enum_eval; analysis ]
+  [ tracker_write; tracker_query; tracker_seek; enum_eval; analysis ]
 
 let run_micro () =
   let open Bechamel in

@@ -1,451 +1,356 @@
-(* A mutable B-tree map (CLRS-style, minimum degree [t]).
+(* The segment tracker's B-tree (paper §8.1: "a B-Tree map using the
+   start of each segment as the key").
 
-   The paper's segment tracker stores its non-overlapping segment list
-   in "a B-Tree map using the start of each segment as the key"
-   (§8.1); this module is that map, over int keys, with the operations
-   the tracker needs: point lookup, predecessor ([floor]) lookup,
-   in-order iteration from a key, insert and delete.  The keys are
-   plain ints rather than a functor parameter so that every comparison
-   on the tracker's lookup path compiles to a machine compare. *)
+   An entry is three ints: a key and two payloads, [stop] and [owner].
+   The segment map keys each segment by its start; the coldest index
+   keys by a packed (owner, start) and leaves the payloads 0.  A node
+   holds its entries in three int arrays and its children in a plain
+   array, empty in a leaf, so there is no option and no per-entry
+   record.
 
-module Int_map = struct
-  type key = int
+   Everything works in place.  A lookup leaves the entry it found in
+   the tree's cursor fields instead of returning a tuple; descents are
+   loops, walks and splices plain recursion.  Insertion splits a node
+   only when it overflows and deletion rebalances one only when it
+   underflows, both on the way back up, so the only allocation is the
+   node a split makes. *)
 
-  (* Minimum degree: nodes hold between t-1 and 2t-1 keys (root
-     excepted) and internal nodes between t and 2t children. *)
-  let t = 8
+(* Minimum degree: nodes hold between d-1 and 2d-1 entries (the root
+   excepted), internal ones one child more.  Arrays have one spare
+   slot, so an insertion lands first and the split comes after. *)
+let degree = 8
 
-  let max_keys = (2 * t) - 1
+let max_keys = (2 * degree) - 1
+let min_keys = degree - 1
 
-  type 'v node = {
-    mutable n : int; (* number of live keys *)
-    keys : key array; (* length max_keys; slots >= n are stale *)
-    vals : 'v array;
-    children : 'v node option array; (* length max_keys + 1 *)
-    mutable leaf : bool;
+type node = {
+  mutable n : int;
+  keys : int array;
+  stops : int array;
+  owners : int array;
+  kids : node array; (* [max_keys + 2] slots, or none in a leaf *)
+}
+
+type t = {
+  mutable root : node;
+  mutable size : int;
+  mutable key : int;
+  mutable stop : int;
+  mutable owner : int;
+  mutable seen : int;
+  mutable at : node; (* the finger: the node of the last lookup or change *)
+}
+
+let leaf x = Array.length x.kids = 0
+
+let make_node kids =
+  {
+    n = 0;
+    keys = Array.make (max_keys + 1) 0;
+    stops = Array.make (max_keys + 1) 0;
+    owners = Array.make (max_keys + 1) 0;
+    kids;
   }
 
-  type 'v tree = { mutable root : 'v node option; mutable size : int }
+(* What a child slot past the last child holds, so that no node keeps
+   a node it lost alive. *)
+let nil = make_node [||]
 
+let inner () = make_node (Array.make (max_keys + 2) nil)
 
-  let create () = { root = None; size = 0 }
+let create () =
+  let root = make_node [||] in
+  { root; size = 0; key = 0; stop = 0; owner = 0; seen = 0; at = root }
 
-  let size tr = tr.size
-  let is_empty tr = tr.size = 0
+(* Index of the first key in [x] that is >= k, in [0, x.n]. *)
+let lower_bound x k =
+  let lo = ref 0 and hi = ref x.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get x.keys mid < k then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-  let make_node ~leaf ~fill_key ~fill_val =
-    {
-      n = 0;
-      keys = Array.make max_keys fill_key;
-      vals = Array.make max_keys fill_val;
-      children = Array.make (max_keys + 1) None;
-      leaf;
-    }
+let found tr x i =
+  tr.at <- x;
+  tr.key <- x.keys.(i);
+  tr.stop <- x.stops.(i);
+  tr.owner <- x.owners.(i)
 
-  let child x i =
-    match x.children.(i) with
-    | Some c -> c
-    | None -> invalid_arg "Btree: missing child"
+(* A leaf holds every key of the tree between its first and its last,
+   so a key in that span of the finger's leaf is found, put or removed
+   there with no descent.  That is the common case: a write probes and
+   changes the entries around one segment.  A leaf merged away is
+   emptied, so a stale finger misses. *)
+let near tr k =
+  let x = tr.at in
+  leaf x && x.n > 0 && x.keys.(0) <= k && k <= x.keys.(x.n - 1)
 
-  (* Index of the first key in [x] that is >= k, in [0, x.n]. *)
-  let lower_bound x k =
-    let lo = ref 0 and hi = ref x.n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if x.keys.(mid) < k then lo := mid + 1 else hi := mid
-    done;
-    !lo
+(* --- Lookups ----------------------------------------------------------- *)
 
-  (* --- Search ---------------------------------------------------------- *)
-
-  let rec find_node x k =
+(* The entry with the largest key <= k into the cursor; false when there
+   is none.  A match in an inner node ends the descent, and so does a
+   leaf: the best candidate so far is the answer. *)
+let floor tr k =
+  if near tr k then begin
+    let x = tr.at in
     let i = lower_bound x k in
-    if i < x.n && x.keys.(i) = k then Some (x.vals.(i))
-    else if x.leaf then None
-    else find_node (child x i) k
-
-  let find_opt tr k =
-    match tr.root with None -> None | Some r -> find_node r k
-
-  let mem tr k = find_opt tr k <> None
-
-  (* Largest entry with key <= k. *)
-  let rec floor_node x k best =
-    let i = lower_bound x k in
-    if i < x.n && x.keys.(i) = k then Some (x.keys.(i), x.vals.(i))
-    else
-      (* keys.(i-1) < k < keys.(i); the best candidate in this node is
-         keys.(i-1), but a larger one may hide in children.(i). *)
-      let best =
-        if i > 0 then Some (x.keys.(i - 1), x.vals.(i - 1)) else best
-      in
-      if x.leaf then best else floor_node (child x i) k best
-
-  let floor tr k =
-    match tr.root with None -> None | Some r -> floor_node r k None
-
-  (* [floor] for callers that need only the value: nothing is
-     allocated on the way down. *)
-  let rec floor_value_node x k best =
-    let i = lower_bound x k in
-    if i < x.n && x.keys.(i) = k then x.vals.(i)
-    else
-      let best = if i > 0 then x.vals.(i - 1) else best in
-      if x.leaf then best else floor_value_node (child x i) k best
-
-  let floor_value tr k ~default =
-    match tr.root with None -> default | Some r -> floor_value_node r k default
-
-  (* The value of the smallest entry with key >= k, allocating
-     nothing: the candidate at each level is the first key >= k, but a
-     smaller one may hide in the child left of it. *)
-  let rec ceil_value_node x k best =
-    let i = lower_bound x k in
-    if i < x.n && x.keys.(i) = k then x.vals.(i)
-    else
-      let best = if i < x.n then x.vals.(i) else best in
-      if x.leaf then best else ceil_value_node (child x i) k best
-
-  let ceil_value tr k ~default =
-    match tr.root with None -> default | Some r -> ceil_value_node r k default
-
-  let rec min_node x =
-    if x.leaf then
-      if x.n = 0 then None else Some (x.keys.(0), x.vals.(0))
-    else min_node (child x 0)
-
-  let min_binding tr =
-    match tr.root with None -> None | Some r -> min_node r
-
-  let rec max_node x =
-    if x.leaf then
-      if x.n = 0 then None else Some (x.keys.(x.n - 1), x.vals.(x.n - 1))
-    else max_node (child x x.n)
-
-  let max_binding tr =
-    match tr.root with None -> None | Some r -> max_node r
-
-  (* --- Iteration --------------------------------------------------------- *)
-
-  exception Stop
-
-  let rec iter_node x f =
-    for i = 0 to x.n - 1 do
-      if not x.leaf then iter_node (child x i) f;
-      f x.keys.(i) x.vals.(i)
+    found tr x (if x.keys.(i) = k then i else i - 1);
+    true
+  end
+  else begin
+    let x = ref tr.root and bx = ref tr.root and bi = ref (-1) and go = ref true in
+    while !go do
+      let y = !x in
+      let i = lower_bound y k in
+      if i < y.n && y.keys.(i) = k then (bx := y; bi := i; go := false)
+      else begin
+        if i > 0 then (bx := y; bi := i - 1);
+        if leaf y then go := false else x := y.kids.(i)
+      end
     done;
-    if not x.leaf then iter_node (child x x.n) f
+    !bi >= 0 && (found tr !bx !bi; true)
+  end
 
-  let iter tr f = match tr.root with None -> () | Some r -> iter_node r f
-
-  (* In-order visit of entries with key >= k; [f] returns false to
-     stop. *)
-  let iter_from tr k f =
-    let rec go x =
-      let i = lower_bound x k in
-      (* Entries before index i are < k; skip them and their left
-         subtrees entirely, but the subtree at index i may straddle. *)
-      if not x.leaf then go (child x i);
-      for j = i to x.n - 1 do
-        if not (f x.keys.(j) x.vals.(j)) then raise Stop;
-        if not x.leaf then
-          iter_node_stop (child x (j + 1)) f
-      done
-    and iter_node_stop x f =
-      for i = 0 to x.n - 1 do
-        if not x.leaf then iter_node_stop (child x i) f;
-        if not (f x.keys.(i) x.vals.(i)) then raise Stop
-      done;
-      if not x.leaf then iter_node_stop (child x x.n) f
-    in
-    match tr.root with
-    | None -> ()
-    | Some r -> ( try go r with Stop -> ())
-
-  let to_list tr =
-    let acc = ref [] in
-    iter tr (fun k v -> acc := (k, v) :: !acc);
-    List.rev !acc
-
-  (* --- Insertion ----------------------------------------------------------- *)
-
-  (* Split the full child [i] of non-full node [x]. *)
-  let split_child x i =
-    let y = child x i in
-    assert (y.n = max_keys);
-    let z = make_node ~leaf:y.leaf ~fill_key:y.keys.(0) ~fill_val:y.vals.(0) in
-    z.n <- t - 1;
-    for j = 0 to t - 2 do
-      z.keys.(j) <- y.keys.(j + t);
-      z.vals.(j) <- y.vals.(j + t)
+(* The entry with the smallest key >= k into the cursor; false when
+   there is none. *)
+let ceil tr k =
+  if near tr k then (found tr tr.at (lower_bound tr.at k); true)
+  else begin
+    let x = ref tr.root and bx = ref tr.root and bi = ref (-1) and go = ref true in
+    while !go do
+      let y = !x in
+      let i = lower_bound y k in
+      if i < y.n then (bx := y; bi := i);
+      if (i < y.n && y.keys.(i) = k) || leaf y then go := false
+      else x := y.kids.(i)
     done;
-    if not y.leaf then
-      for j = 0 to t - 1 do
-        z.children.(j) <- y.children.(j + t);
-        y.children.(j + t) <- None
-      done;
-    y.n <- t - 1;
-    (* shift x's children and keys right to make room *)
-    for j = x.n downto i + 1 do
-      x.children.(j + 1) <- x.children.(j)
-    done;
-    x.children.(i + 1) <- Some z;
-    for j = x.n - 1 downto i do
-      x.keys.(j + 1) <- x.keys.(j);
-      x.vals.(j + 1) <- x.vals.(j)
-    done;
-    x.keys.(i) <- y.keys.(t - 1);
-    x.vals.(i) <- y.vals.(t - 1);
-    x.n <- x.n + 1
+    !bi >= 0 && (found tr !bx !bi; true)
+  end
 
-  (* Insert into a non-full subtree; returns true if a new key was
-     added (false if an existing key was replaced). *)
-  let rec insert_nonfull x k v =
-    let i = lower_bound x k in
-    if i < x.n && x.keys.(i) = k then begin
-      x.vals.(i) <- v;
-      false
+(* --- Walks ------------------------------------------------------------- *)
+
+(* In order from the first key >= lo, calling [f] on each entry clipped
+   to [start, stop) while its key is below [stop]; false once an entry
+   at or past [stop] ends the walk.  [tr.seen] counts the entries
+   looked at, that one included. *)
+let rec walk_from tr x lo start stop f =
+  let i = lower_bound x lo in
+  (leaf x || (i < x.n && x.keys.(i) = lo) || walk_from tr x.kids.(i) lo start stop f)
+  && walk_on tr x i start stop f
+
+and walk_on tr x i start stop f =
+  i >= x.n
+  || (let k = x.keys.(i) in
+      tr.seen <- tr.seen + 1;
+      k < stop
+      && begin
+        let e = x.stops.(i) in
+        f (if k > start then k else start) (if e < stop then e else stop) x.owners.(i);
+        (leaf x || walk_all tr x.kids.(i + 1) start stop f)
+        && walk_on tr x (i + 1) start stop f
+      end)
+
+and walk_all tr x start stop f =
+  (leaf x || walk_all tr x.kids.(0) start stop f) && walk_on tr x 0 start stop f
+
+(* The walk counts into [seen] and gives back what an outer walk of the
+   same tree had counted, so [f] may walk the tree too. *)
+let walk tr ~start ~stop f =
+  let outer = tr.seen in
+  let lo = if floor tr start then tr.key else min_int in
+  tr.seen <- 0;
+  ignore (walk_from tr tr.root lo start stop f);
+  let seen = tr.seen in
+  tr.seen <- outer;
+  seen
+
+(* --- Insertion --------------------------------------------------------- *)
+
+let move src i dst j =
+  dst.keys.(j) <- src.keys.(i);
+  dst.stops.(j) <- src.stops.(i);
+  dst.owners.(j) <- src.owners.(i)
+
+(* Put an entry at [i] of [x], with [right] as the child after it in an
+   inner node. *)
+let put x i k s o right =
+  for j = x.n - 1 downto i do move x j x (j + 1) done;
+  x.keys.(i) <- k;
+  x.stops.(i) <- s;
+  x.owners.(i) <- o;
+  if not (leaf x) then begin
+    for j = x.n downto i + 1 do x.kids.(j + 1) <- x.kids.(j) done;
+    x.kids.(i + 1) <- right
+  end;
+  x.n <- x.n + 1
+
+(* [c], child [i] of [x], overflowed: its upper half moves to a new
+   node and its median up into [x]. *)
+let split x i c =
+  let z = if leaf c then make_node [||] else inner () in
+  let d = degree in
+  for j = d to max_keys do move c j z (j - d) done;
+  if not (leaf c) then
+    for j = d to max_keys + 1 do
+      z.kids.(j - d) <- c.kids.(j);
+      c.kids.(j) <- nil
+    done;
+  z.n <- d;
+  c.n <- d - 1;
+  put x i c.keys.(d - 1) c.stops.(d - 1) c.owners.(d - 1) z
+
+(* Insert or replace under [x]; true when [x] overflowed. *)
+let rec insert tr x k s o =
+  let i = lower_bound x k in
+  if i < x.n && x.keys.(i) = k then begin
+    x.stops.(i) <- s;
+    x.owners.(i) <- o;
+    false
+  end
+  else if leaf x then begin
+    tr.size <- tr.size + 1;
+    tr.at <- x;
+    put x i k s o x;
+    x.n > max_keys
+  end
+  else insert tr x.kids.(i) k s o && (split x i x.kids.(i); x.n > max_keys)
+
+(* A key near the finger goes straight into its leaf when that leaf
+   has room, or is already there. *)
+let add tr k ~stop ~owner =
+  let x = tr.at in
+  if near tr k && (x.n < max_keys || x.keys.(lower_bound x k) = k) then
+    ignore (insert tr x k stop owner)
+  else if insert tr tr.root k stop owner then begin
+    let r = inner () in
+    r.kids.(0) <- tr.root;
+    split r 0 tr.root;
+    tr.root <- r
+  end
+
+(* --- Deletion ---------------------------------------------------------- *)
+
+let drop x i =
+  for j = i to x.n - 2 do move x (j + 1) x j done;
+  if not (leaf x) then begin
+    for j = i + 1 to x.n - 1 do x.kids.(j) <- x.kids.(j + 1) done;
+    x.kids.(x.n) <- nil
+  end;
+  x.n <- x.n - 1
+
+(* Child [i + 1] of [x] and the separator [i] join child [i]. *)
+let merge x i =
+  let l = x.kids.(i) and r = x.kids.(i + 1) in
+  move x i l l.n;
+  for j = 0 to r.n - 1 do move r j l (l.n + 1 + j) done;
+  if not (leaf l) then for j = 0 to r.n do l.kids.(l.n + 1 + j) <- r.kids.(j) done;
+  l.n <- l.n + 1 + r.n;
+  r.n <- 0;
+  drop x i
+
+(* Child [i] of [x] may have lost an entry: if it is below the minimum,
+   borrow through a separator from a sibling that can spare one, else
+   merge it with a sibling. *)
+let rebalance x i =
+  let c = x.kids.(i) in
+  if c.n < min_keys then
+    if i > 0 && x.kids.(i - 1).n > min_keys then begin
+      let l = x.kids.(i - 1) in
+      put c 0 x.keys.(i - 1) x.stops.(i - 1) x.owners.(i - 1)
+        (if leaf c then c else c.kids.(0));
+      if not (leaf c) then begin
+        c.kids.(0) <- l.kids.(l.n);
+        l.kids.(l.n) <- nil
+      end;
+      move l (l.n - 1) x (i - 1);
+      l.n <- l.n - 1
     end
-    else if x.leaf then begin
-      for j = x.n - 1 downto i do
-        x.keys.(j + 1) <- x.keys.(j);
-        x.vals.(j + 1) <- x.vals.(j)
-      done;
-      x.keys.(i) <- k;
-      x.vals.(i) <- v;
-      x.n <- x.n + 1;
+    else if i < x.n && x.kids.(i + 1).n > min_keys then begin
+      let r = x.kids.(i + 1) in
+      move x i c c.n;
+      if not (leaf c) then c.kids.(c.n + 1) <- r.kids.(0);
+      c.n <- c.n + 1;
+      move r 0 x i;
+      if not (leaf r) then r.kids.(0) <- r.kids.(1);
+      drop r 0
+    end
+    else merge x (if i > 0 then i - 1 else i)
+
+(* Move the largest entry under [x] into slot [i] of [dst]. *)
+let rec pop_max x dst i =
+  if leaf x then begin
+    move x (x.n - 1) dst i;
+    x.n <- x.n - 1
+  end
+  else begin
+    let last = x.n in
+    pop_max x.kids.(last) dst i;
+    rebalance x last
+  end
+
+(* Remove the smallest key in [lo, hi) under [x], into the cursor;
+   false when there is none.  An inner entry is replaced by its
+   predecessor, which lies below [lo]. *)
+let rec remove_in tr x lo hi =
+  let i = lower_bound x lo in
+  let here = i < x.n && x.keys.(i) < hi in
+  if leaf x then here && (found tr x i; drop x i; true)
+  else if ((not here) || x.keys.(i) > lo) && remove_in tr x.kids.(i) lo hi then
+    (rebalance x i; true)
+  else
+    here
+    && begin
+      found tr x i;
+      pop_max x.kids.(i) x i;
+      rebalance x i;
       true
     end
+
+(* A leaf above the minimum loses an entry without rebalancing. *)
+let remove_first tr ~lo ~hi =
+  let x = tr.at in
+  let removed =
+    if near tr lo && x.n > min_keys then begin
+      let i = lower_bound x lo in
+      x.keys.(i) < hi && (found tr x i; drop x i; true)
+    end
+    else remove_in tr tr.root lo hi
+  in
+  if removed then begin
+    tr.size <- tr.size - 1;
+    if tr.root.n = 0 && not (leaf tr.root) then tr.root <- tr.root.kids.(0)
+  end;
+  removed
+
+let remove tr k = ignore (remove_first tr ~lo:k ~hi:(k + 1))
+
+(* --- Validation (test support) ----------------------------------------- *)
+
+(* Check key order, node fill, balance and the entry count; returns the
+   depth.  Raises [Failure] on violation. *)
+let validate tr =
+  let count = ref 0 in
+  let rec go x ~root ~lo ~hi =
+    if (not root) && x.n < min_keys then failwith "Btree: underfull node";
+    if x.n > max_keys then failwith "Btree: overfull node";
+    count := !count + x.n;
+    for i = 0 to x.n - 1 do
+      let k = x.keys.(i) in
+      if k <= (if i = 0 then lo else x.keys.(i - 1)) || k >= hi then
+        failwith "Btree: keys out of order"
+    done;
+    if leaf x then 1
     else begin
-      let i =
-        if (child x i).n = max_keys then begin
-          split_child x i;
-          (* the median moved up to x.keys.(i) *)
-          let c = Int.compare x.keys.(i) k in
-          if c = 0 then -1 (* replace below *)
-          else if c < 0 then i + 1
-          else i
-        end
-        else i
-      in
-      if i = -1 then begin
-        (* key equals the promoted median *)
-        let j = lower_bound x k in
-        x.vals.(j) <- v;
-        false
-      end
-      else insert_nonfull (child x i) k v
-    end
-
-  let add tr k v =
-    match tr.root with
-    | None ->
-      let r = make_node ~leaf:true ~fill_key:k ~fill_val:v in
-      r.keys.(0) <- k;
-      r.vals.(0) <- v;
-      r.n <- 1;
-      tr.root <- Some r;
-      tr.size <- 1
-    | Some r ->
-      let r =
-        if r.n = max_keys then begin
-          let s = make_node ~leaf:false ~fill_key:r.keys.(0) ~fill_val:r.vals.(0) in
-          s.children.(0) <- Some r;
-          split_child s 0;
-          tr.root <- Some s;
-          s
-        end
-        else r
-      in
-      if insert_nonfull r k v then tr.size <- tr.size + 1
-
-  (* --- Deletion ---------------------------------------------------------- *)
-
-  (* All helpers assume the CLRS invariant: when descending into a
-     child, that child has at least [t] keys (fixed up on the way
-     down). *)
-
-  let remove_from_leaf x i =
-    for j = i to x.n - 2 do
-      x.keys.(j) <- x.keys.(j + 1);
-      x.vals.(j) <- x.vals.(j + 1)
-    done;
-    x.n <- x.n - 1
-
-  (* Merge child i+1 and the separator key i into child i. *)
-  let merge_children x i =
-    let y = child x i and z = child x (i + 1) in
-    y.keys.(y.n) <- x.keys.(i);
-    y.vals.(y.n) <- x.vals.(i);
-    for j = 0 to z.n - 1 do
-      y.keys.(y.n + 1 + j) <- z.keys.(j);
-      y.vals.(y.n + 1 + j) <- z.vals.(j)
-    done;
-    if not y.leaf then
-      for j = 0 to z.n do
-        y.children.(y.n + 1 + j) <- z.children.(j)
+      let d = go x.kids.(0) ~root:false ~lo ~hi:(if x.n = 0 then hi else x.keys.(0)) in
+      for i = 1 to x.n do
+        let hi = if i = x.n then hi else x.keys.(i) in
+        if go x.kids.(i) ~root:false ~lo:x.keys.(i - 1) ~hi <> d then
+          failwith "Btree: unbalanced"
       done;
-    y.n <- y.n + 1 + z.n;
-    for j = i to x.n - 2 do
-      x.keys.(j) <- x.keys.(j + 1);
-      x.vals.(j) <- x.vals.(j + 1)
-    done;
-    for j = i + 1 to x.n - 1 do
-      x.children.(j) <- x.children.(j + 1)
-    done;
-    x.children.(x.n) <- None;
-    x.n <- x.n - 1
-
-  (* Ensure child [i] of [x] has at least t keys, borrowing from a
-     sibling or merging.  Returns the (possibly changed) index of the
-     child to descend into. *)
-  let fixup_child x i =
-    let c = child x i in
-    if c.n >= t then i
-    else if i > 0 && (child x (i - 1)).n >= t then begin
-      (* borrow from the left sibling through the separator *)
-      let left = child x (i - 1) in
-      for j = c.n - 1 downto 0 do
-        c.keys.(j + 1) <- c.keys.(j);
-        c.vals.(j + 1) <- c.vals.(j)
-      done;
-      if not c.leaf then
-        for j = c.n downto 0 do
-          c.children.(j + 1) <- c.children.(j)
-        done;
-      c.keys.(0) <- x.keys.(i - 1);
-      c.vals.(0) <- x.vals.(i - 1);
-      if not c.leaf then c.children.(0) <- left.children.(left.n);
-      if not left.leaf then left.children.(left.n) <- None;
-      x.keys.(i - 1) <- left.keys.(left.n - 1);
-      x.vals.(i - 1) <- left.vals.(left.n - 1);
-      left.n <- left.n - 1;
-      c.n <- c.n + 1;
-      i
+      d + 1
     end
-    else if i < x.n && (child x (i + 1)).n >= t then begin
-      (* borrow from the right sibling *)
-      let right = child x (i + 1) in
-      c.keys.(c.n) <- x.keys.(i);
-      c.vals.(c.n) <- x.vals.(i);
-      if not c.leaf then c.children.(c.n + 1) <- right.children.(0);
-      x.keys.(i) <- right.keys.(0);
-      x.vals.(i) <- right.vals.(0);
-      for j = 0 to right.n - 2 do
-        right.keys.(j) <- right.keys.(j + 1);
-        right.vals.(j) <- right.vals.(j + 1)
-      done;
-      if not right.leaf then begin
-        for j = 0 to right.n - 1 do
-          right.children.(j) <- right.children.(j + 1)
-        done;
-        right.children.(right.n) <- None
-      end;
-      right.n <- right.n - 1;
-      c.n <- c.n + 1;
-      i
-    end
-    else if i > 0 then begin
-      merge_children x (i - 1);
-      i - 1
-    end
-    else begin
-      merge_children x i;
-      i
-    end
-
-  let rec remove_node x k =
-    let i = lower_bound x k in
-    if i < x.n && x.keys.(i) = k then
-      if x.leaf then begin
-        remove_from_leaf x i;
-        true
-      end
-      else begin
-        let left = child x i and right = child x (i + 1) in
-        if left.n >= t then begin
-          (* replace by predecessor, then delete it below *)
-          match max_node left with
-          | Some (pk, pv) ->
-            x.keys.(i) <- pk;
-            x.vals.(i) <- pv;
-            let j = fixup_child x i in
-            ignore (remove_node (child x j) pk);
-            true
-          | None -> assert false
-        end
-        else if right.n >= t then begin
-          match min_node right with
-          | Some (sk, sv) ->
-            x.keys.(i) <- sk;
-            x.vals.(i) <- sv;
-            let j = fixup_child x (i + 1) in
-            ignore (remove_node (child x j) sk);
-            true
-          | None -> assert false
-        end
-        else begin
-          merge_children x i;
-          remove_node (child x i) k
-        end
-      end
-    else if x.leaf then false
-    else begin
-      let j = fixup_child x i in
-      (* after fixup the key may have moved into x itself *)
-      let i2 = lower_bound x k in
-      if i2 < x.n && x.keys.(i2) = k then remove_node x k
-      else remove_node (child x (min j (x.n))) k
-    end
-
-  let remove tr k =
-    match tr.root with
-    | None -> ()
-    | Some r ->
-      if remove_node r k then begin
-        tr.size <- tr.size - 1;
-        if r.n = 0 then tr.root <- (if r.leaf then None else r.children.(0))
-      end
-      else if r.n = 0 && not r.leaf then tr.root <- r.children.(0)
-
-  (* --- Validation (test support) ------------------------------------------- *)
-
-  (* Check the B-tree invariants; returns the depth. *)
-  let validate tr =
-    let rec go x ~is_root ~lo ~hi =
-      if not is_root && x.n < t - 1 then failwith "Btree: underfull node";
-      if x.n > max_keys then failwith "Btree: overfull node";
-      for i = 0 to x.n - 2 do
-        if x.keys.(i) >= x.keys.(i + 1) then
-          failwith "Btree: keys out of order"
-      done;
-      (match lo with
-       | Some l ->
-         if x.n > 0 && x.keys.(0) <= l then
-           failwith "Btree: key below lower bound"
-       | None -> ());
-      (match hi with
-       | Some h ->
-         if x.n > 0 && x.keys.(x.n - 1) >= h then
-           failwith "Btree: key above upper bound"
-       | None -> ());
-      if x.leaf then 1
-      else begin
-        let depths =
-          List.init (x.n + 1) (fun i ->
-              let lo = if i = 0 then lo else Some x.keys.(i - 1) in
-              let hi = if i = x.n then hi else Some x.keys.(i) in
-              go (child x i) ~is_root:false ~lo ~hi)
-        in
-        match depths with
-        | d :: rest ->
-          if List.exists (fun d' -> d' <> d) rest then
-            failwith "Btree: unbalanced";
-          d + 1
-        | [] -> 1
-      end
-    in
-    match tr.root with
-    | None -> 0
-    | Some r -> go r ~is_root:true ~lo:None ~hi:None
-end
+  in
+  let d = go tr.root ~root:true ~lo:min_int ~hi:max_int in
+  if !count <> tr.size then failwith "Btree: size differs from the entries";
+  d

@@ -1,52 +1,53 @@
-(** A mutable B-tree map (CLRS-style).
+(** The segment tracker's B-tree (paper §8.1: "a B-Tree map using the
+    start of each segment as the key").
 
-    The paper's segment tracker stores its non-overlapping segment list
-    in "a B-Tree map using the start of each segment as the key"
-    (§8.1); this module is that map, over int keys. *)
+    A mutable B-tree over int keys whose entries carry two int
+    payloads, [stop] and [owner], stored unboxed in the nodes.  Lookups
+    leave the entry they found in the tree's cursor fields ({!t.key},
+    {!t.stop}, {!t.owner}); descents, walks, insertions and removals
+    allocate nothing but the node a split makes.  A lookup, insertion
+    or removal near the last one works in that leaf without a
+    descent. *)
 
-module Int_map : sig
-  type key = int
+type node
 
-  type 'v tree
-  (** A mutable map from [key] to ['v]. *)
+type t = private {
+  mutable root : node;
+  mutable size : int;  (** entries *)
+  mutable key : int;  (** the cursor: the entry the last lookup found *)
+  mutable stop : int;
+  mutable owner : int;
+  mutable seen : int;  (** internal: a walk's count so far *)
+  mutable at : node;  (** internal: the finger *)
+}
 
-  val create : unit -> 'v tree
-  val size : 'v tree -> int
-  val is_empty : 'v tree -> bool
+val create : unit -> t
 
-  val add : 'v tree -> key -> 'v -> unit
-  (** Insert or replace. *)
+val floor : t -> int -> bool
+(** Put the entry with the largest key [<= k] into the cursor; [false]
+    (cursor untouched) when there is none. *)
 
-  val find_opt : 'v tree -> key -> 'v option
-  val mem : 'v tree -> key -> bool
+val ceil : t -> int -> bool
+(** Put the entry with the smallest key [>= k] into the cursor; [false]
+    (cursor untouched) when there is none. *)
 
-  val floor : 'v tree -> key -> (key * 'v) option
-  (** Largest entry with key [<= k]. *)
+val walk : t -> start:int -> stop:int -> (int -> int -> int -> unit) -> int
+(** From the entry with the largest key [<= start] (the first entry if
+    there is none), in key order, call [f (max k start) (min s stop) o]
+    for each entry [(k, s, o)] with [k < stop].  Returns the number of
+    entries looked at, the first one at or past [stop] included.  [f]
+    must not change the tree; the walk moves the cursor. *)
 
-  val floor_value : 'v tree -> key -> default:'v -> 'v
-  (** The value of the largest entry with key [<= k], or [default]
-      when there is none.  Allocates nothing. *)
+val add : t -> int -> stop:int -> owner:int -> unit
+(** Insert, or replace the payloads of an existing key. *)
 
-  val ceil_value : 'v tree -> key -> default:'v -> 'v
-  (** The value of the smallest entry with key [>= k], or [default]
-      when there is none.  Allocates nothing. *)
+val remove_first : t -> lo:int -> hi:int -> bool
+(** Remove the entry with the smallest key in [\[lo, hi)], leaving it
+    in the cursor; [false] when there is none. *)
 
-  val min_binding : 'v tree -> (key * 'v) option
-  val max_binding : 'v tree -> (key * 'v) option
+val remove : t -> int -> unit
+(** Remove a key if present. *)
 
-  val iter : 'v tree -> (key -> 'v -> unit) -> unit
-  (** In-order traversal. *)
-
-  val iter_from : 'v tree -> key -> (key -> 'v -> bool) -> unit
-  (** In-order visit of entries with key [>= k]; the callback returns
-      [false] to stop. *)
-
-  val to_list : 'v tree -> (key * 'v) list
-
-  val remove : 'v tree -> key -> unit
-  (** Delete a key if present. *)
-
-  val validate : 'v tree -> int
-  (** Check the B-tree invariants (key order, node fill, balance);
-      returns the depth.  Raises [Failure] on violation. *)
-end
+val validate : t -> int
+(** Check key order, node fill, balance and [size]; returns the depth.
+    Raises [Failure] on violation.  Test support. *)

@@ -16,17 +16,21 @@
    into one int, so {!coldest} finds the smallest positive owner in one
    descent.  The vbuf residency trackers of a capacity-limited machine
    use it: their owners are LRU stamps and eviction wants the oldest.
-   The index is updated at the same add/remove sites as the segment
-   map, so the two cannot drift.
+
+   Both trees store their entries unboxed ([Btree]); lookups leave the
+   segment they found in the map's cursor, which [found_start],
+   [found_stop] and [found_owner] read, so lookups, walks and writes
+   allocate nothing but the node a B-tree split makes.
 
    Every tracker carries a version, drawn from one process-wide clock
-   when it is created and again at every add/remove.  Versions are
-   never reused, so one version names one state of one tracker: a
-   caller that saw a version can tell, in one comparison, that the
-   segments have not changed since (the engine's launch graphs key
-   on this, through [Vbuf.versions]).  Writes that leave the map alone keep the version. *)
+   when it is created and again at every write that changes the
+   segments.  Versions are never reused, so one version names one
+   state of one tracker: a caller that saw a version can tell, in one
+   comparison, that the segments have not changed since (the engine's
+   launch graphs key on this, through [Vbuf.versions]).  Writes that
+   leave the map alone keep the version. *)
 
-module M = Btree.Int_map
+module B = Btree
 
 let host = -1
 
@@ -34,11 +38,13 @@ type segment = { start : int; stop : int; owner : int }
 
 type t = {
   len : int; (* extent of the tracked index space *)
-  map : segment M.tree; (* keyed by segment start *)
-  index : segment M.tree option;
-      (* the same segments keyed by [index_key], when indexed *)
+  map : B.t; (* segment start -> stop, owner *)
+  index : B.t option; (* [index_key]s of the positive-owner segments *)
   mutable ops : int; (* B-tree operations performed, for cost accounting *)
-  mutable version : int; (* changes with every add/remove; see above *)
+  mutable version : int; (* changes with every write that changes [map] *)
+  mutable found_start : int; (* the segment [seek] or [coldest] found *)
+  mutable found_stop : int; (* -1 after [coldest], until read *)
+  mutable found_owner : int;
 }
 
 let clock = Atomic.make 0
@@ -58,39 +64,42 @@ let check_indexed_owner owner =
       (Printf.sprintf "Tracker: owner %d outside an indexed tracker's [0, %d]"
          owner max_indexed_owner)
 
-(* Every change to the segment map goes through these two, which keep
-   the index in step.  The index holds the segments with a positive
-   owner only: {!coldest} never looks below owner 1, and the zero-owner
-   gaps of a residency tracker are half of its segments.  [add] may
-   replace the entry at [seg.start]; the replaced segment always has
-   [seg]'s owner, so its index key is [seg]'s too and is replaced with
-   it. *)
-let add t seg =
-  t.version <- next_version ();
-  M.add t.map seg.start seg;
+(* The index holds the segments with a positive owner only: {!coldest}
+   never looks below owner 1, and the zero-owner gaps of a residency
+   tracker are half of its segments.  It keys on (owner, start) alone,
+   so a segment whose stop changes keeps its index entry; these two
+   run wherever a segment appears or goes, or its owner changes. *)
+let index_add t owner start =
   match t.index with
-  | Some ix when seg.owner > 0 -> M.add ix (index_key seg.owner seg.start) seg
+  | Some ix when owner > 0 -> B.add ix (index_key owner start) ~stop:0 ~owner:0
   | _ -> ()
 
-let remove t seg =
-  t.version <- next_version ();
-  M.remove t.map seg.start;
+let index_remove t owner start =
   match t.index with
-  | Some ix when seg.owner > 0 -> M.remove ix (index_key seg.owner seg.start)
+  | Some ix when owner > 0 -> B.remove ix (index_key owner start)
   | _ -> ()
+
+(* Remove the segment starting at [k], which exists. *)
+let drop t k =
+  ignore (B.remove_first t.map ~lo:k ~hi:(k + 1));
+  index_remove t t.map.B.owner k
 
 let make ~indexed ~len ~initial_owner =
   if len <= 0 then invalid_arg "Tracker.create: empty index space";
   let t =
     {
       len;
-      map = M.create ();
-      index = (if indexed then Some (M.create ()) else None);
+      map = B.create ();
+      index = (if indexed then Some (B.create ()) else None);
       ops = 1;
       version = next_version ();
+      found_start = 0;
+      found_stop = len;
+      found_owner = initial_owner;
     }
   in
-  add t { start = 0; stop = len; owner = initial_owner };
+  B.add t.map 0 ~stop:len ~owner:initial_owner;
+  index_add t initial_owner 0;
   t
 
 let create ~len ~initial_owner = make ~indexed:false ~len ~initial_owner
@@ -105,7 +114,7 @@ let create_indexed ~len ~initial_owner =
   make ~indexed:true ~len ~initial_owner
 
 let len t = t.len
-let segment_count t = M.size t.map
+let segment_count t = t.map.B.size
 
 let ops t = t.ops
 let reset_ops t = t.ops <- 0
@@ -119,50 +128,51 @@ let check_range t ~start ~stop ~what =
       (Printf.sprintf "Tracker.%s: bad range [%d,%d) in space of %d" what start
          stop t.len)
 
-(* No segment: what [holding] finds left of index 0. *)
-let absent = { start = -1; stop = -1; owner = min_int }
-
-(* The stored segment holding [idx] ([absent] for a negative index).
-   The segments cover the whole space, so for an index inside it this
-   is the floor entry. *)
-let holding t idx = M.floor_value t.map idx ~default:absent
-
-let segment_at t idx =
+(* The segments cover the whole space, so the one holding an index
+   inside it is the floor entry. *)
+let seek t idx =
   if idx < 0 || idx >= t.len then
     invalid_arg
-      (Printf.sprintf "Tracker.segment_at: index %d outside space of %d" idx
-         t.len);
+      (Printf.sprintf "Tracker.seek: index %d outside space of %d" idx t.len);
   bump t 1;
-  holding t idx
+  let m = t.map in
+  ignore (B.floor m idx);
+  t.found_start <- m.B.key;
+  t.found_stop <- m.B.stop;
+  t.found_owner <- m.B.owner
+
+let found_start t = t.found_start
+let found_owner t = t.found_owner
+
+(* [coldest] reads start and owner off its index key; the stop waits
+   for a reader, which the eviction loop is for one vbuf only. *)
+let found_stop t =
+  if t.found_stop < 0 then begin
+    ignore (B.floor t.map t.found_start);
+    t.found_stop <- t.map.B.stop
+  end;
+  t.found_stop
+
+let segment_at t idx =
+  seek t idx;
+  { start = found_start t; stop = found_stop t; owner = found_owner t }
+
+let owner_at t idx =
+  seek t idx;
+  found_owner t
 
 (* Walk the segments overlapping [start, stop), clipped to it, in
    order: one op for the descent plus one per entry visited, the entry
-   that ends the walk included.  Every element of the range is covered
-   (the tracker always covers the whole index space).  [f] must not
-   write the tracker. *)
+   that ends the walk included. *)
 let iter_range t ~start ~stop f =
   check_range t ~start ~stop ~what:"iter_range";
-  bump t 1;
-  M.iter_from t.map (holding t start).start (fun s seg ->
-      bump t 1;
-      if s >= stop then false
-      else begin
-        if seg.stop > start then f (max s start) (min seg.stop stop) seg.owner;
-        true
-      end)
+  bump t (1 + B.walk t.map ~start ~stop f)
 
 let query t ~start ~stop =
-  check_range t ~start ~stop ~what:"query";
   let out = ref [] in
   iter_range t ~start ~stop (fun start stop owner ->
       out := { start; stop; owner } :: !out);
   List.rev !out
-
-(* Owner of a single element. *)
-let owner_at t idx =
-  match query t ~start:idx ~stop:(idx + 1) with
-  | [ s ] -> s.owner
-  | _ -> invalid_arg "Tracker.owner_at: uncovered index"
 
 (* Record that [owner] has written [start, stop): existing segments are
    split/absorbed and the new segment is merged with equal-owner
@@ -173,9 +183,10 @@ let owner_at t idx =
    there), walk and remove the segments inside (one op per entry
    visited, the one that ends the walk included, and one per removal),
    probe both neighbours for a merge and insert (5).  The map itself
-   takes the fewest changes that reach the same segments: the outer
-   parts of the end segments are written once, not split off and put
-   back, and a merge rewrites the neighbour's entry in place.
+   takes the fewest changes that reach the same segments: the entries
+   starting strictly inside the range go, the end segments' outer parts
+   and a merged neighbour are rewritten in place, and at most one entry
+   is added at each end.
 
    Most writes in a steady-state loop land inside a segment their
    writer already owns, where that sequence would split the segment,
@@ -185,64 +196,49 @@ let owner_at t idx =
 let write t ~start ~stop ~owner =
   check_range t ~start ~stop ~what:"write";
   (match t.index with Some _ -> check_indexed_owner owner | None -> ());
-  let seg = holding t start in
-  if seg.owner = owner && stop <= seg.stop then
+  let m = t.map in
+  ignore (B.floor m start);
+  let s0 = m.B.key and e0 = m.B.stop and o0 = m.B.owner in
+  let split_left = if s0 < start then 3 else 1 in
+  if o0 = owner && stop <= e0 then
     bump t
-      ((if seg.start < start then 3 else 1)
-       + (if stop < seg.stop then 3 else 1)
-       + 5
-       + if stop < t.len then 1 else 0)
+      (split_left + (if stop < e0 then 3 else 1) + 5 + if stop < t.len then 1 else 0)
   else begin
-    (* The segments overlapping [start, stop), [seg] to [last]; the ones
-       starting inside the range go. *)
-    let inside = ref 0 and doomed = ref [] and last = ref seg in
-    M.iter_from t.map seg.start (fun s sg ->
-        if s < stop then begin
-          incr inside;
-          if s >= start then doomed := sg :: !doomed;
-          last := sg;
-          true
-        end
-        else false);
-    let last = !last in
+    t.version <- next_version ();
+    (* The last segment overlapping the range: its stop and owner. *)
+    if stop > e0 then ignore (B.floor m (stop - 1));
+    let el = m.B.stop and ol = m.B.owner in
+    (* Merge probes: the segment starting at [stop] and the one ending
+       at [start], when the range ends on a boundary. *)
+    let right = stop = el && stop < t.len && B.floor m stop && m.B.owner = owner in
+    let ne = if right then m.B.stop else if stop < el && ol = owner then el else stop in
+    let left = s0 = start && start > 0 && B.floor m (start - 1) && m.B.owner = owner in
+    let ns = if left then m.B.key else if s0 < start && o0 = owner then s0 else start in
+    (* The entries starting inside (start, stop) go; only a range
+       reaching past [s0] holds any. *)
+    let inside = ref 1 in
+    if stop > e0 then
+      while B.remove_first m ~lo:(start + 1) ~hi:stop do
+        incr inside;
+        index_remove t m.B.owner m.B.key
+      done;
     bump t
-      ((if seg.start < start then 3 else 1)
-       + (if stop < last.stop then 3 else 1)
-       + (2 * !inside)
-       + (if stop < t.len then 1 else 0)
-       + 3);
-    List.iter (remove t) !doomed;
-    (* The new segment's start: merged into [seg]'s outer part or into
-       the segment ending at [start] when the owner matches. *)
-    let seg_start =
-      if seg.start < start then
-        if seg.owner = owner then seg.start
-        else begin
-          add t { seg with stop = start };
-          start
-        end
-      else
-        let left = holding t (start - 1) in
-        if left.stop = start && left.owner = owner then left.start else start
-    in
-    let seg_stop =
-      if stop < last.stop then
-        if last.owner = owner then last.stop
-        else begin
-          add t { last with start = stop };
-          stop
-        end
-      else if stop < t.len then begin
-        let right = holding t stop in
-        if right.owner = owner then begin
-          remove t right;
-          right.stop
-        end
-        else stop
-      end
-      else stop
-    in
-    add t { start = seg_start; stop = seg_stop; owner }
+      (split_left + (if stop < el then 3 else 1) + (2 * !inside)
+       + (if stop < t.len then 1 else 0) + 3);
+    (* The right end: merge the next segment, or split [el]'s owner
+       off past [stop]. *)
+    if right then drop t stop
+    else if stop < el && ol <> owner then begin
+      B.add m stop ~stop:el ~owner:ol;
+      index_add t ol stop
+    end;
+    (* The left end: [s0]'s outer part keeps its owner, or the entry at
+       [start] goes into the left neighbour or changes owner. *)
+    if s0 < start && o0 <> owner then B.add m s0 ~stop:start ~owner:o0;
+    if s0 = start && ns < start then drop t start
+    else if s0 = start && o0 <> owner then index_remove t o0 start;
+    B.add m ns ~stop:ne ~owner;
+    if ns = start && not (s0 = start && o0 = owner) then index_add t owner start
   end
 
 (* The index's first entry at or above owner 1 is the smallest positive
@@ -251,19 +247,26 @@ let coldest t ~below =
   match t.index with
   | None -> invalid_arg "Tracker.coldest: tracker has no index"
   | Some ix ->
-    let seg = M.ceil_value ix (index_key 1 0) ~default:absent in
-    if seg.owner >= 1 && seg.owner < below then Some seg else None
+    B.ceil ix (index_key 1 0)
+    && ix.B.key lsr index_start_bits < below
+    && begin
+      t.found_start <- ix.B.key land (max_indexed_len - 1);
+      t.found_stop <- -1;
+      t.found_owner <- ix.B.key lsr index_start_bits;
+      true
+    end
 
 (* The segments a given owner holds, in order — for owner = a device
    id, exactly the ranges whose only fresh copy that device has (one
    owner per segment, so ownership here means exclusive ownership).
    This is the recovery metadata: everything device [d] owns when it
-   dies must be re-synced from elsewhere or recomputed. *)
-let owned_by t ~owner =
+   dies must be re-synced from elsewhere or recomputed.  One op per
+   segment. *)
+let owned_by t ~owner:o =
   let out = ref [] in
-  M.iter t.map (fun _ seg ->
-      bump t 1;
-      if seg.owner = owner then out := seg :: !out);
+  bump t
+    (B.walk t.map ~start:0 ~stop:t.len (fun start stop owner ->
+         if owner = o then out := { start; stop; owner } :: !out));
   List.rev !out
 
 (* Elements a given owner holds (sum of its segment lengths). *)
@@ -273,26 +276,30 @@ let owned_count t ~owner =
 (* All segments, in order. *)
 let segments t =
   let out = ref [] in
-  M.iter t.map (fun _ seg -> out := seg :: !out);
+  ignore
+    (B.walk t.map ~start:0 ~stop:t.len (fun start stop owner ->
+         out := { start; stop; owner } :: !out));
   List.rev !out
 
 (* Verify the tracker invariants: full coverage, no overlap, sorted,
-   maximal merging.  Raises [Failure] on violation. *)
+   maximal merging, and an index of exactly the positive-owner
+   segments.  Raises [Failure] on violation. *)
 let check_invariants t =
-  ignore (M.validate t.map);
+  ignore (B.validate t.map);
   let segs = segments t in
   (match t.index with
    | None -> ()
    | Some ix ->
-     ignore (M.validate ix);
-     let owned = List.filter (fun seg -> seg.owner > 0) segs in
-     if M.size ix <> List.length owned then
-       failwith "Tracker: index size differs from the positive-owner segments";
-     List.iter
-       (fun seg ->
-          if M.find_opt ix (index_key seg.owner seg.start) <> Some seg then
-            failwith "Tracker: segment missing from the index")
-       owned);
+     ignore (B.validate ix);
+     let keys = ref [] in
+     ignore (B.walk ix ~start:min_int ~stop:max_int (fun k _ _ -> keys := k :: !keys));
+     let want =
+       List.filter_map
+         (fun seg -> if seg.owner > 0 then Some (index_key seg.owner seg.start) else None)
+         segs
+     in
+     if List.rev !keys <> List.sort compare want then
+       failwith "Tracker: index differs from the positive-owner segments");
   let rec go pos = function
     | [] -> if pos <> t.len then failwith "Tracker: space not fully covered"
     | { start; stop; owner = _ } :: rest ->

@@ -2,7 +2,10 @@
     recently written copy of each element range of a virtual buffer.
 
     Segments are non-overlapping half-open intervals covering the whole
-    index space, stored in a B-tree keyed by segment start.  One owner
+    index space, stored unboxed in a B-tree keyed by segment start
+    ({!Btree}).  Lookups, walks and writes allocate nothing but the
+    node a B-tree split makes; {!segment_at}, {!query}, {!owned_by} and
+    {!segments} build records and lists for callers off the hot path.  One owner
     per segment — shared copies are not representable, which is the
     paper's stated limitation (redundant transfers for shared data). *)
 
@@ -40,9 +43,10 @@ val version : t -> int
 (** The tracker's current version.  Versions come from one
     process-wide counter, at creation and at every change to the
     segment map, so they are unique across trackers and never reused:
-    equal versions mean the same tracker with the same segments.
-    Queries and writes that leave the segments as they were (the
-    in-segment fast path of {!write}) keep the version. *)
+    equal versions mean the same tracker with the same segments.  A
+    write that changes the segments takes one fresh version; queries
+    and writes that leave the segments as they were (the in-segment
+    fast path of {!write}) keep it. *)
 
 val query : t -> start:int -> stop:int -> segment list
 (** The segments overlapping [start, stop), clipped to it, in order.
@@ -52,13 +56,24 @@ val iter_range :
   t -> start:int -> stop:int -> (int -> int -> int -> unit) -> unit
 (** [iter_range t ~start ~stop f] calls [f start stop owner] for each
     segment overlapping [start, stop), clipped to it, in order: {!query}
-    without building the list, charging the same ops. *)
+    without building the list, charging the same ops.  [f] must not
+    write the tracker. *)
+
+val seek : t -> int -> unit
+(** [seek t idx] finds the whole (unclipped) segment holding element
+    [idx], for one op, and leaves it for {!found_start}, {!found_stop}
+    and {!found_owner} to read until the next other call on [t].
+    Allocates nothing. *)
+
+val found_start : t -> int
+val found_stop : t -> int
+val found_owner : t -> int
 
 val segment_at : t -> int -> segment
-(** The whole (unclipped) segment holding an element, for one op. *)
+(** {!seek}, returned as a fresh record. *)
 
 val owner_at : t -> int -> int
-(** Owner of a single element. *)
+(** Owner of a single element: {!seek}, for one op. *)
 
 val write : t -> start:int -> stop:int -> owner:int -> unit
 (** Record that [owner] wrote [start, stop): existing segments are
@@ -68,11 +83,13 @@ val write : t -> start:int -> stop:int -> owner:int -> unit
     [(s < start ? 3 : 1) + (stop < e ? 3 : 1) + 5 + (stop < len ? 1 : 0)]
     for that segment [\[s, e)]. *)
 
-val coldest : t -> below:int -> segment option
-(** The whole segment with the smallest owner in [\[1, below)], the
-    lowest-starting one among equals; [None] when there is none.  One
-    index descent.  Raises [Invalid_argument] on a tracker not made by
-    {!create_indexed}. *)
+val coldest : t -> below:int -> bool
+(** Find the whole segment with the smallest owner in [\[1, below)],
+    the lowest-starting one among equals, and leave it for the
+    [found_] readers as {!seek} does; [false] when there is none.  One
+    index descent, charging no op, allocating nothing; the first
+    {!found_stop} after it looks the stop up in the map.  Raises
+    [Invalid_argument] on a tracker not made by {!create_indexed}. *)
 
 val owned_by : t -> owner:int -> segment list
 (** The segments [owner] holds, in order.  One owner per segment, so

@@ -58,11 +58,27 @@ and space = {
   mutable transfers : int;
   mutable tracker_ops : int;
   mutable evict_passes : int;
+  mutable pieces : int array;
+  mutable top : int;
+      (* a stack of [start, stop) pairs below [top]: a walk that must
+         not write its tracker leaves here the pieces a later loop
+         rewrites.  Each user pushes above the top it found and sets
+         the top back when done. *)
 }
 
 let space ?(cfg = Rconfig.alpha) machine =
   { s_machine = machine; s_cfg = cfg; members = []; transfers = 0;
-    tracker_ops = 0; evict_passes = 0 }
+    tracker_ops = 0; evict_passes = 0; pieces = Array.make 64 0; top = 0 }
+
+let push sp s e =
+  if sp.top + 2 > Array.length sp.pieces then begin
+    let a = Array.make (2 * Array.length sp.pieces) 0 in
+    Array.blit sp.pieces 0 a 0 sp.top;
+    sp.pieces <- a
+  end;
+  sp.pieces.(sp.top) <- s;
+  sp.pieces.(sp.top + 1) <- e;
+  sp.top <- sp.top + 2
 
 let members s = s.members
 let transfers s = s.transfers
@@ -286,20 +302,26 @@ let spill_target t =
 let evict t ~dev ~start:s ~stop:e =
   let eb = elem_bytes t in
   let do_data = do_data t in
-  List.iter
-    (fun (o : Tracker.segment) ->
-       if o.owner = dev then begin
-         let os = o.Tracker.start and oe = o.Tracker.stop in
-         (* d2h first: a transient fault aborts the spill before any
-            tracker state changes, so a retry redoes it. *)
-         if do_data then
-           Gpusim.Machine.d2h t.machine ~src:t.instances.(dev) ~src_off:os
-             ~dst:(spill_target t) ~dst_off:os ~len:(oe - os);
-         Tracker.write t.tracker ~start:os ~stop:oe ~owner:Tracker.host;
-         mark_fresh t ~who:(host_slot t) ~start:os ~stop:oe;
-         Gpusim.Machine.note_spill t.machine ~bytes:((oe - os) * eb)
-       end)
-    (Tracker.query t.tracker ~start:s ~stop:e);
+  let sp = t.space in
+  let base = sp.top in
+  Tracker.iter_range t.tracker ~start:s ~stop:e (fun os oe owner ->
+      if owner = dev then push sp os oe);
+  (* Nothing below pushes, so the pieces stay where they are. *)
+  let top = sp.top in
+  sp.top <- base;
+  let i = ref base in
+  while !i < top do
+    let os = sp.pieces.(!i) and oe = sp.pieces.(!i + 1) in
+    (* d2h first: a transient fault aborts the spill before any
+       tracker state changes, so a retry redoes it. *)
+    if do_data then
+      Gpusim.Machine.d2h t.machine ~src:t.instances.(dev) ~src_off:os
+        ~dst:(spill_target t) ~dst_off:os ~len:(oe - os);
+    Tracker.write t.tracker ~start:os ~stop:oe ~owner:Tracker.host;
+    mark_fresh t ~who:(host_slot t) ~start:os ~stop:oe;
+    Gpusim.Machine.note_spill t.machine ~bytes:((oe - os) * eb);
+    i := !i + 2
+  done;
   (* The device's bytes are gone either way: its replica of the whole
      evicted range is stale from here on. *)
   (match validity t with
@@ -325,42 +347,52 @@ let in_spill t f =
 (* Evict the resident parts of [start, stop) on [dev], as one spill;
    returns the bytes released. *)
 let spill_range t ~dev ~start ~stop =
-  let resident =
-    List.filter
-      (fun (seg : Tracker.segment) -> seg.owner > 0)
-      (Tracker.query t.residency.(dev) ~start ~stop)
-  in
+  let sp = t.space in
+  let base = sp.top in
+  Tracker.iter_range t.residency.(dev) ~start ~stop (fun s e owner ->
+      if owner > 0 then push sp s e);
+  let top = sp.top in
   let evict_all () =
-    List.fold_left
-      (fun acc (seg : Tracker.segment) ->
-         acc + evict t ~dev ~start:seg.Tracker.start ~stop:seg.Tracker.stop)
-      0 resident
+    let bytes = ref 0 and i = ref base in
+    while !i < top do
+      bytes := !bytes + evict t ~dev ~start:sp.pieces.(!i) ~stop:sp.pieces.(!i + 1);
+      i := !i + 2
+    done;
+    !bytes
   in
-  if resident = [] then 0 else if traced t then in_spill t evict_all
-  else evict_all ()
+  match
+    if top = base then 0 else if traced t then in_spill t evict_all
+    else evict_all ()
+  with
+  | bytes ->
+    sp.top <- base;
+    bytes
+  | exception exn ->
+    sp.top <- base;
+    raise exn
 
 let spill t ~dev ~ranges =
   List.fold_left
     (fun acc (start, stop) -> acc + spill_range t ~dev ~start ~stop)
     0 (clamp_ranges t ranges)
 
-(* The globally coldest resident segment on [dev] across [pool] that
-   is older than [stamp] (segments stamped by the in-progress ensure
-   are never eviction candidates): the smallest stamp, the first vbuf
-   in pool order among equals, and within that vbuf the lowest start
-   ([Tracker.coldest]).  One index descent per vbuf. *)
-let coldest pool ~dev ~stamp =
-  List.fold_left
-    (fun acc v ->
-       if dev >= Array.length v.instances then acc
-       else
-         match Tracker.coldest v.residency.(dev) ~below:stamp with
-         | None -> acc
-         | Some seg -> (
-             match acc with
-             | Some (_, best) when best.Tracker.owner <= seg.owner -> acc
-             | _ -> Some (v, seg)))
-    None pool
+(* The vbuf holding the globally coldest resident segment on [dev]
+   across [pool] that is older than [stamp] (segments stamped by the
+   in-progress ensure are never eviction candidates): the smallest
+   stamp, the first vbuf in pool order among equals, and within that
+   vbuf the lowest start ([Tracker.coldest], which leaves the segment
+   in the winner's residency tracker).  One index descent per vbuf. *)
+let rec coldest pool ~dev ~stamp best ~owner =
+  match pool with
+  | [] -> best
+  | v :: rest ->
+    if dev < Array.length v.instances
+    && Tracker.coldest v.residency.(dev) ~below:stamp
+    && Tracker.found_owner v.residency.(dev) < owner
+    then
+      coldest rest ~dev ~stamp (Some v)
+        ~owner:(Tracker.found_owner v.residency.(dev))
+    else coldest rest ~dev ~stamp best ~owner
 
 (* Test support: see [set_eviction_hook] in the interface. *)
 let eviction_hook = ref None
@@ -392,26 +424,32 @@ let ensure_resident ?stamp t ~dev ~ranges =
      (the same launch ensured the range before, or an overlapping one):
      either way one lookup settles the range. *)
   let settled (start, stop) =
-    let seg = Tracker.segment_at res start in
-    seg.Tracker.stop >= stop
-    && if unlimited then seg.owner > 0 else seg.owner = stamp
+    Tracker.seek res start;
+    let owner = Tracker.found_owner res in
+    Tracker.found_stop res >= stop
+    && if unlimited then owner > 0 else owner = stamp
   in
+  let sp = t.space in
   let make_resident (start, stop) =
-    let gaps = ref [] in
+    (* The gaps go on the pieces stack, for the handler to unstamp. *)
+    let base = sp.top and gap = ref 0 in
     Tracker.iter_range res ~start ~stop (fun s e owner ->
-        if owner = 0 then gaps := (s, e) :: !gaps);
-    let needed =
-      eb * List.fold_left (fun acc (s, e) -> acc + (e - s)) 0 !gaps
-    in
+        if owner = 0 then begin
+          push sp s e;
+          gap := !gap + (e - s)
+        end);
+    let top = sp.top in
+    let needed = eb * !gap in
     let evicting = needed > Gpusim.Machine.mem_free t.machine dev in
     if evicting then begin
       t.space.evict_passes <- t.space.evict_passes + 1;
       Tracker.write res ~start ~stop ~owner:stamp;
       try
         while Gpusim.Machine.mem_free t.machine dev < needed do
-          match coldest t.space.members ~dev ~stamp with
-          | Some (v, seg) ->
-            let start = seg.Tracker.start and stop = seg.Tracker.stop in
+          match coldest t.space.members ~dev ~stamp None ~owner:max_int with
+          | Some v ->
+            let res = v.residency.(dev) in
+            let start = Tracker.found_start res and stop = Tracker.found_stop res in
             (match !eviction_hook with
              | Some f -> f v ~dev ~stamp ~start ~stop
              | None -> ());
@@ -429,11 +467,15 @@ let ensure_resident ?stamp t ~dev ~ranges =
                  })
         done
       with exn ->
-        List.iter
-          (fun (s, e) -> Tracker.write res ~start:s ~stop:e ~owner:0)
-          !gaps;
+        let i = ref base in
+        while !i < top do
+          Tracker.write res ~start:sp.pieces.(!i) ~stop:sp.pieces.(!i + 1) ~owner:0;
+          i := !i + 2
+        done;
+        sp.top <- base;
         raise exn
     end;
+    sp.top <- base;
     if needed > 0 then begin
       Gpusim.Machine.mem_reserve t.machine ~device:dev ~bytes:needed;
       t.charged.(dev) <- t.charged.(dev) + needed
@@ -554,10 +596,21 @@ let scatter_targets t =
 let h2d t ~src:host =
   let before = Tracker.ops t.tracker in
   let src = host_array t ~what:"h2d" host in
-  if Option.is_some host then t.host_copy <- Some (Array.copy src);
   let do_data = do_data t in
   let live = scatter_targets t in
   let n = List.length live in
+  (* The host copy is read only where a segment is host-owned: a
+     chunk's remainder, or whatever recovery re-homes to the host under
+     fault injection.  Spills write their own parts into it
+     ([spill_target]), so otherwise the source need not be copied. *)
+  let copied = ref false in
+  let keep_copy () =
+    if Option.is_some host && not !copied then begin
+      copied := true;
+      t.host_copy <- Some (Array.copy src)
+    end
+  in
+  if Option.is_some (validity t) then keep_copy ();
   List.iteri
     (fun i d ->
        let start, stop = linear_chunk ~len:t.len ~n_devices:n i in
@@ -582,8 +635,10 @@ let h2d t ~src:host =
            t.distributed <- true;
            (* Nothing fits when even one element exceeds the capacity. *)
            if fit > start then Tracker.write t.tracker ~start ~stop:fit ~owner:d;
-           if stop > fit then
+           if stop > fit then begin
+             keep_copy ();
              Tracker.write t.tracker ~start:fit ~stop ~owner:Tracker.host
+           end
          end;
          (* The chunk's new logical content lives on its target device
             (up to [fit]) and in host memory; every other replica is
@@ -598,28 +653,25 @@ let h2d t ~src:host =
 (* Device-to-host memcpy: gather every segment from its owner. *)
 let gather t ~dst =
   let dst = host_array t ~what:"d2h" dst in
-  let segs =
-    if patterns t then Tracker.query t.tracker ~start:0 ~stop:t.len
-    else [ { Tracker.start = 0; stop = t.len; owner = 0 } ]
+  let piece start stop owner =
+    if owner = Tracker.host then begin
+      (* The host copy is already fresh: no device gather, no
+         simulated transfer.  Functional runs still materialize the
+         segment in [dst]. *)
+      if Gpusim.Machine.is_functional t.machine then
+        match t.host_copy with
+        | Some h -> Array.blit h start dst start (stop - start)
+        | None ->
+          invalid_arg
+            ("Vbuf.d2h: host-owned segment of " ^ t.name
+             ^ " has no host data")
+    end
+    else if do_data t then
+      Gpusim.Machine.d2h t.machine ~src:t.instances.(owner) ~src_off:start
+        ~dst ~dst_off:start ~len:(stop - start)
   in
-  List.iter
-    (fun { Tracker.start; stop; owner } ->
-       if owner = Tracker.host then begin
-         (* The host copy is already fresh: no device gather, no
-            simulated transfer.  Functional runs still materialize the
-            segment in [dst]. *)
-         if Gpusim.Machine.is_functional t.machine then
-           match t.host_copy with
-           | Some h -> Array.blit h start dst start (stop - start)
-           | None ->
-             invalid_arg
-               ("Vbuf.d2h: host-owned segment of " ^ t.name
-                ^ " has no host data")
-       end
-       else if do_data t then
-         Gpusim.Machine.d2h t.machine ~src:t.instances.(owner) ~src_off:start
-           ~dst ~dst_off:start ~len:(stop - start))
-    segs
+  if patterns t then Tracker.iter_range t.tracker ~start:0 ~stop:t.len piece
+  else piece 0 t.len 0
 
 let d2h t ~dst =
   let before = Tracker.ops t.tracker in

@@ -7,134 +7,144 @@ open Gpu_runtime
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-module M = Btree.Int_map
+module B = Btree
 module IM = Map.Make (Int)
 
 (* ---------------- B-tree ---------------- *)
 
+(* The cursor after a lookup, or [None] when it found nothing. *)
+let cursor tr found = if found then Some (tr.B.key, tr.B.stop, tr.B.owner) else None
+
+let entries tr =
+  let out = ref [] in
+  ignore (B.walk tr ~start:min_int ~stop:max_int (fun k s o -> out := (k, s, o) :: !out));
+  List.rev !out
+
 let test_btree_basic () =
-  let t = M.create () in
-  checkb "empty" true (M.is_empty t);
-  M.add t 5 "five";
-  M.add t 1 "one";
-  M.add t 9 "nine";
-  checki "size" 3 (M.size t);
-  Alcotest.(check (option string)) "find 5" (Some "five") (M.find_opt t 5);
-  Alcotest.(check (option string)) "find 2" None (M.find_opt t 2);
-  M.add t 5 "FIVE";
-  checki "size after replace" 3 (M.size t);
-  Alcotest.(check (option string)) "replaced" (Some "FIVE") (M.find_opt t 5);
-  Alcotest.(check (option (pair int string)))
-    "floor 7" (Some (5, "FIVE")) (M.floor t 7);
-  Alcotest.(check (option (pair int string)))
-    "floor 5" (Some (5, "FIVE")) (M.floor t 5);
-  Alcotest.(check (option (pair int string))) "floor 0" None (M.floor t 0);
-  Alcotest.(check (option (pair int string)))
-    "min" (Some (1, "one")) (M.min_binding t);
-  Alcotest.(check (option (pair int string)))
-    "max" (Some (9, "nine")) (M.max_binding t);
-  M.remove t 5;
-  checki "size after remove" 2 (M.size t);
-  Alcotest.(check (option string)) "removed" None (M.find_opt t 5);
-  ignore (M.validate t)
+  let t = B.create () in
+  checki "empty" 0 t.B.size;
+  B.add t 5 ~stop:50 ~owner:1;
+  B.add t 1 ~stop:10 ~owner:2;
+  B.add t 9 ~stop:90 ~owner:3;
+  checki "size" 3 t.B.size;
+  let opt = Alcotest.(option (triple int int int)) in
+  Alcotest.check opt "floor 5" (Some (5, 50, 1)) (cursor t (B.floor t 5));
+  Alcotest.check opt "floor 7" (Some (5, 50, 1)) (cursor t (B.floor t 7));
+  Alcotest.check opt "floor 0" None (cursor t (B.floor t 0));
+  Alcotest.check opt "ceil 6" (Some (9, 90, 3)) (cursor t (B.ceil t 6));
+  Alcotest.check opt "ceil 10" None (cursor t (B.ceil t 10));
+  B.add t 5 ~stop:55 ~owner:4;
+  checki "size after replace" 3 t.B.size;
+  Alcotest.check opt "replaced" (Some (5, 55, 4)) (cursor t (B.floor t 5));
+  Alcotest.check opt "remove_first [2, 9)" (Some (5, 55, 4))
+    (cursor t (B.remove_first t ~lo:2 ~hi:9));
+  checkb "nothing left in [2, 9)" false (B.remove_first t ~lo:2 ~hi:9);
+  checki "size after remove" 2 t.B.size;
+  Alcotest.(check (list (triple int int int))) "entries" [ (1, 10, 2); (9, 90, 3) ] (entries t);
+  ignore (B.validate t)
 
 let test_btree_bulk () =
-  (* Enough keys to force several levels of splits. *)
-  let t = M.create () in
+  (* Enough keys to force several levels of splits, then of merges. *)
+  let t = B.create () in
   let n = 2000 in
   for i = 0 to n - 1 do
-    M.add t ((i * 7919) mod n) ((i * 7919) mod n)
+    let k = (i * 7919) mod n in
+    B.add t k ~stop:(k + 1) ~owner:(k mod 7)
   done;
-  ignore (M.validate t);
-  checki "all distinct" n (M.size t);
-  let sorted = M.to_list t in
+  checkb "three levels" true (B.validate t >= 3);
+  checki "all distinct" n t.B.size;
   checkb "sorted" true
-    (List.for_all2
-       (fun (k, _) i -> k = i)
-       sorted
-       (List.init n (fun i -> i)));
+    (entries t = List.init n (fun k -> (k, k + 1, k mod 7)));
   (* Delete every third key, validating along the way. *)
   for i = 0 to n - 1 do
-    if i mod 3 = 0 then M.remove t i
+    if i mod 3 = 0 then B.remove t i;
+    if i mod 97 = 0 then ignore (B.validate t)
   done;
-  ignore (M.validate t);
-  checki "size after deletes" (n - ((n + 2) / 3)) (M.size t);
+  ignore (B.validate t);
+  checki "size after deletes" (n - ((n + 2) / 3)) t.B.size;
   for i = 0 to n - 1 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "key %d" i)
-      (if i mod 3 = 0 then None else Some i)
-      (M.find_opt t i)
-  done
+    checkb (Printf.sprintf "key %d" i) (i mod 3 <> 0) (B.floor t i && t.B.key = i)
+  done;
+  for i = 0 to n - 1 do B.remove t i done;
+  checki "emptied" 0 t.B.size;
+  checki "back to one leaf" 1 (B.validate t)
 
 let test_btree_iter_from () =
-  let t = M.create () in
-  List.iter (fun k -> M.add t k (k * 10)) [ 2; 4; 6; 8; 10; 12 ];
-  let seen = ref [] in
-  M.iter_from t 5 (fun k _ ->
-      seen := k :: !seen;
-      k < 10);
-  Alcotest.(check (list int)) "iter_from 5 until >= 10" [ 6; 8; 10 ]
-    (List.rev !seen);
-  let all = ref [] in
-  M.iter_from t 0 (fun k _ ->
-      all := k :: !all;
-      true);
-  Alcotest.(check (list int)) "iter_from 0" [ 2; 4; 6; 8; 10; 12 ]
-    (List.rev !all)
+  let t = B.create () in
+  List.iter (fun k -> B.add t k ~stop:(k + 2) ~owner:(k * 10)) [ 2; 4; 6; 8; 10; 12 ];
+  let walk start stop =
+    let seen = ref [] in
+    let n = B.walk t ~start ~stop (fun s e o -> seen := (s, e, o) :: !seen) in
+    (n, List.rev !seen)
+  in
+  let check = Alcotest.(check (pair int (list (triple int int int)))) in
+  (* From the floor of 5, clipped to [5, 10); the entry at 10 ends it. *)
+  check "walk [5, 10)" (4, [ (5, 6, 40); (6, 8, 60); (8, 10, 80) ]) (walk 5 10);
+  check "walk past the end"
+    (6, [ (2, 4, 20); (4, 6, 40); (6, 8, 60); (8, 10, 80); (10, 12, 100); (12, 14, 120) ])
+    (walk 0 max_int);
+  (* A walk nested in another's callback leaves the outer count alone. *)
+  let inner = ref 0 in
+  checki "nested walk" 4
+    (B.walk t ~start:5 ~stop:10 (fun _ _ _ ->
+         inner := !inner + B.walk t ~start:2 ~stop:3 (fun _ _ _ -> ())));
+  checki "inner walks" 6 !inner
 
-(* Model-based test: random interleavings of add/remove/find/floor
-   against Stdlib.Map; a [Floor] step checks [ceil_value] too. *)
-type op = Add of int * int | Remove of int | Find of int | Floor of int
+(* Model-based test: random interleavings of add/remove/floor/ceil and
+   range removal against Stdlib.Map, on key spaces small enough to
+   collide and large enough for several levels. *)
+type op = Add of int * int | Remove of int | Remove_first of int * int | Floor of int
 
-let gen_op =
+let gen_op keys =
   QCheck.Gen.(
-    int_range 0 199 >>= fun k ->
+    int_range 0 keys >>= fun k ->
     int_range 0 999 >>= fun v ->
-    oneof
-      [ return (Add (k, v)); return (Remove k); return (Find k);
-        return (Floor k) ])
+    int_range 0 8 >>= fun w ->
+    frequency
+      [ (4, return (Add (k, v))); (1, return (Remove k)); (1, return (Remove_first (k, k + w)));
+        (2, return (Floor k)) ])
 
 let print_op = function
   | Add (k, v) -> Printf.sprintf "Add(%d,%d)" k v
   | Remove k -> Printf.sprintf "Remove %d" k
-  | Find k -> Printf.sprintf "Find %d" k
+  | Remove_first (lo, hi) -> Printf.sprintf "Remove_first[%d,%d)" lo hi
   | Floor k -> Printf.sprintf "Floor %d" k
 
 let prop_btree_model =
   QCheck.Test.make ~name:"btree matches Map model" ~count:200
     (QCheck.make
        ~print:(fun l -> String.concat "; " (List.map print_op l))
-       QCheck.Gen.(list_size (int_range 0 400) gen_op))
+       QCheck.Gen.(
+         oneofl [ 199; 1999 ] >>= fun keys -> list_size (int_range 0 1500) (gen_op keys)))
     (fun ops ->
-      let t = M.create () in
+      let t = B.create () in
       let model = ref IM.empty in
+      let entry (k, v) = (k, v, -v) in
       List.for_all
         (fun op ->
           match op with
           | Add (k, v) ->
-              M.add t k v;
+              B.add t k ~stop:v ~owner:(-v);
               model := IM.add k v !model;
               true
           | Remove k ->
-              M.remove t k;
+              B.remove t k;
               model := IM.remove k !model;
               true
-          | Find k -> M.find_opt t k = IM.find_opt k !model
+          | Remove_first (lo, hi) ->
+              let want = IM.find_first_opt (fun k -> k >= lo) !model in
+              let want = match want with Some (k, _) when k < hi -> want | _ -> None in
+              Option.iter (fun (k, _) -> model := IM.remove k !model) want;
+              cursor t (B.remove_first t ~lo ~hi) = Option.map entry want
           | Floor k ->
-              let expected = IM.fold
-                  (fun k' v' acc -> if k' <= k then Some (k', v') else acc)
-                  !model None
-              in
-              let above =
-                match IM.find_first_opt (fun k' -> k' >= k) !model with
-                | Some (_, v) -> v
-                | None -> -1
-              in
-              M.floor t k = expected && M.ceil_value t k ~default:(-1) = above)
+              cursor t (B.floor t k)
+              = Option.map entry (IM.find_last_opt (fun k' -> k' <= k) !model)
+              && cursor t (B.ceil t k)
+                 = Option.map entry (IM.find_first_opt (fun k' -> k' >= k) !model))
         ops
-      && (ignore (M.validate t);
-          M.size t = IM.cardinal !model
-          && M.to_list t = IM.bindings !model))
+      && (ignore (B.validate t);
+          t.B.size = IM.cardinal !model
+          && entries t = List.map entry (IM.bindings !model)))
 
 (* ---------------- Tracker ---------------- *)
 
@@ -177,6 +187,42 @@ let test_tracker_spanning_write () =
   checki "owner head" 0 (Tracker.owner_at t 2);
   checki "owner tail" 0 (Tracker.owner_at t 97)
 
+(* The shapes the tracker properties run on, each plain and indexed: a
+   small space, where random ranges hit every boundary case, and a
+   space first cut into 2,200 segments, so that writes split and merge
+   B-tree nodes on several levels.  A range is a start and a width
+   class: narrow ranges keep the cut space fragmented, space-wide ones
+   absorb hundreds of segments at once. *)
+type shape = { len : int; indexed : bool; cut : bool }
+
+let shapes =
+  List.concat_map
+    (fun indexed ->
+       [ { len = 100; indexed; cut = false }; { len = 2400; indexed; cut = true } ])
+    [ false; true ]
+
+let print_shape sh =
+  Printf.sprintf "%s%s len=%d" (if sh.indexed then "indexed" else "plain")
+    (if sh.cut then " cut" else "") sh.len
+
+(* The cut: element [2i] written by owner [1 + i mod 3] for i < 1100. *)
+let cut_writes sh =
+  if sh.cut then List.init 1100 (fun i -> (2 * i, (2 * i) + 1, 1 + (i mod 3))) else []
+
+let shaped_tracker sh ~initial_owner =
+  let t =
+    (if sh.indexed then Tracker.create_indexed else Tracker.create) ~len:sh.len ~initial_owner
+  in
+  List.iter (fun (start, stop, owner) -> Tracker.write t ~start ~stop ~owner) (cut_writes sh);
+  t
+
+let gen_range =
+  QCheck.Gen.(triple (int_range 0 1_000_000) (int_range 0 1_000_000) (oneofl [ 3; 40; max_int ]))
+
+let range sh (a, b, w) =
+  let lo = a mod sh.len in
+  (lo, min sh.len (lo + 1 + (b mod min w sh.len)))
+
 (* Model-based: the tracker against a flat per-element owner array. *)
 let gen_tracker_op =
   QCheck.Gen.(
@@ -190,18 +236,23 @@ let gen_tracker_op =
 let prop_tracker_model =
   QCheck.Test.make ~name:"tracker matches flat-array model" ~count:300
     (QCheck.make
-       ~print:(fun l ->
-         String.concat "; "
-           (List.map
-              (fun (w, lo, hi, o) ->
-                Printf.sprintf "%s[%d,%d)o%d" (if w then "W" else "Q") lo hi o)
-              l))
-       QCheck.Gen.(list_size (int_range 1 60) gen_tracker_op))
-    (fun ops ->
-      let t = Tracker.create ~len:100 ~initial_owner:0 in
-      let model = Array.make 100 0 in
+       ~print:(fun (sh, l) ->
+         print_shape sh ^ " "
+         ^ String.concat "; "
+             (List.map
+                (fun (w, r, o) ->
+                  let lo, hi = range sh r in
+                  Printf.sprintf "%s[%d,%d)o%d" (if w then "W" else "Q") lo hi o)
+                l))
+       QCheck.Gen.(
+         pair (oneofl shapes) (list_size (int_range 1 60) (triple bool gen_range (int_range 0 3)))))
+    (fun (sh, ops) ->
+      let t = shaped_tracker sh ~initial_owner:0 in
+      let model = Array.make sh.len 0 in
+      List.iter (fun (lo, hi, owner) -> Array.fill model lo (hi - lo) owner) (cut_writes sh);
       List.for_all
-        (fun (is_write, lo, hi, owner) ->
+        (fun (is_write, r, owner) ->
+          let lo, hi = range sh r in
           if is_write then begin
             Tracker.write t ~start:lo ~stop:hi ~owner;
             Array.fill model lo (hi - lo) owner;
@@ -230,22 +281,26 @@ let prop_tracker_model =
    covered segments, re-inserts and merges, charging one op per B-tree
    step; a query walks the covered entries into a list. *)
 module Oracle_tracker = struct
-  type t = { map : (int * int) M.tree; mutable ops : int }
+  type t = { mutable map : (int * int) IM.t; mutable ops : int }
 
   let create ~len ~initial_owner =
-    let map = M.create () in
-    M.add map 0 (len, initial_owner);
-    { map; ops = 1 }
+    { map = IM.singleton 0 (len, initial_owner); ops = 1 }
 
   let bump t n = t.ops <- t.ops + n
+  let floor t k = IM.find_last_opt (fun k' -> k' <= k) t.map
+  let add t k v = t.map <- IM.add k v t.map
+  let remove t k = t.map <- IM.remove k t.map
+
+  (* The entries from key [k] on, while [f] returns true. *)
+  let iter_from t k f =
+    let rec go seq = match seq () with Seq.Cons ((k, v), rest) when f k v -> go rest | _ -> () in
+    go (IM.to_seq_from k t.map)
 
   let query t ~start ~stop =
     bump t 1;
     let out = ref [] in
-    let from_key =
-      match M.floor t.map start with Some (k, _) -> k | None -> start
-    in
-    M.iter_from t.map from_key (fun s (e, owner) ->
+    let from_key = match floor t start with Some (k, _) -> k | None -> start in
+    iter_from t from_key (fun s (e, owner) ->
         bump t 1;
         if s >= stop then false
         else begin
@@ -257,17 +312,17 @@ module Oracle_tracker = struct
 
   let write t ~start ~stop ~owner =
     let split at =
-      match M.floor t.map at with
+      match floor t at with
       | Some (s, (e, o)) when s < at && at < e ->
         bump t 3;
-        M.add t.map s (at, o);
-        M.add t.map at (e, o)
+        add t s (at, o);
+        add t at (e, o)
       | _ -> bump t 1
     in
     split start;
     split stop;
     let doomed = ref [] in
-    M.iter_from t.map start (fun s _ ->
+    iter_from t start (fun s _ ->
         bump t 1;
         if s < stop then begin
           doomed := s :: !doomed;
@@ -277,27 +332,27 @@ module Oracle_tracker = struct
     List.iter
       (fun s ->
          bump t 1;
-         M.remove t.map s)
+         remove t s)
       !doomed;
     let seg_start = ref start and seg_stop = ref stop in
-    (match M.floor t.map (start - 1) with
+    (match floor t (start - 1) with
      | Some (s, (e, o)) when e = start && o = owner ->
        bump t 1;
-       M.remove t.map s;
+       remove t s;
        seg_start := s
      | _ -> bump t 1);
-    (match M.floor t.map stop with
+    (match floor t stop with
      | Some (s, (e, o)) when s = stop && o = owner ->
        bump t 1;
-       M.remove t.map s;
+       remove t s;
        seg_stop := e
      | _ -> bump t 1);
     bump t 1;
-    M.add t.map !seg_start (!seg_stop, owner)
+    add t !seg_start (!seg_stop, owner)
 
   let segments t =
     List.map (fun (s, (e, o)) -> { Tracker.start = s; stop = e; owner = o })
-      (M.to_list t.map)
+      (IM.bindings t.map)
 end
 
 (* One differential step.  [Rewrite] picks, when it runs, an existing
@@ -305,77 +360,85 @@ end
    segment's own owner: the no-op shapes a steady-state loop takes,
    which random ranges rarely hit. *)
 type tracker_step =
-  | Write of int * int * int (* two endpoints, owner *)
+  | Write of (int * int * int) * int (* a range, owner *)
   | Rewrite of int * int * int (* segment pick, two endpoint picks *)
-  | Query of int * int
-  | Iter of int * int
+  | Query of (int * int * int)
+  | Iter of (int * int * int)
 
 let gen_tracker_step =
   QCheck.Gen.(
     let owner = int_range (-1) 3 and pick = int_range 0 1000 in
     frequency
       [
-        (3, map3 (fun a b o -> Write (a, b, o)) pick pick owner);
+        (3, map2 (fun r o -> Write (r, o)) gen_range owner);
         (3, map3 (fun i a b -> Rewrite (i, a, b)) pick pick pick);
-        (1, map2 (fun a b -> Query (a, b)) pick pick);
-        (1, map2 (fun a b -> Iter (a, b)) pick pick);
+        (1, map (fun r -> Query r) gen_range);
+        (1, map (fun r -> Iter r) gen_range);
       ])
 
-let print_tracker_step = function
-  | Write (a, b, o) -> Printf.sprintf "W(%d,%d,o%d)" a b o
+let print_tracker_step sh = function
+  | Write (r, o) -> let a, b = range sh r in Printf.sprintf "W(%d,%d,o%d)" a b o
   | Rewrite (i, a, b) -> Printf.sprintf "R(%d,%d,%d)" i a b
-  | Query (a, b) -> Printf.sprintf "Q(%d,%d)" a b
-  | Iter (a, b) -> Printf.sprintf "I(%d,%d)" a b
+  | Query r -> let a, b = range sh r in Printf.sprintf "Q(%d,%d)" a b
+  | Iter r -> let a, b = range sh r in Printf.sprintf "I(%d,%d)" a b
 
+(* Every step also keeps the version contract: the version moves
+   exactly when the segments change. *)
 let prop_tracker_matches_oracle =
   QCheck.Test.make ~name:"tracker matches the split/merge oracle" ~count:600
     (QCheck.make
-       ~print:(fun (len, o, steps) ->
-         Printf.sprintf "len=%d owner=%d %s" len o
-           (String.concat " " (List.map print_tracker_step steps)))
+       ~print:(fun (sh, o, steps) ->
+         Printf.sprintf "%s owner=%d %s" (print_shape sh) o
+           (String.concat " " (List.map (print_tracker_step sh) steps)))
        QCheck.Gen.(
-         triple (int_range 1 64) (int_range (-1) 3)
+         triple
+           (oneof
+              [ oneofl shapes; map (fun len -> { len; indexed = false; cut = false }) (int_range 1 64) ])
+           (int_range (-1) 3)
            (list_size (int_range 1 80) gen_tracker_step)))
-    (fun (len, initial_owner, steps) ->
-      let t = Tracker.create ~len ~initial_owner in
-      let o = Oracle_tracker.create ~len ~initial_owner in
-      (* A range [lo, hi) inside [0, len) from two picks. *)
-      let range ~base ~span a b =
-        let a = base + (a mod span) and b = base + (b mod span) in
-        (min a b, max a b + 1)
-      in
+    (fun (sh, initial_owner, steps) ->
+      (* An indexed tracker takes no negative owner: shift them all. *)
+      let shift o = if sh.indexed then o + 1 else o in
+      let initial_owner = shift initial_owner in
+      let t = shaped_tracker sh ~initial_owner in
+      let o = Oracle_tracker.create ~len:sh.len ~initial_owner in
+      List.iter
+        (fun (start, stop, owner) -> Oracle_tracker.write o ~start ~stop ~owner)
+        (cut_writes sh);
+      Tracker.reset_ops t;
+      o.Oracle_tracker.ops <- 0;
       let same_delta f g =
         let t0 = Tracker.ops t and o0 = o.Oracle_tracker.ops in
         let got = f () and want = g () in
         got = want && Tracker.ops t - t0 = o.Oracle_tracker.ops - o0
       in
-      List.for_all
+      Tracker.segments t = Oracle_tracker.segments o
+      && List.for_all
         (fun step ->
+           let segs = Tracker.segments t and version = Tracker.version t in
            let ok =
              match step with
-             | Write (a, b, owner) ->
-               let start, stop = range ~base:0 ~span:len a b in
+             | Write (r, owner) ->
+               let start, stop = range sh r and owner = shift owner in
                same_delta
                  (fun () -> Tracker.write t ~start ~stop ~owner)
                  (fun () -> Oracle_tracker.write o ~start ~stop ~owner)
              | Rewrite (i, a, b) ->
-               let segs = Tracker.segments t in
                let seg = List.nth segs (i mod List.length segs) in
-               let start, stop =
-                 range ~base:seg.Tracker.start
-                   ~span:(seg.Tracker.stop - seg.Tracker.start) a b
-               in
+               let span = seg.Tracker.stop - seg.Tracker.start in
+               let a = seg.Tracker.start + (a mod span) and b = seg.Tracker.start + (b mod span) in
+               let start = min a b and stop = max a b + 1 in
                let owner = seg.Tracker.owner in
                same_delta
                  (fun () -> Tracker.write t ~start ~stop ~owner)
                  (fun () -> Oracle_tracker.write o ~start ~stop ~owner)
-             | Query (a, b) ->
-               let start, stop = range ~base:0 ~span:len a b in
+             | Query r ->
+               let start, stop = range sh r in
                same_delta
                  (fun () -> Tracker.query t ~start ~stop)
                  (fun () -> Oracle_tracker.query o ~start ~stop)
-             | Iter (a, b) ->
-               let start, stop = range ~base:0 ~span:len a b in
+             | Iter r ->
+               let start, stop = range sh r in
                same_delta
                  (fun () ->
                     let out = ref [] in
@@ -384,16 +447,18 @@ let prop_tracker_matches_oracle =
                     List.rev !out)
                  (fun () -> Oracle_tracker.query o ~start ~stop)
            in
-           ok && Tracker.segments t = Oracle_tracker.segments o)
+           let segs' = Tracker.segments t in
+           ok && segs' = Oracle_tracker.segments o
+           && (Tracker.version t <> version) = (segs' <> segs))
         steps)
 
 (* The stamp index against a linear scan.  Writes mix owner 0 (not
    resident) with stamps reused from earlier writes and fresh ones, the
    way vbuf residency writes them.  After every write the indexed
    tracker must be sound ([check_invariants] covers the index) and, for
-   every bound, [coldest ~below] must pick what a scan of [segments]
-   picks: the smallest owner in [1, below), the lowest start among
-   equals. *)
+   every bound (a sample of them on a cut space), [coldest ~below] must
+   pick what a scan of [segments] picks: the smallest owner in [1,
+   below), the lowest start among equals. *)
 type stamp_pick = Unstamp | Reuse of int | Fresh
 
 let print_stamp_pick = function
@@ -401,29 +466,42 @@ let print_stamp_pick = function
   | Reuse i -> Printf.sprintf "r%d" i
   | Fresh -> "f"
 
+let coldest_segment t ~below =
+  if Tracker.coldest t ~below then
+    Some
+      { Tracker.start = Tracker.found_start t; stop = Tracker.found_stop t;
+        owner = Tracker.found_owner t }
+  else None
+
 let prop_tracker_coldest =
   QCheck.Test.make ~name:"indexed tracker coldest matches a scan" ~count:400
     (QCheck.make
-       ~print:(fun (len, steps) ->
-         Printf.sprintf "len=%d %s" len
+       ~print:(fun (sh, steps) ->
+         Printf.sprintf "%s %s" (print_shape sh)
            (String.concat " "
               (List.map
-                 (fun (a, b, p) ->
+                 (fun (r, p) ->
+                    let a, b = range sh r in
                     Printf.sprintf "W(%d,%d,%s)" a b (print_stamp_pick p))
                  steps)))
        QCheck.Gen.(
-         pair (int_range 1 64)
+         pair
+           (oneof
+              [ map (fun len -> { len; indexed = true; cut = false }) (int_range 1 64);
+                return { len = 2400; indexed = true; cut = true } ])
            (list_size (int_range 1 60)
-              (triple (int_range 0 1000) (int_range 0 1000)
+              (pair gen_range
                  (frequency
                     [
                       (2, return Unstamp);
                       (3, map (fun i -> Reuse i) (int_range 0 1000));
                       (3, return Fresh);
                     ])))))
-    (fun (len, steps) ->
-      let t = Tracker.create_indexed ~len ~initial_owner:0 in
-      let used = ref [] and next = ref 1 in
+    (fun (sh, steps) ->
+      let t = shaped_tracker sh ~initial_owner:0 in
+      (* The cut stamps 1 to 3. *)
+      let used = ref (if sh.cut then [ 1; 2; 3 ] else []) in
+      let next = ref (if sh.cut then 4 else 1) in
       let scan below =
         List.fold_left
           (fun acc (seg : Tracker.segment) ->
@@ -435,9 +513,8 @@ let prop_tracker_coldest =
           None (Tracker.segments t)
       in
       List.for_all
-        (fun (a, b, pick) ->
-           let start = min (a mod len) (b mod len)
-           and stop = max (a mod len) (b mod len) + 1 in
+        (fun (r, pick) ->
+           let start, stop = range sh r in
            let owner =
              match (pick, !used) with
              | Unstamp, _ | Reuse _, [] -> 0
@@ -451,8 +528,10 @@ let prop_tracker_coldest =
            Tracker.write t ~start ~stop ~owner;
            Tracker.check_invariants t;
            List.for_all
-             (fun below -> Tracker.coldest t ~below = scan below)
-             (max_int :: List.init (!next + 1) Fun.id))
+             (fun below -> coldest_segment t ~below = scan below)
+             (max_int
+              :: (if sh.cut then [ 0; 1; 2; 3; 4; !next / 2; !next; !next + 1 ]
+                  else List.init (!next + 1) Fun.id)))
         steps)
 
 let test_tracker_index_limits () =
@@ -474,12 +553,56 @@ let test_tracker_index_limits () =
   Tracker.write t ~start:7 ~stop:9 ~owner:Tracker.max_indexed_owner;
   Tracker.check_invariants t;
   checkb "largest owner found, lowest start first" true
-    (Tracker.coldest t ~below:max_int
+    (coldest_segment t ~below:max_int
      = Some { Tracker.start = 3; stop = 5; owner = Tracker.max_indexed_owner });
   checkb "bound excludes it" true
-    (Tracker.coldest t ~below:Tracker.max_indexed_owner = None);
+    (coldest_segment t ~below:Tracker.max_indexed_owner = None);
   raises "unindexed tracker has no coldest" (fun () ->
       Tracker.coldest (Tracker.create ~len:10 ~initial_owner:1) ~below:2)
+
+(* The tracker's hot path allocates nothing: a write inside a segment
+   its owner holds, a write that changes the segments without a B-tree
+   split (an owner flip of one segment, both ways), a walk with a
+   callback made beforehand, a lookup and, indexed, [coldest].  Words
+   are counted over many calls, so one boxed float from [Gc] rounds
+   away. *)
+let test_tracker_hot_path_alloc () =
+  let words f =
+    for _ = 1 to 10 do f () done;
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do f () done;
+    truncate ((Gc.minor_words () -. before) /. 1000.)
+  in
+  List.iter
+    (fun indexed ->
+       let t =
+         (if indexed then Tracker.create_indexed else Tracker.create) ~len:4096 ~initial_owner:0
+       in
+       for i = 0 to 1023 do
+         Tracker.write t ~start:(4 * i) ~stop:((4 * i) + 2) ~owner:(1 + (i mod 3))
+       done;
+       checki "2048 segments" 2048 (Tracker.segment_count t);
+       let name what = Printf.sprintf "%s, %s" what (if indexed then "indexed" else "plain") in
+       (* [400, 402) is owner 2's, between gaps of owner 0. *)
+       checki (name "in-segment write") 0
+         (words (fun () -> Tracker.write t ~start:400 ~stop:401 ~owner:2));
+       let version = ref (Tracker.version t) and flips = ref 0 in
+       checki (name "owner flip") 0
+         (words (fun () ->
+              Tracker.write t ~start:400 ~stop:402 ~owner:3;
+              Tracker.write t ~start:400 ~stop:402 ~owner:2;
+              if Tracker.version t <> !version then incr flips;
+              version := Tracker.version t));
+       checki (name "every flip moved the version") 1010 !flips;
+       let f _ _ _ = () in
+       checki (name "iter_range over 16 segments") 0
+         (words (fun () -> Tracker.iter_range t ~start:100 ~stop:132 f));
+       checki (name "seek") 0 (words (fun () -> Tracker.seek t 777));
+       if indexed then
+         checki (name "coldest") 0
+           (words (fun () -> ignore (Tracker.coldest t ~below:max_int)));
+       Tracker.check_invariants t)
+    [ false; true ]
 
 (* Ownership queries never lose or double-count an element: after any
    sequence of random owned-range writes, the per-owner segment lists
@@ -691,6 +814,39 @@ let test_vbuf_checkpoint_restore () =
        false
      with Invalid_argument _ -> true)
 
+(* An h2d copies its source only where a host-owned segment may later
+   be read from the copy; nowhere may a d2h see the source change after
+   the h2d returned.  Uncapped and fault-free, nothing is host-owned; a
+   capacity below a chunk leaves a host-owned remainder; under fault
+   injection, recovery re-homes a lost device's segments to the host. *)
+let test_vbuf_h2d_source_mutation () =
+  let run what m ?(after = fun _ -> ()) () =
+    let vb = vbuf m ~name:"s" ~len:100 in
+    let src = Array.init 100 float_of_int in
+    Vbuf.h2d vb ~src:(Some src);
+    let want = Array.copy src in
+    Array.fill src 0 100 (-1.0);
+    after vb;
+    let dst = Array.make 100 nan in
+    Vbuf.d2h vb ~dst:(Some dst);
+    checkb what true (dst = want);
+    vb
+  in
+  ignore (run "uncapped" (machine4 ()) ());
+  let capped =
+    Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:4 ~mem_capacity:40 ())
+  in
+  let vb = run "capped, with a host-owned remainder" capped () in
+  checki "the remainder is host-owned" Tracker.host (Tracker.owner_at (Vbuf.tracker vb) 99);
+  let m = faulty_machine4 () in
+  ignore
+    (run "faulted, device 1 lost" m
+       ~after:(fun vb ->
+           Gpusim.Faults.mark_lost (Option.get (Gpusim.Machine.fault_state m)) 1;
+           checkb "nothing lost" true (Vbuf.recover vb ~dev:1 ~live:[ 0; 2; 3 ] = []);
+           checki "re-homed to the host" Tracker.host (Tracker.owner_at (Vbuf.tracker vb) 30))
+       ())
+
 let test_vbuf_recover_fresh_replica () =
   let m = faulty_machine4 () in
   let vb = vbuf m ~name:"a" ~len:40 in
@@ -799,10 +955,11 @@ let test_vbuf_host_owned_segments () =
   let vb = vbuf m ~name:"h" ~len:40 in
   let src = Array.init 40 float_of_int in
   Vbuf.h2d vb ~src:(Some src);
-  (* Pretend the host re-produced [10,20) (e.g. a host-side loop
-     between launches): mark it host-owned and corrupt every device
-     instance there, so any device gather returns garbage. *)
-  Tracker.write (Vbuf.tracker vb) ~start:10 ~stop:20 ~owner:Tracker.host;
+  (* Spill [10,20) from device 1, which owns it: the host copy now
+     holds it and the host owns it.  Then corrupt every device instance
+     there, so any device gather returns garbage. *)
+  checki "spilled" 40 (Vbuf.spill vb ~dev:1 ~ranges:[ (10, 20) ]);
+  checki "host-owned" Tracker.host (Tracker.owner_at (Vbuf.tracker vb) 15);
   for d = 0 to 3 do
     let inst = Gpusim.Buffer.data_exn (Vbuf.instance vb d) in
     for i = 10 to 19 do
@@ -1071,6 +1228,7 @@ let () =
           qtest prop_tracker_matches_oracle;
           qtest prop_tracker_coldest;
           Alcotest.test_case "index limits" `Quick test_tracker_index_limits;
+          Alcotest.test_case "tracker hot path allocation" `Quick test_tracker_hot_path_alloc;
         ] );
       ( "vbuf",
         [
@@ -1093,6 +1251,8 @@ let () =
             test_vbuf_host_array_validation;
           Alcotest.test_case "checkpoint/restore" `Quick
             test_vbuf_checkpoint_restore;
+          Alcotest.test_case "h2d source mutated afterwards" `Quick
+            test_vbuf_h2d_source_mutation;
           Alcotest.test_case "recover via fresh replicas" `Quick
             test_vbuf_recover_fresh_replica;
           Alcotest.test_case "recover reports lost data" `Quick
