@@ -3,15 +3,9 @@
     ALU work and loop trip counts evaluated from the launch's scalar
     arguments. *)
 
-val memory_op_weight : float
-val alu_op_weight : float
-
 val try_eval_int : (string * int) list -> Kir.exp -> int option
 (** Best-effort integer evaluation under a scalar environment; [None]
     for anything depending on runtime values. *)
-
-val exp_ops : Kir.exp -> float
-val stmt_ops : (string * int) list -> Kir.stmt -> float
 
 val ops_per_thread : Kir.t -> scalar_env:(string * int) list -> float
 (** Estimated operations per thread for one launch. *)

@@ -2,9 +2,6 @@
     the text the regex-based source-to-source rewriter (paper §5)
     operates on. *)
 
-val render_harg : Host_ir.harg -> string
-val render_dim3 : Dim3.t -> string
-
 val render : Host_ir.t -> string
 (** The full toy .cu translation unit: kernels, then [main()] with the
     host program. *)

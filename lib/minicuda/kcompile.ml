@@ -24,7 +24,8 @@
      uniform register keeps its value in slot 0; a uniform step runs
      over [0, 1) whatever lanes are active, and a varying step is
      compiled for its operands' shape: it reads a uniform operand once,
-     before its loop (see "Step constructors");
+     before its loop (see [Klane.shape]; [Ksteps] has one sweep per
+     operator and shape, generated from gen/ksteps_gen.ml's table);
    - a block of statements is a flat list of steps run by one
      sequencer; only [If] and [For] nest.  A varying [If] runs each
      branch once per maximal run of lanes that takes it; a uniform one
@@ -111,44 +112,7 @@ type access = {
   touched : bool array option;
 }
 
-external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
-external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
-
-(* One executing domain's state for a block of [w] lanes.  [masks.(s)]
-   is [no_mask] for arrays without a touched mask; [limit.(s)] is the
-   first offset a logged write to slot [s] could not apply.  The log is
-   a list of segments, one per store or atomic sweep, each
-   [slot * 4 + op] (op 0 = store, 1/2/3 = atomic add/min/max) over a
-   run of entries: an offset and a value per lane of the sweep, the
-   first entry for the segment's first lane. *)
-type env = {
-  ir : int array array;
-  fr : float array array;
-  bufs : int array array;  (* per-lane loop state *)
-  srcs : float array array;
-  dsts : float array array;
-  masks : bool array array;
-  limit : int array;
-  counts : int array;  (* the flush's per-lane counts, w + 1 *)
-  mutable direct : bool;  (* thread by thread: stores skip the log *)
-  mutable log_n : int;
-  mutable log_off : int array;
-  mutable log_val : float array;
-  mutable log_code : int array;  (* the sort's scratch *)
-  mutable log_perm : int array;
-  mutable seg_n : int;
-  mutable seg_code : int array;
-  mutable seg_start : int array;
-  mutable seg_lane : int array;  (* the lane of the segment's first entry *)
-  mutable serial : int;  (* the running block's number, from 1 *)
-  gseen : int array;  (* per guard: the block it was last classified for *)
-  gcls : int array;  (* per guard: that block's class *)
-  mutable folded : int;  (* (guard, block) pairs that took a branch directly *)
-  mutable scanned : int;  (* (guard, block) pairs that ran the lane scan *)
-}
-
-(* A sweep over the lanes [lo, hi). *)
-type step = env -> int -> int -> unit
+open Klane
 
 type t = {
   grid : Dim3.t;
@@ -892,450 +856,6 @@ let out_f c ~uni = function
   | Some (TFloat, r) when uni = uni_f c r -> r
   | _ -> fresh_f ~uni c
 
-(* --- Step constructors --------------------------------------------------
-
-   One sweep per operator and operand shape: a helper taking the lane
-   body as a closure would cost a call per lane (no flambda).  A step's
-   destination is uniform exactly when its operands all are (only a
-   move broadcasts a uniform register into a varying one), and a
-   uniform step runs over [0, 1), where slot [l] is slot 0.  So a
-   one-operand step reads its operand at [l], and a two-operand step
-   has one of three shapes, fixed when it is compiled: [Vv] reads both
-   operands at [l], which also serves two uniform operands; [Uv] and
-   [Vu] read their uniform operand once, before the loop.  A hoisted
-   operand is never the destination, whose uniformity differs.
-
-   A float sweep binds its first operand before a commutative operator:
-   ocamlopt swaps the operands of one to read a load straight from
-   memory, and when both operands are NaN the first one's payload must
-   win, as in the interpreter. *)
-
-type shape = Vv | Uv | Vu
-
-let shape ua ub = if ua = ub then Vv else if ua then Uv else Vu
-
-(* An operator whose result does not depend on its operands' order
-   takes its uniform operand first. *)
-let commute sh a b = if sh = Vu then (Uv, b, a) else (sh, a, b)
-
-let int_step op sh d a b : step =
-  let sh, a, b =
-    match op with Kir.Add | Kir.Mul | Kir.Minb | Kir.Maxb -> commute sh a b | _ -> (sh, a, b)
-  in
-  match (op, sh) with
-  | Kir.Add, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) + y.!(l) done
-  | Kir.Add, _ ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- u + y.!(l) done
-  | Kir.Mul, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) * y.!(l) done
-  | Kir.Mul, _ ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- u * y.!(l) done
-  | Kir.Minb, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- imin x.!(l) y.!(l) done
-  | Kir.Minb, _ ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- imin u y.!(l) done
-  | Kir.Maxb, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- imax x.!(l) y.!(l) done
-  | Kir.Maxb, _ ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- imax u y.!(l) done
-  | Kir.Sub, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) - y.!(l) done
-  | Kir.Sub, Uv ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- u - y.!(l) done
-  | Kir.Sub, Vu ->
-    fun env lo hi ->
-      let x = ig env a and v = (ig env b).!(0) and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) - v done
-  | Kir.Idiv, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) / y.!(l) done
-  | Kir.Idiv, Uv ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- u / y.!(l) done
-  | Kir.Idiv, Vu ->
-    fun env lo hi ->
-      let x = ig env a and v = (ig env b).!(0) and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) / v done
-  | _, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) mod y.!(l) done
-  | _, Uv ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- u mod y.!(l) done
-  | _, Vu ->
-    fun env lo hi ->
-      let x = ig env a and v = (ig env b).!(0) and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) mod v done
-
-let float_step op sh d a b : step =
-  match (op, sh) with
-  | Kir.Add, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do
-        let u = x.!(l) in
-        z.!(l) <- u +. y.!(l)
-      done
-  | Kir.Add, Uv ->
-    fun env lo hi ->
-      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- u +. y.!(l) done
-  | Kir.Add, Vu ->
-    fun env lo hi ->
-      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
-      for l = lo to hi - 1 do
-        let u = x.!(l) in
-        z.!(l) <- u +. v
-      done
-  | Kir.Sub, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) -. y.!(l) done
-  | Kir.Sub, Uv ->
-    fun env lo hi ->
-      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- u -. y.!(l) done
-  | Kir.Sub, Vu ->
-    fun env lo hi ->
-      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) -. v done
-  | Kir.Mul, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do
-        let u = x.!(l) in
-        z.!(l) <- u *. y.!(l)
-      done
-  | Kir.Mul, Uv ->
-    fun env lo hi ->
-      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- u *. y.!(l) done
-  | Kir.Mul, Vu ->
-    fun env lo hi ->
-      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
-      for l = lo to hi - 1 do
-        let u = x.!(l) in
-        z.!(l) <- u *. v
-      done
-  | Kir.Minb, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- fmin x.!(l) y.!(l) done
-  | Kir.Minb, Uv ->
-    fun env lo hi ->
-      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- fmin u y.!(l) done
-  | Kir.Minb, Vu ->
-    fun env lo hi ->
-      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- fmin x.!(l) v done
-  | Kir.Maxb, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- fmax x.!(l) y.!(l) done
-  | Kir.Maxb, Uv ->
-    fun env lo hi ->
-      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- fmax u y.!(l) done
-  | Kir.Maxb, Vu ->
-    fun env lo hi ->
-      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- fmax x.!(l) v done
-  | _, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) /. y.!(l) done
-  | _, Uv ->
-    fun env lo hi ->
-      let u = (fg env a).!(0) and y = fg env b and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- u /. y.!(l) done
-  | _, Vu ->
-    fun env lo hi ->
-      let x = fg env a and v = (fg env b).!(0) and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) /. v done
-
-(* [x ± y*z] in one step: [x] is read at [l] and [sh] is the shape of
-   [y] and [z].  [x] is bound before the sum, and [y] before a product
-   with a hoisted [z], so [y]'s payload wins the product and [x]'s the
-   sum, as in the interpreter's two operators. *)
-let fma_step op sh d a b e : step =
-  match (op, sh) with
-  | Kir.Add, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env e and r = fg env d in
-      for l = lo to hi - 1 do
-        let u = x.!(l) in
-        r.!(l) <- u +. (y.!(l) *. z.!(l))
-      done
-  | Kir.Add, Uv ->
-    fun env lo hi ->
-      let x = fg env a and w = (fg env b).!(0) and z = fg env e and r = fg env d in
-      for l = lo to hi - 1 do
-        let u = x.!(l) in
-        r.!(l) <- u +. (w *. z.!(l))
-      done
-  | Kir.Add, Vu ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and w = (fg env e).!(0) and r = fg env d in
-      for l = lo to hi - 1 do
-        let u = x.!(l) in
-        let p = y.!(l) in
-        r.!(l) <- u +. (p *. w)
-      done
-  | _, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = fg env e and r = fg env d in
-      for l = lo to hi - 1 do r.!(l) <- x.!(l) -. (y.!(l) *. z.!(l)) done
-  | _, Uv ->
-    fun env lo hi ->
-      let x = fg env a and w = (fg env b).!(0) and z = fg env e and r = fg env d in
-      for l = lo to hi - 1 do r.!(l) <- x.!(l) -. (w *. z.!(l)) done
-  | _, Vu ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and w = (fg env e).!(0) and r = fg env d in
-      for l = lo to hi - 1 do
-        let p = y.!(l) in
-        r.!(l) <- x.!(l) -. (p *. w)
-      done
-
-let float_unop_step op d a : step =
-  match op with
-  | Kir.Neg ->
-    fun env lo hi ->
-      let x = fg env a and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- -.x.!(l) done
-  | Kir.Abs ->
-    fun env lo hi ->
-      let x = fg env a and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- Float.abs x.!(l) done
-  | Kir.Sqrt ->
-    fun env lo hi ->
-      let x = fg env a and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- sqrt x.!(l) done
-  | _ ->
-    fun env lo hi ->
-      let x = fg env a and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- 1.0 /. sqrt x.!(l) done
-
-let int_unop_step op d a : step =
-  if op = Kir.Neg then
-    fun env lo hi ->
-      let x = ig env a and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- - x.!(l) done
-  else
-    fun env lo hi ->
-      let x = ig env a and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- abs x.!(l) done
-
-(* Comparisons write 0/1.  [a > b] is [b < a] and [a >= b] is [b <= a],
-   NaNs included, so four operators cover six; [=] and [<>] commute. *)
-let mirror op sh a b =
-  let flip = match sh with Uv -> Vu | Vu -> Uv | Vv -> Vv in
-  match op with
-  | Kir.Gt -> (Kir.Lt, flip, b, a)
-  | Kir.Ge -> (Kir.Le, flip, b, a)
-  | Kir.Eq | Kir.Ne ->
-    let sh, a, b = commute sh a b in
-    (op, sh, a, b)
-  | _ -> (op, sh, a, b)
-
-(* Integers compare as floats in the interpreter.  Within 2^53 in
-   magnitude that is the integer comparison, which spares two
-   conversions per lane (and cvtsi2sd, which merges into its
-   destination register, would chain every lane to the previous one). *)
-let[@inline] exact x y = ((x + (1 lsl 53)) lor (y + (1 lsl 53))) lsr 54 = 0
-let[@inline] ilt x y = if exact x y then x < y else float_of_int x < float_of_int y
-let[@inline] ile x y = if exact x y then x <= y else float_of_int x <= float_of_int y
-let[@inline] ieq x y = if exact x y then x = y else float_of_int x = float_of_int y
-
-let int_cmp_step op sh d a b : step =
-  let op, sh, a, b = mirror op sh a b in
-  match (op, sh) with
-  | Kir.Lt, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ilt x.!(l) y.!(l)) done
-  | Kir.Lt, Uv ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ilt u y.!(l)) done
-  | Kir.Lt, Vu ->
-    fun env lo hi ->
-      let x = ig env a and v = (ig env b).!(0) and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ilt x.!(l) v) done
-  | Kir.Le, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ile x.!(l) y.!(l)) done
-  | Kir.Le, Uv ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ile u y.!(l)) done
-  | Kir.Le, Vu ->
-    fun env lo hi ->
-      let x = ig env a and v = (ig env b).!(0) and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ile x.!(l) v) done
-  | Kir.Eq, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ieq x.!(l) y.!(l)) done
-  | Kir.Eq, _ ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (ieq u y.!(l)) done
-  | _, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (not (ieq x.!(l) y.!(l))) done
-  | _, _ ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (not (ieq u y.!(l))) done
-
-let float_cmp_step op sh d a b : step =
-  let op, sh, a, b = mirror op sh a b in
-  match (op, sh) with
-  | Kir.Lt, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) < y.!(l)) done
-  | Kir.Lt, Uv ->
-    fun env lo hi ->
-      let u = (fg env a).!(0) and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u < y.!(l)) done
-  | Kir.Lt, Vu ->
-    fun env lo hi ->
-      let x = fg env a and v = (fg env b).!(0) and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) < v) done
-  | Kir.Le, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) <= y.!(l)) done
-  | Kir.Le, Uv ->
-    fun env lo hi ->
-      let u = (fg env a).!(0) and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u <= y.!(l)) done
-  | Kir.Le, Vu ->
-    fun env lo hi ->
-      let x = fg env a and v = (fg env b).!(0) and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) <= v) done
-  | Kir.Eq, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) = y.!(l)) done
-  | Kir.Eq, _ ->
-    fun env lo hi ->
-      let u = (fg env a).!(0) and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u = y.!(l)) done
-  | _, Vv ->
-    fun env lo hi ->
-      let x = fg env a and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) <> y.!(l)) done
-  | _, _ ->
-    fun env lo hi ->
-      let u = (fg env a).!(0) and y = fg env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u <> y.!(l)) done
-
-(* [&&], [||] and [!] over int registers holding conditions (non-zero is
-   true), writing 0/1. *)
-let bool_step op sh d a b : step =
-  let sh, a, b = commute sh a b in
-  match (op, sh) with
-  | Kir.And, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) <> 0 && y.!(l) <> 0) done
-  | Kir.And, _ ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) <> 0 and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u && y.!(l) <> 0) done
-  | _, Vv ->
-    fun env lo hi ->
-      let x = ig env a and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) <> 0 || y.!(l) <> 0) done
-  | _, _ ->
-    fun env lo hi ->
-      let u = (ig env a).!(0) <> 0 and y = ig env b and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- Bool.to_int (u || y.!(l) <> 0) done
-
-let not_step d a : step =
- fun env lo hi ->
-  let x = ig env a and z = ig env d in
-  for l = lo to hi - 1 do z.!(l) <- Bool.to_int (x.!(l) = 0) done
-
-let non_integer () = invalid_arg "Keval: non-integer index"
-
-let to_int_step d a : step =
- fun env lo hi ->
-  let x = fg env a and z = ig env d in
-  for l = lo to hi - 1 do
-    let v = x.!(l) in
-    let i = int_of_float v in
-    if float_of_int i = v then z.!(l) <- i else non_integer ()
-  done
-
-let to_float_step d a : step =
- fun env lo hi ->
-  let x = ig env a and z = fg env d in
-  for l = lo to hi - 1 do z.!(l) <- float_of_int x.!(l) done
-
-(* A move, or with [broadcast] a uniform register's value into every
-   swept lane of a varying one. *)
-let move_i_step ~broadcast d a : step =
-  if broadcast then
-    fun env lo hi ->
-      let v = (ig env a).!(0) and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- v done
-  else
-    fun env lo hi ->
-      let x = ig env a and z = ig env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) done
-
-let move_f_step ~broadcast d a : step =
-  if broadcast then
-    fun env lo hi ->
-      let v = (fg env a).!(0) and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- v done
-  else
-    fun env lo hi ->
-      let x = fg env a and z = fg env d in
-      for l = lo to hi - 1 do z.!(l) <- x.!(l) done
-
-let set_i_step d v : step =
- fun env lo hi ->
-  let z = ig env d in
-  for l = lo to hi - 1 do z.!(l) <- v done
-
-let set_f_step d v : step =
- fun env lo hi ->
-  let z = fg env d in
-  for l = lo to hi - 1 do z.!(l) <- v done
-
 (* --- Typed compilation --------------------------------------------------- *)
 
 (* Coercions mirror Keval.as_int/as_float/as_bool.  Boolean operands
@@ -1353,7 +873,7 @@ let as_i c = function
     end
   | Rf r ->
     let d = fresh_i ~uni:(uni_f c r) c in
-    emit_i c d (to_int_step d r);
+    emit_i c d (Ksteps.to_int_step d r);
     Ri d
   | Rb _ | Kb _ -> fallback "boolean used as integer"
 
@@ -1362,7 +882,7 @@ let as_f c = function
   | Ki k -> Kf (float_of_int k)
   | Ri r ->
     let d = fresh_f ~uni:(uni_i c r) c in
-    emit_f c d (to_float_step d r);
+    emit_f c d (Ksteps.to_float_step d r);
     Rf d
   | Rb _ | Kb _ -> fallback "boolean used as float"
 
@@ -1413,12 +933,12 @@ let float_cmp op (u : float) v =
 
 let int_op c dst op a b =
   let d = out_i c ~uni:(uni_i c a && uni_i c b) dst in
-  emit_i c d (int_step op (shape (uni_i c a) (uni_i c b)) d a b);
+  emit_i c d (Ksteps.int_step op (shape (uni_i c a) (uni_i c b)) d a b);
   Ri d
 
 let float_op c dst op a b =
   let d = out_f c ~uni:(uni_f c a && uni_f c b) dst in
-  emit_f c d (float_step op (shape (uni_f c a) (uni_f c b)) d a b);
+  emit_f c d (Ksteps.float_step op (shape (uni_f c a) (uni_f c b)) d a b);
   Rf d
 
 (* Arithmetic stays integer only when both operands are; otherwise
@@ -1435,8 +955,8 @@ let arith c dst op vx vy =
 let compare_op c ~int op a b =
   let d = fresh_i ~uni:(if int then uni_i c a && uni_i c b else uni_f c a && uni_f c b) c in
   emit_i c d
-    (if int then int_cmp_step op (shape (uni_i c a) (uni_i c b)) d a b
-     else float_cmp_step op (shape (uni_f c a) (uni_f c b)) d a b);
+    (if int then Ksteps.int_cmp_step op (shape (uni_i c a) (uni_i c b)) d a b
+     else Ksteps.float_cmp_step op (shape (uni_f c a) (uni_f c b)) d a b);
   Rb d
 
 (* Finish a binary operator whose operands are compiled (right one
@@ -1464,7 +984,7 @@ let binop c dst op vx vy =
       | bx, by ->
         let a = breg c bx and b = breg c by in
         let d = fresh_i ~uni:(uni_i c a && uni_i c b) c in
-        emit_i c d (bool_step op (shape (uni_i c a) (uni_i c b)) d a b);
+        emit_i c d (Ksteps.bool_step op (shape (uni_i c a) (uni_i c b)) d a b);
         Rb d)
 
 let float_unop c dst op v =
@@ -1476,7 +996,7 @@ let float_unop c dst op v =
   | op, fv ->
     let a = freg c fv in
     let d = out_f c ~uni:(uni_f c a) dst in
-    emit_f c d (float_unop_step op d a);
+    emit_f c d (Ksteps.float_unop_step op d a);
     Rf d
 
 let unop c dst op v =
@@ -1484,7 +1004,7 @@ let unop c dst op v =
   | (Kir.Neg | Kir.Abs), Ki k -> Ki (if op = Kir.Neg then -k else abs k)
   | (Kir.Neg | Kir.Abs), Ri a ->
     let d = out_i c ~uni:(uni_i c a) dst in
-    emit_i c d (int_unop_step op d a);
+    emit_i c d (Ksteps.int_unop_step op d a);
     Ri d
   | Kir.Neg, (Rb _ | Kb _) -> fallback "negating a boolean"
   | Kir.Not, _ -> (
@@ -1493,7 +1013,7 @@ let unop c dst op v =
       | bv ->
         let a = breg c bv in
         let d = fresh_i ~uni:(uni_i c a) c in
-        emit_i c d (not_step d a);
+        emit_i c d (Ksteps.not_step d a);
         Rb d)
   | _ -> float_unop c dst op v
 
@@ -1620,7 +1140,7 @@ let rec compile_exp c bound ?dst (e : Kir.exp) : value =
         let ux = uni_f c x and uy = uni_f c y and uz = uni_f c z in
         if ux = (uy && uz) then begin
           let d = out_f c ~uni:ux dst in
-          emit_f c d (fma_step op (shape uy uz) d x y z);
+          emit_f c d (Ksteps.fma_step op (shape uy uz) d x y z);
           Rf d
         end
         else
@@ -1695,12 +1215,12 @@ let bind c name v ~mark_i ~mark_f =
       (* [varying_locals] and the registers agree by construction. *)
       if uni && not (uni_v c v) then fallback "varying value bound to uniform local %s" name;
       match v with
-      | Ki k -> emit_i c s (set_i_step s k)
-      | Kb b -> emit_i c s (set_i_step s (Bool.to_int b))
-      | Kf x -> emit_f c s (set_f_step s x)
+      | Ki k -> emit_i c s (Ksteps.set_i_step s k)
+      | Kb b -> emit_i c s (Ksteps.set_i_step s (Bool.to_int b))
+      | Kf x -> emit_f c s (Ksteps.set_f_step s x)
       | (Ri r | Rb r) when r <> s ->
-        emit_i c s (move_i_step ~broadcast:(uni_i c r && not uni) s r)
-      | Rf r when r <> s -> emit_f c s (move_f_step ~broadcast:(uni_f c r && not uni) s r)
+        emit_i c s (Ksteps.move_i_step ~broadcast:(uni_i c r && not uni) s r)
+      | Rf r when r <> s -> emit_f c s (Ksteps.move_f_step ~broadcast:(uni_f c r && not uni) s r)
       | Ri _ | Rb _ | Rf _ -> ())
 
 let rec seq = function

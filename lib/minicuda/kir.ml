@@ -65,11 +65,6 @@ type t = { name : string; params : param list; body : stmt list }
 
 let kernel ~name ~params body = { name; params; body }
 
-let param_names k =
-  List.map
-    (function Scalar n -> n | Fscalar n -> n | Array { name; _ } -> name)
-    k.params
-
 let scalar_params k =
   List.filter_map (function Scalar n -> Some n | _ -> None) k.params
 
@@ -77,8 +72,6 @@ let array_params k =
   List.filter_map
     (function Array { name; dims } -> Some (name, dims) | _ -> None)
     k.params
-
-let find_array k name = List.assoc_opt name (array_params k)
 
 (* --- Convenience constructors (the kernel-building eDSL) -------------- *)
 

@@ -58,13 +58,10 @@ type t = { name : string; params : param list; body : stmt list }
 
 val kernel : name:string -> params:param list -> stmt list -> t
 
-val param_names : t -> string list
-
 val scalar_params : t -> string list
 (** Names of the integer scalar parameters. *)
 
 val array_params : t -> (string * dim array) list
-val find_array : t -> string -> dim array option
 
 (** {2 Construction eDSL}
 
@@ -110,15 +107,12 @@ val map_exp : (exp -> exp) -> exp -> exp
 (** Bottom-up rewriting: the function sees every node after its
     children were rewritten. *)
 
-val map_stmt : (exp -> exp) -> stmt -> stmt
 val map_kernel : (exp -> exp) -> t -> t
 
-val fold_exp_in_exp : ('a -> exp -> 'a) -> 'a -> exp -> 'a
 val fold_exp_in_stmt : ('a -> exp -> 'a) -> 'a -> stmt -> 'a
 
 (** {2 Printing (toy CUDA syntax)} *)
 
-val special_name : special -> string
 val atomic_name : atomic_op -> string
 val pp_exp : Format.formatter -> exp -> unit
 val pp_stmt : indent:int -> Format.formatter -> stmt -> unit

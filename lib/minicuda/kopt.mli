@@ -6,13 +6,6 @@
 val fold_exp : Kir.exp -> Kir.exp
 (** Bottom-up constant folding and algebraic simplification. *)
 
-val fold_stmt : Kir.stmt -> Kir.stmt list
-(** Fold one statement; statically-dead branches and empty loops
-    disappear. *)
-
-val eliminate_dead : Kir.stmt list -> Kir.stmt list
-(** Remove [Local]/[Assign] bindings never used anywhere in the body. *)
-
 val optimize_body : Kir.stmt list -> Kir.stmt list
 (** Folding + dead-code elimination to a fixpoint. *)
 

@@ -1948,6 +1948,76 @@ let test_operand_shapes () =
        done)
     shape_ops
 
+(* A float subscript converts to an int per lane ([to_int_step] for a
+   register, a raising step for a non-integral constant).  Integral on
+   every lane, the outputs equal Keval's.  Integral on some lanes and
+   not on others (a varying [gi * 0.5]), or on no trip after the first
+   (a uniform [k * 0.5]), the launch raises Keval's diagnostic in lane
+   mode, thread by thread and on the 2-domain pool, and the sequential
+   modes leave Keval's partial outputs. *)
+let test_float_subscripts () =
+  let n = 24 in
+  let kernel ~dead sub =
+    let open Kir in
+    let arr name = Array { name; dims = [| Dim_const n |] } in
+    let body = [ store "out" [ v "gi" ] (load "src" [ sub ]) ] in
+    Kir.kernel
+      ~name:(if dead then "float_sub_dead" else "float_sub")
+      ~params:[ arr "src"; arr "out" ]
+      ([ Local ("gi", global_id Dim3.X); For { var = "k"; from_ = i 0; to_ = i 3; body } ]
+       @
+       if dead then [ If (tid Dim3.X < i 0, [ store "out" [ i 0 ] (load "out" [ i 0 ]) ], []) ]
+       else [])
+  in
+  let run k engine =
+    let src = Array.init n (fun g -> float_of_int ((g * 7) mod 11) +. 0.25) in
+    let out = Array.make n nan in
+    let access = function
+      | "src" -> { Kcompile.loads = src; stores = src; touched = None }
+      | _ -> { Kcompile.loads = out; stores = out; touched = None }
+    in
+    let reg = Obs.Metrics.create () and grid = Dim3.make 2 and block = Dim3.make 12 in
+    let outcome =
+      try
+        (match engine with
+         | `Interp ->
+           let load, store = Kcompile.callbacks access in
+           Keval.run k ~grid ~block ~args:[] ~load ~store
+         | (`Seq | `Par) as e ->
+           Kcompile.launch (Kcompile.executor reg) ~parallel:(e = `Par) k ~grid ~block ~args:[]
+             ~access);
+        Ok ()
+      with Invalid_argument m -> Error m
+    in
+    let count name = int_of_float (Obs.Metrics.get reg name) in
+    (outcome, Array.map Int64.bits_of_float out, count)
+  in
+  List.iter
+    (fun (what, sub, raises) ->
+       let want, want_out, _ = run (kernel ~dead:false sub) `Interp in
+       if (want <> Ok ()) <> raises then Alcotest.failf "%s: Keval gave the wrong outcome" what;
+       if raises && want <> Error "Keval: non-integer index" then
+         Alcotest.failf "%s: Keval's diagnostic" what;
+       List.iter
+         (fun (mode, dead, engine) ->
+            let got, got_out, count = run (kernel ~dead sub) engine in
+            if count "exec.interpreted" <> 0 then Alcotest.failf "%s %s: fell back" what mode;
+            if got <> want then Alcotest.failf "%s %s: outcome differs from Keval" what mode;
+            if (engine = `Seq || not raises) && got_out <> want_out then
+              Alcotest.failf "%s %s: outputs differ from Keval" what mode;
+            let narrow = count "kcompile.scalar_blocks" > 0 in
+            if narrow <> (dead || raises) then
+              Alcotest.failf "%s %s: wrong block mode" what mode)
+         [ ("lanes", false, `Seq); ("threads", true, `Seq); ("2 domains", false, `Par) ])
+    (let open Kir in
+     [
+       ("varying, integral", v "gi" * f 0.5 * f 2.0, false);
+       ("uniform, integral", v "k" * f 2.0 * f 0.5, false);
+       ("varying, mixed", v "gi" * f 0.5, true);
+       ("uniform, mixed", v "k" * f 0.5, true);
+       ("constant", f 1.5, true);
+     ])
+
 (* ---------------- Allocation guard ----------------
 
    The compiled executor keeps every value in its register files and
@@ -2117,7 +2187,10 @@ let () =
             test_affine_two_domains;
         ] );
       ( "shapes",
-        [ Alcotest.test_case "every operator in every operand shape" `Quick test_operand_shapes ] );
+        [
+          Alcotest.test_case "every operator in every operand shape" `Quick test_operand_shapes;
+          Alcotest.test_case "non-integer float subscripts" `Quick test_float_subscripts;
+        ] );
       ( "multi_gpu",
         [
           Alcotest.test_case "parallel partitions golden" `Quick
