@@ -862,9 +862,11 @@ let compile_file_cmd =
       with Cuparse.Error m -> die "parse error in %s: %s" file m
     in
     Printf.printf "parsed %d kernel(s) from %s\n" (List.length kernels) file;
+    Ppoly.Work.reset ();
     match Mekong.Toolchain.compile prog with
     | Error e -> die "%s" (Mekong.Toolchain.error_message e)
     | Ok artifacts ->
+      Printf.printf "polyhedral work: %s\n" (Ppoly.Work.to_string ());
       List.iter
         (fun (km : Mekong.Model.kernel_model) ->
            Printf.printf "kernel %s: partition along %s\n" km.Mekong.Model.kname

@@ -42,9 +42,6 @@ val out_name : string -> int -> string
 val analysis_params : Kir.t -> string array
 (** Parameter names shared by all of a kernel's polyhedral spaces. *)
 
-val grid_space : Kir.t -> Space.t
-(** The Z^6 domain of all access maps. *)
-
 (** {2 Results} *)
 
 type array_access = {

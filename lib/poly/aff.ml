@@ -130,5 +130,3 @@ let pp fmt a =
   if !first then fprintf fmt "%d" a.const
   else if a.const > 0 then fprintf fmt " + %d" a.const
   else if a.const < 0 then fprintf fmt " - %d" (-a.const)
-
-let to_string a = Format.asprintf "%a" pp a

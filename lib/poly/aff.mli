@@ -55,4 +55,3 @@ val of_row : Space.t -> Row.t -> t
     is ignored). *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -264,32 +264,3 @@ let rec pp_expr fmt e =
   | Cdiv (a, b) -> fprintf fmt "ceild(%a, %a)" pp_expr a pp_expr b
   | Min (a, b) -> fprintf fmt "min(%a, %a)" pp_expr a pp_expr b
   | Max (a, b) -> fprintf fmt "max(%a, %a)" pp_expr a pp_expr b
-
-let rec pp_stmt ?(indent = 0) fmt stmt =
-  let open Format in
-  let pad = String.make indent ' ' in
-  match stmt with
-  | Seq l -> List.iter (pp_stmt ~indent fmt) l
-  | Guard (conds, body) ->
-    fprintf fmt "%sif (%s) {\n" pad
-      (String.concat " && "
-         (List.map (fun e -> asprintf "%a >= 0" pp_expr e) conds));
-    pp_stmt ~indent:(indent + 2) fmt body;
-    fprintf fmt "%s}\n" pad
-  | For { var; lb; ub; body } ->
-    fprintf fmt "%sfor (int %s = %a; %s <= %a; %s++) {\n" pad var pp_expr lb var
-      pp_expr ub var;
-    pp_stmt ~indent:(indent + 2) fmt body;
-    fprintf fmt "%s}\n" pad
-  | Emit exprs ->
-    fprintf fmt "%semit(%s);\n" pad
-      (String.concat ", "
-         (Array.to_list (Array.map (fun e -> asprintf "%a" pp_expr e) exprs)))
-  | Emit_range (rows, lb, ub) ->
-    fprintf fmt "%semit_range([%s], %a, %a);\n" pad
-      (String.concat ", "
-         (Array.to_list (Array.map (fun e -> asprintf "%a" pp_expr e) rows)))
-      pp_expr lb pp_expr ub
-
-let stmt_to_string s = Format.asprintf "%a" (pp_stmt ~indent:0) s
-let expr_to_string e = Format.asprintf "%a" pp_expr e

@@ -29,14 +29,6 @@ type stmt =
 val simp : expr -> expr
 (** Constant folding and algebraic simplification. *)
 
-val expr_of_aff : Aff.t -> expr
-(** Expression for an affine form, variables named through its space. *)
-
-val lower_bound_expr : (int * Aff.t) list -> expr option
-(** Max over [ceil(rest/a)] bound expressions; [None] if unbounded. *)
-
-val upper_bound_expr : (int * Aff.t) list -> expr option
-
 exception Unbounded of string
 (** Raised by scanning when a dimension has no finite bound; carries the
     dimension name. *)
@@ -68,6 +60,3 @@ val exec :
     inclusive lo, inclusive hi). *)
 
 val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : ?indent:int -> Format.formatter -> stmt -> unit
-val stmt_to_string : stmt -> string
-val expr_to_string : expr -> string

@@ -57,8 +57,6 @@ let normalize c =
   ignore (Row.normalize r);
   of_row (space c) r
 
-let equal a b = a.kind = b.kind && Aff.equal a.aff b.aff
-
 let eval c env =
   let v = Aff.eval c.aff env in
   match c.kind with Eq -> v = 0 | Ge -> v >= 0

@@ -52,8 +52,6 @@ val to_row : t -> Row.t
 val of_row : Space.t -> Row.t -> t
 (** The constraint of a row over the given space. *)
 
-val equal : t -> t -> bool
-
 val eval : t -> int array -> bool
 (** Does the assignment satisfy the constraint? *)
 

@@ -59,12 +59,6 @@ val precompile : t -> unit
     this eagerly (e.g. at kernel link time) moves the one-time cost out
     of the first launch. *)
 
-val eval_raw : t -> Ast.env -> f:(int -> int -> unit) -> unit
-(** Emit raw (start, stop) half-open linear ranges through [f] — the
-    callback interface of paper §6.2.  Evaluation runs through the
-    memoized compiled closures; emission order and count are identical
-    to the reference interpretation of [plan]'s pieces. *)
-
 val canonicalize : (int * int) list -> (int * int) list
 (** Sort and merge overlapping/adjacent ranges; drop empty ones. *)
 

@@ -60,9 +60,5 @@ let emod a b =
   let r = a mod b in
   if r < 0 then r + abs b else r
 
-let sign a = compare a 0
-
 (* Gcd of an array, ignoring zeros; 0 if all elements are zero. *)
 let gcd_array arr = Array.fold_left gcd 0 arr
-
-let pp_int fmt n = Format.fprintf fmt "%d" n

@@ -34,10 +34,5 @@ val cdiv : int -> int -> int
 val emod : int -> int -> int
 (** Euclidean remainder, always in [\[0, |b|)]. *)
 
-val sign : int -> int
-(** [-1], [0] or [1] according to the sign of the argument. *)
-
 val gcd_array : int array -> int
 (** Gcd of all elements (zeros ignored); [0] when all are zero. *)
-
-val pp_int : Format.formatter -> int -> unit

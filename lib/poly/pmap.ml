@@ -12,9 +12,12 @@ type t = {
   rel : Pset.t; (* over the combined space *)
 }
 
+let check_params dom ran =
+  if not (Space.same_params dom ran) then
+    invalid_arg "Pmap: domain and range must share parameters"
+
 let combined_space dom ran =
-  if Space.params dom <> Space.params ran then
-    invalid_arg "Pmap: domain and range must share parameters";
+  check_params dom ran;
   Space.make ~params:(Space.params dom)
     ~dims:(Array.append (Space.dims dom) (Space.dims ran))
 
@@ -23,8 +26,8 @@ let embed_dom_remap dom _ran =
   Array.init (Space.n_total dom) (fun i -> i)
 
 let make ~dom ~ran rel =
-  let comb = combined_space dom ran in
-  if not (Space.equal (Pset.space rel) comb) then
+  check_params dom ran;
+  if not (Space.is_product (Pset.space rel) dom ran) then
     invalid_arg "Pmap.make: relation space mismatch";
   { dom_space = dom; ran_space = ran; rel }
 
@@ -54,16 +57,10 @@ let ran_space m = m.ran_space
 let rel m = m.rel
 let combined m = Pset.space m.rel
 
-let is_empty m = Pset.is_empty m.rel
-
 let union a b =
   if not (Space.equal a.dom_space b.dom_space && Space.equal a.ran_space b.ran_space)
   then invalid_arg "Pmap.union: space mismatch";
   { a with rel = Pset.union a.rel b.rel }
-
-let union_all ~dom ~ran maps =
-  let init = { dom_space = dom; ran_space = ran; rel = Pset.empty (combined_space dom ran) } in
-  List.fold_left union init maps
 
 (* Local dim indices (in the combined space) of the domain dims. *)
 let dom_local_dims m = List.init (Space.n_dims m.dom_space) (fun i -> i)
@@ -92,6 +89,8 @@ let image m set = range (constrain_domain m set)
 
 (* Restrict the domain with raw constraints over the combined space. *)
 let constrain m constrs = { m with rel = Pset.add_constrs m.rel constrs }
+
+let constrain_normalized m rows_of = { m with rel = Pset.add_normalized_rows m.rel rows_of }
 
 (* The relation with domain and range swapped. *)
 let inverse m =
@@ -172,9 +171,3 @@ let is_injective ?(param_ge = []) m =
       c1
   in
   not violation_exists
-
-let pp fmt m =
-  Format.fprintf fmt "%a -> %a : %a" Space.pp m.dom_space Space.pp m.ran_space
-    Pset.pp m.rel
-
-let to_string m = Format.asprintf "%a" pp m

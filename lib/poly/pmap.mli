@@ -26,10 +26,7 @@ val rel : t -> Pset.t
 
 val combined : t -> Space.t
 
-val is_empty : t -> bool
-
 val union : t -> t -> t
-val union_all : dom:Space.t -> ran:Space.t -> t list -> t
 
 val domain : t -> Pset.t
 val range : t -> Pset.t
@@ -43,6 +40,11 @@ val image : t -> Pset.t -> Pset.t
 val constrain : t -> Constr.t list -> t
 (** Add raw constraints over the combined space. *)
 
+val constrain_normalized : t -> (Poly.t -> Row.t list) -> t
+(** Add to each piece of the relation the already-normalized rows over
+    the combined space that the function gives for it
+    ({!Poly.add_normalized_rows}). *)
+
 val inverse : t -> t
 val preimage : t -> Pset.t -> Pset.t
 
@@ -51,6 +53,3 @@ val is_injective : ?param_ge:((int * string) list * int) list -> t -> bool
     to a common range point.  [param_ge] lists context constraints
     [sum terms + const >= 0] over parameter names (e.g. problem size
     at least 1). *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

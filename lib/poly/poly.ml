@@ -96,8 +96,6 @@ let make space cs =
   | rows -> { space; rows = sort_uniq rows; trivially_empty = false }
   | exception Found_empty -> empty space
 
-let universe space = make space []
-
 let add_constrs p cs =
   if p.trivially_empty then p
   else
@@ -107,6 +105,18 @@ let add_constrs p cs =
 
 (* [add_constrs] for fresh rows. *)
 let add_rows p rows = if p.trivially_empty then p else of_rows p.space ~fresh:rows ~kept:p.rows
+
+(* [add_rows] for rows already normalized: they are sorted and merged,
+   not normalized again. *)
+let add_normalized_rows p rows =
+  if p.trivially_empty then p
+  else begin
+    let len = Space.n_total p.space + 2 in
+    List.iter
+      (fun r -> if Array.length r <> len then invalid_arg "Poly.add_normalized_rows: row length")
+      rows;
+    { p with rows = merge (sort_uniq rows) p.rows }
+  end
 
 let intersect a b =
   if not (Space.equal a.space b.space) then invalid_arg "Poly.intersect: space mismatch";
@@ -157,6 +167,8 @@ let combine_rows i l u =
   r.(i) <- 0;
   r
 
+let mentions_var rows i = List.exists (fun r -> Array.unsafe_get r i <> 0) rows
+
 (* Eliminate variable [i]: the space is unchanged, and no row of the
    result mentions [i].  Exact over Q; exact over Z when the equality
    used has a unit coefficient on [i].  With an equality available,
@@ -164,24 +176,33 @@ let combine_rows i l u =
    lower bound is combined with every upper bound.  The created rows
    are computed first, then normalized in a fixed order (which decides
    whether a false row or an overflow surfaces first); rows without
-   [i] are kept as they are. *)
+   [i] are kept as they are, so a list in which no row mentions [i]
+   comes back unchanged, and is not counted as an elimination. *)
 let eliminate_rows rows i =
-  let eqs, lows, ups, rest =
-    List.fold_left
-      (fun (eqs, lows, ups, rest) r ->
-         let a = r.(i) in
-         if a = 0 then (eqs, lows, ups, r :: rest)
-         else if Row.is_eq r then (r :: eqs, lows, ups, rest)
-         else if a > 0 then (eqs, r :: lows, ups, rest)
-         else (eqs, lows, r :: ups, rest))
-      ([], [], [], []) rows
-  in
-  let created =
-    match eqs with
-    | e :: other_eqs -> List.map (substitute_row e e.(i) i) (other_eqs @ lows @ ups)
-    | [] -> List.concat_map (fun l -> List.map (combine_rows i l) ups) lows
-  in
-  merge (sort_uniq (normalize_fresh created)) (List.rev rest)
+  if not (mentions_var rows i) then rows
+  else begin
+    let eqs, lows, ups, rest =
+      List.fold_left
+        (fun (eqs, lows, ups, rest) r ->
+           let a = r.(i) in
+           if a = 0 then (eqs, lows, ups, r :: rest)
+           else if Row.is_eq r then (r :: eqs, lows, ups, rest)
+           else if a > 0 then (eqs, r :: lows, ups, rest)
+           else (eqs, lows, r :: ups, rest))
+        ([], [], [], []) rows
+    in
+    let created =
+      match eqs with
+      | e :: other_eqs -> List.map (substitute_row e e.(i) i) (other_eqs @ lows @ ups)
+      | [] -> List.concat_map (fun l -> List.map (combine_rows i l) ups) lows
+    in
+    let w = Work.counters in
+    w.eliminations <- w.eliminations + 1;
+    w.created_rows <- w.created_rows + List.length created;
+    merge (sort_uniq (normalize_fresh created)) (List.rev rest)
+  end
+
+let mentions p i = (not p.trivially_empty) && mentions_var p.rows i
 
 let eliminate_var p i =
   if p.trivially_empty then p
@@ -194,6 +215,7 @@ let eliminate_var p i =
    created rows; the lowest index on a tie); the system is infeasible
    iff a false constant row appears. *)
 let is_empty p =
+  Work.counters.emptiness_tests <- Work.counters.emptiness_tests + 1;
   if p.trivially_empty then true
   else
     let n = Space.n_total p.space in
@@ -272,6 +294,7 @@ let rebase p space remap =
    them from the space.  The result is the rational shadow, an
    over-approximation of the integer projection. *)
 let project_out p idxs =
+  Work.counters.projections <- Work.counters.projections + 1;
   let idxs = List.sort_uniq compare idxs in
   List.iter
     (fun i -> if i < Space.n_params p.space then invalid_arg "Poly.project_out: parameter")
@@ -480,5 +503,3 @@ let pp fmt p =
          ~pp_sep:(fun fmt () -> Format.fprintf fmt " and ")
          Constr.pp)
       (constraints p)
-
-let to_string p = Format.asprintf "%a" pp p

@@ -18,9 +18,6 @@ type t
 val make : Space.t -> Constr.t list -> t
 (** Normalizes, deduplicates, and detects trivially false constraints. *)
 
-val universe : Space.t -> t
-val empty : Space.t -> t
-
 val space : t -> Space.t
 
 val constraints : t -> Constr.t list
@@ -30,6 +27,18 @@ val is_trivially_empty : t -> bool
 (** Syntactic emptiness only; see {!is_empty} for the real test. *)
 
 val add_constrs : t -> Constr.t list -> t
+
+val add_normalized_rows : t -> Row.t list -> t
+(** Add rows over the polyhedron's space that are already normalized
+    ({!Row.normalize} would leave them as they are), in any order: they
+    are sorted into the canonical list, not normalized again.  The
+    rows are shared, never mutated.  Raises [Invalid_argument] on a
+    row of the wrong length. *)
+
+val mentions : t -> int -> bool
+(** Does some constraint have a nonzero coefficient on the variable?
+    [false] for a trivially empty polyhedron. *)
+
 val intersect : t -> t -> t
 
 val mem : t -> int array -> bool
@@ -47,7 +56,8 @@ val eliminate_var : t -> int -> t
 (** Remove every occurrence of one variable (space unchanged).  With
     an equality on the variable, the last one in list order substitutes
     it away; otherwise every lower bound is combined with every upper
-    bound. *)
+    bound.  When no constraint mentions the variable, the constraints
+    come back unchanged. *)
 
 val project_out : t -> int list -> t
 (** Eliminate the dims at the given combined-vector indices (in
@@ -81,4 +91,3 @@ val rebase : t -> Space.t -> int array -> t
     renormalizes the constraints, as {!make} would. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -11,8 +11,6 @@ let of_polys space pieces =
   { space; pieces = List.filter (fun p -> not (Poly.is_trivially_empty p)) pieces }
 
 let of_poly p = of_polys (Poly.space p) [ p ]
-let empty space = { space; pieces = [] }
-let universe space = of_poly (Poly.universe space)
 
 let space s = s.space
 let pieces s = s.pieces
@@ -41,8 +39,6 @@ let union a b =
   if not (Space.equal a.space b.space) then invalid_arg "Pset.union: space mismatch";
   { space = a.space; pieces = a.pieces @ b.pieces }
 
-let union_all space sets = List.fold_left union (empty space) sets
-
 let intersect a b =
   if not (Space.equal a.space b.space) then invalid_arg "Pset.intersect: space mismatch";
   let pieces =
@@ -52,10 +48,11 @@ let intersect a b =
   in
   of_polys a.space pieces
 
-let intersect_poly s p = intersect s (of_poly p)
-
 let add_constrs s cs =
   { s with pieces = List.map (fun p -> Poly.add_constrs p cs) s.pieces }
+
+let add_normalized_rows s rows_of =
+  { s with pieces = List.map (fun p -> Poly.add_normalized_rows p (rows_of p)) s.pieces }
 
 (* Set difference.  piece \ Q is the union over constraints c of Q of
    piece ∩ ¬c (with earlier constraints asserted, to keep the result
@@ -96,27 +93,9 @@ let subsumes a b = is_empty (subtract b a)
 
 let equal a b = subsumes a b && subsumes b a
 
-let project_out s idxs =
-  let pieces = List.map (fun p -> Poly.project_out p idxs) s.pieces in
-  match pieces with
-  | [] ->
-    (* Compute the reduced space from an empty piece. *)
-    let p = Poly.project_out (Poly.empty s.space) idxs in
-    empty (Poly.space p)
-  | p :: _ -> of_polys (Poly.space p) pieces
-
 let project_onto s keep_local =
-  let pieces = List.map (fun p -> Poly.project_onto p keep_local) s.pieces in
-  match pieces with
-  | [] ->
-    let p = Poly.project_onto (Poly.empty s.space) keep_local in
-    empty (Poly.space p)
-  | p :: _ -> of_polys (Poly.space p) pieces
-
-let sample ?default_radius s =
-  List.fold_left
-    (fun acc p -> match acc with Some _ -> acc | None -> Poly.sample ?default_radius p)
-    None s.pieces
+  let space = Space.filter_dims s.space (fun d -> List.mem d keep_local) in
+  of_polys space (List.map (fun p -> Poly.project_onto p keep_local) s.pieces)
 
 (* Enumerate all integer points of a bounded set (test helper; the
    search radius caps unbounded directions). *)

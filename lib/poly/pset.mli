@@ -4,8 +4,6 @@ type t
 
 val of_polys : Space.t -> Poly.t list -> t
 val of_poly : Poly.t -> t
-val empty : Space.t -> t
-val universe : Space.t -> t
 
 val space : t -> Space.t
 val pieces : t -> Poly.t list
@@ -18,10 +16,12 @@ val coalesce : t -> t
 (** Drop pieces subsumed by other pieces. *)
 
 val union : t -> t -> t
-val union_all : Space.t -> t list -> t
 val intersect : t -> t -> t
-val intersect_poly : t -> Poly.t -> t
 val add_constrs : t -> Constr.t list -> t
+
+val add_normalized_rows : t -> (Poly.t -> Row.t list) -> t
+(** Add to each piece the already-normalized rows the function gives
+    for it ({!Poly.add_normalized_rows}). *)
 
 val subtract : t -> t -> t
 (** Integer set difference (exact). *)
@@ -31,10 +31,8 @@ val subsumes : t -> t -> bool
 
 val equal : t -> t -> bool
 
-val project_out : t -> int list -> t
 val project_onto : t -> int list -> t
-
-val sample : ?default_radius:int -> t -> int array option
+(** Keep only the dims whose dim-local indices are listed. *)
 
 val enumerate : ?default_radius:int -> t -> int list list
 (** All integer points of a bounded set, sorted; test helper. *)

@@ -12,6 +12,14 @@ let eq = 0
 let ge = 1
 
 let n_vars r = Array.length r - 2
+
+let inequality n terms k =
+  let r = Array.make (n + 2) 0 in
+  List.iter (fun (c, i) -> r.(i) <- c) terms;
+  r.(n) <- k;
+  r.(n + 1) <- ge;
+  r
+
 let is_eq r = Array.unsafe_get r (Array.length r - 1) = eq
 
 type triviality = Trivially_true | Trivially_false | Nontrivial
@@ -26,6 +34,7 @@ type triviality = Trivially_true | Trivially_false | Nontrivial
    [min_int] inequality constant when [g > 1], and on a [min_int]
    equality constant that must change sign. *)
 let normalize r =
+  Work.counters.normalized_rows <- Work.counters.normalized_rows + 1;
   let n = n_vars r in
   let g = ref 0 in
   for j = 0 to n - 1 do

@@ -13,6 +13,11 @@ val eq : int
 val ge : int
 (** Tag of an inequality, [coeffs . x + k >= 0]. *)
 
+val inequality : int -> (int * int) list -> int -> t
+(** [inequality n terms k] is a fresh row over [n] variables for
+    [sum c * x_i + k >= 0], from [(c, i)] terms with distinct indices.
+    It is not normalized. *)
+
 val n_vars : t -> int
 val is_eq : t -> bool
 

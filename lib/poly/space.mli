@@ -10,10 +10,6 @@ type t
 val make : params:string array -> dims:string array -> t
 (** Create a space; raises [Invalid_argument] on duplicate names. *)
 
-val set_space : ?params:string array -> string array -> t
-(** [set_space ~params dims] is [make ~params ~dims] with params
-    defaulting to none. *)
-
 val n_params : t -> int
 val n_dims : t -> int
 
@@ -39,13 +35,20 @@ val var_name : t -> int -> string
 (** Name of the variable at a combined-vector index. *)
 
 val equal : t -> t -> bool
+(** Same params and dims, name by name; physically equal spaces
+    answer at once. *)
+
+val same_params : t -> t -> bool
+(** Same parameter names in the same order. *)
+
+val is_product : t -> t -> t -> bool
+(** [is_product t a b]: [t] has [a]'s params, and [t]'s dims are [a]'s
+    followed by [b]'s; what {!Pmap} checks of a relation, without
+    building the combined space. *)
 
 val drop_dim : t -> int -> t
 (** Remove the dim at a combined-vector index.  Raises
     [Invalid_argument] if the index denotes a parameter. *)
-
-val add_dims : t -> string array -> t
-(** Append dims at the end of the dim block. *)
 
 val filter_dims : t -> (int -> bool) -> t
 (** Keep only dims whose dim-local index satisfies the predicate. *)
