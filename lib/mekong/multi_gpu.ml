@@ -294,7 +294,7 @@ let replayable_step = function
 
 let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     ?(cache = true) ?(checkpoint_every = 8) ?(overlap = false)
-    ?(autotune = false) ?abort_at ?resume ~(machine : Gpusim.Machine.t)
+    ?(autotune = false) ?abort_at ?resume ?kernels ~(machine : Gpusim.Machine.t)
     (exe : exe) : bounded =
   if not (Gpu_runtime.Rconfig.is_valid cfg) then invalid_arg "Multi_gpu.run: bad config";
   if checkpoint_every <= 0 then
@@ -311,7 +311,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   (* Compiled kernels are cached even with [cache:false]: they never
      affect simulated results, and re-deriving them per launch would
      bury the plan-cache A/B signal under compilation noise. *)
-  let launcher = Kcompile.executor metrics in
+  let launcher = Kcompile.executor ?kernels metrics in
   let m = machine in
   let functional = Gpusim.Machine.is_functional m in
   (* Engine phases are spanned on the simulated host clock as well as

@@ -208,6 +208,7 @@ val run_bounded :
   ?autotune:bool ->
   ?abort_at:float ->
   ?resume:handoff ->
+  ?kernels:Kcompile.kernels ->
   machine:Gpusim.Machine.t ->
   exe ->
   bounded
@@ -231,4 +232,9 @@ val run_bounded :
     run's first checkpoint installs the handoff again.  Only
     {!All_devices_lost}, [Failure] (backoff budget exhausted, or
     device memory no chunking can satisfy) and [Invalid_argument]
-    escape. *)
+    escape.
+
+    [kernels] is the store the run compiles kernels into (default: a
+    fresh one, as {!run} uses); a caller running many jobs passes one
+    store to all of them so each launch shape compiles once.  A device
+    loss still empties it. *)

@@ -173,14 +173,21 @@ let launch_steps ?(overlap = false) ?(autotune = true) ~(cfg : Gpusim.Config.t) 
 
 (* Wall-clock compile times of the reference single pass and of the
    full two-pass partitioning pipeline (experiment E6; the paper
-   reports 1.9x-2.2x). *)
-let compile_time_ratio ?(repeat = 5) (prog : Host_ir.t) =
+   reports 1.9x-2.2x).  Each stage is the median of [repeat] timed
+   runs after one untimed warm-up: a stage takes milliseconds, so the
+   mean of a few back-to-back runs follows the host's noise. *)
+let compile_time_ratio ?(repeat = 21) (prog : Host_ir.t) =
+  if repeat < 1 then invalid_arg "Toolchain.compile_time_ratio: repeat must be positive";
   let time f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to repeat do
-      ignore (f ())
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int repeat
+    ignore (f ());
+    let runs =
+      Array.init repeat (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          ignore (f ());
+          Unix.gettimeofday () -. t0)
+    in
+    Array.sort Float.compare runs;
+    (runs.((repeat - 1) / 2) +. runs.(repeat / 2)) /. 2.0
   in
   let t_ref = time (fun () -> frontend_pass prog) in
   let t_mekong = time (fun () -> compile prog) in

@@ -66,7 +66,9 @@ val launch_steps :
     [mekongc plan]. *)
 
 val compile_time_ratio : ?repeat:int -> Host_ir.t -> float * float * float
-(** (single-pass seconds, two-pass seconds, ratio) — experiment E6. *)
+(** (single-pass seconds, two-pass seconds, ratio) — experiment E6.
+    Each stage's time is the median of [repeat] (default 21, must be
+    positive) timed runs after one untimed warm-up run. *)
 
 type profile = {
   p_frontend : float;

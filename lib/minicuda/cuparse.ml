@@ -668,7 +668,10 @@ let parse_cu ~name src =
     match peek lx with
     | Eof -> fail "no main() found"
     | Ident "__global__" ->
-      kernels := parse_kernel lx :: !kernels;
+      let k = parse_kernel lx in
+      if List.exists (fun k' -> String.equal k'.Kir.name k.Kir.name) !kernels then
+        fail "kernel %s is defined twice" k.Kir.name;
+      kernels := k :: !kernels;
       toplevel ()
     | Ident "int" ->
       advance lx;

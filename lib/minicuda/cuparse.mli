@@ -9,4 +9,5 @@ exception Error of string
 
 val parse_cu : name:string -> string -> Kir.t list * Host_ir.t
 (** Parse a full translation unit: kernels, then [main()].  Raises
-    {!Error} with a description on malformed input. *)
+    {!Error} with a description on malformed input, a second
+    [__global__] definition of one name included. *)

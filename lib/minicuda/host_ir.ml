@@ -83,6 +83,9 @@ let scalar_bindings kernel args =
    [Invalid_argument] describing the first problem found. *)
 let validate t =
   let live = Hashtbl.create 16 in
+  (* The engines, the model, link and the plan caches key kernels on
+     their names. *)
+  let named = Hashtbl.create 8 in
   let need b what =
     if not (Hashtbl.mem live b) then
       invalid_arg (Printf.sprintf "Host_ir.validate(%s): %s uses unallocated buffer %s" t.name what b)
@@ -104,6 +107,13 @@ let validate t =
       if dst.len <> Hashtbl.find live src then
         invalid_arg (Printf.sprintf "Host_ir.validate(%s): d2h size mismatch for %s" t.name src)
     | Launch { kernel; args; _ } ->
+      (match Hashtbl.find_opt named kernel.Kir.name with
+       | Some k when not (Kir.equal k kernel) ->
+         invalid_arg
+           (Printf.sprintf "Host_ir.validate(%s): two different kernels named %s" t.name
+              kernel.Kir.name)
+       | Some _ -> ()
+       | None -> Hashtbl.add named kernel.Kir.name kernel);
       (* arity/type check *)
       ignore (array_bindings kernel args);
       List.iter (fun (_, b) -> need b "launch") (array_bindings kernel args)

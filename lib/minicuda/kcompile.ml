@@ -1639,7 +1639,7 @@ let lane_block t env bz by bx =
 
 (* Run every block of the grid; returns the domains engaged (1 when
    the blocks ran sequentially on the caller). *)
-let run_blocks ?pool t ~access =
+let run_grid ?pool t ~access =
   let gx = t.grid.Dim3.x and gy = t.grid.Dim3.y and gz = t.grid.Dim3.z in
   let nblocks = if gx <= 0 || gy <= 0 || gz <= 0 then 0 else gx * gy * gz in
   let e0 = domain_env t in
@@ -1676,6 +1676,20 @@ let run_blocks ?pool t ~access =
       done;
     1
 
+(* Drop every environment's references to the launch's arrays, so a
+   kernel kept in a store never keeps a finished run's device data
+   alive. *)
+let unbind_arrays t =
+  List.iter
+    (fun (_, e) ->
+       Array.fill e.srcs 0 (Array.length e.srcs) [||];
+       Array.fill e.dsts 0 (Array.length e.dsts) [||];
+       Array.fill e.masks 0 (Array.length e.masks) no_mask)
+    (Atomic.get t.envs)
+
+let run_blocks ?pool t ~access =
+  Fun.protect ~finally:(fun () -> unbind_arrays t) (fun () -> run_grid ?pool t ~access)
+
 let run ?pool t ~access = ignore (run_blocks ?pool t ~access : int)
 
 let callbacks access =
@@ -1698,13 +1712,44 @@ let callbacks access =
 
 (* --- The launch executor ----------------------------------------------- *)
 
-(* Every engine launches kernels through one executor per run.  A
-   compiled kernel is a pure function of (kernel, grid, block, scalar
-   arguments) -- buffers are resolved per launch through [access] --
-   so it is memoized under that key, failures included: a kernel
-   outside the fragment pays its compile attempt once per shape. *)
+(* A compiled kernel is a pure function of (kernel, grid, block,
+   scalar arguments) -- buffers are resolved per launch through
+   [access] -- so a store memoizes it under that key, failures
+   included: a kernel outside the fragment pays its compile attempt
+   once per shape.  A name identifies a kernel only inside one
+   program, so entries hash on the name and shape but hold the kernel
+   itself, compared physically first and then structurally. *)
+module Shape = Hashtbl.Make (struct
+    type t = string * Dim3.t * Dim3.t * Keval.arg list
+
+    let arg_eq (a : Keval.arg) (b : Keval.arg) =
+      match (a, b) with
+      | AInt x, AInt y -> Int.equal x y
+      | AFloat x, AFloat y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      | (AInt _ | AFloat _), _ -> false
+
+    let equal (n, g, b, a) (n', g', b', a') =
+      String.equal n n' && g = g' && b = b' && List.equal arg_eq a a'
+
+    let hash = Hashtbl.hash
+  end)
+
+type kernels = (Kir.t * (t, string) result) list Shape.t
+
+let kernels () : kernels = Shape.create 16
+
+let find_kernel (store : kernels) key kernel =
+  match Shape.find_opt store key with
+  | None -> None
+  | Some entries -> List.find_map (fun (k, c) -> if Kir.equal k kernel then Some c else None) entries
+
+let add_kernel (store : kernels) key kernel c =
+  Shape.replace store key
+    ((kernel, c) :: Option.value ~default:[] (Shape.find_opt store key))
+
+(* Every engine launches kernels through one executor per run. *)
 type executor = {
-  cache : (string * Dim3.t * Dim3.t * Keval.arg list, (t, string) result) Hashtbl.t;
+  store : kernels;
   reg : Obs.Metrics.t;
   compiles : Obs.Metrics.counter;
   cache_hits : Obs.Metrics.counter;
@@ -1718,11 +1763,11 @@ type executor = {
   mutable max_domains : int;
 }
 
-let executor reg =
+let executor ?(kernels = kernels ()) reg =
   let counter = Obs.Metrics.counter reg in
   Obs.Metrics.set reg "exec.max_domains" 1.0;
   {
-    cache = Hashtbl.create 16;
+    store = kernels;
     reg;
     compiles = counter "exec.compiles";
     cache_hits = counter "exec.cache_hits";
@@ -1736,7 +1781,7 @@ let executor reg =
     max_domains = 1;
   }
 
-let clear_cache ex = Hashtbl.reset ex.cache
+let clear_cache ex = Shape.reset ex.store
 
 let bump c = Obs.Metrics.add c 1.0
 
@@ -1749,13 +1794,13 @@ let launch ex ?(parallel = false) ?(interpret = false) kernel ~grid ~block
   in
   let compiled () =
     let key = (kernel.Kir.name, grid, block, args) in
-    match Hashtbl.find_opt ex.cache key with
+    match find_kernel ex.store key kernel with
     | Some c ->
       bump ex.cache_hits;
       c
     | None ->
       let c = compile kernel ~grid ~block ~args in
-      Hashtbl.replace ex.cache key c;
+      add_kernel ex.store key kernel c;
       bump ex.compiles;
       (match c with
        | Ok t when t.affine > 0 -> Obs.Metrics.add ex.affine_accesses (float_of_int t.affine)

@@ -73,7 +73,8 @@ val run : ?pool:Gpu_runtime.Dpool.t -> t -> access:(string -> access) -> unit
     [Invalid_argument] like any OCaml array access).  Each domain's one
     environment (register files and log) is allocated on its first
     block of [t] and reused by later launches, so launches of one [t]
-    must not overlap.
+    must not overlap; it drops its references to the launch's arrays
+    when the launch returns or raises.
 
     With [pool], the blocks are split across its domains.  Only pass a
     pool for kernels whose accesses prove distinct blocks disjoint (a
@@ -89,12 +90,25 @@ val callbacks :
 
 (** {2 The launch executor} *)
 
+type kernels
+(** A store of compiled kernels, one entry per (kernel, grid, block,
+    scalar args) shape, failed compilations included.  Entries hash on
+    the kernel's name and the shape, and match the kernel itself
+    (physically, else {!Kir.equal}): a name identifies a kernel only
+    inside one program.  Stored kernels keep their per-domain register
+    files but no launch's arrays.  Launches through one store must not
+    overlap. *)
+
+val kernels : unit -> kernels
+(** An empty store. *)
+
 type executor
 (** The one kernel-launch path of every engine: a compiled-kernel
-    cache plus the ["exec.*"] counters of one metrics registry. *)
+    store plus the ["exec.*"] counters of one metrics registry. *)
 
-val executor : Obs.Metrics.t -> executor
-(** An empty cache counting into the registry: [exec.compiles],
+val executor : ?kernels:kernels -> Obs.Metrics.t -> executor
+(** An executor compiling into [kernels] (default: a fresh store) and
+    counting into the registry: [exec.compiles],
     [exec.cache_hits], [exec.seq_launches], [exec.par_launches],
     [exec.interpreted], [kcompile.scalar_blocks],
     [kcompile.guards_folded], [kcompile.guards_scanned] and
@@ -102,7 +116,8 @@ val executor : Obs.Metrics.t -> executor
     gauge at 1. *)
 
 val clear_cache : executor -> unit
-(** Drop every compiled kernel; the counters keep counting. *)
+(** Drop every compiled kernel of the executor's store; the counters
+    keep counting. *)
 
 val launch :
   executor ->
@@ -115,8 +130,8 @@ val launch :
   access:(string -> access) ->
   unit
 (** Run one launch bit-identically to {!Keval.run}.  The kernel is
-    compiled for this (name, grid, block, args) shape, or taken from
-    the cache (a failed compilation is cached too); a kernel outside
+    compiled for this (kernel, grid, block, args) shape, or taken from
+    the executor's store (a failed compilation is stored too); a kernel outside
     the fragment runs under {!Keval.run} through {!callbacks}, as does
     every launch with [interpret] (default false: the interpreter
     baseline).  [parallel] (default false) splits the blocks over the

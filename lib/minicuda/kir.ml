@@ -73,6 +73,39 @@ let array_params k =
     (function Array { name; dims } -> Some (name, dims) | _ -> None)
     k.params
 
+(* Structural equality, except that float constants compare by bit
+   pattern: [0.0] and [-0.0] are different kernels, a NaN equals
+   itself. *)
+let float_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let rec equal_exp a b =
+  match (a, b) with
+  | Fconst x, Fconst y -> float_eq x y
+  | Load (n, l), Load (n', l') -> String.equal n n' && List.equal equal_exp l l'
+  | Unop (o, e), Unop (o', e') -> o = o' && equal_exp e e'
+  | Binop (o, x, y), Binop (o', x', y') -> o = o' && equal_exp x x' && equal_exp y y'
+  | (Iconst _ | Special _ | Param _ | Var _), _ -> a = b
+  | (Fconst _ | Load _ | Unop _ | Binop _), _ -> false
+
+let rec equal_stmt a b =
+  let subs = List.equal equal_exp and body = List.equal equal_stmt in
+  match (a, b) with
+  | Store (n, l, e), Store (n', l', e') -> String.equal n n' && subs l l' && equal_exp e e'
+  | Atomic (o, n, l, e), Atomic (o', n', l', e') ->
+    o = o' && String.equal n n' && subs l l' && equal_exp e e'
+  | Local (n, e), Local (n', e') | Assign (n, e), Assign (n', e') ->
+    String.equal n n' && equal_exp e e'
+  | If (c, t, e), If (c', t', e') -> equal_exp c c' && body t t' && body e e'
+  | For f, For f' ->
+    String.equal f.var f'.var && equal_exp f.from_ f'.from_ && equal_exp f.to_ f'.to_
+    && body f.body f'.body
+  | Syncthreads, Syncthreads -> true
+  | (Store _ | Atomic _ | Local _ | Assign _ | If _ | For _ | Syncthreads), _ -> false
+
+let equal a b =
+  a == b
+  || String.equal a.name b.name && a.params = b.params && List.equal equal_stmt a.body b.body
+
 (* --- Convenience constructors (the kernel-building eDSL) -------------- *)
 
 let i n = Iconst n

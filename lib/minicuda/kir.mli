@@ -63,6 +63,10 @@ val scalar_params : t -> string list
 
 val array_params : t -> (string * dim array) list
 
+val equal : t -> t -> bool
+(** The same kernel: physically equal, or structurally equal with
+    float constants compared by bit pattern ([0.0] and [-0.0] differ). *)
+
 (** {2 Construction eDSL}
 
     Infix operators build IR expressions and therefore shadow the

@@ -168,6 +168,10 @@ let run (cfg : config) (specs : Job.spec list) : report =
          invalid_arg ("Scheduler.run: duplicate job name " ^ s.Job.name);
        Hashtbl.add seen s.Job.name ())
     specs;
+  (* Every dispatch of this run (first attempts, retries, resumes)
+     compiles into one kernel store, so a launch shape compiles once
+     per run; nothing carries over to the next run. *)
+  let kernels = Kcompile.kernels () in
   let dead = Array.make fleet_n false in
   let freedev = Array.make fleet_n true in
   let live_count () =
@@ -317,7 +321,7 @@ let run (cfg : config) (specs : Job.spec list) : report =
         match
           Mekong.Multi_gpu.run_bounded
             ~checkpoint_every ?abort_at
-            ?resume:j.js_handoff ~machine:m exe
+            ?resume:j.js_handoff ~kernels ~machine:m exe
         with
         | Mekong.Multi_gpu.Done _ -> Fate_done
         | Mekong.Multi_gpu.Preempted (_, h) -> Fate_preempt (h, abort_kind)

@@ -78,7 +78,11 @@ val run : config -> Job.spec list -> report
     first weighted by each job's own predicted length, so a
     short-deadline job is not pinned behind a long job that merely
     arrived earlier.  With no deadlines pending the order is exactly
-    the original (priority, arrival, submission) FIFO. *)
+    the original (priority, arrival, submission) FIFO.
+
+    Every dispatch of the run launches through one
+    {!Kcompile.kernels} store, so each launch shape compiles once per
+    run; the store does not outlive the call. *)
 
 val tenants : report -> Slo.tenant list
 (** Per-tenant SLO aggregation of a run. *)

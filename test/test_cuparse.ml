@@ -86,6 +86,22 @@ let test_parse_errors () =
   checkb "bad stmt" true (fails "int main() { cudaBogus(); }");
   checkb "unknown kernel" true (fails "int main() { foo<<<1, 1>>>(); }")
 
+(* A name may carry only one kernel: the engines, the model, link and
+   the plan caches key kernels on it. *)
+let test_parse_duplicate_kernel () =
+  let def k = Printf.sprintf "__global__ void k(float *a /* [4] */) { a[0] = %s; }\n" k in
+  let main = "int main() { return 0; }" in
+  (match Cuparse.parse_cu ~name:"t" (def "1.0f" ^ def "2.0f" ^ main) with
+   | exception Cuparse.Error m -> checks "one-line diagnostic" "kernel k is defined twice" m
+   | _ -> Alcotest.fail "two kernels named k accepted");
+  (* the same text twice is a second definition too *)
+  checkb "identical redefinition" true
+    (match Cuparse.parse_cu ~name:"t" (def "1.0f" ^ def "1.0f" ^ main) with
+     | exception Cuparse.Error _ -> true
+     | _ -> false);
+  let kernels, _ = Cuparse.parse_cu ~name:"t" (def "1.0f" ^ main) in
+  Alcotest.(check int) "one definition parses" 1 (List.length kernels)
+
 (* ---------------- Round-trips over the bundled apps ---------------- *)
 
 (* Host programs compare up to host-array data (the text carries only
@@ -167,6 +183,7 @@ let () =
           Alcotest.test_case "operators" `Quick test_parse_operators;
           Alcotest.test_case "for loop" `Quick test_parse_for_loop;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "duplicate kernel" `Quick test_parse_duplicate_kernel;
         ] );
       ( "roundtrip",
         [ Alcotest.test_case "all bundled apps" `Quick test_roundtrip_all_apps ] );

@@ -473,6 +473,149 @@ let test_engine_fallback_and_cache () =
          (counts ~compiles:4 ~hits:8 ~launches:12 ~par:false))
     [ true; false ]
 
+(* ---------------- Kernel stores ----------------
+
+   One store serves many runs: a kernel is identified by itself, not
+   by its name, and a stored kernel keeps no launch's arrays. *)
+
+(* out[gi] = a[1][gi] * scale over n = 8 (2 blocks of 4 threads), with
+   [a] a 2 x [width] array: the row offset comes from the extent. *)
+let row_kernel ~scale ~width =
+  let open Kir in
+  Kir.kernel ~name:"row"
+    ~params:
+      [
+        Scalar "n";
+        Array { name = "a"; dims = [| Dim_const 2; Dim_const width |] };
+        Array { name = "out"; dims = [| Dim_param "n" |] };
+      ]
+    [
+      Local ("gi", global_id Dim3.X);
+      If (v "gi" < p "n", [ store "out" [ v "gi" ] (load "a" [ i 1; v "gi" ] * f scale) ], []);
+    ]
+
+let row_program kernel ~width result =
+  let n = Array.length result in
+  let a = Array.init (2 * width) (fun i -> float_of_int i +. 0.5) in
+  Host_ir.program ~name:"p"
+    [
+      Host_ir.Malloc ("a", 2 * width);
+      Host_ir.Malloc ("out", n);
+      Host_ir.Memcpy_h2d { dst = "a"; src = Host_ir.host_data a };
+      Host_ir.Launch
+        {
+          kernel;
+          grid = Dim3.make 2;
+          block = Dim3.make 4;
+          args = [ Host_ir.HInt n; Host_ir.HBuf "a"; Host_ir.HBuf "out" ];
+        };
+      Host_ir.Memcpy_d2h { dst = Host_ir.host_data result; src = "out" };
+      Host_ir.Free "a";
+      Host_ir.Free "out";
+    ]
+
+(* Link [kernel]'s program afresh and run it on 2 functional devices
+   through [kernels] (a private store when absent): output bits and the
+   run's exec.* series. *)
+let run_linked ?kernels kernel ~width =
+  let result = Array.make 8 nan in
+  match Mekong.Toolchain.compile (row_program kernel ~width result) with
+  | Error e -> Alcotest.failf "toolchain: %s" (Mekong.Toolchain.error_message e)
+  | Ok art -> (
+      let m = Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:2 ()) in
+      match Mekong.Multi_gpu.run_bounded ?kernels ~machine:m art.Mekong.Toolchain.exe with
+      | Mekong.Multi_gpu.Done r ->
+        (Array.map Int64.bits_of_float result, exec_counts r.Mekong.Multi_gpu.metrics)
+      | Mekong.Multi_gpu.Preempted _ -> Alcotest.fail "preempted without abort_at")
+
+let keval_row kernel ~width =
+  let result = Array.make 8 nan in
+  ignore (Single_gpu.run ~executor:`Interpreter (row_program kernel ~width result));
+  Array.map Int64.bits_of_float result
+
+let bits = Alcotest.(array int64)
+
+(* A second, separately linked instance of one program compiles
+   nothing through a shared store, with the same output bits as a
+   private store and as Keval. *)
+let test_store_relinked_program () =
+  let k = row_kernel ~scale:2.0 ~width:16 in
+  let kernels = Kcompile.kernels () in
+  let out1, c1 = run_linked ~kernels k ~width:16 in
+  let out2, c2 = run_linked ~kernels k ~width:16 in
+  let own, c_own = run_linked k ~width:16 in
+  Alcotest.check bits "first run == Keval" (keval_row k ~width:16) out1;
+  Alcotest.check bits "second run == first" out1 out2;
+  Alcotest.check bits "private store == shared" own out2;
+  checkb "first run compiles" true (List.hd c1 > 0);
+  Alcotest.(check (list int)) "first run counts as a private store" c_own c1;
+  checki "second run compiles nothing" 0 (List.hd c2);
+  checki "second run hits every launch" (List.nth c_own 0 + List.nth c_own 1) (List.nth c2 1)
+
+(* Kernels sharing a name but not a body or an extent compile
+   separately in one store, each matching Keval. *)
+let test_store_same_name () =
+  let kernels = Kcompile.kernels () in
+  List.iter
+    (fun (what, scale, width) ->
+       let k = row_kernel ~scale ~width in
+       let out, counts = run_linked ~kernels k ~width in
+       let _, c_own = run_linked k ~width in
+       Alcotest.check bits (what ^ ": Keval") (keval_row k ~width) out;
+       Alcotest.(check (list int)) (what ^ ": compiled separately") c_own counts)
+    [ ("base", 2.0, 16); ("other body", 3.0, 16); ("other extent", 2.0, 8);
+      ("negative zero", -0.0, 8); ("positive zero", 0.0, 8) ]
+
+(* Float scalar arguments are part of the shape bit for bit: a kernel
+   compiled for s = 0.0 must not serve s = -0.0. *)
+let test_store_float_args () =
+  let open Kir in
+  let k =
+    Kir.kernel ~name:"scale"
+      ~params:[ Fscalar "s"; Array { name = "out"; dims = [| Dim_const 4 |] } ]
+      [ store "out" [ tid Dim3.X ] (f 1.0 * p "s") ]
+  in
+  let ex = Kcompile.executor (Obs.Metrics.create ()) in
+  List.iter
+    (fun s ->
+       let out = Array.make 4 nan in
+       Kcompile.launch ex k ~grid:Dim3.one ~block:(Dim3.make 4) ~args:[ Keval.AFloat s ]
+         ~access:(fun _ -> { Kcompile.loads = out; stores = out; touched = None });
+       Alcotest.check bits (Printf.sprintf "s = %g" s)
+         (Array.make 4 (Int64.bits_of_float s)) (Array.map Int64.bits_of_float out))
+    [ 0.0; -0.0; 0.0 ]
+
+(* After a launch returns or raises, a store still holding its kernel
+   holds none of the launch's arrays. *)
+let test_store_drops_arrays () =
+  let kernels = Kcompile.kernels () in
+  let k = compiled_dbl_kernel in
+  let launch ~parallel ~len =
+    let weak = Weak.create 2 in
+    (fun () ->
+       let a = Array.init 16 float_of_int and out = Array.make len 0.0 in
+       Weak.set weak 0 (Some a);
+       Weak.set weak 1 (Some out);
+       let access = function
+         | "a" -> { Kcompile.loads = a; stores = a; touched = None }
+         | _ -> { Kcompile.loads = out; stores = out; touched = None }
+       in
+       try
+         Kcompile.launch (Kcompile.executor ~kernels (Obs.Metrics.create ())) ~parallel k
+           ~grid:(Dim3.make 4) ~block:(Dim3.make 4) ~args:[ Keval.AInt 16 ] ~access
+       with Invalid_argument _ -> ())
+      ();
+    weak
+  in
+  List.iter
+    (fun (what, parallel, len) ->
+       let weak = Sys.opaque_identity (launch ~parallel ~len) in
+       Gc.full_major ();
+       checkb (what ^ ": arrays collected") true
+         (Weak.get weak 0 = None && Weak.get weak 1 = None))
+    [ ("sequential", false, 16); ("parallel", true, 16); ("raising", false, 8) ];
+  ignore (Sys.opaque_identity kernels)
+
 (* ---------------- Differential QCheck property ----------------
 
    Random guarded kernels out[gi] = f(a[gi], b[gi], gi, scalars ...),
@@ -2190,6 +2333,14 @@ let () =
         [
           Alcotest.test_case "every operator in every operand shape" `Quick test_operand_shapes;
           Alcotest.test_case "non-integer float subscripts" `Quick test_float_subscripts;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "a relinked program compiles nothing" `Quick
+            test_store_relinked_program;
+          Alcotest.test_case "one name, different kernels" `Quick test_store_same_name;
+          Alcotest.test_case "float arguments by bit pattern" `Quick test_store_float_args;
+          Alcotest.test_case "launch arrays are dropped" `Quick test_store_drops_arrays;
         ] );
       ( "multi_gpu",
         [

@@ -278,6 +278,42 @@ let contains s sub =
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
   at 0
 
+(* One name, one kernel: a structurally equal copy may be launched
+   under it, a different body or array extent may not. *)
+let test_validate_kernel_names () =
+  let open Host_ir in
+  let k = Apps.Vecadd.kernel in
+  let launch kernel =
+    Launch
+      { kernel; grid = Dim3.one; block = Dim3.one; args = [ HInt 4; HBuf "a"; HBuf "b"; HBuf "c" ] }
+  in
+  let p k' =
+    program ~name:"p"
+      ([ Malloc ("a", 4); Malloc ("b", 4); Malloc ("c", 4) ] @ [ launch k; Repeat (2, [ launch k' ]) ])
+  in
+  checkb "a structural copy is the same kernel" true
+    (validation_error (p { k with Kir.body = List.map Fun.id k.Kir.body }) = None);
+  let other_body = { k with Kir.body = [] } in
+  let other_extent =
+    {
+      k with
+      Kir.params =
+        List.map
+          (function
+            | Kir.Array { name; dims } ->
+              Kir.Array { name; dims = Array.map (fun _ -> Kir.Dim_const 4) dims }
+            | q -> q)
+          k.Kir.params;
+    }
+  in
+  List.iter
+    (fun (what, k') ->
+       match validation_error (p k') with
+       | Some msg ->
+         checkb what true (contains msg ("two different kernels named " ^ k.Kir.name))
+       | None -> Alcotest.failf "%s: accepted" what)
+    [ ("different body", other_body); ("different extent", other_extent) ]
+
 (* A Repeat body runs more than once: what it leaves live the next
    iteration finds. *)
 let test_validate_repeat () =
@@ -436,6 +472,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_validate_catches;
           Alcotest.test_case "repeat validation" `Quick test_validate_repeat;
+          Alcotest.test_case "one kernel per name" `Quick test_validate_kernel_names;
           QCheck_alcotest.to_alcotest prop_validate_unrolled;
           Alcotest.test_case "phantom arrays" `Quick test_phantom_arrays;
           Alcotest.test_case "kernel dedup" `Quick test_kernels_dedup;
