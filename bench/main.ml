@@ -1662,7 +1662,9 @@ let run_servecampaign () =
            check
              (Printf.sprintf "%s: %s bit-identical to its solo run" variant
                 name)
-             (b.Serve.Mix.b_output = Hashtbl.find solo b.Serve.Mix.b_key)
+             (Array.map Int64.bits_of_float b.Serve.Mix.b_output
+              = Array.map Int64.bits_of_float
+                  (Hashtbl.find solo b.Serve.Mix.b_key))
          | Serve.Job.Quarantined _ ->
            check
              (Printf.sprintf "%s: only poison jobs may be quarantined (%s)"

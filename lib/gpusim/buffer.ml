@@ -16,6 +16,66 @@ type t = {
   data : float array option; (* Some in functional mode *)
 }
 
+(* The free arrays of one length, and the most arrays of that length
+   one machine has given back: the arena keeps no more than that. *)
+type pool = { arrays : float array Stack.t; mutable cap : int }
+
+(* Free functional arrays by length, shared by the machines of one
+   owner in turn. *)
+type arena = {
+  pools : (int, pool) Hashtbl.t;
+  mutable reused : int;
+  mutable fresh : int;
+}
+
+let arena () = { pools = Hashtbl.create 16; reused = 0; fresh = 0 }
+let arena_reused a = a.reused
+let arena_fresh a = a.fresh
+
+let arena_retained a =
+  Hashtbl.fold (fun len p acc -> (len, Stack.length p.arrays) :: acc) a.pools []
+  |> List.filter (fun (_, n) -> n > 0)
+  |> List.sort compare
+
+let pool a len =
+  match Hashtbl.find_opt a.pools len with
+  | Some p -> p
+  | None ->
+    let p = { arrays = Stack.create (); cap = 0 } in
+    Hashtbl.add a.pools len p;
+    p
+
+(* A zero-filled array of [len] elements: a free one refilled with
+   [0.0], bit for bit what [Array.make len 0.0] returns, or a fresh
+   one. *)
+let draw a len =
+  let p = pool a len in
+  if Stack.is_empty p.arrays then begin
+    a.fresh <- a.fresh + 1;
+    Array.make len 0.0
+  end
+  else begin
+    a.reused <- a.reused + 1;
+    let d = Stack.pop p.arrays in
+    Array.fill d 0 len 0.0;
+    d
+  end
+
+let give_back a arrays =
+  let count = Hashtbl.create 8 in
+  List.iter
+    (fun d ->
+       let len = Array.length d in
+       Hashtbl.replace count len
+         (1 + Option.value ~default:0 (Hashtbl.find_opt count len)))
+    arrays;
+  Hashtbl.iter (fun len n -> let p = pool a len in p.cap <- max p.cap n) count;
+  List.iter
+    (fun d ->
+       let p = pool a (Array.length d) in
+       if Stack.length p.arrays < p.cap then Stack.push d p.arrays)
+    arrays
+
 let create ~id ~device ~len ~charged_bytes ~functional =
   if len < 0 then invalid_arg "Buffer.create: negative length";
   {
@@ -25,6 +85,10 @@ let create ~id ~device ~len ~charged_bytes ~functional =
     charged_bytes;
     data = (if functional then Some (Array.make len 0.0) else None);
   }
+
+let create_in a ~id ~device ~len ~charged_bytes =
+  if len < 0 then invalid_arg "Buffer.create_in: negative length";
+  { id; device; len; charged_bytes; data = Some (draw a len) }
 
 let id b = b.id
 let device b = b.device

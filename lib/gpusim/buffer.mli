@@ -4,8 +4,47 @@
 
 type t
 
+(** {1 Arenas}
+
+    An arena keeps functional arrays that finished machines gave back,
+    so that later machines of the same owner draw them instead of
+    allocating.  A drawn array is refilled with [0.0], so it is bit
+    for bit a fresh [Array.make len 0.0].  Of each length the arena
+    keeps no more arrays than the most that one machine has given back
+    of that length, so it holds at most one machine's footprint per
+    length.
+
+    An arena belongs to one domain: only the domain that creates
+    machines and allocates their buffers may use it.  Kernel workers
+    never allocate, so they never touch it. *)
+
+type arena
+
+val arena : unit -> arena
+
+val arena_reused : arena -> int
+(** Arrays drawn from the arena's free arrays so far. *)
+
+val arena_fresh : arena -> int
+(** Arrays freshly allocated so far because no free one had the
+    length. *)
+
+val arena_retained : arena -> (int * int) list
+(** (length, free arrays) for every length the arena holds, ascending:
+    the tests' window onto the retention bound. *)
+
+val give_back : arena -> float array list -> unit
+(** Return the arrays one machine drew.  Each must be drawn once and
+    given back once; nothing may use it afterwards. *)
+
+(** {1 Buffers} *)
+
 val create :
   id:int -> device:int -> len:int -> charged_bytes:int -> functional:bool -> t
+
+val create_in :
+  arena -> id:int -> device:int -> len:int -> charged_bytes:int -> t
+(** A functional buffer whose data is drawn from the arena. *)
 
 val id : t -> int
 

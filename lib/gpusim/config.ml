@@ -285,13 +285,3 @@ let topology_to_string = function
   | Islands { island_size; link_bandwidth; uplink_bandwidth } ->
     Printf.sprintf "islands:%d,%g,%g" island_size (link_bandwidth /. 1e9)
       (uplink_bandwidth /. 1e9)
-
-let pp fmt t =
-  Format.fprintf fmt
-    "%s: %d devices x %d SMs, pcie %.1f GB/s, p2p %.1f GB/s, fabric %.1f GB/s, \
-     topology %s"
-    t.name t.n_devices t.sms_per_device
-    (t.pcie_bandwidth /. 1e9)
-    (t.p2p_bandwidth /. 1e9)
-    (t.fabric_bandwidth /. 1e9)
-    (topology_to_string t.topology)

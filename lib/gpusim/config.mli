@@ -68,8 +68,6 @@ type t = {
   host : host_costs;
 }
 
-val k80_host_costs : host_costs
-
 val validate : t -> t
 (** Sanity-check a config, raising [Invalid_argument] with the field
     name on non-positive bandwidths, op rates, counts or
@@ -117,5 +115,3 @@ val topology_of_string : string -> (topology, string) result
     (e.g. ["islands:4,80,12"]). *)
 
 val topology_to_string : topology -> string
-
-val pp : Format.formatter -> t -> unit

@@ -143,7 +143,6 @@ let uniform t =
   /. 9007199254740992.0
 
 let device_lost t d = Hashtbl.mem t.lost d
-let n_lost t = Hashtbl.length t.lost
 
 let mark_lost t d =
   if not (device_lost t d) then begin
@@ -236,7 +235,3 @@ let transfer_outcome t ~devices ~now =
             `Transient
           end
           else `Ok))
-
-let pp_counters fmt c =
-  Format.fprintf fmt "kernel faults=%d transfer faults=%d devices lost=%d"
-    c.kernel_faults c.transfer_faults c.losses

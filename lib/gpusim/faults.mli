@@ -56,7 +56,6 @@ val uniform : t -> float
 (** Next uniform float in [0, 1) from the stream (exposed for tests). *)
 
 val device_lost : t -> int -> bool
-val n_lost : t -> int
 
 val mark_lost : t -> int -> unit
 (** Force a permanent loss (test support). *)
@@ -72,4 +71,3 @@ val transfer_outcome :
 (** Fate of a transfer touching [devices] (negative ids — the host —
     are ignored).  [`Lost d] names the device that failed. *)
 
-val pp_counters : Format.formatter -> counters -> unit

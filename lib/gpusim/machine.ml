@@ -178,6 +178,13 @@ type t = {
          spill phase also switches a d2h's attribution category *)
   mutable capturing : recording option;
       (* the launch graph being recorded by [capture], if any *)
+  arena : Buffer.arena option;
+      (* where functional buffers draw their data from; None = fresh
+         arrays *)
+  mutable drawn : float array list;
+      (* every array drawn from [arena], freed buffers' too: all go
+         back at [release], none at [free] *)
+  mutable released : bool;
 }
 
 (* One simulator op of a launch graph, as the live call issued it: a
@@ -296,7 +303,7 @@ let plan_route m ~src ~dst =
     waits;
   }
 
-let create ?(functional = false) cfg =
+let create ?(functional = false) ?arena cfg =
   let cfg = Config.validate cfg in
   let n = cfg.Config.n_devices in
   let devices =
@@ -373,6 +380,9 @@ let create ?(functional = false) cfg =
     causal = None;
     phase = "";
     capturing = None;
+    arena = (if functional then arena else None);
+    drawn = [];
+    released = false;
   }
 
 (* Enable event tracing.  Every traced op of every engine lands in one
@@ -597,6 +607,7 @@ let note_spill m ~bytes =
    per-device instances and charges only the resident segments via
    [mem_reserve]/[mem_release]. *)
 let alloc ?(charge = true) m ~device:d ~len =
+  if m.released then invalid_arg "Machine.alloc: machine already released";
   let dev = device m d in
   taint m;
   let bytes = if charge then len * m.cfg.Config.elem_bytes else 0 in
@@ -604,8 +615,14 @@ let alloc ?(charge = true) m ~device:d ~len =
   let id = m.next_buffer_id in
   m.next_buffer_id <- id + 1;
   let b =
-    Buffer.create ~id ~device:d ~len ~charged_bytes:bytes
-      ~functional:m.functional
+    match m.arena with
+    | None ->
+      Buffer.create ~id ~device:d ~len ~charged_bytes:bytes
+        ~functional:m.functional
+    | Some a ->
+      let b = Buffer.create_in a ~id ~device:d ~len ~charged_bytes:bytes in
+      m.drawn <- Buffer.data_exn b :: m.drawn;
+      b
   in
   Hashtbl.replace dev.buffers id b;
   b
@@ -618,6 +635,15 @@ let free m b =
     if bytes > 0 then mem_release m ~device:dev.dev_id ~bytes
   end;
   Hashtbl.remove dev.buffers (Buffer.id b)
+
+(* Arrays return only here, never at [free]: a checkpoint restore
+   frees every buffer and then revives the same instances. *)
+let release m =
+  if not m.released then begin
+    m.released <- true;
+    Option.iter (fun a -> Buffer.give_back a m.drawn) m.arena;
+    m.drawn <- []
+  end
 
 (* --- Time -------------------------------------------------------------- *)
 

@@ -64,8 +64,10 @@ exception Out_of_memory of { device : int; requested : int; free : int }
     [free] is what remained.  Callers treat it as a request to make
     room (spill, chunk), not a crash. *)
 
-val create : ?functional:bool -> Config.t -> t
-(** Build a machine over a config (validated via {!Config.validate}). *)
+val create : ?functional:bool -> ?arena:Buffer.arena -> Config.t -> t
+(** Build a machine over a config (validated via {!Config.validate}).
+    A functional machine given [arena] draws its buffers' data from it
+    (see {!release}); a performance machine ignores it. *)
 
 val config : t -> Config.t
 val is_functional : t -> bool
@@ -94,6 +96,15 @@ val alloc : ?charge:bool -> t -> device:int -> len:int -> Buffer.t
 
 val free : t -> Buffer.t -> unit
 (** Free a buffer, releasing whatever bytes its allocation charged. *)
+
+val release : t -> unit
+(** The owner is done with the machine: every array it drew from its
+    arena goes back, those of freed buffers too, and any later
+    {!alloc} raises [Invalid_argument].  No buffer of the machine may
+    be read or written afterwards.  Arrays never go back at {!free}: a
+    checkpoint restore frees every buffer and then revives the same
+    instances.  Idempotent; without an arena it only marks the
+    machine released. *)
 
 val mem_capacity : t -> int
 (** Per-device capacity in bytes ([max_int] = unlimited). *)
@@ -301,8 +312,6 @@ val causal_enabled : t -> bool
 
 val causal_dag : t -> Obs.Causal.dag option
 (** Snapshot the recorded DAG ([None] when recording is off). *)
-
-val causal_dropped : t -> int
 
 val with_phase : t -> string -> (unit -> 'a) -> 'a
 (** Run [f] with causal nodes labelled with an engine phase (barrier,

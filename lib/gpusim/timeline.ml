@@ -246,6 +246,3 @@ let idle_in t ~span =
    zero-length or NaN window (the division would yield NaN/inf). *)
 let utilization t ~span =
   if not (span > 0.0) then 0.0 else Float.min 1.0 (total_busy t /. span)
-
-let pp fmt t =
-  Format.fprintf fmt "%s: ready=%.6fs busy=%.6fs" t.name (ready t) (total_busy t)

@@ -99,4 +99,3 @@ val idle_in : t -> span:float -> float
 val utilization : t -> span:float -> float
 (** Busy fraction of a span, clamped to [0, 1]; 0 for empty spans. *)
 
-val pp : Format.formatter -> t -> unit

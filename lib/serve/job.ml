@@ -102,20 +102,3 @@ let report_to_json (r : report) : Obs.Json.t =
        ("arrival", Float r.r_arrival);
        ("outcome", Str (outcome_name r.r_outcome)) ]
      @ outcome_fields)
-
-let pp_outcome fmt = function
-  | Completed c ->
-    Format.fprintf fmt
-      "completed in %.3gs (queued %.3gs, %d attempt%s, %d preemption%s, %d \
-       retr%s)"
-      c.turnaround c.queue_latency c.attempts
-      (if c.attempts = 1 then "" else "s")
-      c.preemptions
-      (if c.preemptions = 1 then "" else "s")
-      c.retries
-      (if c.retries = 1 then "y" else "ies")
-  | Rejected { reason; _ } ->
-    Format.fprintf fmt "rejected: %s" (reject_reason_to_string reason)
-  | Timed_out { at; _ } -> Format.fprintf fmt "timed out at %.3gs" at
-  | Quarantined { strikes; last_error; _ } ->
-    Format.fprintf fmt "quarantined after %d strikes (%s)" strikes last_error

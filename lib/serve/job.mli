@@ -71,4 +71,3 @@ type report = {
 }
 
 val report_to_json : report -> Obs.Json.t
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -27,8 +27,6 @@ let menu : (string * (unit -> Host_ir.t * float array)) list =
       fun () -> third (Apps.Workloads.functional_nbody ~n:96 ~iterations:2) );
   ]
 
-let keys = List.map fst menu
-
 (* Polyhedral analysis depends only on kernel structure and scalar
    arguments — identical across instances of one key — so pass 1 runs
    once per key and pass 2 links each instance against the cached
@@ -52,6 +50,9 @@ let build key =
   let prog, out = (List.assoc key menu) () in
   (prog, out)
 
+(* Kernels always fault transiently (rate 1.0, no forced-success cap):
+   the engine's backoff budget deterministically exhausts, so every
+   attempt fails — a poison job. *)
 let poison_faults seed =
   {
     Gpusim.Faults.seed;

@@ -19,14 +19,6 @@ type built = {
   b_poison : bool;
 }
 
-val keys : string list
-(** The workload menu, for reporting. *)
-
-val poison_faults : int -> Gpusim.Faults.spec
-(** A fault spec whose kernels always fault transiently (rate 1.0, no
-    forced-success cap): the engine's backoff budget deterministically
-    exhausts, so every attempt fails — a poison job. *)
-
 val generate :
   ?seed:int ->
   ?tenants:int ->

@@ -63,6 +63,8 @@ type report = {
   r_utilization : float;
   r_devices_lost : int;
   r_peak_queue : int;
+  r_arena_reused : int;
+  r_arena_fresh : int;
 }
 
 (* Mutable per-job serving state. *)
@@ -172,6 +174,10 @@ let run (cfg : config) (specs : Job.spec list) : report =
      compiles into one kernel store, so a launch shape compiles once
      per run; nothing carries over to the next run. *)
   let kernels = Kcompile.kernels () in
+  (* Likewise one device-memory arena: each dispatch's machine draws
+     its functional arrays from it and gives them back once the
+     dispatch is done with the machine. *)
+  let arena = Gpusim.Buffer.arena () in
   let dead = Array.make fleet_n false in
   let freedev = Array.make fleet_n true in
   let live_count () =
@@ -261,7 +267,7 @@ let run (cfg : config) (specs : Job.spec list) : report =
     let sub_cfg =
       Gpusim.Config.lease cfg.fleet ~n_devices:(List.length lease)
     in
-    let m = Gpusim.Machine.create ~functional:true sub_cfg in
+    let m = Gpusim.Machine.create ~functional:true ~arena sub_cfg in
     (* Fleet-wide scheduled losses that will hit this lease, in lease-
        local device ids and machine-local time.  Injecting them makes
        the sub-machine physically honest: data on a dying device is
@@ -316,7 +322,11 @@ let run (cfg : config) (specs : Job.spec list) : report =
       | None, Some l -> (Some l, `Loss)
       | Some d, Some l -> if l <= d then (Some l, `Loss) else (Some d, `Deadline)
     in
+    (* Nothing of the machine outlives the attempt: a handoff is
+       gathered into fresh host arrays and stored kernels unbind their
+       arrays after each launch. *)
     let fate =
+      Fun.protect ~finally:(fun () -> Gpusim.Machine.release m) @@ fun () ->
       try
         match
           Mekong.Multi_gpu.run_bounded
@@ -552,6 +562,8 @@ let run (cfg : config) (specs : Job.spec list) : report =
     r_utilization = (if live_capacity > 0.0 then busy /. live_capacity else 0.0);
     r_devices_lost = !devices_lost;
     r_peak_queue = !peak_queue;
+    r_arena_reused = Gpusim.Buffer.arena_reused arena;
+    r_arena_fresh = Gpusim.Buffer.arena_fresh arena;
   }
 
 let device_seconds_by_tenant (r : report) =
@@ -659,6 +671,8 @@ let report_to_json (r : report) : Obs.Json.t =
       ("quarantined", Int quarantined);
       ("devices_lost", Int r.r_devices_lost);
       ("peak_queue", Int r.r_peak_queue);
+      ("arena_reused", Int r.r_arena_reused);
+      ("arena_fresh", Int r.r_arena_fresh);
       ("makespan_seconds", Float r.r_makespan);
       ("utilization", Float r.r_utilization);
       ("losses",
@@ -680,6 +694,8 @@ let publish_metrics ?(into = Obs.Metrics.default) (r : report) =
   seti "serve.jobs.quarantined" quarantined;
   seti "serve.devices_lost" r.r_devices_lost;
   seti "serve.peak_queue" r.r_peak_queue;
+  seti "serve.arena_reused" r.r_arena_reused;
+  seti "serve.arena_fresh" r.r_arena_fresh;
   set "serve.makespan_seconds" r.r_makespan;
   set "serve.utilization" r.r_utilization;
   List.iter
@@ -711,4 +727,6 @@ let pp fmt (r : report) =
     timed_out quarantined r.r_makespan
     (100.0 *. r.r_utilization)
     r.r_peak_queue;
+  Format.fprintf fmt "device arrays: %d reused, %d fresh@\n" r.r_arena_reused
+    r.r_arena_fresh;
   Slo.pp fmt (tenants r)

@@ -59,6 +59,12 @@ type report = {
       (** busy device-seconds over live device-seconds *)
   r_devices_lost : int;
   r_peak_queue : int;
+  r_arena_reused : int;
+      (** functional device arrays the run's dispatches drew from its
+          arena *)
+  r_arena_fresh : int;
+      (** functional device arrays allocated because the arena had
+          none of the length *)
 }
 
 val predicted_runtime : Gpusim.Config.t -> Job.spec -> float
@@ -82,7 +88,10 @@ val run : config -> Job.spec list -> report
 
     Every dispatch of the run launches through one
     {!Kcompile.kernels} store, so each launch shape compiles once per
-    run; the store does not outlive the call. *)
+    run, and allocates its functional device arrays from one
+    {!Gpusim.Buffer.arena}, which gets them back when the dispatch is
+    done with its machine ({!Gpusim.Machine.release}).  Neither
+    outlives the call. *)
 
 val tenants : report -> Slo.tenant list
 (** Per-tenant SLO aggregation of a run. *)
@@ -103,4 +112,5 @@ val publish_metrics : ?into:Obs.Metrics.t -> report -> unit
     names, with per-tenant labels (default {!Obs.Metrics.default}). *)
 
 val pp : Format.formatter -> report -> unit
-(** Human summary: outcome counts, utilization, per-tenant SLO table. *)
+(** Human summary: outcome counts, utilization, the arena's reused and
+    fresh device arrays, per-tenant SLO table. *)

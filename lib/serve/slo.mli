@@ -23,10 +23,6 @@ type tenant = {
           gaps, retry backoff), clamped at 0 per job *)
 }
 
-val percentile : float array -> float -> float
-(** [percentile samples p] for [p] in [0,100], linearly interpolated
-    over the sorted samples; 0 on an empty array. *)
-
 val collect :
   jobs:Job.report list -> device_seconds:(string * float) list ->
   tenant list

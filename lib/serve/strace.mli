@@ -5,11 +5,5 @@
     timestamps are simulated microseconds; lanes satisfy
     {!Obs.Chrome_trace.validate}. *)
 
-val pid : int
-(** Process id of the scheduler's lanes — distinct from the host (0),
-    fabric (1) and device ({!Gpusim.Trace_export.device_pid}) pids, so
-    a scheduler trace can be merged with machine traces. *)
-
-val events : Scheduler.report -> Obs.Chrome_trace.event list
 val to_json : Scheduler.report -> Obs.Json.t
 val write : file:string -> Scheduler.report -> unit

@@ -646,6 +646,131 @@ let test_buffer_basics () =
     (Invalid_argument "Buffer.data_exn: performance-mode buffer has no data")
     (fun () -> ignore (Buffer.data_exn p))
 
+(* ---------------- Device-memory arena ---------------- *)
+
+let bits a = Array.map Int64.bits_of_float a
+
+let read_all m b =
+  let out = Array.make (Buffer.len b) nan in
+  Machine.d2h m ~src:b ~src_off:0 ~dst:out ~dst_off:0 ~len:(Buffer.len b);
+  out
+
+(* A second machine draws the arrays the first filled and freed: they
+   come back as +0.0 bit for bit, like a fresh machine's. *)
+let test_arena_zero_on_reuse () =
+  let arena = Buffer.arena () in
+  let cfg = Config.test_box ~n_devices:2 () in
+  let n = 257 in
+  let dirty =
+    Array.init n (fun i ->
+        match i mod 4 with 0 -> -0.0 | 1 -> nan | 2 -> infinity | _ -> 1.5)
+  in
+  let m1 = Machine.create ~functional:true ~arena cfg in
+  let a = Machine.alloc m1 ~device:0 ~len:n in
+  let b = Machine.alloc ~charge:false m1 ~device:1 ~len:n in
+  Machine.h2d m1 ~src:dirty ~src_off:0 ~dst:a ~dst_off:0 ~len:n;
+  Machine.p2p m1 ~src:a ~src_off:0 ~dst:b ~dst_off:0 ~len:n;
+  Machine.free m1 a;
+  Machine.release m1;
+  checki "nothing reused yet" 0 (Buffer.arena_reused arena);
+  checki "two fresh arrays" 2 (Buffer.arena_fresh arena);
+  let fresh = Machine.create ~functional:true cfg in
+  let zero = bits (read_all fresh (Machine.alloc fresh ~device:0 ~len:n)) in
+  let m2 = Machine.create ~functional:true ~arena cfg in
+  let c = Machine.alloc m2 ~device:1 ~len:n in
+  let d = Machine.alloc m2 ~device:0 ~len:n in
+  checki "both drawn from the arena" 2 (Buffer.arena_reused arena);
+  checkb "first drawn array is +0.0" true (bits (read_all m2 c) = zero);
+  checkb "second drawn array is +0.0" true (bits (read_all m2 d) = zero);
+  checkb "every element's bits are 0" true
+    (Array.for_all (fun x -> x = 0L) zero)
+
+let test_arena_released_alloc_raises () =
+  let raises m =
+    match Machine.alloc m ~device:0 ~len:8 with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let arena = Buffer.arena () in
+  let m = Machine.create ~functional:true ~arena (Config.test_box ~n_devices:1 ()) in
+  ignore (Machine.alloc m ~device:0 ~len:8);
+  Machine.release m;
+  checkb "alloc after release raises" true (raises m);
+  Machine.release m;
+  checki "a second release gives nothing back twice" 1
+    (List.assoc 8 (Buffer.arena_retained arena));
+  let plain = Machine.create (Config.test_box ~n_devices:1 ()) in
+  Machine.release plain;
+  checkb "so does a machine without an arena" true (raises plain)
+
+(* Machines of several lease sizes draw several lengths, some alive at
+   the same time, some freeing buffers before they are done.  The
+   arena never keeps more arrays of a length than one machine drew of
+   it, and no two live buffers ever share an array. *)
+let test_arena_retention_bound () =
+  let arena = Buffer.arena () in
+  let most = Hashtbl.create 8 in
+  let live = ref [] in
+  let start ~devices ~lens ~frees =
+    let m =
+      Machine.create ~functional:true ~arena
+        (Config.test_box ~n_devices:devices ())
+    in
+    let bufs =
+      List.concat_map
+        (fun len ->
+           List.init devices (fun d -> Machine.alloc ~charge:false m ~device:d ~len))
+        lens
+    in
+    List.iteri (fun i b -> if i < frees then Machine.free m b) bufs;
+    let drawn = Hashtbl.create 8 in
+    List.iter
+      (fun b ->
+         let len = Buffer.len b in
+         Hashtbl.replace drawn len
+           (1 + Option.value ~default:0 (Hashtbl.find_opt drawn len)))
+      bufs;
+    Hashtbl.iter
+      (fun len k ->
+         if k > Option.value ~default:0 (Hashtbl.find_opt most len) then
+           Hashtbl.replace most len k)
+      drawn;
+    live := List.map Buffer.data_exn bufs @ !live;
+    let rec distinct = function
+      | [] -> true
+      | a :: tl -> List.for_all (fun b -> a != b) tl && distinct tl
+    in
+    checkb "live buffers never share an array" true (distinct !live);
+    (m, bufs)
+  in
+  let finish (m, bufs) =
+    Machine.release m;
+    let gone = List.map Buffer.data_exn bufs in
+    live := List.filter (fun a -> not (List.memq a gone)) !live;
+    List.iter
+      (fun (len, kept) ->
+         checkb
+           (Printf.sprintf "length %d: %d kept, at most %d" len kept
+              (Hashtbl.find most len))
+           true
+           (kept <= Hashtbl.find most len))
+      (Buffer.arena_retained arena)
+  in
+  let a = start ~devices:4 ~lens:[ 64; 128 ] ~frees:3 in
+  let b = start ~devices:2 ~lens:[ 64; 64; 32 ] ~frees:0 in
+  finish a;
+  let c = start ~devices:1 ~lens:[ 128; 32; 16 ] ~frees:1 in
+  finish b;
+  finish c;
+  let d = start ~devices:3 ~lens:[ 64; 128; 32; 16 ] ~frees:2 in
+  let e = start ~devices:2 ~lens:[ 64; 16 ] ~frees:4 in
+  finish e;
+  finish d;
+  let fresh = Buffer.arena_fresh arena in
+  finish (start ~devices:4 ~lens:[ 64; 128 ] ~frees:0);
+  checki "a repeated footprint allocates nothing fresh" fresh
+    (Buffer.arena_fresh arena)
+
 (* Categories charged a, b, a: the cached cell follows the category,
    and a reset must drop it (a stale cell would keep charging outside
    the table). *)
@@ -1201,6 +1326,14 @@ let () =
           Alcotest.test_case "range checks" `Quick test_range_checks;
           Alcotest.test_case "buffer basics" `Quick test_buffer_basics;
           Alcotest.test_case "byte matrix" `Quick test_byte_matrix;
+        ] );
+      ( "arena",
+        [
+          Alcotest.test_case "zero on reuse" `Quick test_arena_zero_on_reuse;
+          Alcotest.test_case "alloc after release raises" `Quick
+            test_arena_released_alloc_raises;
+          Alcotest.test_case "retention bound" `Quick
+            test_arena_retention_bound;
         ] );
       ( "faults",
         [

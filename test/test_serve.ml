@@ -32,6 +32,10 @@ let count_outcome (r : Serve.Scheduler.report) pred =
 let is_completed = function Serve.Job.Completed _ -> true | _ -> false
 let is_rejected = function Serve.Job.Rejected _ -> true | _ -> false
 
+(* Bit identity: [=] on floats equates [-0.0] with [+0.0] and fails on
+   every NaN. *)
+let bits a = Array.map Int64.bits_of_float a
+
 (* ---------------- Satellite: domain-count validation ---------------- *)
 
 let test_dpool_rejects_nonpositive () =
@@ -241,7 +245,7 @@ let test_mix_all_complete_bit_identical () =
        let m = Gpusim.Machine.create ~functional:true (fleet 4) in
        ignore (Mekong.Multi_gpu.run ~machine:m exe');
        checkb (b.Serve.Mix.b_spec.Serve.Job.name ^ " bit-identical") true
-         (b.Serve.Mix.b_output = out'))
+         (bits b.Serve.Mix.b_output = bits out'))
     built;
   checkb "every job has a segment or rejection" true
     (List.length r.Serve.Scheduler.r_segments >= 12)
@@ -434,7 +438,7 @@ let test_loss_degrades_gracefully () =
        let m = Gpusim.Machine.create ~functional:true (fleet 4) in
        ignore (Mekong.Multi_gpu.run ~machine:m exe');
        checkb (b.Serve.Mix.b_spec.Serve.Job.name ^ " bit-identical") true
-         (b.Serve.Mix.b_output = out'))
+         (bits b.Serve.Mix.b_output = bits out'))
     built
 
 let test_fleet_lost_rejects_rest () =
@@ -470,6 +474,19 @@ let test_metrics_published () =
   in
   checkb "submitted gauge" true (gauge "serve.jobs.submitted" = 8.0);
   checkb "devices_lost gauge" true (gauge "serve.devices_lost" = 1.0);
+  checkb "arena_reused gauge" true
+    (gauge "serve.arena_reused"
+     = float_of_int r.Serve.Scheduler.r_arena_reused);
+  checkb "arena_fresh gauge" true
+    (gauge "serve.arena_fresh" = float_of_int r.Serve.Scheduler.r_arena_fresh);
+  checkb "pp prints the arena line" true
+    (let line =
+       Printf.sprintf "device arrays: %d reused, %d fresh"
+         r.Serve.Scheduler.r_arena_reused r.Serve.Scheduler.r_arena_fresh
+     in
+     let text = Format.asprintf "%a" Serve.Scheduler.pp r in
+     Str.string_match (Str.regexp_string line) text
+       (String.index text '\n' + 1));
   let tenant_rows =
     List.filter
       (fun (s : Obs.Metrics.sample) ->
@@ -494,6 +511,173 @@ let test_report_json_shape () =
       [ "fleet"; "submitted"; "completed"; "tenants"; "jobs";
         "makespan_seconds"; "utilization" ]
   | _ -> Alcotest.fail "report_to_json: expected an object"
+
+(* ---------------- Device-memory arena ---------------- *)
+
+(* One lease-1 job fills and frees an array of [n] elements; the next
+   copies a buffer it allocated but never wrote to its output.  The
+   second draws the first's array from the run's arena, and must still
+   read +0.0 everywhere, bit-equal to a run on a fresh machine. *)
+let test_arena_zero_on_reuse () =
+  let n = 1000 in
+  let dirty =
+    Array.init n (fun i ->
+        match i mod 4 with 0 -> -0.0 | 1 -> nan | 2 -> neg_infinity | _ -> 7.25)
+  in
+  let filler =
+    Host_ir.program ~name:"filler"
+      [ Host_ir.Malloc ("x", n);
+        Host_ir.Memcpy_h2d { dst = "x"; src = Host_ir.host_data dirty };
+        Host_ir.Memcpy_d2h
+          { dst = Host_ir.host_data (Array.make n 0.0); src = "x" };
+        Host_ir.Free "x" ]
+  in
+  let reader out =
+    Host_ir.program ~name:"reader"
+      [ Host_ir.Malloc ("z", n);
+        Host_ir.Memcpy_d2h { dst = Host_ir.host_data out; src = "z" } ]
+  in
+  let served = Array.make n nan in
+  let specs =
+    [ Serve.Job.make ~name:"filler" ~tenant:"a" filler;
+      Serve.Job.make ~name:"reader" ~tenant:"b" ~arrival:1e-3 (reader served) ]
+  in
+  let r = Serve.Scheduler.run (Serve.Scheduler.config (fleet 1)) specs in
+  checki "both completed" 2 (count_outcome r is_completed);
+  checki "the reader drew the filler's array" 1
+    r.Serve.Scheduler.r_arena_reused;
+  checki "only the filler allocated" 1 r.Serve.Scheduler.r_arena_fresh;
+  let solo = Array.make n nan in
+  ignore
+    (Mekong.Multi_gpu.run
+       ~machine:(Gpusim.Machine.create ~functional:true (fleet 1))
+       (compile_exn (reader solo)));
+  checkb "every element is +0.0" true
+    (Array.for_all (fun x -> x = 0L) (bits served));
+  checkb "bit-equal to a fresh machine" true (bits served = bits solo)
+
+(* A checkpoint restore frees every buffer and revives the ones the
+   checkpoint holds; a [Malloc] replayed after it must not draw a
+   revived buffer's array.  Here [z] is allocated after the first
+   checkpoint (4 launches), and device 1 dies while data written since
+   lives only there, so the engine replays from that checkpoint and
+   allocates [z] again on an arena machine. *)
+let restore_program n ~out =
+  let saxpy =
+    match
+      Cuparse.parse_cu ~name:"restore"
+        "__global__ void saxpy(int n, float alpha, float *x /* [n] */, float *y /* [n] */) {\n\
+        \  auto gi = (threadIdx.x + (blockIdx.x * blockDim.x));\n\
+        \  if ((gi < n)) { y[gi] = ((alpha * x[gi]) + 1.0f); }\n\
+         }\n\
+         int main() { return 0; }\n"
+    with
+    | [ k ], _ -> k
+    | _ -> Alcotest.fail "expected one kernel"
+  in
+  let launch src dst =
+    Host_ir.Launch
+      {
+        kernel = saxpy;
+        grid = Dim3.make (n / 64);
+        block = Dim3.make 64;
+        args = [ Host_ir.HInt n; Host_ir.HFloat 0.5; Host_ir.HBuf src;
+                 Host_ir.HBuf dst ];
+      }
+  in
+  Host_ir.program ~name:"restore"
+    ([ Host_ir.Malloc ("x", n);
+       Host_ir.Memcpy_h2d
+         { dst = "x"; src = Host_ir.host_data (Array.init n float_of_int) };
+       Host_ir.Malloc ("y", n) ]
+     @ List.concat (List.init 2 (fun _ -> [ launch "x" "y"; launch "y" "x" ]))
+     @ [ launch "x" "y"; launch "y" "x"; Host_ir.Malloc ("z", n);
+         launch "x" "z" ]
+     @ List.map
+         (fun (o, b) -> Host_ir.Memcpy_d2h { dst = Host_ir.host_data o; src = b })
+         [ (out.(0), "x"); (out.(1), "y"); (out.(2), "z") ])
+
+let test_arena_checkpoint_restore () =
+  let n = 4096 in
+  let expected = Array.init 3 (fun _ -> Array.make n nan) in
+  ignore
+    (Mekong.Multi_gpu.run
+       ~machine:(Gpusim.Machine.create ~functional:true (fleet 2))
+       (compile_exn (restore_program n ~out:expected)));
+  let arena = Gpusim.Buffer.arena () in
+  (* The second run draws every array the first gave back. *)
+  List.iter
+    (fun attempt ->
+       let out = Array.init 3 (fun _ -> Array.make n nan) in
+       let exe = compile_exn (restore_program n ~out) in
+       let m = Gpusim.Machine.create ~functional:true ~arena (fleet 2) in
+       Gpusim.Machine.inject_faults m
+         (Gpusim.Faults.create
+            { Gpusim.Faults.null_spec with scheduled_losses = [ (1, 4e-4) ] });
+       (match
+          Mekong.Multi_gpu.run_bounded ~checkpoint_every:4 ~machine:m exe
+        with
+        | Mekong.Multi_gpu.Done r ->
+          checki (attempt ^ ": one replay") 1
+            r.Mekong.Multi_gpu.faults.Mekong.Multi_gpu.fr_replays
+        | Mekong.Multi_gpu.Preempted _ ->
+          Alcotest.fail "preempted without abort_at");
+       Gpusim.Machine.release m;
+       checkb (attempt ^ ": bit-identical to a fault-free run") true
+         (Array.map bits out = Array.map bits expected))
+    [ "fresh arena"; "reused arena" ];
+  checkb "the second run reused arrays" true
+    (Gpusim.Buffer.arena_reused arena > 0)
+
+let span_count name =
+  List.length
+    (List.filter
+       (fun (sp : Obs.Span.record) -> sp.Obs.Span.sp_name = name)
+       (Obs.Span.records ()))
+
+(* Poison jobs, a device loss that replays from an engine checkpoint
+   and preempts jobs into handoffs, all drawing from one arena: every
+   completed job is bit-identical to its solo run on a fresh machine,
+   and a second run of the same mix counts the same arrays. *)
+let test_arena_mix_bit_identical () =
+  let mix () =
+    Serve.Mix.generate ~seed:4 ~tenants:3 ~jobs:16 ~poison:2 ()
+  in
+  let cfg = Serve.Scheduler.config ~losses:[ (0, 6e-4) ] (fleet 4) in
+  let run built =
+    Serve.Scheduler.run cfg (List.map (fun b -> b.Serve.Mix.b_spec) built)
+  in
+  let built = mix () in
+  Obs.Span.reset ();
+  Obs.Span.set_enabled true;
+  let r =
+    Fun.protect ~finally:(fun () -> Obs.Span.set_enabled false) @@ fun () ->
+    run built
+  in
+  let replays = span_count "replay" and resumes = span_count "resume" in
+  Obs.Span.reset ();
+  checkb "a checkpoint was restored" true (replays > 0);
+  checkb "a handoff was installed" true (resumes > 0);
+  checkb "arrays were reused" true (r.Serve.Scheduler.r_arena_reused > 0);
+  List.iter
+    (fun (b : Serve.Mix.built) ->
+       let name = b.Serve.Mix.b_spec.Serve.Job.name in
+       match outcome_of r name with
+       | Serve.Job.Completed _ ->
+         let exe', out' = b.Serve.Mix.b_solo () in
+         let m = Gpusim.Machine.create ~functional:true (fleet 4) in
+         ignore (Mekong.Multi_gpu.run ~machine:m exe');
+         checkb (name ^ " bit-identical") true
+           (bits b.Serve.Mix.b_output = bits out')
+       | Serve.Job.Quarantined _ ->
+         checkb (name ^ " is poison") true b.Serve.Mix.b_poison
+       | o -> Alcotest.failf "%s: %s" name (Serve.Job.outcome_name o))
+    built;
+  let again = run (mix ()) in
+  checki "reused is deterministic" r.Serve.Scheduler.r_arena_reused
+    again.Serve.Scheduler.r_arena_reused;
+  checki "fresh is deterministic" r.Serve.Scheduler.r_arena_fresh
+    again.Serve.Scheduler.r_arena_fresh
 
 (* ---------------- The headline property ---------------- *)
 
@@ -526,7 +710,7 @@ let prop_serving_bit_identical =
                   Gpusim.Machine.create ~functional:true (fleet fleet_n)
                 in
                 ignore (Mekong.Multi_gpu.run ~machine:m exe');
-                b.Serve.Mix.b_output = out'
+                bits b.Serve.Mix.b_output = bits out'
               | _ -> true)
            built)
 
@@ -578,6 +762,14 @@ let () =
             test_loss_degrades_gracefully;
           Alcotest.test_case "total fleet loss rejects the rest" `Quick
             test_fleet_lost_rejects_rest;
+        ] );
+      ( "arena",
+        [
+          Alcotest.test_case "zero on reuse" `Quick test_arena_zero_on_reuse;
+          Alcotest.test_case "checkpoint restore after a later Malloc" `Quick
+            test_arena_checkpoint_restore;
+          Alcotest.test_case "mix with poison and a loss bit-identical" `Quick
+            test_arena_mix_bit_identical;
         ] );
       ( "observability",
         [
