@@ -33,55 +33,144 @@ type token =
   | Punct of string (* operators and punctuation, longest match *)
   | Eof
 
-let puncts =
-  (* longest first *)
-  [ "<<<"; ">>>"; "<="; ">="; "=="; "!="; "&&"; "||"; "++"; "::";
-    "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "<"; ">"; "+"; "-"; "*"; "/";
-    "%"; "="; "&"; "!"; "." ]
-
+(* [tok_start] is the offset of [tok]'s first character; [pos] is
+   already past it. *)
 type lexer = { src : string; mutable pos : int; mutable tok : token;
-               mutable dims_note : string option }
+               mutable tok_start : int; mutable dims_note : string option }
+
+(* Line and column (both from 1) of byte offset [pos]: computed only
+   when a diagnostic is raised, so lexing keeps no line count. *)
+let line_col src pos =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to min pos (String.length src) - 1 do
+    if src.[i] = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  (!line, pos - !bol + 1)
+
+(* Raise {!Error} with the message followed by " at LINE:COL" of [pos]. *)
+let fail_pos lx pos fmt =
+  Printf.ksprintf
+    (fun s ->
+       let line, col = line_col lx.src pos in
+       raise (Error (Printf.sprintf "%s at %d:%d" s line col)))
+    fmt
+
+(* The same at the current token. *)
+let fail_at lx fmt = fail_pos lx lx.tok_start fmt
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
-(* Advance to the next token.  Comments are skipped, but a comment of
-   the shape [/* [a][b] * /] is remembered as a dims annotation for the
+(* Skip blanks, comments and preprocessor lines.  A comment of the
+   shape [/* [a][b] * /] is remembered as a dims annotation for the
    most recent parameter. *)
-let rec next_token lx =
+let rec skip_ws lx n =
+  if lx.pos < n then
+    match lx.src.[lx.pos] with
+    | ' ' | '\t' | '\n' | '\r' ->
+      lx.pos <- lx.pos + 1;
+      skip_ws lx n
+    | '/' when lx.pos + 1 < n && lx.src.[lx.pos + 1] = '/' ->
+      while lx.pos < n && lx.src.[lx.pos] <> '\n' do
+        lx.pos <- lx.pos + 1
+      done;
+      skip_ws lx n
+    | '/' when lx.pos + 1 < n && lx.src.[lx.pos + 1] = '*' ->
+      let start = lx.pos + 2 in
+      let rec find i =
+        if i + 1 >= n then fail_pos lx lx.pos "unterminated comment"
+        else if lx.src.[i] = '*' && lx.src.[i + 1] = '/' then i
+        else find (i + 1)
+      in
+      let stop = find start in
+      lx.dims_note <- Some (String.trim (String.sub lx.src start (stop - start)));
+      lx.pos <- stop + 2;
+      skip_ws lx n
+    | '#' ->
+      (* preprocessor lines are ignored *)
+      while lx.pos < n && lx.src.[lx.pos] <> '\n' do
+        lx.pos <- lx.pos + 1
+      done;
+      skip_ws lx n
+    | _ -> ()
+
+(* The character [k] places past [pos], or NUL past the end. *)
+let ahead lx n k = if lx.pos + k < n then lx.src.[lx.pos + k] else '\000'
+
+let emit lx tok len =
+  lx.pos <- lx.pos + len;
+  lx.tok <- tok
+
+(* Digits, '.', 'e' and an exponent's sign, scanned once; a '.' or an
+   'e' makes the literal a float, as does an 'f' suffix. *)
+let lex_number lx n =
+  let start = lx.pos in
+  let is_float = ref false and scanning = ref true in
+  while !scanning && lx.pos < n do
+    (match lx.src.[lx.pos] with
+     | '0' .. '9' -> ()
+     | '.' | 'e' -> is_float := true
+     | ('+' | '-') when lx.src.[lx.pos - 1] = 'e' -> ()
+     | _ -> scanning := false);
+    if !scanning then lx.pos <- lx.pos + 1
+  done;
+  let text = String.sub lx.src start (lx.pos - start) in
+  if lx.pos < n && lx.src.[lx.pos] = 'f' then begin
+    is_float := true;
+    lx.pos <- lx.pos + 1
+  end;
+  if !is_float then
+    match float_of_string_opt text with
+    | Some f -> lx.tok <- Float_lit f
+    | None -> fail_at lx "malformed float literal %s" text
+  else
+    match int_of_string_opt text with
+    | Some i -> lx.tok <- Int_lit i
+    | None -> fail_at lx "integer literal %s out of range" text
+
+(* Punctuation: dispatch on the first character, then take the longest
+   spelling the next one or two characters allow.  Every token is a
+   constant, so none is allocated. *)
+let lex_punct lx n c =
+  match c with
+  | '(' -> emit lx (Punct "(") 1
+  | ')' -> emit lx (Punct ")") 1
+  | '{' -> emit lx (Punct "{") 1
+  | '}' -> emit lx (Punct "}") 1
+  | '[' -> emit lx (Punct "[") 1
+  | ']' -> emit lx (Punct "]") 1
+  | ';' -> emit lx (Punct ";") 1
+  | ',' -> emit lx (Punct ",") 1
+  | '-' -> emit lx (Punct "-") 1
+  | '*' -> emit lx (Punct "*") 1
+  | '/' -> emit lx (Punct "/") 1
+  | '%' -> emit lx (Punct "%") 1
+  | '.' -> emit lx (Punct ".") 1
+  | '<' ->
+    if ahead lx n 1 = '<' && ahead lx n 2 = '<' then emit lx (Punct "<<<") 3
+    else if ahead lx n 1 = '=' then emit lx (Punct "<=") 2
+    else emit lx (Punct "<") 1
+  | '>' ->
+    if ahead lx n 1 = '>' && ahead lx n 2 = '>' then emit lx (Punct ">>>") 3
+    else if ahead lx n 1 = '=' then emit lx (Punct ">=") 2
+    else emit lx (Punct ">") 1
+  | '=' -> if ahead lx n 1 = '=' then emit lx (Punct "==") 2 else emit lx (Punct "=") 1
+  | '!' -> if ahead lx n 1 = '=' then emit lx (Punct "!=") 2 else emit lx (Punct "!") 1
+  | '&' -> if ahead lx n 1 = '&' then emit lx (Punct "&&") 2 else emit lx (Punct "&") 1
+  | '+' -> if ahead lx n 1 = '+' then emit lx (Punct "++") 2 else emit lx (Punct "+") 1
+  | '|' when ahead lx n 1 = '|' -> emit lx (Punct "||") 2
+  | ':' when ahead lx n 1 = ':' -> emit lx (Punct "::") 2
+  | _ -> fail_at lx "unexpected character %c" c
+
+(* Advance to the next token. *)
+let next_token lx =
   let n = String.length lx.src in
-  let rec skip_ws () =
-    if lx.pos < n then
-      match lx.src.[lx.pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        lx.pos <- lx.pos + 1;
-        skip_ws ()
-      | '/' when lx.pos + 1 < n && lx.src.[lx.pos + 1] = '/' ->
-        while lx.pos < n && lx.src.[lx.pos] <> '\n' do
-          lx.pos <- lx.pos + 1
-        done;
-        skip_ws ()
-      | '/' when lx.pos + 1 < n && lx.src.[lx.pos + 1] = '*' ->
-        let start = lx.pos + 2 in
-        let rec find i =
-          if i + 1 >= n then fail "unterminated comment"
-          else if lx.src.[i] = '*' && lx.src.[i + 1] = '/' then i
-          else find (i + 1)
-        in
-        let stop = find start in
-        lx.dims_note <- Some (String.trim (String.sub lx.src start (stop - start)));
-        lx.pos <- stop + 2;
-        skip_ws ()
-      | '#' ->
-        (* preprocessor lines are ignored *)
-        while lx.pos < n && lx.src.[lx.pos] <> '\n' do
-          lx.pos <- lx.pos + 1
-        done;
-        skip_ws ()
-      | _ -> ()
-  in
-  skip_ws ();
+  skip_ws lx n;
+  lx.tok_start <- lx.pos;
   if lx.pos >= n then lx.tok <- Eof
   else begin
     let c = lx.src.[lx.pos] in
@@ -92,41 +181,25 @@ let rec next_token lx =
       done;
       lx.tok <- Ident (String.sub lx.src start (lx.pos - start))
     end
-    else if is_digit c then begin
-      let start = lx.pos in
-      while lx.pos < n && (is_digit lx.src.[lx.pos] || lx.src.[lx.pos] = '.'
-                           || lx.src.[lx.pos] = 'e' || lx.src.[lx.pos] = '-'
-                              && lx.pos > start && lx.src.[lx.pos - 1] = 'e') do
-        lx.pos <- lx.pos + 1
-      done;
-      let text = String.sub lx.src start (lx.pos - start) in
-      let is_float =
-        String.contains text '.' || String.contains text 'e'
-        || (lx.pos < n && lx.src.[lx.pos] = 'f')
-      in
-      if lx.pos < n && lx.src.[lx.pos] = 'f' then lx.pos <- lx.pos + 1;
-      if is_float then lx.tok <- Float_lit (float_of_string text)
-      else lx.tok <- Int_lit (int_of_string text)
-    end
-    else begin
-      let rec try_puncts = function
-        | [] -> fail "unexpected character %c at %d" c lx.pos
-        | p :: rest ->
-          let l = String.length p in
-          if lx.pos + l <= n && String.sub lx.src lx.pos l = p then begin
-            lx.pos <- lx.pos + l;
-            lx.tok <- Punct p
-          end
-          else try_puncts rest
-      in
-      try_puncts puncts
-    end
+    else if is_digit c then lex_number lx n
+    else lex_punct lx n c
   end
 
-and make_lexer src =
-  let lx = { src; pos = 0; tok = Eof; dims_note = None } in
+let make_lexer src =
+  let lx = { src; pos = 0; tok = Eof; tok_start = 0; dims_note = None } in
   next_token lx;
   lx
+
+let tokens src =
+  let lx = make_lexer src in
+  let rec go acc =
+    match lx.tok with
+    | Eof -> List.rev acc
+    | t ->
+      next_token lx;
+      go (t :: acc)
+  in
+  go []
 
 let peek lx = lx.tok
 
@@ -136,7 +209,7 @@ let expect_punct lx p =
   match lx.tok with
   | Punct q when q = p -> advance lx
   | t ->
-    fail "expected '%s' at %d, got %s" p lx.pos
+    fail_at lx "expected '%s', got %s" p
       (match t with
        | Ident s -> s
        | Punct s -> "'" ^ s ^ "'"
@@ -147,14 +220,14 @@ let expect_punct lx p =
 let expect_ident lx name =
   match lx.tok with
   | Ident s when s = name -> advance lx
-  | _ -> fail "expected '%s' at %d" name lx.pos
+  | _ -> fail_at lx "expected '%s'" name
 
 let take_ident lx =
   match lx.tok with
   | Ident s ->
     advance lx;
     s
-  | _ -> fail "expected identifier at %d" lx.pos
+  | _ -> fail_at lx "expected identifier"
 
 let accept_punct lx p =
   match lx.tok with
@@ -311,15 +384,15 @@ and parse_primary lx ctx =
     end
     else if List.mem name ctx.scalars then Kir.Param name
     else Kir.Var name
-  | Punct p -> fail "unexpected '%s' in expression" p
-  | Eof -> fail "unexpected end of input in expression"
+  | Punct p -> fail_at lx "unexpected '%s' in expression" p
+  | Eof -> fail_at lx "unexpected end of input in expression"
 
 (* --- Kernel statements -------------------------------------------------- *)
 
 let rec parse_stmts lx ctx =
   let stmts = ref [] in
   while not (accept_punct lx "}") do
-    if peek lx = Eof then fail "unterminated block";
+    if peek lx = Eof then fail_at lx "unterminated block";
     stmts := parse_stmt lx ctx :: !stmts
   done;
   List.rev !stmts
@@ -419,7 +492,7 @@ and parse_stmt lx ctx : Kir.stmt =
       expect_punct lx ";";
       Kir.Assign (name, e)
     end
-  | _ -> fail "unexpected token in statement at %d" lx.pos
+  | _ -> fail_at lx "unexpected token in statement"
 
 (* --- Kernel signatures --------------------------------------------------- *)
 
@@ -476,7 +549,7 @@ let parse_params lx =
            let name = take_ident lx in
            params := Kir.Fscalar name :: !params
          end
-       | _ -> fail "bad parameter at %d" lx.pos);
+       | _ -> fail_at lx "bad parameter");
       if accept_punct lx "," then one () else expect_punct lx ")"
     in
     one ()
@@ -515,18 +588,18 @@ let parse_launch_dim lx =
   | Ident "dim3" ->
     advance lx;
     expect_punct lx "(";
-    let x = match peek lx with Int_lit n -> advance lx; n | _ -> fail "dim3 x" in
+    let x = match peek lx with Int_lit n -> advance lx; n | _ -> fail_at lx "dim3 x" in
     expect_punct lx ",";
-    let y = match peek lx with Int_lit n -> advance lx; n | _ -> fail "dim3 y" in
+    let y = match peek lx with Int_lit n -> advance lx; n | _ -> fail_at lx "dim3 y" in
     expect_punct lx ",";
-    let z = match peek lx with Int_lit n -> advance lx; n | _ -> fail "dim3 z" in
+    let z = match peek lx with Int_lit n -> advance lx; n | _ -> fail_at lx "dim3 z" in
     expect_punct lx ")";
     Dim3.make x ~y ~z
-  | _ -> fail "expected launch dimension at %d" lx.pos
+  | _ -> fail_at lx "expected launch dimension"
 
 (* Parse "LEN * sizeof(float)" and return LEN. *)
 let parse_size lx =
-  let len = match peek lx with Int_lit n -> advance lx; n | _ -> fail "size" in
+  let len = match peek lx with Int_lit n -> advance lx; n | _ -> fail_at lx "size" in
   expect_punct lx "*";
   expect_ident lx "sizeof";
   expect_punct lx "(";
@@ -607,11 +680,11 @@ let rec parse_host_stmts lx ~kernels ~buffers acc =
     expect_ident lx "int";
     let _it = take_ident lx in
     expect_punct lx "=";
-    (match peek lx with Int_lit 0 -> advance lx | _ -> fail "loop must start at 0");
+    (match peek lx with Int_lit 0 -> advance lx | _ -> fail_at lx "loop must start at 0");
     expect_punct lx ";";
     let _it2 = take_ident lx in
     expect_punct lx "<";
-    let count = match peek lx with Int_lit n -> advance lx; n | _ -> fail "loop bound" in
+    let count = match peek lx with Int_lit n -> advance lx; n | _ -> fail_at lx "loop bound" in
     expect_punct lx ";";
     let _it3 = take_ident lx in
     expect_punct lx "++";
@@ -648,14 +721,14 @@ let rec parse_host_stmts lx ~kernels ~buffers acc =
            | Ident b ->
              advance lx;
              args := Host_ir.HBuf b :: !args
-           | _ -> fail "bad launch argument");
+           | _ -> fail_at lx "bad launch argument");
           if accept_punct lx "," then one () else expect_punct lx ")"
         in
         if not (accept_punct lx ")") then one ();
         expect_punct lx ";";
         parse_host_stmts lx ~kernels ~buffers
           (Host_ir.Launch { kernel; grid; block; args = List.rev !args } :: acc))
-  | _ -> fail "unexpected token in host code at %d" lx.pos
+  | _ -> fail_at lx "unexpected token in host code"
 
 (* --- Translation unit ------------------------------------------------------ *)
 
@@ -684,8 +757,8 @@ let parse_cu ~name src =
         parse_host_stmts lx ~kernels:(List.rev !kernels) ~buffers []
       in
       Host_ir.program ~name body
-    | Ident other -> fail "unexpected top-level identifier %s" other
-    | _ -> fail "unexpected top-level token at %d" lx.pos
+    | Ident other -> fail_at lx "unexpected top-level identifier %s" other
+    | _ -> fail_at lx "unexpected top-level token"
   in
   let prog = toplevel () in
   (List.rev !kernels, prog)

@@ -6,6 +6,20 @@
     element values). *)
 
 exception Error of string
+(** A malformed input, with the line and column (from 1) of the
+    offending token where one is to blame: [unexpected character | at
+    2:5]. *)
+
+type token =
+  | Ident of string
+  | Int_lit of int
+  | Float_lit of float
+  | Punct of string  (** operators and punctuation, longest match *)
+  | Eof
+
+val tokens : string -> token list
+(** The tokens of a text, up to but not including [Eof].  Raises
+    {!Error} where {!parse_cu} would fail to lex. *)
 
 val parse_cu : name:string -> string -> Kir.t list * Host_ir.t
 (** Parse a full translation unit: kernels, then [main()].  Raises

@@ -7,7 +7,7 @@
 
 let render_harg = function
   | Host_ir.HInt n -> string_of_int n
-  | Host_ir.HFloat f -> Printf.sprintf "%gf" f
+  | Host_ir.HFloat f -> Kir.float_literal f
   | Host_ir.HBuf b -> b
 
 let render_dim3 (d : Dim3.t) =

@@ -221,11 +221,27 @@ let binop_name = function
   | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | Eq -> "==" | Ne -> "!="
   | And -> "&&" | Or -> "||"
 
+(* The %g conversion Printf itself calls, without its format
+   interpreter: rendering runs in every compile's frontend pass. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* %g first, so constants it reads back exactly print as they always
+   did; %.17g reads back for every finite float.  Negative constants
+   keep their '-' and parse back as unary minus; they and non-finite
+   ones are not round-tripped. *)
+let rec first_exact x = function
+  | [] -> format_float "%.17g" x
+  | fmt :: rest ->
+    let s = format_float fmt x in
+    if float_eq (float_of_string s) x then s else first_exact x rest
+
+let float_literal x = first_exact x [ "%g"; "%.15g"; "%.16g" ] ^ "f"
+
 let rec pp_exp fmt e =
   let open Format in
   match e with
   | Iconst n -> fprintf fmt "%d" n
-  | Fconst x -> fprintf fmt "%gf" x
+  | Fconst x -> pp_print_string fmt (float_literal x)
   | Special s -> fprintf fmt "%s" (special_name s)
   | Param n | Var n -> fprintf fmt "%s" n
   | Load (a, idx) ->

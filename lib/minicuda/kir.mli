@@ -118,6 +118,14 @@ val fold_exp_in_stmt : ('a -> exp -> 'a) -> 'a -> stmt -> 'a
 (** {2 Printing (toy CUDA syntax)} *)
 
 val atomic_name : atomic_op -> string
+
+val float_literal : float -> string
+(** A float constant as toy-CUDA text with an [f] suffix: the first of
+    [%g], [%.15g], [%.16g] and [%.17g] that reads back to the same
+    bits, so every finite non-negative constant survives a render and
+    parse.  A negative constant prints with a leading ['-'], which
+    parses back as unary minus; non-finite ones do not parse back. *)
+
 val pp_exp : Format.formatter -> exp -> unit
 val pp_stmt : indent:int -> Format.formatter -> stmt -> unit
 val pp : Format.formatter -> t -> unit

@@ -6,7 +6,8 @@
    recorded value.  Codegen renders bounds in constraint-list order, so
    any change to the polyhedral core's constraint order or to an
    elimination result shows here.  A second case pins the polyhedral
-   work ([poly.*] totals) of the same compile.
+   work ([poly.*] totals) of the same compile, and a third checks that
+   the generated sources of seeds 1-20 parse and render back unchanged.
 
    On a mismatch, run the test with MEKONG_CORPUS_DUMP=FILE to write
    the hashed text, and diff it against the same dump from a checkout
@@ -89,6 +90,18 @@ let test_work () =
   let work = snd (Lazy.force compiled) in
   Alcotest.(check (list (pair string int))) "polyhedral work" expected_work work
 
+(* Every generated program at seeds 1-20 parses, and rendering what
+   was parsed gives back the source text byte for byte. *)
+let test_roundtrip () =
+  for seed = 1 to 20 do
+    List.iter
+      (fun (p : Corpus.program) ->
+         let _, prog = Cuparse.parse_cu ~name:p.Corpus.p_name p.Corpus.p_source in
+         Alcotest.(check string) (p.Corpus.p_name ^ " renders back") p.Corpus.p_source
+           (Cusrc.render prog))
+      (Corpus.generate ~seed)
+  done
+
 let () =
   Alcotest.run "corpus-digest"
     [
@@ -96,5 +109,6 @@ let () =
         [
           Alcotest.test_case "models, enumerators, verdicts" `Quick test_digest;
           Alcotest.test_case "polyhedral work totals" `Quick test_work;
+          Alcotest.test_case "seeds 1-20 render back" `Quick test_roundtrip;
         ] );
     ]

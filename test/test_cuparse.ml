@@ -102,6 +102,146 @@ let test_parse_duplicate_kernel () =
   let kernels, _ = Cuparse.parse_cu ~name:"t" (def "1.0f" ^ main) in
   Alcotest.(check int) "one definition parses" 1 (List.length kernels)
 
+(* ---------------- Lexer ---------------- *)
+
+let token_testable =
+  Alcotest.testable
+    (fun fmt -> function
+       | Cuparse.Ident s -> Format.fprintf fmt "Ident %s" s
+       | Cuparse.Int_lit n -> Format.fprintf fmt "Int %d" n
+       | Cuparse.Float_lit f -> Format.fprintf fmt "Float %h" f
+       | Cuparse.Punct p -> Format.fprintf fmt "Punct %S" p
+       | Cuparse.Eof -> Format.fprintf fmt "Eof")
+    (fun a b ->
+       match (a, b) with
+       | Cuparse.Float_lit x, Cuparse.Float_lit y ->
+         Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+       | _ -> a = b)
+
+let check_tokens src expected =
+  Alcotest.(check (list token_testable)) src expected (Cuparse.tokens src)
+
+let test_lex_punctuation () =
+  let spellings =
+    [ "<<<"; ">>>"; "<="; ">="; "=="; "!="; "&&"; "||"; "++"; "::";
+      "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "<"; ">"; "+"; "-"; "*"; "/";
+      "%"; "="; "&"; "!"; "." ]
+  in
+  check_tokens (String.concat " " spellings) (List.map (fun p -> Cuparse.Punct p) spellings)
+
+let test_lex_longest_match () =
+  let id s = Cuparse.Ident s and p s = Cuparse.Punct s in
+  check_tokens "k<<<" [ id "k"; p "<<<" ];
+  check_tokens "k>>>(" [ id "k"; p ">>>"; p "(" ];
+  check_tokens "x<=y" [ id "x"; p "<="; id "y" ];
+  check_tokens "x>=y" [ id "x"; p ">="; id "y" ];
+  check_tokens "x<-y" [ id "x"; p "<"; p "-"; id "y" ];
+  check_tokens "x<<y" [ id "x"; p "<"; p "<"; id "y" ];
+  check_tokens "x>>y" [ id "x"; p ">"; p ">"; id "y" ];
+  check_tokens "i++" [ id "i"; p "++" ];
+  check_tokens "i+++j" [ id "i"; p "++"; p "+"; id "j" ];
+  check_tokens "std::swap" [ id "std"; p "::"; id "swap" ];
+  check_tokens "a!=b" [ id "a"; p "!="; id "b" ];
+  check_tokens "!x" [ p "!"; id "x" ];
+  check_tokens "a==b=c" [ id "a"; p "=="; id "b"; p "="; id "c" ];
+  check_tokens "&a&&b||c" [ p "&"; id "a"; p "&&"; id "b"; p "||"; id "c" ];
+  check_tokens "a/b // c\n/* [n] */ d" [ id "a"; p "/"; id "b"; id "d" ]
+
+let test_lex_numbers () =
+  let fl x = Cuparse.Float_lit x in
+  check_tokens "7 0f 2.5f 1e5 1e+20f 2.5e-3f 1e-05f"
+    [ Cuparse.Int_lit 7; fl 0.0; fl 2.5; fl 1e5; fl 1e20; fl 2.5e-3; fl 1e-5 ];
+  check_tokens "1e+06f+1" [ fl 1e6; Cuparse.Punct "+"; Cuparse.Int_lit 1 ]
+
+(* A diagnostic names the line and column of the offending token. *)
+let error_of src =
+  match Cuparse.parse_cu ~name:"t" src with
+  | exception Cuparse.Error m -> m
+  | _ -> Alcotest.failf "accepted: %s" src
+
+let test_lex_rejects () =
+  checks "lone |" "unexpected character | at 2:5" (error_of "int main() {\n  a | b;\n}");
+  checks "lone :" "unexpected character : at 1:17" (error_of "int main() { std:swap(a, b); }");
+  checks "parser errors give line:column too" "expected ';', got '}' at 3:1"
+    (error_of "int main() {\n  return 0\n}")
+
+let test_malformed_literals () =
+  let in_kernel lit =
+    Printf.sprintf "__global__ void k(float *a /* [4] */) {\n  a[0] = %s;\n}\n" lit
+    ^ "int main() { return 0; }"
+  in
+  checks "two points" "malformed float literal 3.0.5 at 2:10" (error_of (in_kernel "3.0.5f"));
+  checks "empty exponent" "malformed float literal 1e+ at 2:10" (error_of (in_kernel "1e+f"));
+  checks "int overflow" "integer literal 99999999999999999999 out of range at 2:10"
+    (error_of (in_kernel "99999999999999999999"));
+  let k = parse_kernel_str (in_kernel "1e+20f") in
+  match k.Kir.body with
+  | [ Kir.Store (_, _, Kir.Fconst x) ] -> Alcotest.(check (float 0.0)) "1e+20f" 1e20 x
+  | _ -> Alcotest.fail "1e+20f did not parse as a constant"
+
+(* Float constants render with the fewest digits that read back to the
+   same bits, keeping %g's text where that already did. *)
+let test_float_literals () =
+  checks "1.0" "1f" (Kir.float_literal 1.0);
+  checks "0.125" "0.125f" (Kir.float_literal 0.125);
+  checks "1e6" "1e+06f" (Kir.float_literal 1e6);
+  checks "0.1234567" "0.1234567f" (Kir.float_literal 0.1234567);
+  checks "0.1" "0.1f" (Kir.float_literal 0.1);
+  checks "1/3" "0.3333333333333333f" (Kir.float_literal (1.0 /. 3.0));
+  checks "0.1 + 0.2" "0.30000000000000004f" (Kir.float_literal (0.1 +. 0.2))
+
+(* Any finite non-negative constant, in a kernel body and as a launch
+   argument, survives render then parse bit for bit. *)
+let gen_const =
+  let open QCheck.Gen in
+  let finite x = if Float.is_finite x then x else 0.5 in
+  oneof
+    [
+      return 0.0;
+      map (fun b -> finite (Int64.float_of_bits (Int64.logand b Int64.max_int))) ui64;
+      float_bound_inclusive 1000.0;
+      map2 (fun m e -> float_of_int m *. (10.0 ** float_of_int (-e))) (int_bound 1_000_000) (int_bound 12);
+      map (fun m -> float_of_int m *. 1e6) (int_bound 1000);
+    ]
+
+let prop_float_roundtrip =
+  QCheck.Test.make ~name:"float constants round-trip" ~count:300
+    (QCheck.make ~print:(fun l -> String.concat " " (List.map (Printf.sprintf "%h") l))
+       (QCheck.Gen.list_repeat 5 gen_const))
+    (fun cs ->
+       let c = Array.of_list cs in
+       let kernel =
+         Kir.kernel ~name:"k"
+           ~params:[ Kir.Array { name = "a"; dims = [| Kir.Dim_const 4 |] }; Kir.Fscalar "s"; Kir.Fscalar "t" ]
+           [
+             Kir.Local ("x", Kir.Fconst c.(0));
+             Kir.Store
+               ( "a", [ Kir.Iconst 0 ],
+                 Kir.Binop (Kir.Add, Kir.Var "x", Kir.Binop (Kir.Mul, Kir.Param "s", Kir.Fconst c.(1))) );
+             Kir.If (Kir.Binop (Kir.Lt, Kir.Param "t", Kir.Fconst c.(2)), [ Kir.Assign ("x", Kir.Param "t") ], []);
+           ]
+       in
+       let launch =
+         Host_ir.Launch
+           { kernel; grid = Dim3.one; block = Dim3.make 4;
+             args = [ Host_ir.HBuf "a"; Host_ir.HFloat c.(3); Host_ir.HFloat c.(4) ] }
+       in
+       let prog = Host_ir.program ~name:"t" [ Host_ir.Malloc ("a", 4); launch; Host_ir.Free "a" ] in
+       let bits_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+       let harg_eq a b =
+         match (a, b) with
+         | Host_ir.HFloat x, Host_ir.HFloat y -> bits_eq x y
+         | _ -> a = b
+       in
+       match Cuparse.parse_cu ~name:"t" (Cusrc.render prog) with
+       | ( [ k ],
+           { Host_ir.body =
+               [ Host_ir.Malloc ("a", 4); Host_ir.Launch { kernel = k'; args; _ }; Host_ir.Free "a" ];
+             _ } ) ->
+         Kir.equal kernel k && Kir.equal kernel k'
+         && List.equal harg_eq [ Host_ir.HBuf "a"; Host_ir.HFloat c.(3); Host_ir.HFloat c.(4) ] args
+       | _ -> false)
+
 (* ---------------- Round-trips over the bundled apps ---------------- *)
 
 (* Host programs compare up to host-array data (the text carries only
@@ -185,8 +325,20 @@ let () =
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "duplicate kernel" `Quick test_parse_duplicate_kernel;
         ] );
+      ( "lexer",
+        [
+          Alcotest.test_case "every punctuation spelling" `Quick test_lex_punctuation;
+          Alcotest.test_case "longest match" `Quick test_lex_longest_match;
+          Alcotest.test_case "numeric literals" `Quick test_lex_numbers;
+          Alcotest.test_case "lone | and :" `Quick test_lex_rejects;
+          Alcotest.test_case "malformed literals" `Quick test_malformed_literals;
+        ] );
       ( "roundtrip",
-        [ Alcotest.test_case "all bundled apps" `Quick test_roundtrip_all_apps ] );
+        [
+          Alcotest.test_case "all bundled apps" `Quick test_roundtrip_all_apps;
+          Alcotest.test_case "float literals" `Quick test_float_literals;
+          QCheck_alcotest.to_alcotest prop_float_roundtrip;
+        ] );
       ( "pipeline",
         [ Alcotest.test_case "compile from text" `Quick test_compile_from_text ] );
     ]
