@@ -70,12 +70,6 @@ type t = {
   strategy : Dim3.axis;  (** suggested partitioning axis (§4.1) *)
 }
 
-val write_injective :
-  Kir.t -> Pmap.t -> assume:((int * string) list * int) list -> bool
-(** Block-level injectivity of a write map, with the sound blockOff /
-    blockIdx consistency relaxation described in the implementation.
-    [assume] lists parameter constraints [sum terms + const >= 0]. *)
-
 type violation = { vi_space : Space.t; vi_poly : Poly.t }
 (** A satisfiable cross-block conflict over the doubled space
     [params; dims(dom)$1 ++ dims(dom)$2 ++ dims(ran)]: integer points
@@ -104,11 +98,12 @@ val cross_block_disjoint :
 (** [cross_block_disjoint m1 m2]: can no two {e distinct} blocks b1,
     b2 of the same launch have [m1(b1)] and [m2(b2)] overlap?  Both
     maps must range over the same array of the same kernel.  With
-    [m1 = m2] = a write map this is {!write_injective}; with
+    [m1 = m2] = a write map this is the injectivity check {!analyze}
+    applies to writes; with
     [m1] = write and [m2] = read it is the cross-block
     read-after-write hazard check gating domain-parallel execution.
-    Axes unused by [m1] follow the degenerate-grid convention of
-    {!write_injective}. *)
+    Axes unused by [m1] follow the degenerate-grid convention of that
+    check. *)
 
 val default_assume : Kir.t -> ((int * string) list * int) list
 (** The context constraints {!analyze} adds automatically: every

@@ -115,5 +115,4 @@ val signature : cfg:Gpusim.Config.t -> live:int list -> iters:int -> string
     chosen under one regime are never replayed under another. *)
 
 val pp_candidate : Format.formatter -> candidate -> unit
-val candidate_json : candidate -> string
 val choice_json : choice -> string

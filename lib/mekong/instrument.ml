@@ -33,7 +33,7 @@ let shadow_kernel (k : Kir.t) : Kir.t =
     | Kir.For { var; from_; to_; body } ->
       Kir.For { var; from_; to_; body = List.map strip body }
   in
-  Kopt.optimize
+  Kopt.optimize_shadow
     { k with Kir.name = k.Kir.name ^ "__shadow";
              Kir.body = List.map strip k.Kir.body }
 

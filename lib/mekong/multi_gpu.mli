@@ -20,10 +20,6 @@ type exe = {
 (** The "linked binary": host program plus, per kernel, the partitioned
     clone and the generated enumerators. *)
 
-val compile_kernel :
-  ?rectangles:bool -> ?force_strategy:Dim3.axis -> Model.t -> Kir.t ->
-  compiled_kernel
-
 val link :
   ?rectangles:bool -> ?force_strategy:Dim3.axis -> model:Model.t ->
   Host_ir.t -> exe

@@ -3,14 +3,8 @@
     virtual-buffer replacements (§8.4), and replaces kernel launches
     with the runtime dispatch performing the Fig. 4 sequence. *)
 
-val api_replacements : (string * string) list
-
 val rewrite : string -> string
 (** All three substitution kinds, in order. *)
-
-val rewrite_launches : string -> string
-val rewrite_api : string -> string
-val insert_prologue : string -> string
 
 val count_launches : string -> int
 (** Number of [<<<...>>>] launch sites in a source. *)

@@ -508,12 +508,6 @@ type dynamic_conflict = {
   dc_thread2 : Dim3.t;
 }
 
-let pp_dynamic_conflict ppf dc =
-  Format.fprintf ppf "%s[+%d]: block %a thread %a %ss vs block %a thread %a %ss"
-    dc.dc_arr dc.dc_off pp_dim3 dc.dc_block1 pp_dim3 dc.dc_thread1
-    (kind_name dc.dc_kind1) pp_dim3 dc.dc_block2 pp_dim3 dc.dc_thread2
-    (kind_name dc.dc_kind2)
-
 let conflicting k1 k2 =
   match (k1, k2) with
   | `Load, `Load -> false

@@ -40,9 +40,7 @@ type verdict =
 val verdict_name : verdict -> string
 (** ["safe" | "reducible" | "racy" | "unknown"]. *)
 
-val pp_witness : Format.formatter -> witness -> unit
 val witness_to_string : witness -> string
-val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_to_string : verdict -> string
 
 val classify :
@@ -78,8 +76,6 @@ type dynamic_conflict = {
   dc_block2 : Dim3.t;
   dc_thread2 : Dim3.t;
 }
-
-val pp_dynamic_conflict : Format.formatter -> dynamic_conflict -> unit
 
 val sanitize :
   Kir.t ->

@@ -127,6 +127,9 @@ let lex_number lx n =
     match float_of_string_opt text with
     | Some f -> lx.tok <- Float_lit f
     | None -> fail_at lx "malformed float literal %s" text
+  else if String.length text > 1 && text.[0] = '0' then
+    (* C reads a leading zero as octal; the toy syntax has no octal. *)
+    fail_at lx "integer literal %s has a leading zero" text
   else
     match int_of_string_opt text with
     | Some i -> lx.tok <- Int_lit i
@@ -373,19 +376,23 @@ and parse_primary lx ctx =
         Kir.Unop (Kir.Abs, a))
   | Ident name ->
     advance lx;
-    if List.mem name ctx.arrays then begin
-      let idx = ref [] in
-      while accept_punct lx "[" do
-        idx := parse_expr lx ctx :: !idx;
-        expect_punct lx "]"
-      done;
-      if !idx = [] then fail "array %s used without subscript" name
-      else Kir.Load (name, List.rev !idx)
-    end
+    (* Names resolve in [Kir.check], which the kernel passes next. *)
+    if peek lx = Punct "[" then Kir.Load (name, parse_subscripts lx ctx)
+    else if List.mem name ctx.arrays then fail_at lx "array %s used without subscript" name
     else if List.mem name ctx.scalars then Kir.Param name
     else Kir.Var name
   | Punct p -> fail_at lx "unexpected '%s' in expression" p
   | Eof -> fail_at lx "unexpected end of input in expression"
+
+(* [e]...[e], one or more. *)
+and parse_subscripts lx ctx =
+  let idx = ref [] in
+  while accept_punct lx "[" do
+    idx := parse_expr lx ctx :: !idx;
+    expect_punct lx "]"
+  done;
+  if !idx = [] then fail_at lx "expected '['";
+  List.rev !idx
 
 (* --- Kernel statements -------------------------------------------------- *)
 
@@ -459,32 +466,21 @@ and parse_stmt lx ctx : Kir.stmt =
     expect_punct lx "(";
     expect_punct lx "&";
     let name = take_ident lx in
-    if not (List.mem name ctx.arrays) then
-      fail "%s of non-array %s" fn name;
-    let idx = ref [] in
-    while accept_punct lx "[" do
-      idx := parse_expr lx ctx :: !idx;
-      expect_punct lx "]"
-    done;
-    if !idx = [] then fail "%s of %s without subscript" fn name;
+    let idx = parse_subscripts lx ctx in
     expect_punct lx ",";
     let e = parse_expr lx ctx in
     expect_punct lx ")";
     expect_punct lx ";";
-    Kir.Atomic (op, name, List.rev !idx, e)
+    Kir.Atomic (op, name, idx, e)
   | Ident name ->
     advance lx;
-    if List.mem name ctx.arrays then begin
+    if peek lx = Punct "[" then begin
       (* store: name[e]... = e; *)
-      let idx = ref [] in
-      while accept_punct lx "[" do
-        idx := parse_expr lx ctx :: !idx;
-        expect_punct lx "]"
-      done;
+      let idx = parse_subscripts lx ctx in
       expect_punct lx "=";
       let e = parse_expr lx ctx in
       expect_punct lx ";";
-      Kir.Store (name, List.rev !idx, e)
+      Kir.Store (name, idx, e)
     end
     else begin
       expect_punct lx "=";
@@ -709,19 +705,22 @@ let rec parse_host_stmts lx ~kernels ~buffers acc =
         let block = parse_launch_dim lx in
         expect_punct lx ">>>";
         expect_punct lx "(";
-        let args = ref [] in
+        let args = ref [] and params = ref kernel.Kir.params in
         let rec one () =
-          (match peek lx with
-           | Int_lit n ->
+          (match (peek lx, !params) with
+           | Int_lit n, _ ->
              advance lx;
              args := Host_ir.HInt n :: !args
-           | Float_lit f ->
+           | Float_lit f, Kir.Scalar p :: _ ->
+             fail_at lx "float argument %g bound to int parameter %s" f p
+           | Float_lit f, _ ->
              advance lx;
              args := Host_ir.HFloat f :: !args
-           | Ident b ->
+           | Ident b, _ ->
              advance lx;
              args := Host_ir.HBuf b :: !args
            | _ -> fail_at lx "bad launch argument");
+          params := (match !params with _ :: rest -> rest | [] -> []);
           if accept_punct lx "," then one () else expect_punct lx ")"
         in
         if not (accept_punct lx ")") then one ();
@@ -741,9 +740,13 @@ let parse_cu ~name src =
     match peek lx with
     | Eof -> fail "no main() found"
     | Ident "__global__" ->
+      let start = lx.tok_start in
       let k = parse_kernel lx in
       if List.exists (fun k' -> String.equal k'.Kir.name k.Kir.name) !kernels then
         fail "kernel %s is defined twice" k.Kir.name;
+      (match Kir.check k with
+       | Ok () -> ()
+       | Error m -> fail_pos lx start "kernel %s: %s" k.Kir.name m);
       kernels := k :: !kernels;
       toplevel ()
     | Ident "int" ->

@@ -23,5 +23,7 @@ val tokens : string -> token list
 
 val parse_cu : name:string -> string -> Kir.t list * Host_ir.t
 (** Parse a full translation unit: kernels, then [main()].  Raises
-    {!Error} with a description on malformed input, a second
-    [__global__] definition of one name included. *)
+    {!Error} with a description on malformed input: a second
+    [__global__] definition of one name, an integer literal with a
+    leading zero, a float launch argument for an [int] parameter, and
+    a kernel that fails {!Kir.check} (at its [__global__]) included. *)

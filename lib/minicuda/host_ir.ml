@@ -46,6 +46,11 @@ let scalar_args args =
       | HBuf _ -> None)
     args
 
+(* An int parameter takes no float: the analysis and the cost model
+   would truncate it, the kernel would not. *)
+let float_for_int n v =
+  invalid_arg (Printf.sprintf "Host_ir: float argument %g bound to int parameter %s" v n)
+
 (* Pair each array parameter of the kernel with the buffer name bound
    to it at this launch. *)
 let array_bindings kernel args =
@@ -55,6 +60,7 @@ let array_bindings kernel args =
     | Kir.Array { name; _ } :: ps, HBuf b :: as_ -> go ps as_ ((name, b) :: acc)
     | Kir.Array _ :: _, _ ->
       invalid_arg "Host_ir: array parameter not bound to a buffer"
+    | Kir.Scalar n :: _, HFloat v :: _ -> float_for_int n v
     | (Kir.Scalar _ | Kir.Fscalar _) :: ps, (HInt _ | HFloat _) :: as_ ->
       go ps as_ acc
     | (Kir.Scalar _ | Kir.Fscalar _) :: _, _ ->
@@ -70,7 +76,7 @@ let scalar_bindings kernel args =
     match (params, args) with
     | [], [] -> List.rev acc
     | Kir.Scalar n :: ps, HInt v :: as_ -> go ps as_ ((n, v) :: acc)
-    | Kir.Scalar n :: ps, HFloat v :: as_ -> go ps as_ ((n, int_of_float v) :: acc)
+    | Kir.Scalar n :: _, HFloat v :: _ -> float_for_int n v
     | Kir.Fscalar _ :: ps, (HInt _ | HFloat _) :: as_ -> go ps as_ acc
     | Kir.Array _ :: ps, HBuf _ :: as_ -> go ps as_ acc
     | _ -> invalid_arg "Host_ir: argument count mismatch"
@@ -79,7 +85,8 @@ let scalar_bindings kernel args =
 
 (* Static checks: buffers are allocated before use, freed at most once,
    never allocated twice (across iterations of a Repeat too), launch
-   arguments match kernel signatures.  Raises
+   arguments match kernel signatures, each kernel passes [Kir.check]
+   (once per name).  Raises
    [Invalid_argument] describing the first problem found. *)
 let validate t =
   let live = Hashtbl.create 16 in
@@ -113,7 +120,13 @@ let validate t =
            (Printf.sprintf "Host_ir.validate(%s): two different kernels named %s" t.name
               kernel.Kir.name)
        | Some _ -> ()
-       | None -> Hashtbl.add named kernel.Kir.name kernel);
+       | None ->
+         (match Kir.check kernel with
+          | Ok () -> ()
+          | Error m ->
+            invalid_arg
+              (Printf.sprintf "Host_ir.validate(%s): kernel %s: %s" t.name kernel.Kir.name m));
+         Hashtbl.add named kernel.Kir.name kernel);
       (* arity/type check *)
       ignore (array_bindings kernel args);
       List.iter (fun (_, b) -> need b "launch") (array_bindings kernel args)

@@ -36,14 +36,17 @@ val array_bindings : Kir.t -> harg list -> (string * string) list
 (** Pair each array parameter with the buffer name bound to it. *)
 
 val scalar_bindings : Kir.t -> harg list -> (string * int) list
-(** Integer scalar bindings (name, value) for analysis and costing. *)
+(** Integer scalar bindings (name, value) for analysis and costing.
+    Raises [Invalid_argument], as {!array_bindings} does, on an
+    [HFloat] bound to an int [Scalar]. *)
 
 val validate : t -> unit
 (** Static checks: buffers allocated before use, freed at most once,
     never allocated twice (across the iterations of a [Repeat] too),
-    launch arguments matching kernel signatures, one kernel per name
-    ({!Kir.equal}).  Raises
-    [Invalid_argument] on the first problem. *)
+    launch arguments matching kernel signatures (no [HFloat] for an
+    int [Scalar]), one kernel per name ({!Kir.equal}), each kernel
+    passing {!Kir.check}.  Raises [Invalid_argument] with a one-line
+    message on the first problem. *)
 
 val kernels : t -> Kir.t list
 (** All kernels launched by the program, deduplicated by name. *)

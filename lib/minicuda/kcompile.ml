@@ -1,6 +1,6 @@
 (* Launch-time compilation of kernel IR to lane-sweep register code.
 
-   [Keval] interprets the tree per thread: boxed [value]s, per-thread
+   [Keval] walks the tree per thread: boxed [value]s, per-thread
    [Hashtbl] locals, [List]-based subscript linearization.  Here we
    partially evaluate a kernel against everything known at launch
    time — grid and block dimensions, scalar arguments, resolved array
@@ -56,7 +56,7 @@
    slot at launch by the physical identity of the access records'
    arrays.  Then no lane reads what another lane of its block writes,
    and the deferred, thread-ordered flush is observably the
-   interpreter's sequential thread order.  Every other launch runs the
+   sequential thread order of [Keval].  Every other launch runs the
    same steps in the same environment thread by thread, thread [l] as
    the one-lane sweep [l, l+1), with stores written directly: exactly
    the sequential order.  If any lane raises, or the block's log
@@ -80,11 +80,11 @@
    bounds check before its value.  Thread by thread that keeps every
    diagnostic identical, not just every result.
 
-   The IR is dynamically typed and the static pass is deliberately
-   simple, so anything it cannot type (a local rebound at a different
-   type, a use the analysis cannot prove bound, booleans in numeric
-   position) falls back to the interpreter via [Error]: [Keval] stays
-   the semantics oracle and the fallback is always bit-identical.
+   Every kernel compiled here has passed {!Kir.check}: each local is
+   bound before its use on every path and keeps one type, and no bool
+   is a number and no float a condition.  So each value has one static
+   type, the one [Keval]'s promotions give it, and every kernel
+   compiles; [Keval] stays the semantics oracle.
 
    Parallel execution: [run] can split the grid's blocks over a
    {!Gpu_runtime.Dpool}.  Each participating domain gets one
@@ -103,8 +103,8 @@
    partition a private accumulation buffer instead).
 
    Engines do not call [compile] and [run] themselves: [launch] is the
-   one entry that caches compiled kernels, falls back to [Keval], picks
-   the pool and counts the launch. *)
+   one entry that caches compiled kernels, picks the pool and counts
+   the launch. *)
 
 type access = {
   loads : float array;
@@ -145,7 +145,7 @@ let[@inline] ig env r = env.ir.!(r)
 let[@inline] fg env r = env.fr.!(r)
 
 (* Type-specialized min/max, spelled exactly like the Stdlib
-   polymorphic versions the interpreter uses so ties (e.g.
+   polymorphic versions [Keval] uses so ties (e.g.
    [max 0.0 (-0.0)]) and NaNs resolve to the same bit patterns. *)
 let[@inline] imin (x : int) y = if x <= y then x else y
 let[@inline] imax (x : int) y = if x >= y then x else y
@@ -329,7 +329,7 @@ let affine_step ~arr co ~(block : Dim3.t) ~ct ~slot d : step =
 
 (* --- Stores, atomics and the block log ---------------------------------- *)
 
-(* One write as the interpreter performs it: the atomic's load of the
+(* One write as [Keval] performs it: the atomic's load of the
    old element (bounds-checked) before the store. *)
 let[@inline] apply env code o x =
   let s = code lsr 2 in
@@ -470,16 +470,7 @@ let put_step code o mo v mv : step =
 
 (* --- Compilation ------------------------------------------------------- *)
 
-(* Raised during compilation when the kernel leaves the statically
-   typable fragment; surfaces as [Error reason] and the caller runs
-   the interpreter instead. *)
-exception Fallback of string
-
-let fallback fmt = Printf.ksprintf (fun m -> raise (Fallback m)) fmt
-
 type vtype = TInt | TFloat | TBool
-
-let vtype_name = function TInt -> "int" | TFloat -> "float" | TBool -> "bool"
 
 (* A compiled expression's value: a launch-time constant or a register
    (booleans live in int registers as 0/1). *)
@@ -858,9 +849,8 @@ let out_f c ~uni = function
 
 (* --- Typed compilation --------------------------------------------------- *)
 
-(* Coercions mirror Keval.as_int/as_float/as_bool.  Boolean operands
-   in numeric position raise in the interpreter, so they leave the
-   compiled fragment. *)
+(* Coercions mirror Keval.as_int/as_float/as_bool.  The [assert
+   false] cases are the ones {!Kir.check} rejects. *)
 
 let as_i c = function
   | (Ki _ | Ri _) as v -> v
@@ -875,7 +865,7 @@ let as_i c = function
     let d = fresh_i ~uni:(uni_f c r) c in
     emit_i c d (Ksteps.to_int_step d r);
     Ri d
-  | Rb _ | Kb _ -> fallback "boolean used as integer"
+  | Rb _ | Kb _ -> assert false (* a bool is never a number *)
 
 let as_f c = function
   | (Kf _ | Rf _) as v -> v
@@ -884,12 +874,12 @@ let as_f c = function
     let d = fresh_f ~uni:(uni_i c r) c in
     emit_f c d (Ksteps.to_float_step d r);
     Rf d
-  | Rb _ | Kb _ -> fallback "boolean used as float"
+  | Rb _ | Kb _ -> assert false (* a bool is never a number *)
 
 let as_b = function
   | (Kb _ | Ri _ | Rb _) as v -> v
   | Ki k -> Kb (k <> 0)
-  | Kf _ | Rf _ -> fallback "float used as condition"
+  | Kf _ | Rf _ -> assert false (* a float is never a condition *)
 
 let rec ireg c v = match v with Ki k -> const_i c k | Ri r -> r | _ -> ireg c (as_i c v)
 let rec freg c v = match v with Kf x -> const_f c x | Rf r -> r | _ -> freg c (as_f c v)
@@ -898,7 +888,7 @@ let rec freg c v = match v with Kf x -> const_f c x | Rf r -> r | _ -> freg c (a
 let breg c = function
   | Kb b -> const_i c (Bool.to_int b)
   | Ri r | Rb r -> r
-  | _ -> fallback "float used as condition"
+  | Ki _ | Kf _ | Rf _ -> assert false (* applied to [as_b] results *)
 
 (* A subscript operand [ir.(r) + k]. *)
 let isub c v = match as_i c v with Ki k -> (const_i c 0, k) | v -> (ireg c v, 0)
@@ -960,7 +950,7 @@ let compare_op c ~int op a b =
   Rb d
 
 (* Finish a binary operator whose operands are compiled (right one
-   first); coercions run after both operands, as in the interpreter. *)
+   first); coercions run after both operands, as in [Keval]. *)
 let binop c dst op vx vy =
   match op with
   | Kir.Add | Kir.Sub | Kir.Mul | Kir.Minb | Kir.Maxb -> arith c dst op vx vy
@@ -1006,7 +996,7 @@ let unop c dst op v =
     let d = out_i c ~uni:(uni_i c a) dst in
     emit_i c d (Ksteps.int_unop_step op d a);
     Ri d
-  | Kir.Neg, (Rb _ | Kb _) -> fallback "negating a boolean"
+  | Kir.Neg, (Rb _ | Kb _) -> assert false (* a bool is never a number *)
   | Kir.Not, _ -> (
       match as_b v with
       | Kb b -> Kb (not b)
@@ -1016,11 +1006,6 @@ let unop c dst op v =
         emit_i c d (Ksteps.not_step d a);
         Rb d)
   | _ -> float_unop c dst op v
-
-let array_slot c a =
-  match Hashtbl.find_opt c.arr_slots a with
-  | Some x -> x
-  | None -> fallback "unknown array %s" a
 
 let lane_subs c subs = Array.map (fun (r, k) -> (r, mask_i c r, k)) subs
 let uniform_subs c subs = Array.for_all (fun (r, _) -> uni_i c r) subs
@@ -1076,7 +1061,7 @@ let affine_access c dims idx (subs : (int * int) array) =
     Some (co, ct, !formed)
   end
 
-let rec compile_exp c bound ?dst (e : Kir.exp) : value =
+let rec compile_exp c ?dst (e : Kir.exp) : value =
   match e with
   | Kir.Iconst n -> Ki n
   | Kir.Fconst x -> Kf x
@@ -1091,19 +1076,20 @@ let rec compile_exp c bound ?dst (e : Kir.exp) : value =
       | Kir.Block_dim a -> Ki (Dim3.get c.cblock a)
       | Kir.Grid_dim a -> Ki (Dim3.get c.cgrid a))
   | Kir.Param n -> (
-      match Hashtbl.find_opt c.scalars n with
-      | Some (Keval.VInt v) -> Ki v
-      | Some (Keval.VFloat x) -> Kf x
-      | Some (Keval.VBool _) | None -> fallback "unbound parameter %s" n)
+      (* [Keval.bind_scalars] binds a [Scalar] to an int and an
+         [Fscalar] to a float; {!Kir.check} admits declared names only. *)
+      match Hashtbl.find c.scalars n with
+      | Keval.VInt v -> Ki v
+      | Keval.VFloat x -> Kf x
+      | Keval.VBool _ -> assert false)
   | Kir.Var n -> (
-      if not (S.mem n bound) then fallback "possibly-unbound local %s" n;
-      match Hashtbl.find_opt c.slots n with
-      | Some (TInt, s) -> Ri s
-      | Some (TBool, s) -> Rb s
-      | Some (TFloat, s) -> Rf s
-      | None -> fallback "possibly-unbound local %s" n)
+      (* Bound on every path, so a binding made its slot already. *)
+      match Hashtbl.find c.slots n with
+      | TInt, s -> Ri s
+      | TBool, s -> Rb s
+      | TFloat, s -> Rf s)
   | Kir.Load (a, idx) -> (
-      match reference c bound a idx with
+      match reference c a idx with
       | `Arity raise_arity ->
         emit c raise_arity;
         Rf (out_f c ~uni:true dst)
@@ -1118,25 +1104,25 @@ let rec compile_exp c bound ?dst (e : Kir.exp) : value =
         let d = out_f c ~uni:false dst in
         emit c (affine_step ~arr:a co ~block:c.cblock ~ct ~slot:s d);
         Rf d)
-  | Kir.Unop (op, x) -> unop c dst op (compile_exp c bound x)
+  | Kir.Unop (op, x) -> unop c dst op (compile_exp c x)
   | Kir.Binop (((Kir.Add | Kir.Sub) as op), x, Kir.Binop (Kir.Mul, y, z)) ->
-    (* [x ± y*z]: the interpreter evaluates z, y, then x. *)
-    let vz = compile_exp c bound z in
-    let vy = compile_exp c bound y in
+    (* [x ± y*z]: [Keval] evaluates z, y, then x. *)
+    let vz = compile_exp c z in
+    let vy = compile_exp c y in
     if is_int vy && is_int vz then begin
       let vm = arith c None Kir.Mul vy vz in
-      let vx = compile_exp c bound x in
+      let vx = compile_exp c x in
       binop c dst op vx vm
     end
     else begin
       match (as_f c vy, as_f c vz) with
       | Kf a, Kf b ->
-        let vx = compile_exp c bound x in
+        let vx = compile_exp c x in
         binop c dst op vx (Kf (a *. b))
       | fy, fz ->
         let y = freg c fy in
         let z = freg c fz in
-        let x = freg c (compile_exp c bound x) in
+        let x = freg c (compile_exp c x) in
         let ux = uni_f c x and uy = uni_f c y and uz = uni_f c z in
         if ux = (uy && uz) then begin
           let d = out_f c ~uni:ux dst in
@@ -1150,22 +1136,22 @@ let rec compile_exp c bound ?dst (e : Kir.exp) : value =
           float_op c dst op x (freg c (float_op c None Kir.Mul y z))
     end
   | Kir.Binop (op, x, y) ->
-    let vy = compile_exp c bound y in
-    let vx = compile_exp c bound x in
+    let vy = compile_exp c y in
+    let vx = compile_exp c x in
     binop c dst op vx vy
 
 (* A subscript, folding [e ± const] into the offset arithmetic. *)
-and subscript c bound (e : Kir.exp) : int * int =
+and subscript c (e : Kir.exp) : int * int =
   match e with
   | Kir.Binop (((Kir.Add | Kir.Sub) as op), x, y) -> (
-      let vy = compile_exp c bound y in
-      let vx = compile_exp c bound x in
+      let vy = compile_exp c y in
+      let vx = compile_exp c x in
       match (op, vx, vy) with
       | Kir.Add, Ri r, Ki k -> (r, k)
       | Kir.Sub, Ri r, Ki k -> (r, -k)
       | Kir.Add, Ki k, Ri r -> (r, k)
       | _ -> isub c (binop c None op vx vy))
-  | _ -> isub c (compile_exp c bound e)
+  | _ -> isub c (compile_exp c e)
 
 (* An array reference: its slot and its extents and [reg + k]
    subscripts (evaluated left to right, each coerced as it is
@@ -1173,10 +1159,10 @@ and subscript c bound (e : Kir.exp) : int * int =
    diagnostic.  When every subscript of an affine access comes from a
    form, their steps are ring operations on temporaries, which cannot
    raise and which the access no longer reads: they are dropped. *)
-and reference c bound a idx =
-  let s, dims = array_slot c a in
+and reference c a idx =
+  let s, dims = Hashtbl.find c.arr_slots a in
   let before = c.code in
-  let subs = Array.of_list (List.map (subscript c bound) idx) in
+  let subs = Array.of_list (List.map (subscript c) idx) in
   let rank = Array.length dims and got = Array.length subs in
   if got <> rank then `Arity (fun _ _ _ -> Keval.arity_error ~arr:a ~expected:rank ~got)
   else
@@ -1189,9 +1175,7 @@ and reference c bound a idx =
 let slot_for c name ty =
   match Hashtbl.find_opt c.slots name with
   | Some (ty', s) ->
-    if ty' <> ty then
-      fallback "local %s rebound at type %s (was %s)" name (vtype_name ty)
-        (vtype_name ty');
+    assert (ty' = ty) (* a local keeps one type *);
     s
   | None ->
     let uni = not (S.mem name c.varying) in
@@ -1213,7 +1197,7 @@ let bind c name v ~mark_i ~mark_f =
   | _ -> (
       let s = slot_for c name (vtype_of v) in
       (* [varying_locals] and the registers agree by construction. *)
-      if uni && not (uni_v c v) then fallback "varying value bound to uniform local %s" name;
+      assert ((not uni) || uni_v c v);
       match v with
       | Ki k -> emit_i c s (Ksteps.set_i_step s k)
       | Kb b -> emit_i c s (Ksteps.set_i_step s (Bool.to_int b))
@@ -1284,7 +1268,7 @@ let if_folded g rows cond scan th el : step =
   end
 
 (* Loop a uniform counter [s] over [l, h) around the body, restoring the
-   counter afterwards (the interpreter unbinds or restores it on exit).
+   counter afterwards ([Keval] unbinds or restores it on exit).
    Bodies of up to three steps run inline, without a sequencer. *)
 let for_uniform s from_ to_ steps : step =
   match steps with
@@ -1350,8 +1334,8 @@ let for_lanes s from_ mf to_ mt ~iv ~hb ~sv body : step =
   for l = lo to hi - 1 do c.!(l) <- sv.!(l) done
 
 (* The checked offset of a store or atomic, then its value, then the
-   write: the interpreter's order. *)
-let put c bound ~arr reference code e =
+   write: [Keval]'s order. *)
+let put c ~arr reference code e =
   let slot, o =
     match reference with
     | `Ok (slot, dims, subs) ->
@@ -1363,26 +1347,22 @@ let put c bound ~arr reference code e =
       emit c (affine_step ~arr co ~block:c.cblock ~ct ~slot:(-1) o);
       (slot, o)
   in
-  let v = freg c (compile_exp c bound e) in
+  let v = freg c (compile_exp c e) in
   c.stored <- slot :: c.stored;
   if code land 3 <> 0 then c.atomic <- slot :: c.atomic;
   emit c (put_step ((slot * 4) + code) o (mask_i c o) v (mask_f c v))
 
-(* Statement compilation threads the set of locals provably bound at
-   that program point (per thread, since every thread runs the whole
-   body): a straight-line [Local]/[Assign] binds, an [If] binds the
-   intersection of its branches, a [For] binds its counter only inside
-   the body (the interpreter unbinds a previously-unbound counter on
-   exit).  Registers persist across threads and blocks where the
-   interpreter's hashtable is fresh, but a use never precedes a bind in
-   the same thread, so stale register values are unobservable. *)
-let rec compile_stmt c bound (s : Kir.stmt) : S.t =
+(* Registers persist across threads and blocks where [Keval]'s
+   hashtable is fresh, but {!Kir.check} puts a binding before every use
+   on every path of one thread, so stale register values are
+   unobservable. *)
+let rec compile_stmt c (s : Kir.stmt) =
   match s with
   | Kir.Store (a, idx, e) | Kir.Atomic (_, a, idx, e) ->
-    (match reference c bound a idx with
+    (match reference c a idx with
      | `Arity raise_arity ->
        emit c raise_arity;
-       ignore (in_block c (fun () -> freg c (compile_exp c bound e)))
+       ignore (in_block c (fun () -> freg c (compile_exp c e)))
      | (`Ok _ | `Affine _) as r ->
        let code =
          match s with
@@ -1391,17 +1371,15 @@ let rec compile_stmt c bound (s : Kir.stmt) : S.t =
          | Kir.Atomic (Kir.AMax, _, _, _) -> 3
          | _ -> 0
        in
-       put c bound ~arr:a r code e);
-    bound
+       put c ~arr:a r code e)
   | Kir.Local (n, e) | Kir.Assign (n, e) ->
     let mark_i = c.n_i and mark_f = c.n_f in
-    let v = compile_exp c bound ?dst:(Hashtbl.find_opt c.slots n) e in
-    bind c n v ~mark_i ~mark_f;
-    S.add n bound
+    let v = compile_exp c ?dst:(Hashtbl.find_opt c.slots n) e in
+    bind c n v ~mark_i ~mark_f
   | Kir.If (cexp, ts, es) ->
-    let test, csteps = in_block c (fun () -> as_b (compile_exp c bound cexp)) in
-    let bt, tsteps = in_block c (fun () -> compile_seq c bound ts) in
-    let be, esteps = in_block c (fun () -> compile_seq c bound es) in
+    let test, csteps = in_block c (fun () -> as_b (compile_exp c cexp)) in
+    let (), tsteps = in_block c (fun () -> compile_seq c ts) in
+    let (), esteps = in_block c (fun () -> compile_seq c es) in
     (match test with
      | Kb b -> List.iter (emit c) (csteps @ if b then tsteps else esteps)
      | _ when tsteps = [] && esteps = [] -> List.iter (emit c) csteps
@@ -1413,15 +1391,15 @@ let rec compile_stmt c bound (s : Kir.stmt) : S.t =
            let g = c.n_guards in
            c.n_guards <- g + 1;
            emit c (if_folded g rows (seq csteps) scan th el)
-         | None -> List.iter (emit c) (csteps @ [ scan ])));
-    S.union bound (S.inter bt be)
+         | None -> List.iter (emit c) (csteps @ [ scan ])))
   | Kir.For { var; from_; to_; body } ->
-    let lo = ireg c (compile_exp c bound from_) in
-    let hi = ireg c (compile_exp c bound to_) in
+    let lo = ireg c (compile_exp c from_) in
+    let hi = ireg c (compile_exp c to_) in
     let s = slot_for c var TInt in
-    let _, steps = in_block c (fun () -> compile_seq c (S.add var bound) body) in
+    let (), steps = in_block c (fun () -> compile_seq c body) in
     if uni_i c s then begin
-      if not (uni_i c lo && uni_i c hi) then fallback "varying bounds for uniform counter %s" var;
+      (* [varying_locals] and the registers agree by construction. *)
+      assert (uni_i c lo && uni_i c hi);
       emit c (for_uniform s lo hi steps)
     end
     else begin
@@ -1429,11 +1407,10 @@ let rec compile_stmt c bound (s : Kir.stmt) : S.t =
       let hb = fresh_buf c in
       let sv = fresh_buf c in
       emit c (for_lanes s lo (mask_i c lo) hi (mask_i c hi) ~iv ~hb ~sv (seq steps))
-    end;
-    bound
-  | Kir.Syncthreads -> bound
+    end
+  | Kir.Syncthreads -> ()
 
-and compile_seq c bound stmts = List.fold_left (compile_stmt c) bound stmts
+and compile_seq c stmts = List.iter (compile_stmt c) stmts
 
 let rec mentions x (e : Kir.exp) =
   match e with
@@ -1465,7 +1442,7 @@ let slot_set l = Array.of_list (List.sort_uniq compare l)
 
 let compile kernel ~grid ~block ~args =
   Obs.Span.with_span ~cat:"kcompile" kernel.Kir.name @@ fun () ->
-  (* Argument binding and extent resolution share the interpreter's
+  (* Argument binding and extent resolution share [Keval]'s
      code, so a bad launch raises here exactly what [Keval.run] would
      raise (both happen before any thread executes). *)
   let scalars = Keval.bind_scalars kernel ~args in
@@ -1500,33 +1477,30 @@ let compile kernel ~grid ~block ~args =
     }
   in
   List.iter (fun r -> Hashtbl.replace c.ivary r ()) [ r_tx; r_ty; r_tz ];
-  match in_block c (fun () -> compile_seq c S.empty body.Kir.body) with
-  | _, steps ->
-    let iregs = Array.make c.n_i 0 and fregs = Array.make c.n_f 0.0 in
-    Hashtbl.iter (fun k r -> iregs.(r) <- k) c.iconsts;
-    Hashtbl.iter (fun bits r -> fregs.(r) <- Int64.float_of_bits bits) c.fconsts;
-    let arrays = Array.of_list (List.map fst dims) in
-    let atomic_slot = Array.make (Array.length arrays) false in
-    List.iter (fun s -> atomic_slot.(s) <- true) c.atomic;
-    Ok
-      {
-        grid;
-        block;
-        width = Dim3.volume block;
-        arrays;
-        iregs;
-        fregs;
-        n_bufs = c.n_bufs;
-        load_slots = slot_set c.loaded;
-        store_slots = slot_set c.stored;
-        atomic_slot;
-        n_guards = c.n_guards;
-        affine = c.n_affine;
-        body = seq steps;
-        envs = Atomic.make [];
-        narrow = Atomic.make 0;
-      }
-  | exception Fallback reason -> Error reason
+  let (), steps = in_block c (fun () -> compile_seq c body.Kir.body) in
+  let iregs = Array.make c.n_i 0 and fregs = Array.make c.n_f 0.0 in
+  Hashtbl.iter (fun k r -> iregs.(r) <- k) c.iconsts;
+  Hashtbl.iter (fun bits r -> fregs.(r) <- Int64.float_of_bits bits) c.fconsts;
+  let arrays = Array.of_list (List.map fst dims) in
+  let atomic_slot = Array.make (Array.length arrays) false in
+  List.iter (fun s -> atomic_slot.(s) <- true) c.atomic;
+  {
+    grid;
+    block;
+    width = Dim3.volume block;
+    arrays;
+    iregs;
+    fregs;
+    n_bufs = c.n_bufs;
+    load_slots = slot_set c.loaded;
+    store_slots = slot_set c.stored;
+    atomic_slot;
+    n_guards = c.n_guards;
+    affine = c.n_affine;
+    body = seq steps;
+    envs = Atomic.make [];
+    narrow = Atomic.make 0;
+  }
 
 (* --- Execution --------------------------------------------------------- *)
 
@@ -1692,31 +1666,11 @@ let run_blocks ?pool t ~access =
 
 let run ?pool t ~access = ignore (run_blocks ?pool t ~access : int)
 
-let callbacks access =
-  let memo = Hashtbl.create 8 in
-  let find a =
-    match Hashtbl.find_opt memo a with
-    | Some r -> r
-    | None ->
-      let r = access a in
-      Hashtbl.add memo a r;
-      r
-  in
-  let load a off = (find a).loads.(off) in
-  let store a off v =
-    let r = find a in
-    r.stores.(off) <- v;
-    Option.iter (fun m -> m.(off) <- true) r.touched
-  in
-  (load, store)
-
 (* --- The launch executor ----------------------------------------------- *)
 
 (* A compiled kernel is a pure function of (kernel, grid, block,
    scalar arguments) -- buffers are resolved per launch through
-   [access] -- so a store memoizes it under that key, failures
-   included: a kernel outside the fragment pays its compile attempt
-   once per shape.  A name identifies a kernel only inside one
+   [access] -- so a store memoizes it under that key.  A name identifies a kernel only inside one
    program, so entries hash on the name and shape but hold the kernel
    itself, compared physically first and then structurally. *)
 module Shape = Hashtbl.Make (struct
@@ -1734,7 +1688,7 @@ module Shape = Hashtbl.Make (struct
     let hash = Hashtbl.hash
   end)
 
-type kernels = (Kir.t * (t, string) result) list Shape.t
+type kernels = (Kir.t * t) list Shape.t
 
 let kernels () : kernels = Shape.create 16
 
@@ -1755,7 +1709,6 @@ type executor = {
   cache_hits : Obs.Metrics.counter;
   seq_launches : Obs.Metrics.counter;
   par_launches : Obs.Metrics.counter;
-  interpreted : Obs.Metrics.counter;
   scalar_blocks : Obs.Metrics.counter;
   guards_folded : Obs.Metrics.counter;
   guards_scanned : Obs.Metrics.counter;
@@ -1766,6 +1719,8 @@ type executor = {
 let executor ?(kernels = kernels ()) reg =
   let counter = Obs.Metrics.counter reg in
   Obs.Metrics.set reg "exec.max_domains" 1.0;
+  (* Every registry carries the series of launches [Keval] runs. *)
+  ignore (Keval.launches reg : Obs.Metrics.counter);
   {
     store = kernels;
     reg;
@@ -1773,7 +1728,6 @@ let executor ?(kernels = kernels ()) reg =
     cache_hits = counter "exec.cache_hits";
     seq_launches = counter "exec.seq_launches";
     par_launches = counter "exec.par_launches";
-    interpreted = counter "exec.interpreted";
     scalar_blocks = counter "kcompile.scalar_blocks";
     guards_folded = counter "kcompile.guards_folded";
     guards_scanned = counter "kcompile.guards_scanned";
@@ -1785,62 +1739,49 @@ let clear_cache ex = Shape.reset ex.store
 
 let bump c = Obs.Metrics.add c 1.0
 
-let launch ex ?(parallel = false) ?(interpret = false) kernel ~grid ~block
-    ~args ~access =
-  let fallback () =
-    bump ex.interpreted;
-    let load, store = callbacks access in
-    Keval.run kernel ~grid ~block ~args ~load ~store
-  in
-  let compiled () =
-    let key = (kernel.Kir.name, grid, block, args) in
+let launch ex ?(parallel = false) kernel ~grid ~block ~args ~access =
+  let key = (kernel.Kir.name, grid, block, args) in
+  let t =
     match find_kernel ex.store key kernel with
-    | Some c ->
+    | Some t ->
       bump ex.cache_hits;
-      c
+      t
     | None ->
-      let c = compile kernel ~grid ~block ~args in
-      add_kernel ex.store key kernel c;
+      let t = compile kernel ~grid ~block ~args in
+      add_kernel ex.store key kernel t;
       bump ex.compiles;
-      (match c with
-       | Ok t when t.affine > 0 -> Obs.Metrics.add ex.affine_accesses (float_of_int t.affine)
-       | _ -> ());
-      c
+      if t.affine > 0 then Obs.Metrics.add ex.affine_accesses (float_of_int t.affine);
+      t
   in
-  if interpret then fallback ()
-  else
-    match compiled () with
-    | Error _ -> fallback ()
-    | Ok t -> (
-        let pool = if parallel then Some (Gpu_runtime.Dpool.get ()) else None in
-        let before = Atomic.get t.narrow in
-        let count_blocks () =
-          let n = Atomic.get t.narrow - before in
-          if n > 0 then Obs.Metrics.add ex.scalar_blocks (float_of_int n);
-          (* Each domain's environment counted its own guard classes. *)
-          List.iter
-            (fun (_, e) ->
-               if e.folded > 0 then Obs.Metrics.add ex.guards_folded (float_of_int e.folded);
-               if e.scanned > 0 then Obs.Metrics.add ex.guards_scanned (float_of_int e.scanned);
-               e.folded <- 0;
-               e.scanned <- 0)
-            (Atomic.get t.envs)
-        in
-        match run_blocks ?pool t ~access with
-        | d ->
-          count_blocks ();
-          if d <= 1 then bump ex.seq_launches
-          else begin
-            bump ex.par_launches;
-            if d > ex.max_domains then begin
-              ex.max_domains <- d;
-              Obs.Metrics.set ex.reg "exec.max_domains" (float_of_int d)
-            end
-          end
-        | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          count_blocks ();
-          Printexc.raise_with_backtrace e bt)
+  let pool = if parallel then Some (Gpu_runtime.Dpool.get ()) else None in
+  let before = Atomic.get t.narrow in
+  let count_blocks () =
+    let n = Atomic.get t.narrow - before in
+    if n > 0 then Obs.Metrics.add ex.scalar_blocks (float_of_int n);
+    (* Each domain's environment counted its own guard classes. *)
+    List.iter
+      (fun (_, e) ->
+         if e.folded > 0 then Obs.Metrics.add ex.guards_folded (float_of_int e.folded);
+         if e.scanned > 0 then Obs.Metrics.add ex.guards_scanned (float_of_int e.scanned);
+         e.folded <- 0;
+         e.scanned <- 0)
+      (Atomic.get t.envs)
+  in
+  match run_blocks ?pool t ~access with
+  | d ->
+    count_blocks ();
+    if d <= 1 then bump ex.seq_launches
+    else begin
+      bump ex.par_launches;
+      if d > ex.max_domains then begin
+        ex.max_domains <- d;
+        Obs.Metrics.set ex.reg "exec.max_domains" (float_of_int d)
+      end
+    end
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    count_blocks ();
+    Printexc.raise_with_backtrace e bt
 
 let publish_metrics ?(into = Obs.Metrics.default) reg = Obs.Metrics.merge ~into reg
 

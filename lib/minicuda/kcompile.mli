@@ -15,25 +15,19 @@
     the same steps in the same environment one thread at a time, each
     thread a one-lane range with its stores written directly, and a
     block whose lane run raises re-runs that way from its start.
-    Results and diagnostics are therefore {!Keval}'s.  {!Keval} remains
-    the semantics oracle, and kernels outside the statically-typable
-    fragment return [Error] so {!launch} falls back to the interpreter
-    (see DESIGN.md §13). *)
+    Results and diagnostics are therefore {!Keval}'s.  Kernels must
+    pass {!Kir.check}, which gives every value one static type, so
+    every kernel compiles; {!Keval} remains the semantics oracle
+    (DESIGN.md §13). *)
 
 type t
 (** A kernel specialized to one (grid, block, args) launch shape. *)
 
-val compile :
-  Kir.t ->
-  grid:Dim3.t ->
-  block:Dim3.t ->
-  args:Keval.arg list ->
-  (t, string) result
-(** Specialize a kernel.  [Error reason] means the kernel left the
-    compilable fragment and must run under {!Keval.run}.  Raises
+val compile : Kir.t -> grid:Dim3.t -> block:Dim3.t -> args:Keval.arg list -> t
+(** Specialize a kernel that passes {!Kir.check}.  Raises
     [Invalid_argument] exactly when [Keval.run] would raise before
-    executing any thread (argument-count mismatch, unbound dimension
-    parameter). *)
+    executing any thread (argument-count mismatch, a float bound to an
+    int parameter, unbound dimension parameter). *)
 
 type guard_class = All_true | All_false | Mixed
 (** How a guard evaluates over the threads of one block. *)
@@ -81,18 +75,11 @@ val run : ?pool:Gpu_runtime.Dpool.t -> t -> access:(string -> access) -> unit
     [Verify.Safe] verdict): under that verdict results are
     bit-identical to sequential order. *)
 
-val callbacks :
-  (string -> access) ->
-  (string -> int -> float) * (string -> int -> float -> unit)
-(** The same access records as {!Keval.run}'s [load]/[store]
-    callbacks, for the interpreter fallback: each array's record is
-    resolved once, stores also set [touched]. *)
-
 (** {2 The launch executor} *)
 
 type kernels
 (** A store of compiled kernels, one entry per (kernel, grid, block,
-    scalar args) shape, failed compilations included.  Entries hash on
+    scalar args) shape.  Entries hash on
     the kernel's name and the shape, and match the kernel itself
     (physically, else {!Kir.equal}): a name identifies a kernel only
     inside one program.  Stored kernels keep their per-domain register
@@ -113,7 +100,8 @@ val executor : ?kernels:kernels -> Obs.Metrics.t -> executor
     [exec.interpreted], [kcompile.scalar_blocks],
     [kcompile.guards_folded], [kcompile.guards_scanned] and
     [kcompile.affine_accesses] registered at zero, the [exec.max_domains]
-    gauge at 1. *)
+    gauge at 1.  No launch here bumps [exec.interpreted]: it counts the
+    launches {!Single_gpu}'s [`Interpreter] mode runs under {!Keval}. *)
 
 val clear_cache : executor -> unit
 (** Drop every compiled kernel of the executor's store; the counters
@@ -122,22 +110,19 @@ val clear_cache : executor -> unit
 val launch :
   executor ->
   ?parallel:bool ->
-  ?interpret:bool ->
   Kir.t ->
   grid:Dim3.t ->
   block:Dim3.t ->
   args:Keval.arg list ->
   access:(string -> access) ->
   unit
-(** Run one launch bit-identically to {!Keval.run}.  The kernel is
-    compiled for this (kernel, grid, block, args) shape, or taken from
-    the executor's store (a failed compilation is stored too); a kernel outside
-    the fragment runs under {!Keval.run} through {!callbacks}, as does
-    every launch with [interpret] (default false: the interpreter
-    baseline).  [parallel] (default false) splits the blocks over the
+(** Run one launch of a kernel that passes {!Kir.check},
+    bit-identically to {!Keval.run}.  The kernel is compiled for this
+    (kernel, grid, block, args) shape, or taken from the executor's
+    store.  [parallel] (default false) splits the blocks over the
     global {!Gpu_runtime.Dpool}; pass it only for a [Verify.Safe]
-    kernel.  Each launch bumps one of [exec.seq_launches],
-    [exec.par_launches] or [exec.interpreted], and [exec.max_domains]
+    kernel.  Each launch bumps one of [exec.seq_launches] or
+    [exec.par_launches], and [exec.max_domains]
     records the most domains any launch engaged.
     [kcompile.scalar_blocks] counts the blocks of more than one thread
     that ran one thread at a time, raising launches included.

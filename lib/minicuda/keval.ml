@@ -71,7 +71,8 @@ let bind_scalars kernel ~args =
     match (params, args) with
     | [], [] -> ()
     | Kir.Scalar n :: ps, AInt v :: as_ -> Hashtbl.replace scalars n (VInt v); bind ps as_
-    | Kir.Scalar n :: ps, AFloat v :: as_ -> Hashtbl.replace scalars n (VFloat v); bind ps as_
+    | Kir.Scalar n :: _, AFloat v :: _ ->
+      invalid_arg (Printf.sprintf "Keval: float argument %g bound to int parameter %s" v n)
     | Kir.Fscalar n :: ps, AFloat v :: as_ -> Hashtbl.replace scalars n (VFloat v); bind ps as_
     | Kir.Fscalar n :: ps, AInt v :: as_ ->
       Hashtbl.replace scalars n (VFloat (float_of_int v)); bind ps as_
@@ -271,6 +272,10 @@ let exec_block ctx block_idx =
   Dim3.iter ctx.block (fun thread_idx ->
       let env = { ctx; block_idx; thread_idx; locals = Hashtbl.create 8 } in
       List.iter (exec_stmt env) ctx.kernel.Kir.body)
+
+(* The ["exec.interpreted"] counter of a registry: launches run here
+   rather than by the compiled executor. *)
+let launches reg = Obs.Metrics.counter reg "exec.interpreted"
 
 (* Run a kernel over its full grid, or over the blocks in
    [block_range] = inclusive (lo, hi) coordinates per axis. *)

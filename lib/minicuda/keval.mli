@@ -20,10 +20,10 @@ type arg = AInt of int | AFloat of float
     drift apart. *)
 
 val bind_scalars : Kir.t -> args:arg list -> (string, value) Hashtbl.t
-(** Bind the scalar parameters to the launch arguments, with the
-    interpreter's dynamic-typing rules (an integer [Scalar] bound to
-    [AFloat] stays a float; [Fscalar] coerces integer arguments).
-    Raises [Invalid_argument] on an argument-count mismatch. *)
+(** Bind the scalar parameters to the launch arguments: a [Scalar] to
+    a [VInt], an [Fscalar] to a [VFloat] (coercing an integer
+    argument).  Raises [Invalid_argument] on an argument-count
+    mismatch or an [AFloat] bound to a [Scalar]. *)
 
 val resolve_dims :
   Kir.t -> scalars:(string, value) Hashtbl.t -> (string * int array) list
@@ -63,3 +63,9 @@ val run :
     [block_range] restricts execution to the inclusive block-coordinate
     range.  [trace] observes every global-memory access, before the
     access's own [load]/[store] callbacks fire. *)
+
+val launches : Obs.Metrics.t -> Obs.Metrics.counter
+(** The registry's [exec.interpreted] counter: launches run by {!run}
+    instead of the compiled executor ({!Single_gpu}'s [`Interpreter]
+    mode).  {!Kcompile.executor} registers it in every engine's
+    registry. *)

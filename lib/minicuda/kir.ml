@@ -6,9 +6,10 @@
    lib/mekong), cost-estimated ({!Costmodel}) and transformed (the
    kernel-partitioning rewrite of paper §7).
 
-   Expressions are dynamically typed over integers, floats and
-   booleans; array subscripts must evaluate to integers and, for the
-   polyhedral analysis to succeed, must be affine in the grid
+   Expressions are typed over integers, floats and booleans with
+   {!Keval}'s promotions, and every kernel that enters the pipeline
+   passes {!check}; array subscripts must evaluate to integers and,
+   for the polyhedral analysis to succeed, must be affine in the grid
    coordinates, loop counters and scalar parameters. *)
 
 type special =
@@ -313,3 +314,116 @@ let pp fmt k =
   fprintf fmt "}\n"
 
 let to_string k = Format.asprintf "%a" pp k
+
+(* --- Scope and type check ------------------------------------------------ *)
+
+(* One walk over the kernel.  [bound] is the set of locals bound on
+   every path to the current point: a [Local] or [Assign] adds its name,
+   an [If] keeps what both branches bind, and a [For] counter and its
+   body's bindings do not escape the loop.  [types] is kernel-wide: a
+   name keeps the type of its first binding, a loop counter's being
+   [int].  Expression types follow Keval's promotions: integer
+   arithmetic stays integer, a float operand makes it float, [Div],
+   [sqrtf], [rsqrtf] and loads are float, comparisons and logic are
+   bool.  A bool is never a number and a float never a condition; a
+   float still reads as an index, which Keval checks is integral when
+   it runs. *)
+
+type ty = T_int | T_float | T_bool
+
+module Names = Set.Make (String)
+
+exception Ill_typed of string
+
+let check k =
+  let open Stdlib in
+  let ill fmt = Printf.ksprintf (fun m -> raise (Ill_typed m)) fmt in
+  let ty_name = function T_int -> "int" | T_float -> "float" | T_bool -> "bool" in
+  let rec scalar n = function
+    | Scalar m :: _ when String.equal m n -> T_int
+    | Fscalar m :: _ when String.equal m n -> T_float
+    | _ :: ps -> scalar n ps
+    | [] -> ill "unknown scalar parameter %s" n
+  in
+  let rec array a = function
+    | Array { name; _ } :: _ when String.equal name a -> ()
+    | _ :: ps -> array a ps
+    | [] -> ill "unknown array %s" a
+  in
+  let rec find n = function
+    | (m, t) :: _ when String.equal m n -> Some t
+    | _ :: l -> find n l
+    | [] -> None
+  in
+  (* Diagnostics name the context as [what ^ name], built only when
+     raised. *)
+  let number what name t = if t = T_bool then ill "bool used as a number in %s%s" what name in
+  let condition what t = if t = T_float then ill "float used as a condition in %s" what in
+  let types = ref [] in
+  let rec exp bound e =
+    match e with
+    | Iconst _ | Special _ -> T_int
+    | Fconst _ -> T_float
+    | Param n -> scalar n k.params
+    | Var n -> (
+        match find n !types with
+        | Some t when Names.mem n bound -> t
+        | Some _ -> ill "local %s may be unbound here" n
+        | None -> ill "undeclared identifier %s" n)
+    | Load (a, idx) ->
+      array a k.params;
+      subscripts bound a idx;
+      T_float
+    | Unop (op, x) -> (
+        let t = exp bound x in
+        match op with
+        | Not -> condition "!" t; T_bool
+        | Neg | Abs -> number (unop_name op) "" t; t
+        | Sqrt | Rsqrt -> number (unop_name op) "" t; T_float)
+    | Binop (op, x, y) -> (
+        let tx = exp bound x and ty = exp bound y in
+        match op with
+        | And | Or -> condition (binop_name op) tx; condition (binop_name op) ty; T_bool
+        | _ -> (
+            number (binop_name op) "" tx;
+            number (binop_name op) "" ty;
+            match op with
+            | Add | Sub | Mul | Minb | Maxb -> if tx = T_int && ty = T_int then T_int else T_float
+            | Div -> T_float
+            | Idiv | Imod -> T_int
+            | Lt | Le | Gt | Ge | Eq | Ne | And | Or -> T_bool))
+  and subscripts bound a idx =
+    List.iter (fun i -> number "a subscript of " a (exp bound i)) idx
+  in
+  let bind n t =
+    match find n !types with
+    | Some t' when t' <> t -> ill "local %s rebound at type %s (was %s)" n (ty_name t) (ty_name t')
+    | Some _ -> ()
+    | None -> types := (n, t) :: !types
+  in
+  let rec stmt bound s =
+    match s with
+    | Store (a, idx, e) | Atomic (_, a, idx, e) ->
+      array a k.params;
+      subscripts bound a idx;
+      number "a store to " a (exp bound e);
+      bound
+    | Local (n, e) | Assign (n, e) ->
+      bind n (exp bound e);
+      Names.add n bound
+    | If (c, t, e) ->
+      condition "an if" (exp bound c);
+      let bt = stmts bound t and be = stmts bound e in
+      (* both contain [bound] *)
+      if bt == bound || be == bound then bound else Names.inter bt be
+    | For { var; from_; to_; body } ->
+      number "the bounds of loop " var (exp bound from_);
+      number "the bounds of loop " var (exp bound to_);
+      bind var T_int;
+      ignore (stmts (Names.add var bound) body : Names.t);
+      bound
+    | Syncthreads -> bound
+  and stmts bound l = List.fold_left stmt bound l in
+  match stmts Names.empty k.body with
+  | _ -> Ok ()
+  | exception Ill_typed m -> Error m

@@ -63,6 +63,21 @@ val scalar_params : t -> string list
 
 val array_params : t -> (string * dim array) list
 
+val check : t -> (unit, string) result
+(** The scope and type check every kernel passes where it enters the
+    pipeline ({!Cuparse.parse_cu}, {!Host_ir.validate}); the engines
+    run only checked kernels.  [Error] names the first violation:
+    - a [Var] not bound on every path to its use (a [Local] or
+      [Assign] binds, an [If] binds what both branches bind, a [For]
+      counter and its body's bindings do not escape the loop);
+    - a [Param] that names no scalar parameter, or a [Load], [Store]
+      or [Atomic] that names no array parameter;
+    - a local bound at two types (a loop counter is [int]);
+    - a bool used as a number, or a float used as a condition.
+    Types follow {!Keval}'s promotions: a [Scalar] is [int], an
+    [Fscalar] and a load are [float], arithmetic is [int] only when
+    both operands are. *)
+
 val equal : t -> t -> bool
 (** The same kernel: physically equal, or structurally equal with
     float constants compared by bit pattern ([0.0] and [-0.0] differ). *)
@@ -127,6 +142,5 @@ val float_literal : float -> string
     parses back as unary minus; non-finite ones do not parse back. *)
 
 val pp_exp : Format.formatter -> exp -> unit
-val pp_stmt : indent:int -> Format.formatter -> stmt -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

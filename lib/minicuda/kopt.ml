@@ -19,9 +19,24 @@ let is_one = function
   | Kir.Fconst f -> f = 1.0
   | _ -> false
 
+(* Float whatever the types of the locals and parameters in it. *)
+let rec is_float (e : Kir.exp) =
+  match e with
+  | Kir.Fconst _ | Kir.Load _ | Kir.Binop (Kir.Div, _, _) | Kir.Unop ((Kir.Sqrt | Kir.Rsqrt), _) -> true
+  | Kir.Unop ((Kir.Neg | Kir.Abs), x) -> is_float x
+  | Kir.Binop ((Kir.Add | Kir.Sub | Kir.Mul | Kir.Minb | Kir.Maxb), x, y) -> is_float x || is_float y
+  | _ -> false
+
+(* [x + 0], [x - 0] and [x * 1] have [x]'s type; with a float [0.0] or
+   [1.0] only when [x] is float itself. *)
+let neutral x n = match n with Kir.Iconst _ -> true | _ -> is_float x
+
 (* Fold one node whose children are already folded.  Floating-point
    arithmetic is NOT reassociated and [x * 0.0] is not folded (NaN
-   semantics); only exact identities are applied. *)
+   semantics); only exact identities are applied.  A fold keeps the
+   node's type under {!Kir.check}, except that a comparison of two
+   constants and [!!x] may become an int, which reads the same in a
+   condition ([fold_bound] keeps a local's type). *)
 let fold_node (e : Kir.exp) : Kir.exp =
   match e with
   | Kir.Unop (Kir.Neg, Kir.Iconst n) -> Kir.Iconst (-n)
@@ -43,27 +58,44 @@ let fold_node (e : Kir.exp) : Kir.exp =
       | Kir.Eq -> Kir.Iconst (if a = b then 1 else 0)
       | Kir.Ne -> Kir.Iconst (if a <> b then 1 else 0)
       | _ -> e)
-  | Kir.Binop (Kir.Add, x, z) when is_zero z -> x
-  | Kir.Binop (Kir.Add, z, x) when is_zero z -> x
-  | Kir.Binop (Kir.Sub, x, z) when is_zero z -> x
-  | Kir.Binop (Kir.Mul, x, o) when is_one o -> x
-  | Kir.Binop (Kir.Mul, o, x) when is_one o -> x
+  | Kir.Binop (Kir.Add, x, z) when is_zero z && neutral x z -> x
+  | Kir.Binop (Kir.Add, z, x) when is_zero z && neutral x z -> x
+  | Kir.Binop (Kir.Sub, x, z) when is_zero z && neutral x z -> x
+  | Kir.Binop (Kir.Mul, x, o) when is_one o && neutral x o -> x
+  | Kir.Binop (Kir.Mul, o, x) when is_one o && neutral x o -> x
   (* Integer-only zero annihilation: safe because integer arithmetic
-     has no NaN/Inf.  (Iconst*Iconst was already folded above.) *)
-  | Kir.Binop (Kir.Mul, Kir.Iconst 0, (Kir.Special _ | Kir.Param _))
-  | Kir.Binop (Kir.Mul, (Kir.Special _ | Kir.Param _), Kir.Iconst 0) ->
+     has no NaN/Inf.  (Iconst*Iconst was already folded above; a
+     parameter may be a float.) *)
+  | Kir.Binop (Kir.Mul, Kir.Iconst 0, Kir.Special _)
+  | Kir.Binop (Kir.Mul, Kir.Special _, Kir.Iconst 0) ->
     Kir.Iconst 0
   | other -> other
 
 let fold_exp e = Kir.map_exp fold_node e
+
+let is_bool (e : Kir.exp) =
+  match e with
+  | Kir.Binop ((Kir.Lt | Kir.Le | Kir.Gt | Kir.Ge | Kir.Eq | Kir.Ne | Kir.And | Kir.Or), _, _)
+  | Kir.Unop (Kir.Not, _) -> true
+  | _ -> false
+
+(* A local keeps one type: a bool value that folds to an int stays a
+   bool. *)
+let fold_bound e =
+  let e' = fold_exp e in
+  if (not (is_bool e)) || is_bool e' then e'
+  else
+    match e' with
+    | Kir.Iconst _ -> Kir.Binop (Kir.Ne, e', Kir.Iconst 0)
+    | x -> Kir.Unop (Kir.Not, Kir.Unop (Kir.Not, x))
 
 let rec fold_stmt (s : Kir.stmt) : Kir.stmt list =
   match s with
   | Kir.Store (a, idx, e) -> [ Kir.Store (a, List.map fold_exp idx, fold_exp e) ]
   | Kir.Atomic (op, a, idx, e) ->
     [ Kir.Atomic (op, a, List.map fold_exp idx, fold_exp e) ]
-  | Kir.Local (n, e) -> [ Kir.Local (n, fold_exp e) ]
-  | Kir.Assign (n, e) -> [ Kir.Assign (n, fold_exp e) ]
+  | Kir.Local (n, e) -> [ Kir.Local (n, fold_bound e) ]
+  | Kir.Assign (n, e) -> [ Kir.Assign (n, fold_bound e) ]
   | Kir.If (c, t, f) -> (
       let c = fold_exp c in
       let t = List.concat_map fold_stmt t in
@@ -91,12 +123,90 @@ let rec exp_uses acc (e : Kir.exp) =
   | Kir.Unop (_, x) -> exp_uses acc x
   | Kir.Binop (_, x, y) -> exp_uses (exp_uses acc x) y
 
+(* The loads of an expression, subscripts' loads included. *)
+let rec loads acc (e : Kir.exp) =
+  match e with
+  | Kir.Load (a, idx) -> List.fold_left loads ((a, idx) :: acc) idx
+  | Kir.Iconst _ | Kir.Fconst _ | Kir.Special _ | Kir.Param _ | Kir.Var _ -> acc
+  | Kir.Unop (_, x) -> loads acc x
+  | Kir.Binop (_, x, y) -> loads (loads acc x) y
+
+(* Locals bound by one [Local], never assigned nor a loop counter. *)
+let fixed_locals body =
+  let count = Hashtbl.create 16 in
+  let bump n k = Hashtbl.replace count n (k + Option.value ~default:0 (Hashtbl.find_opt count n)) in
+  let rec go (s : Kir.stmt) =
+    match s with
+    | Kir.Local (n, _) -> bump n 1
+    | Kir.Assign (n, _) -> bump n 2
+    | Kir.For { var; body; _ } -> bump var 2; List.iter go body
+    | Kir.If (_, t, f) -> List.iter go t; List.iter go f
+    | Kir.Store _ | Kir.Atomic _ | Kir.Syncthreads -> ()
+  in
+  List.iter go body;
+  fun n -> Hashtbl.find_opt count n = Some 1
+
+(* A subscript that reads the same value wherever one thread reads it. *)
+let rec stable fixed (e : Kir.exp) =
+  match e with
+  | Kir.Iconst _ | Kir.Fconst _ | Kir.Special _ | Kir.Param _ -> true
+  | Kir.Var n -> fixed n
+  | Kir.Load _ -> false
+  | Kir.Unop (_, x) -> stable fixed x
+  | Kir.Binop (_, x, y) -> stable fixed x && stable fixed y
+
+(* The bindings of names not [stays] whose value reads an array that
+   may be out of bounds.  A load is in bounds when each subscript is a
+   constant inside a constant extent, or is a stable subscript that an
+   access of the same array in the same dimension checked on every path
+   before it, in a statement that [stays]: had that check failed, the
+   thread would have stopped there. *)
+let unproved_loads ~extent ~stays body =
+  let fixed = fixed_locals body and out = ref [] in
+  let proved facts (a, idx) =
+    List.for_all Fun.id
+      (List.mapi
+         (fun d i ->
+            List.mem (a, d, i) facts
+            ||
+            match (i, extent a) with
+            | Kir.Iconst c, Some dims when d < Array.length dims -> (
+                match dims.(d) with Kir.Dim_const x -> 0 <= c && c < x | Kir.Dim_param _ -> false)
+            | _ -> false)
+         idx)
+  in
+  let learn facts (a, idx) =
+    List.fold_left (fun (facts, d) i -> ((if stable fixed i then (a, d, i) :: facts else facts), d + 1))
+      (facts, 0) idx
+    |> fst
+  in
+  let learn_exp facts e = List.fold_left learn facts (loads [] e) in
+  let rec stmt facts (s : Kir.stmt) =
+    match s with
+    | Kir.Local (n, e) | Kir.Assign (n, e) ->
+      if stays n then learn_exp facts e
+      else begin
+        if not (List.for_all (proved facts) (loads [] e)) then out := s :: !out;
+        facts
+      end
+    | Kir.Store (a, idx, e) | Kir.Atomic (_, a, idx, e) ->
+      learn (learn_exp (List.fold_left learn_exp facts idx) e) (a, idx)
+    | Kir.If (_, t, f) -> ignore (seq facts t); ignore (seq facts f); facts
+    | Kir.For { body; _ } -> ignore (seq facts body); facts
+    | Kir.Syncthreads -> facts
+  and seq facts l = List.fold_left stmt facts l in
+  ignore (seq [] body);
+  !out
+
 (* Remove Local/Assign bindings whose variable does not (transitively)
    feed a store, a branch condition or a loop bound.  Liveness is a
    whole-body fixpoint, so self-referencing accumulators whose value is
    never consumed ([acc = acc + ...] feeding nothing) die too — the
-   property the instrumentation shadow kernels rely on. *)
-let eliminate_dead (body : Kir.stmt list) : Kir.stmt list =
+   property the instrumentation shadow kernels rely on.  Given the
+   arrays' [extent]s, a binding whose value reads an array that may be
+   out of bounds stays, and so do the bindings it reads: deleting the
+   load would let a launch complete where [Keval] raises. *)
+let eliminate_dead ?extent (body : Kir.stmt list) : Kir.stmt list =
   (* Roots: variables used outside Local/Assign right-hand sides. *)
   let rec root_uses acc (s : Kir.stmt) =
     match s with
@@ -123,27 +233,46 @@ let eliminate_dead (body : Kir.stmt list) : Kir.stmt list =
     | Kir.Store _ | Kir.Atomic _ | Kir.Syncthreads -> acc
   in
   let all_defs = List.fold_left defs [] body in
-  let live = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace live n ()) (List.fold_left root_uses [] body);
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (n, e) ->
-         if Hashtbl.mem live n then
-           List.iter
-             (fun u ->
-                if not (Hashtbl.mem live u) then begin
-                  Hashtbl.replace live u ();
-                  changed := true
-                end)
-             (exp_uses [] e))
-      all_defs
-  done;
+  let closure roots =
+    let live = Hashtbl.create 16 in
+    List.iter (fun n -> Hashtbl.replace live n ()) roots;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (n, e) ->
+           if Hashtbl.mem live n then
+             List.iter
+               (fun u ->
+                  if not (Hashtbl.mem live u) then begin
+                    Hashtbl.replace live u ();
+                    changed := true
+                  end)
+               (exp_uses [] e))
+        all_defs
+    done;
+    live
+  in
+  let roots = List.fold_left root_uses [] body in
+  let live = closure roots in
+  let unproved =
+    match extent with
+    | Some extent when List.exists (fun (n, e) -> (not (Hashtbl.mem live n)) && loads [] e <> []) all_defs ->
+      unproved_loads ~extent ~stays:(Hashtbl.mem live) body
+    | _ -> []
+  in
+  let live =
+    if unproved = [] then live
+    else
+      closure
+        (List.fold_left
+           (fun acc s -> match s with Kir.Local (_, e) | Kir.Assign (_, e) -> exp_uses acc e | _ -> acc)
+           roots unproved)
+  in
   let rec clean s =
     match s with
     | Kir.Local (n, _) | Kir.Assign (n, _) ->
-      if Hashtbl.mem live n then [ s ] else []
+      if Hashtbl.mem live n || List.memq s unproved then [ s ] else []
     | Kir.If (c, t, f) ->
       let t = List.concat_map clean t and f = List.concat_map clean f in
       if t = [] && f = [] then [] else [ Kir.If (c, t, f) ]
@@ -156,8 +285,8 @@ let eliminate_dead (body : Kir.stmt list) : Kir.stmt list =
 
 (* --- Pass driver ----------------------------------------------------------- *)
 
-let optimize_body body =
-  let pass b = eliminate_dead (List.concat_map fold_stmt b) in
+let fixpoint ?extent body =
+  let pass b = eliminate_dead ?extent (List.concat_map fold_stmt b) in
   let rec fix b n =
     if n = 0 then b
     else
@@ -166,8 +295,13 @@ let optimize_body body =
   in
   fix body 8
 
-let optimize (k : Kir.t) : Kir.t = { k with Kir.body = optimize_body k.Kir.body }
+let optimize_body body = fixpoint ~extent:(fun _ -> None) body
 
+let optimize (k : Kir.t) : Kir.t =
+  let dims = Kir.array_params k in
+  { k with Kir.body = fixpoint ~extent:(fun a -> List.assoc_opt a dims) k.Kir.body }
+
+let optimize_shadow (k : Kir.t) : Kir.t = { k with Kir.body = fixpoint k.Kir.body }
 (* Simple code metrics, as a compiler would report. *)
 let rec stmt_count (s : Kir.stmt) =
   match s with

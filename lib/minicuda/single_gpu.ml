@@ -9,7 +9,7 @@
 type result = {
   machine : Gpusim.Machine.t;
   time : float; (* simulated end-to-end seconds (after final sync) *)
-  exec : Obs.Metrics.t; (* the run's exec.* counters (Kcompile.launch) *)
+  exec : Obs.Metrics.t; (* the run's exec.* counters *)
 }
 
 let run ?(machine : Gpusim.Machine.t option)
@@ -64,14 +64,22 @@ let run ?(machine : Gpusim.Machine.t option)
       let scalars = Host_ir.scalar_args args in
       Gpusim.Machine.launch m ~device:0 ~blocks:(Dim3.volume grid)
         ~ops_per_block:ops ~run:(fun () ->
-          let access a =
-            let data = Gpusim.Buffer.data_exn (buffer_of a) in
-            { Kcompile.loads = data; stores = data; touched = None }
-          in
-          (* Never [~parallel]: without a polyhedral model there is no
-             race-freedom proof to justify a domain pool. *)
-          Kcompile.launch ex ~interpret:(executor = `Interpreter) kernel ~grid
-            ~block ~args:scalars ~access)
+          let data a = Gpusim.Buffer.data_exn (buffer_of a) in
+          match executor with
+          | `Interpreter ->
+            Obs.Metrics.add (Keval.launches metrics) 1.0;
+            let arrays = List.map (fun (a, _) -> (a, data a)) bindings in
+            Keval.run kernel ~grid ~block ~args:scalars
+              ~load:(fun a off -> (List.assoc a arrays).(off))
+              ~store:(fun a off v -> (List.assoc a arrays).(off) <- v)
+          | `Compiled ->
+            let access a =
+              let d = data a in
+              { Kcompile.loads = d; stores = d; touched = None }
+            in
+            (* Never [~parallel]: without a polyhedral model there is no
+               race-freedom proof to justify a domain pool. *)
+            Kcompile.launch ex kernel ~grid ~block ~args:scalars ~access)
     | Host_ir.Repeat (n, body) ->
       for _ = 1 to n do
         List.iter exec body

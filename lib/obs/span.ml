@@ -36,24 +36,19 @@ let clock = ref Sys.time
 let set_clock f = clock := f
 
 let default_capacity = 65536
-let store = ref (Ring.create ~capacity:default_capacity)
+let store = Ring.create ~capacity:default_capacity
 let next_id = ref 0
 let stack : (int * int) list ref = ref [] (* (id, depth), innermost first *)
-
-let set_capacity capacity =
-  store := Ring.create ~capacity;
-  next_id := 0;
-  stack := []
 
 let set_enabled b = enabled_flag := b
 
 let reset () =
-  Ring.clear !store;
+  Ring.clear store;
   next_id := 0;
   stack := []
 
-let records () = Ring.to_list !store
-let dropped () = Ring.dropped !store
+let records () = Ring.to_list store
+let dropped () = Ring.dropped store
 
 let with_span ?(cat = "") ?sim name f =
   if not !enabled_flag then f ()
@@ -73,7 +68,7 @@ let with_span ?(cat = "") ?sim name f =
           (match !stack with
            | (top, _) :: rest when top = id -> stack := rest
            | _ -> stack := []);
-          Ring.push !store
+          Ring.push store
             {
               sp_id = id;
               sp_parent = parent;

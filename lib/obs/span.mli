@@ -26,9 +26,6 @@ val set_clock : (unit -> float) -> unit
 (** Install the wall clock (default [Sys.time]; entry points linking
     unix install [Unix.gettimeofday]). *)
 
-val set_capacity : int -> unit
-(** Replace the store with an empty ring of the given capacity. *)
-
 val with_span : ?cat:string -> ?sim:(unit -> float) -> string -> (unit -> 'a) -> 'a
 (** Run the thunk under a span.  [sim] is sampled at entry and exit
     (e.g. the simulated host clock).  No-op indirection when spans are

@@ -31,9 +31,6 @@ val union : t -> t -> t
 val domain : t -> Pset.t
 val range : t -> Pset.t
 
-val constrain_domain : t -> Pset.t -> t
-(** Intersect the domain with a set over the domain space. *)
-
 val image : t -> Pset.t -> Pset.t
 (** Image of a set under the map. *)
 

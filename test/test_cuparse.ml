@@ -179,6 +179,38 @@ let test_malformed_literals () =
   | [ Kir.Store (_, _, Kir.Fconst x) ] -> Alcotest.(check (float 0.0)) "1e+20f" 1e20 x
   | _ -> Alcotest.fail "1e+20f did not parse as a constant"
 
+(* C reads [010] as octal 8; the toy syntax rejects a leading zero
+   rather than read it as decimal 10. *)
+let test_leading_zero () =
+  checks "octal-looking" "integer literal 010 has a leading zero at 1:27"
+    (error_of "int main() { for (int i = 010; i < 2; i++) { } }");
+  check_tokens "0 0.5f 0e1 10" [ Cuparse.Int_lit 0; Cuparse.Float_lit 0.5; Cuparse.Float_lit 0.0; Cuparse.Int_lit 10 ]
+
+(* Every kernel passes [Kir.check] as it is parsed; a failure is one
+   diagnostic at the kernel's [__global__]. *)
+let test_check_rejections () =
+  let kernel body =
+    "// a kernel the check rejects\n__global__ void k(int n, float *a /* [n] */) {\n"
+    ^ body ^ "\n}\nint main() { return 0; }"
+  in
+  let rejects what body msg = checks what (msg ^ " at 2:1") (error_of (kernel body)) in
+  rejects "undeclared identifier" "a[0] = inff;" "kernel k: undeclared identifier inff";
+  rejects "bool used as number" "a[0] = ((n < 2) + 1);" "kernel k: bool used as a number in +";
+  rejects "float used as condition" "if (a[0]) { a[0] = 1.0f; }"
+    "kernel k: float used as a condition in an if";
+  rejects "local rebound at another type" "auto t = 1;\nt = 2.5f;\na[0] = t;"
+    "kernel k: local t rebound at type float (was int)";
+  rejects "unknown array" "b[0] = 1.0f;" "kernel k: unknown array b";
+  rejects "unknown array in an atomic" "atomicAdd(&n[0], 1.0f);" "kernel k: unknown array n"
+
+(* A float launch argument for an int parameter has no one value: the
+   analysis would truncate it and the engines would not. *)
+let test_float_for_int_argument () =
+  checks "float for int" "float argument 2.5 bound to int parameter n at 3:60"
+    (error_of
+       "__global__ void k(int n, float *a /* [n] */) { a[0] = 1.0f; }\n\
+        int main() {\n  float *a; cudaMalloc(&a, 4 * sizeof(float)); k<<<1, 4>>>(2.5f, a);\n}")
+
 (* Float constants render with the fewest digits that read back to the
    same bits, keeping %g's text where that already did. *)
 let test_float_literals () =
@@ -324,6 +356,8 @@ let () =
           Alcotest.test_case "for loop" `Quick test_parse_for_loop;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "duplicate kernel" `Quick test_parse_duplicate_kernel;
+          Alcotest.test_case "check rejections" `Quick test_check_rejections;
+          Alcotest.test_case "float for int argument" `Quick test_float_for_int_argument;
         ] );
       ( "lexer",
         [
@@ -332,6 +366,7 @@ let () =
           Alcotest.test_case "numeric literals" `Quick test_lex_numbers;
           Alcotest.test_case "lone | and :" `Quick test_lex_rejects;
           Alcotest.test_case "malformed literals" `Quick test_malformed_literals;
+          Alcotest.test_case "leading zero" `Quick test_leading_zero;
         ] );
       ( "roundtrip",
         [

@@ -15,6 +15,27 @@ let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 let qtest = QCheck_alcotest.to_alcotest
 
+(* Keval's [load]/[store] callbacks over the access records the
+   compiled executor reads: each array's record is resolved once,
+   stores also set [touched]. *)
+let callbacks access =
+  let memo = Hashtbl.create 8 in
+  let find a =
+    match Hashtbl.find_opt memo a with
+    | Some r -> r
+    | None ->
+      let r = access a in
+      Hashtbl.add memo a r;
+      r
+  in
+  let load a off = (find a).Kcompile.loads.(off) in
+  let store a off v =
+    let r = find a in
+    r.Kcompile.stores.(off) <- v;
+    Option.iter (fun m -> m.(off) <- true) r.Kcompile.touched
+  in
+  (load, store)
+
 (* ---------------- Dpool ---------------- *)
 
 (* One shared pool for the direct executor tests; three participants so
@@ -134,11 +155,6 @@ let test_gate_rejects_races () =
 
 (* ---------------- Kcompile unit tests ---------------- *)
 
-let compile_exn k ~grid ~block ~args =
-  match Kcompile.compile k ~grid ~block ~args with
-  | Ok c -> c
-  | Error e -> Alcotest.failf "unexpected interpreter fallback: %s" e
-
 (* Run a kernel under both engines with identical inputs; return the
    outcome (normal or the Invalid_argument message) and the output bit
    pattern. *)
@@ -150,10 +166,10 @@ let both_engines k ~grid ~block ~args ~n_out =
       try
         (match exec with
          | `Interp ->
-           let load, store = Kcompile.callbacks access in
+           let load, store = callbacks access in
            Keval.run k ~grid ~block ~args ~load ~store
          | `Compiled ->
-           let c = compile_exn k ~grid ~block ~args in
+           let c = Kcompile.compile k ~grid ~block ~args in
            Kcompile.run c ~access);
         Ok ()
       with Invalid_argument m -> Error m
@@ -289,23 +305,26 @@ let maybe_unbound_kernel =
       If (v "gi" < p "n", [ store "out" [ v "gi" ] (v "t") ], []);
     ]
 
-(* a float condition is outside the typed fragment *)
+(* a float condition is ill-typed *)
 let float_cond_kernel =
   let open Kir in
   Kir.kernel ~name:"fcond"
     ~params:[ Array { name = "out"; dims = [| Dim_const 1 |] } ]
     [ If (f 1.0, [ store "out" [ i 0 ] (f 1.0) ], []) ]
 
-let test_kcompile_fallback_cases () =
-  let is_error = function Error _ -> true | Ok _ -> false in
-  checkb "possibly-unbound local falls back" true
-    (is_error
-       (Kcompile.compile maybe_unbound_kernel ~grid:(Dim3.make 2)
-          ~block:(Dim3.make 4) ~args:[ Keval.AInt 8 ]));
-  checkb "float condition falls back" true
-    (is_error
-       (Kcompile.compile float_cond_kernel ~grid:Dim3.one ~block:Dim3.one
-          ~args:[]))
+let contains s sub =
+  try ignore (Str.search_forward (Str.regexp_string sub) s 0); true with Not_found -> false
+
+(* A local bound on one path only and a float condition: the check
+   names each. *)
+let test_check_rejections () =
+  let rejects what k needle =
+    match Kir.check k with
+    | Ok () -> Alcotest.failf "%s: accepted" what
+    | Error m -> checkb (what ^ ": " ^ m) true (contains m needle)
+  in
+  rejects "possibly-unbound local" maybe_unbound_kernel "local t may be unbound";
+  rejects "float condition" float_cond_kernel "float used as a condition"
 
 let missing_arg_kernel =
   let open Kir in
@@ -324,10 +343,9 @@ let test_kcompile_arg_mismatch_raises () =
        false
      with Invalid_argument _ -> true)
 
-(* The engine-level fallback: Single_gpu must run non-compilable
-   kernels through the interpreter with correct results, and count
-   them. *)
-let fallback_dbl_kernel =
+(* A kernel the check rejects: [t] is bound under one guard and used
+   under another. *)
+let unbound_dbl_kernel =
   let open Kir in
   Kir.kernel ~name:"maybe"
     ~params:
@@ -361,16 +379,16 @@ let compiled_dbl_kernel =
 
 (* out[idx[gi]] = a[gi] * 2: a data-dependent write subscript, which
    the engine can only instrument (a shadow launch per partition).  The
-   fallback variant binds [j] under one guard and uses it under
-   another, so neither it nor its shadow compiles. *)
-let scatter_kernel ~fallback =
+   [unbound] variant binds [j] under one guard and uses it under
+   another, which the check rejects. *)
+let scatter_kernel ~unbound =
   let open Kir in
   let dims = [| Dim_param "n" |] in
   let guarded body = If (v "gi" < p "n", body, []) in
   let j = Local ("j", load "idx" [ v "gi" ]) in
   let st = store "out" [ v "j" ] (load "a" [ v "gi" ] * f 2.0) in
   Kir.kernel
-    ~name:(if fallback then "scatter_maybe" else "scatter")
+    ~name:(if unbound then "scatter_maybe" else "scatter")
     ~params:
       [
         Scalar "n";
@@ -379,7 +397,7 @@ let scatter_kernel ~fallback =
         Array { name = "out"; dims };
       ]
     (Local ("gi", global_id Dim3.X)
-     :: (if fallback then [ guarded [ j ]; guarded [ st ] ] else [ guarded [ j; st ] ]))
+     :: (if unbound then [ guarded [ j ]; guarded [ st ] ] else [ guarded [ j; st ] ]))
 
 (* Three launches of [kernel] over n = 16 (4 blocks of 4 threads); the
    inputs are the kernel's array parameters before "out". *)
@@ -415,12 +433,13 @@ let exec_counts reg =
     [ "compiles"; "cache_hits"; "seq_launches"; "par_launches"; "interpreted";
       "max_domains" ]
 
-(* Every engine launches through Kcompile.launch: the fallback kernel
-   and the compilable one each run through Single_gpu, Multi_gpu on 2
-   devices and instrumented shadow launches, with identical output bits
-   and the exact launch counts each path reports.  A compile attempt is
-   paid once per launch shape, failures included. *)
-let test_engine_fallback_and_cache () =
+(* Every engine launches through Kcompile.launch: a kernel runs
+   through Single_gpu, Multi_gpu on 2 devices and instrumented shadow
+   launches, with identical output bits and the exact launch counts
+   each path reports; a compile is paid once per launch shape.  Every
+   engine validates its program first, so a kernel the check rejects
+   raises [Invalid_argument] before any launch. *)
+let test_engine_launches_and_rejection () =
   let n = 16 in
   let a = Array.init n (fun i -> float_of_int i +. 0.25) in
   let perm = Array.init n (fun i -> ((i * 5) + 3) mod n) in
@@ -439,39 +458,40 @@ let test_engine_fallback_and_cache () =
       in
       (Mekong.Multi_gpu.run ~machine:m art.Mekong.Toolchain.exe).Mekong.Multi_gpu.metrics
   in
-  let check label ~fallback kernel inputs run counts =
+  let check label kernel inputs run counts =
     let result = Array.make n nan in
     let reg = run (repeat_program kernel inputs result) in
-    let label = label ^ if fallback then " (fallback)" else " (compiled)" in
     checkb (label ^ ": output bits") true (Array.map Int64.bits_of_float result = want);
     Alcotest.(check (list int)) (label ^ ": exec counts") counts (exec_counts reg)
   in
-  List.iter
-    (fun fallback ->
-       let dbl = if fallback then fallback_dbl_kernel else compiled_dbl_kernel in
-       let scatter = scatter_kernel ~fallback in
-       (* [launches] compiled or interpreted, parallel when the gate and
-          the pool allow *)
-       let counts ~compiles ~hits ~launches ~par =
-         if fallback then [ compiles; hits; 0; 0; launches; 1 ]
-         else if par then [ compiles; hits; 0; launches; 0; 2 ]
-         else [ compiles; hits; launches; 0; 0; 1 ]
-       in
-       check "single GPU" ~fallback dbl [ ("a", a) ] single
-         (counts ~compiles:1 ~hits:2 ~launches:3 ~par:false);
-       (* one shape per partition; a partition's two blocks split over
-          the 2-domain pool *)
-       check "2 GPUs" ~fallback dbl [ ("a", a) ] multi
-         (counts ~compiles:2 ~hits:4 ~launches:6 ~par:true);
-       check "single GPU scatter" ~fallback scatter
-         [ ("idx", idx); ("a", a_perm) ] single
-         (counts ~compiles:1 ~hits:2 ~launches:3 ~par:false);
-       (* a shadow launch before every partition launch, and no race
-          proof for instrumented writes: all sequential *)
-       check "2 GPUs instrumented" ~fallback scatter
-         [ ("idx", idx); ("a", a_perm) ] (multi ~instrument_writes:true)
-         (counts ~compiles:4 ~hits:8 ~launches:12 ~par:false))
-    [ true; false ]
+  let rejected label kernel inputs run =
+    match run (repeat_program kernel inputs (Array.make n nan)) with
+    | _ -> Alcotest.failf "%s: ran an ill-typed kernel" label
+    | exception Invalid_argument m ->
+      checkb (label ^ ": " ^ m) true
+        (contains m (Printf.sprintf "kernel %s: local " kernel.Kir.name) && contains m "may be unbound")
+  in
+  (* [launches] compiled, parallel when the gate and the pool allow;
+     [exec.interpreted] stays registered at 0 *)
+  let counts ~compiles ~hits ~launches ~par =
+    if par then [ compiles; hits; 0; launches; 0; 2 ] else [ compiles; hits; launches; 0; 0; 1 ]
+  in
+  let dbl = compiled_dbl_kernel and scatter = scatter_kernel ~unbound:false in
+  check "single GPU" dbl [ ("a", a) ] single (counts ~compiles:1 ~hits:2 ~launches:3 ~par:false);
+  (* one shape per partition; a partition's two blocks split over the
+     2-domain pool *)
+  check "2 GPUs" dbl [ ("a", a) ] multi (counts ~compiles:2 ~hits:4 ~launches:6 ~par:true);
+  check "single GPU scatter" scatter [ ("idx", idx); ("a", a_perm) ] single
+    (counts ~compiles:1 ~hits:2 ~launches:3 ~par:false);
+  (* a shadow launch before every partition launch, and no race proof
+     for instrumented writes: all sequential *)
+  check "2 GPUs instrumented" scatter [ ("idx", idx); ("a", a_perm) ] (multi ~instrument_writes:true)
+    (counts ~compiles:4 ~hits:8 ~launches:12 ~par:false);
+  let scatter = scatter_kernel ~unbound:true in
+  rejected "single GPU" unbound_dbl_kernel [ ("a", a) ] single;
+  rejected "2 GPUs" unbound_dbl_kernel [ ("a", a) ] multi;
+  rejected "single GPU scatter" scatter [ ("idx", idx); ("a", a_perm) ] single;
+  rejected "2 GPUs instrumented" scatter [ ("idx", idx); ("a", a_perm) ] (multi ~instrument_writes:true)
 
 (* ---------------- Kernel stores ----------------
 
@@ -858,16 +878,12 @@ let run_dspec spec engine =
     try
       (match engine with
        | `Interp ->
-         let load, store = Kcompile.callbacks access in
+         let load, store = callbacks access in
          Keval.run spec.dk ~grid ~block ~args ~load ~store
        | `Seq | `Par ->
-         (match Kcompile.compile spec.dk ~grid ~block ~args with
-          | Error e -> QCheck.Test.fail_reportf "fell out of the fragment: %s" e
-          | Ok ck ->
-            let pool =
-              match engine with `Par -> Some (Lazy.force pool) | _ -> None
-            in
-            Kcompile.run ?pool ck ~access));
+         let ck = Kcompile.compile spec.dk ~grid ~block ~args in
+         let pool = match engine with `Par -> Some (Lazy.force pool) | _ -> None in
+         Kcompile.run ?pool ck ~access);
       `Completed
     with Invalid_argument m -> `Raised m
   in
@@ -878,11 +894,32 @@ let run_dspec spec engine =
    is only admissible when blocks write disjoint elements; it must then
    match a completed run exactly, and fail when the sequential run
    fails (which block fails first is then up to the schedule). *)
+(* The engines run only kernels that pass [Kir.check]: a property over
+   generated kernels skips the others and counts them, and its test
+   prints the count. *)
+let well_typed rejected k holds =
+  match Kir.check k with
+  | Ok () -> holds ()
+  | Error _ ->
+    incr rejected;
+    true
+
+let counting_rejections rejected (name, speed, run) =
+  ( name,
+    speed,
+    fun () ->
+      rejected := 0;
+      run ();
+      Printf.printf "%s: Kir.check rejected %d generated kernels\n%!" name !rejected )
+
+let differential_rejected = ref 0
+
 let prop_differential =
   QCheck.Test.make
     ~name:"random kernels: interpreter == compiled == compiled-parallel" ~count:1000
     (QCheck.make ~print:print_dspec gen_dspec)
     (fun spec ->
+       well_typed differential_rejected spec.dk @@ fun () ->
        let ri = run_dspec spec `Interp in
        let rs = run_dspec spec `Seq in
        ri = rs
@@ -1036,22 +1073,163 @@ let run_lspec spec engine =
     try
       (match engine with
        | `Interp ->
-         let load, store = Kcompile.callbacks access in
+         let load, store = callbacks access in
          Keval.run spec.lk ~grid ~block ~args ~load ~store
-       | `Compiled -> (
-           match Kcompile.compile spec.lk ~grid ~block ~args with
-           | Error e -> QCheck.Test.fail_reportf "fell out of the fragment: %s" e
-           | Ok ck -> Kcompile.run ck ~access));
+       | `Compiled -> Kcompile.run (Kcompile.compile spec.lk ~grid ~block ~args) ~access);
       `Completed
     with Invalid_argument m | Failure m -> `Raised m
   in
   let bits = Array.map Int64.bits_of_float in
   (outcome, bits a, bits b, bits out, bits h)
 
+let lane_order_rejected = ref 0
+
 let prop_lane_order =
   QCheck.Test.make ~name:"lane-order kernels: interpreter == compiled" ~count:1000
     (QCheck.make ~print:print_lspec gen_lspec)
-    (fun spec -> run_lspec spec `Interp = run_lspec spec `Compiled)
+    (fun spec ->
+       well_typed lane_order_rejected spec.lk @@ fun () ->
+       run_lspec spec `Interp = run_lspec spec `Compiled)
+
+(* ---------------- Checked kernels stay checked ----------------
+
+   The engines launch partition clones ([Partition.transform_kernel]),
+   their optimized forms and instrumentation shadows of a kernel that
+   passed [Kir.check], and [Kcompile] assumes every kernel it compiles
+   passed it.  Random kernels over locals of fixed types ([i*] int,
+   [f*] float, [b*] bool) bind and use them on random paths, with the
+   forms the optimizer folds: constant compares, [!!x], [x + 0.0],
+   [x * 1], [0 * blockIdx.x], dead loads. *)
+let gen_typed_kernel =
+  let open QCheck.Gen in
+  let name ty = map (fun k -> Printf.sprintf "%c%d" ty k) (int_range 0 1) in
+  let rec exp ty fuel =
+    let leaf =
+      match ty with
+      | 'i' ->
+        oneof
+          [ map (fun k -> Kir.Iconst k) (int_range 0 3); return (Kir.Param "n");
+            return (Kir.Special (Kir.Block_idx Dim3.X)); map (fun v -> Kir.Var v) (name 'i') ]
+      | 'f' ->
+        oneof
+          [ map (fun k -> Kir.Fconst (float_of_int k)) (int_range 0 2); return (Kir.Param "s");
+            map (fun v -> Kir.Var v) (name 'f') ]
+      | _ ->
+        oneof
+          [ map2 (fun a b -> Kir.Binop (Kir.Lt, Kir.Iconst a, Kir.Iconst b)) (int_range 0 2) (int_range 0 2);
+            map (fun v -> Kir.Var v) (name 'b') ]
+    in
+    if fuel <= 0 then leaf
+    else
+      let sub t = exp t (fuel - 1) in
+      match ty with
+      | 'i' ->
+        frequency
+          [ (2, leaf);
+            (2, map3 (fun op a b -> Kir.Binop (op, a, b)) (oneofl [ Kir.Add; Kir.Mul; Kir.Maxb; Kir.Idiv ]) (sub 'i') (sub 'i'));
+            (1, map (fun a -> Kir.Binop (Kir.Add, a, Kir.Iconst 0)) (sub 'i'));
+            (1, map (fun a -> Kir.Binop (Kir.Mul, Kir.Iconst 1, a)) (sub 'i'));
+            (1, return (Kir.Binop (Kir.Mul, Kir.Iconst 0, Kir.Special (Kir.Block_idx Dim3.X)))) ]
+      | 'f' ->
+        frequency
+          [ (2, leaf);
+            (2, map3 (fun op a b -> Kir.Binop (op, a, b)) (oneofl [ Kir.Add; Kir.Sub; Kir.Div ]) (sub 'f') (sub 'i'));
+            (1, map (fun a -> Kir.Binop (Kir.Add, a, Kir.Fconst 0.0)) (sub 'i'));
+            (1, map (fun a -> Kir.Binop (Kir.Mul, a, Kir.Fconst 1.0)) (oneof [ sub 'i'; sub 'f' ]));
+            (1, map (fun a -> Kir.Binop (Kir.Mul, Kir.Iconst 0, a)) (return (Kir.Param "s")));
+            (1, map (fun i -> Kir.Load ("a", [ i ])) (sub 'i')) ]
+      | _ ->
+        frequency
+          [ (2, leaf);
+            (2, map3 (fun op a b -> Kir.Binop (op, a, b)) (oneofl [ Kir.Lt; Kir.Eq; Kir.Ge ]) (sub 'f') (sub 'i'));
+            (1, map2 (fun a b -> Kir.Binop (Kir.And, a, b)) (sub 'b') (sub 'i'));
+            (1, map (fun a -> Kir.Unop (Kir.Not, Kir.Unop (Kir.Not, a))) (oneof [ sub 'i'; sub 'b' ])) ]
+  in
+  let rec stmt fuel =
+    let bind = oneofl [ 'i'; 'f'; 'b' ] >>= fun ty ->
+      map3 (fun local v e -> if local then Kir.Local (v, e) else Kir.Assign (v, e)) bool (name ty) (exp ty 2)
+    in
+    let store = map2 (fun i e -> Kir.Store ("out", [ i ], e)) (exp 'i' 1) (exp 'f' 2) in
+    if fuel <= 0 then oneof [ bind; store ]
+    else
+      frequency
+        [ (4, bind); (2, store);
+          (1, map3 (fun c t e -> Kir.If (c, t, e)) (oneof [ exp 'b' 2; exp 'i' 1 ]) (stmts (fuel - 1)) (stmts (fuel - 1)));
+          (1, map2 (fun hi body -> Kir.For { var = "i1"; from_ = Kir.Iconst 0; to_ = hi; body }) (exp 'i' 1) (stmts (fuel - 1))) ]
+  and stmts fuel = list_size (int_range 0 3) (stmt fuel) in
+  map
+    (fun body ->
+       Kir.kernel ~name:"typed"
+         ~params:
+           [ Kir.Scalar "n"; Kir.Fscalar "s"; Kir.Array { name = "a"; dims = [| Kir.Dim_param "n" |] };
+             Kir.Array { name = "out"; dims = [| Kir.Dim_param "n" |] } ]
+         (Kir.Local ("i0", Kir.global_id Dim3.X)
+          :: Kir.Local ("f0", Kir.Param "s")
+          :: Kir.Local ("b0", Kir.Binop (Kir.Lt, Kir.Iconst 0, Kir.Param "n"))
+          :: body))
+    (list_size (int_range 1 6) (stmt 2))
+
+let typed_rejected = ref 0
+
+let prop_check_preserved =
+  QCheck.Test.make ~name:"checked kernels: partitioned, optimized and shadow stay checked"
+    ~count:1000
+    (QCheck.make ~print:Kir.to_string gen_typed_kernel)
+    (fun k ->
+       well_typed typed_rejected k @@ fun () ->
+       let part = Mekong.Partition.transform_kernel k in
+       let derived = [ part; Kopt.optimize part; Kopt.optimize k; Mekong.Instrument.shadow_kernel k ] in
+       List.iter
+         (fun k' ->
+            match Kir.check k' with
+            | Ok () -> ()
+            | Error m -> QCheck.Test.fail_reportf "%s: %s\n%s" k'.Kir.name m (Kir.to_string k'))
+         derived;
+       (* and [Kcompile] compiles the optimized clone without tripping
+          an assertion *)
+       ignore
+         (Kcompile.compile (Kopt.optimize k) ~grid:(Dim3.make 2) ~block:(Dim3.make 3)
+            ~args:[ Keval.AInt 5; Keval.AFloat 0.5 ]);
+       true)
+
+(* A dead load that faults: [x = a[gi + 100]] feeds nothing, but Keval
+   raises on it, so the optimizer keeps it and the partitioned engine
+   reports the diagnostic the single-GPU engine does. *)
+let dead_load_kernel =
+  let open Kir in
+  Kir.kernel ~name:"dead_load"
+    ~params:
+      [
+        Scalar "n";
+        Array { name = "a"; dims = [| Dim_param "n" |] };
+        Array { name = "out"; dims = [| Dim_param "n" |] };
+      ]
+    [
+      Local ("gi", global_id Dim3.X);
+      If
+        ( v "gi" < p "n",
+          [ Local ("x", load "a" [ v "gi" + i 100 ]); store "out" [ v "gi" ] (load "a" [ v "gi" ] * f 2.0) ],
+          [] );
+    ]
+
+let test_dead_load_faults () =
+  let n = 16 in
+  let a = Array.init n float_of_int in
+  let diagnostic run =
+    match run (repeat_program dead_load_kernel [ ("a", a) ] (Array.make n nan)) with
+    | () -> Alcotest.fail "a faulting dead load completed"
+    | exception Invalid_argument m -> m
+  in
+  let want = "Keval: index 100 out of bounds [0,16) in dim 0 of array a" in
+  checks "single GPU" want (diagnostic (fun p -> ignore (Single_gpu.run p)));
+  checks "2 GPUs" want
+    (diagnostic (fun p ->
+         match Mekong.Toolchain.compile p with
+         | Error e -> Alcotest.failf "toolchain: %s" (Mekong.Toolchain.error_message e)
+         | Ok art ->
+           let m = Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:2 ()) in
+           ignore (Mekong.Multi_gpu.run ~machine:m art.Mekong.Toolchain.exe)));
+  checkb "the optimizer keeps it" true (Kopt.optimize dead_load_kernel = dead_load_kernel)
 
 (* ---------------- Lane faults and aliasing ---------------- *)
 
@@ -1072,7 +1250,7 @@ let executor_vs_keval k ~grid ~block ~args inputs =
       try
         (match engine with
          | `Interp ->
-           let load, store = Kcompile.callbacks access in
+           let load, store = callbacks access in
            Keval.run k ~grid ~block ~args ~load ~store
          | `Compiled ->
            Kcompile.launch (Kcompile.executor reg) k ~grid ~block ~args ~access);
@@ -1209,7 +1387,7 @@ let test_kcompile_mixed_block_modes () =
        in
        let interpreted =
          run ~alias ~fault (fun access ->
-             let load, store = Kcompile.callbacks access in
+             let load, store = callbacks access in
              Keval.run k ~grid ~block ~args:[] ~load ~store)
        in
        let what = Printf.sprintf "launch %d (alias=%b fault=%b)" n alias fault in
@@ -1753,7 +1931,7 @@ let run_aspec ?block s engine =
     try
       (match engine with
        | `Interp ->
-         let load, store = Kcompile.callbacks access in
+         let load, store = callbacks access in
          let block_range = Option.map (fun b -> (b, b)) block in
          Keval.run ?block_range s.a_kernel ~grid:s.a_grid ~block:s.a_block ~args:s.a_args ~load ~store
        | `Lanes -> Kcompile.launch ex s.a_kernel ~grid:s.a_grid ~block:s.a_block ~args:s.a_args ~access
@@ -2052,7 +2230,7 @@ let test_operand_shapes () =
       try
         (match engine with
          | `Interp ->
-           let load, store = Kcompile.callbacks access in
+           let load, store = callbacks access in
            Keval.run k ~grid ~block ~args ~load ~store
          | `Lanes | `Threads -> Kcompile.launch (Kcompile.executor reg) k ~grid ~block ~args ~access
          | `Par -> Kcompile.launch (Kcompile.executor reg) ~parallel:true k ~grid ~block ~args ~access);
@@ -2124,7 +2302,7 @@ let test_float_subscripts () =
       try
         (match engine with
          | `Interp ->
-           let load, store = Kcompile.callbacks access in
+           let load, store = callbacks access in
            Keval.run k ~grid ~block ~args:[] ~load ~store
          | (`Seq | `Par) as e ->
            Kcompile.launch (Kcompile.executor reg) ~parallel:(e = `Par) k ~grid ~block ~args:[]
@@ -2179,7 +2357,7 @@ let test_kcompile_allocation () =
   let data n = Array.init n (fun i -> float_of_int ((i * 7) mod 19) /. 8.0) in
   List.iter
     (fun (name, k, grid, block, args, arrays) ->
-       let ck = compile_exn (part k) ~grid ~block ~args:(args @ whole grid) in
+       let ck = Kcompile.compile (part k) ~grid ~block ~args:(args @ whole grid) in
        let access a =
          let d = List.assoc a arrays in
          { Kcompile.loads = d; stores = d; touched = None }
@@ -2299,13 +2477,15 @@ let () =
             test_kcompile_arity_names_array;
           Alcotest.test_case "operand order diagnostic" `Quick
             test_kcompile_operand_order;
-          Alcotest.test_case "fallback cases" `Quick test_kcompile_fallback_cases;
+          Alcotest.test_case "check rejections" `Quick test_check_rejections;
           Alcotest.test_case "argument mismatch" `Quick
             test_kcompile_arg_mismatch_raises;
-          Alcotest.test_case "engine fallback + cache" `Quick
-            test_engine_fallback_and_cache;
-          qtest prop_differential;
-          qtest prop_lane_order;
+          Alcotest.test_case "engine launches + rejection" `Quick
+            test_engine_launches_and_rejection;
+          counting_rejections differential_rejected (qtest prop_differential);
+          counting_rejections lane_order_rejected (qtest prop_lane_order);
+          counting_rejections typed_rejected (qtest prop_check_preserved);
+          Alcotest.test_case "a faulting dead load still faults" `Quick test_dead_load_faults;
           Alcotest.test_case "lane fault re-runs the block" `Quick
             test_kcompile_lane_fault_rerun;
           Alcotest.test_case "in-place kernel runs at width 1" `Quick

@@ -273,6 +273,35 @@ let validation_error prog =
   | () -> None
   | exception Invalid_argument msg -> Some msg
 
+(* Each distinct kernel passes [Kir.check], and an int parameter takes
+   no float: the analysis would truncate it and the engines would not.
+   Keval refuses the float too. *)
+let test_validate_types () =
+  let open Host_ir in
+  let launch kernel args = program ~name:"p" [ Malloc ("x", 4); Launch { kernel; grid = Dim3.one; block = Dim3.one; args } ] in
+  let ill =
+    Kir.kernel ~name:"ill" ~params:[ Kir.Array { name = "x"; dims = [| Kir.Dim_const 4 |] } ]
+      [ Kir.If (Kir.Fconst 1.0, [ Kir.Store ("x", [ Kir.Iconst 0 ], Kir.Fconst 2.0) ], []) ]
+  in
+  Alcotest.(check (option string)) "ill-typed kernel"
+    (Some "Host_ir.validate(p): kernel ill: float used as a condition in an if")
+    (validation_error (launch ill [ HBuf "x" ]));
+  let scale =
+    Kir.kernel ~name:"scale"
+      ~params:[ Kir.Scalar "n"; Kir.Array { name = "x"; dims = [| Kir.Dim_param "n" |] } ]
+      [ Kir.Store ("x", [ Kir.Iconst 0 ], Kir.Param "n") ]
+  in
+  Alcotest.(check (option string)) "float for int"
+    (Some "Host_ir: float argument 2.5 bound to int parameter n")
+    (validation_error (launch scale [ HFloat 2.5; HBuf "x" ]));
+  checkb "keval refuses it too" true
+    (match
+       Keval.run scale ~grid:Dim3.one ~block:Dim3.one ~args:[ Keval.AFloat 2.5 ]
+         ~load:(fun _ _ -> 0.0) ~store:(fun _ _ _ -> ())
+     with
+     | () -> false
+     | exception Invalid_argument m -> m = "Keval: float argument 2.5 bound to int parameter n")
+
 let contains s sub =
   let n = String.length sub in
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
@@ -473,6 +502,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_validate_catches;
           Alcotest.test_case "repeat validation" `Quick test_validate_repeat;
           Alcotest.test_case "one kernel per name" `Quick test_validate_kernel_names;
+          Alcotest.test_case "kernel and argument types" `Quick test_validate_types;
           QCheck_alcotest.to_alcotest prop_validate_unrolled;
           Alcotest.test_case "phantom arrays" `Quick test_phantom_arrays;
           Alcotest.test_case "kernel dedup" `Quick test_kernels_dedup;

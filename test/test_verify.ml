@@ -99,12 +99,10 @@ let run_atomic_kernel engine =
   let args = [ Keval.AInt n ] in
   (match engine with
    | `Interp ->
-     let load, store = Kcompile.callbacks access in
+     let load a off = (access a).Kcompile.loads.(off) in
+     let store a off v = (access a).Kcompile.stores.(off) <- v in
      Keval.run atomic_kernel ~grid ~block ~args ~load ~store
-   | `Compiled ->
-     (match Kcompile.compile atomic_kernel ~grid ~block ~args with
-      | Error e -> Alcotest.failf "atomics fell out of the fragment: %s" e
-      | Ok ck -> Kcompile.run ck ~access));
+   | `Compiled -> Kcompile.run (Kcompile.compile atomic_kernel ~grid ~block ~args) ~access);
   Array.map Int64.bits_of_float h
 
 let test_keval_kcompile_atomic_bit_identity () =
