@@ -2,8 +2,6 @@
     structured-grid dwarf).  The read map of [inp] is the halo pattern
     of the paper's Figure 3; the write map is 1:1. *)
 
-val diffusion : float
-
 val kernel : Kir.t
 (** [hotspot(n, inp, out)] with [inp]/[out] of shape [n][n]. *)
 

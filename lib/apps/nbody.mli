@@ -3,8 +3,6 @@
     j-loop makes the read map of [pos_in] cover the whole array (an
     all-gather per iteration) while writes stay row-contiguous. *)
 
-val softening : float
-
 val kernel : Kir.t
 (** [nbody(n, dt, pos_in, vel_in, pos_out, vel_out)]. *)
 

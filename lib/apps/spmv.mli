@@ -7,9 +7,6 @@ val kernel : Kir.t
 (** [spmv(n, nnz, row_ptr, n1, cols, vals, x, y)]; one thread per
     row. *)
 
-val block : Dim3.t
-val grid_for : int -> Dim3.t
-
 type csr = {
   n : int;
   nnz : int;

@@ -59,11 +59,6 @@ let program ?iterations:iterations_override bench size =
   | Matmul_b ->
     Matmul.program_h ~n ~a:(ph (n * n)) ~b:(ph (n * n)) ~result:(ph (n * n))
 
-let kernel = function
-  | Hotspot_b -> Hotspot.kernel
-  | Nbody_b -> Nbody.kernel
-  | Matmul_b -> Matmul.kernel
-
 (* Small functional instances (real data, bit-exact checks) used by the
    test suite and the examples. *)
 let functional_hotspot ~n ~iterations =

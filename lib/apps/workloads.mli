@@ -24,8 +24,6 @@ val program : ?iterations:int -> benchmark -> size -> Host_ir.t
     runs never materialize them); [iterations] shrinks iterative
     benchmarks for quick runs. *)
 
-val kernel : benchmark -> Kir.t
-
 (** Small functional instances (real data, bit-exact checks): each
     returns the program, the output array it writes, and a thunk
     computing the CPU reference. *)

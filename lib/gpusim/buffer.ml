@@ -100,8 +100,6 @@ let data_exn b =
   | Some d -> d
   | None -> invalid_arg "Buffer.data_exn: performance-mode buffer has no data"
 
-let has_data b = b.data <> None
-
 (* Copy [len] elements between a host array and a device buffer or
    between two device buffers; no-ops in performance mode. *)
 let blit_from_host ~src ~src_off b ~dst_off ~len =

@@ -30,8 +30,8 @@ val arena_fresh : arena -> int
     length. *)
 
 val arena_retained : arena -> (int * int) list
-(** (length, free arrays) for every length the arena holds, ascending:
-    the tests' window onto the retention bound. *)
+(** (length, free arrays) for every length the arena holds, ascending.
+    Test oracle window: test_gpusim "arena retention bound". *)
 
 val give_back : arena -> float array list -> unit
 (** Return the arrays one machine drew.  Each must be drawn once and
@@ -61,8 +61,6 @@ val charged_bytes : t -> int
 val data_exn : t -> float array
 (** The backing data; raises [Invalid_argument] on performance-mode
     buffers. *)
-
-val has_data : t -> bool
 
 val blit_from_host :
   src:float array -> src_off:int -> t -> dst_off:int -> len:int -> unit

@@ -95,9 +95,6 @@ val lease : t -> n_devices:int -> t
     free, so a speed map keyed by fleet id cannot be sliced
     meaningfully. *)
 
-val boost_factor : t -> active:int -> float
-(** Per-die throughput factor when [active] dies are busy. *)
-
 val kernel_seconds :
   t -> active:int -> speed:float -> blocks:int -> ops_per_block:float -> float
 (** The wave model: seconds for a launch of [blocks] blocks on a device

@@ -51,14 +51,13 @@ type t
 val create : spec -> t
 val spec : t -> spec
 val counters : t -> counters
+(** Test oracle window: test_gpusim "faults consecutive cap", test_obs
+    "machine trace lanes match busy time under faults". *)
 
 val uniform : t -> float
 (** Next uniform float in [0, 1) from the stream (exposed for tests). *)
 
 val device_lost : t -> int -> bool
-
-val mark_lost : t -> int -> unit
-(** Force a permanent loss (test support). *)
 
 type outcome = [ `Ok | `Transient | `Lost ]
 

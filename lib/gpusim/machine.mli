@@ -110,7 +110,9 @@ val mem_capacity : t -> int
 (** Per-device capacity in bytes ([max_int] = unlimited). *)
 
 val mem_used : t -> int -> int
-(** Bytes currently charged against one device. *)
+(** Bytes currently charged against one device.
+    Test oracle window: test_gpusim "memory accounting", test_mem
+    "evict loop fault at the k-th victim". *)
 
 val mem_free : t -> int -> int
 (** Remaining capacity of one device. *)
@@ -138,7 +140,10 @@ val host_time : t -> float
 (** Current host-thread time. *)
 
 val device_time : t -> int -> float
-(** Latest engine time of one device. *)
+(** Latest engine time of one device.
+    Test oracle window: test_gpusim "timing kernel waves", "timing
+    default-stream order" and "timing autoboost derate",
+    test_minicuda "single_gpu machine reuse". *)
 
 val elapsed : t -> float
 (** Latest time across every engine and the host. *)
@@ -296,7 +301,10 @@ val trace : t -> event list
     backfill before an earlier-admitted one. *)
 
 val trace_dropped : t -> int
-(** Events evicted from the bounded trace since it was enabled. *)
+(** Events evicted from the bounded trace since it was enabled.
+    Test oracle window: test_obs "machine trace ring bounded" and
+    "machine trace lanes match busy time under faults", test_mekong's
+    plan-cache and fault-tolerance cases. *)
 
 val enable_causal : ?capacity:int -> t -> unit
 (** Record every scheduled operation as a node of a causal DAG, with
@@ -335,7 +343,10 @@ val host_timeline : t -> Timeline.t
 val fabric_timeline : t -> Timeline.t
 (** The flat shared bus.  Meaningful only on the [Config.Flat]
     topology; on an islands topology it stays empty — use
-    {!link_timelines}. *)
+    {!link_timelines}.
+    Test oracle window: test_gpusim "timing p2p double fabric" and
+    "timing p2p same device", test_overlap "topology parallel island
+    links". *)
 
 val link_timelines : t -> (string * Timeline.t) list
 (** Every contention lane of the fabric with its stable display name:
@@ -345,7 +356,9 @@ val link_timelines : t -> (string * Timeline.t) list
 
 val link_reservations : t -> (string * (float * float) list) list
 (** Each lane of {!link_timelines}, in the same order, with its live
-    reservations as [(start, stop)] ({!Link.reservations}). *)
+    reservations as [(start, stop)] ({!Link.reservations}).
+    Test oracle window: test_gpusim "timing launch graph fold ==
+    replay". *)
 
 val device_timelines : t -> int -> Timeline.t * Timeline.t * Timeline.t
 (** (compute, copy-in, copy-out) engines of one device. *)

@@ -61,13 +61,6 @@ let name t = t.name
 let clock t = t.clock
 let ready t = t.clock.(0)
 
-let reset t =
-  Array.fill t.clock 0 3 0.0;
-  Array.fill t.busy 0 (Array.length t.busy) 0.0;
-  Array.fill t.names 0 (Array.length t.names) "";
-  Hashtbl.reset t.slots;
-  t.last_slot <- -1
-
 let[@inline] is_slot t s category =
   let name = t.names.(s) in
   name == category || String.equal name category
@@ -137,19 +130,14 @@ let schedule_in t a ~category = schedule_after t a.(0) a.(1) category
    ends.  The ready time still covers the operation's finish, so
    [elapsed]-style maxima stay correct. *)
 let[@inline] schedule_start t start duration category =
-  if duration < 0.0 then invalid_arg "Timeline.schedule_at: negative duration";
+  if duration < 0.0 then invalid_arg "Timeline.schedule_at_in: negative duration";
   let finish = start +. duration in
   if finish > t.clock.(0) then t.clock.(0) <- finish;
   t.clock.(1) <- start;
   t.clock.(2) <- finish;
   charge t category duration
 
-let schedule_at t ~start ~duration ~category = schedule_start t start duration category
 let schedule_at_in t a ~category = schedule_start t a.(0) a.(1) category
-
-(* Force the engine to be idle until at least [time] (a synchronization
-   barrier). *)
-let wait_until t time = if time > t.clock.(0) then t.clock.(0) <- time
 
 (* --- Charge tapes ---------------------------------------------------------
 

@@ -19,30 +19,21 @@ val clock : t -> float array
     [-opaque], so {!ready} is never inlined and boxes its result on
     every call, while an array read does not. *)
 
-val reset : t -> unit
-
 val schedule : t -> after:float -> duration:float -> category:string -> unit
 (** Append an operation that cannot start before [after]; its start
     and finish are then in {!clock}.  Busy time is accumulated per
     [category]. *)
 
-val schedule_at : t -> start:float -> duration:float -> category:string -> unit
-(** Record an operation at exactly [start], without clamping against
-    [ready] (the engine's ready still advances to at least the
-    operation's finish).  For contention lanes whose admission is
-    computed externally with backfill, where a later-recorded
-    operation may start before an earlier reservation ends. *)
-
 val schedule_in : t -> float array -> category:string -> unit
 val schedule_at_in : t -> float array -> category:string -> unit
 (** {!schedule} with [after] and [duration] read from slots 0 and 1 of
-    the array, and {!schedule_at} with [start] and [duration]: the same
-    float operations, for hot callers in other modules, which under
-    [-opaque] would box every float argument. *)
-
-val wait_until : t -> float -> unit
-(** Force the engine idle until at least the given time (a
-    synchronization barrier). *)
+    the array, for hot callers in other modules, which under [-opaque]
+    would box every float argument; and an operation recorded at
+    exactly [start] (slot 0) for [duration] (slot 1), without clamping
+    against [ready] (the engine's ready still advances to at least the
+    operation's finish): for contention lanes whose admission is
+    computed externally with backfill, where a later-recorded
+    operation may start before an earlier reservation ends. *)
 
 (** {2 Charge tapes}
 

@@ -256,11 +256,5 @@ let events ?(spans = []) ?critpath m =
   in
   meta @ List.stable_sort lane_order timing
 
-let to_json ?spans ?critpath m =
-  Obs.Chrome_trace.to_json (events ?spans ?critpath m)
-
-let to_string ?spans ?critpath m =
-  Obs.Chrome_trace.to_string (events ?spans ?critpath m)
-
 let write ?spans ?critpath ~file m =
   Obs.Chrome_trace.write ~file (events ?spans ?critpath m)

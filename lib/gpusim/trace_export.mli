@@ -8,26 +8,19 @@
     before the run. *)
 
 val device_pid : int -> int
-(** Process id a device's lanes appear under (host is 0, fabric 1). *)
+(** Process id a device's lanes appear under (host is 0, fabric 1).
+    Test oracle window: test_obs "machine trace lanes match busy time
+    under faults". *)
 
 val events :
   ?spans:Obs.Span.record list ->
   ?critpath:Obs.Causal.analysis ->
   Machine.t ->
   Obs.Chrome_trace.event list
-(** Metadata first, then timing events sorted per lane. *)
-
-val to_json :
-  ?spans:Obs.Span.record list ->
-  ?critpath:Obs.Causal.analysis ->
-  Machine.t ->
-  Obs.Json.t
-
-val to_string :
-  ?spans:Obs.Span.record list ->
-  ?critpath:Obs.Causal.analysis ->
-  Machine.t ->
-  string
+(** Metadata first, then timing events sorted per lane: what {!write}
+    writes.  Test oracle window: test_obs "trace golden", "trace valid
+    with one lane per engine" and "machine trace lanes match busy time
+    under faults", test_critpath "validator traced export validates". *)
 
 val write :
   ?spans:Obs.Span.record list ->

@@ -757,30 +757,3 @@ let analyze ?(assume = []) ?(check_writes = true)
       }
   with Reject e -> Error e
 
-let find_access t arr = List.find_opt (fun a -> a.arr = arr) t.accesses
-
-let pp fmt (t : t) =
-  Format.fprintf fmt "kernel %s: split along %s@\n" t.kernel.Kir.name
-    (Dim3.axis_name t.strategy);
-  List.iter
-    (fun a ->
-       Format.fprintf fmt "  %s:@\n" a.arr;
-       (match a.read with
-        | Some m ->
-          Format.fprintf fmt "    read%s: %a@\n"
-            (if a.read_exact then "" else " (approx)")
-            Pset.pp (Pmap.rel m)
-        | None -> ());
-       (match a.write with
-        | Some m -> Format.fprintf fmt "    write: %a@\n" Pset.pp (Pmap.rel m)
-        | None -> ());
-       match (a.atomic, a.atomic_ops) with
-       | Some m, ops ->
-         Format.fprintf fmt "    atomic [%s]: %a@\n"
-           (String.concat "," (List.map Kir.atomic_name ops))
-           Pset.pp (Pmap.rel m)
-       | None, [] -> ()
-       | None, ops ->
-         Format.fprintf fmt "    atomic [%s]: (unanalyzable)@\n"
-           (String.concat "," (List.map Kir.atomic_name ops)))
-    t.accesses

@@ -25,7 +25,6 @@ val bo_name : Dim3.axis -> string
 (** The blockOff dimension (Eq. 6). *)
 
 val b_name : Dim3.axis -> string
-val t_name : Dim3.axis -> string
 val bdim_name : Dim3.axis -> string
 val gdim_name : Dim3.axis -> string
 
@@ -38,9 +37,6 @@ val box_max_b : Dim3.axis -> string
 
 val out_name : string -> int -> string
 (** Name of an array's i-th index dimension in the range spaces. *)
-
-val analysis_params : Kir.t -> string array
-(** Parameter names shared by all of a kernel's polyhedral spaces. *)
 
 (** {2 Results} *)
 
@@ -76,22 +72,13 @@ type violation = { vi_space : Space.t; vi_poly : Poly.t }
     assign two grid positions and a common array element they both
     touch.  The data-race verifier samples it for concrete witnesses. *)
 
-val find_violation :
-  ?assume:((int * string) list * int) list ->
-  Pmap.t -> Pmap.t -> violation option
-(** The core of {!cross_block_disjoint}, keeping the conflict
-    polyhedron instead of reducing it to a boolean.  When [m1]
-    constrains no grid axis, sign patterns range over all axes (any
-    two distinct blocks conflict wherever the maps overlap), unlike
-    {!cross_block_disjoint}'s degenerate-grid convention. *)
-
 val find_violations :
   ?assume:((int * string) list * int) list ->
   Pmap.t -> Pmap.t -> violation list
-(** All satisfiable (piece-pair, sign-pattern) conflict polyhedra, not
-    just the first: the blockOff/blockIdx relaxation can make a
-    pattern satisfiable that admits no exact witness, so the verifier
-    tries every candidate. *)
+(** All satisfiable (piece-pair, sign-pattern) conflict polyhedra of
+    {!cross_block_disjoint}, not just the first that decides it: the
+    blockOff/blockIdx relaxation can make a pattern satisfiable that
+    admits no exact witness, so the verifier tries every candidate. *)
 
 val cross_block_disjoint :
   ?assume:((int * string) list * int) list -> Pmap.t -> Pmap.t -> bool
@@ -120,6 +107,3 @@ val analyze :
     [check_writes:false] skips the injectivity/exactness rejection
     (used by diagnostics and the instrumentation fallback). *)
 
-val find_access : t -> string -> array_access option
-
-val pp : Format.formatter -> t -> unit

@@ -10,7 +10,10 @@
     of cross-device bytes, the topology's latency and bandwidths, and
     the engine's host-side per-range charges.  The argmin wins, with a
     deterministic preference for the fixed-axis plan inside a 2%
-    hysteresis band.
+    hysteresis band; a candidate that changes the partition structure
+    (another axis, a 2-D tiling, fewer devices) must also beat the
+    fixed plan by 20%, since its score carries the model's full error
+    bars.
 
     Candidates eligible for halo/overlapped tiling (1-D stencil bands
     inside a [Repeat], double-buffered through a [Swap]) are scored
@@ -56,9 +59,6 @@ and halo_plan = {
   hp_halo_elems : int;  (** one-step overhang h, in elements per side *)
 }
 
-val halo_depth : candidate -> int
-(** [hp_depth] of the candidate's halo plan, or 0. *)
-
 type choice = {
   c_kernel : string;
   c_grid : Dim3.t;
@@ -70,20 +70,6 @@ type choice = {
           charged: like plan building itself, the search is
           launch-parameter-pure and cached with the plan) *)
 }
-
-val hysteresis : float
-(** A candidate must score below [hysteresis * best.score] to displace
-    the running best — keeps "autotuned never slower" safe against
-    modelling noise. *)
-
-val shape_margin : float
-(** A candidate that changes the partition structure (another axis, a
-    2-D tiling, fewer devices) must additionally score below
-    [shape_margin * fixed.score]: its score carries the model's full
-    error bars, not the differential error of a same-shape refinement,
-    so only a decisive predicted win may change the shape. *)
-
-val max_halo_depth : int
 
 val choose :
   cfg:Gpusim.Config.t ->

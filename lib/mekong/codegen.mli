@@ -5,24 +5,16 @@
 
 open Ppoly
 
-val size_exprs : Kir.dim array -> Ast.expr array
-
 val partition_image : Pmap.t -> Pset.t
 (** The range of a map whose domain is restricted to the symbolic
     partition box (paper §6): for each blockOff and blockIdx dim [v]
     with corners [pmin], [pmax], a piece that mentions [v] gets the
     rows [v - pmin >= 0] and [pmax - v - 1 >= 0], and a piece that does
     not gets [pmax - pmin - 1 >= 0], what eliminating [v] makes of
-    them; then the grid is projected away. *)
-
-val enumerator_of_map :
-  ?rectangles:bool -> dims:Kir.dim array -> Pmap.t -> Enumerate.t
-(** Build the enumerator for one access map; [rectangles:false]
-    disables the rectangle-union optimization (ablation). *)
-
-val enumerator_name :
-  kernel:string -> arg_index:int -> kind:[ `Read | `Write ] -> string
-(** The generated-function naming scheme of paper §6.2. *)
+    them; then the grid is projected away.
+    Test oracle window: test_poly "partition-box index-built box ==
+    name-built box, then range" and "partition-box empty images"
+    count its eliminations against a box built by name. *)
 
 type entry = {
   arr : string;
@@ -46,4 +38,6 @@ val ranges_counted :
 (** Like {!ranges}, plus the raw emission count (the cost driver). *)
 
 val render_entry : entry -> string
-(** C-like rendering of the generated scan loops (demonstration). *)
+(** C-like rendering of the generated scan loops (demonstration).
+    Test oracle window: test_corpus_digest "corpus-digest models,
+    enumerators, verdicts" hashes it. *)

@@ -33,8 +33,6 @@ type kernel_model = {
 
 type t = { kernels : kernel_model list }
 
-let empty = { kernels = [] }
-
 let find t name = List.find_opt (fun k -> k.kname = name) t.kernels
 
 let find_exn t name =

@@ -28,11 +28,8 @@ type kernel_model = {
 
 type t = { kernels : kernel_model list }
 
-val empty : t
-val find : t -> string -> kernel_model option
 val find_exn : t -> string -> kernel_model
 
-val of_analysis : Access.t -> kernel_model
 val of_analyses : Access.t list -> t
 
 val to_string : t -> string

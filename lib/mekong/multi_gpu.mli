@@ -105,8 +105,9 @@ val run :
 
     Functional launches, the instrumentation shadows included, run
     through one {!Kcompile.launch} executor counting into
-    [result.metrics] (compiled register code with automatic
-    interpreter fallback, both bit-identical to {!Keval.run}); kernels
+    [result.metrics] (compiled register code, bit-identical to
+    {!Keval.run}; every kernel passed {!Kir.check} where it entered the
+    pipeline, so each one compiles); kernels
     whose verifier verdict is {!Verify.Safe} additionally split each
     partition's blocks over the global {!Gpu_runtime.Dpool}, whose
     size is the one domains knob.  Kernels with a {!Verify.Reducible}

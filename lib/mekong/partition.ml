@@ -231,7 +231,3 @@ let box_bindings p ~block =
          (Access.box_max_bo a, ((hi - 1) * bd) + 1);
        ])
     Dim3.axes
-
-let pp fmt p =
-  Format.fprintf fmt "dev%d blocks %a..%a" p.device Dim3.pp p.min_blocks
-    Dim3.pp p.max_blocks

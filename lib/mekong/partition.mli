@@ -47,12 +47,6 @@ val make_2d :
     axes (extension over the paper's 1-D chunks: smaller stencil halo
     surfaces). *)
 
-val min_param : Dim3.axis -> string
-(** Names of the partition-bound parameters appended to partitioned
-    kernels. *)
-
-val max_param : Dim3.axis -> string
-
 val transform_kernel : Kir.t -> Kir.t
 (** Clone the kernel, append the partition parameters, apply the
     Eq. 8/9 substitutions. *)
@@ -64,4 +58,3 @@ val box_bindings : t -> block:Dim3.t -> (string * int) list
 (** Parameter bindings describing the partition box for the enumerators
     (paper §6.2): blockIdx bounds plus derived blockOff corners. *)
 
-val pp : Format.formatter -> t -> unit

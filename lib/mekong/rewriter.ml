@@ -63,14 +63,3 @@ let insert_prologue src =
   String.concat "\n" (includes @ [ prologue ] @ body)
 
 let rewrite src = insert_prologue (rewrite_api (rewrite_launches src))
-
-(* Count of launch sites in a source (used by tests and the driver
-   report). *)
-let count_launches src =
-  let re = Str.regexp "<<<" in
-  let rec go pos acc =
-    match Str.search_forward re src pos with
-    | p -> go (p + 3) (acc + 1)
-    | exception Not_found -> acc
-  in
-  go 0 0

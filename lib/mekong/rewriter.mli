@@ -5,6 +5,3 @@
 
 val rewrite : string -> string
 (** All three substitution kinds, in order. *)
-
-val count_launches : string -> int
-(** Number of [<<<...>>>] launch sites in a source. *)

@@ -16,10 +16,6 @@ type error = { kernel : string; reason : Access.error }
 
 val error_message : error -> string
 
-val frontend_pass : Host_ir.t -> string
-(** The work shared by both passes: validation, device-code
-    optimization, cost estimation, rendering. *)
-
 val pass1 :
   ?assume:((int * string) list * int) list ->
   ?instrument_writes:bool ->

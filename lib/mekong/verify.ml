@@ -15,8 +15,8 @@
      over-approximated accesses, or a relaxed-analysis conflict no
      sample validates).
 
-   Witness extraction samples the violation polyhedron of
-   {!Access.find_violation}.  The blockOff/blockIdx relaxation used
+   Witness extraction samples the violation polyhedra of
+   {!Access.find_violations}.  The blockOff/blockIdx relaxation used
    there admits spurious points, so sampling first fixes the block
    dimensions to concrete values, restores the exact affine glue
    blockOff = blockIdx * blockDim, bounds the element by the array
@@ -213,19 +213,13 @@ let describe_conflict c =
   Printf.sprintf "possible cross-block %s/%s race on %s"
     (kind_name c.c_kind1) (kind_name c.c_kind2) c.c_am.Model.arr
 
-(* Verdict assembly shared by [classify] and [verify]: racy dominates
-   unknown dominates reducible dominates safe. *)
+(* Verdict assembly of [verify]: racy dominates unknown dominates
+   reducible dominates safe. *)
 let assemble cl =
   match cl.cl_unknowns with
   | reason :: _ -> Unknown reason
   | [] ->
     if cl.cl_reducible <> [] then Reducible cl.cl_reducible else Safe
-
-let classify ?assume ~kernel (km : Model.kernel_model) : verdict =
-  let cl = classify_arrays ~kernel ?assume km in
-  match cl.cl_races with
-  | c :: _ -> Unknown (describe_conflict c ^ " (no witness extraction)")
-  | [] -> assemble cl
 
 (* --- Witness extraction ------------------------------------------------------- *)
 

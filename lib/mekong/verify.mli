@@ -10,8 +10,6 @@
 
 type access_kind = Read | Write | Atomic of Kir.atomic_op
 
-val kind_name : access_kind -> string
-
 type witness = {
   w_arr : string;
   w_elem : int array;  (** multi-dimensional array index *)
@@ -40,17 +38,7 @@ type verdict =
 val verdict_name : verdict -> string
 (** ["safe" | "reducible" | "racy" | "unknown"]. *)
 
-val witness_to_string : witness -> string
 val verdict_to_string : verdict -> string
-
-val classify :
-  ?assume:((int * string) list * int) list ->
-  kernel:Kir.t ->
-  Model.kernel_model ->
-  verdict
-(** Static classification only: conflicts that would need witness
-    extraction are reported as [Unknown].  [Safe] and [Reducible]
-    agree with {!verify}; cheap enough for per-link gating. *)
 
 val verify :
   ?assume:((int * string) list * int) list ->
@@ -87,4 +75,7 @@ val sanitize :
     zero-initialized storage, tracking per-element access history, and
     report one conflict per element touched by two distinct blocks
     where the pair is neither read/read nor same-operator
-    atomic/atomic.  Differential oracle for the static verdict. *)
+    atomic/atomic.  Differential oracle for the static verdict.
+    Test oracle window: test_verify "verdicts sanitizer" and
+    "verdicts random kernels: sanitizer conflicts imply verdict is
+    not safe". *)

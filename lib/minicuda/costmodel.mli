@@ -3,10 +3,6 @@
     ALU work and loop trip counts evaluated from the launch's scalar
     arguments. *)
 
-val try_eval_int : (string * int) list -> Kir.exp -> int option
-(** Best-effort integer evaluation under a scalar environment; [None]
-    for anything depending on runtime values. *)
-
 val ops_per_thread : Kir.t -> scalar_env:(string * int) list -> float
 (** Estimated operations per thread for one launch. *)
 

@@ -19,7 +19,10 @@ type token =
 
 val tokens : string -> token list
 (** The tokens of a text, up to but not including [Eof].  Raises
-    {!Error} where {!parse_cu} would fail to lex. *)
+    {!Error} where {!parse_cu} would fail to lex.
+    Test oracle window: test_cuparse "lexer every punctuation
+    spelling", "lexer longest match", "lexer numeric literals" and
+    "lexer leading zero". *)
 
 val parse_cu : name:string -> string -> Kir.t list * Host_ir.t
 (** Parse a full translation unit: kernels, then [main()].  Raises

@@ -47,7 +47,10 @@ val guard_classifier :
     §13).  Applied to a block index, it returns [All_true] or
     [All_false] only when every thread of that block agrees; a
     conjunction of individually mixed compares is [Mixed] even when it
-    holds nowhere.  Test support. *)
+    holds nowhere.  Test support.
+    Test oracle window: test_exec "guards block classifier == brute
+    force == Poly over the thread box" and "guards folded guards
+    match Keval". *)
 
 type access = {
   loads : float array;  (** loads read this array *)

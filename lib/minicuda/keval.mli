@@ -5,10 +5,6 @@
 
 type value = VInt of int | VFloat of float | VBool of bool
 
-val as_int : value -> int
-val as_float : value -> float
-val as_bool : value -> bool
-
 type arg = AInt of int | AFloat of float
 (** Launch-time values for the scalar kernel parameters, in parameter
     order (array parameters are bound through [load]/[store]). *)

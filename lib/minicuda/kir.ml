@@ -116,7 +116,6 @@ let v n = Var n
 let tid a = Special (Thread_idx a)
 let bid a = Special (Block_idx a)
 let bdim a = Special (Block_dim a)
-let gdim a = Special (Grid_dim a)
 let ( + ) a b = Binop (Add, a, b)
 let ( - ) a b = Binop (Sub, a, b)
 let ( * ) a b = Binop (Mul, a, b)
@@ -132,12 +131,7 @@ let ( || ) a b = Binop (Or, a, b)
 let load name idx = Load (name, idx)
 let store name idx e = Store (name, idx, e)
 let atomic_add name idx e = Atomic (AAdd, name, idx, e)
-let atomic_min name idx e = Atomic (AMin, name, idx, e)
-let atomic_max name idx e = Atomic (AMax, name, idx, e)
-let sqrt_ e = Unop (Sqrt, e)
 let rsqrt e = Unop (Rsqrt, e)
-let min_ a b = Binop (Minb, a, b)
-let max_ a b = Binop (Maxb, a, b)
 
 (* Global thread position along an axis:
    threadIdx.a + blockIdx.a * blockDim.a  (paper Eq. 5). *)
@@ -173,33 +167,6 @@ let rec map_stmt f s =
   | Syncthreads -> Syncthreads
 
 let map_kernel f k = { k with body = List.map (map_stmt f) k.body }
-
-(* Fold over every expression in a statement list (loads inside stores
-   included). *)
-let rec fold_exp_in_exp f acc e =
-  let acc =
-    match e with
-    | Iconst _ | Fconst _ | Special _ | Param _ | Var _ -> acc
-    | Load (_, idx) -> List.fold_left (fold_exp_in_exp f) acc idx
-    | Unop (_, x) -> fold_exp_in_exp f acc x
-    | Binop (_, x, y) -> fold_exp_in_exp f (fold_exp_in_exp f acc x) y
-  in
-  f acc e
-
-let rec fold_exp_in_stmt f acc s =
-  match s with
-  | Store (_, idx, e) | Atomic (_, _, idx, e) ->
-    fold_exp_in_exp f (List.fold_left (fold_exp_in_exp f) acc idx) e
-  | Local (_, e) | Assign (_, e) -> fold_exp_in_exp f acc e
-  | If (c, t, e) ->
-    let acc = fold_exp_in_exp f acc c in
-    let acc = List.fold_left (fold_exp_in_stmt f) acc t in
-    List.fold_left (fold_exp_in_stmt f) acc e
-  | For { from_; to_; body; _ } ->
-    let acc = fold_exp_in_exp f acc from_ in
-    let acc = fold_exp_in_exp f acc to_ in
-    List.fold_left (fold_exp_in_stmt f) acc body
-  | Syncthreads -> acc
 
 (* --- Pretty printing ---------------------------------------------------- *)
 

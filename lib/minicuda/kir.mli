@@ -92,9 +92,6 @@ val f : float -> exp
 val p : string -> exp
 val v : string -> exp
 val tid : Dim3.axis -> exp
-val bid : Dim3.axis -> exp
-val bdim : Dim3.axis -> exp
-val gdim : Dim3.axis -> exp
 val ( + ) : exp -> exp -> exp
 val ( - ) : exp -> exp -> exp
 val ( * ) : exp -> exp -> exp
@@ -110,12 +107,7 @@ val ( || ) : exp -> exp -> exp
 val load : string -> exp list -> exp
 val store : string -> exp list -> exp -> stmt
 val atomic_add : string -> exp list -> exp -> stmt
-val atomic_min : string -> exp list -> exp -> stmt
-val atomic_max : string -> exp list -> exp -> stmt
-val sqrt_ : exp -> exp
 val rsqrt : exp -> exp
-val min_ : exp -> exp -> exp
-val max_ : exp -> exp -> exp
 
 val global_id : Dim3.axis -> exp
 (** [threadIdx.a + blockIdx.a * blockDim.a] (paper Eq. 5). *)
@@ -128,8 +120,6 @@ val map_exp : (exp -> exp) -> exp -> exp
 
 val map_kernel : (exp -> exp) -> t -> t
 
-val fold_exp_in_stmt : ('a -> exp -> 'a) -> 'a -> stmt -> 'a
-
 (** {2 Printing (toy CUDA syntax)} *)
 
 val atomic_name : atomic_op -> string
@@ -141,6 +131,4 @@ val float_literal : float -> string
     parse.  A negative constant prints with a leading ['-'], which
     parses back as unary minus; non-finite ones do not parse back. *)
 
-val pp_exp : Format.formatter -> exp -> unit
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -9,9 +9,12 @@
 
 (* --- Constant folding and algebraic simplification ----------------------- *)
 
-let is_zero = function
+(* The zero that [x + z] and [x - z] may drop for every [x]: integer
+   [0], or the float zero whose sum is exact for a signed-zero [x]:
+   [x + -0.0] and [x - +0.0] are [x], while [-0.0 + +0.0] is [+0.0]. *)
+let is_zero ~negative = function
   | Kir.Iconst 0 -> true
-  | Kir.Fconst f -> f = 0.0
+  | Kir.Fconst f -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float (if negative then -0.0 else 0.0))
   | _ -> false
 
 let is_one = function
@@ -58,9 +61,9 @@ let fold_node (e : Kir.exp) : Kir.exp =
       | Kir.Eq -> Kir.Iconst (if a = b then 1 else 0)
       | Kir.Ne -> Kir.Iconst (if a <> b then 1 else 0)
       | _ -> e)
-  | Kir.Binop (Kir.Add, x, z) when is_zero z && neutral x z -> x
-  | Kir.Binop (Kir.Add, z, x) when is_zero z && neutral x z -> x
-  | Kir.Binop (Kir.Sub, x, z) when is_zero z && neutral x z -> x
+  | Kir.Binop (Kir.Add, x, z) when is_zero ~negative:true z && neutral x z -> x
+  | Kir.Binop (Kir.Add, z, x) when is_zero ~negative:true z && neutral x z -> x
+  | Kir.Binop (Kir.Sub, x, z) when is_zero ~negative:false z && neutral x z -> x
   | Kir.Binop (Kir.Mul, x, o) when is_one o && neutral x o -> x
   | Kir.Binop (Kir.Mul, o, x) when is_one o && neutral x o -> x
   (* Integer-only zero annihilation: safe because integer arithmetic
@@ -89,6 +92,25 @@ let fold_bound e =
     | Kir.Iconst _ -> Kir.Binop (Kir.Ne, e', Kir.Iconst 0)
     | x -> Kir.Unop (Kir.Not, Kir.Unop (Kir.Not, x))
 
+(* The loads of an expression, subscripts' loads included. *)
+let rec loads acc (e : Kir.exp) =
+  match e with
+  | Kir.Load (a, idx) -> List.fold_left loads ((a, idx) :: acc) idx
+  | Kir.Iconst _ | Kir.Fconst _ | Kir.Special _ | Kir.Param _ | Kir.Var _ -> acc
+  | Kir.Unop (_, x) -> loads acc x
+  | Kir.Binop (_, x, y) -> loads (loads acc x) y
+
+(* The loads in an [If] condition or [For] bounds.  A statement whose
+   body became empty keeps them here: {!eliminate_dead} decides whether
+   they may fault. *)
+let header_loads (s : Kir.stmt) =
+  match s with
+  | Kir.If (c, _, _) -> loads [] c
+  | Kir.For { from_; to_; _ } -> loads (loads [] from_) to_
+  | Kir.Store _ | Kir.Atomic _ | Kir.Local _ | Kir.Assign _ | Kir.Syncthreads -> []
+
+let drop_empty s = if header_loads s = [] then [] else [ s ]
+
 let rec fold_stmt (s : Kir.stmt) : Kir.stmt list =
   match s with
   | Kir.Store (a, idx, e) -> [ Kir.Store (a, List.map fold_exp idx, fold_exp e) ]
@@ -103,13 +125,17 @@ let rec fold_stmt (s : Kir.stmt) : Kir.stmt list =
       match c with
       | Kir.Iconst 0 -> f
       | Kir.Iconst _ -> t
-      | _ -> if t = [] && f = [] then [] else [ Kir.If (c, t, f) ])
+      | _ ->
+        let s = Kir.If (c, t, f) in
+        if t = [] && f = [] then drop_empty s else [ s ])
   | Kir.For { var; from_; to_; body } -> (
       let from_ = fold_exp from_ and to_ = fold_exp to_ in
       let body = List.concat_map fold_stmt body in
       match (from_, to_) with
       | Kir.Iconst a, Kir.Iconst b when a >= b -> []
-      | _ -> if body = [] then [] else [ Kir.For { var; from_; to_; body } ])
+      | _ ->
+        let s = Kir.For { var; from_; to_; body } in
+        if body = [] then drop_empty s else [ s ])
   | Kir.Syncthreads -> [ Kir.Syncthreads ]
 
 (* --- Dead-local elimination ------------------------------------------------ *)
@@ -122,14 +148,6 @@ let rec exp_uses acc (e : Kir.exp) =
   | Kir.Load (_, idx) -> List.fold_left exp_uses acc idx
   | Kir.Unop (_, x) -> exp_uses acc x
   | Kir.Binop (_, x, y) -> exp_uses (exp_uses acc x) y
-
-(* The loads of an expression, subscripts' loads included. *)
-let rec loads acc (e : Kir.exp) =
-  match e with
-  | Kir.Load (a, idx) -> List.fold_left loads ((a, idx) :: acc) idx
-  | Kir.Iconst _ | Kir.Fconst _ | Kir.Special _ | Kir.Param _ | Kir.Var _ -> acc
-  | Kir.Unop (_, x) -> loads acc x
-  | Kir.Binop (_, x, y) -> loads (loads acc x) y
 
 (* Locals bound by one [Local], never assigned nor a loop counter. *)
 let fixed_locals body =
@@ -156,7 +174,8 @@ let rec stable fixed (e : Kir.exp) =
   | Kir.Binop (_, x, y) -> stable fixed x && stable fixed y
 
 (* The bindings of names not [stays] whose value reads an array that
-   may be out of bounds.  A load is in bounds when each subscript is a
+   may be out of bounds, and the [If]s and [For]s whose header does.
+   A load is in bounds when each subscript is a
    constant inside a constant extent, or is a stable subscript that an
    access of the same array in the same dimension checked on every path
    before it, in a statement that [stays]: had that check failed, the
@@ -181,18 +200,19 @@ let unproved_loads ~extent ~stays body =
     |> fst
   in
   let learn_exp facts e = List.fold_left learn facts (loads [] e) in
+  let check facts s l = if not (List.for_all (proved facts) l) then out := s :: !out in
   let rec stmt facts (s : Kir.stmt) =
     match s with
     | Kir.Local (n, e) | Kir.Assign (n, e) ->
       if stays n then learn_exp facts e
       else begin
-        if not (List.for_all (proved facts) (loads [] e)) then out := s :: !out;
+        check facts s (loads [] e);
         facts
       end
     | Kir.Store (a, idx, e) | Kir.Atomic (_, a, idx, e) ->
       learn (learn_exp (List.fold_left learn_exp facts idx) e) (a, idx)
-    | Kir.If (_, t, f) -> ignore (seq facts t); ignore (seq facts f); facts
-    | Kir.For { body; _ } -> ignore (seq facts body); facts
+    | Kir.If (_, t, f) -> check facts s (header_loads s); ignore (seq facts t); ignore (seq facts f); facts
+    | Kir.For { body; _ } -> check facts s (header_loads s); ignore (seq facts body); facts
     | Kir.Syncthreads -> facts
   and seq facts l = List.fold_left stmt facts l in
   ignore (seq [] body);
@@ -204,8 +224,9 @@ let unproved_loads ~extent ~stays body =
    never consumed ([acc = acc + ...] feeding nothing) die too — the
    property the instrumentation shadow kernels rely on.  Given the
    arrays' [extent]s, a binding whose value reads an array that may be
-   out of bounds stays, and so do the bindings it reads: deleting the
-   load would let a launch complete where [Keval] raises. *)
+   out of bounds stays, and so do the bindings it reads, and so does an
+   [If] or [For] whose header reads one, with its body empty: deleting
+   the load would let a launch complete where [Keval] raises. *)
 let eliminate_dead ?extent (body : Kir.stmt list) : Kir.stmt list =
   (* Roots: variables used outside Local/Assign right-hand sides. *)
   let rec root_uses acc (s : Kir.stmt) =
@@ -255,30 +276,32 @@ let eliminate_dead ?extent (body : Kir.stmt list) : Kir.stmt list =
   in
   let roots = List.fold_left root_uses [] body in
   let live = closure roots in
+  (* The proof runs only when a dead binding or an emptied header loads. *)
   let unproved =
-    match extent with
-    | Some extent when List.exists (fun (n, e) -> (not (Hashtbl.mem live n)) && loads [] e <> []) all_defs ->
-      unproved_loads ~extent ~stays:(Hashtbl.mem live) body
-    | _ -> []
+    lazy (match extent with Some extent -> unproved_loads ~extent ~stays:(Hashtbl.mem live) body | None -> [])
   in
+  let faults s loads = loads <> [] && List.memq s (Lazy.force unproved) in
   let live =
-    if unproved = [] then live
+    if not (List.exists (fun (n, e) -> (not (Hashtbl.mem live n)) && loads [] e <> []) all_defs) then live
     else
-      closure
-        (List.fold_left
-           (fun acc s -> match s with Kir.Local (_, e) | Kir.Assign (_, e) -> exp_uses acc e | _ -> acc)
-           roots unproved)
+      match Lazy.force unproved with
+      | [] -> live
+      | l ->
+        closure
+          (List.fold_left
+             (fun acc s -> match s with Kir.Local (_, e) | Kir.Assign (_, e) -> exp_uses acc e | _ -> acc)
+             roots l)
   in
   let rec clean s =
     match s with
-    | Kir.Local (n, _) | Kir.Assign (n, _) ->
-      if Hashtbl.mem live n || List.memq s unproved then [ s ] else []
+    | Kir.Local (n, e) | Kir.Assign (n, e) ->
+      if Hashtbl.mem live n || faults s (loads [] e) then [ s ] else []
     | Kir.If (c, t, f) ->
       let t = List.concat_map clean t and f = List.concat_map clean f in
-      if t = [] && f = [] then [] else [ Kir.If (c, t, f) ]
+      if t = [] && f = [] && not (faults s (header_loads s)) then [] else [ Kir.If (c, t, f) ]
     | Kir.For { var; from_; to_; body } ->
       let body = List.concat_map clean body in
-      if body = [] then [] else [ Kir.For { var; from_; to_; body } ]
+      if body = [] && not (faults s (header_loads s)) then [] else [ Kir.For { var; from_; to_; body } ]
     | Kir.Store _ | Kir.Atomic _ | Kir.Syncthreads -> [ s ]
   in
   List.concat_map clean body
@@ -294,8 +317,6 @@ let fixpoint ?extent body =
       if b' = b then b else fix b' (n - 1)
   in
   fix body 8
-
-let optimize_body body = fixpoint ~extent:(fun _ -> None) body
 
 let optimize (k : Kir.t) : Kir.t =
   let dims = Kir.array_params k in

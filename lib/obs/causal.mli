@@ -95,16 +95,13 @@ val critical_path_length : analysis -> float
 
 (** {1 What-if} *)
 
-val replay :
-  dag ->
-  dur_of:(node -> float) ->
-  leg_of:(node -> string -> float -> float) ->
-  float
-(** Forward replay under a transform: [dur_of] gives each node's new
-    duration, [leg_of] its new occupancy on one leg.  Links replay in
-    recorded (admission) order — backfill reordering is approximated. *)
-
 val identity_replay : dag -> float
+(** The recorded schedule replayed forward unchanged; {!what_if}
+    corrects its predictions by this replay's drift from the makespan.
+    Links replay in recorded (admission) order — backfill reordering
+    is approximated.
+    Test oracle window: test_critpath "hand-computed serial chain"
+    and "properties identity replay matches on barriered DAGs". *)
 
 val what_if : dag -> category:string -> factor:float -> float
 (** Predicted makespan with [category]'s cost multiplied by [factor]

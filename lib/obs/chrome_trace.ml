@@ -126,7 +126,6 @@ let to_json events =
       ("displayTimeUnit", Json.Str "ms");
     ]
 
-let to_string events = Json.to_string (to_json events)
 let write ~file events = Json.write ~file (to_json events)
 
 (* --- Validation -------------------------------------------------------- *)

@@ -43,7 +43,6 @@ type event =
 val to_json : event list -> Json.t
 (** [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
 
-val to_string : event list -> string
 val write : file:string -> event list -> unit
 
 val validate : Json.t -> (unit, string) result
@@ -54,7 +53,6 @@ val validate : Json.t -> (unit, string) result
     named "critical path" tiling contiguously (no gaps between
     segments).  Accepts both the object and bare-array forms. *)
 
-val validate_string : string -> (unit, string) result
 val validate_file : file:string -> (unit, string) result
 
 val lanes : Json.t -> (int * int) list

@@ -26,11 +26,8 @@ type t = {
 
 val matrix_totals : t -> int * int * int
 (** (h2d, d2h, p2p) byte totals of the matrix — must reconcile exactly
-    with [Machine.stats]. *)
+    with [Machine.stats].
+    Test oracle window: test_obs "profile reconciles with stats". *)
 
-val endpoint_name : int -> string
-(** ["host"] for -1, ["devN"] otherwise. *)
-
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val to_json : t -> Json.t

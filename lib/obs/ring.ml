@@ -18,8 +18,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be positive";
   { slots = Array.make capacity None; head = 0; length = 0; dropped = 0 }
 
-let capacity t = Array.length t.slots
-let length t = t.length
 let dropped t = t.dropped
 
 let push t x =
@@ -48,5 +46,3 @@ let to_list t =
       match t.slots.((t.head + i) mod cap) with
       | Some x -> x
       | None -> assert false)
-
-let iter t f = List.iter f (to_list t)

@@ -6,9 +6,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : 'a t -> int
-val length : 'a t -> int
-
 val dropped : 'a t -> int
 (** Entries evicted to make room since creation (or the last [clear]). *)
 
@@ -17,5 +14,3 @@ val clear : 'a t -> unit
 
 val to_list : 'a t -> 'a list
 (** Surviving entries, oldest first. *)
-
-val iter : 'a t -> ('a -> unit) -> unit

@@ -29,7 +29,6 @@ let of_terms space terms ~const =
 
 let space t = t.space
 let coeff t i = t.coeffs.(i)
-let coeff_of t name = t.coeffs.(Space.var_index_exn t.space name)
 let constant t = t.const
 
 let check_same a b =
@@ -57,13 +56,6 @@ let set_coeff a i c =
   { a with coeffs }
 
 let is_constant a = Array.for_all (fun c -> c = 0) a.coeffs
-
-(* True when the expression involves no dims (params allowed). *)
-let is_param_only a =
-  let np = Space.n_params a.space in
-  let ok = ref true in
-  Array.iteri (fun i c -> if i >= np && c <> 0 then ok := false) a.coeffs;
-  !ok
 
 let equal a b =
   Space.equal a.space b.space && a.coeffs = b.coeffs && a.const = b.const

@@ -17,7 +17,6 @@ val of_terms : Space.t -> (int * string) list -> const:int -> t
 
 val space : t -> Space.t
 val coeff : t -> int -> int
-val coeff_of : t -> string -> int
 val constant : t -> int
 
 val add : t -> t -> t
@@ -29,9 +28,6 @@ val set_coeff : t -> int -> int -> t
 
 val is_constant : t -> bool
 (** All variable coefficients zero. *)
-
-val is_param_only : t -> bool
-(** No dim has a nonzero coefficient (parameters allowed). *)
 
 val equal : t -> t -> bool
 

@@ -33,17 +33,12 @@ exception Unbounded of string
 (** Raised by scanning when a dimension has no finite bound; carries the
     dimension name. *)
 
-val scan_poly : ?emit_ranges:bool -> Poly.t -> stmt
-(** Loop nest scanning all integer points of a convex polyhedron, dims
-    outermost-first.  With [emit_ranges] the innermost loop becomes an
-    [Emit_range]. *)
-
 val scan_set : ?emit_ranges:bool -> Pset.t -> stmt
-(** One loop nest per convex piece, in sequence. *)
+(** One loop nest per convex piece, in sequence, each scanning all
+    integer points of the piece, dims outermost-first.  With
+    [emit_ranges] the innermost loop becomes an [Emit_range]. *)
 
 type env = (string, int) Hashtbl.t
-
-val eval_expr : env -> expr -> int
 
 val compile_expr : slot:(string -> int) -> expr -> int array -> int
 (** Compile an expression into a closure over a slot-indexed int-array
@@ -57,6 +52,10 @@ val exec :
   stmt ->
   unit
 (** Execute a statement; [on_range] receives (row coordinates,
-    inclusive lo, inclusive hi). *)
+    inclusive lo, inclusive hi).
+    Test oracle window: test_poly "ast scan triangle", "ast scan
+    parametric", "ast scan_set enumerates exactly the set" and
+    "codegen-parametric parametric scan matches direct enumeration"
+    run the scans {!scan_set} builds. *)
 
 val pp_expr : Format.formatter -> expr -> unit

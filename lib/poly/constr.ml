@@ -30,13 +30,6 @@ let kind c = c.kind
 let aff c = c.aff
 let space c = Aff.space c.aff
 
-(* The negation of an inequality over Z: not(aff >= 0)  is  -aff - 1 >= 0.
-   Equalities have no single-constraint negation (callers split into the
-   two strict sides). *)
-let negate_ge c =
-  assert (c.kind = Ge);
-  ge (Aff.add_const (Aff.neg c.aff) (-1))
-
 type triviality = Row.triviality = Trivially_true | Trivially_false | Nontrivial
 
 let triviality c =

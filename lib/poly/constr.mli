@@ -31,10 +31,6 @@ val kind : t -> kind
 val aff : t -> Aff.t
 val space : t -> Space.t
 
-val negate_ge : t -> t
-(** Integer negation of an inequality: [not (aff >= 0)] is
-    [-aff - 1 >= 0].  Must not be applied to equalities. *)
-
 type triviality = Row.triviality = Trivially_true | Trivially_false | Nontrivial
 
 val triviality : t -> triviality

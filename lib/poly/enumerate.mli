@@ -46,7 +46,10 @@ type t = {
 val merge_rects :
   (int * int * int * int) list -> (int * int * int * int) list
 (** Merge evaluated rectangles (row0, row1, col0, col1, inclusive):
-    subsumption plus row-wise and column-wise coalescing to fixpoint. *)
+    subsumption plus row-wise and column-wise coalescing to fixpoint.
+    Test oracle window: test_poly "rects merge_rects preserves
+    coverage and shrinks" and "rects merge cases" check the merge
+    step of {!of_set} on rectangle lists of their own. *)
 
 val of_set : ?rectangles:bool -> sizes:Ast.expr array -> Pset.t -> t
 (** Build an enumerator for a set over array index dims; [sizes] are the

@@ -34,15 +34,6 @@ let gcd a b =
   let rec go a b = if b = 0 then a else go b (a mod b) in
   go (abs a) (abs b)
 
-let lcm a b =
-  if a = 0 || b = 0 then 0
-  else
-    let p = mul (a / gcd a b) b in
-    (* [mul] permits an exact [min_int] product (e.g. [2^61 * -2]), but
-       its absolute value is not representable. *)
-    if p = min_int then raise Overflow;
-    abs p
-
 (* Floor division: rounds toward negative infinity. *)
 let fdiv a b =
   assert (b <> 0);
@@ -54,11 +45,3 @@ let cdiv a b =
   assert (b <> 0);
   let q = a / b and r = a mod b in
   if r <> 0 && (r < 0) = (b < 0) then q + 1 else q
-
-(* Euclidean remainder: always in [0, |b|). *)
-let emod a b =
-  let r = a mod b in
-  if r < 0 then r + abs b else r
-
-(* Gcd of an array, ignoring zeros; 0 if all elements are zero. *)
-let gcd_array arr = Array.fold_left gcd 0 arr

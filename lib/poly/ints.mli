@@ -21,18 +21,8 @@ val gcd : int -> int -> int
     {!Overflow} if either argument is [min_int] (whose absolute value is
     not representable). *)
 
-val lcm : int -> int -> int
-(** Least common multiple; [lcm a 0 = 0].  Raises {!Overflow} when the
-    result is not representable (including [min_int] arguments). *)
-
 val fdiv : int -> int -> int
 (** Floor division, rounding toward negative infinity. *)
 
 val cdiv : int -> int -> int
 (** Ceiling division, rounding toward positive infinity. *)
-
-val emod : int -> int -> int
-(** Euclidean remainder, always in [\[0, |b|)]. *)
-
-val gcd_array : int array -> int
-(** Gcd of all elements (zeros ignored); [0] when all are zero. *)

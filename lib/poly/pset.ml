@@ -14,7 +14,6 @@ let of_poly p = of_polys (Poly.space p) [ p ]
 
 let space s = s.space
 let pieces s = s.pieces
-let n_pieces s = List.length s.pieces
 
 let is_empty s = List.for_all Poly.is_empty s.pieces
 
@@ -53,45 +52,6 @@ let add_constrs s cs =
 
 let add_normalized_rows s rows_of =
   { s with pieces = List.map (fun p -> Poly.add_normalized_rows p (rows_of p)) s.pieces }
-
-(* Set difference.  piece \ Q is the union over constraints c of Q of
-   piece ∩ ¬c (with earlier constraints asserted, to keep the result
-   disjoint).  Equalities split into the two strict sides. *)
-let subtract_poly piece q =
-  let space = Poly.space piece in
-  let negations_of c =
-    match Constr.kind c with
-    | Constr.Ge -> [ Constr.negate_ge c ]
-    | Constr.Eq ->
-      let aff = Constr.aff c in
-      [ Constr.ge (Aff.add_const aff (-1));
-        Constr.ge (Aff.add_const (Aff.neg aff) (-1)) ]
-  in
-  let rec go asserted acc = function
-    | [] -> acc
-    | c :: rest ->
-      let here =
-        List.map
-          (fun neg -> Poly.add_constrs piece (neg :: asserted))
-          (negations_of c)
-      in
-      go (c :: asserted) (here @ acc) rest
-  in
-  of_polys space (go [] [] (Poly.constraints q))
-
-let subtract a b =
-  if not (Space.equal a.space b.space) then invalid_arg "Pset.subtract: space mismatch";
-  let sub_piece piece =
-    List.fold_left
-      (fun remaining q ->
-         List.concat_map (fun p -> (subtract_poly p q).pieces) remaining)
-      [ piece ] b.pieces
-  in
-  of_polys a.space (List.concat_map sub_piece a.pieces)
-
-let subsumes a b = is_empty (subtract b a)
-
-let equal a b = subsumes a b && subsumes b a
 
 let project_onto s keep_local =
   let space = Space.filter_dims s.space (fun d -> List.mem d keep_local) in

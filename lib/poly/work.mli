@@ -27,7 +27,9 @@ val counters : t
 val reset : unit -> unit
 
 val totals : unit -> (string * int) list
-(** The totals as [poly.*] metric names, in the order listed above. *)
+(** The totals as [poly.*] metric names, in the order listed above.
+    Test oracle window: test_corpus_digest "corpus-digest polyhedral
+    work totals" pins them. *)
 
 val to_string : unit -> string
 (** [eliminations=E created_rows=C projections=P emptiness_tests=T

@@ -34,10 +34,6 @@ val parallel_for : t -> n:int -> (int -> int -> unit) -> int
     submitter (0 for an empty range).  If a chunk raises, the first
     exception is re-raised in the submitter after all chunks retire. *)
 
-val shutdown : t -> unit
-(** Join all workers.  The pool must be idle; using it afterwards
-    runs jobs inline on the submitter only. *)
-
 (** {2 The shared global pool}
 
     Engines use one process-wide pool so repeated runs don't re-spawn

@@ -113,11 +113,9 @@ let create_indexed ~len ~initial_owner =
   check_indexed_owner initial_owner;
   make ~indexed:true ~len ~initial_owner
 
-let len t = t.len
 let segment_count t = t.map.B.size
 
 let ops t = t.ops
-let reset_ops t = t.ops <- 0
 let version t = t.version
 
 let bump t n = t.ops <- t.ops + n
@@ -152,10 +150,6 @@ let found_stop t =
     t.found_stop <- t.map.B.stop
   end;
   t.found_stop
-
-let segment_at t idx =
-  seek t idx;
-  { start = found_start t; stop = found_stop t; owner = found_owner t }
 
 let owner_at t idx =
   seek t idx;
@@ -270,9 +264,6 @@ let owned_by t ~owner:o =
   List.rev !out
 
 (* Elements a given owner holds (sum of its segment lengths). *)
-let owned_count t ~owner =
-  List.fold_left (fun acc s -> acc + (s.stop - s.start)) 0 (owned_by t ~owner)
-
 (* All segments, in order. *)
 let segments t =
   let out = ref [] in

@@ -4,8 +4,8 @@
     Segments are non-overlapping half-open intervals covering the whole
     index space, stored unboxed in a B-tree keyed by segment start
     ({!Btree}).  Lookups, walks and writes allocate nothing but the
-    node a B-tree split makes; {!segment_at}, {!query}, {!owned_by} and
-    {!segments} build records and lists for callers off the hot path.  One owner
+    node a B-tree split makes; {!query}, {!owned_by} and {!segments}
+    build records and lists for callers off the hot path.  One owner
     per segment — shared copies are not representable, which is the
     paper's stated limitation (redundant transfers for shared data). *)
 
@@ -29,15 +29,16 @@ val max_indexed_len : int
 (** The longest index space an indexed tracker can cover (2{^32}). *)
 
 val max_indexed_owner : int
-(** The largest owner an indexed tracker can hold (2{^30} - 1). *)
+(** The largest owner an indexed tracker can hold (2{^30} - 1).
+    Test oracle window: test_runtime "tracker index limits". *)
 
-val len : t -> int
 val segment_count : t -> int
+(** Test oracle window: test_runtime "tracker basic", "tracker
+    spanning write", "tracker tracker hot path allocation", "vbuf
+    h2d/d2h roundtrip" and "vbuf beta/gamma configs". *)
 
 val ops : t -> int
 (** Number of B-tree operations performed so far (cost accounting). *)
-
-val reset_ops : t -> unit
 
 val version : t -> int
 (** The tracker's current version.  Versions come from one
@@ -69,11 +70,11 @@ val found_start : t -> int
 val found_stop : t -> int
 val found_owner : t -> int
 
-val segment_at : t -> int -> segment
-(** {!seek}, returned as a fresh record. *)
-
 val owner_at : t -> int -> int
-(** Owner of a single element: {!seek}, for one op. *)
+(** Owner of a single element: {!seek}, for one op.
+    Test oracle window: test_runtime "tracker basic", "vbuf sync for
+    read" and the other vbuf cases, test_mem "evict loop fault at the
+    k-th victim". *)
 
 val write : t -> start:int -> stop:int -> owner:int -> unit
 (** Record that [owner] wrote [start, stop): existing segments are
@@ -95,9 +96,6 @@ val owned_by : t -> owner:int -> segment list
 (** The segments [owner] holds, in order.  One owner per segment, so
     for a device id this is exactly what that device *exclusively*
     owns — the recovery metadata consulted when it is lost. *)
-
-val owned_count : t -> owner:int -> int
-(** Number of elements [owner] holds. *)
 
 val segments : t -> segment list
 (** All segments, in order. *)

@@ -26,7 +26,9 @@ val space : ?cfg:Rconfig.t -> Gpusim.Machine.t -> space
 (** An empty space (default config [Rconfig.alpha]). *)
 
 val members : space -> t list
-(** The eviction pool: the live buffers, in name order. *)
+(** The eviction pool: the live buffers, in name order.
+    Test oracle window: test_mem "residency pool membership", "evict
+    loop ensure == oracle loop". *)
 
 val transfers : space -> int
 val tracker_ops : space -> int
@@ -43,11 +45,16 @@ val create : space -> name:string -> len:int -> t
 val name : t -> string
 val len : t -> int
 val tracker : t -> Tracker.t
+(** The ownership tracker.  Test oracle window: test_runtime's vbuf and
+    fault-recovery cases, test_mem "evict loop fault at the k-th
+    victim". *)
 
 val residency : t -> dev:int -> Tracker.t
 (** The residency tracker of one device: owner 0 = not resident, a
     positive owner = resident, stamped by the last {!ensure_resident}
-    that touched it.  Tests read it; callers must not write it. *)
+    that touched it.  Callers must not write it.  Test oracle window:
+    test_mem "evict loop fault at the k-th victim" and "evict loop
+    ensure == oracle loop". *)
 
 val versions : t -> int array
 (** The {!Tracker.version} of the ownership tracker, then of each
@@ -133,7 +140,10 @@ val set_eviction_hook :
     {!ensure_resident} calls [f v ~dev ~stamp ~start ~stop] just before
     it evicts the resident segment [\[start, stop)] of [v], chosen as
     the coldest below [stamp] across the pool: the smallest stamp, the
-    first vbuf in pool order among equals, then the lowest start. *)
+    first vbuf in pool order among equals, then the lowest start.
+    Test oracle window: test_mem "residency capped vbuf matches flat
+    model" and "evict loop ensure == oracle loop" compare each
+    eviction with their oracles' choice. *)
 
 val spill : t -> dev:int -> ranges:(int * int) list -> int
 (** Evict the resident parts of the ranges from [dev]; returns the
@@ -141,13 +151,17 @@ val spill : t -> dev:int -> ranges:(int * int) list -> int
     copy and counted as spill traffic. *)
 
 val resident_bytes : t -> dev:int -> int
-(** Bytes this vbuf currently holds resident on one device. *)
+(** Bytes this vbuf currently holds resident on one device.
+    Test oracle window: test_gpusim "memory uncapped hotspot
+    residency", test_mem "evict loop fault at the k-th victim". *)
 
 val check_residency : t -> unit
 (** Validate the residency invariants (trackers sound, charges mirror
     resident elements, owned segments resident); raises [Failure] on
     violation.  Meaningful once the buffer has been distributed by an
-    {!h2d}. *)
+    {!h2d}.
+    Test oracle window: test_gpusim "memory uncapped hotspot
+    residency", test_mem "residency capped vbuf matches flat model". *)
 
 (** {2 Checkpoint / restore / recovery (fault tolerance)}
 

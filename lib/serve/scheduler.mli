@@ -72,7 +72,9 @@ val predicted_runtime : Gpusim.Config.t -> Job.spec -> float
     each launch's {!Costmodel.ops_per_block} through the simulator's
     wave/autoboost formula, each memcpy's bytes over the host link,
     [Repeat]-multiplied.  Orders deadline admission (see {!run}); an
-    ordering heuristic, never a promise to the job. *)
+    ordering heuristic, never a promise to the job.
+    Test oracle window: test_serve "scheduler EDF: short deadline not
+    starved by FIFO" checks the order it gives. *)
 
 val run : config -> Job.spec list -> report
 (** Drive every job to a terminal outcome.  Specs may arrive in any

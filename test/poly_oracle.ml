@@ -16,7 +16,7 @@ type t = { space : Space.t; constrs : Constr.t list; trivially_empty : bool }
 let coeffs aff = Array.init (Space.n_total (Aff.space aff)) (Aff.coeff aff)
 
 (* Gcd of the variable coefficients. *)
-let gcd_coeffs aff = Ints.gcd_array (coeffs aff)
+let gcd_coeffs aff = Array.fold_left Ints.gcd 0 (coeffs aff)
 
 (* Divide coefficients and constant by a [g] that divides them. *)
 let divide_exact aff g =
@@ -251,7 +251,9 @@ let subsumes a b =
     List.for_all
       (fun c ->
          match Constr.kind c with
-         | Constr.Ge -> is_empty (add_constrs b [ Constr.negate_ge c ])
+         | Constr.Ge ->
+           (* not (aff >= 0) is -aff - 1 >= 0 over Z *)
+           is_empty (add_constrs b [ Constr.ge (Aff.add_const (Aff.neg (Constr.aff c)) (-1)) ])
          | Constr.Eq ->
            let aff = Constr.aff c in
            is_empty (add_constrs b [ Constr.ge (Aff.add_const aff (-1)) ])

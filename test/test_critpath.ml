@@ -289,7 +289,7 @@ let test_traced_export_validates () =
   Gpusim.Machine.enable_causal m;
   ignore (Mekong.Multi_gpu.run ~machine:m (compile prog));
   let an = Obs.Causal.analyze (Option.get (Gpusim.Machine.causal_dag m)) in
-  let j = Gpusim.Trace_export.to_json ~critpath:an m in
+  let j = Obs.Chrome_trace.to_json (Gpusim.Trace_export.events ~critpath:an m) in
   (match Obs.Chrome_trace.validate j with
    | Ok () -> ()
    | Error e -> Alcotest.failf "critpath trace rejected: %s" e);

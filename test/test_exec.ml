@@ -13,6 +13,14 @@ let () = Gpu_runtime.Dpool.set_default_domains 2
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
+
+(* Kernel-building forms that only the tests use. *)
+let bid a = Kir.Special (Kir.Block_idx a)
+let bdim a = Kir.Special (Kir.Block_dim a)
+let gdim a = Kir.Special (Kir.Grid_dim a)
+let sqrt_ e = Kir.Unop (Kir.Sqrt, e)
+let min_ a b = Kir.Binop (Kir.Minb, a, b)
+let max_ a b = Kir.Binop (Kir.Maxb, a, b)
 let qtest = QCheck_alcotest.to_alcotest
 
 (* Keval's [load]/[store] callbacks over the access records the
@@ -40,9 +48,8 @@ let callbacks access =
 
 (* One shared pool for the direct executor tests; three participants so
    chunking, claim capping and the submitter's participation all
-   engage.  Joined at exit (the pool is idle between tests). *)
+   engage.  Its idle workers end with the process. *)
 let pool = lazy (Gpu_runtime.Dpool.create ~domains:3 ())
-let () = at_exit (fun () -> if Lazy.is_val pool then Gpu_runtime.Dpool.shutdown (Lazy.force pool))
 
 let test_dpool_empty_range () =
   let p = Lazy.force pool in
@@ -84,8 +91,7 @@ let test_dpool_single_domain_pool () =
   checki "inline execution" 1
     (Gpu_runtime.Dpool.parallel_for p1 ~n:5 (fun lo hi ->
          covered := !covered + (hi - lo)));
-  checki "full coverage" 5 !covered;
-  Gpu_runtime.Dpool.shutdown p1
+  checki "full coverage" 5 !covered
 
 let test_dpool_exception () =
   let p = Lazy.force pool in
@@ -107,7 +113,7 @@ let test_dpool_exception () =
 
 let model_of k =
   match Mekong.Access.analyze k with
-  | Ok a -> Mekong.Model.of_analysis a
+  | Ok a -> Mekong.Model.find_exn (Mekong.Model.of_analyses [ a ]) a.Mekong.Access.kernel.Kir.name
   | Error e -> Alcotest.failf "analysis failed: %s" (Mekong.Access.error_message e)
 
 let verdict k km = Mekong.Verify.verdict_name (Mekong.Verify.verify ~kernel:k km)
@@ -1212,24 +1218,63 @@ let dead_load_kernel =
           [] );
     ]
 
+(* The same load in the condition of an [If] whose branch folds away:
+   the optimizer keeps the [If]. *)
+let dead_cond_kernel =
+  let open Kir in
+  { dead_load_kernel with
+    Kir.name = "dead_cond";
+    body =
+      [
+        Local ("gi", global_id Dim3.X);
+        If (load "a" [ v "gi" + i 100 ] > f 0.0, [ Local ("x", f 1.0) ], []);
+      ] }
+
+let run_2gpu p =
+  match Mekong.Toolchain.compile p with
+  | Error e -> Alcotest.failf "toolchain: %s" (Mekong.Toolchain.error_message e)
+  | Ok art ->
+    let m = Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:2 ()) in
+    ignore (Mekong.Multi_gpu.run ~machine:m art.Mekong.Toolchain.exe)
+
 let test_dead_load_faults () =
   let n = 16 in
   let a = Array.init n float_of_int in
-  let diagnostic run =
-    match run (repeat_program dead_load_kernel [ ("a", a) ] (Array.make n nan)) with
-    | () -> Alcotest.fail "a faulting dead load completed"
-    | exception Invalid_argument m -> m
-  in
   let want = "Keval: index 100 out of bounds [0,16) in dim 0 of array a" in
-  checks "single GPU" want (diagnostic (fun p -> ignore (Single_gpu.run p)));
-  checks "2 GPUs" want
-    (diagnostic (fun p ->
-         match Mekong.Toolchain.compile p with
-         | Error e -> Alcotest.failf "toolchain: %s" (Mekong.Toolchain.error_message e)
-         | Ok art ->
-           let m = Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:2 ()) in
-           ignore (Mekong.Multi_gpu.run ~machine:m art.Mekong.Toolchain.exe)));
+  List.iter
+    (fun k ->
+       let diagnostic run =
+         match run (repeat_program k [ ("a", a) ] (Array.make n nan)) with
+         | () -> Alcotest.failf "%s: a faulting dead load completed" k.Kir.name
+         | exception Invalid_argument m -> m
+       in
+       checks (k.Kir.name ^ " single GPU") want (diagnostic (fun p -> ignore (Single_gpu.run p)));
+       checks (k.Kir.name ^ " 2 GPUs") want (diagnostic run_2gpu))
+    [ dead_load_kernel; dead_cond_kernel ];
   checkb "the optimizer keeps it" true (Kopt.optimize dead_load_kernel = dead_load_kernel)
+
+(* [a[gi] + 0.0f] over [-0.0] is [+0.0]: the partitioned engine runs
+   the optimized kernel, which must not fold the sum to [a[gi]]. *)
+let test_signed_zero_sum () =
+  let n = 16 in
+  let k =
+    let open Kir in
+    { dead_load_kernel with
+      Kir.name = "plus_zero";
+      body =
+        [
+          Local ("gi", global_id Dim3.X);
+          If (v "gi" < p "n", [ store "out" [ v "gi" ] (load "a" [ v "gi" ] + f 0.0) ], []);
+        ] }
+  in
+  let run engine =
+    let out = Array.make n nan in
+    engine (repeat_program k [ ("a", Array.make n (-0.0)) ] out);
+    Array.map Int64.bits_of_float out
+  in
+  let single = run (fun p -> ignore (Single_gpu.run p)) in
+  checkb "single GPU writes +0.0" true (Array.for_all (Int64.equal 0L) single);
+  checkb "2 GPUs write the same bits" true (single = run run_2gpu)
 
 (* ---------------- Lane faults and aliasing ---------------- *)
 
@@ -2250,7 +2295,7 @@ let test_operand_shapes () =
          List.iter
            (fun (big, klo) ->
               let args = [ Keval.AInt big; Keval.AInt klo ] in
-              let what = Format.asprintf "%a (big=%d)" Kir.pp_exp e big in
+              let what = Printf.sprintf "%s (big=%d)" (Kir.to_string k) big in
               let want, _ = run k ~args `Interp in
               if fst want <> Ok () then Alcotest.failf "%s: Keval raised" what;
               List.iter
@@ -2486,6 +2531,7 @@ let () =
           counting_rejections lane_order_rejected (qtest prop_lane_order);
           counting_rejections typed_rejected (qtest prop_check_preserved);
           Alcotest.test_case "a faulting dead load still faults" `Quick test_dead_load_faults;
+          Alcotest.test_case "a signed-zero sum is not folded" `Quick test_signed_zero_sum;
           Alcotest.test_case "lane fault re-runs the block" `Quick
             test_kcompile_lane_fault_rerun;
           Alcotest.test_case "in-place kernel runs at width 1" `Quick

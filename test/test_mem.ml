@@ -698,7 +698,7 @@ let test_fault_at_kth_victim () =
        List.iteri
          (fun i (s, e) ->
             let owner = Tracker.owner_at (Vbuf.tracker va) s in
-            let resident = (Tracker.segment_at (Vbuf.residency va ~dev:0) s).Tracker.owner > 0 in
+            let resident = Tracker.owner_at (Vbuf.residency va ~dev:0) s > 0 in
             checkb (Printf.sprintf "%s: victim %d [%d,%d) evicted" what i s e) (i < k) (not resident);
             checki (Printf.sprintf "%s: victim %d owner" what i) (if i < k then Tracker.host else 0) owner)
          victims;

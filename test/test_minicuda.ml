@@ -6,6 +6,11 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkfl msg a b = Alcotest.check (Alcotest.float 1e-9) msg a b
 
+(* Kernel-building forms that only the tests use. *)
+let sqrt_ e = Kir.Unop (Kir.Sqrt, e)
+let min_ a b = Kir.Binop (Kir.Minb, a, b)
+let max_ a b = Kir.Binop (Kir.Maxb, a, b)
+
 (* ---------------- Dim3 ---------------- *)
 
 let test_dim3 () =
@@ -162,30 +167,58 @@ let test_costmodel_trip_counts () =
   in
   checkfl "block = 256 threads" (h1 *. 256.0) per_block
 
+(* A loop bound evaluates statically from the scalar arguments, or
+   charges one iteration: [for k < bound] over one store (4 ops) costs
+   1 + ops(bound) + trips * 4. *)
 let test_costmodel_eval () =
-  let e = Kir.Binop (Kir.Mul, Kir.Param "n", Kir.Iconst 3) in
-  Alcotest.(check (option int)) "eval" (Some 30)
-    (Costmodel.try_eval_int [ ("n", 10) ] e);
-  Alcotest.(check (option int)) "unbound" None
-    (Costmodel.try_eval_int [] (Kir.Param "m"));
-  Alcotest.(check (option int)) "runtime value" None
-    (Costmodel.try_eval_int [] (Kir.Special (Kir.Thread_idx Dim3.X)))
+  let ops env bound =
+    let k =
+      Kir.kernel ~name:"k" ~params:[ Kir.Array { name = "o"; dims = [| Kir.Dim_const 1 |] } ]
+        [ Kir.For { var = "k"; from_ = Kir.i 0; to_ = bound; body = [ Kir.store "o" [ Kir.i 0 ] (Kir.f 1.0) ] } ]
+    in
+    Costmodel.ops_per_thread k ~scalar_env:env
+  in
+  checkfl "eval" (1.0 +. 1.0 +. (30.0 *. 4.0)) (ops [ ("n", 10) ] (Kir.Binop (Kir.Mul, Kir.Param "n", Kir.Iconst 3)));
+  checkfl "unbound" (1.0 +. 4.0) (ops [] (Kir.Param "m"));
+  checkfl "runtime value" (1.0 +. 4.0) (ops [] (Kir.Special (Kir.Thread_idx Dim3.X)))
 
 (* ---------------- Kopt ---------------- *)
+
+(* What [Kopt.optimize] leaves of [body] in a kernel over [a] and
+   [o]. *)
+let optimized body =
+  let arr name = Kir.Array { name; dims = [| Kir.Dim_const 4 |] } in
+  (Kopt.optimize (Kir.kernel ~name:"k" ~params:[ arr "a"; arr "o" ] body)).Kir.body
+
+(* The value [Kopt.optimize] leaves in [o[0] = e]. *)
+let fold_exp e =
+  match optimized [ Kir.store "o" [ Kir.i 0 ] e ] with
+  | [ Kir.Store (_, _, e') ] -> e'
+  | _ -> Alcotest.fail "the store did not survive"
 
 let test_kopt_folding () =
   let open Kir in
   let e = (i 2 + i 3) * v "x" + i 0 in
-  (match Kopt.fold_exp e with
+  (match fold_exp e with
    | Binop (Mul, Iconst 5, Var "x") -> ()
-   | other -> Alcotest.failf "unexpected fold: %s" (Format.asprintf "%a" Kir.pp_exp other));
+   | other -> Alcotest.failf "unexpected fold: %s" (Kir.to_string (Kir.kernel ~name:"folded" ~params:[] [ store "o" [] other ])));
   (* x + 0 and x * 1 *)
-  checkb "add zero" true (Stdlib.( = ) (Kopt.fold_exp (v "x" + i 0)) (v "x"));
-  checkb "mul one" true (Stdlib.( = ) (Kopt.fold_exp (v "x" * i 1)) (v "x"));
+  checkb "add zero" true (Stdlib.( = ) (fold_exp (v "x" + i 0)) (v "x"));
+  checkb "mul one" true (Stdlib.( = ) (fold_exp (v "x" * i 1)) (v "x"));
   (* float zero is NOT annihilated (NaN semantics) *)
-  (match Kopt.fold_exp (v "x" * f 0.0) with
+  (match fold_exp (v "x" * f 0.0) with
    | Binop (Mul, _, _) -> ()
-   | _ -> Alcotest.fail "float x*0 must not fold")
+   | _ -> Alcotest.fail "float x*0 must not fold");
+  (* A float zero folds only where the sum is [x] for [x = -0.0] too:
+     [x + -0.0] and [x - +0.0]. *)
+  let x = load "a" [ i 0 ] in
+  let folds e = Stdlib.( = ) (fold_exp e) x in
+  checkb "x + -0.0 folds" true (folds (x + f (-0.0)));
+  checkb "-0.0 + x folds" true (folds (f (-0.0) + x));
+  checkb "x - +0.0 folds" true (folds (x - f 0.0));
+  checkb "x + +0.0 stays" false (folds (x + f 0.0));
+  checkb "+0.0 + x stays" false (folds (f 0.0 + x));
+  checkb "x - -0.0 stays" false (folds (x - f (-0.0)))
 
 let test_kopt_dead_branches () =
   let open Kir in
@@ -196,7 +229,7 @@ let test_kopt_dead_branches () =
       For { var = "k"; from_ = i 3; to_ = i 3; body = [ store "o" [ i 2 ] (f 4.0) ] };
     ]
   in
-  match Kopt.optimize_body body with
+  match optimized body with
   | [ Store ("o", [ Iconst 0 ], Fconst 1.0) ] -> ()
   | other ->
     Alcotest.failf "unexpected optimization result (%d stmts)"
@@ -211,7 +244,7 @@ let test_kopt_dead_locals () =
       store "o" [ i 0 ] (v "used");
     ]
   in
-  checki "dead local removed" 2 (List.length (Kopt.optimize_body body))
+  checki "dead local removed" 2 (List.length (optimized body))
 
 let test_kopt_preserves_semantics () =
   (* Optimized kernels must compute the same values. *)

@@ -16,23 +16,25 @@ let test_ring_bounds () =
     (Invalid_argument "Ring.create: capacity must be positive") (fun () ->
         ignore (Obs.Ring.create ~capacity:0));
   let r = Obs.Ring.create ~capacity:3 in
-  checki "empty" 0 (Obs.Ring.length r);
+  let length r = List.length (Obs.Ring.to_list r) in
+  checki "empty" 0 (length r);
   for i = 1 to 3 do
     Obs.Ring.push r i
   done;
-  checki "full" 3 (Obs.Ring.length r);
+  checki "full" 3 (length r);
   checki "no drops yet" 0 (Obs.Ring.dropped r);
   Alcotest.(check (list int)) "chronological" [ 1; 2; 3 ] (Obs.Ring.to_list r);
   for i = 4 to 10 do
     Obs.Ring.push r i
   done;
-  checki "still full" 3 (Obs.Ring.length r);
+  checki "still full" 3 (length r);
   checki "drops counted" 7 (Obs.Ring.dropped r);
   Alcotest.(check (list int)) "newest survive" [ 8; 9; 10 ] (Obs.Ring.to_list r);
   Obs.Ring.clear r;
-  checki "cleared" 0 (Obs.Ring.length r);
+  checki "cleared" 0 (length r);
   checki "drop count cleared" 0 (Obs.Ring.dropped r);
-  checki "capacity unchanged" 3 (Obs.Ring.capacity r)
+  List.iter (Obs.Ring.push r) [ 11; 12; 13; 14 ];
+  Alcotest.(check (list int)) "capacity unchanged" [ 12; 13; 14 ] (Obs.Ring.to_list r)
 
 (* ---------------- JSON ---------------- *)
 
@@ -118,30 +120,25 @@ let test_span_disabled () =
 
 (* ---------------- Metrics ---------------- *)
 
+(* The series [name] with [labels], from the registry's snapshot. *)
+let find r ?(labels = []) name =
+  List.find_opt
+    (fun (s : Obs.Metrics.sample) -> s.m_name = name && s.m_labels = List.sort compare labels)
+    (Obs.Metrics.snapshot r)
+
 let test_metrics () =
   let r = Obs.Metrics.create () in
   Obs.Metrics.incr r "c";
   Obs.Metrics.incr r ~by:4 "c";
   Obs.Metrics.set r "g" 2.5;
   Obs.Metrics.set r "g" 7.5;
-  Obs.Metrics.observe r "h" 1.0;
-  Obs.Metrics.observe r "h" 3.0;
   Obs.Metrics.incr r ~labels:[ ("dst", "1"); ("src", "0") ] ~by:8 "pair";
-  let v name = Option.map Obs.Metrics.value (Obs.Metrics.find r name) in
+  let v name = Option.map Obs.Metrics.value (find r name) in
   checkb "counter sums" true (v "c" = Some 5.0);
   checkb "gauge keeps last" true (v "g" = Some 7.5);
-  checkb "histogram sums" true (v "h" = Some 4.0);
-  (match Obs.Metrics.find r "h" with
-   | Some s ->
-     checki "histogram count" 2 s.Obs.Metrics.m_count;
-     checkf "histogram min" 1.0 s.Obs.Metrics.m_min;
-     checkf "histogram max" 3.0 s.Obs.Metrics.m_max
-   | None -> Alcotest.fail "histogram lost");
   (* labels are canonicalized by sorting *)
-  (match Obs.Metrics.find r ~labels:[ ("src", "0"); ("dst", "1") ] "pair" with
-   | Some s -> checkf "labelled series found" 8.0 (Obs.Metrics.value s)
-   | None -> Alcotest.fail "label order must not matter");
-  checki "four series" 4 (List.length (Obs.Metrics.snapshot r))
+  checkf "labelled series found" 8.0 (Obs.Metrics.get r ~labels:[ ("src", "0"); ("dst", "1") ] "pair");
+  checki "three series" 3 (List.length (Obs.Metrics.snapshot r))
 
 let test_metrics_merge () =
   let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
@@ -152,22 +149,13 @@ let test_metrics_merge () =
   Obs.Metrics.incr b ~by:4 "c";
   Obs.Metrics.set a "g" 7.0;
   Obs.Metrics.set b "g" 3.0;
-  Obs.Metrics.observe a "h" 1.0;
-  Obs.Metrics.observe b "h" 5.0;
   ignore (Obs.Metrics.counter b "zero");
   let into = Obs.Metrics.create () in
   Obs.Metrics.merge ~into a;
   Obs.Metrics.merge ~into b;
   checkf "counters add" 9.0 (Obs.Metrics.get into "c");
   checkf "gauges keep the maximum" 7.0 (Obs.Metrics.get into "g");
-  checkf "histograms add" 6.0 (Obs.Metrics.get into "h");
-  (match Obs.Metrics.find into "h" with
-   | Some s ->
-     checki "histogram count" 2 s.Obs.Metrics.m_count;
-     checkf "histogram min" 1.0 s.Obs.Metrics.m_min;
-     checkf "histogram max" 5.0 s.Obs.Metrics.m_max
-   | None -> Alcotest.fail "histogram lost");
-  checkb "zero series registered" true (Obs.Metrics.find into "zero" <> None);
+  checkb "zero series registered" true (find into "zero" <> None);
   Alcotest.check_raises "kind mismatch"
     (Invalid_argument "Metrics: c registered with a different kind")
     (fun () ->
@@ -255,11 +243,11 @@ let fig6_machine () =
 
 let test_trace_valid_and_lanes () =
   let m, _ = fig6_machine () in
-  let s = Gpusim.Trace_export.to_string m in
-  (match Obs.Chrome_trace.validate_string s with
+  let s = Obs.Json.to_string (Obs.Chrome_trace.to_json (Gpusim.Trace_export.events m)) in
+  let j = Result.get_ok (Obs.Json.parse s) in
+  (match Obs.Chrome_trace.validate j with
    | Ok () -> ()
    | Error e -> Alcotest.failf "invalid trace: %s" e);
-  let j = Result.get_ok (Obs.Json.parse s) in
   let lanes = Obs.Chrome_trace.lanes j in
   (* one lane per engine: each (pid, tid) appears once in the sorted
      list, and every timing lane maps to a known engine *)
@@ -454,7 +442,7 @@ let test_engine_registry_merge () =
        let expected =
          match s.Obs.Metrics.m_kind with
          | Obs.Metrics.Gauge -> List.fold_left Float.max neg_infinity per_run
-         | Obs.Metrics.Counter | Obs.Metrics.Histogram ->
+         | Obs.Metrics.Counter ->
            List.fold_left ( +. ) 0.0 per_run
        in
        checkf s.Obs.Metrics.m_name expected (Obs.Metrics.value s))
@@ -550,7 +538,7 @@ let test_report_prints_registry () =
        dune exec test/test_obs.exe -- test golden *)
 let test_golden_trace () =
   let m, _ = fig6_machine () in
-  let s = Gpusim.Trace_export.to_string m in
+  let s = Obs.Json.to_string (Obs.Chrome_trace.to_json (Gpusim.Trace_export.events m)) in
   match Sys.getenv_opt "OBS_GOLDEN_WRITE" with
   | Some path ->
     let oc = open_out path in

@@ -192,7 +192,9 @@ let test_autotune_cost_cases () =
     checkb "column halos cost more transfer time than row halos" true
       (xsplit.Mekong.Autotune.transfer_s > fixed.Mekong.Autotune.transfer_s);
     checkb "hotspot winner carries a halo plan" true
-      (Mekong.Autotune.halo_depth ch.Mekong.Autotune.c_winner >= 2);
+      (match ch.Mekong.Autotune.c_winner.Mekong.Autotune.halo with
+       | Some hp -> hp.Mekong.Autotune.hp_depth >= 2
+       | None -> false);
     checkb "winner never scores above fixed" true
       (ch.Mekong.Autotune.c_winner.Mekong.Autotune.score
        <= fixed.Mekong.Autotune.score)

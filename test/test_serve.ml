@@ -51,8 +51,7 @@ let test_dpool_rejects_nonpositive () =
   checkb "set_default_domains 0 rejected" true
     (raises (fun () -> Gpu_runtime.Dpool.set_default_domains 0));
   (* Positive values still work. *)
-  let p = Gpu_runtime.Dpool.create ~domains:1 () in
-  Gpu_runtime.Dpool.shutdown p
+  ignore (Gpu_runtime.Dpool.create ~domains:1 ())
 
 (* Sizes above the runtime's domain limit are refused before any domain
    is spawned (a spawned-then-refused pool would die half-built). *)
@@ -468,7 +467,7 @@ let test_metrics_published () =
   let reg = Obs.Metrics.create () in
   Serve.Scheduler.publish_metrics ~into:reg r;
   let gauge name =
-    match Obs.Metrics.find reg name with
+    match List.find_opt (fun (s : Obs.Metrics.sample) -> s.m_name = name) (Obs.Metrics.snapshot reg) with
     | Some s -> Obs.Metrics.value s
     | None -> Alcotest.failf "missing metric %s" name
   in
