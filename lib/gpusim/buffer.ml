@@ -92,7 +92,6 @@ let create_in a ~id ~device ~len ~charged_bytes =
 
 let id b = b.id
 let device b = b.device
-let len b = b.len
 let charged_bytes b = b.charged_bytes
 
 let data_exn b =

@@ -51,9 +51,6 @@ val id : t -> int
 val device : t -> int
 (** Owning device id. *)
 
-val len : t -> int
-(** Element count. *)
-
 val charged_bytes : t -> int
 (** Bytes charged against the owning device's capacity at creation; 0
     for virtual buffers accounted segment-wise by the runtime. *)

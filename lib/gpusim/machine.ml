@@ -113,6 +113,7 @@ type route = {
   engines : Timeline.t array; (* copy engines held for the duration *)
   waits : Timeline.t array;
       (* compute engines a default-stream transfer waits for *)
+  reads : int array; (* [engines] and [waits], as indices into [clocks] *)
 }
 
 type t = {
@@ -223,7 +224,7 @@ let[@inline] add_seconds m s x =
 (* The placeholder of a pair no transfer has used yet. *)
 let unplanned =
   { legs = [||]; leg_lane = [||]; leg_scale = [||]; leg_bandwidth = [||];
-    occupancy = [||]; bandwidth = 0.0; engines = [||]; waits = [||] }
+    occupancy = [||]; bandwidth = 0.0; engines = [||]; waits = [||]; reads = [||] }
 
 (* Plan the route of transfers between two endpoints (-1 = host): the
    contention legs they occupy, with the bytes each leg carries per
@@ -292,6 +293,13 @@ let plan_route m ~src ~dst =
          else [| devices.(src).copy_out; devices.(dst).copy_in |]),
         [| devices.(src).compute; devices.(dst).compute |] )
   in
+  let index tl =
+    let i = ref 0 in
+    while m.clocks.(!i) != tl do
+      incr i
+    done;
+    !i
+  in
   {
     legs;
     leg_lane;
@@ -301,6 +309,7 @@ let plan_route m ~src ~dst =
     bandwidth;
     engines;
     waits;
+    reads = Array.map index (Array.append engines waits);
   }
 
 let create ?(functional = false) ?arena cfg =
@@ -1104,79 +1113,86 @@ type graph = {
    fault draws, no DAG nodes. *)
 let replayable m = (not m.functional) && m.faults = None && m.causal = None
 
+(* The index in [m.clocks] of device [d]'s compute ([k = 0]), copy-in
+   (1) and copy-out (2) engine: the host comes first, then each
+   device's three engines, then the links. *)
+let[@inline] engine_index d k = 1 + (3 * d) + k
+
 (* Mark in [read], indexed like [m.clocks], the engines an op reads: a
    copy's copy engines and the compute engines it waits, a kernel's copy
    engines, every engine for a sync. *)
 let mark_reads m read op =
-  let mark tl =
-    let i = ref 0 in
-    while m.clocks.(!i) != tl do
-      incr i
-    done;
-    read.(!i) <- true
-  in
   match op with
-  | Copy { route; _ } ->
-    Array.iter mark route.engines;
-    Array.iter mark route.waits
+  | Copy { route; _ } -> Array.iter (fun i -> read.(i) <- true) route.reads
   | Kernel { dev; _ } ->
-    mark dev.copy_in;
-    mark dev.copy_out
+    read.(engine_index dev.dev_id 1) <- true;
+    read.(engine_index dev.dev_id 2) <- true
   | Host _ -> ()
-  | Sync -> Array.iter (fun d -> mark d.compute; mark d.copy_in; mark d.copy_out) m.devices
+  | Sync -> Array.fill read 1 (3 * Array.length m.devices) true
 
 let counts m = [| m.h2d_bytes; m.d2h_bytes; m.p2p_bytes; m.n_transfers; m.n_launches |]
+
+(* The elements of [a] whose index [keep]s, in order. *)
+let select a keep =
+  let n = ref 0 in
+  Array.iteri (fun i _ -> if keep i then incr n) a;
+  let out = if !n = 0 then [||] else Array.make !n a.(0) and k = ref 0 in
+  Array.iteri
+    (fun i x ->
+       if keep i then begin
+         out.(!k) <- x;
+         incr k
+       end)
+    a;
+  out
 
 (* A graph of the ops [r] recorded, given the charges each timeline of
    [m.clocks] took ([tapes]), those [seconds] took, and the counters
    before the capture. *)
 let make_graph m r ~active ~tapes ~seconds ~counts0 =
   let tls = m.clocks in
-  let ops = Array.of_list (List.rev r.r_ops) in
+  let n_ops = List.length r.r_ops in
+  let ops = Array.make n_ops Sync in
+  List.iteri (fun i op -> ops.(n_ops - 1 - i) <- op) r.r_ops;
   let read = Array.make (Array.length tls) false in
   Array.iter (mark_reads m read) ops;
-  let scheduled i = tapes.(i) <> [] in
-  let select keep = Array.of_list (List.filteri (fun i _ -> keep i) (Array.to_list tls)) in
-  let moving = select scheduled in
+  let scheduled i = Array.length tapes.(i) > 0 in
+  let moving = select tls scheduled in
   let charges =
-    List.concat
-      (List.mapi (fun i slots -> List.map (fun (s, a) -> (tls.(i), s, a)) slots)
-         (Array.to_list tapes))
+    Array.concat
+      (Array.to_list (Array.mapi (fun i slots -> Array.map (fun (s, a) -> (tls.(i), s, a)) slots) tapes))
   in
-  let used =
-    List.filter
-      (fun l -> Array.exists (fun tl -> tl == Link.timeline l) moving)
-      (Array.to_list m.links)
-  in
+  (* Link [l]'s timeline follows every engine in [m.clocks]. *)
+  let first_link = 1 + (3 * Array.length m.devices) in
+  let used = select m.links (fun l -> scheduled (first_link + l)) in
+  (* Bytes per byte-matrix pair, summed in a row indexed like [pair_bytes]. *)
+  let sums = Array.make (Array.length m.pair_bytes) 0 in
+  Array.iter
+    (function
+      | Copy { src; dst; bytes; _ } ->
+        let i = pair_index m ~src ~dst in
+        sums.(i) <- sums.(i) + bytes
+      | Kernel _ | Host _ | Sync -> ())
+    ops;
+  let g_pairs = select (Array.mapi (fun i sum -> (i, sum)) sums) (fun i -> sums.(i) > 0) in
   {
     g_machine = m;
     g_ops = ops;
     g_ticks = r.r_ticks;
     g_active = active;
     g_moving = moving;
-    g_read = select (fun i -> read.(i) && not (scheduled i));
-    g_links = Array.of_list used;
+    g_read = select tls (fun i -> read.(i) && not (scheduled i));
+    g_links = used;
     g_op_clock = Array.exists (function Copy _ | Kernel _ -> true | Host _ | Sync -> false) ops;
-    g_charges = Array.of_list charges;
-    g_seconds = Array.of_list seconds;
+    g_charges = charges;
+    g_seconds = seconds;
     g_longest =
-      List.fold_left (fun acc (_, _, a) -> Array.fold_left Float.max acc a) 0.0 charges;
+      Array.fold_left (fun acc (_, _, a) -> Array.fold_left Float.max acc a) 0.0 charges;
     g_counts = Array.map2 ( - ) (counts m) counts0;
-    g_pairs =
-      (let sums = Hashtbl.create 16 in
-       Array.iter
-         (function
-           | Copy { src; dst; bytes; _ } -> (
-               let i = pair_index m ~src ~dst in
-               match Hashtbl.find sums i with
-               | sum -> sum := !sum + bytes
-               | exception Not_found -> Hashtbl.add sums i (ref bytes))
-           | Kernel _ | Host _ | Sync -> ())
-         ops;
-       Array.of_seq (Seq.map (fun (i, sum) -> (i, !sum)) (Hashtbl.to_seq sums)));
+    g_pairs;
     g_state = [||];
     g_size = 0;
-    g_lens = Array.make (List.length used) 0;
+    g_lens = Array.make (Array.length used) 0;
     g_shift = [| 0.0 |];
   }
 

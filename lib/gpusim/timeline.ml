@@ -158,45 +158,130 @@ let start_tape tp =
 
 let push_in tp s a = push tp s a.(0)
 
-(* Stop recording and drop the chunks; per slot, in slot order, the
-   amounts charged to it in charge order. *)
+(* Stop recording and drop the chunks; per slot that took charges, in
+   slot order, the amounts charged to it in charge order.  The slots are
+   counted, then each amount is placed from the newest charge back, so
+   the chunks are walked as they lie, newest first. *)
 let stop_tape tp =
+  let fill = tp.fill and c_slots = tp.c_slots and c_amounts = tp.c_amounts
+  and full = tp.full in
   tp.on <- false;
-  if tp.fill = 0 then []
+  tp.fill <- 0;
+  tp.c_slots <- [||];
+  tp.c_amounts <- [||];
+  tp.full <- [];
+  if fill = 0 then [||]
   else begin
-    let chunks = List.rev ((Array.sub tp.c_slots 0 tp.fill, tp.c_amounts) :: tp.full) in
-    tp.c_slots <- [||];
-    tp.c_amounts <- [||];
-    tp.full <- [];
-    let width =
-      List.fold_left
-        (fun w (slots, _) -> Array.fold_left (fun w s -> max w (s + 1)) w slots)
-        0 chunks
+    let width = ref 0 in
+    let widen slots n =
+      for i = 0 to n - 1 do
+        if slots.(i) >= !width then width := slots.(i) + 1
+      done
     in
-    let counts = Array.make width 0 in
-    List.iter (fun (slots, _) -> Array.iter (fun s -> counts.(s) <- counts.(s) + 1) slots) chunks;
+    widen c_slots fill;
+    List.iter (fun (slots, _) -> widen slots (Array.length slots)) full;
+    let counts = Array.make !width 0 in
+    let count slots n =
+      for i = 0 to n - 1 do
+        counts.(slots.(i)) <- counts.(slots.(i)) + 1
+      done
+    in
+    count c_slots fill;
+    List.iter (fun (slots, _) -> count slots (Array.length slots)) full;
     let groups = Array.map (fun n -> Array.make n 0.0) counts in
-    Array.fill counts 0 width 0;
-    List.iter
-      (fun (slots, amounts) ->
-         for i = 0 to Array.length slots - 1 do
-           let s = slots.(i) in
-           groups.(s).(counts.(s)) <- amounts.(i);
-           counts.(s) <- counts.(s) + 1
-         done)
-      chunks;
-    List.filter
-      (fun (_, a) -> Array.length a > 0)
-      (List.mapi (fun s a -> (s, a)) (Array.to_list groups))
+    let place slots amounts n =
+      for i = n - 1 downto 0 do
+        let s = slots.(i) in
+        counts.(s) <- counts.(s) - 1;
+        groups.(s).(counts.(s)) <- amounts.(i)
+      done
+    in
+    place c_slots c_amounts fill;
+    List.iter (fun (slots, amounts) -> place slots amounts (Array.length slots)) full;
+    let used = Array.fold_left (fun n a -> if Array.length a > 0 then n + 1 else n) 0 groups in
+    let out = Array.make used (0, [||]) and k = ref 0 in
+    Array.iteri
+      (fun s a ->
+         if Array.length a > 0 then begin
+           out.(!k) <- (s, a);
+           incr k
+         end)
+      groups;
+    out
   end
 
-(* Add [amounts], in order, [times] times over, to [acc.(s)]. *)
+(* --- Folding a charge tape (DESIGN.md §4) --------------------------------
+
+   Within one binade [2^e <= x < 2^(e+1)] the floats are the multiples
+   of [u = 2^(e-52)], and adding [a] rounds [x + a] to the nearest one,
+   ties to the even multiple.  Shift [x] by [D], an even multiple of
+   [u], and every sum shifts by [D] with its rounding unchanged, as
+   long as the exact sums stay below the binade's top.  So once one
+   period of adds (or two, when one moves the sum by an odd number of
+   ulps) has moved the sum from [x] to [x + D], [k] more take it to
+   [x + (k+1)D] exactly.  The amounts must be [>= 0]: then every sum of
+   a period is at most its last, and keeping the last a few ulps below
+   the top keeps every one there.  The sum is tracked as its biased
+   exponent and its integer significand [x / u], so a fold is integer
+   arithmetic and the float is rebuilt once. *)
+
+(* For [x >= 0]: its biased exponent (0 for zero and subnormals, 0x7ff
+   for infinity and NaN) and, for a normal [x], [x / u]. *)
+let[@inline] exponent x = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52)
+
+let[@inline] significand x =
+  Int64.to_int (Int64.logand (Int64.bits_of_float x) 0xF_FFFF_FFFF_FFFFL) lor (1 lsl 52)
+
+(* The most an integer significand may reach in a fold: 4 ulps below
+   the binade's top. *)
+let fold_limit = (1 lsl 53) - 4
+
+(* Add [amounts], in order, [times] times over, to [acc.(s)]: the float
+   operations of the sequential loop, with every run of periods that
+   stays in one binade folded into one step. *)
 let repeat_adds acc s amounts ~times =
-  let x = ref acc.(s) in
-  for _ = 1 to times do
-    for i = 0 to Array.length amounts - 1 do
+  let n = Array.length amounts in
+  let foldable = ref true in
+  for i = 0 to n - 1 do
+    let a = amounts.(i) in
+    if not (a >= 0.0 && a < Float.infinity) then foldable := false
+  done;
+  let x = ref acc.(s) and left = ref times in
+  while !left > 0 do
+    let x0 = !x in
+    for i = 0 to n - 1 do
       x := !x +. amounts.(i)
-    done
+    done;
+    decr left;
+    let e = exponent x0 in
+    if !foldable && !left > 0 && e > 0 && e < 0x7ff && exponent !x = e then begin
+      let m0 = significand x0 in
+      (* The step [q] ulps of [len] periods; an odd one-period step
+         tries two periods. *)
+      let q = ref (significand !x - m0) and len = ref 1 in
+      if !q land 1 = 1 then
+        if !left < 2 then len := 0
+        else begin
+          for i = 0 to n - 1 do
+            x := !x +. amounts.(i)
+          done;
+          decr left;
+          if exponent !x = e then begin
+            q := significand !x - m0;
+            len := 2
+          end
+          else len := 0
+        end;
+      if !len > 0 && !q land 1 = 0 && !left >= !len then begin
+        let m = significand !x in
+        let k = !left / !len in
+        let k = if !q = 0 then k else Int.min k ((fold_limit - m) / !q) in
+        if k > 0 then begin
+          x := Float.ldexp (float_of_int (m + (k * !q))) (e - 1075);
+          left := !left - (k * !len)
+        end
+      end
+    end
   done;
   acc.(s) <- !x
 

@@ -58,14 +58,17 @@ val push_in : tape -> int -> float array -> unit
 (** [push_in tp s a] records a charge of [a.(0)] seconds to slot [s]
     while [tp] records (the float travels in the array, unboxed). *)
 
-val stop_tape : tape -> (int * float array) list
-(** Stop recording and return, per slot in slot order, the seconds
-    charged to it in charge order ([[]] when none). *)
+val stop_tape : tape -> (int * float array) array
+(** Stop recording and return, per slot that took charges, in slot
+    order, the seconds charged to it in charge order. *)
 
 val repeat_adds : float array -> int -> float array -> times:int -> unit
-(** [repeat_adds acc s amounts ~times] adds [amounts] to [acc.(s)] in
-    order, [times] times over: the float operations of charging them
-    one by one. *)
+(** [repeat_adds acc s amounts ~times] leaves [acc.(s)] as adding
+    [amounts] to it in order, [times] times over, would, bit for bit.
+    When the amounts are finite and [>= 0], the periods that keep the
+    sum in one binade are one integer step (DESIGN.md §4): a call
+    usually adds a period or two one by one per binade crossed, not
+    [times]. *)
 
 val recharge : t -> int -> float array -> times:int -> unit
 (** {!repeat_adds} on one busy slot of the timeline. *)

@@ -101,6 +101,8 @@ let find_or_build t key ~build =
     Hashtbl.replace t key plan;
     (plan, `Miss)
 
+let mem t key = Hashtbl.mem t key
+
 (* Overwrite a key's plan (runtime chunk refinement after a live
    Out_of_memory: the footprint estimate was optimistic, so the re-built
    plan with finer chunks replaces the cached one for all later hits). *)

@@ -77,6 +77,10 @@ val find_or_build :
 (** Return the cached plan for [key], or build, record and return it.
     The cache keeps no counts: the caller counts hits and misses. *)
 
+val mem : t -> key -> bool
+(** Whether [key] has a plan.  The engine captures a loop's launch
+    graph only when every launch of the body has one. *)
+
 val replace : t -> key -> plan -> unit
 (** Overwrite a key's plan (runtime chunk refinement after a live
     [Out_of_memory]). *)

@@ -793,11 +793,13 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   let sites = ref [] in
   (* A graph-eligible loop's [periods] full periods of [k] iterations
      each: replay all of them when the key matches the site's graph,
-     else run one live under a capture and go on with the rest.  The
-     capture is kept when its calls all replay, its launches all hit the
-     plan cache and it left the key as it found it.  A dead site runs
-     what is left live. *)
-  let rec run_periods site ~k ~iterate periods =
+     else run one live and go on with the rest.  The live period runs
+     under a capture only when every launch of the loop body already
+     has its plan ([planned]), so that every launch in it hits the
+     plan cache: a period that builds a plan cannot be replayed.  The
+     capture is kept when its calls all replay and it left the key as
+     it found it.  A dead site runs what is left live. *)
+  let rec run_periods site ~k ~iterate ~planned periods =
     if periods = 0 then ()
     else if site.s_dead then iterate (k * periods)
     else
@@ -817,17 +819,21 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       | _ ->
         bump graph_misses;
         let hits = Obs.Metrics.total plan_hits
-        and misses = Obs.Metrics.total plan_misses
         and transfers = Vbuf.transfers space
         and ops = Vbuf.tracker_ops space in
         period_plain := true;
-        let prog = Gpusim.Machine.capture m (fun () -> iterate k) in
+        let prog =
+          if planned () then
+            span "graph_capture" (fun () -> Gpusim.Machine.capture m (fun () -> iterate k))
+          else begin
+            iterate k;
+            None
+          end
+        in
         if not !period_plain then site.s_dead <- true;
         (match prog with
          | Some prog
-           when !period_plain
-                && Obs.Metrics.total plan_misses = misses
-                && same_key key (graph_key ()) ->
+           when !period_plain && same_key key (graph_key ()) ->
            site.s_graph <-
              Some
                {
@@ -838,18 +844,19 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
                  g_tracker_ops = Vbuf.tracker_ops space - ops;
                }
          | _ -> ());
-        run_periods site ~k ~iterate (periods - 1)
+        run_periods site ~k ~iterate ~planned (periods - 1)
   in
   let rec exec (s : Host_ir.stmt) =
     match s with
     | Host_ir.Malloc (name, len) ->
-      Hashtbl.replace vbufs name (Vbuf.create space ~name ~len)
-    | Host_ir.Memcpy_h2d { dst; src } -> Vbuf.h2d (find dst) ~src:src.data
+      span "malloc" (fun () -> Hashtbl.replace vbufs name (Vbuf.create space ~name ~len))
+    | Host_ir.Memcpy_h2d { dst; src } -> span "h2d" (fun () -> Vbuf.h2d (find dst) ~src:src.data)
     | Host_ir.Memcpy_d2h { dst; src } ->
-      let vb = find src in
-      Gpusim.Machine.synchronize m;
-      Vbuf.d2h vb ~dst:dst.Host_ir.data;
-      Gpusim.Machine.synchronize m
+      span "d2h" (fun () ->
+          let vb = find src in
+          Gpusim.Machine.synchronize m;
+          Vbuf.d2h vb ~dst:dst.Host_ir.data;
+          Gpusim.Machine.synchronize m)
     | Host_ir.Launch { kernel; grid; block; args } ->
       exec_launch kernel grid block args
     | Host_ir.Repeat (n, body) -> (
@@ -884,14 +891,24 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
                 sites := (s, site) :: !sites;
                 site
             in
-            run_periods site ~k ~iterate (n / k);
+            (* Whether every launch of the body has its plan. *)
+            let planned () =
+              List.for_all
+                (function
+                  | Host_ir.Launch { kernel; grid; block; args } ->
+                    Launch_cache.mem !plan_cache (snd (lookup kernel grid block args))
+                  | _ -> true)
+                body
+            in
+            run_periods site ~k ~iterate ~planned (n / k);
             iterate (n mod k)
           end
           else iterate n)
     | Host_ir.Swap (a, b) -> swap a b
     | Host_ir.Free name ->
-      Vbuf.free (find name);
-      Hashtbl.remove vbufs name
+      span "free" (fun () ->
+          Vbuf.free (find name);
+          Hashtbl.remove vbufs name)
     | Host_ir.Sync -> Gpusim.Machine.synchronize m
   in
   (* The statement stream.  A run that keeps its loops whole runs the

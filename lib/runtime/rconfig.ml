@@ -19,11 +19,4 @@ let alpha = { transfers = true; patterns = true }
 let beta = { transfers = false; patterns = true }
 let gamma = { transfers = false; patterns = false }
 
-let name c =
-  match (c.transfers, c.patterns) with
-  | true, true -> "alpha"
-  | false, true -> "beta"
-  | false, false -> "gamma"
-  | true, false -> "invalid"
-
 let is_valid c = c.patterns || not c.transfers

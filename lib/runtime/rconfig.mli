@@ -18,7 +18,5 @@ val gamma : t
     disables the transfers they would generate).  Performance-mode
     only. *)
 
-val name : t -> string
-
 val is_valid : t -> bool
 (** Transfers without patterns is not a meaningful configuration. *)

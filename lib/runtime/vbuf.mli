@@ -43,6 +43,11 @@ val create : space -> name:string -> len:int -> t
     segments do (see {!ensure_resident}). *)
 
 val name : t -> string
+(** The buffer name it was created with.  Test oracle window: test_mem
+    "residency capped vbuf matches flat model", "evict loop ensure ==
+    oracle loop" and "pool membership" name evicted and pooled vbufs by
+    it. *)
+
 val len : t -> int
 val tracker : t -> Tracker.t
 (** The ownership tracker.  Test oracle window: test_runtime's vbuf and
@@ -148,7 +153,12 @@ val set_eviction_hook :
 val spill : t -> dev:int -> ranges:(int * int) list -> int
 (** Evict the resident parts of the ranges from [dev]; returns the
     bytes released.  Device-owned parts are written back to the host
-    copy and counted as spill traffic. *)
+    copy and counted as spill traffic.  The engine spills through
+    {!ensure_resident}'s eviction loop.  Test oracle window: test_mem
+    "evict loop ensure == oracle loop" rebuilds that loop from it and
+    "residency capped vbuf matches flat model" spills directly;
+    test_runtime's vbuf "host-owned segments" and "charge contract"
+    check what one spill moves and charges. *)
 
 val resident_bytes : t -> dev:int -> int
 (** Bytes this vbuf currently holds resident on one device.

@@ -628,7 +628,6 @@ let test_buffer_basics () =
   let b = Buffer.create ~id:7 ~device:3 ~len:5 ~charged_bytes:20 ~functional:true in
   checki "id" 7 (Buffer.id b);
   checki "device" 3 (Buffer.device b);
-  checki "len" 5 (Buffer.len b);
   let p = Buffer.create ~id:8 ~device:0 ~len:5 ~charged_bytes:20 ~functional:false in
   (* perf-mode blits are no-ops *)
   Buffer.blit_from_host ~src:[| 1.0 |] ~src_off:0 p ~dst_off:0 ~len:1;
@@ -641,8 +640,9 @@ let test_buffer_basics () =
 let bits a = Array.map Int64.bits_of_float a
 
 let read_all m b =
-  let out = Array.make (Buffer.len b) nan in
-  Machine.d2h m ~src:b ~src_off:0 ~dst:out ~dst_off:0 ~len:(Buffer.len b);
+  let len = Array.length (Buffer.data_exn b) in
+  let out = Array.make len nan in
+  Machine.d2h m ~src:b ~src_off:0 ~dst:out ~dst_off:0 ~len;
   out
 
 (* A second machine draws the arrays the first filled and freed: they
@@ -716,7 +716,7 @@ let test_arena_retention_bound () =
     let drawn = Hashtbl.create 8 in
     List.iter
       (fun b ->
-         let len = Buffer.len b in
+         let len = Array.length (Buffer.data_exn b) in
          Hashtbl.replace drawn len
            (1 + Option.value ~default:0 (Hashtbl.find_opt drawn len)))
       bufs;
@@ -771,6 +771,72 @@ let test_timeline_category_cache () =
   checkf "busy b" 2.0 (Timeline.busy_in t "b");
   checkf "total" 7.0 (Timeline.total_busy t);
   checkb "a and b" true (Timeline.categories t = [ "a"; "b" ])
+
+(* ---------------- Charge-tape folding ---------------- *)
+
+(* [Timeline.repeat_adds] against the loop it stands for.  Sums start
+   at 0, at a subnormal, a few ulps below a binade's top or anywhere in
+   a binade; amounts include zeros and exact half-ulp ties of the
+   start's binade, so the fold meets the ties-to-even case head on.
+   The [`Cross] cases add enough to climb at least three binades, and
+   [`Wild] ones mix in negative and non-finite amounts, which must fall
+   back to adding one by one. *)
+let gen_tape =
+  let open QCheck.Gen in
+  let* kind = oneofl [ `Zero; `Subnormal; `Top; `Inside; `Cross; `Wild ] in
+  let* e = int_range (-40) 40 in
+  let base = Float.ldexp 1.0 e and u = Float.ldexp 1.0 (e - 52) in
+  let* start =
+    match kind with
+    | `Zero -> return 0.0
+    | `Subnormal -> map (fun k -> Float.ldexp (float_of_int (k + 1)) (-1074)) (int_bound 1000)
+    | `Top -> map (fun k -> (2.0 *. base) -. (float_of_int (k + 1) *. u)) (int_bound 4096)
+    | `Inside | `Cross | `Wild -> map (fun f -> base *. (1.0 +. f)) (float_bound_exclusive 1.0)
+  in
+  let* times =
+    match kind with
+    | `Cross -> int_range 1_000 100_000
+    | _ -> oneof [ int_range 1 10; int_range 1 100_000 ]
+  in
+  (* [`Cross] periods add about [scale], enough for 8-32x the start. *)
+  let* scale =
+    map (fun f -> base *. 8.0 *. (1.0 +. (3.0 *. f)) /. float_of_int times) (float_bound_exclusive 1.0)
+  in
+  (* [`Top] amounts are a few ulps, so that folds end at the top. *)
+  let amount =
+    frequency
+      ([ (2, return 0.0);
+         (3, map (fun k -> (float_of_int k +. 0.5) *. u) (int_bound 8));
+         (1, map (fun k -> float_of_int k *. u) (int_bound 8)) ]
+       @ (if kind = `Top then []
+          else
+            [ (3, map (fun f -> f *. (if kind = `Cross then scale else base *. 1e-6))
+                    (float_bound_exclusive 1.0)) ])
+       @ if kind = `Wild then [ (1, return (-.u)); (1, return Float.infinity) ] else [])
+  in
+  let* amounts = array_size (int_range 1 6) amount in
+  (* Without an amount of its own scale a [`Cross] case could stall. *)
+  let amounts = if kind = `Cross then Array.append amounts [| scale |] else amounts in
+  return (kind, start, amounts, times)
+
+let prop_repeat_adds =
+  QCheck.Test.make ~name:"repeat_adds == the sequential loop" ~count:300
+    (QCheck.make
+       ~print:(fun (_, start, amounts, times) ->
+           Printf.sprintf "start=%h times=%d amounts=[%s]" start times
+             (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") amounts))))
+       gen_tape)
+    (fun (kind, start, amounts, times) ->
+      let want = ref start in
+      for _ = 1 to times do
+        Array.iter (fun a -> want := !want +. a) amounts
+      done;
+      let acc = [| 0.0; start |] in
+      Timeline.repeat_adds acc 1 amounts ~times;
+      let binade x = snd (Float.frexp x) in
+      Int64.equal (Int64.bits_of_float acc.(1)) (Int64.bits_of_float !want)
+      && acc.(0) = 0.0
+      && (kind <> `Cross || binade !want >= binade start + 3))
 
 (* ---------------- Link admission ---------------- *)
 
@@ -1009,6 +1075,11 @@ let test_hot_path_allocation () =
       Machine.launch m ~device:(i mod 4) ~blocks:64 ~ops_per_block:1e4 ~run);
   bounded "Machine.host_work" 4.0 (fun _ ->
       Machine.host_work m ~seconds:1e-6 ~category:"pattern");
+  (* A charge tape folded per binade allocates nothing either: each
+     call crosses binades and folds the periods in between. *)
+  let acc = [| 1.0 |] and tape = [| 1e-7; 3.5e-8; 0.0 |] in
+  bounded "Timeline.repeat_adds" 0.0 (fun _ ->
+      Timeline.repeat_adds acc 0 tape ~times:100_000);
   (* A launch graph of one period (per device a p2p, host work and a
      launch, then a sync) replays in one call allocating nothing: every
      float reaches [Timeline] and [Link] through an array slot. *)
@@ -1263,6 +1334,7 @@ let () =
             test_timeline_schedule_at;
           Alcotest.test_case "category cache" `Quick
             test_timeline_category_cache;
+          QCheck_alcotest.to_alcotest prop_repeat_adds;
         ] );
       ( "link",
         [

@@ -961,8 +961,8 @@ let test_untraced_folds () = checkb "some case folded" true (!untraced_folds > 0
 (* Launch graphs on a double-buffered stencil: 6 hotspot launches on 4
    devices, so 3 periods of [Launch; Swap; Launch; Swap].  The first
    period builds the plan and moves the buffers into their steady
-   state, so its capture is dropped; the second is captured; the third
-   replays it. *)
+   state, so it runs without a capture; the second is captured; the
+   third replays it. *)
 let stencil_run ?(functional = true) ?(cache = true) ?resume ?abort_at prog =
   let exe = (compile_exn prog).Mekong.Toolchain.exe in
   let m =
@@ -990,6 +990,31 @@ let test_cache_stats () =
   check_counts "plan hits, misses" (5, 1) (plan_counts perf);
   check_counts "graph hits, misses" (1, 2) (graph_counts perf);
   checkb "replayed == live" true (observed perf = observed live)
+
+(* A period whose launches build their plans cannot be replayed, so it
+   runs live without a capture: the stencil's first period builds the
+   plan and only the second is captured, one capture for its one
+   site.  Buffer statements and transfers carry engine spans too. *)
+let test_graphs_capture_planned () =
+  let prog, _, _ = Apps.Workloads.functional_hotspot ~n:32 ~iterations:6 in
+  Obs.Span.reset ();
+  Obs.Span.set_enabled true;
+  let res, _ =
+    Fun.protect ~finally:(fun () -> Obs.Span.set_enabled false) @@ fun () ->
+    stencil_run ~functional:false prog
+  in
+  let spans name =
+    List.length
+      (List.filter
+         (fun (sp : Obs.Span.record) -> sp.Obs.Span.sp_name = name)
+         (Obs.Span.records ()))
+  in
+  let captures = spans "graph_capture"
+  and buffer_ops = List.map spans [ "malloc"; "h2d"; "d2h"; "free" ] in
+  Obs.Span.reset ();
+  check_counts "graph hits, misses" (1, 2) (graph_counts res);
+  checki "one capture" 1 captures;
+  Alcotest.(check (list int)) "malloc, h2d, d2h, free spans" [ 2; 1; 1; 2 ] buffer_ops
 
 (* A graph is keyed by the buffers bound at its period's start and
    their tracker versions.  The inner loop runs twice, each time on a
@@ -1810,6 +1835,8 @@ let () =
              qtest (cache_equivalence Transient);
              qtest (cache_equivalence Loss);
              Alcotest.test_case "hit/miss stats" `Quick test_cache_stats;
+             Alcotest.test_case "graphs: capture only planned periods" `Quick
+               test_graphs_capture_planned;
              Alcotest.test_case "graphs miss on fresh buffers" `Quick
                test_graphs_fresh_buffers;
              Alcotest.test_case "launch graphs replay hotspot" `Quick

@@ -1061,10 +1061,7 @@ let test_rconfig () =
   checkb "beta valid" true (Rconfig.is_valid Rconfig.beta);
   checkb "gamma valid" true (Rconfig.is_valid Rconfig.gamma);
   checkb "transfers without patterns invalid" false
-    (Rconfig.is_valid { Rconfig.transfers = true; patterns = false });
-  Alcotest.(check string) "names" "alpha,beta,gamma"
-    (String.concat ","
-       (List.map Rconfig.name [ Rconfig.alpha; Rconfig.beta; Rconfig.gamma ]))
+    (Rconfig.is_valid { Rconfig.transfers = true; patterns = false })
 
 (* ---------------- Tracker versions ---------------- *)
 

@@ -409,6 +409,44 @@ let test_histogram_faults () =
   faulted_reducible "histogram" (fun () ->
       Apps.Workloads.functional_histogram ~n:65_536 ~nbins:97)
 
+(* Histogram under the fault mix of the benchmark suite's [modes]
+   workload, on that workload's seeded data: 2% transient kernel and
+   transfer faults plus one device lost halfway through the clean run,
+   with a checkpoint every 3 launches.  Every seed must lose its device
+   and still match the reference bit for bit. *)
+let test_histogram_fault_mix () =
+  let n = 65_536 and nbins = 97 and gpus = 4 in
+  let machine () =
+    Gpusim.Machine.create ~functional:true
+      (Gpusim.Config.k80_box ~n_devices:gpus ())
+  in
+  List.iter
+    (fun seed ->
+       let st = Random.State.make [| seed; Hashtbl.hash "histogram" |] in
+       let data = Array.init n (fun _ -> float_of_int (Random.State.int st nbins)) in
+       let result = Array.make nbins nan in
+       let exe = compile_exe (Apps.Histogram.program ~n ~nbins ~data ~result) in
+       let clean = (Mekong.Multi_gpu.run ~machine:(machine ()) exe).Mekong.Multi_gpu.time in
+       Array.fill result 0 nbins nan;
+       let m = machine () in
+       Gpusim.Machine.inject_faults m
+         (Gpusim.Faults.create
+            {
+              Gpusim.Faults.null_spec with
+              seed;
+              kernel_fault_rate = 0.02;
+              transfer_fault_rate = 0.02;
+              scheduled_losses = [ (1 + (seed mod (gpus - 1)), 0.5 *. clean) ];
+            });
+       let r = Mekong.Multi_gpu.run ~checkpoint_every:3 ~machine:m exe in
+       let name = Printf.sprintf "seed %d" seed in
+       checki (name ^ ": one device lost") 1
+         r.Mekong.Multi_gpu.faults.Mekong.Multi_gpu.fr_devices_lost;
+       checkb (name ^ ": bit-identical to reference") true
+         (Array.map Int64.bits_of_float result
+          = Array.map Int64.bits_of_float (Apps.Histogram.reference ~nbins data)))
+    [ 1; 2; 3; 7 ]
+
 let test_dot_faults () =
   faulted_reducible "dot" (fun () -> Apps.Workloads.functional_dot ~n:65_536)
 
@@ -438,6 +476,8 @@ let () =
             test_link_rejects_racy_atomics;
           Alcotest.test_case "histogram under faults" `Quick
             test_histogram_faults;
+          Alcotest.test_case "histogram under the suite's fault mix" `Quick
+            test_histogram_fault_mix;
           Alcotest.test_case "dot under faults" `Quick test_dot_faults;
         ] );
     ]
