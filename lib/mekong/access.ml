@@ -74,6 +74,9 @@ type array_access = {
   write_instrumented : bool;
       (* writes exist but are unanalyzable; collected at run time by the
          instrumentation fallback (paper §11) *)
+  write_proved : bool;
+      (* [analyze] proved [write] injective across blocks (vacuously
+         when there is none) under the default assumptions alone *)
 }
 
 type t = {
@@ -650,6 +653,8 @@ let default_assume kernel =
 
 let analyze ?(assume = []) ?(check_writes = true)
     ?(on_inexact_write = `Reject) (kernel : Kir.t) : (t, error) result =
+  (* A proof that used the caller's extra rows holds only under them. *)
+  let proves_writes = check_writes && assume = [] in
   try
     let params = analysis_params kernel in
     let full = full_space params kernel in
@@ -743,7 +748,8 @@ let analyze ?(assume = []) ?(check_writes = true)
             | None -> ());
            { arr; dims; read; write; atomic; atomic_ops; atomic_exact;
              read_exact;
-             write_instrumented = has_writes && not write_exact })
+             write_instrumented = has_writes && not write_exact;
+             write_proved = proves_writes })
         arrays
     in
     let strategy = choose_strategy accesses in

@@ -56,6 +56,12 @@ type array_access = {
   write_instrumented : bool;
       (** writes exist but are unanalyzable; collected at run time by
           the instrumentation fallback (paper §11) *)
+  write_proved : bool;
+      (** {!analyze} proved [write] injective across blocks (vacuously
+          when there is none): [false] under [check_writes:false] or
+          extra [assume] rows, since the proof holds only under the
+          assumptions it used.  The race verifier skips the
+          write/write check when it is set. *)
 }
 
 type t = {
@@ -105,5 +111,7 @@ val analyze :
 (** Analyze a kernel.  [assume] adds context constraints over scalar
     parameters (array extents are assumed positive automatically);
     [check_writes:false] skips the injectivity/exactness rejection
-    (used by diagnostics and the instrumentation fallback). *)
+    (used by diagnostics and the instrumentation fallback).  Each
+    array's [write_proved] is set only when the check ran without
+    extra [assume] rows. *)
 

@@ -53,10 +53,18 @@ let box_rows box p =
 let partition_image m =
   Pmap.range (Pmap.constrain_normalized m (box_rows (box_of_space (Pmap.combined m))))
 
-(* Build the enumerator for one access map.  [rectangles:false]
-   disables the rectangle-union optimization (ablation). *)
-let enumerator_of_map ?rectangles ~dims (m : Pmap.t) =
-  Enumerate.of_set ?rectangles ~sizes:(size_exprs dims) (partition_image m)
+(* The partition image is a function of a map's rows and of where its
+   dims sit, not of their names, so maps of one kernel that index
+   alike ([a[gi]] and [b[gi]]) can share one projection. *)
+let same_rows m m' =
+  Space.equal (Pmap.dom_space m) (Pmap.dom_space m')
+  && Space.n_dims (Pmap.ran_space m) = Space.n_dims (Pmap.ran_space m')
+  && List.equal Poly.equal_rows (Pset.pieces (Pmap.rel m)) (Pset.pieces (Pmap.rel m'))
+
+(* An image moved, rows as they are, into another map's index space. *)
+let rename_image img ran =
+  let same = Array.init (Space.n_total ran) Fun.id in
+  Pset.of_polys ran (List.map (fun p -> Poly.rebase p ran same) (Pset.pieces img))
 
 (* The generated-function name of paper §6.2: kernel name, argument
    position, access kind. *)
@@ -76,12 +84,15 @@ type entry = {
 type t = { kernel : string; entries : entry list }
 
 let build ?rectangles (km : Model.kernel_model) : t =
-  let precompile e =
-    (* Compile the enumerator expressions to closures at link time, so
-       the first launch does not pay the one-time cost. *)
-    Option.iter Enumerate.precompile e.read;
-    Option.iter Enumerate.precompile e.write;
-    e
+  (* Each distinct map's image, projected once per kernel. *)
+  let images = ref [] in
+  let image m =
+    match List.find_opt (fun (m', _) -> same_rows m m') !images with
+    | Some (_, img) -> rename_image img (Pmap.ran_space m)
+    | None ->
+      let img = partition_image m in
+      images := (m, img) :: !images;
+      img
   in
   {
     kernel = km.Model.kname;
@@ -98,20 +109,25 @@ let build ?rectangles (km : Model.kernel_model) : t =
              | (Some _ as m), None | None, (Some _ as m) -> m
              | None, None -> None
            in
-           precompile
+           (* [rectangles:false] disables the rectangle-union
+              optimization (ablation). *)
+           let enumerator =
+             Option.map (fun m ->
+                 Enumerate.of_set ?rectangles ~sizes:(size_exprs a.Model.dims) (image m))
+           in
+           let read_map = with_atomic a.Model.read
+           and write_map = with_atomic a.Model.write in
+           let read = enumerator read_map in
+           (* An atomic-only array reads and writes the one atomic map:
+              it gets one enumerator for both. *)
+           let write = if write_map == read_map then read else enumerator write_map in
            {
              arr = a.Model.arr;
              dims = a.Model.dims;
-             read =
-               Option.map
-                 (enumerator_of_map ?rectangles ~dims:a.Model.dims)
-                 (with_atomic a.Model.read);
+             read;
              read_name =
                enumerator_name ~kernel:km.Model.kname ~arg_index:i ~kind:`Read;
-             write =
-               Option.map
-                 (enumerator_of_map ?rectangles ~dims:a.Model.dims)
-                 (with_atomic a.Model.write);
+             write;
              write_name =
                enumerator_name ~kernel:km.Model.kname ~arg_index:i ~kind:`Write;
            })

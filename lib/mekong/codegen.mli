@@ -28,6 +28,12 @@ type entry = {
 type t = { kernel : string; entries : entry list }
 
 val build : ?rectangles:bool -> Model.kernel_model -> t
+(** One entry per array.  An array that only takes exact atomics
+    reads and writes one map, so its [read] and [write] are one
+    enumerator; arrays whose maps differ only in the names of their
+    index dims share one partition image, each enumerator still
+    scanning its own array's dims. *)
+
 val entry : t -> string -> entry option
 
 val ranges : Enumerate.t -> bindings:(string * int) list -> (int * int) list

@@ -22,6 +22,7 @@ type array_model = Access.array_access = {
   atomic_exact : bool;
   read_exact : bool;
   write_instrumented : bool;
+  write_proved : bool;
 }
 
 type kernel_model = {
@@ -166,6 +167,10 @@ let array_to_sexp (a : array_model) =
         else
           [ list (atom "atomic-ops" :: List.map atomic_op_to_sexp a.atomic_ops);
             list [ atom "atomic-exact"; atom (string_of_bool a.atomic_exact) ] ])
+     (* Only a record without pass 1's proof is marked: pass 1 refuses
+        every kernel whose write map it cannot prove, so the models it
+        writes read as they did before the field existed. *)
+     @ (if a.write_proved then [] else [ list [ atom "write-proved"; atom "false" ] ])
      @ (match a.atomic with
         | Some m -> [ list [ atom "atomic"; map_to_sexp m ] ]
         | None -> [])
@@ -186,6 +191,10 @@ let array_of_sexp x =
       (match Sexp.field_opt "write-instrumented" x with
        | Some [ b ] -> bool_of_string (Sexp.as_atom b)
        | _ -> false);
+    write_proved =
+      (match Sexp.field_opt "write-proved" x with
+       | Some [ b ] -> bool_of_string (Sexp.as_atom b)
+       | _ -> true);
     (* Absent in models written before atomics existed: no atomics. *)
     atomic_ops =
       (match Sexp.field_opt "atomic-ops" x with

@@ -17,6 +17,7 @@ type array_model = Access.array_access = {
   atomic_exact : bool;
   read_exact : bool;
   write_instrumented : bool;
+  write_proved : bool;
 }
 
 type kernel_model = {

@@ -165,7 +165,10 @@ let classify_array ~assume (am : Model.array_model) : classification =
     let races =
       List.filter_map Fun.id
         [
-          (match w with Some w -> conflict Write w Write w | None -> None);
+          (* Pass 1 already proved this one, when the model says so. *)
+          (match w with
+           | Some w when not am.Model.write_proved -> conflict Write w Write w
+           | _ -> None);
           (match (w, r) with
            | Some w, Some r -> conflict Write w Read r
            | _ -> None);

@@ -92,11 +92,22 @@ type sample = {
 
 let value s = s.m_value
 
+(* By name, then labels pair by pair, a prefix first: the order the
+   polymorphic compare of (name, labels) gives, without its generic
+   walk over the values. *)
+let compare_label (k1, v1) (k2, v2) =
+  let c = String.compare k1 k2 in
+  if c <> 0 then c else String.compare v1 v2
+
+let compare_sample a b =
+  let c = String.compare a.m_name b.m_name in
+  if c <> 0 then c else List.compare compare_label a.m_labels b.m_labels
+
 let snapshot t =
   Hashtbl.fold
     (fun (m_name, m_labels) (m_kind, s) acc -> { m_name; m_labels; m_kind; m_value = s.v_value } :: acc)
     t.table []
-  |> List.sort (fun a b -> compare (a.m_name, a.m_labels) (b.m_name, b.m_labels))
+  |> List.sort compare_sample
 
 let get t ?(labels = []) name =
   match Hashtbl.find_opt t.table (name, normalize labels) with

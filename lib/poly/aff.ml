@@ -66,15 +66,6 @@ let eval a env =
   Array.iteri (fun i c -> if c <> 0 then acc := Ints.add !acc (Ints.mul c env.(i))) a.coeffs;
   !acc
 
-(* Substitute variable [i] by affine expression [e] (over the same
-   space). *)
-let substitute a i e =
-  let c = a.coeffs.(i) in
-  if c = 0 then a
-  else
-    let a' = set_coeff a i 0 in
-    add a' (scale c e)
-
 (* Move the expression into a new space: [remap.(i)] gives the index in
    the new space of old variable [i], or [-1] if the variable is gone
    (its coefficient must then be zero). *)

@@ -34,9 +34,6 @@ val equal : t -> t -> bool
 val eval : t -> int array -> int
 (** Evaluate under a full assignment of the combined vector. *)
 
-val substitute : t -> int -> t -> t
-(** [substitute a i e] replaces variable [i] by expression [e]. *)
-
 val rebase : t -> Space.t -> int array -> t
 (** [rebase a space remap] moves [a] into [space]; [remap.(i)] is the
     new index of old variable [i], or [-1] if dropped (its coefficient

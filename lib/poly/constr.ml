@@ -1,9 +1,10 @@
 (* Affine constraints.
 
-   A constraint is either [aff = 0] or [aff >= 0].  Normalization divides
-   by the gcd of the variable coefficients and, for inequalities,
-   tightens the constant toward the integer hull:  g*x + c >= 0 with
-   g = gcd of coefficients is equivalent (over Z) to  x + floor(c/g) >= 0. *)
+   A constraint is either [aff = 0] or [aff >= 0].  Normalization, done
+   on the row form ({!Row.normalize}), divides by the gcd of the
+   variable coefficients and, for inequalities, tightens the constant
+   toward the integer hull:  g*x + c >= 0 with g = gcd of coefficients
+   is equivalent (over Z) to  x + floor(c/g) >= 0. *)
 
 type kind = Eq | Ge
 
@@ -30,35 +31,13 @@ let kind c = c.kind
 let aff c = c.aff
 let space c = Aff.space c.aff
 
-type triviality = Row.triviality = Trivially_true | Trivially_false | Nontrivial
-
-let triviality c =
-  if Aff.is_constant c.aff then
-    let k = Aff.constant c.aff in
-    match c.kind with
-    | Eq -> if k = 0 then Trivially_true else Trivially_false
-    | Ge -> if k >= 0 then Trivially_true else Trivially_false
-  else Nontrivial
-
 let to_row c = Aff.to_row c.aff (match c.kind with Eq -> Row.eq | Ge -> Row.ge)
 let of_row space r = { kind = (if Row.is_eq r then Eq else Ge); aff = Aff.of_row space r }
-
-(* Normalize through the row form, so that constraints and the rows
-   {!Poly} stores share one normalization. *)
-let normalize c =
-  let r = to_row c in
-  ignore (Row.normalize r);
-  of_row (space c) r
-
 let eval c env =
   let v = Aff.eval c.aff env in
   match c.kind with Eq -> v = 0 | Ge -> v >= 0
 
 let rebase c space remap = { c with aff = Aff.rebase c.aff space remap }
 
-let substitute c i e = { c with aff = Aff.substitute c.aff i e }
-
 let pp fmt c =
   Format.fprintf fmt "%a %s 0" Aff.pp c.aff (match c.kind with Eq -> "=" | Ge -> ">=")
-
-let to_string c = Format.asprintf "%a" pp c

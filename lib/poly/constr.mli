@@ -31,17 +31,6 @@ val kind : t -> kind
 val aff : t -> Aff.t
 val space : t -> Space.t
 
-type triviality = Row.triviality = Trivially_true | Trivially_false | Nontrivial
-
-val triviality : t -> triviality
-(** Classification of constraints with no variable coefficients. *)
-
-val normalize : t -> t
-(** Divide by the gcd of variable coefficients, tighten inequality
-    constants toward the integer hull, canonicalize equality sign.  An
-    unsatisfiable equality (gcd does not divide the constant) becomes a
-    trivially-false constraint. *)
-
 val to_row : t -> Row.t
 (** A fresh row of the constraint (see {!Row}). *)
 
@@ -49,10 +38,14 @@ val of_row : Space.t -> Row.t -> t
 (** The constraint of a row over the given space. *)
 
 val eval : t -> int array -> bool
-(** Does the assignment satisfy the constraint? *)
+(** Does the assignment satisfy the constraint?
+    Test oracle window: test_poly "poly-oracle flat-row core matches
+    the list oracle" and "constr normalization preserves integer
+    solutions" decide membership point by point with it. *)
 
 val rebase : t -> Space.t -> int array -> t
-val substitute : t -> int -> Aff.t -> t
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
+(** [aff >= 0] or [aff = 0].
+    Test oracle window: test_poly "poly-oracle flat-row core matches
+    the list oracle" compares polyhedra by their printed constraints. *)

@@ -299,8 +299,6 @@ let compiled t =
     t.compiled <- Some c;
     c
 
-let precompile t = ignore (compiled t)
-
 (* Emit raw (start, stop) half-open linear ranges through [f]. *)
 let eval_raw t env ~f =
   let c = compiled t in

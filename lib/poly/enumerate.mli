@@ -32,7 +32,8 @@ type rect = {
 type piece = Rect of rect | General of plan
 
 type compiled
-(** Slot-indexed closure form of an enumerator (see {!precompile}). *)
+(** Slot-indexed closure form of an enumerator, built by its first
+    evaluation. *)
 
 type t = {
   pieces : piece list;
@@ -55,12 +56,6 @@ val of_set : ?rectangles:bool -> sizes:Ast.expr array -> Pset.t -> t
 (** Build an enumerator for a set over array index dims; [sizes] are the
     array dimension sizes (outermost first) as expressions over the
     parameters. *)
-
-val precompile : t -> unit
-(** Compile the enumerator's expressions into slot-indexed closures and
-    memoize them on [t].  Evaluation compiles lazily anyway; calling
-    this eagerly (e.g. at kernel link time) moves the one-time cost out
-    of the first launch. *)
 
 val canonicalize : (int * int) list -> (int * int) list
 (** Sort and merge overlapping/adjacent ranges; drop empty ones. *)

@@ -267,6 +267,13 @@ let monotone remap =
     remap;
   !ok
 
+let equal_rows a b =
+  a.trivially_empty = b.trivially_empty
+  && (a.trivially_empty
+      || List.equal
+           (fun (r : Row.t) s -> Array.length r = Array.length s && Array.for_all2 Int.equal r s)
+           a.rows b.rows)
+
 let rebase p space remap =
   if p.trivially_empty then empty space
   else
@@ -474,32 +481,3 @@ let subsumes a b =
          else is_empty (add_rows b [ negated_ge r ]))
       a.rows
   end
-
-(* --- Substitution ------------------------------------------------------ *)
-
-let substitute p i e =
-  if p.trivially_empty then p
-  else
-    let e_space = Aff.space e and e = Aff.to_row e Row.ge in
-    let subst r =
-      if not (Space.equal e_space p.space) then invalid_arg "Aff: space mismatch";
-      let c = r.(i) in
-      let r' = Array.copy r in
-      r'.(i) <- 0;
-      for j = 0 to Row.n_vars r do
-        r'.(j) <- Ints.add r'.(j) (Ints.mul c e.(j))
-      done;
-      r'
-    in
-    let changed, unchanged = List.partition (fun r -> r.(i) <> 0) p.rows in
-    of_rows p.space ~fresh:(List.map subst changed) ~kept:unchanged
-
-let pp fmt p =
-  if p.trivially_empty then Format.fprintf fmt "{ false }"
-  else if p.rows = [] then Format.fprintf fmt "{ true }"
-  else
-    Format.fprintf fmt "{ %a }"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.fprintf fmt " and ")
-         Constr.pp)
-      (constraints p)

@@ -61,7 +61,10 @@ val eliminate_var : t -> int -> t
 
 val project_out : t -> int list -> t
 (** Eliminate the dims at the given combined-vector indices (in
-    ascending order) and drop them from the space. *)
+    ascending order) and drop them from the space; {!project_onto}
+    is this with the complement.
+    Test oracle window: test_poly "poly-oracle flat-row core matches
+    the list oracle" compares it with [Poly_oracle.project_out]. *)
 
 val project_onto : t -> int list -> t
 (** Keep only the dims whose dim-local indices are listed. *)
@@ -81,13 +84,17 @@ val sample : ?default_radius:int -> t -> int array option
     directions are searched within [default_radius]. *)
 
 val subsumes : t -> t -> bool
-(** [subsumes a b]: does [a] contain [b] (over Z)? *)
+(** [subsumes a b]: does [a] contain [b] (over Z)?
+    Test oracle window: test_poly "poly-oracle flat-row core matches
+    the list oracle" compares it with [Poly_oracle.subsumes], and the
+    test's [Pset.coalesce] drops pieces with it. *)
 
-val substitute : t -> int -> Aff.t -> t
+val equal_rows : t -> t -> bool
+(** The same canonical rows: the same constraints over spaces of one
+    layout, whatever their names. *)
+
 val rebase : t -> Space.t -> int array -> t
 (** [rebase p space remap] moves [p] into [space]; [remap.(i)] is the
     new index of old variable [i], or [-1] if dropped (its coefficients
     must be zero).  A remap that changes the variables' relative order
     renormalizes the constraints, as {!make} would. *)
-
-val pp : Format.formatter -> t -> unit

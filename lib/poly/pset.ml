@@ -19,36 +19,9 @@ let is_empty s = List.for_all Poly.is_empty s.pieces
 
 let mem s env = List.exists (fun p -> Poly.mem p env) s.pieces
 
-(* Drop pieces subsumed by another piece (quadratic; piece counts are
-   small in this code base). *)
-let coalesce s =
-  let rec go kept = function
-    | [] -> List.rev kept
-    | p :: rest ->
-      if Poly.is_empty p then go kept rest
-      else if
-        List.exists (fun q -> Poly.subsumes q p) kept
-        || List.exists (fun q -> Poly.subsumes q p) rest
-      then go kept rest
-      else go (p :: kept) rest
-  in
-  { s with pieces = go [] s.pieces }
-
 let union a b =
   if not (Space.equal a.space b.space) then invalid_arg "Pset.union: space mismatch";
   { space = a.space; pieces = a.pieces @ b.pieces }
-
-let intersect a b =
-  if not (Space.equal a.space b.space) then invalid_arg "Pset.intersect: space mismatch";
-  let pieces =
-    List.concat_map
-      (fun p -> List.map (fun q -> Poly.intersect p q) b.pieces)
-      a.pieces
-  in
-  of_polys a.space pieces
-
-let add_constrs s cs =
-  { s with pieces = List.map (fun p -> Poly.add_constrs p cs) s.pieces }
 
 let add_normalized_rows s rows_of =
   { s with pieces = List.map (fun p -> Poly.add_normalized_rows p (rows_of p)) s.pieces }
@@ -86,13 +59,3 @@ let enumerate ?(default_radius = 32) s =
   in
   List.iter each_piece s.pieces;
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) points [])
-
-let pp fmt s =
-  match s.pieces with
-  | [] -> Format.fprintf fmt "{}"
-  | _ ->
-    Format.pp_print_list
-      ~pp_sep:(fun fmt () -> Format.fprintf fmt " u ")
-      Poly.pp fmt s.pieces
-
-let to_string s = Format.asprintf "%a" pp s

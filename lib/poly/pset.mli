@@ -14,12 +14,7 @@ val mem : t -> int array -> bool
 (** Test oracle window: test_poly's brute-force, map-algebra and
     set-algebra properties test membership point by point. *)
 
-val coalesce : t -> t
-(** Drop pieces subsumed by other pieces. *)
-
 val union : t -> t -> t
-val intersect : t -> t -> t
-val add_constrs : t -> Constr.t list -> t
 
 val add_normalized_rows : t -> (Poly.t -> Row.t list) -> t
 (** Add to each piece the already-normalized rows the function gives
@@ -33,6 +28,3 @@ val enumerate : ?default_radius:int -> t -> int list list
     Test oracle window: test_poly "pmap figure-1 image", "pmap
     domain/range/preimage", "ast scan triangle" and the brute-force
     properties compare sets by their points. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -95,8 +95,3 @@ let drop_dim t i =
 let filter_dims t f =
   let dims = Array.of_list (List.filteri (fun i _ -> f i) (Array.to_list t.dims)) in
   { t with dims }
-
-let pp fmt t =
-  Format.fprintf fmt "[%s] -> {%s}"
-    (String.concat ", " (Array.to_list t.params))
-    (String.concat ", " (Array.to_list t.dims))

@@ -52,5 +52,3 @@ val drop_dim : t -> int -> t
 
 val filter_dims : t -> (int -> bool) -> t
 (** Keep only dims whose dim-local index satisfies the predicate. *)
-
-val pp : Format.formatter -> t -> unit

@@ -24,6 +24,23 @@ let divide_exact aff g =
     (List.mapi (fun i c -> (c / g, Space.var_name (Aff.space aff) i)) (Array.to_list (coeffs aff)))
     ~const:(Aff.constant aff / g)
 
+(* Classification of a constraint with no variable coefficients. *)
+let triviality c : Row.triviality =
+  let aff = Constr.aff c in
+  if Aff.is_constant aff then
+    let k = Aff.constant aff in
+    match Constr.kind c with
+    | Constr.Eq -> if k = 0 then Row.Trivially_true else Row.Trivially_false
+    | Constr.Ge -> if k >= 0 then Row.Trivially_true else Row.Trivially_false
+  else Row.Nontrivial
+
+(* [c] with variable [i] replaced by the expression [e] over its space. *)
+let substitute_constr c i e =
+  let aff = Constr.aff c in
+  let k = Aff.coeff aff i in
+  if k = 0 then c
+  else Constr.make (Constr.kind c) (Aff.add (Aff.set_coeff aff i 0) (Aff.scale k e))
+
 (* Divide by the gcd of the variable coefficients; tighten inequality
    constants; make an equality's first nonzero coefficient positive;
    an equality whose gcd does not divide its constant becomes [1 = 0]. *)
@@ -83,10 +100,10 @@ let make space constrs =
     | c :: rest ->
       if not (Space.equal (Constr.space c) space) then invalid_arg "Poly.make: space mismatch";
       let c = normalize c in
-      (match Constr.triviality c with
-       | Constr.Trivially_true -> go acc rest
-       | Constr.Trivially_false -> { space; constrs = []; trivially_empty = true }
-       | Constr.Nontrivial -> go (c :: acc) rest)
+      (match triviality c with
+       | Row.Trivially_true -> go acc rest
+       | Row.Trivially_false -> { space; constrs = []; trivially_empty = true }
+       | Row.Nontrivial -> go (c :: acc) rest)
   in
   go [] constrs
 
@@ -153,10 +170,10 @@ exception Found_empty
 let renormalize constrs =
   let step acc c =
     let c = normalize c in
-    match Constr.triviality c with
-    | Constr.Trivially_true -> acc
-    | Constr.Trivially_false -> raise Found_empty
-    | Constr.Nontrivial -> c :: acc
+    match triviality c with
+    | Row.Trivially_true -> acc
+    | Row.Trivially_false -> raise Found_empty
+    | Row.Nontrivial -> c :: acc
   in
   simplify_list (List.fold_left step [] constrs)
 
@@ -235,7 +252,7 @@ let project_onto p keep_local =
 let substitute p i e =
   if p.trivially_empty then p
   else
-    try { p with constrs = renormalize (List.map (fun c -> Constr.substitute c i e) p.constrs) }
+    try { p with constrs = renormalize (List.map (fun c -> substitute_constr c i e) p.constrs) }
     with Found_empty -> empty p.space
 
 let rebase p space remap =

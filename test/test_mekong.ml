@@ -157,6 +157,54 @@ let test_hotspot_read_halo () =
     [ (15 * n, 33 * n) ]
     ranges
 
+(* Arrays a kernel indexes alike share one partition image, moved into
+   each array's index space: every enumerator prints as if its map had
+   been projected on its own. *)
+let test_shared_images () =
+  let add2 =
+    let open Kir in
+    let d = [| Dim_param "n"; Dim_param "n" |] in
+    let at = [ v "y"; v "x" ] in
+    Kir.kernel ~name:"add2"
+      ~params:
+        [ Scalar "n"; Array { name = "a"; dims = d }; Array { name = "b"; dims = d };
+          Array { name = "c"; dims = d } ]
+      [ Local ("x", global_id Dim3.X); Local ("y", global_id Dim3.Y);
+        If (v "x" < p "n" && v "y" < p "n", [ store "c" at (load "a" at + load "b" at) ], []) ]
+  in
+  let render e = Format.asprintf "%a" Ppoly.Enumerate.pp e in
+  List.iter
+    (fun k ->
+       let km = Mekong.Model.find_exn (Mekong.Model.of_analyses [ analyze_exn k ]) k.Kir.name in
+       let cg = Mekong.Codegen.build km in
+       List.iter
+         (fun (a : Mekong.Model.array_model) ->
+            let e = Option.get (Mekong.Codegen.entry cg a.Mekong.Model.arr) in
+            let alone m =
+              let sizes =
+                Array.map
+                  (function Kir.Dim_const n -> Ppoly.Ast.Int n | Kir.Dim_param p -> Ppoly.Ast.Var p)
+                  a.Mekong.Model.dims
+              in
+              render (Ppoly.Enumerate.of_set ~sizes (Mekong.Codegen.partition_image m))
+            in
+            let name = k.Kir.name ^ " " ^ a.Mekong.Model.arr in
+            checkb (name ^ " read") true
+              (Option.map render e.Mekong.Codegen.read = Option.map alone a.Mekong.Model.read);
+            checkb (name ^ " write") true
+              (Option.map render e.Mekong.Codegen.write = Option.map alone a.Mekong.Model.write))
+         km.Mekong.Model.arrays;
+       if k == add2 then
+         List.iter
+           (fun arr ->
+              let e = Option.get (Mekong.Codegen.entry cg arr) in
+              checkb (arr ^ " scans its own index dims") true
+                (Str.string_match
+                   (Str.regexp (".*" ^ Str.quote (Mekong.Access.out_name arr 0)))
+                   (render (Option.get e.Mekong.Codegen.read)) 0))
+           [ "a"; "b" ])
+    [ add2; Apps.Vecadd.kernel; Apps.Hotspot.kernel; Apps.Matmul.kernel; Apps.Nbody.kernel ]
+
 (* ---------------- Partition transform ---------------- *)
 
 let test_partition_make () =
@@ -236,7 +284,7 @@ let test_model_roundtrip () =
                8-piece unions would be exponential. *)
             let poly_repr p =
               List.sort compare
-                (List.map Constr.to_string (Poly.constraints p))
+                (List.map (Format.asprintf "%a" Constr.pp) (Poly.constraints p))
             in
             let map_repr m =
               List.sort compare
@@ -250,9 +298,16 @@ let test_model_roundtrip () =
             in
             checkb "read map" true (same_map a.Mekong.Model.read a'.Mekong.Model.read);
             checkb "write map" true
-              (same_map a.Mekong.Model.write a'.Mekong.Model.write))
+              (same_map a.Mekong.Model.write a'.Mekong.Model.write);
+            (* Pass 1 proved every write map, and the proof survives
+               the file although only an unproved map is marked. *)
+            checkb "write proof" true a.Mekong.Model.write_proved;
+            checkb "write proof roundtrips" true a'.Mekong.Model.write_proved)
          k.Mekong.Model.arrays k'.Mekong.Model.arrays)
-    model.Mekong.Model.kernels model'.Mekong.Model.kernels
+    model.Mekong.Model.kernels model'.Mekong.Model.kernels;
+  checkb "a proved model marks nothing" false
+    (try ignore (Str.search_forward (Str.regexp_string "write-proved") text 0); true
+     with Not_found -> false)
 
 let test_model_file_roundtrip () =
   let model = Mekong.Model.of_analyses [ analyze_exn Apps.Vecadd.kernel ] in
@@ -592,6 +647,7 @@ let base_suites =
           Alcotest.test_case "reject non-injective" `Quick test_reject_non_injective;
           Alcotest.test_case "reject indirect write" `Quick test_reject_indirect_write;
           Alcotest.test_case "hotspot halo" `Quick test_hotspot_read_halo;
+          Alcotest.test_case "arrays indexed alike share one image" `Quick test_shared_images;
         ] );
       ( "partition",
         [
@@ -1402,7 +1458,9 @@ let test_instrumented_model () =
     let m' = Mekong.Model.of_string (Mekong.Model.to_string m) in
     let km = Mekong.Model.find_exn m' "scatter" in
     let am = List.find (fun (x : Mekong.Model.array_model) -> x.Mekong.Model.arr = "o") km.Mekong.Model.arrays in
-    checkb "flag roundtrips" true am.Mekong.Model.write_instrumented
+    checkb "flag roundtrips" true am.Mekong.Model.write_instrumented;
+    (* No write map, so nothing was left unproved. *)
+    checkb "vacuous write proof roundtrips" true am.Mekong.Model.write_proved
   | Error e -> Alcotest.failf "unexpected rejection: %s" (Mekong.Access.error_message e)
 
 (* 2-D tiling (extension): partitions tile the grid exactly and the

@@ -140,6 +140,38 @@ let test_metrics () =
   checkf "labelled series found" 8.0 (Obs.Metrics.get r ~labels:[ ("src", "0"); ("dst", "1") ] "pair");
   checki "three series" 3 (List.length (Obs.Metrics.snapshot r))
 
+(* Snapshots list series by name, then by labels pair by pair, a
+   shorter label list before the ones it is a prefix of. *)
+let test_metrics_order () =
+  let r = Obs.Metrics.create () in
+  let labelled = [
+    ("b", []);
+    ("a", [ ("src", "1") ]);
+    ("a", [ ("dst", "0"); ("src", "1") ]);
+    ("a", [ ("dst", "0") ]);
+    ("a", []);
+    ("a", [ ("dst", "10") ]);
+    ("a", [ ("dst", "0"); ("src", "0") ]);
+    ("a.b", [ ("k", "v") ]);
+    ("B", []);
+  ] in
+  List.iter (fun (name, labels) -> Obs.Metrics.incr r ~labels name) labelled;
+  let got =
+    List.map (fun (s : Obs.Metrics.sample) -> (s.m_name, s.m_labels)) (Obs.Metrics.snapshot r)
+  in
+  checkb "sorted by name, then labels" true
+    (got
+     = [ ("B", []);
+         ("a", []);
+         ("a", [ ("dst", "0") ]);
+         ("a", [ ("dst", "0"); ("src", "0") ]);
+         ("a", [ ("dst", "0"); ("src", "1") ]);
+         ("a", [ ("dst", "10") ]);
+         ("a", [ ("src", "1") ]);
+         ("a.b", [ ("k", "v") ]);
+         ("b", []) ]);
+  checkb "the polymorphic order" true (got = List.sort compare got)
+
 let test_metrics_merge () =
   let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
   let c = Obs.Metrics.counter a "c" in
@@ -574,6 +606,7 @@ let () =
         [
           Alcotest.test_case "registry" `Quick test_metrics;
           Alcotest.test_case "merge" `Quick test_metrics_merge;
+          Alcotest.test_case "snapshot order" `Quick test_metrics_order;
         ] );
       ( "timeline",
         [ Alcotest.test_case "idle and utilization" `Quick test_timeline_idle_util ] );

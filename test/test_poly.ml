@@ -4,6 +4,40 @@
 
 open Ppoly
 
+(* Set operations the tests use and the pipeline does not, composed
+   from the library's polyhedron operations. *)
+module Pset = struct
+  include Pset
+
+  let intersect a b =
+    of_polys (space a)
+      (List.concat_map (fun p -> List.map (Poly.intersect p) (pieces b)) (pieces a))
+
+  let add_constrs s cs = of_polys (space s) (List.map (fun p -> Poly.add_constrs p cs) (pieces s))
+
+  (* Drop pieces subsumed by another piece. *)
+  let coalesce s =
+    let rec go kept = function
+      | [] -> List.rev kept
+      | p :: rest ->
+        if Poly.is_empty p then go kept rest
+        else if
+          List.exists (fun q -> Poly.subsumes q p) kept
+          || List.exists (fun q -> Poly.subsumes q p) rest
+        then go kept rest
+        else go (p :: kept) rest
+    in
+    of_polys (space s) (go [] (pieces s))
+
+  let to_string s =
+    let poly p =
+      match Poly.constraints p with
+      | [] -> if Poly.is_trivially_empty p then "{ false }" else "{ true }"
+      | cs -> "{ " ^ String.concat " and " (List.map (Format.asprintf "%a" Constr.pp) cs) ^ " }"
+    in
+    match pieces s with [] -> "{}" | ps -> String.concat " u " (List.map poly ps)
+end
+
 (* The map algebra these tests build on, composed from the library's
    relation, set and polyhedron operations.  The pipeline needs none
    of it: it only intersects access relations with partition boxes
@@ -124,7 +158,10 @@ let test_aff () =
   checki "eval" (2 * 7 - 4 + 3 * 10 + 5) (Aff.eval a [| 10; 7; 4 |]);
   let b = Aff.add a (Aff.var sp2 "y") in
   checki "coeff y after add" 0 (coeff_of b "y");
-  let c = Aff.substitute a (Space.var_index_exn sp2 "x") (Aff.var sp2 "y") in
+  let c =
+    Constr.aff
+      (Poly_oracle.substitute_constr (Constr.ge a) (Space.var_index_exn sp2 "x") (Aff.var sp2 "y"))
+  in
   checki "subst coeff x" 0 (coeff_of c "x");
   checki "subst coeff y" 1 (coeff_of c "y")
 
@@ -584,18 +621,24 @@ let base_suites =
 
 (* ---------------- Constraint normalization ---------------- *)
 
+(* A constraint through the row normalization {!Poly} applies. *)
+let normalize c =
+  let r = Constr.to_row c in
+  ignore (Row.normalize r);
+  Constr.of_row (Constr.space c) r
+
 let test_constr_normalize () =
   (* 2x + 2y + 3 >= 0 tightens to x + y + 1 >= 0 over Z *)
   let aff = Aff.of_terms spxy [ (2, "x"); (2, "y") ] ~const:3 in
-  let c = Constr.normalize (Constr.ge aff) in
+  let c = normalize (Constr.ge aff) in
   checki "tightened coeff" 1 (coeff_of (Constr.aff c) "x");
   checki "floored constant" 1 (Aff.constant (Constr.aff c));
   (* equality with non-dividing constant is infeasible *)
-  let e = Constr.normalize (Constr.eq (Aff.of_terms spxy [ (2, "x") ] ~const:1)) in
+  let e = normalize (Constr.eq (Aff.of_terms spxy [ (2, "x") ] ~const:1)) in
   checkb "infeasible eq detected" true
-    (Constr.triviality e = Constr.Trivially_false);
+    (Poly_oracle.triviality e = Row.Trivially_false);
   (* equality sign canonicalization *)
-  let e2 = Constr.normalize (Constr.eq (Aff.of_terms spxy [ (-1, "x") ] ~const:5)) in
+  let e2 = normalize (Constr.eq (Aff.of_terms spxy [ (-1, "x") ] ~const:5)) in
   checki "sign flipped" 1 (coeff_of (Constr.aff e2) "x")
 
 let prop_normalize_preserves_integers =
@@ -604,17 +647,17 @@ let prop_normalize_preserves_integers =
     (fun (cx, cy, c, is_eq) ->
       let aff = Aff.of_terms spxy [ (cx, "x"); (cy, "y") ] ~const:c in
       let k = if is_eq then Constr.eq aff else Constr.ge aff in
-      let k' = Constr.normalize k in
+      let k' = normalize k in
       let ok = ref true in
       for x = -6 to 6 do
         for y = -6 to 6 do
           let env = [| x; y |] in
           let before = Constr.eval k env in
           let after =
-            match Constr.triviality k' with
-            | Constr.Trivially_true -> true
-            | Constr.Trivially_false -> false
-            | Constr.Nontrivial -> Constr.eval k' env
+            match Poly_oracle.triviality k' with
+            | Row.Trivially_true -> true
+            | Row.Trivially_false -> false
+            | Row.Nontrivial -> Constr.eval k' env
           in
           if before <> after then ok := false
         done
@@ -776,6 +819,14 @@ let prop_inverse_involution =
       Pset.enumerate ~default_radius:10 (Pmap.image m s)
       = Pset.enumerate ~default_radius:10 (Pmap.image mm s))
 
+(* Variable [i] of [p] replaced by [e]: the substituted constraints,
+   renormalized. *)
+let poly_substitute p i e =
+  if Poly.is_trivially_empty p then p
+  else
+    Poly.make (Poly.space p)
+      (List.map (fun c -> Poly_oracle.substitute_constr c i e) (Poly.constraints p))
+
 let prop_substitute_semantics =
   QCheck.Test.make ~name:"substitution preserves semantics" ~count:100
     QCheck.(pair (int_range (-3) 3) (int_range (-5) 5))
@@ -790,7 +841,7 @@ let prop_substitute_semantics =
             Constr.le2 vx vy ]
       in
       let e = Aff.add_const (Aff.scale k vy) c in
-      let q = Poly.substitute p (Space.var_index_exn spxy "x") e in
+      let q = poly_substitute p (Space.var_index_exn spxy "x") e in
       let ok = ref true in
       for y = -6 to 6 do
         let x = (k * y) + c in
@@ -934,7 +985,11 @@ let outcome f =
 
 (* What a caller can see of a polyhedron. *)
 let view space trivially_empty constrs =
-  (Format.asprintf "%a" Space.pp space, trivially_empty, List.map Constr.to_string constrs)
+  ( Printf.sprintf "[%s] -> {%s}"
+      (String.concat ", " (Array.to_list (Space.params space)))
+      (String.concat ", " (Array.to_list (Space.dims space))),
+    trivially_empty,
+    List.map (Format.asprintf "%a" Constr.pp) constrs )
 
 let view_poly p = view (Poly.space p) (Poly.is_trivially_empty p) (Poly.constraints p)
 
@@ -971,7 +1026,7 @@ let prop_core_matches_oracle =
            | O_substitute (i, s) ->
              let i = i mod Space.n_total sp in
              let e = Constr.aff (constr_of_spec sp s) in
-             (outcome (fun () -> Poly.substitute p i e), outcome (fun () -> Poly_oracle.substitute o i e))
+             (outcome (fun () -> poly_substitute p i e), outcome (fun () -> Poly_oracle.substitute o i e))
            | O_rebase r ->
              let n = Space.n_total sp in
              let remap = Array.init n (fun i -> r.(i) mod n) in

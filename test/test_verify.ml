@@ -172,6 +172,98 @@ let test_sanitizer_flags_racy () =
   in
   checki "dot's atomics are clean" 0 (List.length confl_dot)
 
+(* ---------------- Pass 1's write proof in the model ---------------- *)
+
+let has_sub text sub =
+  try ignore (Str.search_forward (Str.regexp_string sub) text 0); true
+  with Not_found -> false
+
+let arrays_of (m : Mekong.Model.t) =
+  List.concat_map (fun k -> k.Mekong.Model.arrays) m.Mekong.Model.kernels
+
+let test_pass1_model_carries_proof () =
+  let prog, _, _ = Apps.Workloads.functional_vecadd ~n:256 in
+  let pass1 ?assume () =
+    match Mekong.Toolchain.pass1 ?assume prog with
+    | Ok (m, _) -> m
+    | Error e -> Alcotest.fail (Mekong.Toolchain.error_message e)
+  in
+  let m = pass1 () in
+  List.iter
+    (fun (a : Mekong.Model.array_model) ->
+       checkb (a.Mekong.Model.arr ^ " proved") true a.Mekong.Model.write_proved)
+    (arrays_of m);
+  checkb "proved model text marks nothing" false
+    (has_sub (Mekong.Model.to_string m) "write-proved");
+  (* A proof under extra context rows holds only under them. *)
+  let m = pass1 ~assume:[ ([ (1, "n") ], -4) ] () in
+  let text = Mekong.Model.to_string m in
+  checkb "assumed model marks the proof off" true
+    (has_sub text "(write-proved false)");
+  List.iter
+    (fun (a : Mekong.Model.array_model) ->
+       checkb (a.Mekong.Model.arr ^ " unproved after reload") false
+         a.Mekong.Model.write_proved)
+    (arrays_of (Mekong.Model.of_string text))
+
+(* Every block stores to a[0]: the blocks collide on a plain store. *)
+let colliding_store_kernel =
+  let open Kir in
+  Kir.kernel ~name:"collide"
+    ~params:[ Scalar "n"; Array { name = "a"; dims = [| Dim_param "n" |] } ]
+    [ Local ("gi", global_id Dim3.X);
+      If (v "gi" < p "n", [ store "a" [ i 0 ] (f 1.0) ], []) ]
+
+let test_unproved_write_stays_racy () =
+  let k = colliding_store_kernel in
+  (match Mekong.Access.analyze k with
+   | Error (Mekong.Access.Non_injective_write "a") -> ()
+   | _ -> Alcotest.fail "pass 1 should refuse the colliding store");
+  let m = Mekong.Model.of_analyses [ analyze_exn ~check_writes:false k ] in
+  let m = Mekong.Model.of_string (Mekong.Model.to_string m) in
+  let km = Mekong.Model.find_exn m "collide" in
+  List.iter
+    (fun (a : Mekong.Model.array_model) ->
+       checkb "proof stays off through the file" false a.Mekong.Model.write_proved)
+    km.Mekong.Model.arrays;
+  match Mekong.Verify.verify ~kernel:k km with
+  | Mekong.Verify.Racy (w :: _) ->
+    checks "witness names the array" "a" w.Mekong.Verify.w_arr;
+    checkb "write/write witness" true
+      (w.Mekong.Verify.w_kind1 = Mekong.Verify.Write
+       && w.Mekong.Verify.w_kind2 = Mekong.Verify.Write);
+    checkb "blocks are distinct" true
+      (w.Mekong.Verify.w_block1 <> w.Mekong.Verify.w_block2)
+  | v -> Alcotest.failf "expected racy, got %s" (Mekong.Verify.verdict_to_string v)
+
+(* An atomic-only array reads and writes one map: pass 2 builds one
+   enumerator for both and renders it under both names, as before. *)
+let test_atomic_only_shared_enumerator () =
+  List.iter
+    (fun (app, prog, arr, rendered) ->
+       let m =
+         match Mekong.Toolchain.pass1 prog with
+         | Ok (m, _) -> Mekong.Model.of_string (Mekong.Model.to_string m)
+         | Error e -> Alcotest.fail (Mekong.Toolchain.error_message e)
+       in
+       let cg = Mekong.Codegen.build (Mekong.Model.find_exn m app) in
+       let e = Option.get (Mekong.Codegen.entry cg arr) in
+       checkb (app ^ ": one enumerator") true
+         (match (e.Mekong.Codegen.read, e.Mekong.Codegen.write) with
+          | Some r, Some w -> r == w
+          | None, None -> true
+          | _ -> false);
+       checks (app ^ ": rendering") rendered (Mekong.Codegen.render_entry e))
+    [ ( "dot",
+        (let p, _, _ = Apps.Workloads.functional_dot ~n:1024 in p),
+        "out",
+        "// dot__arg2__read\nrange 0 .. 0\n// dot__arg2__write\nrange 0 .. 0\n" );
+      (* Data-dependent bins: no exact map, so no enumerator at all. *)
+      ( "histogram",
+        (let p, _, _ = Apps.Workloads.functional_histogram ~n:1024 ~nbins:16 in p),
+        "hist",
+        "" ) ]
+
 (* ---------------- Differential QCheck property ----------------
 
    Random one/two-access kernels over out[idx] with idx drawn from a
@@ -466,6 +558,15 @@ let () =
             test_verify_safe_and_reducible;
           Alcotest.test_case "sanitizer" `Quick test_sanitizer_flags_racy;
           qtest prop_sanitizer_vs_verdict;
+        ] );
+      ( "model proof",
+        [
+          Alcotest.test_case "pass-1 model carries the proof" `Quick
+            test_pass1_model_carries_proof;
+          Alcotest.test_case "unproved write map stays racy" `Quick
+            test_unproved_write_stays_racy;
+          Alcotest.test_case "atomic-only arrays share one enumerator" `Quick
+            test_atomic_only_shared_enumerator;
         ] );
       ( "partitioned",
         [
