@@ -5,10 +5,12 @@
     (DESIGN.md §20). *)
 
 val kernel : Kir.t
-(** [dot(n, a, b, out)] with [out] a one-element array. *)
+(** [dot(n, a, b, out)] with [out] a one-element array.
+    Test oracle window: test_verify "sanitizer". *)
 
 val block : Dim3.t
 val grid_for : int -> Dim3.t
+(** Test oracle window: test_exec "allocation guard". *)
 
 val program :
   n:int -> a:float array -> b:float array -> result:float array -> Host_ir.t

@@ -7,10 +7,12 @@
 
 val kernel : Kir.t
 (** [histogram(n, nbins, data, hist)]; [data] values are the bin
-    indices (integral floats in [[0, nbins)]). *)
+    indices (integral floats in [[0, nbins)]).
+    Test oracle window: test_verify "safe and reducible". *)
 
 val block : Dim3.t
 val grid_for : int -> Dim3.t
+(** Test oracle window: test_exec "allocation guard". *)
 
 val program :
   n:int -> nbins:int -> data:float array -> result:float array -> Host_ir.t

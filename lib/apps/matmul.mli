@@ -5,10 +5,11 @@
 
 val kernel : Kir.t
 (** [matmul(n, a, b, c)] computing [c = a * b], one thread per element
-    of [c]. *)
+    of [c].  Test oracle window: test_mekong "matmul". *)
 
 val block : Dim3.t
 val grid_for : int -> Dim3.t
+(** Test oracle window: test_exec "allocation guard". *)
 
 val program_h :
   n:int -> a:Host_ir.host_array -> b:Host_ir.host_array ->

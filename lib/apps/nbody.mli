@@ -4,12 +4,14 @@
     all-gather per iteration) while writes stay row-contiguous. *)
 
 val kernel : Kir.t
-(** [nbody(n, dt, pos_in, vel_in, pos_out, vel_out)]. *)
+(** [nbody(n, dt, pos_in, vel_in, pos_out, vel_out)].
+    Test oracle window: test_mekong "nbody". *)
 
 val block : Dim3.t
-(** 256 threads. *)
+(** 256 threads.  Test oracle window: test_exec "allocation guard". *)
 
 val grid_for : int -> Dim3.t
+(** Test oracle window: test_exec "allocation guard". *)
 
 val program_h :
   n:int -> iterations:int -> dt:float -> pos:Host_ir.host_array ->

@@ -5,7 +5,7 @@
 
 val kernel : Kir.t
 (** [spmv(n, nnz, row_ptr, n1, cols, vals, x, y)]; one thread per
-    row. *)
+    row.  Test oracle window: test_mekong "spmv analysis". *)
 
 type csr = {
   n : int;
@@ -18,7 +18,8 @@ type csr = {
 val program : m:csr -> x:float array -> result:float array -> Host_ir.t
 
 val reference : m:csr -> float array -> float array
-(** CPU reference mirroring the kernel arithmetic exactly. *)
+(** CPU reference mirroring the kernel arithmetic exactly.
+    Test oracle window: test_mekong "spmv golden". *)
 
 val banded : n:int -> band:int -> csr
 (** A deterministic banded sparse matrix with up to [band] entries per

@@ -4,10 +4,11 @@
     extreme case). *)
 
 val kernel : Kir.t
-(** [vecadd(n, a, b, c)]. *)
+(** [vecadd(n, a, b, c)].  Test oracle window: test_mekong "vecadd". *)
 
 val block : Dim3.t
 val grid_for : int -> Dim3.t
+(** Test oracle window: test_mekong "enumerators vs execution". *)
 
 val program :
   n:int -> a:float array -> b:float array -> result:float array -> Host_ir.t

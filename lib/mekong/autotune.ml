@@ -1,14 +1,15 @@
-(* Cost-driven partition autotuning (ROADMAP item 2).
+(* Cost-driven partition autotuning (DESIGN.md §18).
 
-   For one launch, enumerate candidate partition plans — the model's
+   For one launch, enumerate candidate partitionings — the model's
    fixed axis, 1-D on every other axis with more than one block,
    near-square 2-D tile grids, throughput-proportional uneven 1-D
    splits on heterogeneous fleets, and 1-D splits over *fewer* devices
    than the fleet offers (small launches stop scaling long before the
-   fleet runs out, paper Fig. 6) — and score each with the simulator's
-   own cost model:
+   fleet runs out, paper Fig. 6) — have the caller's planner build each
+   one's partition plans ({!Plan.choose} passes the engine's own), and
+   score them with the simulator's own cost model:
 
-     compute   per-partition [Costmodel.ops_per_block] through the
+     compute   each partition plan's ops-per-block through the
                simulator's wave/occupancy/autoboost formula
                ([Gpusim.Config.kernel_seconds]), with per-device
                [Config.device_speeds];
@@ -47,8 +48,10 @@
    once either way); what the depth divides is the per-transfer latency
    and the barrier.  [choose] detects eligibility from the same
    polyhedral ranges it scores with and reports the depth on the
-   candidate, so the engine executes exactly the schedule the score
-   promised. *)
+   candidate; the engine runs the winner's partition plans and halo
+   plan as they were scored. *)
+
+open Launch_cache
 
 type shape =
   | Fixed of Dim3.axis (* the model's strategy axis, balanced 1-D *)
@@ -72,9 +75,9 @@ let seed_shape_name name =
 
 type candidate = {
   shape : shape;
-  parts : Partition.t list;
-      (* slot-indexed (device = slot), empties filtered; the engine
-         maps slots onto live device ids *)
+  parts : partition_plan list;
+      (* the non-empty partitions on live device ids, as the planner
+         built them; the engine runs the winner's *)
   compute_s : float; (* predicted makespan of the compute phase *)
   transfer_s : float; (* predicted exchange wall time per launch *)
   host_s : float; (* predicted host pattern/dispatch serial time *)
@@ -83,14 +86,6 @@ type candidate = {
   n_transfers : int; (* predicted transfer count per launch *)
   halo : halo_plan option; (* halo-tiled schedule ([None] = per-step) *)
   score : float;
-}
-
-and halo_plan = {
-  hp_axis : Dim3.axis;
-  hp_depth : int; (* temporal blocking factor T *)
-  hp_write_buf : string; (* buffer the kernel writes (by launch name) *)
-  hp_read_buf : string; (* its swap partner, the stencil input *)
-  hp_halo_elems : int; (* one-step overhang h, in elements per side *)
 }
 
 let halo_depth c = match c.halo with None -> 0 | Some hp -> hp.hp_depth
@@ -102,8 +97,8 @@ type choice = {
   c_candidates : candidate list;
   c_winner : candidate;
   c_raw_ranges : int;
-      (* raw enumerator emissions spent searching (reported, not
-         charged: like plan building itself, the search is launch-
+      (* raw enumerator emissions of every candidate's plans (reported,
+         not charged: like plan building itself, the search is launch-
          parameter-pure and cached with the plan) *)
 }
 
@@ -152,24 +147,15 @@ let diff a b =
   in
   go [] a b
 
-let clamp ~len ranges =
-  List.filter_map
-    (fun (s, e) ->
-       let s = max 0 s and e = min e len in
-       if e > s then Some (s, e) else None)
-    ranges
-
 (* --- Scoring -------------------------------------------------------- *)
 
-(* One partition's evaluated access sets, merged per buffer name. *)
+(* What scoring needs beyond one partition plan: its device's speed
+   and its access sets, clamped and merged per buffer name. *)
 type part_access = {
-  pa_part : Partition.t;
-  pa_dev : int; (* actual device id (through the live map) *)
+  pa_plan : partition_plan;
   pa_speed : float;
   pa_reads : (string * (int * int) list) list;
   pa_writes : (string * (int * int) list) list;
-  pa_blocks : int;
-  pa_ops_per_block : float;
 }
 
 let assoc_ranges buf l = Option.value ~default:[] (List.assoc_opt buf l)
@@ -201,28 +187,20 @@ let halo_eligible ~grid ~iters ~aliases accesses =
     match accesses with
     | [] -> None
     | _ :: _ ->
-      (match band_axis ~grid (List.map (fun a -> a.pa_part) accesses) with
+      (match band_axis ~grid (List.map (fun a -> a.pa_plan.pp_part) accesses) with
        | None -> None
        | Some axis ->
-         let written_bufs =
+         (* The buffers some partition accesses through [sets]. *)
+         let bufs sets =
            List.sort_uniq compare
              (List.concat_map
                 (fun a ->
                    List.filter_map
                      (fun (b, rs) -> if rs = [] then None else Some b)
-                     a.pa_writes)
+                     (sets a))
                 accesses)
          in
-         let read_bufs =
-           List.sort_uniq compare
-             (List.concat_map
-                (fun a ->
-                   List.filter_map
-                     (fun (b, rs) -> if rs = [] then None else Some b)
-                     a.pa_reads)
-                accesses)
-         in
-         match (written_bufs, read_bufs) with
+         match (bufs (fun a -> a.pa_writes), bufs (fun a -> a.pa_reads)) with
          | [ wbuf ], [ rbuf ]
            when wbuf <> rbuf
                 && (List.mem (wbuf, rbuf) aliases
@@ -241,9 +219,10 @@ let halo_eligible ~grid ~iters ~aliases accesses =
                   with
                   | Some (ws, we), Some (rs, re)
                     when rs <= ws && re >= we && we > ws ->
+                    let p = a.pa_plan.pp_part in
                     let band_blocks =
-                      Dim3.get a.pa_part.Partition.max_blocks axis
-                      - Dim3.get a.pa_part.Partition.min_blocks axis
+                      Dim3.get p.Partition.max_blocks axis
+                      - Dim3.get p.Partition.min_blocks axis
                     in
                     if band_blocks <= 0 || (we - ws) mod band_blocks <> 0
                     then None
@@ -294,12 +273,10 @@ let halo_eligible ~grid ~iters ~aliases accesses =
 
 (* --- Candidate enumeration and choice ------------------------------- *)
 
-let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
-    ~(enums : Codegen.t) ~(partitioned : Kir.t) ~(kernel : Kir.t) ~grid
-    ~block ~args ?(aliases = []) ?(iters = 1) ~buf_len () : choice =
+let choose ~(cfg : Gpusim.Config.t) ~live ~axis:primary ~(kernel : Kir.t)
+    ~grid ~block ~aliases ~iters ~buf_len ~planner : choice =
   let n = List.length live in
   let live_arr = Array.of_list live in
-  let primary = km.Model.strategy in
   let speeds =
     Array.map (fun d -> Gpusim.Config.device_speed cfg d) live_arr
   in
@@ -351,55 +328,26 @@ let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
     ((Fixed primary, Partition.make ~grid ~axis:primary ~n) :: one_d)
     @ two_d @ weighted @ narrow
   in
-  let common =
-    Host_ir.scalar_bindings kernel args
-    @ List.concat_map
-        (fun a ->
-           [ (Access.bdim_name a, Dim3.get block a);
-             (Access.gdim_name a, Dim3.get grid a) ])
-        Dim3.axes
-  in
-  let arg_arrays = Host_ir.array_bindings kernel args in
-  let raw_total = ref 0 in
   let elem_bytes = cfg.Gpusim.Config.elem_bytes in
   let host = cfg.Gpusim.Config.host in
-  let eval_part (p : Partition.t) select =
-    let bindings = common @ Partition.box_bindings p ~block in
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun (arr, bufname) ->
-         match Option.bind (Codegen.entry enums arr) select with
-         | Some enum ->
-           let ranges, raw = Codegen.ranges_counted enum ~bindings in
-           raw_total := !raw_total + raw;
-           let prev = Option.value ~default:[] (Hashtbl.find_opt tbl bufname) in
-           Hashtbl.replace tbl bufname
-             (clamp ~len:(buf_len bufname) ranges @ prev)
-         | None -> ())
-      arg_arrays;
-    List.sort compare
-      (Hashtbl.fold
-         (fun b rs acc -> (b, Ppoly.Enumerate.canonicalize rs) :: acc)
-         tbl [])
-  in
   let score_candidate (shape, parts) =
-    let parts = List.filter (fun p -> not (Partition.is_empty p)) parts in
+    (* Partition slots map onto live device ids. *)
+    let parts =
+      List.filter_map
+        (fun (p : Partition.t) ->
+           if Partition.is_empty p then None
+           else
+             Some (planner { p with Partition.device = live_arr.(p.Partition.device) }))
+        parts
+    in
     let accesses =
       List.map
-        (fun (p : Partition.t) ->
-           let slot = p.Partition.device in
-           let dev = if slot < n then live_arr.(slot) else slot in
-           let part_args = args @ Partition.partition_args p in
-           let scalar_env = Host_ir.scalar_bindings partitioned part_args in
+        (fun pp ->
            {
-             pa_part = p;
-             pa_dev = dev;
-             pa_speed = (if slot < n then speeds.(slot) else 1.0);
-             pa_reads = eval_part p (fun e -> e.Codegen.read);
-             pa_writes = eval_part p (fun e -> e.Codegen.write);
-             pa_blocks = Partition.n_blocks p;
-             pa_ops_per_block =
-               Costmodel.ops_per_block partitioned ~scalar_env ~block;
+             pa_plan = pp;
+             pa_speed = Gpusim.Config.device_speed cfg pp.pp_part.Partition.device;
+             pa_reads = buffer_ranges ~buf_len pp.pp_reads;
+             pa_writes = buffer_ranges ~buf_len pp.pp_writes;
            })
         parts
     in
@@ -430,7 +378,8 @@ let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
           let len = buf_len buf in
           let s, e =
             Gpu_runtime.Vbuf.linear_chunk ~len
-              ~n_devices:cfg.Gpusim.Config.n_devices a.pa_dev
+              ~n_devices:cfg.Gpusim.Config.n_devices
+              a.pa_plan.pp_part.Partition.device
           in
           if e > s then [ (s, e) ] else []
     in
@@ -448,7 +397,8 @@ let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
            in
            let dur =
              Gpusim.Config.kernel_seconds cfg ~active:n ~speed:a.pa_speed
-               ~blocks:a.pa_blocks ~ops_per_block:a.pa_ops_per_block
+               ~blocks:a.pa_plan.pp_n_blocks
+               ~ops_per_block:a.pa_plan.pp_ops_per_block
            in
            (a, cross * elem_bytes, nseg, nranges, dur))
         accesses
@@ -460,12 +410,9 @@ let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
     let compute_sum =
       List.fold_left (fun acc (_, _, _, _, d) -> acc +. d) 0.0 per_part
     in
-    let cross_bytes =
-      List.fold_left (fun acc (_, b, _, _, _) -> acc + b) 0 per_part
-    in
-    let n_transfers =
-      List.fold_left (fun acc (_, _, s, _, _) -> acc + s) 0 per_part
-    in
+    let sum f = List.fold_left (fun acc x -> acc + f x) 0 per_part in
+    let cross_bytes = sum (fun (_, b, _, _, _) -> b) in
+    let n_transfers = sum (fun (_, _, s, _, _) -> s) in
     let path_bw =
       match cfg.Gpusim.Config.topology with
       | Gpusim.Config.Flat -> cfg.Gpusim.Config.p2p_bandwidth
@@ -490,9 +437,7 @@ let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
        tracker traffic (one query on sync, one update on write — the
        fragmentation cost that sinks 2-D column halos), plus dispatch
        and launch issue. *)
-    let range_count =
-      List.fold_left (fun acc (_, _, _, r, _) -> acc + r) 0 per_part
-    in
+    let range_count = sum (fun (_, _, _, r, _) -> r) in
     let host_s =
       (float_of_int range_count
        *. (host.Gpusim.Config.range_seconds
@@ -526,17 +471,18 @@ let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
              cost *)
           List.fold_left
             (fun acc (a, _, _, _, _) ->
+               let pp = a.pa_plan in
                let wide =
-                 Partition.widen a.pa_part ~grid ~axis:hp.hp_axis ~blocks:1
+                 Partition.widen pp.pp_part ~grid ~axis:hp.hp_axis ~blocks:1
                in
                let dwide =
                  Gpusim.Config.kernel_seconds cfg ~active:n ~speed:a.pa_speed
                    ~blocks:(Partition.n_blocks wide)
-                   ~ops_per_block:a.pa_ops_per_block
+                   ~ops_per_block:pp.pp_ops_per_block
                in
                let dband =
                  Gpusim.Config.kernel_seconds cfg ~active:n ~speed:a.pa_speed
-                   ~blocks:a.pa_blocks ~ops_per_block:a.pa_ops_per_block
+                   ~blocks:pp.pp_n_blocks ~ops_per_block:pp.pp_ops_per_block
                in
                max acc (dwide -. dband))
             0.0 per_part
@@ -587,7 +533,14 @@ let choose ~(cfg : Gpusim.Config.t) ~live ~(km : Model.kernel_model)
     c_block = block;
     c_candidates = candidates;
     c_winner = winner;
-    c_raw_ranges = !raw_total;
+    c_raw_ranges =
+      List.fold_left
+        (fun acc c ->
+           List.fold_left
+             (fun acc pp ->
+                List.fold_left (fun acc r -> acc + r.rg_raw) acc (pp.pp_reads @ pp.pp_writes))
+             acc c.parts)
+        0 candidates;
   }
 
 (* A stable signature of everything the score reads beyond the launch

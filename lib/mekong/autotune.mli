@@ -1,11 +1,12 @@
-(** Cost-driven partition autotuning (ROADMAP item 2).
+(** Cost-driven partition autotuning (DESIGN.md §18).
 
-    Per launch, enumerate candidate partition plans — the model's fixed
+    Per launch, enumerate candidate partitionings — the model's fixed
     strategy axis, 1-D on the other axes, near-square 2-D tile grids,
     throughput-proportional uneven splits on heterogeneous fleets
     ({!Gpusim.Config.device_speeds}), and 1-D splits over fewer devices
-    than the fleet offers — and score each with a transfer/compute cost
-    function that combines {!Costmodel.ops_per_block} (through the
+    than the fleet offers — have the caller's planner build each one's
+    partition plans, and score them with a transfer/compute cost
+    function that combines each plan's ops-per-block (through the
     simulator's wave/autoboost formula) with the polyhedral footprint
     of cross-device bytes, the topology's latency and bandwidths, and
     the engine's host-side per-range charges.  The argmin wins, with a
@@ -18,8 +19,9 @@
     Candidates eligible for halo/overlapped tiling (1-D stencil bands
     inside a [Repeat], double-buffered through a [Swap]) are scored
     with their per-transfer latency and barrier amortized by the
-    temporal blocking depth, and carry the resulting {!halo_plan} so
-    the engine executes exactly the schedule the score promised. *)
+    temporal blocking depth, and carry the resulting
+    {!Launch_cache.halo_plan}.  The engine runs the winner's partition
+    plans and halo plan exactly as they were scored. *)
 
 type shape =
   | Fixed of Dim3.axis  (** the model's strategy axis, balanced 1-D *)
@@ -38,25 +40,18 @@ val seed_shape_name : string -> bool
 
 type candidate = {
   shape : shape;
-  parts : Partition.t list;
-      (** slot-indexed (device = slot), empties filtered; the engine
-          maps slots onto live device ids *)
+  parts : Launch_cache.partition_plan list;
+      (** the non-empty partitions on live device ids, as the planner
+          built them; the engine runs the winner's *)
   compute_s : float;  (** predicted makespan of the compute phase *)
   transfer_s : float;  (** predicted exchange wall time per launch *)
   host_s : float;  (** predicted host pattern/dispatch serial time *)
   busy_s : float;  (** total resource-seconds (calibration metric) *)
   cross_bytes : int;  (** steady-state cross-device bytes per launch *)
   n_transfers : int;  (** predicted transfer count per launch *)
-  halo : halo_plan option;  (** halo-tiled schedule ([None] = per-step) *)
+  halo : Launch_cache.halo_plan option;
+      (** halo-tiled schedule ([None] = per-step) *)
   score : float;
-}
-
-and halo_plan = {
-  hp_axis : Dim3.axis;
-  hp_depth : int;  (** temporal blocking factor T *)
-  hp_write_buf : string;  (** buffer the kernel writes (by launch name) *)
-  hp_read_buf : string;  (** its swap partner, the stencil input *)
-  hp_halo_elems : int;  (** one-step overhang h, in elements per side *)
 }
 
 type choice = {
@@ -66,33 +61,33 @@ type choice = {
   c_candidates : candidate list;
   c_winner : candidate;
   c_raw_ranges : int;
-      (** raw enumerator emissions spent searching (reported, not
-          charged: like plan building itself, the search is
+      (** raw enumerator emissions of every candidate's plans (reported,
+          not charged: like plan building itself, the search is
           launch-parameter-pure and cached with the plan) *)
 }
 
 val choose :
   cfg:Gpusim.Config.t ->
   live:int list ->
-  km:Model.kernel_model ->
-  enums:Codegen.t ->
-  partitioned:Kir.t ->
+  axis:Dim3.axis ->
   kernel:Kir.t ->
   grid:Dim3.t ->
   block:Dim3.t ->
-  args:Host_ir.harg list ->
-  ?aliases:(string * string) list ->
-  ?iters:int ->
+  aliases:(string * string) list ->
+  iters:int ->
   buf_len:(string -> int) ->
-  unit ->
+  planner:(Partition.t -> Launch_cache.partition_plan) ->
   choice
 (** Enumerate and score the candidates for one launch.  [live] are the
-    live device ids in order (slots map onto them); [aliases] the
+    live device ids in order (partition slots map onto them); [axis]
+    the model's strategy axis (the fixed shape); [aliases] the
     double-buffer pairs swapped around this launch (for stencil home
     and halo detection); [iters] the enclosing [Repeat] count (1 =
     standalone launch, disables halo tiling); [buf_len] the element
-    length of each buffer by launch name (clamps enumerator ranges and
-    mirrors the linear H2D distribution). *)
+    length of each buffer by launch name (clamps the planned ranges
+    and mirrors the linear H2D distribution); [planner] builds the
+    partition plan, with read and write range lists, of one non-empty
+    partition on a live device.  {!Plan.choose} is the one caller. *)
 
 val signature : cfg:Gpusim.Config.t -> live:int list -> iters:int -> string
 (** A stable encoding of every scoring input beyond the launch key

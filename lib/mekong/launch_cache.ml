@@ -70,6 +70,15 @@ type partition_plan = {
          footprint that fits the device.  [] = launch whole. *)
 }
 
+(* A halo-tiled stencil schedule (DESIGN.md §18). *)
+type halo_plan = {
+  hp_axis : Dim3.axis;
+  hp_depth : int; (* temporal blocking factor T *)
+  hp_write_buf : string; (* buffer the kernel writes (by launch name) *)
+  hp_read_buf : string; (* its swap partner, the stencil input *)
+  hp_halo_elems : int; (* one-step overhang h, in elements per side *)
+}
+
 type plan = {
   pl_arg_arrays : (string * string) list; (* array param -> buffer name *)
   pl_partitions : partition_plan list;
@@ -80,10 +89,32 @@ type plan = {
          calibration metrics *)
   pl_choice : string;
       (* Autotune.shape_name of the winning candidate ("" = fixed) *)
-  pl_halo : Autotune.halo_plan option;
+  pl_halo : halo_plan option;
       (* the winner's halo-tiled schedule (None = per-step); the engine
          executes exactly the schedule the winner was scored with *)
 }
+
+(* The per-buffer union of range lists clamped to [buf_len]: what the
+   autotuner scores, and what a partition's footprint measures. *)
+let buffer_ranges ~buf_len rgs =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun { rg_buf; rg_ranges; _ } ->
+       let len = buf_len rg_buf in
+       let clamped =
+         List.filter_map
+           (fun (s, e) ->
+              let s = max 0 s and e = min e len in
+              if e > s then Some (s, e) else None)
+           rg_ranges
+       in
+       let prev = Option.value ~default:[] (Hashtbl.find_opt tbl rg_buf) in
+       Hashtbl.replace tbl rg_buf (clamped @ prev))
+    rgs;
+  List.sort compare
+    (Hashtbl.fold
+       (fun b rs acc -> (b, Ppoly.Enumerate.canonicalize rs) :: acc)
+       tbl [])
 
 (* Hits and misses are reported to the caller, which counts them in
    its run's metrics registry: the counts outlive a cache generation. *)

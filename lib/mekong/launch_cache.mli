@@ -51,6 +51,21 @@ type partition_plan = {
           whole) *)
 }
 
+val buffer_ranges :
+  buf_len:(string -> int) -> ranges list -> (string * (int * int) list) list
+(** The per-buffer union of range lists clamped to [buf_len], canonical
+    and sorted by buffer: what the autotuner scores, and what a
+    partition's device footprint measures. *)
+
+type halo_plan = {
+  hp_axis : Dim3.axis;
+  hp_depth : int;  (** temporal blocking factor T *)
+  hp_write_buf : string;  (** buffer the kernel writes (by launch name) *)
+  hp_read_buf : string;  (** its swap partner, the stencil input *)
+  hp_halo_elems : int;  (** one-step overhang h, in elements per side *)
+}
+(** A halo-tiled stencil schedule (DESIGN.md §18). *)
+
 type plan = {
   pl_arg_arrays : (string * string) list;
       (** array parameter -> buffer name *)
@@ -62,7 +77,7 @@ type plan = {
   pl_choice : string;
       (** {!Autotune.shape_name} of the winning candidate ([""] =
           fixed strategy, autotuning off) *)
-  pl_halo : Autotune.halo_plan option;
+  pl_halo : halo_plan option;
       (** the winner's halo-tiled schedule ([None] = per-step); the
           engine executes exactly the schedule the winner was scored
           with *)

@@ -518,11 +518,8 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       else
         Some
           (span ("autotune:" ^ kernel.Kir.name) (fun () ->
-               Autotune.choose ~cfg:(Gpusim.Machine.config m) ~live:!live
-                 ~km:ck.ck_model ~enums:ck.ck_enums
-                 ~partitioned:ck.ck_partitioned ~kernel ~grid ~block ~args
-                 ~aliases:swap_aliases ~iters:(iters_of kernel)
-                 ~buf_len:env.Plan.buf_len ()))
+               Plan.choose ~cfg:(Gpusim.Machine.config m) ~aliases:swap_aliases
+                 ~iters:(iters_of kernel) env ck kernel ~grid ~block ~args))
     in
     Plan.launch ?choice
       ~min_chunks:(Option.value ~default:1 (Hashtbl.find_opt forced key))

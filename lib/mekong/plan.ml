@@ -67,39 +67,21 @@ type env = {
 
 (* ---- Launch plans (the launch-plan cache's payload) ---------------- *)
 
-(* Total length covered by a union of half-open ranges. *)
-let union_len ranges =
-  List.fold_left (fun acc (s, e) -> acc + e - s) 0
-    (Ppoly.Enumerate.canonicalize ranges)
-
 (* Per-buffer device footprint of one partition plan, in bytes: the
    union of its clamped read and write ranges.  This is exactly what
    residency will charge, so "footprint <= capacity" means the launch
    is feasible (everything older is evictable).  Sorted by buffer. *)
 let footprints env pp =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun { rg_buf; rg_ranges; _ } ->
-       let len = env.buf_len rg_buf in
-       let clamped =
-         List.filter_map
-           (fun (s, e) ->
-              let s = max 0 s and e = min e len in
-              if e > s then Some (s, e) else None)
-           rg_ranges
-       in
-       let prev = Option.value ~default:[] (Hashtbl.find_opt tbl rg_buf) in
-       Hashtbl.replace tbl rg_buf (clamped @ prev))
-    (pp.pp_reads @ pp.pp_writes);
-  List.sort compare
-    (Hashtbl.fold
-       (fun b rs acc -> (b, union_len rs * env.elem_bytes) :: acc)
-       tbl [])
+  List.map
+    (fun (b, rs) ->
+       (b, List.fold_left (fun acc (s, e) -> acc + e - s) 0 rs * env.elem_bytes))
+    (buffer_ranges ~buf_len:env.buf_len (pp.pp_reads @ pp.pp_writes))
 
 let footprint env pp =
   List.fold_left (fun acc (_, b) -> acc + b) 0 (footprints env pp)
 
-(* The partition-plan constructor of one launch; [ranges:false] skips
+(* The partition-plan constructor of one launch, the only code that
+   evaluates a partition's enumerators and costs; [ranges:false] skips
    the read/write range lists (halo launches keep the tracker on the
    band plans). *)
 let partition_planner env ck kernel ~grid ~block ~args =
@@ -243,17 +225,26 @@ let check_chunkable ~kernel parts =
          parts)
     parts
 
+(* The autotuner scores this launch's partition plans: the winner's are
+   the engine's. *)
+let choose ~cfg ~aliases ~iters env ck kernel ~grid ~block ~args =
+  let plan_of = partition_planner env ck kernel ~grid ~block ~args in
+  Autotune.choose ~cfg ~live:env.live ~axis:ck.ck_model.Model.strategy ~kernel
+    ~grid ~block ~aliases ~iters ~buf_len:env.buf_len
+    ~planner:(fun p -> plan_of p)
+
 let launch ?choice ?(min_chunks = 1) env ck kernel ~grid ~block ~args =
   let winner = Option.map (fun ch -> ch.Autotune.c_winner) choice in
-  (* Partition over the surviving devices (all of them on ideal
-     hardware), then map partition slots onto actual device ids.
-     Autotuned runs take the scored winner; fixed runs use the model's
-     strategy axis under the configured tiling. *)
-  let parts =
-    let primary = ck.ck_model.Model.strategy and n = List.length env.live in
+  let plan_of = partition_planner env ck kernel ~grid ~block ~args in
+  (* Autotuned runs take the winner's partition plans as scored; fixed
+     runs partition over the surviving devices along the model's axis,
+     then map partition slots onto actual device ids. *)
+  let pl_partitions =
     match winner with
     | Some w -> w.Autotune.parts
-    | None -> (
+    | None ->
+      let primary = ck.ck_model.Model.strategy and n = List.length env.live in
+      let parts =
         (* 2-D: the secondary axis is another axis with more than one
            block, preferring the row-major-adjacent one; flat grids
            fall back to 1-D. *)
@@ -264,16 +255,14 @@ let launch ?choice ?(min_chunks = 1) env ck kernel ~grid ~block ~args =
               [ Dim3.X; Dim3.Y; Dim3.Z ] )
         with
         | `Two_d, Some axis2 -> Partition.make_2d ~grid ~axis1:primary ~axis2 ~n
-        | _ -> Partition.make ~grid ~axis:primary ~n)
-  in
-  let live = Array.of_list env.live in
-  let plan_of = partition_planner env ck kernel ~grid ~block ~args in
-  let pl_partitions =
-    List.filter_map
-      (fun (p : Partition.t) ->
-         if Partition.is_empty p then None
-         else Some (plan_of { p with Partition.device = live.(p.Partition.device) }))
-      parts
+        | _ -> Partition.make ~grid ~axis:primary ~n
+      in
+      let live = Array.of_list env.live in
+      List.filter_map
+        (fun (p : Partition.t) ->
+           if Partition.is_empty p then None
+           else Some (plan_of { p with Partition.device = live.(p.Partition.device) }))
+        parts
   in
   let pl_partitions =
     if env.mem_cap < max_int && env.patterns then
@@ -376,22 +365,22 @@ let of_launch env ck plan =
 let halo env ck kernel plan ~grid ~block ~args ~iters ~swap:(sx, sy) =
   match plan.pl_halo with
   | Some hp when ck.ck_shadow = None && reducible ck = [] ->
-    let h = hp.Autotune.hp_halo_elems in
+    let h = hp.hp_halo_elems in
     let parts = plan.pl_partitions in
     let plan_of = partition_planner env ck kernel ~grid ~block ~args in
     let wide =
       List.map
         (fun pp ->
            plan_of ~ranges:false
-             (Partition.widen pp.pp_part ~grid ~axis:hp.Autotune.hp_axis ~blocks:1))
+             (Partition.widen pp.pp_part ~grid ~axis:hp.hp_axis ~blocks:1))
         parts
     in
-    let len = env.buf_len hp.Autotune.hp_read_buf in
+    let len = env.buf_len hp.hp_read_buf in
     let block_of t =
       let fetch =
         List.map
           (fun pp ->
-             match List.find_opt (fun r -> r.rg_buf = hp.Autotune.hp_write_buf) pp.pp_writes with
+             match List.find_opt (fun r -> r.rg_buf = hp.hp_write_buf) pp.pp_writes with
              | Some { rg_ranges = [ (s, e) ]; _ } ->
                (pp.pp_part.Partition.device, (max 0 (s - (t * h)), min len (e + (t * h))))
              | _ -> assert false (* eligibility guaranteed dense single-range bands *))
@@ -400,14 +389,14 @@ let halo env ck kernel plan ~grid ~block ~args ~iters ~swap:(sx, sy) =
       let step = [ Launch wide; Update_writes { stamp = Shared; parts }; Swap (sx, sy) ] in
       Measure
         ( plan.pl_predicted_s *. float_of_int t,
-          Halo_exchange { buf = hp.Autotune.hp_read_buf; depth = t; fetch }
+          Halo_exchange { buf = hp.hp_read_buf; depth = t; fetch }
           :: (if env.overlap then [] else [ Barrier ])
           @ List.concat (List.init t (fun _ -> step)) )
     in
     let rec blocks done_ =
       if done_ >= iters then []
       else
-        let t = min hp.Autotune.hp_depth (iters - done_) in
+        let t = min hp.hp_depth (iters - done_) in
         block_of t :: blocks (done_ + t)
     in
     Some (blocks 0)

@@ -63,6 +63,21 @@ type env = {
 }
 (** Everything a plan depends on beyond the launch itself. *)
 
+val choose :
+  cfg:Gpusim.Config.t ->
+  aliases:(string * string) list ->
+  iters:int ->
+  env ->
+  compiled_kernel ->
+  Kir.t ->
+  grid:Dim3.t ->
+  block:Dim3.t ->
+  args:Host_ir.harg list ->
+  Autotune.choice
+(** The autotuner's choice for one launch over [env.live], scoring the
+    partition plans of {!launch}'s planner (so needs [env.patterns]);
+    [aliases] and [iters] are its {!loop_context}. *)
+
 val launch :
   ?choice:Autotune.choice ->
   ?min_chunks:int ->
@@ -74,13 +89,14 @@ val launch :
   args:Host_ir.harg list ->
   Launch_cache.plan
 (** The launch plan: non-empty partitions over [env.live] (the
-    autotuner's winner when [choice] is given, else the model's axis
-    under [env.tiling]), their evaluated range lists and costs, and —
-    under a finite capacity with [patterns] — each partition's
-    memory-pressure chunks (at least [min_chunks] of them when it is
-    chunked at all).  Raises [Failure] with a one-line diagnostic when
-    no chunking fits the capacity, or when chunking would let one
-    device read what another writes in the same launch. *)
+    winner's partition plans as scored when [choice] is given, else the
+    model's axis under [env.tiling]), their evaluated range lists and
+    costs, and — under a finite capacity with [patterns] — each
+    partition's memory-pressure chunks (at least [min_chunks] of them
+    when it is chunked at all).  Raises [Failure] with a one-line
+    diagnostic when no chunking fits the capacity, or when chunking
+    would let one device read what another writes in the same
+    launch. *)
 
 type stamp =
   | Each  (** a fresh LRU stamp per partition *)

@@ -11,11 +11,9 @@ val to_string : t -> string
 
 exception Parse_error of string
 
-val parse : string -> t
-(** Parse exactly one form; [;] comments to end of line are skipped. *)
-
 val parse_many : string -> t list
-(** Parse a sequence of top-level forms. *)
+(** Parse a sequence of top-level forms; [;] comments to end of line
+    are skipped. *)
 
 val as_atom : t -> string
 val as_int : t -> int

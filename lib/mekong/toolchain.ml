@@ -100,10 +100,13 @@ let static_launches ~(cfg : Gpusim.Config.t) (a : artifacts) =
   in
   List.iter mallocs prog.Host_ir.body;
   let aliases, iters_of = Plan.loop_context prog in
-  let live = List.init cfg.Gpusim.Config.n_devices Fun.id in
-  let buf_len b =
-    (* Unknown names (never Malloc'd) leave ranges unclamped. *)
-    Option.value ~default:max_int (Hashtbl.find_opt lens b)
+  let env =
+    { Plan.patterns = true; tiling = `One_d; overlap = false; autotune = true;
+      live = List.init cfg.Gpusim.Config.n_devices Fun.id;
+      mem_cap = cfg.Gpusim.Config.mem_capacity;
+      elem_bytes = cfg.Gpusim.Config.elem_bytes;
+      (* Unknown names (never Malloc'd) leave ranges unclamped. *)
+      buf_len = (fun b -> Option.value ~default:max_int (Hashtbl.find_opt lens b)) }
   in
   let seen = Hashtbl.create 8 in
   let acc = ref [] in
@@ -119,10 +122,8 @@ let static_launches ~(cfg : Gpusim.Config.t) (a : artifacts) =
         | None -> ()
         | Some ck ->
           let choice =
-            Autotune.choose ~cfg ~live ~km:ck.Multi_gpu.ck_model
-              ~enums:ck.Multi_gpu.ck_enums
-              ~partitioned:ck.Multi_gpu.ck_partitioned ~kernel ~grid ~block
-              ~args ~aliases ~iters:(iters_of kernel) ~buf_len ()
+            Plan.choose ~cfg ~aliases ~iters:(iters_of kernel) env ck kernel
+              ~grid ~block ~args
           in
           acc := (choice, (ck, kernel, grid, block, args, loop)) :: !acc
       end
@@ -132,29 +133,16 @@ let static_launches ~(cfg : Gpusim.Config.t) (a : artifacts) =
     | _ -> ()
   in
   List.iter collect prog.Host_ir.body;
-  (List.rev !acc, live, buf_len)
+  (List.rev !acc, env)
 
-let explain_plans ~cfg a =
-  let launches, _, _ = static_launches ~cfg a in
-  List.map fst launches
+let explain_plans ~cfg a = List.map fst (fst (static_launches ~cfg a))
 
 (* The step list an engine on [cfg]'s fleet runs for each launch: the
    autotuner's winner when [autotune], else the model's axis.  A
    halo-tiled stencil loop shows its first temporal block. *)
 let launch_steps ?(overlap = false) ?(autotune = true) ~(cfg : Gpusim.Config.t) a =
-  let launches, live, buf_len = static_launches ~cfg a in
-  let env =
-    {
-      Plan.patterns = true;
-      tiling = `One_d;
-      overlap;
-      autotune;
-      live;
-      mem_cap = cfg.Gpusim.Config.mem_capacity;
-      elem_bytes = cfg.Gpusim.Config.elem_bytes;
-      buf_len;
-    }
-  in
+  let launches, env = static_launches ~cfg a in
+  let env = { env with Plan.overlap; autotune } in
   List.map
     (fun (choice, (ck, kernel, grid, block, args, loop)) ->
        let plan =
@@ -165,7 +153,7 @@ let launch_steps ?(overlap = false) ?(autotune = true) ~(cfg : Gpusim.Config.t) 
          match (loop, plan.Launch_cache.pl_halo) with
          | Some (n, swap), Some hp when n > 1 ->
            Plan.halo env ck kernel plan ~grid ~block ~args
-             ~iters:(min n hp.Autotune.hp_depth) ~swap
+             ~iters:(min n hp.Launch_cache.hp_depth) ~swap
          | _ -> None
        in
        (choice, Option.value halo ~default:(Plan.of_launch env ck plan)))

@@ -36,4 +36,3 @@ let iter d f =
   done
 
 let pp fmt d = Format.fprintf fmt "(%d, %d, %d)" d.x d.y d.z
-let to_string d = Format.asprintf "%a" pp d

@@ -25,4 +25,3 @@ val iter : t -> (t -> unit) -> unit
 (** Visit every coordinate in (z, y, x) lexicographic order. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -27,7 +27,8 @@ val compile : Kir.t -> grid:Dim3.t -> block:Dim3.t -> args:Keval.arg list -> t
 (** Specialize a kernel that passes {!Kir.check}.  Raises
     [Invalid_argument] exactly when [Keval.run] would raise before
     executing any thread (argument-count mismatch, a float bound to an
-    int parameter, unbound dimension parameter). *)
+    int parameter, unbound dimension parameter).
+    Test oracle window: test_exec "argument mismatch". *)
 
 type guard_class = All_true | All_false | Mixed
 (** How a guard evaluates over the threads of one block. *)
@@ -76,7 +77,8 @@ val run : ?pool:Gpu_runtime.Dpool.t -> t -> access:(string -> access) -> unit
     With [pool], the blocks are split across its domains.  Only pass a
     pool for kernels whose accesses prove distinct blocks disjoint (a
     [Verify.Safe] verdict): under that verdict results are
-    bit-identical to sequential order. *)
+    bit-identical to sequential order.
+    Test oracle window: test_exec "allocation guard". *)
 
 (** {2 The launch executor} *)
 

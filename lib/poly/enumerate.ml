@@ -29,6 +29,7 @@ type plan =
    per-column accesses and full-array reads all collapse to O(1)
    ranges per partition instead of O(rows). *)
 type rect = {
+  row_var : string; (* the scan's row loop variable (printing only) *)
   row_lb : Ast.expr;
   row_ub : Ast.expr;
   col_lb : Ast.expr;
@@ -60,7 +61,6 @@ type compiled = {
 
 type t = {
   pieces : piece list;
-  plan : plan; (* the general plan, used by [pp] and as documentation *)
   sizes : Ast.expr array; (* array dimension sizes, outermost first *)
   rank : int;
   mutable compiled : compiled option; (* memoized by the first evaluation *)
@@ -113,7 +113,7 @@ let piece_of_stmt ~sizes ~rank stmt =
       && rows.(0) = Ast.Var var
       && (not (mentions var clb))
       && not (mentions var cub) ->
-    Rect { row_lb = lb; row_ub = ub; col_lb = clb; col_ub = cub }
+    Rect { row_var = var; row_lb = lb; row_ub = ub; col_lb = clb; col_ub = cub }
   | _ -> General (plan_of_stmt ~sizes stmt)
 
 (* Build an enumerator for a set over array index dims.  [sizes] are
@@ -132,7 +132,6 @@ let of_set ?(rectangles = true) ~sizes set =
     pieces =
       (if rectangles then List.map (piece_of_stmt ~sizes ~rank) piece_stmts
        else List.map (fun s -> General (plan_of_stmt ~sizes s)) piece_stmts);
-    plan = plan_of_stmt ~sizes ast;
     sizes;
     rank;
     compiled = None;
@@ -275,7 +274,7 @@ let compile t =
     List.map
       (function
         | General p -> C_gen (comp p)
-        | Rect { row_lb; row_ub; col_lb; col_ub } ->
+        | Rect { row_lb; row_ub; col_lb; col_ub; _ } ->
           C_rect
             ( Ast.compile_expr ~slot row_lb,
               Ast.compile_expr ~slot row_ub,
@@ -309,7 +308,7 @@ let eval_raw t env ~f =
        | Some x -> slots_v.(i) <- x
        | None ->
          if not loop then
-           invalid_arg ("Ast.eval_expr: unbound variable " ^ v))
+           invalid_arg ("Enumerate.eval: unbound variable " ^ v))
     c.c_params;
   let sizes_v = Array.map (fun g -> g slots_v) c.c_sizes in
   let last = sizes_v.(t.rank - 1) in
@@ -370,6 +369,8 @@ let env_of_bindings bindings =
   List.iter (fun (k, v) -> Hashtbl.replace env k v) bindings;
   env
 
+(* Print each piece as the scan it was built from: a rectangle as its
+   row block or row loop. *)
 let pp fmt t =
   let rec pp_plan indent fmt = function
     | P_seq l -> List.iter (pp_plan indent fmt) l
@@ -391,4 +392,10 @@ let pp fmt t =
       Format.fprintf fmt "%srow-block %a .. %a\n" (String.make indent ' ')
         Ast.pp_expr lb Ast.pp_expr ub
   in
-  pp_plan 0 fmt t.plan
+  let plan_of_piece = function
+    | General plan -> plan
+    | Rect { row_var = v; row_lb = lb; row_ub = ub; col_lb; col_ub } ->
+      if full_width ~width:t.sizes.(t.rank - 1) col_lb col_ub then P_row_block ([||], lb, ub)
+      else P_for (v, lb, ub, P_ranges ([| Ast.Var v |], col_lb, col_ub))
+  in
+  List.iter (fun piece -> pp_plan 0 fmt (plan_of_piece piece)) t.pieces

@@ -19,6 +19,7 @@ type plan =
           the innermost dim spans a full row *)
 
 type rect = {
+  row_var : string;  (** the scan's row loop variable (printing only) *)
   row_lb : Ast.expr;
   row_ub : Ast.expr;
   col_lb : Ast.expr;
@@ -37,7 +38,6 @@ type compiled
 
 type t = {
   pieces : piece list;
-  plan : plan;  (** the unoptimized general plan (documentation, [pp]) *)
   sizes : Ast.expr array;
   rank : int;
   mutable compiled : compiled option;
@@ -61,7 +61,9 @@ val canonicalize : (int * int) list -> (int * int) list
 (** Sort and merge overlapping/adjacent ranges; drop empty ones. *)
 
 val eval : t -> Ast.env -> (int * int) list
-(** Evaluate to a canonical list of half-open linear ranges. *)
+(** Evaluate to a canonical list of half-open linear ranges.  Raises
+    [Invalid_argument "Enumerate.eval: unbound variable v"] for a
+    parameter [v] that [env] lacks. *)
 
 val eval_counted : t -> Ast.env -> (int * int) list * int
 (** Like {!eval}, plus the number of raw ranges emitted before
@@ -70,3 +72,4 @@ val eval_counted : t -> Ast.env -> (int * int) list * int
 val env_of_bindings : (string * int) list -> Ast.env
 
 val pp : Format.formatter -> t -> unit
+(** Print each piece as the scan it was built from. *)

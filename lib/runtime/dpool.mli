@@ -21,11 +21,11 @@ val create : ?domains:int -> unit -> t
     Raises [Invalid_argument] with a one-line diagnostic, before any
     domain is spawned, when [domains] is not positive or exceeds
     {!max_domains}; with [domains:1] nothing is spawned and jobs run
-    inline.  The engine runs on the global pool ({!get}).  Test oracle
-    window: test_exec's dpool cases run on pools of their own size (3
-    and 1 participants), and test_serve "dpool rejects non-positive
-    domains" and "dpool rejects sizes over the domain limit" check the
-    size validation. *)
+    inline.  The engine runs on the global pool ({!get}).
+    Test oracle window: test_exec's dpool cases run on pools of their
+    own size (3 and 1 participants), and test_serve "dpool rejects
+    non-positive domains" and "dpool rejects sizes over the domain
+    limit" check the size validation. *)
 
 val size : t -> int
 (** Total participants, including the submitting domain. *)

@@ -59,9 +59,6 @@ type outcome =
   | Quarantined of { at : float; strikes : int; last_error : string }
       (** the circuit breaker gave up on a poison job *)
 
-val outcome_name : outcome -> string
-(** ["completed"], ["rejected"], ["timed_out"] or ["quarantined"]. *)
-
 type report = {
   r_name : string;
   r_tenant : string;

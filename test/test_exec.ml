@@ -1528,8 +1528,8 @@ let gen_gspec =
   return { gs_dims = dims; gs_block = block; gs_grid = grid; gs_off = off; gs_n = n; gs_cmps = cmps }
 
 let print_gspec s =
-  Printf.sprintf "n=%d block=%s grid=%s off=%d,%d,%d\n%s" s.gs_n (Dim3.to_string s.gs_block)
-    (Dim3.to_string s.gs_grid) s.gs_off.(0) s.gs_off.(1) s.gs_off.(2)
+  Format.asprintf "n=%d block=%a grid=%a off=%d,%d,%d\n%s" s.gs_n Dim3.pp s.gs_block
+    Dim3.pp s.gs_grid s.gs_off.(0) s.gs_off.(1) s.gs_off.(2)
     (Kir.to_string (fst (guard_kernel s)))
 
 let gargs s = List.map (fun v -> Keval.AInt v) (s.gs_n :: Array.to_list s.gs_off)
@@ -1953,8 +1953,8 @@ let gen_aspec =
     }
 
 let print_aspec s =
-  Printf.sprintf "block=%s grid=%s ext=%s short=%d expect=%d\n%s" (Dim3.to_string s.a_block)
-    (Dim3.to_string s.a_grid)
+  Format.asprintf "block=%a grid=%a ext=%s short=%d expect=%d\n%s" Dim3.pp s.a_block
+    Dim3.pp s.a_grid
     (String.concat "x" (Array.to_list (Array.map string_of_int s.a_ext)))
     s.a_short s.a_expect (Kir.to_string s.a_kernel)
 

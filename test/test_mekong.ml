@@ -1853,6 +1853,55 @@ let test_plan_halo () =
         @ List.concat [ step; step; step; step ] @ [ "}" ]))
     (first_steps ~autotune:true prog)
 
+(* An autotuned launch runs the winner's partition plans as they were
+   scored: without a capacity limit [Plan.launch] builds none anew, so
+   its partitions are physically the winner's, on live device ids. *)
+let test_plan_runs_winner () =
+  let check_prog name prog live =
+    let exe = (compile_exn prog).Mekong.Toolchain.exe in
+    let prog = exe.Mekong.Multi_gpu.prog in
+    let rec find acc (s : Host_ir.stmt) =
+      match s with
+      | Host_ir.Launch { kernel; grid; block; args } -> Some (kernel, grid, block, args)
+      | Host_ir.Repeat (_, body) -> List.fold_left find acc body
+      | _ -> acc
+    in
+    let kernel, grid, block, args =
+      Option.get (List.fold_left (fun acc s -> if acc = None then find acc s else acc) None
+                    prog.Host_ir.body)
+    in
+    let lens =
+      List.filter_map
+        (function Host_ir.Malloc (b, len) -> Some (b, len) | _ -> None)
+        prog.Host_ir.body
+    in
+    let env =
+      { Mekong.Plan.patterns = true; tiling = `One_d; overlap = false; autotune = true;
+        live; mem_cap = max_int; elem_bytes = 4; buf_len = (fun b -> List.assoc b lens) }
+    in
+    let ck = List.assoc kernel.Kir.name exe.Mekong.Multi_gpu.compiled in
+    let aliases, iters_of = Mekong.Plan.loop_context prog in
+    let choice =
+      Mekong.Plan.choose ~cfg:(Gpusim.Config.k80_box ~n_devices:4 ()) ~aliases
+        ~iters:(iters_of kernel) env ck kernel ~grid ~block ~args
+    in
+    let winner = choice.Mekong.Autotune.c_winner.Mekong.Autotune.parts in
+    let plan = Mekong.Plan.launch ~choice env ck kernel ~grid ~block ~args in
+    let parts = plan.Mekong.Launch_cache.pl_partitions in
+    checki (name ^ ": partitions") (List.length winner) (List.length parts);
+    checkb (name ^ ": the winner's plans") true (List.for_all2 ( == ) winner parts);
+    checkb (name ^ ": on live devices") true
+      (List.for_all
+         (fun (pp : Mekong.Launch_cache.partition_plan) ->
+            List.mem pp.Mekong.Launch_cache.pp_part.Mekong.Partition.device live)
+         parts)
+  in
+  let hotspot, _, _ = Apps.Workloads.functional_hotspot ~n:128 ~iterations:4 in
+  let matmul, _, _ = Apps.Workloads.functional_matmul ~n:64 in
+  check_prog "hotspot" hotspot [ 0; 1; 2; 3 ];
+  check_prog "matmul" matmul [ 0; 1; 2; 3 ];
+  check_prog "matmul after a loss" matmul [ 0; 2; 3 ]
+
 let test_plan_shadow () =
   let n = 200 in
   let idx = Array.init n (fun i -> (i * 7 + 3) mod n) in
@@ -1921,5 +1970,7 @@ let () =
              Alcotest.test_case "reducible" `Quick test_plan_reducible;
              Alcotest.test_case "halo" `Quick test_plan_halo;
              Alcotest.test_case "shadow" `Quick test_plan_shadow;
+             Alcotest.test_case "autotuned launch runs the winner's plans" `Quick
+               test_plan_runs_winner;
            ] );
        ])

@@ -193,12 +193,59 @@ let test_autotune_cost_cases () =
       (xsplit.Mekong.Autotune.transfer_s > fixed.Mekong.Autotune.transfer_s);
     checkb "hotspot winner carries a halo plan" true
       (match ch.Mekong.Autotune.c_winner.Mekong.Autotune.halo with
-       | Some hp -> hp.Mekong.Autotune.hp_depth >= 2
+       | Some hp -> hp.Mekong.Launch_cache.hp_depth >= 2
        | None -> false);
     checkb "winner never scores above fixed" true
       (ch.Mekong.Autotune.c_winner.Mekong.Autotune.score
        <= fixed.Mekong.Autotune.score)
   | l -> Alcotest.failf "hotspot: expected 1 choice, got %d" (List.length l)
+
+(* The autotuner's choices, recorded from the engine before the
+   autotuner scored the plans of the engine's own planner: scores,
+   winners, byte counts and halo depths must not move. *)
+let test_autotune_choice_pins () =
+  let pin name cfg prog expected =
+    match choices_of ~cfg prog with
+    | [ ch ] ->
+      Alcotest.(check string) name (String.concat "" expected)
+        (Mekong.Autotune.choice_json ch)
+    | l -> Alcotest.failf "%s: expected 1 choice, got %d" name (List.length l)
+  in
+  let hotspot () =
+    let p, _, _ = Apps.Workloads.functional_hotspot ~n:128 ~iterations:4 in
+    p
+  in
+  let g4 = Gpusim.Config.k80_box ~n_devices:4 () in
+  pin "hotspot at 4 GPUs" g4 (hotspot ())
+    [
+      {|{"kernel":"hotspot","grid":"(8, 8, 1)","winner":"1d-y@2","candidates":[{"shape":"fixed-1d-y","parts":4,"compute_us":0.239,"transfer_us":80.171,"host_us":66.400,"cross_bytes":3072,"n_transfers":6,"halo_depth":4,"score_us":96.864},|};
+      {|{"shape":"1d-x","parts":4,"compute_us":0.239,"transfer_us":10240.171,"host_us":879.200,"cross_bytes":3072,"n_transfers":768,"halo_depth":0,"score_us":11159.609},|};
+      {|{"shape":"2d-yx","parts":4,"compute_us":0.239,"transfer_us":2600.085,"host_us":476.000,"cross_bytes":2048,"n_transfers":260,"halo_depth":0,"score_us":3116.324},|};
+      {|{"shape":"1d-y@1","parts":1,"compute_us":0.587,"transfer_us":0.000,"host_us":16.600,"cross_bytes":0,"n_transfers":0,"halo_depth":0,"score_us":57.187},|};
+      {|{"shape":"1d-y@2","parts":2,"compute_us":0.294,"transfer_us":40.085,"host_us":33.200,"cross_bytes":1024,"n_transfers":2,"halo_depth":4,"score_us":53.652}]}|};
+    ];
+  pin "matmul at 4 GPUs" g4
+    (let p, _, _ = Apps.Workloads.functional_matmul ~n:64 in
+     p)
+    [
+      {|{"kernel":"matmul","grid":"(4, 4, 1)","winner":"1d-y@1","candidates":[{"shape":"fixed-1d-y","parts":4,"compute_us":2.819,"transfer_us":82.048,"host_us":72.800,"cross_bytes":49152,"n_transfers":6,"halo_depth":0,"score_us":197.667},|};
+      {|{"shape":"1d-x","parts":4,"compute_us":2.819,"transfer_us":2002.560,"host_us":476.000,"cross_bytes":61440,"n_transfers":198,"halo_depth":0,"score_us":2521.379},|};
+      {|{"shape":"2d-yx","parts":4,"compute_us":2.819,"transfer_us":1961.707,"host_us":476.000,"cross_bytes":40960,"n_transfers":196,"halo_depth":0,"score_us":2480.526},|};
+      {|{"shape":"1d-y@1","parts":1,"compute_us":2.819,"transfer_us":84.096,"host_us":18.200,"cross_bytes":24576,"n_transfers":2,"halo_depth":0,"score_us":145.115},|};
+      {|{"shape":"1d-y@2","parts":2,"compute_us":2.819,"transfer_us":123.413,"host_us":36.400,"cross_bytes":36864,"n_transfers":5,"halo_depth":0,"score_us":202.632}]}|};
+    ];
+  pin "hotspot at speeds 1,1,0.5,0.25"
+    (Gpusim.Config.k80_box ~n_devices:4 ~device_speeds:[| 1.0; 1.0; 0.5; 0.25 |] ())
+    (hotspot ())
+    [
+      {|{"kernel":"hotspot","grid":"(8, 8, 1)","winner":"1d-y@2","candidates":[{"shape":"fixed-1d-y","parts":4,"compute_us":0.954,"transfer_us":80.171,"host_us":66.400,"cross_bytes":3072,"n_transfers":6,"halo_depth":4,"score_us":97.635},|};
+      {|{"shape":"1d-x","parts":4,"compute_us":0.954,"transfer_us":10240.171,"host_us":879.200,"cross_bytes":3072,"n_transfers":768,"halo_depth":0,"score_us":11160.325},|};
+      {|{"shape":"2d-yx","parts":4,"compute_us":0.954,"transfer_us":2600.085,"host_us":476.000,"cross_bytes":2048,"n_transfers":260,"halo_depth":0,"score_us":3117.039},|};
+      {|{"shape":"weighted-1d-y","parts":4,"compute_us":0.954,"transfer_us":80.171,"host_us":66.400,"cross_bytes":3072,"n_transfers":6,"halo_depth":4,"score_us":97.653},|};
+      {|{"shape":"weighted-1d-x","parts":4,"compute_us":0.954,"transfer_us":10240.171,"host_us":879.200,"cross_bytes":3072,"n_transfers":768,"halo_depth":0,"score_us":11160.325},|};
+      {|{"shape":"1d-y@1","parts":1,"compute_us":0.587,"transfer_us":0.000,"host_us":16.600,"cross_bytes":0,"n_transfers":0,"halo_depth":0,"score_us":57.187},|};
+      {|{"shape":"1d-y@2","parts":2,"compute_us":0.294,"transfer_us":40.085,"host_us":33.200,"cross_bytes":1024,"n_transfers":2,"halo_depth":4,"score_us":53.652}]}|};
+    ]
 
 (* Uneven splits on a heterogeneous fleet: the rounded cumulative
    prefix gives each device a share proportional to its speed, and the
@@ -338,6 +385,7 @@ let () =
             test_autotune_cost_cases;
           Alcotest.test_case "weighted split on heterogeneous fleet" `Quick
             test_autotune_weighted_hetero;
+          Alcotest.test_case "choice pins" `Quick test_autotune_choice_pins;
           Alcotest.test_case "halo tiling shrinks per-iteration bytes" `Quick
             test_autotune_halo_bytes_shrink;
           qtest prop_autotune_bit_identical;

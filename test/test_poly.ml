@@ -505,14 +505,25 @@ let test_enumerate_full_rows () =
     "collapsed band"
     [ (16, 48) ]
     (Enumerate.eval e env);
-  (* The plan should contain a row-block node (collapse happened). *)
+  (* Without rectangles the scan's plan holds a row-block node (the
+     collapse happened); with them the band is one full-width
+     rectangle, printed as that row block. *)
   let rec has_block = function
     | Enumerate.P_row_block _ -> true
     | Enumerate.P_seq l -> List.exists has_block l
     | Enumerate.P_for (_, _, _, b) | Enumerate.P_guard (_, b) -> has_block b
     | Enumerate.P_point _ | Enumerate.P_ranges _ -> false
   in
-  checkb "row-block collapse applied" true (has_block e.Enumerate.plan)
+  let plain = Enumerate.of_set ~rectangles:false ~sizes:[| Ast.Var "n"; Ast.Var "n" |] s in
+  checkb "row-block collapse applied" true
+    (List.exists
+       (function Enumerate.General p -> has_block p | Enumerate.Rect _ -> false)
+       plain.Enumerate.pieces);
+  check
+    Alcotest.(list (pair int int))
+    "collapsed band without rectangles" [ (16, 48) ] (Enumerate.eval plain env);
+  check Alcotest.string "one rectangle prints as its row block" "row-block 2 .. 5\n"
+    (Format.asprintf "%a" Enumerate.pp e)
 
 let test_enumerate_partial_rows () =
   (* columns 1..2 of rows 0..1 in a 4x4 array: two ranges. *)
@@ -524,6 +535,21 @@ let test_enumerate_partial_rows () =
     "two row fragments"
     [ (1, 3); (5, 7) ]
     (Enumerate.eval e (Hashtbl.create 4))
+
+(* A parameter missing from the environment names the enumerator's
+   evaluation, counted or not, not the expression evaluator it never
+   calls. *)
+let test_enumerate_unbound () =
+  let sp = Space.make ~params:[| "n" |] ~dims:[| "x" |] in
+  let s =
+    Pset.of_poly
+      (Poly.make sp [ Constr.ge (Aff.var sp "x"); Constr.lt2 (Aff.var sp "x") (Aff.var sp "n") ])
+  in
+  let e = Enumerate.of_set ~sizes:[| Ast.Var "n" |] s in
+  let unbound = Invalid_argument "Enumerate.eval: unbound variable n" in
+  Alcotest.check_raises "eval" unbound (fun () -> ignore (Enumerate.eval e (Hashtbl.create 1)));
+  Alcotest.check_raises "eval_counted" unbound (fun () ->
+      ignore (Enumerate.eval_counted e (Hashtbl.create 1)))
 
 let test_enumerate_merge () =
   check
@@ -615,6 +641,7 @@ let base_suites =
           Alcotest.test_case "full-row collapse" `Quick test_enumerate_full_rows;
           Alcotest.test_case "partial rows" `Quick test_enumerate_partial_rows;
           Alcotest.test_case "merge" `Quick test_enumerate_merge;
+          Alcotest.test_case "unbound parameter" `Quick test_enumerate_unbound;
           qtest prop_enumerate_covers;
         ] );
     ]

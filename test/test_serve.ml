@@ -16,6 +16,13 @@ let compile_exn prog =
 
 let fleet ?mem_capacity n = Gpusim.Config.test_box ~n_devices:n ?mem_capacity ()
 
+(* An outcome's name, for failure messages. *)
+let outcome_name = function
+  | Serve.Job.Completed _ -> "completed"
+  | Serve.Job.Rejected _ -> "rejected"
+  | Serve.Job.Timed_out _ -> "timed_out"
+  | Serve.Job.Quarantined _ -> "quarantined"
+
 let outcome_of (r : Serve.Scheduler.report) name =
   match
     List.find_opt (fun (j : Serve.Job.report) -> j.Serve.Job.r_name = name)
@@ -290,7 +297,7 @@ let test_priority_orders_dispatch () =
   let started n =
     match outcome_of r n with
     | Serve.Job.Completed { started; _ } -> started
-    | o -> Alcotest.failf "%s not completed: %s" n (Serve.Job.outcome_name o)
+    | o -> Alcotest.failf "%s not completed: %s" n (outcome_name o)
   in
   checkb "high priority starts before low" true (started "hi" < started "lo")
 
@@ -324,7 +331,7 @@ let test_expired_in_queue_times_out () =
   match outcome_of r "starved" with
   | Serve.Job.Timed_out { started; _ } ->
     checkb "never dispatched" true (started = None)
-  | o -> Alcotest.failf "starved: %s" (Serve.Job.outcome_name o)
+  | o -> Alcotest.failf "starved: %s" (outcome_name o)
 
 (* A short-deadline job must not miss its deadline sitting behind an
    earlier-arrived long job with no deadline: the queue orders
@@ -372,7 +379,7 @@ let test_edf_short_deadline_not_starved () =
   let started n =
     match outcome_of r n with
     | Serve.Job.Completed { started; _ } -> started
-    | o -> Alcotest.failf "%s not completed: %s" n (Serve.Job.outcome_name o)
+    | o -> Alcotest.failf "%s not completed: %s" n (outcome_name o)
   in
   checkb "urgent meets its deadline" true (is_completed (outcome_of r "urgent"));
   checkb "urgent dispatched before the earlier-arrived cheap job" true
@@ -395,11 +402,11 @@ let test_poison_quarantined () =
          checki (name ^ " struck out") 3 strikes
        | true, o ->
          Alcotest.failf "%s should be quarantined, got %s" name
-           (Serve.Job.outcome_name o)
+           (outcome_name o)
        | false, Serve.Job.Completed _ -> ()
        | false, o ->
          Alcotest.failf "%s should complete, got %s" name
-           (Serve.Job.outcome_name o))
+           (outcome_name o))
     built
 
 (* ---------------- Graceful degradation ---------------- *)
@@ -670,7 +677,7 @@ let test_arena_mix_bit_identical () =
            (bits b.Serve.Mix.b_output = bits out')
        | Serve.Job.Quarantined _ ->
          checkb (name ^ " is poison") true b.Serve.Mix.b_poison
-       | o -> Alcotest.failf "%s: %s" name (Serve.Job.outcome_name o))
+       | o -> Alcotest.failf "%s: %s" name (outcome_name o))
     built;
   let again = run (mix ()) in
   checki "reused is deterministic" r.Serve.Scheduler.r_arena_reused

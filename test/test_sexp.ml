@@ -6,7 +6,14 @@ open Mekong
 let checkb = Alcotest.check Alcotest.bool
 let checks = Alcotest.check Alcotest.string
 
-let roundtrip x = Sexp.to_string (Sexp.parse (Sexp.to_string x))
+(* Exactly one form, through the reader's one entry point. *)
+let parse s =
+  match Sexp.parse_many s with
+  | [ x ] -> x
+  | forms ->
+    raise (Sexp.Parse_error (Printf.sprintf "%d forms, expected one" (List.length forms)))
+
+let roundtrip x = Sexp.to_string (parse (Sexp.to_string x))
 
 let test_print () =
   checks "atom" "foo" (Sexp.to_string (Sexp.atom "foo"));
@@ -19,23 +26,23 @@ let test_print () =
   checks "escapes" "\"a\\\"b\"" (Sexp.to_string (Sexp.atom "a\"b"))
 
 let test_parse () =
-  (match Sexp.parse "(hello (world 42))" with
+  (match parse "(hello (world 42))" with
    | Sexp.List [ Sexp.Atom "hello"; Sexp.List [ Sexp.Atom "world"; n ] ] ->
      Alcotest.(check int) "nested int" 42 (Sexp.as_int n)
    | _ -> Alcotest.fail "bad parse");
-  (match Sexp.parse "  atom  " with
+  (match parse "  atom  " with
    | Sexp.Atom "atom" -> ()
    | _ -> Alcotest.fail "atom with spaces");
-  (match Sexp.parse "(a ; comment\n b)" with
+  (match parse "(a ; comment\n b)" with
    | Sexp.List [ Sexp.Atom "a"; Sexp.Atom "b" ] -> ()
    | _ -> Alcotest.fail "comment skipping");
-  (match Sexp.parse "\"with space\"" with
+  (match parse "\"with space\"" with
    | Sexp.Atom "with space" -> ()
    | _ -> Alcotest.fail "quoted atom")
 
 let test_parse_errors () =
   let fails s =
-    match Sexp.parse s with
+    match parse s with
     | exception Sexp.Parse_error _ -> true
     | _ -> false
   in
@@ -50,7 +57,7 @@ let test_parse_many () =
   Alcotest.(check int) "three forms" 3 (List.length forms)
 
 let test_fields () =
-  let x = Sexp.parse "((name foo) (dims 1 2 3) (flag))" in
+  let x = parse "((name foo) (dims 1 2 3) (flag))" in
   checks "field name" "foo" (Sexp.as_atom (List.hd (Sexp.field "name" x)));
   Alcotest.(check int) "field dims" 3 (List.length (Sexp.field "dims" x));
   checkb "field_opt present" true (Sexp.field_opt "flag" x <> None);
@@ -80,7 +87,7 @@ let gen_sexp =
 let prop_roundtrip =
   QCheck.Test.make ~name:"print/parse roundtrip" ~count:300
     (QCheck.make ~print:Sexp.to_string gen_sexp)
-    (fun x -> Sexp.parse (Sexp.to_string x) = x)
+    (fun x -> parse (Sexp.to_string x) = x)
 
 let prop_roundtrip_stable =
   QCheck.Test.make ~name:"roundtrip is stable" ~count:100
