@@ -16,11 +16,22 @@ type compiled_kernel = Plan.compiled_kernel = {
   ck_gate : Verify.verdict;
 }
 
+(* What a launch of one kernel name reads from the linked binary. *)
+type linked = {
+  l_ck : compiled_kernel;
+  l_reduce : string; (* reduction-mode signature, part of the plan key *)
+  l_iters : int; (* product of the Repeat counts around its launches *)
+}
+
 (* The "linked binary": the host program plus, per kernel, the
-   partitioned clone and the generated enumerators. *)
+   partitioned clone and the generated enumerators, and the facts every
+   run reads from them. *)
 type exe = {
   prog : Host_ir.t;
   compiled : (string * compiled_kernel) list;
+  kernels : (string, linked) Hashtbl.t;
+  aliases : (string * string) list;
+  gate : (string * int) list;
 }
 
 let compile_kernel ?rectangles ?force_strategy (model : Model.t) (k : Kir.t) =
@@ -106,7 +117,35 @@ let link ?rectangles ?force_strategy ~(model : Model.t) (prog : Host_ir.t) :
               (Verify.verdict_to_string g))
        | Verify.Racy _ | Verify.Unknown _ -> ())
     compiled;
-  { prog; compiled }
+  (* Launches find their kernel by name, the first entry of a name
+     winning; each keeps its launch key's reduction-mode signature and
+     the autotuner's iteration context. *)
+  let aliases, iters_of = Plan.loop_context prog in
+  let kernels = Hashtbl.create 16 in
+  List.iter
+    (fun (name, ck) ->
+       if not (Hashtbl.mem kernels name) then
+         Hashtbl.add kernels name
+           {
+             l_ck = ck;
+             l_reduce =
+               String.concat ","
+                 (List.map
+                    (fun (arr, op) -> Kir.atomic_name op ^ ":" ^ arr)
+                    (Plan.reducible ck));
+             l_iters = iters_of name;
+           })
+    compiled;
+  let gate =
+    List.map
+      (fun v ->
+         ( "engine.gate." ^ v,
+           Hashtbl.fold
+             (fun _ l n -> if Verify.verdict_name l.l_ck.ck_gate = v then n + 1 else n)
+             kernels 0 ))
+      [ "safe"; "reducible"; "racy"; "unknown" ]
+  in
+  { prog; compiled; kernels; aliases; gate }
 
 exception All_devices_lost
 (* Terminal: the fault schedule killed every device.  Raised instead of
@@ -227,8 +266,17 @@ let backoff_base = 100e-6
 let backoff_cap = 10e-3
 let backoff_budget = 1.0
 
+(* The engine's run-wide state, shared by every run given it: the
+   registry every engine counter lives in and the executor that
+   compiles and counts into it. *)
+type context = { metrics : Obs.Metrics.t; launcher : Kcompile.executor }
+
+let context () =
+  let metrics = Obs.Metrics.create () in
+  { metrics; launcher = Kcompile.executor metrics }
+
 (* What the interpreter needs to run one plan's steps. *)
-type context = {
+type frame = {
   c_ck : compiled_kernel;
   c_block : Dim3.t;
   c_args : (string * string) list; (* array parameter -> buffer name *)
@@ -294,8 +342,8 @@ let replayable_step = function
 
 let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     ?(cache = true) ?(checkpoint_every = 8) ?(overlap = false)
-    ?(autotune = false) ?abort_at ?resume ?kernels ~(machine : Gpusim.Machine.t)
-    (exe : exe) : bounded =
+    ?(autotune = false) ?abort_at ?resume ?(context = context ())
+    ~(machine : Gpusim.Machine.t) (exe : exe) : bounded =
   if not (Gpu_runtime.Rconfig.is_valid cfg) then invalid_arg "Multi_gpu.run: bad config";
   if checkpoint_every <= 0 then
     invalid_arg "Multi_gpu.run: checkpoint_every must be positive";
@@ -303,15 +351,14 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
    | Some t when not (t > 0.0) ->
      invalid_arg "Multi_gpu.run_bounded: abort_at must be positive"
    | _ -> ());
-  (* Every engine counter of the run lives in this registry (DESIGN.md
-     §14); the handles are bumped where the events happen. *)
-  let metrics = Obs.Metrics.create () in
+  (* Every engine counter lives in the context's registry (DESIGN.md
+     §14); the handles are bumped where the events happen.  Compiled
+     kernels are cached even with [cache:false]: they never affect
+     simulated results, and re-deriving them per launch would bury the
+     plan-cache A/B signal under compilation noise. *)
+  let { metrics; launcher } = context in
   let counter = Obs.Metrics.counter metrics in
   let bump c = Obs.Metrics.add c 1.0 in
-  (* Compiled kernels are cached even with [cache:false]: they never
-     affect simulated results, and re-deriving them per launch would
-     bury the plan-cache A/B signal under compilation noise. *)
-  let launcher = Kcompile.executor ?kernels metrics in
   let m = machine in
   let functional = Gpusim.Machine.is_functional m in
   (* Engine phases are spanned on the simulated host clock as well as
@@ -339,6 +386,14 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   and retries = counter "faults.retries"
   and replays = counter "faults.replays"
   and devices_lost = counter "faults.devices_lost" in
+  (* A shared context's series also hold earlier runs: the result's
+     fault report is this run's share. *)
+  let this_run c =
+    let t0 = Obs.Metrics.total c in
+    fun () -> int_of_float (Obs.Metrics.total c -. t0)
+  in
+  let n_observed = this_run observed and n_retries = this_run retries
+  and n_replays = this_run replays and n_lost = this_run devices_lost in
   (* Every buffer of the run lives in one space (DESIGN.md §4). *)
   let space = Vbuf.space ~cfg m in
   let vbufs : (string, Vbuf.t) Hashtbl.t = Hashtbl.create 16 in
@@ -365,9 +420,6 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   (* The scorer needs the polyhedral range lists, so autotuning is only
      meaningful under a patterns config (like the tracker itself). *)
   let tune_enabled = autotune && cfg.Gpu_runtime.Rconfig.patterns in
-  (* The autotuner's static inputs: double-buffer pairs and per-kernel
-     Repeat iteration counts. *)
-  let swap_aliases, iters_of = Plan.loop_context exe.prog in
   let tune_launches = counter "autotune.launches" in
   (* The calibration sums are added to their series once, at the end,
      so the published microseconds are the scaled sum of the seconds. *)
@@ -377,9 +429,13 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   (* Per-launch relative-error histogram: one counter per bucket upper
      bound in percent, plus the open-ended one above the last. *)
   let err_le =
-    List.map
-      (fun pct -> (pct, counter (Printf.sprintf "autotune.err_le_%.0fpct" pct)))
-      [ 5.0; 10.0; 25.0; 50.0; 100.0 ]
+    [
+      (5.0, counter "autotune.err_le_5pct");
+      (10.0, counter "autotune.err_le_10pct");
+      (25.0, counter "autotune.err_le_25pct");
+      (50.0, counter "autotune.err_le_50pct");
+      (100.0, counter "autotune.err_le_100pct");
+    ]
   and err_gt = counter "autotune.err_gt_100pct" in
   let halo_blocks = counter "autotune.halo_blocks"
   and halo_steps = counter "autotune.halo_steps" in
@@ -397,30 +453,8 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
        | Some (_, c) -> c
        | None -> err_gt)
   in
-  (* Per-launch compiled-kernel lookup must not be linear in the kernel
-     count.  Each kernel keeps its launch key's reduction-mode
-     signature, which depends on the compiled kernel alone. *)
-  let compiled_tbl : (string, compiled_kernel * string) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun (name, ck) ->
-       if not (Hashtbl.mem compiled_tbl name) then
-         Hashtbl.add compiled_tbl name
-           ( ck,
-             String.concat ","
-               (List.map
-                  (fun (arr, op) -> Kir.atomic_name op ^ ":" ^ arr)
-                  (Plan.reducible ck)) ))
-    exe.compiled;
-  let gate =
-    List.map
-      (fun v -> (v, counter ("engine.gate." ^ v)))
-      [ "safe"; "reducible"; "racy"; "unknown" ]
-  in
-  Hashtbl.iter
-    (fun _ (ck, _) -> bump (List.assoc (Verify.verdict_name ck.ck_gate) gate))
-    compiled_tbl;
+  (* Each run counts the linked kernels' verdicts once. *)
+  List.iter (fun (name, n) -> Obs.Metrics.add (counter name) (float_of_int n)) exe.gate;
   let gate_merges = counter "engine.gate.merges"
   and gate_merged_elems = counter "engine.gate.merged_elems" in
   let plan_hits = counter "cache.plan_hits"
@@ -491,12 +525,12 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      when autotuning is off) and the reduction mode, so a plan is never
      replayed under another regime. *)
   let lookup kernel grid block args =
-    let ck, reduce =
-      match Hashtbl.find_opt compiled_tbl kernel.Kir.name with
-      | Some entry -> entry
+    let l =
+      match Hashtbl.find_opt exe.kernels kernel.Kir.name with
+      | Some l -> l
       | None -> invalid_arg ("Multi_gpu: unlinked kernel " ^ kernel.Kir.name)
     in
-    ( ck,
+    ( l,
       {
         Launch_cache.kernel = kernel.Kir.name;
         grid;
@@ -507,28 +541,28 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
           (if not tune_enabled then ""
            else
              Autotune.signature ~cfg:(Gpusim.Machine.config m) ~live:!live
-               ~iters:(iters_of kernel));
-        reduce;
+               ~iters:l.l_iters);
+        reduce = l.l_reduce;
       } )
   in
-  let build_plan ck key kernel grid block args =
+  let build_plan l key kernel grid block args =
     let env = env () in
     let choice =
       if not tune_enabled then None
       else
         Some
           (span ("autotune:" ^ kernel.Kir.name) (fun () ->
-               Plan.choose ~cfg:(Gpusim.Machine.config m) ~aliases:swap_aliases
-                 ~iters:(iters_of kernel) env ck kernel ~grid ~block ~args))
+               Plan.choose ~cfg:(Gpusim.Machine.config m) ~aliases:exe.aliases
+                 ~iters:l.l_iters env l.l_ck kernel ~grid ~block ~args))
     in
     Plan.launch ?choice
       ~min_chunks:(Option.value ~default:1 (Hashtbl.find_opt forced key))
-      env ck kernel ~grid ~block ~args
+      env l.l_ck kernel ~grid ~block ~args
   in
   let plan_for kernel grid block args =
-    let ck, key = lookup kernel grid block args in
-    let build () = build_plan ck key kernel grid block args in
-    ( ck,
+    let l, key = lookup kernel grid block args in
+    let build () = build_plan l key kernel grid block args in
+    ( l.l_ck,
       if not cache then build ()
       else
         let plan, freshness = Launch_cache.find_or_build !plan_cache key ~build in
@@ -542,11 +576,11 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
      infeasibility diagnostic when even single-block chunks cannot fit,
      which bounds the retries. *)
   let refine_chunks kernel grid block args =
-    let ck, key = lookup kernel grid block args in
+    let l, key = lookup kernel grid block args in
     let cur = Option.value ~default:1 (Hashtbl.find_opt forced key) in
     Hashtbl.replace forced key (max 2 (cur * 2));
     bump oom_refinements;
-    let plan = build_plan ck key kernel grid block args in
+    let plan = build_plan l key kernel grid block args in
     if cache then Launch_cache.replace !plan_cache key plan
   in
   (* --- The step interpreter ------------------------------------------ *)
@@ -743,7 +777,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
       List.iter (step c) steps;
       record_tune ~predicted ~actual:(Gpusim.Machine.elapsed m -. t0)
   in
-  let context ck ~block (plan : Launch_cache.plan) =
+  let frame ck ~block (plan : Launch_cache.plan) =
     let c_args = plan.pl_arg_arrays in
     {
       c_ck = ck;
@@ -768,7 +802,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
     let steps = Plan.of_launch (env ()) ck plan in
     if graphs && not (List.for_all replayable_step steps) then
       period_plain := false;
-    List.iter (step (context ck ~block plan)) steps;
+    List.iter (step (frame ck ~block plan)) steps;
     bases := None
   in
   (* Every live buffer in name order, the order checkpoints, preemption
@@ -875,7 +909,7 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
               Plan.halo (env ()) ck kernel plan ~grid ~block ~args ~iters:n
                 ~swap:(sx, sy)
             with
-            | Some steps -> List.iter (step (context ck ~block plan)) steps
+            | Some steps -> List.iter (step (frame ck ~block plan)) steps
             | None -> iterate n)
         | _ ->
           let k = if graphs then period_of body else 0 in
@@ -1115,17 +1149,16 @@ let run_bounded ?(cfg = Gpu_runtime.Rconfig.alpha) ?(tiling = `One_d)
   Obs.Metrics.add actual_us (!tune_act *. 1e6);
   let time = Gpusim.Machine.host_time m in
   Obs.Metrics.set metrics "engine.time_seconds" time;
-  let n c = int_of_float (Obs.Metrics.total c) in
   let result =
     {
       machine = m;
       time;
       faults =
         {
-          fr_faults = n observed;
-          fr_retries = n retries;
-          fr_replays = n replays;
-          fr_devices_lost = n devices_lost;
+          fr_faults = n_observed ();
+          fr_retries = n_retries ();
+          fr_replays = n_replays ();
+          fr_devices_lost = n_lost ();
         };
       metrics;
     }

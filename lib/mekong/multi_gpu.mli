@@ -13,12 +13,35 @@ type compiled_kernel = Plan.compiled_kernel = {
 }
 (** See {!Plan.compiled_kernel}. *)
 
+type linked = {
+  l_ck : compiled_kernel;
+  l_reduce : string;
+      (** the reduction-mode signature of the kernel's launch-plan keys:
+          each reducible array with its operator ([""] for every
+          verdict but [Reducible]) *)
+  l_iters : int;
+      (** the product of the [Repeat] counts around the kernel's
+          launches (the largest, if launched twice; 1 outside any
+          loop) *)
+}
+(** What every launch of one kernel name reads from the linked binary. *)
+
 type exe = {
   prog : Host_ir.t;
   compiled : (string * compiled_kernel) list;
+  kernels : (string, linked) Hashtbl.t;
+      (** [compiled] by name, the first entry of a name winning *)
+  aliases : (string * string) list;
+      (** the double-buffer pairs the program swaps, in program order *)
+  gate : (string * int) list;
+      (** per verdict series ([engine.gate.safe], [.reducible],
+          [.racy], [.unknown]), the number of [kernels] with that
+          verdict, which each run adds *)
 }
 (** The "linked binary": host program plus, per kernel, the partitioned
-    clone and the generated enumerators. *)
+    clone and the generated enumerators, and the facts every run reads
+    from them ({!Plan.loop_context} among them).  Read-only: {!link}
+    builds it. *)
 
 val link :
   ?rectangles:bool -> ?force_strategy:Dim3.axis -> model:Model.t ->
@@ -56,11 +79,11 @@ type result = {
       (** what the self-healing loop saw and did, read back from the
           run's ["faults.*"] series (all zero on ideal hardware) *)
   metrics : Obs.Metrics.t;
-      (** the run's registry, the only place engine counters live:
-          transfers, plan-cache hits and misses, memory chunking,
-          verifier verdicts and reducible merges, faults, autotuner
-          calibration and executor launches under the names of
-          DESIGN.md §14.  Every series is registered at zero. *)
+      (** the registry of the run's {!context}, the only place engine
+          counters live: transfers, plan-cache hits and misses, memory
+          chunking, verifier verdicts and reducible merges, faults,
+          autotuner calibration and executor launches under the names
+          of DESIGN.md §14.  Every series is registered at zero. *)
 }
 
 val publish_metrics : ?into:Obs.Metrics.t -> result -> unit
@@ -196,6 +219,18 @@ type handoff = {
 
 type bounded = Done of result | Preempted of result * handoff
 
+type context
+(** The engine's run-wide state: one metrics registry and the one
+    {!Kcompile.executor}, with its compiled-kernel store, that counts
+    into it.  A run given a context counts into its registry, which it
+    returns as {!result.metrics}: after several runs, each counter
+    series holds their sum, [engine.time_seconds] the last run's value
+    and [exec.max_domains] the most domains any launch engaged.  Runs
+    through one context must not overlap. *)
+
+val context : unit -> context
+(** A fresh context: an empty registry and an empty store. *)
+
 val run_bounded :
   ?cfg:Gpu_runtime.Rconfig.t ->
   ?tiling:[ `One_d | `Two_d ] ->
@@ -205,7 +240,7 @@ val run_bounded :
   ?autotune:bool ->
   ?abort_at:float ->
   ?resume:handoff ->
-  ?kernels:Kcompile.kernels ->
+  ?context:context ->
   machine:Gpusim.Machine.t ->
   exe ->
   bounded
@@ -231,7 +266,8 @@ val run_bounded :
     device memory no chunking can satisfy) and [Invalid_argument]
     escape.
 
-    [kernels] is the store the run compiles kernels into (default: a
-    fresh one, as {!run} uses); a caller running many jobs passes one
-    store to all of them so each launch shape compiles once.  A device
-    loss still empties it. *)
+    [context] is where the run counts and compiles (default: a fresh
+    one, as {!run} uses, so [result.metrics] holds this run alone); a
+    caller running many jobs passes one context to all of them so each
+    launch shape compiles once.  A device loss still empties its store.
+    [result.faults] is this run's share either way. *)

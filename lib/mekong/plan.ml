@@ -51,8 +51,7 @@ let loop_context (prog : Host_ir.t) =
     | _ -> ()
   in
   List.iter (scan ~n:1) prog.Host_ir.body;
-  ( List.rev !aliases,
-    fun kernel -> Option.value ~default:1 (Hashtbl.find_opt iters kernel.Kir.name) )
+  (List.rev !aliases, fun name -> Option.value ~default:1 (Hashtbl.find_opt iters name))
 
 type env = {
   patterns : bool;

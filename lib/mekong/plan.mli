@@ -43,11 +43,12 @@ val launch_bindings :
   (string * int) list
 (** Scalar arguments plus block and grid dimensions of one launch. *)
 
-val loop_context : Host_ir.t -> (string * string) list * (Kir.t -> int)
+val loop_context : Host_ir.t -> (string * string) list * (string -> int)
 (** The double-buffer pairs a host program swaps (in program order) and
-    each kernel's iteration context: the product of the [Repeat] counts
-    around its launch (1 outside any loop).  The autotuner's static
-    scoring inputs. *)
+    each kernel's iteration context, by name: the product of the
+    [Repeat] counts around its launch (1 outside any loop).  The
+    autotuner's static scoring inputs, which {!Multi_gpu.link} records
+    in the linked binary. *)
 
 type env = {
   patterns : bool;
@@ -76,7 +77,8 @@ val choose :
   Autotune.choice
 (** The autotuner's choice for one launch over [env.live], scoring the
     partition plans of {!launch}'s planner (so needs [env.patterns]);
-    [aliases] and [iters] are its {!loop_context}. *)
+    [aliases] and [iters] are its {!loop_context}, as the linked binary
+    records them. *)
 
 val launch :
   ?choice:Autotune.choice ->

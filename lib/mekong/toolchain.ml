@@ -85,10 +85,11 @@ let compile ?assume ?instrument_writes ?model_file (prog : Host_ir.t) :
    re-derive the autotuner's candidate search for every distinct launch
    of the program, outside any engine run.  The scoring inputs the
    engine reads from live state are reconstructed statically: buffer
-   lengths from the Mallocs, double-buffer aliases from the Swaps,
-   iteration context from the enclosing Repeat products, and the live
-   set as the full fleet.  On ideal hardware this is exactly what the
-   engine's first build of each plan computes. *)
+   lengths from the Mallocs and the live set as the full fleet; the
+   double-buffer aliases and iteration contexts are the ones link
+   recorded in the exe, which the engine reads too.  On ideal hardware
+   this is exactly what the engine's first build of each plan
+   computes. *)
 let static_launches ~(cfg : Gpusim.Config.t) (a : artifacts) =
   let prog = a.exe.Multi_gpu.prog in
   let lens : (string, int) Hashtbl.t = Hashtbl.create 8 in
@@ -99,7 +100,6 @@ let static_launches ~(cfg : Gpusim.Config.t) (a : artifacts) =
     | _ -> ()
   in
   List.iter mallocs prog.Host_ir.body;
-  let aliases, iters_of = Plan.loop_context prog in
   let env =
     { Plan.patterns = true; tiling = `One_d; overlap = false; autotune = true;
       live = List.init cfg.Gpusim.Config.n_devices Fun.id;
@@ -118,12 +118,12 @@ let static_launches ~(cfg : Gpusim.Config.t) (a : artifacts) =
       let k = (kernel.Kir.name, grid, block, args) in
       if not (Hashtbl.mem seen k) then begin
         Hashtbl.add seen k ();
-        match List.assoc_opt kernel.Kir.name a.exe.Multi_gpu.compiled with
+        match Hashtbl.find_opt a.exe.Multi_gpu.kernels kernel.Kir.name with
         | None -> ()
-        | Some ck ->
+        | Some { Multi_gpu.l_ck = ck; l_iters; _ } ->
           let choice =
-            Plan.choose ~cfg ~aliases ~iters:(iters_of kernel) env ck kernel
-              ~grid ~block ~args
+            Plan.choose ~cfg ~aliases:a.exe.Multi_gpu.aliases ~iters:l_iters env
+              ck kernel ~grid ~block ~args
           in
           acc := (choice, (ck, kernel, grid, block, args, loop)) :: !acc
       end

@@ -41,9 +41,9 @@ val compile :
 val explain_plans : cfg:Gpusim.Config.t -> artifacts -> Autotune.choice list
 (** Re-derive the autotuner's candidate search ({!Autotune.choose}) for
     every distinct launch of the compiled program, statically: buffer
-    lengths come from the [Malloc]s, double-buffer aliases from the
-    [Swap]s, iteration context from the enclosing [Repeat] products,
-    and the live set is the full fleet of [cfg].  On ideal hardware
+    lengths come from the [Malloc]s, double-buffer aliases and
+    iteration contexts from the linked binary ({!Multi_gpu.exe}), and
+    the live set is the full fleet of [cfg].  On ideal hardware
     this matches what an autotuned engine run computes when it first
     builds each plan.  Backs [mekongc plan] and [run --explain-plan]. *)
 

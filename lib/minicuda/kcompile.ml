@@ -1688,22 +1688,19 @@ module Shape = Hashtbl.Make (struct
     let hash = Hashtbl.hash
   end)
 
-type kernels = (Kir.t * t) list Shape.t
-
-let kernels () : kernels = Shape.create 16
-
-let find_kernel (store : kernels) key kernel =
+let find_kernel store key kernel =
   match Shape.find_opt store key with
   | None -> None
   | Some entries -> List.find_map (fun (k, c) -> if Kir.equal k kernel then Some c else None) entries
 
-let add_kernel (store : kernels) key kernel c =
+let add_kernel store key kernel c =
   Shape.replace store key
     ((kernel, c) :: Option.value ~default:[] (Shape.find_opt store key))
 
-(* Every engine launches kernels through one executor per run. *)
+(* Every engine launches kernels through one executor, which owns its
+   compiled-kernel store. *)
 type executor = {
-  store : kernels;
+  store : (Kir.t * t) list Shape.t;
   reg : Obs.Metrics.t;
   compiles : Obs.Metrics.counter;
   cache_hits : Obs.Metrics.counter;
@@ -1716,13 +1713,13 @@ type executor = {
   mutable max_domains : int;
 }
 
-let executor ?(kernels = kernels ()) reg =
+let executor reg =
   let counter = Obs.Metrics.counter reg in
   Obs.Metrics.set reg "exec.max_domains" 1.0;
   (* Every registry carries the series of launches [Keval] runs. *)
   ignore (Keval.launches reg : Obs.Metrics.counter);
   {
-    store = kernels;
+    store = Shape.create 16;
     reg;
     compiles = counter "exec.compiles";
     cache_hits = counter "exec.cache_hits";

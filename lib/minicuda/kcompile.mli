@@ -82,30 +82,23 @@ val run : ?pool:Gpu_runtime.Dpool.t -> t -> access:(string -> access) -> unit
 
 (** {2 The launch executor} *)
 
-type kernels
-(** A store of compiled kernels, one entry per (kernel, grid, block,
-    scalar args) shape.  Entries hash on
-    the kernel's name and the shape, and match the kernel itself
-    (physically, else {!Kir.equal}): a name identifies a kernel only
-    inside one program.  Stored kernels keep their per-domain register
-    files but no launch's arrays.  Launches through one store must not
-    overlap. *)
-
-val kernels : unit -> kernels
-(** An empty store. *)
-
 type executor
-(** The one kernel-launch path of every engine: a compiled-kernel
-    store plus the ["exec.*"] counters of one metrics registry. *)
+(** The one kernel-launch path of every engine: a store of compiled
+    kernels plus the ["exec.*"] counters of one metrics registry.  The
+    store has one entry per (kernel, grid, block, scalar args) shape;
+    entries hash on the kernel's name and the shape, and match the
+    kernel itself (physically, else {!Kir.equal}): a name identifies a
+    kernel only inside one program.  Stored kernels keep their
+    per-domain register files but no launch's arrays.  Launches through
+    one executor must not overlap. *)
 
-val executor : ?kernels:kernels -> Obs.Metrics.t -> executor
-(** An executor compiling into [kernels] (default: a fresh store) and
-    counting into the registry: [exec.compiles],
-    [exec.cache_hits], [exec.seq_launches], [exec.par_launches],
-    [exec.interpreted], [kcompile.scalar_blocks],
+val executor : Obs.Metrics.t -> executor
+(** An executor with an empty store, counting into the registry:
+    [exec.compiles], [exec.cache_hits], [exec.seq_launches],
+    [exec.par_launches], [exec.interpreted], [kcompile.scalar_blocks],
     [kcompile.guards_folded], [kcompile.guards_scanned] and
-    [kcompile.affine_accesses] registered at zero, the [exec.max_domains]
-    gauge at 1.  No launch here bumps [exec.interpreted]: it counts the
+    [kcompile.affine_accesses] registered at zero, the
+    [exec.max_domains] gauge at 1.  No launch here bumps [exec.interpreted]: it counts the
     launches {!Single_gpu}'s [`Interpreter] mode runs under {!Keval}. *)
 
 val clear_cache : executor -> unit

@@ -170,10 +170,10 @@ let run (cfg : config) (specs : Job.spec list) : report =
          invalid_arg ("Scheduler.run: duplicate job name " ^ s.Job.name);
        Hashtbl.add seen s.Job.name ())
     specs;
-  (* Every dispatch of this run (first attempts, retries, resumes)
-     compiles into one kernel store, so a launch shape compiles once
-     per run; nothing carries over to the next run. *)
-  let kernels = Kcompile.kernels () in
+  (* Every dispatch of this run (first attempts, retries, resumes) runs
+     in one engine context, so a launch shape compiles once per run;
+     nothing carries over to the next run. *)
+  let context = Mekong.Multi_gpu.context () in
   (* Likewise one device-memory arena: each dispatch's machine draws
      its functional arrays from it and gives them back once the
      dispatch is done with the machine. *)
@@ -331,7 +331,7 @@ let run (cfg : config) (specs : Job.spec list) : report =
         match
           Mekong.Multi_gpu.run_bounded
             ~checkpoint_every ?abort_at
-            ?resume:j.js_handoff ~kernels ~machine:m exe
+            ?resume:j.js_handoff ~context ~machine:m exe
         with
         | Mekong.Multi_gpu.Done _ -> Fate_done
         | Mekong.Multi_gpu.Preempted (_, h) -> Fate_preempt (h, abort_kind)

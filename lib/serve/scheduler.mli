@@ -88,9 +88,9 @@ val run : config -> Job.spec list -> report
     arrived earlier.  With no deadlines pending the order is exactly
     the original (priority, arrival, submission) FIFO.
 
-    Every dispatch of the run launches through one
-    {!Kcompile.kernels} store, so each launch shape compiles once per
-    run, and allocates its functional device arrays from one
+    Every dispatch of the run runs in one engine context
+    ({!Mekong.Multi_gpu.context}), so each launch shape compiles once
+    per run, and allocates its functional device arrays from one
     {!Gpusim.Buffer.arena}, which gets them back when the dispatch is
     done with its machine ({!Gpusim.Machine.release}).  Neither
     outlives the call. *)

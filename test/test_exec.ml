@@ -433,11 +433,11 @@ let repeat_program kernel inputs result =
 
 (* A run's exec.* series: compiles, cache hits, sequential, parallel
    and interpreted launches, max domains. *)
+let exec_series =
+  [ "compiles"; "cache_hits"; "seq_launches"; "par_launches"; "interpreted"; "max_domains" ]
+
 let exec_counts reg =
-  List.map
-    (fun n -> int_of_float (Obs.Metrics.get reg ("exec." ^ n)))
-    [ "compiles"; "cache_hits"; "seq_launches"; "par_launches"; "interpreted";
-      "max_domains" ]
+  List.map (fun n -> int_of_float (Obs.Metrics.get reg ("exec." ^ n))) exec_series
 
 (* Every engine launches through Kcompile.launch: a kernel runs
    through Single_gpu, Multi_gpu on 2 devices and instrumented shadow
@@ -501,8 +501,9 @@ let test_engine_launches_and_rejection () =
 
 (* ---------------- Kernel stores ----------------
 
-   One store serves many runs: a kernel is identified by itself, not
-   by its name, and a stored kernel keeps no launch's arrays. *)
+   One engine context, and so one executor's store, serves many runs: a
+   kernel is identified by itself, not by its name, and a stored kernel
+   keeps no launch's arrays. *)
 
 (* out[gi] = a[1][gi] * scale over n = 8 (2 blocks of 4 threads), with
    [a] a 2 x [width] array: the row offset comes from the extent. *)
@@ -541,15 +542,15 @@ let row_program kernel ~width result =
     ]
 
 (* Link [kernel]'s program afresh and run it on 2 functional devices
-   through [kernels] (a private store when absent): output bits and the
-   run's exec.* series. *)
-let run_linked ?kernels kernel ~width =
+   in [context] (a fresh one when absent): output bits and the exec.*
+   series of the context's registry after the run. *)
+let run_linked ?context kernel ~width =
   let result = Array.make 8 nan in
   match Mekong.Toolchain.compile (row_program kernel ~width result) with
   | Error e -> Alcotest.failf "toolchain: %s" (Mekong.Toolchain.error_message e)
   | Ok art -> (
       let m = Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:2 ()) in
-      match Mekong.Multi_gpu.run_bounded ?kernels ~machine:m art.Mekong.Toolchain.exe with
+      match Mekong.Multi_gpu.run_bounded ?context ~machine:m art.Mekong.Toolchain.exe with
       | Mekong.Multi_gpu.Done r ->
         (Array.map Int64.bits_of_float result, exec_counts r.Mekong.Multi_gpu.metrics)
       | Mekong.Multi_gpu.Preempted _ -> Alcotest.fail "preempted without abort_at")
@@ -561,36 +562,103 @@ let keval_row kernel ~width =
 
 let bits = Alcotest.(array int64)
 
+(* What one run through a shared context added to its exec.* series:
+   each counter after the run minus before it; the max_domains gauge
+   as it reads after. *)
+let since before after =
+  List.map2
+    (fun n (b, a) -> if n = "max_domains" then a else a - b)
+    exec_series (List.combine before after)
+
 (* A second, separately linked instance of one program compiles
-   nothing through a shared store, with the same output bits as a
-   private store and as Keval. *)
+   nothing through a shared context, with the same output bits as a
+   fresh context and as Keval. *)
 let test_store_relinked_program () =
   let k = row_kernel ~scale:2.0 ~width:16 in
-  let kernels = Kcompile.kernels () in
-  let out1, c1 = run_linked ~kernels k ~width:16 in
-  let out2, c2 = run_linked ~kernels k ~width:16 in
+  let context = Mekong.Multi_gpu.context () in
+  let out1, c1 = run_linked ~context k ~width:16 in
+  let out2, after2 = run_linked ~context k ~width:16 in
+  let c2 = since c1 after2 in
   let own, c_own = run_linked k ~width:16 in
   Alcotest.check bits "first run == Keval" (keval_row k ~width:16) out1;
   Alcotest.check bits "second run == first" out1 out2;
-  Alcotest.check bits "private store == shared" own out2;
+  Alcotest.check bits "fresh context == shared" own out2;
   checkb "first run compiles" true (List.hd c1 > 0);
-  Alcotest.(check (list int)) "first run counts as a private store" c_own c1;
+  Alcotest.(check (list int)) "first run counts as a fresh context" c_own c1;
   checki "second run compiles nothing" 0 (List.hd c2);
   checki "second run hits every launch" (List.nth c_own 0 + List.nth c_own 1) (List.nth c2 1)
 
 (* Kernels sharing a name but not a body or an extent compile
-   separately in one store, each matching Keval. *)
+   separately in one context, each matching Keval. *)
 let test_store_same_name () =
-  let kernels = Kcompile.kernels () in
+  let context = Mekong.Multi_gpu.context () in
+  ignore
+    (List.fold_left
+       (fun before (what, scale, width) ->
+          let k = row_kernel ~scale ~width in
+          let out, after = run_linked ~context k ~width in
+          let _, c_own = run_linked k ~width in
+          Alcotest.check bits (what ^ ": Keval") (keval_row k ~width) out;
+          Alcotest.(check (list int)) (what ^ ": compiled separately") c_own
+            (since before after);
+          after)
+       (List.map (fun _ -> 0) exec_series)
+       [ ("base", 2.0, 16); ("other body", 3.0, 16); ("other extent", 2.0, 8);
+         ("negative zero", -0.0, 8); ("positive zero", 0.0, 8) ])
+
+(* Two runs through one context leave every counter series of its
+   registry at the sum of two runs in fresh contexts, but for what the
+   executor counts per compile (compiles, affine accesses) and its
+   cache hits: the second run compiles nothing. *)
+let test_context_sums_runs () =
+  let open Mekong.Multi_gpu in
+  let run ?context ~autotune prog =
+    let m =
+      Gpusim.Machine.create ~functional:true (Gpusim.Config.test_box ~n_devices:2 ())
+    in
+    (run_bounded ?context ~autotune ~machine:m prog |> function
+      | Done r -> r.metrics
+      | Preempted _ -> Alcotest.fail "preempted without abort_at")
+  in
+  let counters reg =
+    List.filter_map
+      (fun (s : Obs.Metrics.sample) ->
+         if s.Obs.Metrics.m_kind = Obs.Metrics.Counter then
+           Some (s.Obs.Metrics.m_name, s.Obs.Metrics.m_value)
+         else None)
+      (Obs.Metrics.snapshot reg)
+  in
   List.iter
-    (fun (what, scale, width) ->
-       let k = row_kernel ~scale ~width in
-       let out, counts = run_linked ~kernels k ~width in
-       let _, c_own = run_linked k ~width in
-       Alcotest.check bits (what ^ ": Keval") (keval_row k ~width) out;
-       Alcotest.(check (list int)) (what ^ ": compiled separately") c_own counts)
-    [ ("base", 2.0, 16); ("other body", 3.0, 16); ("other extent", 2.0, 8);
-      ("negative zero", -0.0, 8); ("positive zero", 0.0, 8) ]
+    (fun (what, autotune, (prog, out, cpu)) ->
+       let exe =
+         match Mekong.Toolchain.compile prog with
+         | Ok a -> a.Mekong.Toolchain.exe
+         | Error e -> Alcotest.failf "toolchain: %s" (Mekong.Toolchain.error_message e)
+       in
+       let fresh1 = counters (run ~autotune exe) in
+       let fresh2 = counters (run ~autotune exe) in
+       let context = context () in
+       let first = counters (run ~context ~autotune exe) in
+       let shared = counters (run ~context ~autotune exe) in
+       checkb (what ^ ": golden") true (out = cpu ());
+       Alcotest.(check (list string)) (what ^ ": one series set") (List.map fst fresh1)
+         (List.map fst shared);
+       List.iter2
+         (fun (name, a) ((_, b), (_, s)) ->
+            if not (List.mem name [ "exec.compiles"; "exec.cache_hits"; "kcompile.affine_accesses" ])
+            then
+              Alcotest.(check (float 0.0)) (what ^ ": " ^ name) (a +. b) s)
+         fresh1 (List.combine fresh2 shared);
+       let get name l = List.assoc name l in
+       checkb (what ^ ": the first run compiles") true (get "exec.compiles" first > 0.0);
+       Alcotest.(check (float 0.0)) (what ^ ": the second run compiles nothing")
+         (get "exec.compiles" first) (get "exec.compiles" shared);
+       Alcotest.(check (float 0.0)) (what ^ ": every launch is compiled or a hit")
+         (get "exec.compiles" fresh1 +. get "exec.cache_hits" fresh1
+          +. get "exec.compiles" fresh2 +. get "exec.cache_hits" fresh2)
+         (get "exec.compiles" shared +. get "exec.cache_hits" shared))
+    [ ("hotspot autotuned", true, Apps.Workloads.functional_hotspot ~n:64 ~iterations:4);
+      ("histogram", false, Apps.Workloads.functional_histogram ~n:4096 ~nbins:16) ]
 
 (* Float scalar arguments are part of the shape bit for bit: a kernel
    compiled for s = 0.0 must not serve s = -0.0. *)
@@ -614,7 +682,7 @@ let test_store_float_args () =
 (* After a launch returns or raises, a store still holding its kernel
    holds none of the launch's arrays. *)
 let test_store_drops_arrays () =
-  let kernels = Kcompile.kernels () in
+  let ex = Kcompile.executor (Obs.Metrics.create ()) in
   let k = compiled_dbl_kernel in
   let launch ~parallel ~len =
     let weak = Weak.create 2 in
@@ -627,7 +695,7 @@ let test_store_drops_arrays () =
          | _ -> { Kcompile.loads = out; stores = out; touched = None }
        in
        try
-         Kcompile.launch (Kcompile.executor ~kernels (Obs.Metrics.create ())) ~parallel k
+         Kcompile.launch ex ~parallel k
            ~grid:(Dim3.make 4) ~block:(Dim3.make 4) ~args:[ Keval.AInt 16 ] ~access
        with Invalid_argument _ -> ())
       ();
@@ -640,7 +708,7 @@ let test_store_drops_arrays () =
        checkb (what ^ ": arrays collected") true
          (Weak.get weak 0 = None && Weak.get weak 1 = None))
     [ ("sequential", false, 16); ("parallel", true, 16); ("raising", false, 8) ];
-  ignore (Sys.opaque_identity kernels)
+  ignore (Sys.opaque_identity ex)
 
 (* ---------------- Differential QCheck property ----------------
 
@@ -2567,6 +2635,7 @@ let () =
           Alcotest.test_case "one name, different kernels" `Quick test_store_same_name;
           Alcotest.test_case "float arguments by bit pattern" `Quick test_store_float_args;
           Alcotest.test_case "launch arrays are dropped" `Quick test_store_drops_arrays;
+          Alcotest.test_case "one context sums two runs" `Quick test_context_sums_runs;
         ] );
       ( "multi_gpu",
         [

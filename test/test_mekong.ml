@@ -1879,11 +1879,13 @@ let test_plan_runs_winner () =
       { Mekong.Plan.patterns = true; tiling = `One_d; overlap = false; autotune = true;
         live; mem_cap = max_int; elem_bytes = 4; buf_len = (fun b -> List.assoc b lens) }
     in
-    let ck = List.assoc kernel.Kir.name exe.Mekong.Multi_gpu.compiled in
-    let aliases, iters_of = Mekong.Plan.loop_context prog in
+    let { Mekong.Multi_gpu.l_ck = ck; l_iters; _ } =
+      Hashtbl.find exe.Mekong.Multi_gpu.kernels kernel.Kir.name
+    in
     let choice =
-      Mekong.Plan.choose ~cfg:(Gpusim.Config.k80_box ~n_devices:4 ()) ~aliases
-        ~iters:(iters_of kernel) env ck kernel ~grid ~block ~args
+      Mekong.Plan.choose ~cfg:(Gpusim.Config.k80_box ~n_devices:4 ())
+        ~aliases:exe.Mekong.Multi_gpu.aliases ~iters:l_iters env ck kernel ~grid
+        ~block ~args
     in
     let winner = choice.Mekong.Autotune.c_winner.Mekong.Autotune.parts in
     let plan = Mekong.Plan.launch ~choice env ck kernel ~grid ~block ~args in
